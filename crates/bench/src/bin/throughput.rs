@@ -117,7 +117,7 @@ fn main() {
         let resolved = resolve_problem(job).expect("resolve");
         resolve_s += t.elapsed().as_secs_f64();
         let session =
-            SolverSession::build(&resolved.a, &resolved.owner, &job.session).expect("setup");
+            SolverSession::build(&resolved.a, resolved.owner(), &job.session).expect("setup");
         setup_s += session.setup_seconds();
         let rep = match &resolved.x0 {
             Some(x0) => session.solve_with_guess(&resolved.b, x0),

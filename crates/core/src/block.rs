@@ -12,7 +12,7 @@
 use parapre_dist::{DistMatrix, DistPrecond};
 use parapre_krylov::{Ilu0, Ilut, IlutConfig, LuFactors};
 use parapre_mpisim::Comm;
-use parapre_sparse::Result;
+use parapre_sparse::{Csr, Result};
 
 /// A block(-Jacobi) preconditioner with an incomplete-LU subdomain sweep.
 pub struct BlockPrecond {
@@ -74,6 +74,14 @@ impl DistPrecond for BlockPrecond {
         z.copy_from_slice(r);
         self.factors.solve_in_place(z);
     }
+
+    /// `Block 1`'s ILU(0) is numeric-only to begin with; `Block 2` skips
+    /// ILUT's drop/fill selection and works inside the frozen pattern.
+    fn refactor(&self, dm: &DistMatrix, _a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+        Ok(Box::new(BlockPrecond {
+            factors: self.factors.refactor(&dm.owned_block())?,
+        }))
+    }
 }
 
 /// The bottom rung of the preconditioner fallback ladder: point-Jacobi
@@ -109,6 +117,11 @@ impl DistPrecond for JacobiDistPrecond {
         for ((zi, &ri), &di) in z.iter_mut().zip(r).zip(&self.inv_diag) {
             *zi = ri * di;
         }
+    }
+
+    /// Nothing symbolic to keep: the rebuild is the build.
+    fn refactor(&self, dm: &DistMatrix, _a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+        Ok(Box::new(JacobiDistPrecond::build(dm)))
     }
 }
 

@@ -41,8 +41,8 @@ pub use cases::{build_case, build_case_sized, AssembledCase, CaseId, CaseSize};
 pub use overlap::OverlapBlockPrecond;
 pub use runner::{
     build_dist_precond, build_dist_precond_with_fallback, partition_case, partition_case_with,
-    run_case, run_case_traced, try_build_dist_precond, FallbackBuild, PartitionScheme, PrecondKind,
-    PrecondParams, RunConfig, RunResult,
+    refactor_dist_precond, run_case, run_case_traced, try_build_dist_precond, FallbackBuild,
+    PartitionScheme, PrecondKind, PrecondParams, RefactorReject, RunConfig, RunResult,
 };
 pub use schur::{Schur1Config, Schur1Precond};
 pub use schur2::{Schur2Config, Schur2Precond};

@@ -50,6 +50,24 @@ impl OverlapBlockPrecond {
         cfg: &IlutConfig,
         shifted: bool,
     ) -> Result<Self> {
+        let a_ext = Self::extended_block(dm, a_global);
+        let factors = {
+            let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
+            if shifted {
+                Ilut::factor_shifted(&a_ext, cfg)?
+            } else {
+                Ilut::factor(&a_ext, cfg)?
+            }
+        };
+        Ok(OverlapBlockPrecond {
+            layout: dm.layout.clone(),
+            factors,
+        })
+    }
+
+    /// The extended subdomain matrix: owned rows verbatim, ghost rows read
+    /// from the global matrix and restricted to the local node set.
+    fn extended_block(dm: &DistMatrix, a_global: &Csr) -> Csr {
         let _assemble = parapre_trace::span(parapre_trace::phase::INTERFACE_ASSEMBLY);
         let lay = &dm.layout;
         let nl = lay.n_local();
@@ -86,20 +104,7 @@ impl OverlapBlockPrecond {
             }
             row_ptr.push(col_idx.len());
         }
-        let a_ext = Csr::from_parts_unchecked(nl, nl, row_ptr, col_idx, vals);
-        drop(_assemble);
-        let factors = {
-            let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
-            if shifted {
-                Ilut::factor_shifted(&a_ext, cfg)?
-            } else {
-                Ilut::factor(&a_ext, cfg)?
-            }
-        };
-        Ok(OverlapBlockPrecond {
-            layout: lay.clone(),
-            factors,
-        })
+        Csr::from_parts_unchecked(nl, nl, row_ptr, col_idx, vals)
     }
 
     /// Fill of the extended factor (diagnostics).
@@ -124,6 +129,16 @@ impl DistPrecond for OverlapBlockPrecond {
         self.factors.solve_in_place(&mut ext);
         // RAS restriction: keep the owned part only.
         z.copy_from_slice(&ext[..no]);
+    }
+
+    /// The extended block is reassembled from the new values and factored
+    /// inside the frozen ILUT pattern.
+    fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+        crate::runner::same_local_shape(&self.layout, &dm.layout)?;
+        Ok(Box::new(OverlapBlockPrecond {
+            layout: dm.layout.clone(),
+            factors: self.factors.refactor(&Self::extended_block(dm, a_global))?,
+        }))
     }
 }
 

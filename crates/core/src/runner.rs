@@ -495,6 +495,84 @@ pub fn build_dist_precond_with_fallback(
     }
 }
 
+/// Why [`refactor_dist_precond`] refused a numeric-only rebuild. The
+/// decision and the reason are agreed collectively, so every rank returns
+/// the same value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefactorReject {
+    /// Some rank's refactored factors had a zero, negligible or non-finite
+    /// pivot (or a singular group block). A frozen pattern is never shifted
+    /// or pivot-fixed; the symbolic build and its shift ladder take over.
+    Unhealthy,
+    /// Some rank's new block does not fit its donor's frozen structure
+    /// (another shape or layout), or the donor has nothing to refactor.
+    Pattern,
+}
+
+/// Typed error unless the two layouts number the same local unknowns the
+/// same way — the precondition for reusing anything indexed by them.
+pub(crate) fn same_local_shape(
+    donor: &parapre_dist::LocalLayout,
+    new: &parapre_dist::LocalLayout,
+) -> parapre_sparse::Result<()> {
+    for (expected, found) in [
+        (donor.n_internal, new.n_internal),
+        (donor.n_interface, new.n_interface),
+        (donor.n_ghost, new.n_ghost),
+    ] {
+        if expected != found {
+            return Err(parapre_sparse::Error::DimensionMismatch {
+                op: "refactor layout",
+                expected,
+                found,
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Numeric-only rebuild of one rank's preconditioner from `donor`, the
+/// preconditioner the same rank holds for a matrix with the **same
+/// sparsity pattern** (and therefore the same partition and layout): fill
+/// patterns, level schedules and independent sets are reused, only values
+/// are recomputed ([`DistPrecond::refactor`], under a `setup.refactor`
+/// span — never `setup.factor`). The new preconditioner is of the donor's
+/// kind by construction.
+///
+/// Collective, and deliberately in two phases: every rank first computes
+/// its local result to the end — no early return, so no rank can be left
+/// alone in a collective — and then one all-reduce on a fresh tag decides
+/// for all. On a reject every rank returns the same [`RefactorReject`]
+/// together and the caller runs the ordinary
+/// [`build_dist_precond_with_fallback`].
+pub fn refactor_dist_precond(
+    donor: &dyn DistPrecond,
+    dm: &DistMatrix,
+    comm: &mut parapre_mpisim::Comm,
+    a_global: &parapre_sparse::Csr,
+) -> Result<Box<dyn DistPrecond>, RefactorReject> {
+    use parapre_sparse::Error;
+    let local = {
+        let _s = parapre_trace::span(parapre_trace::phase::REFACTOR);
+        donor.refactor(dm, a_global)
+    };
+    // [ranks refusing for health, ranks refusing for structure]
+    let mut votes = match &local {
+        Ok(_) => [0.0, 0.0],
+        Err(Error::ZeroPivot(_) | Error::NonFinitePivot(_)) => [1.0, 0.0],
+        Err(_) => [0.0, 1.0],
+    };
+    comm.allreduce_sum_vec(&mut votes, parapre_dist::tags::REDUCE + 50);
+    let [unhealthy, structural] = votes;
+    if structural > 0.0 {
+        Err(RefactorReject::Pattern)
+    } else if unhealthy > 0.0 {
+        Err(RefactorReject::Unhealthy)
+    } else {
+        Ok(local.expect("no rank refused, this one included"))
+    }
+}
+
 /// Runs one experiment cell: partition, distribute, precondition, solve.
 pub fn run_case(case: &AssembledCase, cfg: &RunConfig) -> RunResult {
     run_case_traced(case, cfg, false).0

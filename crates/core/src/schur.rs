@@ -29,7 +29,7 @@ use parapre_dist::{
 };
 use parapre_krylov::{Gmres, GmresConfig, Ilut, IlutConfig, LuFactors, Preconditioner};
 use parapre_mpisim::Comm;
-use parapre_sparse::Result;
+use parapre_sparse::{Csr, Result};
 
 /// Parameters of the `Schur 1` preconditioner.
 #[derive(Debug, Clone, Copy)]
@@ -211,6 +211,14 @@ impl DistPrecond for Schur1Precond {
 
         z[..ni].copy_from_slice(&u);
         z[ni..].copy_from_slice(&y);
+    }
+
+    /// One numeric pass over the frozen ILUT pattern, then the trailing
+    /// (Schur) block is cut from the new factor exactly as at build time.
+    fn refactor(&self, dm: &DistMatrix, _a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+        crate::runner::same_local_shape(&self.layout, &dm.layout)?;
+        let factors = self.factors.refactor(&dm.owned_block())?;
+        Ok(Box::new(Self::assemble(dm, self.cfg, factors)?))
     }
 }
 

@@ -258,6 +258,30 @@ impl DistPrecond for Schur2Precond {
         let out = lvl.perm().apply_inv_vec(&zp);
         z.copy_from_slice(&out);
     }
+
+    /// The independent sets are kept ([`Arms::refactor`]); the distributed
+    /// ILU(0) refactors inside its own pattern, into which the freshly
+    /// dropped expanded-Schur block is projected. `multilevel` was agreed
+    /// collectively at build time and depends only on the retained sets,
+    /// so no rank needs to ask again.
+    fn refactor(&self, dm: &DistMatrix, _a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+        crate::runner::same_local_shape(&self.layout, &dm.layout)?;
+        let arms = self.arms.refactor(&dm.owned_block())?;
+        let dist_ilu0 = if self.multilevel {
+            self.dist_ilu0.refactor(arms.levels()[0].reduced())?
+        } else {
+            arms.last_factors().clone()
+        };
+        Ok(Box::new(Schur2Precond {
+            layout: dm.layout.clone(),
+            arms,
+            red_of_local: self.red_of_local.clone(),
+            dist_ilu0,
+            e_ext: dm.split_blocks().e_ext,
+            multilevel: self.multilevel,
+            schur_iters: self.schur_iters,
+        }))
+    }
 }
 
 #[cfg(test)]

@@ -293,6 +293,22 @@ impl DistPrecond for SchurMLPrecond {
         let out = lvl.perm().apply_inv_vec(&zp);
         z.copy_from_slice(&out);
     }
+
+    /// Levels are rebuilt on their retained independent sets and the
+    /// low-rank corrections relearned ([`SchurMlHierarchy::refactor`]).
+    /// The strict build policy carries over unchanged: a refactorization
+    /// never shifts or fixes a pivot, it fails instead.
+    fn refactor(&self, dm: &DistMatrix, _a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+        crate::runner::same_local_shape(&self.layout, &dm.layout)?;
+        Ok(Box::new(SchurMLPrecond {
+            layout: dm.layout.clone(),
+            hier: self.hier.refactor(&dm.owned_block())?,
+            red_of_local: self.red_of_local.clone(),
+            e_ext: dm.split_blocks().e_ext,
+            multilevel: self.multilevel,
+            schur_iters: self.schur_iters,
+        }))
+    }
 }
 
 #[cfg(test)]

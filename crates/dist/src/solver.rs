@@ -11,7 +11,7 @@ use crate::{tags, DistMatrix};
 use parapre_krylov::gmres::{DIVERGENCE_GUARD, STALL_RTOL};
 use parapre_krylov::{proj, BreakdownKind, SolveBreakdown};
 use parapre_mpisim::Comm;
-use parapre_sparse::ops;
+use parapre_sparse::{ops, Csr, Error, Result};
 use std::cell::RefCell;
 
 /// A distributed linear operator on owned-unknown vectors.
@@ -32,11 +32,34 @@ pub trait DistOp {
 pub trait DistPrecond: Send + Sync {
     /// `z = M⁻¹ r` (may communicate; may be flexible/inner-iterative).
     fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]);
+
+    /// Numeric-only rebuild of this rank's preconditioner for `dm`, the
+    /// same rows of a matrix with the **same sparsity pattern and new
+    /// values**: everything symbolic (fill patterns, level schedules,
+    /// independent sets) is kept from `self`, only numbers are recomputed.
+    /// `a_global` is the new global matrix (consulted by preconditioners
+    /// that read beyond their owned rows).
+    ///
+    /// Purely local — an implementation must not communicate, so that a
+    /// caller can run it on every rank and agree on the outcome afterwards
+    /// without risking a rank alone in a collective. Strict: no pivot
+    /// fixes, no diagonal shifts; an unhealthy result is an `Err` and the
+    /// caller rebuilds symbolically. The default declines, for
+    /// preconditioners with nothing symbolic worth keeping.
+    fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+        let _ = (dm, a_global);
+        Err(Error::InvalidStructure(
+            "this preconditioner has no numeric-only refactorization",
+        ))
+    }
 }
 
 impl<T: DistPrecond + ?Sized> DistPrecond for Box<T> {
     fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]) {
         (**self).apply(comm, r, z)
+    }
+    fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+        (**self).refactor(dm, a_global)
     }
 }
 
@@ -44,11 +67,17 @@ impl<T: DistPrecond + ?Sized> DistPrecond for &T {
     fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]) {
         (**self).apply(comm, r, z)
     }
+    fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+        (**self).refactor(dm, a_global)
+    }
 }
 
 impl<T: DistPrecond + ?Sized> DistPrecond for std::sync::Arc<T> {
     fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]) {
         (**self).apply(comm, r, z)
+    }
+    fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+        (**self).refactor(dm, a_global)
     }
 }
 

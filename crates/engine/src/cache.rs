@@ -176,6 +176,23 @@ impl SessionCache {
         result
     }
 
+    /// The refactorization donor for a matrix that missed: the most
+    /// recently used **resident** session with the same configuration and
+    /// the same sparsity pattern (values differ, or it would have been a
+    /// hit). A scan of at most `capacity` entries — no second index, and an
+    /// evicted session is never a donor.
+    pub fn donor(&self, config: &str, pattern_fingerprint: u64) -> Option<Arc<SolverSession>> {
+        let inner = self.inner.lock().expect("cache lock");
+        inner
+            .map
+            .iter()
+            .filter(|(k, e)| {
+                k.config == config && e.session.pattern_fingerprint() == pattern_fingerprint
+            })
+            .max_by_key(|(_, e)| e.last_used)
+            .map(|(_, e)| Arc::clone(&e.session))
+    }
+
     /// Inserts (or replaces) a ready-made session under `key`, evicting
     /// LRU entries if needed. Used by the elastic layer to swap in a
     /// migrated session under its new topology-tagged key.

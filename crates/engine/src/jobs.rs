@@ -28,7 +28,7 @@
 //! `dead_ranks` arrays are the only nesting).
 
 use crate::resilient::RecoveryPolicy;
-use crate::session::{partition_matrix, SessionConfig};
+use crate::session::{partition_pattern, symmetrize_pattern, MatrixId, SessionConfig};
 use crate::EngineError;
 use parapre_core::{build_case, build_case_sized, CaseId, CaseSize, PartitionScheme, PrecondKind};
 use parapre_core::{partition_case_with, AssembledCase};
@@ -36,6 +36,7 @@ use parapre_resilience::{FaultConfig, RankOp};
 use parapre_sparse::Csr;
 use parapre_trace::flatjson::{self, JsonValue};
 use std::path::PathBuf;
+use std::sync::{Arc, OnceLock};
 
 /// Where a job's matrix comes from.
 #[derive(Debug, Clone)]
@@ -171,6 +172,13 @@ pub struct JobResult {
     pub precond_used: Option<String>,
     /// Whether the rung was chosen by the autotuner.
     pub auto: bool,
+    /// The job's session was produced by a numeric-only refactorization of
+    /// a resident same-pattern session (by this job on a miss, or by the
+    /// job that built the session this one hit).
+    pub refactored: bool,
+    /// Refactorizations since the last symbolic build in the session's
+    /// ancestry (0 for a cold-built session).
+    pub pattern_age: usize,
 }
 
 impl JobResult {
@@ -201,6 +209,8 @@ impl JobResult {
             batch: 1,
             precond_used: None,
             auto: false,
+            refactored: false,
+            pattern_age: 0,
         }
     }
 
@@ -211,7 +221,8 @@ impl JobResult {
             "{{\"id\":\"{}\",\"ok\":{},\"converged\":{},\"iterations\":[{}],\
              \"final_relres\":{},\"true_relres\":{},\"cache_hit\":{},\
              \"setup_seconds\":{},\"solve_seconds\":{},\
-             \"queue_ms\":{},\"build_ms\":{},\"solve_ms\":{},\"n\":{}",
+             \"queue_ms\":{},\"build_ms\":{},\"solve_ms\":{},\"n\":{},\
+             \"refactored\":{},\"pattern_age\":{}",
             flatjson::escape(&self.id),
             self.ok,
             self.converged,
@@ -225,6 +236,8 @@ impl JobResult {
             flatjson::json_f64(self.build_ms),
             flatjson::json_f64(self.solve_ms),
             self.n_unknowns,
+            self.refactored,
+            self.pattern_age,
         );
         if self.retries > 0 {
             out.push_str(&format!(",\"retries\":{}", self.retries));
@@ -470,17 +483,65 @@ pub fn problem_key(job: &SolveJob) -> String {
     )
 }
 
+/// A matrix registered with the service, with the pattern hash its
+/// registration computed in the same pass as the content hash it is keyed
+/// by.
+#[derive(Debug, Clone)]
+pub struct StoredMatrix {
+    /// The matrix as uploaded.
+    pub a: Arc<Csr>,
+    /// Both hashes of `a`.
+    pub id: MatrixId,
+}
+
 /// A job's matrix, owner map, right-hand side, and optional initial guess,
 /// ready for [`SolverSession::build`](crate::SolverSession::build).
 pub struct ResolvedProblem {
     /// The (layout-ready) global matrix.
     pub a: Csr,
-    /// Per-unknown owning rank.
-    pub owner: Vec<u32>,
+    /// Both hashes of `a`, computed once here so that neither the cache
+    /// lookup of every job nor the session build hashes it again.
+    pub id: MatrixId,
     /// Right-hand side.
     pub b: Vec<f64>,
     /// Initial guess (the paper's per-case guess for builtin cases).
     pub x0: Option<Vec<f64>>,
+    /// Per-unknown owning rank. Matrix-backed problems partition their
+    /// pattern graph on first use: a job served from cache, or refactored
+    /// from a resident session (which brings its own owner map), never
+    /// pays for the partition.
+    owner: OnceLock<Vec<u32>>,
+    /// `(n_ranks, seed)` of that deferred graph partition.
+    partition: (usize, u64),
+}
+
+impl ResolvedProblem {
+    /// Per-unknown owning rank (computed on first call for matrix-backed
+    /// problems; see the field).
+    pub fn owner(&self) -> &[u32] {
+        self.owner.get_or_init(|| {
+            let (n_ranks, seed) = self.partition;
+            partition_pattern(&self.a, n_ranks, seed)
+        })
+    }
+
+    /// A matrix-backed problem: `a_sym` is structurally symmetric and its
+    /// general graph partition is deferred.
+    fn from_matrix(
+        a_sym: Csr,
+        id: MatrixId,
+        job: &SolveJob,
+    ) -> Result<ResolvedProblem, EngineError> {
+        let b = rhs_for(&job.rhs, &a_sym, None)?;
+        Ok(ResolvedProblem {
+            a: a_sym,
+            id,
+            b,
+            x0: None,
+            owner: OnceLock::new(),
+            partition: (job.session.n_ranks, job.session.partition_seed),
+        })
+    }
 }
 
 /// Materializes a job's problem: assembles the case or loads the file,
@@ -496,22 +557,22 @@ pub fn resolve_problem(job: &SolveJob) -> Result<ResolvedProblem, EngineError> {
 /// [`MatrixStore`](crate::service::MatrixStore)).
 pub fn resolve_problem_with(
     job: &SolveJob,
-    lookup: &dyn Fn(u64) -> Option<std::sync::Arc<Csr>>,
+    lookup: &dyn Fn(u64) -> Option<StoredMatrix>,
 ) -> Result<ResolvedProblem, EngineError> {
     match &job.problem {
         ProblemSpec::Registered { fp } => {
-            let a = lookup(*fp).ok_or_else(|| {
+            let stored = lookup(*fp).ok_or_else(|| {
                 EngineError::BadJob(format!("fingerprint {fp:016x} is not registered"))
             })?;
-            let (a_sym, owner) =
-                partition_matrix(&a, job.session.n_ranks, job.session.partition_seed);
-            let b = rhs_for(&job.rhs, &a_sym, None)?;
-            Ok(ResolvedProblem {
-                a: a_sym,
-                owner,
-                b,
-                x0: None,
-            })
+            let a_sym = symmetrize_pattern(&stored.a);
+            // A structurally symmetric upload (every FEM matrix) comes back
+            // bit for bit, and so do the hashes its `put` computed.
+            let id = if same_bits(&a_sym, &stored.a) {
+                stored.id
+            } else {
+                MatrixId::of(&a_sym)
+            };
+            ResolvedProblem::from_matrix(a_sym, id, job)
         }
         ProblemSpec::Case { id, size, extent } => {
             let case: AssembledCase = match extent {
@@ -527,10 +588,12 @@ pub fn resolve_problem_with(
             let owner = case.dof_owner(&node_part.owner);
             let b = rhs_for(&job.rhs, &case.sys.a, Some(&case.sys.b))?;
             Ok(ResolvedProblem {
+                id: MatrixId::of(&case.sys.a),
                 a: case.sys.a,
-                owner,
                 b,
                 x0: Some(case.x0),
+                owner: OnceLock::from(owner),
+                partition: (job.session.n_ranks, job.session.partition_seed),
             })
         }
         ProblemSpec::Mtx { path } => {
@@ -539,17 +602,24 @@ pub fn resolve_problem_with(
             if a.n_rows() != a.n_cols() {
                 return Err(EngineError::BadJob("matrix must be square".into()));
             }
-            let (a_sym, owner) =
-                partition_matrix(&a, job.session.n_ranks, job.session.partition_seed);
-            let b = rhs_for(&job.rhs, &a_sym, None)?;
-            Ok(ResolvedProblem {
-                a: a_sym,
-                owner,
-                b,
-                x0: None,
-            })
+            let a_sym = symmetrize_pattern(&a);
+            let id = MatrixId::of(&a_sym);
+            ResolvedProblem::from_matrix(a_sym, id, job)
         }
     }
+}
+
+/// Whether two matrices are identical down to the bits of every value
+/// (`==` on `f64` would equate `0.0` with `-0.0`, which hash differently).
+fn same_bits(a: &Csr, b: &Csr) -> bool {
+    a.n_rows() == b.n_rows()
+        && a.n_cols() == b.n_cols()
+        && a.row_ptr() == b.row_ptr()
+        && a.col_idx() == b.col_idx()
+        && a.vals()
+            .iter()
+            .zip(b.vals())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Derives `k` deterministic right-hand-side variants from a base vector

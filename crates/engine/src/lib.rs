@@ -43,7 +43,7 @@ pub use cache::{CacheStats, SessionCache, SessionKey};
 pub use elastic::{RebalanceManager, RebalanceRecord};
 pub use jobs::{
     batch_rhs, parse_job_line, problem_key, resolve_problem, resolve_problem_with, JobResult,
-    ProblemSpec, ResolvedProblem, RhsSpec, SolveJob, MAX_JOB_LINE_BYTES,
+    ProblemSpec, ResolvedProblem, RhsSpec, SolveJob, StoredMatrix, MAX_JOB_LINE_BYTES,
 };
 pub use resilient::{solve_resilient, FaultOutcome, RecoveryPolicy};
 pub use service::{
@@ -51,8 +51,8 @@ pub use service::{
     SubmitError,
 };
 pub use session::{
-    matrix_graph, BatchOptions, BatchSolveReport, MigrationReport, SessionConfig,
-    SessionSolveReport, SolverSession,
+    matrix_graph, BatchOptions, BatchSolveReport, MatrixId, MigrationReport, RefactorFallback,
+    SessionConfig, SessionSolveReport, SolverSession,
 };
 pub use timestep::{march_heat, StepReport, TimestepConfig, TimestepReport};
 

@@ -156,7 +156,12 @@ pub fn solve_resilient(
                     if let Some(next) = sess.active_precond().fallback() {
                         let mut down = sess.config().clone();
                         down.precond = next;
-                        if let Ok(s2) = SolverSession::build(sess.matrix(), sess.owner(), &down) {
+                        if let Ok(s2) = SolverSession::build_identified(
+                            sess.matrix(),
+                            sess.owner(),
+                            &down,
+                            sess.id(),
+                        ) {
                             parapre_trace::counter(parapre_trace::counters::PRECOND_FALLBACK, 1);
                             outcome.fallbacks += 1;
                             outcome.pivot_shifts += sess.pivot_shifts();

@@ -19,9 +19,10 @@ use crate::cache::{CacheStats, SessionCache, SessionKey};
 use crate::elastic::{RebalanceManager, RebalanceRecord};
 use crate::jobs::{
     batch_rhs, problem_key, resolve_problem_with, JobResult, ResolvedProblem, SolveJob,
+    StoredMatrix,
 };
-use crate::resilient::solve_resilient;
-use crate::session::{BatchOptions, SolverSession};
+use crate::resilient::{solve_resilient, RecoveryPolicy};
+use crate::session::{BatchOptions, MatrixId, RefactorFallback, SolverSession};
 use parapre_mpisim::FaultHook;
 use parapre_resilience::elastic::RebalanceConfig;
 use parapre_resilience::FaultPlan;
@@ -267,7 +268,7 @@ pub struct MatrixStoreStats {
 /// the [`SessionCache`]'s single-flight build keyed on the same
 /// fingerprint dedups the factorization behind it.
 pub struct MatrixStore {
-    map: Mutex<HashMap<u64, Arc<Csr>>>,
+    map: Mutex<HashMap<u64, StoredMatrix>>,
     puts: AtomicU64,
     dedups: AtomicU64,
     hits: AtomicU64,
@@ -296,22 +297,25 @@ impl MatrixStore {
     /// Re-registering identical content is a cheap dedup (the parsed copy
     /// is dropped, the resident one stays).
     pub fn put(&self, a: Csr) -> (u64, bool) {
-        let fp = a.fingerprint();
+        // The one pass that yields the key also yields the pattern hash;
+        // both stay with the matrix so resolving a job need not hash again.
+        let id = MatrixId::of(&a);
+        let fp = id.fingerprint;
         let mut map = self.map.lock().expect("matrix store lock");
         let known = map.contains_key(&fp);
         if known {
             self.dedups.fetch_add(1, Ordering::Relaxed);
             parapre_metrics::inc(parapre_metrics::names::NET_MATRIX_DEDUP_TOTAL, 1);
         } else {
-            map.insert(fp, Arc::new(a));
+            map.insert(fp, StoredMatrix { a: Arc::new(a), id });
             self.puts.fetch_add(1, Ordering::Relaxed);
             parapre_metrics::inc(parapre_metrics::names::NET_MATRIX_PUTS_TOTAL, 1);
         }
         (fp, known)
     }
 
-    /// The matrix registered under `fp`, if any.
-    pub fn get(&self, fp: u64) -> Option<Arc<Csr>> {
+    /// The matrix registered under `fp` (with its hashes), if any.
+    pub fn get(&self, fp: u64) -> Option<StoredMatrix> {
         let found = self
             .map
             .lock()
@@ -347,7 +351,49 @@ struct Shared {
     matrices: MatrixStore,
     tuner: AutoTuner,
     rebalancer: RebalanceManager,
+    /// Sessions produced by numeric-only refactorization.
+    refactors: AtomicU64,
+    /// Same-pattern misses that had a resident donor and were built cold
+    /// anyway (all [`RefactorFallback`] reasons).
+    refactor_fallbacks: AtomicU64,
     cfg: ServiceConfig,
+}
+
+impl Shared {
+    fn count_refactor_fallback(&self, reason: RefactorFallback) {
+        self.refactor_fallbacks.fetch_add(1, Ordering::Relaxed);
+        parapre_metrics::inc(&parapre_metrics::names::refactor_fallback(reason.key()), 1);
+    }
+
+    /// Builds the session for a missed key: numerically from a resident
+    /// same-pattern donor when there is one and it agrees, cold otherwise.
+    /// Which path runs is a property of the input — pattern-fingerprint
+    /// equality with a resident session — never a setting.
+    fn build_session(
+        &self,
+        resolved: &ResolvedProblem,
+        cfg: &crate::SessionConfig,
+        key: &SessionKey,
+    ) -> Result<SolverSession, crate::EngineError> {
+        if let Some(donor) = self
+            .cache
+            .donor(&key.config, resolved.id.pattern_fingerprint)
+        {
+            match SolverSession::refactor_identified(&donor, &resolved.a, resolved.id, false) {
+                Ok((session, _)) => {
+                    self.refactors.fetch_add(1, Ordering::Relaxed);
+                    parapre_metrics::inc(parapre_metrics::names::REFACTOR_TOTAL, 1);
+                    parapre_metrics::observe_us(
+                        parapre_metrics::names::REFACTOR_US,
+                        (session.setup_seconds() * 1e6) as u64,
+                    );
+                    return Ok(session);
+                }
+                Err(reason) => self.count_refactor_fallback(reason),
+            }
+        }
+        SolverSession::build_identified(&resolved.a, resolved.owner(), cfg, resolved.id)
+    }
 }
 
 /// The running service (workers live for the service's lifetime; dropping
@@ -375,6 +421,8 @@ impl SolveService {
             matrices: MatrixStore::new(),
             tuner: AutoTuner::default(),
             rebalancer: RebalanceManager::new(RebalanceConfig::default()),
+            refactors: AtomicU64::new(0),
+            refactor_fallbacks: AtomicU64::new(0),
             cfg,
         });
         let workers = (0..cfg.pool_size)
@@ -417,6 +465,16 @@ impl SolveService {
         self.shared.cache.stats()
     }
 
+    /// `(refactors, refactor_fallbacks)`: sessions produced by numeric-only
+    /// refactorization, and same-pattern misses with a resident donor that
+    /// were built cold anyway (rejected, dirty donor, or found stale).
+    pub fn refactor_stats(&self) -> (u64, u64) {
+        (
+            self.shared.refactors.load(Ordering::Relaxed),
+            self.shared.refactor_fallbacks.load(Ordering::Relaxed),
+        )
+    }
+
     /// The fingerprint matrix store (network ingest path).
     pub fn matrix_store(&self) -> &MatrixStore {
         &self.shared.matrices
@@ -446,6 +504,7 @@ impl SolveService {
         use parapre_metrics::names;
         let snap = parapre_metrics::snapshot();
         let cache = self.cache_stats();
+        let (refactors, refactor_fallbacks) = self.refactor_stats();
         let store = self.matrix_store().stats();
         let tuner = self.tuner().stats();
         let ms = |name: &str, q: f64| -> f64 {
@@ -462,7 +521,7 @@ impl SolveService {
         format!(
             "{{\"stats\":true,\"jobs\":{},\"jobs_failed\":{},\"solves\":{},\
              \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
-             \"cache_waits\":{},\
+             \"cache_waits\":{},\"refactors\":{},\"refactor_fallbacks\":{},\
              \"store_len\":{},\"store_puts\":{},\"store_dedups\":{},\
              \"store_hits\":{},\"store_misses\":{},\
              \"tuner_records\":{},\"tuner_explore\":{},\"tuner_exploit\":{},\
@@ -479,6 +538,8 @@ impl SolveService {
             cache.misses,
             cache.evictions,
             cache.waits,
+            refactors,
+            refactor_fallbacks,
             store.len,
             store.puts,
             store.dedups,
@@ -639,7 +700,8 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
             return r;
         }
     };
-    let fingerprint = resolved.a.fingerprint();
+    // Hashed once, when the problem was resolved — not per job.
+    let fingerprint = resolved.id.fingerprint;
     // `"precond":"auto"`: the tuner picks the rung for this fingerprint —
     // explore until every candidate has data, then exploit the fastest
     // converged mean. Non-auto jobs skip this entirely (no decision cost)
@@ -651,18 +713,16 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
     }
     let session_cfg = session_cfg; // frozen for the rest of the job
     let key = SessionKey::new(fingerprint, &session_cfg);
-    let (session, cache_hit) = match shared.cache.get_or_build(key, || {
-        SolverSession::build(&resolved.a, &resolved.owner, &session_cfg)
+    let (mut session, cache_hit) = match shared.cache.get_or_build(key.clone(), || {
+        shared.build_session(&resolved, &session_cfg, &key)
     }) {
         Ok(pair) => pair,
         Err(e) => return JobResult::failed(&job.id, e.to_string()),
     };
-    let setup_seconds = if cache_hit {
+    let mut setup_seconds = if cache_hit {
         0.0
     } else {
-        let s = t0.elapsed().as_secs_f64();
-        parapre_metrics::observe_us(parapre_metrics::names::BUILD_US, (s * 1e6) as u64);
-        s
+        t0.elapsed().as_secs_f64()
     };
     // One plan per job: a `once` kill fires on the first repeat's first
     // attempt and every later attempt/repeat runs clean, modelling a
@@ -687,20 +747,30 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
         }
         dead_ranks.sort_unstable();
     };
-    if job.batch > 1 {
-        // Batched multi-RHS path: one universe launch per repeat serves
-        // every RHS against the shared factors. The generated RHS form a
-        // smooth sequence, so each solve is warm-started from the previous
-        // solution — an advantage only the batched path can have. (Fault
-        // injection is rejected for batch jobs at parse time — this path
-        // has no retry ladder inside the batch.)
-        let rhss = batch_rhs(&resolved.b, job.batch);
-        let opts = BatchOptions { warm_start: true };
-        for done in 0..job.repeat {
-            if let Some(r) = deadline_expired(job, deadline, done) {
-                return r;
-            }
-            match session.solve_batch(&rhss, resolved.x0.as_deref(), opts) {
+    // Batched multi-RHS path: one universe launch per repeat serves every
+    // RHS against the shared factors. The generated RHS form a smooth
+    // sequence, so each solve is warm-started from the previous solution —
+    // an advantage only the batched path can have. (Fault injection is
+    // rejected for batch jobs at parse time — this path has no retry
+    // ladder inside the batch.)
+    let rhss = (job.batch > 1).then(|| batch_rhs(&resolved.b, job.batch));
+    // Safety net for a stale pattern: the first solve on a session this
+    // job refactored runs with the preconditioner ladder held back. If it
+    // does not converge, the frozen pattern is to blame before anything
+    // else is: the session is discarded, the same rung is built cold once,
+    // and the solve starts over — only then do the ladder and the job's
+    // recovery policy see the problem.
+    let mut probing = !cache_hit && session.pattern_age() > 0;
+    let mut done = 0;
+    while done < job.repeat {
+        if let Some(r) = deadline_expired(job, deadline, done) {
+            return r;
+        }
+        let attempt_t0 = Instant::now();
+        let stale = if let Some(rhss) = &rhss {
+            let opts = BatchOptions { warm_start: true };
+            match session.solve_batch(rhss, resolved.x0.as_deref(), opts) {
+                Ok(batch) if probing && !batch.all_converged() => true,
                 Ok(batch) => {
                     for rep in &batch.reports {
                         iterations.push(rep.iterations);
@@ -712,6 +782,7 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
                         }
                     }
                     solve_seconds += batch.batch_seconds;
+                    false
                 }
                 Err(e) => {
                     let mut r = JobResult::failed(&job.id, e.to_string());
@@ -721,20 +792,14 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
                     return r;
                 }
             }
-        }
-    } else {
-        for done in 0..job.repeat {
-            if let Some(r) = deadline_expired(job, deadline, done) {
-                return r;
-            }
+        } else {
             let hook = plan.clone().map(|p| p as Arc<dyn FaultHook>);
-            match solve_resilient(
-                &session,
-                &resolved.b,
-                resolved.x0.as_deref(),
-                hook,
-                &job.recovery,
-            ) {
+            let policy = RecoveryPolicy {
+                precond_fallback: job.recovery.precond_fallback && !probing,
+                ..job.recovery
+            };
+            match solve_resilient(&session, &resolved.b, resolved.x0.as_deref(), hook, &policy) {
+                Ok((rep, out)) if probing && !out.degraded && !rep.converged => true,
                 Ok((rep, out)) => {
                     iterations.push(rep.iterations);
                     converged &= rep.converged;
@@ -749,6 +814,7 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
                         breakdown_kind = out.breakdown_kind;
                     }
                     merge_dead(&mut dead_ranks, &out.dead_ranks);
+                    false
                 }
                 Err((e, out)) => {
                     let mut r = JobResult::failed(&job.id, e.to_string());
@@ -764,7 +830,32 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
                     return r;
                 }
             }
+        };
+        probing = false;
+        if stale {
+            shared.count_refactor_fallback(RefactorFallback::Stale);
+            let cold = SolverSession::build_identified(
+                &resolved.a,
+                resolved.owner(),
+                &session_cfg,
+                resolved.id,
+            );
+            session = match cold {
+                Ok(cold) => Arc::new(cold),
+                Err(e) => return JobResult::failed(&job.id, e.to_string()),
+            };
+            shared.cache.insert(key.clone(), Arc::clone(&session));
+            // The discarded attempt and the cold replacement were set-up.
+            setup_seconds += attempt_t0.elapsed().as_secs_f64();
+            continue;
         }
+        done += 1;
+    }
+    if !cache_hit {
+        parapre_metrics::observe_us(
+            parapre_metrics::names::BUILD_US,
+            (setup_seconds * 1e6) as u64,
+        );
     }
     let total_iters: usize = iterations.iter().sum();
     record_tune(
@@ -803,6 +894,8 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
         batch: job.batch,
         precond_used: Some(session.active_precond().key().to_string()),
         auto: job.auto_precond,
+        refactored: session.pattern_age() > 0,
+        pattern_age: session.pattern_age(),
     }
 }
 

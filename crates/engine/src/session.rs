@@ -14,7 +14,8 @@
 use crate::EngineError;
 use parapre_core::{
     build_dist_precond, build_dist_precond_with_fallback, partition_case_with,
-    try_build_dist_precond, AssembledCase, PartitionScheme, PrecondKind, PrecondParams,
+    refactor_dist_precond, try_build_dist_precond, AssembledCase, PartitionScheme, PrecondKind,
+    PrecondParams, RefactorReject,
 };
 use parapre_dist::{
     gather_vector, scatter_vector, tags, CheckpointCtx, DistGmres, DistGmresConfig, DistMatrix,
@@ -114,6 +115,72 @@ impl SessionConfig {
     }
 }
 
+/// A matrix's two content hashes, computed together in one pass
+/// ([`Csr::fingerprints`]) and carried alongside it so no layer hashes the
+/// same matrix twice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct MatrixId {
+    /// [`Csr::fingerprint`]: shape, pattern and value bits — the session
+    /// cache key.
+    pub fingerprint: u64,
+    /// [`Csr::pattern_fingerprint`]: shape and pattern only — equal for a
+    /// matrix re-sent with new values, which is what makes a resident
+    /// session a refactorization donor.
+    pub pattern_fingerprint: u64,
+}
+
+impl MatrixId {
+    /// Hashes `a` (one pass over its arrays).
+    pub fn of(a: &Csr) -> MatrixId {
+        let (pattern_fingerprint, fingerprint) = a.fingerprints();
+        MatrixId {
+            fingerprint,
+            pattern_fingerprint,
+        }
+    }
+}
+
+/// Why a same-pattern matrix was built cold instead of refactored from a
+/// resident donor — the `reason` label of `parapre_refactor_fallback_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RefactorFallback {
+    /// Refactored factors were not healthy on some rank (zero, negligible
+    /// or non-finite pivot); voted down collectively.
+    Unhealthy,
+    /// The new matrix did not fit the donor's frozen structure after all
+    /// (shape or layout mismatch, or the refactor universe failed).
+    Pattern,
+    /// The donor itself was built with ladder fallbacks or pivot shifts:
+    /// its symbolic state encodes a repair, not the configured rung.
+    DonorDirty,
+    /// The refactored session built fine but its first solve did not
+    /// converge or broke down: the frozen pattern no longer suits the
+    /// values. Detected by the service, never by
+    /// [`SolverSession::refactor`] itself.
+    Stale,
+}
+
+impl RefactorFallback {
+    /// Stable machine-readable key.
+    pub fn key(self) -> &'static str {
+        match self {
+            RefactorFallback::Unhealthy => "unhealthy",
+            RefactorFallback::Pattern => "pattern",
+            RefactorFallback::DonorDirty => "donor_dirty",
+            RefactorFallback::Stale => "stale",
+        }
+    }
+}
+
+impl From<RefactorReject> for RefactorFallback {
+    fn from(r: RefactorReject) -> Self {
+        match r {
+            RefactorReject::Unhealthy => RefactorFallback::Unhealthy,
+            RefactorReject::Pattern => RefactorFallback::Pattern,
+        }
+    }
+}
+
 /// One rank's frozen setup product: its rows of the matrix and its factored
 /// preconditioner. Shared read-only (`Sync`) by every subsequent solve.
 /// Both halves sit behind `Arc` so a topology migration can share the
@@ -135,14 +202,18 @@ struct RankState {
 pub struct SolverSession {
     cfg: SessionConfig,
     n_global: usize,
-    fingerprint: u64,
+    id: MatrixId,
+    /// Numeric refactorizations since the last symbolic build in this
+    /// session's ancestry (0 for a cold build).
+    pattern_age: usize,
     setup_seconds: f64,
     ranks: Vec<RankState>,
     /// The distributed global matrix and owner map, retained so the
     /// resilience layer can build degraded (reduced) systems and verify
-    /// full-system residuals without re-partitioning.
+    /// full-system residuals without re-partitioning. The owner map is
+    /// shared with every session refactored from this one.
     a_global: Csr,
-    owner: Vec<u32>,
+    owner: Arc<[u32]>,
     /// Initial guess carried across a topology migration (global
     /// indexing, which repartitioning preserves). Used by solves that do
     /// not supply their own guess; `None` for freshly built sessions.
@@ -216,10 +287,20 @@ impl SolverSession {
         owner: &[u32],
         cfg: &SessionConfig,
     ) -> Result<SolverSession, EngineError> {
+        Self::build_identified(a, owner, cfg, MatrixId::of(a))
+    }
+
+    /// [`SolverSession::build`] for a caller that already hashed `a`
+    /// (`id` must be [`MatrixId::of`]`(a)`).
+    pub(crate) fn build_identified(
+        a: &Csr,
+        owner: &[u32],
+        cfg: &SessionConfig,
+        id: MatrixId,
+    ) -> Result<SolverSession, EngineError> {
         assert_eq!(a.n_rows(), a.n_cols(), "square systems only");
         assert_eq!(owner.len(), a.n_rows(), "one owner per unknown");
         let p = cfg.n_ranks;
-        let fingerprint = a.fingerprint();
         let t0 = Instant::now();
         let cfg_ref = &cfg;
         let outs = Universe::try_run_with_threads(
@@ -272,14 +353,113 @@ impl SolverSession {
         Ok(SolverSession {
             cfg: cfg.clone(),
             n_global: a.n_rows(),
-            fingerprint,
+            id,
+            pattern_age: 0,
             setup_seconds: t0.elapsed().as_secs_f64(),
             ranks,
             a_global: a.clone(),
-            owner: owner.to_vec(),
+            owner: owner.into(),
             warm_start: None,
             last_load: std::sync::Mutex::new(None),
         })
+    }
+
+    /// Numeric-only rebuild: a session for `a_new` — a matrix with
+    /// `donor`'s **sparsity pattern** and new values — that reuses the
+    /// donor's symbolic work instead of repeating it.
+    ///
+    /// Reused exactly: the owner map (the graph partition depends only on
+    /// pattern, `P` and seed, so it is not run again) and with it every
+    /// layout and communication plan, which are re-derived from the same
+    /// map. Reused approximately: each rank's fill patterns, sweep level
+    /// schedules and group-independent sets, frozen at their donor state
+    /// ([`parapre_core::refactor_dist_precond`]). The new session is
+    /// configured like the donor and serves the rung the donor serves.
+    ///
+    /// Refuses — and the caller builds cold — when the donor was built
+    /// with ladder fallbacks or pivot shifts ([`RefactorFallback::DonorDirty`]),
+    /// when `a_new` does not have the donor's shape or a rank's block does
+    /// not fit ([`RefactorFallback::Pattern`]), or when the refactored
+    /// factors are unhealthy on any rank ([`RefactorFallback::Unhealthy`]).
+    /// The accept/reject decision is collective: all ranks return together.
+    pub fn refactor(donor: &SolverSession, a_new: &Csr) -> Result<SolverSession, RefactorFallback> {
+        Self::refactor_identified(donor, a_new, MatrixId::of(a_new), false).map(|(s, _)| s)
+    }
+
+    /// [`SolverSession::refactor`] for a caller that already hashed
+    /// `a_new` (`id` must be [`MatrixId::of`]`(a_new)`). With `trace` every
+    /// rank records its event stream (the `setup.refactor` spans the
+    /// time-stepping driver counts).
+    pub(crate) fn refactor_identified(
+        donor: &SolverSession,
+        a_new: &Csr,
+        id: MatrixId,
+        trace: bool,
+    ) -> Result<(SolverSession, Vec<parapre_trace::RankTrace>), RefactorFallback> {
+        if donor.build_fallbacks() > 0 || donor.pivot_shifts() > 0 {
+            return Err(RefactorFallback::DonorDirty);
+        }
+        // Shape is part of the pattern hash.
+        if id.pattern_fingerprint != donor.id.pattern_fingerprint {
+            return Err(RefactorFallback::Pattern);
+        }
+        let cfg = &donor.cfg;
+        let p = cfg.n_ranks;
+        let owner = &donor.owner;
+        let t0 = Instant::now();
+        let outs = Universe::try_run_with_threads(
+            p,
+            cfg.recv_timeout,
+            None,
+            cfg.threads_per_rank,
+            move |comm| {
+                if trace {
+                    parapre_trace::install(comm.rank());
+                }
+                let built = {
+                    let _setup = parapre_trace::span(parapre_trace::phase::SETUP);
+                    let from = &donor.ranks[comm.rank()];
+                    let dm = DistMatrix::from_global(a_new, owner, comm.rank(), p);
+                    refactor_dist_precond(&*from.precond, &dm, comm, a_new).map(|precond| {
+                        RankState {
+                            dm: Arc::new(dm),
+                            precond: Arc::from(precond),
+                            kind_used: from.kind_used,
+                            fallbacks: 0,
+                            pivot_shifts: 0,
+                        }
+                    })
+                };
+                (built, if trace { parapre_trace::take() } else { None })
+            },
+        );
+        let mut ranks = Vec::with_capacity(p);
+        let mut traces = Vec::new();
+        for out in outs {
+            match out {
+                Ok((Ok(st), tr)) => {
+                    ranks.push(st);
+                    traces.extend(tr);
+                }
+                // Rank-identical by construction (collective vote).
+                Ok((Err(reject), _)) => return Err(reject.into()),
+                // A rank died applying the donor's structure.
+                Err(_) => return Err(RefactorFallback::Pattern),
+            }
+        }
+        let session = SolverSession {
+            cfg: cfg.clone(),
+            n_global: donor.n_global,
+            id,
+            pattern_age: donor.pattern_age + 1,
+            setup_seconds: t0.elapsed().as_secs_f64(),
+            ranks,
+            a_global: a_new.clone(),
+            owner: Arc::clone(owner),
+            warm_start: None,
+            last_load: std::sync::Mutex::new(None),
+        };
+        Ok((session, traces))
     }
 
     /// Builds a session for an assembled test case (partitions the node
@@ -646,7 +826,7 @@ impl SolverSession {
         parapre_metrics::inc(names::SOLVES_TOTAL, 1);
         parapre_metrics::observe_us(names::SOLVE_US, us);
         parapre_metrics::observe_us(
-            &names::keyed_solve(self.fingerprint, self.active_precond().key()),
+            &names::keyed_solve(self.id.fingerprint, self.active_precond().key()),
             us,
         );
         parapre_metrics::observe_us(names::SOLVE_ITERS, iterations as u64);
@@ -669,7 +849,25 @@ impl SolverSession {
 
     /// Content fingerprint of the distributed matrix.
     pub fn fingerprint(&self) -> u64 {
-        self.fingerprint
+        self.id.fingerprint
+    }
+
+    /// Both hashes of the distributed matrix.
+    pub(crate) fn id(&self) -> MatrixId {
+        self.id
+    }
+
+    /// Pattern-only fingerprint of the distributed matrix: equal between a
+    /// session and any matrix it could donate its symbolic state to.
+    pub fn pattern_fingerprint(&self) -> u64 {
+        self.id.pattern_fingerprint
+    }
+
+    /// Numeric refactorizations since the last symbolic build in this
+    /// session's ancestry: 0 for a cold build, `donor + 1` for a session
+    /// produced by [`SolverSession::refactor`].
+    pub fn pattern_age(&self) -> usize {
+        self.pattern_age
     }
 
     /// Wall time of the one-off setup (partition + distribute + factor).
@@ -787,7 +985,7 @@ impl SolverSession {
             }
             Err(EngineError::Setup(msg))
         };
-        if plan.old_p != self.cfg.n_ranks || plan.old_owner != self.owner {
+        if plan.old_p != self.cfg.n_ranks || plan.old_owner[..] != self.owner[..] {
             return abort("migration plan was computed for a different topology".into());
         }
         if let Some(w) = warm_start {
@@ -889,11 +1087,12 @@ impl SolverSession {
         let candidate = SolverSession {
             cfg,
             n_global: self.n_global,
-            fingerprint: self.fingerprint,
+            id: self.id,
+            pattern_age: self.pattern_age,
             setup_seconds: t0.elapsed().as_secs_f64(),
             ranks,
             a_global: self.a_global.clone(),
-            owner: plan.new_owner.clone(),
+            owner: plan.new_owner.as_slice().into(),
             warm_start: warm_start.map(|w| w.to_vec()),
             last_load: std::sync::Mutex::new(None),
         };
@@ -1002,14 +1201,27 @@ pub struct MigrationReport {
 /// resulting graph — the adoption path for arbitrary Matrix Market input,
 /// whose layouts require structurally symmetric coupling.
 pub fn partition_matrix(a: &Csr, n_ranks: usize, seed: u64) -> (Csr, Vec<u32>) {
+    let a_sym = symmetrize_pattern(a);
+    let owner = partition_pattern(&a_sym, n_ranks, seed);
+    (a_sym, owner)
+}
+
+/// `a` with its pattern made structurally symmetric: every missing
+/// transpose entry is added with value zero, stored values are untouched.
+pub(crate) fn symmetrize_pattern(a: &Csr) -> Csr {
     let mut at = a.transpose();
     for v in at.vals_mut() {
         *v = 0.0;
     }
-    let a_sym = a.add(1.0, &at).expect("same shape");
-    let graph = matrix_graph(&a_sym);
-    let part = partition_graph(&graph, n_ranks, seed);
-    (a_sym, part.owner)
+    a.add(1.0, &at).expect("same shape")
+}
+
+/// General graph partition of a structurally symmetric matrix's pattern.
+/// A function of the pattern, `n_ranks` and `seed` alone — values never
+/// enter — which is why a same-pattern matrix can adopt a resident
+/// session's owner map without running it.
+pub(crate) fn partition_pattern(a_sym: &Csr, n_ranks: usize, seed: u64) -> Vec<u32> {
+    partition_graph(&matrix_graph(a_sym), n_ranks, seed).owner
 }
 
 /// The symmetrized pattern graph of a square matrix (self-loops dropped).

@@ -77,7 +77,15 @@ impl HeatMarch {
     /// Assembles the marching operators on `mesh` with time step `dt`.
     pub fn new(mesh: &Mesh3d, dt: f64) -> HeatMarch {
         let (m, k) = assemble_mass_stiffness(mesh);
-        let a_raw = m.add(dt, &k).expect("shapes match");
+        HeatMarch::from_mass_stiffness(mesh, m, &k, dt)
+    }
+
+    /// The marching operators for time step `dt` from already assembled
+    /// mass and stiffness matrices — what a variable-step march calls when
+    /// Δt changes. The sparsity pattern of [`HeatMarch::a`] is the union of
+    /// the two patterns and does not depend on `dt`.
+    pub fn from_mass_stiffness(mesh: &Mesh3d, m: Csr, k: &Csr, dt: f64) -> HeatMarch {
+        let a_raw = m.add(dt, k).expect("shapes match");
         let fixed =
             crate::bc::dirichlet_where(&mesh.coords, |p| (p[0] - 1.0).abs() < 1e-12, |_| 0.0);
         let mut sys = crate::LinearSystem {

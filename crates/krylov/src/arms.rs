@@ -24,6 +24,7 @@ use crate::ilu::{Ilut, IlutConfig, LuFactors};
 use crate::precond::Preconditioner;
 use parapre_sparse::dense::DenseLu;
 use parapre_sparse::{Coo, Csr, Dense, Error, Permutation, Result};
+use std::sync::Arc;
 
 /// ARMS construction parameters.
 #[derive(Debug, Clone, Copy)]
@@ -144,9 +145,9 @@ pub fn group_independent_set(
 /// One elimination level of ARMS.
 #[derive(Debug)]
 pub struct ArmsLevel {
-    perm: Permutation,
-    n_ind: usize,
-    group_off: Vec<usize>,
+    /// The level's group-independent set: the symbolic half of the level,
+    /// shared by `Arc` with every [`Arms::refactor`] descendant.
+    gis: Arc<GroupIndependentSet>,
     block_lus: Vec<DenseLu>,
     /// Coupling blocks of the permuted matrix: `F` is `n_ind × nc`,
     /// `E` is `nc × n_ind`, `C` is the exact coarse block.
@@ -161,7 +162,7 @@ pub struct ArmsLevel {
 impl ArmsLevel {
     /// Number of eliminated (independent-set) unknowns.
     pub fn n_ind(&self) -> usize {
-        self.n_ind
+        self.gis.n_ind
     }
 
     /// Number of remaining coarse unknowns.
@@ -171,12 +172,12 @@ impl ArmsLevel {
 
     /// Level permutation (independent set first).
     pub fn perm(&self) -> &Permutation {
-        &self.perm
+        &self.gis.perm
     }
 
     /// Group offsets within the independent-set prefix.
     pub fn group_off(&self) -> &[usize] {
-        &self.group_off
+        &self.gis.group_off
     }
 
     /// Exact coarse block `C` of the permuted matrix.
@@ -202,10 +203,10 @@ impl ArmsLevel {
     /// Exact solve with the block-diagonal `B` over the first `n_ind`
     /// entries of `x` (in place).
     pub fn solve_b(&self, x: &mut [f64]) {
-        debug_assert!(x.len() >= self.n_ind);
+        debug_assert!(x.len() >= self.gis.n_ind);
         for (g, lu) in self.block_lus.iter().enumerate() {
-            let lo = self.group_off[g];
-            let hi = self.group_off[g + 1];
+            let lo = self.gis.group_off[g];
+            let hi = self.gis.group_off[g + 1];
             lu.solve_in_place(&mut x[lo..hi]);
         }
     }
@@ -215,6 +216,9 @@ impl ArmsLevel {
 #[derive(Debug)]
 pub struct Arms {
     n: usize,
+    /// The configuration the levels were built with ([`Arms::refactor`]
+    /// re-applies its drop tolerance to the retained independent sets).
+    cfg: ArmsConfig,
     levels: Vec<ArmsLevel>,
     last: LuFactors,
     last_n: usize,
@@ -244,7 +248,7 @@ impl Arms {
             if cur.n_rows() <= cfg.min_reduced {
                 break;
             }
-            let gis = group_independent_set(&cur, cfg.group_size, &forced);
+            let gis = Arc::new(group_independent_set(&cur, cfg.group_size, &forced));
             if gis.n_ind == 0 {
                 break; // everything pinned: nothing to eliminate
             }
@@ -253,7 +257,7 @@ impl Arms {
             let nc = level.n_coarse();
             let mut new_forced = vec![false; nc];
             for k in 0..nc {
-                let old = level.perm.old_of(gis.n_ind + k);
+                let old = gis.perm.old_of(gis.n_ind + k);
                 new_forced[k] = forced[old];
             }
             cur = level.reduced.clone();
@@ -265,9 +269,48 @@ impl Arms {
         parapre_trace::gauge("arms.last_n", cur.n_rows() as f64);
         Ok(Arms {
             n,
+            cfg: *cfg,
             levels,
             last,
             last_n: cur.n_rows(),
+        })
+    }
+
+    /// Numeric-only refactorization for a matrix with the pattern this
+    /// hierarchy was built on: the group-independent-set search is skipped
+    /// and every level is rebuilt on its **retained** set (dense group LUs,
+    /// `W = B⁻¹F` and the dropped `Ĉ` recomputed from the new values, with
+    /// fresh dropping), and the new last-level system goes through
+    /// [`LuFactors::refactor`] instead of ILUT. The sets and the last
+    /// factor's pattern and sweep levels are shared with `self` by `Arc`.
+    ///
+    /// Fails with a typed error — never a shift or a pivot fix — on a
+    /// singular group block, a shape mismatch, or an unhealthy last-level
+    /// pivot; callers fall back to [`Arms::factor_with_coarse`].
+    pub fn refactor(&self, a: &Csr) -> Result<Self> {
+        for found in [a.n_rows(), a.n_cols()] {
+            if found != self.n {
+                return Err(Error::DimensionMismatch {
+                    op: "arms refactor",
+                    expected: self.n,
+                    found,
+                });
+            }
+        }
+        let mut levels: Vec<ArmsLevel> = Vec::with_capacity(self.levels.len());
+        for donor in &self.levels {
+            let cur = levels.last().map_or(a, |l| &l.reduced);
+            levels.push(build_level(cur, &donor.gis, &self.cfg)?);
+        }
+        let last = self
+            .last
+            .refactor(levels.last().map_or(a, |l| &l.reduced))?;
+        Ok(Arms {
+            n: self.n,
+            cfg: self.cfg,
+            levels,
+            last,
+            last_n: self.last_n,
         })
     }
 
@@ -351,8 +394,8 @@ impl Arms {
             return z;
         }
         let lvl = &self.levels[depth];
-        let n_ind = lvl.n_ind;
-        let mut rp = lvl.perm.apply_vec(r);
+        let n_ind = lvl.n_ind();
+        let mut rp = lvl.perm().apply_vec(r);
         // Forward: y_B = B^{-1} r_B ; r_C' = r_C − E y_B.
         lvl.solve_b(&mut rp);
         let (yb, rc) = rp.split_at(n_ind);
@@ -366,7 +409,7 @@ impl Arms {
         let mut zp = Vec::with_capacity(r.len());
         zp.extend(yb.iter().zip(&fz).map(|(y, f)| y - f));
         zp.extend_from_slice(&zc);
-        lvl.perm.apply_inv_vec(&zp)
+        lvl.perm().apply_inv_vec(&zp)
     }
 }
 
@@ -382,7 +425,7 @@ impl Preconditioner for Arms {
 
 /// Builds one level: permute, split, factor the group blocks, form the
 /// dropped approximate Schur complement.
-fn build_level(a: &Csr, gis: &GroupIndependentSet, cfg: &ArmsConfig) -> Result<ArmsLevel> {
+fn build_level(a: &Csr, gis: &Arc<GroupIndependentSet>, cfg: &ArmsConfig) -> Result<ArmsLevel> {
     let n = a.n_rows();
     let n_ind = gis.n_ind;
     let nc = n - n_ind;
@@ -398,8 +441,11 @@ fn build_level(a: &Csr, gis: &GroupIndependentSet, cfg: &ArmsConfig) -> Result<A
     let e = ap.extract(&coarse_rows, &map_ind, n_ind);
     let c = ap.extract(&coarse_rows, &map_coarse, nc);
 
-    // Factor the diagonal groups of B; verify B is exactly block diagonal
-    // (the group-independent-set property).
+    // Factor the diagonal groups of B. The set search walks rows, so B is
+    // exactly block diagonal when the pattern is structurally symmetric;
+    // deeper levels eliminate a *dropped* Schur complement whose pattern
+    // need not be, and a coupling the search could not see (an entry whose
+    // transpose was dropped) is left out of the group blocks.
     let n_groups = gis.group_off.len() - 1;
     let mut block_lus = Vec::with_capacity(n_groups);
     for g in 0..n_groups {
@@ -410,10 +456,6 @@ fn build_level(a: &Csr, gis: &GroupIndependentSet, cfg: &ArmsConfig) -> Result<A
         for i in lo..hi {
             let (cols, vals) = b.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
-                debug_assert!(
-                    (lo..hi).contains(&j),
-                    "coupling between independent groups: row {i}, col {j}"
-                );
                 if (lo..hi).contains(&j) {
                     block[(i - lo, j - lo)] = v;
                 }
@@ -469,9 +511,7 @@ fn build_level(a: &Csr, gis: &GroupIndependentSet, cfg: &ArmsConfig) -> Result<A
     let reduced = drop_relative(&chat, cfg.drop_tol);
 
     Ok(ArmsLevel {
-        perm: gis.perm.clone(),
-        n_ind,
-        group_off: gis.group_off.clone(),
+        gis: Arc::clone(gis),
         block_lus,
         f,
         e,
@@ -634,6 +674,90 @@ mod tests {
         for (u, v) in z.iter().zip(&x_true) {
             assert!((u - v).abs() < 1e-7);
         }
+    }
+
+    /// `a` with the diagonal grown by a smooth relative amount up to `eps`.
+    fn grown_diagonal(a: &Csr, eps: f64) -> Csr {
+        let mut b = a.clone();
+        for (slot, (i, j, v)) in b.vals_mut().iter_mut().zip(a.iter()) {
+            if i == j {
+                *slot = v * (1.0 + eps * (0.5 + 0.5 * (i as f64 * 0.3).sin().abs()));
+            }
+        }
+        b
+    }
+
+    #[test]
+    fn refactor_is_exact_when_nothing_is_dropped() {
+        // Complete patterns on both sides: the refactored hierarchy must
+        // invert the *new* matrix to machine precision, on the retained
+        // independent sets.
+        let a = laplacian_2d(7);
+        let cfg = ArmsConfig {
+            n_levels: 3,
+            group_size: 4,
+            drop_tol: 0.0,
+            ilut: IlutConfig {
+                drop_tol: 0.0,
+                fill: 10_000,
+            },
+            min_reduced: 1,
+        };
+        let donor = Arms::factor(&a, &cfg).unwrap();
+        let a2 = grown_diagonal(&a, 0.1);
+        let arms = donor.refactor(&a2).unwrap();
+        assert_eq!(arms.n_levels(), donor.n_levels());
+        for (new, old) in arms.levels().iter().zip(donor.levels()) {
+            assert!(Arc::ptr_eq(&new.gis, &old.gis));
+        }
+        assert!(std::ptr::eq(
+            arms.last_factors().levels(),
+            donor.last_factors().levels()
+        ));
+        let n = a.n_rows();
+        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+        let b = a2.mul_vec(&x_true);
+        let mut z = vec![0.0; n];
+        arms.apply(&b, &mut z);
+        for (u, v) in z.iter().zip(&x_true) {
+            assert!((u - v).abs() < 1e-8, "{u} vs {v}");
+        }
+    }
+
+    #[test]
+    fn refactored_arms_preconditions_like_a_fresh_one() {
+        let a = laplacian_2d(15);
+        let n = a.n_rows();
+        let donor = Arms::factor(&a, &ArmsConfig::default()).unwrap();
+        let a2 = grown_diagonal(&a, 0.05);
+        let iterations = |m: &Arms| {
+            let mut x = vec![0.0; n];
+            let rep = FGmres::new(GmresConfig {
+                max_iters: 200,
+                ..Default::default()
+            })
+            .solve(&a2, m, &vec![1.0; n], &mut x);
+            assert!(rep.converged);
+            rep.iterations
+        };
+        let hot = iterations(&donor.refactor(&a2).unwrap());
+        let cold = iterations(&Arms::factor(&a2, &ArmsConfig::default()).unwrap());
+        assert!(hot.abs_diff(cold) <= 1, "refactored {hot} vs fresh {cold}");
+    }
+
+    #[test]
+    fn refactor_reports_shape_and_singular_blocks() {
+        let a = laplacian_2d(6);
+        let donor = Arms::factor(&a, &ArmsConfig::default()).unwrap();
+        assert!(matches!(
+            donor.refactor(&laplacian_2d(5)),
+            Err(Error::DimensionMismatch { .. })
+        ));
+        // All-zero values on the same pattern: the first group block is
+        // singular, and no shift is attempted.
+        let mut zeros = a.clone();
+        zeros.vals_mut().fill(0.0);
+        assert!(donor.refactor(&zeros).is_err());
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use crate::precond::Preconditioner;
 use parapre_sparse::{ops, Csr, Error, FactorReport, Result, SweepLevels};
+use std::sync::Arc;
 
 /// The diagonal-shift retry ladder: relative shifts applied to the
 /// diagonal (scaled by each row's norm) when an unshifted factorization
@@ -20,21 +21,36 @@ use parapre_sparse::{ops, Csr, Error, FactorReport, Result, SweepLevels};
 /// factorization.
 pub const SHIFT_LADDER: [f64; 4] = [0.0, 1e-8, 1e-4, 1e-2];
 
-/// A merged incomplete LU factorization.
-#[derive(Debug, Clone)]
-pub struct LuFactors {
-    /// Merged factor: strict lower = `L` (unit diagonal implicit),
-    /// diagonal + upper = `U`. Columns sorted in every row.
-    lu: Csr,
-    /// Position of the diagonal entry of each row inside `lu`'s value array.
+/// The value-independent half of a merged factor: its sparsity pattern,
+/// diagonal positions and sweep level schedule. Computed once by the
+/// symbolic factorization ([`Ilu0::factor`], [`Ilut::factor`]) and shared by
+/// `Arc` with every numeric refactorization ([`LuFactors::refactor`]).
+#[derive(Debug)]
+struct LuSymbolic {
+    /// Row pointers of the merged factor (`n + 1` entries).
+    row_ptr: Vec<usize>,
+    /// Column indices, sorted in every row.
+    col_idx: Vec<usize>,
+    /// Position of the diagonal entry of each row inside the value array.
     diag_ptr: Vec<usize>,
-    /// Reciprocals of the diagonal values: the backward sweep multiplies
-    /// instead of dividing (divides cost ~4× a multiply on current cores).
-    diag_inv: Vec<f64>,
     /// Level schedule of the triangular sweeps (rows within a level are
     /// mutually independent) — consumed by [`LuFactors::solve_in_place_leveled`]
     /// and by callers wanting sweep-parallelism diagnostics.
     levels: SweepLevels,
+}
+
+/// A merged incomplete LU factorization.
+#[derive(Debug, Clone)]
+pub struct LuFactors {
+    /// Pattern, diagonal positions and level schedule of the merged
+    /// factor: strict lower = `L` (unit diagonal implicit), diagonal +
+    /// upper = `U`.
+    sym: Arc<LuSymbolic>,
+    /// Values of the merged factor, aligned with `sym.col_idx`.
+    vals: Vec<f64>,
+    /// Reciprocals of the diagonal values: the backward sweep multiplies
+    /// instead of dividing (divides cost ~4× a multiply on current cores).
+    diag_inv: Vec<f64>,
     /// Number of pivots that had to be replaced by a small fallback value.
     pivot_fixes: usize,
     /// Structured health report of the factorization.
@@ -64,12 +80,120 @@ impl LuFactors {
                 levels.max_level_width() as f64,
             );
         }
+        let (_, _, row_ptr, col_idx, vals) = lu.into_parts();
         Ok(LuFactors {
-            lu,
-            diag_ptr,
+            sym: Arc::new(LuSymbolic {
+                row_ptr,
+                col_idx,
+                diag_ptr,
+                levels,
+            }),
+            vals,
             diag_inv,
-            levels,
             pivot_fixes,
+            report,
+        })
+    }
+
+    /// Numeric-only refactorization: factors `a` **inside this factor's
+    /// sparsity pattern**, skipping everything symbolic — no drop-tolerance
+    /// selection, no fill bookkeeping, no level scheduling.
+    ///
+    /// Row `i` of `a` is scattered into the frozen merged pattern (entries
+    /// of `a` outside it are dropped), then eliminated IKJ-style over the
+    /// stored `L` entries only, with every update restricted to the
+    /// pattern. The result shares the pattern, diagonal pointers and sweep
+    /// levels with `self` by `Arc`; only the values, the diagonal
+    /// reciprocals and the [`FactorReport`] are new. With the pattern of a
+    /// complete factorization (ILUT with `drop_tol = 0` and unbounded
+    /// fill, or ILU(0) of the same pattern) this reproduces that
+    /// factorization's values.
+    ///
+    /// Strict by design: a frozen pattern cannot be repaired by a pivot
+    /// fix or a diagonal shift, so a zero, negligible
+    /// ([`parapre_sparse::report::SMALL_PIVOT_RTOL`]) or non-finite pivot
+    /// is **reported** as [`Error::ZeroPivot`] / [`Error::NonFinitePivot`],
+    /// never patched — the caller falls back to the symbolic factorization
+    /// and its shift ladder. A matrix of another shape is
+    /// [`Error::DimensionMismatch`].
+    pub fn refactor(&self, a: &Csr) -> Result<LuFactors> {
+        let n = self.dim();
+        for found in [a.n_rows(), a.n_cols()] {
+            if found != n {
+                return Err(Error::DimensionMismatch {
+                    op: "refactor",
+                    expected: n,
+                    found,
+                });
+            }
+        }
+        let row_ptr = &self.sym.row_ptr[..];
+        let cols = &self.sym.col_idx[..];
+        let diag_ptr = &self.sym.diag_ptr[..];
+        let mut vals = vec![0.0f64; cols.len()];
+        // Position of each pattern column of the current row inside `vals`.
+        let mut pos = vec![usize::MAX; n];
+        for i in 0..n {
+            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+            for k in lo..hi {
+                pos[cols[k]] = k;
+            }
+            let (a_cols, a_vals) = a.row(i);
+            for (&j, &v) in a_cols.iter().zip(a_vals) {
+                let p = pos[j];
+                if p != usize::MAX {
+                    vals[p] = v;
+                }
+            }
+            for kp in lo..diag_ptr[i] {
+                let k = cols[kp];
+                let lik = vals[kp] / vals[diag_ptr[k]];
+                vals[kp] = lik;
+                if lik == 0.0 {
+                    continue;
+                }
+                for q in (diag_ptr[k] + 1)..row_ptr[k + 1] {
+                    let p = pos[cols[q]];
+                    if p != usize::MAX {
+                        vals[p] -= lik * vals[q];
+                    }
+                }
+            }
+            let d = vals[diag_ptr[i]];
+            if !d.is_finite() {
+                return Err(Error::NonFinitePivot(i));
+            }
+            if d.abs() < f64::MIN_POSITIVE * 1e4 {
+                return Err(Error::ZeroPivot(i));
+            }
+            for k in lo..hi {
+                pos[cols[k]] = usize::MAX;
+            }
+        }
+        let report = FactorReport::scan(n, &vals, diag_ptr);
+        if report.nonfinite > 0 {
+            let row = (0..n)
+                .find(|&i| {
+                    vals[row_ptr[i]..row_ptr[i + 1]]
+                        .iter()
+                        .any(|v| !v.is_finite())
+                })
+                .unwrap_or(0);
+            return Err(Error::NonFinitePivot(row));
+        }
+        if !report.healthy() {
+            let row = (0..n)
+                .find(|&i| vals[diag_ptr[i]].abs() == report.min_pivot)
+                .unwrap_or(0);
+            return Err(Error::ZeroPivot(row));
+        }
+        let diag_inv = diag_ptr.iter().map(|&k| 1.0 / vals[k]).collect();
+        parapre_trace::counter("factor.fill_nnz", vals.len() as u64);
+        Ok(LuFactors {
+            sym: Arc::clone(&self.sym),
+            vals,
+            diag_inv,
+            pivot_fixes: 0,
             report,
         })
     }
@@ -86,19 +210,26 @@ impl LuFactors {
         self.report.shift_attempts = attempts;
     }
 
-    /// The merged factor matrix (tests, diagnostics).
-    pub fn merged(&self) -> &Csr {
-        &self.lu
+    /// A copy of the merged factor matrix (tests, diagnostics).
+    pub fn merged(&self) -> Csr {
+        let n = self.dim();
+        Csr::from_parts_unchecked(
+            n,
+            n,
+            self.sym.row_ptr.clone(),
+            self.sym.col_idx.clone(),
+            self.vals.clone(),
+        )
     }
 
     /// Dimension of the factorization.
     pub fn dim(&self) -> usize {
-        self.lu.n_rows()
+        self.sym.diag_ptr.len()
     }
 
     /// Stored entries in the factor (fill measure).
     pub fn nnz(&self) -> usize {
-        self.lu.nnz()
+        self.vals.len()
     }
 
     /// Number of zero pivots replaced by a fallback during factorization.
@@ -110,7 +241,13 @@ impl LuFactors {
     /// have no dependencies on each other, so the mean level width bounds
     /// the sweep parallelism available in this factor.
     pub fn levels(&self) -> &SweepLevels {
-        &self.levels
+        &self.sym.levels
+    }
+
+    /// Column indices and values of row `i` of the merged factor.
+    fn row(&self, i: usize) -> (&[usize], &[f64]) {
+        let (lo, hi) = (self.sym.row_ptr[i], self.sym.row_ptr[i + 1]);
+        (&self.sym.col_idx[lo..hi], &self.vals[lo..hi])
     }
 
     /// Solves `L U x = b` in place (`x` holds `b` on entry).
@@ -126,20 +263,21 @@ impl LuFactors {
         }
         let n = self.dim();
         debug_assert_eq!(x.len(), n);
-        let row_ptr = self.lu.row_ptr();
-        let cols = self.lu.col_idx();
-        let vals = self.lu.vals();
+        let row_ptr = &self.sym.row_ptr[..];
+        let cols = &self.sym.col_idx[..];
+        let diag_ptr = &self.sym.diag_ptr[..];
+        let vals = &self.vals[..];
         // Forward: (I + L) y = b, strict lower entries are cols < diag.
         for i in 0..n {
             let mut acc = x[i];
-            for k in row_ptr[i]..self.diag_ptr[i] {
+            for k in row_ptr[i]..diag_ptr[i] {
                 acc -= vals[k] * x[cols[k]];
             }
             x[i] = acc;
         }
         // Backward: U x = y.
         for i in (0..n).rev() {
-            let d = self.diag_ptr[i];
+            let d = diag_ptr[i];
             let mut acc = x[i];
             for k in (d + 1)..row_ptr[i + 1] {
                 acc -= vals[k] * x[cols[k]];
@@ -156,7 +294,15 @@ impl LuFactors {
     /// when the caller's thread budget allows (`ops::solve_lu_leveled_par`).
     pub fn solve_in_place_leveled(&self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.dim());
-        ops::solve_lu_leveled_par(&self.lu, &self.diag_ptr, &self.diag_inv, &self.levels, x);
+        ops::solve_lu_leveled_par(
+            &self.sym.row_ptr,
+            &self.sym.col_idx,
+            &self.vals,
+            &self.sym.diag_ptr,
+            &self.diag_inv,
+            &self.sym.levels,
+            x,
+        );
     }
 
     /// Solves with the **leading** `nb × nb` principal block of the factor,
@@ -166,19 +312,20 @@ impl LuFactors {
     /// Only `x[..nb]` participates; the tail is untouched.
     pub fn leading_solve(&self, nb: usize, x: &mut [f64]) {
         debug_assert!(nb <= self.dim());
-        let row_ptr = self.lu.row_ptr();
-        let cols = self.lu.col_idx();
-        let vals = self.lu.vals();
+        let row_ptr = &self.sym.row_ptr[..];
+        let cols = &self.sym.col_idx[..];
+        let diag_ptr = &self.sym.diag_ptr[..];
+        let vals = &self.vals[..];
         for i in 0..nb {
             let mut acc = x[i];
             // Strict lower entries of row i all have col < i < nb.
-            for k in row_ptr[i]..self.diag_ptr[i] {
+            for k in row_ptr[i]..diag_ptr[i] {
                 acc -= vals[k] * x[cols[k]];
             }
             x[i] = acc;
         }
         for i in (0..nb).rev() {
-            let d = self.diag_ptr[i];
+            let d = diag_ptr[i];
             let mut acc = x[i];
             for k in (d + 1)..row_ptr[i + 1] {
                 let j = cols[k];
@@ -203,7 +350,7 @@ impl LuFactors {
         let mut vals = Vec::new();
         row_ptr.push(0);
         for i in nb..n {
-            let (cs, vs) = self.lu.row(i);
+            let (cs, vs) = self.row(i);
             for (&j, &v) in cs.iter().zip(vs) {
                 if j >= nb {
                     col_idx.push(j - nb);
@@ -268,7 +415,7 @@ where
 
 impl Preconditioner for LuFactors {
     fn dim(&self) -> usize {
-        self.lu.n_rows()
+        LuFactors::dim(self)
     }
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         z.copy_from_slice(r);
@@ -614,8 +761,9 @@ mod tests {
         let a = laplacian_2d(6);
         let f = Ilu0::factor(&a).unwrap();
         assert_eq!(f.nnz(), a.nnz());
-        assert_eq!(f.merged().row_ptr(), a.row_ptr());
-        assert_eq!(f.merged().col_idx(), a.col_idx());
+        let m = f.merged();
+        assert_eq!(m.row_ptr(), a.row_ptr());
+        assert_eq!(m.col_idx(), a.col_idx());
     }
 
     #[test]
@@ -705,8 +853,9 @@ mod tests {
         };
         let f = Ilut::factor(&a, &cfg).unwrap();
         let n = a.n_rows();
+        let m = f.merged();
         for i in 0..n {
-            let (cols, _) = f.merged().row(i);
+            let (cols, _) = m.row(i);
             let lower = cols.iter().filter(|&&j| j < i).count();
             let upper = cols.iter().filter(|&&j| j > i).count();
             assert!(lower <= 2, "row {i} lower {lower}");
@@ -919,5 +1068,148 @@ mod tests {
         for (u, v) in x.iter().zip(&x_true) {
             assert!((u - v).abs() < 1e-8);
         }
+    }
+
+    /// `a` with every stored value perturbed by a deterministic relative
+    /// amount up to `eps` and the diagonal grown on top (stays dominant).
+    fn perturbed(a: &Csr, eps: f64) -> Csr {
+        let mut b = a.clone();
+        for (k, (slot, (i, j, v))) in b.vals_mut().iter_mut().zip(a.iter()).enumerate() {
+            let wobble = ((k * 37 + 11) % 101) as f64 / 101.0;
+            let grow = if i == j { 1.0 + eps } else { 1.0 };
+            *slot = v * (1.0 + eps * (wobble - 0.5)) * grow;
+        }
+        b
+    }
+
+    #[test]
+    fn refactor_with_complete_pattern_equals_ilut() {
+        // drop_tol = 0 and unbounded fill: the frozen pattern is the full
+        // LU pattern, so the numeric refactorization of a same-pattern
+        // matrix must reproduce a fresh ILUT of it.
+        let cfg = IlutConfig {
+            drop_tol: 0.0,
+            fill: usize::MAX,
+        };
+        let a = laplacian_2d(9);
+        let donor = Ilut::factor(&a, &cfg).unwrap();
+        let a2 = perturbed(&a, 0.1);
+        let got = donor.refactor(&a2).unwrap();
+        let want = Ilut::factor(&a2, &cfg).unwrap();
+        let (got_m, want_m) = (got.merged(), want.merged());
+        assert_eq!(got_m.row_ptr(), want_m.row_ptr());
+        assert_eq!(got_m.col_idx(), want_m.col_idx());
+        for (g, w) in got_m.vals().iter().zip(want_m.vals()) {
+            assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0), "{g} vs {w}");
+        }
+        // Pattern, diagonal pointers and sweep levels are the donor's own
+        // allocation; values and the report are new.
+        assert!(Arc::ptr_eq(&got.sym, &donor.sym));
+        assert!(!Arc::ptr_eq(&got.sym, &want.sym));
+        assert!(std::ptr::eq(got.levels(), donor.levels()));
+        assert_eq!(got.pivot_fixes(), 0);
+        assert!(got.report().healthy());
+        assert_eq!(got.report().fill_nnz, donor.report().fill_nnz);
+        assert_ne!(got.report().max_pivot, donor.report().max_pivot);
+    }
+
+    #[test]
+    fn refactor_of_ilu0_is_ilu0() {
+        // ILU(0) is numeric-only already: refactoring through the frozen
+        // pattern is the same arithmetic in the same order.
+        let a = laplacian_2d(8);
+        let a2 = perturbed(&a, 0.05);
+        let got = Ilu0::factor(&a).unwrap().refactor(&a2).unwrap();
+        let want = Ilu0::factor(&a2).unwrap();
+        assert_eq!(got.merged(), want.merged());
+    }
+
+    #[test]
+    fn refactor_drops_entries_outside_the_frozen_pattern() {
+        // A tight fill cap freezes a sparse pattern; the refactored factor
+        // stays inside it and still preconditions the new matrix.
+        let a = laplacian_2d(10);
+        let donor = Ilut::factor(
+            &a,
+            &IlutConfig {
+                drop_tol: 1e-2,
+                fill: 3,
+            },
+        )
+        .unwrap();
+        let a2 = perturbed(&a, 0.1);
+        let f = donor.refactor(&a2).unwrap();
+        assert_eq!(f.nnz(), donor.nnz());
+        let n = a.n_rows();
+        let b = vec![1.0; n];
+        let mut z = b.clone();
+        f.solve_in_place(&mut z);
+        let az = a2.mul_vec(&z);
+        let r: f64 = b
+            .iter()
+            .zip(&az)
+            .map(|(x, y)| (x - y) * (x - y))
+            .sum::<f64>()
+            .sqrt();
+        assert!(r < 0.75 * (n as f64).sqrt(), "residual {r}");
+    }
+
+    #[test]
+    fn leveled_solve_bitwise_matches_sequential_on_refactored_factors() {
+        let a = laplacian_2d(9);
+        let n = a.n_rows();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 0.1).collect();
+        let donor = Ilut::factor(
+            &a,
+            &IlutConfig {
+                drop_tol: 1e-4,
+                fill: 12,
+            },
+        )
+        .unwrap();
+        let f = donor.refactor(&perturbed(&a, 0.02)).unwrap();
+        let mut x1 = b.clone();
+        f.solve_in_place(&mut x1);
+        let mut x2 = b;
+        f.solve_in_place_leveled(&mut x2);
+        assert_eq!(x1, x2);
+    }
+
+    #[test]
+    fn refactor_rejects_other_shapes_with_typed_errors() {
+        let donor = Ilu0::factor(&laplacian_2d(4)).unwrap();
+        // Another pattern altogether: a different dimension.
+        assert!(matches!(
+            donor.refactor(&laplacian_2d(5)),
+            Err(Error::DimensionMismatch { op: "refactor", .. })
+        ));
+        // Non-square input with the donor's row count.
+        let wide = Csr::zero(16, 17);
+        assert!(matches!(
+            donor.refactor(&wide),
+            Err(Error::DimensionMismatch { op: "refactor", .. })
+        ));
+    }
+
+    #[test]
+    fn refactor_reports_a_zero_pivot_instead_of_patching_it() {
+        // Same pattern, but elimination cancels the (1,1) pivot exactly.
+        let a = Csr::from_dense_rows(&[vec![2.0, 1.0], vec![1.0, 2.0]]);
+        let donor = Ilu0::factor(&a).unwrap();
+        let singular = Csr::from_dense_rows(&[vec![1.0, 1.0], vec![1.0, 1.0]]);
+        assert!(matches!(
+            donor.refactor(&singular),
+            Err(Error::ZeroPivot(1))
+        ));
+        // A pivot that is merely negligible next to the largest one is
+        // refused the same way (no shift, no fix under a frozen pattern).
+        let tiny = Csr::from_dense_rows(&[vec![1.0, 1.0], vec![1.0, 1.0 + 1e-15]]);
+        assert!(matches!(donor.refactor(&tiny), Err(Error::ZeroPivot(1))));
+        // And the symbolic path would have patched it.
+        let cfg = IlutConfig {
+            drop_tol: 0.0,
+            fill: 10,
+        };
+        assert_eq!(Ilut::factor(&singular, &cfg).unwrap().pivot_fixes(), 1);
     }
 }

@@ -208,6 +208,9 @@ impl LowRankCorrection {
 #[derive(Debug)]
 pub struct SchurMlHierarchy {
     arms: Arms,
+    /// Requested correction rank ([`SchurMlHierarchy::refactor`] relearns
+    /// the corrections at the same rank).
+    rank: usize,
     /// `corrections[d]` corrects the depth-`d+1` solve, i.e. the system
     /// `levels()[d].reduced()`; `None` where no usable correction exists.
     corrections: Vec<Option<LowRankCorrection>>,
@@ -231,10 +234,20 @@ impl SchurMlHierarchy {
         Ok(Self::with_corrections(arms, cfg.rank))
     }
 
+    /// Numeric-only refactorization for a same-pattern matrix: the ARMS
+    /// levels are rebuilt on their retained independent sets
+    /// ([`Arms::refactor`]) and the low-rank corrections are relearned
+    /// from the new values (they are numeric through and through — the
+    /// Arnoldi probe sees the new error operator).
+    pub fn refactor(&self, a: &Csr) -> Result<Self> {
+        Ok(Self::with_corrections(self.arms.refactor(a)?, self.rank))
+    }
+
     fn with_corrections(arms: Arms, rank: usize) -> Self {
         let n_levels = arms.n_levels();
         let mut hier = SchurMlHierarchy {
             arms,
+            rank,
             corrections: (0..n_levels).map(|_| None).collect(),
         };
         if rank == 0 {
@@ -351,6 +364,33 @@ mod tests {
             }
         }
         coo.to_csr()
+    }
+
+    #[test]
+    fn refactor_relearns_the_corrections_on_the_retained_levels() {
+        let a = laplacian_2d(14);
+        let n = a.n_rows();
+        let forced = vec![false; n];
+        let donor = SchurMlHierarchy::factor(&a, &lossy_cfg(6), &forced).unwrap();
+        let mut a2 = a.clone();
+        for v in a2.vals_mut() {
+            *v *= 1.07;
+        }
+        let hot = donor.refactor(&a2).unwrap();
+        let cold = SchurMlHierarchy::factor(&a2, &lossy_cfg(6), &forced).unwrap();
+        assert_eq!(hot.arms().n_levels(), donor.arms().n_levels());
+        assert_eq!(hot.correction_ranks(), cold.correction_ranks());
+        assert!(std::ptr::eq(
+            hot.arms().last_factors().levels(),
+            donor.arms().last_factors().levels()
+        ));
+        // A uniform scaling keeps every relative drop decision, so the
+        // refactored hierarchy is the fresh one up to rounding.
+        let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.21).cos()).collect();
+        let (z_hot, z_cold) = (hot.solve_from(0, &r), cold.solve_from(0, &r));
+        for (h, c) in z_hot.iter().zip(&z_cold) {
+            assert!((h - c).abs() <= 1e-9 * c.abs().max(1.0), "{h} vs {c}");
+        }
     }
 
     /// A deliberately lossy config so the corrections have error to cancel.

@@ -958,6 +958,22 @@ pub mod names {
     /// migration.
     pub const ELASTIC_REUSED_RANKS: &str = "parapre_elastic_reused_ranks";
 
+    /// Counter: sessions produced by numeric-only refactorization of a
+    /// resident same-pattern session.
+    pub const REFACTOR_TOTAL: &str = "parapre_refactor_total";
+    /// Counter family: same-pattern misses with a resident donor that were
+    /// built cold anyway, labelled by reason ([`refactor_fallback`]).
+    pub const REFACTOR_FALLBACK_TOTAL: &str = "parapre_refactor_fallback_total";
+    /// Histogram: wall time of a numeric-only session refactorization in
+    /// microseconds.
+    pub const REFACTOR_US: &str = "parapre_refactor_us";
+
+    /// Builds the labelled refactor-fallback counter name for one reason
+    /// (`unhealthy`, `pattern`, `donor_dirty`, `stale`).
+    pub fn refactor_fallback(reason: &str) -> String {
+        format!("{REFACTOR_FALLBACK_TOTAL}{{reason=\"{reason}\"}}")
+    }
+
     /// Builds the keyed solve-latency histogram name for one
     /// (fingerprint, preconditioner rung) pair.
     pub fn keyed_solve(fingerprint: u64, precond: &str) -> String {

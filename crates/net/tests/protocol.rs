@@ -34,9 +34,14 @@ fn bool_field(line: &str, key: &str) -> Option<bool> {
 
 /// A small SPD tridiagonal system in Matrix Market text.
 fn tridiag_mtx(n: usize) -> String {
+    tridiag_mtx_with_diagonal(n, 2.5)
+}
+
+/// [`tridiag_mtx`] with a chosen diagonal value: same pattern, new values.
+fn tridiag_mtx_with_diagonal(n: usize, diag: f64) -> String {
     let mut entries = Vec::new();
     for i in 1..=n {
-        entries.push(format!("{i} {i} 2.5"));
+        entries.push(format!("{i} {i} {diag}"));
         if i < n {
             entries.push(format!("{i} {} -1.0", i + 1));
             entries.push(format!("{} {i} -1.0", i + 1));
@@ -182,6 +187,66 @@ fn fingerprint_put_and_resubmission_hit_store_and_cache() {
         .expect("open");
     assert_eq!(bool_field(&line, "ok"), Some(false));
     assert_eq!(str_field(&line, "error_kind").as_deref(), Some("rejected"));
+}
+
+/// A re-sent matrix with the same pattern and new values is refactored
+/// from the resident session. No protocol change: the first solve after
+/// the `put` is still a miss, the result line says how it was built.
+#[test]
+fn same_pattern_put_is_refactored_over_the_wire() {
+    let server = start_tcp(NetConfig::default());
+    let mut client = connect(&server);
+    let mut solve_after_put = |mtx: &str, id: &str| -> String {
+        client.put_mtx(mtx).expect("put");
+        let ack = client.recv_line().expect("recv").expect("open");
+        assert_eq!(bool_field(&ack, "known"), Some(false), "line: {ack}");
+        let fp = str_field(&ack, "fp").expect("fingerprint");
+        let line = client
+            .request(&format!(
+                "{{\"id\":\"{id}\",\"fp\":\"{fp}\",\"precond\":\"block2\",\
+                 \"ranks\":2,\"rhs\":\"ones\"}}"
+            ))
+            .expect("request")
+            .expect("open");
+        assert_eq!(bool_field(&line, "ok"), Some(true), "line: {line}");
+        assert_eq!(bool_field(&line, "converged"), Some(true), "line: {line}");
+        assert_eq!(bool_field(&line, "cache_hit"), Some(false), "line: {line}");
+        line
+    };
+    let age = |line: &str| {
+        fields_of(line)
+            .get("pattern_age")
+            .and_then(JsonValue::as_u64)
+    };
+
+    let cold = solve_after_put(&tridiag_mtx(40), "cold");
+    assert_eq!(bool_field(&cold, "refactored"), Some(false), "line: {cold}");
+    assert_eq!(age(&cold), Some(0));
+
+    let hot = solve_after_put(&tridiag_mtx_with_diagonal(40, 2.6), "hot");
+    assert_eq!(bool_field(&hot, "refactored"), Some(true), "line: {hot}");
+    assert_eq!(age(&hot), Some(1));
+    let build_ms = fields_of(&hot).get("build_ms").and_then(JsonValue::as_f64);
+    assert!(build_ms.is_some_and(|ms| ms > 0.0), "line: {hot}");
+
+    // Another size is another pattern: cold again.
+    let other = solve_after_put(&tridiag_mtx(41), "other");
+    assert_eq!(
+        bool_field(&other, "refactored"),
+        Some(false),
+        "line: {other}"
+    );
+
+    let stats = client
+        .request("{\"cmd\":\"stats\"}")
+        .expect("request")
+        .expect("open");
+    let fields = fields_of(&stats);
+    assert_eq!(fields.get("refactors").and_then(JsonValue::as_u64), Some(1));
+    assert_eq!(
+        fields.get("refactor_fallbacks").and_then(JsonValue::as_u64),
+        Some(0)
+    );
 }
 
 #[test]

@@ -674,6 +674,14 @@ impl Csr {
     /// exact value bits — matrices hash equal iff they are bit-identical.
     /// This is the matrix-identity component of solver-session cache keys.
     pub fn fingerprint(&self) -> u64 {
+        self.fingerprints().1
+    }
+
+    /// The FNV-1a state after shape, `row_ptr` and `col_idx` — the prefix
+    /// of the pass [`Csr::fingerprint`] makes. Two matrices with the same
+    /// sparsity pattern and different values hash equal here, which is how
+    /// the engine recognizes a matrix it can refactor numerically.
+    pub fn pattern_fingerprint(&self) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325_u64;
         h = fnv1a_u64(h, self.n_rows as u64);
         h = fnv1a_u64(h, self.n_cols as u64);
@@ -683,10 +691,29 @@ impl Csr {
         for &j in &self.col_idx {
             h = fnv1a_u64(h, j as u64);
         }
+        h
+    }
+
+    /// `(pattern_fingerprint, fingerprint)` in one pass: the content hash
+    /// continues from the pattern state over the value bits.
+    pub fn fingerprints(&self) -> (u64, u64) {
+        let pattern = self.pattern_fingerprint();
+        let mut h = pattern;
         for &v in &self.vals {
             h = fnv1a_u64(h, v.to_bits());
         }
-        h
+        (pattern, h)
+    }
+
+    /// Decomposes into `(n_rows, n_cols, row_ptr, col_idx, vals)`.
+    pub fn into_parts(self) -> (usize, usize, Vec<usize>, Vec<usize>, Vec<f64>) {
+        (
+            self.n_rows,
+            self.n_cols,
+            self.row_ptr,
+            self.col_idx,
+            self.vals,
+        )
     }
 }
 
@@ -730,6 +757,46 @@ mod tests {
         assert_ne!(a.fingerprint(), c.fingerprint());
         // Shape participates even with no stored entries.
         assert_ne!(Csr::zero(2, 3).fingerprint(), Csr::zero(3, 2).fingerprint());
+    }
+
+    #[test]
+    fn pattern_fingerprint_is_the_prefix_of_the_content_hash() {
+        // The pre-refactorization `fingerprint()`, verbatim: wire `fp`
+        // strings, tune-state files and cache keys depend on its value.
+        fn legacy(a: &Csr) -> u64 {
+            let mut h = 0xcbf2_9ce4_8422_2325_u64;
+            h = fnv1a_u64(h, a.n_rows as u64);
+            h = fnv1a_u64(h, a.n_cols as u64);
+            for &p in &a.row_ptr {
+                h = fnv1a_u64(h, p as u64);
+            }
+            for &j in &a.col_idx {
+                h = fnv1a_u64(h, j as u64);
+            }
+            for &v in &a.vals {
+                h = fnv1a_u64(h, v.to_bits());
+            }
+            h
+        }
+        let a = sample();
+        let mut b = sample();
+        b.vals_mut()[3] = -7.25;
+        for m in [&a, &b, &Csr::zero(2, 3), &Csr::identity(5)] {
+            assert_eq!(m.fingerprint(), legacy(m));
+            assert_eq!(m.fingerprints(), (m.pattern_fingerprint(), legacy(m)));
+        }
+        // Pinned from the commit before the split.
+        assert_eq!(a.fingerprint(), 0x32a2_27f3_df20_0c84);
+        // Same pattern, new values: pattern hash equal, content hash not.
+        assert_eq!(a.pattern_fingerprint(), b.pattern_fingerprint());
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        // A new coupling changes both.
+        let c = Csr::from_dense_rows(&[
+            vec![2.0, 0.0, -1.0],
+            vec![-1.0, 2.0, -1.0],
+            vec![0.0, -1.0, 2.0],
+        ]);
+        assert_ne!(a.pattern_fingerprint(), c.pattern_fingerprint());
     }
 
     #[test]

@@ -303,18 +303,20 @@ pub fn solve_lu_merged(lu: &Csr, x: &mut [f64]) {
 /// the row-ordered solve for any budget. Wide levels are computed into a
 /// scratch buffer in parallel and scattered back serially (the scatter is
 /// one store per row); narrow levels run in place.
+///
+/// The factor is passed as its raw CSR arrays (`row_ptr`, `cols`, `vals`)
+/// because a numerically refactored factor shares the index arrays with its
+/// donor and owns only the values.
 pub fn solve_lu_leveled_par(
-    lu: &Csr,
+    row_ptr: &[usize],
+    cols: &[usize],
+    vals: &[f64],
     diag_ptr: &[usize],
     diag_inv: &[f64],
     levels: &SweepLevels,
     x: &mut [f64],
 ) {
-    let n = lu.n_rows();
-    debug_assert_eq!(x.len(), n);
-    let row_ptr = lu.row_ptr();
-    let cols = lu.col_idx();
-    let vals = lu.vals();
+    debug_assert_eq!(x.len() + 1, row_ptr.len());
     let budget = parallel::current_budget();
     let mut scratch: Vec<f64> = Vec::new();
     for l in 0..levels.n_lower_levels() {
@@ -521,12 +523,28 @@ mod tests {
         let mut want = b.clone();
         {
             let _b1 = crate::parallel::enter_budget(1);
-            solve_lu_leveled_par(&lu, &diag_ptr, &diag_inv, &levels, &mut want);
+            solve_lu_leveled_par(
+                lu.row_ptr(),
+                lu.col_idx(),
+                lu.vals(),
+                &diag_ptr,
+                &diag_inv,
+                &levels,
+                &mut want,
+            );
         }
         for threads in [2usize, 4, 8] {
             let _bt = crate::parallel::enter_budget(threads);
             let mut got = b.clone();
-            solve_lu_leveled_par(&lu, &diag_ptr, &diag_inv, &levels, &mut got);
+            solve_lu_leveled_par(
+                lu.row_ptr(),
+                lu.col_idx(),
+                lu.vals(),
+                &diag_ptr,
+                &diag_inv,
+                &levels,
+                &mut got,
+            );
             assert_eq!(got, want, "t={threads}");
         }
     }

@@ -163,12 +163,28 @@ proptest! {
         let mut want = b.clone();
         {
             let _b1 = parallel::enter_budget(1);
-            ops::solve_lu_leveled_par(&lu, &diag_ptr, &diag_inv, &levels, &mut want);
+            ops::solve_lu_leveled_par(
+                lu.row_ptr(),
+                lu.col_idx(),
+                lu.vals(),
+                &diag_ptr,
+                &diag_inv,
+                &levels,
+                &mut want,
+            );
         }
         for threads in [2usize, 4, 8] {
             let _bt = parallel::enter_budget(threads);
             let mut got = b.clone();
-            ops::solve_lu_leveled_par(&lu, &diag_ptr, &diag_inv, &levels, &mut got);
+            ops::solve_lu_leveled_par(
+                lu.row_ptr(),
+                lu.col_idx(),
+                lu.vals(),
+                &diag_ptr,
+                &diag_inv,
+                &levels,
+                &mut got,
+            );
             prop_assert_eq!(&got, &want, "threads={}", threads);
         }
     }

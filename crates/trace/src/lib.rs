@@ -56,6 +56,10 @@ pub mod phase {
     pub const SETUP: &str = "setup";
     /// Incomplete factorization inside setup.
     pub const FACTOR: &str = "setup.factor";
+    /// Numeric-only refactorization inside setup: a same-pattern matrix
+    /// reusing a resident session's symbolic work. Distinct from
+    /// [`FACTOR`], which a refactorization never opens.
+    pub const REFACTOR: &str = "setup.refactor";
     /// Schur-complement extraction inside setup.
     pub const SCHUR_EXTRACT: &str = "setup.schur_extract";
     /// Interface/block assembly inside setup.

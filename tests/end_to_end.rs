@@ -115,3 +115,39 @@ fn dirichlet_values_survive_distribution() {
         }
     }
 }
+
+/// Register A, solve, register A′ (same pattern, new values), solve: the
+/// second session is a numeric-only refactorization of the first — still a
+/// cache miss on the wire-visible flag, built without a new partition or a
+/// new symbolic factorization.
+#[test]
+fn same_pattern_matrix_is_refactored_through_the_service() {
+    use parapre::engine::{parse_job_line, ServiceConfig, SolveService};
+    let service = SolveService::start(ServiceConfig::default()).expect("valid config");
+    let case = build_case(CaseId::Tc2, CaseSize::Tiny);
+    let a = case.sys.a;
+    let mut a_prime = a.clone();
+    for v in a_prime.vals_mut() {
+        *v *= 1.03;
+    }
+    let solve = |id: &str, fp: u64| {
+        let line = format!(
+            r#"{{"id":"{id}","fp":"{fp:016x}","precond":"schur2","ranks":4,"rhs":"rowsum"}}"#
+        );
+        let job = parse_job_line(&line, 0).expect("job parses");
+        let r = service.submit_solve(job).expect("accepted").wait();
+        assert!(r.ok && r.converged, "{id}: {:?}", r.error);
+        assert!(r.true_relres <= 1e-5, "{id}: {}", r.true_relres);
+        r
+    };
+    let (fp, _) = service.matrix_store().put(a);
+    let cold = solve("cold", fp);
+    assert!(!cold.cache_hit && !cold.refactored);
+    let (fp_prime, known) = service.matrix_store().put(a_prime);
+    assert!(!known && fp_prime != fp);
+    let hot = solve("hot", fp_prime);
+    assert!(!hot.cache_hit && hot.refactored && hot.pattern_age == 1);
+    assert!(hot.iterations[0].abs_diff(cold.iterations[0]) <= 2);
+    assert!(solve("hit", fp_prime).cache_hit);
+    assert_eq!(service.refactor_stats(), (1, 0));
+}
