@@ -20,7 +20,7 @@
 
 use parapre_core::{build_case_sized, CaseId, PrecondKind};
 use parapre_dist::CheckpointCtx;
-use parapre_engine::{solve_resilient, RecoveryPolicy, SessionConfig, SolverSession};
+use parapre_engine::{solve_resilient, RecoveryPolicy, SessionConfig, SolveRequest, SolverSession};
 use parapre_mpisim::FaultHook;
 use parapre_resilience::{CheckpointStore, FaultConfig, FaultPlan, RankOp};
 use std::sync::Arc;
@@ -75,18 +75,24 @@ fn main() {
     let mut iters = 0usize;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let (rep, _) = session
-            .solve_attempt(b, x0, false, None, None)
-            .expect("clean solve");
+        let plain = SolveRequest {
+            x0,
+            ..SolveRequest::new(b)
+        };
+        let rep = session.run(plain.clone()).expect("clean solve").single();
         plain_secs = plain_secs.min(t0.elapsed().as_secs_f64());
         assert!(rep.converged, "baseline solve must converge");
         iters = rep.iterations;
 
         let store = CheckpointStore::new(ranks);
         let t0 = Instant::now();
-        let (rep, _) = session
-            .solve_attempt(b, x0, false, None, Some(CheckpointCtx::fresh(&store)))
-            .expect("checkpointed solve");
+        let rep = session
+            .run(SolveRequest {
+                ckpt: Some(CheckpointCtx::fresh(&store)),
+                ..plain
+            })
+            .expect("checkpointed solve")
+            .single();
         ckpt_secs = ckpt_secs.min(t0.elapsed().as_secs_f64());
         assert!(rep.converged, "checkpointed solve must converge");
         assert_eq!(

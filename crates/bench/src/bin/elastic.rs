@@ -187,7 +187,7 @@ fn main() {
     let cold_secs = t0.elapsed().as_secs_f64();
     drop(cold);
 
-    let (migrated, mrep) = skew.migrate(&plan).expect("migration");
+    let (migrated, mrep) = skew.migrate(&plan, None, None).expect("migration");
     let cost_ratio = mrep.migrate_seconds / cold_secs;
     let imb_new = size_imbalance(migrated.owner(), plan.new_p);
     let imb_recovery = recovery(imb_skew, imb_new, 1.0);
@@ -217,7 +217,7 @@ fn main() {
     // (the topology vote). The migration must abort and the old topology
     // must keep answering bitwise identically.
     let hook = Arc::new(FaultPlan::new(FaultConfig::kill_once(1, 0)));
-    let chaos = skew.migrate_opts(&plan, None, Some(hook));
+    let chaos = skew.migrate(&plan, None, Some(hook));
     let chaos_aborted = chaos.is_err();
     let after = skew.solve(&b).expect("post-chaos solve");
     let old_intact = after.x == m_skew.x;
@@ -225,7 +225,7 @@ fn main() {
 
     // Determinism: the same plan from the same state must land the same
     // migration and the same answers.
-    let (migrated2, mrep2) = skew.migrate(&plan).expect("repeat migration");
+    let (migrated2, mrep2) = skew.migrate(&plan, None, None).expect("repeat migration");
     let m_mig2 = measure(&migrated2, &b, 1);
     let deterministic = mrep2.reused_ranks == mrep.reused_ranks
         && mrep2.moved_rows == mrep.moved_rows

@@ -25,8 +25,8 @@
 
 use parapre_core::{CaseId, CaseSize, PrecondKind};
 use parapre_engine::{
-    resolve_problem, ProblemSpec, RhsSpec, ServiceConfig, SessionConfig, SolveJob, SolveService,
-    SolverSession,
+    resolve_problem, ProblemSpec, RhsSpec, ServiceConfig, SessionConfig, SolveJob, SolveRequest,
+    SolveService, SolverSession,
 };
 use parapre_krylov::IlutConfig;
 use std::time::Instant;
@@ -119,11 +119,13 @@ fn main() {
         let session =
             SolverSession::build(&resolved.a, resolved.owner(), &job.session).expect("setup");
         setup_s += session.setup_seconds();
-        let rep = match &resolved.x0 {
-            Some(x0) => session.solve_with_guess(&resolved.b, x0),
-            None => session.solve(&resolved.b),
-        }
-        .expect("solve");
+        let rep = session
+            .run(SolveRequest {
+                x0: resolved.x0.as_deref(),
+                ..SolveRequest::new(&resolved.b)
+            })
+            .expect("solve")
+            .single();
         solve_s += rep.solve_seconds;
         assert!(rep.converged, "baseline job {} diverged", job.id);
     }

@@ -24,7 +24,9 @@
 //! against that reference.
 
 use parapre_core::PrecondKind;
-use parapre_engine::{march_heat, SessionConfig, SolverSession, TimestepConfig, TimestepReport};
+use parapre_engine::{
+    march_heat, SessionConfig, SolveRequest, SolverSession, TimestepConfig, TimestepReport,
+};
 use parapre_fem::heat::{assemble_mass_stiffness, HeatMarch};
 use parapre_grid::structured::unit_cube;
 use parapre_grid::Adjacency;
@@ -56,9 +58,14 @@ fn cold_reference(extent: usize, dts: &[f64], cfg: &SessionConfig) -> ColdRefere
             session = SolverSession::build(&march.a, &part.owner, cfg).expect("cold build");
             rebuilds.push(session.setup_seconds());
         }
+        let b = march.rhs(&u);
         let rep = session
-            .solve_with_guess(&march.rhs(&u), &u)
-            .expect("reference solve");
+            .run(SolveRequest {
+                x0: Some(&u),
+                ..SolveRequest::new(&b)
+            })
+            .expect("reference solve")
+            .single();
         iterations.push(rep.iterations);
         u = rep.x;
     }

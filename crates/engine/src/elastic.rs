@@ -182,7 +182,7 @@ impl RebalanceManager {
             record.outcome = "no_change".into();
             return record;
         }
-        match session.migrate(&plan) {
+        match session.migrate(&plan, None, None) {
             Ok((migrated, mrep)) => {
                 let new_key = SessionKey::new(migrated.fingerprint(), migrated.config());
                 cache.insert(new_key, Arc::new(migrated));

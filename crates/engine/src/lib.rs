@@ -10,7 +10,7 @@
 //! This crate separates setup from solve:
 //!
 //! * [`SolverSession`] — partition + distribute + factor once, then serve
-//!   any number of `solve(rhs)` calls against the frozen per-rank state;
+//!   any number of solve requests against the frozen per-rank state;
 //! * [`SessionCache`] — sessions keyed by (matrix fingerprint, solver
 //!   config) with LRU eviction, single-flight builds, and hit/miss
 //!   counters surfaced through `parapre-trace`;
@@ -22,6 +22,54 @@
 //! * `parapre-serve` — a CLI accepting a JSONL job stream (builtin cases
 //!   or Matrix Market files) and emitting JSONL results plus throughput
 //!   statistics.
+//!
+//! # The solver surface on one page
+//!
+//! * **Set up** — [`SolverSession::build`] (matrix and owner map),
+//!   [`SolverSession::from_case`] (assembled test case),
+//!   [`SolverSession::from_matrix`] (any square matrix, partitioned first),
+//!   [`SolverSession::refactor`] (same pattern, new values: the donor's
+//!   symbolic work is reused).
+//! * **Solve** — [`SolverSession::run`] with a [`SolveRequest`], the only
+//!   solve path. [`SolverSession::solve`]`(b)` and
+//!   [`SolverSession::solve_traced`]`(b, x0)` are shorthands for its two
+//!   commonest requests. `run` returns the structured per-rank failures;
+//!   `?` flattens them into an [`EngineError`].
+//! * **Change topology** between solves — [`SolverSession::migrate`].
+//! * **Recover** — [`solve_resilient`] drives `run` through retry,
+//!   checkpoint resume and the degraded fallback.
+//!
+//! What used to be separate entry points are fields of the request, all off
+//! by default:
+//!
+//! | [`SolveRequest`] field | replaces |
+//! |---|---|
+//! | `rhs` | one right-hand side is the plain solve, several are the batched solve (one universe launch for all) |
+//! | `x0` | the solve-with-a-guess call |
+//! | `chain` | the batch option `warm_start`: seed each right-hand side with the previous solution |
+//! | `trace` | the traced solve; streams come back in [`SolveOutput::traces`] |
+//! | `faults`, `ckpt` | the five-argument solve attempt (fault injection, restart-cycle checkpoints) |
+//!
+//! ```
+//! use parapre_core::{build_case, CaseId, CaseSize, PrecondKind};
+//! use parapre_engine::{batch_rhs, SessionConfig, SolveRequest, SolverSession};
+//!
+//! let case = build_case(CaseId::Tc1, CaseSize::Tiny);
+//! let cfg = SessionConfig::paper(PrecondKind::Block2, 2);
+//! let session = SolverSession::from_case(&case, &cfg)?;
+//! let rep = session.solve(&case.sys.b)?;
+//! assert!(rep.converged);
+//!
+//! // With a guess: a time stepper seeds each step with the last state.
+//! let warm = SolveRequest { x0: Some(&rep.x), ..SolveRequest::new(&case.sys.b) };
+//! assert!(session.run(warm)?.single().converged);
+//!
+//! // Four right-hand sides in one launch, each seeded with the previous answer.
+//! let rhss = batch_rhs(&case.sys.b, 4);
+//! let out = session.run(SolveRequest { chain: true, ..SolveRequest::batch(&rhss) })?;
+//! assert!(out.reports.iter().all(|r| r.converged));
+//! # Ok::<(), parapre_engine::EngineError>(())
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -51,8 +99,8 @@ pub use service::{
     SubmitError,
 };
 pub use session::{
-    matrix_graph, BatchOptions, BatchSolveReport, MatrixId, MigrationReport, RefactorFallback,
-    SessionConfig, SessionSolveReport, SolverSession,
+    matrix_graph, MatrixId, MigrationReport, RefactorFallback, SessionConfig, SessionSolveReport,
+    SolveOutput, SolveRequest, SolverSession,
 };
 pub use timestep::{march_heat, StepReport, TimestepConfig, TimestepReport};
 
@@ -78,3 +126,9 @@ impl std::fmt::Display for EngineError {
 }
 
 impl std::error::Error for EngineError {}
+
+impl From<Vec<parapre_mpisim::RankFailure>> for EngineError {
+    fn from(failures: Vec<parapre_mpisim::RankFailure>) -> Self {
+        EngineError::Solve(session::join_failures(&failures))
+    }
+}

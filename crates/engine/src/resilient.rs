@@ -17,10 +17,10 @@
 //!    answer as partial.
 //! 3. **Fail** with the structured failure list when neither works.
 
-use crate::session::{SessionSolveReport, SolverSession};
+use crate::session::{join_failures, SessionSolveReport, SolveRequest, SolverSession};
 use crate::EngineError;
 use parapre_dist::CheckpointCtx;
-use parapre_mpisim::{FaultHook, RankFailure};
+use parapre_mpisim::FaultHook;
 use parapre_resilience::{solve_degraded, CheckpointStore};
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,25 +95,6 @@ pub struct FaultOutcome {
     pub breakdown_kind: Option<String>,
 }
 
-fn injected_dead_ranks(failures: &[RankFailure]) -> Vec<usize> {
-    let mut dead: Vec<usize> = failures
-        .iter()
-        .filter(|f| f.injected.is_some())
-        .map(|f| f.rank)
-        .collect();
-    dead.sort_unstable();
-    dead.dedup();
-    dead
-}
-
-fn join_failures(failures: &[RankFailure]) -> String {
-    failures
-        .iter()
-        .map(|f| f.to_string())
-        .collect::<Vec<_>>()
-        .join("; ")
-}
-
 /// Runs a solve through the resilience ladder. `faults` (optional) is the
 /// deterministic injection plan; pass `None` to get plain solves with
 /// retry/checkpoint/degrade armed against *real* failures.
@@ -147,8 +128,14 @@ pub fn solve_resilient(
             start_iters,
             start_cycle,
         });
-        match sess.solve_attempt(b, guess.as_deref(), false, faults.clone(), ckpt) {
-            Ok((mut rep, _)) => {
+        let attempt_req = SolveRequest {
+            x0: guess.as_deref(),
+            faults: faults.clone(),
+            ckpt,
+            ..SolveRequest::new(b)
+        };
+        match sess.run(attempt_req).map(|out| out.single()) {
+            Ok(mut rep) => {
                 if let Some(bd) = rep.breakdown {
                     outcome.breakdown_kind = Some(bd.kind.key().to_string());
                 }
@@ -185,11 +172,10 @@ pub fn solve_resilient(
                 return Ok((rep, outcome));
             }
             Err(fails) => {
-                for r in injected_dead_ranks(&fails) {
-                    if !outcome.dead_ranks.contains(&r) {
-                        outcome.dead_ranks.push(r);
-                    }
-                }
+                let injected = fails.iter().filter(|f| f.injected.is_some());
+                outcome.dead_ranks.extend(injected.map(|f| f.rank));
+                outcome.dead_ranks.sort_unstable();
+                outcome.dead_ranks.dedup();
                 if attempt >= policy.retry_budget {
                     break fails;
                 }
@@ -210,7 +196,6 @@ pub fn solve_resilient(
     };
 
     outcome.retries = attempt;
-    outcome.dead_ranks.sort_unstable();
     if policy.degrade && !outcome.dead_ranks.is_empty() && outcome.dead_ranks.len() < p {
         // Resume the survivors from the newest consistent checkpoint when
         // one exists; otherwise from the caller's guess.
@@ -261,5 +246,5 @@ pub fn solve_resilient(
     }
 
     outcome.error_kind = Some("rank_failure".into());
-    Err((EngineError::Solve(join_failures(&failures)), outcome))
+    Err((failures.into(), outcome))
 }

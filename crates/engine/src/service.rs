@@ -21,8 +21,8 @@ use crate::jobs::{
     batch_rhs, problem_key, resolve_problem_with, JobResult, ResolvedProblem, SolveJob,
     StoredMatrix,
 };
-use crate::resilient::{solve_resilient, RecoveryPolicy};
-use crate::session::{BatchOptions, MatrixId, RefactorFallback, SolverSession};
+use crate::resilient::{solve_resilient, FaultOutcome, RecoveryPolicy};
+use crate::session::{MatrixId, RefactorFallback, SolveRequest, SolverSession};
 use parapre_mpisim::FaultHook;
 use parapre_resilience::elastic::RebalanceConfig;
 use parapre_resilience::FaultPlan;
@@ -728,31 +728,21 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
     // attempt and every later attempt/repeat runs clean, modelling a
     // transient failure.
     let plan: Option<Arc<FaultPlan>> = job.fault.clone().map(|f| Arc::new(FaultPlan::new(f)));
-    let mut iterations = Vec::with_capacity(job.repeat);
-    let mut converged = true;
-    let mut final_relres = f64::NAN;
-    let mut true_relres = f64::NAN;
-    let mut solve_seconds = 0.0;
-    let mut retries = 0usize;
-    let mut degraded = false;
-    let mut dead_ranks: Vec<usize> = Vec::new();
-    let mut pivot_shifts = 0usize;
-    let mut fallbacks = 0usize;
-    let mut breakdown_kind: Option<String> = None;
-    let merge_dead = |dead_ranks: &mut Vec<usize>, more: &[usize]| {
-        for &r in more {
-            if !dead_ranks.contains(&r) {
-                dead_ranks.push(r);
-            }
-        }
-        dead_ranks.sort_unstable();
+    // The result line is the accumulator every repeat folds into.
+    let mut res = JobResult {
+        ok: true,
+        error: None,
+        converged: true,
+        cache_hit,
+        batch: job.batch,
+        auto: job.auto_precond,
+        ..JobResult::failed(&job.id, "")
     };
-    // Batched multi-RHS path: one universe launch per repeat serves every
+    // Batched multi-RHS jobs: one universe launch per repeat serves every
     // RHS against the shared factors. The generated RHS form a smooth
-    // sequence, so each solve is warm-started from the previous solution —
-    // an advantage only the batched path can have. (Fault injection is
-    // rejected for batch jobs at parse time — this path has no retry
-    // ladder inside the batch.)
+    // sequence, so each solve is chained to the previous solution —
+    // an advantage only a batch can have. (Fault injection is rejected
+    // for batch jobs at parse time — a batch has no retry ladder.)
     let rhss = (job.batch > 1).then(|| batch_rhs(&resolved.b, job.batch));
     // Safety net for a stale pattern: the first solve on a session this
     // job refactored runs with the preconditioner ladder held back. If it
@@ -767,30 +757,24 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
             return r;
         }
         let attempt_t0 = Instant::now();
-        let stale = if let Some(rhss) = &rhss {
-            let opts = BatchOptions { warm_start: true };
-            match session.solve_batch(rhss, resolved.x0.as_deref(), opts) {
-                Ok(batch) if probing && !batch.all_converged() => true,
-                Ok(batch) => {
-                    for rep in &batch.reports {
-                        iterations.push(rep.iterations);
-                        converged &= rep.converged;
-                        final_relres = rep.final_relres;
-                        true_relres = rep.true_relres;
-                        if let Some(b) = rep.breakdown {
-                            breakdown_kind = Some(b.kind.key().to_string());
-                        }
-                    }
-                    solve_seconds += batch.batch_seconds;
-                    false
+        // One repeat, either shape: its reports, its wall time, and what
+        // recovery did (a batch only has its session's build to report).
+        let attempt = if let Some(rhss) = &rhss {
+            let req = SolveRequest {
+                x0: resolved.x0.as_deref(),
+                chain: true,
+                ..SolveRequest::batch(rhss)
+            };
+            match session.run(req) {
+                Ok(out) => {
+                    let built = FaultOutcome {
+                        fallbacks: session.build_fallbacks(),
+                        pivot_shifts: session.pivot_shifts(),
+                        ..Default::default()
+                    };
+                    Ok((out.seconds, out.reports, built))
                 }
-                Err(e) => {
-                    let mut r = JobResult::failed(&job.id, e.to_string());
-                    r.batch = job.batch;
-                    r.error_kind = Some("rank_failure".into());
-                    record_tune(shared, job, fingerprint, &session_cfg, false, 0.0, 0, 0, 0);
-                    return r;
-                }
+                Err(fails) => Err((fails.into(), FaultOutcome::default())),
             }
         } else {
             let hook = plan.clone().map(|p| p as Arc<dyn FaultHook>);
@@ -798,39 +782,30 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
                 precond_fallback: job.recovery.precond_fallback && !probing,
                 ..job.recovery
             };
-            match solve_resilient(&session, &resolved.b, resolved.x0.as_deref(), hook, &policy) {
-                Ok((rep, out)) if probing && !out.degraded && !rep.converged => true,
-                Ok((rep, out)) => {
-                    iterations.push(rep.iterations);
-                    converged &= rep.converged;
-                    final_relres = rep.final_relres;
-                    true_relres = rep.true_relres;
-                    solve_seconds += rep.solve_seconds;
-                    retries += out.retries;
-                    degraded |= out.degraded;
-                    pivot_shifts += out.pivot_shifts;
-                    fallbacks += out.fallbacks;
-                    if out.breakdown_kind.is_some() {
-                        breakdown_kind = out.breakdown_kind;
-                    }
-                    merge_dead(&mut dead_ranks, &out.dead_ranks);
-                    false
-                }
-                Err((e, out)) => {
-                    let mut r = JobResult::failed(&job.id, e.to_string());
-                    r.retries = retries + out.retries;
-                    r.degraded = degraded;
-                    r.pivot_shifts = pivot_shifts + out.pivot_shifts;
-                    r.fallbacks = fallbacks + out.fallbacks;
-                    r.breakdown_kind = out.breakdown_kind.or(breakdown_kind);
-                    merge_dead(&mut dead_ranks, &out.dead_ranks);
-                    r.dead_ranks = dead_ranks;
-                    r.error_kind = out.error_kind.or_else(|| Some("rank_failure".into()));
-                    record_tune(shared, job, fingerprint, &session_cfg, false, 0.0, 0, 0, 0);
-                    return r;
-                }
+            solve_resilient(&session, &resolved.b, resolved.x0.as_deref(), hook, &policy)
+                .map(|(rep, out)| (rep.solve_seconds, vec![rep], out))
+        };
+        let (seconds, reports, out) = match attempt {
+            Ok(attempt) => attempt,
+            Err((e, mut out)) => {
+                let error_kind = out.error_kind.take();
+                absorb(&mut res, out);
+                let failed = JobResult::failed(&job.id, e.to_string());
+                record_tune(shared, job, fingerprint, &session_cfg, &failed);
+                return JobResult {
+                    batch: job.batch,
+                    retries: res.retries,
+                    degraded: res.degraded,
+                    pivot_shifts: res.pivot_shifts,
+                    fallbacks: res.fallbacks,
+                    breakdown_kind: res.breakdown_kind,
+                    dead_ranks: res.dead_ranks,
+                    error_kind: error_kind.or_else(|| Some("rank_failure".into())),
+                    ..failed
+                };
             }
         };
+        let stale = probing && !out.degraded && !reports.iter().all(|r| r.converged);
         probing = false;
         if stale {
             shared.count_refactor_fallback(RefactorFallback::Stale);
@@ -849,6 +824,17 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
             setup_seconds += attempt_t0.elapsed().as_secs_f64();
             continue;
         }
+        absorb(&mut res, out);
+        for rep in &reports {
+            res.iterations.push(rep.iterations);
+            res.converged &= rep.converged;
+            res.final_relres = rep.final_relres;
+            res.true_relres = rep.true_relres;
+            if let Some(b) = rep.breakdown {
+                res.breakdown_kind = Some(b.kind.key().to_string());
+            }
+        }
+        res.solve_seconds += seconds;
         done += 1;
     }
     if !cache_hit {
@@ -857,45 +843,29 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
             (setup_seconds * 1e6) as u64,
         );
     }
-    let total_iters: usize = iterations.iter().sum();
-    record_tune(
-        shared,
-        job,
-        fingerprint,
-        &session_cfg,
-        converged,
-        solve_seconds,
-        total_iters,
-        pivot_shifts,
-        fallbacks,
-    );
-    JobResult {
-        id: job.id.clone(),
-        ok: true,
-        error: None,
-        converged,
-        iterations,
-        final_relres,
-        true_relres,
-        cache_hit,
-        setup_seconds,
-        solve_seconds,
-        queue_ms: 0.0, // stamped by the worker loop
-        build_ms: setup_seconds * 1e3,
-        solve_ms: solve_seconds * 1e3,
-        n_unknowns: session.n_unknowns(),
-        retries,
-        degraded,
-        dead_ranks,
-        error_kind: None,
-        pivot_shifts,
-        fallbacks,
-        breakdown_kind,
-        batch: job.batch,
-        precond_used: Some(session.active_precond().key().to_string()),
-        auto: job.auto_precond,
-        refactored: session.pattern_age() > 0,
-        pattern_age: session.pattern_age(),
+    res.setup_seconds = setup_seconds;
+    res.build_ms = setup_seconds * 1e3;
+    res.solve_ms = res.solve_seconds * 1e3;
+    res.n_unknowns = session.n_unknowns();
+    res.precond_used = Some(session.active_precond().key().to_string());
+    res.refactored = session.pattern_age() > 0;
+    res.pattern_age = session.pattern_age();
+    record_tune(shared, job, fingerprint, &session_cfg, &res);
+    res
+}
+
+/// Folds one repeat's recovery record into the job's result: counts add,
+/// dead ranks union, the latest breakdown kind wins.
+fn absorb(res: &mut JobResult, out: FaultOutcome) {
+    res.retries += out.retries;
+    res.degraded |= out.degraded;
+    res.pivot_shifts += out.pivot_shifts;
+    res.fallbacks += out.fallbacks;
+    res.dead_ranks.extend(out.dead_ranks);
+    res.dead_ranks.sort_unstable();
+    res.dead_ranks.dedup();
+    if out.breakdown_kind.is_some() {
+        res.breakdown_kind = out.breakdown_kind;
     }
 }
 
@@ -917,22 +887,18 @@ fn deadline_expired(job: &SolveJob, deadline: Option<Instant>, done: usize) -> O
     Some(r)
 }
 
-/// Feeds one job's outcome into the autotuner. Every solve job reports —
-/// fixed-precond traffic warms the store for later `"auto"` jobs — except
-/// fault-injected ones, whose timings measure the chaos plan, not the
-/// preconditioner. Per-solve normalization (÷ repeats × batch) keeps
-/// records comparable across job shapes.
-#[allow(clippy::too_many_arguments)]
+/// Feeds one job's outcome into the autotuner (a failed job records an
+/// unconverged, empty sample). Every solve job reports — fixed-precond
+/// traffic warms the store for later `"auto"` jobs — except fault-injected
+/// ones, whose timings measure the chaos plan, not the preconditioner.
+/// Per-solve normalization (÷ repeats × batch) keeps records comparable
+/// across job shapes.
 fn record_tune(
     shared: &Shared,
     job: &SolveJob,
     fingerprint: u64,
     session_cfg: &crate::SessionConfig,
-    converged: bool,
-    solve_seconds: f64,
-    total_iters: usize,
-    pivot_shifts: usize,
-    fallbacks: usize,
+    res: &JobResult,
 ) {
     if job.fault.is_some() {
         return;
@@ -942,11 +908,11 @@ fn record_tune(
         fingerprint,
         session_cfg.precond,
         crate::TuneSample {
-            converged,
-            solve_us: (solve_seconds * 1e6) as u64 / n_solves,
-            iterations: total_iters as u64 / n_solves,
-            pivot_shifts: pivot_shifts as u64,
-            fallbacks: fallbacks as u64,
+            converged: res.converged,
+            solve_us: (res.solve_seconds * 1e6) as u64 / n_solves,
+            iterations: res.iterations.iter().sum::<usize>() as u64 / n_solves,
+            pivot_shifts: res.pivot_shifts as u64,
+            fallbacks: res.fallbacks as u64,
         },
     );
 }

@@ -22,7 +22,7 @@ use parapre_dist::{
     DistOp, DistPrecond,
 };
 use parapre_grid::Adjacency;
-use parapre_mpisim::{FaultHook, MachineModel, RankFailure, Universe};
+use parapre_mpisim::{Comm, FaultHook, MachineModel, RankFailure, Universe};
 use parapre_partition::partition_graph;
 use parapre_resilience::elastic::{MigrationPlan, RankDisposition};
 use parapre_sparse::Csr;
@@ -186,6 +186,7 @@ impl From<RefactorReject> for RefactorFallback {
 /// Both halves sit behind `Arc` so a topology migration can share the
 /// states of unchanged subdomains with the successor session instead of
 /// re-factoring them.
+#[derive(Clone)]
 struct RankState {
     dm: Arc<DistMatrix>,
     precond: Arc<dyn DistPrecond>,
@@ -223,7 +224,7 @@ pub struct SolverSession {
     last_load: std::sync::Mutex<Option<parapre_metrics::LoadReport>>,
 }
 
-/// The outcome of one [`SolverSession::solve`].
+/// The outcome of one solve: one right-hand side of a [`SolverSession::run`].
 #[derive(Debug, Clone)]
 pub struct SessionSolveReport {
     /// The assembled global solution.
@@ -237,7 +238,8 @@ pub struct SessionSolveReport {
     /// The *true* residual `‖b − Ax‖/‖b‖`, recomputed from scratch after
     /// the solve (catches any drift in the recursive estimate).
     pub true_relres: f64,
-    /// Wall time of this solve (universe launch to join).
+    /// Wall time of this solve: universe launch to join, or — in a request
+    /// with several right-hand sides — rank 0's time on this one.
     pub solve_seconds: f64,
     /// Typed breakdown when the solver stopped for a numerical reason
     /// (`None` on clean convergence or a plain iteration-budget exit).
@@ -248,34 +250,97 @@ pub struct SessionSolveReport {
     pub load: parapre_metrics::LoadReport,
 }
 
-/// Options of one batched multi-RHS solve.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BatchOptions {
-    /// Seed each right-hand side's solve with the previous one's solution
-    /// (useful when the batch is a time-like sequence; off, every RHS
-    /// starts from the zero vector / the supplied guess).
-    pub warm_start: bool,
+/// One request to [`SolverSession::run`]: `k ≥ 1` right-hand sides and how
+/// to solve them. Everything but `rhs` defaults to off
+/// (`..SolveRequest::new(b)`).
+#[derive(Clone, Default)]
+pub struct SolveRequest<'a> {
+    /// The right-hand sides, solved in order inside **one** universe
+    /// launch: the `P` rank threads, comm plans and scatter tables are
+    /// shared by all of them.
+    pub rhs: Vec<&'a [f64]>,
+    /// Initial guess of every solve (zero when `None`; a migrated
+    /// session's carried iterate stands in for a missing guess).
+    pub x0: Option<&'a [f64]>,
+    /// Seed each right-hand side after the first with the previous one's
+    /// solution instead of `x0` (useful when the right-hand sides form a
+    /// time-like sequence).
+    pub chain: bool,
+    /// Install a `parapre-trace` recorder on every rank and return the
+    /// event streams in [`SolveOutput::traces`].
+    pub trace: bool,
+    /// Deterministic fault-injection plan for the universe.
+    pub faults: Option<Arc<dyn FaultHook>>,
+    /// Restart-cycle checkpointing of a (possibly resumed) solve;
+    /// single-right-hand-side requests only.
+    pub ckpt: Option<CheckpointCtx<'a>>,
 }
 
-/// The outcome of one [`SolverSession::solve_batch`]: per-RHS reports plus
-/// the batch wall time (one universe launch amortized over all of them).
-#[derive(Debug, Clone)]
-pub struct BatchSolveReport {
-    /// One report per right-hand side, in submission order.
-    pub reports: Vec<SessionSolveReport>,
-    /// Wall time of the whole batch (universe launch to join).
-    pub batch_seconds: f64,
-}
-
-impl BatchSolveReport {
-    /// Whether every RHS met the residual target.
-    pub fn all_converged(&self) -> bool {
-        self.reports.iter().all(|r| r.converged)
+impl<'a> SolveRequest<'a> {
+    /// A plain request for one right-hand side.
+    pub fn new(b: &'a [f64]) -> Self {
+        SolveRequest {
+            rhs: vec![b],
+            ..Default::default()
+        }
     }
 
-    /// Total outer iterations across the batch.
-    pub fn total_iterations(&self) -> usize {
-        self.reports.iter().map(|r| r.iterations).sum()
+    /// A plain request for every right-hand side in `rhss`.
+    pub fn batch(rhss: &'a [Vec<f64>]) -> Self {
+        SolveRequest {
+            rhs: rhss.iter().map(Vec::as_slice).collect(),
+            ..Default::default()
+        }
+    }
+}
+
+/// The outcome of one [`SolverSession::run`].
+#[derive(Debug, Clone)]
+pub struct SolveOutput {
+    /// One report per right-hand side, in request order.
+    pub reports: Vec<SessionSolveReport>,
+    /// One event stream per rank when the request asked for tracing.
+    pub traces: Vec<parapre_trace::RankTrace>,
+    /// Wall time of the whole request (universe launch to join).
+    pub seconds: f64,
+}
+
+impl SolveOutput {
+    /// The report of a single-right-hand-side request.
+    pub fn single(mut self) -> SessionSolveReport {
+        assert_eq!(self.reports.len(), 1, "single() is for k = 1 requests");
+        self.reports.remove(0)
+    }
+}
+
+/// `;`-joined rank failure messages, the payload of an [`EngineError`].
+pub(crate) fn join_failures(failures: &[RankFailure]) -> String {
+    let msgs: Vec<String> = failures.iter().map(|f| f.to_string()).collect();
+    msgs.join("; ")
+}
+
+/// Runs `f` on a fresh universe of `p` ranks under `cfg`'s deadlock
+/// tripwire and thread budget. All-or-nothing: every rank's output in rank
+/// order, or every failure.
+fn launch<T: Send>(
+    cfg: &SessionConfig,
+    p: usize,
+    faults: Option<Arc<dyn FaultHook>>,
+    f: impl Fn(&mut Comm) -> T + Sync,
+) -> Result<Vec<T>, Vec<RankFailure>> {
+    let mut outs = Vec::with_capacity(p);
+    let mut failures = Vec::new();
+    for out in Universe::try_run_with_threads(p, cfg.recv_timeout, faults, cfg.threads_per_rank, f)
+    {
+        match out {
+            Ok(o) => outs.push(o),
+            Err(f) => failures.push(f),
+        }
+    }
+    if failures.is_empty() {
+        Ok(outs)
+    } else {
+        Err(failures)
     }
 }
 
@@ -302,54 +367,25 @@ impl SolverSession {
         assert_eq!(owner.len(), a.n_rows(), "one owner per unknown");
         let p = cfg.n_ranks;
         let t0 = Instant::now();
-        let cfg_ref = &cfg;
-        let outs = Universe::try_run_with_threads(
-            p,
-            cfg.recv_timeout,
-            None,
-            cfg.threads_per_rank,
-            move |comm| {
-                let _setup = parapre_trace::span(parapre_trace::phase::SETUP);
-                let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
-                if cfg_ref.fallback {
-                    let built = build_dist_precond_with_fallback(
-                        cfg_ref.precond,
-                        &dm,
-                        comm,
-                        a,
-                        &cfg_ref.params,
-                    );
-                    RankState {
-                        dm: Arc::new(dm),
-                        precond: Arc::from(built.precond),
-                        kind_used: built.kind_used,
-                        fallbacks: built.fallbacks,
-                        pivot_shifts: built.pivot_shifts,
-                    }
-                } else {
-                    let precond =
-                        build_dist_precond(cfg_ref.precond, &dm, comm, a, &cfg_ref.params);
-                    RankState {
-                        dm: Arc::new(dm),
-                        precond: Arc::from(precond),
-                        kind_used: cfg_ref.precond,
-                        fallbacks: 0,
-                        pivot_shifts: 0,
-                    }
-                }
-            },
-        );
-        let mut ranks = Vec::with_capacity(p);
-        let mut failures = Vec::new();
-        for out in outs {
-            match out {
-                Ok(st) => ranks.push(st),
-                Err(f) => failures.push(f.to_string()),
+        let ranks = launch(cfg, p, None, |comm| {
+            let _setup = parapre_trace::span(parapre_trace::phase::SETUP);
+            let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
+            let (precond, kind_used, fallbacks, pivot_shifts) = if cfg.fallback {
+                let b = build_dist_precond_with_fallback(cfg.precond, &dm, comm, a, &cfg.params);
+                (b.precond, b.kind_used, b.fallbacks, b.pivot_shifts)
+            } else {
+                let strict = build_dist_precond(cfg.precond, &dm, comm, a, &cfg.params);
+                (strict, cfg.precond, 0, 0)
+            };
+            RankState {
+                dm: Arc::new(dm),
+                precond: Arc::from(precond),
+                kind_used,
+                fallbacks,
+                pivot_shifts,
             }
-        }
-        if !failures.is_empty() {
-            return Err(EngineError::Setup(failures.join("; ")));
-        }
+        })
+        .map_err(|fails| EngineError::Setup(join_failures(&fails)))?;
         Ok(SolverSession {
             cfg: cfg.clone(),
             n_global: a.n_rows(),
@@ -407,45 +443,32 @@ impl SolverSession {
         let p = cfg.n_ranks;
         let owner = &donor.owner;
         let t0 = Instant::now();
-        let outs = Universe::try_run_with_threads(
-            p,
-            cfg.recv_timeout,
-            None,
-            cfg.threads_per_rank,
-            move |comm| {
-                if trace {
-                    parapre_trace::install(comm.rank());
-                }
-                let built = {
-                    let _setup = parapre_trace::span(parapre_trace::phase::SETUP);
-                    let from = &donor.ranks[comm.rank()];
-                    let dm = DistMatrix::from_global(a_new, owner, comm.rank(), p);
-                    refactor_dist_precond(&*from.precond, &dm, comm, a_new).map(|precond| {
-                        RankState {
-                            dm: Arc::new(dm),
-                            precond: Arc::from(precond),
-                            kind_used: from.kind_used,
-                            fallbacks: 0,
-                            pivot_shifts: 0,
-                        }
-                    })
-                };
-                (built, if trace { parapre_trace::take() } else { None })
-            },
-        );
+        // A rank that died applying the donor's structure is a misfit.
+        let outs = launch(cfg, p, None, |comm| {
+            if trace {
+                parapre_trace::install(comm.rank());
+            }
+            let built = {
+                let _setup = parapre_trace::span(parapre_trace::phase::SETUP);
+                let from = &donor.ranks[comm.rank()];
+                let dm = DistMatrix::from_global(a_new, owner, comm.rank(), p);
+                refactor_dist_precond(&*from.precond, &dm, comm, a_new).map(|precond| RankState {
+                    dm: Arc::new(dm),
+                    precond: Arc::from(precond),
+                    kind_used: from.kind_used,
+                    fallbacks: 0,
+                    pivot_shifts: 0,
+                })
+            };
+            (built, if trace { parapre_trace::take() } else { None })
+        })
+        .map_err(|_| RefactorFallback::Pattern)?;
         let mut ranks = Vec::with_capacity(p);
         let mut traces = Vec::new();
-        for out in outs {
-            match out {
-                Ok((Ok(st), tr)) => {
-                    ranks.push(st);
-                    traces.extend(tr);
-                }
-                // Rank-identical by construction (collective vote).
-                Ok((Err(reject), _)) => return Err(reject.into()),
-                // A rank died applying the donor's structure.
-                Err(_) => return Err(RefactorFallback::Pattern),
-            }
+        for (built, tr) in outs {
+            // Rank-identical by construction (collective vote).
+            ranks.push(built?);
+            traces.extend(tr);
         }
         let session = SolverSession {
             cfg: cfg.clone(),
@@ -483,353 +506,156 @@ impl SolverSession {
 
     /// Solves `A x = b` against the cached factors (zero initial guess).
     pub fn solve(&self, b: &[f64]) -> Result<SessionSolveReport, EngineError> {
-        self.solve_opts(b, None, false).map(|(rep, _)| rep)
+        Ok(self.run(SolveRequest::new(b))?.single())
     }
 
-    /// [`SolverSession::solve`] with an explicit initial guess (the paper
-    /// seeds TC4 solves with the previous time step's state).
-    pub fn solve_with_guess(
-        &self,
-        b: &[f64],
-        x0: &[f64],
-    ) -> Result<SessionSolveReport, EngineError> {
-        self.solve_opts(b, Some(x0), false).map(|(rep, _)| rep)
-    }
-
-    /// Solves `A x = b_j` for every right-hand side in `rhss` inside **one**
-    /// universe launch: the factorization, partition, comm plan, scatter
-    /// tables, and the `P` rank threads are all shared across the batch, so
-    /// the per-solve overhead (thread spawn + join, plan setup) is paid
-    /// once instead of `k` times. RHS are solved in order (pipelined
-    /// per-RHS); with [`BatchOptions::warm_start`] each solve is seeded
-    /// with the previous solution.
-    pub fn solve_batch(
-        &self,
-        rhss: &[Vec<f64>],
-        x0: Option<&[f64]>,
-        opts: BatchOptions,
-    ) -> Result<BatchSolveReport, EngineError> {
-        assert!(!rhss.is_empty(), "batch needs at least one rhs");
-        for b in rhss {
-            assert_eq!(b.len(), self.n_global, "rhs length");
-        }
-        if let Some(x0) = x0 {
-            assert_eq!(x0.len(), self.n_global, "guess length");
-        }
-        // A migrated session's carried iterate stands in for a missing guess.
-        let x0 = x0.or(self.warm_start.as_deref());
-        struct RhsOut {
-            iterations: usize,
-            converged: bool,
-            final_relres: f64,
-            breakdown: Option<parapre_dist::SolveBreakdown>,
-            rnorm: f64,
-            bnorm: f64,
-            x_global: Option<Vec<f64>>,
-            busy_s: f64,
-            comm: parapre_mpisim::CommStats,
-            solve_s: f64,
-        }
-        let p = self.cfg.n_ranks;
-        let t0 = Instant::now();
-        let outs = Universe::try_run_with_threads(
-            p,
-            self.cfg.recv_timeout,
-            None,
-            self.cfg.threads_per_rank,
-            |comm| {
-                let st = &self.ranks[comm.rank()];
-                let n_owned = st.dm.layout.n_owned();
-                let mut x = match x0 {
-                    Some(g) => scatter_vector(&st.dm.layout, g),
-                    None => vec![0.0; n_owned],
-                };
-                let mut per_rhs = Vec::with_capacity(rhss.len());
-                let mut comm_before = comm.stats();
-                for b in rhss {
-                    let rhs_t0 = Instant::now();
-                    let b_loc = scatter_vector(&st.dm.layout, b);
-                    if !opts.warm_start {
-                        x = match x0 {
-                            Some(g) => scatter_vector(&st.dm.layout, g),
-                            None => vec![0.0; n_owned],
-                        };
-                    }
-                    let rep = DistGmres::new(self.cfg.gmres).solve(
-                        comm,
-                        &st.dm,
-                        &st.precond,
-                        &b_loc,
-                        &mut x,
-                    );
-                    let mut ax = vec![0.0; n_owned];
-                    DistOp::apply(&st.dm, comm, &x, &mut ax);
-                    let r: Vec<f64> = b_loc.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-                    let rnorm = st.dm.layout.norm2(comm, &r);
-                    let bnorm = st.dm.layout.norm2(comm, &b_loc);
-                    let x_global = gather_vector(comm, &st.dm.layout, &x, self.n_global);
-                    let comm_after = comm.stats();
-                    per_rhs.push(RhsOut {
-                        iterations: rep.iterations,
-                        converged: rep.converged,
-                        final_relres: rep.final_relres,
-                        breakdown: rep.breakdown,
-                        rnorm,
-                        bnorm,
-                        x_global,
-                        busy_s: rhs_t0.elapsed().as_secs_f64(),
-                        comm: parapre_mpisim::CommStats::delta(&comm_after, &comm_before),
-                        solve_s: rhs_t0.elapsed().as_secs_f64(),
-                    });
-                    comm_before = comm_after;
-                }
-                per_rhs
-            },
-        );
-        let batch_seconds = t0.elapsed().as_secs_f64();
-        let mut ranks = Vec::with_capacity(p);
-        let mut failures = Vec::new();
-        for out in outs {
-            match out {
-                Ok(o) => ranks.push(o),
-                Err(f) => failures.push(f.to_string()),
-            }
-        }
-        if !failures.is_empty() {
-            return Err(EngineError::Solve(failures.join("; ")));
-        }
-        let k = rhss.len();
-        let mut reports = Vec::with_capacity(k);
-        for j in 0..k {
-            let load = parapre_metrics::LoadReport::new(
-                ranks
-                    .iter()
-                    .enumerate()
-                    .map(|(r, per_rhs)| {
-                        let o = &per_rhs[j];
-                        parapre_metrics::RankLoad {
-                            rank: r,
-                            busy_s: o.busy_s,
-                            comm_wait_s: o.comm.wait_us as f64 * 1e-6,
-                            msgs_sent: o.comm.msgs_sent,
-                            bytes_sent: o.comm.bytes_sent,
-                            msgs_recv: o.comm.msgs_recv,
-                            bytes_recv: o.comm.bytes_recv,
-                        }
-                    })
-                    .collect(),
-            );
-            let root = &mut ranks[0][j];
-            let true_relres = if root.bnorm > 0.0 {
-                root.rnorm / root.bnorm
-            } else {
-                root.rnorm
-            };
-            let report = SessionSolveReport {
-                x: root.x_global.take().expect("rank 0 gathers"),
-                iterations: root.iterations,
-                converged: root.converged,
-                final_relres: root.final_relres,
-                true_relres,
-                solve_seconds: root.solve_s,
-                breakdown: root.breakdown,
-                load,
-            };
-            self.record_solve_metrics(report.solve_seconds, report.iterations, &report.load);
-            reports.push(report);
-        }
-        if parapre_metrics::enabled() {
-            parapre_metrics::inc(parapre_metrics::names::BATCH_RHS_TOTAL, k as u64);
-            parapre_metrics::observe_us(
-                parapre_metrics::names::BATCH_SOLVE_US,
-                (batch_seconds * 1e6) as u64,
-            );
-        }
-        Ok(BatchSolveReport {
-            reports,
-            batch_seconds,
-        })
-    }
-
-    /// Traced solve: installs a `parapre-trace` recorder on every rank and
-    /// returns the event streams alongside the report. Used to *assert*
-    /// that the hot path performs no factorization work (no `setup.factor`
-    /// span may appear).
+    /// Traced solve: the report plus every rank's event stream. Used to
+    /// *assert* that the hot path performs no factorization work (no
+    /// `setup.factor` span may appear).
     pub fn solve_traced(
         &self,
         b: &[f64],
         x0: Option<&[f64]>,
     ) -> Result<(SessionSolveReport, Vec<parapre_trace::RankTrace>), EngineError> {
-        self.solve_opts(b, x0, true)
+        let mut out = self.run(SolveRequest {
+            x0,
+            trace: true,
+            ..SolveRequest::new(b)
+        })?;
+        let traces = std::mem::take(&mut out.traces);
+        Ok((out.single(), traces))
     }
 
-    fn solve_opts(
-        &self,
-        b: &[f64],
-        x0: Option<&[f64]>,
-        trace: bool,
-    ) -> Result<(SessionSolveReport, Vec<parapre_trace::RankTrace>), EngineError> {
-        self.solve_attempt(b, x0, trace, None, None)
-            .map_err(|fails| {
-                EngineError::Solve(
-                    fails
-                        .iter()
-                        .map(|f| f.to_string())
-                        .collect::<Vec<_>>()
-                        .join("; "),
-                )
-            })
-    }
-
-    /// One solve attempt with optional fault injection and checkpointing,
-    /// returning the *structured* per-rank failures instead of a flattened
-    /// error string — the resilience layer needs to know which rank died
-    /// and whether the death was injected.
-    pub fn solve_attempt(
-        &self,
-        b: &[f64],
-        x0: Option<&[f64]>,
-        trace: bool,
-        faults: Option<Arc<dyn FaultHook>>,
-        ckpt: Option<CheckpointCtx<'_>>,
-    ) -> Result<(SessionSolveReport, Vec<parapre_trace::RankTrace>), Vec<RankFailure>> {
-        assert_eq!(b.len(), self.n_global, "rhs length");
-        if let Some(x0) = x0 {
+    /// The one solve path: every right-hand side of `req` against the
+    /// cached factors, inside one universe launch. Each right-hand side
+    /// is scattered, solved by distributed FGMRES, checked against its
+    /// true residual and gathered on rank 0. Failures come back
+    /// *structured*, one per dead rank — the resilience layer needs to
+    /// know which rank died and whether the death was injected
+    /// (`EngineError: From<Vec<RankFailure>>` flattens them for `?`).
+    pub fn run(&self, req: SolveRequest<'_>) -> Result<SolveOutput, Vec<RankFailure>> {
+        let k = req.rhs.len();
+        assert!(k >= 1, "a request needs at least one rhs");
+        for b in &req.rhs {
+            assert_eq!(b.len(), self.n_global, "rhs length");
+        }
+        if let Some(x0) = req.x0 {
             assert_eq!(x0.len(), self.n_global, "guess length");
         }
+        assert!(
+            req.ckpt.is_none() || k == 1,
+            "checkpointing covers one rhs per request"
+        );
         // A migrated session's carried iterate stands in for a missing guess.
-        let x0 = x0.or(self.warm_start.as_deref());
-        struct RankOut {
-            iterations: usize,
-            converged: bool,
-            final_relres: f64,
-            breakdown: Option<parapre_dist::SolveBreakdown>,
-            rnorm: f64,
-            bnorm: f64,
-            x_global: Option<Vec<f64>>,
-            trace: Option<parapre_trace::RankTrace>,
-            busy_s: f64,
-            comm: parapre_mpisim::CommStats,
-        }
-        let p = self.cfg.n_ranks;
+        let x0 = req.x0.or(self.warm_start.as_deref());
         let t0 = Instant::now();
-        let outs = Universe::try_run_with_threads(
-            p,
-            self.cfg.recv_timeout,
-            faults,
-            self.cfg.threads_per_rank,
-            |comm| {
-                if trace {
-                    parapre_trace::install(comm.rank());
+        let mut ranks = launch(&self.cfg, self.cfg.n_ranks, req.faults, |comm| {
+            if req.trace {
+                parapre_trace::install(comm.rank());
+            }
+            let st = &self.ranks[comm.rank()];
+            let layout = &st.dm.layout;
+            let mut x = Vec::new();
+            let mut per_rhs = Vec::with_capacity(k);
+            let mut before = comm.stats();
+            for (j, b) in req.rhs.iter().enumerate() {
+                let rhs_t0 = Instant::now();
+                let b_loc = scatter_vector(layout, b);
+                if j == 0 || !req.chain {
+                    x = match x0 {
+                        Some(g) => scatter_vector(layout, g),
+                        None => vec![0.0; layout.n_owned()],
+                    };
                 }
-                let rank_t0 = Instant::now();
-                let st = &self.ranks[comm.rank()];
-                let n_owned = st.dm.layout.n_owned();
-                let b_loc = scatter_vector(&st.dm.layout, b);
-                let mut x = match x0 {
-                    Some(g) => scatter_vector(&st.dm.layout, g),
-                    None => vec![0.0; n_owned],
-                };
                 let rep = DistGmres::new(self.cfg.gmres).solve_with_checkpoint(
                     comm,
                     &st.dm,
                     &st.precond,
                     &b_loc,
                     &mut x,
-                    ckpt,
+                    req.ckpt,
                 );
                 // True residual ‖b − Ax‖ / ‖b‖, assembled distributed.
-                let mut ax = vec![0.0; n_owned];
+                let mut ax = vec![0.0; layout.n_owned()];
                 DistOp::apply(&st.dm, comm, &x, &mut ax);
                 let r: Vec<f64> = b_loc.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-                let rnorm = st.dm.layout.norm2(comm, &r);
-                let bnorm = st.dm.layout.norm2(comm, &b_loc);
-                let x_global = gather_vector(comm, &st.dm.layout, &x, self.n_global);
-                RankOut {
+                let rnorm = layout.norm2(comm, &r);
+                let bnorm = layout.norm2(comm, &b_loc);
+                let x_global = gather_vector(comm, layout, &x, self.n_global);
+                let after = comm.stats();
+                let moved = parapre_mpisim::CommStats::delta(&after, &before);
+                before = after;
+                let load = parapre_metrics::RankLoad {
+                    rank: comm.rank(),
+                    busy_s: rhs_t0.elapsed().as_secs_f64(),
+                    comm_wait_s: moved.wait_us as f64 * 1e-6,
+                    msgs_sent: moved.msgs_sent,
+                    bytes_sent: moved.bytes_sent,
+                    msgs_recv: moved.msgs_recv,
+                    bytes_recv: moved.bytes_recv,
+                };
+                // Rank 0 gathered the solution and writes the report; the
+                // load of every rank is attached once they are all back.
+                let report = x_global.map(|x| SessionSolveReport {
+                    x,
                     iterations: rep.iterations,
                     converged: rep.converged,
                     final_relres: rep.final_relres,
+                    true_relres: if bnorm > 0.0 { rnorm / bnorm } else { rnorm },
+                    solve_seconds: load.busy_s,
                     breakdown: rep.breakdown,
-                    rnorm,
-                    bnorm,
-                    x_global,
-                    trace: if trace { parapre_trace::take() } else { None },
-                    busy_s: rank_t0.elapsed().as_secs_f64(),
-                    comm: comm.stats(),
-                }
-            },
-        );
-        let solve_seconds = t0.elapsed().as_secs_f64();
-        let mut ranks = Vec::with_capacity(p);
-        let mut failures = Vec::new();
-        for out in outs {
-            match out {
-                Ok(o) => ranks.push(o),
-                Err(f) => failures.push(f),
+                    load: parapre_metrics::LoadReport::default(),
+                });
+                per_rhs.push((load, report));
             }
+            (per_rhs, req.trace.then(parapre_trace::take).flatten())
+        })?;
+        let seconds = t0.elapsed().as_secs_f64();
+        let traces = ranks.iter_mut().filter_map(|(_, tr)| tr.take()).collect();
+        let mut reports = Vec::with_capacity(k);
+        for j in 0..k {
+            let mut report = ranks[0].0[j].1.take().expect("rank 0 gathers");
+            report.load = parapre_metrics::LoadReport::new(
+                ranks.iter().map(|(per_rhs, _)| per_rhs[j].0).collect(),
+            );
+            if k == 1 {
+                report.solve_seconds = seconds;
+            }
+            self.record_solve_metrics(&report);
+            reports.push(report);
         }
-        if !failures.is_empty() {
-            return Err(failures);
+        if k > 1 && parapre_metrics::enabled() {
+            parapre_metrics::inc(parapre_metrics::names::BATCH_RHS_TOTAL, k as u64);
+            parapre_metrics::observe_us(
+                parapre_metrics::names::BATCH_SOLVE_US,
+                (seconds * 1e6) as u64,
+            );
         }
-        let traces: Vec<parapre_trace::RankTrace> =
-            ranks.iter_mut().filter_map(|o| o.trace.take()).collect();
-        let root = &ranks[0];
-        let true_relres = if root.bnorm > 0.0 {
-            root.rnorm / root.bnorm
-        } else {
-            root.rnorm
-        };
-        let load = parapre_metrics::LoadReport::new(
-            ranks
-                .iter()
-                .enumerate()
-                .map(|(r, o)| parapre_metrics::RankLoad {
-                    rank: r,
-                    busy_s: o.busy_s,
-                    comm_wait_s: o.comm.wait_us as f64 * 1e-6,
-                    msgs_sent: o.comm.msgs_sent,
-                    bytes_sent: o.comm.bytes_sent,
-                    msgs_recv: o.comm.msgs_recv,
-                    bytes_recv: o.comm.bytes_recv,
-                })
-                .collect(),
-        );
-        self.record_solve_metrics(solve_seconds, ranks[0].iterations, &load);
-        let report = SessionSolveReport {
-            x: ranks[0].x_global.take().expect("rank 0 gathers"),
-            iterations: ranks[0].iterations,
-            converged: ranks[0].converged,
-            final_relres: ranks[0].final_relres,
-            true_relres,
-            solve_seconds,
-            breakdown: ranks[0].breakdown,
-            load,
-        };
-        Ok((report, traces))
+        Ok(SolveOutput {
+            reports,
+            traces,
+            seconds,
+        })
     }
 
     /// Folds one finished solve into the live registry: latency
     /// histograms (global and keyed by fingerprint + active rung),
     /// the iteration histogram, and the load-imbalance gauges.
-    fn record_solve_metrics(
-        &self,
-        solve_seconds: f64,
-        iterations: usize,
-        load: &parapre_metrics::LoadReport,
-    ) {
+    fn record_solve_metrics(&self, report: &SessionSolveReport) {
         use parapre_metrics::names;
+        let load = &report.load;
         *self.last_load.lock().expect("load lock") = Some(load.clone());
         if !parapre_metrics::enabled() {
             return;
         }
-        let us = (solve_seconds * 1e6) as u64;
+        let us = (report.solve_seconds * 1e6) as u64;
         parapre_metrics::inc(names::SOLVES_TOTAL, 1);
         parapre_metrics::observe_us(names::SOLVE_US, us);
         parapre_metrics::observe_us(
             &names::keyed_solve(self.id.fingerprint, self.active_precond().key()),
             us,
         );
-        parapre_metrics::observe_us(names::SOLVE_ITERS, iterations as u64);
+        parapre_metrics::observe_us(names::SOLVE_ITERS, report.iterations as u64);
         parapre_metrics::gauge_set(names::LOAD_IMBALANCE, load.imbalance());
         parapre_metrics::gauge_set(names::LOAD_COMM_FRACTION, load.comm_fraction());
         if let Some(r) = load.slowest_rank() {
@@ -931,16 +757,6 @@ impl SolverSession {
         self.last_load.lock().expect("load lock").clone()
     }
 
-    /// Migrates the session to a new rank topology between solves.
-    /// See [`SolverSession::migrate_opts`]; this is the plain form with no
-    /// warm-start carry and no fault injection.
-    pub fn migrate(
-        &self,
-        plan: &MigrationPlan,
-    ) -> Result<(SolverSession, MigrationReport), EngineError> {
-        self.migrate_opts(plan, None, None)
-    }
-
     /// Migrates the session to the topology described by `plan`, returning
     /// a **new** session; `self` stays fully intact and serving.
     ///
@@ -971,8 +787,9 @@ impl SolverSession {
     /// matrix) before it is handed back.
     ///
     /// `warm_start` (global indexing, preserved across repartitioning) is
-    /// stored on the new session and seeds its guess-less solves.
-    pub fn migrate_opts(
+    /// stored on the new session and seeds its guess-less solves; `faults`
+    /// injects into the migration universe.
+    pub fn migrate(
         &self,
         plan: &MigrationPlan,
         warm_start: Option<&[f64]>,
@@ -1004,83 +821,60 @@ impl SolverSession {
         let new_p = plan.new_p;
         let topo_tag = plan.topology_tag();
         let a = &self.a_global;
-        let plan_ref = &plan;
         let fallbacks = self.ranks[0].fallbacks;
         let params = &self.cfg.params;
-        let outs = Universe::try_run_with_threads(
-            new_p,
-            self.cfg.recv_timeout,
-            faults,
-            self.cfg.threads_per_rank,
-            move |comm| -> Option<RankState> {
-                let r = comm.rank();
-                // 1. Torn-plan tripwire: all ranks must hold one topology.
-                let agreed = comm.all_agree_u64(topo_tag, tags::REDUCE + 64);
-                let rebuild = plan_ref.disposition[r] == RankDisposition::Rebuild;
-                // 2. Re-extracted rows must be finite before any (possibly
-                //    collective) factorization may start.
-                let finite = !rebuild
-                    || (0..a.n_rows())
-                        .filter(|&i| plan_ref.new_owner[i] == r as u32)
-                        .all(|i| a.row(i).1.iter().all(|v| v.is_finite()));
-                if !comm.all_land(agreed && finite, tags::REDUCE + 67) {
-                    return None;
-                }
-                let local = if rebuild {
-                    let dm = DistMatrix::from_global(a, &plan_ref.new_owner, r, new_p);
-                    match try_build_dist_precond(kind, &dm, comm, a, params) {
-                        Ok((precond, shifts)) => Some(RankState {
-                            dm: Arc::new(dm),
-                            precond: Arc::from(precond),
-                            kind_used: kind,
-                            fallbacks,
-                            pivot_shifts: shifts,
-                        }),
-                        Err(_) => None,
-                    }
-                } else {
-                    let st = &self.ranks[r];
-                    Some(RankState {
-                        dm: st.dm.clone(),
-                        precond: st.precond.clone(),
-                        kind_used: st.kind_used,
-                        fallbacks: st.fallbacks,
-                        pivot_shifts: st.pivot_shifts,
-                    })
-                };
-                // 3. Factorization outcome is voted like the fallback
-                //    ladder: one failed block aborts everyone.
-                if !comm.all_land(local.is_some(), tags::REDUCE + 68) {
-                    return None;
-                }
-                local
-            },
-        );
-        let mut ranks = Vec::with_capacity(new_p);
-        let mut failures = Vec::new();
-        let mut vetoed = false;
-        for out in outs {
-            match out {
-                Ok(Some(st)) => ranks.push(st),
-                Ok(None) => vetoed = true,
-                Err(f) => failures.push(f.to_string()),
+        let voted = launch(&self.cfg, new_p, faults, |comm| -> Option<RankState> {
+            let r = comm.rank();
+            // 1. Torn-plan tripwire: all ranks must hold one topology.
+            let agreed = comm.all_agree_u64(topo_tag, tags::REDUCE + 64);
+            let rebuild = plan.disposition[r] == RankDisposition::Rebuild;
+            // 2. Re-extracted rows must be finite before any (possibly
+            //    collective) factorization may start.
+            let finite = !rebuild
+                || (0..a.n_rows())
+                    .filter(|&i| plan.new_owner[i] == r as u32)
+                    .all(|i| a.row(i).1.iter().all(|v| v.is_finite()));
+            if !comm.all_land(agreed && finite, tags::REDUCE + 67) {
+                return None;
             }
-        }
-        if !failures.is_empty() {
+            let local = if rebuild {
+                let dm = DistMatrix::from_global(a, &plan.new_owner, r, new_p);
+                let built = try_build_dist_precond(kind, &dm, comm, a, params).ok();
+                built.map(|(precond, pivot_shifts)| RankState {
+                    dm: Arc::new(dm),
+                    precond: Arc::from(precond),
+                    kind_used: kind,
+                    fallbacks,
+                    pivot_shifts,
+                })
+            } else {
+                Some(self.ranks[r].clone())
+            };
+            // 3. Factorization outcome is voted like the fallback
+            //    ladder: one failed block aborts everyone.
+            if !comm.all_land(local.is_some(), tags::REDUCE + 68) {
+                return None;
+            }
+            local
+        });
+        let ranks = match voted.map(|v| v.into_iter().collect::<Option<Vec<_>>>()) {
+            Ok(Some(ranks)) => ranks,
+            Ok(None) => {
+                return abort(
+                    "migration aborted by collective vote (torn plan, non-finite block, \
+                     or factorization failure); old topology retained"
+                        .into(),
+                )
+            }
             // 4. A rank died mid-migration (injected or real): abort, old
             //    topology keeps serving.
-            return abort(format!(
-                "migration aborted, old topology retained: {}",
-                failures.join("; ")
-            ));
-        }
-        if vetoed || ranks.len() != new_p {
-            return abort(
-                "migration aborted by collective vote (torn plan, non-finite block, \
-                 or factorization failure); old topology retained"
-                    .into(),
-            );
-        }
+            Err(fails) => {
+                return abort(format!(
+                    "migration aborted, old topology retained: {}",
+                    join_failures(&fails)
+                ))
+            }
+        };
         let mut cfg = self.cfg.clone();
         cfg.n_ranks = new_p;
         cfg.partition_tag = Some(topo_tag);
@@ -1135,30 +929,16 @@ impl SolverSession {
         let v: Vec<f64> = (0..n).map(|i| (0.61 * i as f64).cos()).collect();
         let mut y_ref = vec![0.0; n];
         self.a_global.spmv(&v, &mut y_ref);
-        let p = self.cfg.n_ranks;
-        let v_ref = &v;
-        let outs = Universe::try_run_with_threads(
-            p,
-            self.cfg.recv_timeout,
-            None,
-            self.cfg.threads_per_rank,
-            move |comm| {
-                let st = &self.ranks[comm.rank()];
-                let v_loc = scatter_vector(&st.dm.layout, v_ref);
-                let mut y = vec![0.0; st.dm.layout.n_owned()];
-                DistOp::apply(&st.dm, comm, &v_loc, &mut y);
-                gather_vector(comm, &st.dm.layout, &y, v_ref.len())
-            },
-        );
-        let mut gathered = None;
-        for out in outs {
-            match out {
-                Ok(Some(y)) => gathered = Some(y),
-                Ok(None) => {}
-                Err(f) => return Err(f.to_string()),
-            }
-        }
-        let y = gathered.ok_or_else(|| "probe gathered nothing".to_string())?;
+        let y = launch(&self.cfg, self.cfg.n_ranks, None, |comm| {
+            let st = &self.ranks[comm.rank()];
+            let v_loc = scatter_vector(&st.dm.layout, &v);
+            let mut y = vec![0.0; st.dm.layout.n_owned()];
+            DistOp::apply(&st.dm, comm, &v_loc, &mut y);
+            gather_vector(comm, &st.dm.layout, &y, n)
+        })
+        .map_err(|fails| join_failures(&fails))?
+        .swap_remove(0)
+        .expect("rank 0 gathers");
         let mut num = 0.0f64;
         let mut den = 0.0f64;
         for (a, b) in y.iter().zip(&y_ref) {

@@ -13,7 +13,7 @@
 //! whole march. Per-step iteration counts are reported; solves are seeded
 //! with the previous state (paper §4.3 seeds with `u⁰`).
 
-use crate::session::{MatrixId, SessionConfig, SolverSession};
+use crate::session::{MatrixId, SessionConfig, SolveRequest, SolverSession};
 use crate::EngineError;
 use parapre_fem::heat::{assemble_mass_stiffness, HeatMarch};
 use parapre_grid::structured::unit_cube;
@@ -134,14 +134,14 @@ pub fn march_heat(cfg: &TimestepConfig) -> Result<TimestepReport, EngineError> {
             rebuild_seconds = session.setup_seconds();
         }
         let b = march.rhs(&u);
-        let (rep, traces) = if cfg.trace {
-            session.solve_traced(&b, Some(&u))?
-        } else {
-            let rep = session.solve_with_guess(&b, &u)?;
-            (rep, Vec::new())
-        };
-        factor_spans += phase_calls(&traces, parapre_trace::phase::FACTOR);
-        refactor_spans += phase_calls(&traces, parapre_trace::phase::REFACTOR);
+        let out = session.run(SolveRequest {
+            x0: Some(&u),
+            trace: cfg.trace,
+            ..SolveRequest::new(&b)
+        })?;
+        factor_spans += phase_calls(&out.traces, parapre_trace::phase::FACTOR);
+        refactor_spans += phase_calls(&out.traces, parapre_trace::phase::REFACTOR);
+        let rep = out.single();
         u = rep.x.clone();
         let amplitude = u.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         steps.push(StepReport {

@@ -6,8 +6,8 @@
 
 use parapre_core::{build_case_sized, CaseId, PrecondKind};
 use parapre_engine::{
-    parse_job_line, ServiceConfig, SessionCache, SessionConfig, SessionKey, SolveService,
-    SolverSession,
+    parse_job_line, ServiceConfig, SessionCache, SessionConfig, SessionKey, SolveRequest,
+    SolveService, SolverSession,
 };
 use parapre_resilience::elastic::plan_migration;
 use parapre_resilience::{FaultConfig, FaultPlan};
@@ -47,7 +47,7 @@ fn topology_round_trip_never_resurrects_stale_cache_entries() {
     // P → P′: refine, migrate, and key both generations.
     let new_owner = refined_owner(&original_owner);
     let plan = plan_migration(&a, &original_owner, P, &new_owner, P).expect("plan");
-    let (migrated, rep) = session.migrate(&plan).expect("migration lands");
+    let (migrated, rep) = session.migrate(&plan, None, None).expect("migration lands");
     assert!(rep.reused_ranks >= 1, "local refinement must reuse ranks");
     assert!(rep.moved_rows > 0);
 
@@ -66,7 +66,9 @@ fn topology_round_trip_never_resurrects_stale_cache_entries() {
     // *both* earlier generations — the round-trip session has a bespoke
     // owner map (tagged), the original had a seed-derived one (untagged).
     let plan_back = plan_migration(&a, migrated.owner(), P, &original_owner, P).expect("plan back");
-    let (back, _) = migrated.migrate(&plan_back).expect("migration back lands");
+    let (back, _) = migrated
+        .migrate(&plan_back, None, None)
+        .expect("migration back lands");
     let key_back = SessionKey::new(back.fingerprint(), back.config());
     assert_ne!(key_back, key_new, "P′ and round-trip P key identically");
     assert_ne!(
@@ -112,7 +114,9 @@ fn identity_plan_reuses_every_rank_and_is_bitwise_stable() {
     let owner = session.owner().to_vec();
     let plan = plan_migration(session.matrix(), &owner, P, &owner, P).expect("plan");
     assert!(plan.is_identity());
-    let (migrated, rep) = session.migrate(&plan).expect("identity migration lands");
+    let (migrated, rep) = session
+        .migrate(&plan, None, None)
+        .expect("identity migration lands");
     assert_eq!(rep.reused_ranks, P, "identity plan must reuse every rank");
     assert_eq!(rep.rebuilt_ranks, 0);
     assert_eq!(rep.moved_rows, 0);
@@ -133,7 +137,7 @@ fn rank_kill_mid_migration_aborts_and_old_topology_keeps_serving() {
     // (the topology-digest vote): the whole migration must abort.
     let hook: Arc<dyn parapre_mpisim::FaultHook> =
         Arc::new(FaultPlan::new(FaultConfig::kill_once(1, 0)));
-    let err = session.migrate_opts(&plan, None, Some(Arc::clone(&hook)));
+    let err = session.migrate(&plan, None, Some(Arc::clone(&hook)));
     assert!(err.is_err(), "a killed rank must abort the migration");
 
     // The old topology was never touched: it keeps serving the exact same
@@ -142,10 +146,12 @@ fn rank_kill_mid_migration_aborts_and_old_topology_keeps_serving() {
     assert_eq!(before, after, "abort corrupted the serving session");
     let hook2: Arc<dyn parapre_mpisim::FaultHook> =
         Arc::new(FaultPlan::new(FaultConfig::kill_once(1, 0)));
-    assert!(session.migrate_opts(&plan, None, Some(hook2)).is_err());
+    assert!(session.migrate(&plan, None, Some(hook2)).is_err());
 
     // And the same plan still lands once the fault is gone.
-    let (migrated, _) = session.migrate(&plan).expect("clean retry lands");
+    let (migrated, _) = session
+        .migrate(&plan, None, None)
+        .expect("clean retry lands");
     assert_eq!(migrated.owner(), &new_owner[..]);
 }
 
@@ -158,7 +164,7 @@ fn migrated_factors_match_cold_rebuild_and_carry_warm_start() {
 
     let x_prev = session.solve(&b).expect("solve").x;
     let (migrated, rep) = session
-        .migrate_opts(&plan, Some(&x_prev), None)
+        .migrate(&plan, Some(&x_prev), None)
         .expect("migration lands");
     assert_eq!(migrated.warm_start(), Some(&x_prev[..]));
     assert!(
@@ -172,8 +178,12 @@ fn migrated_factors_match_cold_rebuild_and_carry_warm_start() {
     let cold =
         SolverSession::build(session.matrix(), &new_owner, session.config()).expect("cold rebuild");
     let zeros = vec![0.0; b.len()];
-    let mig_rep = migrated.solve_with_guess(&b, &zeros).expect("solve");
-    let cold_rep = cold.solve_with_guess(&b, &zeros).expect("solve");
+    let req = SolveRequest {
+        x0: Some(&zeros),
+        ..SolveRequest::new(&b)
+    };
+    let mig_rep = migrated.run(req.clone()).expect("solve").single();
+    let cold_rep = cold.run(req).expect("solve").single();
     assert_eq!(mig_rep.iterations, cold_rep.iterations);
     assert_eq!(
         mig_rep.x, cold_rep.x,

@@ -5,8 +5,8 @@
 
 use parapre_core::{build_case_sized, CaseId, PrecondKind};
 use parapre_engine::{
-    batch_rhs, parse_job_line, BatchOptions, ProblemSpec, ServiceConfig, SessionCache,
-    SessionConfig, SessionKey, SolveService, SolverSession, MAX_JOB_LINE_BYTES,
+    batch_rhs, parse_job_line, ProblemSpec, ServiceConfig, SessionCache, SessionConfig, SessionKey,
+    SolveRequest, SolveService, SolverSession, MAX_JOB_LINE_BYTES,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -206,17 +206,19 @@ fn batch_solve_matches_sequential_solves() {
         .map(|b| session.solve(b).expect("sequential solve"))
         .collect();
     let batch = session
-        .solve_batch(&rhss, None, BatchOptions::default())
+        .run(SolveRequest::batch(&rhss))
         .expect("batch solve");
     assert_eq!(batch.reports.len(), rhss.len());
 
-    // Cold-started batch solves retrace the sequential trajectories: same
-    // factors, same zero guess, same arithmetic order.
+    // Cold-started batch solves are the sequential solves bit for bit: one
+    // code path, same factors, same zero guess, same arithmetic order.
     for (j, (seq, bat)) in sequential.iter().zip(&batch.reports).enumerate() {
         assert!(seq.converged && bat.converged, "rhs {j} must converge");
         assert_eq!(seq.iterations, bat.iterations, "rhs {j} iteration drift");
-        assert!(
-            (seq.final_relres - bat.final_relres).abs() <= 1e-12 * seq.final_relres.max(1e-30),
+        assert_eq!(seq.x, bat.x, "rhs {j}: batch solution bits differ");
+        assert_eq!(
+            seq.final_relres.to_bits(),
+            bat.final_relres.to_bits(),
             "rhs {j}: sequential relres {} vs batch {}",
             seq.final_relres,
             bat.final_relres
@@ -230,10 +232,13 @@ fn batch_solve_matches_sequential_solves() {
 
     // Warm-started batches still meet the residual target on every RHS.
     let warm = session
-        .solve_batch(&rhss, None, BatchOptions { warm_start: true })
+        .run(SolveRequest {
+            chain: true,
+            ..SolveRequest::batch(&rhss)
+        })
         .expect("warm batch");
-    assert!(warm.all_converged());
     for rep in &warm.reports {
+        assert!(rep.converged);
         assert!(rep.true_relres < 1e-4);
     }
 }

@@ -5,8 +5,8 @@
 
 use parapre_core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre_engine::{
-    parse_job_line, JobResult, RefactorFallback, ServiceConfig, SessionConfig, SolveService,
-    SolverSession,
+    parse_job_line, JobResult, RefactorFallback, ServiceConfig, SessionConfig, SolveRequest,
+    SolveService, SolverSession,
 };
 use parapre_sparse::{Coo, Csr};
 use std::time::Duration;
@@ -136,8 +136,12 @@ fn refactored_sessions_match_cold_builds_for_every_kind() {
                 assert_ne!(hot.fingerprint(), donor.fingerprint(), "{what}");
                 assert_eq!(hot.active_precond(), cold.active_precond(), "{what}");
                 assert_eq!(hot.owner(), donor.owner());
-                let r_hot = hot.solve_with_guess(&case.sys.b, &case.x0).expect("solve");
-                let r_cold = cold.solve_with_guess(&case.sys.b, &case.x0).expect("solve");
+                let req = SolveRequest {
+                    x0: Some(&case.x0),
+                    ..SolveRequest::new(&case.sys.b)
+                };
+                let r_hot = hot.run(req.clone()).expect("solve").single();
+                let r_cold = cold.run(req).expect("solve").single();
                 assert!(r_hot.converged && r_cold.converged, "{what}");
                 assert!(r_hot.true_relres <= 1e-5, "{what}: {}", r_hot.true_relres);
                 // Within two iterations of the cold build, or a tenth of its

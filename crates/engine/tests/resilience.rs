@@ -4,7 +4,7 @@
 
 use parapre_core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre_dist::CheckpointCtx;
-use parapre_engine::{solve_resilient, RecoveryPolicy, SessionConfig, SolverSession};
+use parapre_engine::{solve_resilient, RecoveryPolicy, SessionConfig, SolveRequest, SolverSession};
 use parapre_mpisim::FaultHook;
 use parapre_resilience::{CheckpointStore, FaultConfig, FaultPlan, RankOp};
 use std::sync::Arc;
@@ -107,34 +107,32 @@ fn checkpoint_resume_reaches_the_same_answer() {
     // same answer, with the inherited iterations counted in its report.
     let (session, b, x0) = tc_session(CaseId::Tc1);
     let store = CheckpointStore::new(P);
-    let (rep_full, _) = session
-        .solve_attempt(
-            &b,
-            Some(&x0),
-            false,
-            None,
-            Some(CheckpointCtx::fresh(&store)),
-        )
-        .expect("clean checkpointed solve");
+    let rep_full = session
+        .run(SolveRequest {
+            x0: Some(&x0),
+            ckpt: Some(CheckpointCtx::fresh(&store)),
+            ..SolveRequest::new(&b)
+        })
+        .expect("clean checkpointed solve")
+        .single();
     assert!(rep_full.converged);
     let ck = store.latest_consistent().expect("cycles were checkpointed");
     assert!(ck.iters > 0 && ck.iters <= rep_full.iterations);
 
     let guess = session.assemble_global(&ck.x);
     let store2 = CheckpointStore::new(P);
-    let (rep_resumed, _) = session
-        .solve_attempt(
-            &b,
-            Some(&guess),
-            false,
-            None,
-            Some(CheckpointCtx {
+    let rep_resumed = session
+        .run(SolveRequest {
+            x0: Some(&guess),
+            ckpt: Some(CheckpointCtx {
                 sink: &store2,
                 start_iters: ck.iters,
                 start_cycle: ck.cycle,
             }),
-        )
-        .expect("resumed solve");
+            ..SolveRequest::new(&b)
+        })
+        .expect("resumed solve")
+        .single();
     assert!(rep_resumed.converged);
     assert!(
         rep_resumed.iterations >= ck.iters,

@@ -1,7 +1,12 @@
 //! Scheduler behavior: bounded concurrency, deterministic backpressure,
 //! panic containment, and cache reuse across jobs.
 
-use parapre_engine::{parse_job_line, Job, ServiceConfig, SolveService, SubmitError};
+use parapre_core::PrecondKind;
+use parapre_engine::{
+    parse_job_line, Job, JobResult, ServiceConfig, SolveService, SubmitError, TuneDecision,
+    TuneSample,
+};
+use parapre_sparse::Coo;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Barrier};
 
@@ -251,4 +256,66 @@ fn wait_timeout_returns_ticket_while_running_and_result_after() {
         .unwrap_or_else(|_| panic!("finishes well within the timeout"));
     assert!(result.ok);
     assert_eq!(result.id, "slow");
+}
+
+/// A batch job reports its session's build diagnostics exactly as a
+/// single-RHS job does, and feeds them to the autotuner: a SchurML build
+/// that descended the ladder disarms the SchurML arm whichever shape of
+/// job paid for it.
+#[test]
+fn batch_jobs_report_build_fallbacks_like_single_jobs() {
+    // Alternating exactly-zero / near-zero diagonal: SchurML's strict build
+    // refuses it on every rank and the ladder lands on a lower rung.
+    let n = 64;
+    let mut coo = Coo::new(n, n);
+    for i in 0..n {
+        coo.push(i, i, if i % 2 == 0 { 0.0 } else { 1e-14 });
+        if i > 0 {
+            coo.push(i, i - 1, -1.0);
+        }
+        if i + 1 < n {
+            coo.push(i, i + 1, -1.0);
+        }
+    }
+    let service = SolveService::start(ServiceConfig::default()).expect("valid config");
+    let (fp, _) = service.matrix_store().put(coo.to_csr());
+    let solve = |batch: usize| -> JobResult {
+        let line = format!(
+            r#"{{"id":"b{batch}","fp":"{fp:016x}","precond":"schurml","ranks":2,"batch":{batch}}}"#
+        );
+        let job = parse_job_line(&line, 0).expect("job parses");
+        let r = service.submit_solve(job).expect("accepted").wait();
+        assert!(r.ok, "batch {batch}: {:?}", r.error);
+        r
+    };
+
+    let batched = solve(4);
+    assert!(
+        batched.fallbacks > 0,
+        "the batch job hid its session's ladder descent"
+    );
+    let schurml = PrecondKind::schurml_default();
+    assert_ne!(batched.precond_used.as_deref(), Some(schurml.key()));
+
+    // The tuner saw the descent: SchurML is out of the sweep for this
+    // fingerprint, in exploration and in exploitation.
+    let tuner = service.tuner();
+    loop {
+        let (kind, decision) = tuner.select(fp);
+        assert_ne!(kind, schurml, "a disarmed rung must not be offered");
+        if decision == TuneDecision::Exploit {
+            break;
+        }
+        let sample = TuneSample {
+            converged: true,
+            solve_us: 500,
+            iterations: 10,
+            ..TuneSample::default()
+        };
+        tuner.record(fp, kind, sample);
+    }
+
+    let single = solve(1);
+    assert_eq!(single.fallbacks, batched.fallbacks);
+    assert_eq!(single.precond_used, batched.precond_used);
 }

@@ -6,7 +6,7 @@ use parapre_core::{
     build_case, build_dist_precond, partition_case_with, CaseId, CaseSize, PrecondKind,
 };
 use parapre_dist::{scatter_vector, DistGmres, DistMatrix};
-use parapre_engine::{SessionCache, SessionConfig, SessionKey, SolverSession};
+use parapre_engine::{SessionCache, SessionConfig, SessionKey, SolveRequest, SolverSession};
 use parapre_mpisim::Universe;
 use std::sync::Arc;
 
@@ -52,8 +52,12 @@ fn session_solves_match_fresh_one_shots_for_every_preconditioner() {
         // every one must retrace the reference trajectory exactly.
         for repeat in 0..3 {
             let rep = session
-                .solve_with_guess(&case.sys.b, &case.x0)
-                .expect("solve");
+                .run(SolveRequest {
+                    x0: Some(&case.x0),
+                    ..SolveRequest::new(&case.sys.b)
+                })
+                .expect("solve")
+                .single();
             assert!(rep.converged, "{precond:?} repeat {repeat} must converge");
             assert_eq!(
                 rep.iterations, reference,

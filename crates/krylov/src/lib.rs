@@ -34,27 +34,21 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod arms;
-pub mod bicgstab;
 pub mod cg;
 pub mod gmres;
 pub mod ilu;
-pub mod ilutp;
 pub mod op;
 pub mod precond;
 pub mod proj;
 pub mod schurml;
-pub mod ssor;
 
 pub use arms::{Arms, ArmsConfig};
-pub use bicgstab::{BiCgStab, BiCgStabConfig};
 pub use cg::{CgConfig, ConjugateGradient};
 pub use gmres::{FGmres, Gmres, GmresConfig};
 pub use ilu::{factor_with_shifts, Ilu0, Ilut, IlutConfig, LuFactors, SHIFT_LADDER};
-pub use ilutp::{Ilutp, IlutpConfig, PivotedLu};
 pub use op::LinOp;
 pub use precond::{IdentityPrecond, JacobiPrecond, Preconditioner};
 pub use schurml::{LowRankCorrection, SchurMlConfig, SchurMlHierarchy, MAX_CORRECTION_RANK};
-pub use ssor::Ssor;
 
 /// Why a Krylov solve stopped before meeting its tolerance — the typed
 /// alternative to silently looping to `max_iters` or, worse, reporting a
