@@ -13,6 +13,10 @@
 //! seconds under both machine profiles, the overlap trace counters
 //! (`halo.ready_after_interior` / `halo.wait_after_interior`), and the
 //! combined speedup `(sync SpMV + MGS GMRES) / (overlap SpMV + CGS GMRES)`.
+//! The `sweep` section is the triangular-sweep ledger: per case, one
+//! `LuFactors::solve_in_place` with the ILUT factors of rank 0's owned block
+//! at `P = 2` against a dependency-free SpMV over the same entries timed in
+//! the same run.
 
 use parapre_core::{build_case_sized, CaseId};
 use parapre_dist::{
@@ -21,10 +25,11 @@ use parapre_dist::{
 };
 use parapre_fem::poisson;
 use parapre_grid::structured::unit_square;
-use parapre_krylov::{Ilu0, LuFactors};
+use parapre_krylov::{Ilu0, Ilut, IlutConfig, LuFactors};
 use parapre_mpisim::{Comm, CommStats, MachineModel, Universe};
 use parapre_partition::partition_graph;
 use parapre_sparse::{parallel, Csr};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 struct Timed {
@@ -293,6 +298,95 @@ fn bench_scaling_grid(quick: bool) -> (Vec<ScalingCell>, bool) {
     (cells, enforceable)
 }
 
+/// One row of the sweep ledger.
+struct SweepCell {
+    case: &'static str,
+    n: usize,
+    factor_nnz: usize,
+    sweep_us: f64,
+    /// Bytes one sweep touches, computed from the array sizes.
+    bytes: usize,
+    /// SpMV over `merged()` of the same factor, timed in the same run.
+    spmv_us: f64,
+}
+
+impl SweepCell {
+    fn gbs(&self) -> f64 {
+        self.bytes as f64 / (self.sweep_us * 1e-6) / 1e9
+    }
+
+    fn ratio(&self) -> f64 {
+        self.sweep_us / self.spmv_us
+    }
+}
+
+/// Times the forward + backward sweep of ILUT factors against the SpMV over
+/// the same entries — the same loads and multiplies without the row-to-row
+/// dependencies, so the ratio says what the dependencies and the kernel
+/// cost. Samples alternate, so host drift hits both sides alike; the thread
+/// budget is pinned to one, which is what a rank thread has at `P = cores`.
+fn bench_sweeps(quick: bool) -> Vec<SweepCell> {
+    let cases: [(CaseId, usize); 3] = if quick {
+        [(CaseId::Tc1, 49), (CaseId::Tc2, 13), (CaseId::Tc6, 21)]
+    } else {
+        [(CaseId::Tc1, 201), (CaseId::Tc2, 25), (CaseId::Tc6, 61)]
+    };
+    let reps = if quick { 60 } else { 400 };
+    let _one_thread = parallel::enter_budget(1);
+    let median = |samples: &mut Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+    cases
+        .iter()
+        .map(|&(id, extent)| {
+            let name = id.key();
+            let case = build_case_sized(id, extent);
+            let owner = case.dof_owner(&partition_graph(&case.node_adjacency, 2, 11).owner);
+            let block = DistMatrix::from_global(&case.sys.a, &owner, 0, 2).owned_block();
+            let lu = Ilut::factor(&block, &IlutConfig::default()).expect("owned-block ILUT");
+            let merged = lu.merged();
+            let n = lu.dim();
+            let mut x = vec![1.0; n];
+            let mut y = vec![0.0; n];
+            let (mut sweep, mut spmv) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+            for _ in 0..reps {
+                x.fill(1.0);
+                let t0 = Instant::now();
+                lu.solve_in_place(black_box(&mut x));
+                sweep.push(t0.elapsed().as_secs_f64() * 1e6);
+                let t0 = Instant::now();
+                merged.spmv(black_box(&x), &mut y);
+                black_box(&mut y);
+                spmv.push(t0.elapsed().as_secs_f64() * 1e6);
+            }
+            // 12 bytes per off-diagonal entry (value + 32-bit column), 8 per
+            // pivot reciprocal, 16 per row for the two row pointers, 16 per
+            // `x` entry read and written.
+            let cell = SweepCell {
+                case: name,
+                n,
+                factor_nnz: lu.nnz(),
+                sweep_us: median(&mut sweep),
+                bytes: 12 * (lu.nnz() - n) + (8 + 16 + 16) * n,
+                spmv_us: median(&mut spmv),
+            };
+            eprintln!(
+                "sweep {name}: n={n} nnz={} {:.0} us ({:.2} GB/s computed), spmv of the same entries {:.0} us, sweep/spmv {:.2}",
+                cell.factor_nnz,
+                cell.sweep_us,
+                cell.gbs(),
+                cell.spmv_us,
+                cell.ratio()
+            );
+            cell
+        })
+        .collect()
+}
+
+/// A sweep may cost at most this many SpMVs over the same entries.
+const SWEEP_OVER_SPMV_BAR: f64 = 1.25;
+
 fn modeled(stats: &CommStats) -> String {
     let cluster = stats.modeled_comm_seconds(&MachineModel::linux_cluster());
     let origin = stats.modeled_comm_seconds(&MachineModel::origin_3800());
@@ -359,6 +453,26 @@ fn main() {
     let combined = (sync.secs + mgs.secs) / (over.secs + cgs.secs);
     eprintln!("combined speedup: {combined:.2}x");
 
+    // The sweep bar compares two single-threaded kernels; what it needs is
+    // the full shape (quick factors sit in cache and say nothing about
+    // streaming the factor).
+    let mut sweep_arm = parapre_bench::ScalingArm::decide("sweep vs SpMV, T=1", 1);
+    if quick {
+        sweep_arm.armed = false;
+        sweep_arm.reason = format!("quick shape ({})", sweep_arm.reason);
+    }
+    let sweeps = bench_sweeps(quick);
+    let sweep_json: String = sweeps
+        .iter()
+        .map(|c| {
+            format!(
+                "    {{\"case\": \"{}\", \"n\": {}, \"factor_nnz\": {}, \"sweep_us\": {:.1}, \"computed_bytes\": {}, \"computed_gbs\": {:.2}, \"spmv_same_entries_us\": {:.1}, \"sweep_over_spmv\": {:.3}}}",
+                c.case, c.n, c.factor_nnz, c.sweep_us, c.bytes, c.gbs(), c.spmv_us, c.ratio()
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+
     // The widest compared cell is P=2 × T=4 = 8 real cores; the shared
     // helper decides (and spells out) whether the wall-clock bar is armed.
     let arm = parapre_bench::ScalingArm::decide("P=2,T=4", 8);
@@ -395,12 +509,19 @@ fn main() {
             "  \"scaling\": {{\"cores\": {cores}, \"bar\": {{\"threshold\": 1.3, ",
             "\"arm\": {arm_json}}}, ",
             "\"grid\": [\n{grid}\n  ]}},\n",
+            "  \"sweep\": {{\"factors\": \"ILUT of rank 0's owned block at P=2, thread budget 1\", ",
+            "\"bytes\": \"computed from array sizes, not measured\", ",
+            "\"bar\": {{\"sweep_over_spmv_max\": {sweep_bar}, \"arm\": {sweep_arm_json}}}, ",
+            "\"cases\": [\n{sweep_cases}\n  ]}},\n",
             "  \"combined_speedup\": {comb:.4}\n",
             "}}\n"
         ),
         cores = cores,
         arm_json = arm.to_json(),
         grid = scaling_json,
+        sweep_bar = SWEEP_OVER_SPMV_BAR,
+        sweep_arm_json = sweep_arm.to_json(),
+        sweep_cases = sweep_json,
         ranks = ranks,
         quick = quick,
         spmv_nx = spmv_nx,
@@ -440,6 +561,27 @@ fn main() {
     if combined < 1.0 {
         eprintln!("FAIL: combined speedup {combined:.2}x below 1.0x");
         std::process::exit(2);
+    }
+    // Sweep bar: a sweep reads what an SpMV over the same entries reads, so
+    // at full shape it may cost at most a quarter more.
+    for c in &sweeps {
+        eprintln!(
+            "bar sweep {}: {:.2}x an SpMV over the same entries",
+            c.case,
+            c.ratio()
+        );
+    }
+    if sweep_arm.armed {
+        if let Some(c) = sweeps.iter().find(|c| c.ratio() > SWEEP_OVER_SPMV_BAR) {
+            eprintln!(
+                "FAIL: {} sweep {:.2}x its SpMV, above {SWEEP_OVER_SPMV_BAR}x",
+                c.case,
+                c.ratio()
+            );
+            std::process::exit(2);
+        }
+    } else {
+        eprintln!("sweep bar skipped: {}", sweep_arm.reason);
     }
     // Thread-scaling bar: at P=2, T=4 the combined SpMV+sweep+FGMRES
     // workload must be >= 1.3x over the T=1 baseline on every case — only

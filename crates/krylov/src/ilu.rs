@@ -1,18 +1,23 @@
 //! Incomplete LU factorizations: ILU(0) and dual-threshold ILUT.
 //!
-//! Both factorizations store their result as a *merged* CSR matrix holding
-//! the strict lower triangle of `L` (unit diagonal implicit) and the full
-//! upper triangle of `U` (diagonal included), plus a per-row diagonal
-//! pointer. This is the classical MSR-style layout from Saad's book and is
-//! exactly what the paper's `Schur 1` preconditioner exploits: if the
-//! subdomain matrix is ordered internal-points-first, the **trailing block**
-//! of the merged factor approximates an LU factorization of the local Schur
+//! Both factorizations store what the triangular sweeps read, in the order
+//! they read it: the strict lower triangle of `L` (unit diagonal implicit)
+//! and the strict upper triangle of `U` in **separate** CSR arrays with
+//! 32-bit columns, plus the reciprocals of `U`'s diagonal. A forward sweep
+//! touches no byte of `U`, a backward sweep none of `L`, and both go through
+//! one row kernel (`parapre_sparse::ops::row_sub`). Rows end with the entry
+//! nearest the diagonal: `L` columns ascend, `U` columns descend.
+//!
+//! The layout keeps what the paper's `Schur 1` preconditioner exploits: if
+//! the subdomain matrix is ordered internal-points-first, the **trailing
+//! block** of the factor approximates an LU factorization of the local Schur
 //! complement `S_i = C_i − E_i B_i⁻¹ F_i`, and the **leading block** is an
 //! approximate factorization of `B_i` ([`LuFactors::leading_solve`],
 //! [`LuFactors::trailing_block`]).
 
 use crate::precond::Preconditioner;
-use parapre_sparse::{ops, Csr, Error, FactorReport, Result, SweepLevels};
+use parapre_sparse::ops::{self, SplitCsr, SplitLu};
+use parapre_sparse::{Csr, Error, FactorReport, Result, SweepLevels};
 use std::sync::Arc;
 
 /// The diagonal-shift retry ladder: relative shifts applied to the
@@ -21,33 +26,127 @@ use std::sync::Arc;
 /// factorization.
 pub const SHIFT_LADDER: [f64; 4] = [0.0, 1e-8, 1e-4, 1e-2];
 
-/// The value-independent half of a merged factor: its sparsity pattern,
-/// diagonal positions and sweep level schedule. Computed once by the
-/// symbolic factorization ([`Ilu0::factor`], [`Ilut::factor`]) and shared by
-/// `Arc` with every numeric refactorization ([`LuFactors::refactor`]).
+/// The value-independent half of a factor: the sparsity patterns of `L` and
+/// of the strict upper triangle of `U`, and the sweep level schedule.
+/// Computed once by the symbolic factorization ([`Ilu0::factor`],
+/// [`Ilut::factor`]) and shared by `Arc` with every numeric
+/// refactorization ([`LuFactors::refactor`]).
 #[derive(Debug)]
 struct LuSymbolic {
-    /// Row pointers of the merged factor (`n + 1` entries).
-    row_ptr: Vec<usize>,
-    /// Column indices, sorted in every row.
-    col_idx: Vec<usize>,
-    /// Position of the diagonal entry of each row inside the value array.
-    diag_ptr: Vec<usize>,
+    /// Row pointers of `L` (`n + 1` entries).
+    l_ptr: Vec<usize>,
+    /// Columns of `L`, ascending in every row.
+    l_cols: Vec<u32>,
+    /// Row pointers of the strict upper triangle of `U` (`n + 1` entries).
+    u_ptr: Vec<usize>,
+    /// Columns of the strict upper triangle, descending in every row (like
+    /// an `L` row, a `U` row ends with the entry nearest the diagonal).
+    u_cols: Vec<u32>,
     /// Level schedule of the triangular sweeps (rows within a level are
     /// mutually independent) — consumed by [`LuFactors::solve_in_place_leveled`]
     /// and by callers wanting sweep-parallelism diagnostics.
     levels: SweepLevels,
 }
 
-/// A merged incomplete LU factorization.
+impl LuSymbolic {
+    fn new(l_ptr: Vec<usize>, l_cols: Vec<u32>, u_ptr: Vec<usize>, u_cols: Vec<u32>) -> Self {
+        let levels = SweepLevels::from_split(&l_ptr, &l_cols, &u_ptr, &u_cols);
+        if parapre_metrics::enabled() {
+            use parapre_metrics::names;
+            let n_levels = levels.n_lower_levels() + levels.n_upper_levels();
+            parapre_metrics::gauge_set(names::SWEEP_LEVEL_COUNT, n_levels as f64);
+            parapre_metrics::gauge_set(
+                names::SWEEP_MAX_LEVEL_WIDTH,
+                levels.max_level_width() as f64,
+            );
+        }
+        LuSymbolic {
+            l_ptr,
+            l_cols,
+            u_ptr,
+            u_cols,
+            levels,
+        }
+    }
+
+    fn dim(&self) -> usize {
+        self.l_ptr.len() - 1
+    }
+
+    /// IKJ elimination of `a` **inside this pattern** (Saad, Alg. 10.4):
+    /// row `i` of `a` is scattered into a dense accumulator (entries outside
+    /// the pattern are dropped), eliminated over its `L` columns in
+    /// increasing order with every update restricted to the pattern, and
+    /// gathered into `(l_vals, diag, u_vals)`. `check_pivot(i, d)` decides
+    /// whether pivot `d` of row `i` may stand.
+    fn eliminate(
+        &self,
+        a: &Csr,
+        check_pivot: impl Fn(usize, f64) -> Result<()>,
+    ) -> Result<(Vec<f64>, Vec<f64>, Vec<f64>)> {
+        let n = self.dim();
+        let mut l_vals = vec![0.0f64; self.l_cols.len()];
+        let mut u_vals = vec![0.0f64; self.u_cols.len()];
+        let mut diag = vec![0.0f64; n];
+        let mut w = vec![0.0f64; n];
+        // `in_row[c] == i` while column `c` belongs to the pattern of row `i`.
+        let mut in_row = vec![usize::MAX; n];
+        for i in 0..n {
+            let l_row = self.l_ptr[i]..self.l_ptr[i + 1];
+            let u_row = self.u_ptr[i]..self.u_ptr[i + 1];
+            let pattern = self.l_cols[l_row.clone()]
+                .iter()
+                .chain(&self.u_cols[u_row.clone()])
+                .map(|&c| c as usize)
+                .chain([i]);
+            for c in pattern {
+                w[c] = 0.0;
+                in_row[c] = i;
+            }
+            let (a_cols, a_vals) = a.row(i);
+            for (&j, &v) in a_cols.iter().zip(a_vals) {
+                if in_row[j] == i {
+                    w[j] = v;
+                }
+            }
+            for kp in l_row {
+                let k = self.l_cols[kp] as usize;
+                let lik = w[k] / diag[k];
+                l_vals[kp] = lik;
+                if lik == 0.0 {
+                    continue;
+                }
+                let k_row = self.u_ptr[k]..self.u_ptr[k + 1];
+                for (&j, &ukj) in self.u_cols[k_row.clone()].iter().zip(&u_vals[k_row]) {
+                    if in_row[j as usize] == i {
+                        w[j as usize] -= lik * ukj;
+                    }
+                }
+            }
+            diag[i] = w[i];
+            check_pivot(i, diag[i])?;
+            for (slot, &c) in u_vals[u_row.clone()].iter_mut().zip(&self.u_cols[u_row]) {
+                *slot = w[c as usize];
+            }
+        }
+        Ok((l_vals, diag, u_vals))
+    }
+}
+
+/// An incomplete LU factorization in sweep order.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
-    /// Pattern, diagonal positions and level schedule of the merged
-    /// factor: strict lower = `L` (unit diagonal implicit), diagonal +
-    /// upper = `U`.
+    /// Patterns of `L` and of the strict upper triangle of `U`, and the
+    /// level schedule.
     sym: Arc<LuSymbolic>,
-    /// Values of the merged factor, aligned with `sym.col_idx`.
-    vals: Vec<f64>,
+    /// Values of `L` (unit diagonal implicit), aligned with `sym.l_cols`.
+    l_vals: Vec<f64>,
+    /// Values of the strict upper triangle of `U`, aligned with `sym.u_cols`.
+    u_vals: Vec<f64>,
+    /// The diagonal of `U`. The sweeps never read it (they multiply by
+    /// `diag_inv`); the refactorization divides by it, and
+    /// [`LuFactors::merged`] and [`LuFactors::trailing_block`] copy it.
+    diag: Vec<f64>,
     /// Reciprocals of the diagonal values: the backward sweep multiplies
     /// instead of dividing (divides cost ~4× a multiply on current cores).
     diag_inv: Vec<f64>,
@@ -58,56 +157,63 @@ pub struct LuFactors {
 }
 
 impl LuFactors {
-    fn from_merged(lu: Csr, pivot_fixes: usize) -> Result<Self> {
-        let diag_ptr = ops::diag_pointers(&lu)?;
-        let mut report = FactorReport::scan(lu.n_rows(), lu.vals(), &diag_ptr);
+    /// Puts freshly computed values on a pattern: scans them into the
+    /// [`FactorReport`], rejects non-finite entries and unusable pivots with
+    /// a typed error, and takes the pivot reciprocals.
+    fn assemble(
+        sym: Arc<LuSymbolic>,
+        l_vals: Vec<f64>,
+        diag: Vec<f64>,
+        u_vals: Vec<f64>,
+        pivot_fixes: usize,
+    ) -> Result<Self> {
+        let mut report = FactorReport::scan(&l_vals, &diag, &u_vals);
         report.pivot_fixes = pivot_fixes;
         if report.nonfinite > 0 {
             // Locate the first poisoned row so the error is actionable.
-            let row = (0..lu.n_rows())
-                .find(|&i| lu.row(i).1.iter().any(|v| !v.is_finite()))
+            let finite = |vals: &[f64]| vals.iter().all(|v| v.is_finite());
+            let row = (0..sym.dim())
+                .find(|&i| {
+                    !(finite(&l_vals[sym.l_ptr[i]..sym.l_ptr[i + 1]])
+                        && diag[i].is_finite()
+                        && finite(&u_vals[sym.u_ptr[i]..sym.u_ptr[i + 1]]))
+                })
                 .unwrap_or(0);
             return Err(Error::NonFinitePivot(row));
         }
-        let diag_inv = ops::diag_reciprocals_checked(&lu, &diag_ptr)?;
-        let levels = SweepLevels::from_merged(&lu, &diag_ptr);
-        if parapre_metrics::enabled() {
-            use parapre_metrics::names;
-            let n_levels = levels.n_lower_levels() + levels.n_upper_levels();
-            parapre_metrics::gauge_set(names::SWEEP_LEVEL_COUNT, n_levels as f64);
-            parapre_metrics::gauge_set(
-                names::SWEEP_MAX_LEVEL_WIDTH,
-                levels.max_level_width() as f64,
-            );
-        }
-        let (_, _, row_ptr, col_idx, vals) = lu.into_parts();
+        let diag_inv = ops::diag_reciprocals_checked(&diag)?;
         Ok(LuFactors {
-            sym: Arc::new(LuSymbolic {
-                row_ptr,
-                col_idx,
-                diag_ptr,
-                levels,
-            }),
-            vals,
+            sym,
+            l_vals,
+            u_vals,
+            diag,
             diag_inv,
             pivot_fixes,
             report,
         })
     }
 
+    /// Takes a merged factor matrix (strict lower = `L` with its unit
+    /// diagonal implicit, diagonal + upper = `U`) as it is: the inverse of
+    /// [`LuFactors::merged`], bit for bit.
+    pub fn from_merged(lu: &Csr) -> Result<Self> {
+        let s = SplitCsr::from_merged(lu)?;
+        let sym = LuSymbolic::new(s.l_ptr, s.l_cols, s.u_ptr, s.u_cols);
+        LuFactors::assemble(Arc::new(sym), s.l_vals, s.diag, s.u_vals, 0)
+    }
+
     /// Numeric-only refactorization: factors `a` **inside this factor's
     /// sparsity pattern**, skipping everything symbolic — no drop-tolerance
     /// selection, no fill bookkeeping, no level scheduling.
     ///
-    /// Row `i` of `a` is scattered into the frozen merged pattern (entries
-    /// of `a` outside it are dropped), then eliminated IKJ-style over the
-    /// stored `L` entries only, with every update restricted to the
-    /// pattern. The result shares the pattern, diagonal pointers and sweep
-    /// levels with `self` by `Arc`; only the values, the diagonal
-    /// reciprocals and the [`FactorReport`] are new. With the pattern of a
-    /// complete factorization (ILUT with `drop_tol = 0` and unbounded
-    /// fill, or ILU(0) of the same pattern) this reproduces that
-    /// factorization's values.
+    /// Row `i` of `a` is scattered into the frozen pattern (entries of `a`
+    /// outside it are dropped), then eliminated IKJ-style over the stored
+    /// `L` entries only, with every update restricted to the pattern. The
+    /// result shares the patterns and sweep levels with `self` by `Arc`;
+    /// only the values, the diagonal reciprocals and the [`FactorReport`]
+    /// are new. With the pattern of a complete factorization (ILUT with
+    /// `drop_tol = 0` and unbounded fill, or ILU(0) of the same pattern)
+    /// this reproduces that factorization's values.
     ///
     /// Strict by design: a frozen pattern cannot be repaired by a pivot
     /// fix or a diagonal shift, so a zero, negligible
@@ -127,75 +233,26 @@ impl LuFactors {
                 });
             }
         }
-        let row_ptr = &self.sym.row_ptr[..];
-        let cols = &self.sym.col_idx[..];
-        let diag_ptr = &self.sym.diag_ptr[..];
-        let mut vals = vec![0.0f64; cols.len()];
-        // Position of each pattern column of the current row inside `vals`.
-        let mut pos = vec![usize::MAX; n];
-        for i in 0..n {
-            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-            for k in lo..hi {
-                pos[cols[k]] = k;
-            }
-            let (a_cols, a_vals) = a.row(i);
-            for (&j, &v) in a_cols.iter().zip(a_vals) {
-                let p = pos[j];
-                if p != usize::MAX {
-                    vals[p] = v;
-                }
-            }
-            for kp in lo..diag_ptr[i] {
-                let k = cols[kp];
-                let lik = vals[kp] / vals[diag_ptr[k]];
-                vals[kp] = lik;
-                if lik == 0.0 {
-                    continue;
-                }
-                for q in (diag_ptr[k] + 1)..row_ptr[k + 1] {
-                    let p = pos[cols[q]];
-                    if p != usize::MAX {
-                        vals[p] -= lik * vals[q];
-                    }
-                }
-            }
-            let d = vals[diag_ptr[i]];
+        let (l_vals, diag, u_vals) = self.sym.eliminate(a, |i, d| {
             if !d.is_finite() {
-                return Err(Error::NonFinitePivot(i));
+                Err(Error::NonFinitePivot(i))
+            } else if d.abs() < f64::MIN_POSITIVE * 1e4 {
+                Err(Error::ZeroPivot(i))
+            } else {
+                Ok(())
             }
-            if d.abs() < f64::MIN_POSITIVE * 1e4 {
-                return Err(Error::ZeroPivot(i));
-            }
-            for k in lo..hi {
-                pos[cols[k]] = usize::MAX;
-            }
-        }
-        let report = FactorReport::scan(n, &vals, diag_ptr);
-        if report.nonfinite > 0 {
-            let row = (0..n)
-                .find(|&i| {
-                    vals[row_ptr[i]..row_ptr[i + 1]]
-                        .iter()
-                        .any(|v| !v.is_finite())
-                })
-                .unwrap_or(0);
-            return Err(Error::NonFinitePivot(row));
-        }
-        if !report.healthy() {
-            let row = (0..n)
-                .find(|&i| vals[diag_ptr[i]].abs() == report.min_pivot)
+        })?;
+        let f = LuFactors::assemble(Arc::clone(&self.sym), l_vals, diag, u_vals, 0)?;
+        if !f.report.healthy() {
+            let row = f
+                .diag
+                .iter()
+                .position(|d| d.abs() == f.report.min_pivot)
                 .unwrap_or(0);
             return Err(Error::ZeroPivot(row));
         }
-        let diag_inv = diag_ptr.iter().map(|&k| 1.0 / vals[k]).collect();
-        parapre_trace::counter("factor.fill_nnz", vals.len() as u64);
-        Ok(LuFactors {
-            sym: Arc::clone(&self.sym),
-            vals,
-            diag_inv,
-            pivot_fixes: 0,
-            report,
-        })
+        parapre_trace::counter("factor.fill_nnz", f.nnz() as u64);
+        Ok(f)
     }
 
     /// Structured health report: pivot extrema, fill, zero/small-pivot
@@ -210,26 +267,38 @@ impl LuFactors {
         self.report.shift_attempts = attempts;
     }
 
-    /// A copy of the merged factor matrix (tests, diagnostics).
+    /// The factor as one merged CSR matrix — strict lower = `L` (unit
+    /// diagonal implicit), diagonal + upper = `U` — built on demand (tests,
+    /// diagnostics).
     pub fn merged(&self) -> Csr {
         let n = self.dim();
-        Csr::from_parts_unchecked(
-            n,
-            n,
-            self.sym.row_ptr.clone(),
-            self.sym.col_idx.clone(),
-            self.vals.clone(),
-        )
+        let sym = &*self.sym;
+        let mut row_ptr = Vec::with_capacity(n + 1);
+        let mut col_idx = Vec::with_capacity(self.nnz());
+        let mut vals = Vec::with_capacity(self.nnz());
+        row_ptr.push(0);
+        for i in 0..n {
+            let l_row = sym.l_ptr[i]..sym.l_ptr[i + 1];
+            let u_row = sym.u_ptr[i]..sym.u_ptr[i + 1];
+            col_idx.extend(sym.l_cols[l_row.clone()].iter().map(|&c| c as usize));
+            vals.extend_from_slice(&self.l_vals[l_row]);
+            col_idx.push(i);
+            vals.push(self.diag[i]);
+            col_idx.extend(sym.u_cols[u_row.clone()].iter().rev().map(|&c| c as usize));
+            vals.extend(self.u_vals[u_row].iter().rev());
+            row_ptr.push(col_idx.len());
+        }
+        Csr::from_parts_unchecked(n, n, row_ptr, col_idx, vals)
     }
 
     /// Dimension of the factorization.
     pub fn dim(&self) -> usize {
-        self.sym.diag_ptr.len()
+        self.diag.len()
     }
 
-    /// Stored entries in the factor (fill measure).
+    /// Stored entries in the factor, pivots included (fill measure).
     pub fn nnz(&self) -> usize {
-        self.vals.len()
+        self.l_vals.len() + self.diag.len() + self.u_vals.len()
     }
 
     /// Number of zero pivots replaced by a fallback during factorization.
@@ -244,46 +313,35 @@ impl LuFactors {
         &self.sym.levels
     }
 
-    /// Column indices and values of row `i` of the merged factor.
-    fn row(&self, i: usize) -> (&[usize], &[f64]) {
-        let (lo, hi) = (self.sym.row_ptr[i], self.sym.row_ptr[i + 1]);
-        (&self.sym.col_idx[lo..hi], &self.vals[lo..hi])
+    /// What the sweep kernels read of this factor.
+    fn sweep_view(&self) -> SplitLu<'_> {
+        SplitLu {
+            l_ptr: &self.sym.l_ptr,
+            l_cols: &self.sym.l_cols,
+            l_vals: &self.l_vals,
+            u_ptr: &self.sym.u_ptr,
+            u_cols: &self.sym.u_cols,
+            u_vals: &self.u_vals,
+            diag_inv: &self.diag_inv,
+        }
     }
 
     /// Solves `L U x = b` in place (`x` holds `b` on entry).
     ///
     /// When the caller's thread budget allows more than one worker
-    /// (see `parapre_sparse::parallel`), the sweep runs level-scheduled
-    /// with wide levels fanned out across the pool; the level order
-    /// respects every dependency, so the result is bitwise identical to
-    /// the sequential sweep either way.
+    /// (see `parapre_sparse::parallel`) and some level of this factor is
+    /// wide enough to fan out, the sweep runs level-scheduled with wide
+    /// levels spread across the pool; otherwise it runs row by row, which
+    /// walks the factor in storage order. The level order respects every
+    /// dependency, so the result is bitwise identical either way.
     pub fn solve_in_place(&self, x: &mut [f64]) {
-        if parapre_sparse::parallel::current_budget() > 1 {
+        debug_assert_eq!(x.len(), self.dim());
+        if parapre_sparse::parallel::current_budget() > 1
+            && self.sym.levels.max_level_width() >= ops::SWEEP_PAR_MIN_WIDTH
+        {
             return self.solve_in_place_leveled(x);
         }
-        let n = self.dim();
-        debug_assert_eq!(x.len(), n);
-        let row_ptr = &self.sym.row_ptr[..];
-        let cols = &self.sym.col_idx[..];
-        let diag_ptr = &self.sym.diag_ptr[..];
-        let vals = &self.vals[..];
-        // Forward: (I + L) y = b, strict lower entries are cols < diag.
-        for i in 0..n {
-            let mut acc = x[i];
-            for k in row_ptr[i]..diag_ptr[i] {
-                acc -= vals[k] * x[cols[k]];
-            }
-            x[i] = acc;
-        }
-        // Backward: U x = y.
-        for i in (0..n).rev() {
-            let d = diag_ptr[i];
-            let mut acc = x[i];
-            for k in (d + 1)..row_ptr[i + 1] {
-                acc -= vals[k] * x[cols[k]];
-            }
-            x[i] = acc * self.diag_inv[i];
-        }
+        ops::solve_lu(&self.sweep_view(), x);
     }
 
     /// Level-scheduled variant of [`LuFactors::solve_in_place`]: processes
@@ -294,15 +352,7 @@ impl LuFactors {
     /// when the caller's thread budget allows (`ops::solve_lu_leveled_par`).
     pub fn solve_in_place_leveled(&self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.dim());
-        ops::solve_lu_leveled_par(
-            &self.sym.row_ptr,
-            &self.sym.col_idx,
-            &self.vals,
-            &self.sym.diag_ptr,
-            &self.diag_inv,
-            &self.sym.levels,
-            x,
-        );
+        ops::solve_lu_leveled_par(&self.sweep_view(), &self.sym.levels, x);
     }
 
     /// Solves with the **leading** `nb × nb` principal block of the factor,
@@ -312,30 +362,7 @@ impl LuFactors {
     /// Only `x[..nb]` participates; the tail is untouched.
     pub fn leading_solve(&self, nb: usize, x: &mut [f64]) {
         debug_assert!(nb <= self.dim());
-        let row_ptr = &self.sym.row_ptr[..];
-        let cols = &self.sym.col_idx[..];
-        let diag_ptr = &self.sym.diag_ptr[..];
-        let vals = &self.vals[..];
-        for i in 0..nb {
-            let mut acc = x[i];
-            // Strict lower entries of row i all have col < i < nb.
-            for k in row_ptr[i]..diag_ptr[i] {
-                acc -= vals[k] * x[cols[k]];
-            }
-            x[i] = acc;
-        }
-        for i in (0..nb).rev() {
-            let d = diag_ptr[i];
-            let mut acc = x[i];
-            for k in (d + 1)..row_ptr[i + 1] {
-                let j = cols[k];
-                if j >= nb {
-                    break; // columns sorted: the rest belong to the F block
-                }
-                acc -= vals[k] * x[j];
-            }
-            x[i] = acc * self.diag_inv[i];
-        }
+        ops::solve_lu_leading(&self.sweep_view(), nb, x);
     }
 
     /// Extracts the trailing `(n−nb) × (n−nb)` block of the factor as a
@@ -344,25 +371,32 @@ impl LuFactors {
     pub fn trailing_block(&self, nb: usize) -> LuFactors {
         let n = self.dim();
         debug_assert!(nb <= n);
-        let ns = n - nb;
-        let mut row_ptr = Vec::with_capacity(ns + 1);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
-        row_ptr.push(0);
+        let sym = &*self.sym;
+        // A kept column is at least `nb`, so its shifted index is no wider
+        // than the stored one.
+        let shifted = |c: u32| ops::narrow_index(c as usize - nb).expect("narrower than stored");
+        let (mut l_ptr, mut u_ptr) = (vec![0], vec![0]);
+        let (mut l_cols, mut u_cols) = (Vec::new(), Vec::new());
+        let (mut l_vals, mut u_vals) = (Vec::new(), Vec::new());
         for i in nb..n {
-            let (cs, vs) = self.row(i);
-            for (&j, &v) in cs.iter().zip(vs) {
-                if j >= nb {
-                    col_idx.push(j - nb);
-                    vals.push(v);
-                }
-            }
-            row_ptr.push(col_idx.len());
+            // L columns ascend, so the E block (columns < nb) leads the row;
+            // every U column is > i ≥ nb.
+            let l_row = sym.l_ptr[i]..sym.l_ptr[i + 1];
+            let skip = sym.l_cols[l_row.clone()].partition_point(|&c| (c as usize) < nb);
+            let l_kept = l_row.start + skip..l_row.end;
+            l_cols.extend(sym.l_cols[l_kept.clone()].iter().map(|&c| shifted(c)));
+            l_vals.extend_from_slice(&self.l_vals[l_kept]);
+            l_ptr.push(l_cols.len());
+            let u_row = sym.u_ptr[i]..sym.u_ptr[i + 1];
+            u_cols.extend(sym.u_cols[u_row.clone()].iter().map(|&c| shifted(c)));
+            u_vals.extend_from_slice(&self.u_vals[u_row]);
+            u_ptr.push(u_cols.len());
         }
-        let lu = Csr::from_parts_unchecked(ns, ns, row_ptr, col_idx, vals);
+        let sym = LuSymbolic::new(l_ptr, l_cols, u_ptr, u_cols);
         // Parent factors passed the checked-reciprocal gate, so the trailing
-        // diagonals are present, finite and nonzero.
-        LuFactors::from_merged(lu, 0).expect("trailing block keeps diagonals")
+        // diagonals are finite and nonzero.
+        LuFactors::assemble(Arc::new(sym), l_vals, self.diag[nb..].to_vec(), u_vals, 0)
+            .expect("trailing block keeps diagonals")
     }
 }
 
@@ -441,59 +475,18 @@ impl Ilu0 {
                 found: a.n_cols(),
             });
         }
-        let row_ptr = a.row_ptr().to_vec();
-        let col_idx = a.col_idx().to_vec();
-        let mut vals = a.vals().to_vec();
-        // Diagonal positions.
-        let mut diag = vec![usize::MAX; n];
-        for i in 0..n {
-            for k in row_ptr[i]..row_ptr[i + 1] {
-                if col_idx[k] == i {
-                    diag[i] = k;
-                    break;
-                }
+        let s = SplitCsr::from_merged(a)?;
+        let sym = LuSymbolic::new(s.l_ptr, s.l_cols, s.u_ptr, s.u_cols);
+        // ILU(0) is the elimination inside the pattern of `a` itself.
+        let (l_vals, diag, u_vals) = sym.eliminate(a, |i, d| {
+            if d == 0.0 {
+                Err(Error::ZeroPivot(i))
+            } else {
+                Ok(())
             }
-            if diag[i] == usize::MAX {
-                return Err(Error::MissingDiagonal(i));
-            }
-        }
-        for i in 0..n {
-            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
-            // Eliminate lower entries k of row i in increasing column order.
-            for kp in lo..diag[i] {
-                let k = col_idx[kp];
-                let ukk = vals[diag[k]];
-                if ukk == 0.0 {
-                    return Err(Error::ZeroPivot(k));
-                }
-                let lik = vals[kp] / ukk;
-                vals[kp] = lik;
-                // Row_i[j] -= lik * Row_k[j] for j > k, restricted to the
-                // pattern of row i: two-pointer merge over sorted columns.
-                let mut p = kp + 1;
-                let mut q = diag[k] + 1;
-                let k_hi = row_ptr[k + 1];
-                while p < hi && q < k_hi {
-                    let jp = col_idx[p];
-                    let jq = col_idx[q];
-                    if jp == jq {
-                        vals[p] -= lik * vals[q];
-                        p += 1;
-                        q += 1;
-                    } else if jp < jq {
-                        p += 1;
-                    } else {
-                        q += 1;
-                    }
-                }
-            }
-            if vals[diag[i]] == 0.0 {
-                return Err(Error::ZeroPivot(i));
-            }
-        }
-        let lu = Csr::from_parts_unchecked(n, n, row_ptr, col_idx, vals);
-        parapre_trace::counter("factor.fill_nnz", lu.nnz() as u64);
-        LuFactors::from_merged(lu, 0)
+        })?;
+        parapre_trace::counter("factor.fill_nnz", a.nnz() as u64);
+        LuFactors::assemble(Arc::new(sym), l_vals, diag, u_vals, 0)
     }
 
     /// [`Ilu0::factor`] behind the diagonal-shift retry ladder
@@ -507,8 +500,9 @@ impl Ilu0 {
 /// Parameters of the dual-threshold ILUT factorization.
 #[derive(Debug, Clone, Copy)]
 pub struct IlutConfig {
-    /// Relative drop tolerance `τ`: entries smaller than `τ · ‖row‖₂` are
-    /// dropped.
+    /// Relative drop tolerance `τ`: entries smaller than `τ · ‖row‖₂ / √len`
+    /// — `τ` times the root mean square of the row's `len` stored entries, as
+    /// in SPARSKIT — are dropped.
     pub drop_tol: f64,
     /// Maximum number of kept entries per row in *each* of the L and U parts
     /// (the diagonal is always kept and does not count).
@@ -532,7 +526,7 @@ pub struct Ilut;
 impl Ilut {
     /// Factors `a` with drop tolerance and fill cap from `cfg`.
     ///
-    /// Exact zero pivots after dropping are replaced by `τ·‖row‖₂` (with a
+    /// Exact zero pivots after dropping are replaced by `τ·‖row‖₂/√len` (with a
     /// final absolute fallback) and counted in
     /// [`LuFactors::pivot_fixes`] — the factorization never fails on a
     /// numerically awkward row, matching pARMS behaviour.
@@ -547,13 +541,13 @@ impl Ilut {
         }
         // U rows built so far (strict upper part), flat storage.
         let mut u_row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut u_cols: Vec<usize> = Vec::new();
+        let mut u_cols: Vec<u32> = Vec::new();
         let mut u_vals: Vec<f64> = Vec::new();
         let mut u_diag: Vec<f64> = Vec::with_capacity(n);
         u_row_ptr.push(0);
         // L rows (strict lower part).
         let mut l_row_ptr: Vec<usize> = Vec::with_capacity(n + 1);
-        let mut l_cols: Vec<usize> = Vec::new();
+        let mut l_cols: Vec<u32> = Vec::new();
         let mut l_vals: Vec<f64> = Vec::new();
         l_row_ptr.push(0);
 
@@ -597,8 +591,10 @@ impl Ilut {
                     continue; // drop the multiplier, skip the update
                 }
                 // w -= lik * U_row(k)   (strict upper part of row k)
-                for idx in u_row_ptr[k]..u_row_ptr[k + 1] {
-                    let j = u_cols[idx];
+                // U rows are stored descending; visit them ascending, so new
+                // fill joins the work lists in the order it always has.
+                for idx in (u_row_ptr[k]..u_row_ptr[k + 1]).rev() {
+                    let j = u_cols[idx] as usize;
                     let upd = lik * u_vals[idx];
                     if in_w[j] {
                         w[j] -= upd;
@@ -619,14 +615,14 @@ impl Ilut {
             // Select the p largest lower entries (multipliers).
             if lower_kept.len() > cfg.fill {
                 // total_cmp: a NaN in the accumulator must not panic the
-                // sort — the non-finite scan in `from_merged` rejects the
+                // sort — the non-finite scan in `assemble` rejects the
                 // factor with a structured error instead.
                 lower_kept.sort_unstable_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
                 lower_kept.truncate(cfg.fill);
             }
             lower_kept.sort_unstable_by_key(|&(j, _)| j);
             for &(j, v) in &lower_kept {
-                l_cols.push(j);
+                l_cols.push(ops::narrow_index(j)?);
                 l_vals.push(v);
             }
             l_row_ptr.push(l_cols.len());
@@ -657,35 +653,18 @@ impl Ilut {
                 upper_kept.truncate(cfg.fill);
             }
             upper_kept.sort_unstable_by_key(|&(j, _)| j);
-            for &(j, v) in &upper_kept {
-                u_cols.push(j);
+            for &(j, v) in upper_kept.iter().rev() {
+                u_cols.push(ops::narrow_index(j)?);
                 u_vals.push(v);
             }
             u_row_ptr.push(u_cols.len());
         }
 
-        // Merge L, diag, U into a single CSR factor.
-        let nnz = l_cols.len() + n + u_cols.len();
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(nnz);
-        let mut vals = Vec::with_capacity(nnz);
-        row_ptr.push(0);
-        for i in 0..n {
-            for idx in l_row_ptr[i]..l_row_ptr[i + 1] {
-                col_idx.push(l_cols[idx]);
-                vals.push(l_vals[idx]);
-            }
-            col_idx.push(i);
-            vals.push(u_diag[i]);
-            for idx in u_row_ptr[i]..u_row_ptr[i + 1] {
-                col_idx.push(u_cols[idx]);
-                vals.push(u_vals[idx]);
-            }
-            row_ptr.push(col_idx.len());
-        }
-        let lu = Csr::from_parts_unchecked(n, n, row_ptr, col_idx, vals);
-        parapre_trace::counter("factor.fill_nnz", lu.nnz() as u64);
-        LuFactors::from_merged(lu, pivot_fixes)
+        // L and U are stored as they were built.
+        let fill = l_cols.len() + n + u_cols.len();
+        parapre_trace::counter("factor.fill_nnz", fill as u64);
+        let sym = LuSymbolic::new(l_row_ptr, l_cols, u_row_ptr, u_cols);
+        LuFactors::assemble(Arc::new(sym), l_vals, u_diag, u_vals, pivot_fixes)
     }
 
     /// [`Ilut::factor`] behind the diagonal-shift retry ladder

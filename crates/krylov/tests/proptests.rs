@@ -3,9 +3,9 @@
 
 use parapre_krylov::{
     Arms, ArmsConfig, BreakdownKind, CgConfig, ConjugateGradient, FGmres, Gmres, GmresConfig,
-    IdentityPrecond, Ilu0, Ilut, IlutConfig,
+    IdentityPrecond, Ilu0, Ilut, IlutConfig, LuFactors,
 };
-use parapre_sparse::{Coo, Csr};
+use parapre_sparse::{ops, parallel, Coo, Csr};
 use proptest::prelude::*;
 
 /// Random diagonally dominant (hence nonsingular) sparse matrix.
@@ -84,6 +84,95 @@ fn relative_residual(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
     r / bn.max(1e-300)
 }
 
+/// Dense reference for the sweeps: `L U x = b` by forward then backward
+/// substitution on a merged dense factor (unit `L` strictly below the
+/// diagonal, `U` on and above).
+fn dense_lu_solve(m: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
+    let n = b.len();
+    let mut x = b.to_vec();
+    for i in 0..n {
+        for j in 0..i {
+            x[i] -= m[i][j] * x[j];
+        }
+    }
+    for i in (0..n).rev() {
+        for j in (i + 1)..n {
+            x[i] -= m[i][j] * x[j];
+        }
+        x[i] /= m[i][i];
+    }
+    x
+}
+
+/// `a` with every stored value moved by a deterministic relative amount up
+/// to `eps` and the diagonal grown on top (stays dominant).
+fn perturbed(a: &Csr, eps: f64) -> Csr {
+    let mut b = a.clone();
+    for (k, (slot, (i, j, v))) in b.vals_mut().iter_mut().zip(a.iter()).enumerate() {
+        let wobble = ((k * 37 + 11) % 101) as f64 / 101.0;
+        let grow = if i == j { 1.0 + eps } else { 1.0 };
+        *slot = v * (1.0 + eps * (wobble - 0.5)) * grow;
+    }
+    b
+}
+
+/// What the split storage owes every factor: the merged copy round-trips
+/// bit for bit, the leveled sweep is the row-ordered one at every budget,
+/// both agree with dense substitution, and the leading and trailing blocks
+/// are those of the merged matrix.
+fn check_factor_storage(f: &LuFactors) {
+    let n = f.dim();
+    let m = f.merged();
+    m.validate().unwrap();
+    assert_eq!(m.nnz(), f.nnz());
+    let again = LuFactors::from_merged(&m).unwrap();
+    assert_eq!(&again.merged(), &m);
+    assert_eq!(again.levels(), f.levels());
+
+    let dense = m.to_dense();
+    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 0.1).collect();
+    let reference = dense_lu_solve(&dense, &b);
+    let scale = ops::norm_inf(&reference);
+    let mut want = b.clone();
+    {
+        let _b1 = parallel::enter_budget(1);
+        f.solve_in_place(&mut want);
+    }
+    for (got, r) in want.iter().zip(&reference) {
+        assert!((got - r).abs() <= 1e-12 * scale, "{} vs {}", got, r);
+    }
+    for threads in [1usize, 2, 4] {
+        let _bt = parallel::enter_budget(threads);
+        let mut leveled = b.clone();
+        f.solve_in_place_leveled(&mut leveled);
+        assert_eq!(&leveled, &want, "leveled, threads={}", threads);
+        let mut auto = b.clone();
+        f.solve_in_place(&mut auto);
+        assert_eq!(&auto, &want, "threads={}", threads);
+        let mut again_x = b.clone();
+        again.solve_in_place(&mut again_x);
+        assert_eq!(&again_x, &want, "round-tripped factor, threads={}", threads);
+    }
+
+    for nb in [0, n / 3, n / 2, n] {
+        // Leading block: dense substitution with the top-left corner.
+        let corner: Vec<Vec<f64>> = dense[..nb].iter().map(|r| r[..nb].to_vec()).collect();
+        let reference = dense_lu_solve(&corner, &b[..nb]);
+        let mut x = b.clone();
+        f.leading_solve(nb, &mut x);
+        for (got, r) in x[..nb].iter().zip(&reference) {
+            assert!((got - r).abs() <= 1e-12 * scale.max(ops::norm_inf(&reference)));
+        }
+        assert_eq!(&x[nb..], &b[nb..]);
+        // Trailing block: the bottom-right corner, as a factor of its own.
+        let rows: Vec<usize> = (nb..n).collect();
+        let col_map: Vec<Option<usize>> = (0..n).map(|j| j.checked_sub(nb)).collect();
+        let tail = f.trailing_block(nb);
+        assert_eq!(tail.dim(), n - nb);
+        assert_eq!(&tail.merged(), &m.extract(&rows, &col_map, n - nb));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -121,6 +210,24 @@ proptest! {
         f.solve_in_place(&mut x);
         for (u, v) in x.iter().zip(&x_true) {
             prop_assert!((u - v).abs() < 1e-7);
+        }
+    }
+
+    #[test]
+    fn split_storage_holds_its_contracts(n in 1usize..60, seed in any::<u64>(), fill in 1usize..8) {
+        let a = diag_dominant(n, seed, false);
+        let cfg = IlutConfig { drop_tol: 1e-3, fill };
+        let a2 = perturbed(&a, 0.05);
+        for donor in [Ilu0::factor(&a).unwrap(), Ilut::factor(&a, &cfg).unwrap()] {
+            check_factor_storage(&donor);
+            // A refactored factor is a new set of values on the donor's own
+            // symbolic half: same allocation, same fill.
+            let refactored = donor.refactor(&a2).unwrap();
+            prop_assert!(std::ptr::eq(refactored.levels(), donor.levels()));
+            prop_assert_eq!(refactored.nnz(), donor.nnz());
+            let (got, want) = (refactored.merged(), donor.merged());
+            prop_assert_eq!(got.col_idx(), want.col_idx());
+            check_factor_storage(&refactored);
         }
     }
 
@@ -336,4 +443,31 @@ fn shift_ladder_rescues_zero_diagonal() {
     let mut x = vec![1.0; n];
     f.solve_in_place(&mut x);
     assert!(x.iter().all(|v| v.is_finite()));
+}
+
+#[test]
+fn wide_levels_fan_out_and_stay_bitwise() {
+    // 1024 independent 2x2 blocks: two levels of 1024 rows in each sweep,
+    // wide enough that `solve_in_place` goes level by level (and across the
+    // pool under `--features parallel`) whenever the budget allows.
+    let n = 2048;
+    let mut coo = Coo::new(n, n);
+    for i in 0..n {
+        coo.push(i, i, 3.0 + (i % 7) as f64 * 0.25);
+        coo.push(i, i ^ 1, 0.5 - (i % 5) as f64 * 0.125);
+    }
+    let f = Ilu0::factor(&coo.to_csr()).unwrap();
+    assert!(f.levels().max_level_width() >= ops::SWEEP_PAR_MIN_WIDTH);
+    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin()).collect();
+    let mut want = b.clone();
+    {
+        let _b1 = parallel::enter_budget(1);
+        f.solve_in_place(&mut want);
+    }
+    for threads in [2usize, 4] {
+        let _bt = parallel::enter_budget(threads);
+        let mut got = b.clone();
+        f.solve_in_place(&mut got);
+        assert_eq!(got, want, "threads={threads}");
+    }
 }

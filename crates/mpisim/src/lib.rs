@@ -875,7 +875,10 @@ impl Comm {
 
     /// Element-wise all-reduce (sum) of a vector, in place, identical result
     /// on all ranks. Reduction order is rank-order at every tree node, so
-    /// the result is deterministic.
+    /// the result is deterministic. Messages travel in pooled buffers
+    /// ([`Comm::send_f64s_from`]); the broadcast walks the same tree back
+    /// down, so every rank gets back as many buffers as it sends and a warm
+    /// all-reduce allocates nothing.
     pub fn allreduce_sum_vec(&mut self, x: &mut [f64], tag: u64) {
         // Reduce to rank 0 up the binomial tree.
         let mut span = 1;
@@ -888,10 +891,11 @@ impl Comm {
                     for (xi, di) in x.iter_mut().zip(&data) {
                         *xi += di;
                     }
+                    self.recycle_f64s(data);
                 }
             } else if self.rank % (2 * span) == span {
                 let partner = self.rank - span;
-                self.send_f64s(partner, tag, x.to_vec());
+                self.send_f64s_from(partner, tag, x);
                 break;
             }
             span *= 2;
@@ -899,23 +903,28 @@ impl Comm {
         self.bcast_vec_from_zero(x, tag.wrapping_add(1));
     }
 
-    /// Broadcast `x` from rank 0 down the binomial tree (in place).
+    /// Broadcast `x` from rank 0 down the binomial tree (in place): the
+    /// reduce tree of [`Comm::allreduce_sum_vec`] walked the other way. A
+    /// rank's parent clears its lowest set bit; its children add each
+    /// smaller power of two.
     pub fn bcast_vec_from_zero(&mut self, x: &mut [f64], tag: u64) {
-        // Receive once from the parent, then forward to children.
-        if self.rank != 0 {
-            let data = self.recv_f64s(parent_of(self.rank), tag);
+        let low_bit = if self.rank == 0 {
+            next_pow2(self.size)
+        } else {
+            let low_bit = 1 << self.rank.trailing_zeros();
+            let data = self.recv_f64s(self.rank - low_bit, tag);
             x.copy_from_slice(&data);
-        }
-        let mut child_span = next_pow2(self.size);
-        while child_span >= 1 {
-            let child = self.rank + child_span;
-            if child < self.size && is_child(self.rank, child) {
-                self.send_f64s(child, tag, x.to_vec());
+            self.recycle_f64s(data);
+            low_bit
+        };
+        // Farthest child first: it has the deepest subtree below it.
+        let mut span = low_bit / 2;
+        while span >= 1 {
+            let child = self.rank + span;
+            if child < self.size {
+                self.send_f64s_from(child, tag, x);
             }
-            if child_span == 1 {
-                break;
-            }
-            child_span /= 2;
+            span /= 2;
         }
     }
 
@@ -971,12 +980,14 @@ impl Comm {
                 if r == self.rank {
                     out.extend_from_slice(data);
                 } else {
-                    out.extend(self.recv_f64s(r, tag));
+                    let part = self.recv_f64s(r, tag);
+                    out.extend_from_slice(&part);
+                    self.recycle_f64s(part);
                 }
             }
             Some(out)
         } else {
-            self.send_f64s(root, tag, data.to_vec());
+            self.send_f64s_from(root, tag, data);
             None
         }
     }
@@ -985,19 +996,6 @@ impl Comm {
     pub fn barrier(&mut self, tag: u64) {
         let _ = self.allreduce_sum(0.0, tag);
     }
-}
-
-/// Parent of `rank` in the binomial broadcast tree rooted at 0.
-fn parent_of(rank: usize) -> usize {
-    debug_assert!(rank > 0);
-    let hsb = usize::BITS as usize - 1 - rank.leading_zeros() as usize;
-    rank & !(1usize << hsb)
-}
-
-/// True when `child = rank + 2^k` for some `k` with `rank < 2^k` — i.e.
-/// `child`'s parent is `rank`.
-fn is_child(rank: usize, child: usize) -> bool {
-    child > rank && parent_of(child) == rank
 }
 
 /// Smallest power of two ≥ `n`.
@@ -1196,6 +1194,50 @@ mod tests {
         let vals = [0.1, 0.2, 0.3, 0.4, 0.7, 0.9, 1.3];
         let run = || Universe::run(7, |c| c.allreduce_sum(vals[c.rank()], 3));
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn allreduce_sums_in_reduce_tree_order() {
+        // The bits are those of the binomial reduce tree, whatever path the
+        // broadcast takes back down.
+        let v = [0.1, 0.2, 0.3, 0.4, 0.7, 0.9, 1.3];
+        let want = ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + v[6]);
+        let out = Universe::run(7, |c| c.allreduce_sum(v[c.rank()], 3));
+        assert!(out.iter().all(|s| s.to_bits() == want.to_bits()), "{out:?}");
+    }
+
+    #[test]
+    fn warm_allreduces_allocate_no_buffers() {
+        // Every tree edge carries one pooled buffer each way per all-reduce,
+        // so after one warm-up round no rank's pool ever runs dry.
+        for p in [2usize, 4, 7] {
+            let out = Universe::run(p, |c| {
+                let warm = c.allreduce_sum(1.0, 100);
+                let sent_warming_up = c.stats().msgs_sent;
+                parapre_trace::install(c.rank());
+                let mut sum = 0.0;
+                for i in 0..1000u64 {
+                    sum += c.allreduce_sum(c.rank() as f64, 200 + 2 * i);
+                }
+                let counters = parapre_trace::take().expect("installed").summary().counters;
+                let count = |name: &str| counters.get(name).copied().unwrap_or(0);
+                (
+                    warm,
+                    sum,
+                    count(parapre_trace::counters::POOL_ALLOC),
+                    count(parapre_trace::counters::POOL_REUSE),
+                    c.stats().msgs_sent - sent_warming_up,
+                )
+            });
+            let rank_sum = (p * (p - 1) / 2) as f64;
+            for (rank, &(warm, sum, allocs, reuses, sent)) in out.iter().enumerate() {
+                assert_eq!(warm, p as f64);
+                assert_eq!(sum, 1000.0 * rank_sum);
+                assert_eq!(allocs, 0, "P={p} rank {rank} allocated after warm-up");
+                // Every send of the timed rounds came out of the pool.
+                assert_eq!(reuses, sent, "P={p} rank {rank}");
+            }
+        }
     }
 
     #[test]

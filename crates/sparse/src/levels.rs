@@ -8,17 +8,15 @@
 //! order, so a level-ordered sweep is bitwise identical to the row-ordered
 //! one.
 //!
-//! [`SweepLevels`] is computed once per factorization from a *merged* LU
-//! factor (strict lower = `L`, diagonal + upper = `U`, as produced by the
-//! ILU kernels in `parapre-krylov`) and stored alongside it as metadata:
-//! the benches report the level counts/widths as the sweep's available
-//! parallelism, and `LuFactors::solve_in_place_leveled` drives the actual
-//! level-ordered sweep.
-
-use crate::Csr;
+//! [`SweepLevels`] is computed once per factorization from the split
+//! patterns of an LU factor (strict lower = `L`, strict upper of `U`, as
+//! stored by the ILU kernels in `parapre-krylov`) and kept alongside it as
+//! metadata: the benches report the level counts/widths as the sweep's
+//! available parallelism, and `LuFactors::solve_in_place_leveled` drives
+//! the actual level-ordered sweep.
 
 /// Level-schedule metadata for the forward (`L`) and backward (`U`) sweeps
-/// of a merged triangular factor.
+/// of a triangular factor.
 ///
 /// Rows are stored level-major in flat arrays (`ptr`/`rows` pairs, CSR
 /// style); within a level rows are in ascending index order, which keeps
@@ -29,46 +27,45 @@ pub struct SweepLevels {
     lower_rows: Vec<usize>,
     upper_ptr: Vec<usize>,
     upper_rows: Vec<usize>,
+    /// Rows in the widest level of either sweep.
+    max_width: usize,
 }
 
 impl SweepLevels {
-    /// Builds the schedule from a merged factor and its per-row diagonal
-    /// positions (`diag_ptr[i]` indexes row `i`'s diagonal inside the value
-    /// array).
-    pub fn from_merged(lu: &Csr, diag_ptr: &[usize]) -> Self {
-        let n = lu.n_rows();
-        debug_assert_eq!(diag_ptr.len(), n);
-        let row_ptr = lu.row_ptr();
-        let cols = lu.col_idx();
+    /// Builds the schedule from the strict lower (`l_ptr`/`l_cols`) and
+    /// strict upper (`u_ptr`/`u_cols`) patterns of a factor, CSR style.
+    pub fn from_split(l_ptr: &[usize], l_cols: &[u32], u_ptr: &[usize], u_cols: &[u32]) -> Self {
+        let n = l_ptr.len().saturating_sub(1);
+        debug_assert_eq!(u_ptr.len(), l_ptr.len());
 
-        // Forward sweep: row i waits for every j < i stored strictly below
-        // the diagonal of row i.
+        // Forward sweep: row i waits for every j < i stored in its L row.
         let mut level = vec![0usize; n];
         let mut n_levels = 0usize;
         for i in 0..n {
             let mut lv = 0usize;
-            for k in row_ptr[i]..diag_ptr[i] {
-                lv = lv.max(level[cols[k]] + 1);
+            for &j in &l_cols[l_ptr[i]..l_ptr[i + 1]] {
+                lv = lv.max(level[j as usize] + 1);
             }
             level[i] = lv;
             n_levels = n_levels.max(lv + 1);
         }
         let (lower_ptr, lower_rows) = bucket_by_level(&level, if n == 0 { 0 } else { n_levels });
 
-        // Backward sweep: row i waits for every j > i stored strictly above
-        // the diagonal of row i.
+        // Backward sweep: row i waits for every j > i stored in its U row.
         let mut n_up = 0usize;
         for i in (0..n).rev() {
             let mut lv = 0usize;
-            for k in (diag_ptr[i] + 1)..row_ptr[i + 1] {
-                lv = lv.max(level[cols[k]] + 1);
+            for &j in &u_cols[u_ptr[i]..u_ptr[i + 1]] {
+                lv = lv.max(level[j as usize] + 1);
             }
             level[i] = lv;
             n_up = n_up.max(lv + 1);
         }
         let (upper_ptr, upper_rows) = bucket_by_level(&level, if n == 0 { 0 } else { n_up });
 
+        let widths = |ptr: &[usize]| ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
         SweepLevels {
+            max_width: widths(&lower_ptr).max(widths(&upper_ptr)),
             lower_ptr,
             lower_rows,
             upper_ptr,
@@ -109,8 +106,7 @@ impl SweepLevels {
     /// Widest level across both sweeps — the peak fan-out a level-parallel
     /// sweep of this factor can use.
     pub fn max_level_width(&self) -> usize {
-        let widths = |ptr: &[usize]| ptr.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
-        widths(&self.lower_ptr).max(widths(&self.upper_ptr))
+        self.max_width
     }
 }
 
@@ -137,17 +133,19 @@ fn bucket_by_level(level: &[usize], n_levels: usize) -> (Vec<usize>, Vec<usize>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops;
+    use crate::ops::SplitCsr;
+    use crate::Csr;
 
-    /// Diagonal positions of a merged factor (test helper).
-    fn diag_ptrs(lu: &Csr) -> Vec<usize> {
-        ops::diag_pointers(lu).expect("diagonal present")
+    /// The schedule of a merged factor (test helper).
+    fn levels_of(lu: &Csr) -> SweepLevels {
+        let s = SplitCsr::from_merged(lu).expect("diagonal present");
+        SweepLevels::from_split(&s.l_ptr, &s.l_cols, &s.u_ptr, &s.u_cols)
     }
 
     #[test]
     fn diagonal_matrix_is_one_level() {
         let d = Csr::identity(5);
-        let lv = SweepLevels::from_merged(&d, &diag_ptrs(&d));
+        let lv = levels_of(&d);
         assert_eq!(lv.n_lower_levels(), 1);
         assert_eq!(lv.n_upper_levels(), 1);
         assert_eq!(lv.lower_level(0), &[0, 1, 2, 3, 4]);
@@ -166,7 +164,7 @@ mod tests {
             }
         }
         let lu = Csr::from_dense_rows(&rows);
-        let lv = SweepLevels::from_merged(&lu, &diag_ptrs(&lu));
+        let lv = levels_of(&lu);
         assert_eq!(lv.n_lower_levels(), n);
         for l in 0..n {
             assert_eq!(lv.lower_level(l), &[l]);
@@ -185,8 +183,7 @@ mod tests {
             vec![0.0, 0.0, 2.0, 1.0],
             vec![1.0, 1.0, 1.0, 2.0],
         ]);
-        let dp = diag_ptrs(&lu);
-        let lv = SweepLevels::from_merged(&lu, &dp);
+        let lv = levels_of(&lu);
         // Forward: rows 0..3 at level 0, row 3 at level 1.
         assert_eq!(lv.lower_level(0), &[0, 1, 2]);
         assert_eq!(lv.lower_level(1), &[3]);
@@ -203,7 +200,7 @@ mod tests {
             vec![0.0, 1.0, 4.0, 1.0],
             vec![0.0, 0.0, 1.0, 4.0],
         ]);
-        let lv = SweepLevels::from_merged(&lu, &diag_ptrs(&lu));
+        let lv = levels_of(&lu);
         let mut seen = [false; 4];
         for l in 0..lv.n_lower_levels() {
             for &r in lv.lower_level(l) {

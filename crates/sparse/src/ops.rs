@@ -22,8 +22,10 @@ pub const REDUCE_CHUNK: usize = 4096;
 /// fall back to the serial path.
 const PAR_MIN_LEN: usize = 8192;
 
-/// Narrowest sweep level worth fanning out across the pool.
-const SWEEP_PAR_MIN_WIDTH: usize = 512;
+/// Narrowest sweep level worth fanning out across the pool. A factor whose
+/// widest level is narrower gains nothing from level order and loses the
+/// row order's locality (see `LuFactors::solve_in_place`).
+pub const SWEEP_PAR_MIN_WIDTH: usize = 512;
 
 /// One fixed reduction chunk of the dot product: four independent lane
 /// accumulators over the 4-aligned head, a scalar tail, and a fixed
@@ -177,56 +179,106 @@ pub fn scale_par(alpha: f64, x: &mut [f64]) {
     parallel::for_each_chunk_mut(x, budget, |_, _, xs| scale(alpha, xs));
 }
 
-/// Solves `L x = b` where `L` is **unit** lower triangular stored in CSR.
-///
-/// Entries with column index `>= row` are ignored, so a merged LU matrix can
-/// be passed directly. `x` may alias `b` by passing the right-hand side in
-/// `x` (solve happens in place).
-pub fn solve_unit_lower(l: &Csr, x: &mut [f64]) {
-    let n = l.n_rows();
-    debug_assert_eq!(x.len(), n);
-    for i in 0..n {
-        let (cols, vals) = l.row(i);
-        let mut acc = x[i];
-        for (&j, &v) in cols.iter().zip(vals) {
-            if j >= i {
-                break;
+/// Narrows a column index to the 32-bit width split factors store — the
+/// one place a `usize` index becomes a `u32`. An index that does not fit is
+/// a typed error, never a truncation.
+#[inline]
+pub fn narrow_index(j: usize) -> Result<u32> {
+    u32::try_from(j).map_err(|_| Error::DimensionMismatch {
+        op: "factor index width",
+        expected: u32::MAX as usize,
+        found: j,
+    })
+}
+
+/// A square matrix taken apart into its strict lower triangle, diagonal and
+/// strict upper triangle, each in CSR order with 32-bit columns: the
+/// storage the triangular sweeps read ([`SplitLu`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SplitCsr {
+    /// Row pointers of the strict lower triangle (`n + 1` entries).
+    pub l_ptr: Vec<usize>,
+    /// Columns of the strict lower triangle, sorted in every row.
+    pub l_cols: Vec<u32>,
+    /// Values of the strict lower triangle.
+    pub l_vals: Vec<f64>,
+    /// The diagonal.
+    pub diag: Vec<f64>,
+    /// Row pointers of the strict upper triangle (`n + 1` entries).
+    pub u_ptr: Vec<usize>,
+    /// Columns of the strict upper triangle, **descending** in every row:
+    /// like `L`'s, a row ends with the entry nearest the diagonal, the one
+    /// the sweep has just produced.
+    pub u_cols: Vec<u32>,
+    /// Values of the strict upper triangle.
+    pub u_vals: Vec<f64>,
+}
+
+impl SplitCsr {
+    /// Splits `a` (sorted columns, every diagonal entry stored). A missing
+    /// diagonal is [`Error::MissingDiagonal`], a non-square matrix or one
+    /// too large for 32-bit columns [`Error::DimensionMismatch`].
+    pub fn from_merged(a: &Csr) -> Result<SplitCsr> {
+        let n = a.n_rows();
+        if a.n_cols() != n {
+            return Err(Error::DimensionMismatch {
+                op: "split triangles",
+                expected: n,
+                found: a.n_cols(),
+            });
+        }
+        let mut out = SplitCsr {
+            l_ptr: Vec::with_capacity(n + 1),
+            l_cols: Vec::new(),
+            l_vals: Vec::new(),
+            diag: Vec::with_capacity(n),
+            u_ptr: Vec::with_capacity(n + 1),
+            u_cols: Vec::new(),
+            u_vals: Vec::new(),
+        };
+        out.l_ptr.push(0);
+        out.u_ptr.push(0);
+        for i in 0..n {
+            let (cols, vals) = a.row(i);
+            let d = cols
+                .binary_search(&i)
+                .map_err(|_| Error::MissingDiagonal(i))?;
+            for (&j, &v) in cols[..d].iter().zip(&vals[..d]) {
+                out.l_cols.push(narrow_index(j)?);
+                out.l_vals.push(v);
             }
-            acc -= v * x[j];
+            out.diag.push(vals[d]);
+            for (&j, &v) in cols[d + 1..].iter().zip(&vals[d + 1..]).rev() {
+                out.u_cols.push(narrow_index(j)?);
+                out.u_vals.push(v);
+            }
+            out.l_ptr.push(out.l_cols.len());
+            out.u_ptr.push(out.u_cols.len());
         }
-        x[i] = acc;
+        Ok(out)
+    }
+
+    /// What the sweeps read of this matrix, given its pivot reciprocals.
+    pub fn sweep_view<'a>(&'a self, diag_inv: &'a [f64]) -> SplitLu<'a> {
+        SplitLu {
+            l_ptr: &self.l_ptr,
+            l_cols: &self.l_cols,
+            l_vals: &self.l_vals,
+            u_ptr: &self.u_ptr,
+            u_cols: &self.u_cols,
+            u_vals: &self.u_vals,
+            diag_inv,
+        }
     }
 }
 
-/// Positions of each row's diagonal entry inside the value array of `u`
-/// (one binary search per row, done **once** — the planned triangular
-/// solves below never search again).
-pub fn diag_pointers(u: &Csr) -> Result<Vec<usize>> {
-    let n = u.n_rows();
-    let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let (cols, _) = u.row(i);
-        match cols.binary_search(&i) {
-            Ok(k) => out.push(u.row_ptr()[i] + k),
-            Err(_) => return Err(Error::MissingDiagonal(i)),
-        }
-    }
-    Ok(out)
-}
-
-/// Reciprocals of the diagonal values addressed by `diag_ptr`, so the
-/// back-substitution inner loop multiplies instead of divides.
-pub fn diag_reciprocals(u: &Csr, diag_ptr: &[usize]) -> Vec<f64> {
-    diag_ptr.iter().map(|&k| 1.0 / u.vals()[k]).collect()
-}
-
-/// Checked variant of [`diag_reciprocals`]: returns a structured error when
-/// a diagonal is zero, non-finite, or so small its reciprocal overflows —
-/// instead of silently seeding every later triangular sweep with Inf/NaN.
-pub fn diag_reciprocals_checked(u: &Csr, diag_ptr: &[usize]) -> Result<Vec<f64>> {
-    let mut out = Vec::with_capacity(diag_ptr.len());
-    for (i, &k) in diag_ptr.iter().enumerate() {
-        let d = u.vals()[k];
+/// Reciprocals of the pivots `diag`, so the backward sweep multiplies
+/// instead of divides. A pivot that is zero, non-finite, or so small its
+/// reciprocal overflows is a structured error instead of an Inf/NaN seeding
+/// every later triangular sweep.
+pub fn diag_reciprocals_checked(diag: &[f64]) -> Result<Vec<f64>> {
+    let mut out = Vec::with_capacity(diag.len());
+    for (i, &d) in diag.iter().enumerate() {
         if d == 0.0 {
             return Err(Error::ZeroPivot(i));
         }
@@ -242,140 +294,152 @@ pub fn diag_reciprocals_checked(u: &Csr, diag_ptr: &[usize]) -> Result<Vec<f64>>
     Ok(out)
 }
 
-/// Solves `U x = b` where `U` is upper triangular (diagonal stored) in CSR,
-/// in place. Entries with column index `< row` are ignored.
+/// `acc − Σ vals[k] · x[cols[k]]` over one stored row: the row kernel of
+/// every triangular sweep.
 ///
-/// Convenience wrapper: computes the diagonal pointers/reciprocals on every
-/// call. Hot paths (ILU sweeps, Schur iterations) must precompute them with
-/// [`diag_pointers`]/[`diag_reciprocals`] and call [`solve_upper_planned`]
-/// so the inner loop is allocation-, search-, and division-free.
-///
-/// # Panics
-/// Panics in debug builds when a diagonal entry is missing; in release the
-/// behaviour on a missing diagonal is a non-finite result rather than UB.
-pub fn solve_upper(u: &Csr, x: &mut [f64]) {
-    let diag_ptr = match diag_pointers(u) {
-        Ok(d) => d,
-        Err(e) => {
-            debug_assert!(false, "missing diagonal: {e:?}");
-            // Release fallback mirroring the historical behaviour: rows
-            // without a diagonal treat their first entry as the pivot.
-            (0..u.n_rows()).map(|i| u.row_ptr()[i]).collect()
+/// A single accumulator is one serial dependency chain per row, so the
+/// 4-aligned head goes through four independent lane accumulators with a
+/// fixed combine order. The last one to four entries are subtracted one
+/// after the other instead: rows are stored nearest-the-diagonal last, and
+/// that entry usually reads the `x` the previous row has just written, so
+/// only one multiply and one subtract wait for it. Every caller gets the
+/// same bits for the same row.
+#[inline(always)]
+pub fn row_sub(acc: f64, vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
+    debug_assert_eq!(vals.len(), cols.len());
+    let head = vals.len().saturating_sub(1) & !(LANES - 1);
+    let mut lanes = [0.0f64; LANES];
+    for (vs, cs) in vals[..head]
+        .chunks_exact(LANES)
+        .zip(cols[..head].chunks_exact(LANES))
+    {
+        for l in 0..LANES {
+            lanes[l] += vs[l] * x[cs[l] as usize];
         }
-    };
-    let diag_inv = diag_reciprocals(u, &diag_ptr);
-    solve_upper_planned(u, &diag_ptr, &diag_inv, x);
+    }
+    let mut acc = acc - ((lanes[0] + lanes[2]) + (lanes[1] + lanes[3]));
+    for (v, &c) in vals[head..].iter().zip(&cols[head..]) {
+        acc -= v * x[c as usize];
+    }
+    acc
 }
 
-/// Search- and division-free upper triangular solve: `diag_ptr` addresses
-/// each row's diagonal inside `u`'s value array (from [`diag_pointers`]),
-/// `diag_inv` holds the diagonal reciprocals (from [`diag_reciprocals`]).
-pub fn solve_upper_planned(u: &Csr, diag_ptr: &[usize], diag_inv: &[f64], x: &mut [f64]) {
-    let n = u.n_rows();
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(diag_ptr.len(), n);
-    debug_assert_eq!(diag_inv.len(), n);
-    let row_ptr = u.row_ptr();
-    let cols = u.col_idx();
-    let vals = u.vals();
-    for i in (0..n).rev() {
-        let mut acc = x[i];
-        for k in (diag_ptr[i] + 1)..row_ptr[i + 1] {
-            acc -= vals[k] * x[cols[k]];
-        }
-        x[i] = acc * diag_inv[i];
+/// A borrowed incomplete-LU factor in sweep order: the strict lower
+/// triangle `L` (unit diagonal implicit), the strict upper triangle of `U`
+/// and the reciprocals of `U`'s diagonal, each in its own arrays — a forward
+/// sweep reads no byte of `U`, a backward sweep none of `L`. Borrowed
+/// because a numerically refactored factor shares the index arrays with its
+/// donor and owns only the values.
+#[derive(Debug, Clone, Copy)]
+pub struct SplitLu<'a> {
+    /// Row pointers of `L` (`n + 1` entries).
+    pub l_ptr: &'a [usize],
+    /// Columns of `L`, sorted in every row.
+    pub l_cols: &'a [u32],
+    /// Values of `L`.
+    pub l_vals: &'a [f64],
+    /// Row pointers of the strict upper triangle of `U` (`n + 1` entries).
+    pub u_ptr: &'a [usize],
+    /// Columns of the strict upper triangle, descending in every row.
+    pub u_cols: &'a [u32],
+    /// Values of the strict upper triangle.
+    pub u_vals: &'a [f64],
+    /// Reciprocals of `U`'s diagonal.
+    pub diag_inv: &'a [f64],
+}
+
+impl SplitLu<'_> {
+    /// Row `i` of the forward sweep `(I + L) y = b`.
+    #[inline(always)]
+    fn forward_row(&self, i: usize, x: &[f64]) -> f64 {
+        let (lo, hi) = (self.l_ptr[i], self.l_ptr[i + 1]);
+        row_sub(x[i], &self.l_vals[lo..hi], &self.l_cols[lo..hi], x)
+    }
+
+    /// Row `i` of the backward sweep `U x = y`, reading only columns below
+    /// `col_end` (the columns of a `U` row descend).
+    #[inline(always)]
+    fn backward_row(&self, i: usize, col_end: usize, x: &[f64]) -> f64 {
+        let (lo, hi) = (self.u_ptr[i], self.u_ptr[i + 1]);
+        let cols = &self.u_cols[lo..hi];
+        let skip = match cols.first() {
+            Some(&c) if c as usize >= col_end => cols.partition_point(|&c| c as usize >= col_end),
+            _ => 0,
+        };
+        row_sub(x[i], &self.u_vals[lo + skip..hi], &cols[skip..], x) * self.diag_inv[i]
     }
 }
 
-/// Applies a merged LU factorization (unit L strictly below the diagonal,
-/// U on and above) to solve `L U x = b` in place.
-pub fn solve_lu_merged(lu: &Csr, x: &mut [f64]) {
-    solve_unit_lower(lu, x);
-    solve_upper(lu, x);
+/// Solves `L U x = b` in place, row by row (`x` holds `b` on entry).
+pub fn solve_lu(lu: &SplitLu<'_>, x: &mut [f64]) {
+    let n = lu.diag_inv.len();
+    debug_assert_eq!(x.len(), n);
+    solve_lu_leading(lu, n, x);
 }
 
-/// Level-scheduled `L U x = b` sweep of a merged factor, fanning the rows
-/// of each sufficiently wide level across the worker pool.
+/// Solves with the leading `nb × nb` principal block of the factor, ignoring
+/// every entry with column ≥ `nb`. Only `x[..nb]` participates.
+pub fn solve_lu_leading(lu: &SplitLu<'_>, nb: usize, x: &mut [f64]) {
+    debug_assert!(nb <= lu.diag_inv.len() && nb <= x.len());
+    // Strict lower entries of row i all have col < i < nb.
+    for i in 0..nb {
+        x[i] = lu.forward_row(i, x);
+    }
+    for i in (0..nb).rev() {
+        x[i] = lu.backward_row(i, nb, x);
+    }
+}
+
+/// Sweeps the rows of one level: in place when the level is narrow or the
+/// budget is one worker, otherwise into `scratch` across the pool and
+/// scattered back serially (one store per row).
+fn sweep_level(
+    rows: &[usize],
+    budget: usize,
+    scratch: &mut Vec<f64>,
+    x: &mut [f64],
+    row: impl Fn(usize, &[f64]) -> f64 + Sync,
+) {
+    if budget <= 1 || rows.len() < SWEEP_PAR_MIN_WIDTH {
+        for &i in rows {
+            x[i] = row(i, x);
+        }
+        return;
+    }
+    scratch.resize(rows.len(), 0.0);
+    let xs: &[f64] = x;
+    parallel::for_each_chunk_mut(scratch, budget, |_, start, out| {
+        let len = out.len();
+        for (o, &i) in out.iter_mut().zip(&rows[start..start + len]) {
+            *o = row(i, xs);
+        }
+    });
+    for (&i, &v) in rows.iter().zip(scratch.iter()) {
+        x[i] = v;
+    }
+}
+
+/// Level-scheduled `L U x = b` sweep, fanning the rows of each sufficiently
+/// wide level across the worker pool.
 ///
 /// Rows within a level are mutually independent and read only values
-/// produced by earlier levels, so each row's accumulation order is exactly
-/// that of the sequential sweep — the result is **bitwise identical** to
-/// the row-ordered solve for any budget. Wide levels are computed into a
-/// scratch buffer in parallel and scattered back serially (the scatter is
-/// one store per row); narrow levels run in place.
-///
-/// The factor is passed as its raw CSR arrays (`row_ptr`, `cols`, `vals`)
-/// because a numerically refactored factor shares the index arrays with its
-/// donor and owns only the values.
-pub fn solve_lu_leveled_par(
-    row_ptr: &[usize],
-    cols: &[usize],
-    vals: &[f64],
-    diag_ptr: &[usize],
-    diag_inv: &[f64],
-    levels: &SweepLevels,
-    x: &mut [f64],
-) {
-    debug_assert_eq!(x.len() + 1, row_ptr.len());
+/// produced by earlier levels, and every row goes through the same
+/// [`row_sub`] as in [`solve_lu`] — the result is **bitwise identical** to
+/// the row-ordered solve for any budget.
+pub fn solve_lu_leveled_par(lu: &SplitLu<'_>, levels: &SweepLevels, x: &mut [f64]) {
+    let n = lu.diag_inv.len();
+    debug_assert_eq!(x.len(), n);
     let budget = parallel::current_budget();
     let mut scratch: Vec<f64> = Vec::new();
     for l in 0..levels.n_lower_levels() {
-        let rows = levels.lower_level(l);
-        if budget <= 1 || rows.len() < SWEEP_PAR_MIN_WIDTH {
-            for &i in rows {
-                let mut acc = x[i];
-                for k in row_ptr[i]..diag_ptr[i] {
-                    acc -= vals[k] * x[cols[k]];
-                }
-                x[i] = acc;
-            }
-        } else {
-            scratch.resize(rows.len(), 0.0);
-            let xs: &[f64] = x;
-            parallel::for_each_chunk_mut(&mut scratch, budget, |_, start, out| {
-                let len = out.len();
-                for (o, &i) in out.iter_mut().zip(&rows[start..start + len]) {
-                    let mut acc = xs[i];
-                    for k in row_ptr[i]..diag_ptr[i] {
-                        acc -= vals[k] * xs[cols[k]];
-                    }
-                    *o = acc;
-                }
-            });
-            for (&i, &v) in rows.iter().zip(&scratch) {
-                x[i] = v;
-            }
-        }
+        sweep_level(levels.lower_level(l), budget, &mut scratch, x, |i, xs| {
+            lu.forward_row(i, xs)
+        });
     }
     for l in 0..levels.n_upper_levels() {
-        let rows = levels.upper_level(l);
-        if budget <= 1 || rows.len() < SWEEP_PAR_MIN_WIDTH {
-            for &i in rows {
-                let d = diag_ptr[i];
-                let mut acc = x[i];
-                for k in (d + 1)..row_ptr[i + 1] {
-                    acc -= vals[k] * x[cols[k]];
-                }
-                x[i] = acc * diag_inv[i];
-            }
-        } else {
-            scratch.resize(rows.len(), 0.0);
-            let xs: &[f64] = x;
-            parallel::for_each_chunk_mut(&mut scratch, budget, |_, start, out| {
-                let len = out.len();
-                for (o, &i) in out.iter_mut().zip(&rows[start..start + len]) {
-                    let d = diag_ptr[i];
-                    let mut acc = xs[i];
-                    for k in (d + 1)..row_ptr[i + 1] {
-                        acc -= vals[k] * xs[cols[k]];
-                    }
-                    *o = acc * diag_inv[i];
-                }
-            });
-            for (&i, &v) in rows.iter().zip(&scratch) {
-                x[i] = v;
-            }
-        }
+        sweep_level(levels.upper_level(l), budget, &mut scratch, x, |i, xs| {
+            lu.backward_row(i, n, xs)
+        });
     }
 }
 
@@ -401,78 +465,120 @@ mod tests {
     }
 
     #[test]
-    fn unit_lower_solve() {
-        // L = [1 0 0; 2 1 0; 1 3 1] (unit diagonal implicit — stored anyway)
-        let l = Csr::from_dense_rows(&[
-            vec![1.0, 0.0, 0.0],
-            vec![2.0, 1.0, 0.0],
-            vec![1.0, 3.0, 1.0],
-        ]);
-        let x_true = [1.0, -1.0, 2.0];
-        // b = L x
-        let b = [1.0, 1.0, 0.0];
-        let mut x = b;
-        solve_unit_lower(&l, &mut x);
-        assert_eq!(x, x_true);
+    fn narrow_index_is_checked_at_the_boundary() {
+        assert_eq!(narrow_index(0), Ok(0));
+        assert_eq!(narrow_index(u32::MAX as usize), Ok(u32::MAX));
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(
+            narrow_index(u32::MAX as usize + 1),
+            Err(Error::DimensionMismatch {
+                op: "factor index width",
+                expected: u32::MAX as usize,
+                found: u32::MAX as usize + 1,
+            })
+        );
     }
 
     #[test]
-    fn upper_solve() {
-        let u = Csr::from_dense_rows(&[
-            vec![2.0, 1.0, 0.0],
-            vec![0.0, 4.0, -1.0],
-            vec![0.0, 0.0, 5.0],
-        ]);
-        let x_true = [1.0, 2.0, 3.0];
-        let b = u.mul_vec(&x_true);
-        let mut x = b;
-        solve_upper(&u, &mut x);
-        for (a, b) in x.iter().zip(&x_true) {
-            assert!((a - b).abs() < 1e-14);
-        }
+    fn row_sub_combines_lanes_and_tail_in_a_fixed_order() {
+        // Ten entries: two 4-lane chunks, then a serial tail of two, in
+        // permuted column order.
+        let vals: Vec<f64> = (0..10).map(|k| 0.1 + k as f64).collect();
+        let cols: Vec<u32> = vec![8, 3, 5, 0, 7, 1, 6, 2, 4, 9];
+        let x: Vec<f64> = (0..10).map(|j| (j as f64 * 0.37).sin()).collect();
+        let p = |k: usize| vals[k] * x[cols[k] as usize];
+        let lanes = ((p(0) + p(4)) + (p(2) + p(6))) + ((p(1) + p(5)) + (p(3) + p(7)));
+        let want = ((1.5 - lanes) - p(8)) - p(9);
+        assert_eq!(row_sub(1.5, &vals, &cols, &x).to_bits(), want.to_bits());
+        // Eight entries: one chunk in the lanes, the other four serial.
+        let lanes = (p(0) + p(2)) + (p(1) + p(3));
+        let want = ((((1.5 - lanes) - p(4)) - p(5)) - p(6)) - p(7);
+        assert_eq!(
+            row_sub(1.5, &vals[..8], &cols[..8], &x).to_bits(),
+            want.to_bits()
+        );
+        assert_eq!(row_sub(1.5, &[], &[], &x), 1.5);
     }
 
     #[test]
-    fn planned_upper_solve_matches_wrapper_bitwise() {
-        let u = Csr::from_dense_rows(&[
-            vec![2.0, 1.0, 0.5],
-            vec![0.0, 4.0, -1.0],
-            vec![0.0, 0.0, 5.0],
+    fn split_takes_a_merged_factor_apart() {
+        let merged = Csr::from_dense_rows(&[
+            vec![4.0, 2.0, 7.0],
+            vec![0.5, 3.0, 1.0],
+            vec![0.125, 0.25, 5.0],
         ]);
-        let diag_ptr = diag_pointers(&u).unwrap();
-        assert_eq!(diag_ptr, vec![0, 3, 5]);
-        let diag_inv = diag_reciprocals(&u, &diag_ptr);
-        let b = [1.0, 2.0, 3.0];
-        let mut x1 = b;
-        solve_upper(&u, &mut x1);
-        let mut x2 = b;
-        solve_upper_planned(&u, &diag_ptr, &diag_inv, &mut x2);
-        assert_eq!(x1, x2, "wrapper delegates to the planned kernel");
+        let s = SplitCsr::from_merged(&merged).unwrap();
+        assert_eq!(s.l_ptr, [0, 0, 1, 3]);
+        assert_eq!(s.l_cols, [0, 0, 1]);
+        assert_eq!(s.l_vals, [0.5, 0.125, 0.25]);
+        assert_eq!(s.diag, [4.0, 3.0, 5.0]);
+        // U rows descend: the entry nearest the diagonal comes last.
+        assert_eq!(s.u_ptr, [0, 2, 3, 3]);
+        assert_eq!(s.u_cols, [2, 1, 2]);
+        assert_eq!(s.u_vals, [7.0, 2.0, 1.0]);
     }
 
     #[test]
-    fn diag_pointers_reports_missing_diagonal() {
+    fn split_reports_missing_diagonal_and_shape() {
         let u = Csr::from_dense_rows(&[vec![0.0, 1.0], vec![0.0, 3.0]]);
+        assert_eq!(SplitCsr::from_merged(&u), Err(Error::MissingDiagonal(0)));
         assert!(matches!(
-            diag_pointers(&u),
-            Err(crate::Error::MissingDiagonal(0))
+            SplitCsr::from_merged(&Csr::zero(2, 3)),
+            Err(Error::DimensionMismatch {
+                op: "split triangles",
+                ..
+            })
         ));
     }
 
     #[test]
-    fn merged_lu_solve_roundtrip() {
+    fn split_lu_solve_roundtrip() {
         // A = L*U with L unit lower [1 0; 0.5 1], U upper [4 2; 0 3]
         // merged storage: [4 2; 0.5 3]
         let merged = Csr::from_dense_rows(&[vec![4.0, 2.0], vec![0.5, 3.0]]);
         // A = [4 2; 2 4]
         let a = Csr::from_dense_rows(&[vec![4.0, 2.0], vec![2.0, 4.0]]);
+        let s = SplitCsr::from_merged(&merged).unwrap();
+        let diag_inv = diag_reciprocals_checked(&s.diag).unwrap();
         let x_true = [3.0, -1.0];
-        let b = a.mul_vec(&x_true);
-        let mut x = b;
-        solve_lu_merged(&merged, &mut x);
+        let mut x = a.mul_vec(&x_true);
+        solve_lu(&s.sweep_view(&diag_inv), &mut x);
         for (a, b) in x.iter().zip(&x_true) {
             assert!((a - b).abs() < 1e-14, "{x:?}");
         }
+    }
+
+    #[test]
+    fn leading_solve_ignores_columns_past_the_block() {
+        // Row 0 of U reaches into column 2; the leading 2x2 solve must not
+        // read it, and must leave x[2] alone.
+        let merged = Csr::from_dense_rows(&[
+            vec![2.0, 1.0, 9.0],
+            vec![0.5, 4.0, 9.0],
+            vec![9.0, 9.0, 1.0],
+        ]);
+        let s = SplitCsr::from_merged(&merged).unwrap();
+        let diag_inv = diag_reciprocals_checked(&s.diag).unwrap();
+        let mut x = [3.0, 5.5, 7.0];
+        solve_lu_leading(&s.sweep_view(&diag_inv), 2, &mut x);
+        // Forward: y = [3, 5.5 - 0.5*3 = 4]; backward: x1 = 1, x0 = (3 - 1)/2.
+        assert_eq!(x, [1.0, 1.0, 7.0]);
+    }
+
+    #[test]
+    fn reciprocals_reject_unusable_pivots() {
+        assert_eq!(
+            diag_reciprocals_checked(&[2.0, 0.0]),
+            Err(Error::ZeroPivot(1))
+        );
+        assert_eq!(
+            diag_reciprocals_checked(&[f64::NAN]),
+            Err(Error::NonFinitePivot(0))
+        );
+        assert_eq!(
+            diag_reciprocals_checked(&[1.0, 1e-320]),
+            Err(Error::NonFinitePivot(1))
+        );
     }
 
     #[test]
@@ -505,46 +611,27 @@ mod tests {
 
     #[test]
     fn wide_level_sweep_fans_out_and_stays_bitwise() {
-        // Block-diagonal merged factor: n rows, every row independent, one
-        // level of width n >= SWEEP_PAR_MIN_WIDTH so the pooled branch runs.
-        let n = 2 * SWEEP_PAR_MIN_WIDTH;
-        let mut rows = Vec::with_capacity(n);
+        // n independent 2x2 blocks: two levels of width n/2 >=
+        // SWEEP_PAR_MIN_WIDTH in each sweep, so the pooled branch runs and
+        // every second row has an entry to accumulate.
+        let n = 4 * SWEEP_PAR_MIN_WIDTH;
+        let mut coo = crate::Coo::new(n, n);
         for i in 0..n {
-            let mut r = vec![0.0; n];
-            r[i] = 2.0 + (i % 7) as f64 * 0.25;
-            rows.push(r);
+            coo.push(i, i, 2.0 + (i % 7) as f64 * 0.25);
+            coo.push(i, i ^ 1, 0.5 - (i % 5) as f64 * 0.125);
         }
-        let lu = Csr::from_dense_rows(&rows);
-        let diag_ptr = diag_pointers(&lu).unwrap();
-        let diag_inv = diag_reciprocals(&lu, &diag_ptr);
-        let levels = SweepLevels::from_merged(&lu, &diag_ptr);
+        let s = SplitCsr::from_merged(&coo.to_csr()).unwrap();
+        let diag_inv = diag_reciprocals_checked(&s.diag).unwrap();
+        let lu = s.sweep_view(&diag_inv);
+        let levels = SweepLevels::from_split(&s.l_ptr, &s.l_cols, &s.u_ptr, &s.u_cols);
         assert!(levels.max_level_width() >= SWEEP_PAR_MIN_WIDTH);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin()).collect();
         let mut want = b.clone();
-        {
-            let _b1 = crate::parallel::enter_budget(1);
-            solve_lu_leveled_par(
-                lu.row_ptr(),
-                lu.col_idx(),
-                lu.vals(),
-                &diag_ptr,
-                &diag_inv,
-                &levels,
-                &mut want,
-            );
-        }
-        for threads in [2usize, 4, 8] {
+        solve_lu(&lu, &mut want);
+        for threads in [1usize, 2, 4, 8] {
             let _bt = crate::parallel::enter_budget(threads);
             let mut got = b.clone();
-            solve_lu_leveled_par(
-                lu.row_ptr(),
-                lu.col_idx(),
-                lu.vals(),
-                &diag_ptr,
-                &diag_inv,
-                &levels,
-                &mut got,
-            );
+            solve_lu_leveled_par(&lu, &levels, &mut got);
             assert_eq!(got, want, "t={threads}");
         }
     }

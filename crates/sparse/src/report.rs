@@ -8,12 +8,12 @@
 //! accept the factors, retry with a diagonal shift, or fall back to a
 //! cheaper preconditioner.
 
-/// Health summary of a merged-LU factorization.
+/// Health summary of an incomplete LU factorization.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FactorReport {
     /// Matrix dimension.
     pub n: usize,
-    /// Stored nonzeros of the merged factor (fill).
+    /// Stored nonzeros of the factor, pivots included (fill).
     pub fill_nnz: usize,
     /// Smallest pivot magnitude, `min_i |u_ii|`.
     pub min_pivot: f64,
@@ -40,19 +40,18 @@ pub struct FactorReport {
 pub const SMALL_PIVOT_RTOL: f64 = 1e-13;
 
 impl FactorReport {
-    /// Scans a merged-LU value array and its diagonal positions.
-    pub fn scan(n: usize, vals: &[f64], diag_ptr: &[usize]) -> FactorReport {
+    /// Scans a factor stored as strict lower values, pivots and strict upper
+    /// values.
+    pub fn scan(l_vals: &[f64], diag: &[f64], u_vals: &[f64]) -> FactorReport {
         let mut min_pivot = f64::INFINITY;
         let mut max_pivot = 0.0f64;
         let mut zero_pivots = 0usize;
-        let mut nonfinite = 0usize;
-        for &v in vals {
-            if !v.is_finite() {
-                nonfinite += 1;
-            }
-        }
-        for &k in diag_ptr {
-            let d = vals[k].abs();
+        let nonfinite = [l_vals, diag, u_vals]
+            .iter()
+            .flat_map(|part| part.iter())
+            .filter(|v| !v.is_finite())
+            .count();
+        for d in diag.iter().map(|d| d.abs()) {
             if d == 0.0 {
                 zero_pivots += 1;
             }
@@ -63,19 +62,16 @@ impl FactorReport {
                 min_pivot = f64::NAN;
             }
         }
-        if diag_ptr.is_empty() {
+        if diag.is_empty() {
             min_pivot = 0.0;
         }
-        let small_pivots = diag_ptr
+        let small_pivots = diag
             .iter()
-            .filter(|&&k| {
-                let d = vals[k].abs();
-                d.is_finite() && d < SMALL_PIVOT_RTOL * max_pivot
-            })
+            .filter(|d| d.is_finite() && d.abs() < SMALL_PIVOT_RTOL * max_pivot)
             .count();
         FactorReport {
-            n,
-            fill_nnz: vals.len(),
+            n: diag.len(),
+            fill_nnz: l_vals.len() + diag.len() + u_vals.len(),
             min_pivot,
             max_pivot,
             zero_pivots,
@@ -104,9 +100,7 @@ mod tests {
 
     #[test]
     fn scan_flags_zero_and_nonfinite() {
-        let vals = [2.0, 0.0, f64::NAN, 1.0];
-        let diag_ptr = [0, 1, 3];
-        let rep = FactorReport::scan(3, &vals, &diag_ptr);
+        let rep = FactorReport::scan(&[], &[2.0, 0.0, 1.0], &[f64::NAN]);
         assert_eq!(rep.zero_pivots, 1);
         assert_eq!(rep.nonfinite, 1);
         assert!(!rep.healthy());
@@ -114,9 +108,7 @@ mod tests {
 
     #[test]
     fn scan_accepts_clean_factor() {
-        let vals = [4.0, -1.0, 3.5, -1.0, 4.2];
-        let diag_ptr = [0, 2, 4];
-        let rep = FactorReport::scan(3, &vals, &diag_ptr);
+        let rep = FactorReport::scan(&[-1.0], &[4.0, 3.5, 4.2], &[-1.0]);
         assert!(rep.healthy());
         assert_eq!(rep.fill_nnz, 5);
         assert!((rep.min_pivot - 3.5).abs() < 1e-15);
@@ -125,9 +117,7 @@ mod tests {
 
     #[test]
     fn small_pivot_is_relative() {
-        let vals = [1e20, 1e-3];
-        let diag_ptr = [0, 1];
-        let rep = FactorReport::scan(2, &vals, &diag_ptr);
+        let rep = FactorReport::scan(&[], &[1e20, 1e-3], &[]);
         // 1e-3 is tiny relative to 1e20.
         assert_eq!(rep.small_pivots, 1);
         assert!(!rep.healthy());

@@ -1,7 +1,8 @@
 #![allow(clippy::needless_range_loop)]
 //! Property-based tests for the sparse substrate.
 
-use parapre_sparse::{ops, parallel, Coo, Csr, Permutation, SweepLevels};
+use parapre_sparse::ops::{self, SplitCsr};
+use parapre_sparse::{parallel, Coo, Csr, Permutation, SweepLevels};
 use proptest::prelude::*;
 
 /// Strategy producing a random COO matrix together with its dense mirror.
@@ -18,6 +19,26 @@ fn coo_and_dense(max_n: usize) -> impl Strategy<Value = (Coo, Vec<Vec<f64>>)> {
             (coo, dense)
         })
     })
+}
+
+/// Dense reference for the sweeps: `L U x = b` by forward then backward
+/// substitution on a merged dense factor (unit `L` strictly below the
+/// diagonal, `U` on and above).
+fn dense_lu_solve(m: &[Vec<f64>], b: &[f64]) -> Vec<f64> {
+    let n = b.len();
+    let mut x = b.to_vec();
+    for i in 0..n {
+        for j in 0..i {
+            x[i] -= m[i][j] * x[j];
+        }
+    }
+    for i in (0..n).rev() {
+        for j in (i + 1)..n {
+            x[i] -= m[i][j] * x[j];
+        }
+        x[i] /= m[i][i];
+    }
+    x
 }
 
 proptest! {
@@ -138,9 +159,10 @@ proptest! {
     }
 
     #[test]
-    fn leveled_lu_sweep_is_budget_invariant(n in 1usize..40, seed in any::<u32>()) {
+    fn lu_sweeps_match_dense_substitution_at_every_budget(n in 1usize..40, seed in any::<u32>()) {
         // Random well-conditioned merged LU factor (unit lower implicit,
-        // diagonal + upper stored), solved at every thread budget.
+        // diagonal + upper stored): the row-ordered sweep against the dense
+        // reference, the leveled sweep bitwise against the row-ordered one.
         let mut state = seed as u64 | 1;
         let mut rnd = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(99);
@@ -151,42 +173,39 @@ proptest! {
             m[i][i] = 2.0 + rnd().abs();
             for j in 0..n {
                 if j != i && rnd() > 0.4 {
-                    m[i][j] = 0.5 * rnd();
+                    m[i][j] = 0.5 * rnd() / n as f64;
                 }
             }
         }
-        let lu = Csr::from_dense_rows(&m);
-        let diag_ptr = ops::diag_pointers(&lu).unwrap();
-        let diag_inv = ops::diag_reciprocals(&lu, &diag_ptr);
-        let levels = SweepLevels::from_merged(&lu, &diag_ptr);
+        let s = SplitCsr::from_merged(&Csr::from_dense_rows(&m)).unwrap();
+        let diag_inv = ops::diag_reciprocals_checked(&s.diag).unwrap();
+        let lu = s.sweep_view(&diag_inv);
+        let levels = SweepLevels::from_split(&s.l_ptr, &s.l_cols, &s.u_ptr, &s.u_cols);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
         let mut want = b.clone();
-        {
-            let _b1 = parallel::enter_budget(1);
-            ops::solve_lu_leveled_par(
-                lu.row_ptr(),
-                lu.col_idx(),
-                lu.vals(),
-                &diag_ptr,
-                &diag_inv,
-                &levels,
-                &mut want,
-            );
+        ops::solve_lu(&lu, &mut want);
+        let reference = dense_lu_solve(&m, &b);
+        let scale = ops::norm_inf(&reference).max(1.0);
+        for (got, r) in want.iter().zip(&reference) {
+            prop_assert!((got - r).abs() <= 1e-12 * scale, "{} vs {}", got, r);
         }
-        for threads in [2usize, 4, 8] {
+        for threads in [1usize, 2, 4, 8] {
             let _bt = parallel::enter_budget(threads);
             let mut got = b.clone();
-            ops::solve_lu_leveled_par(
-                lu.row_ptr(),
-                lu.col_idx(),
-                lu.vals(),
-                &diag_ptr,
-                &diag_inv,
-                &levels,
-                &mut got,
-            );
+            ops::solve_lu_leveled_par(&lu, &levels, &mut got);
             prop_assert_eq!(&got, &want, "threads={}", threads);
         }
+        // The leading block alone: the same substitution on the top-left
+        // corner, the tail untouched.
+        let nb = n / 2;
+        let corner: Vec<Vec<f64>> = m[..nb].iter().map(|r| r[..nb].to_vec()).collect();
+        let mut head = b.clone();
+        ops::solve_lu_leading(&lu, nb, &mut head);
+        let reference = dense_lu_solve(&corner, &b[..nb]);
+        for (got, r) in head[..nb].iter().zip(&reference) {
+            prop_assert!((got - r).abs() <= 1e-12 * scale.max(ops::norm_inf(&reference)));
+        }
+        prop_assert_eq!(&head[nb..], &b[nb..]);
     }
 
     #[test]
@@ -256,41 +275,6 @@ proptest! {
         let rhs = p.apply_vec(&a.mul_vec(&x));
         for (u, v) in lhs.iter().zip(&rhs) {
             prop_assert!((u - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn triangular_solves_invert_products(n in 1usize..20, seed in any::<u32>()) {
-        // Build a well-conditioned unit-lower L and upper U.
-        let mut state = seed as u64 | 1;
-        let mut rnd = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(99);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let mut l = vec![vec![0.0; n]; n];
-        let mut u = vec![vec![0.0; n]; n];
-        for i in 0..n {
-            l[i][i] = 1.0;
-            u[i][i] = 2.0 + rnd().abs();
-            for j in 0..i {
-                l[i][j] = 0.5 * rnd();
-            }
-            for j in (i + 1)..n {
-                u[i][j] = 0.5 * rnd();
-            }
-        }
-        let lm = Csr::from_dense_rows(&l);
-        let um = Csr::from_dense_rows(&u);
-        let x_true: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        let mut b = lm.mul_vec(&x_true);
-        ops::solve_unit_lower(&lm, &mut b);
-        for (a, t) in b.iter().zip(&x_true) {
-            prop_assert!((a - t).abs() < 1e-9);
-        }
-        let mut c = um.mul_vec(&x_true);
-        ops::solve_upper(&um, &mut c);
-        for (a, t) in c.iter().zip(&x_true) {
-            prop_assert!((a - t).abs() < 1e-9);
         }
     }
 }
