@@ -20,19 +20,11 @@ pub struct BlockPrecond {
 }
 
 impl BlockPrecond {
-    /// `Block 1`: ILU(0) of the owned block.
+    /// `Block 1`: ILU(0) of the owned block, behind the diagonal-shift
+    /// retry ladder — the plain factorization wins untouched when its
+    /// pivots are healthy, and zero or near-zero subdomain pivots retry on
+    /// shifted copies instead of failing.
     pub fn ilu0(dm: &DistMatrix) -> Result<Self> {
-        let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
-        let a_i = dm.owned_block();
-        Ok(BlockPrecond {
-            factors: Ilu0::factor(&a_i)?,
-        })
-    }
-
-    /// `Block 1` behind the diagonal-shift retry ladder: survives zero and
-    /// near-zero subdomain pivots that plain [`BlockPrecond::ilu0`] errors
-    /// on.
-    pub fn ilu0_shifted(dm: &DistMatrix) -> Result<Self> {
         let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
         let a_i = dm.owned_block();
         Ok(BlockPrecond {
@@ -40,17 +32,8 @@ impl BlockPrecond {
         })
     }
 
-    /// `Block 2`: ILUT(τ, p) of the owned block.
+    /// `Block 2`: ILUT(τ, p) of the owned block, behind the same ladder.
     pub fn ilut(dm: &DistMatrix, cfg: &IlutConfig) -> Result<Self> {
-        let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
-        let a_i = dm.owned_block();
-        Ok(BlockPrecond {
-            factors: Ilut::factor(&a_i, cfg)?,
-        })
-    }
-
-    /// `Block 2` behind the diagonal-shift retry ladder.
-    pub fn ilut_shifted(dm: &DistMatrix, cfg: &IlutConfig) -> Result<Self> {
         let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
         let a_i = dm.owned_block();
         Ok(BlockPrecond {

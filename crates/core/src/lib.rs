@@ -14,6 +14,14 @@
 //! | `Schur 2`  | expanded-Schur: group-independent sets (ARMS), distributed GMRES + distributed ILU(0) on the expanded Schur system | [`schur2::Schur2Precond`] |
 //! | additive Schwarz (±CGC) | overlapping blocks + FFT subdomain solves + coarse grid | [`schwarz::AdditiveSchwarz`] |
 //!
+//! Each has one constructor, and every subdomain factorization in it goes
+//! through the diagonal-shift retry ladder
+//! ([`parapre_krylov::factor_with_shifts`]): the plain factorization is the
+//! ladder's first rung and wins untouched when its pivots are healthy, so
+//! on the paper's cases the ladder is invisible. One rung is built by
+//! [`runner::try_build_dist_precond`]; the collectively voted descent over
+//! rungs is [`runner::build_dist_precond_with_fallback`].
+//!
 //! Beyond the paper's four, [`schurml::SchurMLPrecond`] (`SchurML`) recurses
 //! the expanded-Schur splitting into a multilevel hierarchy with per-level
 //! low-rank corrections — the algorithmic-scalability rung that keeps
@@ -40,9 +48,9 @@ pub use block::{BlockPrecond, JacobiDistPrecond};
 pub use cases::{build_case, build_case_sized, AssembledCase, CaseId, CaseSize};
 pub use overlap::OverlapBlockPrecond;
 pub use runner::{
-    build_dist_precond, build_dist_precond_with_fallback, partition_case, partition_case_with,
-    refactor_dist_precond, run_case, run_case_traced, try_build_dist_precond, FallbackBuild,
-    PartitionScheme, PrecondKind, PrecondParams, RefactorReject, RunConfig, RunResult,
+    build_dist_precond_with_fallback, partition_case, partition_case_with, refactor_dist_precond,
+    run_case, run_case_traced, try_build_dist_precond, FallbackBuild, PartitionScheme, PrecondKind,
+    PrecondParams, RefactorReject, RunConfig, RunResult,
 };
 pub use schur::{Schur1Config, Schur1Precond};
 pub use schur2::{Schur2Config, Schur2Precond};

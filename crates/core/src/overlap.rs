@@ -28,36 +28,18 @@ pub struct OverlapBlockPrecond {
 
 impl OverlapBlockPrecond {
     /// Builds the extended subdomain matrix (owned + ghost rows, columns
-    /// restricted to the local node set) and factors it with ILUT.
+    /// restricted to the local node set) and factors it with ILUT behind
+    /// the diagonal-shift retry ladder.
     ///
     /// Needs the global matrix to read the ghost rows — the paper's layout
     /// replicates exactly one layer, so rows of ghosts may reference nodes
     /// outside the local set; those couplings are dropped (the standard
     /// overlapping-Schwarz restriction).
     pub fn build(dm: &DistMatrix, a_global: &Csr, cfg: &IlutConfig) -> Result<Self> {
-        Self::build_inner(dm, a_global, cfg, false)
-    }
-
-    /// [`OverlapBlockPrecond::build`] with the extended-block ILUT behind
-    /// the diagonal-shift retry ladder.
-    pub fn build_shifted(dm: &DistMatrix, a_global: &Csr, cfg: &IlutConfig) -> Result<Self> {
-        Self::build_inner(dm, a_global, cfg, true)
-    }
-
-    fn build_inner(
-        dm: &DistMatrix,
-        a_global: &Csr,
-        cfg: &IlutConfig,
-        shifted: bool,
-    ) -> Result<Self> {
         let a_ext = Self::extended_block(dm, a_global);
         let factors = {
             let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
-            if shifted {
-                Ilut::factor_shifted(&a_ext, cfg)?
-            } else {
-                Ilut::factor(&a_ext, cfg)?
-            }
+            Ilut::factor_shifted(&a_ext, cfg)?
         };
         Ok(OverlapBlockPrecond {
             layout: dm.layout.clone(),

@@ -179,7 +179,7 @@ impl PartitionScheme {
 }
 
 /// Preconditioner tuning parameters shared by the runner, the benches, and
-/// the engine's solver sessions — everything [`build_dist_precond`] needs
+/// the engine's solver sessions — everything [`try_build_dist_precond`] needs
 /// beyond the [`PrecondKind`] discriminant.
 #[derive(Debug, Clone, Copy)]
 pub struct PrecondParams {
@@ -273,7 +273,7 @@ impl RunConfig {
         self
     }
 
-    /// The preconditioner tuning knobs bundled for [`build_dist_precond`].
+    /// The preconditioner tuning knobs bundled for [`try_build_dist_precond`].
     pub fn precond_params(&self) -> PrecondParams {
         PrecondParams {
             ilut: self.ilut,
@@ -349,53 +349,17 @@ pub fn partition_case_with(
 }
 
 /// Builds the requested preconditioner for one rank's rows under the
-/// `setup.factor`-bearing phases — the single construction path shared by
-/// the runner and the engine's cached sessions.
+/// `setup.factor`-bearing phases — one rung of the construction path shared
+/// by the runner and the engine's cached sessions. Every factorization goes
+/// through the diagonal-shift retry ladder, and failures come back as `Err`
+/// instead of panicking. Returns the preconditioner plus the number of
+/// shift-ladder retries it took to factor (0 on a clean build).
 ///
-/// Collective for [`PrecondKind::Schur2`] (its build communicates), so all
-/// ranks must call this together. `a_global` is only consulted by the
-/// overlap variant, which widens each subdomain by one layer.
-pub fn build_dist_precond(
-    kind: PrecondKind,
-    dm: &DistMatrix,
-    comm: &mut parapre_mpisim::Comm,
-    a_global: &parapre_sparse::Csr,
-    params: &PrecondParams,
-) -> Box<dyn DistPrecond> {
-    match kind {
-        PrecondKind::Block1 => Box::new(BlockPrecond::ilu0(dm).expect("ILU(0) factorization")),
-        PrecondKind::Block2 => {
-            Box::new(BlockPrecond::ilut(dm, &params.ilut).expect("ILUT factorization"))
-        }
-        PrecondKind::Schur1 => {
-            Box::new(Schur1Precond::build(dm, params.schur1).expect("Schur1 setup"))
-        }
-        PrecondKind::Schur2 => {
-            Box::new(Schur2Precond::build(dm, comm, params.schur2).expect("Schur2 setup"))
-        }
-        PrecondKind::SchurML { levels, rank } => {
-            let cfg = SchurMLConfig {
-                levels,
-                rank,
-                ..params.schurml
-            };
-            Box::new(SchurMLPrecond::build(dm, comm, cfg).expect("SchurML setup"))
-        }
-        PrecondKind::BlockOverlap => Box::new(
-            crate::overlap::OverlapBlockPrecond::build(dm, a_global, &params.ilut)
-                .expect("overlap ILUT factorization"),
-        ),
-        PrecondKind::Jacobi => Box::new(crate::block::JacobiDistPrecond::build(dm)),
-    }
-}
-
-/// Fallible [`build_dist_precond`]: every factorization goes through the
-/// diagonal-shift retry ladder, and failures come back as `Err` instead of
-/// panicking. Returns the preconditioner plus the number of shift-ladder
-/// retries it took to factor (0 on a clean build).
-///
-/// Collective for [`PrecondKind::Schur2`], whose shifted build agrees on
-/// success/failure across ranks before returning.
+/// Collective for [`PrecondKind::Schur2`] and [`PrecondKind::SchurML`]
+/// (their builds communicate and agree on success/failure across ranks
+/// before returning), so all ranks must call this together. `a_global` is
+/// only consulted by the overlap variant, which widens each subdomain by
+/// one layer.
 pub fn try_build_dist_precond(
     kind: PrecondKind,
     dm: &DistMatrix,
@@ -405,27 +369,27 @@ pub fn try_build_dist_precond(
 ) -> parapre_sparse::Result<(Box<dyn DistPrecond>, usize)> {
     match kind {
         PrecondKind::Block1 => {
-            let m = BlockPrecond::ilu0_shifted(dm)?;
+            let m = BlockPrecond::ilu0(dm)?;
             let shifts = m.factors().report().shift_attempts;
             Ok((Box::new(m), shifts))
         }
         PrecondKind::Block2 => {
-            let m = BlockPrecond::ilut_shifted(dm, &params.ilut)?;
+            let m = BlockPrecond::ilut(dm, &params.ilut)?;
             let shifts = m.factors().report().shift_attempts;
             Ok((Box::new(m), shifts))
         }
         PrecondKind::Schur1 => {
-            let m = Schur1Precond::build_shifted(dm, params.schur1)?;
+            let m = Schur1Precond::build(dm, params.schur1)?;
             let shifts = m.report().shift_attempts;
             Ok((Box::new(m), shifts))
         }
         PrecondKind::Schur2 => {
-            let m = Schur2Precond::build_shifted(dm, comm, params.schur2)?;
+            let m = Schur2Precond::build(dm, comm, params.schur2)?;
             let shifts = m.report().shift_attempts;
             Ok((Box::new(m), shifts))
         }
         PrecondKind::SchurML { levels, rank } => {
-            // No shifted variant on purpose: SchurML refuses builds that
+            // No shift ladder on purpose: SchurML refuses builds that
             // would need shifts or pivot fixes (the corrections would
             // amplify them) and lets the ladder descend to Schur 2.
             let cfg = SchurMLConfig {
@@ -437,7 +401,7 @@ pub fn try_build_dist_precond(
             Ok((Box::new(m), 0))
         }
         PrecondKind::BlockOverlap => {
-            let m = crate::overlap::OverlapBlockPrecond::build_shifted(dm, a_global, &params.ilut)?;
+            let m = crate::overlap::OverlapBlockPrecond::build(dm, a_global, &params.ilut)?;
             let shifts = m.factors().report().shift_attempts;
             Ok((Box::new(m), shifts))
         }
@@ -574,6 +538,14 @@ pub fn refactor_dist_precond(
 }
 
 /// Runs one experiment cell: partition, distribute, precondition, solve.
+///
+/// # Panics
+///
+/// When the cell's preconditioner needed the numerical safety net — a
+/// ladder descent or a diagonal-shift retry on any rank: a table must not
+/// print iteration counts of a preconditioner other than the one in its
+/// column header. The panic is raised on the calling thread after every
+/// rank has been joined, and names the case, the preconditioner and `P`.
 pub fn run_case(case: &AssembledCase, cfg: &RunConfig) -> RunResult {
     run_case_traced(case, cfg, false).0
 }
@@ -606,6 +578,8 @@ pub fn run_case_traced(
         solve: f64,
         stats: CommStats,
         trace: Option<parapre_trace::RankTrace>,
+        fallbacks: usize,
+        pivot_shifts: usize,
     }
 
     let outs: Vec<RankOut> = Universe::run(p, move |comm| {
@@ -616,16 +590,22 @@ pub fn run_case_traced(
         }
         let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), p);
         let t0 = Instant::now();
-        let m: Box<dyn DistPrecond> = {
+        let built = {
             let _setup = parapre_trace::span(parapre_trace::phase::SETUP);
-            build_dist_precond(cfg_ref.precond, &dm, comm, a, &cfg_ref.precond_params())
+            build_dist_precond_with_fallback(
+                cfg_ref.precond,
+                &dm,
+                comm,
+                a,
+                &cfg_ref.precond_params(),
+            )
         };
         let setup = t0.elapsed().as_secs_f64();
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = scatter_vector(&dm.layout, x0);
         let stats_before = comm.stats();
         let t1 = Instant::now();
-        let rep = DistGmres::new(cfg_ref.gmres).solve(comm, &dm, &m, &b_loc, &mut x);
+        let rep = DistGmres::new(cfg_ref.gmres).solve(comm, &dm, &built.precond, &b_loc, &mut x);
         let solve = t1.elapsed().as_secs_f64();
         let stats_after = comm.stats();
         RankOut {
@@ -636,8 +616,23 @@ pub fn run_case_traced(
             solve,
             stats: CommStats::delta(&stats_after, &stats_before),
             trace: if trace { parapre_trace::take() } else { None },
+            fallbacks: built.fallbacks,
+            pivot_shifts: built.pivot_shifts,
         }
     });
+
+    // Judged here, after the join, and never inside a rank: a one-rank
+    // panic would strand its peers in the solve's collectives.
+    let fallbacks = outs[0].fallbacks; // rank-identical (voted)
+    let pivot_shifts: usize = outs.iter().map(|o| o.pivot_shifts).sum();
+    assert!(
+        fallbacks == 0 && pivot_shifts == 0,
+        "{} / {} / P={p}: the build needed the numerical safety net \
+         ({fallbacks} ladder fallbacks, {pivot_shifts} pivot shifts); \
+         its numbers would not be this preconditioner's",
+        case.id.name(),
+        cfg.precond.label(),
+    );
 
     let wall = outs.iter().map(|o| o.solve).fold(0.0, f64::max);
     let setup = outs.iter().map(|o| o.setup).fold(0.0, f64::max);

@@ -82,20 +82,11 @@ pub struct Schur1Precond {
 }
 
 impl Schur1Precond {
-    /// Factors the subdomain matrix and extracts the Schur factors.
+    /// Factors the subdomain matrix (ILUT behind the diagonal-shift retry
+    /// ladder, which a healthy plain factorization wins untouched) and
+    /// extracts the Schur factors.
     pub fn build(dm: &DistMatrix, cfg: Schur1Config) -> Result<Self> {
         let a_i = dm.owned_block(); // already ordered internal-first
-        let factors = {
-            let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
-            Ilut::factor(&a_i, &cfg.ilut)?
-        };
-        Self::assemble(dm, cfg, factors)
-    }
-
-    /// [`Schur1Precond::build`] behind the diagonal-shift retry ladder: the
-    /// subdomain ILUT retries on shifted copies when pivots break down.
-    pub fn build_shifted(dm: &DistMatrix, cfg: Schur1Config) -> Result<Self> {
-        let a_i = dm.owned_block();
         let factors = {
             let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
             Ilut::factor_shifted(&a_i, &cfg.ilut)?

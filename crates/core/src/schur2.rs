@@ -57,23 +57,11 @@ pub struct Schur2Precond {
 }
 
 impl Schur2Precond {
-    /// Builds the preconditioner; collective (all ranks must call).
+    /// Builds the preconditioner; collective (all ranks must call). Both
+    /// subdomain factorizations (ARMS, and ILU(0) of the reduced block) go
+    /// through the diagonal-shift retry ladder, which a healthy plain
+    /// factorization wins untouched.
     pub fn build(dm: &DistMatrix, comm: &mut Comm, cfg: Schur2Config) -> Result<Self> {
-        Self::build_inner(dm, comm, cfg, false)
-    }
-
-    /// [`Schur2Precond::build`] with the subdomain ARMS factorization behind
-    /// the diagonal-shift retry ladder; collective (all ranks must call).
-    pub fn build_shifted(dm: &DistMatrix, comm: &mut Comm, cfg: Schur2Config) -> Result<Self> {
-        Self::build_inner(dm, comm, cfg, true)
-    }
-
-    fn build_inner(
-        dm: &DistMatrix,
-        comm: &mut Comm,
-        cfg: Schur2Config,
-        shifted: bool,
-    ) -> Result<Self> {
         let a_i = dm.owned_block();
         let no = dm.layout.n_owned();
         let ni = dm.layout.n_internal;
@@ -87,11 +75,7 @@ impl Schur2Precond {
         // the local result, agree on the outcome, then fail jointly.
         let arms_res = {
             let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
-            if shifted {
-                Arms::factor_with_coarse_shifted(&a_i, &cfg.arms, &forced)
-            } else {
-                Arms::factor_with_coarse(&a_i, &cfg.arms, &forced)
-            }
+            Arms::factor_with_coarse_shifted(&a_i, &cfg.arms, &forced)
         };
         let local_ok = arms_res.as_ref().is_ok_and(|a| a.n_levels() >= 1);
         let local_built = arms_res.is_ok();
@@ -117,12 +101,7 @@ impl Schur2Precond {
                 red_of_local[lvl.perm().old_of(n_ind + k)] = k;
             }
             // Distributed ILU(0): factor the dropped local Schur block.
-            let factor = if shifted {
-                Ilu0::factor_shifted(lvl.reduced())
-            } else {
-                Ilu0::factor(lvl.reduced())
-            };
-            factor.map(|ilu| (red_of_local, ilu))
+            Ilu0::factor_shifted(lvl.reduced()).map(|ilu| (red_of_local, ilu))
         } else {
             Ok(Self::degenerate_parts(no, &arms))
         };
@@ -154,8 +133,7 @@ impl Schur2Precond {
     }
 
     /// Health report of the subdomain ARMS factorization (last-level
-    /// factors), including any diagonal shifts taken by
-    /// [`Schur2Precond::build_shifted`].
+    /// factors), including any diagonal shifts the build took.
     pub fn report(&self) -> &parapre_sparse::FactorReport {
         self.arms.report()
     }

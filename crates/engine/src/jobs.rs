@@ -19,7 +19,8 @@
 //! `rank`), `ranks`, `scheme`, `seed`, `repeat`, `rhs`, `tol`, `maxit`,
 //! `restart`. Resilience
 //! keys: `retries`, `backoff_ms`, `degrade`, `checkpoint` (recovery
-//! policy), `fallback` (numerical-safety ladder, default on);
+//! policy), `fallback` (solve-time descent of the preconditioner ladder on
+//! a typed breakdown, default on; the build always goes through the ladder);
 //! `fault_seed`, `drop_prob`, `delay_prob`, `delay_us`,
 //! `kill_rank`, `kill_op` (deterministic fault injection — chaos jobs);
 //! `deadline_ms` (wall-clock budget from submission — expired jobs come
@@ -409,7 +410,6 @@ pub fn parse_job_line(line: &str, seq: usize) -> Result<SolveJob, EngineError> {
         recovery.checkpoint = c;
     }
     if let Some(f) = get_bool("fallback") {
-        session.fallback = f;
         recovery.precond_fallback = f;
     }
 

@@ -150,7 +150,10 @@ pub fn solve_resilient(
                             sess.id(),
                         ) {
                             parapre_trace::counter(parapre_trace::counters::PRECOND_FALLBACK, 1);
-                            outcome.fallbacks += 1;
+                            // What the abandoned session's own build
+                            // cost counts too: only the final session's is
+                            // added at return.
+                            outcome.fallbacks += 1 + sess.build_fallbacks();
                             outcome.pivot_shifts += sess.pivot_shifts();
                             // Warm-start the downgraded solve from the
                             // broken-down iterate only when it is usable.

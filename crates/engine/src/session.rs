@@ -13,9 +13,9 @@
 
 use crate::EngineError;
 use parapre_core::{
-    build_dist_precond, build_dist_precond_with_fallback, partition_case_with,
-    refactor_dist_precond, try_build_dist_precond, AssembledCase, PartitionScheme, PrecondKind,
-    PrecondParams, RefactorReject,
+    build_dist_precond_with_fallback, partition_case_with, refactor_dist_precond,
+    try_build_dist_precond, AssembledCase, PartitionScheme, PrecondKind, PrecondParams,
+    RefactorReject,
 };
 use parapre_dist::{
     gather_vector, scatter_vector, tags, CheckpointCtx, DistGmres, DistGmresConfig, DistMatrix,
@@ -48,12 +48,6 @@ pub struct SessionConfig {
     pub params: PrecondParams,
     /// Deadlock tripwire for every universe this session launches.
     pub recv_timeout: Duration,
-    /// Walk the preconditioner fallback ladder on factorization failure
-    /// (`Schur 2 → Schur 1 → Block 2 → Block 1 → Jacobi`) instead of
-    /// failing the build. All factorizations also go through the
-    /// diagonal-shift retry ladder. `false` reproduces the strict
-    /// fail-fast build.
-    pub fallback: bool,
     /// In-rank thread budget for data-parallel kernels (`None` = the
     /// default share `⌊cores / n_ranks⌋`, or the `PARAPRE_THREADS`
     /// environment override). Results are bitwise identical at any
@@ -84,7 +78,6 @@ impl SessionConfig {
             },
             params: PrecondParams::default(),
             recv_timeout: Duration::from_secs(60),
-            fallback: true,
             threads_per_rank: None,
             partition_tag: None,
         }
@@ -102,14 +95,13 @@ impl SessionConfig {
             None => String::new(),
         };
         format!(
-            "{}|{}|P{}|seed{}|{:?}|{:?}|fb{}{}",
+            "{}|{}|P{}|seed{}|{:?}|{:?}{}",
             self.precond.cache_key(),
             self.scheme.key(),
             self.n_ranks,
             self.partition_seed,
             self.gmres,
             self.params,
-            self.fallback,
             topo
         )
     }
@@ -191,7 +183,7 @@ struct RankState {
     dm: Arc<DistMatrix>,
     precond: Arc<dyn DistPrecond>,
     /// Ladder rung the preconditioner was actually built on (identical on
-    /// every rank; equals the configured kind with `fallback: false`).
+    /// every rank).
     kind_used: PrecondKind,
     /// Ladder rungs descended below the configured kind (rank-identical).
     fallbacks: usize,
@@ -370,19 +362,13 @@ impl SolverSession {
         let ranks = launch(cfg, p, None, |comm| {
             let _setup = parapre_trace::span(parapre_trace::phase::SETUP);
             let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
-            let (precond, kind_used, fallbacks, pivot_shifts) = if cfg.fallback {
-                let b = build_dist_precond_with_fallback(cfg.precond, &dm, comm, a, &cfg.params);
-                (b.precond, b.kind_used, b.fallbacks, b.pivot_shifts)
-            } else {
-                let strict = build_dist_precond(cfg.precond, &dm, comm, a, &cfg.params);
-                (strict, cfg.precond, 0, 0)
-            };
+            let built = build_dist_precond_with_fallback(cfg.precond, &dm, comm, a, &cfg.params);
             RankState {
                 dm: Arc::new(dm),
-                precond: Arc::from(precond),
-                kind_used,
-                fallbacks,
-                pivot_shifts,
+                precond: Arc::from(built.precond),
+                kind_used: built.kind_used,
+                fallbacks: built.fallbacks,
+                pivot_shifts: built.pivot_shifts,
             }
         })
         .map_err(|fails| EngineError::Setup(join_failures(&fails)))?;

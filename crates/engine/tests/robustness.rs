@@ -37,9 +37,8 @@ fn block_owner(n: usize, p: usize) -> Vec<u32> {
     (0..n).map(|i| ((i * p) / n) as u32).collect()
 }
 
-/// A session with the safety net on builds on a matrix plain `Block 1`
-/// cannot factor, reports its diagnostics, and solves without a panic or a
-/// non-finite answer.
+/// A session builds on a matrix plain ILU(0) cannot factor, reports its
+/// diagnostics, and solves without a panic or a non-finite answer.
 #[test]
 fn session_builds_and_solves_hostile_system() {
     let n = 64;
@@ -60,20 +59,6 @@ fn session_builds_and_solves_hostile_system() {
     } else {
         assert!(rep.breakdown.is_some() || rep.x.iter().all(|v| v.is_finite()));
     }
-}
-
-/// With the net off, the same build dies — `fallback: false` reproduces the
-/// strict behavior (and keys the session cache differently).
-#[test]
-fn strict_mode_still_fails_fast() {
-    let n = 64;
-    let a = hostile(n, 7);
-    let owner = block_owner(n, 4);
-    let mut strict = SessionConfig::paper(PrecondKind::Block1, 4);
-    strict.fallback = false;
-    assert!(SolverSession::build(&a, &owner, &strict).is_err());
-    let lax = SessionConfig::paper(PrecondKind::Block1, 4);
-    assert_ne!(strict.config_string(), lax.config_string());
 }
 
 /// The in-rank thread budget is a pure wall-clock knob: kernels are bitwise
@@ -108,6 +93,44 @@ fn resilient_outcome_reports_numerical_recovery() {
     }
 }
 
+/// `FaultOutcome::fallbacks` is the ladder distance from the requested kind
+/// to the kind that answered — build-time rungs of *every* session the
+/// descent went through, not only the last one's.
+#[test]
+fn resilient_fallbacks_count_the_first_sessions_build_rungs() {
+    let n = 64;
+    let mut coo = Coo::new(n, n);
+    for i in 0..n - 1 {
+        coo.push(i, i + 1, -1.0);
+        coo.push(i + 1, i, 1.0);
+    }
+    for i in 0..n {
+        coo.push(i, i, if i % 2 == 0 { 0.0 } else { 1e-14 });
+    }
+    let a = coo.to_csr();
+    let requested = PrecondKind::schurml_default();
+    let cfg = SessionConfig::paper(requested, 8);
+    let session = SolverSession::build(&a, &block_owner(n, 8), &cfg).expect("ladder builds");
+    assert_eq!(
+        session.build_fallbacks(),
+        1,
+        "the case needs a build that already left the requested rung"
+    );
+    let b = vec![1.0; n];
+    let (_, out) = solve_resilient(&session, &b, None, None, &RecoveryPolicy::default())
+        .expect("ladder bottom is infallible");
+    assert!(
+        out.fallbacks > session.build_fallbacks(),
+        "the case needs a solve-time descent too"
+    );
+    // Built at Schur 2, then Schur 2 → Schur 1 → Block 2 → Block 1 at solve
+    // time: Block 1 answers.
+    let distance = std::iter::successors(Some(requested), |k| k.fallback())
+        .position(|k| k == PrecondKind::Block1)
+        .expect("Block 1 is on the ladder");
+    assert_eq!(out.fallbacks, distance);
+}
+
 /// The clean path stays free: a well-posed Poisson session reports zero
 /// shifts, zero fallbacks, and its configured preconditioner.
 #[test]
@@ -125,17 +148,17 @@ fn clean_session_has_zero_safety_cost() {
 }
 
 /// JSONL validation: unknown preconditioners and malformed lines are
-/// structured `BadJob` errors, and the `fallback` knob parses.
+/// structured `BadJob` errors, and the `fallback` key arms and disarms the
+/// solve-time rung descent.
 #[test]
 fn job_lines_are_validated() {
     assert!(parse_job_line(r#"{"case":"tc1","precond":"nonsense"}"#, 0).is_err());
     assert!(parse_job_line(r#"{"case":"tc1","ranks":0}"#, 0).is_err());
     assert!(parse_job_line("not json at all", 0).is_err());
     let job = parse_job_line(r#"{"case":"tc1","fallback":false}"#, 0).expect("valid");
-    assert!(!job.session.fallback);
     assert!(!job.recovery.precond_fallback);
     let job = parse_job_line(r#"{"case":"tc1"}"#, 1).expect("valid");
-    assert!(job.session.fallback, "safety net defaults on");
+    assert!(job.recovery.precond_fallback, "safety net defaults on");
 }
 
 /// A right-hand side containing NaN is rejected up front with a structured

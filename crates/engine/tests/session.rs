@@ -3,7 +3,8 @@
 //! perform zero factorization work.
 
 use parapre_core::{
-    build_case, build_dist_precond, partition_case_with, CaseId, CaseSize, PrecondKind,
+    build_case, build_dist_precond_with_fallback, partition_case_with, CaseId, CaseSize,
+    PrecondKind,
 };
 use parapre_dist::{scatter_vector, DistGmres, DistMatrix};
 use parapre_engine::{SessionCache, SessionConfig, SessionKey, SolveRequest, SolverSession};
@@ -30,7 +31,8 @@ fn one_shot_iterations(case: &parapre_core::AssembledCase, cfg: &SessionConfig) 
     let x0 = &case.x0;
     let outs = Universe::run(cfg.n_ranks, |comm| {
         let dm = DistMatrix::from_global(a, &owner, comm.rank(), cfg.n_ranks);
-        let precond = build_dist_precond(cfg.precond, &dm, comm, a, &cfg.params);
+        let precond =
+            build_dist_precond_with_fallback(cfg.precond, &dm, comm, a, &cfg.params).precond;
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = scatter_vector(&dm.layout, x0);
         DistGmres::new(cfg.gmres).solve(comm, &dm, &precond, &b_loc, &mut x)

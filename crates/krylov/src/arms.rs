@@ -314,55 +314,26 @@ impl Arms {
         })
     }
 
-    /// [`Arms::factor`] behind the diagonal-shift retry ladder
-    /// ([`crate::ilu::SHIFT_LADDER`]): a breakdown anywhere in the level
-    /// construction (zero group-block pivot, poisoned last-level ILUT)
-    /// retries on a diagonally shifted copy of `a`.
-    pub fn factor_shifted(a: &Csr, cfg: &ArmsConfig) -> Result<Self> {
-        Self::factor_with_coarse_shifted(a, cfg, &vec![false; a.n_rows()])
-    }
-
-    /// Shift-ladder variant of [`Arms::factor_with_coarse`].
+    /// [`Arms::factor_with_coarse`] behind the diagonal-shift retry ladder
+    /// ([`crate::ilu::factor_with_shifts`]): a breakdown anywhere in the
+    /// level construction (zero group-block pivot, poisoned last-level
+    /// ILUT) retries on a diagonally shifted copy of `a`; a rung's health is
+    /// read off the last-level factors.
     pub fn factor_with_coarse_shifted(
         a: &Csr,
         cfg: &ArmsConfig,
         forced_coarse: &[bool],
     ) -> Result<Self> {
-        let mut best: Option<(Self, f64, usize)> = None;
-        let mut last_err = None;
-        for (attempt, &alpha) in crate::ilu::SHIFT_LADDER.iter().enumerate() {
-            if attempt > 0 {
-                parapre_trace::counter(parapre_trace::counters::PIVOT_SHIFT, 1);
-            }
-            let shifted;
-            let target = if alpha == 0.0 {
-                a
-            } else {
-                shifted = a.with_shifted_diagonal(alpha);
-                &shifted
-            };
-            match Self::factor_with_coarse(target, cfg, forced_coarse) {
-                Ok(arms) => {
-                    let healthy = arms.last.report().healthy() && arms.last.pivot_fixes() == 0;
-                    best = Some((arms, alpha, attempt));
-                    if healthy {
-                        break;
-                    }
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        match best {
-            Some((mut arms, alpha, attempts)) => {
-                arms.last.set_shift(alpha, attempts);
-                Ok(arms)
-            }
-            None => Err(last_err.expect("ladder ran at least once")),
-        }
+        crate::ilu::factor_with_shifts(
+            a,
+            |m| Self::factor_with_coarse(m, cfg, forced_coarse),
+            |arms| &mut arms.last,
+        )
     }
 
     /// Health report of the last-level factorization (carries the shift
-    /// ladder outcome when factored via [`Arms::factor_shifted`]).
+    /// ladder outcome when factored via
+    /// [`Arms::factor_with_coarse_shifted`]).
     pub fn report(&self) -> &parapre_sparse::FactorReport {
         self.last.report()
     }

@@ -406,13 +406,18 @@ impl LuFactors {
 /// The last rung that produced *any* finite factorization is accepted
 /// best-effort; only when every rung errors does the ladder fail.
 ///
+/// Generic over what is factored: `judged` reaches the [`LuFactors`] whose
+/// report decides a rung's health and records the outcome — the factors
+/// themselves for ILU(0)/ILUT, the last level for ARMS.
+///
 /// Each retry increments the `factor.pivot_shift` trace counter; the
 /// winning factor records `shift_alpha`/`shift_attempts` in its report.
-pub fn factor_with_shifts<F>(a: &Csr, mut factor: F) -> Result<LuFactors>
-where
-    F: FnMut(&Csr) -> Result<LuFactors>,
-{
-    let mut best: Option<(LuFactors, f64, usize)> = None;
+pub fn factor_with_shifts<T>(
+    a: &Csr,
+    mut factor: impl FnMut(&Csr) -> Result<T>,
+    judged: impl Fn(&mut T) -> &mut LuFactors,
+) -> Result<T> {
+    let mut best: Option<(T, f64, usize)> = None;
     let mut last_err = None;
     for (attempt, &alpha) in SHIFT_LADDER.iter().enumerate() {
         if attempt > 0 {
@@ -426,10 +431,11 @@ where
             &shifted
         };
         match factor(target) {
-            Ok(f) => {
+            Ok(mut f) => {
                 // A rung only wins outright when no pivot needed rescuing;
                 // otherwise keep it as the best-effort candidate and climb.
-                let healthy = f.report().healthy() && f.pivot_fixes() == 0;
+                let lu = judged(&mut f);
+                let healthy = lu.report().healthy() && lu.pivot_fixes() == 0;
                 best = Some((f, alpha, attempt));
                 if healthy {
                     break;
@@ -440,7 +446,7 @@ where
     }
     match best {
         Some((mut f, alpha, attempts)) => {
-            f.set_shift(alpha, attempts);
+            judged(&mut f).set_shift(alpha, attempts);
             Ok(f)
         }
         None => Err(last_err.expect("ladder ran at least once")),
@@ -493,7 +499,7 @@ impl Ilu0 {
     /// ([`factor_with_shifts`]): never returns factors with zero or
     /// non-finite pivots without first trying shifted copies of `a`.
     pub fn factor_shifted(a: &Csr) -> Result<LuFactors> {
-        factor_with_shifts(a, Ilu0::factor)
+        factor_with_shifts(a, Ilu0::factor, |f| f)
     }
 }
 
@@ -671,7 +677,7 @@ impl Ilut {
     /// ([`factor_with_shifts`]): retries on non-finite factors or rows that
     /// needed pivot fixes, accepting the first healthy rung.
     pub fn factor_shifted(a: &Csr, cfg: &IlutConfig) -> Result<LuFactors> {
-        factor_with_shifts(a, |m| Ilut::factor(m, cfg))
+        factor_with_shifts(a, |m| Ilut::factor(m, cfg), |f| f)
     }
 }
 

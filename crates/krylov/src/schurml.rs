@@ -225,15 +225,6 @@ impl SchurMlHierarchy {
         Ok(Self::with_corrections(arms, cfg.rank))
     }
 
-    /// Shift-ladder variant (retries the ARMS factorization on diagonally
-    /// shifted copies). The distributed preconditioner does **not** use
-    /// this — it refuses shifted builds outright — but sequential callers
-    /// may want the robust path.
-    pub fn factor_shifted(a: &Csr, cfg: &SchurMlConfig, forced_coarse: &[bool]) -> Result<Self> {
-        let arms = Arms::factor_with_coarse_shifted(a, &cfg.arms, forced_coarse)?;
-        Ok(Self::with_corrections(arms, cfg.rank))
-    }
-
     /// Numeric-only refactorization for a same-pattern matrix: the ARMS
     /// levels are rebuilt on their retained independent sets
     /// ([`Arms::refactor`]) and the low-rank corrections are relearned

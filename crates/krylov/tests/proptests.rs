@@ -445,6 +445,55 @@ fn shift_ladder_rescues_zero_diagonal() {
     assert!(x.iter().all(|v| v.is_finite()));
 }
 
+/// ARMS climbs the same ladder as ILU(0)/ILUT, judged on its last-level
+/// factors. The expected (alpha, attempts, FNV-1a of the last-level value
+/// bits) were recorded from the hand-written ARMS loop this replaced.
+#[test]
+fn arms_climbs_the_shared_shift_ladder() {
+    let n = 12;
+    let chain = |diag: &dyn Fn(usize) -> f64| {
+        let mut coo = Coo::new(n, n);
+        for i in 0..n - 1 {
+            coo.push(i, i + 1, -1.0);
+            coo.push(i + 1, i, -1.0);
+        }
+        for i in 0..n {
+            coo.push(i, i, diag(i));
+        }
+        coo.to_csr()
+    };
+    let tail_pinned: Vec<bool> = (0..n).map(|i| i >= n - n / 4).collect();
+    for (a, pinned, levels, hash) in [
+        // Everything pinned: ARMS is its last-level ILUT of the whole matrix.
+        (
+            chain(&|i| if i % 3 == 0 { 0.0 } else { 2.0 }),
+            vec![true; n],
+            0,
+            0x393f16b5a487f01f_u64,
+        ),
+        // One elimination level above a 4-unknown last level.
+        (chain(&|_| 0.0), tail_pinned, 1, 0x23b22433e3bd5d86),
+    ] {
+        let cfg = ArmsConfig::default();
+        let plain = Arms::factor_with_coarse(&a, &cfg, &pinned).expect("ILUT pivot-fixes");
+        assert!(plain.last_factors().pivot_fixes() > 0 || !plain.report().healthy());
+        let arms = Arms::factor_with_coarse_shifted(&a, &cfg, &pinned).expect("ladder rescues");
+        assert_eq!(arms.n_levels(), levels);
+        let rep = arms.report();
+        assert_eq!((rep.shift_alpha, rep.shift_attempts), (1e-4, 2));
+        assert!(rep.healthy() && arms.last_factors().pivot_fixes() == 0);
+        let fnv = arms
+            .last_factors()
+            .merged()
+            .vals()
+            .iter()
+            .fold(0xcbf29ce484222325_u64, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x100000001b3)
+            });
+        assert_eq!(fnv, hash, "last-level factor values moved");
+    }
+}
+
 #[test]
 fn wide_levels_fan_out_and_stay_bitwise() {
     // 1024 independent 2x2 blocks: two levels of 1024 rows in each sweep,
