@@ -16,7 +16,11 @@
 //! The `sweep` section is the triangular-sweep ledger: per case, one
 //! `LuFactors::solve_in_place` with the ILUT factors of rank 0's owned block
 //! at `P = 2` against a dependency-free SpMV over the same entries timed in
-//! the same run.
+//! the same run. The `orth` section is one re-orthogonalized Gram–Schmidt
+//! step of distributed GMRES without its reductions, against the per-column
+//! `ops::dot` / `ops::axpy` loops and a triad timed in the same run; the
+//! `allreduce` section is what one scalar all-reduce costs two ranks, back
+//! to back and with work between.
 
 use parapre_core::{build_case_sized, CaseId};
 use parapre_dist::{
@@ -25,10 +29,11 @@ use parapre_dist::{
 };
 use parapre_fem::poisson;
 use parapre_grid::structured::unit_square;
+use parapre_krylov::proj::Panel;
 use parapre_krylov::{Ilu0, Ilut, IlutConfig, LuFactors};
 use parapre_mpisim::{Comm, CommStats, MachineModel, Universe};
 use parapre_partition::partition_graph;
-use parapre_sparse::{parallel, Csr};
+use parapre_sparse::{ops, parallel, Csr};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -298,6 +303,12 @@ fn bench_scaling_grid(quick: bool) -> (Vec<ScalingCell>, bool) {
     (cells, enforceable)
 }
 
+/// Median of timing samples (sorts them).
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
 /// One row of the sweep ledger.
 struct SweepCell {
     case: &'static str,
@@ -333,10 +344,6 @@ fn bench_sweeps(quick: bool) -> Vec<SweepCell> {
     };
     let reps = if quick { 60 } else { 400 };
     let _one_thread = parallel::enter_budget(1);
-    let median = |samples: &mut Vec<f64>| {
-        samples.sort_by(f64::total_cmp);
-        samples[samples.len() / 2]
-    };
     cases
         .iter()
         .map(|&(id, extent)| {
@@ -384,6 +391,195 @@ fn bench_sweeps(quick: bool) -> Vec<SweepCell> {
         .collect()
 }
 
+/// The `orth` ledger row.
+struct OrthRow {
+    n: usize,
+    /// Mean over k = 1…20 basis vectors of one step's median time.
+    step_us: f64,
+    /// The same step through per-column `ops::dot` / `ops::axpy`.
+    reference_us: f64,
+    /// Mean over k of the bytes one step has to move.
+    bytes: f64,
+    /// A triad over three arrays the size of a third of the basis.
+    triad_gbs: f64,
+}
+
+impl OrthRow {
+    fn gbs(&self) -> f64 {
+        self.bytes / (self.step_us * 1e-6) / 1e9
+    }
+
+    fn ratio(&self) -> f64 {
+        self.step_us / self.reference_us
+    }
+}
+
+/// One Gram–Schmidt step of distributed GMRES as a well-preconditioned solve
+/// takes it, the reductions left out: inner products against `k` basis
+/// vectors, their subtraction fused with the second pass's inner products,
+/// the second subtraction leaving the normalized next vector.
+fn orth_step(panel: &mut Panel, k: usize, sums: &mut [f64], coeffs: &mut [f64]) {
+    let (vs, w) = panel.split(k);
+    vs.dots(w, sums);
+    coeffs.copy_from_slice(&sums[..k]);
+    vs.sub_then_dots(coeffs, w, sums);
+    vs.sub_div(&sums[..k], 1.5, w);
+}
+
+/// The same step the way it ran before the panel: one `ops::dot` and one
+/// `ops::axpy` per basis vector and pass, then a copy divided by the norm.
+fn orth_step_per_column(basis: &[Vec<f64>], w: &mut [f64], sums: &mut [f64]) -> Vec<f64> {
+    for _pass in 0..2 {
+        for (s, v) in sums.iter_mut().zip(basis) {
+            *s = ops::dot(w, v);
+        }
+        sums[basis.len()] = ops::dot(w, w);
+        for (&s, v) in sums.iter().zip(basis) {
+            ops::axpy(-s, v, w);
+        }
+    }
+    let mut next = w.to_vec();
+    for x in &mut next {
+        *x /= 1.5;
+    }
+    next
+}
+
+/// Times the Gram–Schmidt step at the vector length of `warm_krylov`'s
+/// ranks, blocked against per-column, samples alternating. The bytes of a
+/// step with `k` basis vectors: the first inner products read the basis and
+/// `w` (`k + 1` vectors), each of the two subtractions reads the basis and
+/// reads and writes `w` (`k + 2`); the second inner products ride on the
+/// first subtraction.
+fn bench_orth(quick: bool) -> OrthRow {
+    let n = if quick { 4_000 } else { 20_200 };
+    let reps = if quick { 20 } else { 120 };
+    let k_max = 20;
+    let _one_thread = parallel::enter_budget(1);
+    let fill = |j: usize, col: &mut [f64]| {
+        for (i, v) in col.iter_mut().enumerate() {
+            *v = ((i * (j + 2)) as f64 * 0.11).cos() * 1e-2;
+        }
+    };
+    let mut panel = Panel::zeros(n, k_max + 1);
+    let mut columns: Vec<Vec<f64>> = vec![vec![0.0; n]; k_max + 1];
+    for (j, column) in columns.iter_mut().enumerate() {
+        fill(j, panel.col_mut(j));
+        fill(j, column);
+    }
+    let (mut step_us, mut reference_us, mut bytes) = (0.0, 0.0, 0.0);
+    for k in 1..=k_max {
+        let (mut blocked, mut per_column) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+        let mut sums = vec![0.0; k + 1];
+        let mut coeffs = vec![0.0; k];
+        for _ in 0..reps {
+            fill(k, panel.col_mut(k));
+            let t0 = Instant::now();
+            orth_step(black_box(&mut panel), k, &mut sums, &mut coeffs);
+            blocked.push(t0.elapsed().as_secs_f64() * 1e6);
+            let (basis, w) = columns.split_at_mut(k);
+            fill(k, &mut w[0]);
+            let t0 = Instant::now();
+            black_box(orth_step_per_column(black_box(basis), &mut w[0], &mut sums));
+            per_column.push(t0.elapsed().as_secs_f64() * 1e6);
+        }
+        step_us += median(&mut blocked) / k_max as f64;
+        reference_us += median(&mut per_column) / k_max as f64;
+        bytes += (8 * n * (3 * k + 5)) as f64 / k_max as f64;
+    }
+    // Triad at the footprint of the basis: three arrays, a third of it each.
+    let len = n * (k_max + 1) / 3;
+    let (mut a, b, c) = (vec![0.0; len], vec![1.0; len], vec![2.0; len]);
+    let mut triad = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        for ((ai, bi), ci) in a.iter_mut().zip(&b).zip(&c) {
+            *ai = bi + 0.5 * ci;
+        }
+        black_box(&mut a);
+        triad.push(t0.elapsed().as_secs_f64());
+    }
+    let row = OrthRow {
+        n,
+        step_us,
+        reference_us,
+        bytes,
+        triad_gbs: (24 * len) as f64 / median(&mut triad) / 1e9,
+    };
+    eprintln!(
+        "orth: n={n} k=1..{k_max} {:.1} us/step ({:.2} GB/s computed, triad {:.2} GB/s), per column {:.1} us, blocked/per-column {:.2}",
+        row.step_us,
+        row.gbs(),
+        row.triad_gbs,
+        row.reference_us,
+        row.ratio()
+    );
+    row
+}
+
+/// A Gram–Schmidt step may cost at most this share of the per-column loops.
+const ORTH_OVER_PER_COLUMN_BAR: f64 = 0.7;
+
+/// Work between two reductions of the `allreduce` row's second cell: about
+/// what a rank of `warm_schur` computes between two of its own.
+const ALLREDUCE_WORK: Duration = Duration::from_micros(75);
+
+/// With that work between, a scalar all-reduce at `P = 2` may cost at most
+/// this many microseconds.
+const ALLREDUCE_US_BAR: f64 = 8.0;
+
+/// Universes the `allreduce` row launches; it reports the best of them.
+const ALLREDUCE_LAUNCHES: usize = 5;
+
+/// Mean microseconds of one scalar all-reduce at `P = 2` (max over ranks),
+/// back to back and with [`ALLREDUCE_WORK`] of spinning before each: the
+/// best of [`ALLREDUCE_LAUNCHES`] universes. The scheduler now and then
+/// starts both ranks of a universe on one core, and until a parked receive
+/// lets it move one they take turns (E19): a launch that begins so reads
+/// several microseconds higher, which is not what this row is about.
+fn bench_allreduce(quick: bool) -> (f64, f64) {
+    let reps: u64 = if quick { 200 } else { 2000 };
+    let launch = || {
+        let out = Universe::run(2, |comm| {
+            let mut acc = 0.0;
+            for i in 0..100 {
+                acc += comm.allreduce_sum(1.0, 2 * i);
+            }
+            let t0 = Instant::now();
+            for i in 0..reps {
+                acc += comm.allreduce_sum(1.0, 1_000 + 2 * i);
+            }
+            let back_to_back = t0.elapsed().as_secs_f64() * 1e6 / reps as f64;
+            let mut reducing = Duration::ZERO;
+            for i in 0..reps {
+                let work = Instant::now();
+                while work.elapsed() < ALLREDUCE_WORK {
+                    std::hint::spin_loop();
+                }
+                let t0 = Instant::now();
+                acc += comm.allreduce_sum(1.0, 1_000_000 + 2 * i);
+                reducing += t0.elapsed();
+            }
+            black_box(acc);
+            (back_to_back, reducing.as_secs_f64() * 1e6 / reps as f64)
+        });
+        let max = |f: fn(&(f64, f64)) -> f64| out.iter().map(f).fold(0.0, f64::max);
+        (max(|o| o.0), max(|o| o.1))
+    };
+    let (mut back_to_back, mut with_work) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ALLREDUCE_LAUNCHES {
+        let (b, w) = launch();
+        eprintln!("allreduce P=2 launch: {b:.2} us back to back, {w:.2} us with work between");
+        back_to_back = back_to_back.min(b);
+        with_work = with_work.min(w);
+    }
+    eprintln!(
+        "allreduce P=2: {back_to_back:.2} us back to back, {with_work:.2} us with {} us of work between (best of {ALLREDUCE_LAUNCHES} launches)",
+        ALLREDUCE_WORK.as_micros()
+    );
+    (back_to_back, with_work)
+}
+
 /// A sweep may cost at most this many SpMVs over the same entries.
 const SWEEP_OVER_SPMV_BAR: f64 = 1.25;
 
@@ -422,6 +618,11 @@ fn main() {
     };
 
     eprintln!("kernels: P={ranks}, spmv {spmv_nx}x{spmv_nx} x{spmv_reps}, gmres {gmres_nx}x{gmres_nx} x{gmres_iters} iters{}", if quick { " (quick)" } else { "" });
+
+    // First, while the launching thread has no load history: after seconds
+    // of kernels on it the scheduler starts both ranks on the *other* core
+    // nearly every time.
+    let (allreduce_us, allreduce_work_us) = bench_allreduce(quick);
 
     let (a_spmv, owner_spmv) = poisson_system(spmv_nx, ranks);
     let sync = bench_spmv(&a_spmv, &owner_spmv, ranks, spmv_reps, false);
@@ -473,6 +674,19 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
 
+    // Both bars below compare or bound wall clocks of cache-resident loops;
+    // like the sweep bar they need the full shape, and the all-reduce needs
+    // a core per rank.
+    let mut orth_arm = parapre_bench::ScalingArm::decide("blocked vs per-column, T=1", 1);
+    let mut allreduce_arm = parapre_bench::ScalingArm::decide("allreduce, P=2", 2);
+    for arm in [&mut orth_arm, &mut allreduce_arm] {
+        if quick {
+            arm.armed = false;
+            arm.reason = format!("quick shape ({})", arm.reason);
+        }
+    }
+    let orth = bench_orth(quick);
+
     // The widest compared cell is P=2 × T=4 = 8 real cores; the shared
     // helper decides (and spells out) whether the wall-clock bar is armed.
     let arm = parapre_bench::ScalingArm::decide("P=2,T=4", 8);
@@ -513,6 +727,16 @@ fn main() {
             "\"bytes\": \"computed from array sizes, not measured\", ",
             "\"bar\": {{\"sweep_over_spmv_max\": {sweep_bar}, \"arm\": {sweep_arm_json}}}, ",
             "\"cases\": [\n{sweep_cases}\n  ]}},\n",
+            "  \"orth\": {{\"step\": \"dots, subtraction fused with the second pass's dots, ",
+            "subtraction leaving the normalized vector; no reductions; mean over k = 1..20 basis ",
+            "vectors; thread budget 1\", \"n\": {orth_n}, \"step_us\": {orth_us:.1}, ",
+            "\"computed_bytes\": {orth_bytes:.0}, \"computed_gbs\": {orth_gbs:.2}, ",
+            "\"triad_gbs\": {orth_triad:.2}, \"over_triad\": {orth_over_triad:.3}, ",
+            "\"per_column_us\": {orth_ref:.1}, \"over_per_column\": {orth_ratio:.3}, ",
+            "\"bar\": {{\"over_per_column_max\": {orth_bar}, \"arm\": {orth_arm_json}}}}},\n",
+            "  \"allreduce\": {{\"ranks\": 2, \"best_of_launches\": {ar_launches}, \"back_to_back_us\": {ar_us:.2}, ",
+            "\"work_between_us\": {ar_work}, \"with_work_us\": {ar_work_us:.2}, ",
+            "\"bar\": {{\"with_work_us_max\": {ar_bar}, \"arm\": {ar_arm_json}}}}},\n",
             "  \"combined_speedup\": {comb:.4}\n",
             "}}\n"
         ),
@@ -522,6 +746,22 @@ fn main() {
         sweep_bar = SWEEP_OVER_SPMV_BAR,
         sweep_arm_json = sweep_arm.to_json(),
         sweep_cases = sweep_json,
+        orth_n = orth.n,
+        orth_us = orth.step_us,
+        orth_bytes = orth.bytes,
+        orth_gbs = orth.gbs(),
+        orth_triad = orth.triad_gbs,
+        orth_over_triad = orth.gbs() / orth.triad_gbs,
+        orth_ref = orth.reference_us,
+        orth_ratio = orth.ratio(),
+        orth_bar = ORTH_OVER_PER_COLUMN_BAR,
+        orth_arm_json = orth_arm.to_json(),
+        ar_launches = ALLREDUCE_LAUNCHES,
+        ar_us = allreduce_us,
+        ar_work = ALLREDUCE_WORK.as_micros(),
+        ar_work_us = allreduce_work_us,
+        ar_bar = ALLREDUCE_US_BAR,
+        ar_arm_json = allreduce_arm.to_json(),
         ranks = ranks,
         quick = quick,
         spmv_nx = spmv_nx,
@@ -582,6 +822,31 @@ fn main() {
         }
     } else {
         eprintln!("sweep bar skipped: {}", sweep_arm.reason);
+    }
+    eprintln!(
+        "bar orth: {:.2}x the per-column loops, {:.2}x triad",
+        orth.ratio(),
+        orth.gbs() / orth.triad_gbs
+    );
+    if !orth_arm.armed {
+        eprintln!("orth bar skipped: {}", orth_arm.reason);
+    } else if orth.ratio() > ORTH_OVER_PER_COLUMN_BAR {
+        eprintln!(
+            "FAIL: Gram-Schmidt step {:.2}x the per-column loops, above {ORTH_OVER_PER_COLUMN_BAR}x",
+            orth.ratio()
+        );
+        std::process::exit(2);
+    }
+    eprintln!(
+        "bar allreduce: {allreduce_work_us:.2} us with work between, {allreduce_us:.2} us back to back"
+    );
+    if !allreduce_arm.armed {
+        eprintln!("allreduce bar skipped: {}", allreduce_arm.reason);
+    } else if allreduce_work_us > ALLREDUCE_US_BAR {
+        eprintln!(
+            "FAIL: all-reduce {allreduce_work_us:.2} us with work between, above {ALLREDUCE_US_BAR} us"
+        );
+        std::process::exit(2);
     }
     // Thread-scaling bar: at P=2, T=4 the combined SpMV+sweep+FGMRES
     // workload must be >= 1.3x over the T=1 baseline on every case — only

@@ -45,6 +45,9 @@ thread_local! {
     /// struct field so [`DistMatrix`] stays `Sync` — the engine shares one
     /// matrix across all rank threads.
     static SEND_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+    /// Per-thread list of the neighbours an overlapped ghost exchange still
+    /// has to block on, kept for the same reason.
+    static STRAGGLERS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Fixed tag bases for the exchange protocols (FIFO channels make reuse
@@ -116,30 +119,36 @@ impl LocalLayout {
     /// `halo.wait_after_interior`), then blocks on the stragglers. Delivered
     /// buffers are recycled into the comm pool.
     pub fn finish_ghosts(&self, comm: &mut Comm, x: &mut [f64], tag: u64) {
-        let mut got: Vec<Option<Vec<f64>>> = vec![None; self.neighbors.len()];
-        let mut ready = 0u64;
-        for (k, &q) in self.neighbors.iter().enumerate() {
-            if let Some(data) = comm.try_recv_f64s(q, tag) {
-                got[k] = Some(data);
-                ready += 1;
+        STRAGGLERS.with(|s| {
+            let mut stragglers = s.borrow_mut();
+            stragglers.clear();
+            for (k, &q) in self.neighbors.iter().enumerate() {
+                match comm.try_recv_f64s(q, tag) {
+                    Some(data) => self.store_ghosts(comm, k, data, x),
+                    None => stragglers.push(k),
+                }
             }
-        }
-        parapre_trace::counter(parapre_trace::counters::HALO_READY, ready);
-        parapre_trace::counter(
-            parapre_trace::counters::HALO_WAIT,
-            self.neighbors.len() as u64 - ready,
-        );
-        for (k, &q) in self.neighbors.iter().enumerate() {
-            let data = match got[k].take() {
-                Some(d) => d,
-                None => comm.recv_f64s(q, tag),
-            };
-            debug_assert_eq!(data.len(), self.recv_idx[k].len());
-            for (&gi, &v) in self.recv_idx[k].iter().zip(&data) {
-                x[gi] = v;
+            let late = stragglers.len() as u64;
+            parapre_trace::counter(
+                parapre_trace::counters::HALO_READY,
+                self.neighbors.len() as u64 - late,
+            );
+            parapre_trace::counter(parapre_trace::counters::HALO_WAIT, late);
+            for &k in stragglers.iter() {
+                let data = comm.recv_f64s(self.neighbors[k], tag);
+                self.store_ghosts(comm, k, data, x);
             }
-            comm.recycle_f64s(data);
+        });
+    }
+
+    /// Writes neighbour `k`'s delivered ghost values into `x` and hands the
+    /// buffer back to the comm pool.
+    fn store_ghosts(&self, comm: &mut Comm, k: usize, data: Vec<f64>, x: &mut [f64]) {
+        debug_assert_eq!(data.len(), self.recv_idx[k].len());
+        for (&gi, &v) in self.recv_idx[k].iter().zip(&data) {
+            x[gi] = v;
         }
+        comm.recycle_f64s(data);
     }
 
     /// Updates the ghost tail of `x` (length [`LocalLayout::n_local`]) with
@@ -150,11 +159,7 @@ impl LocalLayout {
         self.post_ghost_sends(comm, x, tags::GHOST);
         for (k, &q) in self.neighbors.iter().enumerate() {
             let data = comm.recv_f64s(q, tags::GHOST);
-            debug_assert_eq!(data.len(), self.recv_idx[k].len());
-            for (&gi, &v) in self.recv_idx[k].iter().zip(&data) {
-                x[gi] = v;
-            }
-            comm.recycle_f64s(data);
+            self.store_ghosts(comm, k, data, x);
         }
     }
 

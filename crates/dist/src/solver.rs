@@ -9,10 +9,12 @@
 
 use crate::{tags, DistMatrix};
 use parapre_krylov::gmres::{DIVERGENCE_GUARD, STALL_RTOL};
-use parapre_krylov::{proj, BreakdownKind, SolveBreakdown};
+use parapre_krylov::proj::{Basis, Panel};
+use parapre_krylov::{BreakdownKind, SolveBreakdown};
 use parapre_mpisim::Comm;
 use parapre_sparse::{ops, Csr, Error, Result};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 
 /// A distributed linear operator on owned-unknown vectors.
 pub trait DistOp {
@@ -308,7 +310,9 @@ impl DistGmres {
         assert_eq!(b.len(), n);
         assert_eq!(x.len(), n);
         let cfg = &self.config;
-        let restart = cfg.restart.max(1);
+        // A cycle cannot outrun the iteration budget, and its basis is
+        // allocated whole.
+        let restart = cfg.restart.clamp(1, cfg.max_iters.max(1));
         let _solve_span = parapre_trace::span(if cfg.trace_iters {
             parapre_trace::phase::SOLVE
         } else {
@@ -328,8 +332,6 @@ impl DistGmres {
         };
 
         let mut r = vec![0.0; n];
-        let mut w = vec![0.0; n];
-        let mut z = vec![0.0; n];
 
         a.apply(comm, x, &mut r);
         for (ri, &bi) in r.iter_mut().zip(b) {
@@ -354,60 +356,70 @@ impl DistGmres {
             return report;
         }
         let target = (cfg.rel_tol * r0_norm).max(cfg.abs_tol);
-        let mut cycle_betas: Vec<f64> = Vec::new();
+        // The true residuals of the last `stall_window + 1` cycle boundaries
+        // (there are at most `max_iters / restart + 1` of them).
+        let mut cycle_betas: VecDeque<f64> =
+            VecDeque::with_capacity(cfg.stall_window.min(cfg.max_iters / restart) + 1);
 
-        let mut v: Vec<Vec<f64>> = Vec::with_capacity(restart + 1);
-        let mut zdirs: Vec<Vec<f64>> = Vec::new();
-        let mut h: Vec<Vec<f64>> = Vec::with_capacity(restart);
+        // Everything a cycle writes is allocated here, once per solve. The
+        // Krylov basis has one column more than the restart length: the
+        // vector being orthogonalized is the column after the basis so far.
+        // The flexible variant keeps every preconditioned direction, the
+        // fixed one only the latest.
+        let mut v = Panel::zeros(n, restart + 1);
+        let mut zdirs = Panel::zeros(n, if cfg.flexible { restart } else { 1 });
+        // Hessenberg columns, packed: column `j` has `j + 2` entries.
+        let ld = restart + 1;
+        let mut h = vec![0.0; restart * ld];
         let mut givens: Vec<(f64, f64)> = Vec::with_capacity(restart);
         let mut g = vec![0.0; restart + 1];
+        let mut y = vec![0.0; restart];
+        let mut batch = vec![0.0; restart + 1];
         let mut total_iters = ckpt.map_or(0, |c| c.start_iters);
         let mut cycle = ckpt.map_or(0, |c| c.start_cycle);
         let mut beta = r0_norm;
 
         loop {
-            v.clear();
-            zdirs.clear();
-            h.clear();
             givens.clear();
             g.fill(0.0);
             g[0] = beta;
-            let mut v0 = r.clone();
-            for vi in &mut v0 {
-                *vi /= beta;
+            for (vi, &ri) in v.col_mut(0).iter_mut().zip(&r) {
+                *vi = ri / beta;
             }
-            v.push(v0);
 
             let mut k = 0usize;
             let mut cycle_done = false;
             let mut zero_norm = false;
             let mut nonfinite = false;
             while k < restart && total_iters < cfg.max_iters && !cycle_done {
+                let zk = if cfg.flexible { k } else { 0 };
                 {
                     let _s = parapre_trace::span(parapre_trace::phase::PRECOND_APPLY);
-                    m.apply(comm, &v[k], &mut z);
+                    m.apply(comm, v.col(k), zdirs.col_mut(zk));
                 }
-                if cfg.flexible {
-                    zdirs.push(z.clone());
-                }
-                a.apply(comm, &z, &mut w);
+                let (vs, w) = v.split(k + 1);
+                a.apply(comm, zdirs.col(zk), w);
                 total_iters += 1;
 
                 let orth = parapre_trace::span(parapre_trace::phase::ORTH);
-                let mut hcol = vec![0.0; k + 2];
+                let hcol = &mut h[k * ld..k * ld + k + 2];
                 let wnorm = match cfg.orth {
                     OrthMethod::Modified => {
-                        for (i, vi) in v.iter().enumerate() {
-                            let hik = dot(comm, &w, vi);
-                            hcol[i] = hik;
+                        for (i, hik) in hcol[..=k].iter_mut().enumerate() {
+                            let vi = vs.col(i);
+                            *hik = dot(comm, w, vi);
                             for (wj, &vj) in w.iter_mut().zip(vi) {
-                                *wj -= hik * vj;
+                                *wj -= *hik * vj;
                             }
                         }
-                        dot(comm, &w, &w).sqrt()
+                        let wnorm = dot(comm, w, w).sqrt();
+                        for wj in w.iter_mut() {
+                            *wj /= wnorm;
+                        }
+                        wnorm
                     }
                     OrthMethod::ClassicalBatched => {
-                        orthogonalize_batched(comm, &v, &mut w, &mut hcol)
+                        orthogonalize_batched(comm, vs, w, hcol, &mut batch[..k + 2])
                     }
                 };
                 drop(orth);
@@ -433,7 +445,6 @@ impl DistGmres {
                 let gk = g[k];
                 g[k] = c * gk;
                 g[k + 1] = -s * gk;
-                h.push(hcol);
                 k += 1;
 
                 let res_est = g[k].abs();
@@ -454,46 +465,44 @@ impl DistGmres {
                         );
                     }
                 }
+                // Column `k` now holds `w / wnorm`, the next basis vector; a
+                // cycle that ends here never reads it.
                 if res_est <= target || wnorm == 0.0 {
                     zero_norm = wnorm == 0.0;
                     cycle_done = true;
-                } else if k < restart {
-                    let mut vk = w.clone();
-                    for vi in &mut vk {
-                        *vi /= wnorm;
-                    }
-                    v.push(vk);
                 }
             }
 
             // Form the update from this cycle.
             if k > 0 {
-                let mut y = vec![0.0; k];
+                let y = &mut y[..k];
                 for i in (0..k).rev() {
                     let mut acc = g[i];
-                    for (j, hj) in h.iter().enumerate().take(k).skip(i + 1) {
-                        acc -= hj[i] * y[j];
+                    for j in i + 1..k {
+                        acc -= h[j * ld + i] * y[j];
                     }
-                    y[i] = acc / h[i][i];
+                    y[i] = acc / h[i * ld + i];
                 }
                 if cfg.flexible {
-                    for (j, zj) in zdirs.iter().enumerate().take(k) {
-                        for (xi, &zji) in x.iter_mut().zip(zj) {
-                            *xi += y[j] * zji;
+                    for (j, &yj) in y.iter().enumerate() {
+                        for (xi, &zji) in x.iter_mut().zip(zdirs.col(j)) {
+                            *xi += yj * zji;
                         }
                     }
                 } else {
-                    let mut u = vec![0.0; n];
-                    for (j, vj) in v.iter().enumerate().take(k) {
-                        for (ui, &vji) in u.iter_mut().zip(vj) {
-                            *ui += y[j] * vji;
+                    // Column `k` is free: the cycle is over.
+                    let (vs, u) = v.split(k);
+                    u.fill(0.0);
+                    for (j, &yj) in y.iter().enumerate() {
+                        for (ui, &vji) in u.iter_mut().zip(vs.col(j)) {
+                            *ui += yj * vji;
                         }
                     }
                     {
                         let _s = parapre_trace::span(parapre_trace::phase::PRECOND_APPLY);
-                        m.apply(comm, &u, &mut z);
+                        m.apply(comm, u, zdirs.col_mut(0));
                     }
-                    for (xi, &zi) in x.iter_mut().zip(&z) {
+                    for (xi, &zi) in x.iter_mut().zip(zdirs.col(0)) {
                         *xi += zi;
                     }
                 }
@@ -535,10 +544,11 @@ impl DistGmres {
             } else if beta > DIVERGENCE_GUARD * r0_norm {
                 Some(BreakdownKind::Divergence)
             } else if cfg.stall_window > 0 {
-                cycle_betas.push(beta);
-                let w = cfg.stall_window;
-                (cycle_betas.len() > w
-                    && beta > cycle_betas[cycle_betas.len() - 1 - w] * (1.0 - STALL_RTOL))
+                if cycle_betas.len() > cfg.stall_window {
+                    cycle_betas.pop_front();
+                }
+                cycle_betas.push_back(beta);
+                (cycle_betas.len() > cfg.stall_window && beta > cycle_betas[0] * (1.0 - STALL_RTOL))
                     .then_some(BreakdownKind::Stagnation)
             } else {
                 None
@@ -579,43 +589,50 @@ impl DistGmres {
 /// reorthogonalization (one more fused reduce) when the Pythagorean
 /// estimate `‖w'‖² ≈ w·w − Σhᵢ²` reveals severe cancellation.
 ///
-/// Writes the projection coefficients into `hcol[..k+1]`, updates `w` in
-/// place, and returns `‖w'‖` (estimate; relative error `O(ε)` once the
+/// Writes the projection coefficients into `hcol[..k+1]`, leaves in `w` the
+/// orthogonalized vector **divided by its norm** — the next basis vector —
+/// and returns that norm `‖w'‖` (estimate; relative error `O(ε)` once the
 /// cancellation guard has passed — any remaining error only perturbs the
 /// Krylov basis scaling, not the residual recurrence's correctness).
-fn orthogonalize_batched(comm: &mut Comm, v: &[Vec<f64>], w: &mut [f64], hcol: &mut [f64]) -> f64 {
-    let k1 = v.len();
+/// `batch` is scratch for the `k+2` reduced sums.
+fn orthogonalize_batched(
+    comm: &mut Comm,
+    vs: Basis<'_>,
+    w: &mut [f64],
+    hcol: &mut [f64],
+    batch: &mut [f64],
+) -> f64 {
+    let k1 = vs.len();
     debug_assert!(hcol.len() > k1);
-    let mut batch = vec![0.0; k1 + 1];
-    proj::batched_dots(w, v, &mut batch[..k1]);
-    batch[k1] = ops::dot_par(w, w);
-    comm.allreduce_sum_vec(&mut batch, tags::REDUCE);
+    vs.dots(w, batch);
+    comm.allreduce_sum_vec(batch, tags::REDUCE);
     parapre_trace::counter(parapre_trace::counters::GMRES_FUSED_ALLREDUCE, 1);
     let ww = batch[k1];
     hcol[..k1].copy_from_slice(&batch[..k1]);
     let proj_sq: f64 = batch[..k1].iter().map(|h| h * h).sum();
-    proj::subtract_projections(w, v, &batch[..k1]);
     let mut est = (ww - proj_sq).max(0.0);
     // DGKS criterion (η² = 1/2): when more than half the mass of `w` was
     // removed by the projection, the Pythagorean estimate is untrustworthy
-    // and the coefficients have cancelled — orthogonalize once more.
+    // and the coefficients have cancelled — orthogonalize once more. With a
+    // good preconditioner `A M⁻¹ v ≈ v`, so this is the usual case, and the
+    // first subtraction shares its sweep over `w` with the second pass's
+    // inner products.
     if est <= 0.5 * ww {
         parapre_trace::counter(parapre_trace::counters::GMRES_REORTH, 1);
-        let mut batch2 = vec![0.0; k1 + 1];
-        proj::batched_dots(w, v, &mut batch2[..k1]);
-        batch2[k1] = ops::dot_par(w, w);
-        comm.allreduce_sum_vec(&mut batch2, tags::REDUCE);
+        vs.sub_then_dots(&hcol[..k1], w, batch);
+        comm.allreduce_sum_vec(batch, tags::REDUCE);
         parapre_trace::counter(parapre_trace::counters::GMRES_FUSED_ALLREDUCE, 1);
-        let w1w1 = batch2[k1];
+        let w1w1 = batch[k1];
         let mut corr_sq = 0.0;
-        for (h, &ci) in hcol[..k1].iter_mut().zip(&batch2[..k1]) {
+        for (h, &ci) in hcol[..k1].iter_mut().zip(&batch[..k1]) {
             *h += ci;
             corr_sq += ci * ci;
         }
-        proj::subtract_projections(w, v, &batch2[..k1]);
         est = (w1w1 - corr_sq).max(0.0);
     }
-    est.sqrt()
+    let wnorm = est.sqrt();
+    vs.sub_div(&batch[..k1], wnorm, w);
+    wnorm
 }
 
 fn givens_rotation(a: f64, b: f64) -> (f64, f64) {

@@ -1,0 +1,132 @@
+//! A distributed GMRES solve allocates before its first iteration and not
+//! after: a solve three times as long costs no allocation more. Pinned with a
+//! counting global allocator, one count per thread, so every rank reads its
+//! own.
+
+use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix, IdentityDistPrecond};
+use parapre_fem::{bc, poisson, LinearSystem};
+use parapre_grid::structured::unit_square;
+use parapre_mpisim::Universe;
+use parapre_partition::partition_graph;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::time::Duration;
+
+thread_local! {
+    /// Allocations (and reallocations) made by this thread.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with`: a thread frees its last blocks after its locals are gone.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+struct Counting;
+
+// SAFETY: every call is handed to `System` unchanged; counting touches only a
+// const-initialized thread-local `Cell`, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// What one solve cost one rank.
+#[derive(Debug, Clone, Copy)]
+struct Cost {
+    iterations: usize,
+    allocs: u64,
+    msgs_sent: u64,
+}
+
+/// Per rank, the cost of a 40-iteration and of a 120-iteration solve of the
+/// same system (an unreachable tolerance, so both spend their whole budget),
+/// after a warm-up solve has filled the message-buffer pools.
+fn short_and_long_solve(p: usize, flexible: bool) -> Vec<[Cost; 2]> {
+    // The convergence ring and the wait clocks are the metrics layer's, and
+    // the ring grows until it is full: not this test's subject.
+    parapre_metrics::set_enabled(false);
+    let mesh = unit_square(48, 48);
+    let (a, b) = poisson::assemble_2d(&mesh, poisson::rhs_tc1);
+    let mut sys = LinearSystem { a, b };
+    let on_boundary = mesh.boundary_nodes();
+    let fixed: Vec<(usize, f64)> = (0..mesh.coords.len())
+        .filter(|&i| on_boundary[i])
+        .map(|i| (i, poisson::exact_tc1(mesh.coords[i][0], mesh.coords[i][1])))
+        .collect();
+    bc::apply_dirichlet(&mut sys, &fixed);
+    let (a, b) = (sys.a, sys.b);
+    let owner = partition_graph(&mesh.adjacency(), p, 7).owner;
+    // One thread per rank: with the `parallel` feature a kernel that fans out
+    // pays the pool's hand-off in allocations, and those are the pool's.
+    let ranks = Universe::try_run_with_threads(p, Duration::from_secs(60), None, Some(1), |comm| {
+        let dm = DistMatrix::from_global(&a, &owner, comm.rank(), p);
+        let b_loc = scatter_vector(&dm.layout, &b);
+        let mut x = vec![0.0; dm.layout.n_owned()];
+        let mut solve = |max_iters: usize| {
+            x.fill(0.0);
+            let solver = DistGmres::new(DistGmresConfig {
+                max_iters,
+                rel_tol: 1e-30,
+                flexible,
+                ..Default::default()
+            });
+            let (allocs, msgs) = (ALLOCS.get(), comm.stats().msgs_sent);
+            let rep = solver.solve(comm, &dm, &IdentityDistPrecond, &b_loc, &mut x);
+            Cost {
+                iterations: rep.iterations,
+                allocs: ALLOCS.get() - allocs,
+                msgs_sent: comm.stats().msgs_sent - msgs,
+            }
+        };
+        solve(120);
+        [solve(40), solve(120)]
+    });
+    ranks
+        .into_iter()
+        .map(|r| r.expect("rank finished"))
+        .collect()
+}
+
+#[test]
+fn a_longer_solve_allocates_no_more() {
+    for flexible in [true, false] {
+        let [short, long] = short_and_long_solve(1, flexible)[0];
+        assert_eq!((short.iterations, long.iterations), (40, 120));
+        assert!(short.allocs > 0, "the counter counts");
+        assert_eq!(long.allocs, short.allocs, "flexible={flexible}");
+    }
+}
+
+#[test]
+fn between_ranks_only_the_channels_allocate() {
+    // std's channel allocates a block per 31 messages, on the sender. That is
+    // the substrate's, and it is all: anything per iteration in the solver
+    // would show as 80 allocations or more.
+    for (rank, [short, long]) in short_and_long_solve(2, true).into_iter().enumerate() {
+        assert_eq!((short.iterations, long.iterations), (40, 120));
+        let more_msgs = long.msgs_sent - short.msgs_sent;
+        assert!(more_msgs >= 160, "two messages an iteration at least");
+        let more_allocs = long.allocs.saturating_sub(short.allocs);
+        assert!(
+            more_allocs <= more_msgs / 31 + 1,
+            "rank {rank}: {more_allocs} more allocations for {more_msgs} more messages"
+        );
+    }
+}

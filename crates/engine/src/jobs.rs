@@ -17,7 +17,7 @@
 //! overrides `size`), `size` (`tiny`/`default`/`full`), `precond` (one of
 //! [`VALID_PRECONDS`]; `"schurml"` additionally honours `levels` and
 //! `rank`), `ranks`, `scheme`, `seed`, `repeat`, `rhs`, `tol`, `maxit`,
-//! `restart`. Resilience
+//! `restart` (1 to 1000). Resilience
 //! keys: `retries`, `backoff_ms`, `degrade`, `checkpoint` (recovery
 //! policy), `fallback` (solve-time descent of the preconditioner ladder on
 //! a typed breakdown, default on; the build always goes through the ladder);
@@ -293,6 +293,9 @@ pub const VALID_PRECONDS: &str = "block1, block2, schur1, schur2, schurml, overl
 /// ingest path, never inline in a job line.)
 pub const MAX_JOB_LINE_BYTES: usize = 1 << 20;
 
+/// Longest restart cycle a job may ask for.
+const MAX_RESTART: u64 = 1000;
+
 /// Parses one JSONL job line. `seq` numbers auto-generated ids
 /// (`job-<seq>`) for lines without an `id`.
 pub fn parse_job_line(line: &str, seq: usize) -> Result<SolveJob, EngineError> {
@@ -385,6 +388,12 @@ pub fn parse_job_line(line: &str, seq: usize) -> Result<SolveJob, EngineError> {
         session.gmres.max_iters = maxit as usize;
     }
     if let Some(restart) = get_u("restart") {
+        // The solver allocates its `restart + 1` basis vectors up front.
+        if !(1..=MAX_RESTART).contains(&restart) {
+            return Err(EngineError::BadJob(format!(
+                "restart must be in 1..={MAX_RESTART}, got {restart}"
+            )));
+        }
         session.gmres.restart = restart as usize;
     }
 

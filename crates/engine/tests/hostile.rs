@@ -27,6 +27,15 @@ fn hostile_job_lines_reject_without_panic() {
     // Fault injection cannot ride on a batch job.
     assert!(parse_job_line(r#"{"case":"tc1","batch":4,"kill_rank":1}"#, 0).is_err());
 
+    // A restart length the solver would have to allocate a basis for.
+    for restart in ["0", "1001", "4000000000"] {
+        let line = format!(r#"{{"case":"tc1","restart":{restart}}}"#);
+        let err = parse_job_line(&line, 0).unwrap_err().to_string();
+        assert!(err.contains("restart"), "got {err}");
+    }
+    let job = parse_job_line(r#"{"case":"tc1","restart":1000}"#, 0).expect("parses");
+    assert_eq!(job.session.gmres.restart, 1000);
+
     // Structural garbage: truncated objects, bare values, empty input.
     for line in ["{", "{\"case\":", "", "42", "[1,2,3]", "{\"case\":\"tc1\""] {
         assert!(parse_job_line(line, 0).is_err(), "accepted {line:?}");

@@ -11,6 +11,7 @@
 
 use crate::op::LinOp;
 use crate::precond::Preconditioner;
+use crate::proj::Panel;
 use crate::{BreakdownKind, SolveBreakdown, SolveReport};
 use parapre_sparse::ops;
 
@@ -164,12 +165,12 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
     assert_eq!(b.len(), n, "gmres: rhs length");
     assert_eq!(x.len(), n, "gmres: x length");
     assert_eq!(m.dim(), n, "gmres: preconditioner dim");
-    let restart = cfg.restart.max(1);
+    // A cycle cannot outrun the iteration budget, and its basis is allocated
+    // whole.
+    let restart = cfg.restart.clamp(1, cfg.max_iters.max(1));
 
     let mut report = SolveReport::new();
     let mut r = vec![0.0; n];
-    let mut w = vec![0.0; n];
-    let mut z = vec![0.0; n];
 
     // Initial residual.
     a.apply(x, &mut r);
@@ -198,9 +199,11 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
     let target = (cfg.rel_tol * r0_norm).max(cfg.abs_tol);
     let mut stall: Vec<f64> = Vec::new();
 
-    // Krylov basis and (for FGMRES) preconditioned directions.
-    let mut v: Vec<Vec<f64>> = Vec::with_capacity(restart + 1);
-    let mut zdirs: Vec<Vec<f64>> = Vec::new();
+    // Krylov basis, one column more than the restart length: the vector
+    // being orthogonalized is the column after the basis so far. For FGMRES
+    // every preconditioned direction is kept, otherwise only the latest.
+    let mut v = Panel::zeros(n, restart + 1);
+    let mut zdirs = Panel::zeros(n, if flexible { restart } else { 1 });
     // Hessenberg in packed columns: h[j] has j+2 entries.
     let mut h: Vec<Vec<f64>> = Vec::with_capacity(restart);
     let mut givens: Vec<(f64, f64)> = Vec::with_capacity(restart);
@@ -210,41 +213,36 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
     let mut beta = r0_norm;
 
     'outer: loop {
-        v.clear();
-        zdirs.clear();
         h.clear();
         givens.clear();
         g.fill(0.0);
         g[0] = beta;
-        let mut v0 = r.clone();
-        ops::scale(1.0 / beta, &mut v0);
-        v.push(v0);
+        v.col_mut(0).copy_from_slice(&r);
+        ops::scale(1.0 / beta, v.col_mut(0));
 
         let mut k = 0usize; // columns completed this cycle
         while k < restart && total_iters < cfg.max_iters {
             // z = M^{-1} v_k ; w = A z
-            m.apply(&v[k], &mut z);
-            if flexible {
-                zdirs.push(z.clone());
-            }
-            a.apply(&z, &mut w);
+            let zk = if flexible { k } else { 0 };
+            m.apply(v.col(k), zdirs.col_mut(zk));
+            let (vs, w) = v.split(k + 1);
+            a.apply(zdirs.col(zk), w);
             total_iters += 1;
 
             // Modified Gram-Schmidt.
             let mut hcol = vec![0.0; k + 2];
-            for (i, vi) in v.iter().enumerate() {
-                let hik = ops::dot(&w, vi);
-                hcol[i] = hik;
-                ops::axpy(-hik, vi, &mut w);
+            for (i, hik) in hcol[..=k].iter_mut().enumerate() {
+                *hik = ops::dot(w, vs.col(i));
+                ops::axpy(-*hik, vs.col(i), w);
             }
-            let wnorm = ops::norm2(&w);
+            let wnorm = ops::norm2(w);
             hcol[k + 1] = wnorm;
 
             // A NaN/Inf inner product or norm poisons the Hessenberg
             // column: discard it, form the best solution from the finite
             // columns, and report a typed breakdown.
             if hcol.iter().any(|h| !h.is_finite()) {
-                update_solution(a, m, &v, &zdirs, &h, &g, k, x, flexible, &mut z, &mut w);
+                update_solution(m, &mut v, &mut zdirs, &h, &g, k, x, flexible);
                 a.apply(x, &mut r);
                 for (ri, &bi) in r.iter_mut().zip(b) {
                     *ri = bi - *ri;
@@ -288,7 +286,7 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
             }
             if res_est <= target || wnorm == 0.0 {
                 // Converged or breakdown (happy or serious): finish now.
-                update_solution(a, m, &v, &zdirs, &h, &g, k, x, flexible, &mut z, &mut w);
+                update_solution(m, &mut v, &mut zdirs, &h, &g, k, x, flexible);
                 // Recompute the true residual to report honestly.
                 a.apply(x, &mut r);
                 for (ri, &bi) in r.iter_mut().zip(b) {
@@ -322,7 +320,7 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
                 continue 'outer;
             }
             if res_est > DIVERGENCE_GUARD * r0_norm {
-                update_solution(a, m, &v, &zdirs, &h, &g, k, x, flexible, &mut z, &mut w);
+                update_solution(m, &mut v, &mut zdirs, &h, &g, k, x, flexible);
                 a.apply(x, &mut r);
                 for (ri, &bi) in r.iter_mut().zip(b) {
                     *ri = bi - *ri;
@@ -343,7 +341,7 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
                 if stall.len() > cfg.stall_window {
                     let prev = stall[stall.len() - 1 - cfg.stall_window];
                     if res_est > prev * (1.0 - STALL_RTOL) {
-                        update_solution(a, m, &v, &zdirs, &h, &g, k, x, flexible, &mut z, &mut w);
+                        update_solution(m, &mut v, &mut zdirs, &h, &g, k, x, flexible);
                         a.apply(x, &mut r);
                         for (ri, &bi) in r.iter_mut().zip(b) {
                             *ri = bi - *ri;
@@ -366,14 +364,12 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
                 }
             }
             if wnorm > 0.0 && k < restart {
-                let mut vk = w.clone();
-                ops::scale(1.0 / wnorm, &mut vk);
-                v.push(vk);
+                ops::scale(1.0 / wnorm, v.col_mut(k));
             }
         }
 
         // End of cycle (restart or iteration budget).
-        update_solution(a, m, &v, &zdirs, &h, &g, k, x, flexible, &mut z, &mut w);
+        update_solution(m, &mut v, &mut zdirs, &h, &g, k, x, flexible);
         a.apply(x, &mut r);
         for (ri, &bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
@@ -391,20 +387,19 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
     }
 }
 
-/// Computes the update `x += correction` from the converged/restarted cycle.
+/// Computes the update `x += correction` from the converged/restarted cycle
+/// of `k` columns. Column `k` of `v` and column 0 of `zdirs` are scratch for
+/// the fixed-preconditioner update.
 #[allow(clippy::too_many_arguments)]
-fn update_solution<A: LinOp, M: Preconditioner>(
-    _a: &A,
+fn update_solution<M: Preconditioner>(
     m: &M,
-    v: &[Vec<f64>],
-    zdirs: &[Vec<f64>],
+    v: &mut Panel,
+    zdirs: &mut Panel,
     h: &[Vec<f64>],
     g: &[f64],
     k: usize,
     x: &mut [f64],
     flexible: bool,
-    scratch_z: &mut [f64],
-    scratch_u: &mut [f64],
 ) {
     if k == 0 {
         return;
@@ -419,17 +414,18 @@ fn update_solution<A: LinOp, M: Preconditioner>(
         y[i] = acc / h[i][i];
     }
     if flexible {
-        for (j, zj) in zdirs.iter().enumerate().take(k) {
-            ops::axpy(y[j], zj, x);
+        for (j, &yj) in y.iter().enumerate() {
+            ops::axpy(yj, zdirs.col(j), x);
         }
     } else {
         // u = V_k y ; x += M^{-1} u
-        scratch_u.fill(0.0);
-        for (j, vj) in v.iter().enumerate().take(k) {
-            ops::axpy(y[j], vj, scratch_u);
+        let (vs, u) = v.split(k);
+        u.fill(0.0);
+        for (j, &yj) in y.iter().enumerate() {
+            ops::axpy(yj, vs.col(j), u);
         }
-        m.apply(scratch_u, scratch_z);
-        ops::axpy(1.0, scratch_z, x);
+        m.apply(u, zdirs.col_mut(0));
+        ops::axpy(1.0, zdirs.col(0), x);
     }
 }
 

@@ -1,112 +1,408 @@
-//! Fused classical Gram–Schmidt projection kernels.
+//! The Krylov basis panel and its blocked Gram–Schmidt projection kernels.
 //!
-//! A CGS orthogonalization step against a basis `v_0..v_{k-1}` is two
-//! batched BLAS-1 passes: `h_i = ⟨w, v_i⟩` for every basis vector, then
-//! `w ← w − Σ_i h_i v_i`. Keeping the passes batched (instead of a
-//! dot/axpy pair per vector, as MGS does) lets the distributed solver
-//! combine all `k` inner products into a single allreduce *and* lets the
-//! local work fan out across the in-rank worker pool
-//! (`parapre_sparse::parallel`).
+//! A handful of long vectors — an Arnoldi basis, the FGMRES directions, a
+//! deflation basis — is stored as one [`Panel`]: a contiguous column-major
+//! array allocated once. A classical Gram–Schmidt step against its leading
+//! columns `v_0..v_{k-1}` is two batched passes: `h_i = ⟨w, v_i⟩` for every
+//! column ([`Basis::dots`]), then `w ← w − Σ_i h_i v_i` ([`Basis::sub`]).
+//! Keeping the passes batched (instead of a dot/axpy pair per vector, as MGS
+//! does) lets the distributed solver combine all `k` inner products into a
+//! single allreduce. Re-orthogonalization, which a well-preconditioned solve
+//! takes on nearly every step, subtracts one pass's coefficients and takes
+//! the next pass's inner products in the same sweep over `w`
+//! ([`Basis::sub_then_dots`]).
 //!
-//! Determinism: [`batched_dots`] evaluates each coefficient with the
-//! fixed-chunk reduction of [`ops::dot`], and [`subtract_projections`]
-//! updates element-disjoint windows of `w` while walking the basis in
-//! ascending order inside each window — both are bitwise identical at
-//! any worker count, including 1.
+//! The kernels walk `w` in row blocks that stay in L1 and take four columns
+//! per read of a block, so `w` is loaded once per four columns instead of
+//! once per column.
+//!
+//! Determinism: every inner product has the lane structure and the fixed
+//! [`REDUCE_CHUNK`] combine order of [`ops::dot`](parapre_sparse::ops::dot),
+//! and every element of `w` has the columns subtracted in ascending order as
+//! a loop of [`ops::axpy`](parapre_sparse::ops::axpy) would, so results are
+//! bit for bit those of the per-column loops, at any worker count.
 
-use parapre_sparse::{ops, parallel};
+use parapre_sparse::ops::REDUCE_CHUNK;
+use parapre_sparse::parallel;
+use std::ops::Range;
 
-/// Minimum vector length before the projection kernels fan out; below
-/// this the pool hand-off costs more than the arithmetic.
+/// Accumulator lanes of one inner product, as in `ops::dot`.
+const LANES: usize = 4;
+
+/// Columns taken per read of a block of `w`.
+const COLS: usize = 4;
+
+/// Rows per block: 2 KB of `w` and of each column, so a block of `w` and
+/// the 21 column blocks of a full FGMRES(20) basis (45 KB) stay in a 48 KB
+/// L1 between the subtraction and the inner products of the fused kernel.
+/// Divides [`REDUCE_CHUNK`]; a multiple of [`LANES`].
+const ROW_BLOCK: usize = 256;
+
+/// Minimum amount of work before the kernels fan out; below this the pool
+/// hand-off costs more than the arithmetic.
 const PAR_MIN_LEN: usize = 8192;
 
-/// Computes `out[i] = ⟨w, basis[i]⟩` for every basis vector, fanning the
-/// independent dot products out across the worker pool when the caller's
-/// thread budget allows. Each dot uses the deterministic chunked
-/// reduction, so results do not depend on the worker count.
-pub fn batched_dots<V: AsRef<[f64]> + Sync>(w: &[f64], basis: &[V], out: &mut [f64]) {
-    debug_assert_eq!(basis.len(), out.len());
-    let budget = parallel::current_budget();
-    if budget <= 1 || basis.len() < 2 || w.len() * basis.len() < PAR_MIN_LEN {
-        for (o, v) in out.iter_mut().zip(basis) {
-            debug_assert_eq!(v.as_ref().len(), w.len());
-            *o = ops::dot(w, v.as_ref());
-        }
-        return;
-    }
-    parallel::for_each_chunk_mut(out, basis.len().min(budget), |_, start, chunk| {
-        let len = chunk.len();
-        for (o, v) in chunk.iter_mut().zip(&basis[start..start + len]) {
-            *o = ops::dot(w, v.as_ref());
-        }
-    });
+/// Inner products whose accumulators fit on the stack; a wider basis takes
+/// them from the heap.
+const STACK_ACCS: usize = 64;
+
+/// The accumulators of one inner product over one reduction chunk: the four
+/// lanes of the 4-aligned head, then the scalar tail.
+type Acc = [f64; LANES + 1];
+
+/// A column-major panel of `n_cols` vectors of length `n_rows`, contiguous
+/// and allocated once.
+#[derive(Debug, Clone)]
+pub struct Panel {
+    n_rows: usize,
+    n_cols: usize,
+    data: Vec<f64>,
 }
 
-/// Applies `w ← w − Σ_i coeffs[i] · basis[i]`, chunked over the elements
-/// of `w`: each window of `w` subtracts every projection in ascending
-/// basis order, so the update is bitwise identical to the serial loop at
-/// any worker count.
-pub fn subtract_projections<V: AsRef<[f64]> + Sync>(w: &mut [f64], basis: &[V], coeffs: &[f64]) {
-    debug_assert_eq!(basis.len(), coeffs.len());
-    let budget = parallel::current_budget();
-    if budget <= 1 || w.len() < PAR_MIN_LEN {
-        for (v, &c) in basis.iter().zip(coeffs) {
-            ops::axpy(-c, v.as_ref(), w);
+impl Panel {
+    /// A panel of zeros.
+    pub fn zeros(n_rows: usize, n_cols: usize) -> Panel {
+        Panel {
+            n_rows,
+            n_cols,
+            data: vec![0.0; n_rows * n_cols],
         }
-        return;
     }
-    parallel::for_each_chunk_mut(w, budget, |_, start, wc| {
-        let len = wc.len();
-        for (v, &c) in basis.iter().zip(coeffs) {
-            ops::axpy(-c, &v.as_ref()[start..start + len], wc);
+
+    /// Number of columns.
+    pub fn n_cols(&self) -> usize {
+        self.n_cols
+    }
+
+    /// Column `j`.
+    pub fn col(&self, j: usize) -> &[f64] {
+        &self.data[j * self.n_rows..(j + 1) * self.n_rows]
+    }
+
+    /// Column `j`, mutable.
+    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
+        &mut self.data[j * self.n_rows..(j + 1) * self.n_rows]
+    }
+
+    /// The leading `k` columns as a basis to project against.
+    pub fn basis(&self, k: usize) -> Basis<'_> {
+        Basis {
+            n_rows: self.n_rows,
+            n_cols: k,
+            data: &self.data[..k * self.n_rows],
         }
+    }
+
+    /// The leading `k` columns as a basis, and column `k` to orthogonalize
+    /// against them in place.
+    pub fn split(&mut self, k: usize) -> (Basis<'_>, &mut [f64]) {
+        let (head, tail) = self.data.split_at_mut(k * self.n_rows);
+        let basis = Basis {
+            n_rows: self.n_rows,
+            n_cols: k,
+            data: head,
+        };
+        (basis, &mut tail[..self.n_rows])
+    }
+
+    /// Keeps the leading `k` columns and gives the rest of the allocation
+    /// back.
+    pub fn truncate(&mut self, k: usize) {
+        assert!(k <= self.n_cols);
+        self.n_cols = k;
+        self.data.truncate(k * self.n_rows);
+        self.data.shrink_to_fit();
+    }
+}
+
+/// The leading columns of a [`Panel`], borrowed: the vectors a projection
+/// runs against.
+#[derive(Debug, Clone, Copy)]
+pub struct Basis<'a> {
+    n_rows: usize,
+    n_cols: usize,
+    data: &'a [f64],
+}
+
+impl<'a> Basis<'a> {
+    /// Number of basis vectors.
+    pub fn len(&self) -> usize {
+        self.n_cols
+    }
+
+    /// Whether the basis has no vectors.
+    pub fn is_empty(&self) -> bool {
+        self.n_cols == 0
+    }
+
+    /// Basis vector `j`.
+    pub fn col(&self, j: usize) -> &'a [f64] {
+        &self.data[j * self.n_rows..(j + 1) * self.n_rows]
+    }
+
+    /// `out[j] = ⟨w, v_j⟩` for every basis vector and `out[len] = ⟨w, w⟩`.
+    ///
+    /// Fans the inner products out across the worker pool when the caller's
+    /// thread budget allows; each is evaluated whole by one worker, so the
+    /// results do not depend on the worker count.
+    pub fn dots(&self, w: &[f64], out: &mut [f64]) {
+        assert_eq!(w.len(), self.n_rows);
+        assert_eq!(out.len(), self.n_cols + 1);
+        let budget = parallel::current_budget();
+        if budget <= 1 || w.len() * out.len() < PAR_MIN_LEN {
+            self.dots_of(0, w, out);
+            return;
+        }
+        parallel::for_each_chunk_mut(out, budget, |_, first, part| self.dots_of(first, w, part));
+    }
+
+    /// `w ← w − Σ_j coeffs[j] · v_j`, the basis vectors subtracted from
+    /// every element in ascending order.
+    pub fn sub(&self, coeffs: &[f64], w: &mut [f64]) {
+        self.sub_finish(coeffs, w, |x| x);
+    }
+
+    /// `w ← (w − Σ_j coeffs[j] · v_j) / divisor`: the last subtraction of an
+    /// orthogonalization step, leaving the normalized next basis vector.
+    pub fn sub_div(&self, coeffs: &[f64], divisor: f64, w: &mut [f64]) {
+        self.sub_finish(coeffs, w, move |x| x / divisor);
+    }
+
+    /// [`Basis::sub`] with `coeffs`, then [`Basis::dots`] of the result, in
+    /// one sweep: each block of `w` has its inner products taken while it is
+    /// still in L1 from the subtraction. Same bits as the two calls.
+    pub fn sub_then_dots(&self, coeffs: &[f64], w: &mut [f64], out: &mut [f64]) {
+        assert_eq!(w.len(), self.n_rows);
+        assert_eq!(coeffs.len(), self.n_cols);
+        assert_eq!(out.len(), self.n_cols + 1);
+        // Fanned out, the subtraction splits `w` by rows and the inner
+        // products split by column: two sweeps.
+        if parallel::current_budget() > 1 && w.len() * out.len() >= PAR_MIN_LEN {
+            self.sub(coeffs, w);
+            self.dots(w, out);
+            return;
+        }
+        reduce_in_chunks(w.len(), out, |rows, accs| {
+            let block = &mut w[rows.clone()];
+            self.sub_block(rows.start, coeffs, block, |x| x);
+            self.dots_block(0, rows.start, block, accs);
+        });
+    }
+
+    fn sub_finish(&self, coeffs: &[f64], w: &mut [f64], finish: impl Fn(f64) -> f64 + Sync) {
+        assert_eq!(w.len(), self.n_rows);
+        assert_eq!(coeffs.len(), self.n_cols);
+        let budget = parallel::current_budget();
+        let parts = if w.len() < PAR_MIN_LEN { 1 } else { budget };
+        parallel::for_each_chunk_mut(w, parts, |_, first_row, part| {
+            for (b, block) in part.chunks_mut(ROW_BLOCK).enumerate() {
+                self.sub_block(first_row + b * ROW_BLOCK, coeffs, block, &finish);
+            }
+        });
+    }
+
+    /// The inner products `first..first + out.len()` of [`Basis::dots`].
+    fn dots_of(&self, first: usize, w: &[f64], out: &mut [f64]) {
+        reduce_in_chunks(w.len(), out, |rows, accs| {
+            self.dots_block(first, rows.start, &w[rows], accs);
+        });
+    }
+
+    /// Rows `row0..row0 + n` of basis vectors `j..j + G`; past the last
+    /// basis vector comes `w` itself, whose inner product is `⟨w, w⟩`.
+    #[inline(always)]
+    fn cols_at<'b, const G: usize>(&self, j: usize, row0: usize, w: &'b [f64]) -> [&'b [f64]; G]
+    where
+        'a: 'b,
+    {
+        std::array::from_fn(|g| {
+            if j + g < self.n_cols {
+                &self.col(j + g)[row0..row0 + w.len()]
+            } else {
+                w
+            }
+        })
+    }
+
+    /// Adds the rows `row0..row0 + w.len()` of inner products
+    /// `first..first + accs.len()` to their accumulators.
+    #[inline(always)]
+    fn dots_block(&self, first: usize, row0: usize, w: &[f64], accs: &mut [Acc]) {
+        let mut groups = accs.chunks_exact_mut(COLS);
+        let mut j = first;
+        for accs in &mut groups {
+            dots_group(self.cols_at::<COLS>(j, row0, w), w, accs);
+            j += COLS;
+        }
+        let accs = groups.into_remainder();
+        match accs.len() {
+            0 => {}
+            1 => dots_group(self.cols_at::<1>(j, row0, w), w, accs),
+            2 => dots_group(self.cols_at::<2>(j, row0, w), w, accs),
+            _ => dots_group(self.cols_at::<3>(j, row0, w), w, accs),
+        }
+    }
+
+    /// Coefficient and rows `row0..row0 + n` of basis vectors `j..j + G`.
+    #[inline(always)]
+    fn terms<const G: usize>(
+        &self,
+        coeffs: &[f64],
+        j: usize,
+        row0: usize,
+        n: usize,
+    ) -> [(f64, &'a [f64]); G] {
+        std::array::from_fn(|g| (coeffs[j + g], &self.col(j + g)[row0..row0 + n]))
+    }
+
+    /// Subtracts the basis from rows `row0..row0 + w.len()`, [`COLS`]
+    /// vectors per load and store of `w`, and applies `finish` with the last
+    /// store.
+    #[inline(always)]
+    fn sub_block(&self, row0: usize, coeffs: &[f64], w: &mut [f64], finish: impl Fn(f64) -> f64) {
+        let n = w.len();
+        let mut j = 0;
+        while self.n_cols - j > COLS {
+            sub_group(self.terms::<COLS>(coeffs, j, row0, n), w, |x| x);
+            j += COLS;
+        }
+        match self.n_cols - j {
+            0 => sub_group([], w, finish),
+            1 => sub_group(self.terms::<1>(coeffs, j, row0, n), w, finish),
+            2 => sub_group(self.terms::<2>(coeffs, j, row0, n), w, finish),
+            3 => sub_group(self.terms::<3>(coeffs, j, row0, n), w, finish),
+            _ => sub_group(self.terms::<COLS>(coeffs, j, row0, n), w, finish),
+        }
+    }
+}
+
+/// Runs `block(rows, accs)` over the row blocks of every reduction chunk of
+/// `0..n_rows` and adds each chunk's partial sums to `out` in ascending
+/// chunk order, lanes and tail combined as `ops::dot` combines them.
+fn reduce_in_chunks(
+    n_rows: usize,
+    out: &mut [f64],
+    mut block: impl FnMut(Range<usize>, &mut [Acc]),
+) {
+    let mut stack = [[0.0; LANES + 1]; STACK_ACCS];
+    let mut heap = Vec::new();
+    let accs = if out.len() <= STACK_ACCS {
+        &mut stack[..out.len()]
+    } else {
+        heap.resize(out.len(), [0.0; LANES + 1]);
+        &mut heap[..]
+    };
+    out.fill(0.0);
+    for lo in (0..n_rows).step_by(REDUCE_CHUNK) {
+        let hi = (lo + REDUCE_CHUNK).min(n_rows);
+        accs.fill([0.0; LANES + 1]);
+        for b in (lo..hi).step_by(ROW_BLOCK) {
+            block(b..(b + ROW_BLOCK).min(hi), accs);
+        }
+        for (o, a) in out.iter_mut().zip(accs.iter()) {
+            *o += (a[0] + a[2]) + (a[1] + a[3]) + a[4];
+        }
+    }
+}
+
+/// `accs[g] += ⟨w, cols[g]⟩` over one row block: the 4-aligned head into the
+/// lanes, what is left (only ever the end of the vector) into the tail.
+#[inline(always)]
+fn dots_group<const G: usize>(cols: [&[f64]; G], w: &[f64], accs: &mut [Acc]) {
+    let (w4, w_tail) = w.as_chunks::<LANES>();
+    let cols4 = cols.map(|c| c.as_chunks::<LANES>());
+    for (c4, c_tail) in &cols4 {
+        assert!(c4.len() == w4.len() && c_tail.len() == w_tail.len());
+    }
+    let mut lanes: [[f64; LANES]; G] = std::array::from_fn(|g| {
+        let a = &accs[g];
+        [a[0], a[1], a[2], a[3]]
     });
+    for (i, ws) in w4.iter().enumerate() {
+        for g in 0..G {
+            let vs = &cols4[g].0[i];
+            for l in 0..LANES {
+                lanes[g][l] += ws[l] * vs[l];
+            }
+        }
+    }
+    for g in 0..G {
+        accs[g][..LANES].copy_from_slice(&lanes[g]);
+        for (a, b) in w_tail.iter().zip(cols4[g].1) {
+            accs[g][LANES] += a * b;
+        }
+    }
+}
+
+/// `w[i] ← finish(((w[i] − c_0·v_0[i]) − c_1·v_1[i]) − …)` over one row
+/// block, for the `G` `(c, v)` pairs of `terms` in order.
+#[inline(always)]
+fn sub_group<const G: usize>(
+    terms: [(f64, &[f64]); G],
+    w: &mut [f64],
+    finish: impl Fn(f64) -> f64,
+) {
+    for (_, v) in &terms {
+        assert_eq!(v.len(), w.len());
+    }
+    for (i, wi) in w.iter_mut().enumerate() {
+        let mut x = *wi;
+        for (c, v) in &terms {
+            x -= c * v[i];
+        }
+        *wi = finish(x);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parapre_sparse::ops;
 
-    fn vecs(n: usize, k: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
+    fn filled(n: usize, k: usize) -> (Vec<f64>, Panel) {
         let w: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.2).collect();
-        let basis: Vec<Vec<f64>> = (0..k)
-            .map(|j| {
-                (0..n)
-                    .map(|i| ((i * (j + 2)) as f64 * 0.11).cos() - 0.1 * j as f64)
-                    .collect()
-            })
-            .collect();
-        (w, basis)
+        let mut panel = Panel::zeros(n, k);
+        for j in 0..k {
+            for (i, v) in panel.col_mut(j).iter_mut().enumerate() {
+                *v = ((i * (j + 2)) as f64 * 0.11).cos() - 0.1 * j as f64;
+            }
+        }
+        (w, panel)
     }
 
     #[test]
-    fn batched_dots_matches_serial_dots_bitwise() {
+    fn dots_match_per_column_dots_bitwise() {
         for n in [5, 1000, 20_000] {
-            let (w, basis) = vecs(n, 6);
-            let serial: Vec<f64> = basis.iter().map(|v| ops::dot(&w, v)).collect();
+            let (w, panel) = filled(n, 6);
+            let mut serial: Vec<f64> = (0..6).map(|j| ops::dot(&w, panel.col(j))).collect();
+            serial.push(ops::dot(&w, &w));
             for threads in [1usize, 2, 4, 8] {
                 let _b = parallel::enter_budget(threads);
-                let mut out = vec![0.0; basis.len()];
-                batched_dots(&w, &basis, &mut out);
+                let mut out = vec![f64::NAN; 7];
+                panel.basis(6).dots(&w, &mut out);
                 assert_eq!(out, serial, "n={n} threads={threads}");
             }
         }
     }
 
     #[test]
-    fn subtract_projections_matches_serial_axpys_bitwise() {
+    fn sub_matches_per_column_axpys_bitwise() {
         for n in [5, 1000, 20_000] {
-            let (w, basis) = vecs(n, 5);
-            let coeffs: Vec<f64> = (0..basis.len()).map(|i| 0.3 - 0.17 * i as f64).collect();
+            let (w, panel) = filled(n, 5);
+            let coeffs: Vec<f64> = (0..5).map(|i| 0.3 - 0.17 * i as f64).collect();
             let mut expect = w.clone();
-            for (v, &c) in basis.iter().zip(&coeffs) {
-                ops::axpy(-c, v, &mut expect);
+            for (j, &c) in coeffs.iter().enumerate() {
+                ops::axpy(-c, panel.col(j), &mut expect);
             }
+            let scaled: Vec<f64> = expect.iter().map(|x| x / 1.7).collect();
             for threads in [1usize, 2, 4, 8] {
                 let _b = parallel::enter_budget(threads);
                 let mut got = w.clone();
-                subtract_projections(&mut got, &basis, &coeffs);
+                panel.basis(5).sub(&coeffs, &mut got);
                 assert_eq!(got, expect, "n={n} threads={threads}");
+                let mut got = w.clone();
+                panel.basis(5).sub_div(&coeffs, 1.7, &mut got);
+                assert_eq!(got, scaled, "n={n} threads={threads}");
             }
         }
     }
@@ -116,27 +412,40 @@ mod tests {
         // One CGS pass against an orthonormal basis must leave w with
         // negligible components along it.
         let n = 4096;
-        let mut e1 = vec![0.0; n];
-        e1[7] = 1.0;
-        let mut e2 = vec![0.0; n];
-        e2[123] = 1.0;
-        let basis = [e1, e2];
-        let mut w: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).sin()).collect();
-        let mut h = vec![0.0; 2];
-        batched_dots(&w, &basis, &mut h);
-        subtract_projections(&mut w, &basis, &h);
+        let mut panel = Panel::zeros(n, 3);
+        panel.col_mut(0)[7] = 1.0;
+        panel.col_mut(1)[123] = 1.0;
+        for (i, w) in panel.col_mut(2).iter_mut().enumerate() {
+            *w = (i as f64 * 0.05).sin();
+        }
+        let (basis, w) = panel.split(2);
+        let mut h = vec![0.0; 3];
+        basis.dots(w, &mut h);
+        basis.sub(&h[..2], w);
         assert!(w[7].abs() < 1e-14);
         assert!(w[123].abs() < 1e-14);
     }
 
     #[test]
-    fn empty_basis_is_a_no_op() {
-        let w = vec![1.0, 2.0, 3.0];
-        let basis: Vec<Vec<f64>> = Vec::new();
-        let mut out: Vec<f64> = Vec::new();
-        batched_dots(&w, &basis, &mut out);
-        let mut w2 = w.clone();
-        subtract_projections(&mut w2, &basis, &[]);
-        assert_eq!(w2, w);
+    fn empty_basis_leaves_only_the_norm_and_the_divisor() {
+        let panel = Panel::zeros(3, 2);
+        let mut w = vec![1.0, 2.0, 3.0];
+        let mut out = [f64::NAN];
+        panel.basis(0).dots(&w, &mut out);
+        assert_eq!(out, [14.0]);
+        panel.basis(0).sub(&[], &mut w);
+        assert_eq!(w, [1.0, 2.0, 3.0]);
+        panel.basis(0).sub_div(&[], 2.0, &mut w);
+        assert_eq!(w, [0.5, 1.0, 1.5]);
+    }
+
+    #[test]
+    fn truncate_keeps_the_leading_columns() {
+        let (_, mut panel) = filled(7, 4);
+        let kept: Vec<f64> = panel.col(1).to_vec();
+        panel.truncate(2);
+        assert_eq!(panel.n_cols(), 2);
+        assert_eq!(panel.col(1).len(), 7);
+        assert_eq!(panel.col(1), kept);
     }
 }

@@ -38,7 +38,7 @@
 
 use crate::arms::{Arms, ArmsConfig};
 use crate::precond::Preconditioner;
-use crate::proj::{batched_dots, subtract_projections};
+use crate::proj::Panel;
 use parapre_sparse::dense::{Dense, DenseLu};
 use parapre_sparse::{ops, Csr, Result};
 
@@ -72,8 +72,8 @@ impl Default for SchurMlConfig {
 /// A low-rank correction `z = t + V·C·(Vᵀt)` for one level's coarse solve.
 #[derive(Debug)]
 pub struct LowRankCorrection {
-    /// Orthonormal Arnoldi basis of the error operator (`k` vectors).
-    basis: Vec<Vec<f64>>,
+    /// Orthonormal Arnoldi basis of the error operator (`k` columns).
+    basis: Panel,
     /// Dense `k × k` gain `C = (I − H)⁻¹ − I`, row-major.
     gain: Vec<f64>,
 }
@@ -99,8 +99,11 @@ impl LowRankCorrection {
         if k_req == 0 {
             return None;
         }
+        // One column more than the rank: the last step's `G v` needs a
+        // place too.
+        let mut basis = Panel::zeros(n, k_req + 1);
         // Deterministic unit-norm probe (splitmix-style integer hash).
-        let mut v0 = vec![0.0; n];
+        let v0 = basis.col_mut(0);
         let mut state = probe_seed
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
             .wrapping_add(1);
@@ -110,32 +113,33 @@ impl LowRankCorrection {
                 .wrapping_add(1442695040888963407);
             *x = ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0;
         }
-        let nrm = ops::norm2(&v0);
+        let nrm = ops::norm2(v0);
         if nrm == 0.0 {
             return None;
         }
-        ops::scale(1.0 / nrm, &mut v0);
+        ops::scale(1.0 / nrm, v0);
 
         // Arnoldi on G with the fused CGS projection kernels (the same
         // kernels the distributed GMRES orthogonalization uses).
-        let apply_g = |v: &[f64]| -> Vec<f64> {
-            let mut g = v.to_vec();
+        let apply_g = |v: &[f64], g: &mut [f64]| {
+            g.copy_from_slice(v);
             let minus = m_solve(&s.mul_vec(v));
             for (gi, mi) in g.iter_mut().zip(&minus) {
                 *gi -= mi;
             }
-            g
         };
-        let mut basis: Vec<Vec<f64>> = vec![v0];
         // h[i][j] = vᵢᵀ G vⱼ (square part only; the subdiagonal norm is
         // folded in when the next basis vector is admitted).
         let mut h = vec![vec![0.0; k_req]; k_req];
         let mut k = k_req;
+        // Projection coefficients of one step, then ⟨w, w⟩.
+        let mut dots = vec![0.0; k_req + 1];
         for j in 0..k_req {
-            let mut w = apply_g(&basis[j]);
-            let mut coeffs = vec![0.0; basis.len()];
-            batched_dots(&w, &basis, &mut coeffs);
-            subtract_projections(&mut w, &basis, &coeffs);
+            let (vs, w) = basis.split(j + 1);
+            apply_g(vs.col(j), w);
+            vs.dots(w, &mut dots[..j + 2]);
+            let coeffs = &dots[..j + 1];
+            vs.sub(coeffs, w);
             for (i, &c) in coeffs.iter().enumerate() {
                 h[i][j] = c;
             }
@@ -143,7 +147,7 @@ impl LowRankCorrection {
                 return None;
             }
             if j + 1 < k_req {
-                let wn = ops::norm2(&w);
+                let wn = ops::norm2(w);
                 if !wn.is_finite() {
                     return None;
                 }
@@ -153,8 +157,7 @@ impl LowRankCorrection {
                     break;
                 }
                 h[j + 1][j] = wn;
-                ops::scale(1.0 / wn, &mut w);
-                basis.push(w);
+                ops::scale(1.0 / wn, w);
             }
         }
         basis.truncate(k);
@@ -186,20 +189,21 @@ impl LowRankCorrection {
 
     /// Achieved rank (may be below the requested rank on early breakdown).
     pub fn rank(&self) -> usize {
-        self.basis.len()
+        self.basis.n_cols()
     }
 
     /// Applies the correction in place: `t ← t + V·C·(Vᵀt)`.
     pub fn correct(&self, t: &mut [f64]) {
-        let k = self.basis.len();
-        let mut y = vec![0.0; k];
-        batched_dots(t, &self.basis, &mut y);
+        let k = self.rank();
+        let basis = self.basis.basis(k);
+        let mut y = vec![0.0; k + 1];
+        basis.dots(t, &mut y);
         let mut cy = vec![0.0; k];
         for i in 0..k {
             let row = &self.gain[i * k..(i + 1) * k];
-            cy[i] = -ops::dot(row, &y); // negated: subtract_projections subtracts
+            cy[i] = -ops::dot(row, &y[..k]); // negated: `sub` subtracts
         }
-        subtract_projections(t, &self.basis, &cy);
+        basis.sub(&cy, t);
     }
 }
 
@@ -432,7 +436,7 @@ mod tests {
             .expect("correction must build");
         assert_eq!(corr.rank(), 1, "G is a scalar multiple of I");
         // Recover the probe direction from the basis itself.
-        let v0 = corr.basis[0].clone();
+        let v0 = corr.basis.col(0).to_vec();
         let mut t: Vec<f64> = v0.iter().map(|x| alpha * x).collect(); // t = M⁻¹ v0
         corr.correct(&mut t);
         for (got, want) in t.iter().zip(&v0) {

@@ -1,6 +1,7 @@
 #![allow(clippy::needless_range_loop)]
 //! Property-based tests for Krylov solvers and factorizations.
 
+use parapre_krylov::proj::Panel;
 use parapre_krylov::{
     Arms, ArmsConfig, BreakdownKind, CgConfig, ConjugateGradient, FGmres, Gmres, GmresConfig,
     IdentityPrecond, Ilu0, Ilut, IlutConfig, LuFactors,
@@ -8,15 +9,20 @@ use parapre_krylov::{
 use parapre_sparse::{ops, parallel, Coo, Csr};
 use proptest::prelude::*;
 
-/// Random diagonally dominant (hence nonsingular) sparse matrix.
-fn diag_dominant(n: usize, seed: u64, symmetric: bool) -> Csr {
+/// A seeded stream of values uniform in `[-1, 1)`.
+fn uniform(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed | 1;
-    let mut rnd = move || {
+    move || {
         state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
         ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-    };
+    }
+}
+
+/// Random diagonally dominant (hence nonsingular) sparse matrix.
+fn diag_dominant(n: usize, seed: u64, symmetric: bool) -> Csr {
+    let mut rnd = uniform(seed);
     let mut coo = Coo::new(n, n);
     let mut rowsum = vec![0.0; n];
     for i in 0..n {
@@ -46,13 +52,7 @@ fn diag_dominant(n: usize, seed: u64, symmetric: bool) -> Csr {
 /// with zero, negative, and near-zero diagonal entries mixed in — the kind
 /// of input plain ILU dies on.
 fn hostile(n: usize, seed: u64) -> Csr {
-    let mut state = seed | 1;
-    let mut rnd = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-    };
+    let mut rnd = uniform(seed);
     let mut coo = Coo::new(n, n);
     for i in 0..n.saturating_sub(1) {
         let v = rnd();
@@ -309,6 +309,62 @@ proptest! {
             .solve(&a, &IdentityPrecond::new(n), &b, &mut x2);
         for (u, v) in x1.iter().zip(&x2) {
             prop_assert!((u - v).abs() < 1e-6);
+        }
+    }
+
+    #[test]
+    fn panel_kernels_are_the_per_column_loops_bitwise(
+        k in 1usize..=21,
+        chunks in 0usize..3,
+        past in 1usize..600,
+        seed in any::<u64>(),
+    ) {
+        // `chunks` whole reduction chunks and then some; three lengths in
+        // four are not a multiple of the lane count.
+        let n = chunks * ops::REDUCE_CHUNK + past;
+        let mut rnd = uniform(seed);
+        let mut panel = Panel::zeros(n, k);
+        for j in 0..k {
+            panel.col_mut(j).iter_mut().for_each(|v| *v = rnd());
+        }
+        let w: Vec<f64> = (0..n).map(|_| rnd()).collect();
+        let coeffs: Vec<f64> = (0..k).map(|_| rnd()).collect();
+
+        // The reference: one `ops::dot` and one `ops::axpy` per column.
+        let per_column_dots = |w: &[f64]| {
+            let mut d: Vec<f64> = (0..k).map(|j| ops::dot(w, panel.col(j))).collect();
+            d.push(ops::dot(w, w));
+            d
+        };
+        let want_dots = per_column_dots(&w);
+        let mut want_sub = w.clone();
+        for (j, &c) in coeffs.iter().enumerate() {
+            ops::axpy(-c, panel.col(j), &mut want_sub);
+        }
+        let want_dots_after = per_column_dots(&want_sub);
+        let want_div: Vec<f64> = want_sub.iter().map(|x| x / 0.75).collect();
+
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let basis = panel.basis(k);
+        for threads in [1usize, 2, 4] {
+            let _budget = parallel::enter_budget(threads);
+            let mut dots = vec![f64::NAN; k + 1];
+            basis.dots(&w, &mut dots);
+            prop_assert_eq!(bits(&dots), bits(&want_dots), "dots, n={} t={}", n, threads);
+
+            let mut sub = w.clone();
+            basis.sub(&coeffs, &mut sub);
+            prop_assert_eq!(bits(&sub), bits(&want_sub), "sub, n={} t={}", n, threads);
+
+            let mut div = w.clone();
+            basis.sub_div(&coeffs, 0.75, &mut div);
+            prop_assert_eq!(bits(&div), bits(&want_div), "sub_div, n={} t={}", n, threads);
+
+            let mut fused = w.clone();
+            dots.fill(f64::NAN);
+            basis.sub_then_dots(&coeffs, &mut fused, &mut dots);
+            prop_assert_eq!(bits(&fused), bits(&want_sub), "fused w, n={} t={}", n, threads);
+            prop_assert_eq!(bits(&dots), bits(&want_dots_after), "fused dots, n={} t={}", n, threads);
         }
     }
 }

@@ -12,7 +12,9 @@
 //!   each holding a [`Comm`];
 //! * point-to-point [`Comm::send`] / [`Comm::recv`] with tag matching and
 //!   out-of-order buffering, exactly the subset of MPI semantics the
-//!   paper's solvers need;
+//!   paper's solvers need; like MPI's, a blocking receive polls for a few
+//!   microseconds before it puts its thread to sleep — while every live
+//!   rank thread can have a core (DESIGN.md §4.10);
 //! * collectives ([`Comm::allreduce_sum`], [`Comm::barrier`],
 //!   [`Comm::gather_vec`], …) built **on top of point-to-point messages**
 //!   along a binomial tree, so their cost shows up in the communication
@@ -33,12 +35,76 @@
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// How long a blocking receive waits before declaring a deadlock.
 const RECV_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// How long a blocking receive polls its channel before it parks the rank
+/// thread: about one park/unpark round trip, so a receive that polls in vain
+/// costs at most twice what parking at once would have (the competitive
+/// bound). Not a knob: solve time is flat from 10 µs to 100 µs
+/// (EXPERIMENTS.md E19).
+const POLL_BUDGET: Duration = Duration::from_micros(20);
+
+/// How much of [`POLL_BUDGET`] is spent spinning; after that the poll loop
+/// yields between looks. A message from a peer on another core is there
+/// within a microsecond or two if it comes soon at all. A peer the scheduler
+/// has put on *this* core cannot send while we spin: the yield hands it the
+/// core, which costs it nothing if nobody is waiting (E19: two ranks on one
+/// core all-reduce in 6 µs this way, in 41 µs spinning the budget out).
+const SPIN_BEFORE_YIELD: Duration = Duration::from_micros(2);
+
+/// After this many receives in a row that were satisfied only once the poll
+/// loop was yielding, one receive parks at once. Such a receive means either
+/// that the message was a few microseconds late or that the peer shares this
+/// core and needed the yield to send it; from here the two look the same.
+/// Sleeping tells them apart: a wake-up is when the scheduler moves a thread
+/// to an idle core, and two ranks that hand one core back and forth never
+/// sleep, so it leaves them there for hundreds of milliseconds (E19).
+const LATE_HITS_BEFORE_PARK: u32 = 8;
+
+/// Rank threads alive in this process, over all universes.
+static LIVE_RANKS: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts the rank thread that holds it in [`LIVE_RANKS`]; a drop guard, so
+/// a rank that panics is still counted out.
+struct LiveRank;
+
+impl LiveRank {
+    fn enter() -> LiveRank {
+        // Relaxed: the count publishes no data, it only gates polling.
+        LIVE_RANKS.fetch_add(1, Ordering::Relaxed);
+        LiveRank
+    }
+}
+
+impl Drop for LiveRank {
+    fn drop(&mut self) {
+        LIVE_RANKS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Number of rank threads currently alive in this process, over all
+/// universes. Receives poll before they park only while this does not exceed
+/// the number of cores.
+pub fn live_ranks() -> usize {
+    LIVE_RANKS.load(Ordering::Relaxed)
+}
+
+/// Whether every live rank thread can have a core to itself. A rank that
+/// polled while another was waiting for its core would spin away the time
+/// slice its own message needs, so P > cores and concurrent universes park at
+/// once, as every receive did before polling existed.
+fn every_live_rank_has_a_core() -> bool {
+    // Cached: `available_parallelism` reads the affinity mask and the cgroup
+    // quota, far too slow to ask per receive.
+    static CORES: OnceLock<usize> = OnceLock::new();
+    live_ranks() <= *CORES.get_or_init(parapre_sparse::parallel::machine_parallelism)
+}
 
 /// What an installed fault hook does to one outgoing message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,10 +331,12 @@ pub struct CommStats {
     pub msgs_recv: u64,
     /// Payload bytes received.
     pub bytes_recv: u64,
-    /// Microseconds spent blocked inside receive waits. Only accumulated
-    /// while the live metrics layer is enabled
-    /// ([`parapre_metrics::enabled`]); the `LoadReport` imbalance
-    /// attribution consumes it as per-rank comm-wait seconds.
+    /// Microseconds spent blocked inside receive waits (whole microseconds
+    /// of a total the communicator keeps in nanoseconds, so waits shorter
+    /// than 1 µs add up instead of vanishing). Only accumulated while the
+    /// live metrics layer is enabled ([`parapre_metrics::enabled`]); the
+    /// `LoadReport` imbalance attribution consumes it as per-rank comm-wait
+    /// seconds.
     pub wait_us: u64,
 }
 
@@ -490,6 +558,9 @@ impl Universe {
                 pending: RefCell::new((0..n_ranks).map(|_| Vec::new()).collect()),
                 stats: CommStats::default(),
                 peer_stats: vec![CommStats::default(); n_ranks],
+                wait_ns: 0,
+                peer_wait_ns: vec![0; n_ranks],
+                late_hits: 0,
                 recv_timeout,
                 pool: RefCell::new(Vec::new()),
                 faults: faults.clone(),
@@ -509,6 +580,7 @@ impl Universe {
                 .map(|comm| {
                     scope.spawn(move || {
                         let rank = comm.rank();
+                        let _live = LiveRank::enter();
                         // Scope the rank's share of the machine: kernels
                         // inside `f` fan out at most `rank_threads` wide.
                         let _budget = parapre_sparse::parallel::enter_budget(rank_threads);
@@ -541,6 +613,13 @@ pub struct Comm {
     stats: CommStats,
     /// Per-neighbor send/recv accounting (indexed by peer rank).
     peer_stats: Vec<CommStats>,
+    /// Nanoseconds blocked inside receive waits, in total and per peer:
+    /// what the `wait_us` fields of `stats` and `peer_stats` are cut from.
+    wait_ns: u64,
+    peer_wait_ns: Vec<u64>,
+    /// Receives in a row that the poll loop satisfied only after it had
+    /// begun to yield (see [`LATE_HITS_BEFORE_PARK`]).
+    late_hits: u32,
     /// Deadlock tripwire for blocking receives (per-universe, not global,
     /// so concurrently running universes can use different settings).
     recv_timeout: Duration,
@@ -722,19 +801,59 @@ impl Comm {
         }
         // Time only the blocking portion, and only while the metrics
         // layer is on: one `Instant` pair per blocked receive.
-        let t0 = parapre_metrics::enabled().then(std::time::Instant::now);
+        let t0 = parapre_metrics::enabled().then(Instant::now);
         let out = self.recv_blocking(from, tag);
         if let Some(t0) = t0 {
-            let us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
-            self.stats.wait_us += us;
-            self.peer_stats[from].wait_us += us;
+            self.note_wait(from, t0.elapsed());
         }
         out
     }
 
-    /// The blocking tail of [`Comm::recv_checked`]: waits on the channel
-    /// from `from` until the wanted tag arrives or the tripwire fires.
+    /// Adds one receive's blocked time to the wait counters.
+    fn note_wait(&mut self, from: usize, waited: Duration) {
+        let ns = waited.as_nanos().min(u64::MAX as u128) as u64;
+        self.wait_ns = self.wait_ns.saturating_add(ns);
+        self.stats.wait_us = self.wait_ns / 1000;
+        self.peer_wait_ns[from] = self.peer_wait_ns[from].saturating_add(ns);
+        self.peer_stats[from].wait_us = self.peer_wait_ns[from] / 1000;
+    }
+
+    /// Polls the channel from `from` for the wanted tag for up to `budget`
+    /// without going to sleep, parking other tags as [`Comm::try_recv`]
+    /// does.
+    fn poll(&mut self, from: usize, tag: u64, budget: Duration) -> Option<Payload> {
+        let t0 = Instant::now();
+        let mut yielded = false;
+        loop {
+            if let Some(payload) = self.try_recv(from, tag) {
+                self.late_hits = if yielded { self.late_hits + 1 } else { 0 };
+                return Some(payload);
+            }
+            let polled = t0.elapsed();
+            if polled >= budget {
+                return None;
+            }
+            if polled < SPIN_BEFORE_YIELD {
+                std::hint::spin_loop();
+            } else {
+                yielded = true;
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// The blocking tail of [`Comm::recv_checked`]: polls the channel from
+    /// `from` for [`POLL_BUDGET`] while every live rank has a core (and not
+    /// [`LATE_HITS_BEFORE_PARK`] times in a row only just in time), then
+    /// waits on it until the wanted tag arrives or the tripwire fires.
     fn recv_blocking(&mut self, from: usize, tag: u64) -> Result<Payload, CommError> {
+        if self.late_hits < LATE_HITS_BEFORE_PARK && every_live_rank_has_a_core() {
+            parapre_trace::counter(parapre_trace::counters::RECV_POLL, 1);
+            if let Some(payload) = self.poll(from, tag, POLL_BUDGET) {
+                return Ok(payload);
+            }
+        }
+        self.late_hits = 0;
         loop {
             let env = match self.from[from].recv_timeout(self.recv_timeout) {
                 Ok(env) => env,
@@ -1084,6 +1203,130 @@ mod tests {
             }
         });
         assert_eq!(out[1], 41.0);
+    }
+
+    #[test]
+    fn polling_parks_other_tags_and_keeps_arrival_order() {
+        let out = Universe::run(2, |c| {
+            if c.rank() == 0 {
+                for (tag, v) in [(5, 1.0), (6, 2.0), (5, 3.0), (7, 4.0)] {
+                    c.send_f64s(1, tag, vec![v]);
+                }
+                vec![]
+            } else {
+                // A budget no scheduler delay exhausts: the poll loop alone
+                // sees all four arrivals.
+                let wanted = c.poll(0, 7, Duration::from_secs(30)).expect("polled");
+                assert_eq!(c.pending.borrow()[0].len(), 3, "three tags parked");
+                let mut got = wanted.into_f64s();
+                for tag in [5, 6, 5] {
+                    got.push(c.recv_f64s(0, tag)[0]);
+                }
+                assert_eq!(c.stats().msgs_recv, 4);
+                got
+            }
+        });
+        // Tag 5 twice: in the order sent.
+        assert_eq!(out[1], vec![4.0, 1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn a_run_of_late_hits_makes_the_next_receive_park() {
+        let out = Universe::run(2, |c| {
+            if c.rank() == 0 {
+                // Answer every request late enough that the asker is
+                // yielding by then.
+                for _ in 0..=LATE_HITS_BEFORE_PARK {
+                    c.recv_f64s(1, 1);
+                    std::thread::sleep(50 * SPIN_BEFORE_YIELD);
+                    c.send_f64s(1, 2, vec![1.0]);
+                }
+                0
+            } else {
+                for n in 1..=LATE_HITS_BEFORE_PARK {
+                    c.send_f64s(0, 1, vec![]);
+                    c.poll(0, 2, Duration::from_secs(30)).expect("polled");
+                    assert_eq!(c.late_hits, n);
+                }
+                parapre_trace::install(1);
+                c.send_f64s(0, 1, vec![]);
+                assert_eq!(c.recv_f64s(0, 2), vec![1.0]);
+                let counters = parapre_trace::take().expect("installed").summary().counters;
+                assert_eq!(counters.get(parapre_trace::counters::RECV_POLL), None);
+                c.late_hits
+            }
+        });
+        assert_eq!(out[1], 0, "parking starts the count again");
+    }
+
+    #[test]
+    fn polling_gives_up_after_its_budget() {
+        let out = Universe::run(1, |c| {
+            let t0 = Instant::now();
+            let got = c.poll(0, 1, Duration::from_millis(2));
+            (got.is_none(), t0.elapsed())
+        });
+        assert!(out[0].0);
+        assert!(out[0].1 >= Duration::from_millis(2), "{:?}", out[0].1);
+    }
+
+    #[test]
+    fn starved_ranks_never_poll() {
+        // As many extra live ranks as the machine has cores: whatever else
+        // runs in this process, the two ranks below cannot both have one.
+        let cores = parapre_sparse::parallel::machine_parallelism();
+        let _others: Vec<LiveRank> = (0..cores).map(|_| LiveRank::enter()).collect();
+        let out = Universe::run(2, |c| {
+            parapre_trace::install(c.rank());
+            let mut sum = 0.0;
+            for i in 0..200u64 {
+                sum += c.allreduce_sum(1.0, 2 * i);
+            }
+            let counters = parapre_trace::take().expect("installed").summary().counters;
+            (
+                sum,
+                counters.get(parapre_trace::counters::RECV_POLL).copied(),
+            )
+        });
+        for (sum, polls) in out {
+            assert_eq!(sum, 400.0);
+            assert_eq!(polls, None, "a starved rank polled");
+        }
+    }
+
+    #[test]
+    fn unanswered_receive_trips_within_the_timeout() {
+        let timeout = Duration::from_millis(100);
+        let out = Universe::run_with_timeout(2, timeout, |c| {
+            let t0 = Instant::now();
+            let err = c
+                .recv_checked(1 - c.rank(), 0x51)
+                .expect_err("nobody sends");
+            (err.waited, t0.elapsed())
+        });
+        for (waited, elapsed) in out {
+            assert_eq!(waited, timeout);
+            assert!(elapsed >= timeout, "{elapsed:?}");
+            assert!(elapsed < timeout + Duration::from_millis(50), "{elapsed:?}");
+        }
+    }
+
+    #[test]
+    fn sub_microsecond_waits_add_up() {
+        let out = Universe::run(2, |c| {
+            for _ in 0..10_000 {
+                c.note_wait(1, Duration::from_nanos(300));
+            }
+            c.note_wait(0, Duration::from_nanos(999));
+            (
+                c.stats().wait_us,
+                c.peer_stats()[1].wait_us,
+                c.peer_stats()[0].wait_us,
+            )
+        });
+        // 10 000 x 300 ns = 3 ms; truncating each wait to whole microseconds
+        // used to make this 0.
+        assert_eq!(out[0], (3000, 3000, 0));
     }
 
     #[test]

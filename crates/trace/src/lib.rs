@@ -88,6 +88,9 @@ pub mod counters {
     pub const POOL_REUSE: &str = "comm.pool_reuse";
     /// A send had to allocate because the pool was empty.
     pub const POOL_ALLOC: &str = "comm.pool_alloc";
+    /// A blocking receive polled its channel before parking the rank thread
+    /// (it does so only while every live rank thread can have a core).
+    pub const RECV_POLL: &str = "comm.recv_poll";
     /// Halo messages that had already arrived when the overlapped SpMV
     /// finished its interior rows — each count is communication fully
     /// hidden behind computation.
