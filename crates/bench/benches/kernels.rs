@@ -27,9 +27,6 @@ fn bench_spmv(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("serial", nx * nx), &nx, |b, _| {
             b.iter(|| a.spmv(black_box(&x), &mut y))
         });
-        g.bench_with_input(BenchmarkId::new("rayon", nx * nx), &nx, |b, _| {
-            b.iter(|| a.spmv_par(black_box(&x), &mut y))
-        });
     }
     g.finish();
 }

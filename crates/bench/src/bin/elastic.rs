@@ -232,7 +232,7 @@ fn main() {
         && m_mig2.x == m_mig.x;
     eprintln!("determinism: repeat migration identical={deterministic}");
 
-    let arm = ScalingArm::decide(&format!("P={ranks},T=1"), ranks);
+    let arm = ScalingArm::decide(&format!("P={ranks}"), ranks);
 
     let json = format!(
         concat!(

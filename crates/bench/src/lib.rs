@@ -176,7 +176,7 @@ pub struct ScalingArm {
     pub available_cores: usize,
     /// Cores the widest compared cell needs.
     pub needed_cores: usize,
-    /// Human label of that cell (e.g. `"P=2,T=4"`).
+    /// Human label of that cell (e.g. `"P=2"`).
     pub cell: String,
     /// Whether the wall-clock bar is enforced on this machine.
     pub armed: bool,
@@ -188,7 +188,7 @@ impl ScalingArm {
     /// Decides whether a wall-clock bar whose widest cell is `cell`
     /// (needing `needed_cores` real cores) may be enforced here.
     pub fn decide(cell: &str, needed_cores: usize) -> ScalingArm {
-        let available_cores = parapre_sparse::parallel::machine_parallelism();
+        let available_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let armed = available_cores >= needed_cores;
         let cmp = if armed { ">=" } else { "<" };
         ScalingArm {

@@ -498,7 +498,7 @@ pub(crate) fn same_local_shape(
 /// Numeric-only rebuild of one rank's preconditioner from `donor`, the
 /// preconditioner the same rank holds for a matrix with the **same
 /// sparsity pattern** (and therefore the same partition and layout): fill
-/// patterns, level schedules and independent sets are reused, only values
+/// patterns and independent sets are reused, only values
 /// are recomputed ([`DistPrecond::refactor`], under a `setup.refactor`
 /// span — never `setup.factor`). The new preconditioner is of the donor's
 /// kind by construction.

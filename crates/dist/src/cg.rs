@@ -94,7 +94,7 @@ impl DistCg {
         assert_eq!(x.len(), n);
         let cfg = &self.config;
         let dot = |comm: &mut Comm, u: &[f64], v: &[f64]| -> f64 {
-            comm.allreduce_sum(ops::dot_par(u, v), tags::REDUCE + 2)
+            comm.allreduce_sum(ops::dot(u, v), tags::REDUCE + 2)
         };
 
         let mut r = vec![0.0; n];
@@ -175,7 +175,7 @@ impl DistCg {
             // cost of one speculative preconditioner apply on the final
             // iteration.
             m.apply(comm, &r, &mut z);
-            let mut pair = [ops::dot_par(&r, &r), ops::dot_par(&r, &z)];
+            let mut pair = [ops::dot(&r, &r), ops::dot(&r, &z)];
             comm.allreduce_sum_vec(&mut pair, tags::REDUCE + 2);
             let rnorm = pair[0].sqrt();
             if rnorm <= target {

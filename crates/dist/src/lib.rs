@@ -35,7 +35,7 @@ pub use solver::{
 };
 
 use parapre_mpisim::Comm;
-use parapre_sparse::{ops, parallel, Csr, RowSplit};
+use parapre_sparse::{ops, Csr, RowSplit};
 use std::cell::RefCell;
 
 thread_local! {
@@ -163,25 +163,6 @@ impl LocalLayout {
         }
     }
 
-    /// Reference ghost update kept for benchmarking and bitwise-equality
-    /// property tests: allocates a fresh send vector per neighbour and never
-    /// touches the buffer pool — the pre-optimization behaviour.
-    pub fn update_ghosts_baseline(&self, comm: &mut Comm, x: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.n_local());
-        let _span = parapre_trace::span(parapre_trace::phase::HALO);
-        for (k, &q) in self.neighbors.iter().enumerate() {
-            let data: Vec<f64> = self.send_idx[k].iter().map(|&i| x[i]).collect();
-            comm.send_f64s(q, tags::GHOST, data);
-        }
-        for (k, &q) in self.neighbors.iter().enumerate() {
-            let data = comm.recv_f64s(q, tags::GHOST);
-            debug_assert_eq!(data.len(), self.recv_idx[k].len());
-            for (&gi, &v) in self.recv_idx[k].iter().zip(&data) {
-                x[gi] = v;
-            }
-        }
-    }
-
     /// Exchanges **interface** values: `y` has length `n_interface` (the
     /// owned interface block), `ghosts` receives the neighbours' interface
     /// values in ghost order (length `n_ghost`). Used by the Schur-system
@@ -209,11 +190,9 @@ impl LocalLayout {
         }
     }
 
-    /// Distributed dot product over owned entries. The local part uses
-    /// the deterministic chunked reduction (`ops::dot_par`), so the value
-    /// is identical at any in-rank worker count.
+    /// Distributed dot product over owned entries.
     pub fn dot(&self, comm: &mut Comm, x: &[f64], y: &[f64]) -> f64 {
-        let local = ops::dot_par(&x[..self.n_owned()], &y[..self.n_owned()]);
+        let local = ops::dot(&x[..self.n_owned()], &y[..self.n_owned()]);
         comm.allreduce_sum(local, tags::REDUCE)
     }
 
@@ -240,15 +219,6 @@ pub struct DistSpmvPlan {
     pub split: RowSplit,
 }
 
-/// Minimum scattered rows before the overlapped SpMV halves fan out.
-const SPMV_SCATTER_PAR_MIN_ROWS: usize = 4096;
-
-thread_local! {
-    /// Per-rank scratch for the two-phase (compute, scatter) parallel
-    /// scattered SpMV — reused across matvecs to avoid re-allocation.
-    static SPMV_SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-}
-
 impl DistSpmvPlan {
     /// Builds the plan for `a_loc` (owned rows × local cols) under `layout`.
     pub fn new(a_loc: &Csr, layout: &LocalLayout) -> Self {
@@ -269,35 +239,7 @@ impl DistSpmvPlan {
 
     /// Computes `y[rows[i]] = part.row(i) · x` with the exact accumulation
     /// order of [`Csr::spmv`].
-    ///
-    /// When the caller's thread budget allows and the part is large, the
-    /// row dot products fan out across the shared worker pool into a
-    /// scratch buffer and are scattered serially — per-row accumulation
-    /// order is untouched, so the result stays bitwise identical.
     fn spmv_scattered(part: &Csr, rows: &[usize], x: &[f64], y: &mut [f64]) {
-        let budget = parallel::current_budget();
-        if budget > 1 && rows.len() >= SPMV_SCATTER_PAR_MIN_ROWS {
-            SPMV_SCRATCH.with(|cell| {
-                let mut scratch = cell.borrow_mut();
-                scratch.clear();
-                scratch.resize(rows.len(), 0.0);
-                parallel::for_each_chunk_mut(&mut scratch, budget, |_, start, out| {
-                    let len = out.len();
-                    for (o, ip) in out.iter_mut().zip(start..start + len) {
-                        let (cols, vals) = part.row(ip);
-                        let mut acc = 0.0;
-                        for (&j, &v) in cols.iter().zip(vals) {
-                            acc += v * x[j];
-                        }
-                        *o = acc;
-                    }
-                });
-                for (&row, &v) in rows.iter().zip(scratch.iter()) {
-                    y[row] = v;
-                }
-            });
-            return;
-        }
         for (ip, &row) in rows.iter().enumerate() {
             let (cols, vals) = part.row(ip);
             let mut acc = 0.0;
@@ -449,8 +391,9 @@ impl DistMatrix {
     /// Distributed matvec `y = A x` with **communication/computation
     /// overlap**: posts the ghost sends, computes interior rows while the
     /// values are in flight, then finishes the exchange and the boundary
-    /// rows. Bitwise identical to [`DistMatrix::matvec_sync`] because the
-    /// row split preserves each row's accumulation order.
+    /// rows. Bitwise identical to a full exchange followed by
+    /// [`Csr::spmv`] because the row split preserves each row's
+    /// accumulation order.
     ///
     /// `x` has length `n_local` (ghost tail is scratch), `y` length
     /// `n_owned`.
@@ -475,16 +418,6 @@ impl DistMatrix {
             x,
             y,
         );
-    }
-
-    /// Synchronous reference matvec (full halo exchange, then fused local
-    /// SpMV) — the pre-overlap behaviour, kept for benchmarking and for the
-    /// bitwise-equality property tests.
-    pub fn matvec_sync(&self, comm: &mut Comm, x: &mut [f64], y: &mut [f64]) {
-        self.layout.update_ghosts_baseline(comm, x);
-        debug_assert_eq!(y.len(), self.layout.n_owned());
-        let _span = parapre_trace::span(parapre_trace::phase::SPMV);
-        self.a_loc.spmv_par(x, y);
     }
 
     /// The paper's local blocks `B_i, F_i, E_i, C_i` (eq. 4) plus the ghost
@@ -657,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn overlapped_matvec_bitwise_matches_sync() {
+    fn overlapped_matvec_bitwise_matches_exchange_then_spmv() {
         let (a, owner) = setup();
         let a_ref = &a;
         let owner_ref = &owner;
@@ -678,7 +611,8 @@ mod tests {
             let mut y1 = vec![0.0; dm.layout.n_owned()];
             let mut y2 = vec![0.0; dm.layout.n_owned()];
             dm.matvec(comm, &mut x, &mut y1);
-            dm.matvec_sync(comm, &mut x2, &mut y2);
+            dm.layout.update_ghosts(comm, &mut x2);
+            dm.a_loc.spmv(&x2, &mut y2);
             y1 == y2 && x == x2
         });
         assert!(results.iter().all(|&ok| ok));

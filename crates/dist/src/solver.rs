@@ -37,8 +37,8 @@ pub trait DistPrecond: Send + Sync {
 
     /// Numeric-only rebuild of this rank's preconditioner for `dm`, the
     /// same rows of a matrix with the **same sparsity pattern and new
-    /// values**: everything symbolic (fill patterns, level schedules,
-    /// independent sets) is kept from `self`, only numbers are recomputed.
+    /// values**: everything symbolic (fill patterns, independent sets) is
+    /// kept from `self`, only numbers are recomputed.
     /// `a_global` is the new global matrix (consulted by preconditioners
     /// that read beyond their owned rows).
     ///
@@ -328,7 +328,7 @@ impl DistGmres {
         };
 
         let dot = |comm: &mut Comm, u: &[f64], v: &[f64]| -> f64 {
-            comm.allreduce_sum(ops::dot_par(u, v), tags::REDUCE)
+            comm.allreduce_sum(ops::dot(u, v), tags::REDUCE)
         };
 
         let mut r = vec![0.0; n];

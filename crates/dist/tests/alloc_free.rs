@@ -10,7 +10,6 @@ use parapre_mpisim::Universe;
 use parapre_partition::partition_graph;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::time::Duration;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -73,9 +72,7 @@ fn short_and_long_solve(p: usize, flexible: bool) -> Vec<[Cost; 2]> {
     bc::apply_dirichlet(&mut sys, &fixed);
     let (a, b) = (sys.a, sys.b);
     let owner = partition_graph(&mesh.adjacency(), p, 7).owner;
-    // One thread per rank: with the `parallel` feature a kernel that fans out
-    // pays the pool's hand-off in allocations, and those are the pool's.
-    let ranks = Universe::try_run_with_threads(p, Duration::from_secs(60), None, Some(1), |comm| {
+    let ranks = Universe::try_run(p, |comm| {
         let dm = DistMatrix::from_global(&a, &owner, comm.rank(), p);
         let b_loc = scatter_vector(&dm.layout, &b);
         let mut x = vec![0.0; dm.layout.n_owned()];

@@ -48,11 +48,6 @@ pub struct SessionConfig {
     pub params: PrecondParams,
     /// Deadlock tripwire for every universe this session launches.
     pub recv_timeout: Duration,
-    /// In-rank thread budget for data-parallel kernels (`None` = the
-    /// default share `⌊cores / n_ranks⌋`, or the `PARAPRE_THREADS`
-    /// environment override). Results are bitwise identical at any
-    /// budget; the knob only trades wall-clock for cores.
-    pub threads_per_rank: Option<usize>,
     /// Topology digest of a *migrated* session's bespoke owner map
     /// (`None` for sessions whose partition is derived from
     /// `scheme + partition_seed`). Part of the cache key: a migrated
@@ -78,7 +73,6 @@ impl SessionConfig {
             },
             params: PrecondParams::default(),
             recv_timeout: Duration::from_secs(60),
-            threads_per_rank: None,
             partition_tag: None,
         }
     }
@@ -87,9 +81,6 @@ impl SessionConfig {
     /// of the session cache key. Floats are rendered with full round-trip
     /// precision (`{:?}`), so configs differing in any bit key differently.
     pub fn config_string(&self) -> String {
-        // `threads_per_rank` is deliberately absent: kernels are bitwise
-        // identical at any budget, so thread counts must not fragment the
-        // cache key.
         let topo = match self.partition_tag {
             Some(tag) => format!("|topo{tag:016x}"),
             None => String::new(),
@@ -312,8 +303,8 @@ pub(crate) fn join_failures(failures: &[RankFailure]) -> String {
 }
 
 /// Runs `f` on a fresh universe of `p` ranks under `cfg`'s deadlock
-/// tripwire and thread budget. All-or-nothing: every rank's output in rank
-/// order, or every failure.
+/// tripwire. All-or-nothing: every rank's output in rank order, or every
+/// failure.
 fn launch<T: Send>(
     cfg: &SessionConfig,
     p: usize,
@@ -322,8 +313,7 @@ fn launch<T: Send>(
 ) -> Result<Vec<T>, Vec<RankFailure>> {
     let mut outs = Vec::with_capacity(p);
     let mut failures = Vec::new();
-    for out in Universe::try_run_with_threads(p, cfg.recv_timeout, faults, cfg.threads_per_rank, f)
-    {
+    for out in Universe::try_run_with_faults(p, cfg.recv_timeout, faults, f) {
         match out {
             Ok(o) => outs.push(o),
             Err(f) => failures.push(f),
@@ -393,8 +383,8 @@ impl SolverSession {
     /// Reused exactly: the owner map (the graph partition depends only on
     /// pattern, `P` and seed, so it is not run again) and with it every
     /// layout and communication plan, which are re-derived from the same
-    /// map. Reused approximately: each rank's fill patterns, sweep level
-    /// schedules and group-independent sets, frozen at their donor state
+    /// map. Reused approximately: each rank's fill patterns and
+    /// group-independent sets, frozen at their donor state
     /// ([`parapre_core::refactor_dist_precond`]). The new session is
     /// configured like the donor and serves the rung the donor serves.
     ///

@@ -9,9 +9,9 @@
 //! (adaptive stepping), the matrix gets **new values on the same pattern**:
 //! the session is then refactored numerically from its predecessor
 //! ([`SolverSession::refactor`]) instead of being rebuilt — the partition,
-//! layouts, fill patterns and level schedules of the first build serve the
-//! whole march. Per-step iteration counts are reported; solves are seeded
-//! with the previous state (paper §4.3 seeds with `u⁰`).
+//! layouts and fill patterns of the first build serve the whole march.
+//! Per-step iteration counts are reported; solves are seeded with the
+//! previous state (paper §4.3 seeds with `u⁰`).
 
 use crate::session::{MatrixId, SessionConfig, SolveRequest, SolverSession};
 use crate::EngineError;

@@ -61,17 +61,6 @@ fn session_builds_and_solves_hostile_system() {
     }
 }
 
-/// The in-rank thread budget is a pure wall-clock knob: kernels are bitwise
-/// identical at any budget, so `threads_per_rank` must NOT fragment the
-/// session cache key.
-#[test]
-fn thread_budget_does_not_change_cache_key() {
-    let base = SessionConfig::paper(PrecondKind::Block1, 4);
-    let mut threaded = SessionConfig::paper(PrecondKind::Block1, 4);
-    threaded.threads_per_rank = Some(4);
-    assert_eq!(base.config_string(), threaded.config_string());
-}
-
 /// `solve_resilient` carries the numerical diagnostics in its outcome.
 #[test]
 fn resilient_outcome_reports_numerical_recovery() {

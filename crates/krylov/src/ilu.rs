@@ -17,7 +17,7 @@
 
 use crate::precond::Preconditioner;
 use parapre_sparse::ops::{self, SplitCsr, SplitLu};
-use parapre_sparse::{Csr, Error, FactorReport, Result, SweepLevels};
+use parapre_sparse::{Csr, Error, FactorReport, Result};
 use std::sync::Arc;
 
 /// The diagonal-shift retry ladder: relative shifts applied to the
@@ -27,7 +27,7 @@ use std::sync::Arc;
 pub const SHIFT_LADDER: [f64; 4] = [0.0, 1e-8, 1e-4, 1e-2];
 
 /// The value-independent half of a factor: the sparsity patterns of `L` and
-/// of the strict upper triangle of `U`, and the sweep level schedule.
+/// of the strict upper triangle of `U`.
 /// Computed once by the symbolic factorization ([`Ilu0::factor`],
 /// [`Ilut::factor`]) and shared by `Arc` with every numeric
 /// refactorization ([`LuFactors::refactor`]).
@@ -42,33 +42,9 @@ struct LuSymbolic {
     /// Columns of the strict upper triangle, descending in every row (like
     /// an `L` row, a `U` row ends with the entry nearest the diagonal).
     u_cols: Vec<u32>,
-    /// Level schedule of the triangular sweeps (rows within a level are
-    /// mutually independent) — consumed by [`LuFactors::solve_in_place_leveled`]
-    /// and by callers wanting sweep-parallelism diagnostics.
-    levels: SweepLevels,
 }
 
 impl LuSymbolic {
-    fn new(l_ptr: Vec<usize>, l_cols: Vec<u32>, u_ptr: Vec<usize>, u_cols: Vec<u32>) -> Self {
-        let levels = SweepLevels::from_split(&l_ptr, &l_cols, &u_ptr, &u_cols);
-        if parapre_metrics::enabled() {
-            use parapre_metrics::names;
-            let n_levels = levels.n_lower_levels() + levels.n_upper_levels();
-            parapre_metrics::gauge_set(names::SWEEP_LEVEL_COUNT, n_levels as f64);
-            parapre_metrics::gauge_set(
-                names::SWEEP_MAX_LEVEL_WIDTH,
-                levels.max_level_width() as f64,
-            );
-        }
-        LuSymbolic {
-            l_ptr,
-            l_cols,
-            u_ptr,
-            u_cols,
-            levels,
-        }
-    }
-
     fn dim(&self) -> usize {
         self.l_ptr.len() - 1
     }
@@ -136,8 +112,7 @@ impl LuSymbolic {
 /// An incomplete LU factorization in sweep order.
 #[derive(Debug, Clone)]
 pub struct LuFactors {
-    /// Patterns of `L` and of the strict upper triangle of `U`, and the
-    /// level schedule.
+    /// Patterns of `L` and of the strict upper triangle of `U`.
     sym: Arc<LuSymbolic>,
     /// Values of `L` (unit diagonal implicit), aligned with `sym.l_cols`.
     l_vals: Vec<f64>,
@@ -198,18 +173,23 @@ impl LuFactors {
     /// [`LuFactors::merged`], bit for bit.
     pub fn from_merged(lu: &Csr) -> Result<Self> {
         let s = SplitCsr::from_merged(lu)?;
-        let sym = LuSymbolic::new(s.l_ptr, s.l_cols, s.u_ptr, s.u_cols);
+        let sym = LuSymbolic {
+            l_ptr: s.l_ptr,
+            l_cols: s.l_cols,
+            u_ptr: s.u_ptr,
+            u_cols: s.u_cols,
+        };
         LuFactors::assemble(Arc::new(sym), s.l_vals, s.diag, s.u_vals, 0)
     }
 
     /// Numeric-only refactorization: factors `a` **inside this factor's
     /// sparsity pattern**, skipping everything symbolic — no drop-tolerance
-    /// selection, no fill bookkeeping, no level scheduling.
+    /// selection, no fill bookkeeping.
     ///
     /// Row `i` of `a` is scattered into the frozen pattern (entries of `a`
     /// outside it are dropped), then eliminated IKJ-style over the stored
     /// `L` entries only, with every update restricted to the pattern. The
-    /// result shares the patterns and sweep levels with `self` by `Arc`;
+    /// result shares the patterns with `self` by `Arc`;
     /// only the values, the diagonal reciprocals and the [`FactorReport`]
     /// are new. With the pattern of a complete factorization (ILUT with
     /// `drop_tol = 0` and unbounded fill, or ILU(0) of the same pattern)
@@ -306,11 +286,11 @@ impl LuFactors {
         self.pivot_fixes
     }
 
-    /// Level schedule of the forward/backward sweeps: rows within a level
-    /// have no dependencies on each other, so the mean level width bounds
-    /// the sweep parallelism available in this factor.
-    pub fn levels(&self) -> &SweepLevels {
-        &self.sym.levels
+    /// Whether `other` holds the same symbolic half (patterns of `L` and
+    /// `U`) by `Arc`, as a factor made by [`LuFactors::refactor`] does with
+    /// its donor.
+    pub fn shares_pattern_with(&self, other: &LuFactors) -> bool {
+        Arc::ptr_eq(&self.sym, &other.sym)
     }
 
     /// What the sweep kernels read of this factor.
@@ -327,32 +307,9 @@ impl LuFactors {
     }
 
     /// Solves `L U x = b` in place (`x` holds `b` on entry).
-    ///
-    /// When the caller's thread budget allows more than one worker
-    /// (see `parapre_sparse::parallel`) and some level of this factor is
-    /// wide enough to fan out, the sweep runs level-scheduled with wide
-    /// levels spread across the pool; otherwise it runs row by row, which
-    /// walks the factor in storage order. The level order respects every
-    /// dependency, so the result is bitwise identical either way.
     pub fn solve_in_place(&self, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.dim());
-        if parapre_sparse::parallel::current_budget() > 1
-            && self.sym.levels.max_level_width() >= ops::SWEEP_PAR_MIN_WIDTH
-        {
-            return self.solve_in_place_leveled(x);
-        }
         ops::solve_lu(&self.sweep_view(), x);
-    }
-
-    /// Level-scheduled variant of [`LuFactors::solve_in_place`]: processes
-    /// rows level by level instead of strictly sequentially. Rows within a
-    /// level are independent and every dependency lives in an earlier
-    /// level, so the result is **bitwise identical** to the sequential
-    /// sweep. Wide levels are fanned out across the shared worker pool
-    /// when the caller's thread budget allows (`ops::solve_lu_leveled_par`).
-    pub fn solve_in_place_leveled(&self, x: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.dim());
-        ops::solve_lu_leveled_par(&self.sweep_view(), &self.sym.levels, x);
     }
 
     /// Solves with the **leading** `nb × nb` principal block of the factor,
@@ -392,7 +349,12 @@ impl LuFactors {
             u_vals.extend_from_slice(&self.u_vals[u_row]);
             u_ptr.push(u_cols.len());
         }
-        let sym = LuSymbolic::new(l_ptr, l_cols, u_ptr, u_cols);
+        let sym = LuSymbolic {
+            l_ptr,
+            l_cols,
+            u_ptr,
+            u_cols,
+        };
         // Parent factors passed the checked-reciprocal gate, so the trailing
         // diagonals are finite and nonzero.
         LuFactors::assemble(Arc::new(sym), l_vals, self.diag[nb..].to_vec(), u_vals, 0)
@@ -482,7 +444,12 @@ impl Ilu0 {
             });
         }
         let s = SplitCsr::from_merged(a)?;
-        let sym = LuSymbolic::new(s.l_ptr, s.l_cols, s.u_ptr, s.u_cols);
+        let sym = LuSymbolic {
+            l_ptr: s.l_ptr,
+            l_cols: s.l_cols,
+            u_ptr: s.u_ptr,
+            u_cols: s.u_cols,
+        };
         // ILU(0) is the elimination inside the pattern of `a` itself.
         let (l_vals, diag, u_vals) = sym.eliminate(a, |i, d| {
             if d == 0.0 {
@@ -669,7 +636,12 @@ impl Ilut {
         // L and U are stored as they were built.
         let fill = l_cols.len() + n + u_cols.len();
         parapre_trace::counter("factor.fill_nnz", fill as u64);
-        let sym = LuSymbolic::new(l_row_ptr, l_cols, u_row_ptr, u_cols);
+        let sym = LuSymbolic {
+            l_ptr: l_row_ptr,
+            l_cols,
+            u_ptr: u_row_ptr,
+            u_cols,
+        };
         LuFactors::assemble(Arc::new(sym), l_vals, u_diag, u_vals, pivot_fixes)
     }
 
@@ -777,34 +749,6 @@ mod tests {
             .sqrt();
         let r0: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!(r < 0.75 * r0, "r={r}, r0={r0}");
-    }
-
-    #[test]
-    fn leveled_solve_bitwise_matches_sequential() {
-        // Level-scheduled execution respects every dependency, so it must
-        // reproduce the sequential sweep to the last bit — on both the
-        // no-fill ILU(0) and a fill-heavy ILUT factor.
-        let a = laplacian_2d(9);
-        let n = a.n_rows();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 0.1).collect();
-        for f in [
-            Ilu0::factor(&a).unwrap(),
-            Ilut::factor(
-                &a,
-                &IlutConfig {
-                    drop_tol: 1e-4,
-                    fill: 12,
-                },
-            )
-            .unwrap(),
-        ] {
-            let mut x1 = b.clone();
-            f.solve_in_place(&mut x1);
-            let mut x2 = b.clone();
-            f.solve_in_place_leveled(&mut x2);
-            assert_eq!(x1, x2);
-            assert!(f.levels().mean_level_width() >= 1.0);
-        }
     }
 
     #[test]
@@ -1087,11 +1031,10 @@ mod tests {
         for (g, w) in got_m.vals().iter().zip(want_m.vals()) {
             assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0), "{g} vs {w}");
         }
-        // Pattern, diagonal pointers and sweep levels are the donor's own
-        // allocation; values and the report are new.
-        assert!(Arc::ptr_eq(&got.sym, &donor.sym));
-        assert!(!Arc::ptr_eq(&got.sym, &want.sym));
-        assert!(std::ptr::eq(got.levels(), donor.levels()));
+        // The patterns are the donor's own allocation; values and the
+        // report are new.
+        assert!(got.shares_pattern_with(&donor));
+        assert!(!got.shares_pattern_with(&want));
         assert_eq!(got.pivot_fixes(), 0);
         assert!(got.report().healthy());
         assert_eq!(got.report().fill_nnz, donor.report().fill_nnz);
@@ -1137,27 +1080,6 @@ mod tests {
             .sum::<f64>()
             .sqrt();
         assert!(r < 0.75 * (n as f64).sqrt(), "residual {r}");
-    }
-
-    #[test]
-    fn leveled_solve_bitwise_matches_sequential_on_refactored_factors() {
-        let a = laplacian_2d(9);
-        let n = a.n_rows();
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 0.1).collect();
-        let donor = Ilut::factor(
-            &a,
-            &IlutConfig {
-                drop_tol: 1e-4,
-                fill: 12,
-            },
-        )
-        .unwrap();
-        let f = donor.refactor(&perturbed(&a, 0.02)).unwrap();
-        let mut x1 = b.clone();
-        f.solve_in_place(&mut x1);
-        let mut x2 = b;
-        f.solve_in_place_leveled(&mut x2);
-        assert_eq!(x1, x2);
     }
 
     #[test]

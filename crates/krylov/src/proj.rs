@@ -20,10 +20,9 @@
 //! [`REDUCE_CHUNK`] combine order of [`ops::dot`](parapre_sparse::ops::dot),
 //! and every element of `w` has the columns subtracted in ascending order as
 //! a loop of [`ops::axpy`](parapre_sparse::ops::axpy) would, so results are
-//! bit for bit those of the per-column loops, at any worker count.
+//! bit for bit those of the per-column loops.
 
 use parapre_sparse::ops::REDUCE_CHUNK;
-use parapre_sparse::parallel;
 use std::ops::Range;
 
 /// Accumulator lanes of one inner product, as in `ops::dot`.
@@ -37,10 +36,6 @@ const COLS: usize = 4;
 /// L1 between the subtraction and the inner products of the fused kernel.
 /// Divides [`REDUCE_CHUNK`]; a multiple of [`LANES`].
 const ROW_BLOCK: usize = 256;
-
-/// Minimum amount of work before the kernels fan out; below this the pool
-/// hand-off costs more than the arithmetic.
-const PAR_MIN_LEN: usize = 8192;
 
 /// Inner products whose accumulators fit on the stack; a wider basis takes
 /// them from the heap.
@@ -141,19 +136,12 @@ impl<'a> Basis<'a> {
     }
 
     /// `out[j] = ⟨w, v_j⟩` for every basis vector and `out[len] = ⟨w, w⟩`.
-    ///
-    /// Fans the inner products out across the worker pool when the caller's
-    /// thread budget allows; each is evaluated whole by one worker, so the
-    /// results do not depend on the worker count.
     pub fn dots(&self, w: &[f64], out: &mut [f64]) {
         assert_eq!(w.len(), self.n_rows);
         assert_eq!(out.len(), self.n_cols + 1);
-        let budget = parallel::current_budget();
-        if budget <= 1 || w.len() * out.len() < PAR_MIN_LEN {
-            self.dots_of(0, w, out);
-            return;
-        }
-        parallel::for_each_chunk_mut(out, budget, |_, first, part| self.dots_of(first, w, part));
+        reduce_in_chunks(w.len(), out, |rows, accs| {
+            self.dots_block(rows.start, &w[rows], accs);
+        });
     }
 
     /// `w ← w − Σ_j coeffs[j] · v_j`, the basis vectors subtracted from
@@ -175,37 +163,19 @@ impl<'a> Basis<'a> {
         assert_eq!(w.len(), self.n_rows);
         assert_eq!(coeffs.len(), self.n_cols);
         assert_eq!(out.len(), self.n_cols + 1);
-        // Fanned out, the subtraction splits `w` by rows and the inner
-        // products split by column: two sweeps.
-        if parallel::current_budget() > 1 && w.len() * out.len() >= PAR_MIN_LEN {
-            self.sub(coeffs, w);
-            self.dots(w, out);
-            return;
-        }
         reduce_in_chunks(w.len(), out, |rows, accs| {
             let block = &mut w[rows.clone()];
             self.sub_block(rows.start, coeffs, block, |x| x);
-            self.dots_block(0, rows.start, block, accs);
+            self.dots_block(rows.start, block, accs);
         });
     }
 
-    fn sub_finish(&self, coeffs: &[f64], w: &mut [f64], finish: impl Fn(f64) -> f64 + Sync) {
+    fn sub_finish(&self, coeffs: &[f64], w: &mut [f64], finish: impl Fn(f64) -> f64) {
         assert_eq!(w.len(), self.n_rows);
         assert_eq!(coeffs.len(), self.n_cols);
-        let budget = parallel::current_budget();
-        let parts = if w.len() < PAR_MIN_LEN { 1 } else { budget };
-        parallel::for_each_chunk_mut(w, parts, |_, first_row, part| {
-            for (b, block) in part.chunks_mut(ROW_BLOCK).enumerate() {
-                self.sub_block(first_row + b * ROW_BLOCK, coeffs, block, &finish);
-            }
-        });
-    }
-
-    /// The inner products `first..first + out.len()` of [`Basis::dots`].
-    fn dots_of(&self, first: usize, w: &[f64], out: &mut [f64]) {
-        reduce_in_chunks(w.len(), out, |rows, accs| {
-            self.dots_block(first, rows.start, &w[rows], accs);
-        });
+        for (b, block) in w.chunks_mut(ROW_BLOCK).enumerate() {
+            self.sub_block(b * ROW_BLOCK, coeffs, block, &finish);
+        }
     }
 
     /// Rows `row0..row0 + n` of basis vectors `j..j + G`; past the last
@@ -224,12 +194,12 @@ impl<'a> Basis<'a> {
         })
     }
 
-    /// Adds the rows `row0..row0 + w.len()` of inner products
-    /// `first..first + accs.len()` to their accumulators.
+    /// Adds the rows `row0..row0 + w.len()` of every inner product to its
+    /// accumulator.
     #[inline(always)]
-    fn dots_block(&self, first: usize, row0: usize, w: &[f64], accs: &mut [Acc]) {
+    fn dots_block(&self, row0: usize, w: &[f64], accs: &mut [Acc]) {
         let mut groups = accs.chunks_exact_mut(COLS);
-        let mut j = first;
+        let mut j = 0;
         for accs in &mut groups {
             dots_group(self.cols_at::<COLS>(j, row0, w), w, accs);
             j += COLS;
@@ -374,14 +344,11 @@ mod tests {
     fn dots_match_per_column_dots_bitwise() {
         for n in [5, 1000, 20_000] {
             let (w, panel) = filled(n, 6);
-            let mut serial: Vec<f64> = (0..6).map(|j| ops::dot(&w, panel.col(j))).collect();
-            serial.push(ops::dot(&w, &w));
-            for threads in [1usize, 2, 4, 8] {
-                let _b = parallel::enter_budget(threads);
-                let mut out = vec![f64::NAN; 7];
-                panel.basis(6).dots(&w, &mut out);
-                assert_eq!(out, serial, "n={n} threads={threads}");
-            }
+            let mut per_column: Vec<f64> = (0..6).map(|j| ops::dot(&w, panel.col(j))).collect();
+            per_column.push(ops::dot(&w, &w));
+            let mut out = vec![f64::NAN; 7];
+            panel.basis(6).dots(&w, &mut out);
+            assert_eq!(out, per_column, "n={n}");
         }
     }
 
@@ -395,15 +362,12 @@ mod tests {
                 ops::axpy(-c, panel.col(j), &mut expect);
             }
             let scaled: Vec<f64> = expect.iter().map(|x| x / 1.7).collect();
-            for threads in [1usize, 2, 4, 8] {
-                let _b = parallel::enter_budget(threads);
-                let mut got = w.clone();
-                panel.basis(5).sub(&coeffs, &mut got);
-                assert_eq!(got, expect, "n={n} threads={threads}");
-                let mut got = w.clone();
-                panel.basis(5).sub_div(&coeffs, 1.7, &mut got);
-                assert_eq!(got, scaled, "n={n} threads={threads}");
-            }
+            let mut got = w.clone();
+            panel.basis(5).sub(&coeffs, &mut got);
+            assert_eq!(got, expect, "n={n}");
+            let mut got = w.clone();
+            panel.basis(5).sub_div(&coeffs, 1.7, &mut got);
+            assert_eq!(got, scaled, "n={n}");
         }
     }
 

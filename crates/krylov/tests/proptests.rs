@@ -6,7 +6,7 @@ use parapre_krylov::{
     Arms, ArmsConfig, BreakdownKind, CgConfig, ConjugateGradient, FGmres, Gmres, GmresConfig,
     IdentityPrecond, Ilu0, Ilut, IlutConfig, LuFactors,
 };
-use parapre_sparse::{ops, parallel, Coo, Csr};
+use parapre_sparse::{ops, Coo, Csr};
 use proptest::prelude::*;
 
 /// A seeded stream of values uniform in `[-1, 1)`.
@@ -117,9 +117,9 @@ fn perturbed(a: &Csr, eps: f64) -> Csr {
 }
 
 /// What the split storage owes every factor: the merged copy round-trips
-/// bit for bit, the leveled sweep is the row-ordered one at every budget,
-/// both agree with dense substitution, and the leading and trailing blocks
-/// are those of the merged matrix.
+/// bit for bit and sweeps to the same bits, the sweep agrees with dense
+/// substitution, and the leading and trailing blocks are those of the
+/// merged matrix.
 fn check_factor_storage(f: &LuFactors) {
     let n = f.dim();
     let m = f.merged();
@@ -127,32 +127,19 @@ fn check_factor_storage(f: &LuFactors) {
     assert_eq!(m.nnz(), f.nnz());
     let again = LuFactors::from_merged(&m).unwrap();
     assert_eq!(&again.merged(), &m);
-    assert_eq!(again.levels(), f.levels());
 
     let dense = m.to_dense();
     let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin() + 0.1).collect();
     let reference = dense_lu_solve(&dense, &b);
     let scale = ops::norm_inf(&reference);
     let mut want = b.clone();
-    {
-        let _b1 = parallel::enter_budget(1);
-        f.solve_in_place(&mut want);
-    }
+    f.solve_in_place(&mut want);
     for (got, r) in want.iter().zip(&reference) {
         assert!((got - r).abs() <= 1e-12 * scale, "{} vs {}", got, r);
     }
-    for threads in [1usize, 2, 4] {
-        let _bt = parallel::enter_budget(threads);
-        let mut leveled = b.clone();
-        f.solve_in_place_leveled(&mut leveled);
-        assert_eq!(&leveled, &want, "leveled, threads={}", threads);
-        let mut auto = b.clone();
-        f.solve_in_place(&mut auto);
-        assert_eq!(&auto, &want, "threads={}", threads);
-        let mut again_x = b.clone();
-        again.solve_in_place(&mut again_x);
-        assert_eq!(&again_x, &want, "round-tripped factor, threads={}", threads);
-    }
+    let mut again_x = b.clone();
+    again.solve_in_place(&mut again_x);
+    assert_eq!(&again_x, &want, "round-tripped factor");
 
     for nb in [0, n / 3, n / 2, n] {
         // Leading block: dense substitution with the top-left corner.
@@ -223,7 +210,7 @@ proptest! {
             // A refactored factor is a new set of values on the donor's own
             // symbolic half: same allocation, same fill.
             let refactored = donor.refactor(&a2).unwrap();
-            prop_assert!(std::ptr::eq(refactored.levels(), donor.levels()));
+            prop_assert!(refactored.shares_pattern_with(&donor));
             prop_assert_eq!(refactored.nnz(), donor.nnz());
             let (got, want) = (refactored.merged(), donor.merged());
             prop_assert_eq!(got.col_idx(), want.col_idx());
@@ -346,26 +333,23 @@ proptest! {
 
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let basis = panel.basis(k);
-        for threads in [1usize, 2, 4] {
-            let _budget = parallel::enter_budget(threads);
-            let mut dots = vec![f64::NAN; k + 1];
-            basis.dots(&w, &mut dots);
-            prop_assert_eq!(bits(&dots), bits(&want_dots), "dots, n={} t={}", n, threads);
+        let mut dots = vec![f64::NAN; k + 1];
+        basis.dots(&w, &mut dots);
+        prop_assert_eq!(bits(&dots), bits(&want_dots), "dots, n={}", n);
 
-            let mut sub = w.clone();
-            basis.sub(&coeffs, &mut sub);
-            prop_assert_eq!(bits(&sub), bits(&want_sub), "sub, n={} t={}", n, threads);
+        let mut sub = w.clone();
+        basis.sub(&coeffs, &mut sub);
+        prop_assert_eq!(bits(&sub), bits(&want_sub), "sub, n={}", n);
 
-            let mut div = w.clone();
-            basis.sub_div(&coeffs, 0.75, &mut div);
-            prop_assert_eq!(bits(&div), bits(&want_div), "sub_div, n={} t={}", n, threads);
+        let mut div = w.clone();
+        basis.sub_div(&coeffs, 0.75, &mut div);
+        prop_assert_eq!(bits(&div), bits(&want_div), "sub_div, n={}", n);
 
-            let mut fused = w.clone();
-            dots.fill(f64::NAN);
-            basis.sub_then_dots(&coeffs, &mut fused, &mut dots);
-            prop_assert_eq!(bits(&fused), bits(&want_sub), "fused w, n={} t={}", n, threads);
-            prop_assert_eq!(bits(&dots), bits(&want_dots_after), "fused dots, n={} t={}", n, threads);
-        }
+        let mut fused = w.clone();
+        dots.fill(f64::NAN);
+        basis.sub_then_dots(&coeffs, &mut fused, &mut dots);
+        prop_assert_eq!(bits(&fused), bits(&want_sub), "fused w, n={}", n);
+        prop_assert_eq!(bits(&dots), bits(&want_dots_after), "fused dots, n={}", n);
     }
 }
 
@@ -547,32 +531,5 @@ fn arms_climbs_the_shared_shift_ladder() {
                 (h ^ v.to_bits()).wrapping_mul(0x100000001b3)
             });
         assert_eq!(fnv, hash, "last-level factor values moved");
-    }
-}
-
-#[test]
-fn wide_levels_fan_out_and_stay_bitwise() {
-    // 1024 independent 2x2 blocks: two levels of 1024 rows in each sweep,
-    // wide enough that `solve_in_place` goes level by level (and across the
-    // pool under `--features parallel`) whenever the budget allows.
-    let n = 2048;
-    let mut coo = Coo::new(n, n);
-    for i in 0..n {
-        coo.push(i, i, 3.0 + (i % 7) as f64 * 0.25);
-        coo.push(i, i ^ 1, 0.5 - (i % 5) as f64 * 0.125);
-    }
-    let f = Ilu0::factor(&coo.to_csr()).unwrap();
-    assert!(f.levels().max_level_width() >= ops::SWEEP_PAR_MIN_WIDTH);
-    let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin()).collect();
-    let mut want = b.clone();
-    {
-        let _b1 = parallel::enter_budget(1);
-        f.solve_in_place(&mut want);
-    }
-    for threads in [2usize, 4] {
-        let _bt = parallel::enter_budget(threads);
-        let mut got = b.clone();
-        f.solve_in_place(&mut got);
-        assert_eq!(got, want, "threads={threads}");
     }
 }

@@ -933,19 +933,6 @@ pub mod names {
     /// Counter: repeat-matrix puts deduplicated by fingerprint (the bytes
     /// were parsed but no new session state was created).
     pub const NET_MATRIX_DEDUP_TOTAL: &str = "parapre_net_matrix_dedup_total";
-    /// Counter: rows processed by the pooled row-parallel SpMV
-    /// (`kernel.spmv_par_rows` — attribution for in-rank speedup).
-    pub const KERNEL_SPMV_PAR_ROWS: &str = "parapre_kernel_spmv_par_rows";
-    /// Gauge: total sweep levels (forward + backward) of the most recently
-    /// built LU factor (`sweep.level_count`).
-    pub const SWEEP_LEVEL_COUNT: &str = "parapre_sweep_level_count";
-    /// Gauge: widest sweep level of the most recently built LU factor —
-    /// the in-rank parallelism a leveled sweep can exploit
-    /// (`sweep.max_level_width`).
-    pub const SWEEP_MAX_LEVEL_WIDTH: &str = "parapre_sweep_max_level_width";
-    /// Gauge: worker-pool threads currently executing a kernel
-    /// (`pool.busy`; 0 unless the `parallel` feature is enabled).
-    pub const POOL_BUSY: &str = "parapre_pool_busy";
     /// Counter: completed elastic rebalances (refine or resize migrations
     /// that passed the residual probe and were swapped in).
     pub const ELASTIC_REBALANCES_TOTAL: &str = "parapre_elastic_rebalances_total";

@@ -103,7 +103,8 @@ fn every_live_rank_has_a_core() -> bool {
     // Cached: `available_parallelism` reads the affinity mask and the cgroup
     // quota, far too slow to ask per receive.
     static CORES: OnceLock<usize> = OnceLock::new();
-    live_ranks() <= *CORES.get_or_init(parapre_sparse::parallel::machine_parallelism)
+    live_ranks()
+        <= *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// What an installed fault hook does to one outgoing message.
@@ -501,36 +502,7 @@ impl Universe {
         F: Fn(&mut Comm) -> T + Sync,
         T: Send,
     {
-        Self::try_run_with_threads(n_ranks, recv_timeout, faults, None, f)
-    }
-
-    /// The most general launcher: [`Universe::try_run_with_faults`] plus an
-    /// explicit in-rank thread budget.
-    ///
-    /// Every rank thread runs under a nested-parallelism budget
-    /// (`parapre_sparse::parallel`) so data-parallel kernels inside a rank
-    /// (`Csr::spmv_par`, leveled sweeps, `ops::dot_par`) share the machine
-    /// instead of oversubscribing it P-fold. The budget is
-    /// `threads_per_rank` when given, else the `PARAPRE_THREADS`
-    /// environment override, else `⌊outer / n_ranks⌋` (min 1) — where
-    /// `outer` is the budget of the *launching* thread, so a nested
-    /// universe (e.g. a degraded-mode re-launch from inside a rank) can
-    /// never exceed the budget of the rank that launched it.
-    pub fn try_run_with_threads<F, T>(
-        n_ranks: usize,
-        recv_timeout: Duration,
-        faults: Option<Arc<dyn FaultHook>>,
-        threads_per_rank: Option<usize>,
-        f: F,
-    ) -> Vec<Result<T, RankFailure>>
-    where
-        F: Fn(&mut Comm) -> T + Sync,
-        T: Send,
-    {
         assert!(n_ranks >= 1);
-        // Resolved on the launcher thread: the share is relative to *its*
-        // budget, which bounds nested universes transitively.
-        let rank_threads = parapre_sparse::parallel::rank_budget(n_ranks, threads_per_rank);
         // Channel matrix: tx[dst][src] sends src → dst.
         let mut txs: Vec<Vec<Sender<Envelope>>> = Vec::with_capacity(n_ranks);
         let mut rxs: Vec<Vec<Receiver<Envelope>>> = Vec::with_capacity(n_ranks);
@@ -581,9 +553,6 @@ impl Universe {
                     scope.spawn(move || {
                         let rank = comm.rank();
                         let _live = LiveRank::enter();
-                        // Scope the rank's share of the machine: kernels
-                        // inside `f` fan out at most `rank_threads` wide.
-                        let _budget = parapre_sparse::parallel::enter_budget(rank_threads);
                         catch_unwind(AssertUnwindSafe(|| f(comm)))
                             .map_err(|payload| failure_from_panic(rank, payload))
                     })
@@ -1274,7 +1243,7 @@ mod tests {
     fn starved_ranks_never_poll() {
         // As many extra live ranks as the machine has cores: whatever else
         // runs in this process, the two ranks below cannot both have one.
-        let cores = parapre_sparse::parallel::machine_parallelism();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let _others: Vec<LiveRank> = (0..cores).map(|_| LiveRank::enter()).collect();
         let out = Universe::run(2, |c| {
             parapre_trace::install(c.rank());
@@ -1327,70 +1296,6 @@ mod tests {
         // 10 000 x 300 ns = 3 ms; truncating each wait to whole microseconds
         // used to make this 0.
         assert_eq!(out[0], (3000, 3000, 0));
-    }
-
-    #[test]
-    fn rank_threads_get_their_budget_share() {
-        use parapre_sparse::parallel;
-        // Pin the launcher's budget so the test is independent of the
-        // machine's core count and of any PARAPRE_THREADS in the env.
-        let _outer = parallel::enter_budget(8);
-        let out = Universe::try_run_with_threads(2, RECV_TIMEOUT, None, Some(3), |_c| {
-            parallel::current_budget()
-        });
-        for r in out {
-            assert_eq!(r.unwrap(), 3);
-        }
-        // The launcher's own budget is untouched.
-        assert_eq!(parallel::current_budget(), 8);
-    }
-
-    #[test]
-    fn default_share_is_outer_over_ranks() {
-        use parapre_sparse::parallel;
-        let _outer = parallel::enter_budget(8);
-        let out = Universe::try_run_with_threads(3, RECV_TIMEOUT, None, None, |_c| {
-            parallel::current_budget()
-        });
-        // Explicit `threads_per_rank` is None, so each rank gets
-        // ⌊8 / 3⌋ = 2 unless PARAPRE_THREADS overrides the share.
-        let want = parallel::rank_budget_from(8, 3, parallel::env_threads());
-        for r in out {
-            assert_eq!(r.unwrap(), want);
-        }
-    }
-
-    #[test]
-    fn many_ranks_on_few_cores_get_at_least_one() {
-        use parapre_sparse::parallel;
-        let _outer = parallel::enter_budget(2);
-        let out = Universe::try_run_with_threads(4, RECV_TIMEOUT, None, None, |_c| {
-            parallel::current_budget()
-        });
-        let want = parallel::rank_budget_from(2, 4, parallel::env_threads());
-        assert!(want >= 1);
-        for r in out {
-            assert_eq!(r.unwrap(), want);
-        }
-    }
-
-    #[test]
-    fn nested_universe_never_exceeds_outer_budget() {
-        use parapre_sparse::parallel;
-        let _outer = parallel::enter_budget(4);
-        let out = Universe::try_run_with_threads(2, RECV_TIMEOUT, None, None, |_c| {
-            // Degraded-mode style re-launch from inside a rank: even an
-            // absurd explicit request is clamped to this rank's budget.
-            let inner = Universe::try_run_with_threads(2, RECV_TIMEOUT, None, Some(64), |_c2| {
-                parallel::current_budget()
-            });
-            let mine = parallel::current_budget();
-            (mine, inner.into_iter().map(|r| r.unwrap()).max().unwrap())
-        });
-        for r in out {
-            let (mine, inner_max) = r.unwrap();
-            assert!(inner_max <= mine, "nested {inner_max} > outer {mine}");
-        }
     }
 
     #[test]

@@ -68,10 +68,8 @@ pub struct RebalanceConfig {
     pub min_ranks: usize,
     /// Never grow above this many ranks.
     pub max_ranks: usize,
-    /// Solver threads per rank (grow headroom is counted in threads).
-    pub threads_per_rank: usize,
-    /// Cores available to the process; growing stops once
-    /// `(P + 1) × threads_per_rank` would exceed it.
+    /// Cores available to the process; growing stops once `P + 1` would
+    /// exceed it.
     pub available_cores: usize,
 }
 
@@ -87,7 +85,6 @@ impl Default for RebalanceConfig {
             cooldown: 5,
             min_ranks: 2,
             max_ranks: 64,
-            threads_per_rank: 1,
             available_cores: cores,
         }
     }
@@ -155,7 +152,7 @@ impl RebalancePolicy {
         let saturated = !imbalanced
             && comm <= self.cfg.comm_fraction_max
             && mean >= self.cfg.grow_busy_floor_s
-            && (p + 1) * self.cfg.threads_per_rank.max(1) <= self.cfg.available_cores;
+            && p < self.cfg.available_cores;
 
         self.idle_streak = if has_idle && p > self.cfg.min_ranks {
             self.idle_streak + 1

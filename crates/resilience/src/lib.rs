@@ -19,6 +19,7 @@
 //!   block-Jacobi ILU(0) preconditioner, reporting both the reduced-system
 //!   residual and the honest full-system residual.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;

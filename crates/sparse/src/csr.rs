@@ -263,46 +263,6 @@ impl Csr {
         }
     }
 
-    /// Data-parallel SpMV on the shared worker pool (row-chunked: each
-    /// part owns a contiguous window of `row_ptr`).
-    ///
-    /// Bitwise identical to [`Csr::spmv`]: each output element is an
-    /// independent dot product, so parallelization does not reorder the
-    /// floating-point reduction within a row. The fan-out is bounded by
-    /// the calling thread's nested-parallelism budget
-    /// ([`crate::parallel::current_budget`]) — an mpisim rank thread uses
-    /// only its `max(1, cores / P)` share instead of sizing itself from
-    /// `available_parallelism()` per call and oversubscribing the machine
-    /// `P`-fold. Small matrices fall back to the serial kernel to avoid
-    /// the dispatch overhead.
-    pub fn spmv_par(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n_cols);
-        assert_eq!(y.len(), self.n_rows);
-        let budget = crate::parallel::current_budget();
-        if budget <= 1 || self.n_rows < 4096 {
-            return self.spmv(x, y);
-        }
-        #[cfg(feature = "parallel")]
-        if parapre_metrics::enabled() {
-            parapre_metrics::inc(
-                parapre_metrics::names::KERNEL_SPMV_PAR_ROWS,
-                self.n_rows as u64,
-            );
-        }
-        crate::parallel::for_each_chunk_mut(y, budget, |_, row0, ys| {
-            for (k, yi) in ys.iter_mut().enumerate() {
-                let i = row0 + k;
-                let lo = self.row_ptr[i];
-                let hi = self.row_ptr[i + 1];
-                let mut acc = 0.0;
-                for (&j, &v) in self.col_idx[lo..hi].iter().zip(&self.vals[lo..hi]) {
-                    acc += v * x[j];
-                }
-                *yi = acc;
-            }
-        });
-    }
-
     /// Splits the rows into an *interior* part (rows whose stored entries
     /// all have column `< col_threshold`) and a *boundary* part (rows with
     /// at least one entry at column `>= col_threshold`).
@@ -830,17 +790,6 @@ mod tests {
     }
 
     #[test]
-    fn spmv_par_matches_serial() {
-        let a = sample();
-        let x = [0.5, -1.5, 2.0];
-        let mut y1 = [0.0; 3];
-        let mut y2 = [0.0; 3];
-        a.spmv(&x, &mut y1);
-        a.spmv_par(&x, &mut y2);
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
     fn transpose_involution() {
         let a = Csr::from_dense_rows(&[vec![1.0, 2.0, 0.0], vec![0.0, 0.0, 3.0]]);
         let att = a.transpose().transpose();
@@ -995,35 +944,6 @@ mod tests {
         // Rows with entries go boundary; empty rows count as interior.
         for i in all_boundary.boundary_rows {
             assert!(!a.row(i).0.is_empty());
-        }
-    }
-
-    #[test]
-    fn spmv_par_respects_budget() {
-        // Behavioural parity: gating on the ambient budget must not change
-        // results (it only bounds how many pool workers fan out).
-        let n = 5000; // above the parallel threshold
-        let rows: Vec<Vec<f64>> = (0..3).map(|i| vec![i as f64 + 1.0; 3]).collect();
-        let small = Csr::from_dense_rows(&rows);
-        let _guard = crate::parallel::enter_budget(1);
-        let x = vec![1.0; 3];
-        let mut y = vec![0.0; 3];
-        small.spmv_par(&x, &mut y);
-        assert_eq!(y, vec![3.0, 6.0, 9.0]);
-        // Large matrix path under a serial budget: still correct.
-        let eye_parts: (Vec<usize>, Vec<usize>, Vec<f64>) =
-            ((0..=n).collect(), (0..n).collect(), vec![2.0; n]);
-        let big = Csr::from_parts(n, n, eye_parts.0, eye_parts.1, eye_parts.2).unwrap();
-        let xb = vec![1.5; n];
-        let mut yb = vec![0.0; n];
-        big.spmv_par(&xb, &mut yb);
-        assert!(yb.iter().all(|&v| v == 3.0));
-        // Widened budgets produce bitwise-identical output.
-        let mut yp = vec![0.0; n];
-        for t in [2usize, 4, 8] {
-            let _t = crate::parallel::enter_budget(t);
-            big.spmv_par(&xb, &mut yp);
-            assert_eq!(yp, yb, "budget {t}");
         }
     }
 }

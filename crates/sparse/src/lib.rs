@@ -15,15 +15,10 @@
 //!   [`ops`] and [`perm`].
 //!
 //! Hot kernels follow the idioms of the Rust Performance Book: flat `Vec`
-//! storage, slice iteration instead of indexing, 4-lane-chunked
-//! autovec-friendly BLAS-1 loops, and budget-bounded data-parallel kernels
-//! over a shared worker pool ([`Csr::spmv_par`], [`parallel`]).
+//! storage, slice iteration instead of indexing, and 4-lane-chunked
+//! autovec-friendly BLAS-1 loops with a fixed reduction order.
 
-// The worker pool (`parallel` feature) needs two well-fenced unsafe
-// blocks (lifetime-erased job pointer + disjoint slice shards); everything
-// else stays unsafe-free, and the default build forbids it outright.
-#![cfg_attr(not(feature = "parallel"), forbid(unsafe_code))]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index loops mirror the papers' pseudocode in the numeric kernels.
 #![allow(clippy::needless_range_loop)]
@@ -33,9 +28,7 @@ pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod io;
-pub mod levels;
 pub mod ops;
-pub mod parallel;
 pub mod perm;
 pub mod report;
 pub mod scaling;
@@ -44,7 +37,6 @@ pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::{Csr, RowSplit};
 pub use dense::Dense;
-pub use levels::SweepLevels;
 pub use perm::Permutation;
 pub use report::FactorReport;
 

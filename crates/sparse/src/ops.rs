@@ -2,12 +2,9 @@
 //!
 //! The BLAS-1 kernels are written as explicit 4-lane-chunked loops: the
 //! lane accumulators autovectorize without intrinsics, and reductions use
-//! **fixed chunk boundaries with an ordered combine** ([`REDUCE_CHUNK`]),
-//! so the `_par` variants are bitwise identical to the serial kernels at
-//! every worker count.
+//! **fixed chunk boundaries with an ordered combine** ([`REDUCE_CHUNK`]):
+//! iteration counts depend on these bits.
 
-use crate::levels::SweepLevels;
-use crate::parallel;
 use crate::{Csr, Error, Result};
 
 /// Accumulator lanes of the chunked BLAS-1 loops (autovec-friendly f64x4).
@@ -15,17 +12,8 @@ const LANES: usize = 4;
 
 /// Fixed reduction-chunk length (elements). Partial sums are always taken
 /// over `[c·CHUNK, (c+1)·CHUNK)` windows and combined in ascending chunk
-/// order, independent of how many workers computed them.
+/// order.
 pub const REDUCE_CHUNK: usize = 4096;
-
-/// Below this length the pool dispatch overhead dominates; `_par` kernels
-/// fall back to the serial path.
-const PAR_MIN_LEN: usize = 8192;
-
-/// Narrowest sweep level worth fanning out across the pool. A factor whose
-/// widest level is narrower gains nothing from level order and loses the
-/// row order's locality (see `LuFactors::solve_in_place`).
-pub const SWEEP_PAR_MIN_WIDTH: usize = 512;
 
 /// One fixed reduction chunk of the dot product: four independent lane
 /// accumulators over the 4-aligned head, a scalar tail, and a fixed
@@ -59,40 +47,10 @@ pub fn dot(x: &[f64], y: &[f64]) -> f64 {
     total
 }
 
-/// Budget-aware [`dot`]: chunk partials are computed on the worker pool
-/// and combined in ascending chunk order, so the sum is **bitwise
-/// identical** to the serial kernel regardless of worker count.
-pub fn dot_par(x: &[f64], y: &[f64]) -> f64 {
-    debug_assert_eq!(x.len(), y.len());
-    let budget = parallel::current_budget();
-    if budget <= 1 || x.len() < PAR_MIN_LEN {
-        return dot(x, y);
-    }
-    let n_chunks = x.len().div_ceil(REDUCE_CHUNK);
-    let mut partials = vec![0.0f64; n_chunks];
-    parallel::for_each_chunk_mut(&mut partials, budget.min(n_chunks), |_, start, out| {
-        for (c, o) in out.iter_mut().enumerate() {
-            let lo = (start + c) * REDUCE_CHUNK;
-            let hi = (lo + REDUCE_CHUNK).min(x.len());
-            *o = dot_chunk(&x[lo..hi], &y[lo..hi]);
-        }
-    });
-    let mut total = 0.0;
-    for p in partials {
-        total += p;
-    }
-    total
-}
-
 /// Euclidean norm.
 #[inline]
 pub fn norm2(x: &[f64]) -> f64 {
     dot(x, x).sqrt()
-}
-
-/// Budget-aware [`norm2`] (bitwise identical to the serial kernel).
-pub fn norm2_par(x: &[f64]) -> f64 {
-    dot_par(x, x).sqrt()
 }
 
 /// Infinity norm.
@@ -101,9 +59,10 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0, |m, v| m.max(v.abs()))
 }
 
-/// `y += alpha * x` over one chunk, 4-lane unrolled.
+/// `y += alpha * x` (4-lane unrolled).
 #[inline]
-fn axpy_chunk(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+    debug_assert_eq!(x.len(), y.len());
     let n4 = y.len() & !(LANES - 1);
     for (ys, xs) in y[..n4]
         .chunks_exact_mut(LANES)
@@ -116,26 +75,6 @@ fn axpy_chunk(alpha: f64, x: &[f64], y: &mut [f64]) {
     for (yi, &xi) in y[n4..].iter_mut().zip(&x[n4..]) {
         *yi += alpha * xi;
     }
-}
-
-/// `y += alpha * x`.
-#[inline]
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    axpy_chunk(alpha, x, y);
-}
-
-/// Budget-aware [`axpy`]: element-disjoint chunks, so bitwise identical
-/// to the serial kernel at every worker count.
-pub fn axpy_par(alpha: f64, x: &[f64], y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let budget = parallel::current_budget();
-    if budget <= 1 || y.len() < PAR_MIN_LEN {
-        return axpy(alpha, x, y);
-    }
-    parallel::for_each_chunk_mut(y, budget, |_, start, ys| {
-        axpy_chunk(alpha, &x[start..start + ys.len()], ys);
-    });
 }
 
 /// `y = alpha * x + beta * y`.
@@ -168,15 +107,6 @@ pub fn scale(alpha: f64, x: &mut [f64]) {
     for xi in &mut x[n4..] {
         *xi *= alpha;
     }
-}
-
-/// Budget-aware [`scale`] (bitwise identical to the serial kernel).
-pub fn scale_par(alpha: f64, x: &mut [f64]) {
-    let budget = parallel::current_budget();
-    if budget <= 1 || x.len() < PAR_MIN_LEN {
-        return scale(alpha, x);
-    }
-    parallel::for_each_chunk_mut(x, budget, |_, _, xs| scale(alpha, xs));
 }
 
 /// Narrows a column index to the 32-bit width split factors store — the
@@ -390,59 +320,6 @@ pub fn solve_lu_leading(lu: &SplitLu<'_>, nb: usize, x: &mut [f64]) {
     }
 }
 
-/// Sweeps the rows of one level: in place when the level is narrow or the
-/// budget is one worker, otherwise into `scratch` across the pool and
-/// scattered back serially (one store per row).
-fn sweep_level(
-    rows: &[usize],
-    budget: usize,
-    scratch: &mut Vec<f64>,
-    x: &mut [f64],
-    row: impl Fn(usize, &[f64]) -> f64 + Sync,
-) {
-    if budget <= 1 || rows.len() < SWEEP_PAR_MIN_WIDTH {
-        for &i in rows {
-            x[i] = row(i, x);
-        }
-        return;
-    }
-    scratch.resize(rows.len(), 0.0);
-    let xs: &[f64] = x;
-    parallel::for_each_chunk_mut(scratch, budget, |_, start, out| {
-        let len = out.len();
-        for (o, &i) in out.iter_mut().zip(&rows[start..start + len]) {
-            *o = row(i, xs);
-        }
-    });
-    for (&i, &v) in rows.iter().zip(scratch.iter()) {
-        x[i] = v;
-    }
-}
-
-/// Level-scheduled `L U x = b` sweep, fanning the rows of each sufficiently
-/// wide level across the worker pool.
-///
-/// Rows within a level are mutually independent and read only values
-/// produced by earlier levels, and every row goes through the same
-/// [`row_sub`] as in [`solve_lu`] — the result is **bitwise identical** to
-/// the row-ordered solve for any budget.
-pub fn solve_lu_leveled_par(lu: &SplitLu<'_>, levels: &SweepLevels, x: &mut [f64]) {
-    let n = lu.diag_inv.len();
-    debug_assert_eq!(x.len(), n);
-    let budget = parallel::current_budget();
-    let mut scratch: Vec<f64> = Vec::new();
-    for l in 0..levels.n_lower_levels() {
-        sweep_level(levels.lower_level(l), budget, &mut scratch, x, |i, xs| {
-            lu.forward_row(i, xs)
-        });
-    }
-    for l in 0..levels.n_upper_levels() {
-        sweep_level(levels.upper_level(l), budget, &mut scratch, x, |i, xs| {
-            lu.backward_row(i, n, xs)
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,6 +339,39 @@ mod tests {
         let mut z = [2.0, 4.0];
         scale(0.5, &mut z);
         assert_eq!(z, [1.0, 2.0]);
+    }
+
+    #[test]
+    fn dot_is_the_ascending_sum_of_four_lane_chunk_partials() {
+        // Iteration counts depend on these bits: written out naively, one
+        // partial per REDUCE_CHUNK window (four strided lanes over the
+        // 4-aligned head, a scalar tail), partials added in ascending order.
+        for n in [
+            0,
+            1,
+            REDUCE_CHUNK - 1,
+            REDUCE_CHUNK,
+            REDUCE_CHUNK + 1,
+            3 * REDUCE_CHUNK + 5,
+        ] {
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin() + 0.2).collect();
+            let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.007).cos() - 0.1).collect();
+            let mut want = 0.0;
+            for lo in (0..n).step_by(REDUCE_CHUNK) {
+                let hi = (lo + REDUCE_CHUNK).min(n);
+                let head = lo + (hi - lo) / 4 * 4;
+                let mut lane = [0.0f64; 4];
+                for i in lo..head {
+                    lane[(i - lo) % 4] += x[i] * y[i];
+                }
+                let mut tail = 0.0;
+                for i in head..hi {
+                    tail += x[i] * y[i];
+                }
+                want += (lane[0] + lane[2]) + (lane[1] + lane[3]) + tail;
+            }
+            assert_eq!(dot(&x, &y).to_bits(), want.to_bits(), "n={n}");
+        }
     }
 
     #[test]
@@ -579,60 +489,5 @@ mod tests {
             diag_reciprocals_checked(&[1.0, 1e-320]),
             Err(Error::NonFinitePivot(1))
         );
-    }
-
-    #[test]
-    fn large_blas1_par_kernels_are_budget_invariant() {
-        // Vectors past PAR_MIN_LEN so the pooled paths actually run.
-        let n = 3 * PAR_MIN_LEN + 17;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.013).sin() + 0.2).collect();
-        let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.007).cos() - 0.1).collect();
-        let want_dot = dot(&x, &y);
-        let want_norm = {
-            let _b = crate::parallel::enter_budget(1);
-            norm2_par(&x)
-        };
-        let mut want_axpy = y.clone();
-        axpy(0.37, &x, &mut want_axpy);
-        let mut want_scale = x.clone();
-        scale(-1.25, &mut want_scale);
-        for threads in [1usize, 2, 4, 8] {
-            let _b = crate::parallel::enter_budget(threads);
-            assert_eq!(dot_par(&x, &y).to_bits(), want_dot.to_bits(), "t={threads}");
-            assert_eq!(norm2_par(&x).to_bits(), want_norm.to_bits(), "t={threads}");
-            let mut got = y.clone();
-            axpy_par(0.37, &x, &mut got);
-            assert_eq!(got, want_axpy, "t={threads}");
-            let mut got = x.clone();
-            scale_par(-1.25, &mut got);
-            assert_eq!(got, want_scale, "t={threads}");
-        }
-    }
-
-    #[test]
-    fn wide_level_sweep_fans_out_and_stays_bitwise() {
-        // n independent 2x2 blocks: two levels of width n/2 >=
-        // SWEEP_PAR_MIN_WIDTH in each sweep, so the pooled branch runs and
-        // every second row has an entry to accumulate.
-        let n = 4 * SWEEP_PAR_MIN_WIDTH;
-        let mut coo = crate::Coo::new(n, n);
-        for i in 0..n {
-            coo.push(i, i, 2.0 + (i % 7) as f64 * 0.25);
-            coo.push(i, i ^ 1, 0.5 - (i % 5) as f64 * 0.125);
-        }
-        let s = SplitCsr::from_merged(&coo.to_csr()).unwrap();
-        let diag_inv = diag_reciprocals_checked(&s.diag).unwrap();
-        let lu = s.sweep_view(&diag_inv);
-        let levels = SweepLevels::from_split(&s.l_ptr, &s.l_cols, &s.u_ptr, &s.u_cols);
-        assert!(levels.max_level_width() >= SWEEP_PAR_MIN_WIDTH);
-        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.11).sin()).collect();
-        let mut want = b.clone();
-        solve_lu(&lu, &mut want);
-        for threads in [1usize, 2, 4, 8] {
-            let _bt = crate::parallel::enter_budget(threads);
-            let mut got = b.clone();
-            solve_lu_leveled_par(&lu, &levels, &mut got);
-            assert_eq!(got, want, "t={threads}");
-        }
     }
 }
