@@ -16,7 +16,7 @@ fn ablate_schur_inner(c: &mut Criterion) {
     for k in [1usize, 3, 5, 10] {
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             let mut cfg = RunConfig::paper(PrecondKind::Schur1, 4);
-            cfg.schur1.schur_iters = k;
+            cfg.params.schur1.schur_iters = k;
             b.iter(|| run_case(black_box(&case), &cfg).iterations)
         });
     }
@@ -35,7 +35,7 @@ fn ablate_ilut_params(c: &mut Criterion) {
             &(tol, fill),
             |b, &(t, f)| {
                 let mut cfg = RunConfig::paper(PrecondKind::Block2, 4);
-                cfg.ilut = IlutConfig {
+                cfg.params.ilut = IlutConfig {
                     drop_tol: t,
                     fill: f,
                 };
@@ -58,7 +58,7 @@ fn ablate_arms_levels(c: &mut Criterion) {
             &(levels, group),
             |b, &(l, gs)| {
                 let mut cfg = RunConfig::paper(PrecondKind::Schur2, 4);
-                cfg.schur2.arms = ArmsConfig {
+                cfg.params.schur2.arms = ArmsConfig {
                     n_levels: l,
                     group_size: gs,
                     ..ArmsConfig::default()
@@ -109,7 +109,7 @@ fn ablate_schur_matvec(c: &mut Criterion) {
     for k in [1usize, 3, 5, 10] {
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             let mut cfg = RunConfig::paper(PrecondKind::Schur1, 4);
-            cfg.schur1.inner_b_iters = k;
+            cfg.params.schur1.inner_b_iters = k;
             b.iter(|| run_case(black_box(&case), &cfg).iterations)
         });
     }

@@ -111,32 +111,14 @@ impl DistPrecond for JacobiDistPrecond {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::tc1;
     use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
-    use parapre_fem::{bc, poisson, LinearSystem};
-    use parapre_grid::structured::unit_square;
     use parapre_mpisim::Universe;
-    use parapre_partition::partition_graph;
-
-    fn tc1(nx: usize) -> (parapre_sparse::Csr, Vec<f64>, Vec<u32>, usize) {
-        let mesh = unit_square(nx, nx);
-        let (a, b) = poisson::assemble_2d(&mesh, poisson::rhs_tc1);
-        let mut sys = LinearSystem { a, b };
-        let fixed: Vec<(usize, f64)> = mesh
-            .boundary_nodes()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &on)| on)
-            .map(|(i, _)| (i, poisson::exact_tc1(mesh.coords[i][0], mesh.coords[i][1])))
-            .collect();
-        bc::apply_dirichlet(&mut sys, &fixed);
-        let p = 4;
-        let part = partition_graph(&mesh.adjacency(), p, 17);
-        (sys.a, sys.b, part.owner, p)
-    }
 
     #[test]
     fn block_preconditioners_accelerate_distributed_fgmres() {
-        let (a, b, owner, p) = tc1(16);
+        let p = 4;
+        let (a, b, owner) = tc1(16, p, 17);
         let (a_ref, b_ref, owner_ref) = (&a, &b, &owner);
         let run = |use_ilut: bool| -> (usize, bool) {
             let out = Universe::run(p, move |comm| {
@@ -187,7 +169,8 @@ mod tests {
 
     #[test]
     fn block_solve_is_communication_free() {
-        let (a, b, owner, p) = tc1(10);
+        let p = 4;
+        let (a, b, owner) = tc1(10, p, 17);
         let (a_ref, b_ref, owner_ref) = (&a, &b, &owner);
         let stats = Universe::run(p, move |comm| {
             let dm = DistMatrix::from_global(a_ref, owner_ref, comm.rank(), p);
@@ -208,23 +191,10 @@ mod tests {
     fn block_jacobi_iterations_grow_with_p() {
         // The classical block-Jacobi degradation: more subdomains ⇒ weaker
         // preconditioner ⇒ more iterations (paper's Block1/Block2 trend).
-        let nx = 20;
-        let mesh = unit_square(nx, nx);
-        let (a0, b0) = poisson::assemble_2d(&mesh, poisson::rhs_tc1);
-        let mut sys = LinearSystem { a: a0, b: b0 };
-        let fixed: Vec<(usize, f64)> = mesh
-            .boundary_nodes()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &on)| on)
-            .map(|(i, _)| (i, 0.0))
-            .collect();
-        bc::apply_dirichlet(&mut sys, &fixed);
-        let adjacency = mesh.adjacency();
         let mut iters = Vec::new();
         for p in [2usize, 8] {
-            let part = partition_graph(&adjacency, p, 3);
-            let (a_ref, b_ref, owner_ref) = (&sys.a, &sys.b, &part.owner);
+            let (a, b, owner) = tc1(20, p, 3);
+            let (a_ref, b_ref, owner_ref) = (&a, &b, &owner);
             let out = Universe::run(p, move |comm| {
                 let dm = DistMatrix::from_global(a_ref, owner_ref, comm.rank(), p);
                 let m = BlockPrecond::ilu0(&dm).unwrap();

@@ -11,7 +11,7 @@
 //! | `Block 1`  | simple block, ILU(0) subdomain sweep | [`block::BlockPrecond::ilu0`] |
 //! | `Block 2`  | simple block, ILUT subdomain sweep   | [`block::BlockPrecond::ilut`] |
 //! | `Schur 1`  | Schur-enhanced: distributed GMRES + block-Jacobi on the interface Schur system, local GMRES+ILUT subdomain solves | [`schur::Schur1Precond`] |
-//! | `Schur 2`  | expanded-Schur: group-independent sets (ARMS), distributed GMRES + distributed ILU(0) on the expanded Schur system | [`schur2::Schur2Precond`] |
+//! | `Schur 2`  | expanded-Schur: group-independent sets (ARMS), distributed GMRES + distributed ILU(0) on the expanded Schur system | [`expschur::ExpandedSchurPrecond::schur2`] |
 //! | additive Schwarz (±CGC) | overlapping blocks + FFT subdomain solves + coarse grid | [`schwarz::AdditiveSchwarz`] |
 //!
 //! Each has one constructor, and every subdomain factorization in it goes
@@ -22,10 +22,13 @@
 //! [`runner::try_build_dist_precond`]; the collectively voted descent over
 //! rungs is [`runner::build_dist_precond_with_fallback`].
 //!
-//! Beyond the paper's four, [`schurml::SchurMLPrecond`] (`SchurML`) recurses
-//! the expanded-Schur splitting into a multilevel hierarchy with per-level
-//! low-rank corrections — the algorithmic-scalability rung that keeps
-//! interface iteration counts flat(ter) as the subdomain count grows.
+//! Beyond the paper's four, `SchurML`
+//! ([`expschur::ExpandedSchurPrecond::schurml`]) is the same struct, operator
+//! and level sweep as `Schur 2` with a different local solver of the Schur
+//! block: the expanded-Schur splitting recursed into a multilevel hierarchy
+//! with per-level low-rank corrections — the algorithmic-scalability rung
+//! that keeps interface iteration counts flat(ter) as the subdomain count
+//! grows.
 //!
 //! [`cases`] builds Test Cases 1–6 at any resolution; [`runner`] partitions,
 //! distributes, solves with FGMRES(20) to `‖r‖/‖r₀‖ ≤ 10⁻⁶` (paper §4.3)
@@ -37,15 +40,17 @@
 
 pub mod block;
 pub mod cases;
+pub mod expschur;
 pub mod overlap;
 pub mod runner;
 pub mod schur;
-pub mod schur2;
-pub mod schurml;
 pub mod schwarz;
+#[cfg(test)]
+mod testutil;
 
 pub use block::{BlockPrecond, JacobiDistPrecond};
 pub use cases::{build_case, build_case_sized, AssembledCase, CaseId, CaseSize};
+pub use expschur::{ExpSchurConfig, ExpandedSchurPrecond};
 pub use overlap::OverlapBlockPrecond;
 pub use runner::{
     build_dist_precond_with_fallback, partition_case, partition_case_with, refactor_dist_precond,
@@ -53,6 +58,4 @@ pub use runner::{
     PrecondParams, RefactorReject, RunConfig, RunResult,
 };
 pub use schur::{Schur1Config, Schur1Precond};
-pub use schur2::{Schur2Config, Schur2Precond};
-pub use schurml::{SchurMLConfig, SchurMLPrecond};
 pub use schwarz::{AdditiveSchwarz, SchwarzConfig};

@@ -128,27 +128,9 @@ impl DistPrecond for OverlapBlockPrecond {
 mod tests {
     use super::*;
     use crate::block::BlockPrecond;
+    use crate::testutil::tc1;
     use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig};
-    use parapre_fem::{bc, poisson, LinearSystem};
-    use parapre_grid::structured::unit_square;
     use parapre_mpisim::Universe;
-    use parapre_partition::partition_graph;
-
-    fn tc1(nx: usize, p: usize) -> (Csr, Vec<f64>, Vec<u32>) {
-        let mesh = unit_square(nx, nx);
-        let (a, b) = poisson::assemble_2d(&mesh, poisson::rhs_tc1);
-        let mut sys = LinearSystem { a, b };
-        let fixed: Vec<(usize, f64)> = mesh
-            .boundary_nodes()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &on)| on)
-            .map(|(i, _)| (i, 0.0))
-            .collect();
-        bc::apply_dirichlet(&mut sys, &fixed);
-        let part = partition_graph(&mesh.adjacency(), p, 5);
-        (sys.a, sys.b, part.owner)
-    }
 
     fn iterations<F>(a: &Csr, b: &[f64], owner: &[u32], p: usize, make: F) -> usize
     where
@@ -173,7 +155,7 @@ mod tests {
     #[test]
     fn overlap_reduces_iterations_vs_plain_block() {
         let p = 6;
-        let (a, b, owner) = tc1(24, p);
+        let (a, b, owner) = tc1(24, p, 5);
         let cfg = IlutConfig::default();
         let plain = iterations(&a, &b, &owner, p, |dm| {
             Box::new(BlockPrecond::ilut(dm, &cfg).unwrap())
@@ -191,7 +173,7 @@ mod tests {
     #[test]
     fn overlap_preconditioner_communicates() {
         let p = 4;
-        let (a, b, owner) = tc1(12, p);
+        let (a, b, owner) = tc1(12, p, 5);
         let a_ref = &a;
         let b_ref = &b;
         let owner_ref = &owner;
@@ -210,7 +192,7 @@ mod tests {
 
     #[test]
     fn single_rank_overlap_equals_plain_ilut() {
-        let (a, b, _) = tc1(10, 2);
+        let (a, b, _) = tc1(10, 2, 5);
         let owner = vec![0u32; a.n_rows()];
         let p = 1;
         let cfg = IlutConfig::default();

@@ -11,11 +11,10 @@
 
 use crate::block::BlockPrecond;
 use crate::cases::AssembledCase;
+use crate::expschur::{ExpSchurConfig, ExpandedSchurPrecond};
 use crate::schur::{Schur1Config, Schur1Precond};
-use crate::schur2::{Schur2Config, Schur2Precond};
-use crate::schurml::{SchurMLConfig, SchurMLPrecond};
 use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix, DistPrecond};
-use parapre_krylov::IlutConfig;
+use parapre_krylov::{ArmsConfig, IlutConfig};
 use parapre_mpisim::{CommStats, MachineModel, Universe};
 use parapre_partition::{
     balanced_box_layout, partition_boxes_2d, partition_boxes_3d, partition_graph, partition_rcb,
@@ -187,11 +186,11 @@ pub struct PrecondParams {
     pub ilut: IlutConfig,
     /// `Schur 1` parameters.
     pub schur1: Schur1Config,
-    /// `Schur 2` parameters.
-    pub schur2: Schur2Config,
-    /// `SchurML` parameters (its `levels`/`rank` fields are overridden by
-    /// the knobs carried in [`PrecondKind::SchurML`] at build time).
-    pub schurml: SchurMLConfig,
+    /// `Schur 2` parameters (two-level ARMS, as in the paper).
+    pub schur2: ExpSchurConfig,
+    /// `SchurML` parameters; its hierarchy depth and correction rank are
+    /// the knobs of [`PrecondKind::SchurML`].
+    pub schurml: ExpSchurConfig,
 }
 
 impl Default for PrecondParams {
@@ -203,8 +202,18 @@ impl Default for PrecondParams {
                 fill: 30,
             },
             schur1: Schur1Config::default(),
-            schur2: Schur2Config::default(),
-            schurml: SchurMLConfig::default(),
+            schur2: ExpSchurConfig {
+                arms: ArmsConfig::default(),
+                schur_iters: 5,
+            },
+            // Deeper than `Schur 2`: each application of the corrected
+            // hierarchy is a stronger inner preconditioner, so the extra
+            // sweeps convert directly into flat outer iteration counts as
+            // `P` grows (the E15 bench gates on this).
+            schurml: ExpSchurConfig {
+                arms: ArmsConfig::default(),
+                schur_iters: 10,
+            },
         }
     }
 }
@@ -222,14 +231,8 @@ pub struct RunConfig {
     pub scheme: PartitionScheme,
     /// Outer FGMRES parameters (paper defaults preloaded).
     pub gmres: DistGmresConfig,
-    /// ILUT parameters for `Block 2`.
-    pub ilut: IlutConfig,
-    /// `Schur 1` parameters.
-    pub schur1: Schur1Config,
-    /// `Schur 2` parameters.
-    pub schur2: Schur2Config,
-    /// `SchurML` parameters.
-    pub schurml: SchurMLConfig,
+    /// Preconditioner tuning knobs (paper defaults preloaded).
+    pub params: PrecondParams,
 }
 
 impl RunConfig {
@@ -257,13 +260,7 @@ impl RunConfig {
                 rel_tol: 1e-6,
                 ..Default::default()
             },
-            ilut: IlutConfig {
-                drop_tol: 1e-3,
-                fill: 30,
-            },
-            schur1: Schur1Config::default(),
-            schur2: Schur2Config::default(),
-            schurml: SchurMLConfig::default(),
+            params: PrecondParams::default(),
         }
     }
 
@@ -271,16 +268,6 @@ impl RunConfig {
     pub fn on_origin(mut self) -> Self {
         self.machine = MachineModel::origin_3800();
         self
-    }
-
-    /// The preconditioner tuning knobs bundled for [`try_build_dist_precond`].
-    pub fn precond_params(&self) -> PrecondParams {
-        PrecondParams {
-            ilut: self.ilut,
-            schur1: self.schur1,
-            schur2: self.schur2,
-            schurml: self.schurml,
-        }
     }
 }
 
@@ -384,7 +371,7 @@ pub fn try_build_dist_precond(
             Ok((Box::new(m), shifts))
         }
         PrecondKind::Schur2 => {
-            let m = Schur2Precond::build(dm, comm, params.schur2)?;
+            let m = ExpandedSchurPrecond::schur2(dm, comm, params.schur2)?;
             let shifts = m.report().shift_attempts;
             Ok((Box::new(m), shifts))
         }
@@ -392,12 +379,7 @@ pub fn try_build_dist_precond(
             // No shift ladder on purpose: SchurML refuses builds that
             // would need shifts or pivot fixes (the corrections would
             // amplify them) and lets the ladder descend to Schur 2.
-            let cfg = SchurMLConfig {
-                levels,
-                rank,
-                ..params.schurml
-            };
-            let m = SchurMLPrecond::build(dm, comm, cfg)?;
+            let m = ExpandedSchurPrecond::schurml(dm, comm, params.schurml, levels, rank)?;
             Ok((Box::new(m), 0))
         }
         PrecondKind::BlockOverlap => {
@@ -592,13 +574,7 @@ pub fn run_case_traced(
         let t0 = Instant::now();
         let built = {
             let _setup = parapre_trace::span(parapre_trace::phase::SETUP);
-            build_dist_precond_with_fallback(
-                cfg_ref.precond,
-                &dm,
-                comm,
-                a,
-                &cfg_ref.precond_params(),
-            )
+            build_dist_precond_with_fallback(cfg_ref.precond, &dm, comm, a, &cfg_ref.params)
         };
         let setup = t0.elapsed().as_secs_f64();
         let b_loc = scatter_vector(&dm.layout, b);

@@ -217,28 +217,10 @@ impl DistPrecond for Schur1Precond {
 mod tests {
     use super::*;
     use crate::block::BlockPrecond;
+    use crate::testutil::tc1;
     use parapre_dist::scatter_vector;
-    use parapre_fem::{bc, poisson, LinearSystem};
-    use parapre_grid::structured::unit_square;
     use parapre_mpisim::Universe;
-    use parapre_partition::partition_graph;
     use parapre_sparse::Csr;
-
-    fn tc1(nx: usize, p: usize, seed: u64) -> (Csr, Vec<f64>, Vec<u32>) {
-        let mesh = unit_square(nx, nx);
-        let (a, b) = poisson::assemble_2d(&mesh, poisson::rhs_tc1);
-        let mut sys = LinearSystem { a, b };
-        let fixed: Vec<(usize, f64)> = mesh
-            .boundary_nodes()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &on)| on)
-            .map(|(i, _)| (i, poisson::exact_tc1(mesh.coords[i][0], mesh.coords[i][1])))
-            .collect();
-        bc::apply_dirichlet(&mut sys, &fixed);
-        let part = partition_graph(&mesh.adjacency(), p, seed);
-        (sys.a, sys.b, part.owner)
-    }
 
     fn solve_with<MB>(a: &Csr, b: &[f64], owner: &[u32], p: usize, make: MB) -> (usize, bool, f64)
     where

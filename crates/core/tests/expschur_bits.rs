@@ -1,0 +1,316 @@
+//! The expanded-Schur application, written out step by step, pins
+//! `ExpandedSchurPrecond` bit for bit.
+//!
+//! `Schur 2` and `SchurML` used to be two structs with the block-LU sweep
+//! around the Schur iteration written out in each; they are now one struct
+//! over `ArmsLevel::sweep`. The reference here is that written-out
+//! application — permute, `B⁻¹`, `E`-update, distributed GMRES on an operator
+//! and an inner solve built from `ArmsLevel`'s public accessors, back
+//! substitution, inverse permute — over factors the test builds itself with
+//! the same (deterministic) calls the constructors make. It shares no code
+//! with the preconditioner under test beyond those krylov entry points.
+
+use parapre_core::{
+    build_case, partition_case, try_build_dist_precond, AssembledCase, CaseId, CaseSize,
+    PrecondKind, PrecondParams, RunConfig,
+};
+use parapre_dist::{
+    scatter_vector, tags, DistGmres, DistGmresConfig, DistMatrix, DistOp, DistPrecond, LocalLayout,
+};
+use parapre_krylov::{
+    Arms, ArmsConfig, Ilu0, LuFactors, Preconditioner, SchurMlHierarchy, MAX_CORRECTION_RANK,
+};
+use parapre_mpisim::{Comm, Universe};
+use parapre_sparse::Csr;
+
+/// The local solver of the expanded-Schur block, per kind.
+enum Local {
+    /// ARMS and the ILU(0) of its level-0 reduced block (none when the
+    /// build is degenerate).
+    Schur2 {
+        arms: Arms,
+        dist_ilu0: Option<LuFactors>,
+    },
+    SchurMl {
+        hier: SchurMlHierarchy,
+    },
+}
+
+/// One rank's reference preconditioner.
+struct Reference {
+    layout: LocalLayout,
+    local: Local,
+    red_of_local: Vec<usize>,
+    e_ext: Csr,
+    multilevel: bool,
+    schur_iters: usize,
+}
+
+impl Reference {
+    fn build(kind: PrecondKind, dm: &DistMatrix, comm: &mut Comm) -> Reference {
+        let params = PrecondParams::default();
+        let a_i = dm.owned_block();
+        let no = dm.layout.n_owned();
+        let mut forced = vec![false; no];
+        for f in forced.iter_mut().skip(dm.layout.n_internal) {
+            *f = true;
+        }
+        let (arms, schur_iters) = match kind {
+            PrecondKind::Schur2 => {
+                let cfg = params.schur2;
+                let arms = Arms::factor_with_coarse_shifted(&a_i, &cfg.arms, &forced).unwrap();
+                (arms, cfg.schur_iters)
+            }
+            PrecondKind::SchurML { levels, .. } => {
+                let cfg = params.schurml;
+                let arms_cfg = ArmsConfig {
+                    n_levels: levels + 1,
+                    ..cfg.arms
+                };
+                let arms = Arms::factor_with_coarse(&a_i, &arms_cfg, &forced).unwrap();
+                (arms, cfg.schur_iters)
+            }
+            other => panic!("{other:?} is not an expanded-Schur kind"),
+        };
+        let multilevel = comm.all_land(arms.n_levels() >= 1, tags::REDUCE + 60);
+        let mut red_of_local = vec![usize::MAX; no];
+        if multilevel {
+            let lvl = &arms.levels()[0];
+            for k in 0..lvl.n_coarse() {
+                red_of_local[lvl.perm().old_of(lvl.n_ind() + k)] = k;
+            }
+        }
+        let local = match kind {
+            PrecondKind::SchurML { rank, .. } => Local::SchurMl {
+                hier: SchurMlHierarchy::from_arms(arms, rank),
+            },
+            _ => Local::Schur2 {
+                dist_ilu0: multilevel
+                    .then(|| Ilu0::factor_shifted(arms.levels()[0].reduced()).unwrap()),
+                arms,
+            },
+        };
+        Reference {
+            layout: dm.layout.clone(),
+            local,
+            red_of_local,
+            e_ext: dm.split_blocks().e_ext,
+            multilevel,
+            schur_iters,
+        }
+    }
+
+    /// The numeric-only rebuild, piece by piece.
+    fn refactor(&self, dm: &DistMatrix) -> Reference {
+        let a_i = dm.owned_block();
+        let local = match &self.local {
+            Local::Schur2 { arms, dist_ilu0 } => {
+                let arms = arms.refactor(&a_i).unwrap();
+                let dist_ilu0 = dist_ilu0
+                    .as_ref()
+                    .map(|lu| lu.refactor(arms.levels()[0].reduced()).unwrap());
+                Local::Schur2 { arms, dist_ilu0 }
+            }
+            Local::SchurMl { hier } => Local::SchurMl {
+                hier: hier.refactor(&a_i).unwrap(),
+            },
+        };
+        Reference {
+            layout: dm.layout.clone(),
+            local,
+            red_of_local: self.red_of_local.clone(),
+            e_ext: dm.split_blocks().e_ext,
+            multilevel: self.multilevel,
+            schur_iters: self.schur_iters,
+        }
+    }
+
+    fn arms(&self) -> &Arms {
+        match &self.local {
+            Local::Schur2 { arms, .. } => arms,
+            Local::SchurMl { hier } => hier.arms(),
+        }
+    }
+
+    /// `z = M⁻¹ r`, straight-line.
+    fn apply(&self, comm: &mut Comm, r: &[f64]) -> Vec<f64> {
+        if !self.multilevel {
+            return match &self.local {
+                Local::Schur2 { arms, .. } => {
+                    let mut z = vec![0.0; r.len()];
+                    arms.apply(r, &mut z);
+                    z
+                }
+                Local::SchurMl { hier } => hier.solve_from(0, r),
+            };
+        }
+        let lvl = &self.arms().levels()[0];
+        let n_ind = lvl.n_ind();
+        // Forward sweep in the permuted (independent-set-first) ordering.
+        let mut rp = lvl.perm().apply_vec(r);
+        lvl.solve_b(&mut rp);
+        let (yb, rc) = rp.split_at(n_ind);
+        let mut gprime = rc.to_vec();
+        lvl.e_block().spmv_acc(-1.0, yb, &mut gprime);
+        // A few distributed GMRES iterations on the expanded Schur system.
+        let mut zc = vec![0.0; gprime.len()];
+        DistGmres::new(DistGmresConfig::inner(self.schur_iters)).solve(
+            comm,
+            &ReferenceOp(self),
+            &ReferenceInner(self),
+            &gprime,
+            &mut zc,
+        );
+        // Backward sweep: z_B = y_B − B⁻¹ F z_C.
+        let mut fz = lvl.f_block().mul_vec(&zc);
+        lvl.solve_b(&mut fz);
+        let mut zp = Vec::with_capacity(r.len());
+        zp.extend(yb.iter().zip(&fz).map(|(y, f)| y - f));
+        zp.extend_from_slice(&zc);
+        lvl.perm().apply_inv_vec(&zp)
+    }
+}
+
+/// The global expanded-Schur operator.
+struct ReferenceOp<'a>(&'a Reference);
+
+impl DistOp for ReferenceOp<'_> {
+    fn n_owned(&self) -> usize {
+        self.0.arms().levels()[0].n_coarse()
+    }
+    fn apply(&self, comm: &mut Comm, z: &[f64], out: &mut [f64]) {
+        let p = self.0;
+        let lvl = &p.arms().levels()[0];
+        lvl.c_block().spmv(z, out);
+        let mut fz = lvl.f_block().mul_vec(z);
+        lvl.solve_b(&mut fz);
+        lvl.e_block().spmv_acc(-1.0, &fz, out);
+        let ni = p.layout.n_internal;
+        let y_if: Vec<f64> = (0..p.layout.n_interface)
+            .map(|k| z[p.red_of_local[ni + k]])
+            .collect();
+        let mut ghosts = vec![0.0; p.layout.n_ghost];
+        p.layout.exchange_interface(comm, &y_if, &mut ghosts);
+        for (k, v) in p.e_ext.mul_vec(&ghosts).into_iter().enumerate() {
+            out[p.red_of_local[ni + k]] += v;
+        }
+    }
+}
+
+/// The communication-free local solve of the expanded-Schur block.
+struct ReferenceInner<'a>(&'a Reference);
+
+impl DistPrecond for ReferenceInner<'_> {
+    fn apply(&self, _comm: &mut Comm, r: &[f64], z: &mut [f64]) {
+        match &self.0.local {
+            Local::Schur2 { dist_ilu0, .. } => {
+                z.copy_from_slice(r);
+                dist_ilu0.as_ref().expect("multilevel").solve_in_place(z);
+            }
+            Local::SchurMl { hier } => z.copy_from_slice(&hier.solve_from(1, r)),
+        }
+    }
+}
+
+/// Same pattern, every value moved by a few percent.
+fn perturbed(a: &Csr) -> Csr {
+    let mut a2 = a.clone();
+    for (slot, (i, j, v)) in a2.vals_mut().iter_mut().zip(a.iter()) {
+        *slot = if i == j {
+            v * (1.02 + 0.01 * (i as f64 * 0.3).sin().abs())
+        } else {
+            v * (1.0 + 0.03 * (i as f64 * 0.37).sin() * (j as f64 * 0.11).cos())
+        };
+    }
+    a2
+}
+
+/// Builds `kind` on every rank through the product's one rung and through
+/// the reference, applies both to two vectors, refactors both onto
+/// perturbed values and applies again. Returns whether the cell took the
+/// Schur iteration (`multilevel`).
+fn check_cell(what: &str, kind: PrecondKind, a: &Csr, b: &[f64], owner: &[u32], p: usize) -> bool {
+    let a2 = perturbed(a);
+    let out = Universe::run(p, |comm| {
+        let rank = comm.rank();
+        let dm = DistMatrix::from_global(a, owner, rank, p);
+        let (m, shifts) = try_build_dist_precond(kind, &dm, comm, a, &PrecondParams::default())
+            .unwrap_or_else(|e| panic!("{what} rank {rank}: {e}"));
+        assert_eq!(
+            shifts, 0,
+            "{what} rank {rank}: the build took the shift ladder"
+        );
+        let reference = Reference::build(kind, &dm, comm);
+
+        let dm2 = DistMatrix::from_global(&a2, owner, rank, p);
+        let m2 = m
+            .refactor(&dm2, &a2)
+            .unwrap_or_else(|e| panic!("{what} rank {rank} refactor: {e}"));
+        let reference2 = reference.refactor(&dm2);
+
+        let b_loc = scatter_vector(&dm.layout, b);
+        let wiggle: Vec<f64> = (0..b_loc.len())
+            .map(|i| ((i + 31 * rank) as f64 * 0.7).sin())
+            .collect();
+        for (stage, m, reference) in [("cold", &m, &reference), ("refactored", &m2, &reference2)] {
+            for (name, r) in [("b", &b_loc), ("wiggle", &wiggle)] {
+                let mut z = vec![0.0; r.len()];
+                m.apply(comm, r, &mut z);
+                let z_ref = reference.apply(comm, r);
+                for (i, (got, want)) in z.iter().zip(&z_ref).enumerate() {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{what} {stage} rank {rank} r={name} entry {i}: {got:e} vs {want:e}"
+                    );
+                }
+                assert!(z.iter().any(|v| *v != 0.0), "{what} {stage}: zero answer");
+            }
+        }
+        reference.multilevel
+    });
+    out[0]
+}
+
+fn case_owner(case: &AssembledCase, p: usize) -> Vec<u32> {
+    let cfg = RunConfig::paper(PrecondKind::Schur2, p);
+    case.dof_owner(&partition_case(case, &cfg).owner)
+}
+
+const KINDS: [PrecondKind; 3] = [
+    PrecondKind::Schur2,
+    PrecondKind::schurml_default(),
+    PrecondKind::SchurML {
+        levels: 3,
+        rank: MAX_CORRECTION_RANK,
+    },
+];
+
+#[test]
+fn the_unified_apply_is_the_written_out_one_bit_for_bit() {
+    for id in [CaseId::Tc1, CaseId::Tc6] {
+        let case = build_case(id, CaseSize::Tiny);
+        for p in [1, 2, 4] {
+            let owner = case_owner(&case, p);
+            for kind in KINDS {
+                let what = format!("{} {} P={p}", id.name(), kind.cache_key());
+                let multilevel = check_cell(&what, kind, &case.sys.a, &case.sys.b, &owner, p);
+                assert!(multilevel, "{what}: expected the Schur iteration");
+            }
+        }
+    }
+}
+
+#[test]
+fn the_degenerate_path_is_the_whole_block_solve_bit_for_bit() {
+    // Rank 1 owns six unknowns — fewer than ARMS will reduce — so no rank
+    // may take the Schur iteration and each applies its local hierarchy to
+    // its whole block.
+    let case = build_case(CaseId::Tc1, CaseSize::Tiny);
+    let owner: Vec<u32> = (0..case.n_unknowns()).map(|i| u32::from(i < 6)).collect();
+    for kind in KINDS {
+        let what = format!("degenerate {}", kind.cache_key());
+        let multilevel = check_cell(&what, kind, &case.sys.a, &case.sys.b, &owner, 2);
+        assert!(!multilevel, "{what}: rank 1 found an elimination level");
+    }
+}

@@ -99,7 +99,7 @@ fn trace_comm_totals_match_commstats_exactly() {
     let outs = Universe::run(3, move |comm| {
         parapre_trace::install(comm.rank());
         let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), 3);
-        let m = Schur1Precond::build(&dm, cfg_ref.schur1).expect("Schur1 setup");
+        let m = Schur1Precond::build(&dm, cfg_ref.params.schur1).expect("Schur1 setup");
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = vec![0.0; dm.layout.n_owned()];
         DistGmres::new(cfg_ref.gmres).solve(comm, &dm, &m, &b_loc, &mut x);

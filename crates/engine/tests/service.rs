@@ -6,6 +6,7 @@ use parapre_engine::{
     parse_job_line, Job, JobResult, ServiceConfig, SolveService, SubmitError, TuneDecision,
     TuneSample,
 };
+use parapre_metrics::names;
 use parapre_sparse::Coo;
 use std::sync::mpsc::channel;
 use std::sync::{Arc, Barrier};
@@ -318,4 +319,42 @@ fn batch_jobs_report_build_fallbacks_like_single_jobs() {
     let single = solve(1);
     assert_eq!(single.fallbacks, batched.fallbacks);
     assert_eq!(single.precond_used, batched.precond_used);
+}
+
+/// Metric families a scrape must expose after one service solve.
+const MANDATORY: [&str; 12] = [
+    names::JOBS_TOTAL,
+    names::SOLVES_TOTAL,
+    names::CACHE_MISSES_TOTAL,
+    names::QUEUE_WAIT_US,
+    names::BUILD_US,
+    names::SOLVE_US,
+    names::E2E_US,
+    names::SOLVE_ITERS,
+    names::LOAD_IMBALANCE,
+    names::LOAD_COMM_FRACTION,
+    names::LOAD_SLOWEST_RANK,
+    "parapre_solve_us{fp=",
+];
+
+#[test]
+fn one_service_solve_exposes_every_mandatory_metric_family() {
+    let service = SolveService::start(ServiceConfig::default()).expect("valid config");
+    let job = parse_job_line(
+        r#"{"id":"smoke","case":"tc2","size":"tiny","precond":"schur1","ranks":4}"#,
+        0,
+    )
+    .expect("smoke job parses");
+    let result = service.submit_solve(job).expect("submit").wait();
+    assert!(result.ok, "smoke job failed: {:?}", result.error);
+    assert!(result.converged, "smoke job did not converge");
+    assert!(result.solve_ms > 0.0, "no solve_ms stamp on the result");
+    service.shutdown();
+    let text = parapre_metrics::metrics_text();
+    let missing: Vec<&str> = MANDATORY
+        .iter()
+        .copied()
+        .filter(|name| !text.contains(name))
+        .collect();
+    assert!(missing.is_empty(), "scrape is missing {missing:?}:\n{text}");
 }

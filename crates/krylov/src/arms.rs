@@ -210,6 +210,29 @@ impl ArmsLevel {
             lu.solve_in_place(&mut x[lo..hi]);
         }
     }
+
+    /// The exact block-LU sweep through this level, `z = A⁻¹ r` up to the
+    /// coarse solve: permute, `y_B = B⁻¹ r_B`, `r_C' = r_C − E y_B`, then
+    /// `coarse(r_C', z_C)` solves the level's reduced system into a zeroed
+    /// `z_C` (the next level, a corrected next level, or a distributed
+    /// iteration on the expanded Schur system — the one thing in which the
+    /// callers differ), then `z_B = y_B − B⁻¹ F z_C` and the inverse
+    /// permutation.
+    pub fn sweep(&self, r: &[f64], z: &mut [f64], coarse: impl FnOnce(&[f64], &mut [f64])) {
+        let mut rp = self.perm().apply_vec(r);
+        self.solve_b(&mut rp);
+        let (yb, rc) = rp.split_at_mut(self.n_ind());
+        self.e.spmv_acc(-1.0, yb, rc);
+        let mut zc = vec![0.0; rc.len()];
+        coarse(rc, &mut zc);
+        let mut fz = self.f.mul_vec(&zc);
+        self.solve_b(&mut fz);
+        for (y, f) in yb.iter_mut().zip(&fz) {
+            *y -= f;
+        }
+        rc.copy_from_slice(&zc);
+        z.copy_from_slice(&self.perm().apply_inv_vec(&rp));
+    }
 }
 
 /// The assembled multilevel solver.
@@ -358,29 +381,15 @@ impl Arms {
         self.last_n
     }
 
-    fn solve_recursive(&self, depth: usize, r: &[f64]) -> Vec<f64> {
-        if depth == self.levels.len() {
-            let mut z = r.to_vec();
-            self.last.solve_in_place(&mut z);
-            return z;
+    /// The block-LU solve from `depth` down, written into `z`.
+    fn solve_level(&self, depth: usize, r: &[f64], z: &mut [f64]) {
+        match self.levels.get(depth) {
+            Some(lvl) => lvl.sweep(r, z, |rc, zc| self.solve_level(depth + 1, rc, zc)),
+            None => {
+                z.copy_from_slice(r);
+                self.last.solve_in_place(z);
+            }
         }
-        let lvl = &self.levels[depth];
-        let n_ind = lvl.n_ind();
-        let mut rp = lvl.perm().apply_vec(r);
-        // Forward: y_B = B^{-1} r_B ; r_C' = r_C − E y_B.
-        lvl.solve_b(&mut rp);
-        let (yb, rc) = rp.split_at(n_ind);
-        let mut rc = rc.to_vec();
-        lvl.e.spmv_acc(-1.0, yb, &mut rc);
-        // Coarse solve (recurse on the approximate Schur complement).
-        let zc = self.solve_recursive(depth + 1, &rc);
-        // Backward: z_B = y_B − B^{-1} F z_C.
-        let mut fz = lvl.f.mul_vec(&zc);
-        lvl.solve_b(&mut fz);
-        let mut zp = Vec::with_capacity(r.len());
-        zp.extend(yb.iter().zip(&fz).map(|(y, f)| y - f));
-        zp.extend_from_slice(&zc);
-        lvl.perm().apply_inv_vec(&zp)
     }
 }
 
@@ -389,8 +398,7 @@ impl Preconditioner for Arms {
         self.n
     }
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let out = self.solve_recursive(0, r);
-        z.copy_from_slice(&out);
+        self.solve_level(0, r, z);
     }
 }
 

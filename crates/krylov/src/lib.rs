@@ -19,10 +19,13 @@
 //!   approximate local Schur complement).
 //! * [`arms::Arms`] — the Algebraic Recursive Multilevel Solver with
 //!   group-independent-set orderings (Saad & Suchomel), the subdomain engine
-//!   of `Schur 2`.
-//! * [`schurml::SchurMlHierarchy`] — the ARMS hierarchy with per-level
-//!   low-rank corrections learned from Arnoldi sweeps on the approximation
-//!   error (parGeMSLR / Li–Saad style), the subdomain engine of `SchurML`.
+//!   of `Schur 2`. [`arms::ArmsLevel::sweep`] is the one block-LU sweep
+//!   through a level, its coarse solve passed in by the caller.
+//! * [`schurml::SchurMlHierarchy`] — an ARMS factorization
+//!   ([`schurml::SchurMlHierarchy::from_arms`]) with per-level low-rank
+//!   corrections learned from Arnoldi sweeps on the approximation error
+//!   (parGeMSLR / Li–Saad style), the subdomain engine of `SchurML`; at
+//!   rank 0 it is plain ARMS, which is how `Schur 2` holds it.
 //!
 //! Everything here is single-threaded by design: in the paper's SPMD setting
 //! each MPI rank runs these kernels on its own subdomain matrix. The
@@ -48,7 +51,7 @@ pub use gmres::{FGmres, Gmres, GmresConfig};
 pub use ilu::{factor_with_shifts, Ilu0, Ilut, IlutConfig, LuFactors, SHIFT_LADDER};
 pub use op::LinOp;
 pub use precond::{IdentityPrecond, JacobiPrecond, Preconditioner};
-pub use schurml::{LowRankCorrection, SchurMlConfig, SchurMlHierarchy, MAX_CORRECTION_RANK};
+pub use schurml::{LowRankCorrection, SchurMlHierarchy, MAX_CORRECTION_RANK};
 
 /// Why a Krylov solve stopped before meeting its tolerance — the typed
 /// alternative to silently looping to `max_iters` or, worse, reporting a

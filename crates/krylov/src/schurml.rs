@@ -13,8 +13,8 @@
 //!
 //! - [`SchurMlHierarchy`] wraps an [`Arms`] factorization (every level is a
 //!   group-independent-set elimination, the coarsest block is solved with
-//!   ILUT) and re-exposes its block-LU sweep with a *corrected* coarse
-//!   solve at every depth.
+//!   ILUT) and runs its block-LU sweep ([`crate::arms::ArmsLevel::sweep`])
+//!   with a *corrected* coarse solve at every depth.
 //! - [`LowRankCorrection`] holds the correction for one level: with `M` the
 //!   uncorrected multilevel solve for the level's reduced system `S`, run a
 //!   few Arnoldi steps on the error operator `G = I − M⁻¹S` to get an
@@ -36,7 +36,7 @@
 //! wiring use the corrected solve as the inner preconditioner of its
 //! expanded-Schur iteration without any deadlock risk.
 
-use crate::arms::{Arms, ArmsConfig};
+use crate::arms::Arms;
 use crate::precond::Preconditioner;
 use crate::proj::Panel;
 use parapre_sparse::dense::{Dense, DenseLu};
@@ -45,29 +45,6 @@ use parapre_sparse::{ops, Csr, Result};
 /// Hard ceiling on the correction rank; the acceptance study runs at 8 and
 /// anything past 16 buys accuracy that GMRES no longer notices.
 pub const MAX_CORRECTION_RANK: usize = 16;
-
-/// Construction parameters of the corrected hierarchy.
-#[derive(Debug, Clone, Copy)]
-pub struct SchurMlConfig {
-    /// ARMS parameters; `arms.n_levels = L + 1` yields `L` elimination
-    /// levels before the coarsest ILUT block.
-    pub arms: ArmsConfig,
-    /// Arnoldi vectors per level (clamped to [`MAX_CORRECTION_RANK`]);
-    /// `0` disables the corrections entirely.
-    pub rank: usize,
-}
-
-impl Default for SchurMlConfig {
-    fn default() -> Self {
-        SchurMlConfig {
-            arms: ArmsConfig {
-                n_levels: 3, // two elimination levels by default
-                ..ArmsConfig::default()
-            },
-            rank: 8,
-        }
-    }
-}
 
 /// A low-rank correction `z = t + V·C·(Vᵀt)` for one level's coarse solve.
 #[derive(Debug)]
@@ -221,24 +198,11 @@ pub struct SchurMlHierarchy {
 }
 
 impl SchurMlHierarchy {
-    /// Factors `a` and learns the per-level corrections bottom-up.
-    /// `forced_coarse` unknowns are pinned through every reduction (the
-    /// distributed wiring pins the interdomain-interface unknowns).
-    pub fn factor(a: &Csr, cfg: &SchurMlConfig, forced_coarse: &[bool]) -> Result<Self> {
-        let arms = Arms::factor_with_coarse(a, &cfg.arms, forced_coarse)?;
-        Ok(Self::with_corrections(arms, cfg.rank))
-    }
-
-    /// Numeric-only refactorization for a same-pattern matrix: the ARMS
-    /// levels are rebuilt on their retained independent sets
-    /// ([`Arms::refactor`]) and the low-rank corrections are relearned
-    /// from the new values (they are numeric through and through — the
-    /// Arnoldi probe sees the new error operator).
-    pub fn refactor(&self, a: &Csr) -> Result<Self> {
-        Ok(Self::with_corrections(self.arms.refactor(a)?, self.rank))
-    }
-
-    fn with_corrections(arms: Arms, rank: usize) -> Self {
+    /// Learns the per-level corrections of an ARMS factorization
+    /// bottom-up, `rank` Arnoldi vectors per level (clamped to
+    /// [`MAX_CORRECTION_RANK`]). At rank 0 nothing is probed and the
+    /// hierarchy *is* `arms`: same sweep, same bits.
+    pub fn from_arms(arms: Arms, rank: usize) -> Self {
         let n_levels = arms.n_levels();
         let mut hier = SchurMlHierarchy {
             arms,
@@ -258,6 +222,15 @@ impl SchurMlHierarchy {
             hier.corrections[d - 1] = corr;
         }
         hier
+    }
+
+    /// Numeric-only refactorization for a same-pattern matrix: the ARMS
+    /// levels are rebuilt on their retained independent sets
+    /// ([`Arms::refactor`]) and the low-rank corrections are relearned
+    /// from the new values (they are numeric through and through — the
+    /// Arnoldi probe sees the new error operator).
+    pub fn refactor(&self, a: &Csr) -> Result<Self> {
+        Ok(Self::from_arms(self.arms.refactor(a)?, self.rank))
     }
 
     /// The underlying ARMS factorization.
@@ -282,41 +255,26 @@ impl SchurMlHierarchy {
     /// with the whole hierarchy; depth `d ≥ 1` solves the reduced system
     /// `levels()[d-1].reduced()` (its low-rank correction applied on top).
     pub fn solve_from(&self, depth: usize, r: &[f64]) -> Vec<f64> {
-        let mut t = self.solve_raw(depth, r);
-        if depth >= 1 {
-            if let Some(c) = &self.corrections[depth - 1] {
-                c.correct(&mut t);
-            }
-        }
-        t
+        let mut z = vec![0.0; r.len()];
+        self.solve_level(depth, r, &mut z);
+        z
     }
 
-    /// The uncorrected block-LU sweep at `depth` (deeper levels still get
-    /// their corrections through the recursion).
-    fn solve_raw(&self, depth: usize, r: &[f64]) -> Vec<f64> {
-        let levels = self.arms.levels();
-        if depth == levels.len() {
-            let mut z = r.to_vec();
-            self.arms.last_factors().solve_in_place(&mut z);
-            return z;
+    /// The block-LU sweep at `depth` with the corrected solve of the next
+    /// depth as its coarse solve, then this depth's own correction.
+    fn solve_level(&self, depth: usize, r: &[f64], z: &mut [f64]) {
+        match self.arms.levels().get(depth) {
+            Some(lvl) => lvl.sweep(r, z, |rc, zc| self.solve_level(depth + 1, rc, zc)),
+            None => {
+                z.copy_from_slice(r);
+                self.arms.last_factors().solve_in_place(z);
+            }
         }
-        let lvl = &levels[depth];
-        let n_ind = lvl.n_ind();
-        let mut rp = lvl.perm().apply_vec(r);
-        // Forward: y_B = B⁻¹ r_B ; r_C' = r_C − E y_B.
-        lvl.solve_b(&mut rp);
-        let (yb, rc) = rp.split_at(n_ind);
-        let mut rc = rc.to_vec();
-        lvl.e_block().spmv_acc(-1.0, yb, &mut rc);
-        // Corrected coarse solve.
-        let zc = self.solve_from(depth + 1, &rc);
-        // Backward: z_B = y_B − B⁻¹ F z_C.
-        let mut fz = lvl.f_block().mul_vec(&zc);
-        lvl.solve_b(&mut fz);
-        let mut zp = Vec::with_capacity(r.len());
-        zp.extend(yb.iter().zip(&fz).map(|(y, f)| y - f));
-        zp.extend_from_slice(&zc);
-        lvl.perm().apply_inv_vec(&zp)
+        if depth >= 1 {
+            if let Some(c) = &self.corrections[depth - 1] {
+                c.correct(z);
+            }
+        }
     }
 }
 
@@ -325,14 +283,14 @@ impl Preconditioner for SchurMlHierarchy {
         self.arms.dim()
     }
     fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let out = self.solve_from(0, r);
-        z.copy_from_slice(&out);
+        self.solve_level(0, r, z);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arms::ArmsConfig;
     use crate::gmres::{FGmres, GmresConfig};
     use crate::ilu::IlutConfig;
     use parapre_sparse::Coo;
@@ -366,13 +324,13 @@ mod tests {
         let a = laplacian_2d(14);
         let n = a.n_rows();
         let forced = vec![false; n];
-        let donor = SchurMlHierarchy::factor(&a, &lossy_cfg(6), &forced).unwrap();
+        let donor = lossy(&a, 6, &forced);
         let mut a2 = a.clone();
         for v in a2.vals_mut() {
             *v *= 1.07;
         }
         let hot = donor.refactor(&a2).unwrap();
-        let cold = SchurMlHierarchy::factor(&a2, &lossy_cfg(6), &forced).unwrap();
+        let cold = lossy(&a2, 6, &forced);
         assert_eq!(hot.arms().n_levels(), donor.arms().n_levels());
         assert_eq!(hot.correction_ranks(), cold.correction_ranks());
         assert!(hot
@@ -389,28 +347,27 @@ mod tests {
     }
 
     /// A deliberately lossy config so the corrections have error to cancel.
-    fn lossy_cfg(rank: usize) -> SchurMlConfig {
-        SchurMlConfig {
-            arms: ArmsConfig {
-                n_levels: 3,
-                group_size: 4,
-                drop_tol: 0.2,
-                ilut: IlutConfig {
-                    drop_tol: 0.1,
-                    fill: 5,
-                },
-                min_reduced: 5,
-            },
-            rank,
-        }
+    const LOSSY: ArmsConfig = ArmsConfig {
+        n_levels: 3,
+        group_size: 4,
+        drop_tol: 0.2,
+        ilut: IlutConfig {
+            drop_tol: 0.1,
+            fill: 5,
+        },
+        min_reduced: 5,
+    };
+
+    fn lossy(a: &Csr, rank: usize, forced_coarse: &[bool]) -> SchurMlHierarchy {
+        let arms = Arms::factor_with_coarse(a, &LOSSY, forced_coarse).unwrap();
+        SchurMlHierarchy::from_arms(arms, rank)
     }
 
     #[test]
     fn rank_zero_matches_plain_arms_bitwise() {
         let a = laplacian_2d(9);
-        let cfg = lossy_cfg(0);
-        let hier = SchurMlHierarchy::factor(&a, &cfg, &vec![false; a.n_rows()]).unwrap();
-        let arms = Arms::factor(&a, &cfg.arms).unwrap();
+        let hier = lossy(&a, 0, &vec![false; a.n_rows()]);
+        let arms = Arms::factor(&a, &LOSSY).unwrap();
         let r: Vec<f64> = (0..a.n_rows()).map(|i| (i as f64 * 0.31).sin()).collect();
         let mut z_h = vec![0.0; a.n_rows()];
         let mut z_a = vec![0.0; a.n_rows()];
@@ -450,7 +407,7 @@ mod tests {
         let n = a.n_rows();
         let b = vec![1.0; n];
         let iters = |rank: usize| {
-            let hier = SchurMlHierarchy::factor(&a, &lossy_cfg(rank), &vec![false; n]).unwrap();
+            let hier = lossy(&a, rank, &vec![false; n]);
             if rank > 0 {
                 assert!(hier.max_correction_rank() >= 1, "no correction built");
                 assert!(hier.max_correction_rank() <= MAX_CORRECTION_RANK);
@@ -480,7 +437,7 @@ mod tests {
         for f in forced.iter_mut().take(10) {
             *f = true;
         }
-        let hier = SchurMlHierarchy::factor(&a, &lossy_cfg(4), &forced).unwrap();
+        let hier = lossy(&a, 4, &forced);
         assert!(hier.arms().n_levels() >= 1);
         // Forced unknowns must never be eliminated at level 0.
         let lvl = &hier.arms().levels()[0];
@@ -493,8 +450,7 @@ mod tests {
     #[test]
     fn rank_is_clamped_to_the_ceiling() {
         let a = laplacian_2d(8);
-        let hier =
-            SchurMlHierarchy::factor(&a, &lossy_cfg(1000), &vec![false; a.n_rows()]).unwrap();
+        let hier = lossy(&a, 1000, &vec![false; a.n_rows()]);
         assert!(hier.max_correction_rank() <= MAX_CORRECTION_RANK);
     }
 }

@@ -22,9 +22,9 @@
 //! relaxed atomic RMW on pre-sized storage. Name→handle resolution takes a
 //! short [`RwLock`]; hot loops should resolve once via
 //! [`Registry::counter`] / [`Registry::histogram`] and hold the [`Arc`].
-//! The whole layer can be switched off with [`set_enabled`] — the
-//! `BENCH_metrics.json` bench uses that to prove the clean-path overhead
-//! stays ≤2%.
+//! The whole layer can be switched off with [`set_enabled`] — the traced
+//! benchmark's `metrics.overhead_pct` is the clean-path cost measured that
+//! way.
 //!
 //! Two more pieces ride along:
 //!

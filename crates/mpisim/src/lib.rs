@@ -795,7 +795,7 @@ impl Comm {
         let mut yielded = false;
         loop {
             if let Some(payload) = self.try_recv(from, tag) {
-                self.late_hits = if yielded { self.late_hits + 1 } else { 0 };
+                self.note_poll_hit(yielded);
                 return Some(payload);
             }
             let polled = t0.elapsed();
@@ -809,6 +809,13 @@ impl Comm {
                 std::thread::yield_now();
             }
         }
+    }
+
+    /// Books a receive the poll loop satisfied: one more in the run of hits
+    /// that came only after the loop had begun to yield, or the end of that
+    /// run (see [`LATE_HITS_BEFORE_PARK`]).
+    fn note_poll_hit(&mut self, yielded: bool) {
+        self.late_hits = if yielded { self.late_hits + 1 } else { 0 };
     }
 
     /// The blocking tail of [`Comm::recv_checked`]: polls the channel from
@@ -1201,22 +1208,34 @@ mod tests {
 
     #[test]
     fn a_run_of_late_hits_makes_the_next_receive_park() {
+        // Whether a hit comes while the poll loop spins or only after it
+        // began to yield is the scheduler's call, so the run of late hits
+        // is booked through the function `poll` books it through, not
+        // produced by timing replies; every receive below has one outcome
+        // whatever the scheduler does.
         let out = Universe::run(2, |c| {
             if c.rank() == 0 {
-                // Answer every request late enough that the asker is
-                // yielding by then.
-                for _ in 0..=LATE_HITS_BEFORE_PARK {
-                    c.recv_f64s(1, 1);
-                    std::thread::sleep(50 * SPIN_BEFORE_YIELD);
-                    c.send_f64s(1, 2, vec![1.0]);
-                }
+                c.send_f64s(1, 3, vec![3.0]);
+                c.send_f64s(1, 4, vec![4.0]);
+                c.recv_f64s(1, 1);
+                c.send_f64s(1, 2, vec![1.0]);
                 0
             } else {
+                // Tag 3 is parked by the time tag 4 is in, so the poll for
+                // it hits on its first look: a hit while spinning, which
+                // ends a run.
+                c.recv_f64s(0, 4);
+                c.note_poll_hit(true);
+                assert!(c.late_hits >= 1);
+                c.poll(0, 3, Duration::from_secs(30)).expect("parked");
+                assert_eq!(c.late_hits, 0, "a hit while spinning ends the run");
                 for n in 1..=LATE_HITS_BEFORE_PARK {
-                    c.send_f64s(0, 1, vec![]);
-                    c.poll(0, 2, Duration::from_secs(30)).expect("polled");
+                    c.note_poll_hit(true);
                     assert_eq!(c.late_hits, n);
                 }
+                // The reply is asked for only now and is never parked, so
+                // this receive reaches `recv_blocking` — with or without
+                // the reply already in the channel — and must not poll.
                 parapre_trace::install(1);
                 c.send_f64s(0, 1, vec![]);
                 assert_eq!(c.recv_f64s(0, 2), vec![1.0]);

@@ -139,13 +139,8 @@ fn panel_fgmres_is_per_column_cgs2_bit_for_bit() {
             let n_global = case.n_unknowns();
             let out = Universe::run(p, |comm| {
                 let dm = DistMatrix::from_global(&case.sys.a, &owner, comm.rank(), p);
-                let built = build_dist_precond_with_fallback(
-                    kind,
-                    &dm,
-                    comm,
-                    &case.sys.a,
-                    &cfg.precond_params(),
-                );
+                let built =
+                    build_dist_precond_with_fallback(kind, &dm, comm, &case.sys.a, &cfg.params);
                 let b = scatter_vector(&dm.layout, &case.sys.b);
                 let x0 = scatter_vector(&dm.layout, &case.x0);
 
