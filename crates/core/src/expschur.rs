@@ -37,7 +37,7 @@
 //!   is to fail the collective build vote and let the ladder descend to the
 //!   shift-tolerant `Schur 2`.
 
-use parapre_dist::{DistGmres, DistGmresConfig, DistMatrix, DistOp, DistPrecond, LocalLayout};
+use parapre_dist::{DistGmres, DistMatrix, DistOp, DistPrecond, LocalLayout};
 use parapre_krylov::arms::ArmsLevel;
 use parapre_krylov::{Arms, ArmsConfig, Ilu0, LuFactors, Preconditioner, SchurMlHierarchy};
 use parapre_mpisim::Comm;
@@ -357,7 +357,7 @@ impl DistPrecond for ExpandedSchurPrecond {
         // Global expanded Schur solve: a few distributed GMRES iterations
         // between the level's exact forward and backward substitutions.
         self.level0().sweep(r, z, |g, zc| {
-            DistGmres::new(DistGmresConfig::inner(self.schur_iters)).solve(comm, &op, &m, g, zc);
+            DistGmres::fixed_effort(comm, &op, &m, self.schur_iters, g, zc);
         });
     }
 
@@ -391,7 +391,7 @@ mod tests {
     use super::*;
     use crate::runner::{PrecondKind, PrecondParams};
     use crate::testutil::tc1;
-    use parapre_dist::scatter_vector;
+    use parapre_dist::{scatter_vector, DistGmresConfig};
     use parapre_mpisim::Universe;
     use parapre_sparse::Coo;
 

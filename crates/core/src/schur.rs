@@ -24,10 +24,8 @@
 //! Inner solves vary between applications ⇒ the outer accelerator must be
 //! FGMRES (paper §4.3).
 
-use parapre_dist::{
-    DistGmres, DistGmresConfig, DistMatrix, DistOp, DistPrecond, LocalBlocks, LocalLayout,
-};
-use parapre_krylov::{Gmres, GmresConfig, Ilut, IlutConfig, LuFactors, Preconditioner};
+use parapre_dist::{DistGmres, DistMatrix, DistOp, DistPrecond, LocalBlocks, LocalLayout};
+use parapre_krylov::{Gmres, Ilut, IlutConfig, LuFactors, Preconditioner};
 use parapre_mpisim::Comm;
 use parapre_sparse::{Csr, Result};
 
@@ -127,7 +125,7 @@ impl Schur1Precond {
             factors: &self.factors,
             nb: ni,
         };
-        Gmres::new(GmresConfig::inner(self.cfg.inner_b_iters)).solve(&self.blocks.b, &m, r, &mut x);
+        Gmres::fixed_effort(&self.blocks.b, &m, self.cfg.inner_b_iters, r, &mut x);
         x
     }
 
@@ -192,8 +190,7 @@ impl DistPrecond for Schur1Precond {
         let mut y = vec![0.0; nf];
         let op = SchurOp { p: self };
         let m = SchurBlockJacobi { p: self };
-        DistGmres::new(DistGmresConfig::inner(self.cfg.schur_iters))
-            .solve(comm, &op, &m, &gp, &mut y);
+        DistGmres::fixed_effort(comm, &op, &m, self.cfg.schur_iters, &gp, &mut y);
 
         // Step 3: u = B̃⁻¹ (f − F y).
         let mut t = f.to_vec();
@@ -218,7 +215,7 @@ mod tests {
     use super::*;
     use crate::block::BlockPrecond;
     use crate::testutil::tc1;
-    use parapre_dist::scatter_vector;
+    use parapre_dist::{scatter_vector, DistGmresConfig};
     use parapre_mpisim::Universe;
     use parapre_sparse::Csr;
 

@@ -15,7 +15,8 @@ use parapre_core::{
     PrecondKind, PrecondParams, RunConfig,
 };
 use parapre_dist::{
-    scatter_vector, tags, DistGmres, DistGmresConfig, DistMatrix, DistOp, DistPrecond, LocalLayout,
+    scatter_vector, tags, DistGmres, DistGmresConfig, DistMatrix, DistOp, DistPrecond,
+    IdentityDistPrecond, LocalLayout,
 };
 use parapre_krylov::{
     Arms, ArmsConfig, Ilu0, LuFactors, Preconditioner, SchurMlHierarchy, MAX_CORRECTION_RANK,
@@ -152,15 +153,32 @@ impl Reference {
         let (yb, rc) = rp.split_at(n_ind);
         let mut gprime = rc.to_vec();
         lvl.e_block().spmv_acc(-1.0, yb, &mut gprime);
-        // A few distributed GMRES iterations on the expanded Schur system.
-        let mut zc = vec![0.0; gprime.len()];
-        DistGmres::new(DistGmresConfig::inner(self.schur_iters)).solve(
+        // A few distributed GMRES iterations on the expanded Schur system,
+        // right-preconditioned by the local solve — written the textbook
+        // way: the general solve on `(S M⁻¹) u = g'` from `u = 0` with no
+        // preconditioner, one cycle of `schur_iters`, then `z_C = M⁻¹ u`.
+        // The product reaches the same bits through
+        // `DistGmres::fixed_effort`, without the two Schur products whose
+        // results only the report reads.
+        let one_cycle = DistGmresConfig {
+            restart: self.schur_iters,
+            max_iters: self.schur_iters,
+            rel_tol: 1e-12,
+            abs_tol: 1e-300,
+            record_history: false,
+            stall_window: 0,
+            ..Default::default()
+        };
+        let mut u = vec![0.0; gprime.len()];
+        DistGmres::new(one_cycle).solve(
             comm,
-            &ReferenceOp(self),
-            &ReferenceInner(self),
+            &ReferencePreconditionedOp(self),
+            &IdentityDistPrecond,
             &gprime,
-            &mut zc,
+            &mut u,
         );
+        let mut zc = vec![0.0; gprime.len()];
+        ReferenceInner(self).apply(comm, &u, &mut zc);
         // Backward sweep: z_B = y_B − B⁻¹ F z_C.
         let mut fz = lvl.f_block().mul_vec(&zc);
         lvl.solve_b(&mut fz);
@@ -209,6 +227,20 @@ impl DistPrecond for ReferenceInner<'_> {
             }
             Local::SchurMl { hier } => z.copy_from_slice(&hier.solve_from(1, r)),
         }
+    }
+}
+
+/// `S M⁻¹`: the expanded-Schur operator after the local solve.
+struct ReferencePreconditionedOp<'a>(&'a Reference);
+
+impl DistOp for ReferencePreconditionedOp<'_> {
+    fn n_owned(&self) -> usize {
+        ReferenceOp(self.0).n_owned()
+    }
+    fn apply(&self, comm: &mut Comm, u: &[f64], out: &mut [f64]) {
+        let mut z = vec![0.0; u.len()];
+        ReferenceInner(self.0).apply(comm, u, &mut z);
+        ReferenceOp(self.0).apply(comm, &z, out);
     }
 }
 

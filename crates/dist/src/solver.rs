@@ -194,14 +194,6 @@ pub struct DistGmresConfig {
     pub abs_tol: f64,
     /// Record residual history (rank-identical).
     pub record_history: bool,
-    /// Flexible variant (store `Z = M⁻¹V`); required when the
-    /// preconditioner involves inner iterations.
-    pub flexible: bool,
-    /// Emit per-iteration convergence events to `parapre-trace` and label
-    /// the solve with the outer [`parapre_trace::phase::SOLVE`] span.
-    /// Inner solves (see [`DistGmresConfig::inner`]) switch this off so
-    /// the convergence stream carries only outer iterations.
-    pub trace_iters: bool,
     /// Arnoldi orthogonalization strategy.
     pub orth: OrthMethod,
     /// Stagnation window in *restart cycles*: when the true residual at a
@@ -221,28 +213,8 @@ impl Default for DistGmresConfig {
             rel_tol: 1e-6,
             abs_tol: 1e-300,
             record_history: false,
-            flexible: true,
-            trace_iters: true,
             orth: OrthMethod::default(),
             stall_window: 4,
-        }
-    }
-}
-
-impl DistGmresConfig {
-    /// Fixed-effort inner-solver configuration (single cycle of `iters`).
-    pub fn inner(iters: usize) -> Self {
-        DistGmresConfig {
-            restart: iters.max(1),
-            max_iters: iters.max(1),
-            rel_tol: 1e-12,
-            abs_tol: 1e-300,
-            record_history: false,
-            flexible: false,
-            trace_iters: false,
-            orth: OrthMethod::default(),
-            // Single-cycle inner solves never cross a cycle boundary.
-            stall_window: 0,
         }
     }
 }
@@ -261,6 +233,14 @@ pub struct DistSolveReport {
     /// Typed breakdown when the solve stopped for a numerical reason
     /// (rank-identical, decided on allreduced quantities).
     pub breakdown: Option<SolveBreakdown>,
+}
+
+/// Which public entry is driving the Arnoldi cycle.
+enum Entry<'a> {
+    /// [`DistGmres::solve_with_checkpoint`]: flexible, traced, reported.
+    Solve(Option<CheckpointCtx<'a>>),
+    /// [`DistGmres::fixed_effort`].
+    FixedEffort,
 }
 
 /// The distributed restarted (F)GMRES driver.
@@ -306,6 +286,56 @@ impl DistGmres {
         x: &mut [f64],
         ckpt: Option<CheckpointCtx<'_>>,
     ) -> DistSolveReport {
+        self.run(comm, a, m, b, x, Entry::Solve(ckpt))
+    }
+
+    /// Fixed-effort inner solve: `k` right-preconditioned GMRES steps on
+    /// `A z = g` from `z = 0` with a **fixed** preconditioner, untraced and
+    /// unreported; `z` is output only. Bit for bit what [`DistGmres::solve`]
+    /// gives a fixed preconditioner from a zeroed guess under
+    /// `restart = max_iters = k`, `rel_tol = 1e-12`, `stall_window = 0`,
+    /// minus the two operator products only the report reads: the opening
+    /// residual is `g` itself (`g − A·0`, for a finite operator), and a
+    /// cycle that spent its budget returns without the closing true
+    /// residual. A cycle that ended early (estimate under `1e-12·‖g‖`, zero
+    /// normalization, non-finite column) takes the general path. The budget
+    /// is `k` alone: a second cycle cannot be asked for. The zero guess is
+    /// stated by the choice of entry, never found by scanning `z` — a
+    /// rank-local test could send one rank past an exchange its neighbours
+    /// are waiting in.
+    pub fn fixed_effort<A: DistOp, M: DistPrecond>(
+        comm: &mut Comm,
+        a: &A,
+        m: &M,
+        k: usize,
+        g: &[f64],
+        z: &mut [f64],
+    ) {
+        z.fill(0.0);
+        let solver = DistGmres::new(DistGmresConfig {
+            restart: k.max(1),
+            max_iters: k.max(1),
+            rel_tol: 1e-12,
+            stall_window: 0,
+            ..Default::default()
+        });
+        solver.run(comm, a, m, g, z, Entry::FixedEffort);
+    }
+
+    /// The one Arnoldi driver behind both entries.
+    fn run<A: DistOp, M: DistPrecond>(
+        &self,
+        comm: &mut Comm,
+        a: &A,
+        m: &M,
+        b: &[f64],
+        x: &mut [f64],
+        entry: Entry<'_>,
+    ) -> DistSolveReport {
+        let (ckpt, fixed) = match entry {
+            Entry::Solve(ckpt) => (ckpt, false),
+            Entry::FixedEffort => (None, true),
+        };
         let n = a.n_owned();
         assert_eq!(b.len(), n);
         assert_eq!(x.len(), n);
@@ -313,10 +343,10 @@ impl DistGmres {
         // A cycle cannot outrun the iteration budget, and its basis is
         // allocated whole.
         let restart = cfg.restart.clamp(1, cfg.max_iters.max(1));
-        let _solve_span = parapre_trace::span(if cfg.trace_iters {
-            parapre_trace::phase::SOLVE
-        } else {
+        let _solve_span = parapre_trace::span(if fixed {
             parapre_trace::phase::INNER_SOLVE
+        } else {
+            parapre_trace::phase::SOLVE
         });
 
         let mut report = DistSolveReport {
@@ -333,9 +363,13 @@ impl DistGmres {
 
         let mut r = vec![0.0; n];
 
-        a.apply(comm, x, &mut r);
-        for (ri, &bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
+        if fixed {
+            r.copy_from_slice(b);
+        } else {
+            a.apply(comm, x, &mut r);
+            for (ri, &bi) in r.iter_mut().zip(b) {
+                *ri = bi - *ri;
+            }
         }
         let r0_norm = dot(comm, &r, &r).sqrt();
         if cfg.record_history {
@@ -364,10 +398,10 @@ impl DistGmres {
         // Everything a cycle writes is allocated here, once per solve. The
         // Krylov basis has one column more than the restart length: the
         // vector being orthogonalized is the column after the basis so far.
-        // The flexible variant keeps every preconditioned direction, the
-        // fixed one only the latest.
+        // The flexible solve keeps every preconditioned direction, the
+        // fixed-preconditioner one only the latest.
         let mut v = Panel::zeros(n, restart + 1);
-        let mut zdirs = Panel::zeros(n, if cfg.flexible { restart } else { 1 });
+        let mut zdirs = Panel::zeros(n, if fixed { 1 } else { restart });
         // Hessenberg columns, packed: column `j` has `j + 2` entries.
         let ld = restart + 1;
         let mut h = vec![0.0; restart * ld];
@@ -392,7 +426,7 @@ impl DistGmres {
             let mut zero_norm = false;
             let mut nonfinite = false;
             while k < restart && total_iters < cfg.max_iters && !cycle_done {
-                let zk = if cfg.flexible { k } else { 0 };
+                let zk = if fixed { 0 } else { k };
                 {
                     let _s = parapre_trace::span(parapre_trace::phase::PRECOND_APPLY);
                     m.apply(comm, v.col(k), zdirs.col_mut(zk));
@@ -451,7 +485,7 @@ impl DistGmres {
                 if cfg.record_history {
                     report.residual_history.push(res_est);
                 }
-                if cfg.trace_iters {
+                if !fixed {
                     parapre_trace::iteration(total_iters, res_est / r0_norm);
                     // Outer solves stream structured convergence events
                     // into the live ring (rank 0 speaks for the run).
@@ -483,7 +517,7 @@ impl DistGmres {
                     }
                     y[i] = acc / h[i * ld + i];
                 }
-                if cfg.flexible {
+                if !fixed {
                     for (j, &yj) in y.iter().enumerate() {
                         for (xi, &zji) in x.iter_mut().zip(zdirs.col(j)) {
                             *xi += yj * zji;
@@ -508,6 +542,11 @@ impl DistGmres {
                 }
             }
 
+            // The budget is spent and nobody reads the report.
+            if fixed && !cycle_done {
+                return report;
+            }
+
             // True residual and the shared stopping decision.
             a.apply(comm, x, &mut r);
             for (ri, &bi) in r.iter_mut().zip(b) {
@@ -523,7 +562,7 @@ impl DistGmres {
             }
             if beta <= target {
                 report.converged = true;
-                if cfg.trace_iters && comm.rank() == 0 {
+                if !fixed && comm.rank() == 0 {
                     parapre_metrics::conv_push(
                         "dist",
                         total_iters as u64,
@@ -555,7 +594,7 @@ impl DistGmres {
             };
             if let Some(kind) = breakdown_kind {
                 parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
-                if cfg.trace_iters && comm.rank() == 0 {
+                if !fixed && comm.rank() == 0 {
                     let conv_kind = if kind == BreakdownKind::Stagnation {
                         parapre_metrics::ConvKind::Stall
                     } else {

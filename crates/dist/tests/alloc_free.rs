@@ -4,12 +4,11 @@
 //! own.
 
 use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix, IdentityDistPrecond};
-use parapre_fem::{bc, poisson, LinearSystem};
-use parapre_grid::structured::unit_square;
 use parapre_mpisim::Universe;
-use parapre_partition::partition_graph;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+
+mod common;
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -57,21 +56,11 @@ struct Cost {
 /// Per rank, the cost of a 40-iteration and of a 120-iteration solve of the
 /// same system (an unreachable tolerance, so both spend their whole budget),
 /// after a warm-up solve has filled the message-buffer pools.
-fn short_and_long_solve(p: usize, flexible: bool) -> Vec<[Cost; 2]> {
+fn short_and_long_solve(p: usize) -> Vec<[Cost; 2]> {
     // The convergence ring and the wait clocks are the metrics layer's, and
     // the ring grows until it is full: not this test's subject.
     parapre_metrics::set_enabled(false);
-    let mesh = unit_square(48, 48);
-    let (a, b) = poisson::assemble_2d(&mesh, poisson::rhs_tc1);
-    let mut sys = LinearSystem { a, b };
-    let on_boundary = mesh.boundary_nodes();
-    let fixed: Vec<(usize, f64)> = (0..mesh.coords.len())
-        .filter(|&i| on_boundary[i])
-        .map(|i| (i, poisson::exact_tc1(mesh.coords[i][0], mesh.coords[i][1])))
-        .collect();
-    bc::apply_dirichlet(&mut sys, &fixed);
-    let (a, b) = (sys.a, sys.b);
-    let owner = partition_graph(&mesh.adjacency(), p, 7).owner;
+    let (a, b, owner) = common::poisson_system(48, p);
     let ranks = Universe::try_run(p, |comm| {
         let dm = DistMatrix::from_global(&a, &owner, comm.rank(), p);
         let b_loc = scatter_vector(&dm.layout, &b);
@@ -81,7 +70,6 @@ fn short_and_long_solve(p: usize, flexible: bool) -> Vec<[Cost; 2]> {
             let solver = DistGmres::new(DistGmresConfig {
                 max_iters,
                 rel_tol: 1e-30,
-                flexible,
                 ..Default::default()
             });
             let (allocs, msgs) = (ALLOCS.get(), comm.stats().msgs_sent);
@@ -103,12 +91,10 @@ fn short_and_long_solve(p: usize, flexible: bool) -> Vec<[Cost; 2]> {
 
 #[test]
 fn a_longer_solve_allocates_no_more() {
-    for flexible in [true, false] {
-        let [short, long] = short_and_long_solve(1, flexible)[0];
-        assert_eq!((short.iterations, long.iterations), (40, 120));
-        assert!(short.allocs > 0, "the counter counts");
-        assert_eq!(long.allocs, short.allocs, "flexible={flexible}");
-    }
+    let [short, long] = short_and_long_solve(1)[0];
+    assert_eq!((short.iterations, long.iterations), (40, 120));
+    assert!(short.allocs > 0, "the counter counts");
+    assert_eq!(long.allocs, short.allocs);
 }
 
 #[test]
@@ -116,7 +102,7 @@ fn between_ranks_only_the_channels_allocate() {
     // std's channel allocates a block per 31 messages, on the sender. That is
     // the substrate's, and it is all: anything per iteration in the solver
     // would show as 80 allocations or more.
-    for (rank, [short, long]) in short_and_long_solve(2, true).into_iter().enumerate() {
+    for (rank, [short, long]) in short_and_long_solve(2).into_iter().enumerate() {
         assert_eq!((short.iterations, long.iterations), (40, 120));
         let more_msgs = long.msgs_sent - short.msgs_sent;
         assert!(more_msgs >= 160, "two messages an iteration at least");

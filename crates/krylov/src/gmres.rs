@@ -57,23 +57,6 @@ impl Default for GmresConfig {
     }
 }
 
-impl GmresConfig {
-    /// A fixed-effort configuration used for inner solves: run exactly
-    /// `iters` iterations (single restart cycle) unless converged much
-    /// earlier — or cut short by the stagnation guard, so a stalled inner
-    /// solve does not burn the whole budget every outer cycle.
-    pub fn inner(iters: usize) -> Self {
-        GmresConfig {
-            restart: iters.max(1),
-            max_iters: iters.max(1),
-            rel_tol: 1e-12,
-            abs_tol: 1e-300,
-            record_history: false,
-            stall_window: 4,
-        }
-    }
-}
-
 /// Right-preconditioned restarted GMRES(m) with a **fixed** preconditioner.
 #[derive(Debug, Clone)]
 pub struct Gmres {
@@ -103,7 +86,34 @@ impl Gmres {
         b: &[f64],
         x: &mut [f64],
     ) -> SolveReport {
-        run_gmres(a, m, b, x, &self.config, false)
+        run_gmres(a, m, b, x, &self.config, Entry::Gmres)
+    }
+
+    /// Fixed-effort inner solve: `k` GMRES steps on `A x = b` from `x = 0`,
+    /// unreported; `x` is output only. Bit for bit [`Gmres::solve`] from a
+    /// zeroed guess under `restart = max_iters = k`, `rel_tol = 1e-12`,
+    /// `stall_window = 4`, minus the two operator products only the report
+    /// reads: the opening residual is `b` itself, and a cycle that spent
+    /// its budget returns without the closing true residual. Every early
+    /// exit (estimate under `1e-12·‖b‖`, breakdown, divergence, stagnation)
+    /// takes the general path. The budget is `k` alone, not a relation
+    /// between two fields that a caller has to keep.
+    pub fn fixed_effort<A: LinOp, M: Preconditioner>(
+        a: &A,
+        m: &M,
+        k: usize,
+        b: &[f64],
+        x: &mut [f64],
+    ) {
+        x.fill(0.0);
+        let cfg = GmresConfig {
+            restart: k.max(1),
+            max_iters: k.max(1),
+            rel_tol: 1e-12,
+            stall_window: 4,
+            ..Default::default()
+        };
+        run_gmres(a, m, b, x, &cfg, Entry::FixedEffort);
     }
 }
 
@@ -121,22 +131,33 @@ impl FGmres {
         b: &[f64],
         x: &mut [f64],
     ) -> SolveReport {
-        run_gmres(a, m, b, x, &self.config, true)
+        run_gmres(a, m, b, x, &self.config, Entry::FGmres)
     }
 }
 
-/// Shared Arnoldi/Givens driver. With `flexible = true` the preconditioned
-/// directions `Z_j = M⁻¹ v_j` are stored and the update is `x += Z y`
-/// (FGMRES); otherwise only `V` is stored and `x += M⁻¹ (V y)`.
+/// Which public entry is driving the Arnoldi cycle.
+#[derive(PartialEq)]
+enum Entry {
+    /// [`Gmres::solve`].
+    Gmres,
+    /// [`FGmres::solve`].
+    FGmres,
+    /// [`Gmres::fixed_effort`].
+    FixedEffort,
+}
+
+/// Shared Arnoldi/Givens driver. For [`Entry::FGmres`] the preconditioned
+/// directions `Z_j = M⁻¹ v_j` are stored and the update is `x += Z y`;
+/// otherwise only `V` is stored and `x += M⁻¹ (V y)`.
 fn run_gmres<A: LinOp, M: Preconditioner>(
     a: &A,
     m: &M,
     b: &[f64],
     x: &mut [f64],
     cfg: &GmresConfig,
-    flexible: bool,
+    entry: Entry,
 ) -> SolveReport {
-    let report = run_gmres_core(a, m, b, x, cfg, flexible);
+    let report = run_gmres_core(a, m, b, x, cfg, entry);
     // Sequential (F)GMRES runs inside preconditioner applications in the
     // distributed stack; surface its effort as a counter rather than
     // polluting the outer convergence stream. Terminal stalls and
@@ -159,8 +180,10 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
     b: &[f64],
     x: &mut [f64],
     cfg: &GmresConfig,
-    flexible: bool,
+    entry: Entry,
 ) -> SolveReport {
+    let flexible = entry == Entry::FGmres;
+    let fixed_effort = entry == Entry::FixedEffort;
     let n = a.dim();
     assert_eq!(b.len(), n, "gmres: rhs length");
     assert_eq!(x.len(), n, "gmres: x length");
@@ -173,9 +196,13 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
     let mut r = vec![0.0; n];
 
     // Initial residual.
-    a.apply(x, &mut r);
-    for (ri, &bi) in r.iter_mut().zip(b) {
-        *ri = bi - *ri;
+    if fixed_effort {
+        r.copy_from_slice(b);
+    } else {
+        a.apply(x, &mut r);
+        for (ri, &bi) in r.iter_mut().zip(b) {
+            *ri = bi - *ri;
+        }
     }
     let r0_norm = ops::norm2(&r);
     if cfg.record_history {
@@ -370,12 +397,16 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
 
         // End of cycle (restart or iteration budget).
         update_solution(m, &mut v, &mut zdirs, &h, &g, k, x, flexible);
+        report.iterations = total_iters;
+        if fixed_effort {
+            // The budget is spent and nobody reads the rest of the report.
+            return report;
+        }
         a.apply(x, &mut r);
         for (ri, &bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
         beta = ops::norm2(&r);
-        report.iterations = total_iters;
         report.final_relres = beta / r0_norm;
         if beta <= target {
             report.converged = true;
@@ -616,9 +647,7 @@ mod tests {
                 self.a.n_rows()
             }
             fn apply(&self, r: &[f64], z: &mut [f64]) {
-                z.fill(0.0);
-                let cfg = GmresConfig::inner(4);
-                Gmres::new(cfg).solve(self.a, &self.f, r, z);
+                Gmres::fixed_effort(self.a, &self.f, 4, r, z);
             }
         }
         let a = laplacian_2d(14);
