@@ -119,26 +119,20 @@ fn bench_gmres(a: &Csr, owner: &[u32], p: usize, iters: usize, orth: OrthMethod)
 /// One traced overlapped-SpMV pass collecting the halo overlap counters.
 fn overlap_counters(a: &Csr, owner: &[u32], p: usize) -> (u64, u64) {
     let out = Universe::run(p, |comm| {
-        parapre_trace::install(comm.rank());
-        let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
-        let mut x = vec![0.1; dm.layout.n_local()];
-        let mut y = vec![0.0; dm.layout.n_owned()];
-        for _ in 0..10 {
-            dm.matvec(comm, &mut x, &mut y);
-        }
-        let tr = parapre_trace::take().expect("trace installed");
-        let mut ready = 0u64;
-        let mut wait = 0u64;
-        for e in &tr.events {
-            if let parapre_trace::EventKind::Counter { name, delta } = &e.kind {
-                if name == parapre_trace::counters::HALO_READY {
-                    ready += delta;
-                } else if name == parapre_trace::counters::HALO_WAIT {
-                    wait += delta;
-                }
+        let ((), tr) = parapre_metrics::recorded(comm.rank(), true, || {
+            let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
+            let mut x = vec![0.1; dm.layout.n_local()];
+            let mut y = vec![0.0; dm.layout.n_owned()];
+            for _ in 0..10 {
+                dm.matvec(comm, &mut x, &mut y);
             }
-        }
-        (ready, wait)
+        });
+        let counters = tr.expect("recorded").summary().counters;
+        let total = |name: &str| counters.get(name).copied().unwrap_or(0);
+        (
+            total(parapre_metrics::names::HALO_READY),
+            total(parapre_metrics::names::HALO_WAIT),
+        )
     });
     out.iter()
         .fold((0, 0), |(r, w), &(ri, wi)| (r + ri, w + wi))

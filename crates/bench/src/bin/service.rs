@@ -26,8 +26,8 @@
 
 use parapre_core::{build_case_sized, CaseId, PrecondKind};
 use parapre_engine::{AutoTuner, ServiceConfig, TuneSample};
+use parapre_metrics::flatjson::{parse_flat_object, JsonValue};
 use parapre_net::{NetClient, NetConfig, NetServer};
-use parapre_trace::flatjson::{parse_flat_object, JsonValue};
 use std::time::Instant;
 
 struct Args {

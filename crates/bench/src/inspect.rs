@@ -8,8 +8,7 @@
 //! straight from [`TraceSummary::merge`] — the inspector is a
 //! cross-check of the live numbers, not a second source of truth.
 
-use parapre_metrics::{LoadReport, RankLoad};
-use parapre_trace::{phase, RankTrace, TraceSummary};
+use parapre_metrics::{names, LoadReport, RankLoad, RankTrace, TraceSummary};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 
@@ -27,7 +26,7 @@ pub struct Inspection {
 }
 
 /// The phases counted as communication when splitting comm vs compute.
-pub const COMM_PHASES: [&str; 2] = [phase::HALO, phase::INTERFACE_EXCHANGE];
+pub const COMM_PHASES: [&str; 2] = [names::HALO, names::INTERFACE_EXCHANGE];
 
 /// Folds per-rank traces into the merged summary and load report.
 pub fn inspect_traces(traces: &[RankTrace]) -> Inspection {
@@ -49,10 +48,10 @@ pub fn inspect_traces(traces: &[RankTrace]) -> Inspection {
                     rank: tr.rank,
                     busy_s: busy_us as f64 * 1e-6,
                     comm_wait_s: comm_us as f64 * 1e-6,
-                    msgs_sent: s.comm.msgs_sent,
-                    bytes_sent: s.comm.bytes_sent,
-                    msgs_recv: s.comm.msgs_recv,
-                    bytes_recv: s.comm.bytes_recv,
+                    msgs_sent: s.comm.all.msgs_sent,
+                    bytes_sent: s.comm.all.bytes_sent,
+                    msgs_recv: s.comm.all.msgs_recv,
+                    bytes_recv: s.comm.all.bytes_recv,
                 }
             })
             .collect(),
@@ -138,7 +137,7 @@ pub fn report(insp: &Inspection, top_k: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parapre_trace::{Event, EventKind};
+    use parapre_metrics::{Event, EventKind};
 
     fn trace(rank: usize, spans: &[(&str, u64, u64)]) -> RankTrace {
         let mut events: Vec<Event> = Vec::new();
@@ -163,8 +162,8 @@ mod tests {
     #[test]
     fn inspection_reproduces_merged_phase_totals() {
         let traces = vec![
-            trace(0, &[(phase::SOLVE, 0, 100), (phase::HALO, 10, 30)]),
-            trace(1, &[(phase::SOLVE, 0, 140), (phase::HALO, 20, 80)]),
+            trace(0, &[(names::SOLVE, 0, 100), (names::HALO, 10, 30)]),
+            trace(1, &[(names::SOLVE, 0, 140), (names::HALO, 20, 80)]),
         ];
         let insp = inspect_traces(&traces);
         // The merged table must equal a direct TraceSummary::merge of the
@@ -176,7 +175,7 @@ mod tests {
         assert_eq!(insp.merged.counters, direct.counters);
         assert_eq!(insp.merged.comm, direct.comm);
         assert_eq!(insp.merged.table(), direct.table());
-        assert_eq!(insp.merged.phase(phase::SOLVE).unwrap().incl_us, 140);
+        assert_eq!(insp.merged.phase(names::SOLVE).unwrap().incl_us, 140);
         // Load: busy from last event, comm from the halo phase.
         assert_eq!(insp.load.slowest_rank(), Some(1));
         assert!((insp.load.ranks[1].busy_s - 140e-6).abs() < 1e-12);
@@ -192,8 +191,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("parapre_inspect_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let traces = vec![
-            trace(0, &[(phase::SOLVE, 0, 50)]),
-            trace(1, &[(phase::SOLVE, 0, 90)]),
+            trace(0, &[(names::SOLVE, 0, 50)]),
+            trace(1, &[(names::SOLVE, 0, 90)]),
         ];
         for tr in &traces {
             std::fs::write(dir.join(format!("rank{}.jsonl", tr.rank)), tr.to_jsonl()).unwrap();
@@ -202,7 +201,7 @@ mod tests {
         assert_eq!(files.len(), 2);
         let back = load_trace_files(&files).unwrap();
         let insp = inspect_traces(&back);
-        assert_eq!(insp.merged.phase(phase::SOLVE).unwrap().incl_us, 90);
+        assert_eq!(insp.merged.phase(names::SOLVE).unwrap().incl_us, 90);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -212,11 +212,11 @@ impl ScalingArm {
 
 /// The phase columns of the summary tables: label + canonical phase name.
 pub const PHASE_COLUMNS: [(&str, &str); 5] = [
-    ("setup", parapre_trace::phase::SETUP),
-    ("spmv", parapre_trace::phase::SPMV),
-    ("halo", parapre_trace::phase::HALO),
-    ("precond", parapre_trace::phase::PRECOND_APPLY),
-    ("orth", parapre_trace::phase::ORTH),
+    ("setup", parapre_metrics::names::SETUP),
+    ("spmv", parapre_metrics::names::SPMV),
+    ("halo", parapre_metrics::names::HALO),
+    ("precond", parapre_metrics::names::PRECOND_APPLY),
+    ("orth", parapre_metrics::names::ORTH),
 ];
 
 /// Renders the per-phase breakdown of a traced run as one table line

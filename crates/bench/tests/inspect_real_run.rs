@@ -5,7 +5,7 @@
 
 use parapre_bench::inspect::inspect_traces;
 use parapre_core::{build_case, run_case_traced, CaseId, CaseSize, PrecondKind, RunConfig};
-use parapre_trace::TraceSummary;
+use parapre_metrics::TraceSummary;
 
 #[test]
 fn inspect_matches_live_summary_on_a_traced_run() {

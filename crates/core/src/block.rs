@@ -25,7 +25,7 @@ impl BlockPrecond {
     /// pivots are healthy, and zero or near-zero subdomain pivots retry on
     /// shifted copies instead of failing.
     pub fn ilu0(dm: &DistMatrix) -> Result<Self> {
-        let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
+        let _s = parapre_metrics::span(parapre_metrics::names::FACTOR);
         let a_i = dm.owned_block();
         Ok(BlockPrecond {
             factors: Ilu0::factor_shifted(&a_i)?,
@@ -34,7 +34,7 @@ impl BlockPrecond {
 
     /// `Block 2`: ILUT(τ, p) of the owned block, behind the same ladder.
     pub fn ilut(dm: &DistMatrix, cfg: &IlutConfig) -> Result<Self> {
-        let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
+        let _s = parapre_metrics::span(parapre_metrics::names::FACTOR);
         let a_i = dm.owned_block();
         Ok(BlockPrecond {
             factors: Ilut::factor_shifted(&a_i, cfg)?,

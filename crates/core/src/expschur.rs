@@ -110,7 +110,7 @@ impl ExpandedSchurPrecond {
         let a_i = dm.owned_block();
         let forced = pinned_interface(&dm.layout);
         let arms_res = {
-            let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
+            let _s = parapre_metrics::span(parapre_metrics::names::FACTOR);
             Arms::factor_with_coarse_shifted(&a_i, &cfg.arms, &forced)
         };
         let local_ok = arms_res.as_ref().is_ok_and(|a| a.n_levels() >= 1);
@@ -123,7 +123,7 @@ impl ExpandedSchurPrecond {
         }
         let hier = SchurMlHierarchy::from_arms(arms_res.expect("all_built implies local Ok"), 0);
 
-        let schur_extract = parapre_trace::span(parapre_trace::phase::SCHUR_EXTRACT);
+        let schur_extract = parapre_metrics::span(parapre_metrics::names::SCHUR_EXTRACT);
         let red_of_local = Self::reduced_positions(&hier, multilevel, dm.layout.n_owned());
         // The reduced-block ILU(0) is local (no collectives), but wrap the
         // fallibility the same way: decide success collectively below.
@@ -139,7 +139,7 @@ impl ExpandedSchurPrecond {
         let inner = local_inner.expect("agreed Ok");
         drop(schur_extract);
 
-        let _s = parapre_trace::span(parapre_trace::phase::INTERFACE_ASSEMBLY);
+        let _s = parapre_metrics::span(parapre_metrics::names::INTERFACE_ASSEMBLY);
         Ok(Self::assemble(
             dm,
             hier,
@@ -177,7 +177,7 @@ impl ExpandedSchurPrecond {
             ..cfg.arms
         };
         let hier_res = {
-            let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
+            let _s = parapre_metrics::span(parapre_metrics::names::FACTOR);
             Arms::factor_with_coarse(&a_i, &arms_cfg, &forced)
                 .map(|arms| SchurMlHierarchy::from_arms(arms, rank))
         };
@@ -194,20 +194,25 @@ impl ExpandedSchurPrecond {
         let hier = hier_res.expect("all_clean implies local Ok");
 
         let red_of_local = {
-            let _s = parapre_trace::span(parapre_trace::phase::SCHUR_EXTRACT);
+            let _s = parapre_metrics::span(parapre_metrics::names::SCHUR_EXTRACT);
             Self::reduced_positions(&hier, multilevel, dm.layout.n_owned())
         };
 
-        parapre_metrics::gauge_set("schurml.level_count", hier.arms().n_levels() as f64);
-        parapre_metrics::gauge_set("schurml.correction_rank", hier.max_correction_rank() as f64);
-        for (d, lvl) in hier.arms().levels().iter().enumerate() {
-            parapre_metrics::gauge_set(
-                &format!("schurml.level{d}.interface"),
-                lvl.n_coarse() as f64,
+        // Per-rank facts (interface sizes differ by rank): rank scope, not
+        // the process registry.
+        if parapre_metrics::recording() {
+            use parapre_metrics::{gauge, names};
+            gauge(names::SCHURML_LEVEL_COUNT, hier.arms().n_levels() as f64);
+            gauge(
+                names::SCHURML_CORRECTION_RANK,
+                hier.max_correction_rank() as f64,
             );
+            for (d, lvl) in hier.arms().levels().iter().enumerate() {
+                gauge(&names::schurml_level_interface(d), lvl.n_coarse() as f64);
+            }
         }
 
-        let _s = parapre_trace::span(parapre_trace::phase::INTERFACE_ASSEMBLY);
+        let _s = parapre_metrics::span(parapre_metrics::names::INTERFACE_ASSEMBLY);
         Ok(Self::assemble(
             dm,
             hier,

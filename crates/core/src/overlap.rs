@@ -38,7 +38,7 @@ impl OverlapBlockPrecond {
     pub fn build(dm: &DistMatrix, a_global: &Csr, cfg: &IlutConfig) -> Result<Self> {
         let a_ext = Self::extended_block(dm, a_global);
         let factors = {
-            let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
+            let _s = parapre_metrics::span(parapre_metrics::names::FACTOR);
             Ilut::factor_shifted(&a_ext, cfg)?
         };
         Ok(OverlapBlockPrecond {
@@ -50,7 +50,7 @@ impl OverlapBlockPrecond {
     /// The extended subdomain matrix: owned rows verbatim, ghost rows read
     /// from the global matrix and restricted to the local node set.
     fn extended_block(dm: &DistMatrix, a_global: &Csr) -> Csr {
-        let _assemble = parapre_trace::span(parapre_trace::phase::INTERFACE_ASSEMBLY);
+        let _assemble = parapre_metrics::span(parapre_metrics::names::INTERFACE_ASSEMBLY);
         let lay = &dm.layout;
         let nl = lay.n_local();
         let no = lay.n_owned();

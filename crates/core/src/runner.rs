@@ -301,7 +301,7 @@ pub struct RunResult {
     pub imbalance: f64,
     /// Cross-rank phase/counter summary when the run was traced
     /// ([`run_case_traced`]); `None` for untraced runs.
-    pub phases: Option<parapre_trace::TraceSummary>,
+    pub phases: Option<parapre_metrics::TraceSummary>,
 }
 
 /// Partitions the case's node graph under the requested scheme.
@@ -435,7 +435,7 @@ pub fn build_dist_precond_with_fallback(
         let next = rung
             .fallback()
             .expect("Jacobi rung is infallible, ladder cannot run out");
-        parapre_trace::counter(parapre_trace::counters::PRECOND_FALLBACK, 1);
+        parapre_metrics::count(parapre_metrics::names::PRECOND_FALLBACK, 1);
         fallbacks += 1;
         rung = next;
     }
@@ -499,7 +499,7 @@ pub fn refactor_dist_precond(
 ) -> Result<Box<dyn DistPrecond>, RefactorReject> {
     use parapre_sparse::Error;
     let local = {
-        let _s = parapre_trace::span(parapre_trace::phase::REFACTOR);
+        let _s = parapre_metrics::span(parapre_metrics::names::REFACTOR);
         donor.refactor(dm, a_global)
     };
     // [ranks refusing for health, ranks refusing for structure]
@@ -533,7 +533,7 @@ pub fn run_case(case: &AssembledCase, cfg: &RunConfig) -> RunResult {
 }
 
 /// Like [`run_case`], but with `trace = true` each rank records a
-/// structured [`parapre_trace`] event stream (phase spans, comm events,
+/// structured [`parapre_metrics`] event stream (phase spans, comm events,
 /// per-iteration residuals). The traces come back alongside the result and
 /// the merged phase summary is folded into [`RunResult::phases`]. With
 /// `trace = false` the recorder is never installed and the run behaves
@@ -542,7 +542,7 @@ pub fn run_case_traced(
     case: &AssembledCase,
     cfg: &RunConfig,
     trace: bool,
-) -> (RunResult, Vec<parapre_trace::RankTrace>) {
+) -> (RunResult, Vec<parapre_metrics::RankTrace>) {
     let node_part = partition_case(case, cfg);
     let owner = case.dof_owner(&node_part.owner);
     let p = cfg.n_ranks;
@@ -559,43 +559,45 @@ pub fn run_case_traced(
         setup: f64,
         solve: f64,
         stats: CommStats,
-        trace: Option<parapre_trace::RankTrace>,
         fallbacks: usize,
         pivot_shifts: usize,
     }
 
-    let outs: Vec<RankOut> = Universe::run(p, move |comm| {
-        // Install the recorder before any communication so the trace's comm
-        // totals equal the rank's full CommStats for the run.
-        if trace {
-            parapre_trace::install(comm.rank());
-        }
-        let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), p);
-        let t0 = Instant::now();
-        let built = {
-            let _setup = parapre_trace::span(parapre_trace::phase::SETUP);
-            build_dist_precond_with_fallback(cfg_ref.precond, &dm, comm, a, &cfg_ref.params)
-        };
-        let setup = t0.elapsed().as_secs_f64();
-        let b_loc = scatter_vector(&dm.layout, b);
-        let mut x = scatter_vector(&dm.layout, x0);
-        let stats_before = comm.stats();
-        let t1 = Instant::now();
-        let rep = DistGmres::new(cfg_ref.gmres).solve(comm, &dm, &built.precond, &b_loc, &mut x);
-        let solve = t1.elapsed().as_secs_f64();
-        let stats_after = comm.stats();
-        RankOut {
-            iterations: rep.iterations,
-            converged: rep.converged,
-            final_relres: rep.final_relres,
-            setup,
-            solve,
-            stats: CommStats::delta(&stats_after, &stats_before),
-            trace: if trace { parapre_trace::take() } else { None },
-            fallbacks: built.fallbacks,
-            pivot_shifts: built.pivot_shifts,
-        }
-    });
+    // The recorder wraps the whole rank body, installed before any
+    // communication, so the trace's comm totals equal the rank's full
+    // CommStats for the run.
+    let (outs, traces): (Vec<RankOut>, Vec<_>) = Universe::run(p, move |comm| {
+        parapre_metrics::recorded(comm.rank(), trace, || {
+            let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), p);
+            let t0 = Instant::now();
+            let built = {
+                let _setup = parapre_metrics::span(parapre_metrics::names::SETUP);
+                build_dist_precond_with_fallback(cfg_ref.precond, &dm, comm, a, &cfg_ref.params)
+            };
+            let setup = t0.elapsed().as_secs_f64();
+            let b_loc = scatter_vector(&dm.layout, b);
+            let mut x = scatter_vector(&dm.layout, x0);
+            let stats_before = comm.stats();
+            let t1 = Instant::now();
+            let rep =
+                DistGmres::new(cfg_ref.gmres).solve(comm, &dm, &built.precond, &b_loc, &mut x);
+            let solve = t1.elapsed().as_secs_f64();
+            let stats_after = comm.stats();
+            RankOut {
+                iterations: rep.iterations,
+                converged: rep.converged,
+                final_relres: rep.final_relres,
+                setup,
+                solve,
+                stats: CommStats::delta(&stats_after, &stats_before),
+                fallbacks: built.fallbacks,
+                pivot_shifts: built.pivot_shifts,
+            }
+        })
+    })
+    .into_iter()
+    .unzip();
+    let traces: Vec<parapre_metrics::RankTrace> = traces.into_iter().flatten().collect();
 
     // Judged here, after the join, and never inside a rank: a one-rank
     // panic would strand its peers in the solve's collectives.
@@ -621,16 +623,14 @@ pub fn run_case_traced(
         .iter()
         .map(|o| cfg.machine.modeled_total(mean_solve, &o.stats))
         .fold(0.0, f64::max);
-    let traces: Vec<parapre_trace::RankTrace> =
-        outs.iter().filter_map(|o| o.trace.clone()).collect();
     let phases = if traces.is_empty() {
         None
     } else {
-        let per_rank: Vec<parapre_trace::TraceSummary> = traces
+        let per_rank: Vec<parapre_metrics::TraceSummary> = traces
             .iter()
-            .map(parapre_trace::RankTrace::summary)
+            .map(parapre_metrics::RankTrace::summary)
             .collect();
-        Some(parapre_trace::TraceSummary::merge(&per_rank))
+        Some(parapre_metrics::TraceSummary::merge(&per_rank))
     };
     let result = RunResult {
         precond: cfg.precond,

@@ -86,7 +86,7 @@ impl Schur1Precond {
     pub fn build(dm: &DistMatrix, cfg: Schur1Config) -> Result<Self> {
         let a_i = dm.owned_block(); // already ordered internal-first
         let factors = {
-            let _s = parapre_trace::span(parapre_trace::phase::FACTOR);
+            let _s = parapre_metrics::span(parapre_metrics::names::FACTOR);
             Ilut::factor_shifted(&a_i, &cfg.ilut)?
         };
         Self::assemble(dm, cfg, factors)
@@ -94,10 +94,10 @@ impl Schur1Precond {
 
     fn assemble(dm: &DistMatrix, cfg: Schur1Config, factors: LuFactors) -> Result<Self> {
         let schur_factors = {
-            let _s = parapre_trace::span(parapre_trace::phase::SCHUR_EXTRACT);
+            let _s = parapre_metrics::span(parapre_metrics::names::SCHUR_EXTRACT);
             factors.trailing_block(dm.layout.n_internal)
         };
-        let _s = parapre_trace::span(parapre_trace::phase::INTERFACE_ASSEMBLY);
+        let _s = parapre_metrics::span(parapre_metrics::names::INTERFACE_ASSEMBLY);
         Ok(Schur1Precond {
             layout: dm.layout.clone(),
             blocks: dm.split_blocks(),

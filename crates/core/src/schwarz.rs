@@ -188,9 +188,9 @@ impl Preconditioner for AdditiveSchwarz {
     fn apply(&self, r: &[f64], z: &mut [f64]) {
         let nx = self.nx;
         z.fill(0.0);
-        // Subdomain solves in parallel; accumulation is sequential because
-        // overlapping regions receive contributions from several subdomains.
-        let solve_one = |s: &Subdomain| {
+        // Overlapping regions receive contributions from several
+        // subdomains, summed in subdomain order.
+        for s in &self.subs {
             let w = s.i1 - s.i0;
             let h = s.j1 - s.j0;
             let mut rs = vec![0.0; w * h];
@@ -199,29 +199,7 @@ impl Preconditioner for AdditiveSchwarz {
                     rs[j * w + i] = r[(s.j0 + j) * nx + (s.i0 + i)];
                 }
             }
-            self.subdomain_solve(s, &rs)
-        };
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let locals: Vec<Vec<f64>> = if threads <= 1 || self.subs.len() <= 1 {
-            self.subs.iter().map(solve_one).collect()
-        } else {
-            // Fan the subdomain solves out over scoped threads, one chunk
-            // per hardware thread, preserving subdomain order.
-            let chunk = self.subs.len().div_ceil(threads);
-            let mut out: Vec<Vec<Vec<f64>>> = self.subs.chunks(chunk).map(|_| Vec::new()).collect();
-            std::thread::scope(|scope| {
-                for (slot, subs) in out.iter_mut().zip(self.subs.chunks(chunk)) {
-                    let solve_one = &solve_one;
-                    scope.spawn(move || {
-                        *slot = subs.iter().map(solve_one).collect();
-                    });
-                }
-            });
-            out.into_iter().flatten().collect()
-        };
-        for (s, zs) in self.subs.iter().zip(&locals) {
-            let w = s.i1 - s.i0;
-            let h = s.j1 - s.j0;
+            let zs = self.subdomain_solve(s, &rs);
             for j in 0..h {
                 for i in 0..w {
                     z[(s.j0 + j) * nx + (s.i0 + i)] += zs[j * w + i];

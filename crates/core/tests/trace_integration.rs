@@ -7,8 +7,8 @@ use parapre_core::{
     build_case, run_case, run_case_traced, CaseId, CaseSize, PrecondKind, RunConfig, Schur1Precond,
 };
 use parapre_dist::{scatter_vector, DistGmres, DistMatrix};
+use parapre_metrics::{names, EventKind, RankTrace};
 use parapre_mpisim::Universe;
-use parapre_trace::{phase, EventKind, RankTrace};
 
 fn distinct_span_names(tr: &RankTrace) -> std::collections::BTreeSet<&str> {
     tr.events
@@ -39,12 +39,12 @@ fn traced_runs_emit_full_telemetry_for_all_preconditioners() {
                 spans.len()
             );
             assert!(
-                spans.contains(phase::SOLVE),
+                spans.contains(names::SOLVE),
                 "{}: no solve span",
                 kind.label()
             );
             assert!(
-                spans.contains(phase::SETUP),
+                spans.contains(names::SETUP),
                 "{}: no setup span",
                 kind.label()
             );
@@ -68,7 +68,7 @@ fn traced_runs_emit_full_telemetry_for_all_preconditioners() {
         // Merged phase summary folded into the result.
         let merged = res.phases.as_ref().expect("traced run has phases");
         assert_eq!(merged.iterations, res.iterations as u64);
-        let solve_s = merged.phase_seconds(phase::SOLVE);
+        let solve_s = merged.phase_seconds(names::SOLVE);
         assert!(solve_s > 0.0);
         assert!(
             solve_s <= res.wall_seconds + 1e-3,
@@ -77,7 +77,7 @@ fn traced_runs_emit_full_telemetry_for_all_preconditioners() {
             res.wall_seconds
         );
         // Sub-phases of the solve nest inside it.
-        for sub in [phase::SPMV, phase::HALO, phase::ORTH, phase::PRECOND_APPLY] {
+        for sub in [names::SPMV, names::HALO, names::ORTH, names::PRECOND_APPLY] {
             assert!(
                 merged.phase_seconds(sub) <= solve_s + 1e-3,
                 "{}: {sub} exceeds solve time",
@@ -97,7 +97,7 @@ fn trace_comm_totals_match_commstats_exactly() {
     let cfg_ref = &cfg;
 
     let outs = Universe::run(3, move |comm| {
-        parapre_trace::install(comm.rank());
+        parapre_metrics::install(comm.rank());
         let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), 3);
         let m = Schur1Precond::build(&dm, cfg_ref.params.schur1).expect("Schur1 setup");
         let b_loc = scatter_vector(&dm.layout, b);
@@ -111,7 +111,7 @@ fn trace_comm_totals_match_commstats_exactly() {
             .map(|&q| (q, comm.peer_stats()[q]))
             .collect();
         (
-            parapre_trace::take().expect("recorder installed"),
+            parapre_metrics::take().expect("recorder installed"),
             stats,
             peer_stats,
         )
@@ -119,10 +119,10 @@ fn trace_comm_totals_match_commstats_exactly() {
 
     for (tr, stats, peer_stats) in outs {
         let s = tr.summary();
-        assert_eq!(s.comm.msgs_sent, stats.msgs_sent, "rank {}", tr.rank);
-        assert_eq!(s.comm.bytes_sent, stats.bytes_sent, "rank {}", tr.rank);
-        assert_eq!(s.comm.msgs_recv, stats.msgs_recv, "rank {}", tr.rank);
-        assert_eq!(s.comm.bytes_recv, stats.bytes_recv, "rank {}", tr.rank);
+        assert_eq!(s.comm.all.msgs_sent, stats.msgs_sent, "rank {}", tr.rank);
+        assert_eq!(s.comm.all.bytes_sent, stats.bytes_sent, "rank {}", tr.rank);
+        assert_eq!(s.comm.all.msgs_recv, stats.msgs_recv, "rank {}", tr.rank);
+        assert_eq!(s.comm.all.bytes_recv, stats.bytes_recv, "rank {}", tr.rank);
         // Per-neighbor accounting agrees between the trace and the comm.
         for (q, ps) in peer_stats {
             let per = s.comm.per_peer.get(&q).expect("traced peer");

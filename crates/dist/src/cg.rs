@@ -106,7 +106,7 @@ impl DistCg {
         let mut cycle = ckpt.map_or(0, |c| c.start_cycle);
         let r0 = dot(comm, &r, &r).sqrt();
         if !r0.is_finite() {
-            parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
+            parapre_metrics::count(parapre_metrics::names::SOLVE_BREAKDOWN, 1);
             return DistCgReport {
                 converged: false,
                 iterations: start,
@@ -144,7 +144,7 @@ impl DistCg {
                     parapre_krylov::BreakdownKind::NonFinite
                 };
                 let relres = dot(comm, &r, &r).sqrt() / r0;
-                parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
+                parapre_metrics::count(parapre_metrics::names::SOLVE_BREAKDOWN, 1);
                 return DistCgReport {
                     converged: false,
                     iterations: it - 1,
@@ -166,7 +166,7 @@ impl DistCg {
                 if checkpoint_every > 0 && (it - start).is_multiple_of(checkpoint_every) {
                     cycle += 1;
                     ck.sink.save(comm.rank(), cycle, it, x);
-                    parapre_trace::counter(parapre_trace::counters::CKPT_SAVED, 1);
+                    parapre_metrics::count(parapre_metrics::names::CKPT_SAVED, 1);
                 }
             }
             // Apply M⁻¹ *before* the convergence check so the residual norm

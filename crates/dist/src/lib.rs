@@ -129,11 +129,11 @@ impl LocalLayout {
                 }
             }
             let late = stragglers.len() as u64;
-            parapre_trace::counter(
-                parapre_trace::counters::HALO_READY,
+            parapre_metrics::count(
+                parapre_metrics::names::HALO_READY,
                 self.neighbors.len() as u64 - late,
             );
-            parapre_trace::counter(parapre_trace::counters::HALO_WAIT, late);
+            parapre_metrics::count(parapre_metrics::names::HALO_WAIT, late);
             for &k in stragglers.iter() {
                 let data = comm.recv_f64s(self.neighbors[k], tag);
                 self.store_ghosts(comm, k, data, x);
@@ -155,7 +155,7 @@ impl LocalLayout {
     /// the owners' current values.
     pub fn update_ghosts(&self, comm: &mut Comm, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n_local());
-        let _span = parapre_trace::span(parapre_trace::phase::HALO);
+        let _span = parapre_metrics::span(parapre_metrics::names::HALO);
         self.post_ghost_sends(comm, x, tags::GHOST);
         for (k, &q) in self.neighbors.iter().enumerate() {
             let data = comm.recv_f64s(q, tags::GHOST);
@@ -170,7 +170,7 @@ impl LocalLayout {
     pub fn exchange_interface(&self, comm: &mut Comm, y: &[f64], ghosts: &mut [f64]) {
         debug_assert_eq!(y.len(), self.n_interface);
         debug_assert_eq!(ghosts.len(), self.n_ghost);
-        let _span = parapre_trace::span(parapre_trace::phase::INTERFACE_EXCHANGE);
+        let _span = parapre_metrics::span(parapre_metrics::names::INTERFACE_EXCHANGE);
         let base = self.n_internal;
         SEND_SCRATCH.with(|s| {
             let mut buf = s.borrow_mut();
@@ -400,7 +400,7 @@ impl DistMatrix {
     pub fn matvec(&self, comm: &mut Comm, x: &mut [f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.layout.n_local());
         debug_assert_eq!(y.len(), self.layout.n_owned());
-        let _span = parapre_trace::span(parapre_trace::phase::SPMV);
+        let _span = parapre_metrics::span(parapre_metrics::names::SPMV);
         self.layout.post_ghost_sends(comm, x, tags::GHOST);
         DistSpmvPlan::spmv_scattered(
             &self.plan.split.interior,
@@ -409,7 +409,7 @@ impl DistMatrix {
             y,
         );
         {
-            let _halo = parapre_trace::span(parapre_trace::phase::HALO);
+            let _halo = parapre_metrics::span(parapre_metrics::names::HALO);
             self.layout.finish_ghosts(comm, x, tags::GHOST);
         }
         DistSpmvPlan::spmv_scattered(

@@ -11,6 +11,7 @@ use crate::{tags, DistMatrix};
 use parapre_krylov::gmres::{DIVERGENCE_GUARD, STALL_RTOL};
 use parapre_krylov::proj::{Basis, Panel};
 use parapre_krylov::{BreakdownKind, SolveBreakdown};
+use parapre_metrics::{names, ConvKind};
 use parapre_mpisim::Comm;
 use parapre_sparse::{ops, Csr, Error, Result};
 use std::cell::RefCell;
@@ -343,11 +344,17 @@ impl DistGmres {
         // A cycle cannot outrun the iteration budget, and its basis is
         // allocated whole.
         let restart = cfg.restart.clamp(1, cfg.max_iters.max(1));
-        let _solve_span = parapre_trace::span(if fixed {
-            parapre_trace::phase::INNER_SOLVE
+        let _solve_span = parapre_metrics::span(if fixed {
+            names::INNER_SOLVE
         } else {
-            parapre_trace::phase::SOLVE
+            names::SOLVE
         });
+        // Rank 0 of an outer solve speaks for the run in the live ring;
+        // inner solves are silent.
+        let speaks = !fixed && comm.rank() == 0;
+        let converging = |iter: usize, relres: f64, kind: ConvKind, detail: &str| {
+            parapre_metrics::convergence("dist", speaks, iter, relres, kind, detail);
+        };
 
         let mut report = DistSolveReport {
             converged: false,
@@ -376,7 +383,7 @@ impl DistGmres {
             report.residual_history.push(r0_norm);
         }
         if !r0_norm.is_finite() {
-            parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
+            parapre_metrics::count(names::SOLVE_BREAKDOWN, 1);
             report.breakdown = Some(SolveBreakdown {
                 kind: BreakdownKind::NonFinite,
                 iteration: report.iterations,
@@ -428,14 +435,14 @@ impl DistGmres {
             while k < restart && total_iters < cfg.max_iters && !cycle_done {
                 let zk = if fixed { 0 } else { k };
                 {
-                    let _s = parapre_trace::span(parapre_trace::phase::PRECOND_APPLY);
+                    let _s = parapre_metrics::span(names::PRECOND_APPLY);
                     m.apply(comm, v.col(k), zdirs.col_mut(zk));
                 }
                 let (vs, w) = v.split(k + 1);
                 a.apply(comm, zdirs.col(zk), w);
                 total_iters += 1;
 
-                let orth = parapre_trace::span(parapre_trace::phase::ORTH);
+                let orth = parapre_metrics::span(names::ORTH);
                 let hcol = &mut h[k * ld..k * ld + k + 2];
                 let wnorm = match cfg.orth {
                     OrthMethod::Modified => {
@@ -486,18 +493,7 @@ impl DistGmres {
                     report.residual_history.push(res_est);
                 }
                 if !fixed {
-                    parapre_trace::iteration(total_iters, res_est / r0_norm);
-                    // Outer solves stream structured convergence events
-                    // into the live ring (rank 0 speaks for the run).
-                    if comm.rank() == 0 {
-                        parapre_metrics::conv_push(
-                            "dist",
-                            total_iters as u64,
-                            res_est / r0_norm,
-                            parapre_metrics::ConvKind::Iter,
-                            "",
-                        );
-                    }
+                    converging(total_iters, res_est / r0_norm, ConvKind::Iter, "");
                 }
                 // Column `k` now holds `w / wnorm`, the next basis vector; a
                 // cycle that ends here never reads it.
@@ -533,7 +529,7 @@ impl DistGmres {
                         }
                     }
                     {
-                        let _s = parapre_trace::span(parapre_trace::phase::PRECOND_APPLY);
+                        let _s = parapre_metrics::span(names::PRECOND_APPLY);
                         m.apply(comm, u, zdirs.col_mut(0));
                     }
                     for (xi, &zi) in x.iter_mut().zip(zdirs.col(0)) {
@@ -558,19 +554,11 @@ impl DistGmres {
             if let Some(ck) = ckpt {
                 cycle += 1;
                 ck.sink.save(comm.rank(), cycle, total_iters, x);
-                parapre_trace::counter(parapre_trace::counters::CKPT_SAVED, 1);
+                parapre_metrics::count(names::CKPT_SAVED, 1);
             }
             if beta <= target {
                 report.converged = true;
-                if !fixed && comm.rank() == 0 {
-                    parapre_metrics::conv_push(
-                        "dist",
-                        total_iters as u64,
-                        report.final_relres,
-                        parapre_metrics::ConvKind::Converged,
-                        "",
-                    );
-                }
+                converging(total_iters, report.final_relres, ConvKind::Converged, "");
                 return report;
             }
             let breakdown_kind = if !beta.is_finite() || nonfinite {
@@ -593,21 +581,12 @@ impl DistGmres {
                 None
             };
             if let Some(kind) = breakdown_kind {
-                parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
-                if !fixed && comm.rank() == 0 {
-                    let conv_kind = if kind == BreakdownKind::Stagnation {
-                        parapre_metrics::ConvKind::Stall
-                    } else {
-                        parapre_metrics::ConvKind::Breakdown
-                    };
-                    parapre_metrics::conv_push(
-                        "dist",
-                        total_iters as u64,
-                        report.final_relres,
-                        conv_kind,
-                        kind.key(),
-                    );
-                }
+                converging(
+                    total_iters,
+                    report.final_relres,
+                    kind.conv_kind(),
+                    kind.key(),
+                );
                 report.breakdown = Some(SolveBreakdown {
                     kind,
                     iteration: total_iters,
@@ -645,7 +624,7 @@ fn orthogonalize_batched(
     debug_assert!(hcol.len() > k1);
     vs.dots(w, batch);
     comm.allreduce_sum_vec(batch, tags::REDUCE);
-    parapre_trace::counter(parapre_trace::counters::GMRES_FUSED_ALLREDUCE, 1);
+    parapre_metrics::count(names::GMRES_FUSED_ALLREDUCE, 1);
     let ww = batch[k1];
     hcol[..k1].copy_from_slice(&batch[..k1]);
     let proj_sq: f64 = batch[..k1].iter().map(|h| h * h).sum();
@@ -657,10 +636,10 @@ fn orthogonalize_batched(
     // first subtraction shares its sweep over `w` with the second pass's
     // inner products.
     if est <= 0.5 * ww {
-        parapre_trace::counter(parapre_trace::counters::GMRES_REORTH, 1);
+        parapre_metrics::count(names::GMRES_REORTH, 1);
         vs.sub_then_dots(&hcol[..k1], w, batch);
         comm.allreduce_sum_vec(batch, tags::REDUCE);
-        parapre_trace::counter(parapre_trace::counters::GMRES_FUSED_ALLREDUCE, 1);
+        parapre_metrics::count(names::GMRES_FUSED_ALLREDUCE, 1);
         let w1w1 = batch[k1];
         let mut corr_sq = 0.0;
         for (h, &ci) in hcol[..k1].iter_mut().zip(&batch[..k1]) {

@@ -22,7 +22,7 @@
 //! and restart-persistent.
 
 use parapre_core::PrecondKind;
-use parapre_trace::flatjson::{self, JsonValue};
+use parapre_metrics::flatjson::{self, JsonValue};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::Path;

@@ -167,7 +167,7 @@ fn main() {
 /// (including unparsable ones — those flow to the job path's structured
 /// rejection).
 fn command_of(line: &str) -> Option<String> {
-    use parapre_trace::flatjson::{parse_flat_object, JsonValue};
+    use parapre_metrics::flatjson::{parse_flat_object, JsonValue};
     let fields = parse_flat_object(line).ok()?;
     fields
         .get("cmd")
@@ -175,42 +175,13 @@ fn command_of(line: &str) -> Option<String> {
         .map(str::to_string)
 }
 
-/// Answers one control request on stdout.
+/// Answers one control request on stdout, one line per reply record.
 fn serve_command(cmd: &str, service: &SolveService, watch_seq: &mut u64) {
-    let stdout = std::io::stdout();
-    match cmd {
-        "stats" => {
-            let mut out = stdout.lock();
-            writeln!(out, "{}", service.stats_json()).expect("stdout");
-            out.flush().expect("stdout");
-        }
-        "watch" => {
-            let events = parapre_metrics::conv_since(*watch_seq);
-            let mut out = stdout.lock();
-            for ev in &events {
-                writeln!(out, "{}", ev.to_json()).expect("stdout");
-                *watch_seq = ev.seq;
-            }
-            writeln!(out, "{{\"watch_end\":{}}}", *watch_seq).expect("stdout");
-            out.flush().expect("stdout");
-        }
-        "metrics" => {
-            let mut out = stdout.lock();
-            write!(out, "{}", parapre_metrics::metrics_text()).expect("stdout");
-            writeln!(out, "# EOF").expect("stdout");
-            out.flush().expect("stdout");
-        }
-        other => {
-            let mut out = stdout.lock();
-            writeln!(
-                out,
-                "{{\"ok\":false,\"error\":\"unknown cmd {}\",\"error_kind\":\"rejected\"}}",
-                parapre_trace::flatjson::escape(other)
-            )
-            .expect("stdout");
-            out.flush().expect("stdout");
-        }
+    let mut out = std::io::stdout().lock();
+    for record in service.read_command(cmd, watch_seq) {
+        writeln!(out, "{record}").expect("stdout");
     }
+    out.flush().expect("stdout");
 }
 
 /// A structured result record for a job the service refused to run.

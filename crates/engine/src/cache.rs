@@ -6,8 +6,8 @@
 //! solves. Keys combine the matrix [`fingerprint`](parapre_sparse::Csr::fingerprint)
 //! with [`SessionConfig::config_string`], so two jobs share a session iff
 //! they would have built bit-identical ones. Hit/miss/eviction counts are
-//! kept in process-wide atomics *and* emitted as `parapre-trace` counters
-//! (`engine.cache.hit` / `.miss` / `.evict`) on traced threads.
+//! kept per cache ([`SessionCache::stats`]) and reported once each to
+//! `parapre_cache_*_total`.
 
 use crate::session::{SessionConfig, SolverSession};
 use crate::EngineError;
@@ -118,7 +118,6 @@ impl SessionCache {
                     let entry = inner.map.get_mut(&key).expect("just found");
                     entry.last_used = tick;
                     self.hits.fetch_add(1, Ordering::Relaxed);
-                    parapre_trace::counter("engine.cache.hit", 1);
                     parapre_metrics::inc(parapre_metrics::names::CACHE_HITS_TOTAL, 1);
                     return Ok((Arc::clone(&entry.session), true));
                 }
@@ -128,14 +127,12 @@ impl SessionCache {
                         // per caller that parked behind an in-flight build.
                         waited = true;
                         self.waits.fetch_add(1, Ordering::Relaxed);
-                        parapre_trace::counter("engine.cache.wait", 1);
                     }
                     inner = self.built.wait(inner).expect("cache lock");
                     continue;
                 }
                 inner.building.push(key.clone());
                 self.misses.fetch_add(1, Ordering::Relaxed);
-                parapre_trace::counter("engine.cache.miss", 1);
                 parapre_metrics::inc(parapre_metrics::names::CACHE_MISSES_TOTAL, 1);
                 break;
             }
@@ -164,7 +161,6 @@ impl SessionCache {
                         .expect("non-empty over capacity");
                     inner.map.remove(&lru);
                     self.evictions.fetch_add(1, Ordering::Relaxed);
-                    parapre_trace::counter("engine.cache.evict", 1);
                     parapre_metrics::inc(parapre_metrics::names::CACHE_EVICTIONS_TOTAL, 1);
                 }
                 Ok((session, false))
@@ -216,7 +212,6 @@ impl SessionCache {
                 .expect("non-empty over capacity");
             inner.map.remove(&lru);
             self.evictions.fetch_add(1, Ordering::Relaxed);
-            parapre_trace::counter("engine.cache.evict", 1);
             parapre_metrics::inc(parapre_metrics::names::CACHE_EVICTIONS_TOTAL, 1);
         }
     }

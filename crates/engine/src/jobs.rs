@@ -33,9 +33,9 @@ use crate::session::{partition_pattern, symmetrize_pattern, MatrixId, SessionCon
 use crate::EngineError;
 use parapre_core::{build_case, build_case_sized, CaseId, CaseSize, PartitionScheme, PrecondKind};
 use parapre_core::{partition_case_with, AssembledCase};
+use parapre_metrics::flatjson::{self, JsonValue};
 use parapre_resilience::{FaultConfig, RankOp};
 use parapre_sparse::Csr;
-use parapre_trace::flatjson::{self, JsonValue};
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 

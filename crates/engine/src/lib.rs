@@ -13,7 +13,7 @@
 //!   any number of solve requests against the frozen per-rank state;
 //! * [`SessionCache`] — sessions keyed by (matrix fingerprint, solver
 //!   config) with LRU eviction, single-flight builds, and hit/miss
-//!   counters surfaced through `parapre-trace`;
+//!   counters surfaced through `parapre-metrics`;
 //! * [`SolveService`] — a worker pool running independent jobs over a
 //!   bounded set of mpisim universes (threads ≤ `P × pool_size`), with a
 //!   bounded queue and explicit [`SubmitError::QueueFull`] backpressure;

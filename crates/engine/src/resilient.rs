@@ -149,7 +149,7 @@ pub fn solve_resilient(
                             &down,
                             sess.id(),
                         ) {
-                            parapre_trace::counter(parapre_trace::counters::PRECOND_FALLBACK, 1);
+                            parapre_metrics::count(parapre_metrics::names::PRECOND_FALLBACK, 1);
                             // What the abandoned session's own build
                             // cost counts too: only the final session's is
                             // added at return.
@@ -182,7 +182,7 @@ pub fn solve_resilient(
                 if attempt >= policy.retry_budget {
                     break fails;
                 }
-                parapre_trace::counter(parapre_trace::counters::SOLVE_RETRY, 1);
+                parapre_metrics::count(parapre_metrics::names::SOLVE_RETRY, 1);
                 if policy.backoff_ms > 0 {
                     std::thread::sleep(std::time::Duration::from_millis(
                         policy.backoff_ms << attempt.min(10),

@@ -496,10 +496,39 @@ impl SolveService {
         self.shared.rebalancer.pass(&self.shared.cache, force)
     }
 
+    /// Answers one of the read commands both front-ends speak, one reply
+    /// record per element (`parapre-serve` prints each as a line,
+    /// `parapre-netd` sends each as a frame):
+    ///
+    /// * `stats` — [`SolveService::stats_json`];
+    /// * `watch` — the convergence events after `*watch_seq` (the caller's
+    ///   cursor, advanced here), then `{"watch_end":<last_seq>}`;
+    /// * `metrics` — the text exposition closed by `# EOF`, one record;
+    /// * anything else — a structured `rejected` record.
+    pub fn read_command(&self, cmd: &str, watch_seq: &mut u64) -> Vec<String> {
+        match cmd {
+            "stats" => vec![self.stats_json()],
+            "watch" => {
+                let mut out: Vec<String> = parapre_metrics::conv_since(*watch_seq)
+                    .iter()
+                    .map(|ev| {
+                        *watch_seq = ev.seq;
+                        ev.to_json()
+                    })
+                    .collect();
+                out.push(format!("{{\"watch_end\":{watch_seq}}}"));
+                out
+            }
+            "metrics" => vec![format!("{}# EOF", parapre_metrics::metrics_text())],
+            other => vec![format!(
+                "{{\"ok\":false,\"error\":\"unknown cmd {}\",\"error_kind\":\"rejected\"}}",
+                parapre_metrics::flatjson::escape(other)
+            )],
+        }
+    }
+
     /// One flat JSON line of live statistics: job/cache/store/tuner
     /// counters plus the latency-quantile and load-gauge headline numbers.
-    /// Shared by the `parapre-serve` and `parapre-netd` `{"cmd":"stats"}`
-    /// handlers so both surfaces report identically.
     pub fn stats_json(&self) -> String {
         use parapre_metrics::names;
         let snap = parapre_metrics::snapshot();
@@ -558,7 +587,7 @@ impl SolveService {
             ms(names::E2E_US, 0.99),
             gauge(names::LOAD_IMBALANCE),
             gauge(names::LOAD_COMM_FRACTION),
-            parapre_metrics::global().ring().total(),
+            parapre_metrics::conv_total(),
         )
     }
 

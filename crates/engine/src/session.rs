@@ -249,7 +249,7 @@ pub struct SolveRequest<'a> {
     /// solution instead of `x0` (useful when the right-hand sides form a
     /// time-like sequence).
     pub chain: bool,
-    /// Install a `parapre-trace` recorder on every rank and return the
+    /// Install a `parapre-metrics` recorder on every rank and return the
     /// event streams in [`SolveOutput::traces`].
     pub trace: bool,
     /// Deterministic fault-injection plan for the universe.
@@ -283,7 +283,7 @@ pub struct SolveOutput {
     /// One report per right-hand side, in request order.
     pub reports: Vec<SessionSolveReport>,
     /// One event stream per rank when the request asked for tracing.
-    pub traces: Vec<parapre_trace::RankTrace>,
+    pub traces: Vec<parapre_metrics::RankTrace>,
     /// Wall time of the whole request (universe launch to join).
     pub seconds: f64,
 }
@@ -350,7 +350,7 @@ impl SolverSession {
         let p = cfg.n_ranks;
         let t0 = Instant::now();
         let ranks = launch(cfg, p, None, |comm| {
-            let _setup = parapre_trace::span(parapre_trace::phase::SETUP);
+            let _setup = parapre_metrics::span(parapre_metrics::names::SETUP);
             let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
             let built = build_dist_precond_with_fallback(cfg.precond, &dm, comm, a, &cfg.params);
             RankState {
@@ -407,7 +407,7 @@ impl SolverSession {
         a_new: &Csr,
         id: MatrixId,
         trace: bool,
-    ) -> Result<(SolverSession, Vec<parapre_trace::RankTrace>), RefactorFallback> {
+    ) -> Result<(SolverSession, Vec<parapre_metrics::RankTrace>), RefactorFallback> {
         if donor.build_fallbacks() > 0 || donor.pivot_shifts() > 0 {
             return Err(RefactorFallback::DonorDirty);
         }
@@ -421,11 +421,8 @@ impl SolverSession {
         let t0 = Instant::now();
         // A rank that died applying the donor's structure is a misfit.
         let outs = launch(cfg, p, None, |comm| {
-            if trace {
-                parapre_trace::install(comm.rank());
-            }
-            let built = {
-                let _setup = parapre_trace::span(parapre_trace::phase::SETUP);
+            parapre_metrics::recorded(comm.rank(), trace, || {
+                let _setup = parapre_metrics::span(parapre_metrics::names::SETUP);
                 let from = &donor.ranks[comm.rank()];
                 let dm = DistMatrix::from_global(a_new, owner, comm.rank(), p);
                 refactor_dist_precond(&*from.precond, &dm, comm, a_new).map(|precond| RankState {
@@ -435,8 +432,7 @@ impl SolverSession {
                     fallbacks: 0,
                     pivot_shifts: 0,
                 })
-            };
-            (built, if trace { parapre_trace::take() } else { None })
+            })
         })
         .map_err(|_| RefactorFallback::Pattern)?;
         let mut ranks = Vec::with_capacity(p);
@@ -492,7 +488,7 @@ impl SolverSession {
         &self,
         b: &[f64],
         x0: Option<&[f64]>,
-    ) -> Result<(SessionSolveReport, Vec<parapre_trace::RankTrace>), EngineError> {
+    ) -> Result<(SessionSolveReport, Vec<parapre_metrics::RankTrace>), EngineError> {
         let mut out = self.run(SolveRequest {
             x0,
             trace: true,
@@ -526,65 +522,64 @@ impl SolverSession {
         let x0 = req.x0.or(self.warm_start.as_deref());
         let t0 = Instant::now();
         let mut ranks = launch(&self.cfg, self.cfg.n_ranks, req.faults, |comm| {
-            if req.trace {
-                parapre_trace::install(comm.rank());
-            }
-            let st = &self.ranks[comm.rank()];
-            let layout = &st.dm.layout;
-            let mut x = Vec::new();
-            let mut per_rhs = Vec::with_capacity(k);
-            let mut before = comm.stats();
-            for (j, b) in req.rhs.iter().enumerate() {
-                let rhs_t0 = Instant::now();
-                let b_loc = scatter_vector(layout, b);
-                if j == 0 || !req.chain {
-                    x = match x0 {
-                        Some(g) => scatter_vector(layout, g),
-                        None => vec![0.0; layout.n_owned()],
+            parapre_metrics::recorded(comm.rank(), req.trace, || {
+                let st = &self.ranks[comm.rank()];
+                let layout = &st.dm.layout;
+                let mut x = Vec::new();
+                let mut per_rhs = Vec::with_capacity(k);
+                let mut before = comm.stats();
+                for (j, b) in req.rhs.iter().enumerate() {
+                    let rhs_t0 = Instant::now();
+                    let b_loc = scatter_vector(layout, b);
+                    if j == 0 || !req.chain {
+                        x = match x0 {
+                            Some(g) => scatter_vector(layout, g),
+                            None => vec![0.0; layout.n_owned()],
+                        };
+                    }
+                    let rep = DistGmres::new(self.cfg.gmres).solve_with_checkpoint(
+                        comm,
+                        &st.dm,
+                        &st.precond,
+                        &b_loc,
+                        &mut x,
+                        req.ckpt,
+                    );
+                    // True residual ‖b − Ax‖ / ‖b‖, assembled distributed.
+                    let mut ax = vec![0.0; layout.n_owned()];
+                    DistOp::apply(&st.dm, comm, &x, &mut ax);
+                    let r: Vec<f64> = b_loc.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
+                    let rnorm = layout.norm2(comm, &r);
+                    let bnorm = layout.norm2(comm, &b_loc);
+                    let x_global = gather_vector(comm, layout, &x, self.n_global);
+                    let after = comm.stats();
+                    let moved = parapre_mpisim::CommStats::delta(&after, &before);
+                    before = after;
+                    let load = parapre_metrics::RankLoad {
+                        rank: comm.rank(),
+                        busy_s: rhs_t0.elapsed().as_secs_f64(),
+                        comm_wait_s: moved.wait_us as f64 * 1e-6,
+                        msgs_sent: moved.msgs_sent,
+                        bytes_sent: moved.bytes_sent,
+                        msgs_recv: moved.msgs_recv,
+                        bytes_recv: moved.bytes_recv,
                     };
+                    // Rank 0 gathered the solution and writes the report; the
+                    // load of every rank is attached once they are all back.
+                    let report = x_global.map(|x| SessionSolveReport {
+                        x,
+                        iterations: rep.iterations,
+                        converged: rep.converged,
+                        final_relres: rep.final_relres,
+                        true_relres: if bnorm > 0.0 { rnorm / bnorm } else { rnorm },
+                        solve_seconds: load.busy_s,
+                        breakdown: rep.breakdown,
+                        load: parapre_metrics::LoadReport::default(),
+                    });
+                    per_rhs.push((load, report));
                 }
-                let rep = DistGmres::new(self.cfg.gmres).solve_with_checkpoint(
-                    comm,
-                    &st.dm,
-                    &st.precond,
-                    &b_loc,
-                    &mut x,
-                    req.ckpt,
-                );
-                // True residual ‖b − Ax‖ / ‖b‖, assembled distributed.
-                let mut ax = vec![0.0; layout.n_owned()];
-                DistOp::apply(&st.dm, comm, &x, &mut ax);
-                let r: Vec<f64> = b_loc.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-                let rnorm = layout.norm2(comm, &r);
-                let bnorm = layout.norm2(comm, &b_loc);
-                let x_global = gather_vector(comm, layout, &x, self.n_global);
-                let after = comm.stats();
-                let moved = parapre_mpisim::CommStats::delta(&after, &before);
-                before = after;
-                let load = parapre_metrics::RankLoad {
-                    rank: comm.rank(),
-                    busy_s: rhs_t0.elapsed().as_secs_f64(),
-                    comm_wait_s: moved.wait_us as f64 * 1e-6,
-                    msgs_sent: moved.msgs_sent,
-                    bytes_sent: moved.bytes_sent,
-                    msgs_recv: moved.msgs_recv,
-                    bytes_recv: moved.bytes_recv,
-                };
-                // Rank 0 gathered the solution and writes the report; the
-                // load of every rank is attached once they are all back.
-                let report = x_global.map(|x| SessionSolveReport {
-                    x,
-                    iterations: rep.iterations,
-                    converged: rep.converged,
-                    final_relres: rep.final_relres,
-                    true_relres: if bnorm > 0.0 { rnorm / bnorm } else { rnorm },
-                    solve_seconds: load.busy_s,
-                    breakdown: rep.breakdown,
-                    load: parapre_metrics::LoadReport::default(),
-                });
-                per_rhs.push((load, report));
-            }
-            (per_rhs, req.trace.then(parapre_trace::take).flatten())
+                per_rhs
+            })
         })?;
         let seconds = t0.elapsed().as_secs_f64();
         let traces = ranks.iter_mut().filter_map(|(_, tr)| tr.take()).collect();

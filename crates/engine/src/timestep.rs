@@ -88,7 +88,7 @@ pub struct TimestepReport {
     pub cold_rebuilds: usize,
 }
 
-fn phase_calls(traces: &[parapre_trace::RankTrace], phase: &str) -> u64 {
+fn phase_calls(traces: &[parapre_metrics::RankTrace], phase: &str) -> u64 {
     traces
         .iter()
         .filter_map(|tr| tr.summary().phase(phase).map(|p| p.calls))
@@ -122,8 +122,8 @@ pub fn march_heat(cfg: &TimestepConfig) -> Result<TimestepReport, EngineError> {
             session = match SolverSession::refactor_identified(&session, &march.a, id, cfg.trace) {
                 Ok((next, traces)) => {
                     refactors += 1;
-                    factor_spans += phase_calls(&traces, parapre_trace::phase::FACTOR);
-                    refactor_spans += phase_calls(&traces, parapre_trace::phase::REFACTOR);
+                    factor_spans += phase_calls(&traces, parapre_metrics::names::FACTOR);
+                    refactor_spans += phase_calls(&traces, parapre_metrics::names::REFACTOR);
                     next
                 }
                 Err(_) => {
@@ -139,8 +139,8 @@ pub fn march_heat(cfg: &TimestepConfig) -> Result<TimestepReport, EngineError> {
             trace: cfg.trace,
             ..SolveRequest::new(&b)
         })?;
-        factor_spans += phase_calls(&out.traces, parapre_trace::phase::FACTOR);
-        refactor_spans += phase_calls(&out.traces, parapre_trace::phase::REFACTOR);
+        factor_spans += phase_calls(&out.traces, parapre_metrics::names::FACTOR);
+        refactor_spans += phase_calls(&out.traces, parapre_metrics::names::REFACTOR);
         let rep = out.single();
         u = rep.x.clone();
         let amplitude = u.iter().fold(0.0f64, |m, v| m.max(v.abs()));

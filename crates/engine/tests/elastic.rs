@@ -248,7 +248,7 @@ fn queued_past_deadline_jobs_reject_with_structured_timeout() {
 
     // The structured kind survives the wire format.
     let line = doomed_result.to_json();
-    let fields = parapre_trace::flatjson::parse_flat_object(&line).expect("result parses");
+    let fields = parapre_metrics::flatjson::parse_flat_object(&line).expect("result parses");
     assert_eq!(
         fields.get("error_kind").and_then(|v| v.as_str()),
         Some("timeout"),

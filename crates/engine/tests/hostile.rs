@@ -147,7 +147,7 @@ fn auto_precond_round_trips_from_line_to_result() {
     assert!(result.ok && result.converged, "auto job failed: {result:?}");
     assert!(result.auto);
     let line = result.to_json();
-    let fields = parapre_trace::flatjson::parse_flat_object(&line).expect("result line parses");
+    let fields = parapre_metrics::flatjson::parse_flat_object(&line).expect("result line parses");
     assert_eq!(
         fields.get("auto").and_then(|v| v.as_bool()),
         Some(true),

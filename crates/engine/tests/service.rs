@@ -358,3 +358,59 @@ fn one_service_solve_exposes_every_mandatory_metric_family() {
         .collect();
     assert!(missing.is_empty(), "scrape is missing {missing:?}:\n{text}");
 }
+
+/// `^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? \S+$` — one sample line of the
+/// text exposition (no regex crate offline).
+fn is_exposition_sample(line: &str) -> bool {
+    let Some((name, value)) = line.rsplit_once(' ') else {
+        return false;
+    };
+    let family = match name.split_once('{') {
+        Some((family, labels)) => {
+            if !labels.ends_with('}') || labels[..labels.len() - 1].contains('}') {
+                return false;
+            }
+            family
+        }
+        None => name,
+    };
+    let mut chars = family.chars();
+    chars
+        .next()
+        .is_some_and(|c| c.is_ascii_alphabetic() || c == '_' || c == ':')
+        && chars.all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
+        && !value.is_empty()
+        && !value.contains(char::is_whitespace)
+}
+
+#[test]
+fn every_exposition_line_is_well_formed_after_a_schurml_solve() {
+    assert!(is_exposition_sample("a_total 1"));
+    assert!(is_exposition_sample(r#"a_us{fp="00ab",quantile="0.5"} 12"#));
+    assert!(!is_exposition_sample("schurml.level_count 2e0"));
+    assert!(!is_exposition_sample("no_value"));
+
+    let service = SolveService::start(ServiceConfig::default()).expect("valid config");
+    let job = parse_job_line(
+        r#"{"id":"ml","case":"tc2","size":"tiny","precond":"schurml","ranks":4}"#,
+        0,
+    )
+    .expect("job parses");
+    let result = service.submit_solve(job).expect("submit").wait();
+    assert!(result.ok, "SchurML job failed: {:?}", result.error);
+    assert_eq!(
+        result.precond_used.as_deref(),
+        Some("schurml"),
+        "no ladder descent"
+    );
+    service.shutdown();
+    let text = parapre_metrics::metrics_text();
+    let malformed: Vec<&str> = text
+        .lines()
+        .filter(|l| !l.starts_with('#') && !is_exposition_sample(l))
+        .collect();
+    assert!(
+        malformed.is_empty(),
+        "malformed exposition lines: {malformed:?}"
+    );
+}

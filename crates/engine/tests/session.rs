@@ -83,17 +83,17 @@ fn hot_path_records_no_factorization_spans() {
     assert!(rep.converged);
     assert_eq!(traces.len(), P, "one trace per rank");
     let summaries: Vec<_> = traces.iter().map(|t| t.summary()).collect();
-    let merged = parapre_trace::TraceSummary::merge(&summaries);
+    let merged = parapre_metrics::TraceSummary::merge(&summaries);
     assert!(
-        merged.phase(parapre_trace::phase::FACTOR).is_none(),
+        merged.phase(parapre_metrics::names::FACTOR).is_none(),
         "a solve on a cached session must not factor"
     );
     assert!(
-        merged.phase(parapre_trace::phase::SETUP).is_none(),
+        merged.phase(parapre_metrics::names::SETUP).is_none(),
         "a solve on a cached session must not re-run setup"
     );
     let apply = merged
-        .phase(parapre_trace::phase::PRECOND_APPLY)
+        .phase(parapre_metrics::names::PRECOND_APPLY)
         .expect("preconditioner applications are traced");
     assert!(apply.calls > 0);
 }

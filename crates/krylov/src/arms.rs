@@ -288,8 +288,8 @@ impl Arms {
             levels.push(level);
         }
         let last = Ilut::factor(&cur, &cfg.ilut)?;
-        parapre_trace::gauge("arms.levels", levels.len() as f64);
-        parapre_trace::gauge("arms.last_n", cur.n_rows() as f64);
+        parapre_metrics::gauge(parapre_metrics::names::ARMS_LEVELS, levels.len() as f64);
+        parapre_metrics::gauge(parapre_metrics::names::ARMS_LAST_N, cur.n_rows() as f64);
         Ok(Arms {
             n,
             cfg: *cfg,

@@ -70,7 +70,7 @@ impl ConjugateGradient {
             report.residual_history.push(r0);
         }
         if !r0.is_finite() {
-            parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
+            parapre_metrics::count(parapre_metrics::names::SOLVE_BREAKDOWN, 1);
             report.breakdown = Some(SolveBreakdown {
                 kind: BreakdownKind::NonFinite,
                 iteration: 0,
@@ -98,7 +98,7 @@ impl ConjugateGradient {
             if !pap.is_finite() {
                 report.iterations = it - 1;
                 report.final_relres = ops::norm2(&r) / r0;
-                parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
+                parapre_metrics::count(parapre_metrics::names::SOLVE_BREAKDOWN, 1);
                 report.breakdown = Some(SolveBreakdown {
                     kind: BreakdownKind::NonFinite,
                     iteration: it - 1,
@@ -110,7 +110,7 @@ impl ConjugateGradient {
                 // Not SPD (or breakdown): stop honestly, with the type.
                 report.iterations = it - 1;
                 report.final_relres = ops::norm2(&r) / r0;
-                parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
+                parapre_metrics::count(parapre_metrics::names::SOLVE_BREAKDOWN, 1);
                 report.breakdown = Some(SolveBreakdown {
                     kind: BreakdownKind::IndefiniteOperator,
                     iteration: it - 1,

@@ -13,6 +13,7 @@ use crate::op::LinOp;
 use crate::precond::Preconditioner;
 use crate::proj::Panel;
 use crate::{BreakdownKind, SolveBreakdown, SolveReport};
+use parapre_metrics::names;
 use parapre_sparse::ops;
 
 /// Residual-estimate blow-up factor over `‖r₀‖` past which the solve is
@@ -162,14 +163,11 @@ fn run_gmres<A: LinOp, M: Preconditioner>(
     // distributed stack; surface its effort as a counter rather than
     // polluting the outer convergence stream. Terminal stalls and
     // breakdowns *are* streamed — they are rare and diagnostic.
-    parapre_trace::counter("gmres.iters", report.iterations as u64);
+    parapre_metrics::count(names::GMRES_ITERS, report.iterations as u64);
     if let Some(bd) = &report.breakdown {
-        let kind = if bd.kind == BreakdownKind::Stagnation {
-            parapre_metrics::ConvKind::Stall
-        } else {
-            parapre_metrics::ConvKind::Breakdown
-        };
-        parapre_metrics::conv_push("gmres", bd.iteration as u64, bd.relres, kind, bd.kind.key());
+        // A sequential solve has no peers: it speaks for itself.
+        let kind = bd.kind.conv_kind();
+        parapre_metrics::convergence("gmres", true, bd.iteration, bd.relres, kind, bd.kind.key());
     }
     report
 }
@@ -209,7 +207,6 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
         report.residual_history.push(r0_norm);
     }
     if !r0_norm.is_finite() {
-        parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
         report.breakdown = Some(SolveBreakdown {
             kind: BreakdownKind::NonFinite,
             iteration: 0,
@@ -279,7 +276,6 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
                 report.final_relres = true_norm / r0_norm;
                 report.converged = true_norm <= target * 1.01;
                 if !report.converged {
-                    parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
                     report.breakdown = Some(SolveBreakdown {
                         kind: BreakdownKind::NonFinite,
                         iteration: total_iters,
@@ -331,7 +327,6 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
                     // the true residual misses the target — a restart
                     // would rebuild the same exhausted space. Say so
                     // instead of claiming convergence.
-                    parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
                     report.breakdown = Some(SolveBreakdown {
                         kind: BreakdownKind::ZeroNormalization,
                         iteration: total_iters,
@@ -355,7 +350,6 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
                 let true_norm = ops::norm2(&r);
                 report.iterations = total_iters;
                 report.final_relres = true_norm / r0_norm;
-                parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
                 report.breakdown = Some(SolveBreakdown {
                     kind: BreakdownKind::Divergence,
                     iteration: total_iters,
@@ -378,8 +372,7 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
                         report.final_relres = true_norm / r0_norm;
                         report.converged = true_norm <= target * 1.01;
                         if !report.converged {
-                            parapre_trace::counter(parapre_trace::counters::GMRES_STALL_CUT, 1);
-                            parapre_trace::counter(parapre_trace::counters::SOLVE_BREAKDOWN, 1);
+                            parapre_metrics::count(names::GMRES_STALL_CUT, 1);
                             report.breakdown = Some(SolveBreakdown {
                                 kind: BreakdownKind::Stagnation,
                                 iteration: total_iters,

@@ -231,7 +231,7 @@ impl LuFactors {
                 .unwrap_or(0);
             return Err(Error::ZeroPivot(row));
         }
-        parapre_trace::counter("factor.fill_nnz", f.nnz() as u64);
+        parapre_metrics::count(parapre_metrics::names::FILL_NNZ, f.nnz() as u64);
         Ok(f)
     }
 
@@ -383,7 +383,7 @@ pub fn factor_with_shifts<T>(
     let mut last_err = None;
     for (attempt, &alpha) in SHIFT_LADDER.iter().enumerate() {
         if attempt > 0 {
-            parapre_trace::counter(parapre_trace::counters::PIVOT_SHIFT, 1);
+            parapre_metrics::count(parapre_metrics::names::PIVOT_SHIFT, 1);
         }
         let shifted;
         let target = if alpha == 0.0 {
@@ -458,7 +458,7 @@ impl Ilu0 {
                 Ok(())
             }
         })?;
-        parapre_trace::counter("factor.fill_nnz", a.nnz() as u64);
+        parapre_metrics::count(parapre_metrics::names::FILL_NNZ, a.nnz() as u64);
         LuFactors::assemble(Arc::new(sym), l_vals, diag, u_vals, 0)
     }
 
@@ -635,7 +635,7 @@ impl Ilut {
 
         // L and U are stored as they were built.
         let fill = l_cols.len() + n + u_cols.len();
-        parapre_trace::counter("factor.fill_nnz", fill as u64);
+        parapre_metrics::count(parapre_metrics::names::FILL_NNZ, fill as u64);
         let sym = LuSymbolic {
             l_ptr: l_row_ptr,
             l_cols,

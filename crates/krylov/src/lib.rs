@@ -85,6 +85,15 @@ impl BreakdownKind {
             BreakdownKind::IndefiniteOperator => "indefinite_operator",
         }
     }
+
+    /// How a solve that ended this way reads in the convergence stream: a
+    /// stall if the stagnation guard cut it, a breakdown otherwise.
+    pub fn conv_kind(&self) -> parapre_metrics::ConvKind {
+        match self {
+            BreakdownKind::Stagnation => parapre_metrics::ConvKind::Stall,
+            _ => parapre_metrics::ConvKind::Breakdown,
+        }
+    }
 }
 
 impl std::fmt::Display for BreakdownKind {

@@ -1,8 +1,9 @@
 //! Unit suite for the trace recorder: span nesting, counter aggregation,
 //! JSONL round-trips, and cross-rank merging.
 
-use parapre_trace::{
-    install, phase, span, take, CommDir, Event, EventKind, PhaseStat, RankTrace, TraceSummary,
+use parapre_metrics::{
+    install, names, span, take, CommDir, ConvKind, Event, EventKind, PhaseStat, RankTrace,
+    TraceSummary,
 };
 
 /// Builds a trace from (t_us, kind) pairs without going through a recorder.
@@ -34,16 +35,16 @@ fn nested_spans_split_inclusive_and_exclusive_time() {
     let tr = trace_of(
         0,
         vec![
-            (0, enter(phase::SOLVE)),
-            (10, enter(phase::SPMV)),
-            (30, exit(phase::SPMV)),
-            (50, enter(phase::SPMV)),
-            (90, exit(phase::SPMV)),
-            (100, exit(phase::SOLVE)),
+            (0, enter(names::SOLVE)),
+            (10, enter(names::SPMV)),
+            (30, exit(names::SPMV)),
+            (50, enter(names::SPMV)),
+            (90, exit(names::SPMV)),
+            (100, exit(names::SOLVE)),
         ],
     );
     let s = tr.summary();
-    let solve = s.phase(phase::SOLVE).unwrap();
+    let solve = s.phase(names::SOLVE).unwrap();
     assert_eq!(
         *solve,
         PhaseStat {
@@ -52,7 +53,7 @@ fn nested_spans_split_inclusive_and_exclusive_time() {
             excl_us: 40
         }
     );
-    let spmv = s.phase(phase::SPMV).unwrap();
+    let spmv = s.phase(names::SPMV).unwrap();
     assert_eq!(
         *spmv,
         PhaseStat {
@@ -69,14 +70,14 @@ fn recursive_spans_count_inclusive_time_once() {
     let tr = trace_of(
         0,
         vec![
-            (0, enter(phase::SOLVE)),
-            (20, enter(phase::SOLVE)),
-            (60, exit(phase::SOLVE)),
-            (100, exit(phase::SOLVE)),
+            (0, enter(names::SOLVE)),
+            (20, enter(names::SOLVE)),
+            (60, exit(names::SOLVE)),
+            (100, exit(names::SOLVE)),
         ],
     );
     let s = tr.summary();
-    let solve = s.phase(phase::SOLVE).unwrap();
+    let solve = s.phase(names::SOLVE).unwrap();
     assert_eq!(solve.calls, 2);
     // Inclusive counts only the outermost instance; exclusive sums both
     // self-times (40 inner + 60 outer-minus-child).
@@ -89,14 +90,14 @@ fn unclosed_spans_are_closed_by_the_enclosing_exit() {
     let tr = trace_of(
         0,
         vec![
-            (0, enter(phase::SOLVE)),
-            (10, enter(phase::SPMV)), // exit lost
-            (50, exit(phase::SOLVE)),
+            (0, enter(names::SOLVE)),
+            (10, enter(names::SPMV)), // exit lost
+            (50, exit(names::SOLVE)),
         ],
     );
     let s = tr.summary();
-    assert_eq!(s.phase(phase::SPMV).unwrap().incl_us, 40);
-    assert_eq!(s.phase(phase::SOLVE).unwrap().incl_us, 50);
+    assert_eq!(s.phase(names::SPMV).unwrap().incl_us, 40);
+    assert_eq!(s.phase(names::SOLVE).unwrap().incl_us, 50);
 }
 
 #[test]
@@ -207,10 +208,10 @@ fn comm_events_fold_into_totals_and_per_peer() {
         ],
     );
     let s = tr.summary();
-    assert_eq!(s.comm.msgs_sent, 2);
-    assert_eq!(s.comm.bytes_sent, 120);
-    assert_eq!(s.comm.msgs_recv, 1);
-    assert_eq!(s.comm.bytes_recv, 80);
+    assert_eq!(s.comm.all.msgs_sent, 2);
+    assert_eq!(s.comm.all.bytes_sent, 120);
+    assert_eq!(s.comm.all.msgs_recv, 1);
+    assert_eq!(s.comm.all.bytes_recv, 80);
     assert_eq!(s.comm.per_peer[&0].bytes_sent, 80);
     assert_eq!(s.comm.per_peer[&0].bytes_recv, 80);
     assert_eq!(s.comm.per_peer[&2].bytes_sent, 40);
@@ -293,17 +294,17 @@ fn jsonl_round_trip_preserves_every_event_kind() {
 fn live_recorder_round_trips_through_jsonl() {
     install(5);
     {
-        let _outer = span(phase::SETUP);
-        let _inner = span(phase::FACTOR);
-        parapre_trace::counter("factor.fill_nnz", 123);
+        let _outer = span(names::SETUP);
+        let _inner = span(names::FACTOR);
+        parapre_metrics::count(names::FILL_NNZ, 123);
     }
-    parapre_trace::iteration(1, 0.125);
+    parapre_metrics::convergence("test", false, 1, 0.125, ConvKind::Iter, "");
     let tr = take().expect("recorder installed");
     assert!(take().is_none(), "take() must uninstall");
     let back = RankTrace::from_jsonl(&tr.to_jsonl()).unwrap();
     assert_eq!(back, tr);
     let s = back.summary();
-    assert_eq!(s.phase(phase::SETUP).unwrap().calls, 1);
+    assert_eq!(s.phase(names::SETUP).unwrap().calls, 1);
     assert_eq!(s.counters["factor.fill_nnz"], 123);
 }
 
@@ -312,8 +313,8 @@ fn merge_takes_max_times_and_sums_counts() {
     let a = trace_of(
         0,
         vec![
-            (0, enter(phase::SOLVE)),
-            (80, exit(phase::SOLVE)),
+            (0, enter(names::SOLVE)),
+            (80, exit(names::SOLVE)),
             (
                 81,
                 EventKind::Counter {
@@ -336,8 +337,8 @@ fn merge_takes_max_times_and_sums_counts() {
     let b = trace_of(
         1,
         vec![
-            (0, enter(phase::SOLVE)),
-            (100, exit(phase::SOLVE)),
+            (0, enter(names::SOLVE)),
+            (100, exit(names::SOLVE)),
             (
                 101,
                 EventKind::Counter {
@@ -359,11 +360,11 @@ fn merge_takes_max_times_and_sums_counts() {
     .summary();
     let m = TraceSummary::merge(&[a, b]);
     assert_eq!(m.rank, usize::MAX);
-    let solve = m.phase(phase::SOLVE).unwrap();
+    let solve = m.phase(names::SOLVE).unwrap();
     assert_eq!(solve.calls, 2);
     assert_eq!(solve.incl_us, 100); // max, not sum
     assert_eq!(m.counters["c"], 3); // summed
-    assert_eq!(m.comm.bytes_sent, 40); // summed
+    assert_eq!(m.comm.all.bytes_sent, 40); // summed
     assert!(m.table().contains("solve"));
 }
 
@@ -374,7 +375,7 @@ fn merge_of_empty_slice_is_the_zero_summary() {
     assert!(m.phases.is_empty());
     assert!(m.counters.is_empty());
     assert!(m.gauges.is_empty());
-    assert_eq!(m.comm.msgs_sent + m.comm.msgs_recv, 0);
+    assert_eq!(m.comm.all.msgs_sent + m.comm.all.msgs_recv, 0);
     assert_eq!(m.iterations, 0);
     assert!(m.final_relres.is_nan());
     // The zero summary still renders.
@@ -386,8 +387,8 @@ fn merge_preserves_disjoint_phase_sets_and_gauges() {
     let a = trace_of(
         0,
         vec![
-            (0, enter(phase::SETUP)),
-            (40, exit(phase::SETUP)),
+            (0, enter(names::SETUP)),
+            (40, exit(names::SETUP)),
             (
                 41,
                 EventKind::Gauge {
@@ -401,8 +402,8 @@ fn merge_preserves_disjoint_phase_sets_and_gauges() {
     let b = trace_of(
         1,
         vec![
-            (0, enter(phase::SOLVE)),
-            (90, exit(phase::SOLVE)),
+            (0, enter(names::SOLVE)),
+            (90, exit(names::SOLVE)),
             (
                 91,
                 EventKind::Gauge {
@@ -422,8 +423,8 @@ fn merge_preserves_disjoint_phase_sets_and_gauges() {
     .summary();
     let m = TraceSummary::merge(&[a, b]);
     // Neither phase is dropped even though no rank has both.
-    assert_eq!(m.phase(phase::SETUP).unwrap().incl_us, 40);
-    assert_eq!(m.phase(phase::SOLVE).unwrap().incl_us, 90);
+    assert_eq!(m.phase(names::SETUP).unwrap().incl_us, 40);
+    assert_eq!(m.phase(names::SOLVE).unwrap().incl_us, 90);
     // Gauges: max of per-rank maxima, last from the final rank.
     assert_eq!(m.gauges["arms.levels"].max, 3.0);
     assert_eq!(m.gauges["arms.levels"].last, 2.0);

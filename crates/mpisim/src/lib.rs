@@ -22,7 +22,7 @@
 //! * per-rank [`CommStats`] (message and byte counts, aggregate and
 //!   per-neighbor via [`Comm::peer_stats`]) feeding the α–β
 //!   [`MachineModel`]s that emulate the paper's two platforms for the
-//!   timing *shape* discussion; when a `parapre-trace` recorder is
+//!   timing *shape* discussion; when a `parapre-metrics` recorder is
 //!   installed on the rank's thread, every send/receive additionally
 //!   emits a structured comm event.
 //!
@@ -646,7 +646,7 @@ impl Comm {
                 StepFault::Continue => {}
                 StepFault::Jitter(d) => std::thread::sleep(d),
                 StepFault::Kill => {
-                    parapre_trace::counter(parapre_trace::counters::FAULT_KILL, 1);
+                    parapre_metrics::count(parapre_metrics::names::FAULT_KILL, 1);
                     std::panic::panic_any(InjectedFault {
                         rank: self.rank,
                         op,
@@ -654,7 +654,7 @@ impl Comm {
                     });
                 }
                 StepFault::Hang => {
-                    parapre_trace::counter(parapre_trace::counters::FAULT_HANG, 1);
+                    parapre_metrics::count(parapre_metrics::names::FAULT_HANG, 1);
                     // Stall past every peer's tripwire so they observe the
                     // hang as CommError timeouts, then die so the scoped
                     // join completes.
@@ -673,11 +673,11 @@ impl Comm {
                     self.stats.bytes_sent += bytes;
                     self.peer_stats[to].msgs_sent += 1;
                     self.peer_stats[to].bytes_sent += bytes;
-                    parapre_trace::counter(parapre_trace::counters::FAULT_DROP, 1);
+                    parapre_metrics::count(parapre_metrics::names::FAULT_DROP, 1);
                     return;
                 }
                 SendFault::Delay(d) => {
-                    parapre_trace::counter(parapre_trace::counters::FAULT_DELAY, 1);
+                    parapre_metrics::count(parapre_metrics::names::FAULT_DELAY, 1);
                     std::thread::sleep(d);
                 }
             }
@@ -686,7 +686,7 @@ impl Comm {
         self.stats.bytes_sent += bytes;
         self.peer_stats[to].msgs_sent += 1;
         self.peer_stats[to].bytes_sent += bytes;
-        parapre_trace::comm(parapre_trace::CommDir::Send, to, tag, bytes);
+        parapre_metrics::comm(parapre_metrics::CommDir::Send, to, tag, bytes);
         self.to[to]
             .send(Envelope {
                 from: self.rank,
@@ -707,7 +707,7 @@ impl Comm {
         self.stats.bytes_recv += bytes;
         self.peer_stats[from].msgs_recv += 1;
         self.peer_stats[from].bytes_recv += bytes;
-        parapre_trace::comm(parapre_trace::CommDir::Recv, from, tag, bytes);
+        parapre_metrics::comm(parapre_metrics::CommDir::Recv, from, tag, bytes);
     }
 
     /// Dumps the pending (received-but-unmatched) message queues — the
@@ -824,7 +824,7 @@ impl Comm {
     /// waits on it until the wanted tag arrives or the tripwire fires.
     fn recv_blocking(&mut self, from: usize, tag: u64) -> Result<Payload, CommError> {
         if self.late_hits < LATE_HITS_BEFORE_PARK && every_live_rank_has_a_core() {
-            parapre_trace::counter(parapre_trace::counters::RECV_POLL, 1);
+            parapre_metrics::count(parapre_metrics::names::RECV_POLL, 1);
             if let Some(payload) = self.poll(from, tag, POLL_BUDGET) {
                 return Ok(payload);
             }
@@ -928,11 +928,11 @@ impl Comm {
     pub fn send_f64s_from(&mut self, to: usize, tag: u64, data: &[f64]) {
         let mut buf = match self.pool.borrow_mut().pop() {
             Some(b) => {
-                parapre_trace::counter(parapre_trace::counters::POOL_REUSE, 1);
+                parapre_metrics::count(parapre_metrics::names::POOL_REUSE, 1);
                 b
             }
             None => {
-                parapre_trace::counter(parapre_trace::counters::POOL_ALLOC, 1);
+                parapre_metrics::count(parapre_metrics::names::POOL_ALLOC, 1);
                 Vec::with_capacity(data.len())
             }
         };
@@ -1236,11 +1236,14 @@ mod tests {
                 // The reply is asked for only now and is never parked, so
                 // this receive reaches `recv_blocking` — with or without
                 // the reply already in the channel — and must not poll.
-                parapre_trace::install(1);
+                parapre_metrics::install(1);
                 c.send_f64s(0, 1, vec![]);
                 assert_eq!(c.recv_f64s(0, 2), vec![1.0]);
-                let counters = parapre_trace::take().expect("installed").summary().counters;
-                assert_eq!(counters.get(parapre_trace::counters::RECV_POLL), None);
+                let counters = parapre_metrics::take()
+                    .expect("installed")
+                    .summary()
+                    .counters;
+                assert_eq!(counters.get(parapre_metrics::names::RECV_POLL), None);
                 c.late_hits
             }
         });
@@ -1265,15 +1268,18 @@ mod tests {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let _others: Vec<LiveRank> = (0..cores).map(|_| LiveRank::enter()).collect();
         let out = Universe::run(2, |c| {
-            parapre_trace::install(c.rank());
+            parapre_metrics::install(c.rank());
             let mut sum = 0.0;
             for i in 0..200u64 {
                 sum += c.allreduce_sum(1.0, 2 * i);
             }
-            let counters = parapre_trace::take().expect("installed").summary().counters;
+            let counters = parapre_metrics::take()
+                .expect("installed")
+                .summary()
+                .counters;
             (
                 sum,
-                counters.get(parapre_trace::counters::RECV_POLL).copied(),
+                counters.get(parapre_metrics::names::RECV_POLL).copied(),
             )
         });
         for (sum, polls) in out {
@@ -1381,18 +1387,21 @@ mod tests {
             let out = Universe::run(p, |c| {
                 let warm = c.allreduce_sum(1.0, 100);
                 let sent_warming_up = c.stats().msgs_sent;
-                parapre_trace::install(c.rank());
+                parapre_metrics::install(c.rank());
                 let mut sum = 0.0;
                 for i in 0..1000u64 {
                     sum += c.allreduce_sum(c.rank() as f64, 200 + 2 * i);
                 }
-                let counters = parapre_trace::take().expect("installed").summary().counters;
+                let counters = parapre_metrics::take()
+                    .expect("installed")
+                    .summary()
+                    .counters;
                 let count = |name: &str| counters.get(name).copied().unwrap_or(0);
                 (
                     warm,
                     sum,
-                    count(parapre_trace::counters::POOL_ALLOC),
-                    count(parapre_trace::counters::POOL_REUSE),
+                    count(parapre_metrics::names::POOL_ALLOC),
+                    count(parapre_metrics::names::POOL_REUSE),
                     c.stats().msgs_sent - sent_warming_up,
                 )
             });

@@ -11,14 +11,17 @@ fn polls_with_all_ranks_alive(p: usize) -> Vec<u64> {
     let gate = Barrier::new(p);
     Universe::run(p, |c| {
         gate.wait();
-        parapre_trace::install(c.rank());
+        parapre_metrics::install(c.rank());
         for i in 0..100u64 {
             c.barrier(2 * i);
         }
-        let counters = parapre_trace::take().expect("installed").summary().counters;
+        let counters = parapre_metrics::take()
+            .expect("installed")
+            .summary()
+            .counters;
         gate.wait();
         counters
-            .get(parapre_trace::counters::RECV_POLL)
+            .get(parapre_metrics::names::RECV_POLL)
             .copied()
             .unwrap_or(0)
     })

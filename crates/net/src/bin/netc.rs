@@ -10,8 +10,8 @@
 //! server drains this connection's in-flight jobs, and the session ends.
 //! Exits 0 iff no response line carried `"ok":false`.
 
+use parapre_metrics::flatjson::{self, JsonValue};
 use parapre_net::NetClient;
-use parapre_trace::flatjson::{self, JsonValue};
 use std::io::{BufRead, BufReader, Write};
 
 const USAGE: &str = "usage: parapre-netc (--tcp ADDR | --unix PATH) [--jobs FILE]

@@ -25,8 +25,8 @@ use crate::protocol::{read_frame, split_payload, MAX_FRAME_BYTES};
 use parapre_engine::{
     parse_job_line, ConfigError, JobResult, ServiceConfig, SolveService, SubmitError,
 };
+use parapre_metrics::flatjson::{self, JsonValue};
 use parapre_metrics::names;
-use parapre_trace::flatjson::{self, JsonValue};
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -591,22 +591,6 @@ fn serve_command(
             let _ = out_tx.send("{\"pong\":true}".to_string());
             Flow::Continue
         }
-        "stats" => {
-            let _ = out_tx.send(shared.service.stats_json());
-            Flow::Continue
-        }
-        "metrics" => {
-            let _ = out_tx.send(format!("{}# EOF", parapre_metrics::metrics_text()));
-            Flow::Continue
-        }
-        "watch" => {
-            for ev in parapre_metrics::conv_since(*watch_seq) {
-                *watch_seq = ev.seq;
-                let _ = out_tx.send(ev.to_json());
-            }
-            let _ = out_tx.send(format!("{{\"watch_end\":{watch_seq}}}"));
-            Flow::Continue
-        }
         "put" => {
             let _ = out_tx.send(serve_put(shared, body));
             Flow::Continue
@@ -629,11 +613,12 @@ fn serve_command(
             Flow::Drain
         }
         "bye" => Flow::Bye,
+        // `stats`, `watch`, `metrics`, and the rejection of anything else:
+        // one frame per reply record.
         other => {
-            let _ = out_tx.send(format!(
-                "{{\"ok\":false,\"error\":\"unknown cmd {}\",\"error_kind\":\"rejected\"}}",
-                flatjson::escape(other)
-            ));
+            for record in shared.service.read_command(other, watch_seq) {
+                let _ = out_tx.send(record);
+            }
             Flow::Continue
         }
     }

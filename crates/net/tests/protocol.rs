@@ -3,8 +3,8 @@
 //! hostile frames.
 
 use parapre_engine::ServiceConfig;
+use parapre_metrics::flatjson::{parse_flat_object, JsonValue};
 use parapre_net::{NetClient, NetConfig, NetServer};
-use parapre_trace::flatjson::{parse_flat_object, JsonValue};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;

@@ -115,7 +115,7 @@ pub fn solve_degraded(
         })
         .sum();
 
-    parapre_trace::counter(parapre_trace::counters::SOLVE_DEGRADED, 1);
+    parapre_metrics::count(parapre_metrics::names::SOLVE_DEGRADED, 1);
 
     let s = n_survivors as usize;
     let n_red = alive.len();

@@ -13,11 +13,11 @@
 use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix, IdentityDistPrecond};
 use parapre_fem::{bc, poisson, LinearSystem};
 use parapre_grid::structured::unit_square;
+use parapre_metrics::EventKind;
 use parapre_mpisim::{FaultHook, Universe};
 use parapre_partition::partition_graph;
 use parapre_resilience::{FaultConfig, FaultPlan};
 use parapre_sparse::Csr;
-use parapre_trace::EventKind;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -39,7 +39,7 @@ fn poisson_system(nx: usize, p: usize) -> (Csr, Vec<f64>, Vec<u32>) {
 
 /// (program-ordered events, sorted comm multiset) with timestamps and
 /// timing-dependent counters removed.
-fn normalize(trace: &parapre_trace::RankTrace) -> (Vec<String>, Vec<String>) {
+fn normalize(trace: &parapre_metrics::RankTrace) -> (Vec<String>, Vec<String>) {
     let mut prog = Vec::new();
     let mut comm = Vec::new();
     for e in &trace.events {
@@ -75,7 +75,7 @@ fn faulted_solve(seed: u64) -> (Vec<parapre_resilience::FaultRecord>, Vec<RankRe
     let hook: Arc<dyn FaultHook> = plan.clone();
     let (a_ref, b_ref, o_ref) = (&a, &b, &owner);
     let outs = Universe::try_run_with_faults(p, Duration::from_secs(30), Some(hook), move |comm| {
-        parapre_trace::install(comm.rank());
+        parapre_metrics::install(comm.rank());
         let dm = DistMatrix::from_global(a_ref, o_ref, comm.rank(), p);
         let b_loc = scatter_vector(&dm.layout, b_ref);
         let mut x = vec![0.0; dm.layout.n_owned()];
@@ -86,7 +86,7 @@ fn faulted_solve(seed: u64) -> (Vec<parapre_resilience::FaultRecord>, Vec<RankRe
             &b_loc,
             &mut x,
         );
-        let trace = parapre_trace::take().expect("installed above");
+        let trace = parapre_metrics::take().expect("installed above");
         (x, rep.iterations, rep.final_relres, normalize(&trace))
     });
     let ranks = outs

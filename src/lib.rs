@@ -16,8 +16,10 @@
 //! * [`mpisim`] — the SPMD message-passing runtime (MPI stand-in) with
 //!   α–β machine models;
 //! * [`krylov`] — sequential GMRES/FGMRES/CG, ILU(0), ILUT, ARMS;
-//! * [`metrics`] — live metrics: counters, latency histograms,
-//!   convergence-event ring, per-rank load-imbalance reports;
+//! * [`metrics`] — the instrumentation: per-rank event recorder (spans,
+//!   counts, comm events → JSONL and phase summaries), the live registry
+//!   (counters, latency histograms), convergence-event ring, per-rank
+//!   load-imbalance reports;
 //! * [`dist`] — distributed sparse systems and distributed (F)GMRES;
 //! * [`core`] — the paper's preconditioners, test cases and experiment
 //!   runner;

@@ -69,9 +69,9 @@ fn tracing_observes_without_changing_the_answer() {
             "{what}: one trace per rank"
         );
         let summaries: Vec<_> = out.traces.iter().map(|t| t.summary()).collect();
-        let merged = parapre_trace::TraceSummary::merge(&summaries);
+        let merged = parapre_metrics::TraceSummary::merge(&summaries);
         assert!(
-            merged.phase(parapre_trace::phase::FACTOR).is_none(),
+            merged.phase(parapre_metrics::names::FACTOR).is_none(),
             "{what}: a solve on a built session must not factor"
         );
         assert_eq!(out.single().x, plain.x, "{what}: tracing changed the bits");
