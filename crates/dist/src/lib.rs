@@ -24,14 +24,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cg;
 pub mod solver;
 
-pub use cg::{DistCg, DistCgConfig, DistCgReport};
-pub use parapre_krylov::{BreakdownKind, SolveBreakdown};
+/// The name distributed solves' reports had when they were their own struct.
+pub use parapre_krylov::SolveReport as DistSolveReport;
+pub use parapre_krylov::{BreakdownKind, SolveBreakdown, SolveReport};
 pub use solver::{
     CheckpointCtx, CheckpointSink, DistGmres, DistGmresConfig, DistOp, DistPrecond,
-    DistSolveReport, IdentityDistPrecond, OrthMethod,
+    IdentityDistPrecond, OrthMethod,
 };
 
 use parapre_mpisim::Comm;
@@ -123,7 +123,7 @@ impl LocalLayout {
             let mut stragglers = s.borrow_mut();
             stragglers.clear();
             for (k, &q) in self.neighbors.iter().enumerate() {
-                match comm.try_recv_f64s(q, tag) {
+                match comm.try_recv(q, tag) {
                     Some(data) => self.store_ghosts(comm, k, data, x),
                     None => stragglers.push(k),
                 }
@@ -135,7 +135,7 @@ impl LocalLayout {
             );
             parapre_metrics::count(parapre_metrics::names::HALO_WAIT, late);
             for &k in stragglers.iter() {
-                let data = comm.recv_f64s(self.neighbors[k], tag);
+                let data = comm.recv(self.neighbors[k], tag);
                 self.store_ghosts(comm, k, data, x);
             }
         });
@@ -158,7 +158,7 @@ impl LocalLayout {
         let _span = parapre_metrics::span(parapre_metrics::names::HALO);
         self.post_ghost_sends(comm, x, tags::GHOST);
         for (k, &q) in self.neighbors.iter().enumerate() {
-            let data = comm.recv_f64s(q, tags::GHOST);
+            let data = comm.recv(q, tags::GHOST);
             self.store_ghosts(comm, k, data, x);
         }
     }
@@ -182,7 +182,7 @@ impl LocalLayout {
         });
         let owned = self.n_owned();
         for (k, &q) in self.neighbors.iter().enumerate() {
-            let data = comm.recv_f64s(q, tags::SCHUR);
+            let data = comm.recv(q, tags::SCHUR);
             for (&gi, &v) in self.recv_idx[k].iter().zip(&data) {
                 ghosts[gi - owned] = v;
             }

@@ -1,16 +1,24 @@
 //! Distributed right-preconditioned (F)GMRES with restart.
 //!
-//! The same Arnoldi/Givens machinery as `parapre-krylov::gmres`, but every
-//! inner product and norm is a distributed reduction and the operator and
-//! preconditioner act on the rank's owned unknowns (communicating
+//! The least-squares recurrence ([`GivensLsq`]), the cycle update
+//! ([`update_solution`]) and the report ([`SolveReport`]) are
+//! `parapre-krylov`'s, the same objects the sequential driver uses; here
+//! every inner product and norm is a distributed reduction and the operator
+//! and preconditioner act on the rank's owned unknowns (communicating
 //! internally as needed). Control flow is SPMD-deterministic: every rank
 //! takes the same branches because all stopping decisions are made on
-//! all-reduced quantities.
+//! all-reduced quantities. That is also why this driver keeps its own
+//! policies: it orthogonalizes with one fused reduction per pass (CGS2) and
+//! judges divergence and stagnation on the true residual at a cycle
+//! boundary, where a collective decision costs nothing extra, while the
+//! sequential driver (modified Gram–Schmidt, per-iteration window) is tuned
+//! for few-step inner solves.
 
 use crate::{tags, DistMatrix};
-use parapre_krylov::gmres::{DIVERGENCE_GUARD, STALL_RTOL};
+use parapre_krylov::gmres::{update_solution, DIVERGENCE_GUARD, STALL_RTOL};
+use parapre_krylov::lsq::GivensLsq;
 use parapre_krylov::proj::{Basis, Panel};
-use parapre_krylov::{BreakdownKind, SolveBreakdown};
+use parapre_krylov::{BreakdownKind, SolveBreakdown, SolveReport};
 use parapre_metrics::{names, ConvKind};
 use parapre_mpisim::Comm;
 use parapre_sparse::{ops, Csr, Error, Result};
@@ -220,22 +228,6 @@ impl Default for DistGmresConfig {
     }
 }
 
-/// Result of a distributed solve (identical on every rank).
-#[derive(Debug, Clone)]
-pub struct DistSolveReport {
-    /// Tolerance met.
-    pub converged: bool,
-    /// Iterations (matvecs) performed.
-    pub iterations: usize,
-    /// Final `‖r‖/‖r₀‖`.
-    pub final_relres: f64,
-    /// Residual estimates per iteration when recording was requested.
-    pub residual_history: Vec<f64>,
-    /// Typed breakdown when the solve stopped for a numerical reason
-    /// (rank-identical, decided on allreduced quantities).
-    pub breakdown: Option<SolveBreakdown>,
-}
-
 /// Which public entry is driving the Arnoldi cycle.
 enum Entry<'a> {
     /// [`DistGmres::solve_with_checkpoint`]: flexible, traced, reported.
@@ -266,7 +258,7 @@ impl DistGmres {
         m: &M,
         b: &[f64],
         x: &mut [f64],
-    ) -> DistSolveReport {
+    ) -> SolveReport {
         self.solve_with_checkpoint(comm, a, m, b, x, None)
     }
 
@@ -286,7 +278,7 @@ impl DistGmres {
         b: &[f64],
         x: &mut [f64],
         ckpt: Option<CheckpointCtx<'_>>,
-    ) -> DistSolveReport {
+    ) -> SolveReport {
         self.run(comm, a, m, b, x, Entry::Solve(ckpt))
     }
 
@@ -332,7 +324,7 @@ impl DistGmres {
         b: &[f64],
         x: &mut [f64],
         entry: Entry<'_>,
-    ) -> DistSolveReport {
+    ) -> SolveReport {
         let (ckpt, fixed) = match entry {
             Entry::Solve(ckpt) => (ckpt, false),
             Entry::FixedEffort => (None, true),
@@ -356,36 +348,38 @@ impl DistGmres {
             parapre_metrics::convergence("dist", speaks, iter, relres, kind, detail);
         };
 
-        let mut report = DistSolveReport {
-            converged: false,
+        let mut report = SolveReport {
             iterations: ckpt.map_or(0, |c| c.start_iters),
-            final_relres: f64::NAN,
-            residual_history: Vec::new(),
-            breakdown: None,
+            ..Default::default()
         };
 
         let dot = |comm: &mut Comm, u: &[f64], v: &[f64]| -> f64 {
             comm.allreduce_sum(ops::dot(u, v), tags::REDUCE)
         };
-
-        let mut r = vec![0.0; n];
-
-        if fixed {
-            r.copy_from_slice(b);
-        } else {
-            a.apply(comm, x, &mut r);
+        // `r = b − A x`, and its norm.
+        let residual = |comm: &mut Comm, x: &[f64], r: &mut [f64]| {
+            a.apply(comm, x, r);
             for (ri, &bi) in r.iter_mut().zip(b) {
                 *ri = bi - *ri;
             }
-        }
-        let r0_norm = dot(comm, &r, &r).sqrt();
+            dot(comm, r, r).sqrt()
+        };
+
+        let mut r = vec![0.0; n];
+        let r0_norm = if fixed {
+            r.copy_from_slice(b);
+            dot(comm, &r, &r).sqrt()
+        } else {
+            residual(comm, x, &mut r)
+        };
         if cfg.record_history {
             report.residual_history.push(r0_norm);
         }
         if !r0_norm.is_finite() {
-            parapre_metrics::count(names::SOLVE_BREAKDOWN, 1);
+            let kind = BreakdownKind::NonFinite;
+            converging(report.iterations, f64::NAN, kind.conv_kind(), kind.key());
             report.breakdown = Some(SolveBreakdown {
-                kind: BreakdownKind::NonFinite,
+                kind,
                 iteration: report.iterations,
                 relres: f64::NAN,
             });
@@ -409,21 +403,14 @@ impl DistGmres {
         // fixed-preconditioner one only the latest.
         let mut v = Panel::zeros(n, restart + 1);
         let mut zdirs = Panel::zeros(n, if fixed { 1 } else { restart });
-        // Hessenberg columns, packed: column `j` has `j + 2` entries.
-        let ld = restart + 1;
-        let mut h = vec![0.0; restart * ld];
-        let mut givens: Vec<(f64, f64)> = Vec::with_capacity(restart);
-        let mut g = vec![0.0; restart + 1];
-        let mut y = vec![0.0; restart];
+        let mut lsq = GivensLsq::new(restart);
         let mut batch = vec![0.0; restart + 1];
         let mut total_iters = ckpt.map_or(0, |c| c.start_iters);
         let mut cycle = ckpt.map_or(0, |c| c.start_cycle);
         let mut beta = r0_norm;
 
         loop {
-            givens.clear();
-            g.fill(0.0);
-            g[0] = beta;
+            lsq.start(beta);
             for (vi, &ri) in v.col_mut(0).iter_mut().zip(&r) {
                 *vi = ri / beta;
             }
@@ -443,7 +430,7 @@ impl DistGmres {
                 total_iters += 1;
 
                 let orth = parapre_metrics::span(names::ORTH);
-                let hcol = &mut h[k * ld..k * ld + k + 2];
+                let hcol = lsq.column(k);
                 let wnorm = match cfg.orth {
                     OrthMethod::Modified => {
                         for (i, hik) in hcol[..=k].iter_mut().enumerate() {
@@ -469,26 +456,12 @@ impl DistGmres {
                 // non-finite decision is identical on every rank. Discard
                 // the poisoned column and finish the cycle with the finite
                 // prefix.
-                if hcol.iter().any(|h| !h.is_finite()) {
+                let Some(res_est) = lsq.rotate(k) else {
                     nonfinite = true;
                     cycle_done = true;
-                    continue;
-                }
-                for (i, &(c, s)) in givens.iter().enumerate() {
-                    let t = c * hcol[i] + s * hcol[i + 1];
-                    hcol[i + 1] = -s * hcol[i] + c * hcol[i + 1];
-                    hcol[i] = t;
-                }
-                let (c, s) = givens_rotation(hcol[k], hcol[k + 1]);
-                hcol[k] = c * hcol[k] + s * hcol[k + 1];
-                hcol[k + 1] = 0.0;
-                givens.push((c, s));
-                let gk = g[k];
-                g[k] = c * gk;
-                g[k + 1] = -s * gk;
+                    break;
+                };
                 k += 1;
-
-                let res_est = g[k].abs();
                 if cfg.record_history {
                     report.residual_history.push(res_est);
                 }
@@ -504,39 +477,10 @@ impl DistGmres {
             }
 
             // Form the update from this cycle.
-            if k > 0 {
-                let y = &mut y[..k];
-                for i in (0..k).rev() {
-                    let mut acc = g[i];
-                    for j in i + 1..k {
-                        acc -= h[j * ld + i] * y[j];
-                    }
-                    y[i] = acc / h[i * ld + i];
-                }
-                if !fixed {
-                    for (j, &yj) in y.iter().enumerate() {
-                        for (xi, &zji) in x.iter_mut().zip(zdirs.col(j)) {
-                            *xi += yj * zji;
-                        }
-                    }
-                } else {
-                    // Column `k` is free: the cycle is over.
-                    let (vs, u) = v.split(k);
-                    u.fill(0.0);
-                    for (j, &yj) in y.iter().enumerate() {
-                        for (ui, &vji) in u.iter_mut().zip(vs.col(j)) {
-                            *ui += yj * vji;
-                        }
-                    }
-                    {
-                        let _s = parapre_metrics::span(names::PRECOND_APPLY);
-                        m.apply(comm, u, zdirs.col_mut(0));
-                    }
-                    for (xi, &zi) in x.iter_mut().zip(zdirs.col(0)) {
-                        *xi += zi;
-                    }
-                }
-            }
+            update_solution(&mut v, &mut zdirs, lsq.solve(k), x, !fixed, |u, z| {
+                let _s = parapre_metrics::span(names::PRECOND_APPLY);
+                m.apply(comm, u, z);
+            });
 
             // The budget is spent and nobody reads the report.
             if fixed && !cycle_done {
@@ -544,11 +488,7 @@ impl DistGmres {
             }
 
             // True residual and the shared stopping decision.
-            a.apply(comm, x, &mut r);
-            for (ri, &bi) in r.iter_mut().zip(b) {
-                *ri = bi - *ri;
-            }
-            beta = dot(comm, &r, &r).sqrt();
+            beta = residual(comm, x, &mut r);
             report.iterations = total_iters;
             report.final_relres = beta / r0_norm;
             if let Some(ck) = ckpt {
@@ -651,17 +591,6 @@ fn orthogonalize_batched(
     let wnorm = est.sqrt();
     vs.sub_div(&batch[..k1], wnorm, w);
     wnorm
-}
-
-fn givens_rotation(a: f64, b: f64) -> (f64, f64) {
-    if b == 0.0 {
-        (1.0, 0.0)
-    } else if a == 0.0 {
-        (0.0, 1.0)
-    } else {
-        let r = a.hypot(b);
-        (a / r, b / r)
-    }
 }
 
 #[cfg(test)]

@@ -1,0 +1,87 @@
+//! `DistGmres` reproduces its own earlier bits under both orthogonalization
+//! strategies. `tests/orthogonalization_bits.rs` (workspace root) compares the
+//! default strategy with a reference written in the test; nothing compared
+//! [`OrthMethod::Modified`], the reference the other tests lean on, with
+//! anything bit for bit. One line per (strategy, restart) on TC1 at P = 2 —
+//! iterations, final relres bits, history length and hash, hash of the
+//! gathered solution — plus `fixed_effort`'s answer, against [`EXPECTED`],
+//! captured before the Givens recurrence moved into `parapre_krylov::lsq`.
+
+use parapre_dist::{
+    gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix, DistPrecond, OrthMethod,
+};
+use parapre_mpisim::{Comm, Universe};
+use std::fmt::Write;
+
+mod common;
+
+/// Point Jacobi with a diagonal that rounds (no power of two).
+struct Jacobi(Vec<f64>);
+
+impl DistPrecond for Jacobi {
+    fn apply(&self, _comm: &mut Comm, r: &[f64], z: &mut [f64]) {
+        for ((zi, &ri), &di) in z.iter_mut().zip(r).zip(&self.0) {
+            *zi = ri / di;
+        }
+    }
+}
+
+fn fnv(xs: &[f64]) -> u64 {
+    xs.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &v| {
+        v.to_bits()
+            .to_le_bytes()
+            .iter()
+            .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    })
+}
+
+const EXPECTED: &str = "\
+Modified restart=20 it=64 relres=3eae9b7a1acbd05a hist=65/2d77e3eb483119fa x=be1e0fa630da0ab4\n\
+Modified restart=5 it=126 relres=3eb05ace3fdd8b24 hist=127/ab4c811a547082b5 x=3f797f4cdc2587d5\n\
+ClassicalBatched restart=20 it=64 relres=3eae9b7a1ad0ddbd hist=65/2dac5dd8e15a02d7 x=2ef8e4e26ee28235\n\
+ClassicalBatched restart=5 it=126 relres=3eb05ace3fddbd7c hist=127/2c6ff675be16f6d8 x=c8fcc0b6be863702\n\
+fixed_effort k=5 z=ba90f8716d4ecb11\n\
+";
+
+#[test]
+fn both_orthogonalizations_and_the_fixed_entry_reproduce_their_pinned_bits() {
+    let p = 2;
+    let (a, b, owner) = common::poisson_system(17, p);
+    let lines = Universe::run(p, |comm| {
+        let dm = DistMatrix::from_global(&a, &owner, comm.rank(), p);
+        let n = dm.layout.n_owned();
+        let g = scatter_vector(&dm.layout, &b);
+        let m = Jacobi((0..n).map(|i| 3.0 + 0.1 * (i % 7) as f64).collect());
+        let mut out = String::new();
+        for orth in [OrthMethod::Modified, OrthMethod::ClassicalBatched] {
+            for restart in [20, 5] {
+                let mut x = vec![0.0; n];
+                let rep = DistGmres::new(DistGmresConfig {
+                    restart,
+                    orth,
+                    record_history: true,
+                    ..Default::default()
+                })
+                .solve(comm, &dm, &m, &g, &mut x);
+                assert!(rep.converged && rep.breakdown.is_none());
+                let x = gather_vector(comm, &dm.layout, &x, b.len());
+                writeln!(
+                    out,
+                    "{orth:?} restart={restart} it={} relres={:016x} hist={}/{:016x} x={:016x}",
+                    rep.iterations,
+                    rep.final_relres.to_bits(),
+                    rep.residual_history.len(),
+                    fnv(&rep.residual_history),
+                    x.map_or(0, |x| fnv(&x)),
+                )
+                .unwrap();
+            }
+        }
+        let mut z = vec![f64::NAN; n];
+        DistGmres::fixed_effort(comm, &dm, &m, 5, &g, &mut z);
+        let z = gather_vector(comm, &dm.layout, &z, b.len());
+        writeln!(out, "fixed_effort k=5 z={:016x}", z.map_or(0, |z| fnv(&z))).unwrap();
+        out
+    });
+    assert!(lines[0] == EXPECTED, "the table is now:\n{}", lines[0]);
+}

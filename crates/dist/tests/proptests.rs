@@ -32,10 +32,10 @@ fn node_value(g: usize, seed: u64) -> f64 {
 fn reference_update_ghosts(lay: &LocalLayout, comm: &mut Comm, x: &mut [f64]) {
     for (k, &q) in lay.neighbors.iter().enumerate() {
         let data: Vec<f64> = lay.send_idx[k].iter().map(|&i| x[i]).collect();
-        comm.send_f64s(q, tags::GHOST, data);
+        comm.send(q, tags::GHOST, data);
     }
     for (k, &q) in lay.neighbors.iter().enumerate() {
-        let data = comm.recv_f64s(q, tags::GHOST);
+        let data = comm.recv(q, tags::GHOST);
         assert_eq!(data.len(), lay.recv_idx[k].len());
         for (&gi, &v) in lay.recv_idx[k].iter().zip(&data) {
             x[gi] = v;

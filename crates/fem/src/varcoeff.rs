@@ -133,13 +133,12 @@ mod tests {
 
     #[test]
     fn jump_coefficient_worsens_conditioning_signal() {
-        // Gershgorin width grows with the contrast — a cheap verification
-        // that the coefficient actually enters the operator.
+        // The largest absolute row sum (the Gershgorin upper bound of these
+        // positive-diagonal matrices) grows with the contrast — a cheap
+        // verification that the coefficient actually enters the operator.
         let mesh = unit_square(8, 8);
         let (a1, _) = assemble_2d(&mesh, |_, _| 1.0, |_, _| 0.0);
         let (ak, _) = assemble_2d(&mesh, |x, _| if x < 0.5 { 1.0 } else { 1000.0 }, |_, _| 0.0);
-        let (_, hi1) = parapre_sparse::scaling::gershgorin_bounds(&a1);
-        let (_, hik) = parapre_sparse::scaling::gershgorin_bounds(&ak);
-        assert!(hik > 100.0 * hi1);
+        assert!(ak.inf_norm() > 100.0 * a1.inf_norm());
     }
 }

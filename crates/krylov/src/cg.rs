@@ -58,7 +58,7 @@ impl ConjugateGradient {
         assert_eq!(b.len(), n);
         assert_eq!(x.len(), n);
         let cfg = &self.config;
-        let mut report = SolveReport::new();
+        let mut report = SolveReport::default();
 
         let mut r = vec![0.0; n];
         a.apply(x, &mut r);

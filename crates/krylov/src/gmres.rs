@@ -6,9 +6,18 @@
 //! (paper §4.3–4.4). Implementation follows Saad, *Iterative Methods for
 //! Sparse Linear Systems*, Algorithms 6.9 (GMRES) and 9.5 (FGMRES):
 //! modified Gram–Schmidt orthogonalization and Givens-rotation QR of the
-//! Hessenberg matrix, so the residual norm is available every iteration
-//! without forming the solution.
+//! Hessenberg matrix ([`crate::lsq::GivensLsq`], shared with the distributed
+//! driver), so the residual norm is available every iteration without
+//! forming the solution.
+//!
+//! This driver is the *inner* solver of the distributed preconditioners: a
+//! handful of steps on a subdomain block. So it judges divergence and
+//! stagnation on the residual estimate after every iteration — there may be
+//! no second cycle to wait for — where `parapre_dist::solver` judges them on
+//! the all-reduced true residual at a cycle boundary. Every way a cycle can
+//! end (`enum Stop`) reaches one post-cycle block: update, true residual, report.
 
+use crate::lsq::GivensLsq;
 use crate::op::LinOp;
 use crate::precond::Preconditioner;
 use crate::proj::Panel;
@@ -172,6 +181,21 @@ fn run_gmres<A: LinOp, M: Preconditioner>(
     report
 }
 
+/// Why an Arnoldi cycle ended before its last column.
+#[derive(Clone, Copy, PartialEq)]
+enum Stop {
+    /// The residual estimate met the target.
+    Target,
+    /// The new basis vector has zero norm: the Krylov space is invariant.
+    ZeroNorm,
+    /// The Hessenberg column holds a NaN or an infinity and was discarded.
+    NonFinite,
+    /// The estimate passed [`DIVERGENCE_GUARD`].
+    Diverged,
+    /// The estimate failed the stagnation window.
+    Stalled,
+}
+
 fn run_gmres_core<A: LinOp, M: Preconditioner>(
     a: &A,
     m: &M,
@@ -190,19 +214,23 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
     // whole.
     let restart = cfg.restart.clamp(1, cfg.max_iters.max(1));
 
-    let mut report = SolveReport::new();
+    let mut report = SolveReport::default();
     let mut r = vec![0.0; n];
-
-    // Initial residual.
-    if fixed_effort {
-        r.copy_from_slice(b);
-    } else {
-        a.apply(x, &mut r);
+    // `r = b − A x`, and its norm.
+    let residual = |x: &[f64], r: &mut [f64]| {
+        a.apply(x, r);
         for (ri, &bi) in r.iter_mut().zip(b) {
             *ri = bi - *ri;
         }
-    }
-    let r0_norm = ops::norm2(&r);
+        ops::norm2(r)
+    };
+
+    let r0_norm = if fixed_effort {
+        r.copy_from_slice(b);
+        ops::norm2(&r)
+    } else {
+        residual(x, &mut r)
+    };
     if cfg.record_history {
         report.residual_history.push(r0_norm);
     }
@@ -212,7 +240,6 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
             iteration: 0,
             relres: f64::NAN,
         });
-        report.final_relres = f64::NAN;
         return report;
     }
     if r0_norm <= cfg.abs_tol {
@@ -228,23 +255,18 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
     // every preconditioned direction is kept, otherwise only the latest.
     let mut v = Panel::zeros(n, restart + 1);
     let mut zdirs = Panel::zeros(n, if flexible { restart } else { 1 });
-    // Hessenberg in packed columns: h[j] has j+2 entries.
-    let mut h: Vec<Vec<f64>> = Vec::with_capacity(restart);
-    let mut givens: Vec<(f64, f64)> = Vec::with_capacity(restart);
-    let mut g = vec![0.0; restart + 1];
+    let mut lsq = GivensLsq::new(restart);
 
     let mut total_iters = 0usize;
     let mut beta = r0_norm;
 
-    'outer: loop {
-        h.clear();
-        givens.clear();
-        g.fill(0.0);
-        g[0] = beta;
+    loop {
+        lsq.start(beta);
         v.col_mut(0).copy_from_slice(&r);
         ops::scale(1.0 / beta, v.col_mut(0));
 
         let mut k = 0usize; // columns completed this cycle
+        let mut stop = None;
         while k < restart && total_iters < cfg.max_iters {
             // z = M^{-1} v_k ; w = A z
             let zk = if flexible { k } else { 0 };
@@ -254,7 +276,7 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
             total_iters += 1;
 
             // Modified Gram-Schmidt.
-            let mut hcol = vec![0.0; k + 2];
+            let hcol = lsq.column(k);
             for (i, hik) in hcol[..=k].iter_mut().enumerate() {
                 *hik = ops::dot(w, vs.col(i));
                 ops::axpy(-*hik, vs.col(i), w);
@@ -262,147 +284,78 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
             let wnorm = ops::norm2(w);
             hcol[k + 1] = wnorm;
 
-            // A NaN/Inf inner product or norm poisons the Hessenberg
-            // column: discard it, form the best solution from the finite
-            // columns, and report a typed breakdown.
-            if hcol.iter().any(|h| !h.is_finite()) {
-                update_solution(m, &mut v, &mut zdirs, &h, &g, k, x, flexible);
-                a.apply(x, &mut r);
-                for (ri, &bi) in r.iter_mut().zip(b) {
-                    *ri = bi - *ri;
-                }
-                let true_norm = ops::norm2(&r);
-                report.iterations = total_iters;
-                report.final_relres = true_norm / r0_norm;
-                report.converged = true_norm <= target * 1.01;
-                if !report.converged {
-                    report.breakdown = Some(SolveBreakdown {
-                        kind: BreakdownKind::NonFinite,
-                        iteration: total_iters,
-                        relres: report.final_relres,
-                    });
-                }
-                return report;
-            }
-
-            // Apply accumulated Givens rotations to the new column.
-            for (i, &(c, s)) in givens.iter().enumerate() {
-                let t = c * hcol[i] + s * hcol[i + 1];
-                hcol[i + 1] = -s * hcol[i] + c * hcol[i + 1];
-                hcol[i] = t;
-            }
-            // New rotation annihilating hcol[k+1].
-            let (c, s) = givens_rotation(hcol[k], hcol[k + 1]);
-            let t = c * hcol[k] + s * hcol[k + 1];
-            hcol[k] = t;
-            hcol[k + 1] = 0.0;
-            givens.push((c, s));
-            let gk = g[k];
-            g[k] = c * gk;
-            g[k + 1] = -s * gk;
-            h.push(hcol);
+            // A NaN/Inf inner product or norm poisons the Hessenberg column:
+            // it is discarded and the finite columns form the best solution.
+            let Some(res_est) = lsq.rotate(k) else {
+                stop = Some(Stop::NonFinite);
+                break;
+            };
             k += 1;
-
-            let res_est = g[k].abs();
             if cfg.record_history {
                 report.residual_history.push(res_est);
             }
-            if res_est <= target || wnorm == 0.0 {
-                // Converged or breakdown (happy or serious): finish now.
-                update_solution(m, &mut v, &mut zdirs, &h, &g, k, x, flexible);
-                // Recompute the true residual to report honestly.
-                a.apply(x, &mut r);
-                for (ri, &bi) in r.iter_mut().zip(b) {
-                    *ri = bi - *ri;
-                }
-                let true_norm = ops::norm2(&r);
-                report.converged = true_norm <= target * 1.01;
-                report.iterations = total_iters;
-                report.final_relres = true_norm / r0_norm;
-                if report.converged {
-                    return report;
-                }
-                if wnorm == 0.0 {
-                    // Serious breakdown: the Krylov space is invariant yet
-                    // the true residual misses the target — a restart
-                    // would rebuild the same exhausted space. Say so
-                    // instead of claiming convergence.
-                    report.breakdown = Some(SolveBreakdown {
-                        kind: BreakdownKind::ZeroNormalization,
-                        iteration: total_iters,
-                        relres: report.final_relres,
-                    });
-                    return report;
-                }
-                if total_iters >= cfg.max_iters {
-                    return report;
-                }
-                // True residual disagrees (rare): restart from x.
-                beta = true_norm;
-                continue 'outer;
+            stop = if wnorm == 0.0 {
+                // Breakdown, happy or serious: the true residual says which.
+                Some(Stop::ZeroNorm)
+            } else if res_est <= target {
+                Some(Stop::Target)
+            } else if res_est > DIVERGENCE_GUARD * r0_norm {
+                Some(Stop::Diverged)
+            } else if stalled(&mut stall, res_est, cfg.stall_window) {
+                Some(Stop::Stalled)
+            } else {
+                None
+            };
+            if stop.is_some() {
+                break;
             }
-            if res_est > DIVERGENCE_GUARD * r0_norm {
-                update_solution(m, &mut v, &mut zdirs, &h, &g, k, x, flexible);
-                a.apply(x, &mut r);
-                for (ri, &bi) in r.iter_mut().zip(b) {
-                    *ri = bi - *ri;
-                }
-                let true_norm = ops::norm2(&r);
-                report.iterations = total_iters;
-                report.final_relres = true_norm / r0_norm;
-                report.breakdown = Some(SolveBreakdown {
-                    kind: BreakdownKind::Divergence,
-                    iteration: total_iters,
-                    relres: report.final_relres,
-                });
-                return report;
-            }
-            if cfg.stall_window > 0 {
-                stall.push(res_est);
-                if stall.len() > cfg.stall_window {
-                    let prev = stall[stall.len() - 1 - cfg.stall_window];
-                    if res_est > prev * (1.0 - STALL_RTOL) {
-                        update_solution(m, &mut v, &mut zdirs, &h, &g, k, x, flexible);
-                        a.apply(x, &mut r);
-                        for (ri, &bi) in r.iter_mut().zip(b) {
-                            *ri = bi - *ri;
-                        }
-                        let true_norm = ops::norm2(&r);
-                        report.iterations = total_iters;
-                        report.final_relres = true_norm / r0_norm;
-                        report.converged = true_norm <= target * 1.01;
-                        if !report.converged {
-                            parapre_metrics::count(names::GMRES_STALL_CUT, 1);
-                            report.breakdown = Some(SolveBreakdown {
-                                kind: BreakdownKind::Stagnation,
-                                iteration: total_iters,
-                                relres: report.final_relres,
-                            });
-                        }
-                        return report;
-                    }
-                }
-            }
-            if wnorm > 0.0 && k < restart {
+            if k < restart {
                 ops::scale(1.0 / wnorm, v.col_mut(k));
             }
         }
 
-        // End of cycle (restart or iteration budget).
-        update_solution(m, &mut v, &mut zdirs, &h, &g, k, x, flexible);
+        // The cycle is over: stopped, restart length reached or budget spent.
+        update_solution(&mut v, &mut zdirs, lsq.solve(k), x, flexible, |u, z| {
+            m.apply(u, z)
+        });
         report.iterations = total_iters;
-        if fixed_effort {
+        if fixed_effort && stop.is_none() {
             // The budget is spent and nobody reads the rest of the report.
             return report;
         }
-        a.apply(x, &mut r);
-        for (ri, &bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        beta = ops::norm2(&r);
+        // The true residual, to report honestly: a cycle that stopped on an
+        // estimate is given 1 % of slack against it.
+        beta = residual(x, &mut r);
         report.final_relres = beta / r0_norm;
-        if beta <= target {
-            report.converged = true;
+        let bar = if stop.is_some() {
+            target * 1.01
+        } else {
+            target
+        };
+        report.converged = stop != Some(Stop::Diverged) && beta <= bar;
+        if report.converged {
+            return report;
+        }
+        let breakdown = match stop {
+            // Target: the true residual disagrees (rare) — restart from `x`.
+            None | Some(Stop::Target) => None,
+            // Serious breakdown: the Krylov space is invariant yet the true
+            // residual misses the target — a restart would rebuild the same
+            // exhausted space. Say so instead of claiming convergence.
+            Some(Stop::ZeroNorm) => Some(BreakdownKind::ZeroNormalization),
+            Some(Stop::NonFinite) => Some(BreakdownKind::NonFinite),
+            Some(Stop::Diverged) => Some(BreakdownKind::Divergence),
+            Some(Stop::Stalled) => {
+                parapre_metrics::count(names::GMRES_STALL_CUT, 1);
+                Some(BreakdownKind::Stagnation)
+            }
+        };
+        if let Some(kind) = breakdown {
+            report.breakdown = Some(SolveBreakdown {
+                kind,
+                iteration: total_iters,
+                relres: report.final_relres,
+            });
             return report;
         }
         if total_iters >= cfg.max_iters {
@@ -411,57 +364,45 @@ fn run_gmres_core<A: LinOp, M: Preconditioner>(
     }
 }
 
-/// Computes the update `x += correction` from the converged/restarted cycle
-/// of `k` columns. Column `k` of `v` and column 0 of `zdirs` are scratch for
-/// the fixed-preconditioner update.
-#[allow(clippy::too_many_arguments)]
-fn update_solution<M: Preconditioner>(
-    m: &M,
+/// Records `res_est` and says whether it fails to improve by [`STALL_RTOL`]
+/// on the estimate `window` iterations back (`window = 0`: never).
+fn stalled(estimates: &mut Vec<f64>, res_est: f64, window: usize) -> bool {
+    if window == 0 {
+        return false;
+    }
+    estimates.push(res_est);
+    estimates.len() > window
+        && res_est > estimates[estimates.len() - 1 - window] * (1.0 - STALL_RTOL)
+}
+
+/// Adds to `x` the correction of a cycle with coefficients `y`, for the
+/// sequential and the distributed driver alike: `x += Z y` over the stored
+/// preconditioned directions when `flexible`, else `x += M⁻¹ (V y)` through
+/// `precond` (`z = M⁻¹ u`). The column of `v` after the last one used and
+/// column 0 of `zdirs` are scratch for the second form.
+pub fn update_solution(
     v: &mut Panel,
     zdirs: &mut Panel,
-    h: &[Vec<f64>],
-    g: &[f64],
-    k: usize,
+    y: &[f64],
     x: &mut [f64],
     flexible: bool,
+    precond: impl FnOnce(&[f64], &mut [f64]),
 ) {
-    if k == 0 {
+    if y.is_empty() {
         return;
-    }
-    // Back-substitution of the k x k triangular system R y = g.
-    let mut y = vec![0.0; k];
-    for i in (0..k).rev() {
-        let mut acc = g[i];
-        for (j, hj) in h.iter().enumerate().take(k).skip(i + 1) {
-            acc -= hj[i] * y[j];
-        }
-        y[i] = acc / h[i][i];
     }
     if flexible {
         for (j, &yj) in y.iter().enumerate() {
             ops::axpy(yj, zdirs.col(j), x);
         }
     } else {
-        // u = V_k y ; x += M^{-1} u
-        let (vs, u) = v.split(k);
+        let (vs, u) = v.split(y.len());
         u.fill(0.0);
         for (j, &yj) in y.iter().enumerate() {
             ops::axpy(yj, vs.col(j), u);
         }
-        m.apply(u, zdirs.col_mut(0));
+        precond(u, zdirs.col_mut(0));
         ops::axpy(1.0, zdirs.col(0), x);
-    }
-}
-
-/// Robust Givens rotation `(c, s)` with `c·a + s·b = r`, `-s·a + c·b = 0`.
-fn givens_rotation(a: f64, b: f64) -> (f64, f64) {
-    if b == 0.0 {
-        (1.0, 0.0)
-    } else if a == 0.0 {
-        (0.0, 1.0)
-    } else {
-        let r = a.hypot(b);
-        (a / r, b / r)
     }
 }
 

@@ -11,6 +11,15 @@
 //!   Sparse Linear Systems*, ch. 6). FGMRES(20) is the paper's outer
 //!   accelerator; plain GMRES with a handful of iterations is the paper's
 //!   *subdomain* and *Schur-system* solver.
+//! * [`lsq::GivensLsq`] — the Givens least-squares recurrence of GMRES,
+//!   once: this crate's driver and the distributed one in `parapre-dist`
+//!   both fill its Hessenberg columns and read the residual estimate and
+//!   the update coefficients back. [`gmres::update_solution`] and
+//!   [`SolveReport`] are shared the same way. What the two drivers do *not*
+//!   share is policy — orthogonalization, and when divergence and
+//!   stagnation are judged — because each is right for its place (see
+//!   [`gmres`]) and shared code that asked which caller it serves would be
+//!   worse than two short loops.
 //! * [`cg::ConjugateGradient`] — used by the additive-Schwarz comparison
 //!   (one CG iteration with an FFT preconditioner per subdomain solve).
 //! * [`ilu::Ilu0`] and [`ilu::Ilut`] — zero-fill and dual-threshold
@@ -40,6 +49,7 @@ pub mod arms;
 pub mod cg;
 pub mod gmres;
 pub mod ilu;
+pub mod lsq;
 pub mod op;
 pub mod precond;
 pub mod proj;
@@ -115,7 +125,8 @@ pub struct SolveBreakdown {
     pub relres: f64,
 }
 
-/// Outcome of an iterative solve.
+/// Outcome of an iterative solve, sequential or distributed (where it is
+/// identical on every rank: every field comes from all-reduced quantities).
 #[derive(Debug, Clone)]
 pub struct SolveReport {
     /// Whether the requested tolerance was met.
@@ -131,8 +142,9 @@ pub struct SolveReport {
     pub breakdown: Option<SolveBreakdown>,
 }
 
-impl SolveReport {
-    pub(crate) fn new() -> Self {
+impl Default for SolveReport {
+    /// The report of a solve that has done nothing yet.
+    fn default() -> Self {
         SolveReport {
             converged: false,
             iterations: 0,

@@ -85,13 +85,13 @@ proptest! {
             let next = (me + 1) % p;
             let prev = (me + p - 1) % p;
             if me == 0 {
-                c.send_f64s(next, 9, vec![0.0]);
-                let v = c.recv_f64s(prev, 9);
+                c.send(next, 9, vec![0.0]);
+                let v = c.recv(prev, 9);
                 v[0] + me as f64
             } else {
-                let v = c.recv_f64s(prev, 9);
+                let v = c.recv(prev, 9);
                 let acc = v[0] + me as f64;
-                c.send_f64s(next, 9, vec![acc]);
+                c.send(next, 9, vec![acc]);
                 acc
             }
         });

@@ -25,8 +25,6 @@
 // Index loops mirror the papers' pseudocode in the numeric kernels.
 #![allow(clippy::needless_range_loop)]
 
-pub mod ordering;
-
 use parapre_grid::Adjacency;
 
 /// A disjoint assignment of vertices to `n_parts` subdomains.

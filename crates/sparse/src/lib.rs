@@ -24,17 +24,14 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod coo;
-pub mod csc;
 pub mod csr;
 pub mod dense;
 pub mod io;
 pub mod ops;
 pub mod perm;
 pub mod report;
-pub mod scaling;
 
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::{Csr, RowSplit};
 pub use dense::Dense;
 pub use perm::Permutation;

@@ -20,10 +20,8 @@
 pub mod dst;
 pub mod fft;
 pub mod poisson;
-pub mod poisson3d;
 
 pub use poisson::FastPoisson2d;
-pub use poisson3d::FastPoisson3d;
 
 /// A complex number as a pair (re, im) — no external dependency needed for
 /// the handful of operations the transforms use.
