@@ -19,10 +19,9 @@
 //!    reduced residual it converged to and the honest full-system one.
 
 use parapre_core::{build_case_sized, CaseId, PrecondKind};
-use parapre_dist::CheckpointCtx;
+use parapre_dist::{CheckpointCtx, CheckpointStore};
 use parapre_engine::{solve_resilient, RecoveryPolicy, SessionConfig, SolveRequest, SolverSession};
-use parapre_mpisim::FaultHook;
-use parapre_resilience::{CheckpointStore, FaultConfig, FaultPlan, RankOp};
+use parapre_mpisim::{FaultConfig, FaultHook, FaultPlan, RankOp};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 

@@ -25,13 +25,13 @@
 
 use parapre_bench::ScalingArm;
 use parapre_core::{build_case_sized, CaseId, PrecondKind};
-use parapre_engine::{matrix_graph, SessionConfig, SolverSession};
-use parapre_krylov::IlutConfig;
-use parapre_partition::Partition;
-use parapre_resilience::elastic::{
+use parapre_engine::elastic::{
     apply_decision, plan_migration, RebalanceConfig, RebalanceDecision, RebalancePolicy,
 };
-use parapre_resilience::{FaultConfig, FaultPlan};
+use parapre_engine::{matrix_graph, SessionConfig, SolverSession};
+use parapre_krylov::IlutConfig;
+use parapre_mpisim::{FaultConfig, FaultPlan};
+use parapre_partition::Partition;
 use std::sync::Arc;
 use std::time::Instant;
 

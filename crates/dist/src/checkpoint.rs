@@ -1,13 +1,13 @@
 //! In-memory checkpoint store for distributed solves.
 //!
-//! Implements [`CheckpointSink`]: each rank pushes its owned iterate at
-//! every restart-cycle boundary. Because completing a cycle requires
-//! allreduces with every peer, two live ranks' newest cycles differ by at
-//! most one — keeping the last **two** snapshots per rank therefore always
-//! contains a *consistent* global iterate: the newest cycle present on all
-//! ranks. Recovery assembles that iterate and restarts the solver from it.
+//! At every restart-cycle boundary (after the true residual has been
+//! computed) each rank pushes its owned iterate. Because completing a cycle
+//! requires allreduces with every peer, two live ranks' newest cycles differ
+//! by at most one — keeping the last **two** snapshots per rank therefore
+//! always contains a *consistent* global iterate: the newest cycle present
+//! on all ranks. Recovery assembles that iterate and restarts the solver
+//! from it.
 
-use parapre_dist::CheckpointSink;
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
@@ -30,26 +30,22 @@ pub struct ConsistentCheckpoint {
     pub x: Vec<Vec<f64>>,
 }
 
-/// Bounded per-rank snapshot store shared by the rank threads of a solve.
+/// Bounded per-rank snapshot store shared by the rank threads of a solve
+/// (hence the per-rank locks).
 pub struct CheckpointStore {
     ranks: Vec<Mutex<VecDeque<Snapshot>>>,
-    keep: usize,
 }
 
+/// Snapshots kept per rank: the minimum that guarantees a consistent
+/// recovery point (see the module docs).
+const KEEP: usize = 2;
+
 impl CheckpointStore {
-    /// Store for `n_ranks`, keeping the last two snapshots per rank (the
-    /// minimum that guarantees a consistent recovery point; see module
-    /// docs).
+    /// Store for `n_ranks`, keeping the last two snapshots per rank.
     pub fn new(n_ranks: usize) -> Self {
         CheckpointStore {
             ranks: (0..n_ranks).map(|_| Mutex::new(VecDeque::new())).collect(),
-            keep: 2,
         }
-    }
-
-    /// Number of ranks this store covers.
-    pub fn n_ranks(&self) -> usize {
-        self.ranks.len()
     }
 
     /// Total snapshots currently held.
@@ -57,10 +53,18 @@ impl CheckpointStore {
         self.ranks.iter().map(|r| r.lock().unwrap().len()).sum()
     }
 
-    /// Drops all snapshots (e.g. before a fresh non-resumed attempt).
-    pub fn clear(&self) {
-        for r in &self.ranks {
-            r.lock().unwrap().clear();
+    /// Stores rank `rank`'s owned iterate at the end of restart cycle
+    /// `cycle` (1-based, monotone within a solve), with `iters` total
+    /// matvecs spent so far.
+    pub fn save(&self, rank: usize, cycle: u64, iters: usize, x: &[f64]) {
+        let mut q = self.ranks[rank].lock().unwrap();
+        q.push_back(Snapshot {
+            cycle,
+            iters,
+            x: x.to_vec(),
+        });
+        while q.len() > KEEP {
+            q.pop_front();
         }
     }
 
@@ -84,16 +88,27 @@ impl CheckpointStore {
     }
 }
 
-impl CheckpointSink for CheckpointStore {
-    fn save(&self, rank: usize, cycle: u64, iters: usize, x: &[f64]) {
-        let mut q = self.ranks[rank].lock().unwrap();
-        q.push_back(Snapshot {
-            cycle,
-            iters,
-            x: x.to_vec(),
-        });
-        while q.len() > self.keep {
-            q.pop_front();
+/// Checkpointing context for a (possibly resumed) solve.
+#[derive(Clone, Copy)]
+pub struct CheckpointCtx<'a> {
+    /// Where cycle-boundary snapshots go.
+    pub store: &'a CheckpointStore,
+    /// Iterations already spent before this attempt (counted against
+    /// `max_iters` and included in the reported iteration totals, so a
+    /// resumed solve's budget and report cover the whole logical solve).
+    pub start_iters: usize,
+    /// Cycle number to continue from (0 for a fresh solve), so snapshot
+    /// ordering stays monotone across resume.
+    pub start_cycle: u64,
+}
+
+impl<'a> CheckpointCtx<'a> {
+    /// Context for a fresh (not resumed) solve.
+    pub fn fresh(store: &'a CheckpointStore) -> Self {
+        CheckpointCtx {
+            store,
+            start_iters: 0,
+            start_cycle: 0,
         }
     }
 }

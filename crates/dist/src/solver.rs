@@ -14,7 +14,7 @@
 //! sequential driver (modified Gram–Schmidt, per-iteration window) is tuned
 //! for few-step inner solves.
 
-use crate::{tags, DistMatrix};
+use crate::{tags, CheckpointCtx, DistMatrix};
 use parapre_krylov::gmres::{update_solution, DIVERGENCE_GUARD, STALL_RTOL};
 use parapre_krylov::lsq::GivensLsq;
 use parapre_krylov::proj::{Basis, Panel};
@@ -127,49 +127,6 @@ impl DistOp for DistMatrix {
     }
 }
 
-/// Receiver for restart-cycle boundary snapshots of the iterate.
-///
-/// At every restart-cycle boundary (after the true residual has been
-/// computed) each rank hands its owned slice of `x` to the sink. Because a
-/// cycle boundary requires every rank to complete the same allreduces, any
-/// two ranks' latest saved cycles differ by at most one — a store that
-/// keeps the last two snapshots per rank can always reconstruct a
-/// consistent global iterate (the newest cycle present on *all* ranks).
-///
-/// `Send + Sync` because the same sink instance is shared by all rank
-/// threads of a solve.
-pub trait CheckpointSink: Send + Sync {
-    /// Store rank `rank`'s owned iterate at the end of restart cycle
-    /// `cycle` (1-based, monotone within a solve), with `iters` total
-    /// matvecs spent so far.
-    fn save(&self, rank: usize, cycle: u64, iters: usize, x: &[f64]);
-}
-
-/// Checkpointing context for a (possibly resumed) solve.
-#[derive(Clone, Copy)]
-pub struct CheckpointCtx<'a> {
-    /// Where cycle-boundary snapshots go.
-    pub sink: &'a dyn CheckpointSink,
-    /// Iterations already spent before this attempt (counted against
-    /// `max_iters` and included in the reported iteration totals, so a
-    /// resumed solve's budget and report cover the whole logical solve).
-    pub start_iters: usize,
-    /// Cycle number to continue from (0 for a fresh solve), so snapshot
-    /// ordering stays monotone across resume.
-    pub start_cycle: u64,
-}
-
-impl<'a> CheckpointCtx<'a> {
-    /// Context for a fresh (not resumed) solve.
-    pub fn fresh(sink: &'a dyn CheckpointSink) -> Self {
-        CheckpointCtx {
-            sink,
-            start_iters: 0,
-            start_cycle: 0,
-        }
-    }
-}
-
 /// Arnoldi orthogonalization strategy — the latency/reproducibility knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OrthMethod {
@@ -264,7 +221,7 @@ impl DistGmres {
 
     /// [`DistGmres::solve`] with optional restart-cycle checkpointing.
     ///
-    /// When `ckpt` is set, the owned iterate is handed to the sink at every
+    /// When `ckpt` is set, the owned iterate is handed to the store at every
     /// restart-cycle boundary, and `start_iters`/`start_cycle` shift the
     /// budget and cycle numbering for a solve resumed from a snapshot. A
     /// resumed solve converges to `rel_tol` relative to its *resume-point*
@@ -493,7 +450,7 @@ impl DistGmres {
             report.final_relres = beta / r0_norm;
             if let Some(ck) = ckpt {
                 cycle += 1;
-                ck.sink.save(comm.rank(), cycle, total_iters, x);
+                ck.store.save(comm.rank(), cycle, total_iters, x);
                 parapre_metrics::count(names::CKPT_SAVED, 1);
             }
             if beta <= target {

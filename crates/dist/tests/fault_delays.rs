@@ -6,9 +6,8 @@
 use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix, IdentityDistPrecond};
 use parapre_fem::{bc, poisson, LinearSystem};
 use parapre_grid::structured::unit_square;
-use parapre_mpisim::{FaultHook, Universe};
+use parapre_mpisim::{FaultConfig, FaultHook, FaultPlan, Universe};
 use parapre_partition::{partition_boxes_2d, partition_graph};
-use parapre_resilience::{FaultConfig, FaultPlan};
 use parapre_sparse::Csr;
 use proptest::prelude::*;
 use std::sync::Arc;

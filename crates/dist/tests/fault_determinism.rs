@@ -1,41 +1,26 @@
 //! Acceptance: same fault seed ⇒ identical fault schedule, identical
 //! (normalized) trace event stream, identical solver outcome.
 //!
-//! Trace normalization drops per-event timestamps and the two classes of
+//! Trace normalization drops per-event timestamps and the three classes of
 //! event that are timing-dependent *by design* and therefore outside the
 //! determinism contract: the `halo.*` overlap counters (they measure how
 //! many ghost messages happened to arrive before the interior rows were
-//! done) and the `comm.pool_*` buffer-reuse counters. Point-to-point comm
+//! done), the `comm.pool_*` buffer-reuse counters, and `comm.recv_poll`
+//! (a receive polls only while every live rank thread has a core, so on a
+//! host with fewer cores than ranks the last ranks to finish poll and the
+//! others do not — one run in twelve under `taskset -c 0`). Point-to-point comm
 //! events are compared as a per-rank multiset because the overlapped halo
 //! exchange may *observe* arrivals in either pass; every other event is
 //! compared in program order.
 
+mod common;
+
+use common::poisson_system;
 use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix, IdentityDistPrecond};
-use parapre_fem::{bc, poisson, LinearSystem};
-use parapre_grid::structured::unit_square;
 use parapre_metrics::EventKind;
-use parapre_mpisim::{FaultHook, Universe};
-use parapre_partition::partition_graph;
-use parapre_resilience::{FaultConfig, FaultPlan};
-use parapre_sparse::Csr;
+use parapre_mpisim::{FaultConfig, FaultHook, FaultPlan, FaultRecord, Universe};
 use std::sync::Arc;
 use std::time::Duration;
-
-fn poisson_system(nx: usize, p: usize) -> (Csr, Vec<f64>, Vec<u32>) {
-    let mesh = unit_square(nx, nx);
-    let (a, b) = poisson::assemble_2d(&mesh, poisson::rhs_tc1);
-    let mut sys = LinearSystem { a, b };
-    let fixed: Vec<(usize, f64)> = mesh
-        .boundary_nodes()
-        .iter()
-        .enumerate()
-        .filter(|&(_, &on)| on)
-        .map(|(i, _)| (i, 0.0))
-        .collect();
-    bc::apply_dirichlet(&mut sys, &fixed);
-    let part = partition_graph(&mesh.adjacency(), p, 7);
-    (sys.a, sys.b, part.owner)
-}
 
 /// (program-ordered events, sorted comm multiset) with timestamps and
 /// timing-dependent counters removed.
@@ -51,7 +36,9 @@ fn normalize(trace: &parapre_metrics::RankTrace) -> (Vec<String>, Vec<String>) {
                 bytes,
             } => comm.push(format!("{dir:?}:{peer}:{tag}:{bytes}")),
             EventKind::Counter { name, .. }
-                if name.starts_with("halo.") || name.starts_with("comm.pool") => {}
+                if name.starts_with("halo.")
+                    || name.starts_with("comm.pool")
+                    || name == parapre_metrics::names::RECV_POLL => {}
             k => prog.push(format!("{k:?}")),
         }
     }
@@ -61,7 +48,7 @@ fn normalize(trace: &parapre_metrics::RankTrace) -> (Vec<String>, Vec<String>) {
 
 type RankResult = (Vec<f64>, usize, f64, (Vec<String>, Vec<String>));
 
-fn faulted_solve(seed: u64) -> (Vec<parapre_resilience::FaultRecord>, Vec<RankResult>) {
+fn faulted_solve(seed: u64) -> (Vec<FaultRecord>, Vec<RankResult>) {
     let p = 4;
     let (a, b, owner) = poisson_system(10, p);
     let plan = Arc::new(FaultPlan::new(FaultConfig {

@@ -24,7 +24,8 @@
 //!   ([`parapre_metrics::metrics_text`]), terminated by a `# EOF` line.
 
 use parapre_engine::{
-    parse_job_line, JobResult, JobTicket, ServiceConfig, SolveService, SubmitError,
+    parse_job_fields, parse_line_fields, JobResult, JobTicket, ServiceConfig, SolveService,
+    SubmitError,
 };
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -92,17 +93,20 @@ fn main() {
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        if let Some(cmd) = command_of(trimmed) {
+        // A control line carries `"cmd"`; anything else — unparsable lines
+        // included — is a job.
+        let fields = parse_line_fields(trimmed);
+        if let Some(cmd) = fields.as_ref().ok().and_then(|f| f.get("cmd")?.as_str()) {
             // Drain in-flight jobs first so the answer reflects every job
             // submitted before the command — stream order is the contract.
             for ticket in pending.drain(..) {
                 finish(ticket.wait(), &mut ok, &mut all_converged);
             }
-            serve_command(&cmd, &service, &mut watch_seq);
+            serve_command(cmd, &service, &mut watch_seq);
             continue;
         }
         jobs += 1;
-        let job = match parse_job_line(trimmed, seq) {
+        let job = match fields.and_then(|f| parse_job_fields(&f, || format!("job-{seq}"))) {
             Ok(job) => job,
             Err(e) => {
                 // Malformed lines become structured `rejected` records, not
@@ -118,26 +122,21 @@ fn main() {
         // rejection that cannot be recovered becomes a *structured* result
         // record (`error_kind: "rejected"`) so clients can tell load
         // shedding from solver failure.
-        let job_id = job.id.clone();
-        let mut job = Some(job);
         loop {
-            match service.submit_solve(job.take().expect("job present")) {
+            match service.submit_solve(job.clone()) {
                 Ok(ticket) => {
                     pending.push_back(ticket);
                     break;
                 }
                 Err(e @ SubmitError::QueueFull { .. }) => match pending.pop_front() {
-                    Some(ticket) => {
-                        finish(ticket.wait(), &mut ok, &mut all_converged);
-                        job = Some(parse_job_line(trimmed, seq).expect("already parsed once"));
-                    }
+                    Some(ticket) => finish(ticket.wait(), &mut ok, &mut all_converged),
                     None => {
-                        finish(rejected(&job_id, &e), &mut ok, &mut all_converged);
+                        finish(rejected(&job.id, &e), &mut ok, &mut all_converged);
                         break;
                     }
                 },
                 Err(e @ SubmitError::ShuttingDown) => {
-                    finish(rejected(&job_id, &e), &mut ok, &mut all_converged);
+                    finish(rejected(&job.id, &e), &mut ok, &mut all_converged);
                     break;
                 }
             }
@@ -161,18 +160,6 @@ fn main() {
         std::process::exit(0);
     }
     std::process::exit(2);
-}
-
-/// The `"cmd"` value of a control line, `None` for ordinary job lines
-/// (including unparsable ones — those flow to the job path's structured
-/// rejection).
-fn command_of(line: &str) -> Option<String> {
-    use parapre_metrics::flatjson::{parse_flat_object, JsonValue};
-    let fields = parse_flat_object(line).ok()?;
-    fields
-        .get("cmd")
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
 }
 
 /// Answers one control request on stdout, one line per reply record.

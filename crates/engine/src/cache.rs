@@ -12,6 +12,7 @@
 use crate::session::{SessionConfig, SolverSession};
 use crate::EngineError;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -51,6 +52,26 @@ pub struct CacheStats {
     pub len: usize,
     /// Maximum resident sessions.
     pub capacity: usize,
+}
+
+/// Removes the least recently used entries of `map` until at most
+/// `capacity` remain; returns how many went.
+pub(crate) fn evict_lru<K: Clone + Eq + Hash, V>(
+    map: &mut HashMap<K, V>,
+    capacity: usize,
+    last_used: impl Fn(&V) -> u64,
+) -> u64 {
+    let mut evicted = 0;
+    while map.len() > capacity {
+        let lru = map
+            .iter()
+            .min_by_key(|(_, v)| last_used(v))
+            .map(|(k, _)| k.clone())
+            .expect("non-empty over capacity");
+        map.remove(&lru);
+        evicted += 1;
+    }
+    evicted
 }
 
 struct Entry {
@@ -143,26 +164,7 @@ impl SessionCache {
         let result = match built {
             Ok(session) => {
                 let session = Arc::new(session);
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.map.insert(
-                    key,
-                    Entry {
-                        session: Arc::clone(&session),
-                        last_used: tick,
-                    },
-                );
-                while inner.map.len() > self.capacity {
-                    let lru = inner
-                        .map
-                        .iter()
-                        .min_by_key(|(_, e)| e.last_used)
-                        .map(|(k, _)| k.clone())
-                        .expect("non-empty over capacity");
-                    inner.map.remove(&lru);
-                    self.evictions.fetch_add(1, Ordering::Relaxed);
-                    parapre_metrics::inc(parapre_metrics::names::CACHE_EVICTIONS_TOTAL, 1);
-                }
+                self.admit(&mut inner, key, Arc::clone(&session));
                 Ok((session, false))
             }
             Err(e) => Err(e),
@@ -170,6 +172,19 @@ impl SessionCache {
         drop(inner);
         self.built.notify_all();
         result
+    }
+
+    /// Makes `session` the most recently used entry under `key`, then
+    /// evicts down to capacity, counting every session dropped.
+    fn admit(&self, inner: &mut Inner, key: SessionKey, session: Arc<SolverSession>) {
+        inner.tick += 1;
+        let last_used = inner.tick;
+        inner.map.insert(key, Entry { session, last_used });
+        let n = evict_lru(&mut inner.map, self.capacity, |e| e.last_used);
+        if n > 0 {
+            self.evictions.fetch_add(n, Ordering::Relaxed);
+            parapre_metrics::inc(parapre_metrics::names::CACHE_EVICTIONS_TOTAL, n);
+        }
     }
 
     /// The refactorization donor for a matrix that missed: the most
@@ -193,27 +208,7 @@ impl SessionCache {
     /// LRU entries if needed. Used by the elastic layer to swap in a
     /// migrated session under its new topology-tagged key.
     pub fn insert(&self, key: SessionKey, session: Arc<SolverSession>) {
-        let mut inner = self.inner.lock().expect("cache lock");
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(
-            key,
-            Entry {
-                session,
-                last_used: tick,
-            },
-        );
-        while inner.map.len() > self.capacity {
-            let lru = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over capacity");
-            inner.map.remove(&lru);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-            parapre_metrics::inc(parapre_metrics::names::CACHE_EVICTIONS_TOTAL, 1);
-        }
+        self.admit(&mut self.inner.lock().expect("cache lock"), key, session);
     }
 
     /// Removes the entry for `key` (no-op when absent); returns whether an

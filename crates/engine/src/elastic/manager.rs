@@ -1,20 +1,10 @@
-//! Engine wiring for elastic rank topology: watches cached sessions'
-//! load attribution, runs the [`RebalancePolicy`], and swaps migrated
-//! sessions into the [`SessionCache`] under their new topology-tagged key.
-//!
-//! The policy and migration *planning* live in
-//! `parapre_resilience::elastic` (engine-agnostic); this module owns the
-//! stateful glue: one policy instance per cached session (streaks and
-//! cooldowns survive across passes), partition surgery over the session's
-//! matrix graph, the call to [`SolverSession::migrate`], and the cache
-//! swap that retires the superseded topology.
+//! One policy instance per cached session (streaks and cooldowns survive
+//! across passes) and the pass that decides, plans, migrates and swaps.
 
+use super::{apply_decision, plan_migration, RebalanceConfig, RebalanceDecision, RebalancePolicy};
 use crate::cache::{SessionCache, SessionKey};
 use crate::session::{matrix_graph, SolverSession};
 use parapre_partition::Partition;
-use parapre_resilience::elastic::{
-    apply_decision, plan_migration, RebalanceConfig, RebalanceDecision, RebalancePolicy,
-};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -77,11 +67,6 @@ impl RebalanceManager {
             cfg,
             policies: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// The policy knobs this manager applies.
-    pub fn config(&self) -> &RebalanceConfig {
-        &self.cfg
     }
 
     /// Runs one rebalance pass over every resident session.

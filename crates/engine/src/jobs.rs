@@ -16,8 +16,8 @@
 //! Recognized keys: `id`, `case` *or* `mtx`, `n` (explicit grid extent,
 //! overrides `size`), `size` (`tiny`/`default`/`full`), `precond` (one of
 //! [`VALID_PRECONDS`]; `"schurml"` additionally honours `levels` and
-//! `rank`), `ranks`, `scheme`, `seed`, `repeat`, `rhs`, `tol`, `maxit`,
-//! `restart` (1 to 1000). Resilience
+//! `rank`), `ranks` (1 to 128), `scheme` (`boxes` needs a structured case),
+//! `seed`, `repeat`, `rhs`, `tol`, `maxit`, `restart` (1 to 1000). Resilience
 //! keys: `retries`, `backoff_ms`, `degrade`, `checkpoint` (recovery
 //! policy), `fallback` (solve-time descent of the preconditioner ladder on
 //! a typed breakdown, default on; the build always goes through the ladder);
@@ -34,7 +34,7 @@ use crate::EngineError;
 use parapre_core::{build_case, build_case_sized, CaseId, CaseSize, PartitionScheme, PrecondKind};
 use parapre_core::{partition_case_with, AssembledCase};
 use parapre_metrics::flatjson::{self, JsonValue};
-use parapre_resilience::{FaultConfig, RankOp};
+use parapre_mpisim::{FaultConfig, RankOp};
 use parapre_sparse::Csr;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -296,9 +296,21 @@ pub const MAX_JOB_LINE_BYTES: usize = 1 << 20;
 /// Longest restart cycle a job may ask for.
 const MAX_RESTART: u64 = 1000;
 
+/// Most ranks a job may ask for: a universe allocates `P²` channels and
+/// `P` threads before any rank runs.
+const MAX_RANKS: u64 = 128;
+
+/// The keys and values of one job or command line.
+pub type JobFields = std::collections::BTreeMap<String, JsonValue>;
+
 /// Parses one JSONL job line. `seq` numbers auto-generated ids
 /// (`job-<seq>`) for lines without an `id`.
 pub fn parse_job_line(line: &str, seq: usize) -> Result<SolveJob, EngineError> {
+    parse_job_fields(&parse_line_fields(line)?, || format!("job-{seq}"))
+}
+
+/// The flat JSON object of one line (a job or a `cmd`), size-checked first.
+pub fn parse_line_fields(line: &str) -> Result<JobFields, EngineError> {
     if line.len() > MAX_JOB_LINE_BYTES {
         return Err(EngineError::BadJob(format!(
             "job line of {} bytes exceeds the {} byte limit",
@@ -306,15 +318,20 @@ pub fn parse_job_line(line: &str, seq: usize) -> Result<SolveJob, EngineError> {
             MAX_JOB_LINE_BYTES
         )));
     }
-    let fields =
-        flatjson::parse_flat_object(line).map_err(|e| EngineError::BadJob(e.to_string()))?;
+    flatjson::parse_flat_object(line).map_err(|e| EngineError::BadJob(e.to_string()))
+}
+
+/// The job a parsed line describes; `default_id` names it when the line
+/// carries no `id`.
+pub fn parse_job_fields(
+    fields: &JobFields,
+    default_id: impl FnOnce() -> String,
+) -> Result<SolveJob, EngineError> {
     let get_str = |k: &str| fields.get(k).and_then(JsonValue::as_str);
     let get_u = |k: &str| fields.get(k).and_then(JsonValue::as_u64);
     let get_f = |k: &str| fields.get(k).and_then(JsonValue::as_f64);
 
-    let id = get_str("id")
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("job-{seq}"));
+    let id = get_str("id").map_or_else(default_id, str::to_string);
 
     let problem = match (get_str("case"), get_str("mtx"), get_str("fp")) {
         (Some(_), Some(_), _) | (Some(_), _, Some(_)) | (_, Some(_), Some(_)) => {
@@ -369,11 +386,13 @@ pub fn parse_job_line(line: &str, seq: usize) -> Result<SolveJob, EngineError> {
             rank: get_u("rank").map_or(rank, |v| v as usize),
         };
     }
-    let n_ranks = get_u("ranks").unwrap_or(4) as usize;
-    if n_ranks == 0 {
-        return Err(EngineError::BadJob("ranks must be >= 1".into()));
+    let n_ranks = get_u("ranks").unwrap_or(4);
+    if !(1..=MAX_RANKS).contains(&n_ranks) {
+        return Err(EngineError::BadJob(format!(
+            "ranks must be in 1..={MAX_RANKS}, got {n_ranks}"
+        )));
     }
-    let mut session = SessionConfig::paper(precond, n_ranks);
+    let mut session = SessionConfig::paper(precond, n_ranks as usize);
     if let Some(s) = get_str("scheme") {
         session.scheme = PartitionScheme::parse(s)
             .ok_or_else(|| EngineError::BadJob(format!("unknown scheme {s:?}")))?;
@@ -588,6 +607,12 @@ pub fn resolve_problem_with(
                 Some(n) => build_case_sized(*id, *n),
                 None => build_case(*id, *size),
             };
+            if job.session.scheme == PartitionScheme::Boxes && case.structured_dims.is_none() {
+                return Err(EngineError::BadJob(format!(
+                    "scheme \"boxes\" needs a structured grid, which case {:?} does not have",
+                    id.key()
+                )));
+            }
             let node_part = partition_case_with(
                 &case,
                 job.session.scheme,

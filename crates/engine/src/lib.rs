@@ -37,7 +37,9 @@
 //!   `?` flattens them into an [`EngineError`].
 //! * **Change topology** between solves — [`SolverSession::migrate`].
 //! * **Recover** — [`solve_resilient`] drives `run` through retry,
-//!   checkpoint resume and the degraded fallback.
+//!   checkpoint resume and the degraded fallback
+//!   ([`resilient::solve_degraded`]: `build` + `run` again, Block 1 on the
+//!   survivors' reduced system).
 //!
 //! What used to be separate entry points are fields of the request, all off
 //! by default:
@@ -90,8 +92,9 @@ pub use autotune::{
 pub use cache::{CacheStats, SessionCache, SessionKey};
 pub use elastic::{RebalanceManager, RebalanceRecord};
 pub use jobs::{
-    batch_rhs, parse_job_line, problem_key, resolve_problem, resolve_problem_with, JobResult,
-    ProblemSpec, ResolvedProblem, RhsSpec, SolveJob, StoredMatrix, MAX_JOB_LINE_BYTES,
+    batch_rhs, parse_job_fields, parse_job_line, parse_line_fields, problem_key, resolve_problem,
+    resolve_problem_with, JobResult, ProblemSpec, ResolvedProblem, RhsSpec, SolveJob, StoredMatrix,
+    MAX_JOB_LINE_BYTES,
 };
 pub use resilient::{solve_resilient, FaultOutcome, RecoveryPolicy};
 pub use service::{

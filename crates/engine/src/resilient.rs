@@ -5,23 +5,23 @@
 //!
 //! 1. **Retry** the solve up to `retry_budget` more times with exponential
 //!    backoff, resuming from the newest *consistent* checkpoint (cycle
-//!    boundary snapshots, see [`parapre_resilience::CheckpointStore`])
-//!    instead of from zero — a kill near convergence costs one restart
-//!    cycle, not the whole solve. One-shot injected faults
-//!    ([`parapre_resilience::FaultConfig::once`]) are the model for
-//!    transient real-world failures: the retry goes through.
+//!    boundary snapshots, see [`CheckpointStore`]) instead of from zero — a
+//!    kill near convergence costs one restart cycle, not the whole solve.
+//!    One-shot injected faults ([`parapre_mpisim::FaultConfig::once`]) are
+//!    the model for transient real-world failures: the retry goes through.
 //! 2. **Degrade**: when retries are exhausted and the failure names dead
 //!    ranks, drop their subdomains and solve the reduced system Block
-//!    1-style ([`parapre_resilience::solve_degraded`]). The report keeps
-//!    the honest full-system residual; `FaultOutcome::degraded` marks the
-//!    answer as partial.
+//!    1-style ([`solve_degraded`]). The report keeps the honest full-system
+//!    residual; `FaultOutcome::degraded` marks the answer as partial.
 //! 3. **Fail** with the structured failure list when neither works.
 
-use crate::session::{join_failures, SessionSolveReport, SolveRequest, SolverSession};
+use crate::session::{
+    join_failures, SessionConfig, SessionSolveReport, SolveRequest, SolverSession,
+};
 use crate::EngineError;
-use parapre_dist::CheckpointCtx;
+use parapre_core::PrecondKind;
+use parapre_dist::{CheckpointCtx, CheckpointStore};
 use parapre_mpisim::FaultHook;
-use parapre_resilience::{solve_degraded, CheckpointStore};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -123,8 +123,8 @@ pub fn solve_resilient(
     let mut rebuilt: Option<SolverSession> = None;
     let failures = loop {
         let sess: &SolverSession = rebuilt.as_ref().unwrap_or(session);
-        let ckpt = store.as_ref().map(|s| CheckpointCtx {
-            sink: s,
+        let ckpt = store.as_ref().map(|store| CheckpointCtx {
+            store,
             start_iters,
             start_cycle,
         });
@@ -205,34 +205,11 @@ pub fn solve_resilient(
         if let Some(ck) = store.as_ref().and_then(|s| s.latest_consistent()) {
             guess = Some(session.assemble_global(&ck.x));
         }
-        let cfg = session.config();
-        match solve_degraded(
-            session.matrix(),
-            session.owner(),
-            p,
-            b,
-            guess.as_deref(),
-            &outcome.dead_ranks,
-            cfg.gmres,
-            cfg.recv_timeout,
-        ) {
-            Ok(deg) => {
+        match solve_degraded(session, b, guess.as_deref(), &outcome.dead_ranks) {
+            Ok(mut rep) => {
                 outcome.degraded = true;
-                outcome.degraded_full_relres = Some(deg.full_relres);
-                let rep = SessionSolveReport {
-                    x: deg.x,
-                    iterations: deg.iterations,
-                    converged: deg.converged,
-                    final_relres: deg.reduced_relres,
-                    // `true_relres` never lies: for a degraded answer it is
-                    // the full-system residual, dead subdomain included.
-                    true_relres: deg.full_relres,
-                    solve_seconds: t0.elapsed().as_secs_f64(),
-                    breakdown: None,
-                    // Degraded solves run on survivor ranks outside the
-                    // session's universe; no per-rank attribution here.
-                    load: parapre_metrics::LoadReport::default(),
-                };
+                outcome.degraded_full_relres = Some(rep.true_relres);
+                rep.solve_seconds = t0.elapsed().as_secs_f64();
                 return Ok((rep, outcome));
             }
             Err(e) => {
@@ -250,4 +227,81 @@ pub fn solve_resilient(
 
     outcome.error_kind = Some("rank_failure".into());
     Err((failures.into(), outcome))
+}
+
+/// Solves `A x = b` with the subdomains owned by `dead` ranks removed.
+///
+/// When a rank dies mid-solve its subdomain's unknowns are unreachable, but
+/// the survivors' subproblem is still well posed once the couplings into the
+/// lost subdomain are dropped (for the paper's diagonally-dominant FEM
+/// systems the principal submatrix stays nonsingular). Survivor ranks are
+/// renumbered `0..S` and the reduced system is a [`SolverSession`] of its
+/// own — built and run like any other, with the simplest, most
+/// fault-tolerant preconditioner in the family (Block 1: block-Jacobi
+/// ILU(0), zero communication in the apply) and `session`'s solver
+/// parameters. `x0` (full length) warm-starts the survivors and fills the
+/// dead entries of the returned solution.
+///
+/// The report is the reduced solve's (its `load` is indexed by survivor
+/// rank) except that `x` is full length and `true_relres` never lies: it is
+/// the honest full-system `‖b − A x‖/‖b‖`, which stays large because the
+/// dead subdomain was never solved. Callers decide whether a partial answer
+/// is acceptable. Errors when no unknown survives or the reduced session
+/// itself fails.
+pub fn solve_degraded(
+    session: &SolverSession,
+    b: &[f64],
+    x0: Option<&[f64]>,
+    dead: &[usize],
+) -> Result<SessionSolveReport, EngineError> {
+    let (a, owner) = (session.matrix(), session.owner());
+    let mut rank_map = vec![None; session.config().n_ranks];
+    let mut n_survivors = 0;
+    for (r, slot) in rank_map.iter_mut().enumerate() {
+        if !dead.contains(&r) {
+            *slot = Some(n_survivors as u32);
+            n_survivors += 1;
+        }
+    }
+    // Surviving unknowns in global order, and their renumbered owners.
+    let (alive, owner_red): (Vec<usize>, Vec<u32>) = (0..a.n_rows())
+        .filter_map(|i| Some((i, rank_map[owner[i] as usize]?)))
+        .unzip();
+    if alive.is_empty() {
+        return Err(EngineError::Solve(
+            "dead ranks owned every unknown: nothing to degrade to".into(),
+        ));
+    }
+    let restrict = |v: &[f64]| -> Vec<f64> { alive.iter().map(|&i| v[i]).collect() };
+    parapre_metrics::count(parapre_metrics::names::SOLVE_DEGRADED, 1);
+    let cfg = SessionConfig {
+        precond: PrecondKind::Block1,
+        n_ranks: n_survivors,
+        ..session.config().clone()
+    };
+    let reduced = SolverSession::build(&a.principal_submatrix(&alive), &owner_red, &cfg)?;
+    let x0_red = x0.map(restrict);
+    let mut rep = reduced
+        .run(SolveRequest {
+            x0: x0_red.as_deref(),
+            ..SolveRequest::new(&restrict(b))
+        })?
+        .single();
+
+    let mut x = x0.map_or_else(|| vec![0.0; a.n_rows()], <[f64]>::to_vec);
+    for (&g, &v) in alive.iter().zip(&rep.x) {
+        x[g] = v;
+    }
+    let (mut rnorm, mut bnorm) = (0.0, 0.0);
+    for (ai, bi) in a.mul_vec(&x).iter().zip(b) {
+        rnorm += (bi - ai) * (bi - ai);
+        bnorm += bi * bi;
+    }
+    rep.true_relres = if bnorm > 0.0 {
+        (rnorm / bnorm).sqrt()
+    } else {
+        rnorm.sqrt()
+    };
+    rep.x = x;
+    Ok(rep)
 }

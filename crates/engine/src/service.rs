@@ -15,17 +15,15 @@
 //! poisoned.
 
 use crate::autotune::AutoTuner;
-use crate::cache::{CacheStats, SessionCache, SessionKey};
-use crate::elastic::{RebalanceManager, RebalanceRecord};
+use crate::cache::{evict_lru, CacheStats, SessionCache, SessionKey};
+use crate::elastic::{RebalanceConfig, RebalanceManager, RebalanceRecord};
 use crate::jobs::{
     batch_rhs, problem_key, resolve_problem_with, JobResult, ResolvedProblem, SolveJob,
     StoredMatrix,
 };
 use crate::resilient::{solve_resilient, FaultOutcome, RecoveryPolicy};
 use crate::session::{MatrixId, RefactorFallback, SolveRequest, SolverSession};
-use parapre_mpisim::FaultHook;
-use parapre_resilience::elastic::RebalanceConfig;
-use parapre_resilience::FaultPlan;
+use parapre_mpisim::{FaultHook, FaultPlan};
 use parapre_sparse::Csr;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -235,14 +233,7 @@ impl ProblemCache {
         let mut map = self.map.lock().expect("problem cache lock");
         map.entry(key)
             .or_insert_with(|| (Arc::clone(&problem), tick));
-        while map.len() > self.capacity {
-            let lru = map
-                .iter()
-                .min_by_key(|(_, (_, used))| *used)
-                .map(|(k, _)| k.clone())
-                .expect("non-empty over capacity");
-            map.remove(&lru);
-        }
+        evict_lru(&mut map, self.capacity, |(_, used)| *used);
         Ok(problem)
     }
 }

@@ -11,6 +11,7 @@
 //! `Send + Sync`), so a session holds no threads while idle and concurrent
 //! solves on one session never contend.
 
+use crate::elastic::{MigrationPlan, RankDisposition};
 use crate::EngineError;
 use parapre_core::{
     build_dist_precond_with_fallback, partition_case_with, refactor_dist_precond,
@@ -24,7 +25,6 @@ use parapre_dist::{
 use parapre_grid::Adjacency;
 use parapre_mpisim::{Comm, FaultHook, MachineModel, RankFailure, Universe};
 use parapre_partition::partition_graph;
-use parapre_resilience::elastic::{MigrationPlan, RankDisposition};
 use parapre_sparse::Csr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

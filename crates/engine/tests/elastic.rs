@@ -5,12 +5,12 @@
 //! a cold rebuild on the same partition.
 
 use parapre_core::{build_case_sized, CaseId, PrecondKind};
+use parapre_engine::elastic::plan_migration;
 use parapre_engine::{
     parse_job_line, ServiceConfig, SessionCache, SessionConfig, SessionKey, SolveRequest,
     SolveService, SolverSession,
 };
-use parapre_resilience::elastic::plan_migration;
-use parapre_resilience::{FaultConfig, FaultPlan};
+use parapre_mpisim::{FaultConfig, FaultPlan};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 

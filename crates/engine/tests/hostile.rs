@@ -5,8 +5,8 @@
 
 use parapre_core::{build_case_sized, CaseId, PrecondKind};
 use parapre_engine::{
-    batch_rhs, parse_job_line, ProblemSpec, ServiceConfig, SessionCache, SessionConfig, SessionKey,
-    SolveRequest, SolveService, SolverSession, MAX_JOB_LINE_BYTES,
+    batch_rhs, parse_job_line, resolve_problem, ProblemSpec, ServiceConfig, SessionCache,
+    SessionConfig, SessionKey, SolveRequest, SolveService, SolverSession, MAX_JOB_LINE_BYTES,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -35,6 +35,21 @@ fn hostile_job_lines_reject_without_panic() {
     }
     let job = parse_job_line(r#"{"case":"tc1","restart":1000}"#, 0).expect("parses");
     assert_eq!(job.session.gmres.restart, 1000);
+
+    // A rank count whose `P x P` channel matrix the launch would allocate.
+    for ranks in ["0", "129", "5000"] {
+        let line = format!(r#"{{"case":"tc1","n":3,"ranks":{ranks}}}"#);
+        let err = parse_job_line(&line, 0).unwrap_err().to_string();
+        assert!(err.contains("ranks"), "got {err}");
+    }
+    let job = parse_job_line(r#"{"case":"tc1","ranks":128}"#, 0).expect("parses");
+    assert_eq!(job.session.n_ranks, 128);
+
+    // Box partitioning of the one unstructured case: the line is well
+    // formed, resolving it is the rejection (it used to be a panic).
+    let job = parse_job_line(r#"{"case":"tc3","size":"tiny","scheme":"boxes"}"#, 0).unwrap();
+    let err = resolve_problem(&job).err().expect("rejected").to_string();
+    assert!(err.contains("tc3") && err.contains("boxes"), "got {err}");
 
     // Structural garbage: truncated objects, bare values, empty input.
     for line in ["{", "{\"case\":", "", "42", "[1,2,3]", "{\"case\":\"tc1\""] {

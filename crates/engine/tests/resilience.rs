@@ -3,10 +3,9 @@
 //! system (persistent kill) — and report residuals honestly.
 
 use parapre_core::{build_case, CaseId, CaseSize, PrecondKind};
-use parapre_dist::CheckpointCtx;
+use parapre_dist::{CheckpointCtx, CheckpointStore};
 use parapre_engine::{solve_resilient, RecoveryPolicy, SessionConfig, SolveRequest, SolverSession};
-use parapre_mpisim::FaultHook;
-use parapre_resilience::{CheckpointStore, FaultConfig, FaultPlan, RankOp};
+use parapre_mpisim::{FaultConfig, FaultHook, FaultPlan, RankOp};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -125,7 +124,7 @@ fn checkpoint_resume_reaches_the_same_answer() {
         .run(SolveRequest {
             x0: Some(&guess),
             ckpt: Some(CheckpointCtx {
-                sink: &store2,
+                store: &store2,
                 start_iters: ck.iters,
                 start_cycle: ck.cycle,
             }),
@@ -171,4 +170,83 @@ fn late_kill_resumes_from_checkpoint() {
     );
     assert!(rep.converged);
     assert!(rep.iterations > out.resumed_iters);
+}
+
+fn fnv1a(x: &[f64]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for v in x {
+        for b in v.to_bits().to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// (iterations, converged, `final_relres` bits, `degraded_full_relres`
+/// bits, FNV-1a of `x`) of the degraded answer to a persistent kill of
+/// rank 1 at send op 2, TC1–TC4 tiny, P = 4, captured before
+/// `solve_degraded` became a session on the reduced system.
+const PINNED_DEGRADED: [(usize, bool, u64, u64, u64); 4] = [
+    (
+        21,
+        true,
+        0x3ea6573bdcba4936,
+        0x3fd1b4c5cb063891,
+        0x8ae43549c9778624,
+    ),
+    (
+        11,
+        true,
+        0x3e96a002430a3a63,
+        0x3fc27ee4b9218ff1,
+        0xafce8c0c22d7433f,
+    ),
+    (
+        14,
+        true,
+        0x3e9f9b91a0c6cb47,
+        0x3fdaa08e894672c2,
+        0x9c4c25150aa2ff17,
+    ),
+    (
+        13,
+        true,
+        0x3ea3810e8fef4388,
+        0x400429cfb94bc432,
+        0x74a2ea4c2a89ed5c,
+    ),
+];
+
+#[test]
+fn persistent_kill_degraded_answer_is_pinned() {
+    let mut got = Vec::new();
+    for id in all_cases() {
+        let (session, b, x0) = tc_session(id);
+        // The kill fires before any restart cycle completes, so no
+        // checkpoint exists and the survivors start from `x0`.
+        let hook: Arc<dyn FaultHook> = Arc::new(FaultPlan::new(FaultConfig {
+            once: false,
+            kill: vec![RankOp { rank: 1, op: 2 }],
+            ..Default::default()
+        }));
+        let policy = RecoveryPolicy {
+            retry_budget: 1,
+            backoff_ms: 1,
+            ..Default::default()
+        };
+        let (rep, out) = solve_resilient(&session, &b, Some(&x0), Some(hook), &policy)
+            .unwrap_or_else(|(e, _)| panic!("{id:?}: degraded mode should answer: {e}"));
+        assert!(out.degraded, "{id:?}");
+        assert_eq!(out.dead_ranks, vec![1], "{id:?}");
+        let full = out.degraded_full_relres.expect("degraded answer");
+        got.push((
+            rep.iterations,
+            rep.converged,
+            rep.final_relres.to_bits(),
+            full.to_bits(),
+            fnv1a(&rep.x),
+        ));
+    }
+    assert_eq!(got, PINNED_DEGRADED, "current table: {got:#x?}");
 }

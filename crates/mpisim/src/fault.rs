@@ -1,16 +1,99 @@
-//! Seeded, deterministic fault plans.
+//! Fault injection: the [`FaultHook`] every rank's [`Comm`] consults at each
+//! send, and the seeded, deterministic [`FaultPlan`] that implements it.
 //!
 //! Every probabilistic decision is a pure function of
 //! `(seed, rank, send-op index, decision kind)` through a SplitMix64-style
 //! mixer — no shared RNG state, no lock contention on the send path, and
 //! the schedule is identical however the OS interleaves the rank threads.
-//! Only *send* operations advance a rank's fault clock (see
-//! [`parapre_mpisim::FaultHook`]): receive call counts depend on
-//! communication/computation overlap timing and would destroy replayability.
+//! Only *send* operations advance a rank's fault clock: receive call counts
+//! depend on communication/computation overlap timing and would destroy
+//! replayability.
 
-use parapre_mpisim::{FaultHook, SendFault, StepFault};
+#[cfg(doc)]
+use crate::{Comm, CommError, RankFailure, Universe};
 use std::sync::Mutex;
 use std::time::Duration;
+
+/// What an installed fault hook does to one outgoing message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SendFault {
+    /// Deliver normally.
+    Deliver,
+    /// Silently drop the message (it counts as sent, never arrives —
+    /// the receiver's deadlock tripwire is the detection mechanism).
+    Drop,
+    /// Stall the sending rank for the given duration, then deliver.
+    Delay(Duration),
+}
+
+/// What an installed fault hook does to a rank at a send-operation
+/// boundary, *before* the message is considered.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StepFault {
+    /// Proceed normally.
+    Continue,
+    /// Slow-rank jitter: stall for the given duration, then proceed.
+    Jitter(Duration),
+    /// Kill the rank: it panics with an [`InjectedFault`] payload, which
+    /// [`Universe::try_run`] converts into a [`RankFailure`] whose
+    /// `injected` field identifies the fault.
+    Kill,
+    /// Hang the rank: it stalls past every peer's receive timeout (so the
+    /// peers observe [`CommError`] tripwires first), then dies like
+    /// [`StepFault::Kill`].
+    Hang,
+}
+
+/// Deterministic fault-injection hook consulted by every rank of a
+/// [`Universe::try_run_with_faults`] launch.
+///
+/// Both callbacks receive the rank's 0-based **send-operation index** —
+/// a counter each rank increments exactly once per [`Comm::send`] in
+/// program order. Decisions keyed on `(rank, op)` are therefore
+/// reproducible across runs regardless of thread scheduling; blocking or
+/// polling receives do *not* advance the counter because their call counts
+/// are timing-dependent under comm/compute overlap.
+pub trait FaultHook: Send + Sync {
+    /// Consulted at each send-operation boundary (kill/hang/jitter).
+    fn on_step(&self, rank: usize, op: u64) -> StepFault;
+    /// Consulted for each outgoing message surviving [`FaultHook::on_step`].
+    fn on_send(&self, rank: usize, op: u64, to: usize, tag: u64, bytes: u64) -> SendFault;
+}
+
+/// The panic payload of a rank killed or hung by an installed
+/// [`FaultHook`]; surfaces on [`RankFailure::injected`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct InjectedFault {
+    /// The rank the fault was injected into.
+    pub rank: usize,
+    /// The send-operation index at which it fired.
+    pub op: u64,
+    /// Kill or hang.
+    pub kind: InjectedFaultKind,
+}
+
+/// Which terminal fault was injected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum InjectedFaultKind {
+    /// The rank was killed outright.
+    Kill,
+    /// The rank was hung past the deadlock tripwire, then terminated.
+    Hang,
+}
+
+impl std::fmt::Display for InjectedFault {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let verb = match self.kind {
+            InjectedFaultKind::Kill => "killed",
+            InjectedFaultKind::Hang => "hung",
+        };
+        write!(
+            f,
+            "rank {} {} by fault injection at send op {}",
+            self.rank, verb, self.op
+        )
+    }
+}
 
 /// A (rank, send-op) coordinate for targeted kill/hang faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,7 +121,7 @@ pub struct FaultConfig {
     /// Ranks subject to jitter.
     pub slow_ranks: Vec<usize>,
     /// Kill these ranks at these send ops (panic with a structured
-    /// [`parapre_mpisim::InjectedFault`] payload).
+    /// [`InjectedFault`] payload).
     pub kill: Vec<RankOp>,
     /// Hang these ranks at these send ops (sleep past the receive timeout
     /// so peers observe a `CommError::Timeout`, then die).
@@ -124,7 +207,7 @@ pub struct FaultRecord {
 }
 
 /// A deterministic fault plan; implements [`FaultHook`] so it can be
-/// installed into [`parapre_mpisim::Universe::try_run_with_faults`].
+/// installed into [`Universe::try_run_with_faults`].
 pub struct FaultPlan {
     cfg: FaultConfig,
     /// Realized schedule, for determinism assertions and diagnostics.
@@ -143,11 +226,6 @@ impl FaultPlan {
             fired_kill: Mutex::new(Vec::new()),
             fired_hang: Mutex::new(Vec::new()),
         }
-    }
-
-    /// The config this plan was built from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
     }
 
     /// The realized schedule so far, sorted by (rank, op, destination) so

@@ -24,7 +24,11 @@
 //!   [`MachineModel`]s that emulate the paper's two platforms for the
 //!   timing *shape* discussion; when a `parapre-metrics` recorder is
 //!   installed on the rank's thread, every send/receive additionally
-//!   emits a structured comm event.
+//!   emits a structured comm event;
+//! * deterministic fault injection: a [`FaultHook`] installed by
+//!   [`Universe::try_run_with_faults`] decides per send operation, and
+//!   [`FaultPlan`] is the seeded schedule (drops, delays, jitter, rank
+//!   kill/hang) the chaos tests and fault-injected jobs run under.
 //!
 //! Iteration counts — the paper's primary measurement — are entirely
 //! deterministic under this substitution: the algebra does not care whether
@@ -32,6 +36,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+
+mod fault;
+
+pub use fault::{
+    FaultAction, FaultConfig, FaultHook, FaultPlan, FaultRecord, InjectedFault, InjectedFaultKind,
+    RankOp, SendFault, StepFault,
+};
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -105,87 +116,6 @@ fn every_live_rank_has_a_core() -> bool {
     static CORES: OnceLock<usize> = OnceLock::new();
     live_ranks()
         <= *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// What an installed fault hook does to one outgoing message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendFault {
-    /// Deliver normally.
-    Deliver,
-    /// Silently drop the message (it counts as sent, never arrives —
-    /// the receiver's deadlock tripwire is the detection mechanism).
-    Drop,
-    /// Stall the sending rank for the given duration, then deliver.
-    Delay(Duration),
-}
-
-/// What an installed fault hook does to a rank at a send-operation
-/// boundary, *before* the message is considered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StepFault {
-    /// Proceed normally.
-    Continue,
-    /// Slow-rank jitter: stall for the given duration, then proceed.
-    Jitter(Duration),
-    /// Kill the rank: it panics with an [`InjectedFault`] payload, which
-    /// [`Universe::try_run`] converts into a [`RankFailure`] whose
-    /// `injected` field identifies the fault.
-    Kill,
-    /// Hang the rank: it stalls past every peer's receive timeout (so the
-    /// peers observe [`CommError`] tripwires first), then dies like
-    /// [`StepFault::Kill`].
-    Hang,
-}
-
-/// Deterministic fault-injection hook consulted by every rank of a
-/// [`Universe::try_run_with_faults`] launch.
-///
-/// Both callbacks receive the rank's 0-based **send-operation index** —
-/// a counter each rank increments exactly once per [`Comm::send`] in
-/// program order. Decisions keyed on `(rank, op)` are therefore
-/// reproducible across runs regardless of thread scheduling; blocking or
-/// polling receives do *not* advance the counter because their call counts
-/// are timing-dependent under comm/compute overlap.
-pub trait FaultHook: Send + Sync {
-    /// Consulted at each send-operation boundary (kill/hang/jitter).
-    fn on_step(&self, rank: usize, op: u64) -> StepFault;
-    /// Consulted for each outgoing message surviving [`FaultHook::on_step`].
-    fn on_send(&self, rank: usize, op: u64, to: usize, tag: u64, bytes: u64) -> SendFault;
-}
-
-/// The panic payload of a rank killed or hung by an installed
-/// [`FaultHook`]; surfaces on [`RankFailure::injected`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct InjectedFault {
-    /// The rank the fault was injected into.
-    pub rank: usize,
-    /// The send-operation index at which it fired.
-    pub op: u64,
-    /// Kill or hang.
-    pub kind: InjectedFaultKind,
-}
-
-/// Which terminal fault was injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InjectedFaultKind {
-    /// The rank was killed outright.
-    Kill,
-    /// The rank was hung past the deadlock tripwire, then terminated.
-    Hang,
-}
-
-impl std::fmt::Display for InjectedFault {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let verb = match self.kind {
-            InjectedFaultKind::Kill => "killed",
-            InjectedFaultKind::Hang => "hung",
-        };
-        write!(
-            f,
-            "rank {} {} by fault injection at send op {}",
-            self.rank, verb, self.op
-        )
-    }
 }
 
 /// A receive that timed out — the runtime's deadlock tripwire.
@@ -429,25 +359,12 @@ impl Universe {
         F: Fn(&mut Comm) -> T + Sync,
         T: Send,
     {
-        Self::try_run_with_timeout(n_ranks, RECV_TIMEOUT, f)
+        Self::try_run_with_faults(n_ranks, RECV_TIMEOUT, None, f)
     }
 
     /// [`Universe::try_run`] with an explicit deadlock-tripwire timeout for
     /// every blocking receive (tests of failure paths want milliseconds,
-    /// not the default 60 s).
-    pub fn try_run_with_timeout<F, T>(
-        n_ranks: usize,
-        recv_timeout: Duration,
-        f: F,
-    ) -> Vec<Result<T, RankFailure>>
-    where
-        F: Fn(&mut Comm) -> T + Sync,
-        T: Send,
-    {
-        Self::try_run_with_faults(n_ranks, recv_timeout, None, f)
-    }
-
-    /// [`Universe::try_run_with_timeout`] with a deterministic fault hook
+    /// not the default 60 s) and, optionally, a deterministic fault hook
     /// installed on every rank's communicator: the same closure runs under
     /// a reproducible schedule of message drops/delays, slow-rank jitter,
     /// and rank kills/hangs (see [`FaultHook`]). Injected terminal faults
@@ -1227,7 +1144,7 @@ mod tests {
     #[test]
     fn unanswered_receive_trips_within_the_timeout() {
         let timeout = Duration::from_millis(100);
-        let out = Universe::try_run_with_timeout(2, timeout, |c| {
+        let out = Universe::try_run_with_faults(2, timeout, None, |c| {
             let t0 = Instant::now();
             let err = c
                 .recv_checked(1 - c.rank(), 0x51)
@@ -1451,7 +1368,7 @@ mod tests {
 
     #[test]
     fn deadlock_reports_rank_peer_and_tag() {
-        let out = Universe::try_run_with_timeout(2, Duration::from_millis(50), |c| {
+        let out = Universe::try_run_with_faults(2, Duration::from_millis(50), None, |c| {
             if c.rank() == 0 {
                 // Nobody ever sends tag 0x42: deterministic deadlock.
                 let _ = c.recv(1, 0x42);
@@ -1472,7 +1389,7 @@ mod tests {
 
     #[test]
     fn deadlock_dump_includes_unmatched_arrivals() {
-        let out = Universe::try_run_with_timeout(2, Duration::from_millis(50), |c| {
+        let out = Universe::try_run_with_faults(2, Duration::from_millis(50), None, |c| {
             if c.rank() == 1 {
                 c.send(0, 0x7, vec![1.0, 2.0]);
             } else {
@@ -1494,7 +1411,7 @@ mod tests {
     fn racing_arrival_beats_the_tripwire() {
         // A message that lands "late" (after the receiver started waiting on
         // a short timeout) must still be delivered, not misreported.
-        let out = Universe::try_run_with_timeout(2, Duration::from_millis(400), |c| {
+        let out = Universe::try_run_with_faults(2, Duration::from_millis(400), None, |c| {
             if c.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(100));
                 c.send(1, 5, vec![3.5]);

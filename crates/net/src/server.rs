@@ -23,9 +23,10 @@
 
 use crate::protocol::{read_frame, split_payload, MAX_FRAME_BYTES};
 use parapre_engine::{
-    parse_job_line, ConfigError, JobResult, ServiceConfig, SolveService, SubmitError,
+    parse_job_fields, parse_line_fields, ConfigError, JobResult, ServiceConfig, SolveService,
+    SubmitError,
 };
-use parapre_metrics::flatjson::{self, JsonValue};
+use parapre_metrics::flatjson;
 use parapre_metrics::names;
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
@@ -512,25 +513,19 @@ fn dispatch(
     out_tx: &Sender<String>,
 ) -> Flow {
     let (head, body) = split_payload(payload);
-    let head_text = String::from_utf8_lossy(head);
-    let fields = flatjson::parse_flat_object(head_text.trim()).ok();
-    let cmd = fields
-        .as_ref()
-        .and_then(|f| f.get("cmd"))
-        .and_then(JsonValue::as_str);
-    if let Some(cmd) = cmd {
+    // The one parse of the head: its `cmd`, its `id` and the job come from it.
+    let fields = parse_line_fields(String::from_utf8_lossy(head).trim());
+    let get_str = |k: &str| fields.as_ref().ok()?.get(k)?.as_str();
+    if let Some(cmd) = get_str("cmd") {
         return serve_command(shared, cmd, body, watch_seq, out_tx);
     }
     // A job frame. Admission control first — before parsing commits any
     // real work and before the shared queue is touched.
     let allowed = shared.allowed_slots();
     let in_now = inflight.load(Ordering::SeqCst);
-    let id = fields
-        .as_ref()
-        .and_then(|f| f.get("id"))
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .unwrap_or_else(|| format!("c{conn_id}-{seq}"));
+    // Auto-generated ids are namespaced per connection so two clients
+    // never collide.
+    let id = get_str("id").map_or_else(|| format!("c{conn_id}-{seq}"), str::to_string);
     if in_now >= allowed {
         parapre_metrics::inc(names::NET_ADMISSION_REJECTS_TOTAL, 1);
         let _ = out_tx.send(format!(
@@ -544,7 +539,7 @@ fn dispatch(
         ));
         return Flow::Continue;
     }
-    let mut job = match parse_job_line(head_text.trim(), seq) {
+    let job = match fields.and_then(|f| parse_job_fields(&f, || id.clone())) {
         Ok(job) => job,
         Err(e) => {
             parapre_metrics::inc(names::NET_FRAMES_REJECTED_TOTAL, 1);
@@ -554,11 +549,6 @@ fn dispatch(
             return Flow::Continue;
         }
     };
-    if job.id.starts_with("job-") && !head_text.contains("\"id\"") {
-        // Auto-generated ids are namespaced per connection so two clients
-        // never collide.
-        job.id = id.clone();
-    }
     match shared.service.submit_solve(job) {
         Ok(ticket) => {
             inflight.fetch_add(1, Ordering::SeqCst);

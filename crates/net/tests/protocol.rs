@@ -330,6 +330,23 @@ fn malformed_frames_get_structured_errors() {
     let line = client.recv_line().expect("recv").expect("open");
     assert_eq!(bool_field(&line, "ok"), Some(false), "line: {line}");
     assert_eq!(str_field(&line, "error_kind").as_deref(), Some("rejected"));
+    // So are a rank count no launch should allocate for and a partition
+    // scheme the case has no grid for (once a kill and a worker panic).
+    for (job, names) in [
+        (
+            "{\"case\":\"tc1\",\"n\":3,\"precond\":\"block1\",\"ranks\":5000}",
+            "ranks",
+        ),
+        (
+            "{\"case\":\"tc3\",\"size\":\"tiny\",\"scheme\":\"boxes\",\"ranks\":2}",
+            "boxes",
+        ),
+    ] {
+        let line = client.request(job).expect("request").expect("open");
+        assert_eq!(str_field(&line, "error_kind").as_deref(), Some("rejected"));
+        let err = str_field(&line, "error").unwrap_or_default();
+        assert!(err.contains(names), "line: {line}");
+    }
     let line = client
         .request("{\"cmd\":\"ping\"}")
         .expect("request")
