@@ -2,9 +2,8 @@
 //! inner Schur iterations, ILUT parameters, ARMS depth, Schwarz overlap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parapre_core::{
-    build_case, run_case, AdditiveSchwarz, CaseId, CaseSize, PrecondKind, RunConfig, SchwarzConfig,
-};
+use parapre_core::{build_case, AdditiveSchwarz, CaseId, CaseSize, PrecondKind, SchwarzConfig};
+use parapre_engine::{run_case, SessionConfig};
 use parapre_krylov::{ArmsConfig, Gmres, GmresConfig, IlutConfig};
 use std::hint::black_box;
 
@@ -15,7 +14,7 @@ fn ablate_schur_inner(c: &mut Criterion) {
     g.sample_size(10);
     for k in [1usize, 3, 5, 10] {
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            let mut cfg = RunConfig::paper(PrecondKind::Schur1, 4);
+            let mut cfg = SessionConfig::paper(PrecondKind::Schur1, 4);
             cfg.params.schur1.schur_iters = k;
             b.iter(|| run_case(black_box(&case), &cfg).iterations)
         });
@@ -34,7 +33,7 @@ fn ablate_ilut_params(c: &mut Criterion) {
             BenchmarkId::from_parameter(name),
             &(tol, fill),
             |b, &(t, f)| {
-                let mut cfg = RunConfig::paper(PrecondKind::Block2, 4);
+                let mut cfg = SessionConfig::paper(PrecondKind::Block2, 4);
                 cfg.params.ilut = IlutConfig {
                     drop_tol: t,
                     fill: f,
@@ -57,7 +56,7 @@ fn ablate_arms_levels(c: &mut Criterion) {
             BenchmarkId::from_parameter(name),
             &(levels, group),
             |b, &(l, gs)| {
-                let mut cfg = RunConfig::paper(PrecondKind::Schur2, 4);
+                let mut cfg = SessionConfig::paper(PrecondKind::Schur2, 4);
                 cfg.params.schur2.arms = ArmsConfig {
                     n_levels: l,
                     group_size: gs,
@@ -108,7 +107,7 @@ fn ablate_schur_matvec(c: &mut Criterion) {
     g.sample_size(10);
     for k in [1usize, 3, 5, 10] {
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
-            let mut cfg = RunConfig::paper(PrecondKind::Schur1, 4);
+            let mut cfg = SessionConfig::paper(PrecondKind::Schur1, 4);
             cfg.params.schur1.inner_b_iters = k;
             b.iter(|| run_case(black_box(&case), &cfg).iterations)
         });
@@ -127,7 +126,7 @@ fn ablate_block_overlap(c: &mut Criterion) {
         (PrecondKind::BlockOverlap, "one_layer_overlap"),
     ] {
         g.bench_with_input(BenchmarkId::from_parameter(name), &kind, |b, &k| {
-            let cfg = RunConfig::paper(k, 6);
+            let cfg = SessionConfig::paper(k, 6);
             b.iter(|| {
                 let res = run_case(black_box(&case), &cfg);
                 assert!(res.converged);

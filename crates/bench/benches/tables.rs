@@ -4,10 +4,10 @@
 //! pipeline on small grids.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parapre_core::runner::PartitionScheme;
 use parapre_core::{
-    build_case, run_case, AdditiveSchwarz, CaseId, CaseSize, PrecondKind, RunConfig, SchwarzConfig,
+    build_case, AdditiveSchwarz, CaseId, CaseSize, PartitionScheme, PrecondKind, SchwarzConfig,
 };
+use parapre_engine::{run_case, SessionConfig};
 use parapre_krylov::{Gmres, GmresConfig};
 use std::hint::black_box;
 
@@ -17,7 +17,7 @@ fn bench_case(c: &mut Criterion, id: CaseId, label: &str) {
     g.sample_size(10);
     for kind in PrecondKind::ALL {
         g.bench_with_input(BenchmarkId::from_parameter(kind.label()), &kind, |b, &k| {
-            let cfg = RunConfig::paper(k, 4);
+            let cfg = SessionConfig::paper(k, 4);
             b.iter(|| {
                 let res = run_case(black_box(&case), &cfg);
                 assert!(res.iterations > 0);
@@ -54,7 +54,7 @@ fn e6_tc6(c: &mut Criterion) {
     g.sample_size(10);
     for kind in [PrecondKind::Schur1, PrecondKind::Schur2] {
         g.bench_with_input(BenchmarkId::from_parameter(kind.label()), &kind, |b, &k| {
-            let cfg = RunConfig::paper(k, 4);
+            let cfg = SessionConfig::paper(k, 4);
             b.iter(|| run_case(black_box(&case), &cfg).iterations)
         });
     }
@@ -70,7 +70,7 @@ fn e7_shape(c: &mut Criterion) {
         (PartitionScheme::Boxes, "boxes"),
     ] {
         g.bench_with_input(BenchmarkId::from_parameter(name), &scheme, |b, &s| {
-            let mut cfg = RunConfig::paper(PrecondKind::Block2, 4);
+            let mut cfg = SessionConfig::paper(PrecondKind::Block2, 4);
             cfg.scheme = s;
             b.iter(|| run_case(black_box(&case), &cfg).iterations)
         });

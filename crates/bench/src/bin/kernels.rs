@@ -81,7 +81,7 @@ fn bench_spmv(a: &Csr, owner: &[u32], p: usize, reps: usize) -> Timed {
             dm.matvec(comm, &mut x, &mut y);
         }
         let secs = t0.elapsed().as_secs_f64();
-        (secs, comm.stats() - before)
+        (secs, CommStats::delta(&comm.stats(), &before))
     });
     max_secs_sum_stats(out)
 }
@@ -109,7 +109,8 @@ fn bench_gmres(a: &Csr, owner: &[u32], p: usize, iters: usize, orth: OrthMethod)
         let t0 = Instant::now();
         let rep = solver.solve(comm, &dm, &IdentityDistPrecond, &b_loc, &mut x);
         let secs = t0.elapsed().as_secs_f64();
-        (secs, comm.stats() - before, rep.iterations)
+        let moved = CommStats::delta(&comm.stats(), &before);
+        (secs, moved, rep.iterations)
     });
     let iters_done = out[0].2;
     let timed = max_secs_sum_stats(out.into_iter().map(|(s, c, _)| (s, c)).collect());

@@ -17,7 +17,8 @@
 //! The full sweep enforces the regression bar: SchurML's growth must be
 //! strictly smaller than Schur 2's on at least 4 of the 6 cases.
 
-use parapre_core::{build_case, run_case, CaseId, CaseSize, PrecondKind, RunConfig, RunResult};
+use parapre_core::{build_case, CaseId, CaseSize, PrecondKind};
+use parapre_engine::{run_case, RunResult, SessionConfig};
 
 const LEVELS: usize = PrecondKind::SCHURML_DEFAULT_LEVELS;
 const RANK: usize = PrecondKind::SCHURML_DEFAULT_RANK;
@@ -50,11 +51,6 @@ impl CaseOut {
     fn schurml_flatter(&self) -> Option<bool> {
         Some(self.growth(|r| &r.schurml)? < self.growth(|r| &r.schur2)?)
     }
-}
-
-fn run_rung(case: &parapre_core::AssembledCase, kind: PrecondKind, p: usize) -> RunResult {
-    let cfg = RunConfig::paper(kind, p);
-    run_case(case, &cfg)
 }
 
 fn fmt_growth(g: Option<i64>) -> String {
@@ -135,8 +131,8 @@ fn main() {
         let case = build_case(id, size);
         let mut rows = Vec::new();
         for &p in &ranks {
-            let ml = run_rung(&case, schurml, p);
-            let s2 = run_rung(&case, PrecondKind::Schur2, p);
+            let ml = run_case(&case, &SessionConfig::paper(schurml, p));
+            let s2 = run_case(&case, &SessionConfig::paper(PrecondKind::Schur2, p));
             eprintln!(
                 "{} P={p}: SchurML {} it ({}), Schur2 {} it ({})",
                 id.name(),

@@ -6,8 +6,7 @@
 //! (better balance, lower communication).
 
 use parapre_bench::{load_case, print_table, Cli};
-use parapre_core::runner::PartitionScheme;
-use parapre_core::{CaseId, PrecondKind};
+use parapre_core::{CaseId, PartitionScheme, PrecondKind};
 
 fn main() {
     let mut cli = Cli::parse(&[16]);

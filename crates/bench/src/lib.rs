@@ -18,10 +18,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use parapre_core::runner::PartitionScheme;
-use parapre_core::{
-    build_case, run_case_traced, AssembledCase, CaseId, CaseSize, PrecondKind, RunConfig, RunResult,
-};
+use parapre_core::{build_case, AssembledCase, CaseId, CaseSize, PartitionScheme, PrecondKind};
+use parapre_engine::{run_case_traced, RunResult, SessionConfig};
 use parapre_mpisim::MachineModel;
 use std::path::PathBuf;
 
@@ -110,10 +108,11 @@ impl Cli {
     }
 }
 
-/// Builds a [`RunConfig`] for one table cell under these CLI options.
-pub fn cell_config(cli: &Cli, kind: PrecondKind, p: usize) -> RunConfig {
-    let mut cfg = RunConfig::paper(kind, p);
-    cfg.machine = cli.machine;
+/// Builds the [`SessionConfig`] of one table cell under these CLI options
+/// (the machine profile contributes its partition seed).
+pub fn cell_config(cli: &Cli, kind: PrecondKind, p: usize) -> SessionConfig {
+    let mut cfg = SessionConfig::paper(kind, p);
+    cfg.partition_seed = cli.machine.partition_seed;
     cfg.scheme = cli.scheme;
     cfg
 }
@@ -121,7 +120,7 @@ pub fn cell_config(cli: &Cli, kind: PrecondKind, p: usize) -> RunConfig {
 /// Runs one table cell, honoring `--trace`: when a trace directory is set
 /// the run is recorded and each rank's trace lands in
 /// `<dir>/<case>_<precond>_p<P>_rank<r>.jsonl`.
-pub fn run_cell(case: &AssembledCase, cli: &Cli, cfg: &RunConfig) -> RunResult {
+pub fn run_cell(case: &AssembledCase, cli: &Cli, cfg: &SessionConfig) -> RunResult {
     let Some(dir) = &cli.trace_dir else {
         return run_case_traced(case, cfg, false).0;
     };
@@ -263,7 +262,9 @@ pub fn print_table(case: &AssembledCase, cli: &Cli, kinds: &[PrecondKind]) {
             if res.converged {
                 print!(
                     " | {:>5} {:>9.3} {:>10.3}",
-                    res.iterations, res.wall_seconds, res.modeled_seconds
+                    res.iterations,
+                    res.wall_seconds,
+                    res.modeled_seconds(&cli.machine)
                 );
             } else {
                 print!(" | {:>5} {:>9} {:>10}", "--", "n.c.", "n.c.");

@@ -4,13 +4,14 @@
 //! second source of truth.
 
 use parapre_bench::inspect::inspect_traces;
-use parapre_core::{build_case, run_case_traced, CaseId, CaseSize, PrecondKind, RunConfig};
+use parapre_core::{build_case, CaseId, CaseSize, PrecondKind};
+use parapre_engine::{run_case_traced, SessionConfig};
 use parapre_metrics::TraceSummary;
 
 #[test]
 fn inspect_matches_live_summary_on_a_traced_run() {
     let case = build_case(CaseId::Tc2, CaseSize::Tiny);
-    let cfg = RunConfig::paper(PrecondKind::Schur1, 4);
+    let cfg = SessionConfig::paper(PrecondKind::Schur1, 4);
     let (res, traces) = run_case_traced(&case, &cfg, true);
     assert!(res.converged);
     assert_eq!(traces.len(), 4);

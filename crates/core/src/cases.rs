@@ -159,6 +159,15 @@ fn extent(id: CaseId, size: CaseSize) -> usize {
     }
 }
 
+/// Grid extents [`build_case_sized`] accepts for a case: from the smallest
+/// its mesh generator can build (2 nodes per direction; the square with a
+/// hole needs 32 target nodes to resolve the hole) to its paper-scale
+/// [`CaseSize::Full`] preset.
+pub fn extent_range(id: CaseId) -> std::ops::RangeInclusive<usize> {
+    let floor = if id == CaseId::Tc3 { 32 } else { 2 };
+    floor..=extent(id, CaseSize::Full)
+}
+
 fn to3d(p: [f64; 2]) -> [f64; 3] {
     [p[0], p[1], 0.0]
 }

@@ -3,8 +3,7 @@
 //! The subject of the reproduced paper (Cai & Sosonkina, *A Numerical Study
 //! of Some Parallel Algebraic Preconditioners*, IPPS 2003): four parallel
 //! algebraic preconditioners for distributed FGMRES, an additive-Schwarz
-//! comparison, the six PDE test cases, and the experiment runner that
-//! regenerates every table of the paper's §5.
+//! comparison, and the six PDE test cases of the paper's §5.
 //!
 //! | paper name | type | here |
 //! |------------|------|------|
@@ -30,10 +29,10 @@
 //! that keeps interface iteration counts flat(ter) as the subdomain count
 //! grows.
 //!
-//! [`cases`] builds Test Cases 1–6 at any resolution; [`runner`] partitions,
-//! distributes, solves with FGMRES(20) to `‖r‖/‖r₀‖ ≤ 10⁻⁶` (paper §4.3)
-//! and reports iteration counts, wall time and the α–β modeled time for the
-//! paper's two machine profiles.
+//! [`cases`] builds Test Cases 1–6 at any resolution; [`runner`] partitions
+//! them and builds a preconditioner on one rank. A table cell — partition,
+//! distribute, build, FGMRES(20) to `‖r‖/‖r₀‖ ≤ 10⁻⁶` (paper §4.3) — is a
+//! solver session of `parapre-engine` (its `experiment` module).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -49,13 +48,13 @@ pub mod schwarz;
 mod testutil;
 
 pub use block::{BlockPrecond, JacobiDistPrecond};
-pub use cases::{build_case, build_case_sized, AssembledCase, CaseId, CaseSize};
+pub use cases::{build_case, build_case_sized, extent_range, AssembledCase, CaseId, CaseSize};
 pub use expschur::{ExpSchurConfig, ExpandedSchurPrecond};
 pub use overlap::OverlapBlockPrecond;
 pub use runner::{
-    build_dist_precond_with_fallback, partition_case, partition_case_with, refactor_dist_precond,
-    run_case, run_case_traced, try_build_dist_precond, FallbackBuild, PartitionScheme, PrecondKind,
-    PrecondParams, RefactorReject, RunConfig, RunResult,
+    build_dist_precond_with_fallback, partition_case, refactor_dist_precond,
+    try_build_dist_precond, FallbackBuild, PartitionScheme, PrecondKind, PrecondParams,
+    RefactorReject,
 };
 pub use schur::{Schur1Config, Schur1Precond};
 pub use schwarz::{AdditiveSchwarz, SchwarzConfig};

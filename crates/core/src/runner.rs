@@ -1,26 +1,24 @@
-//! The experiment runner: everything needed to regenerate a row of the
-//! paper's tables (§4.3, §5).
+//! The per-rank pieces of a paper-table cell (§4.3, §5): which
+//! preconditioner ([`PrecondKind`], [`PrecondParams`]), how the grid is split
+//! ([`PartitionScheme`], [`partition_case`]), and how one rank builds its
+//! preconditioner — one rung ([`try_build_dist_precond`]), the voted ladder
+//! ([`build_dist_precond_with_fallback`]) or a numeric-only rebuild
+//! ([`refactor_dist_precond`]).
 //!
-//! A run: partition the global grid (general Metis-style scheme seeded by
-//! the machine's RNG, the paper's simple box scheme, or RCB), distribute
-//! the rows, build the selected parallel preconditioner on every rank, and
-//! solve with distributed FGMRES(20) until the residual drops by `1e-6`.
-//! Reported: iteration count, converged flag, real wall-clock of the
-//! threaded run, and the α–β modeled time under the chosen
-//! [`MachineModel`].
+//! Nothing here launches ranks. A cell is run by `parapre-engine`'s
+//! `experiment` module: one `SolverSession` built from these pieces, one
+//! FGMRES(20) solve to a `1e-6` reduction.
 
 use crate::block::BlockPrecond;
 use crate::cases::AssembledCase;
 use crate::expschur::{ExpSchurConfig, ExpandedSchurPrecond};
 use crate::schur::{Schur1Config, Schur1Precond};
-use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix, DistPrecond};
+use parapre_dist::{DistMatrix, DistPrecond};
 use parapre_krylov::{ArmsConfig, IlutConfig};
-use parapre_mpisim::{CommStats, MachineModel, Universe};
 use parapre_partition::{
     balanced_box_layout, partition_boxes_2d, partition_boxes_3d, partition_graph, partition_rcb,
     Partition,
 };
-use std::time::Instant;
 
 /// The four preconditioners of the study (paper §4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,7 +145,8 @@ impl PrecondKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionScheme {
     /// General graph partitioning (Metis stand-in; the default everywhere
-    /// in the paper). Seeded by [`MachineModel::partition_seed`].
+    /// in the paper). Seeded by the machine profile's
+    /// [`partition_seed`](parapre_mpisim::MachineModel::partition_seed).
     General,
     /// The paper's §5.1 "simple grid partitioning" into rectangles/boxes
     /// (structured grids only).
@@ -177,8 +176,8 @@ impl PartitionScheme {
     }
 }
 
-/// Preconditioner tuning parameters shared by the runner, the benches, and
-/// the engine's solver sessions — everything [`try_build_dist_precond`] needs
+/// Preconditioner tuning parameters shared by the benches and the engine's
+/// solver sessions — everything [`try_build_dist_precond`] needs
 /// beyond the [`PrecondKind`] discriminant.
 #[derive(Debug, Clone, Copy)]
 pub struct PrecondParams {
@@ -218,100 +217,9 @@ impl Default for PrecondParams {
     }
 }
 
-/// Full description of one table cell.
-#[derive(Debug, Clone, Copy)]
-pub struct RunConfig {
-    /// Which preconditioner.
-    pub precond: PrecondKind,
-    /// Number of ranks `P`.
-    pub n_ranks: usize,
-    /// Machine profile (network model + partition seed).
-    pub machine: MachineModel,
-    /// Partitioning scheme.
-    pub scheme: PartitionScheme,
-    /// Outer FGMRES parameters (paper defaults preloaded).
-    pub gmres: DistGmresConfig,
-    /// Preconditioner tuning knobs (paper defaults preloaded).
-    pub params: PrecondParams,
-}
-
-impl RunConfig {
-    /// Paper-default configuration for a preconditioner/rank-count pair on
-    /// the Linux cluster.
-    ///
-    /// The outer solver inherits [`DistGmresConfig`]'s default
-    /// orthogonalization ([`parapre_dist::OrthMethod::ClassicalBatched`]):
-    /// one fused vector allreduce per iteration instead of `k+2` scalar
-    /// ones. Iteration counts can therefore differ by a step or two from a
-    /// modified-Gram–Schmidt run (set `gmres.orth` to
-    /// [`parapre_dist::OrthMethod::Modified`] to reproduce those exactly);
-    /// everything else in the solve — SpMV, halo exchange, preconditioner
-    /// application — is bitwise independent of the optimization work, so
-    /// table rows remain comparable.
-    pub fn paper(precond: PrecondKind, n_ranks: usize) -> Self {
-        RunConfig {
-            precond,
-            n_ranks,
-            machine: MachineModel::linux_cluster(),
-            scheme: PartitionScheme::General,
-            gmres: DistGmresConfig {
-                restart: 20,
-                max_iters: 600,
-                rel_tol: 1e-6,
-                ..Default::default()
-            },
-            params: PrecondParams::default(),
-        }
-    }
-
-    /// Same but on the Origin 3800 profile.
-    pub fn on_origin(mut self) -> Self {
-        self.machine = MachineModel::origin_3800();
-        self
-    }
-}
-
-/// Result of one run (one table cell).
-#[derive(Debug, Clone)]
-pub struct RunResult {
-    /// Preconditioner label.
-    pub precond: PrecondKind,
-    /// Rank count.
-    pub n_ranks: usize,
-    /// FGMRES iterations.
-    pub iterations: usize,
-    /// Whether the 1e-6 reduction was reached.
-    pub converged: bool,
-    /// Final relative residual.
-    pub final_relres: f64,
-    /// Max per-rank preconditioner setup time (host seconds).
-    pub setup_seconds: f64,
-    /// Max per-rank solve wall time (host seconds, threads possibly
-    /// oversubscribed).
-    pub wall_seconds: f64,
-    /// α–β modeled time under the run's machine profile.
-    pub modeled_seconds: f64,
-    /// Total messages across ranks.
-    pub total_msgs: u64,
-    /// Total payload bytes across ranks.
-    pub total_bytes: u64,
-    /// Partition quality: edge cut of the node partition.
-    pub edge_cut: usize,
-    /// Partition quality: load imbalance (max/mean).
-    pub imbalance: f64,
-    /// Cross-rank phase/counter summary when the run was traced
-    /// ([`run_case_traced`]); `None` for untraced runs.
-    pub phases: Option<parapre_metrics::TraceSummary>,
-}
-
-/// Partitions the case's node graph under the requested scheme.
-pub fn partition_case(case: &AssembledCase, cfg: &RunConfig) -> Partition {
-    partition_case_with(case, cfg.scheme, cfg.n_ranks, cfg.machine.partition_seed)
-}
-
-/// [`partition_case`] without a full [`RunConfig`] — the entry point for
-/// callers (solver sessions) that carry scheme/rank-count/seed directly.
-pub fn partition_case_with(
+/// Partitions the case's node graph under `scheme` into `n_ranks` parts
+/// (`seed` drives the general graph partitioner only).
+pub fn partition_case(
     case: &AssembledCase,
     scheme: PartitionScheme,
     n_ranks: usize,
@@ -336,8 +244,8 @@ pub fn partition_case_with(
 }
 
 /// Builds the requested preconditioner for one rank's rows under the
-/// `setup.factor`-bearing phases — one rung of the construction path shared
-/// by the runner and the engine's cached sessions. Every factorization goes
+/// `setup.factor`-bearing phases — one rung of the construction path of
+/// every distributed preconditioner. Every factorization goes
 /// through the diagonal-shift retry ladder, and failures come back as `Err`
 /// instead of panicking. Returns the preconditioner plus the number of
 /// shift-ladder retries it took to factor (0 on a clean build).
@@ -516,220 +424,5 @@ pub fn refactor_dist_precond(
         Err(RefactorReject::Unhealthy)
     } else {
         Ok(local.expect("no rank refused, this one included"))
-    }
-}
-
-/// Runs one experiment cell: partition, distribute, precondition, solve.
-///
-/// # Panics
-///
-/// When the cell's preconditioner needed the numerical safety net — a
-/// ladder descent or a diagonal-shift retry on any rank: a table must not
-/// print iteration counts of a preconditioner other than the one in its
-/// column header. The panic is raised on the calling thread after every
-/// rank has been joined, and names the case, the preconditioner and `P`.
-pub fn run_case(case: &AssembledCase, cfg: &RunConfig) -> RunResult {
-    run_case_traced(case, cfg, false).0
-}
-
-/// Like [`run_case`], but with `trace = true` each rank records a
-/// structured [`parapre_metrics`] event stream (phase spans, comm events,
-/// per-iteration residuals). The traces come back alongside the result and
-/// the merged phase summary is folded into [`RunResult::phases`]. With
-/// `trace = false` the recorder is never installed and the run behaves
-/// exactly like [`run_case`].
-pub fn run_case_traced(
-    case: &AssembledCase,
-    cfg: &RunConfig,
-    trace: bool,
-) -> (RunResult, Vec<parapre_metrics::RankTrace>) {
-    let node_part = partition_case(case, cfg);
-    let owner = case.dof_owner(&node_part.owner);
-    let p = cfg.n_ranks;
-    let a = &case.sys.a;
-    let b = &case.sys.b;
-    let x0 = &case.x0;
-    let owner_ref = &owner;
-    let cfg_ref = cfg;
-
-    struct RankOut {
-        iterations: usize,
-        converged: bool,
-        final_relres: f64,
-        setup: f64,
-        solve: f64,
-        stats: CommStats,
-        fallbacks: usize,
-        pivot_shifts: usize,
-    }
-
-    // The recorder wraps the whole rank body, installed before any
-    // communication, so the trace's comm totals equal the rank's full
-    // CommStats for the run.
-    let (outs, traces): (Vec<RankOut>, Vec<_>) = Universe::run(p, move |comm| {
-        parapre_metrics::recorded(comm.rank(), trace, || {
-            let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), p);
-            let t0 = Instant::now();
-            let built = {
-                let _setup = parapre_metrics::span(parapre_metrics::names::SETUP);
-                build_dist_precond_with_fallback(cfg_ref.precond, &dm, comm, a, &cfg_ref.params)
-            };
-            let setup = t0.elapsed().as_secs_f64();
-            let b_loc = scatter_vector(&dm.layout, b);
-            let mut x = scatter_vector(&dm.layout, x0);
-            let stats_before = comm.stats();
-            let t1 = Instant::now();
-            let rep =
-                DistGmres::new(cfg_ref.gmres).solve(comm, &dm, &built.precond, &b_loc, &mut x);
-            let solve = t1.elapsed().as_secs_f64();
-            let stats_after = comm.stats();
-            RankOut {
-                iterations: rep.iterations,
-                converged: rep.converged,
-                final_relres: rep.final_relres,
-                setup,
-                solve,
-                stats: CommStats::delta(&stats_after, &stats_before),
-                fallbacks: built.fallbacks,
-                pivot_shifts: built.pivot_shifts,
-            }
-        })
-    })
-    .into_iter()
-    .unzip();
-    let traces: Vec<parapre_metrics::RankTrace> = traces.into_iter().flatten().collect();
-
-    // Judged here, after the join, and never inside a rank: a one-rank
-    // panic would strand its peers in the solve's collectives.
-    let fallbacks = outs[0].fallbacks; // rank-identical (voted)
-    let pivot_shifts: usize = outs.iter().map(|o| o.pivot_shifts).sum();
-    assert!(
-        fallbacks == 0 && pivot_shifts == 0,
-        "{} / {} / P={p}: the build needed the numerical safety net \
-         ({fallbacks} ladder fallbacks, {pivot_shifts} pivot shifts); \
-         its numbers would not be this preconditioner's",
-        case.id.name(),
-        cfg.precond.label(),
-    );
-
-    let wall = outs.iter().map(|o| o.solve).fold(0.0, f64::max);
-    let setup = outs.iter().map(|o| o.setup).fold(0.0, f64::max);
-    // Modeled time: each rank's host compute time divided by the machine's
-    // relative speed, plus its modeled message costs; the slowest rank sets
-    // the pace, and the background-load factor scales the total. Host solve
-    // time includes waiting, so use the mean as the compute estimate.
-    let mean_solve = outs.iter().map(|o| o.solve).sum::<f64>() / p as f64;
-    let modeled = outs
-        .iter()
-        .map(|o| cfg.machine.modeled_total(mean_solve, &o.stats))
-        .fold(0.0, f64::max);
-    let phases = if traces.is_empty() {
-        None
-    } else {
-        let per_rank: Vec<parapre_metrics::TraceSummary> = traces
-            .iter()
-            .map(parapre_metrics::RankTrace::summary)
-            .collect();
-        Some(parapre_metrics::TraceSummary::merge(&per_rank))
-    };
-    let result = RunResult {
-        precond: cfg.precond,
-        n_ranks: p,
-        iterations: outs[0].iterations,
-        converged: outs[0].converged,
-        final_relres: outs[0].final_relres,
-        setup_seconds: setup,
-        wall_seconds: wall,
-        modeled_seconds: modeled,
-        total_msgs: outs.iter().map(|o| o.stats.msgs_sent).sum(),
-        total_bytes: outs.iter().map(|o| o.stats.bytes_sent).sum(),
-        edge_cut: node_part.edge_cut(&case.node_adjacency),
-        imbalance: node_part.imbalance(),
-        phases,
-    };
-    (result, traces)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::cases::{build_case, CaseId, CaseSize};
-
-    #[test]
-    fn all_preconditioners_solve_tiny_tc1() {
-        let case = build_case(CaseId::Tc1, CaseSize::Tiny);
-        for kind in PrecondKind::ALL {
-            let cfg = RunConfig::paper(kind, 3);
-            let res = run_case(&case, &cfg);
-            assert!(
-                res.converged,
-                "{} failed: relres {}",
-                kind.label(),
-                res.final_relres
-            );
-            assert!(res.iterations > 0);
-            assert_eq!(res.n_ranks, 3);
-        }
-    }
-
-    #[test]
-    fn schur_beats_blocks_on_tiny_tc5() {
-        let case = build_case(CaseId::Tc5, CaseSize::Tiny);
-        let it = |kind| {
-            let res = run_case(&case, &RunConfig::paper(kind, 4));
-            assert!(res.converged, "{:?}", kind);
-            res.iterations
-        };
-        let s1 = it(PrecondKind::Schur1);
-        let b1 = it(PrecondKind::Block1);
-        assert!(s1 <= b1, "Schur1 {s1} vs Block1 {b1}");
-    }
-
-    #[test]
-    fn origin_profile_changes_partition_and_model() {
-        let case = build_case(CaseId::Tc1, CaseSize::Tiny);
-        let cl = run_case(&case, &RunConfig::paper(PrecondKind::Block2, 4));
-        let or = run_case(&case, &RunConfig::paper(PrecondKind::Block2, 4).on_origin());
-        assert!(cl.converged && or.converged);
-        // Different machine seed ⇒ (almost surely) different partition ⇒
-        // the paper's different-iteration-counts effect; at minimum the
-        // modeled network differs.
-        assert!(
-            cl.edge_cut != or.edge_cut
-                || cl.iterations != or.iterations
-                || cl.modeled_seconds != or.modeled_seconds
-        );
-    }
-
-    #[test]
-    fn box_partitioning_works_on_structured_cases() {
-        let case = build_case(CaseId::Tc2, CaseSize::Tiny);
-        let mut cfg = RunConfig::paper(PrecondKind::Block1, 4);
-        cfg.scheme = PartitionScheme::Boxes;
-        let res = run_case(&case, &cfg);
-        assert!(res.converged);
-        // Tiny 7³ grids quantize coarsely into boxes; just bound the skew.
-        assert!(res.imbalance < 1.6, "imbalance {}", res.imbalance);
-    }
-
-    #[test]
-    fn overlap_variant_runs_and_beats_block2() {
-        let case = build_case(CaseId::Tc1, CaseSize::Tiny);
-        let plain = run_case(&case, &RunConfig::paper(PrecondKind::Block2, 6));
-        let over = run_case(&case, &RunConfig::paper(PrecondKind::BlockOverlap, 6));
-        assert!(plain.converged && over.converged);
-        assert!(
-            over.iterations <= plain.iterations,
-            "overlap {} vs block2 {}",
-            over.iterations,
-            plain.iterations
-        );
-    }
-
-    #[test]
-    fn elasticity_runs_distributed_with_schur1() {
-        let case = build_case(CaseId::Tc6, CaseSize::Tiny);
-        let res = run_case(&case, &RunConfig::paper(PrecondKind::Schur1, 3));
-        assert!(res.converged, "relres {}", res.final_relres);
     }
 }

@@ -15,10 +15,11 @@
 //! Schwarz method beats all four algebraic preconditioners — both effects
 //! are reproduced in the `table_schwarz` harness.
 //!
-//! The implementation is a shared-memory preconditioner (subdomain solves
-//! fan out over scoped threads) applied inside sequential GMRES; for the *timing*
-//! columns the harness reports host wall time, and iteration counts are
-//! bit-identical to what a message-passing implementation would produce.
+//! The implementation is a shared-memory preconditioner (`apply` runs the
+//! subdomain solves one after another on the calling thread) applied inside
+//! sequential GMRES; for the *timing* columns the harness reports host wall
+//! time, and iteration counts are bit-identical to what a message-passing
+//! implementation would produce.
 
 use parapre_krylov::Preconditioner;
 use parapre_partition::balanced_box_layout;

@@ -12,7 +12,7 @@
 
 use parapre_core::{
     build_case, partition_case, try_build_dist_precond, AssembledCase, CaseId, CaseSize,
-    PrecondKind, PrecondParams, RunConfig,
+    PartitionScheme, PrecondKind, PrecondParams,
 };
 use parapre_dist::{
     scatter_vector, tags, DistGmres, DistGmresConfig, DistMatrix, DistOp, DistPrecond,
@@ -21,7 +21,7 @@ use parapre_dist::{
 use parapre_krylov::{
     Arms, ArmsConfig, Ilu0, LuFactors, Preconditioner, SchurMlHierarchy, MAX_CORRECTION_RANK,
 };
-use parapre_mpisim::{Comm, Universe};
+use parapre_mpisim::{Comm, MachineModel, Universe};
 use parapre_sparse::Csr;
 
 /// The local solver of the expanded-Schur block, per kind.
@@ -305,8 +305,8 @@ fn check_cell(what: &str, kind: PrecondKind, a: &Csr, b: &[f64], owner: &[u32], 
 }
 
 fn case_owner(case: &AssembledCase, p: usize) -> Vec<u32> {
-    let cfg = RunConfig::paper(PrecondKind::Schur2, p);
-    case.dof_owner(&partition_case(case, &cfg).owner)
+    let seed = MachineModel::linux_cluster().partition_seed;
+    case.dof_owner(&partition_case(case, PartitionScheme::General, p, seed).owner)
 }
 
 const KINDS: [PrecondKind; 3] = [

@@ -162,10 +162,10 @@ fn try_build_errors_are_structured() {
 /// safety net must be invisible when nothing is wrong.
 #[test]
 fn clean_tc1_never_pays_for_the_ladder() {
-    use parapre_core::{build_case, partition_case_with, CaseId, CaseSize, PartitionScheme};
+    use parapre_core::{build_case, partition_case, CaseId, CaseSize, PartitionScheme};
     let case = build_case(CaseId::Tc1, CaseSize::Tiny);
     let p = 4;
-    let node_part = partition_case_with(&case, PartitionScheme::General, p, 17);
+    let node_part = partition_case(&case, PartitionScheme::General, p, 17);
     let owner = case.dof_owner(&node_part.owner);
     let a = &case.sys.a;
     let owner_ref = &owner;

@@ -32,7 +32,7 @@ use crate::resilient::RecoveryPolicy;
 use crate::session::{partition_pattern, symmetrize_pattern, MatrixId, SessionConfig};
 use crate::EngineError;
 use parapre_core::{build_case, build_case_sized, CaseId, CaseSize, PartitionScheme, PrecondKind};
-use parapre_core::{partition_case_with, AssembledCase};
+use parapre_core::{extent_range, partition_case, AssembledCase};
 use parapre_metrics::flatjson::{self, JsonValue};
 use parapre_mpisim::{FaultConfig, RankOp};
 use parapre_sparse::Csr;
@@ -300,6 +300,10 @@ const MAX_RESTART: u64 = 1000;
 /// `P` threads before any rank runs.
 const MAX_RANKS: u64 = 128;
 
+/// Most right-hand sides one job may batch: the service materializes every
+/// one of them, each as long as the matrix, before the solve starts.
+const MAX_BATCH: u64 = 64;
+
 /// The keys and values of one job or command line.
 pub type JobFields = std::collections::BTreeMap<String, JsonValue>;
 
@@ -352,10 +356,21 @@ pub fn parse_job_fields(
                     .ok_or_else(|| EngineError::BadJob(format!("unknown size {s:?}")))?,
                 None => CaseSize::Tiny,
             };
+            // An extent too large for `usize` is out of range too.
+            let extent = get_u("n").map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+            let accepted = extent_range(case_id);
+            if let Some(n) = extent.filter(|n| !accepted.contains(n)) {
+                return Err(EngineError::BadJob(format!(
+                    "n must be in {}..={} for case {:?}, got {n}",
+                    accepted.start(),
+                    accepted.end(),
+                    case_id.key()
+                )));
+            }
             ProblemSpec::Case {
                 id: case_id,
                 size,
-                extent: get_u("n").map(|n| n as usize),
+                extent,
             }
         }
         (None, Some(path), None) => ProblemSpec::Mtx {
@@ -463,7 +478,13 @@ pub fn parse_job_fields(
         f
     });
 
-    let batch = get_u("batch").unwrap_or(1).max(1) as usize;
+    let batch = get_u("batch").unwrap_or(1).max(1);
+    if batch > MAX_BATCH {
+        return Err(EngineError::BadJob(format!(
+            "batch must be at most {MAX_BATCH}, got {batch}"
+        )));
+    }
+    let batch = batch as usize;
     if batch > 1 && fault.is_some() {
         return Err(EngineError::BadJob(
             "batched jobs do not support fault injection".into(),
@@ -613,7 +634,7 @@ pub fn resolve_problem_with(
                     id.key()
                 )));
             }
-            let node_part = partition_case_with(
+            let node_part = partition_case(
                 &case,
                 job.session.scheme,
                 job.session.n_ranks,

@@ -1,16 +1,19 @@
 //! # parapre-engine
 //!
-//! The serving layer on top of the reproduction: cached solver sessions, a
-//! keyed LRU session cache, and a bounded concurrent solve service.
+//! The one distributed pipeline of the reproduction — cached solver
+//! sessions — and what is built on it: the paper's table cells, a keyed LRU
+//! session cache, and a bounded concurrent solve service.
 //!
-//! The experiment runner (`parapre-core`) rebuilds partition, distribution,
-//! and preconditioner factors for every solve and runs one job at a time —
-//! faithful to the paper's tables, wasteful for the paper's *workloads*
-//! (repeated solves: time stepping, parameter sweeps, request streams).
-//! This crate separates setup from solve:
+//! A paper-table cell is one build and one solve; the paper's *workloads*
+//! (time stepping, parameter sweeps, request streams) are one build and
+//! many solves. Both go through the same two calls:
 //!
 //! * [`SolverSession`] — partition + distribute + factor once, then serve
 //!   any number of solve requests against the frozen per-rank state;
+//! * [`run_case`] — one paper-table cell: [`SolverSession`] build plus one
+//!   solve from the case's initial guess, reported as a [`RunResult`]
+//!   (iterations, traffic, the α–β modeled time of either machine
+//!   profile);
 //! * [`SessionCache`] — sessions keyed by (matrix fingerprint, solver
 //!   config) with LRU eviction, single-flight builds, and hit/miss
 //!   counters surfaced through `parapre-metrics`;
@@ -25,6 +28,8 @@
 //!
 //! # The solver surface on one page
 //!
+//! * **Run a table cell** — [`run_case`] / [`run_case_traced`] (the two
+//!   calls below, plus the safety-net check of the paper's tables).
 //! * **Set up** — [`SolverSession::build`] (matrix and owner map),
 //!   [`SolverSession::from_case`] (assembled test case),
 //!   [`SolverSession::from_matrix`] (any square matrix, partitioned first),
@@ -79,6 +84,7 @@
 pub mod autotune;
 pub mod cache;
 pub mod elastic;
+pub mod experiment;
 pub mod jobs;
 pub mod resilient;
 pub mod service;
@@ -91,6 +97,7 @@ pub use autotune::{
 };
 pub use cache::{CacheStats, SessionCache, SessionKey};
 pub use elastic::{RebalanceManager, RebalanceRecord};
+pub use experiment::{run_case, run_case_traced, RunResult};
 pub use jobs::{
     batch_rhs, parse_job_fields, parse_job_line, parse_line_fields, problem_key, resolve_problem,
     resolve_problem_with, JobResult, ProblemSpec, ResolvedProblem, RhsSpec, SolveJob, StoredMatrix,

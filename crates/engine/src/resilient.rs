@@ -143,11 +143,12 @@ pub fn solve_resilient(
                     if let Some(next) = sess.active_precond().fallback() {
                         let mut down = sess.config().clone();
                         down.precond = next;
-                        if let Ok(s2) = SolverSession::build_identified(
+                        if let Ok((s2, _)) = SolverSession::build_identified(
                             sess.matrix(),
                             sess.owner(),
                             &down,
                             sess.id(),
+                            false,
                         ) {
                             parapre_metrics::count(parapre_metrics::names::PRECOND_FALLBACK, 1);
                             // What the abandoned session's own build

@@ -383,7 +383,8 @@ impl Shared {
                 Err(reason) => self.count_refactor_fallback(reason),
             }
         }
-        SolverSession::build_identified(&resolved.a, resolved.owner(), cfg, resolved.id)
+        SolverSession::build_identified(&resolved.a, resolved.owner(), cfg, resolved.id, false)
+            .map(|(s, _)| s)
     }
 }
 
@@ -834,9 +835,10 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
                 resolved.owner(),
                 &session_cfg,
                 resolved.id,
+                false,
             );
             session = match cold {
-                Ok(cold) => Arc::new(cold),
+                Ok((cold, _)) => Arc::new(cold),
                 Err(e) => return JobResult::failed(&job.id, e.to_string()),
             };
             shared.cache.insert(key.clone(), Arc::clone(&session));

@@ -2,10 +2,11 @@
 //! solve any number of right-hand sides against the frozen state.
 //!
 //! The paper's workloads are repeated solves (TC4 is one implicit step of a
-//! time-dependent problem), yet the experiment runner rebuilds everything
-//! per solve. A [`SolverSession`] performs the expensive setup pipeline one
-//! time and keeps the per-rank state — each rank's [`DistMatrix`] and
-//! factored preconditioner — alive across [`SolverSession::solve`] calls.
+//! time-dependent problem); a paper-table cell is the special case of one
+//! build and one solve ([`crate::experiment`]). A [`SolverSession`]
+//! performs the expensive setup pipeline one time and keeps the per-rank
+//! state — each rank's [`DistMatrix`] and factored preconditioner — alive
+//! across [`SolverSession::solve`] calls.
 //! Every solve spins up a fresh universe of `P` threads that *borrow* the
 //! cached rank states (this is why [`parapre_dist::DistPrecond`] requires
 //! `Send + Sync`), so a session holds no threads while idle and concurrent
@@ -14,7 +15,7 @@
 use crate::elastic::{MigrationPlan, RankDisposition};
 use crate::EngineError;
 use parapre_core::{
-    build_dist_precond_with_fallback, partition_case_with, refactor_dist_precond,
+    build_dist_precond_with_fallback, partition_case, refactor_dist_precond,
     try_build_dist_precond, AssembledCase, PartitionScheme, PrecondKind, PrecondParams,
     RefactorReject,
 };
@@ -334,35 +335,42 @@ impl SolverSession {
         owner: &[u32],
         cfg: &SessionConfig,
     ) -> Result<SolverSession, EngineError> {
-        Self::build_identified(a, owner, cfg, MatrixId::of(a))
+        Self::build_identified(a, owner, cfg, MatrixId::of(a), false).map(|(s, _)| s)
     }
 
     /// [`SolverSession::build`] for a caller that already hashed `a`
-    /// (`id` must be [`MatrixId::of`]`(a)`).
+    /// (`id` must be [`MatrixId::of`]`(a)`). With `trace` every rank
+    /// records its event stream (the `setup` span and everything under it).
     pub(crate) fn build_identified(
         a: &Csr,
         owner: &[u32],
         cfg: &SessionConfig,
         id: MatrixId,
-    ) -> Result<SolverSession, EngineError> {
+        trace: bool,
+    ) -> Result<(SolverSession, Vec<parapre_metrics::RankTrace>), EngineError> {
         assert_eq!(a.n_rows(), a.n_cols(), "square systems only");
         assert_eq!(owner.len(), a.n_rows(), "one owner per unknown");
         let p = cfg.n_ranks;
         let t0 = Instant::now();
-        let ranks = launch(cfg, p, None, |comm| {
-            let _setup = parapre_metrics::span(parapre_metrics::names::SETUP);
-            let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
-            let built = build_dist_precond_with_fallback(cfg.precond, &dm, comm, a, &cfg.params);
-            RankState {
-                dm: Arc::new(dm),
-                precond: Arc::from(built.precond),
-                kind_used: built.kind_used,
-                fallbacks: built.fallbacks,
-                pivot_shifts: built.pivot_shifts,
-            }
+        let (ranks, traces): (Vec<_>, Vec<_>) = launch(cfg, p, None, |comm| {
+            parapre_metrics::recorded(comm.rank(), trace, || {
+                let _setup = parapre_metrics::span(parapre_metrics::names::SETUP);
+                let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
+                let built =
+                    build_dist_precond_with_fallback(cfg.precond, &dm, comm, a, &cfg.params);
+                RankState {
+                    dm: Arc::new(dm),
+                    precond: Arc::from(built.precond),
+                    kind_used: built.kind_used,
+                    fallbacks: built.fallbacks,
+                    pivot_shifts: built.pivot_shifts,
+                }
+            })
         })
-        .map_err(|fails| EngineError::Setup(join_failures(&fails)))?;
-        Ok(SolverSession {
+        .map_err(|fails| EngineError::Setup(join_failures(&fails)))?
+        .into_iter()
+        .unzip();
+        let session = SolverSession {
             cfg: cfg.clone(),
             n_global: a.n_rows(),
             id,
@@ -373,7 +381,8 @@ impl SolverSession {
             owner: owner.into(),
             warm_start: None,
             last_load: std::sync::Mutex::new(None),
-        })
+        };
+        Ok((session, traces.into_iter().flatten().collect()))
     }
 
     /// Numeric-only rebuild: a session for `a_new` — a matrix with
@@ -463,7 +472,7 @@ impl SolverSession {
         case: &AssembledCase,
         cfg: &SessionConfig,
     ) -> Result<SolverSession, EngineError> {
-        let node_part = partition_case_with(case, cfg.scheme, cfg.n_ranks, cfg.partition_seed);
+        let node_part = partition_case(case, cfg.scheme, cfg.n_ranks, cfg.partition_seed);
         let owner = case.dof_owner(&node_part.owner);
         Self::build(&case.sys.a, &owner, cfg)
     }

@@ -128,7 +128,8 @@ pub fn march_heat(cfg: &TimestepConfig) -> Result<TimestepReport, EngineError> {
                 }
                 Err(_) => {
                     cold_rebuilds += 1;
-                    SolverSession::build_identified(&march.a, &part.owner, &cfg.session, id)?
+                    SolverSession::build_identified(&march.a, &part.owner, &cfg.session, id, false)?
+                        .0
                 }
             };
             rebuild_seconds = session.setup_seconds();

@@ -45,6 +45,37 @@ fn hostile_job_lines_reject_without_panic() {
     let job = parse_job_line(r#"{"case":"tc1","ranks":128}"#, 0).expect("parses");
     assert_eq!(job.session.n_ranks, 128);
 
+    // A grid extent outside what the case's generator can mesh (TC3 needs
+    // 32 nodes for its hole) or above its paper-scale preset.
+    for (case, n) in [
+        ("tc1", 0),
+        ("tc5", 1),
+        ("tc3", 31),
+        ("tc1", 1002),
+        ("tc3", 521_186),
+    ] {
+        let line = format!(r#"{{"case":"{case}","n":{n}}}"#);
+        let err = parse_job_line(&line, 0).unwrap_err().to_string();
+        assert!(
+            err.contains("n must be in") && err.contains(case),
+            "got {err}"
+        );
+    }
+    for (case, n) in [("tc1", 2), ("tc3", 32), ("tc6", 241)] {
+        let line = format!(r#"{{"case":"{case}","n":{n}}}"#);
+        assert!(parse_job_line(&line, 0).is_ok(), "rejected {line}");
+    }
+
+    // More right-hand sides than the service will materialize for one job.
+    let err = parse_job_line(r#"{"case":"tc1","batch":65}"#, 0).unwrap_err();
+    assert!(err.to_string().contains("batch"), "got {err}");
+    assert_eq!(
+        parse_job_line(r#"{"case":"tc1","batch":64}"#, 0)
+            .unwrap()
+            .batch,
+        64
+    );
+
     // Box partitioning of the one unstructured case: the line is well
     // formed, resolving it is the rejection (it used to be a panic).
     let job = parse_job_line(r#"{"case":"tc3","size":"tiny","scheme":"boxes"}"#, 0).unwrap();

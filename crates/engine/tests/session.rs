@@ -3,8 +3,7 @@
 //! perform zero factorization work.
 
 use parapre_core::{
-    build_case, build_dist_precond_with_fallback, partition_case_with, CaseId, CaseSize,
-    PrecondKind,
+    build_case, build_dist_precond_with_fallback, partition_case, CaseId, CaseSize, PrecondKind,
 };
 use parapre_dist::{scatter_vector, DistGmres, DistMatrix};
 use parapre_engine::{SessionCache, SessionConfig, SessionKey, SolveRequest, SolverSession};
@@ -24,7 +23,7 @@ fn tc1_session(precond: PrecondKind) -> (parapre_core::AssembledCase, SolverSess
 /// the experiment runner does: fresh universe, fresh distribution, fresh
 /// factorization. Returns the outer iteration count.
 fn one_shot_iterations(case: &parapre_core::AssembledCase, cfg: &SessionConfig) -> usize {
-    let node_part = partition_case_with(case, cfg.scheme, cfg.n_ranks, cfg.partition_seed);
+    let node_part = partition_case(case, cfg.scheme, cfg.n_ranks, cfg.partition_seed);
     let owner = case.dof_owner(&node_part.owner);
     let a = &case.sys.a;
     let b = &case.sys.b;

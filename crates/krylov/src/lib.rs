@@ -20,8 +20,10 @@
 //!   stagnation are judged — because each is right for its place (see
 //!   [`gmres`]) and shared code that asked which caller it serves would be
 //!   worse than two short loops.
-//! * [`cg::ConjugateGradient`] — used by the additive-Schwarz comparison
-//!   (one CG iteration with an FFT preconditioner per subdomain solve).
+//! * [`cg::ConjugateGradient`] — preconditioned CG for symmetric positive
+//!   definite systems; its callers are `parapre-fem`'s tests. (The
+//!   additive-Schwarz comparison runs its own one-step PCG per subdomain
+//!   solve, in `parapre-core`.)
 //! * [`ilu::Ilu0`] and [`ilu::Ilut`] — zero-fill and dual-threshold
 //!   incomplete LU factorizations (the subdomain solvers of `Block 1` and
 //!   `Block 2`, and the factorization from which `Schur 1` extracts its

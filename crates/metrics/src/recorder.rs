@@ -170,6 +170,17 @@ pub struct RankTrace {
 }
 
 impl RankTrace {
+    /// Appends `later`, a stream the same rank recorded after this one
+    /// ended (under a fresh epoch), shifting its timestamps past this
+    /// stream's last so the result stays non-decreasing.
+    pub fn append(&mut self, later: RankTrace) {
+        let offset = self.events.last().map_or(0, |e| e.t_us);
+        self.events.extend(later.events.into_iter().map(|e| Event {
+            t_us: e.t_us + offset,
+            ..e
+        }));
+    }
+
     /// Serializes the trace as JSON Lines (see the module docs for the
     /// schema). The first line is a `meta` record.
     pub fn to_jsonl(&self) -> String {

@@ -86,6 +86,21 @@ fn recursive_spans_count_inclusive_time_once() {
 }
 
 #[test]
+fn appended_stream_keeps_timestamps_non_decreasing() {
+    // A build stream ending at 70 µs, then a solve stream on a fresh epoch.
+    let mut tr = trace_of(1, vec![(0, enter(names::SETUP)), (70, exit(names::SETUP))]);
+    tr.append(trace_of(
+        1,
+        vec![(5, enter(names::SOLVE)), (40, exit(names::SOLVE))],
+    ));
+    let times: Vec<u64> = tr.events.iter().map(|e| e.t_us).collect();
+    assert_eq!(times, [0, 70, 75, 110]);
+    let s = tr.summary();
+    assert_eq!(s.phase(names::SETUP).unwrap().incl_us, 70);
+    assert_eq!(s.phase(names::SOLVE).unwrap().incl_us, 35);
+}
+
+#[test]
 fn unclosed_spans_are_closed_by_the_enclosing_exit() {
     let tr = trace_of(
         0,

@@ -261,13 +261,6 @@ impl CommStats {
     }
 }
 
-impl std::ops::Sub for CommStats {
-    type Output = CommStats;
-    fn sub(self, rhs: CommStats) -> CommStats {
-        CommStats::delta(&self, &rhs)
-    }
-}
-
 /// An α–β network/compute model of a parallel platform.
 #[derive(Debug, Clone, Copy)]
 pub struct MachineModel {

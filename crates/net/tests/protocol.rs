@@ -330,13 +330,21 @@ fn malformed_frames_get_structured_errors() {
     let line = client.recv_line().expect("recv").expect("open");
     assert_eq!(bool_field(&line, "ok"), Some(false), "line: {line}");
     assert_eq!(str_field(&line, "error_kind").as_deref(), Some("rejected"));
-    // So are a rank count no launch should allocate for and a partition
-    // scheme the case has no grid for (once a kill and a worker panic).
+    // So are a rank count no launch should allocate for, a partition
+    // scheme the case has no grid for, a grid extent the case's generator
+    // cannot mesh or above its paper-scale preset, and a batch above the
+    // ceiling (once a kill, worker panics, and an unbounded allocation).
     for (job, names) in [
         (
             "{\"case\":\"tc1\",\"n\":3,\"precond\":\"block1\",\"ranks\":5000}",
             "ranks",
         ),
+        ("{\"case\":\"tc3\",\"n\":31,\"ranks\":2}", "n must be in"),
+        (
+            "{\"case\":\"tc1\",\"n\":100000,\"ranks\":2}",
+            "n must be in",
+        ),
+        ("{\"case\":\"tc1\",\"n\":3,\"batch\":100000}", "batch"),
         (
             "{\"case\":\"tc3\",\"size\":\"tiny\",\"scheme\":\"boxes\",\"ranks\":2}",
             "boxes",

@@ -7,9 +7,9 @@
 //! cargo run --release --example convection_frontier
 //! ```
 
-use parapre::core::runner::{run_case, RunConfig};
 use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
+use parapre::engine::{run_case, SessionConfig};
 use parapre::mpisim::Universe;
 use parapre::partition::partition_graph;
 
@@ -22,7 +22,7 @@ fn main() {
     // winner in the overall computational efficiency".
     println!("{:>10} {:>6} {:>10}", "precond", "#itr", "wall(s)");
     for kind in PrecondKind::ALL {
-        let res = run_case(&case, &RunConfig::paper(kind, 4));
+        let res = run_case(&case, &SessionConfig::paper(kind, 4));
         println!(
             "{:>10} {:>6} {:>10.3}",
             kind.label(),

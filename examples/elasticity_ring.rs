@@ -8,9 +8,9 @@
 //! cargo run --release --example elasticity_ring
 //! ```
 
-use parapre::core::runner::{run_case, RunConfig};
 use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
+use parapre::engine::{run_case, SessionConfig};
 use parapre::mpisim::Universe;
 use parapre::partition::partition_graph;
 
@@ -28,7 +28,7 @@ fn main() {
     println!("{:>10} {:>8} {:>12}", "precond", "#itr", "status");
     let mut iters = std::collections::HashMap::new();
     for kind in PrecondKind::ALL {
-        let mut cfg = RunConfig::paper(kind, 4);
+        let mut cfg = SessionConfig::paper(kind, 4);
         cfg.gmres.max_iters = 400;
         let res = run_case(&case, &cfg);
         iters.insert(kind.label(), (res.iterations, res.converged));

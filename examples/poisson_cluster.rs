@@ -7,8 +7,8 @@
 //! cargo run --release --example poisson_cluster
 //! ```
 
-use parapre::core::runner::{run_case, RunConfig};
 use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
+use parapre::engine::{run_case, SessionConfig};
 use parapre::mpisim::MachineModel;
 
 fn main() {
@@ -35,8 +35,8 @@ fn main() {
         let mut per_kind: std::collections::HashMap<&str, Vec<usize>> = Default::default();
         for p in [2usize, 4, 8] {
             for kind in PrecondKind::ALL {
-                let mut cfg = RunConfig::paper(kind, p);
-                cfg.machine = machine;
+                let mut cfg = SessionConfig::paper(kind, p);
+                cfg.partition_seed = machine.partition_seed;
                 let res = run_case(&case, &cfg);
                 per_kind
                     .entry(kind.label())
@@ -52,7 +52,7 @@ fn main() {
                         "n.c.".into()
                     },
                     res.wall_seconds,
-                    res.modeled_seconds
+                    res.modeled_seconds(&machine)
                 );
             }
         }

@@ -6,9 +6,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use parapre::core::{build_case, run_case, CaseId, CaseSize, PrecondKind, RunConfig};
+use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre::dist::DistMatrix;
-use parapre::mpisim::Universe;
+use parapre::engine::{run_case, SessionConfig};
+use parapre::mpisim::{MachineModel, Universe};
 use parapre::partition::partition_graph;
 
 fn main() {
@@ -53,7 +54,7 @@ fn main() {
         "precond", "#itr", "wall(s)", "modeled(s)"
     );
     for kind in PrecondKind::ALL {
-        let res = run_case(&case, &RunConfig::paper(kind, p));
+        let res = run_case(&case, &SessionConfig::paper(kind, p));
         println!(
             "{:>10} {:>6} {:>10.3} {:>12.3}",
             kind.label(),
@@ -63,7 +64,7 @@ fn main() {
                 "n.c.".into()
             },
             res.wall_seconds,
-            res.modeled_seconds,
+            res.modeled_seconds(&MachineModel::linux_cluster()),
         );
     }
     println!("\nSee the table_* binaries in parapre-bench for the full paper tables.");

@@ -8,8 +8,8 @@
 //! cargo run --release --example schwarz_vs_algebraic
 //! ```
 
-use parapre::core::runner::{run_case, RunConfig};
 use parapre::core::{build_case, AdditiveSchwarz, CaseId, CaseSize, PrecondKind, SchwarzConfig};
+use parapre::engine::{run_case, SessionConfig};
 use parapre::krylov::{Gmres, GmresConfig};
 
 fn schwarz_iters(case: &parapre::core::AssembledCase, cfg: &SchwarzConfig) -> Option<usize> {
@@ -52,7 +52,7 @@ fn main() {
 
     println!("\nalgebraic preconditioners at P = 16 (same tolerance):");
     for kind in PrecondKind::ALL {
-        let res = run_case(&case, &RunConfig::paper(kind, 16));
+        let res = run_case(&case, &SessionConfig::paper(kind, 16));
         println!(
             "{:>10}: {}",
             kind.label(),

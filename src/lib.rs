@@ -21,9 +21,10 @@
 //!   (counters, latency histograms), convergence-event ring, per-rank
 //!   load-imbalance reports;
 //! * [`dist`] — distributed sparse systems and distributed (F)GMRES;
-//! * [`core`] — the paper's preconditioners, test cases and experiment
-//!   runner;
-//! * [`engine`] — cached solver sessions, batched multi-RHS solves, the
+//! * [`core`] — the paper's preconditioners, test cases and partition
+//!   schemes;
+//! * [`engine`] — cached solver sessions and what runs on them: the
+//!   paper's table cells (`run_case`), batched multi-RHS solves, the
 //!   fingerprint-keyed autotuner, and the bounded concurrent solve
 //!   service;
 //! * [`net`] — `parapre-netd`, the persistent network solve service
@@ -32,13 +33,17 @@
 //! ## Quickstart
 //!
 //! ```
-//! use parapre::core::{build_case, run_case, CaseId, CaseSize, PrecondKind, RunConfig};
+//! use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
+//! use parapre::engine::{run_case, SessionConfig};
+//! use parapre::mpisim::MachineModel;
 //!
-//! // Paper Test Case 1 (2-D Poisson), tiny grid, 4 ranks, Schur 1.
+//! // Paper Test Case 1 (2-D Poisson), tiny grid, 4 ranks, Schur 1: one
+//! // solver-session build and one FGMRES(20) solve to a 1e-6 reduction.
 //! let case = build_case(CaseId::Tc1, CaseSize::Tiny);
-//! let result = run_case(&case, &RunConfig::paper(PrecondKind::Schur1, 4));
+//! let result = run_case(&case, &SessionConfig::paper(PrecondKind::Schur1, 4));
 //! assert!(result.converged);
-//! println!("{} iterations", result.iterations);
+//! let modeled = result.modeled_seconds(&MachineModel::linux_cluster());
+//! println!("{} iterations, {modeled:.3} s on the paper's cluster", result.iterations);
 //! ```
 
 #![forbid(unsafe_code)]

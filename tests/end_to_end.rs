@@ -1,10 +1,11 @@
 //! Cross-crate integration tests: the full pipeline (grid → FEM →
 //! partition → distribute → precondition → FGMRES) on every test case.
 
-use parapre::core::{build_case, run_case, CaseId, CaseSize, PrecondKind, RunConfig};
+use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
+use parapre::engine::{run_case, SessionConfig};
 use parapre::fem::poisson;
-use parapre::mpisim::Universe;
+use parapre::mpisim::{MachineModel, Universe};
 use parapre::partition::partition_graph;
 
 #[test]
@@ -12,7 +13,7 @@ fn every_case_solves_with_every_preconditioner() {
     for id in CaseId::ALL {
         let case = build_case(id, CaseSize::Tiny);
         for kind in PrecondKind::ALL {
-            let mut cfg = RunConfig::paper(kind, 4);
+            let mut cfg = SessionConfig::paper(kind, 4);
             cfg.gmres.max_iters = 800;
             let res = run_case(&case, &cfg);
             assert!(
@@ -61,7 +62,7 @@ fn distributed_solution_matches_manufactured_solution() {
 #[test]
 fn iteration_counts_are_deterministic() {
     let case = build_case(CaseId::Tc3, CaseSize::Tiny);
-    let cfg = RunConfig::paper(PrecondKind::Schur1, 3);
+    let cfg = SessionConfig::paper(PrecondKind::Schur1, 3);
     let a = run_case(&case, &cfg);
     let b = run_case(&case, &cfg);
     assert_eq!(a.iterations, b.iterations);
@@ -77,8 +78,10 @@ fn partition_seed_changes_iteration_counts_somewhere() {
     for id in [CaseId::Tc1, CaseId::Tc3] {
         let case = build_case(id, CaseSize::Tiny);
         for p in [3usize, 5] {
-            let cl = run_case(&case, &RunConfig::paper(PrecondKind::Block2, p));
-            let or = run_case(&case, &RunConfig::paper(PrecondKind::Block2, p).on_origin());
+            let cl = run_case(&case, &SessionConfig::paper(PrecondKind::Block2, p));
+            let mut origin = SessionConfig::paper(PrecondKind::Block2, p);
+            origin.partition_seed = MachineModel::origin_3800().partition_seed;
+            let or = run_case(&case, &origin);
             if cl.iterations != or.iterations {
                 any_diff = true;
             }

@@ -7,12 +7,12 @@
 
 use parapre::core::{
     build_case, build_dist_precond_with_fallback, partition_case, CaseId, CaseSize, PrecondKind,
-    RunConfig,
 };
 use parapre::dist::{
     gather_vector, scatter_vector, tags, DistGmres, DistGmresConfig, DistMatrix, DistOp,
     DistPrecond,
 };
+use parapre::engine::SessionConfig;
 use parapre::mpisim::{Comm, Universe};
 use parapre::sparse::ops;
 
@@ -134,8 +134,9 @@ fn panel_fgmres_is_per_column_cgs2_bit_for_bit() {
     for kind in [PrecondKind::Block2, PrecondKind::Schur2] {
         for p in [1, 2, 4] {
             let what = format!("{} P={p}", kind.key());
-            let cfg = RunConfig::paper(kind, p);
-            let owner = case.dof_owner(&partition_case(&case, &cfg).owner);
+            let cfg = SessionConfig::paper(kind, p);
+            let part = partition_case(&case, cfg.scheme, p, cfg.partition_seed);
+            let owner = case.dof_owner(&part.owner);
             let n_global = case.n_unknowns();
             let out = Universe::run(p, |comm| {
                 let dm = DistMatrix::from_global(&case.sys.a, &owner, comm.rank(), p);

@@ -3,10 +3,11 @@
 //! tables only because every paper cell builds *clean* — the plain
 //! factorization wins the first rung on every rank — and a cell that does
 //! not is refused loudly instead of being printed under the wrong column
-//! header. Both halves are pinned here.
+//! header. Both halves are pinned here, and so is the identity of a table
+//! cell with its line in the committed answer ledger (`LEDGER.txt`).
 
-use parapre::core::{build_case, run_case, CaseId, CaseSize, PrecondKind, RunConfig};
-use parapre::engine::{SessionConfig, SolverSession};
+use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
+use parapre::engine::{run_case, SessionConfig};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -20,16 +21,27 @@ fn every_paper_cell_builds_on_the_requested_rung_without_shifts() {
         PrecondKind::schurml_default(),
         PrecondKind::Jacobi,
     ];
+    let ledger = include_str!("../LEDGER.txt");
     for id in CaseId::ALL {
         let case = build_case(id, CaseSize::Tiny);
         for kind in kinds {
             for p in [2, 4] {
-                let cell = format!("{} / {} / P={p}", id.name(), kind.label());
-                let session = SolverSession::from_case(&case, &SessionConfig::paper(kind, p))
-                    .unwrap_or_else(|e| panic!("{cell}: {e}"));
-                assert_eq!(session.active_precond(), kind, "{cell}");
-                assert_eq!(session.build_fallbacks(), 0, "{cell}");
-                assert_eq!(session.pivot_shifts(), 0, "{cell}");
+                // `run_case` panics on a ladder descent or a pivot shift.
+                let res = run_case(&case, &SessionConfig::paper(kind, p));
+                let head = format!("{} tiny {} P={p} ", id.key(), kind.key());
+                let line = ledger
+                    .lines()
+                    .find(|l| l.starts_with(&head))
+                    .unwrap_or_else(|| panic!("no ledger line for {head:?}"));
+                // The table cell is the ledger's computation, column for column.
+                let cell = format!(
+                    "{head}it={} conv={} rung={} fallbacks=0 shifts=0 msgs={} ",
+                    res.iterations,
+                    res.converged,
+                    kind.key(),
+                    res.total_msgs
+                );
+                assert!(line.starts_with(&cell), "ledger {line:?}\n  table {cell:?}");
             }
         }
     }
@@ -53,7 +65,7 @@ fn a_cell_that_needs_the_safety_net_panics_on_the_launcher_naming_itself() {
     let case = hostile_tc1();
     let t0 = Instant::now();
     let panic =
-        std::panic::catch_unwind(|| run_case(&case, &RunConfig::paper(PrecondKind::Block1, 4)))
+        std::panic::catch_unwind(|| run_case(&case, &SessionConfig::paper(PrecondKind::Block1, 4)))
             .expect_err("a shifted build must not print as Block 1");
     // A panic inside one rank would strand its peers until the 60 s receive
     // timeout and surface as a deadlock report instead of this message.

@@ -2,13 +2,12 @@
 //! reduced scale. EXPERIMENTS.md records the same checks at bench scale.
 
 use parapre::core::runner::PartitionScheme;
-use parapre::core::{
-    build_case, run_case, AdditiveSchwarz, CaseId, CaseSize, PrecondKind, RunConfig, SchwarzConfig,
-};
+use parapre::core::{build_case, AdditiveSchwarz, CaseId, CaseSize, PrecondKind, SchwarzConfig};
+use parapre::engine::{run_case, SessionConfig};
 use parapre::krylov::{Gmres, GmresConfig};
 
 fn iters(case: &parapre::core::AssembledCase, kind: PrecondKind, p: usize) -> (usize, bool) {
-    let mut cfg = RunConfig::paper(kind, p);
+    let mut cfg = SessionConfig::paper(kind, p);
     cfg.gmres.max_iters = 800;
     let res = run_case(case, &cfg);
     (res.iterations, res.converged)
@@ -74,7 +73,7 @@ fn claim5_subdomain_shape_barely_matters() {
     // general and box partitionings.
     let case = build_case(CaseId::Tc2, CaseSize::Tiny);
     for kind in [PrecondKind::Schur1, PrecondKind::Block2] {
-        let mut cfg = RunConfig::paper(kind, 4);
+        let mut cfg = SessionConfig::paper(kind, 4);
         cfg.scheme = PartitionScheme::General;
         let gen = run_case(&case, &cfg);
         cfg.scheme = PartitionScheme::Boxes;
@@ -130,9 +129,9 @@ fn claim7_block_preconditioners_cheapest_per_iteration() {
     // cost per iteration": they communicate nothing in M⁻¹, so their
     // per-iteration message count is strictly lower.
     let case = build_case(CaseId::Tc1, CaseSize::Tiny);
-    let block = run_case(&case, &RunConfig::paper(PrecondKind::Block1, 4));
-    let schur = run_case(&case, &RunConfig::paper(PrecondKind::Schur1, 4));
-    let per_it = |r: &parapre::core::RunResult| r.total_msgs as f64 / r.iterations as f64;
+    let block = run_case(&case, &SessionConfig::paper(PrecondKind::Block1, 4));
+    let schur = run_case(&case, &SessionConfig::paper(PrecondKind::Schur1, 4));
+    let per_it = |r: &parapre::engine::RunResult| r.total_msgs as f64 / r.iterations as f64;
     assert!(
         per_it(&block) < per_it(&schur),
         "block msgs/itr {} vs schur {}",

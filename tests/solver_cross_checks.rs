@@ -2,8 +2,9 @@
 //! must agree on the solution (to tolerance) for the same system; the
 //! heterogeneous-coefficient extension behaves under all preconditioners.
 
-use parapre::core::{build_case, run_case, CaseId, CaseSize, PrecondKind, RunConfig};
+use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre::dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
+use parapre::engine::{run_case, SessionConfig};
 use parapre::fem::{bc, varcoeff, LinearSystem};
 use parapre::grid::refine::refine_uniform;
 use parapre::grid::structured::unit_square;
@@ -126,7 +127,7 @@ fn refined_unstructured_mesh_still_solves() {
 #[test]
 fn run_case_results_expose_partition_quality() {
     let case = build_case(CaseId::Tc1, CaseSize::Tiny);
-    let res = run_case(&case, &RunConfig::paper(PrecondKind::Block1, 4));
+    let res = run_case(&case, &SessionConfig::paper(PrecondKind::Block1, 4));
     assert!(res.edge_cut > 0);
     assert!(res.imbalance >= 1.0);
     assert!(res.total_msgs > 0);
