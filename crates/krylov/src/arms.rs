@@ -446,6 +446,9 @@ fn build_level(a: &Csr, gis: &Arc<GroupIndependentSet>, cfg: &ArmsConfig) -> Res
     // W = B^{-1} F, computed group by group.
     let mut w = Coo::new(n_ind, nc);
     let mut rhs_cols: Vec<usize> = Vec::new();
+    // Position of a coarse column among the group's `rhs_cols`; every group
+    // resets the entries it set, so the level allocates this once.
+    let mut col_pos = vec![usize::MAX; nc];
     for g in 0..n_groups {
         let lo = gis.group_off[g];
         let hi = gis.group_off[g + 1];
@@ -460,7 +463,6 @@ fn build_level(a: &Csr, gis: &Arc<GroupIndependentSet>, cfg: &ArmsConfig) -> Res
         if rhs_cols.is_empty() {
             continue;
         }
-        let mut col_pos = vec![usize::MAX; nc];
         for (k, &j) in rhs_cols.iter().enumerate() {
             col_pos[j] = k;
         }
@@ -480,6 +482,7 @@ fn build_level(a: &Csr, gis: &Arc<GroupIndependentSet>, cfg: &ArmsConfig) -> Res
                     w.push(lo + ii, j, v);
                 }
             }
+            col_pos[j] = usize::MAX;
         }
     }
     let w = w.to_csr();

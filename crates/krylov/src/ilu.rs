@@ -18,6 +18,8 @@
 use crate::precond::Preconditioner;
 use parapre_sparse::ops::{self, SplitCsr, SplitLu};
 use parapre_sparse::{Csr, Error, FactorReport, Result};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// The diagonal-shift retry ladder: relative shifts applied to the
@@ -527,7 +529,13 @@ impl Ilut {
         let mut w = vec![0.0f64; n]; // dense accumulator
         let mut in_w = vec![false; n];
         let mut upper_list: Vec<usize> = Vec::new();
-        let mut pending = std::collections::BTreeSet::new(); // lower indices to eliminate
+        // Lower indices still to eliminate, smallest first. A row's columns
+        // are distinct and fill joins only where `in_w` is unset, so an
+        // index enters at most once per row and pops in the order an
+        // ordered set would give (DESIGN.md §4.2).
+        let mut pending: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+        let mut lower_kept: Vec<(usize, f64)> = Vec::new();
+        let mut upper_kept: Vec<(usize, f64)> = Vec::new();
         let mut pivot_fixes = 0usize;
 
         for i in 0..n {
@@ -538,15 +546,12 @@ impl Ilut {
             };
             let tau_i = cfg.drop_tol * rownorm;
             upper_list.clear();
-            pending.clear();
             let mut have_diag = false;
             for (&j, &v) in cols.iter().zip(vals) {
                 w[j] = v;
                 in_w[j] = true;
                 match j.cmp(&i) {
-                    std::cmp::Ordering::Less => {
-                        pending.insert(j);
-                    }
+                    std::cmp::Ordering::Less => pending.push(Reverse(j)),
                     std::cmp::Ordering::Equal => have_diag = true,
                     std::cmp::Ordering::Greater => upper_list.push(j),
                 }
@@ -555,8 +560,8 @@ impl Ilut {
                 w[i] = 0.0;
                 in_w[i] = true;
             }
-            let mut lower_kept: Vec<(usize, f64)> = Vec::new();
-            while let Some(k) = pending.pop_first() {
+            lower_kept.clear();
+            while let Some(Reverse(k)) = pending.pop() {
                 let lik = w[k] / u_diag[k];
                 w[k] = 0.0;
                 in_w[k] = false;
@@ -575,9 +580,7 @@ impl Ilut {
                         w[j] = -upd;
                         in_w[j] = true;
                         match j.cmp(&i) {
-                            std::cmp::Ordering::Less => {
-                                pending.insert(j);
-                            }
+                            std::cmp::Ordering::Less => pending.push(Reverse(j)),
                             std::cmp::Ordering::Equal => {}
                             std::cmp::Ordering::Greater => upper_list.push(j),
                         }
@@ -612,15 +615,15 @@ impl Ilut {
             u_diag.push(dii);
 
             // Select the p largest upper entries above the drop threshold.
-            let mut upper_kept: Vec<(usize, f64)> = upper_list
-                .iter()
-                .filter_map(|&j| {
-                    let v = w[j];
-                    w[j] = 0.0;
-                    in_w[j] = false;
-                    (v.abs() >= tau_i).then_some((j, v))
-                })
-                .collect();
+            upper_kept.clear();
+            for &j in &upper_list {
+                let v = w[j];
+                w[j] = 0.0;
+                in_w[j] = false;
+                if v.abs() >= tau_i {
+                    upper_kept.push((j, v));
+                }
+            }
             if upper_kept.len() > cfg.fill {
                 upper_kept.sort_unstable_by(|a, b| b.1.abs().total_cmp(&a.1.abs()));
                 upper_kept.truncate(cfg.fill);

@@ -1,0 +1,199 @@
+//! Structural invariants of the workspace, read off the source tree.
+//!
+//! Each test is one promise an earlier simplification made and a grep can
+//! keep: one build configuration and no `unsafe`; one Krylov layer; one
+//! recovery layer on the one pipeline; one experiment pipeline. The tree is
+//! walked with `std::fs` from the root package's directory, build output
+//! (`target`) is skipped, and so is this file, whose needles would otherwise
+//! match themselves. A failure lists every offending `path:line`.
+
+use std::fs;
+use std::path::Path;
+
+const THIS_FILE: &str = "tests/architecture.rs";
+
+/// Every UTF-8 file under the root-relative `dirs`, as `(path, text)` with
+/// `/`-separated root-relative paths.
+fn files(dirs: &[&str]) -> Vec<(String, String)> {
+    fn walk(root: &Path, rel: &str, out: &mut Vec<(String, String)>) {
+        let path = root.join(rel);
+        if path.is_file() {
+            if rel != THIS_FILE {
+                if let Ok(text) = fs::read_to_string(&path) {
+                    out.push((rel.to_string(), text));
+                }
+            }
+            return;
+        }
+        let Ok(entries) = fs::read_dir(&path) else {
+            return;
+        };
+        let mut names: Vec<String> = entries
+            .filter_map(|e| e.ok()?.file_name().into_string().ok())
+            .filter(|name| name != "target")
+            .collect();
+        names.sort();
+        for name in names {
+            walk(root, &format!("{rel}/{name}"), out);
+        }
+    }
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut out = Vec::new();
+    for dir in dirs {
+        walk(root, dir, &mut out);
+    }
+    out
+}
+
+/// `sub` of every crate under `crates/` (`crates/<name>/<sub>`).
+fn in_each_crate(sub: &str) -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut names: Vec<String> = fs::read_dir(root.join("crates"))
+        .expect("crates/ is readable")
+        .filter_map(|e| e.ok()?.file_name().into_string().ok())
+        .collect();
+    names.sort();
+    names
+        .into_iter()
+        .map(|c| format!("crates/{c}/{sub}"))
+        .collect()
+}
+
+/// `path:line: text` of every line of `files` on which `hit` holds.
+fn lines_where(files: &[(String, String)], hit: impl Fn(&str) -> bool) -> Vec<String> {
+    let mut found = Vec::new();
+    for (path, text) in files {
+        for (k, line) in text.lines().enumerate() {
+            if hit(line) {
+                found.push(format!("{path}:{}: {}", k + 1, line.trim()));
+            }
+        }
+    }
+    found
+}
+
+/// Whether `line` contains `word` not followed by an identifier character.
+fn has_word(line: &str, word: &str) -> bool {
+    line.match_indices(word).any(|(at, _)| {
+        !line[at + word.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
+    })
+}
+
+fn assert_none(what: &str, found: Vec<String>) {
+    assert!(found.is_empty(), "{what}:\n{}", found.join("\n"));
+}
+
+fn assert_once(what: &str, found: Vec<String>) {
+    assert!(
+        found.len() == 1,
+        "{what}, found {}:\n{}",
+        found.len(),
+        found.join("\n")
+    );
+}
+
+#[test]
+fn one_build_configuration_and_no_unsafe() {
+    let mut manifests = vec!["Cargo.toml".to_string()];
+    manifests.extend(in_each_crate("Cargo.toml"));
+    let manifests: Vec<&str> = manifests.iter().map(String::as_str).collect();
+    assert_none(
+        "no cargo feature anywhere",
+        lines_where(&files(&manifests), |l| l.starts_with("[features]")),
+    );
+
+    let mut sources = in_each_crate("src");
+    sources.push("src".to_string());
+    let sources: Vec<&str> = sources.iter().map(String::as_str).collect();
+    let rust: Vec<_> = files(&sources)
+        .into_iter()
+        .filter(|(path, _)| path.ends_with(".rs"))
+        .collect();
+    assert_none(
+        "`unsafe` appears only in forbid attributes",
+        lines_where(&rust, |l| {
+            l.contains("unsafe") && !l.contains("forbid(unsafe_code)")
+        }),
+    );
+}
+
+#[test]
+fn one_krylov_layer() {
+    assert_once(
+        "one `givens_rotation`",
+        lines_where(&files(&["crates"]), |l| l.contains("fn givens_rotation")),
+    );
+    let tree = files(&["crates", "src", "tests", "examples"]);
+    assert_none(
+        "no distributed CG, second payload type or caller-less module",
+        lines_where(&tree, |l| {
+            l.contains("DistCg")
+                || l.contains("Payload::Usizes")
+                || ["csc", "poisson3d", "ordering", "scaling"]
+                    .iter()
+                    .any(|m| has_word(l, &format!("mod {m}")))
+        }),
+    );
+}
+
+#[test]
+fn one_recovery_layer_on_the_one_pipeline() {
+    let tree = files(&[
+        "Cargo.toml",
+        "crates",
+        "src",
+        "tests",
+        "examples",
+        ".github",
+    ]);
+    assert_none(
+        "the folded resilience crate stays gone",
+        lines_where(&tree, |l| {
+            l.contains("parapre_resilience") || l.contains("parapre-resilience")
+        }),
+    );
+    assert_none(
+        "its trait, its report struct and the second launcher stay gone",
+        lines_where(&files(&["crates"]), |l| {
+            [
+                "trait CheckpointSink",
+                "try_run_with_timeout",
+                "DegradedReport",
+            ]
+            .iter()
+            .any(|n| l.contains(n))
+        }),
+    );
+    assert_once(
+        "the engine starts a universe in `launch` only",
+        lines_where(&files(&["crates/engine/src"]), |l| l.contains("Universe::")),
+    );
+}
+
+#[test]
+fn one_experiment_pipeline() {
+    assert_none(
+        "`core::runner` starts no universe and has no config type of its own",
+        lines_where(&files(&["crates/core/src/runner.rs"]), |l| {
+            l.contains("struct RunConfig") || l.contains("Universe::")
+        }),
+    );
+    let tree = files(&["crates", "src", "tests", "examples"]);
+    let defines_run_case = |l: &str| {
+        [
+            "fn run_case(",
+            "fn run_case<",
+            "fn run_case_traced(",
+            "fn run_case_traced<",
+        ]
+        .iter()
+        .any(|n| l.contains(n))
+    };
+    assert_none(
+        "a table cell is a session build and run, defined in `engine::experiment` only",
+        lines_where(&tree, defines_run_case)
+            .into_iter()
+            .filter(|hit| !hit.starts_with("crates/engine/src/experiment.rs:"))
+            .collect(),
+    );
+}
