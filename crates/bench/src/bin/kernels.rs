@@ -14,7 +14,9 @@
 //! The `sweep` section is the triangular-sweep ledger: per case, one
 //! `LuFactors::solve_in_place` with the ILUT factors of rank 0's owned block
 //! at `P = 2` against a dependency-free SpMV over the same entries timed in
-//! the same run. The `orth` section is one re-orthogonalized Gram–Schmidt
+//! the same run, and `LuFactors::solve_columns` — the sweep of the lock-step
+//! block solve — over `k ∈ {1, 2, 4, 8}` right-hand sides: microseconds per
+//! vector and the per-vector speed-up over one column. The `orth` section is one re-orthogonalized Gram–Schmidt
 //! step of distributed GMRES without its reductions, against the per-column
 //! `ops::dot` / `ops::axpy` loops and a triad timed in the same run; the
 //! `allreduce` section is what one scalar all-reduce costs two ranks, back
@@ -145,6 +147,9 @@ fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
+/// Column counts of the multi-column sweep rows.
+const SWEEP_COLUMNS: [usize; 4] = [1, 2, 4, 8];
+
 /// One row of the sweep ledger.
 struct SweepCell {
     case: &'static str,
@@ -155,6 +160,9 @@ struct SweepCell {
     bytes: usize,
     /// SpMV over `merged()` of the same factor, timed in the same run.
     spmv_us: f64,
+    /// `LuFactors::solve_columns` over `k` right-hand sides, per vector,
+    /// for each `k` of [`SWEEP_COLUMNS`].
+    columns_us: [f64; 4],
 }
 
 impl SweepCell {
@@ -164,6 +172,11 @@ impl SweepCell {
 
     fn ratio(&self) -> f64 {
         self.sweep_us / self.spmv_us
+    }
+
+    /// Per-vector speed-up of each column count over one column.
+    fn columns_speedup(&self) -> [f64; 4] {
+        self.columns_us.map(|us| self.columns_us[0] / us)
     }
 }
 
@@ -201,6 +214,20 @@ fn bench_sweeps(quick: bool) -> Vec<SweepCell> {
                 black_box(&mut y);
                 spmv.push(t0.elapsed().as_secs_f64() * 1e6);
             }
+            // The lock-step block solve's sweep: k right-hand sides through
+            // the factors at once, samples of every k alternating.
+            let ones = vec![1.0; n];
+            let mut cols = vec![vec![0.0; n]; 8];
+            let mut samples = SWEEP_COLUMNS.map(|_| Vec::with_capacity(reps));
+            for _ in 0..reps {
+                for (&k, times) in SWEEP_COLUMNS.iter().zip(&mut samples) {
+                    let bs = vec![&ones[..]; k];
+                    let mut xs: Vec<&mut [f64]> = cols[..k].iter_mut().map(|c| &mut c[..]).collect();
+                    let t0 = Instant::now();
+                    lu.solve_columns(&bs, black_box(&mut xs));
+                    times.push(t0.elapsed().as_secs_f64() * 1e6 / k as f64);
+                }
+            }
             // 12 bytes per off-diagonal entry (value + 32-bit column), 8 per
             // pivot reciprocal, 16 per row for the two row pointers, 16 per
             // `x` entry read and written.
@@ -211,6 +238,7 @@ fn bench_sweeps(quick: bool) -> Vec<SweepCell> {
                 sweep_us: median(&mut sweep),
                 bytes: 12 * (lu.nnz() - n) + (8 + 16 + 16) * n,
                 spmv_us: median(&mut spmv),
+                columns_us: samples.map(|mut t| median(&mut t)),
             };
             eprintln!(
                 "sweep {name}: n={n} nnz={} {:.0} us ({:.2} GB/s computed), spmv of the same entries {:.0} us, sweep/spmv {:.2}",
@@ -219,6 +247,11 @@ fn bench_sweeps(quick: bool) -> Vec<SweepCell> {
                 cell.gbs(),
                 cell.spmv_us,
                 cell.ratio()
+            );
+            eprintln!(
+                "sweep {name} over k = {SWEEP_COLUMNS:?} columns: {:.1?} us per vector, {:.2?}x one column",
+                cell.columns_us,
+                cell.columns_speedup()
             );
             cell
         })
@@ -495,8 +528,11 @@ fn main() {
         .iter()
         .map(|c| {
             format!(
-                "    {{\"case\": \"{}\", \"n\": {}, \"factor_nnz\": {}, \"sweep_us\": {:.1}, \"computed_bytes\": {}, \"computed_gbs\": {:.2}, \"spmv_same_entries_us\": {:.1}, \"sweep_over_spmv\": {:.3}}}",
-                c.case, c.n, c.factor_nnz, c.sweep_us, c.bytes, c.gbs(), c.spmv_us, c.ratio()
+                "    {{\"case\": \"{}\", \"n\": {}, \"factor_nnz\": {}, \"sweep_us\": {:.1}, \"computed_bytes\": {}, \"computed_gbs\": {:.2}, \"spmv_same_entries_us\": {:.1}, \"sweep_over_spmv\": {:.3}, \"columns\": {:?}, \"columns_us_per_vector\": [{}], \"columns_speedup\": [{}]}}",
+                c.case, c.n, c.factor_nnz, c.sweep_us, c.bytes, c.gbs(), c.spmv_us, c.ratio(),
+                SWEEP_COLUMNS,
+                c.columns_us.map(|us| format!("{us:.1}")).join(", "),
+                c.columns_speedup().map(|x| format!("{x:.2}")).join(", "),
             )
         })
         .collect::<Vec<_>>()

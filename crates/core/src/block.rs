@@ -58,6 +58,11 @@ impl DistPrecond for BlockPrecond {
         self.factors.solve_in_place(z);
     }
 
+    /// One sweep through the factors for all the columns.
+    fn apply_block(&self, _comm: &mut Comm, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
+        self.factors.solve_columns(rs, zs);
+    }
+
     /// `Block 1`'s ILU(0) is numeric-only to begin with; `Block 2` skips
     /// ILUT's drop/fill selection and works inside the frozen pattern.
     fn refactor(&self, dm: &DistMatrix, _a_global: &Csr) -> Result<Box<dyn DistPrecond>> {

@@ -101,33 +101,43 @@ impl LocalLayout {
     }
 
     /// Posts the ghost-value sends to every neighbour (pooled buffers, no
-    /// per-message allocation). Pair with [`LocalLayout::finish_ghosts`]
+    /// per-message allocation). `x` holds `k` columns of length
+    /// [`LocalLayout::n_local`] in the column-group layout of
+    /// [`ops::pack_columns`] (one column: the plain vector); one message per
+    /// neighbour carries all of them. Pair with [`LocalLayout::finish_ghosts`]
     /// to complete the exchange; together they equal
     /// [`LocalLayout::update_ghosts`] but allow interleaving computation.
-    pub fn post_ghost_sends(&self, comm: &mut Comm, x: &[f64], tag: u64) {
+    pub fn post_ghost_sends(&self, comm: &mut Comm, x: &[f64], k: usize, tag: u64) {
+        let n_local = self.n_local();
         SEND_SCRATCH.with(|s| {
             let mut buf = s.borrow_mut();
-            for (k, &q) in self.neighbors.iter().enumerate() {
+            for (q, send_idx) in self.neighbors.iter().zip(&self.send_idx) {
                 buf.clear();
-                buf.extend(self.send_idx[k].iter().map(|&i| x[i]));
-                comm.send_f64s_from(q, tag, &buf);
+                for g in ops::column_groups(k) {
+                    let (w, block) = (g.len(), &x[g.start * n_local..g.end * n_local]);
+                    for &i in send_idx {
+                        buf.extend_from_slice(&block[i * w..(i + 1) * w]);
+                    }
+                }
+                comm.send_f64s_from(*q, tag, &buf);
             }
         });
     }
 
-    /// Completes a ghost exchange started by [`LocalLayout::post_ghost_sends`]:
-    /// first polls every neighbour non-blockingly (counting how many
-    /// messages were already in flight under `halo.ready_after_interior` /
-    /// `halo.wait_after_interior`), then blocks on the stragglers. Delivered
-    /// buffers are recycled into the comm pool.
-    pub fn finish_ghosts(&self, comm: &mut Comm, x: &mut [f64], tag: u64) {
+    /// Completes a ghost exchange of `k` columns started by
+    /// [`LocalLayout::post_ghost_sends`]: first polls every neighbour
+    /// non-blockingly (counting how many messages were already in flight
+    /// under `halo.ready_after_interior` / `halo.wait_after_interior`), then
+    /// blocks on the stragglers. Delivered buffers are recycled into the
+    /// comm pool.
+    pub fn finish_ghosts(&self, comm: &mut Comm, x: &mut [f64], k: usize, tag: u64) {
         STRAGGLERS.with(|s| {
             let mut stragglers = s.borrow_mut();
             stragglers.clear();
-            for (k, &q) in self.neighbors.iter().enumerate() {
+            for (nb, &q) in self.neighbors.iter().enumerate() {
                 match comm.try_recv(q, tag) {
-                    Some(data) => self.store_ghosts(comm, k, data, x),
-                    None => stragglers.push(k),
+                    Some(data) => self.store_ghosts(comm, nb, data, x, k),
+                    None => stragglers.push(nb),
                 }
             }
             let late = stragglers.len() as u64;
@@ -136,19 +146,27 @@ impl LocalLayout {
                 self.neighbors.len() as u64 - late,
             );
             parapre_metrics::count(parapre_metrics::names::HALO_WAIT, late);
-            for &k in stragglers.iter() {
-                let data = comm.recv(self.neighbors[k], tag);
-                self.store_ghosts(comm, k, data, x);
+            for &nb in stragglers.iter() {
+                let data = comm.recv(self.neighbors[nb], tag);
+                self.store_ghosts(comm, nb, data, x, k);
             }
         });
     }
 
-    /// Writes neighbour `k`'s delivered ghost values into `x` and hands the
-    /// buffer back to the comm pool.
-    fn store_ghosts(&self, comm: &mut Comm, k: usize, data: Vec<f64>, x: &mut [f64]) {
-        debug_assert_eq!(data.len(), self.recv_idx[k].len());
-        for (&gi, &v) in self.recv_idx[k].iter().zip(&data) {
-            x[gi] = v;
+    /// Writes neighbour `nb`'s delivered ghost values of `k` columns into
+    /// `x` and hands the buffer back to the comm pool.
+    fn store_ghosts(&self, comm: &mut Comm, nb: usize, data: Vec<f64>, x: &mut [f64], k: usize) {
+        let recv_idx = &self.recv_idx[nb];
+        debug_assert_eq!(data.len(), recv_idx.len() * k);
+        let n_local = self.n_local();
+        let mut values = data.iter();
+        for g in ops::column_groups(k) {
+            let (w, block) = (g.len(), &mut x[g.start * n_local..g.end * n_local]);
+            for &gi in recv_idx {
+                for (slot, &v) in block[gi * w..(gi + 1) * w].iter_mut().zip(&mut values) {
+                    *slot = v;
+                }
+            }
         }
         comm.recycle_f64s(data);
     }
@@ -158,10 +176,10 @@ impl LocalLayout {
     pub fn update_ghosts(&self, comm: &mut Comm, x: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n_local());
         let _span = parapre_metrics::span(parapre_metrics::names::HALO);
-        self.post_ghost_sends(comm, x, tags::GHOST);
-        for (k, &q) in self.neighbors.iter().enumerate() {
+        self.post_ghost_sends(comm, x, 1, tags::GHOST);
+        for (nb, &q) in self.neighbors.iter().enumerate() {
             let data = comm.recv(q, tags::GHOST);
-            self.store_ghosts(comm, k, data, x);
+            self.store_ghosts(comm, nb, data, x, 1);
         }
     }
 
@@ -239,16 +257,40 @@ impl DistSpmvPlan {
         self.split.boundary_rows.len()
     }
 
-    /// Computes `y[rows[i]] = part.row(i) · x` with the exact accumulation
-    /// order of [`Csr::spmv`].
-    fn spmv_scattered(part: &Csr, rows: &[usize], x: &[f64], y: &mut [f64]) {
+    /// Computes `y[rows[i]] = part.row(i) · x` for `K` interleaved columns,
+    /// each with the exact accumulation order of [`Csr::spmv`].
+    fn spmv_scattered<const K: usize>(
+        part: &Csr,
+        rows: &[usize],
+        x: &[[f64; K]],
+        y: &mut [[f64; K]],
+    ) {
         for (ip, &row) in rows.iter().enumerate() {
             let (cols, vals) = part.row(ip);
-            let mut acc = 0.0;
+            let mut acc = [0.0; K];
             for (&j, &v) in cols.iter().zip(vals) {
-                acc += v * x[j];
+                let xj = &x[j];
+                for c in 0..K {
+                    acc[c] += v * xj[c];
+                }
             }
             y[row] = acc;
+        }
+    }
+
+    /// [`DistSpmvPlan::spmv_scattered`] of `part` over every column group of
+    /// `k` packed columns: `x` of `n_local` rows, `y` of `n_owned`.
+    fn spmv_columns(part: &Csr, rows: &[usize], x: &[f64], y: &mut [f64], k: usize) {
+        let (n_local, n_owned) = (x.len() / k, y.len() / k);
+        for g in ops::column_groups(k) {
+            let xg = &x[g.start * n_local..g.end * n_local];
+            let yg = &mut y[g.start * n_owned..g.end * n_owned];
+            match g.len() {
+                8 => Self::spmv_scattered::<8>(part, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
+                4 => Self::spmv_scattered::<4>(part, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
+                2 => Self::spmv_scattered::<2>(part, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
+                _ => Self::spmv_scattered::<1>(part, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
+            }
         }
     }
 }
@@ -400,26 +442,25 @@ impl DistMatrix {
     /// `x` has length `n_local` (ghost tail is scratch), `y` length
     /// `n_owned`.
     pub fn matvec(&self, comm: &mut Comm, x: &mut [f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.layout.n_local());
-        debug_assert_eq!(y.len(), self.layout.n_owned());
+        self.matvec_columns(comm, x, y, 1);
+    }
+
+    /// [`DistMatrix::matvec`] of `k` columns packed in the column-group
+    /// layout of [`ops::pack_columns`] (`x` of `k · n_local`, `y` of
+    /// `k · n_owned`): one ghost message per neighbour, each matrix entry
+    /// read once per column group, every column bit for bit its own matvec.
+    pub(crate) fn matvec_columns(&self, comm: &mut Comm, x: &mut [f64], y: &mut [f64], k: usize) {
+        debug_assert_eq!(x.len(), k * self.layout.n_local());
+        debug_assert_eq!(y.len(), k * self.layout.n_owned());
         let _span = parapre_metrics::span(parapre_metrics::names::SPMV);
-        self.layout.post_ghost_sends(comm, x, tags::GHOST);
-        DistSpmvPlan::spmv_scattered(
-            &self.plan.split.interior,
-            &self.plan.split.interior_rows,
-            x,
-            y,
-        );
+        let split = &self.plan.split;
+        self.layout.post_ghost_sends(comm, x, k, tags::GHOST);
+        DistSpmvPlan::spmv_columns(&split.interior, &split.interior_rows, x, y, k);
         {
             let _halo = parapre_metrics::span(parapre_metrics::names::HALO);
-            self.layout.finish_ghosts(comm, x, tags::GHOST);
+            self.layout.finish_ghosts(comm, x, k, tags::GHOST);
         }
-        DistSpmvPlan::spmv_scattered(
-            &self.plan.split.boundary,
-            &self.plan.split.boundary_rows,
-            x,
-            y,
-        );
+        DistSpmvPlan::spmv_columns(&split.boundary, &split.boundary_rows, x, y, k);
     }
 
     /// The paper's local blocks `B_i, F_i, E_i, C_i` (eq. 4) plus the ghost

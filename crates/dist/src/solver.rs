@@ -17,7 +17,7 @@
 use crate::{tags, CheckpointCtx, DistMatrix};
 use parapre_krylov::gmres::{update_solution, DIVERGENCE_GUARD, STALL_RTOL};
 use parapre_krylov::lsq::GivensLsq;
-use parapre_krylov::proj::{Basis, Panel};
+use parapre_krylov::proj::Panel;
 use parapre_krylov::{BreakdownKind, SolveBreakdown, SolveReport};
 use parapre_metrics::{names, ConvKind};
 use parapre_mpisim::Comm;
@@ -31,6 +31,15 @@ pub trait DistOp {
     fn n_owned(&self) -> usize;
     /// `y = A x` (may communicate).
     fn apply(&self, comm: &mut Comm, x: &[f64], y: &mut [f64]);
+    /// `ys[c] = A xs[c]` for every column, in one collective step of the
+    /// lock-step block solve. Every rank passes the same number of columns.
+    /// The default applies the columns one after the other; an override
+    /// must give each column the bits of its [`DistOp::apply`].
+    fn apply_block(&self, comm: &mut Comm, xs: &[&[f64]], ys: &mut [&mut [f64]]) {
+        for (x, y) in xs.iter().zip(ys.iter_mut()) {
+            self.apply(comm, x, y);
+        }
+    }
 }
 
 /// A distributed preconditioner `z = M⁻¹ r` on owned-unknown vectors.
@@ -43,6 +52,16 @@ pub trait DistOp {
 pub trait DistPrecond: Send + Sync {
     /// `z = M⁻¹ r` (may communicate; may be flexible/inner-iterative).
     fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]);
+
+    /// `zs[c] = M⁻¹ rs[c]` for every column, in one collective step of the
+    /// lock-step block solve. Every rank passes the same number of columns.
+    /// The default applies the columns one after the other; an override
+    /// must give each column the bits of its [`DistPrecond::apply`].
+    fn apply_block(&self, comm: &mut Comm, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
+        for (r, z) in rs.iter().zip(zs.iter_mut()) {
+            self.apply(comm, r, z);
+        }
+    }
 
     /// Numeric-only rebuild of this rank's preconditioner for `dm`, the
     /// same rows of a matrix with the **same sparsity pattern and new
@@ -60,7 +79,7 @@ pub trait DistPrecond: Send + Sync {
     fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
         let _ = (dm, a_global);
         Err(Error::InvalidStructure(
-            "this preconditioner has no numeric-only refactorization",
+            "this preconditioner has no numeric-only refactorization".into(),
         ))
     }
 }
@@ -68,6 +87,9 @@ pub trait DistPrecond: Send + Sync {
 impl<T: DistPrecond + ?Sized> DistPrecond for Box<T> {
     fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]) {
         (**self).apply(comm, r, z)
+    }
+    fn apply_block(&self, comm: &mut Comm, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
+        (**self).apply_block(comm, rs, zs)
     }
     fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
         (**self).refactor(dm, a_global)
@@ -78,6 +100,9 @@ impl<T: DistPrecond + ?Sized> DistPrecond for &T {
     fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]) {
         (**self).apply(comm, r, z)
     }
+    fn apply_block(&self, comm: &mut Comm, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
+        (**self).apply_block(comm, rs, zs)
+    }
     fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
         (**self).refactor(dm, a_global)
     }
@@ -86,6 +111,9 @@ impl<T: DistPrecond + ?Sized> DistPrecond for &T {
 impl<T: DistPrecond + ?Sized> DistPrecond for std::sync::Arc<T> {
     fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]) {
         (**self).apply(comm, r, z)
+    }
+    fn apply_block(&self, comm: &mut Comm, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
+        (**self).apply_block(comm, rs, zs)
     }
     fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
         (**self).refactor(dm, a_global)
@@ -108,6 +136,15 @@ impl<T: DistOp + ?Sized> DistOp for std::sync::Arc<T> {
     fn apply(&self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
         (**self).apply(comm, x, y)
     }
+    fn apply_block(&self, comm: &mut Comm, xs: &[&[f64]], ys: &mut [&mut [f64]]) {
+        (**self).apply_block(comm, xs, ys)
+    }
+}
+
+thread_local! {
+    /// Ghost-extended copies of the columns a [`DistMatrix`] multiplies, and
+    /// the packed products of a block multiply.
+    static SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 impl DistOp for DistMatrix {
@@ -115,14 +152,27 @@ impl DistOp for DistMatrix {
         self.layout.n_owned()
     }
     fn apply(&self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
-        thread_local! {
-            static SCRATCH: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
-        }
         SCRATCH.with(|s| {
-            let mut ext = s.borrow_mut();
+            let ext = &mut s.borrow_mut().0;
             ext.resize(self.layout.n_local(), 0.0);
             ext[..x.len()].copy_from_slice(x);
-            self.matvec(comm, &mut ext, y);
+            self.matvec(comm, ext, y);
+        });
+    }
+    /// One ghost message per neighbour carries every column, and the SpMV
+    /// reads each matrix entry once per group of up to eight columns.
+    fn apply_block(&self, comm: &mut Comm, xs: &[&[f64]], ys: &mut [&mut [f64]]) {
+        if let ([x], [y]) = (xs, &mut *ys) {
+            return self.apply(comm, x, y);
+        }
+        let (n_local, n_owned) = (self.layout.n_local(), self.layout.n_owned());
+        SCRATCH.with(|s| {
+            let (ext, out) = &mut *s.borrow_mut();
+            ext.resize(n_local * xs.len(), 0.0);
+            out.resize(n_owned * ys.len(), 0.0);
+            ops::pack_columns(xs, n_local, ext);
+            self.matvec_columns(comm, ext, out, xs.len());
+            ops::unpack_columns(out, n_owned, ys);
         });
     }
 }
@@ -185,9 +235,10 @@ impl Default for DistGmresConfig {
     }
 }
 
-/// Which public entry is driving the Arnoldi cycle.
+/// Which public entry is driving the Arnoldi cycles.
+#[derive(Clone, Copy)]
 enum Entry<'a> {
-    /// [`DistGmres::solve_with_checkpoint`]: flexible, traced, reported.
+    /// [`DistGmres::solve_block`]: flexible, traced, reported.
     Solve(Option<CheckpointCtx<'a>>),
     /// [`DistGmres::fixed_effort`].
     FixedEffort,
@@ -216,27 +267,43 @@ impl DistGmres {
         b: &[f64],
         x: &mut [f64],
     ) -> SolveReport {
-        self.solve_with_checkpoint(comm, a, m, b, x, None)
+        self.solve_block(comm, a, m, &[b], &mut [x], None)
+            .pop()
+            .expect("one report per column")
     }
 
-    /// [`DistGmres::solve`] with optional restart-cycle checkpointing.
+    /// Solves `A x_c = b_c` for every column `c` in **lock-step rounds**,
+    /// each `x_c` updated in place (initial guess on entry); one report per
+    /// column, in order.
     ///
-    /// When `ckpt` is set, the owned iterate is handed to the store at every
-    /// restart-cycle boundary, and `start_iters`/`start_cycle` shift the
-    /// budget and cycle numbering for a solve resumed from a snapshot. A
-    /// resumed solve converges to `rel_tol` relative to its *resume-point*
-    /// residual — never looser than the original target, since the
-    /// checkpointed residual is at most the initial one.
-    pub fn solve_with_checkpoint<A: DistOp, M: DistPrecond>(
+    /// A round applies the preconditioner once to every column taking an
+    /// Arnoldi step ([`DistPrecond::apply_block`]), the operator once to
+    /// those columns' directions and to the iterates whose true residual is
+    /// due ([`DistOp::apply_block`]), and reduces every column's fused
+    /// Gram–Schmidt sums or residual norm in one all-reduce, plus one more
+    /// for the columns that re-orthogonalize. Each column keeps its own
+    /// basis, least-squares state, restart position and stopping decision,
+    /// all taken on reduced values, so every rank takes the same branches,
+    /// and each column's bits are those of its one-column solve (the
+    /// all-reduce sums element-wise in the scalar's tree order).
+    ///
+    /// When `ckpt` is set (one column only), the owned iterate is handed to
+    /// the store at every restart-cycle boundary, and
+    /// `start_iters`/`start_cycle` shift the budget and cycle numbering for
+    /// a solve resumed from a snapshot. A resumed solve converges to
+    /// `rel_tol` relative to its *resume-point* residual — never looser than
+    /// the original target, since the checkpointed residual is at most the
+    /// initial one.
+    pub fn solve_block<A: DistOp, M: DistPrecond>(
         &self,
         comm: &mut Comm,
         a: &A,
         m: &M,
-        b: &[f64],
-        x: &mut [f64],
+        bs: &[&[f64]],
+        xs: &mut [&mut [f64]],
         ckpt: Option<CheckpointCtx<'_>>,
-    ) -> SolveReport {
-        self.run(comm, a, m, b, x, Entry::Solve(ckpt))
+    ) -> Vec<SolveReport> {
+        self.run(comm, a, m, bs, xs, Entry::Solve(ckpt))
     }
 
     /// Fixed-effort inner solve: `k` right-preconditioned GMRES steps on
@@ -269,285 +336,498 @@ impl DistGmres {
             stall_window: 0,
             ..Default::default()
         });
-        solver.run(comm, a, m, g, z, Entry::FixedEffort);
+        solver.run(comm, a, m, &[g], &mut [z], Entry::FixedEffort);
     }
 
-    /// The one Arnoldi driver behind both entries.
+    /// The one Arnoldi driver behind every entry: lock-step rounds over the
+    /// columns until each has its report.
     fn run<A: DistOp, M: DistPrecond>(
         &self,
         comm: &mut Comm,
         a: &A,
         m: &M,
-        b: &[f64],
-        x: &mut [f64],
+        bs: &[&[f64]],
+        xs: &mut [&mut [f64]],
         entry: Entry<'_>,
-    ) -> SolveReport {
+    ) -> Vec<SolveReport> {
+        assert_eq!(bs.len(), xs.len());
+        if bs.len() > LOCKSTEP_COLS {
+            let groups = bs.chunks(LOCKSTEP_COLS).zip(xs.chunks_mut(LOCKSTEP_COLS));
+            return groups
+                .flat_map(|(b, x)| self.run(comm, a, m, b, x, entry))
+                .collect();
+        }
         let (ckpt, fixed) = match entry {
             Entry::Solve(ckpt) => (ckpt, false),
             Entry::FixedEffort => (None, true),
         };
+        assert!(
+            ckpt.is_none() || bs.len() == 1,
+            "checkpoints cover one column"
+        );
         let n = a.n_owned();
-        assert_eq!(b.len(), n);
-        assert_eq!(x.len(), n);
         let cfg = &self.config;
-        // A cycle cannot outrun the iteration budget, and its basis is
-        // allocated whole.
-        let restart = cfg.restart.clamp(1, cfg.max_iters.max(1));
         let _solve_span = parapre_metrics::span(if fixed {
             names::INNER_SOLVE
         } else {
             names::SOLVE
         });
-        // Rank 0 of an outer solve speaks for the run in the live ring;
-        // inner solves are silent.
-        let speaks = !fixed && comm.rank() == 0;
-        let converging = |iter: usize, relres: f64, kind: ConvKind, detail: &str| {
-            parapre_metrics::convergence("dist", speaks, iter, relres, kind, detail);
+        let run = Run {
+            cfg,
+            // A cycle cannot outrun the iteration budget, and its basis is
+            // allocated whole.
+            restart: cfg.restart.clamp(1, cfg.max_iters.max(1)),
+            fixed,
+            ckpt,
+            // Rank 0 of an outer solve speaks for the run in the live ring;
+            // inner solves are silent.
+            speaks: !fixed && comm.rank() == 0,
         };
-
-        let mut report = SolveReport {
-            iterations: ckpt.map_or(0, |c| c.start_iters),
-            ..Default::default()
-        };
-
-        let dot = |comm: &mut Comm, u: &[f64], v: &[f64]| -> f64 {
-            comm.allreduce_sum(ops::dot(u, v), tags::REDUCE)
-        };
-        // `r = b − A x`, and its norm.
-        let residual = |comm: &mut Comm, x: &[f64], r: &mut [f64]| {
-            a.apply(comm, x, r);
-            for (ri, &bi) in r.iter_mut().zip(b) {
-                *ri = bi - *ri;
+        assert!(xs.iter().all(|x| x.len() == n));
+        let mut cols: Vec<Column<'_>> = bs.iter().map(|&b| Column::new(b, &run, n)).collect();
+        // The fused reductions of a round: first pass, and re-orthogonalization.
+        let (mut sums, mut again) = (Vec::new(), Vec::new());
+        while cols.iter().any(|c| c.stage != Stage::Done) {
+            let stepping = cols.iter().any(|c| c.stage == Stage::Step);
+            // One preconditioner application over the stepping columns.
+            if stepping {
+                let _s = parapre_metrics::span(names::PRECOND_APPLY);
+                let steps = cols.iter_mut().filter(|c| c.stage == Stage::Step);
+                let steps = steps.map(|c| (c.v.col(c.k), c.zdirs.col_mut(run.zk(c.k))));
+                lend(steps, |rs, zs| m.apply_block(comm, rs, zs));
             }
-            dot(comm, r, r).sqrt()
-        };
+            // One operator application: the stepping columns' directions,
+            // and the iterates whose true residual is due (a fixed-effort
+            // residual opens as `g` itself).
+            let products = cols
+                .iter_mut()
+                .zip(xs.iter())
+                .filter_map(|(c, x)| match c.stage {
+                    Stage::Step => {
+                        c.total_iters += 1;
+                        let (_, w) = c.v.split(c.k + 1);
+                        Some((c.zdirs.col(run.zk(c.k)), w))
+                    }
+                    Stage::Open if fixed => None,
+                    Stage::Open | Stage::Close => Some((&**x, &mut c.r[..])),
+                    Stage::Done => None,
+                });
+            lend(products, |ins, outs| {
+                if !ins.is_empty() {
+                    a.apply_block(comm, ins, outs);
+                }
+            });
+            for c in cols.iter_mut() {
+                if c.stage == Stage::Close || (c.stage == Stage::Open && !fixed) {
+                    for (ri, &bi) in c.r.iter_mut().zip(c.b) {
+                        *ri = bi - *ri;
+                    }
+                }
+            }
+            let orth = stepping.then(|| parapre_metrics::span(names::ORTH));
+            reduce(comm, cfg.orth, &mut cols, &mut sums, &mut again);
+            drop(orth);
+            for (c, x) in cols.iter_mut().zip(xs.iter_mut()) {
+                match c.stage {
+                    Stage::Open => c.open(&run, comm, m, x),
+                    Stage::Step => c.stepped(&run, comm, m, x),
+                    Stage::Close => c.close(&run, comm, m, x),
+                    Stage::Done => {}
+                }
+            }
+        }
+        cols.into_iter().map(|c| c.report).collect()
+    }
+}
 
-        let mut r = vec![0.0; n];
-        let r0_norm = if fixed {
-            r.copy_from_slice(b);
-            dot(comm, &r, &r).sqrt()
+/// Columns one lock-step solve carries; a wider request runs as several.
+const LOCKSTEP_COLS: usize = 64;
+
+/// Hands `f` the inputs and outputs of `pairs` as the two slices a block
+/// apply takes, from the stack: a solve allocates nothing per round.
+fn lend<'a>(
+    pairs: impl Iterator<Item = (&'a [f64], &'a mut [f64])>,
+    f: impl FnOnce(&[&[f64]], &mut [&mut [f64]]),
+) {
+    let mut ins: [&[f64]; LOCKSTEP_COLS] = [&[]; LOCKSTEP_COLS];
+    let mut outs: [&mut [f64]; LOCKSTEP_COLS] = std::array::from_fn(|_| Default::default());
+    let mut len = 0;
+    for (i, o) in pairs {
+        (ins[len], outs[len]) = (i, o);
+        len += 1;
+    }
+    f(&ins[..len], &mut outs[..len]);
+}
+
+/// What every column of one [`DistGmres::run`] shares.
+struct Run<'a> {
+    cfg: &'a DistGmresConfig,
+    restart: usize,
+    /// A fixed-effort inner solve: fixed preconditioner, no report.
+    fixed: bool,
+    ckpt: Option<CheckpointCtx<'a>>,
+    speaks: bool,
+}
+
+impl Run<'_> {
+    /// The direction slot of basis vector `k`: the flexible solve keeps
+    /// every preconditioned direction, the fixed-preconditioner one only
+    /// the latest.
+    fn zk(&self, k: usize) -> usize {
+        if self.fixed {
+            0
         } else {
-            residual(comm, x, &mut r)
-        };
+            k
+        }
+    }
+
+    fn converging(&self, iter: usize, relres: f64, kind: ConvKind, detail: &str) {
+        parapre_metrics::convergence("dist", self.speaks, iter, relres, kind, detail);
+    }
+}
+
+/// Where a column of the lock-step solve stands at the start of a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Its opening residual norm is reduced this round.
+    Open,
+    /// It takes an Arnoldi step this round.
+    Step,
+    /// The true residual closing its cycle is reduced this round.
+    Close,
+    /// Its report is final.
+    Done,
+}
+
+/// One right-hand side of a lock-step solve: everything the one-column
+/// solve keeps, so that its arithmetic is that solve's.
+struct Column<'b> {
+    b: &'b [f64],
+    stage: Stage,
+    report: SolveReport,
+    /// Residual of the cycle start, and its reduced norm.
+    r: Vec<f64>,
+    beta: f64,
+    r0_norm: f64,
+    target: f64,
+    /// The Krylov basis has one column more than the restart length: the
+    /// vector being orthogonalized is the column after the basis so far.
+    v: Panel,
+    zdirs: Panel,
+    lsq: GivensLsq,
+    /// This column's share of a fused reduction: `k + 1` projections and
+    /// `⟨w, w⟩`; and `‖w'‖²` from the step's last Gram–Schmidt pass.
+    sums: Vec<f64>,
+    est: f64,
+    /// Whether the step in flight takes the second pass.
+    reorth: bool,
+    /// The true residuals of the last `stall_window + 1` cycle boundaries
+    /// (there are at most `max_iters / restart + 1` of them).
+    cycle_betas: VecDeque<f64>,
+    total_iters: usize,
+    cycle: u64,
+    /// Basis vectors in the cycle so far.
+    k: usize,
+    cycle_done: bool,
+    zero_norm: bool,
+    nonfinite: bool,
+}
+
+impl<'b> Column<'b> {
+    /// Everything a cycle writes is allocated here, once per solve.
+    fn new(b: &'b [f64], run: &Run<'_>, n: usize) -> Self {
+        assert_eq!(b.len(), n);
+        let (cfg, restart) = (run.cfg, run.restart);
+        let start_iters = run.ckpt.map_or(0, |c| c.start_iters);
+        Column {
+            b,
+            stage: Stage::Open,
+            report: SolveReport {
+                iterations: start_iters,
+                ..Default::default()
+            },
+            r: if run.fixed { b.to_vec() } else { vec![0.0; n] },
+            beta: 0.0,
+            r0_norm: 0.0,
+            target: 0.0,
+            v: Panel::zeros(n, restart + 1),
+            zdirs: Panel::zeros(n, if run.fixed { 1 } else { restart }),
+            lsq: GivensLsq::new(restart),
+            sums: vec![0.0; restart + 1],
+            est: 0.0,
+            reorth: false,
+            cycle_betas: VecDeque::with_capacity(cfg.stall_window.min(cfg.max_iters / restart) + 1),
+            total_iters: start_iters,
+            cycle: run.ckpt.map_or(0, |c| c.start_cycle),
+            k: 0,
+            cycle_done: false,
+            zero_norm: false,
+            nonfinite: false,
+        }
+    }
+
+    /// Stops with a typed breakdown.
+    fn break_down(&mut self, run: &Run<'_>, kind: BreakdownKind, iteration: usize, relres: f64) {
+        run.converging(iteration, relres, kind.conv_kind(), kind.key());
+        self.report.breakdown = Some(SolveBreakdown {
+            kind,
+            iteration,
+            relres,
+        });
+        self.stage = Stage::Done;
+    }
+
+    /// The opening residual norm has been reduced: done already, or the
+    /// first cycle starts.
+    fn open<M: DistPrecond>(&mut self, run: &Run<'_>, comm: &mut Comm, m: &M, x: &mut [f64]) {
+        let (cfg, r0_norm) = (run.cfg, self.beta);
         if cfg.record_history {
-            report.residual_history.push(r0_norm);
+            self.report.residual_history.push(r0_norm);
         }
         if !r0_norm.is_finite() {
-            let kind = BreakdownKind::NonFinite;
-            converging(report.iterations, f64::NAN, kind.conv_kind(), kind.key());
-            report.breakdown = Some(SolveBreakdown {
-                kind,
-                iteration: report.iterations,
-                relres: f64::NAN,
-            });
-            return report;
+            let iteration = self.report.iterations;
+            self.break_down(run, BreakdownKind::NonFinite, iteration, f64::NAN);
+        } else if r0_norm <= cfg.abs_tol {
+            self.report.converged = true;
+            self.report.final_relres = 0.0;
+            self.stage = Stage::Done;
+        } else {
+            self.r0_norm = r0_norm;
+            self.target = (cfg.rel_tol * r0_norm).max(cfg.abs_tol);
+            self.start_cycle(run, comm, m, x);
         }
-        if r0_norm <= cfg.abs_tol {
-            report.converged = true;
-            report.final_relres = 0.0;
-            return report;
+    }
+
+    /// Opens a cycle from `r` and its norm `beta`.
+    fn start_cycle<M: DistPrecond>(
+        &mut self,
+        run: &Run<'_>,
+        comm: &mut Comm,
+        m: &M,
+        x: &mut [f64],
+    ) {
+        let beta = self.beta;
+        self.lsq.start(beta);
+        for (vi, &ri) in self.v.col_mut(0).iter_mut().zip(&self.r) {
+            *vi = ri / beta;
         }
-        let target = (cfg.rel_tol * r0_norm).max(cfg.abs_tol);
-        // The true residuals of the last `stall_window + 1` cycle boundaries
-        // (there are at most `max_iters / restart + 1` of them).
-        let mut cycle_betas: VecDeque<f64> =
-            VecDeque::with_capacity(cfg.stall_window.min(cfg.max_iters / restart) + 1);
+        self.k = 0;
+        (self.cycle_done, self.zero_norm, self.nonfinite) = (false, false, false);
+        self.next_step(run, comm, m, x);
+    }
 
-        // Everything a cycle writes is allocated here, once per solve. The
-        // Krylov basis has one column more than the restart length: the
-        // vector being orthogonalized is the column after the basis so far.
-        // The flexible solve keeps every preconditioned direction, the
-        // fixed-preconditioner one only the latest.
-        let mut v = Panel::zeros(n, restart + 1);
-        let mut zdirs = Panel::zeros(n, if fixed { 1 } else { restart });
-        let mut lsq = GivensLsq::new(restart);
-        let mut batch = vec![0.0; restart + 1];
-        let mut total_iters = ckpt.map_or(0, |c| c.start_iters);
-        let mut cycle = ckpt.map_or(0, |c| c.start_cycle);
-        let mut beta = r0_norm;
+    /// Steps again next round, or ends the cycle now.
+    fn next_step<M: DistPrecond>(&mut self, run: &Run<'_>, comm: &mut Comm, m: &M, x: &mut [f64]) {
+        if !self.cycle_done && self.k < run.restart && self.total_iters < run.cfg.max_iters {
+            self.stage = Stage::Step;
+            return;
+        }
+        // Form the update from this cycle.
+        let y = self.lsq.solve(self.k);
+        update_solution(&mut self.v, &mut self.zdirs, y, x, !run.fixed, |u, z| {
+            let _s = parapre_metrics::span(names::PRECOND_APPLY);
+            m.apply(comm, u, z);
+        });
+        // The budget is spent and nobody reads the report.
+        self.stage = if run.fixed && !self.cycle_done {
+            Stage::Done
+        } else {
+            Stage::Close
+        };
+    }
 
-        loop {
-            lsq.start(beta);
-            for (vi, &ri) in v.col_mut(0).iter_mut().zip(&r) {
-                *vi = ri / beta;
+    /// Modified Gram–Schmidt: one scalar all-reduce per basis vector and
+    /// one for the norm.
+    fn orthogonalize_modified(&mut self, comm: &mut Comm) {
+        let k = self.k;
+        let (vs, w) = self.v.split(k + 1);
+        let hcol = self.lsq.column(k);
+        for (i, hik) in hcol[..=k].iter_mut().enumerate() {
+            let vi = vs.col(i);
+            *hik = comm.allreduce_sum(ops::dot(w, vi), tags::REDUCE);
+            for (wj, &vj) in w.iter_mut().zip(vi) {
+                *wj -= *hik * vj;
             }
+        }
+        let wnorm = comm.allreduce_sum(ops::dot(w, w), tags::REDUCE).sqrt();
+        for wj in w.iter_mut() {
+            *wj /= wnorm;
+        }
+        hcol[k + 1] = wnorm;
+    }
 
-            let mut k = 0usize;
-            let mut cycle_done = false;
-            let mut zero_norm = false;
-            let mut nonfinite = false;
-            while k < restart && total_iters < cfg.max_iters && !cycle_done {
-                let zk = if fixed { 0 } else { k };
-                {
-                    let _s = parapre_metrics::span(names::PRECOND_APPLY);
-                    m.apply(comm, v.col(k), zdirs.col_mut(zk));
-                }
-                let (vs, w) = v.split(k + 1);
-                a.apply(comm, zdirs.col(zk), w);
-                total_iters += 1;
+    /// Column `k` of the Hessenberg matrix is complete: rotate it in and
+    /// decide whether the cycle goes on.
+    fn stepped<M: DistPrecond>(&mut self, run: &Run<'_>, comm: &mut Comm, m: &M, x: &mut [f64]) {
+        let k = self.k;
+        let wnorm = self.lsq.column(k)[k + 1];
+        // All entries of the column come from all-reduced sums, so the
+        // non-finite decision is identical on every rank. Discard the
+        // poisoned column and finish the cycle with the finite prefix.
+        if let Some(res_est) = self.lsq.rotate(k) {
+            self.k += 1;
+            if run.cfg.record_history {
+                self.report.residual_history.push(res_est);
+            }
+            if !run.fixed {
+                run.converging(self.total_iters, res_est / self.r0_norm, ConvKind::Iter, "");
+            }
+            // Column `k` now holds `w / wnorm`, the next basis vector; a
+            // cycle that ends here never reads it.
+            if res_est <= self.target || wnorm == 0.0 {
+                self.zero_norm = wnorm == 0.0;
+                self.cycle_done = true;
+            }
+        } else {
+            self.nonfinite = true;
+            self.cycle_done = true;
+        }
+        self.next_step(run, comm, m, x);
+    }
 
-                let orth = parapre_metrics::span(names::ORTH);
-                let hcol = lsq.column(k);
-                let wnorm = match cfg.orth {
-                    OrthMethod::Modified => {
-                        for (i, hik) in hcol[..=k].iter_mut().enumerate() {
-                            let vi = vs.col(i);
-                            *hik = dot(comm, w, vi);
-                            for (wj, &vj) in w.iter_mut().zip(vi) {
-                                *wj -= *hik * vj;
-                            }
-                        }
-                        let wnorm = dot(comm, w, w).sqrt();
-                        for wj in w.iter_mut() {
-                            *wj /= wnorm;
-                        }
-                        wnorm
-                    }
-                    OrthMethod::ClassicalBatched => {
-                        orthogonalize_batched(comm, vs, w, hcol, &mut batch[..k + 2])
-                    }
-                };
-                drop(orth);
-                hcol[k + 1] = wnorm;
-                // All entries of `hcol` come from allreduced sums, so the
-                // non-finite decision is identical on every rank. Discard
-                // the poisoned column and finish the cycle with the finite
-                // prefix.
-                let Some(res_est) = lsq.rotate(k) else {
-                    nonfinite = true;
-                    cycle_done = true;
-                    break;
-                };
-                k += 1;
-                if cfg.record_history {
-                    report.residual_history.push(res_est);
-                }
-                if !fixed {
-                    converging(total_iters, res_est / r0_norm, ConvKind::Iter, "");
-                }
-                // Column `k` now holds `w / wnorm`, the next basis vector; a
-                // cycle that ends here never reads it.
-                if res_est <= target || wnorm == 0.0 {
-                    zero_norm = wnorm == 0.0;
-                    cycle_done = true;
-                }
+    /// The true residual closing a cycle has been reduced: the shared
+    /// stopping decision.
+    fn close<M: DistPrecond>(&mut self, run: &Run<'_>, comm: &mut Comm, m: &M, x: &mut [f64]) {
+        let (cfg, beta, total_iters) = (run.cfg, self.beta, self.total_iters);
+        let relres = beta / self.r0_norm;
+        self.report.iterations = total_iters;
+        self.report.final_relres = relres;
+        if let Some(ck) = run.ckpt {
+            self.cycle += 1;
+            ck.store.save(comm.rank(), self.cycle, total_iters, x);
+            parapre_metrics::count(names::CKPT_SAVED, 1);
+        }
+        if beta <= self.target {
+            self.report.converged = true;
+            run.converging(total_iters, relres, ConvKind::Converged, "");
+            self.stage = Stage::Done;
+            return;
+        }
+        let breakdown_kind = if !beta.is_finite() || self.nonfinite {
+            Some(BreakdownKind::NonFinite)
+        } else if self.zero_norm {
+            // Serious breakdown: the basis collapsed but the true residual
+            // still misses the target — restarting would rebuild the same
+            // invariant subspace.
+            Some(BreakdownKind::ZeroNormalization)
+        } else if beta > DIVERGENCE_GUARD * self.r0_norm {
+            Some(BreakdownKind::Divergence)
+        } else if cfg.stall_window > 0 {
+            let betas = &mut self.cycle_betas;
+            if betas.len() > cfg.stall_window {
+                betas.pop_front();
             }
-
-            // Form the update from this cycle.
-            update_solution(&mut v, &mut zdirs, lsq.solve(k), x, !fixed, |u, z| {
-                let _s = parapre_metrics::span(names::PRECOND_APPLY);
-                m.apply(comm, u, z);
-            });
-
-            // The budget is spent and nobody reads the report.
-            if fixed && !cycle_done {
-                return report;
-            }
-
-            // True residual and the shared stopping decision.
-            beta = residual(comm, x, &mut r);
-            report.iterations = total_iters;
-            report.final_relres = beta / r0_norm;
-            if let Some(ck) = ckpt {
-                cycle += 1;
-                ck.store.save(comm.rank(), cycle, total_iters, x);
-                parapre_metrics::count(names::CKPT_SAVED, 1);
-            }
-            if beta <= target {
-                report.converged = true;
-                converging(total_iters, report.final_relres, ConvKind::Converged, "");
-                return report;
-            }
-            let breakdown_kind = if !beta.is_finite() || nonfinite {
-                Some(BreakdownKind::NonFinite)
-            } else if zero_norm {
-                // Serious breakdown: the basis collapsed but the true
-                // residual still misses the target — restarting would
-                // rebuild the same invariant subspace.
-                Some(BreakdownKind::ZeroNormalization)
-            } else if beta > DIVERGENCE_GUARD * r0_norm {
-                Some(BreakdownKind::Divergence)
-            } else if cfg.stall_window > 0 {
-                if cycle_betas.len() > cfg.stall_window {
-                    cycle_betas.pop_front();
-                }
-                cycle_betas.push_back(beta);
-                (cycle_betas.len() > cfg.stall_window && beta > cycle_betas[0] * (1.0 - STALL_RTOL))
-                    .then_some(BreakdownKind::Stagnation)
-            } else {
-                None
-            };
-            if let Some(kind) = breakdown_kind {
-                converging(
-                    total_iters,
-                    report.final_relres,
-                    kind.conv_kind(),
-                    kind.key(),
-                );
-                report.breakdown = Some(SolveBreakdown {
-                    kind,
-                    iteration: total_iters,
-                    relres: report.final_relres,
-                });
-                return report;
-            }
-            if total_iters >= cfg.max_iters {
-                return report;
-            }
+            betas.push_back(beta);
+            (betas.len() > cfg.stall_window && beta > betas[0] * (1.0 - STALL_RTOL))
+                .then_some(BreakdownKind::Stagnation)
+        } else {
+            None
+        };
+        if let Some(kind) = breakdown_kind {
+            self.break_down(run, kind, total_iters, relres);
+        } else if total_iters >= cfg.max_iters {
+            self.stage = Stage::Done;
+        } else {
+            self.start_cycle(run, comm, m, x);
         }
     }
 }
 
-/// Classical Gram–Schmidt step with one fused allreduce: batches the
-/// projections `w·v_0 … w·v_k` and the squared norm `w·w` into a single
-/// length-`k+2` vector reduction, then applies DGKS selective
-/// reorthogonalization (one more fused reduce) when the Pythagorean
-/// estimate `‖w'‖² ≈ w·w − Σhᵢ²` reveals severe cancellation.
+/// A round's reductions. Every due residual norm and, under classical
+/// Gram–Schmidt, every stepping column's first pass (`k + 1` projections and
+/// `⟨w, w⟩`) ride one all-reduce; the second passes of the columns that
+/// re-orthogonalize ride one more. Modified Gram–Schmidt then reduces each
+/// stepping column's projections one by one.
 ///
-/// Writes the projection coefficients into `hcol[..k+1]`, leaves in `w` the
-/// orthogonalized vector **divided by its norm** — the next basis vector —
-/// and returns that norm `‖w'‖` (estimate; relative error `O(ε)` once the
-/// cancellation guard has passed — any remaining error only perturbs the
-/// Krylov basis scaling, not the residual recurrence's correctness).
-/// `batch` is scratch for the `k+2` reduced sums.
-fn orthogonalize_batched(
+/// The re-orthogonalization is DGKS (η² = 1/2): when more than half the mass
+/// of `w` was removed by the projection, the Pythagorean estimate
+/// `‖w'‖² ≈ w·w − Σhᵢ²` is untrustworthy and the coefficients have
+/// cancelled, so `w` is orthogonalized once more. With a good preconditioner
+/// `A M⁻¹ v ≈ v`, so this is the usual case, and the first subtraction
+/// shares its sweep over `w` with the second pass's inner products. The
+/// last subtraction leaves the next basis vector `w' / ‖w'‖` in `w`, and the
+/// norm (relative error `O(ε)` once the guard has passed) below the
+/// coefficients.
+fn reduce(
     comm: &mut Comm,
-    vs: Basis<'_>,
-    w: &mut [f64],
-    hcol: &mut [f64],
-    batch: &mut [f64],
-) -> f64 {
-    let k1 = vs.len();
-    debug_assert!(hcol.len() > k1);
-    vs.dots(w, batch);
-    comm.allreduce_sum_vec(batch, tags::REDUCE);
-    parapre_metrics::count(names::GMRES_FUSED_ALLREDUCE, 1);
-    let ww = batch[k1];
-    hcol[..k1].copy_from_slice(&batch[..k1]);
-    let proj_sq: f64 = batch[..k1].iter().map(|h| h * h).sum();
-    let mut est = (ww - proj_sq).max(0.0);
-    // DGKS criterion (η² = 1/2): when more than half the mass of `w` was
-    // removed by the projection, the Pythagorean estimate is untrustworthy
-    // and the coefficients have cancelled — orthogonalize once more. With a
-    // good preconditioner `A M⁻¹ v ≈ v`, so this is the usual case, and the
-    // first subtraction shares its sweep over `w` with the second pass's
-    // inner products.
-    if est <= 0.5 * ww {
-        parapre_metrics::count(names::GMRES_REORTH, 1);
-        vs.sub_then_dots(&hcol[..k1], w, batch);
-        comm.allreduce_sum_vec(batch, tags::REDUCE);
-        parapre_metrics::count(names::GMRES_FUSED_ALLREDUCE, 1);
-        let w1w1 = batch[k1];
-        let mut corr_sq = 0.0;
-        for (h, &ci) in hcol[..k1].iter_mut().zip(&batch[..k1]) {
-            *h += ci;
-            corr_sq += ci * ci;
+    orth: OrthMethod,
+    cols: &mut [Column<'_>],
+    sums: &mut Vec<f64>,
+    again: &mut Vec<f64>,
+) {
+    let cgs = orth == OrthMethod::ClassicalBatched;
+    sums.clear();
+    for c in cols.iter_mut() {
+        match c.stage {
+            Stage::Step if cgs => {
+                let (vs, w) = c.v.split(c.k + 1);
+                vs.dots(w, &mut c.sums[..c.k + 2]);
+                sums.extend_from_slice(&c.sums[..c.k + 2]);
+            }
+            Stage::Open | Stage::Close => sums.push(ops::dot(&c.r, &c.r)),
+            _ => {}
         }
-        est = (w1w1 - corr_sq).max(0.0);
     }
-    let wnorm = est.sqrt();
-    vs.sub_div(&batch[..k1], wnorm, w);
-    wnorm
+    if !sums.is_empty() {
+        comm.allreduce_sum_vec(sums, tags::REDUCE);
+    }
+    if cgs && cols.iter().any(|c| c.stage == Stage::Step) {
+        parapre_metrics::count(names::GMRES_FUSED_ALLREDUCE, 1);
+    }
+    let mut reduced = sums.iter();
+    again.clear();
+    for c in cols.iter_mut() {
+        match c.stage {
+            Stage::Step if cgs => {
+                let k1 = c.k + 1;
+                for (s, &r) in c.sums[..=k1].iter_mut().zip(&mut reduced) {
+                    *s = r;
+                }
+                let hcol = c.lsq.column(c.k);
+                let ww = c.sums[k1];
+                hcol[..k1].copy_from_slice(&c.sums[..k1]);
+                let proj_sq: f64 = c.sums[..k1].iter().map(|h| h * h).sum();
+                c.est = (ww - proj_sq).max(0.0);
+                c.reorth = c.est <= 0.5 * ww;
+                if c.reorth {
+                    parapre_metrics::count(names::GMRES_REORTH, 1);
+                    let (vs, w) = c.v.split(k1);
+                    vs.sub_then_dots(&hcol[..k1], w, &mut c.sums[..=k1]);
+                    again.extend_from_slice(&c.sums[..=k1]);
+                }
+            }
+            Stage::Open | Stage::Close => c.beta = reduced.next().expect("one norm").sqrt(),
+            _ => {}
+        }
+    }
+    if !again.is_empty() {
+        comm.allreduce_sum_vec(again, tags::REDUCE);
+        parapre_metrics::count(names::GMRES_FUSED_ALLREDUCE, 1);
+    }
+    let mut reduced = again.iter();
+    for c in cols.iter_mut().filter(|c| c.stage == Stage::Step) {
+        if !cgs {
+            c.orthogonalize_modified(comm);
+            continue;
+        }
+        let k1 = c.k + 1;
+        let hcol = c.lsq.column(c.k);
+        if c.reorth {
+            let mut corr_sq = 0.0;
+            for (s, &r) in c.sums[..=k1].iter_mut().zip(&mut reduced) {
+                *s = r;
+            }
+            for (h, &ci) in hcol[..k1].iter_mut().zip(&c.sums[..k1]) {
+                *h += ci;
+                corr_sq += ci * ci;
+            }
+            c.est = (c.sums[k1] - corr_sq).max(0.0);
+        }
+        let wnorm = c.est.sqrt();
+        let (vs, w) = c.v.split(k1);
+        vs.sub_div(&c.sums[..k1], wnorm, w);
+        hcol[k1] = wnorm;
+    }
 }
 
 #[cfg(test)]

@@ -51,9 +51,8 @@
 //!
 //! | [`SolveRequest`] field | replaces |
 //! |---|---|
-//! | `rhs` | one right-hand side is the plain solve, several are the batched solve (one universe launch for all) |
+//! | `rhs` | one right-hand side is the plain solve, several are the batched solve (one launch, one lock-step block solve, each column bit for bit its own solve) |
 //! | `x0` | the solve-with-a-guess call |
-//! | `chain` | the batch option `warm_start`: seed each right-hand side with the previous solution |
 //! | `trace` | the traced solve; streams come back in [`SolveOutput::traces`] |
 //! | `faults`, `ckpt` | the five-argument solve attempt (fault injection, restart-cycle checkpoints) |
 //!
@@ -71,10 +70,12 @@
 //! let warm = SolveRequest { x0: Some(&rep.x), ..SolveRequest::new(&case.sys.b) };
 //! assert!(session.run(warm)?.single().converged);
 //!
-//! // Four right-hand sides in one launch, each seeded with the previous answer.
+//! // Four right-hand sides in one lock-step solve: every round sends one
+//! // halo message per neighbour and sweeps the factors once for all four.
 //! let rhss = batch_rhs(&case.sys.b, 4);
-//! let out = session.run(SolveRequest { chain: true, ..SolveRequest::batch(&rhss) })?;
+//! let out = session.run(SolveRequest::batch(&rhss))?;
 //! assert!(out.reports.iter().all(|r| r.converged));
+//! assert_eq!(out.reports[0].x, rep.x); // column 0 is the base right-hand side
 //! # Ok::<(), parapre_engine::EngineError>(())
 //! ```
 

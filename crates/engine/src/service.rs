@@ -760,10 +760,11 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
         ..JobResult::failed(&job.id, "")
     };
     // Batched multi-RHS jobs: one universe launch per repeat serves every
-    // RHS against the shared factors. The generated RHS form a smooth
-    // sequence, so each solve is chained to the previous solution —
-    // an advantage only a batch can have. (Fault injection is rejected
-    // for batch jobs at parse time — a batch has no retry ladder.)
+    // RHS against the shared factors, in one lock-step block solve whose
+    // rounds share each halo message, all-reduce and factor sweep. Every
+    // RHS starts from the job's guess, so its answer is the one a single
+    // solve of it gives. (Fault injection is rejected for batch jobs at
+    // parse time — a batch has no retry ladder.)
     let rhss = (job.batch > 1).then(|| batch_rhs(&resolved.b, job.batch));
     // Safety net for a stale pattern: the first solve on a session this
     // job refactored runs with the preconditioner ladder held back. If it
@@ -783,7 +784,6 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
         let attempt = if let Some(rhss) = &rhss {
             let req = SolveRequest {
                 x0: resolved.x0.as_deref(),
-                chain: true,
                 ..SolveRequest::batch(rhss)
             };
             match session.run(req) {

@@ -26,6 +26,7 @@ use parapre_dist::{
 use parapre_grid::Adjacency;
 use parapre_mpisim::{Comm, FaultHook, MachineModel, RankFailure, Universe};
 use parapre_partition::partition_graph;
+use parapre_sparse::ops;
 use parapre_sparse::Csr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -222,15 +223,20 @@ pub struct SessionSolveReport {
     /// The *true* residual `‖b − Ax‖/‖b‖`, recomputed from scratch after
     /// the solve (catches any drift in the recursive estimate).
     pub true_relres: f64,
-    /// Wall time of this solve: universe launch to join, or — in a request
-    /// with several right-hand sides — rank 0's time on this one.
+    /// Wall time of this solve: universe launch to join. In a request with
+    /// `k > 1` right-hand sides, which share every round, it is rank 0's
+    /// time on the whole request divided by `k`, so the reports of a
+    /// request add up to it.
     pub solve_seconds: f64,
     /// Typed breakdown when the solver stopped for a numerical reason
     /// (`None` on clean convergence or a plain iteration-budget exit).
     pub breakdown: Option<parapre_dist::SolveBreakdown>,
     /// Per-rank busy/comm-wait attribution of this solve. Comm-wait
     /// seconds are only populated while the live metrics layer is
-    /// enabled; busy seconds and traffic counts are always measured.
+    /// enabled; busy seconds and traffic counts are always measured. In a
+    /// request with `k > 1` right-hand sides every report carries the whole
+    /// request's load: its columns share each message, so the traffic has
+    /// no per-column split.
     pub load: parapre_metrics::LoadReport,
 }
 
@@ -239,17 +245,14 @@ pub struct SessionSolveReport {
 /// (`..SolveRequest::new(b)`).
 #[derive(Clone, Default)]
 pub struct SolveRequest<'a> {
-    /// The right-hand sides, solved in order inside **one** universe
-    /// launch: the `P` rank threads, comm plans and scatter tables are
-    /// shared by all of them.
+    /// The right-hand sides, solved together in **one** universe launch by
+    /// one lock-step block solve ([`DistGmres::solve_block`]): they share
+    /// the rank threads and comm plans, and every halo message, all-reduce
+    /// and factor sweep of a round. Each is bit for bit its own solve.
     pub rhs: Vec<&'a [f64]>,
     /// Initial guess of every solve (zero when `None`; a migrated
     /// session's carried iterate stands in for a missing guess).
     pub x0: Option<&'a [f64]>,
-    /// Seed each right-hand side after the first with the previous one's
-    /// solution instead of `x0` (useful when the right-hand sides form a
-    /// time-like sequence).
-    pub chain: bool,
     /// Install a `parapre-metrics` recorder on every rank and return the
     /// event streams in [`SolveOutput::traces`].
     pub trace: bool,
@@ -508,9 +511,11 @@ impl SolverSession {
     }
 
     /// The one solve path: every right-hand side of `req` against the
-    /// cached factors, inside one universe launch. Each right-hand side
-    /// is scattered, solved by distributed FGMRES, checked against its
-    /// true residual and gathered on rank 0. Failures come back
+    /// cached factors, inside one universe launch. The right-hand sides are
+    /// scattered, solved together by one lock-step distributed FGMRES,
+    /// checked against their true residuals and gathered on rank 0; each
+    /// column starts from the request's guess, so it is bit for bit the
+    /// single solve of its right-hand side. Failures come back
     /// *structured*, one per dead rank — the resilience layer needs to
     /// know which rank died and whether the death was injected
     /// (`EngineError: From<Vec<RankFailure>>` flattens them for `?`).
@@ -532,72 +537,89 @@ impl SolverSession {
         let t0 = Instant::now();
         let mut ranks = launch(&self.cfg, self.cfg.n_ranks, req.faults, |comm| {
             parapre_metrics::recorded(comm.rank(), req.trace, || {
+                let rank_t0 = Instant::now();
+                let before = comm.stats();
                 let st = &self.ranks[comm.rank()];
                 let layout = &st.dm.layout;
-                let mut x = Vec::new();
-                let mut per_rhs = Vec::with_capacity(k);
-                let mut before = comm.stats();
-                for (j, b) in req.rhs.iter().enumerate() {
-                    let rhs_t0 = Instant::now();
-                    let b_loc = scatter_vector(layout, b);
-                    if j == 0 || !req.chain {
-                        x = match x0 {
-                            Some(g) => scatter_vector(layout, g),
-                            None => vec![0.0; layout.n_owned()],
-                        };
+                let b_loc: Vec<Vec<f64>> =
+                    req.rhs.iter().map(|b| scatter_vector(layout, b)).collect();
+                let mut x: Vec<Vec<f64>> = (0..k)
+                    .map(|_| match x0 {
+                        Some(g) => scatter_vector(layout, g),
+                        None => vec![0.0; layout.n_owned()],
+                    })
+                    .collect();
+                let bs: Vec<&[f64]> = b_loc.iter().map(Vec::as_slice).collect();
+                let mut xs: Vec<&mut [f64]> = x.iter_mut().map(Vec::as_mut_slice).collect();
+                let reps = DistGmres::new(self.cfg.gmres).solve_block(
+                    comm,
+                    &st.dm,
+                    &st.precond,
+                    &bs,
+                    &mut xs,
+                    req.ckpt,
+                );
+                // True residuals ‖b − Ax‖ / ‖b‖, assembled distributed: one
+                // operator application and one reduction per norm for all.
+                let mut r = vec![vec![0.0; layout.n_owned()]; k];
+                let xs: Vec<&[f64]> = x.iter().map(Vec::as_slice).collect();
+                let mut rs: Vec<&mut [f64]> = r.iter_mut().map(Vec::as_mut_slice).collect();
+                st.dm.apply_block(comm, &xs, &mut rs);
+                for (rc, bc) in r.iter_mut().zip(&b_loc) {
+                    for (ri, &bi) in rc.iter_mut().zip(bc) {
+                        *ri = bi - *ri;
                     }
-                    let rep = DistGmres::new(self.cfg.gmres).solve_with_checkpoint(
-                        comm,
-                        &st.dm,
-                        &st.precond,
-                        &b_loc,
-                        &mut x,
-                        req.ckpt,
-                    );
-                    // True residual ‖b − Ax‖ / ‖b‖, assembled distributed.
-                    let mut ax = vec![0.0; layout.n_owned()];
-                    DistOp::apply(&st.dm, comm, &x, &mut ax);
-                    let r: Vec<f64> = b_loc.iter().zip(&ax).map(|(bi, ai)| bi - ai).collect();
-                    let rnorm = layout.norm2(comm, &r);
-                    let bnorm = layout.norm2(comm, &b_loc);
-                    let x_global = gather_vector(comm, layout, &x, self.n_global);
-                    let after = comm.stats();
-                    let moved = parapre_mpisim::CommStats::delta(&after, &before);
-                    before = after;
-                    let load = parapre_metrics::RankLoad {
-                        rank: comm.rank(),
-                        busy_s: rhs_t0.elapsed().as_secs_f64(),
-                        comm_wait_s: moved.wait_us as f64 * 1e-6,
-                        msgs_sent: moved.msgs_sent,
-                        bytes_sent: moved.bytes_sent,
-                        msgs_recv: moved.msgs_recv,
-                        bytes_recv: moved.bytes_recv,
-                    };
-                    // Rank 0 gathered the solution and writes the report; the
-                    // load of every rank is attached once they are all back.
-                    let report = x_global.map(|x| SessionSolveReport {
-                        x,
-                        iterations: rep.iterations,
-                        converged: rep.converged,
-                        final_relres: rep.final_relres,
-                        true_relres: if bnorm > 0.0 { rnorm / bnorm } else { rnorm },
-                        solve_seconds: load.busy_s,
-                        breakdown: rep.breakdown,
-                        load: parapre_metrics::LoadReport::default(),
-                    });
-                    per_rhs.push((load, report));
                 }
-                per_rhs
+                let norms = |comm: &mut Comm, vs: &[Vec<f64>]| {
+                    let mut sums: Vec<f64> = vs.iter().map(|v| ops::dot(v, v)).collect();
+                    comm.allreduce_sum_vec(&mut sums, tags::REDUCE);
+                    sums.into_iter().map(f64::sqrt).collect::<Vec<_>>()
+                };
+                let rnorms = norms(comm, &r);
+                let bnorms = norms(comm, &b_loc);
+                let x_global: Vec<_> = x
+                    .iter()
+                    .map(|xc| gather_vector(comm, layout, xc, self.n_global))
+                    .collect();
+                let moved = parapre_mpisim::CommStats::delta(&comm.stats(), &before);
+                let load = parapre_metrics::RankLoad {
+                    rank: comm.rank(),
+                    busy_s: rank_t0.elapsed().as_secs_f64(),
+                    comm_wait_s: moved.wait_us as f64 * 1e-6,
+                    msgs_sent: moved.msgs_sent,
+                    bytes_sent: moved.bytes_sent,
+                    msgs_recv: moved.msgs_recv,
+                    bytes_recv: moved.bytes_recv,
+                };
+                // Rank 0 gathered the solutions and writes the reports; the
+                // load of every rank is attached once they are all back.
+                let reports: Vec<Option<SessionSolveReport>> = reps
+                    .into_iter()
+                    .zip(x_global)
+                    .zip(rnorms.iter().zip(&bnorms))
+                    .map(|((rep, xg), (&rnorm, &bnorm))| {
+                        xg.map(|x| SessionSolveReport {
+                            x,
+                            iterations: rep.iterations,
+                            converged: rep.converged,
+                            final_relres: rep.final_relres,
+                            true_relres: if bnorm > 0.0 { rnorm / bnorm } else { rnorm },
+                            solve_seconds: load.busy_s / k as f64,
+                            breakdown: rep.breakdown,
+                            load: parapre_metrics::LoadReport::default(),
+                        })
+                    })
+                    .collect();
+                (load, reports)
             })
         })?;
         let seconds = t0.elapsed().as_secs_f64();
         let traces = ranks.iter_mut().filter_map(|(_, tr)| tr.take()).collect();
+        let load = parapre_metrics::LoadReport::new(ranks.iter().map(|((l, _), _)| *l).collect());
         let mut reports = Vec::with_capacity(k);
-        for j in 0..k {
-            let mut report = ranks[0].0[j].1.take().expect("rank 0 gathers");
-            report.load = parapre_metrics::LoadReport::new(
-                ranks.iter().map(|(per_rhs, _)| per_rhs[j].0).collect(),
-            );
+        for report in std::mem::take(&mut ranks[0].0 .1) {
+            let mut report = report.expect("rank 0 gathers");
+            report.load = load.clone();
             if k == 1 {
                 report.solve_seconds = seconds;
             }

@@ -314,6 +314,13 @@ impl LuFactors {
         ops::solve_lu(&self.sweep_view(), x);
     }
 
+    /// Solves `L U xs[c] = bs[c]` for every column, each factor entry read
+    /// once per group of up to eight columns: bit for bit one
+    /// [`LuFactors::solve_in_place`] per column.
+    pub fn solve_columns(&self, bs: &[&[f64]], xs: &mut [&mut [f64]]) {
+        ops::solve_lu_columns(&self.sweep_view(), self.dim(), bs, xs);
+    }
+
     /// Solves with the **leading** `nb × nb` principal block of the factor,
     /// ignoring all entries with column ≥ `nb` — an approximate solve with
     /// the internal block `B_i` when the matrix is ordered internal-first.

@@ -363,6 +363,37 @@ fn malformed_frames_get_structured_errors() {
 }
 
 #[test]
+fn a_put_whose_body_cannot_back_its_size_line_is_rejected() {
+    // Each used to size an allocation from the size line — 8·10¹⁴ bytes, or
+    // 32 GB of row pointers — and abort netd for every client.
+    let server = start_tcp(NetConfig::default());
+    let mut client = connect(&server);
+    for (size, names) in [
+        ("2 2 100000000000000", "declares 100000000000000 entries"),
+        (
+            "100000000000000 100000000000000 2",
+            "100000000000000 x 100000000000000",
+        ),
+        ("4000000000 4000000000 2", "4000000000 x 4000000000"),
+    ] {
+        let mtx =
+            format!("%%MatrixMarket matrix coordinate real general\n{size}\n1 1 1.0\n2 2 1.0\n");
+        client.put_mtx(&mtx).expect("put");
+        let line = client.recv_line().expect("recv").expect("open");
+        assert_eq!(bool_field(&line, "ok"), Some(false), "line: {line}");
+        assert_eq!(str_field(&line, "error_kind").as_deref(), Some("rejected"));
+        let err = str_field(&line, "error").unwrap_or_default();
+        assert!(err.contains(names), "line: {line}");
+        // The same connection still answers.
+        let pong = client
+            .request("{\"cmd\":\"ping\"}")
+            .expect("request")
+            .expect("open");
+        assert_eq!(bool_field(&pong, "pong"), Some(true), "after {size}");
+    }
+}
+
+#[test]
 fn schurml_jobs_run_over_the_wire() {
     let server = start_tcp(NetConfig::default());
     let mut client = connect(&server);

@@ -200,28 +200,30 @@ impl Csr {
     /// Checks all structural invariants.
     pub fn validate(&self) -> Result<()> {
         if self.row_ptr.len() != self.n_rows + 1 {
-            return Err(Error::InvalidStructure("row_ptr length"));
+            return Err(Error::InvalidStructure("row_ptr length".into()));
         }
         if self.row_ptr[0] != 0 {
-            return Err(Error::InvalidStructure("row_ptr[0] != 0"));
+            return Err(Error::InvalidStructure("row_ptr[0] != 0".into()));
         }
         if *self.row_ptr.last().unwrap() != self.vals.len() || self.col_idx.len() != self.vals.len()
         {
-            return Err(Error::InvalidStructure("nnz mismatch"));
+            return Err(Error::InvalidStructure("nnz mismatch".into()));
         }
         for i in 0..self.n_rows {
             if self.row_ptr[i] > self.row_ptr[i + 1] {
-                return Err(Error::InvalidStructure("row_ptr not monotone"));
+                return Err(Error::InvalidStructure("row_ptr not monotone".into()));
             }
             let (cols, _) = self.row(i);
             for w in cols.windows(2) {
                 if w[0] >= w[1] {
-                    return Err(Error::InvalidStructure("columns not strictly increasing"));
+                    return Err(Error::InvalidStructure(
+                        "columns not strictly increasing".into(),
+                    ));
                 }
             }
             if let Some(&last) = cols.last() {
                 if last >= self.n_cols {
-                    return Err(Error::InvalidStructure("column index out of range"));
+                    return Err(Error::InvalidStructure("column index out of range".into()));
                 }
             }
         }

@@ -11,71 +11,96 @@ use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 
 /// Parses a Matrix Market stream into CSR.
+///
+/// The size line is a claim the body has to back: nothing is sized from it
+/// before the body is read. Storage grows with the entries actually read,
+/// an entry count other than the one declared is an error (the format
+/// requires them to agree), and so is a row or column count above the
+/// stored entries — such a matrix has an empty row or column, and a 95-byte
+/// body could otherwise ask for terabytes.
 pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr> {
     let mut lines = reader.lines();
     let header = lines
         .next()
-        .ok_or(Error::InvalidStructure("empty MatrixMarket stream"))?
-        .map_err(|_| Error::InvalidStructure("unreadable header"))?;
+        .ok_or(Error::InvalidStructure("empty MatrixMarket stream".into()))?
+        .map_err(|_| Error::InvalidStructure("unreadable header".into()))?;
     let h = header.to_ascii_lowercase();
     if !h.starts_with("%%matrixmarket") {
-        return Err(Error::InvalidStructure("missing %%MatrixMarket header"));
+        return Err(Error::InvalidStructure(
+            "missing %%MatrixMarket header".into(),
+        ));
     }
     if !h.contains("matrix") || !h.contains("coordinate") || !h.contains("real") {
         return Err(Error::InvalidStructure(
-            "only `matrix coordinate real` supported",
+            "only `matrix coordinate real` supported".into(),
         ));
     }
     let symmetric = h.contains("symmetric");
     if !symmetric && !h.contains("general") {
         return Err(Error::InvalidStructure(
-            "only general/symmetric qualifiers supported",
+            "only general/symmetric qualifiers supported".into(),
         ));
     }
 
-    let mut dims: Option<(usize, usize, usize)> = None;
+    let mut declared: Option<(usize, usize, usize)> = None;
     let mut coo: Option<Coo> = None;
+    let mut entries = 0usize;
     for line in lines {
-        let line = line.map_err(|_| Error::InvalidStructure("unreadable line"))?;
+        let line = line.map_err(|_| Error::InvalidStructure("unreadable line".into()))?;
         let t = line.trim();
         if t.is_empty() || t.starts_with('%') {
             continue;
         }
         let mut it = t.split_ascii_whitespace();
-        if dims.is_none() {
+        if declared.is_none() {
             let m: usize = parse(it.next())?;
             let n: usize = parse(it.next())?;
             let nnz: usize = parse(it.next())?;
-            dims = Some((m, n, nnz));
-            coo = Some(Coo::with_capacity(
-                m,
-                n,
-                if symmetric { 2 * nnz } else { nnz },
-            ));
+            declared = Some((m, n, nnz));
+            coo = Some(Coo::new(m, n));
             continue;
         }
-        let coo = coo.as_mut().expect("dims parsed first");
+        let coo = coo.as_mut().expect("size line parsed first");
         let i: usize = parse(it.next())?;
         let j: usize = parse(it.next())?;
         let v: f64 = it
             .next()
             .and_then(|s| s.parse().ok())
-            .ok_or(Error::InvalidStructure("bad value field"))?;
+            .ok_or(Error::InvalidStructure("bad value field".into()))?;
         if i == 0 || j == 0 {
-            return Err(Error::InvalidStructure("MatrixMarket indices are 1-based"));
+            return Err(Error::InvalidStructure(
+                "MatrixMarket indices are 1-based".into(),
+            ));
         }
         coo.try_push(i - 1, j - 1, v)?;
         if symmetric && i != j {
             coo.try_push(j - 1, i - 1, v)?;
         }
+        entries += 1;
     }
-    let coo = coo.ok_or(Error::InvalidStructure("missing size line"))?;
+    let (Some((m, n, nnz)), Some(coo)) = (declared, coo) else {
+        return Err(Error::InvalidStructure("missing size line".into()));
+    };
+    if entries != nnz {
+        return Err(Error::InvalidStructure(
+            format!("the size line declares {nnz} entries, the body has {entries}").into(),
+        ));
+    }
+    let stored = coo.n_triplets();
+    if m.max(n) > stored {
+        return Err(Error::InvalidStructure(
+            format!("a {m} x {n} matrix with {stored} stored entries has an empty row or column")
+                .into(),
+        ));
+    }
     Ok(coo.to_csr())
 }
 
 fn parse<T: std::str::FromStr>(tok: Option<&str>) -> Result<T> {
     tok.and_then(|s| s.parse().ok())
-        .ok_or(Error::InvalidStructure("malformed MatrixMarket line"))
+        .ok_or(Error::InvalidStructure(
+            "malformed MatrixMarket line".into(),
+        ))
 }
 
 /// Writes `a` as `matrix coordinate real general`.
@@ -92,7 +117,8 @@ pub fn write_matrix_market<W: Write>(a: &Csr, writer: W) -> std::io::Result<()> 
 
 /// Convenience: reads a `.mtx` file.
 pub fn load_mtx(path: impl AsRef<Path>) -> Result<Csr> {
-    let f = std::fs::File::open(path).map_err(|_| Error::InvalidStructure("cannot open file"))?;
+    let f = std::fs::File::open(path)
+        .map_err(|_| Error::InvalidStructure("cannot open file".into()))?;
     read_matrix_market(std::io::BufReader::new(f))
 }
 
@@ -111,13 +137,13 @@ pub fn read_vector<R: BufRead>(reader: R) -> Result<Vec<f64>> {
     let mut mm_rows: Option<usize> = None;
     let mut first_content = true;
     for (k, line) in reader.lines().enumerate() {
-        let line = line.map_err(|_| Error::InvalidStructure("unreadable line"))?;
+        let line = line.map_err(|_| Error::InvalidStructure("unreadable line".into()))?;
         let t = line.trim();
         if k == 0 && t.to_ascii_lowercase().starts_with("%%matrixmarket") {
             let h = t.to_ascii_lowercase();
             if !h.contains("array") || !h.contains("real") {
                 return Err(Error::InvalidStructure(
-                    "only `matrix array real` vectors supported",
+                    "only `matrix array real` vectors supported".into(),
                 ));
             }
             mm_rows = Some(0); // dims line still to come
@@ -132,7 +158,9 @@ pub fn read_vector<R: BufRead>(reader: R) -> Result<Vec<f64>> {
             let m: usize = parse(it.next())?;
             let n: usize = parse(it.next())?;
             if n != 1 {
-                return Err(Error::InvalidStructure("vector file must have one column"));
+                return Err(Error::InvalidStructure(
+                    "vector file must have one column".into(),
+                ));
             }
             mm_rows = Some(m);
             first_content = false;
@@ -142,24 +170,27 @@ pub fn read_vector<R: BufRead>(reader: R) -> Result<Vec<f64>> {
         for tok in t.split_ascii_whitespace() {
             let v: f64 = tok
                 .parse()
-                .map_err(|_| Error::InvalidStructure("bad vector value"))?;
+                .map_err(|_| Error::InvalidStructure("bad vector value".into()))?;
             out.push(v);
         }
     }
     if let Some(m) = mm_rows {
         if out.len() != m {
-            return Err(Error::InvalidStructure("vector length != declared size"));
+            return Err(Error::InvalidStructure(
+                "vector length != declared size".into(),
+            ));
         }
     }
     if out.is_empty() {
-        return Err(Error::InvalidStructure("empty vector stream"));
+        return Err(Error::InvalidStructure("empty vector stream".into()));
     }
     Ok(out)
 }
 
 /// Convenience: reads a vector file (see [`read_vector`]).
 pub fn load_vec(path: impl AsRef<Path>) -> Result<Vec<f64>> {
-    let f = std::fs::File::open(path).map_err(|_| Error::InvalidStructure("cannot open file"))?;
+    let f = std::fs::File::open(path)
+        .map_err(|_| Error::InvalidStructure("cannot open file".into()))?;
     read_vector(std::io::BufReader::new(f))
 }
 
@@ -211,6 +242,46 @@ mod tests {
             "%%MatrixMarket matrix coordinate real general\n1 1 1\n0 1 5.0\n".as_bytes()
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_size_line_the_body_cannot_back_is_rejected_naming_the_numbers() {
+        let head = "%%MatrixMarket matrix coordinate real general\n";
+        let body = "1 1 1.0\n2 2 1.0\n";
+        for (size, names) in [
+            (
+                "2 2 100000000000000",
+                "declares 100000000000000 entries, the body has 2",
+            ),
+            ("2 2 1", "declares 1 entries, the body has 2"),
+            (
+                "100000000000000 100000000000000 2",
+                "a 100000000000000 x 100000000000000 matrix with 2 stored entries",
+            ),
+            (
+                "4000000000 4000000000 2",
+                "a 4000000000 x 4000000000 matrix",
+            ),
+            ("2 3 2", "a 2 x 3 matrix with 2 stored entries"),
+        ] {
+            let text = format!("{head}{size}\n{body}");
+            match read_matrix_market(text.as_bytes()) {
+                Err(Error::InvalidStructure(msg)) => {
+                    assert!(msg.contains(names), "{size}: {msg}")
+                }
+                other => panic!("{size}: {other:?}"),
+            }
+        }
+        // The body backs these: a square one, and a symmetric file whose
+        // off-diagonal entries count twice.
+        assert_eq!(
+            read_matrix_market(format!("{head}2 2 2\n{body}").as_bytes())
+                .unwrap()
+                .nnz(),
+            2
+        );
+        let sym = "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n2 1 1.0\n3 3 1.0\n";
+        assert_eq!(read_matrix_market(sym.as_bytes()).unwrap().nnz(), 3);
     }
 
     #[test]

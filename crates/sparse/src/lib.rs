@@ -37,6 +37,8 @@ pub use dense::Dense;
 pub use perm::Permutation;
 pub use report::FactorReport;
 
+use std::borrow::Cow;
+
 /// Convenience result alias for fallible sparse operations.
 pub type Result<T> = std::result::Result<T, Error>;
 
@@ -67,8 +69,9 @@ pub enum Error {
         /// Exclusive bound.
         bound: usize,
     },
-    /// Malformed CSR structure (non-monotone row pointers, unsorted columns…).
-    InvalidStructure(&'static str),
+    /// Malformed structure (non-monotone row pointers, unsorted columns, a
+    /// Matrix Market body that does not back its size line…).
+    InvalidStructure(Cow<'static, str>),
 }
 
 impl std::fmt::Display for Error {

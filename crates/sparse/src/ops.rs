@@ -6,6 +6,8 @@
 //! iteration counts depend on these bits.
 
 use crate::{Csr, Error, Result};
+use std::cell::RefCell;
+use std::ops::Range;
 
 /// Accumulator lanes of the chunked BLAS-1 loops (autovec-friendly f64x4).
 const LANES: usize = 4;
@@ -224,34 +226,124 @@ pub fn diag_reciprocals_checked(diag: &[f64]) -> Result<Vec<f64>> {
     Ok(out)
 }
 
-/// `acc − Σ vals[k] · x[cols[k]]` over one stored row: the row kernel of
-/// every triangular sweep.
+/// `acc − Σ vals[k] · x[cols[k]]` over one stored row, for `K` interleaved
+/// columns at once: the row kernel of every triangular sweep.
 ///
 /// A single accumulator is one serial dependency chain per row, so the
 /// 4-aligned head goes through four independent lane accumulators with a
 /// fixed combine order. The last one to four entries are subtracted one
 /// after the other instead: rows are stored nearest-the-diagonal last, and
 /// that entry usually reads the `x` the previous row has just written, so
-/// only one multiply and one subtract wait for it. Every caller gets the
-/// same bits for the same row.
+/// only one multiply and one subtract wait for it. Every column has its own
+/// lanes and tail and combines them in that order, so every caller gets the
+/// same bits for the same row, whatever `K` the column rides in; `K > 1`
+/// reads each factor entry once for all of them.
 #[inline(always)]
-pub fn row_sub(acc: f64, vals: &[f64], cols: &[u32], x: &[f64]) -> f64 {
+pub fn row_sub<const K: usize>(
+    acc: [f64; K],
+    vals: &[f64],
+    cols: &[u32],
+    x: &[[f64; K]],
+) -> [f64; K] {
     debug_assert_eq!(vals.len(), cols.len());
     let head = vals.len().saturating_sub(1) & !(LANES - 1);
-    let mut lanes = [0.0f64; LANES];
+    let mut lanes = [[0.0f64; K]; LANES];
     for (vs, cs) in vals[..head]
         .chunks_exact(LANES)
         .zip(cols[..head].chunks_exact(LANES))
     {
         for l in 0..LANES {
-            lanes[l] += vs[l] * x[cs[l] as usize];
+            let xl = &x[cs[l] as usize];
+            for c in 0..K {
+                lanes[l][c] += vs[l] * xl[c];
+            }
         }
     }
-    let mut acc = acc - ((lanes[0] + lanes[2]) + (lanes[1] + lanes[3]));
-    for (v, &c) in vals[head..].iter().zip(&cols[head..]) {
-        acc -= v * x[c as usize];
+    let mut acc = acc;
+    for c in 0..K {
+        acc[c] -= (lanes[0][c] + lanes[2][c]) + (lanes[1][c] + lanes[3][c]);
+    }
+    for (v, &j) in vals[head..].iter().zip(&cols[head..]) {
+        let xj = &x[j as usize];
+        for c in 0..K {
+            acc[c] -= v * xj[c];
+        }
     }
     acc
+}
+
+/// The column groups a `k`-column kernel runs in: consecutive ranges of
+/// width 8, 4, 2 or 1, widest first (`k = 11` is `0..8, 8..10, 10..11`).
+/// A kernel is instantiated once per width.
+pub fn column_groups(k: usize) -> impl Iterator<Item = Range<usize>> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let rest = k - start;
+        let width = [8, 4, 2, 1].into_iter().find(|&w| w <= rest)?;
+        start += width;
+        Some(start - width..start)
+    })
+}
+
+/// Packs the leading `rows` entries of each of `cols` into `out` (length
+/// `rows · cols.len()`) in column-group layout: the columns of group `g`
+/// ([`column_groups`]) occupy `out[g.start · rows .. g.end · rows]`,
+/// interleaved row by row. One column is a plain copy. Columns shorter than
+/// `rows` (all of one length) leave the rest of their rows in `out` as they
+/// were: the ghost tail of a distributed vector.
+pub fn pack_columns(cols: &[&[f64]], rows: usize, out: &mut [f64]) {
+    debug_assert_eq!(out.len(), rows * cols.len());
+    for g in column_groups(cols.len()) {
+        let (cols, block) = (&cols[g.clone()], &mut out[g.start * rows..g.end * rows]);
+        match g.len() {
+            8 => pack_group::<8>(cols, block.as_chunks_mut().0),
+            4 => pack_group::<4>(cols, block.as_chunks_mut().0),
+            2 => pack_group::<2>(cols, block.as_chunks_mut().0),
+            _ => pack_group::<1>(cols, block.as_chunks_mut().0),
+        }
+    }
+}
+
+/// The inverse of [`pack_columns`]: the leading `rows` entries of each of
+/// `cols` (all of a shorter one) from `packed`.
+pub fn unpack_columns(packed: &[f64], rows: usize, cols: &mut [&mut [f64]]) {
+    debug_assert_eq!(packed.len(), rows * cols.len());
+    for g in column_groups(cols.len()) {
+        let (block, cols) = (&packed[g.start * rows..g.end * rows], &mut cols[g]);
+        match cols.len() {
+            8 => unpack_group::<8>(block.as_chunks().0, cols),
+            4 => unpack_group::<4>(block.as_chunks().0, cols),
+            2 => unpack_group::<2>(block.as_chunks().0, cols),
+            _ => unpack_group::<1>(block.as_chunks().0, cols),
+        }
+    }
+}
+
+/// One group of [`pack_columns`], row by row: each row of `block` is written
+/// once, whole.
+#[inline(always)]
+fn pack_group<const W: usize>(cols: &[&[f64]], block: &mut [[f64; W]]) {
+    let len = cols[0].len().min(block.len());
+    let cols: [&[f64]; W] = std::array::from_fn(|t| &cols[t][..len]);
+    for (i, row) in block[..len].iter_mut().enumerate() {
+        for t in 0..W {
+            row[t] = cols[t][i];
+        }
+    }
+}
+
+/// One group of [`unpack_columns`], row by row.
+#[inline(always)]
+fn unpack_group<const W: usize>(block: &[[f64; W]], cols: &mut [&mut [f64]]) {
+    let len = cols[0].len().min(block.len());
+    let mut cols = cols.iter_mut();
+    let cols: [&mut [f64]; W] =
+        std::array::from_fn(|_| &mut cols.next().expect("one column per lane")[..len]);
+    for (i, row) in block[..len].iter().enumerate() {
+        for t in 0..W {
+            cols[t][i] = row[t];
+        }
+    }
 }
 
 /// A borrowed incomplete-LU factor in sweep order: the strict lower
@@ -281,7 +373,7 @@ pub struct SplitLu<'a> {
 impl SplitLu<'_> {
     /// Row `i` of the forward sweep `(I + L) y = b`.
     #[inline(always)]
-    fn forward_row(&self, i: usize, x: &[f64]) -> f64 {
+    fn forward_row<const K: usize>(&self, i: usize, x: &[[f64; K]]) -> [f64; K] {
         let (lo, hi) = (self.l_ptr[i], self.l_ptr[i + 1]);
         row_sub(x[i], &self.l_vals[lo..hi], &self.l_cols[lo..hi], x)
     }
@@ -289,14 +381,15 @@ impl SplitLu<'_> {
     /// Row `i` of the backward sweep `U x = y`, reading only columns below
     /// `col_end` (the columns of a `U` row descend).
     #[inline(always)]
-    fn backward_row(&self, i: usize, col_end: usize, x: &[f64]) -> f64 {
+    fn backward_row<const K: usize>(&self, i: usize, col_end: usize, x: &[[f64; K]]) -> [f64; K] {
         let (lo, hi) = (self.u_ptr[i], self.u_ptr[i + 1]);
         let cols = &self.u_cols[lo..hi];
         let skip = match cols.first() {
             Some(&c) if c as usize >= col_end => cols.partition_point(|&c| c as usize >= col_end),
             _ => 0,
         };
-        row_sub(x[i], &self.u_vals[lo + skip..hi], &cols[skip..], x) * self.diag_inv[i]
+        let d = self.diag_inv[i];
+        row_sub(x[i], &self.u_vals[lo + skip..hi], &cols[skip..], x).map(|v| v * d)
     }
 }
 
@@ -310,6 +403,13 @@ pub fn solve_lu(lu: &SplitLu<'_>, x: &mut [f64]) {
 /// Solves with the leading `nb × nb` principal block of the factor, ignoring
 /// every entry with column ≥ `nb`. Only `x[..nb]` participates.
 pub fn solve_lu_leading(lu: &SplitLu<'_>, nb: usize, x: &mut [f64]) {
+    solve_lu_interleaved(lu, nb, x.as_chunks_mut::<1>().0);
+}
+
+/// [`solve_lu_leading`] for `K` interleaved right-hand sides: `x[i][c]` is
+/// row `i` of column `c`. Each factor entry is read once for all `K`, and
+/// each column gets the bits of its own one-column sweep.
+fn solve_lu_interleaved<const K: usize>(lu: &SplitLu<'_>, nb: usize, x: &mut [[f64; K]]) {
     debug_assert!(nb <= lu.diag_inv.len() && nb <= x.len());
     // Strict lower entries of row i all have col < i < nb.
     for i in 0..nb {
@@ -318,6 +418,39 @@ pub fn solve_lu_leading(lu: &SplitLu<'_>, nb: usize, x: &mut [f64]) {
     for i in (0..nb).rev() {
         x[i] = lu.backward_row(i, nb, x);
     }
+}
+
+thread_local! {
+    /// Per-thread column-group scratch of [`solve_lu_columns`]: rank
+    /// threads sweep concurrently through one shared factor.
+    static PACKED: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// [`solve_lu_leading`] of every right-hand side: `xs[c][..nb]` solves
+/// `bs[c][..nb]`, the rest of `xs[c]` is left alone. Each factor entry is
+/// read once per group of up to eight columns ([`column_groups`]), and every
+/// column is bit for bit its own [`solve_lu_leading`].
+pub fn solve_lu_columns(lu: &SplitLu<'_>, nb: usize, bs: &[&[f64]], xs: &mut [&mut [f64]]) {
+    debug_assert_eq!(bs.len(), xs.len());
+    if let ([b], [x]) = (bs, &mut *xs) {
+        x[..nb].copy_from_slice(&b[..nb]);
+        return solve_lu_leading(lu, nb, x);
+    }
+    PACKED.with(|s| {
+        let mut packed = s.borrow_mut();
+        packed.resize(nb * bs.len(), 0.0);
+        pack_columns(bs, nb, &mut packed);
+        for g in column_groups(bs.len()) {
+            let block = &mut packed[g.start * nb..g.end * nb];
+            match g.len() {
+                8 => solve_lu_interleaved::<8>(lu, nb, block.as_chunks_mut().0),
+                4 => solve_lu_interleaved::<4>(lu, nb, block.as_chunks_mut().0),
+                2 => solve_lu_interleaved::<2>(lu, nb, block.as_chunks_mut().0),
+                _ => solve_lu_interleaved::<1>(lu, nb, block.as_chunks_mut().0),
+            }
+        }
+        unpack_columns(&packed, nb, xs);
+    });
 }
 
 #[cfg(test)]
@@ -396,18 +529,93 @@ mod tests {
         let vals: Vec<f64> = (0..10).map(|k| 0.1 + k as f64).collect();
         let cols: Vec<u32> = vec![8, 3, 5, 0, 7, 1, 6, 2, 4, 9];
         let x: Vec<f64> = (0..10).map(|j| (j as f64 * 0.37).sin()).collect();
+        let x1 = x.as_chunks::<1>().0;
         let p = |k: usize| vals[k] * x[cols[k] as usize];
         let lanes = ((p(0) + p(4)) + (p(2) + p(6))) + ((p(1) + p(5)) + (p(3) + p(7)));
         let want = ((1.5 - lanes) - p(8)) - p(9);
-        assert_eq!(row_sub(1.5, &vals, &cols, &x).to_bits(), want.to_bits());
+        assert_eq!(
+            row_sub([1.5], &vals, &cols, x1)[0].to_bits(),
+            want.to_bits()
+        );
         // Eight entries: one chunk in the lanes, the other four serial.
         let lanes = (p(0) + p(2)) + (p(1) + p(3));
         let want = ((((1.5 - lanes) - p(4)) - p(5)) - p(6)) - p(7);
         assert_eq!(
-            row_sub(1.5, &vals[..8], &cols[..8], &x).to_bits(),
+            row_sub([1.5], &vals[..8], &cols[..8], x1)[0].to_bits(),
             want.to_bits()
         );
-        assert_eq!(row_sub(1.5, &[], &[], &x), 1.5);
+        assert_eq!(row_sub([1.5], &[], &[], x1), [1.5]);
+    }
+
+    #[test]
+    fn column_groups_are_widest_first_and_cover_every_column() {
+        let widths = |k: usize| column_groups(k).map(|g| g.len()).collect::<Vec<_>>();
+        assert_eq!(widths(0), Vec::<usize>::new());
+        assert_eq!(widths(1), [1]);
+        assert_eq!(widths(3), [2, 1]);
+        assert_eq!(widths(8), [8]);
+        assert_eq!(widths(15), [8, 4, 2, 1]);
+        assert_eq!(column_groups(11).collect::<Vec<_>>(), [0..8, 8..10, 10..11]);
+        let cols: Vec<Vec<f64>> = (0..7)
+            .map(|c| (0..5).map(|i| (10 * c + i) as f64).collect())
+            .collect();
+        let mut packed = vec![0.0; 35];
+        let views: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        pack_columns(&views, 5, &mut packed);
+        // Group 0..4 interleaved, then 4..6, then column 6 alone.
+        assert_eq!(&packed[..4], [0.0, 10.0, 20.0, 30.0]);
+        assert_eq!(&packed[20..22], [40.0, 50.0]);
+        assert_eq!(&packed[30..], [60.0, 61.0, 62.0, 63.0, 64.0]);
+        let mut back = vec![vec![0.0; 5]; 7];
+        let mut views: Vec<&mut [f64]> = back.iter_mut().map(Vec::as_mut_slice).collect();
+        unpack_columns(&packed, 5, &mut views);
+        assert_eq!(back, cols);
+    }
+
+    #[test]
+    fn column_sweeps_are_their_one_column_sweeps_bit_for_bit() {
+        // A banded factor with rows long enough for the lanes and the tail,
+        // reaching past the leading block in both triangles.
+        let n: usize = 40;
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        let d = i.abs_diff(j);
+                        if i == j {
+                            4.0 + (i % 3) as f64
+                        } else if d <= 7 && (i * 7 + j * 3) % 4 != 0 {
+                            ((i * 13 + j * 5) as f64 * 0.31).sin() * 0.2
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        let s = SplitCsr::from_merged(&Csr::from_dense_rows(&rows)).unwrap();
+        let diag_inv = diag_reciprocals_checked(&s.diag).unwrap();
+        let lu = s.sweep_view(&diag_inv);
+        for nb in [n, 27] {
+            for k in [1, 2, 3, 4, 7, 8, 11] {
+                let rhs: Vec<Vec<f64>> = (0..k)
+                    .map(|c| (0..n).map(|i| ((i + 3 * c) as f64 * 0.17).cos()).collect())
+                    .collect();
+                let mut want = rhs.clone();
+                for x in &mut want {
+                    solve_lu_leading(&lu, nb, x);
+                }
+                // Outside the leading block the outputs keep what they held.
+                let mut got = rhs.clone();
+                let bs: Vec<&[f64]> = rhs.iter().map(Vec::as_slice).collect();
+                let mut xs: Vec<&mut [f64]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                solve_lu_columns(&lu, nb, &bs, &mut xs);
+                for (c, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(g), bits(w), "nb={nb} k={k} column {c}");
+                }
+            }
+        }
     }
 
     #[test]

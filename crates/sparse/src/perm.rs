@@ -39,7 +39,7 @@ impl Permutation {
                 });
             }
             if inv[old] != usize::MAX {
-                return Err(Error::InvalidStructure("permutation not injective"));
+                return Err(Error::InvalidStructure("permutation not injective".into()));
             }
             inv[old] = new;
         }

@@ -1,7 +1,7 @@
 //! The engine's one solve path, pinned from the root package so the tier-1
 //! command exercises it: `SolverSession::run` with `k = 1` *is* `solve`, a
-//! cold batch *is* its sequential solves, and tracing, guesses and
-//! chaining change what they say they change and nothing else.
+//! cold batch *is* its sequential solves, and tracing and guesses change
+//! what they say they change and nothing else.
 
 use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre::engine::{batch_rhs, SessionConfig, SolveRequest, SolverSession};
@@ -96,27 +96,5 @@ fn exact_guess_converges_in_zero_iterations() {
             .single();
         assert!(rep.converged, "{what}");
         assert_eq!(rep.iterations, 0, "{what}: an exact guess needs no step");
-    }
-}
-
-#[test]
-fn chained_batch_meets_the_target_on_every_rhs() {
-    for (what, session, b) in sessions() {
-        let rhss = batch_rhs(&b, 4);
-        let out = session
-            .run(SolveRequest {
-                chain: true,
-                ..SolveRequest::batch(&rhss)
-            })
-            .expect("chained batch");
-        assert_eq!(out.reports.len(), 4, "{what}");
-        for (j, rep) in out.reports.iter().enumerate() {
-            assert!(rep.converged, "{what} rhs {j}");
-            assert!(
-                rep.true_relres <= 1e-5,
-                "{what} rhs {j}: true relres {}",
-                rep.true_relres
-            );
-        }
     }
 }
