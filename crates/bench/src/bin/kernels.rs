@@ -20,7 +20,10 @@
 //! step of distributed GMRES without its reductions, against the per-column
 //! `ops::dot` / `ops::axpy` loops and a triad timed in the same run; the
 //! `allreduce` section is what one scalar all-reduce costs two ranks, back
-//! to back and with work between.
+//! to back and with work between. The `mtx_parse` section is the upload's
+//! parse: MB/s and ns per entry of `parse_matrix_market` on the body
+//! `write_matrix_market` renders for each case, beside `str::from_utf8` over
+//! the same bytes.
 
 use parapre_core::{build_case_sized, CaseId};
 use parapre_dist::{
@@ -32,6 +35,7 @@ use parapre_krylov::proj::Panel;
 use parapre_krylov::{Ilut, IlutConfig};
 use parapre_mpisim::{CommStats, MachineModel, Universe};
 use parapre_partition::partition_graph;
+use parapre_sparse::io::{parse_matrix_market, write_matrix_market};
 use parapre_sparse::{ops, Csr};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -180,18 +184,60 @@ impl SweepCell {
     }
 }
 
+/// The cases of the sweep and parse rows, with their grid extents.
+fn cases(quick: bool) -> [(CaseId, usize); 3] {
+    if quick {
+        [(CaseId::Tc1, 49), (CaseId::Tc2, 13), (CaseId::Tc6, 21)]
+    } else {
+        [(CaseId::Tc1, 201), (CaseId::Tc2, 25), (CaseId::Tc6, 61)]
+    }
+}
+
+/// `parse_matrix_market` on the body `write_matrix_market` renders for each
+/// case's global matrix, samples alternating with `str::from_utf8` over the
+/// same bytes: the floor of a parser that validates its input once. One JSON
+/// row per case.
+fn bench_mtx_parse(quick: bool) -> Vec<String> {
+    let reps = if quick { 5 } else { 25 };
+    cases(quick)
+        .iter()
+        .map(|&(id, extent)| {
+            let a = build_case_sized(id, extent).sys.a;
+            let mut body = Vec::new();
+            write_matrix_market(&a, &mut body).expect("writing to memory");
+            let (mut parse, mut utf8) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+            for _ in 0..reps {
+                let t0 = Instant::now();
+                black_box(std::str::from_utf8(black_box(&body)).expect("written as UTF-8"));
+                utf8.push(t0.elapsed().as_secs_f64());
+                let t0 = Instant::now();
+                black_box(parse_matrix_market(black_box(&body)).expect("own body parses"));
+                parse.push(t0.elapsed().as_secs_f64());
+            }
+            let (parse, utf8) = (median(&mut parse), median(&mut utf8));
+            let (bytes, entries, name) = (body.len(), a.nnz(), id.key());
+            let mbs = bytes as f64 / parse / 1e6;
+            let utf8_mbs = bytes as f64 / utf8 / 1e6;
+            let ns = parse * 1e9 / entries as f64;
+            eprintln!(
+                "mtx_parse {name}: {entries} entries, {bytes} bytes in {:.1} ms: {mbs:.0} MB/s, {ns:.0} ns per entry (from_utf8 {utf8_mbs:.0} MB/s)",
+                parse * 1e3
+            );
+            format!(
+                "    {{\"case\": \"{name}\", \"bytes\": {bytes}, \"entries\": {entries}, \"mtx_parse_ms\": {:.2}, \"mtx_parse_mbs\": {mbs:.0}, \"ns_per_entry\": {ns:.1}, \"utf8_mbs\": {utf8_mbs:.0}}}",
+                parse * 1e3
+            )
+        })
+        .collect()
+}
+
 /// Times the forward + backward sweep of ILUT factors against the SpMV over
 /// the same entries — the same loads and multiplies without the row-to-row
 /// dependencies, so the ratio says what the dependencies and the kernel
 /// cost. Samples alternate, so host drift hits both sides alike.
 fn bench_sweeps(quick: bool) -> Vec<SweepCell> {
-    let cases: [(CaseId, usize); 3] = if quick {
-        [(CaseId::Tc1, 49), (CaseId::Tc2, 13), (CaseId::Tc6, 21)]
-    } else {
-        [(CaseId::Tc1, 201), (CaseId::Tc2, 25), (CaseId::Tc6, 61)]
-    };
     let reps = if quick { 60 } else { 400 };
-    cases
+    cases(quick)
         .iter()
         .map(|&(id, extent)| {
             let name = id.key();
@@ -550,6 +596,7 @@ fn main() {
         }
     }
     let orth = bench_orth(quick);
+    let parse_json = bench_mtx_parse(quick).join(",\n");
 
     let json = format!(
         concat!(
@@ -578,7 +625,9 @@ fn main() {
             "\"bar\": {{\"over_per_column_max\": {orth_bar}, \"arm\": {orth_arm_json}}}}},\n",
             "  \"allreduce\": {{\"ranks\": 2, \"best_of_launches\": {ar_launches}, \"back_to_back_us\": {ar_us:.2}, ",
             "\"work_between_us\": {ar_work}, \"with_work_us\": {ar_work_us:.2}, ",
-            "\"bar\": {{\"with_work_us_max\": {ar_bar}, \"arm\": {ar_arm_json}}}}}\n",
+            "\"bar\": {{\"with_work_us_max\": {ar_bar}, \"arm\": {ar_arm_json}}}}},\n",
+            "  \"mtx_parse\": {{\"body\": \"write_matrix_market of the case's global matrix\", ",
+            "\"cases\": [\n{parse_cases}\n  ]}}\n",
             "}}\n"
         ),
         cores = sweep_arm.available_cores,
@@ -601,6 +650,7 @@ fn main() {
         ar_work_us = allreduce_work_us,
         ar_bar = ALLREDUCE_US_BAR,
         ar_arm_json = allreduce_arm.to_json(),
+        parse_cases = parse_json,
         ranks = ranks,
         quick = quick,
         spmv_nx = spmv_nx,

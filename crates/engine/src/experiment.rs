@@ -8,6 +8,7 @@ use crate::EngineError;
 use parapre_core::{partition_case, AssembledCase, PrecondKind};
 use parapre_metrics::{LoadReport, RankTrace, TraceSummary};
 use parapre_mpisim::{CommStats, MachineModel};
+use std::sync::Arc;
 
 /// Result of one run (one table cell).
 #[derive(Debug, Clone)]
@@ -92,9 +93,9 @@ pub fn run_case_traced(
 ) -> (RunResult, Vec<RankTrace>) {
     let node_part = partition_case(case, cfg.scheme, cfg.n_ranks, cfg.partition_seed);
     let owner = case.dof_owner(&node_part.owner);
-    let a = &case.sys.a;
+    let id = MatrixId::of(&case.sys.a);
     let (session, mut traces) =
-        SolverSession::build_identified(a, &owner, cfg, MatrixId::of(a), trace)
+        SolverSession::build_identified(&Arc::new(case.sys.a.clone()), &owner, cfg, id, trace)
             .unwrap_or_else(|e| panic!("{e}"));
     let (fallbacks, pivot_shifts) = (session.build_fallbacks(), session.pivot_shifts());
     assert!(

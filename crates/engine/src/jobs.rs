@@ -29,7 +29,7 @@
 //! `dead_ranks` arrays are the only nesting).
 
 use crate::resilient::RecoveryPolicy;
-use crate::session::{partition_pattern, symmetrize_pattern, MatrixId, SessionConfig};
+use crate::session::{partition_pattern, with_symmetric_pattern, MatrixId, SessionConfig};
 use crate::EngineError;
 use parapre_core::{build_case, build_case_sized, CaseId, CaseSize, PartitionScheme, PrecondKind};
 use parapre_core::{extent_range, partition_case, AssembledCase};
@@ -546,8 +546,9 @@ pub struct StoredMatrix {
 /// A job's matrix, owner map, right-hand side, and optional initial guess,
 /// ready for [`SolverSession::build`](crate::SolverSession::build).
 pub struct ResolvedProblem {
-    /// The (layout-ready) global matrix.
-    pub a: Csr,
+    /// The (layout-ready) global matrix; a registered upload that is its
+    /// own pattern symmetrization is the store's matrix itself.
+    pub a: Arc<Csr>,
     /// Both hashes of `a`, computed once here so that neither the cache
     /// lookup of every job nor the session build hashes it again.
     pub id: MatrixId,
@@ -577,7 +578,7 @@ impl ResolvedProblem {
     /// A matrix-backed problem: `a_sym` is structurally symmetric and its
     /// general graph partition is deferred.
     fn from_matrix(
-        a_sym: Csr,
+        a_sym: Arc<Csr>,
         id: MatrixId,
         job: &SolveJob,
     ) -> Result<ResolvedProblem, EngineError> {
@@ -613,15 +614,15 @@ pub fn resolve_problem_with(
             let stored = lookup(*fp).ok_or_else(|| {
                 EngineError::BadJob(format!("fingerprint {fp:016x} is not registered"))
             })?;
-            let a_sym = symmetrize_pattern(&stored.a);
-            // A structurally symmetric upload (every FEM matrix) comes back
-            // bit for bit, and so do the hashes its `put` computed.
-            let id = if same_bits(&a_sym, &stored.a) {
+            // A structurally symmetric upload is shared with the store, and
+            // so are the hashes its `put` computed.
+            let a = with_symmetric_pattern(Arc::clone(&stored.a));
+            let id = if Arc::ptr_eq(&a, &stored.a) {
                 stored.id
             } else {
-                MatrixId::of(&a_sym)
+                MatrixId::of(&a)
             };
-            ResolvedProblem::from_matrix(a_sym, id, job)
+            ResolvedProblem::from_matrix(a, id, job)
         }
         ProblemSpec::Case { id, size, extent } => {
             let case: AssembledCase = match extent {
@@ -644,7 +645,7 @@ pub fn resolve_problem_with(
             let b = rhs_for(&job.rhs, &case.sys.a, Some(&case.sys.b))?;
             Ok(ResolvedProblem {
                 id: MatrixId::of(&case.sys.a),
-                a: case.sys.a,
+                a: Arc::new(case.sys.a),
                 b,
                 x0: Some(case.x0),
                 owner: OnceLock::from(owner),
@@ -657,24 +658,11 @@ pub fn resolve_problem_with(
             if a.n_rows() != a.n_cols() {
                 return Err(EngineError::BadJob("matrix must be square".into()));
             }
-            let a_sym = symmetrize_pattern(&a);
-            let id = MatrixId::of(&a_sym);
-            ResolvedProblem::from_matrix(a_sym, id, job)
+            let a = with_symmetric_pattern(Arc::new(a));
+            let id = MatrixId::of(&a);
+            ResolvedProblem::from_matrix(a, id, job)
         }
     }
-}
-
-/// Whether two matrices are identical down to the bits of every value
-/// (`==` on `f64` would equate `0.0` with `-0.0`, which hash differently).
-fn same_bits(a: &Csr, b: &Csr) -> bool {
-    a.n_rows() == b.n_rows()
-        && a.n_cols() == b.n_cols()
-        && a.row_ptr() == b.row_ptr()
-        && a.col_idx() == b.col_idx()
-        && a.vals()
-            .iter()
-            .zip(b.vals())
-            .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Derives `k` deterministic right-hand-side variants from a base vector

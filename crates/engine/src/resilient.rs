@@ -144,7 +144,7 @@ pub fn solve_resilient(
                         let mut down = sess.config().clone();
                         down.precond = next;
                         if let Ok((s2, _)) = SolverSession::build_identified(
-                            sess.matrix(),
+                            sess.shared_matrix(),
                             sess.owner(),
                             &down,
                             sess.id(),

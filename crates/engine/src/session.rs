@@ -197,8 +197,9 @@ pub struct SolverSession {
     /// The distributed global matrix and owner map, retained so the
     /// resilience layer can build degraded (reduced) systems and verify
     /// full-system residuals without re-partitioning. The owner map is
-    /// shared with every session refactored from this one.
-    a_global: Csr,
+    /// shared with every session refactored from this one; the matrix with
+    /// the matrix store when it was registered structurally symmetric.
+    a_global: Arc<Csr>,
     owner: Arc<[u32]>,
     /// Initial guess carried across a topology migration (global
     /// indexing, which repartitioning preserves). Used by solves that do
@@ -338,14 +339,16 @@ impl SolverSession {
         owner: &[u32],
         cfg: &SessionConfig,
     ) -> Result<SolverSession, EngineError> {
-        Self::build_identified(a, owner, cfg, MatrixId::of(a), false).map(|(s, _)| s)
+        Self::build_identified(&Arc::new(a.clone()), owner, cfg, MatrixId::of(a), false)
+            .map(|(s, _)| s)
     }
 
     /// [`SolverSession::build`] for a caller that already hashed `a`
-    /// (`id` must be [`MatrixId::of`]`(a)`). With `trace` every rank
-    /// records its event stream (the `setup` span and everything under it).
+    /// (`id` must be [`MatrixId::of`]`(a)`) and shares it. With `trace`
+    /// every rank records its event stream (the `setup` span and everything
+    /// under it).
     pub(crate) fn build_identified(
-        a: &Csr,
+        a: &Arc<Csr>,
         owner: &[u32],
         cfg: &SessionConfig,
         id: MatrixId,
@@ -380,7 +383,7 @@ impl SolverSession {
             pattern_age: 0,
             setup_seconds: t0.elapsed().as_secs_f64(),
             ranks,
-            a_global: a.clone(),
+            a_global: Arc::clone(a),
             owner: owner.into(),
             warm_start: None,
             last_load: std::sync::Mutex::new(None),
@@ -407,16 +410,17 @@ impl SolverSession {
     /// factors are unhealthy on any rank ([`RefactorFallback::Unhealthy`]).
     /// The accept/reject decision is collective: all ranks return together.
     pub fn refactor(donor: &SolverSession, a_new: &Csr) -> Result<SolverSession, RefactorFallback> {
-        Self::refactor_identified(donor, a_new, MatrixId::of(a_new), false).map(|(s, _)| s)
+        let id = MatrixId::of(a_new);
+        Self::refactor_identified(donor, &Arc::new(a_new.clone()), id, false).map(|(s, _)| s)
     }
 
     /// [`SolverSession::refactor`] for a caller that already hashed
-    /// `a_new` (`id` must be [`MatrixId::of`]`(a_new)`). With `trace` every
-    /// rank records its event stream (the `setup.refactor` spans the
-    /// time-stepping driver counts).
+    /// `a_new` (`id` must be [`MatrixId::of`]`(a_new)`) and shares it. With
+    /// `trace` every rank records its event stream (the `setup.refactor`
+    /// spans the time-stepping driver counts).
     pub(crate) fn refactor_identified(
         donor: &SolverSession,
-        a_new: &Csr,
+        a_new: &Arc<Csr>,
         id: MatrixId,
         trace: bool,
     ) -> Result<(SolverSession, Vec<parapre_metrics::RankTrace>), RefactorFallback> {
@@ -461,7 +465,7 @@ impl SolverSession {
             pattern_age: donor.pattern_age + 1,
             setup_seconds: t0.elapsed().as_secs_f64(),
             ranks,
-            a_global: a_new.clone(),
+            a_global: Arc::clone(a_new),
             owner: Arc::clone(owner),
             warm_start: None,
             last_load: std::sync::Mutex::new(None),
@@ -485,7 +489,8 @@ impl SolverSession {
     /// the rows are partitioned with the general graph scheme.
     pub fn from_matrix(a: &Csr, cfg: &SessionConfig) -> Result<SolverSession, EngineError> {
         let (a_sym, owner) = partition_matrix(a, cfg.n_ranks, cfg.partition_seed);
-        Self::build(&a_sym, &owner, cfg)
+        let id = MatrixId::of(&a_sym);
+        Self::build_identified(&Arc::new(a_sym), &owner, cfg, id, false).map(|(s, _)| s)
     }
 
     /// Solves `A x = b` against the cached factors (zero initial guess).
@@ -725,6 +730,11 @@ impl SolverSession {
         &self.a_global
     }
 
+    /// [`SolverSession::matrix`], for a session built from it.
+    pub(crate) fn shared_matrix(&self) -> &Arc<Csr> {
+        &self.a_global
+    }
+
     /// Per-unknown owner map.
     pub fn owner(&self) -> &[u32] {
         &self.owner
@@ -887,7 +897,7 @@ impl SolverSession {
             pattern_age: self.pattern_age,
             setup_seconds: t0.elapsed().as_secs_f64(),
             ranks,
-            a_global: self.a_global.clone(),
+            a_global: Arc::clone(&self.a_global),
             owner: plan.new_owner.as_slice().into(),
             warm_start: warm_start.map(|w| w.to_vec()),
             last_load: std::sync::Mutex::new(None),
@@ -998,6 +1008,42 @@ pub(crate) fn symmetrize_pattern(a: &Csr) -> Csr {
     a.add(1.0, &at).expect("same shape")
 }
 
+/// Whether [`symmetrize_pattern`] would return `a` bit for bit, decided in
+/// place: the pattern is structurally symmetric, so the transpose adds no
+/// entry, and every value comes through the `+ 0.0` it is given unchanged
+/// (all do but `-0.0`, which comes back `+0.0`).
+fn symmetrizes_to_itself(a: &Csr) -> bool {
+    let n = a.n_rows();
+    if n != a.n_cols() || !a.vals().iter().all(|v| (v + 0.0).to_bits() == v.to_bits()) {
+        return false;
+    }
+    // In a symmetric pattern, row `j` lists the rows `i` that store
+    // `(i, j)` in the order a row-major walk meets them. Every entry takes
+    // one slot of its column's row; with `nnz` entries and `nnz` slots, no
+    // mismatch means every slot was taken.
+    let (row_ptr, col_idx) = (a.row_ptr(), a.col_idx());
+    let mut next = row_ptr[..n].to_vec();
+    for i in 0..n {
+        for &j in &col_idx[row_ptr[i]..row_ptr[i + 1]] {
+            if next[j] == row_ptr[j + 1] || col_idx[next[j]] != i {
+                return false;
+            }
+            next[j] += 1;
+        }
+    }
+    true
+}
+
+/// `a` itself when it [`symmetrizes_to_itself`] (every FEM matrix does),
+/// its [`symmetrize_pattern`] otherwise.
+pub(crate) fn with_symmetric_pattern(a: Arc<Csr>) -> Arc<Csr> {
+    if symmetrizes_to_itself(&a) {
+        a
+    } else {
+        Arc::new(symmetrize_pattern(&a))
+    }
+}
+
 /// General graph partition of a structurally symmetric matrix's pattern.
 /// A function of the pattern, `n_ranks` and `seed` alone — values never
 /// enter — which is why a same-pattern matrix can adopt a resident
@@ -1024,4 +1070,119 @@ pub fn matrix_graph(a: &Csr) -> Adjacency {
         xadj.push(adjncy.len());
     }
     Adjacency { xadj, adjncy }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parapre_core::{build_case, CaseId, CaseSize};
+    use parapre_sparse::Coo;
+
+    /// Equal shape, pattern and value bits (`==` on `f64` would equate
+    /// `0.0` with `-0.0`, which hash differently).
+    fn same_bits(a: &Csr, b: &Csr) -> bool {
+        a.n_rows() == b.n_rows()
+            && a.n_cols() == b.n_cols()
+            && a.row_ptr() == b.row_ptr()
+            && a.col_idx() == b.col_idx()
+            && a.vals()
+                .iter()
+                .zip(b.vals())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// Three `n x n` matrices (`n >= 2`) from one random symmetric pattern:
+    /// as drawn, with one transpose entry removed, and with one value `-0.0`.
+    fn three_kinds(seed: u64, n: usize) -> [Csr; 3] {
+        let mut s = seed;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut coo = Coo::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 4.0);
+            for j in 0..i {
+                // The pair (n - 1, 0) is left for the unsymmetric kind.
+                if (i, j) != (n - 1, 0) && next() % 3 == 0 {
+                    coo.push(i, j, -1.0 - (next() % 8) as f64 / 8.0);
+                    coo.push(j, i, -1.0 - (next() % 8) as f64 / 8.0);
+                }
+            }
+        }
+        let symmetric = coo.to_csr();
+        coo.push(0, n - 1, -1.0);
+        let unsymmetric = coo.to_csr();
+        let mut neg_zero = symmetric.clone();
+        let k = (next() as usize) % neg_zero.nnz();
+        neg_zero.vals_mut()[k] = -0.0;
+        [symmetric, unsymmetric, neg_zero]
+    }
+
+    #[test]
+    fn the_in_place_check_is_symmetrization_returning_its_input() {
+        let fem = build_case(CaseId::Tc3, CaseSize::Tiny).sys.a;
+        // A cyclic pattern, whose every row and column hold two entries; and
+        // an entry in the last column over an empty last row.
+        let cycle = [[4.0, 1.0, 0.0], [0.0, 4.0, 1.0], [1.0, 0.0, 4.0]];
+        let cycle = Csr::from_dense_rows(&cycle.map(|r| r.to_vec()));
+        let empty_row = Csr::from_dense_rows(&[vec![4.0, 1.0], vec![0.0, 0.0]]);
+        let mut cases = vec![(fem, true), (cycle, false), (empty_row, false)];
+        for seed in 1..=60u64 {
+            let [symmetric, unsymmetric, neg_zero] = three_kinds(seed, 2 + seed as usize % 9);
+            cases.extend([(symmetric, true), (unsymmetric, false), (neg_zero, false)]);
+        }
+        for (a, itself) in cases {
+            assert_eq!(same_bits(&symmetrize_pattern(&a), &a), itself, "{a:?}");
+            assert_eq!(symmetrizes_to_itself(&a), itself, "{a:?}");
+            let shared = Arc::new(a);
+            let got = with_symmetric_pattern(Arc::clone(&shared));
+            assert_eq!(Arc::ptr_eq(&got, &shared), itself);
+            assert!(same_bits(&got, &symmetrize_pattern(&shared)));
+        }
+    }
+
+    #[test]
+    fn cold_and_refactored_sessions_on_one_shared_matrix_give_the_ledger_bits() {
+        let fnv1a = |x: &[f64]| {
+            x.iter()
+                .flat_map(|v| v.to_bits().to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        };
+        let ledger = include_str!("../../../LEDGER.txt")
+            .lines()
+            .find(|l| l.starts_with("tc1 tiny block1 P=2 "))
+            .expect("the ledger has the cell");
+        let case = build_case(CaseId::Tc1, CaseSize::Tiny);
+        let cfg = SessionConfig::paper(PrecondKind::Block1, 2);
+        let part = partition_case(&case, cfg.scheme, cfg.n_ranks, cfg.partition_seed);
+        let owner = case.dof_owner(&part.owner);
+        let a = Arc::new(case.sys.a.clone());
+        let id = MatrixId::of(&a);
+        let (cold, _) = SolverSession::build_identified(&a, &owner, &cfg, id, false).unwrap();
+        let (refactored, _) = SolverSession::refactor_identified(&cold, &a, id, false)
+            .unwrap_or_else(|e| panic!("refactor refused: {e:?}"));
+        for session in [&cold, &refactored] {
+            assert!(Arc::ptr_eq(session.shared_matrix(), &a));
+            let rep = session
+                .run(SolveRequest {
+                    x0: Some(&case.x0),
+                    ..SolveRequest::new(&case.sys.b)
+                })
+                .expect("solves")
+                .single();
+            let msgs: u64 = rep.load.ranks.iter().map(|r| r.msgs_sent).sum();
+            let tail = format!(
+                " it={} conv=true rung=block1 fallbacks=0 shifts=0 msgs={msgs} x={:016x}",
+                rep.iterations,
+                fnv1a(&rep.x)
+            );
+            assert!(ledger.ends_with(&tail), "{ledger} vs{tail}");
+        }
+        assert_eq!(refactored.pattern_age(), 1);
+    }
 }

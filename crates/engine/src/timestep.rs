@@ -19,6 +19,7 @@ use parapre_fem::heat::{assemble_mass_stiffness, HeatMarch};
 use parapre_grid::structured::unit_cube;
 use parapre_grid::Adjacency;
 use parapre_partition::partition_graph;
+use std::sync::Arc;
 
 /// Parameters of a marching run.
 #[derive(Debug, Clone)]
@@ -119,7 +120,8 @@ pub fn march_heat(cfg: &TimestepConfig) -> Result<TimestepReport, EngineError> {
             // Same mesh, same pattern, new values: numeric-only rebuild.
             march = HeatMarch::from_mass_stiffness(&mesh, mass.clone(), &stiffness, dt);
             let id = MatrixId::of(&march.a);
-            session = match SolverSession::refactor_identified(&session, &march.a, id, cfg.trace) {
+            let a = Arc::new(march.a.clone());
+            session = match SolverSession::refactor_identified(&session, &a, id, cfg.trace) {
                 Ok((next, traces)) => {
                     refactors += 1;
                     factor_spans += phase_calls(&traces, parapre_metrics::names::FACTOR);
@@ -128,8 +130,7 @@ pub fn march_heat(cfg: &TimestepConfig) -> Result<TimestepReport, EngineError> {
                 }
                 Err(_) => {
                     cold_rebuilds += 1;
-                    SolverSession::build_identified(&march.a, &part.owner, &cfg.session, id, false)?
-                        .0
+                    SolverSession::build_identified(&a, &part.owner, &cfg.session, id, false)?.0
                 }
             };
             rebuild_seconds = session.setup_seconds();

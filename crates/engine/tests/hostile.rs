@@ -89,6 +89,47 @@ fn hostile_job_lines_reject_without_panic() {
 }
 
 #[test]
+fn files_that_are_not_regular_are_rejected_naming_the_path() {
+    // Reading `/dev/zero` to its end once grew one line until the process
+    // aborted; a FIFO would block a pool worker forever. Both are refused
+    // before they are opened, as is a directory.
+    let dir = std::env::temp_dir().display().to_string();
+    let mut paths = vec![dir];
+    if std::path::Path::new("/dev/zero").exists() {
+        paths.push("/dev/zero".into());
+    }
+    let service = SolveService::start(ServiceConfig {
+        pool_size: 1,
+        queue_capacity: 4,
+        cache_capacity: 2,
+    })
+    .expect("valid config");
+    let (fp, _) = service
+        .matrix_store()
+        .put(build_case_sized(CaseId::Tc1, 4).sys.a);
+    for path in &paths {
+        let named = format!("{path} is not a regular file");
+        for line in [
+            format!(r#"{{"mtx":"{path}","ranks":2}}"#),
+            format!(r#"{{"case":"tc1","n":4,"rhs":"{path}","ranks":2}}"#),
+            format!(r#"{{"fp":"{fp:016x}","rhs":"{path}","ranks":2}}"#),
+        ] {
+            let job = parse_job_line(&line, 0).expect("well-formed line");
+            if !line.contains("\"fp\"") {
+                let err = resolve_problem(&job).err().expect("rejected").to_string();
+                assert!(err.contains(&named), "{line}: {err}");
+            }
+            let result = service.submit_solve(job).expect("queued").wait();
+            assert!(!result.ok, "{line}");
+            assert_eq!(result.error_kind.as_deref(), Some("rejected"), "{line}");
+            let err = result.error.unwrap_or_default();
+            assert!(err.contains(&named), "{line}: {err}");
+        }
+    }
+    service.shutdown();
+}
+
+#[test]
 fn unknown_precond_rejection_names_the_valid_set() {
     // An unrecognized rung must come back as a structured rejection that
     // echoes the offender and lists every accepted name, so a client can

@@ -617,7 +617,7 @@ fn serve_command(
 /// Registers a `put` frame's Matrix Market body and answers with its
 /// fingerprint — the handle later `{"fp":…}` jobs solve against.
 fn serve_put(shared: &Arc<NetShared>, body: &[u8]) -> String {
-    let a = match parapre_sparse::io::read_matrix_market(BufReader::new(body)) {
+    let a = match parapre_sparse::io::parse_matrix_market(body) {
         Ok(a) => a,
         Err(e) => {
             parapre_metrics::inc(names::NET_FRAMES_REJECTED_TOTAL, 1);

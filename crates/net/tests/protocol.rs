@@ -394,6 +394,46 @@ fn a_put_whose_body_cannot_back_its_size_line_is_rejected() {
 }
 
 #[test]
+fn non_regular_files_and_non_finite_entries_are_rejected() {
+    // A job naming `/dev/zero` once aborted netd for every client, and a
+    // put with a NaN entry was registered and then broke down in its solve.
+    let server = start_tcp(NetConfig::default());
+    let mut client = connect(&server);
+    client.put_mtx(&tridiag_mtx(6)).expect("put");
+    let ack = client.recv_line().expect("recv").expect("open");
+    let fp = str_field(&ack, "fp").expect("fingerprint");
+    let dir = std::env::temp_dir().display().to_string();
+    let mut paths = vec![dir];
+    if std::path::Path::new("/dev/zero").exists() {
+        paths.push("/dev/zero".into());
+    }
+    for path in &paths {
+        for job in [
+            format!(r#"{{"id":"r","fp":"{fp}","rhs":"{path}","ranks":2}}"#),
+            format!(r#"{{"id":"m","mtx":"{path}","ranks":2}}"#),
+        ] {
+            let line = client.request(&job).expect("request").expect("open");
+            assert_eq!(str_field(&line, "error_kind").as_deref(), Some("rejected"));
+            let err = str_field(&line, "error").unwrap_or_default();
+            assert!(err.contains("is not a regular file"), "line: {line}");
+        }
+    }
+    for value in ["NaN", "1e999"] {
+        let mtx = tridiag_mtx(6).replace("\n3 3 2.5\n", &format!("\n3 3 {value}\n"));
+        client.put_mtx(&mtx).expect("put");
+        let line = client.recv_line().expect("recv").expect("open");
+        assert_eq!(str_field(&line, "error_kind").as_deref(), Some("rejected"));
+        let err = str_field(&line, "error").unwrap_or_default();
+        assert!(err.contains("entry (3, 3) is not finite"), "line: {line}");
+    }
+    let pong = client
+        .request("{\"cmd\":\"ping\"}")
+        .expect("request")
+        .expect("open");
+    assert_eq!(bool_field(&pong, "pong"), Some(true));
+}
+
+#[test]
 fn schurml_jobs_run_over_the_wire() {
     let server = start_tcp(NetConfig::default());
     let mut client = connect(&server);

@@ -5,72 +5,77 @@
 //! `matrix coordinate real {general|symmetric}` flavour, which covers every
 //! matrix this workspace produces; symmetric files are expanded to full
 //! storage on read.
+//!
+//! Matrices and vectors are read by one cursor over the bytes of the whole
+//! body: it must be UTF-8, lines end at `\n`, and tokens are separated by
+//! ASCII whitespace (a `\r` before the `\n` is one more separator).
 
 use crate::{Coo, Csr, Error, Result};
+use std::borrow::Cow;
 use std::io::{BufRead, BufWriter, Write};
 use std::path::Path;
 
-/// Parses a Matrix Market stream into CSR.
-///
-/// The size line is a claim the body has to back: nothing is sized from it
-/// before the body is read. Storage grows with the entries actually read,
-/// an entry count other than the one declared is an error (the format
-/// requires them to agree), and so is a row or column count above the
-/// stored entries — such a matrix has an empty row or column, and a 95-byte
-/// body could otherwise ask for terabytes.
+/// Parses a Matrix Market stream into CSR: reads it to its end and hands
+/// the bytes to [`parse_matrix_market`].
 pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr> {
-    let mut lines = reader.lines();
-    let header = lines
-        .next()
-        .ok_or(Error::InvalidStructure("empty MatrixMarket stream".into()))?
-        .map_err(|_| Error::InvalidStructure("unreadable header".into()))?;
-    let h = header.to_ascii_lowercase();
+    parse_matrix_market(&read_all(reader)?)
+}
+
+/// Parses a Matrix Market body into CSR in one pass over its bytes.
+///
+/// The size line is a claim the body has to back: nothing is sized from it.
+/// Triplet storage is sized from the body's length (no entry line is
+/// shorter than `1 1 1\n`), an entry count other than the one declared is
+/// an error (the format requires them to agree), and so is a row or column
+/// count above the stored entries — such a matrix has an empty row or
+/// column, and a 95-byte body could otherwise ask for terabytes. Every
+/// value must be finite, and so must every sum of duplicates.
+pub fn parse_matrix_market(body: &[u8]) -> Result<Csr> {
+    let text = utf8(body, "unreadable header")?;
+    if text.is_empty() {
+        return Err(bad("empty MatrixMarket stream"));
+    }
+    let header_end = text.find('\n').unwrap_or(text.len());
+    let h = text[..header_end].to_ascii_lowercase();
     if !h.starts_with("%%matrixmarket") {
-        return Err(Error::InvalidStructure(
-            "missing %%MatrixMarket header".into(),
-        ));
+        return Err(bad("missing %%MatrixMarket header"));
     }
     if !h.contains("matrix") || !h.contains("coordinate") || !h.contains("real") {
-        return Err(Error::InvalidStructure(
-            "only `matrix coordinate real` supported".into(),
-        ));
+        return Err(bad("only `matrix coordinate real` supported"));
     }
     let symmetric = h.contains("symmetric");
     if !symmetric && !h.contains("general") {
-        return Err(Error::InvalidStructure(
-            "only general/symmetric qualifiers supported".into(),
-        ));
+        return Err(bad("only general/symmetric qualifiers supported"));
     }
 
-    let mut declared: Option<(usize, usize, usize)> = None;
-    let mut coo: Option<Coo> = None;
+    let mut cur = Cursor {
+        text,
+        pos: header_end,
+        line: 1,
+        taken: true,
+    };
+    cur.next_line(b"%").ok_or(bad("missing size line"))?;
+    let (m, n, nnz) = (
+        index(cur.token())?,
+        index(cur.token())?,
+        index(cur.token())?,
+    );
+    let cap = (text.len() - header_end) / 6 + 1;
+    let mut coo = Coo::with_capacity(m, n, if symmetric { 2 * cap } else { cap });
     let mut entries = 0usize;
-    for line in lines {
-        let line = line.map_err(|_| Error::InvalidStructure("unreadable line".into()))?;
-        let t = line.trim();
-        if t.is_empty() || t.starts_with('%') {
-            continue;
-        }
-        let mut it = t.split_ascii_whitespace();
-        if declared.is_none() {
-            let m: usize = parse(it.next())?;
-            let n: usize = parse(it.next())?;
-            let nnz: usize = parse(it.next())?;
-            declared = Some((m, n, nnz));
-            coo = Some(Coo::new(m, n));
-            continue;
-        }
-        let coo = coo.as_mut().expect("size line parsed first");
-        let i: usize = parse(it.next())?;
-        let j: usize = parse(it.next())?;
-        let v: f64 = it
-            .next()
+    while let Some(line) = cur.next_line(b"%") {
+        let (i, j) = (index(cur.token())?, index(cur.token())?);
+        let v: f64 = cur
+            .token()
             .and_then(|s| s.parse().ok())
-            .ok_or(Error::InvalidStructure("bad value field".into()))?;
+            .ok_or_else(|| bad("bad value field"))?;
         if i == 0 || j == 0 {
-            return Err(Error::InvalidStructure(
-                "MatrixMarket indices are 1-based".into(),
-            ));
+            return Err(bad("MatrixMarket indices are 1-based"));
+        }
+        if !v.is_finite() {
+            return Err(bad(format!(
+                "line {line}: entry ({i}, {j}) is not finite ({v})"
+            )));
         }
         coo.try_push(i - 1, j - 1, v)?;
         if symmetric && i != j {
@@ -78,29 +83,138 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr> {
         }
         entries += 1;
     }
-    let (Some((m, n, nnz)), Some(coo)) = (declared, coo) else {
-        return Err(Error::InvalidStructure("missing size line".into()));
-    };
     if entries != nnz {
-        return Err(Error::InvalidStructure(
-            format!("the size line declares {nnz} entries, the body has {entries}").into(),
-        ));
+        return Err(bad(format!(
+            "the size line declares {nnz} entries, the body has {entries}"
+        )));
     }
     let stored = coo.n_triplets();
     if m.max(n) > stored {
-        return Err(Error::InvalidStructure(
-            format!("a {m} x {n} matrix with {stored} stored entries has an empty row or column")
-                .into(),
-        ));
+        return Err(bad(format!(
+            "a {m} x {n} matrix with {stored} stored entries has an empty row or column"
+        )));
     }
-    Ok(coo.to_csr())
+    let a = coo.to_csr();
+    if let Some(k) = a.vals().iter().position(|v| !v.is_finite()) {
+        let (i, j) = (a.row_ptr().partition_point(|&p| p <= k), a.col_idx()[k] + 1);
+        return Err(bad(format!(
+            "the duplicates of entry ({i}, {j}) sum to {}",
+            a.vals()[k]
+        )));
+    }
+    Ok(a)
 }
 
-fn parse<T: std::str::FromStr>(tok: Option<&str>) -> Result<T> {
-    tok.and_then(|s| s.parse().ok())
-        .ok_or(Error::InvalidStructure(
-            "malformed MatrixMarket line".into(),
-        ))
+fn bad(msg: impl Into<Cow<'static, str>>) -> Error {
+    Error::InvalidStructure(msg.into())
+}
+
+/// Lines and tokens of a UTF-8 body. A line is *content* when its first
+/// token does not start with a comment byte; blank lines are skipped.
+struct Cursor<'a> {
+    text: &'a str,
+    /// Offset of the next unread byte.
+    pos: usize,
+    /// 1-based number of the line `pos` is on.
+    line: usize,
+    /// Whether the line `pos` is on has been handed out (or is the header).
+    taken: bool,
+}
+
+impl<'a> Cursor<'a> {
+    /// Moves to the next content line and returns its number, `None` at the
+    /// end of the text.
+    fn next_line(&mut self, comments: &[u8]) -> Option<usize> {
+        let bytes = self.text.as_bytes();
+        loop {
+            if self.taken {
+                let k = bytes[self.pos..].iter().position(|&b| b == b'\n')?;
+                self.pos += k + 1;
+                self.line += 1;
+            }
+            self.taken = true;
+            self.skip_blanks();
+            match bytes.get(self.pos) {
+                None => return None,
+                Some(b) if *b == b'\n' || comments.contains(b) => {}
+                Some(_) => return Some(self.line),
+            }
+        }
+    }
+
+    /// The next token of the current line.
+    fn token(&mut self) -> Option<&'a str> {
+        self.skip_blanks();
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        while bytes
+            .get(self.pos)
+            .is_some_and(|b| !b.is_ascii_whitespace())
+        {
+            self.pos += 1;
+        }
+        // Both ends sit next to ASCII bytes (or the text's ends), so both
+        // are character boundaries.
+        (self.pos > start).then(|| &self.text[start..self.pos])
+    }
+
+    fn skip_blanks(&mut self) {
+        let bytes = self.text.as_bytes();
+        while bytes
+            .get(self.pos)
+            .is_some_and(|&b| b != b'\n' && b.is_ascii_whitespace())
+        {
+            self.pos += 1;
+        }
+    }
+}
+
+/// An index or count token. A plain run of digits is read in place; any
+/// other token goes through `usize::from_str`, which decides what a sign or
+/// an overflow means.
+fn index(tok: Option<&str>) -> Result<usize> {
+    let malformed = || bad("malformed MatrixMarket line");
+    let tok = tok.ok_or_else(malformed)?;
+    tok.bytes()
+        .try_fold(0usize, |acc, b| {
+            let digit = b.checked_sub(b'0').filter(|d| *d < 10)?;
+            acc.checked_mul(10)?.checked_add(usize::from(digit))
+        })
+        .or_else(|| tok.parse().ok())
+        .ok_or_else(malformed)
+}
+
+/// `body` as text; `first_line` is the error when the first line is not UTF-8.
+fn utf8<'a>(body: &'a [u8], first_line: &'static str) -> Result<&'a str> {
+    std::str::from_utf8(body).map_err(|e| {
+        let in_first = !body[..e.valid_up_to()].contains(&b'\n');
+        bad(if in_first {
+            first_line
+        } else {
+            "unreadable line"
+        })
+    })
+}
+
+fn read_all<R: BufRead>(mut reader: R) -> Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    reader
+        .read_to_end(&mut bytes)
+        .map_err(|_| bad("unreadable line"))?;
+    Ok(bytes)
+}
+
+/// The bytes of a regular file. Anything else — a device, a FIFO, a
+/// directory — is refused before it is opened: read to its end, it can
+/// block forever or never end.
+fn read_file(path: &Path) -> Result<Vec<u8>> {
+    if !std::fs::metadata(path)
+        .map_err(|_| bad("cannot open file"))?
+        .is_file()
+    {
+        return Err(bad(format!("{} is not a regular file", path.display())));
+    }
+    std::fs::read(path).map_err(|_| bad("cannot open file"))
 }
 
 /// Writes `a` as `matrix coordinate real general`.
@@ -115,11 +229,9 @@ pub fn write_matrix_market<W: Write>(a: &Csr, writer: W) -> std::io::Result<()> 
     w.flush()
 }
 
-/// Convenience: reads a `.mtx` file.
+/// Convenience: reads a `.mtx` file (a regular file only).
 pub fn load_mtx(path: impl AsRef<Path>) -> Result<Csr> {
-    let f = std::fs::File::open(path)
-        .map_err(|_| Error::InvalidStructure("cannot open file".into()))?;
-    read_matrix_market(std::io::BufReader::new(f))
+    parse_matrix_market(&read_file(path.as_ref())?)
 }
 
 /// Convenience: writes a `.mtx` file.
@@ -133,65 +245,53 @@ pub fn save_mtx(a: &Csr, path: impl AsRef<Path>) -> std::io::Result<()> {
 /// comments and blank lines skipped) — the two formats right-hand sides
 /// ship in alongside `.mtx` matrices.
 pub fn read_vector<R: BufRead>(reader: R) -> Result<Vec<f64>> {
+    parse_vector(&read_all(reader)?)
+}
+
+fn parse_vector(body: &[u8]) -> Result<Vec<f64>> {
+    let text = utf8(body, "unreadable line")?;
+    let first = &text[..text.find('\n').unwrap_or(text.len())];
+    let h = first
+        .trim_start_matches(|c: char| c.is_ascii_whitespace())
+        .to_ascii_lowercase();
+    let mm = h.starts_with("%%matrixmarket");
+    if mm && (!h.contains("array") || !h.contains("real")) {
+        return Err(bad("only `matrix array real` vectors supported"));
+    }
+    let mut cur = Cursor {
+        text,
+        pos: 0,
+        line: 1,
+        taken: false,
+    };
+    let mut declared: Option<usize> = None;
     let mut out = Vec::new();
-    let mut mm_rows: Option<usize> = None;
-    let mut first_content = true;
-    for (k, line) in reader.lines().enumerate() {
-        let line = line.map_err(|_| Error::InvalidStructure("unreadable line".into()))?;
-        let t = line.trim();
-        if k == 0 && t.to_ascii_lowercase().starts_with("%%matrixmarket") {
-            let h = t.to_ascii_lowercase();
-            if !h.contains("array") || !h.contains("real") {
-                return Err(Error::InvalidStructure(
-                    "only `matrix array real` vectors supported".into(),
-                ));
-            }
-            mm_rows = Some(0); // dims line still to come
-            continue;
-        }
-        if t.is_empty() || t.starts_with('%') || t.starts_with('#') {
-            continue;
-        }
-        if mm_rows == Some(0) && first_content {
+    while cur.next_line(b"%#").is_some() {
+        if mm && declared.is_none() {
             // MatrixMarket dims line: "m n" with n == 1.
-            let mut it = t.split_ascii_whitespace();
-            let m: usize = parse(it.next())?;
-            let n: usize = parse(it.next())?;
-            if n != 1 {
-                return Err(Error::InvalidStructure(
-                    "vector file must have one column".into(),
-                ));
+            declared = Some(index(cur.token())?);
+            if index(cur.token())? != 1 {
+                return Err(bad("vector file must have one column"));
             }
-            mm_rows = Some(m);
-            first_content = false;
             continue;
         }
-        first_content = false;
-        for tok in t.split_ascii_whitespace() {
-            let v: f64 = tok
-                .parse()
-                .map_err(|_| Error::InvalidStructure("bad vector value".into()))?;
-            out.push(v);
+        while let Some(tok) = cur.token() {
+            out.push(tok.parse().map_err(|_| bad("bad vector value"))?);
         }
     }
-    if let Some(m) = mm_rows {
-        if out.len() != m {
-            return Err(Error::InvalidStructure(
-                "vector length != declared size".into(),
-            ));
-        }
+    if declared.is_some_and(|m| m != out.len()) {
+        return Err(bad("vector length != declared size"));
     }
     if out.is_empty() {
-        return Err(Error::InvalidStructure("empty vector stream".into()));
+        return Err(bad("empty vector stream"));
     }
     Ok(out)
 }
 
-/// Convenience: reads a vector file (see [`read_vector`]).
+/// Convenience: reads a vector file (see [`read_vector`]; a regular file
+/// only).
 pub fn load_vec(path: impl AsRef<Path>) -> Result<Vec<f64>> {
-    let f = std::fs::File::open(path)
-        .map_err(|_| Error::InvalidStructure("cannot open file".into()))?;
-    read_vector(std::io::BufReader::new(f))
+    parse_vector(&read_file(path.as_ref())?)
 }
 
 #[cfg(test)]
@@ -285,6 +385,87 @@ mod tests {
     }
 
     #[test]
+    fn a_non_finite_entry_is_rejected_naming_its_line_and_entry() {
+        let head = "%%MatrixMarket matrix coordinate real general\n% note\n2 2 2\n";
+        for (entry, names) in [
+            ("2 2 NaN", "line 5: entry (2, 2) is not finite (NaN)"),
+            ("2 2 1e999", "line 5: entry (2, 2) is not finite (inf)"),
+            ("2 2 -inf", "line 5: entry (2, 2) is not finite (-inf)"),
+            ("2 2 +Infinity", "line 5: entry (2, 2) is not finite (inf)"),
+        ] {
+            let text = format!("{head}1 1 1.0\n{entry}\n");
+            match parse_matrix_market(text.as_bytes()) {
+                Err(Error::InvalidStructure(msg)) => assert_eq!(msg, names, "{entry}"),
+                other => panic!("{entry}: {other:?}"),
+            }
+        }
+        // Finite duplicates whose sum overflows are rejected after assembly.
+        let text =
+            "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1e308\n1 1 1e308\n2 2 1\n";
+        match parse_matrix_market(text.as_bytes()) {
+            Err(Error::InvalidStructure(msg)) => {
+                assert_eq!(msg, "the duplicates of entry (1, 1) sum to inf")
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn separators_signs_and_line_ends() {
+        let want = Csr::from_dense_rows(&[vec![2.0, -1.0], vec![0.0, 4.5]]);
+        for text in [
+            "%%MatrixMarket matrix coordinate real general\r\n2 2 3\r\n1 1 2\r\n1 2 -1\r\n2 2 4.5\r\n",
+            "%%MatrixMarket matrix coordinate real general\n\t2\t2\t3 extra\n+1 1 2e0 x\n1\x0c2 -1.0\n\n  % c\n2 2 +4.5",
+            "%%MatrixMarket matrix coordinate real general\n2 2 4\n1 1 1\n1 2 -1\n2 2 4.5\n1 1 1\n",
+        ] {
+            let a = parse_matrix_market(text.as_bytes()).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+            assert_eq!(a, want, "{text:?}");
+        }
+        // Only ASCII whitespace separates: a vertical tab is part of a token.
+        let vt = "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2\x0b\n";
+        assert!(parse_matrix_market(vt.as_bytes()).is_err());
+        // An index that overflows is malformed, not wrapped.
+        let big =
+            "%%MatrixMarket matrix coordinate real general\n1 1 1\n18446744073709551617 1 2\n";
+        assert!(parse_matrix_market(big.as_bytes()).is_err());
+    }
+
+    #[test]
+    fn empty_and_truncated_bodies_are_rejected() {
+        for (text, names) in [
+            (&b""[..], "empty MatrixMarket stream"),
+            (
+                b"%%MatrixMarket matrix coordinate real general",
+                "missing size line",
+            ),
+            (
+                b"%%MatrixMarket matrix coordinate real general\n% c\n",
+                "missing size line",
+            ),
+            (
+                b"%%MatrixMarket matrix coordinate real general\n1 1\n",
+                "malformed",
+            ),
+            (
+                b"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1\n",
+                "bad value field",
+            ),
+            (b"%%MatrixMarket\xff matrix", "unreadable header"),
+            (
+                b"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 \xff\n",
+                "unreadable line",
+            ),
+        ] {
+            match parse_matrix_market(text) {
+                Err(Error::InvalidStructure(msg)) => {
+                    assert!(msg.contains(names), "{text:?}: {msg}")
+                }
+                other => panic!("{text:?}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn reads_plain_vector() {
         let v = read_vector("# rhs\n1.5\n-2.0\n\n3.25\n".as_bytes()).unwrap();
         assert_eq!(v, vec![1.5, -2.0, 3.25]);
@@ -310,5 +491,25 @@ mod tests {
         let b = load_mtx(&path).unwrap();
         assert_eq!(a, b);
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn files_that_are_not_regular_are_refused_naming_the_path() {
+        let dir = std::env::temp_dir();
+        let mut paths = vec![dir.clone()];
+        if Path::new("/dev/zero").exists() {
+            paths.push("/dev/zero".into());
+        }
+        for path in paths {
+            let named = format!("{} is not a regular file", path.display());
+            for err in [load_mtx(&path).unwrap_err(), load_vec(&path).unwrap_err()] {
+                assert_eq!(err, Error::InvalidStructure(named.clone().into()));
+            }
+        }
+        let missing = dir.join("parapre_io_test_no_such_file.vec");
+        assert_eq!(
+            load_vec(missing).unwrap_err(),
+            Error::InvalidStructure("cannot open file".into())
+        );
     }
 }
