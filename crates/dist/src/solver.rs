@@ -108,36 +108,12 @@ impl<T: DistPrecond + ?Sized> DistPrecond for &T {
     }
 }
 
-impl<T: DistPrecond + ?Sized> DistPrecond for std::sync::Arc<T> {
-    fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]) {
-        (**self).apply(comm, r, z)
-    }
-    fn apply_block(&self, comm: &mut Comm, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
-        (**self).apply_block(comm, rs, zs)
-    }
-    fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
-        (**self).refactor(dm, a_global)
-    }
-}
-
 /// Identity distributed preconditioner.
 pub struct IdentityDistPrecond;
 
 impl DistPrecond for IdentityDistPrecond {
     fn apply(&self, _comm: &mut Comm, r: &[f64], z: &mut [f64]) {
         z.copy_from_slice(r);
-    }
-}
-
-impl<T: DistOp + ?Sized> DistOp for std::sync::Arc<T> {
-    fn n_owned(&self) -> usize {
-        (**self).n_owned()
-    }
-    fn apply(&self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
-        (**self).apply(comm, x, y)
-    }
-    fn apply_block(&self, comm: &mut Comm, xs: &[&[f64]], ys: &mut [&mut [f64]]) {
-        (**self).apply_block(comm, xs, ys)
     }
 }
 

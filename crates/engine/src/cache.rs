@@ -205,33 +205,10 @@ impl SessionCache {
     }
 
     /// Inserts (or replaces) a ready-made session under `key`, evicting
-    /// LRU entries if needed. Used by the elastic layer to swap in a
-    /// migrated session under its new topology-tagged key.
+    /// LRU entries if needed. The service swaps in a cold rebuild for a
+    /// refactored session whose frozen pattern went stale.
     pub fn insert(&self, key: SessionKey, session: Arc<SolverSession>) {
         self.admit(&mut self.inner.lock().expect("cache lock"), key, session);
-    }
-
-    /// Removes the entry for `key` (no-op when absent); returns whether an
-    /// entry was dropped. The elastic layer retires a superseded topology
-    /// with this once its successor passed the residual probe.
-    pub fn remove(&self, key: &SessionKey) -> bool {
-        self.inner
-            .lock()
-            .expect("cache lock")
-            .map
-            .remove(key)
-            .is_some()
-    }
-
-    /// Snapshot of every resident entry (most recently used last). The
-    /// elastic layer iterates this to find rebalance candidates.
-    pub fn entries(&self) -> Vec<(SessionKey, Arc<SolverSession>)> {
-        let inner = self.inner.lock().expect("cache lock");
-        let mut all: Vec<(&SessionKey, &Entry)> = inner.map.iter().collect();
-        all.sort_by_key(|(_, e)| e.last_used);
-        all.into_iter()
-            .map(|(k, e)| (k.clone(), Arc::clone(&e.session)))
-            .collect()
     }
 
     /// Current counter snapshot.

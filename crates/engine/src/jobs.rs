@@ -17,14 +17,19 @@
 //! overrides `size`), `size` (`tiny`/`default`/`full`), `precond` (one of
 //! [`VALID_PRECONDS`]; `"schurml"` additionally honours `levels` and
 //! `rank`), `ranks` (1 to 128), `scheme` (`boxes` needs a structured case),
-//! `seed`, `repeat`, `rhs`, `tol`, `maxit`, `restart` (1 to 1000). Resilience
-//! keys: `retries`, `backoff_ms`, `degrade`, `checkpoint` (recovery
-//! policy), `fallback` (solve-time descent of the preconditioner ladder on
-//! a typed breakdown, default on; the build always goes through the ladder);
-//! `fault_seed`, `drop_prob`, `delay_prob`, `delay_us`,
-//! `kill_rank`, `kill_op` (deterministic fault injection — chaos jobs);
-//! `deadline_ms` (wall-clock budget from submission — expired jobs come
-//! back as structured `timeout` records instead of occupying a worker).
+//! `seed`, `repeat`, `rhs`, `tol` (finite, in (0, 1)), `maxit`, `restart`
+//! (1 to 1000), `batch` (at most 64). Resilience keys: `retries` (0 to 4),
+//! `backoff_ms` (0 to 1000, doubled per retry), `degrade`, `checkpoint`
+//! (recovery policy), `fallback` (solve-time descent of the preconditioner
+//! ladder on a typed breakdown, default on; the build always goes through
+//! the ladder); `fault_seed`, `drop_prob` and `delay_prob` (finite, in
+//! [0, 1]), `delay_us` (0 to 10 000), `kill_rank` (below `ranks`),
+//! `kill_op` (deterministic fault injection — chaos jobs); `deadline_ms`
+//! (wall-clock budget from submission — expired jobs come back as
+//! structured `timeout` records instead of occupying a worker). A value
+//! outside its range is a `rejected` record naming the key, the range and
+//! the value: no single job can hold a worker for longer than its bounded
+//! retries, backoffs and delays allow.
 //! Results come back one flat-ish JSON line per job (the `iterations` and
 //! `dead_ranks` arrays are the only nesting).
 
@@ -96,10 +101,6 @@ pub struct SolveJob {
     /// resilient per-solve path; `k > 1` derives `k` deterministic RHS
     /// variants from the job's RHS spec.
     pub batch: usize,
-    /// `"precond":"auto"` — the service's autotuner picks the rung per
-    /// matrix fingerprint; `session.precond` holds the pre-selection
-    /// default until then.
-    pub auto_precond: bool,
     /// Session configuration (preconditioner, ranks, tolerances …).
     pub session: SessionConfig,
     /// Retry/checkpoint/degrade behavior for this job.
@@ -168,11 +169,9 @@ pub struct JobResult {
     pub breakdown_kind: Option<String>,
     /// Right-hand sides solved per repeat (1 on the non-batched path).
     pub batch: usize,
-    /// Key of the preconditioner rung that actually served the job —
-    /// reported for every job, load-bearing for `"precond":"auto"` ones.
+    /// Key of the preconditioner rung that actually served the job (the
+    /// requested one unless the build descended the ladder).
     pub precond_used: Option<String>,
-    /// Whether the rung was chosen by the autotuner.
-    pub auto: bool,
     /// The job's session was produced by a numeric-only refactorization of
     /// a resident same-pattern session (by this job on a miss, or by the
     /// job that built the session this one hit).
@@ -209,7 +208,6 @@ impl JobResult {
             breakdown_kind: None,
             batch: 1,
             precond_used: None,
-            auto: false,
             refactored: false,
             pattern_age: 0,
         }
@@ -268,9 +266,6 @@ impl JobResult {
         if let Some(p) = &self.precond_used {
             out.push_str(&format!(",\"precond\":\"{}\"", flatjson::escape(p)));
         }
-        if self.auto {
-            out.push_str(",\"auto\":true");
-        }
         if let Some(kind) = &self.error_kind {
             out.push_str(&format!(",\"error_kind\":\"{}\"", flatjson::escape(kind)));
         }
@@ -285,7 +280,7 @@ impl JobResult {
 /// The full set of `precond` values a job line may carry — spelled out in
 /// the rejection message so a misspelled client learns the valid set from
 /// the structured `"rejected"` record instead of a bare "unknown" error.
-pub const VALID_PRECONDS: &str = "block1, block2, schur1, schur2, schurml, overlap, jacobi, auto";
+pub const VALID_PRECONDS: &str = "block1, block2, schur1, schur2, schurml, overlap, jacobi";
 
 /// Hard ceiling on one job line. Anything larger is rejected before the
 /// parser touches it — a mis-framed client must not make the service
@@ -303,6 +298,16 @@ const MAX_RANKS: u64 = 128;
 /// Most right-hand sides one job may batch: the service materializes every
 /// one of them, each as long as the matrix, before the solve starts.
 const MAX_BATCH: u64 = 64;
+
+/// Most retries a job may ask for.
+const MAX_RETRIES: u64 = 4;
+
+/// Longest base backoff a job may ask for, in milliseconds. It doubles per
+/// retry, so the worst total wait is `15 × MAX_BACKOFF_MS`.
+const MAX_BACKOFF_MS: u64 = 1000;
+
+/// Longest injected message delay a job may ask for, in microseconds.
+const MAX_DELAY_US: u64 = 10_000;
 
 /// The keys and values of one job or command line.
 pub type JobFields = std::collections::BTreeMap<String, JsonValue>;
@@ -381,19 +386,26 @@ pub fn parse_job_fields(
         }
     };
 
-    let precond_str = get_str("precond").unwrap_or("schur1");
-    let auto_precond = precond_str.eq_ignore_ascii_case("auto");
-    let mut precond = if auto_precond {
-        // Pre-selection placeholder; the service's autotuner replaces it
-        // once the matrix fingerprint is known.
-        PrecondKind::Schur1
-    } else {
-        PrecondKind::parse(precond_str).ok_or_else(|| {
-            EngineError::BadJob(format!(
-                "unknown precond {precond_str:?}; valid: {VALID_PRECONDS}"
-            ))
-        })?
+    // Bounded keys: absent, in range, or a `BadJob` naming the key, the
+    // range and the value. An integer at most `max`; a real in the closed
+    // or the open unit interval (NaN is in neither).
+    let get_u_max = |k: &str, max: u64| match get_u(k) {
+        Some(v) if v > max => Err(out_of_range(k, format!("0..={max}"), v)),
+        v => Ok(v),
     };
+    let get_unit = |k: &str, closed: bool| match get_f(k) {
+        Some(v) if !(0.0..=1.0).contains(&v) || !closed && (v == 0.0 || v == 1.0) => {
+            Err(out_of_range(k, if closed { "[0, 1]" } else { "(0, 1)" }, v))
+        }
+        v => Ok(v),
+    };
+
+    let precond_str = get_str("precond").unwrap_or("schur1");
+    let mut precond = PrecondKind::parse(precond_str).ok_or_else(|| {
+        EngineError::BadJob(format!(
+            "unknown precond {precond_str:?}; valid: {VALID_PRECONDS}"
+        ))
+    })?;
     // SchurML knobs: `levels`/`rank` refine the parsed default variant.
     if let PrecondKind::SchurML { levels, rank } = precond {
         precond = PrecondKind::SchurML {
@@ -403,9 +415,7 @@ pub fn parse_job_fields(
     }
     let n_ranks = get_u("ranks").unwrap_or(4);
     if !(1..=MAX_RANKS).contains(&n_ranks) {
-        return Err(EngineError::BadJob(format!(
-            "ranks must be in 1..={MAX_RANKS}, got {n_ranks}"
-        )));
+        return Err(out_of_range("ranks", format!("1..={MAX_RANKS}"), n_ranks));
     }
     let mut session = SessionConfig::paper(precond, n_ranks as usize);
     if let Some(s) = get_str("scheme") {
@@ -415,7 +425,7 @@ pub fn parse_job_fields(
     if let Some(seed) = get_u("seed") {
         session.partition_seed = seed;
     }
-    if let Some(tol) = get_f("tol") {
+    if let Some(tol) = get_unit("tol", false)? {
         session.gmres.rel_tol = tol;
     }
     if let Some(maxit) = get_u("maxit") {
@@ -424,9 +434,11 @@ pub fn parse_job_fields(
     if let Some(restart) = get_u("restart") {
         // The solver allocates its `restart + 1` basis vectors up front.
         if !(1..=MAX_RESTART).contains(&restart) {
-            return Err(EngineError::BadJob(format!(
-                "restart must be in 1..={MAX_RESTART}, got {restart}"
-            )));
+            return Err(out_of_range(
+                "restart",
+                format!("1..={MAX_RESTART}"),
+                restart,
+            ));
         }
         session.gmres.restart = restart as usize;
     }
@@ -440,10 +452,10 @@ pub fn parse_job_fields(
 
     let get_bool = |k: &str| fields.get(k).and_then(JsonValue::as_bool);
     let mut recovery = RecoveryPolicy::default();
-    if let Some(r) = get_u("retries") {
+    if let Some(r) = get_u_max("retries", MAX_RETRIES)? {
         recovery.retry_budget = r as usize;
     }
-    if let Some(ms) = get_u("backoff_ms") {
+    if let Some(ms) = get_u_max("backoff_ms", MAX_BACKOFF_MS)? {
         recovery.backoff_ms = ms;
     }
     if let Some(d) = get_bool("degrade") {
@@ -456,20 +468,25 @@ pub fn parse_job_fields(
         recovery.precond_fallback = f;
     }
 
+    let drop_prob = get_unit("drop_prob", true)?;
+    let delay_prob = get_unit("delay_prob", true)?;
+    let delay_us = get_u_max("delay_us", MAX_DELAY_US)?;
+    // A rank the universe does not have would never die.
+    let kill_rank = get_u_max("kill_rank", n_ranks - 1)?;
     let has_fault = ["fault_seed", "drop_prob", "delay_prob", "kill_rank"]
         .iter()
         .any(|k| fields.contains_key(*k));
     let fault = has_fault.then(|| {
         let mut f = FaultConfig {
             seed: get_u("fault_seed").unwrap_or(0),
-            drop_prob: get_f("drop_prob").unwrap_or(0.0),
-            delay_prob: get_f("delay_prob").unwrap_or(0.0),
+            drop_prob: drop_prob.unwrap_or(0.0),
+            delay_prob: delay_prob.unwrap_or(0.0),
             ..Default::default()
         };
-        if let Some(us) = get_u("delay_us") {
+        if let Some(us) = delay_us {
             f.delay_us = us;
         }
-        if let Some(rank) = get_u("kill_rank") {
+        if let Some(rank) = kill_rank {
             f.kill.push(RankOp {
                 rank: rank as usize,
                 op: get_u("kill_op").unwrap_or(0),
@@ -509,12 +526,20 @@ pub fn parse_job_fields(
         rhs,
         repeat: get_u("repeat").unwrap_or(1).max(1) as usize,
         batch,
-        auto_precond,
         session,
         recovery,
         fault,
         deadline_ms,
     })
+}
+
+/// The rejection of a job key whose value lies outside `range`.
+fn out_of_range(
+    key: &str,
+    range: impl std::fmt::Display,
+    got: impl std::fmt::Display,
+) -> EngineError {
+    EngineError::BadJob(format!("{key} must be in {range}, got {got}"))
 }
 
 /// Cache identity of a job's *resolved problem* (assembled matrix,

@@ -40,7 +40,6 @@
 //!   [`SolverSession::solve_traced`]`(b, x0)` are shorthands for its two
 //!   commonest requests. `run` returns the structured per-rank failures;
 //!   `?` flattens them into an [`EngineError`].
-//! * **Change topology** between solves — [`SolverSession::migrate`].
 //! * **Recover** — [`solve_resilient`] drives `run` through retry,
 //!   checkpoint resume and the degraded fallback
 //!   ([`resilient::solve_degraded`]: `build` + `run` again, Block 1 on the
@@ -82,9 +81,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod autotune;
 pub mod cache;
-pub mod elastic;
 pub mod experiment;
 pub mod jobs;
 pub mod resilient;
@@ -92,12 +89,7 @@ pub mod service;
 pub mod session;
 pub mod timestep;
 
-pub use autotune::{
-    AutoTuner, TuneDecision, TuneLoad, TuneRecord, TuneSample, TunerStats, AUTO_CANDIDATES,
-    MAX_STATE_SOLVE_US,
-};
 pub use cache::{CacheStats, SessionCache, SessionKey};
-pub use elastic::{RebalanceManager, RebalanceRecord};
 pub use experiment::{run_case, run_case_traced, RunResult};
 pub use jobs::{
     batch_rhs, parse_job_fields, parse_job_line, parse_line_fields, problem_key, resolve_problem,
@@ -110,8 +102,8 @@ pub use service::{
     SubmitError,
 };
 pub use session::{
-    matrix_graph, MatrixId, MigrationReport, RefactorFallback, SessionConfig, SessionSolveReport,
-    SolveOutput, SolveRequest, SolverSession,
+    matrix_graph, MatrixId, RefactorFallback, SessionConfig, SessionSolveReport, SolveOutput,
+    SolveRequest, SolverSession,
 };
 pub use timestep::{march_heat, StepReport, TimestepConfig, TimestepReport};
 

@@ -14,9 +14,7 @@
 //! and the worker moves on to the next job — the process is never
 //! poisoned.
 
-use crate::autotune::AutoTuner;
 use crate::cache::{evict_lru, CacheStats, SessionCache, SessionKey};
-use crate::elastic::{RebalanceConfig, RebalanceManager, RebalanceRecord};
 use crate::jobs::{
     batch_rhs, problem_key, resolve_problem_with, JobResult, ResolvedProblem, SolveJob,
     StoredMatrix,
@@ -340,8 +338,6 @@ struct Shared {
     cache: SessionCache,
     problems: ProblemCache,
     matrices: MatrixStore,
-    tuner: AutoTuner,
-    rebalancer: RebalanceManager,
     /// Sessions produced by numeric-only refactorization.
     refactors: AtomicU64,
     /// Same-pattern misses that had a resident donor and were built cold
@@ -411,8 +407,6 @@ impl SolveService {
             cache: SessionCache::new(cfg.cache_capacity),
             problems: ProblemCache::new(cfg.cache_capacity),
             matrices: MatrixStore::new(),
-            tuner: AutoTuner::default(),
-            rebalancer: RebalanceManager::new(RebalanceConfig::default()),
             refactors: AtomicU64::new(0),
             refactor_fallbacks: AtomicU64::new(0),
             cfg,
@@ -472,22 +466,6 @@ impl SolveService {
         &self.shared.matrices
     }
 
-    /// The fingerprint-keyed autotuner serving `"precond":"auto"` jobs.
-    pub fn tuner(&self) -> &AutoTuner {
-        &self.shared.tuner
-    }
-
-    /// Runs one elastic rebalance pass over every cached session, acting
-    /// on its most recent load attribution. `force: true` (the
-    /// `{"cmd":"rebalance"}` control verb) decides on the latest
-    /// observation alone; `force: false` (the periodic auto-rebalance
-    /// loop) requires the policy's sustained streak. Migrated sessions
-    /// replace their predecessors in the cache under topology-tagged
-    /// keys; aborts leave the old sessions serving.
-    pub fn rebalance_pass(&self, force: bool) -> Vec<RebalanceRecord> {
-        self.shared.rebalancer.pass(&self.shared.cache, force)
-    }
-
     /// Answers one of the read commands both front-ends speak, one reply
     /// record per element (`parapre-serve` prints each as a line,
     /// `parapre-netd` sends each as a frame):
@@ -519,7 +497,7 @@ impl SolveService {
         }
     }
 
-    /// One flat JSON line of live statistics: job/cache/store/tuner
+    /// One flat JSON line of live statistics: job/cache/store
     /// counters plus the latency-quantile and load-gauge headline numbers.
     pub fn stats_json(&self) -> String {
         use parapre_metrics::names;
@@ -527,7 +505,6 @@ impl SolveService {
         let cache = self.cache_stats();
         let (refactors, refactor_fallbacks) = self.refactor_stats();
         let store = self.matrix_store().stats();
-        let tuner = self.tuner().stats();
         let ms = |name: &str, q: f64| -> f64 {
             snap.hist(name).map_or(0.0, |h| h.quantile(q) as f64 / 1e3)
         };
@@ -545,7 +522,6 @@ impl SolveService {
              \"cache_waits\":{},\"refactors\":{},\"refactor_fallbacks\":{},\
              \"store_len\":{},\"store_puts\":{},\"store_dedups\":{},\
              \"store_hits\":{},\"store_misses\":{},\
-             \"tuner_records\":{},\"tuner_explore\":{},\"tuner_exploit\":{},\
              \"queue_p50_ms\":{:.3},\"queue_p99_ms\":{:.3},\
              \"build_p50_ms\":{:.3},\"build_p99_ms\":{:.3},\
              \"solve_p50_ms\":{:.3},\"solve_p99_ms\":{:.3},\
@@ -566,9 +542,6 @@ impl SolveService {
             store.dedups,
             store.hits,
             store.misses,
-            tuner.records,
-            tuner.explore,
-            tuner.exploit,
             ms(names::QUEUE_WAIT_US, 0.5),
             ms(names::QUEUE_WAIT_US, 0.99),
             ms(names::BUILD_US, 0.5),
@@ -722,20 +695,9 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
         }
     };
     // Hashed once, when the problem was resolved — not per job.
-    let fingerprint = resolved.id.fingerprint;
-    // `"precond":"auto"`: the tuner picks the rung for this fingerprint —
-    // explore until every candidate has data, then exploit the fastest
-    // converged mean. Non-auto jobs skip this entirely (no decision cost)
-    // but still feed the tuner below.
-    let mut session_cfg = job.session.clone();
-    if job.auto_precond {
-        let (kind, _decision) = shared.tuner.select(fingerprint);
-        session_cfg.precond = kind;
-    }
-    let session_cfg = session_cfg; // frozen for the rest of the job
-    let key = SessionKey::new(fingerprint, &session_cfg);
+    let key = SessionKey::new(resolved.id.fingerprint, &job.session);
     let (mut session, cache_hit) = match shared.cache.get_or_build(key.clone(), || {
-        shared.build_session(&resolved, &session_cfg, &key)
+        shared.build_session(&resolved, &job.session, &key)
     }) {
         Ok(pair) => pair,
         Err(e) => return JobResult::failed(&job.id, e.to_string()),
@@ -756,7 +718,6 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
         converged: true,
         cache_hit,
         batch: job.batch,
-        auto: job.auto_precond,
         ..JobResult::failed(&job.id, "")
     };
     // Batched multi-RHS jobs: one universe launch per repeat serves every
@@ -812,7 +773,6 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
                 let error_kind = out.error_kind.take();
                 absorb(&mut res, out);
                 let failed = JobResult::failed(&job.id, e.to_string());
-                record_tune(shared, job, fingerprint, &session_cfg, &failed);
                 return JobResult {
                     batch: job.batch,
                     retries: res.retries,
@@ -833,7 +793,7 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
             let cold = SolverSession::build_identified(
                 &resolved.a,
                 resolved.owner(),
-                &session_cfg,
+                &job.session,
                 resolved.id,
                 false,
             );
@@ -872,7 +832,6 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
     res.precond_used = Some(session.active_precond().key().to_string());
     res.refactored = session.pattern_age() > 0;
     res.pattern_age = session.pattern_age();
-    record_tune(shared, job, fingerprint, &session_cfg, &res);
     res
 }
 
@@ -907,34 +866,4 @@ fn deadline_expired(job: &SolveJob, deadline: Option<Instant>, done: usize) -> O
     r.error_kind = Some("timeout".into());
     r.batch = job.batch;
     Some(r)
-}
-
-/// Feeds one job's outcome into the autotuner (a failed job records an
-/// unconverged, empty sample). Every solve job reports — fixed-precond
-/// traffic warms the store for later `"auto"` jobs — except fault-injected
-/// ones, whose timings measure the chaos plan, not the preconditioner.
-/// Per-solve normalization (÷ repeats × batch) keeps records comparable
-/// across job shapes.
-fn record_tune(
-    shared: &Shared,
-    job: &SolveJob,
-    fingerprint: u64,
-    session_cfg: &crate::SessionConfig,
-    res: &JobResult,
-) {
-    if job.fault.is_some() {
-        return;
-    }
-    let n_solves = (job.repeat * job.batch).max(1) as u64;
-    shared.tuner.record(
-        fingerprint,
-        session_cfg.precond,
-        crate::TuneSample {
-            converged: res.converged,
-            solve_us: (res.solve_seconds * 1e6) as u64 / n_solves,
-            iterations: res.iterations.iter().sum::<usize>() as u64 / n_solves,
-            pivot_shifts: res.pivot_shifts as u64,
-            fallbacks: res.fallbacks as u64,
-        },
-    );
 }

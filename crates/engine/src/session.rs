@@ -12,12 +12,10 @@
 //! `Send + Sync`), so a session holds no threads while idle and concurrent
 //! solves on one session never contend.
 
-use crate::elastic::{MigrationPlan, RankDisposition};
 use crate::EngineError;
 use parapre_core::{
-    build_dist_precond_with_fallback, partition_case, refactor_dist_precond,
-    try_build_dist_precond, AssembledCase, PartitionScheme, PrecondKind, PrecondParams,
-    RefactorReject,
+    build_dist_precond_with_fallback, partition_case, refactor_dist_precond, AssembledCase,
+    PartitionScheme, PrecondKind, PrecondParams, RefactorReject,
 };
 use parapre_dist::{
     gather_vector, scatter_vector, tags, CheckpointCtx, DistGmres, DistGmresConfig, DistMatrix,
@@ -50,12 +48,6 @@ pub struct SessionConfig {
     pub params: PrecondParams,
     /// Deadlock tripwire for every universe this session launches.
     pub recv_timeout: Duration,
-    /// Topology digest of a *migrated* session's bespoke owner map
-    /// (`None` for sessions whose partition is derived from
-    /// `scheme + partition_seed`). Part of the cache key: a migrated
-    /// topology must never be served from (or shadow) an entry keyed for
-    /// the seed-derived partition, even at the same `P`.
-    pub partition_tag: Option<u64>,
 }
 
 impl SessionConfig {
@@ -75,7 +67,6 @@ impl SessionConfig {
             },
             params: PrecondParams::default(),
             recv_timeout: Duration::from_secs(60),
-            partition_tag: None,
         }
     }
 
@@ -83,19 +74,14 @@ impl SessionConfig {
     /// of the session cache key. Floats are rendered with full round-trip
     /// precision (`{:?}`), so configs differing in any bit key differently.
     pub fn config_string(&self) -> String {
-        let topo = match self.partition_tag {
-            Some(tag) => format!("|topo{tag:016x}"),
-            None => String::new(),
-        };
         format!(
-            "{}|{}|P{}|seed{}|{:?}|{:?}{}",
+            "{}|{}|P{}|seed{}|{:?}|{:?}",
             self.precond.cache_key(),
             self.scheme.key(),
             self.n_ranks,
             self.partition_seed,
             self.gmres,
             self.params,
-            topo
         )
     }
 }
@@ -168,13 +154,9 @@ impl From<RefactorReject> for RefactorFallback {
 
 /// One rank's frozen setup product: its rows of the matrix and its factored
 /// preconditioner. Shared read-only (`Sync`) by every subsequent solve.
-/// Both halves sit behind `Arc` so a topology migration can share the
-/// states of unchanged subdomains with the successor session instead of
-/// re-factoring them.
-#[derive(Clone)]
 struct RankState {
-    dm: Arc<DistMatrix>,
-    precond: Arc<dyn DistPrecond>,
+    dm: DistMatrix,
+    precond: Box<dyn DistPrecond>,
     /// Ladder rung the preconditioner was actually built on (identical on
     /// every rank).
     kind_used: PrecondKind,
@@ -201,13 +183,6 @@ pub struct SolverSession {
     /// the matrix store when it was registered structurally symmetric.
     a_global: Arc<Csr>,
     owner: Arc<[u32]>,
-    /// Initial guess carried across a topology migration (global
-    /// indexing, which repartitioning preserves). Used by solves that do
-    /// not supply their own guess; `None` for freshly built sessions.
-    warm_start: Option<Vec<f64>>,
-    /// Most recent solve's per-rank load attribution — the rebalance
-    /// policy's input. Interior mutability because solves take `&self`.
-    last_load: std::sync::Mutex<Option<parapre_metrics::LoadReport>>,
 }
 
 /// The outcome of one solve: one right-hand side of a [`SolverSession::run`].
@@ -251,8 +226,7 @@ pub struct SolveRequest<'a> {
     /// the rank threads and comm plans, and every halo message, all-reduce
     /// and factor sweep of a round. Each is bit for bit its own solve.
     pub rhs: Vec<&'a [f64]>,
-    /// Initial guess of every solve (zero when `None`; a migrated
-    /// session's carried iterate stands in for a missing guess).
+    /// Initial guess of every solve (zero when `None`).
     pub x0: Option<&'a [f64]>,
     /// Install a `parapre-metrics` recorder on every rank and return the
     /// event streams in [`SolveOutput::traces`].
@@ -365,8 +339,8 @@ impl SolverSession {
                 let built =
                     build_dist_precond_with_fallback(cfg.precond, &dm, comm, a, &cfg.params);
                 RankState {
-                    dm: Arc::new(dm),
-                    precond: Arc::from(built.precond),
+                    dm,
+                    precond: built.precond,
                     kind_used: built.kind_used,
                     fallbacks: built.fallbacks,
                     pivot_shifts: built.pivot_shifts,
@@ -385,8 +359,6 @@ impl SolverSession {
             ranks,
             a_global: Arc::clone(a),
             owner: owner.into(),
-            warm_start: None,
-            last_load: std::sync::Mutex::new(None),
         };
         Ok((session, traces.into_iter().flatten().collect()))
     }
@@ -442,8 +414,8 @@ impl SolverSession {
                 let from = &donor.ranks[comm.rank()];
                 let dm = DistMatrix::from_global(a_new, owner, comm.rank(), p);
                 refactor_dist_precond(&*from.precond, &dm, comm, a_new).map(|precond| RankState {
-                    dm: Arc::new(dm),
-                    precond: Arc::from(precond),
+                    dm,
+                    precond,
                     kind_used: from.kind_used,
                     fallbacks: 0,
                     pivot_shifts: 0,
@@ -467,8 +439,6 @@ impl SolverSession {
             ranks,
             a_global: Arc::clone(a_new),
             owner: Arc::clone(owner),
-            warm_start: None,
-            last_load: std::sync::Mutex::new(None),
         };
         Ok((session, traces))
     }
@@ -537,8 +507,6 @@ impl SolverSession {
             req.ckpt.is_none() || k == 1,
             "checkpointing covers one rhs per request"
         );
-        // A migrated session's carried iterate stands in for a missing guess.
-        let x0 = req.x0.or(self.warm_start.as_deref());
         let t0 = Instant::now();
         let mut ranks = launch(&self.cfg, self.cfg.n_ranks, req.faults, |comm| {
             parapre_metrics::recorded(comm.rank(), req.trace, || {
@@ -549,7 +517,7 @@ impl SolverSession {
                 let b_loc: Vec<Vec<f64>> =
                     req.rhs.iter().map(|b| scatter_vector(layout, b)).collect();
                 let mut x: Vec<Vec<f64>> = (0..k)
-                    .map(|_| match x0 {
+                    .map(|_| match req.x0 {
                         Some(g) => scatter_vector(layout, g),
                         None => vec![0.0; layout.n_owned()],
                     })
@@ -651,7 +619,6 @@ impl SolverSession {
     fn record_solve_metrics(&self, report: &SessionSolveReport) {
         use parapre_metrics::names;
         let load = &report.load;
-        *self.last_load.lock().expect("load lock") = Some(load.clone());
         if !parapre_metrics::enabled() {
             return;
         }
@@ -755,237 +722,6 @@ impl SolverSession {
         }
         out
     }
-
-    /// The warm-start iterate carried through a migration (`None` for
-    /// freshly built sessions). Solves without an explicit guess use it.
-    pub fn warm_start(&self) -> Option<&[f64]> {
-        self.warm_start.as_deref()
-    }
-
-    /// Per-rank load attribution of the most recent solve on this session
-    /// (`None` until the first solve completes). The rebalance policy's
-    /// observation stream.
-    pub fn last_load(&self) -> Option<parapre_metrics::LoadReport> {
-        self.last_load.lock().expect("load lock").clone()
-    }
-
-    /// Migrates the session to the topology described by `plan`, returning
-    /// a **new** session; `self` stays fully intact and serving.
-    ///
-    /// Subdomains whose coupling closure the plan left untouched
-    /// ([`RankDisposition::Reuse`]) carry their factor, layout, and
-    /// communication plan over by `Arc` — no re-extraction, no
-    /// re-factorization. The rest re-extract their block from the retained
-    /// global matrix (the same principal-submatrix machinery the degraded
-    /// path uses) and re-factor **strictly** on the session's active
-    /// ladder rung: migration never silently changes the preconditioner.
-    ///
-    /// Robustness protocol, in order, inside one universe of `P'` ranks:
-    ///
-    /// 1. every rank votes on a digest of the new topology
-    ///    (`all_agree_u64`) — a torn plan aborts before any work;
-    /// 2. each rebuilding rank checks its re-extracted rows for non-finite
-    ///    entries, and the outcome is agreed collectively (`all_land`,
-    ///    like the fallback ladder) *before* any collective factorization,
-    ///    so no rank can enter a collective build alone;
-    /// 3. factorization failures are voted the same way;
-    /// 4. a rank killed mid-migration surfaces as a [`RankFailure`] and
-    ///    aborts the whole migration.
-    ///
-    /// On any abort this returns `Err` and the old topology — which was
-    /// never touched — keeps serving. On success the candidate still has
-    /// to pass a cheap distributed-SpMV residual probe (exercising the
-    /// comm plans of both reused and rebuilt ranks against the serial
-    /// matrix) before it is handed back.
-    ///
-    /// `warm_start` (global indexing, preserved across repartitioning) is
-    /// stored on the new session and seeds its guess-less solves; `faults`
-    /// injects into the migration universe.
-    pub fn migrate(
-        &self,
-        plan: &MigrationPlan,
-        warm_start: Option<&[f64]>,
-        faults: Option<Arc<dyn FaultHook>>,
-    ) -> Result<(SolverSession, MigrationReport), EngineError> {
-        use parapre_metrics::names;
-        let abort = |msg: String| {
-            if parapre_metrics::enabled() {
-                parapre_metrics::inc(names::ELASTIC_ABORTS_TOTAL, 1);
-            }
-            Err(EngineError::Setup(msg))
-        };
-        if plan.old_p != self.cfg.n_ranks || plan.old_owner[..] != self.owner[..] {
-            return abort("migration plan was computed for a different topology".into());
-        }
-        if let Some(w) = warm_start {
-            if w.len() != self.n_global {
-                return abort("warm-start length mismatch".into());
-            }
-        }
-        let mut plan = plan.clone();
-        let kind = self.active_precond();
-        if matches!(kind, PrecondKind::Schur2 | PrecondKind::SchurML { .. }) {
-            // Collective builds: mixing reused and rebuilt subdomains
-            // would leave some ranks out of a build others join.
-            plan.make_collective();
-        }
-        let t0 = Instant::now();
-        let new_p = plan.new_p;
-        let topo_tag = plan.topology_tag();
-        let a = &self.a_global;
-        let fallbacks = self.ranks[0].fallbacks;
-        let params = &self.cfg.params;
-        let voted = launch(&self.cfg, new_p, faults, |comm| -> Option<RankState> {
-            let r = comm.rank();
-            // 1. Torn-plan tripwire: all ranks must hold one topology.
-            let agreed = comm.all_agree_u64(topo_tag, tags::REDUCE + 64);
-            let rebuild = plan.disposition[r] == RankDisposition::Rebuild;
-            // 2. Re-extracted rows must be finite before any (possibly
-            //    collective) factorization may start.
-            let finite = !rebuild
-                || (0..a.n_rows())
-                    .filter(|&i| plan.new_owner[i] == r as u32)
-                    .all(|i| a.row(i).1.iter().all(|v| v.is_finite()));
-            if !comm.all_land(agreed && finite, tags::REDUCE + 67) {
-                return None;
-            }
-            let local = if rebuild {
-                let dm = DistMatrix::from_global(a, &plan.new_owner, r, new_p);
-                let built = try_build_dist_precond(kind, &dm, comm, a, params).ok();
-                built.map(|(precond, pivot_shifts)| RankState {
-                    dm: Arc::new(dm),
-                    precond: Arc::from(precond),
-                    kind_used: kind,
-                    fallbacks,
-                    pivot_shifts,
-                })
-            } else {
-                Some(self.ranks[r].clone())
-            };
-            // 3. Factorization outcome is voted like the fallback
-            //    ladder: one failed block aborts everyone.
-            if !comm.all_land(local.is_some(), tags::REDUCE + 68) {
-                return None;
-            }
-            local
-        });
-        let ranks = match voted.map(|v| v.into_iter().collect::<Option<Vec<_>>>()) {
-            Ok(Some(ranks)) => ranks,
-            Ok(None) => {
-                return abort(
-                    "migration aborted by collective vote (torn plan, non-finite block, \
-                     or factorization failure); old topology retained"
-                        .into(),
-                )
-            }
-            // 4. A rank died mid-migration (injected or real): abort, old
-            //    topology keeps serving.
-            Err(fails) => {
-                return abort(format!(
-                    "migration aborted, old topology retained: {}",
-                    join_failures(&fails)
-                ))
-            }
-        };
-        let mut cfg = self.cfg.clone();
-        cfg.n_ranks = new_p;
-        cfg.partition_tag = Some(topo_tag);
-        let candidate = SolverSession {
-            cfg,
-            n_global: self.n_global,
-            id: self.id,
-            pattern_age: self.pattern_age,
-            setup_seconds: t0.elapsed().as_secs_f64(),
-            ranks,
-            a_global: Arc::clone(&self.a_global),
-            owner: plan.new_owner.as_slice().into(),
-            warm_start: warm_start.map(|w| w.to_vec()),
-            last_load: std::sync::Mutex::new(None),
-        };
-        // Residual probe: one distributed SpMV through the candidate's
-        // comm plans (reused and rebuilt alike) against the serial matrix.
-        let probe_relerr = match candidate.probe_spmv() {
-            Ok(e) => e,
-            Err(msg) => return abort(format!("migration probe failed: {msg}")),
-        };
-        if probe_relerr > PROBE_RTOL {
-            return abort(format!(
-                "migration probe rejected the new topology \
-                 (relative SpMV error {probe_relerr:.3e} > {PROBE_RTOL:.1e}); \
-                 old topology retained"
-            ));
-        }
-        let report = MigrationReport {
-            reused_ranks: plan.reused_ranks(),
-            rebuilt_ranks: new_p - plan.reused_ranks(),
-            moved_rows: plan.moved_rows,
-            migrate_seconds: t0.elapsed().as_secs_f64(),
-            probe_relerr,
-        };
-        if parapre_metrics::enabled() {
-            parapre_metrics::inc(names::ELASTIC_REBALANCES_TOTAL, 1);
-            parapre_metrics::observe_us(
-                names::ELASTIC_MIGRATE_US,
-                (report.migrate_seconds * 1e6) as u64,
-            );
-            parapre_metrics::gauge_set(names::ELASTIC_REUSED_RANKS, report.reused_ranks as f64);
-        }
-        Ok((candidate, report))
-    }
-
-    /// Cheap correctness probe: applies the distributed operator to a
-    /// deterministic vector and compares against the serial SpMV. Returns
-    /// the relative error.
-    fn probe_spmv(&self) -> Result<f64, String> {
-        let n = self.n_global;
-        let v: Vec<f64> = (0..n).map(|i| (0.61 * i as f64).cos()).collect();
-        let mut y_ref = vec![0.0; n];
-        self.a_global.spmv(&v, &mut y_ref);
-        let y = launch(&self.cfg, self.cfg.n_ranks, None, |comm| {
-            let st = &self.ranks[comm.rank()];
-            let v_loc = scatter_vector(&st.dm.layout, &v);
-            let mut y = vec![0.0; st.dm.layout.n_owned()];
-            DistOp::apply(&st.dm, comm, &v_loc, &mut y);
-            gather_vector(comm, &st.dm.layout, &y, n)
-        })
-        .map_err(|fails| join_failures(&fails))?
-        .swap_remove(0)
-        .expect("rank 0 gathers");
-        let mut num = 0.0f64;
-        let mut den = 0.0f64;
-        for (a, b) in y.iter().zip(&y_ref) {
-            num += (a - b) * (a - b);
-            den += b * b;
-        }
-        if !num.is_finite() || !den.is_finite() {
-            return Err("non-finite probe result".into());
-        }
-        Ok(if den > 0.0 {
-            (num / den).sqrt()
-        } else {
-            num.sqrt()
-        })
-    }
-}
-
-/// Relative SpMV error above which a migration probe rejects the
-/// candidate topology (the exchange is exact in exact arithmetic; the
-/// tolerance only absorbs non-associative summation order).
-const PROBE_RTOL: f64 = 1e-10;
-
-/// What a successful [`SolverSession::migrate`] did.
-#[derive(Debug, Clone, Copy)]
-pub struct MigrationReport {
-    /// Subdomains whose factor and comm plan were carried over verbatim.
-    pub reused_ranks: usize,
-    /// Subdomains re-extracted and re-factored.
-    pub rebuilt_ranks: usize,
-    /// Vertices whose owner changed.
-    pub moved_rows: usize,
-    /// Wall time of the migration (vote, re-extraction, factorization).
-    pub migrate_seconds: f64,
-    /// Relative error of the post-migration distributed-SpMV probe.
-    pub probe_relerr: f64,
 }
 
 /// Symmetrizes a general matrix's *pattern* (values untouched: the

@@ -5,8 +5,8 @@
 
 use parapre_core::{build_case_sized, CaseId, PrecondKind};
 use parapre_engine::{
-    batch_rhs, parse_job_line, resolve_problem, ProblemSpec, ServiceConfig, SessionCache,
-    SessionConfig, SessionKey, SolveRequest, SolveService, SolverSession, MAX_JOB_LINE_BYTES,
+    batch_rhs, parse_job_line, resolve_problem, ServiceConfig, SessionCache, SessionConfig,
+    SessionKey, SolveRequest, SolveService, SolverSession, MAX_JOB_LINE_BYTES,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -133,13 +133,14 @@ fn files_that_are_not_regular_are_rejected_naming_the_path() {
 fn unknown_precond_rejection_names_the_valid_set() {
     // An unrecognized rung must come back as a structured rejection that
     // echoes the offender and lists every accepted name, so a client can
-    // fix the job without reading the source.
-    for bad in ["schur3", "ILU", "schurml2", "block"] {
+    // fix the job without reading the source. `auto` (the deleted
+    // autotuner's rung) is one more unknown name.
+    for bad in ["schur3", "ILU", "schurml2", "block", "auto", "AUTO"] {
         let line = format!(r#"{{"case":"tc1","precond":"{bad}"}}"#);
         let err = parse_job_line(&line, 0).unwrap_err().to_string();
         assert!(err.contains(&format!("{bad:?}")), "missing offender: {err}");
         for valid in [
-            "block1", "block2", "schur1", "schur2", "schurml", "overlap", "jacobi", "auto",
+            "block1", "block2", "schur1", "schur2", "schurml", "overlap", "jacobi",
         ] {
             assert!(err.contains(valid), "valid set missing {valid}: {err}");
         }
@@ -214,39 +215,33 @@ fn non_utf8_and_control_bytes_never_panic() {
 }
 
 #[test]
-fn auto_precond_round_trips_from_line_to_result() {
-    // "precond":"auto" (any case) flags the job and leaves a placeholder
-    // rung for the tuner to replace.
-    let job = parse_job_line(r#"{"case":"tc1","precond":"AUTO","ranks":2}"#, 0).expect("parses");
-    assert!(job.auto_precond);
-    assert_eq!(job.session.precond, PrecondKind::Schur1);
-    assert!(matches!(job.problem, ProblemSpec::Case { .. }));
-
-    // Through a live service the result reports the rung actually used and
-    // carries the auto marker back out on the wire format.
-    let service = SolveService::start(ServiceConfig {
-        pool_size: 1,
-        queue_capacity: 4,
-        cache_capacity: 2,
-    })
-    .expect("valid config");
-    let result = service.submit_solve(job).expect("queued").wait();
-    assert!(result.ok && result.converged, "auto job failed: {result:?}");
-    assert!(result.auto);
-    let line = result.to_json();
-    let fields = parapre_metrics::flatjson::parse_flat_object(&line).expect("result line parses");
-    assert_eq!(
-        fields.get("auto").and_then(|v| v.as_bool()),
-        Some(true),
-        "line {line}"
-    );
-    let reported = fields
-        .get("precond")
-        .and_then(|v| v.as_str())
-        .expect("rung reported");
-    assert!(PrecondKind::parse(reported).is_some(), "rung {reported:?}");
-    assert!(service.tuner().stats().records >= 1);
-    service.shutdown();
+fn bounded_keys_reject_just_past_their_range_naming_key_range_and_value() {
+    // One row per bound: the key, a value just inside its range, and a
+    // value just outside it. Unbounded retries, backoffs and delays let one
+    // job hold a pool worker for as long as it liked.
+    let rows: [(&str, &str, &str, &str); 13] = [
+        ("retries", "4", "5", "0..=4"),
+        ("backoff_ms", "1000", "1001", "0..=1000"),
+        ("delay_us", "10000", "10001", "0..=10000"),
+        ("drop_prob", "1", "1.0001", "[0, 1]"),
+        ("drop_prob", "0", "-0.0001", "[0, 1]"),
+        ("drop_prob", "0.5", "null", "[0, 1]"),
+        ("delay_prob", "1", "1.0001", "[0, 1]"),
+        ("delay_prob", "0", "-3", "[0, 1]"),
+        ("kill_rank", "1", "2", "0..=1"),
+        ("tol", "0.999", "1", "(0, 1)"),
+        ("tol", "1e-300", "0", "(0, 1)"),
+        ("tol", "1e-6", "-1", "(0, 1)"),
+        ("tol", "0.5", "1e300", "(0, 1)"),
+    ];
+    for (key, inside, outside, range) in rows {
+        let line = |v: &str| format!(r#"{{"case":"tc1","ranks":2,"{key}":{v}}}"#);
+        parse_job_line(&line(inside), 0)
+            .unwrap_or_else(|e| panic!("{key}: {inside} rejected: {e}"));
+        let err = parse_job_line(&line(outside), 0).unwrap_err().to_string();
+        let named = format!("{key} must be in {range}, got ");
+        assert!(err.contains(&named), "{key}: {outside}: {err}");
+    }
 }
 
 #[test]

@@ -2,10 +2,7 @@
 //! panic containment, and cache reuse across jobs.
 
 use parapre_core::PrecondKind;
-use parapre_engine::{
-    parse_job_line, Job, JobResult, ServiceConfig, SolveService, SubmitError, TuneDecision,
-    TuneSample,
-};
+use parapre_engine::{parse_job_line, Job, JobResult, ServiceConfig, SolveService, SubmitError};
 use parapre_metrics::names;
 use parapre_sparse::Coo;
 use std::sync::mpsc::channel;
@@ -260,9 +257,7 @@ fn wait_timeout_returns_ticket_while_running_and_result_after() {
 }
 
 /// A batch job reports its session's build diagnostics exactly as a
-/// single-RHS job does, and feeds them to the autotuner: a SchurML build
-/// that descended the ladder disarms the SchurML arm whichever shape of
-/// job paid for it.
+/// single-RHS job does.
 #[test]
 fn batch_jobs_report_build_fallbacks_like_single_jobs() {
     // Alternating exactly-zero / near-zero diagonal: SchurML's strict build
@@ -297,24 +292,6 @@ fn batch_jobs_report_build_fallbacks_like_single_jobs() {
     );
     let schurml = PrecondKind::schurml_default();
     assert_ne!(batched.precond_used.as_deref(), Some(schurml.key()));
-
-    // The tuner saw the descent: SchurML is out of the sweep for this
-    // fingerprint, in exploration and in exploitation.
-    let tuner = service.tuner();
-    loop {
-        let (kind, decision) = tuner.select(fp);
-        assert_ne!(kind, schurml, "a disarmed rung must not be offered");
-        if decision == TuneDecision::Exploit {
-            break;
-        }
-        let sample = TuneSample {
-            converged: true,
-            solve_us: 500,
-            iterations: 10,
-            ..TuneSample::default()
-        };
-        tuner.record(fp, kind, sample);
-    }
 
     let single = solve(1);
     assert_eq!(single.fallbacks, batched.fallbacks);
@@ -413,4 +390,59 @@ fn every_exposition_line_is_well_formed_after_a_schurml_solve() {
         malformed.is_empty(),
         "malformed exposition lines: {malformed:?}"
     );
+}
+
+#[test]
+fn deadline_ms_parses_strictly_and_rides_the_job() {
+    let job = parse_job_line(r#"{"case":"tc1","deadline_ms":250}"#, 0).expect("parses");
+    assert_eq!(job.deadline_ms, Some(250));
+    let job = parse_job_line(r#"{"case":"tc1"}"#, 0).expect("parses");
+    assert_eq!(job.deadline_ms, None);
+    for bad in [
+        r#"{"case":"tc1","deadline_ms":0}"#,
+        r#"{"case":"tc1","deadline_ms":-5}"#,
+        r#"{"case":"tc1","deadline_ms":"soon"}"#,
+        r#"{"case":"tc1","deadline_ms":null}"#,
+    ] {
+        let err = parse_job_line(bad, 0).unwrap_err().to_string();
+        assert!(err.contains("deadline_ms"), "line {bad}: {err}");
+    }
+}
+
+#[test]
+fn queued_past_deadline_jobs_reject_with_structured_timeout() {
+    // One worker, so the deadline job sits in the queue behind a slow
+    // multi-repeat job and expires before a worker ever picks it up.
+    let service = SolveService::start(ServiceConfig {
+        pool_size: 1,
+        queue_capacity: 4,
+        cache_capacity: 2,
+    })
+    .expect("valid config");
+    let slow = parse_job_line(r#"{"id":"slow","case":"tc1","ranks":2,"repeat":5}"#, 0).unwrap();
+    let doomed = parse_job_line(
+        r#"{"id":"doomed","case":"tc1","ranks":2,"deadline_ms":1}"#,
+        0,
+    )
+    .unwrap();
+    let t_slow = service.submit_solve(slow).expect("queued");
+    let t_doomed = service.submit_solve(doomed).expect("queued");
+
+    let slow_result = t_slow.wait();
+    assert!(slow_result.ok, "undeadlined job must land: {slow_result:?}");
+    let doomed_result = t_doomed.wait();
+    assert!(!doomed_result.ok, "expired job must not run");
+    assert_eq!(doomed_result.error_kind.as_deref(), Some("timeout"));
+    let msg = doomed_result.error.as_deref().unwrap_or("");
+    assert!(msg.contains("deadline exceeded"), "got {msg:?}");
+
+    // The structured kind survives the wire format.
+    let line = doomed_result.to_json();
+    let fields = parapre_metrics::flatjson::parse_flat_object(&line).expect("result parses");
+    assert_eq!(
+        fields.get("error_kind").and_then(|v| v.as_str()),
+        Some("timeout"),
+        "line {line}"
+    );
+    service.shutdown();
 }

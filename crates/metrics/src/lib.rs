@@ -384,14 +384,6 @@ pub mod names {
     pub const BATCH_RHS_TOTAL: &str = "parapre_batch_rhs_total";
     /// Histogram (µs): one batched multi-RHS solve (all RHS, wall time).
     pub const BATCH_SOLVE_US: &str = "parapre_batch_solve_us";
-    /// Counter: outcome records folded into the autotuner.
-    pub const TUNER_RECORDS_TOTAL: &str = "parapre_tuner_records_total";
-    /// Counter: `"precond":"auto"` jobs answered from a converged best
-    /// config (exploitation).
-    pub const TUNER_EXPLOIT_TOTAL: &str = "parapre_tuner_exploit_total";
-    /// Counter: `"precond":"auto"` jobs spent gathering data on an
-    /// untried rung (exploration).
-    pub const TUNER_EXPLORE_TOTAL: &str = "parapre_tuner_explore_total";
     /// Counter: client connections accepted by `parapre-netd`.
     pub const NET_CONNECTIONS_TOTAL: &str = "parapre_net_connections_total";
     /// Gauge: currently connected `parapre-netd` clients.
@@ -408,17 +400,6 @@ pub mod names {
     /// Counter: repeat-matrix puts deduplicated by fingerprint (the bytes
     /// were parsed but no new session state was created).
     pub const NET_MATRIX_DEDUP_TOTAL: &str = "parapre_net_matrix_dedup_total";
-    /// Counter: completed elastic rebalances (refine or resize migrations
-    /// that passed the residual probe and were swapped in).
-    pub const ELASTIC_REBALANCES_TOTAL: &str = "parapre_elastic_rebalances_total";
-    /// Counter: migrations that aborted back to the old topology (vote
-    /// failure, rank death, or residual-probe failure).
-    pub const ELASTIC_ABORTS_TOTAL: &str = "parapre_elastic_aborts_total";
-    /// Histogram: wall time of a session migration in microseconds.
-    pub const ELASTIC_MIGRATE_US: &str = "parapre_elastic_migrate_us";
-    /// Gauge: subdomain factors reused (not rebuilt) by the most recent
-    /// migration.
-    pub const ELASTIC_REUSED_RANKS: &str = "parapre_elastic_reused_ranks";
 
     /// Counter: sessions produced by numeric-only refactorization of a
     /// resident same-pattern session.

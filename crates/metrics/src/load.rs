@@ -70,33 +70,6 @@ impl LoadReport {
         }
     }
 
-    /// Imbalance ratio of *compute* seconds (busy minus comm-wait):
-    /// `max compute / mean compute`, 1.0 for empty or all-idle reports.
-    ///
-    /// This is the work-skew signal: synchronized solves equalize wall
-    /// (busy) time across ranks — an underloaded rank just waits longer
-    /// at the same collectives — so [`LoadReport::imbalance`] stays near
-    /// 1.0 no matter how skewed the partition is. Subtracting the
-    /// measured comm-wait recovers who actually did the work. With no
-    /// comm-wait attribution (metrics layer off) this degrades to the
-    /// busy-time ratio.
-    pub fn compute_imbalance(&self) -> f64 {
-        if self.ranks.is_empty() {
-            return 1.0;
-        }
-        let mean =
-            self.ranks.iter().map(RankLoad::compute_s).sum::<f64>() / self.ranks.len() as f64;
-        if mean <= 0.0 {
-            1.0
-        } else {
-            self.ranks
-                .iter()
-                .map(RankLoad::compute_s)
-                .fold(0.0, f64::max)
-                / mean
-        }
-    }
-
     /// Fraction of total busy seconds spent blocked on communication,
     /// in `[0, 1]` (0 when idle).
     pub fn comm_fraction(&self) -> f64 {

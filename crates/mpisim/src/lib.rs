@@ -876,40 +876,9 @@ impl Comm {
         buf[0]
     }
 
-    /// Scalar all-reduce (max).
-    pub fn allreduce_max(&mut self, v: f64, tag: u64) -> f64 {
-        // Reuse the sum tree with a max combiner via gather+bcast: encode by
-        // gathering to 0.
-        let all = self.gather_vec(0, &[v], tag);
-        let mut m = [v];
-        if self.rank == 0 {
-            m[0] = all
-                .expect("root gathers")
-                .iter()
-                .fold(f64::NEG_INFINITY, |a, &b| a.max(b));
-        }
-        self.bcast_vec_from_zero(&mut m, tag.wrapping_add(7));
-        m[0]
-    }
-
     /// Logical AND across ranks (e.g. "all converged").
     pub fn all_land(&mut self, v: bool, tag: u64) -> bool {
         self.allreduce_sum(if v { 0.0 } else { 1.0 }, tag) == 0.0
-    }
-
-    /// Collective agreement check: `true` iff every rank passed the same
-    /// `v`. Used by topology migrations to detect torn plans — each rank
-    /// hashes its view of the new ownership map and the universe commits
-    /// only if all hashes coincide. Implemented as two exact reductions on
-    /// the 32-bit halves (f64 holds 32-bit integers exactly), so it costs
-    /// two `allreduce_max`-shaped rounds at `tag` and `tag + 1`.
-    pub fn all_agree_u64(&mut self, v: u64, tag: u64) -> bool {
-        let lo = (v & 0xFFFF_FFFF) as f64;
-        let hi = (v >> 32) as f64;
-        let lo_max = self.allreduce_max(lo, tag);
-        let hi_max = self.allreduce_max(hi, tag + 1);
-        // Everyone agrees iff everyone equals the max on both halves.
-        self.all_land(lo == lo_max && hi == hi_max, tag + 2)
     }
 
     /// Gathers per-rank vectors to `root` (concatenated rank-by-rank);
@@ -1263,12 +1232,6 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_works() {
-        let out = Universe::run(6, |c| c.allreduce_max((c.rank() as f64 - 2.5).abs(), 9));
-        assert!(out.iter().all(|&v| v == 2.5));
-    }
-
-    #[test]
     fn gather_concatenates_in_rank_order() {
         let out = Universe::run(4, |c| c.gather_vec(0, &[c.rank() as f64; 2], 11));
         assert_eq!(
@@ -1298,26 +1261,6 @@ mod tests {
         assert!(out.iter().all(|&v| !v));
         let out = Universe::run(5, |c| c.all_land(true, 34));
         assert!(out.iter().all(|&v| v));
-    }
-
-    #[test]
-    fn agree_detects_torn_values() {
-        // All equal — including values with distinct high and low halves.
-        let v = (7u64 << 40) | 12345;
-        let out = Universe::run(4, |c| c.all_agree_u64(v, 40));
-        assert!(out.iter().all(|&ok| ok));
-        // One rank disagrees only in the high half.
-        let out = Universe::run(4, |c| {
-            let mine = if c.rank() == 2 { v ^ (1 << 37) } else { v };
-            c.all_agree_u64(mine, 50)
-        });
-        assert!(out.iter().all(|&ok| !ok));
-        // One rank disagrees only in the low half.
-        let out = Universe::run(4, |c| {
-            let mine = if c.rank() == 1 { v ^ 1 } else { v };
-            c.all_agree_u64(mine, 60)
-        });
-        assert!(out.iter().all(|&ok| !ok));
     }
 
     #[test]

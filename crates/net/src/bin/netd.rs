@@ -1,37 +1,30 @@
 //! `parapre-netd` — the persistent network solve service.
 //!
 //! ```text
-//! parapre-netd --unix /tmp/parapre.sock --pool 4 --tune-state tuner.jsonl
+//! parapre-netd --unix /tmp/parapre.sock --pool 4
 //! parapre-netd --tcp 127.0.0.1:7070
 //! ```
 //!
 //! Serves concurrent clients until a `{"cmd":"shutdown"}` frame arrives,
-//! then drains in-flight jobs and exits 0. With `--tune-state FILE` the
-//! autotuner's per-fingerprint records are loaded at start and persisted
-//! at exit, so `"precond":"auto"` jobs keep their learned rung across
-//! restarts.
+//! then drains in-flight jobs and exits 0.
 
 use parapre_net::{NetConfig, NetError, NetServer};
 use std::path::PathBuf;
 
 const USAGE: &str = "usage: parapre-netd [--tcp ADDR] [--unix PATH] [--pool N] [--queue N]
-                    [--cache N] [--max-inflight N] [--tune-state FILE]
-                    [--auto-rebalance SECS]
+                    [--cache N] [--max-inflight N]
   --tcp ADDR        listen on a TCP address (host:port; port 0 picks one)
   --unix PATH       listen on a unix-domain socket
   --pool N          worker threads / concurrent jobs (default 4)
   --queue N         bounded queue capacity (default 16)
   --cache N         session-cache capacity (default 4)
   --max-inflight N  per-client in-flight job cap (default 8)
-  --tune-state F    load/persist autotuner records (JSONL) at F
-  --auto-rebalance S  run an elastic rebalance pass every S seconds
 at least one of --tcp / --unix is required";
 
 fn main() {
     let mut cfg = NetConfig::default();
     let mut tcp: Option<String> = None;
     let mut unix: Option<PathBuf> = None;
-    let mut tune_state: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut take = |name: &str| {
@@ -46,12 +39,6 @@ fn main() {
             "--cache" => cfg.service.cache_capacity = parse_num(&take("--cache"), "--cache"),
             "--max-inflight" => {
                 cfg.max_inflight = parse_num(&take("--max-inflight"), "--max-inflight")
-            }
-            "--tune-state" => tune_state = Some(PathBuf::from(take("--tune-state"))),
-            "--auto-rebalance" => {
-                cfg.auto_rebalance_secs =
-                    Some(parse_num(&take("--auto-rebalance"), "--auto-rebalance") as u64)
-                        .filter(|s| *s > 0)
             }
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -68,22 +55,6 @@ fn main() {
         Err(e @ (NetError::Config(_) | NetError::NoListener)) => die(&format!("{e}\n{USAGE}")),
         Err(e) => die(&e.to_string()),
     };
-    if let Some(path) = &tune_state {
-        match server.service().tuner().load(path) {
-            Ok(loaded) => {
-                if loaded.absorbed > 0 || loaded.rejected > 0 {
-                    eprintln!(
-                        "parapre-netd: loaded {} tuner records ({} rejected)",
-                        loaded.absorbed, loaded.rejected
-                    );
-                }
-                for w in &loaded.warnings {
-                    eprintln!("parapre-netd: tune state {}: {w}", path.display());
-                }
-            }
-            Err(e) => eprintln!("parapre-netd: tune state {}: {e}", path.display()),
-        }
-    }
     if let Some(addr) = server.tcp_addr() {
         eprintln!("parapre-netd: listening on tcp {addr}");
     }
@@ -92,11 +63,6 @@ fn main() {
     }
 
     server.wait();
-    if let Some(path) = &tune_state {
-        if let Err(e) = server.service().tuner().save(path) {
-            eprintln!("parapre-netd: saving tune state: {e}");
-        }
-    }
     let stats = server.service().cache_stats();
     eprintln!(
         "parapre-netd: drained; cache {} hits {} misses {} evictions",

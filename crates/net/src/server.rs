@@ -49,11 +49,6 @@ pub struct NetConfig {
     pub max_inflight: usize,
     /// Largest accepted request frame.
     pub max_frame_bytes: usize,
-    /// Run a non-forced elastic rebalance pass over the session cache
-    /// every this many seconds (`None` = off). Non-forced passes need the
-    /// policy's sustain streaks, so a single noisy load report never
-    /// triggers a migration.
-    pub auto_rebalance_secs: Option<u64>,
 }
 
 impl Default for NetConfig {
@@ -62,7 +57,6 @@ impl Default for NetConfig {
             service: ServiceConfig::default(),
             max_inflight: 8,
             max_frame_bytes: MAX_FRAME_BYTES,
-            auto_rebalance_secs: None,
         }
     }
 }
@@ -241,10 +235,6 @@ impl NetServer {
             let shared = Arc::clone(&shared);
             accept_threads.push(std::thread::spawn(move || accept_unix(&shared, &listener)));
         }
-        if let Some(secs) = shared.cfg.auto_rebalance_secs.filter(|s| *s > 0) {
-            let shared = Arc::clone(&shared);
-            accept_threads.push(std::thread::spawn(move || auto_rebalance(&shared, secs)));
-        }
         Ok(NetServer {
             shared,
             accept_threads: Mutex::new(accept_threads),
@@ -258,7 +248,7 @@ impl NetServer {
         self.tcp_addr
     }
 
-    /// The wrapped solve service (cache/store/tuner statistics).
+    /// The wrapped solve service (cache and store statistics).
     pub fn service(&self) -> &SolveService {
         &self.shared.service
     }
@@ -312,31 +302,6 @@ impl Drop for NetServer {
         self.wait();
         if let Some(path) = &self.unix_path {
             let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// The auto-rebalance ticker: one non-forced policy pass per period,
-/// parked on the drain condvar in between so shutdown never waits a full
-/// period for it.
-fn auto_rebalance(shared: &Arc<NetShared>, secs: u64) {
-    let (lock, cv) = &shared.drain_signal;
-    let mut draining = lock.lock().expect("drain lock");
-    loop {
-        if *draining {
-            return;
-        }
-        let (guard, timeout) = cv
-            .wait_timeout(draining, Duration::from_secs(secs))
-            .expect("drain lock");
-        draining = guard;
-        if *draining {
-            return;
-        }
-        if timeout.timed_out() {
-            drop(draining);
-            shared.service.rebalance_pass(false);
-            draining = lock.lock().expect("drain lock");
         }
     }
 }
@@ -583,18 +548,6 @@ fn serve_command(
         }
         "put" => {
             let _ = out_tx.send(serve_put(shared, body));
-            Flow::Continue
-        }
-        "rebalance" => {
-            // Forced pass: decide on each session's latest load report
-            // alone (no sustain streaks). One record line per resident
-            // session, then a terminator so clients know the pass is done.
-            let records = shared.service.rebalance_pass(true);
-            let n = records.len();
-            for r in &records {
-                let _ = out_tx.send(r.to_json());
-            }
-            let _ = out_tx.send(format!("{{\"rebalance_end\":{n}}}"));
             Flow::Continue
         }
         "shutdown" => {

@@ -461,10 +461,10 @@ fn schurml_jobs_run_over_the_wire() {
 }
 
 #[test]
-fn stats_and_auto_jobs_over_the_wire() {
+fn stats_answer_while_auto_jobs_and_the_rebalance_verb_are_rejected() {
     let server = start_tcp(NetConfig::default());
     let mut client = connect(&server);
-    // An auto job reports the rung the tuner picked.
+    // `auto` is no rung: the rejection names the valid set.
     let line = client
         .request(
             "{\"id\":\"auto1\",\"case\":\"tc1\",\"size\":\"tiny\",\
@@ -472,10 +472,28 @@ fn stats_and_auto_jobs_over_the_wire() {
         )
         .expect("request")
         .expect("open");
-    assert_eq!(bool_field(&line, "ok"), Some(true), "line: {line}");
-    assert_eq!(bool_field(&line, "auto"), Some(true));
-    assert!(str_field(&line, "precond").is_some(), "line: {line}");
+    assert_eq!(bool_field(&line, "ok"), Some(false), "line: {line}");
+    assert_eq!(str_field(&line, "error_kind").as_deref(), Some("rejected"));
+    let err = str_field(&line, "error").unwrap_or_default();
+    assert!(err.contains("block1"), "valid set missing: {line}");
 
+    // `rebalance` is no verb.
+    let line = client
+        .request("{\"cmd\":\"rebalance\"}")
+        .expect("request")
+        .expect("open");
+    assert_eq!(str_field(&line, "error_kind").as_deref(), Some("rejected"));
+    let err = str_field(&line, "error").unwrap_or_default();
+    assert!(err.contains("unknown cmd rebalance"), "line: {line}");
+
+    let line = client
+        .request(
+            "{\"id\":\"plain\",\"case\":\"tc1\",\"size\":\"tiny\",\
+             \"precond\":\"block1\",\"ranks\":2}",
+        )
+        .expect("request")
+        .expect("open");
+    assert_eq!(bool_field(&line, "ok"), Some(true), "line: {line}");
     let stats = client
         .request("{\"cmd\":\"stats\"}")
         .expect("request")
@@ -483,7 +501,51 @@ fn stats_and_auto_jobs_over_the_wire() {
     let fields = fields_of(&stats);
     assert_eq!(fields.get("stats").and_then(JsonValue::as_bool), Some(true));
     assert!(
-        fields.get("tuner_records").and_then(JsonValue::as_u64) >= Some(1),
-        "the auto job fed the tuner: {stats}"
+        fields.get("jobs").and_then(JsonValue::as_u64) >= Some(1),
+        "the plain job was counted: {stats}"
     );
+}
+
+#[test]
+fn a_job_that_could_hold_the_only_worker_is_rejected_and_the_next_is_answered() {
+    // One worker. The first job would sleep 10⁸ ms between retries (and
+    // `deadline_ms` is only checked between repeats); it must bounce at
+    // parse time, leaving the worker to the plain job behind it.
+    let server = start_tcp(NetConfig {
+        service: ServiceConfig {
+            pool_size: 1,
+            queue_capacity: 4,
+            cache_capacity: 2,
+        },
+        ..NetConfig::default()
+    });
+    let addr = server.tcp_addr().expect("tcp bound");
+    let (tx, rx) = std::sync::mpsc::channel();
+    let requests = std::thread::spawn(move || {
+        let mut client = NetClient::connect_tcp(addr).expect("connects");
+        for job in [
+            "{\"id\":\"hog\",\"case\":\"tc1\",\"size\":\"tiny\",\"precond\":\"block1\",\
+             \"ranks\":2,\"kill_rank\":0,\"backoff_ms\":100000000,\"deadline_ms\":500}",
+            "{\"id\":\"plain\",\"case\":\"tc1\",\"size\":\"tiny\",\"precond\":\"block1\",\
+             \"ranks\":2,\"deadline_ms\":3000}",
+        ] {
+            let line = client.request(job).expect("request").expect("open");
+            if tx.send(line).is_err() {
+                return;
+            }
+        }
+    });
+    let wait = std::time::Duration::from_secs(60);
+    let hog = rx.recv_timeout(wait).expect("the hog is answered");
+    assert_eq!(str_field(&hog, "id").as_deref(), Some("hog"));
+    assert_eq!(str_field(&hog, "error_kind").as_deref(), Some("rejected"));
+    let err = str_field(&hog, "error").unwrap_or_default();
+    assert!(
+        err.contains("backoff_ms must be in 0..=1000"),
+        "line: {hog}"
+    );
+    let plain = rx.recv_timeout(wait).expect("the plain job is answered");
+    assert_eq!(str_field(&plain, "id").as_deref(), Some("plain"));
+    assert_eq!(bool_field(&plain, "ok"), Some(true), "line: {plain}");
+    requests.join().expect("request thread");
 }

@@ -417,145 +417,6 @@ pub fn balanced_box_layout(p: usize, dims: usize) -> Vec<usize> {
     layout
 }
 
-/// Online multi-way KL boundary refinement of a live partition.
-///
-/// Runs up to `max_passes` deterministic sweeps over the vertices in index
-/// order. A vertex on a part boundary moves to its most-connected neighbor
-/// part when either (a) the move strictly reduces the edge cut and keeps
-/// both parts inside a ±5% balance band, or (b) the source part is
-/// overweight and the move does not push the destination over the band
-/// (balance-forced moves, which are what drain a deliberately skewed
-/// partition). Vertices never move to parts they have no edge into, so the
-/// cut increase of a forced move is bounded by the vertex degree.
-///
-/// Returns the refined partition and the number of vertex moves applied.
-/// The input is untouched; same input ⇒ same output (no RNG involved).
-pub fn refine_partition(
-    adj: &Adjacency,
-    part: &Partition,
-    max_passes: usize,
-) -> (Partition, usize) {
-    let n = adj.n();
-    assert_eq!(part.owner.len(), n, "partition/graph size mismatch");
-    let n_parts = part.n_parts;
-    let mut owner = part.owner.clone();
-    let mut sizes = part.part_sizes();
-    let target = n as f64 / n_parts as f64;
-    let hi = (target * 1.05).ceil() as usize;
-    let lo = (target * 0.95).floor() as usize;
-    let mut moved_total = 0usize;
-    // Per-part neighbor counts for the vertex under consideration; reset
-    // lazily via the touched list so passes stay O(E).
-    let mut counts = vec![0usize; n_parts];
-    let mut touched: Vec<usize> = Vec::new();
-    for _ in 0..max_passes {
-        let mut moved = 0usize;
-        for v in 0..n {
-            let pv = owner[v] as usize;
-            touched.clear();
-            for &w in adj.neighbors(v) {
-                let pw = owner[w] as usize;
-                if counts[pw] == 0 {
-                    touched.push(pw);
-                }
-                counts[pw] += 1;
-            }
-            // Best alternative part: most connections, ties to lowest id.
-            let mut best: Option<(usize, usize)> = None;
-            for &q in &touched {
-                if q == pv {
-                    continue;
-                }
-                let better = match best {
-                    None => true,
-                    Some((_, c)) => counts[q] > c,
-                };
-                if better {
-                    best = Some((q, counts[q]));
-                }
-            }
-            if let Some((q, cq)) = best {
-                let gain = cq as isize - counts[pv] as isize;
-                let gain_move = gain > 0 && sizes[pv] > lo && sizes[q] < hi;
-                let forced_move = sizes[pv] > hi && sizes[q] < hi && sizes[q] < sizes[pv];
-                if gain_move || forced_move {
-                    owner[v] = q as u32;
-                    sizes[pv] -= 1;
-                    sizes[q] += 1;
-                    moved += 1;
-                }
-            }
-            for &q in &touched {
-                counts[q] = 0;
-            }
-        }
-        moved_total += moved;
-        if moved == 0 {
-            break;
-        }
-    }
-    (Partition { owner, n_parts }, moved_total)
-}
-
-/// Splits part `part` of a live partition in two (grow step).
-///
-/// The split reuses the seeded graph-growing bisection used by
-/// [`partition_graph`]; the half containing the growth front keeps id
-/// `part` and the other half becomes the new part `n_parts` (so every
-/// other part id — and therefore every other subdomain — is unchanged).
-pub fn split_part(adj: &Adjacency, part: &Partition, target: usize, seed: u64) -> Partition {
-    assert!(target < part.n_parts, "no such part");
-    let verts: Vec<usize> = (0..adj.n())
-        .filter(|&v| part.owner[v] == target as u32)
-        .collect();
-    assert!(verts.len() >= 2, "part too small to split");
-    let mut rng = Rng::new(seed);
-    let half = verts.len() / 2;
-    let (left, right) = bisect(adj, &verts, half, &mut rng);
-    let mut owner = part.owner.clone();
-    for &v in &left {
-        owner[v] = target as u32;
-    }
-    let fresh = part.n_parts as u32;
-    for &v in &right {
-        owner[v] = fresh;
-    }
-    Partition {
-        owner,
-        n_parts: part.n_parts + 1,
-    }
-}
-
-/// Merges part `victim` into part `into` (shrink step), then relabels the
-/// last part into the freed slot so part ids stay dense `0..n_parts-1`.
-///
-/// Only two part ids change meaning: `victim` (absorbed into `into`) and
-/// `n_parts - 1` (renamed to `victim`, unless it *was* the victim). Every
-/// other subdomain keeps its vertex set and its id, which is what lets a
-/// migration reuse their factors.
-pub fn merge_part(part: &Partition, victim: usize, into: usize) -> Partition {
-    assert!(victim < part.n_parts && into < part.n_parts, "no such part");
-    assert_ne!(victim, into, "cannot merge a part into itself");
-    let last = part.n_parts - 1;
-    let mut owner = part.owner.clone();
-    for o in owner.iter_mut() {
-        if *o == victim as u32 {
-            *o = into as u32;
-        }
-    }
-    if victim != last {
-        for o in owner.iter_mut() {
-            if *o == last as u32 {
-                *o = victim as u32;
-            }
-        }
-    }
-    Partition {
-        owner,
-        n_parts: last,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,119 +538,5 @@ mod tests {
         assert_eq!(balanced_box_layout(8, 3), vec![2, 2, 2]);
         assert_eq!(balanced_box_layout(12, 2), vec![3, 4]);
         assert_eq!(balanced_box_layout(7, 2), vec![1, 7]);
-    }
-
-    /// A deliberately skewed 4-way stripe partition of a square grid.
-    fn skewed_stripes(nx: usize, ny: usize) -> (Adjacency, Partition) {
-        let m = unit_square(nx, ny);
-        let adj = m.adjacency();
-        let n = adj.n();
-        let stripe = n / 4;
-        // Part 0 steals 60% of part 1's rows.
-        let cut01 = stripe + stripe * 6 / 10;
-        let mut owner = vec![0u32; n];
-        for (v, o) in owner.iter_mut().enumerate() {
-            *o = if v < cut01 {
-                0
-            } else if v < 2 * stripe {
-                1
-            } else if v < 3 * stripe {
-                2
-            } else {
-                3
-            };
-        }
-        (adj, Partition { owner, n_parts: 4 })
-    }
-
-    #[test]
-    fn refine_drains_overweight_part_and_leaves_others_alone() {
-        let (adj, part) = skewed_stripes(24, 24);
-        let before = part.imbalance();
-        let (refined, moved) = refine_partition(&adj, &part, 64);
-        assert!(moved > 0);
-        assert!(
-            refined.imbalance() < before,
-            "{} !< {}",
-            refined.imbalance(),
-            before
-        );
-        assert!(
-            refined.imbalance() <= 1.1,
-            "residual imbalance {}",
-            refined.imbalance()
-        );
-        // Covers every vertex with valid ids.
-        assert!(refined.owner.iter().all(|&o| (o as usize) < 4));
-        // Parts 2 and 3 were balanced and straight-cut: untouched.
-        for v in 0..adj.n() {
-            if part.owner[v] >= 2 {
-                assert_eq!(
-                    refined.owner[v], part.owner[v],
-                    "vertex {v} moved needlessly"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn refine_is_deterministic_and_idempotent_on_balanced_input() {
-        let (adj, part) = skewed_stripes(20, 20);
-        let (a, _) = refine_partition(&adj, &part, 64);
-        let (b, _) = refine_partition(&adj, &part, 64);
-        assert_eq!(a.owner, b.owner, "refinement must be deterministic");
-        let (c, moved) = refine_partition(&adj, &a, 64);
-        assert_eq!(moved, 0, "refining a refined partition must be a no-op");
-        assert_eq!(c.owner, a.owner);
-    }
-
-    #[test]
-    fn split_part_grows_by_one_and_touches_only_the_target() {
-        let m = unit_square(20, 20);
-        let adj = m.adjacency();
-        let part = partition_graph(&adj, 4, 7);
-        let grown = split_part(&adj, &part, 2, 11);
-        assert_eq!(grown.n_parts, 5);
-        let sizes = grown.part_sizes();
-        assert!(sizes.iter().all(|&s| s > 0), "{sizes:?}");
-        for v in 0..adj.n() {
-            if part.owner[v] != 2 {
-                assert_eq!(grown.owner[v], part.owner[v]);
-            } else {
-                assert!(grown.owner[v] == 2 || grown.owner[v] == 4);
-            }
-        }
-    }
-
-    #[test]
-    fn merge_part_shrinks_by_one_with_dense_ids() {
-        let m = unit_square(20, 20);
-        let adj = m.adjacency();
-        let part = partition_graph(&adj, 5, 3);
-        let shrunk = merge_part(&part, 1, 3);
-        assert_eq!(shrunk.n_parts, 4);
-        let sizes = shrunk.part_sizes();
-        assert!(sizes.iter().all(|&s| s > 0), "{sizes:?}");
-        // Old part 3 absorbed the victim's vertices; old part 4 is now 1.
-        for v in 0..adj.n() {
-            let old = part.owner[v];
-            let new = shrunk.owner[v];
-            match old {
-                1 => assert_eq!(new, 3),
-                4 => assert_eq!(new, 1),
-                o => assert_eq!(new, o),
-            }
-        }
-    }
-
-    #[test]
-    fn merge_then_split_round_trips_part_count() {
-        let m = unit_square(16, 16);
-        let adj = m.adjacency();
-        let part = partition_graph(&adj, 4, 5);
-        let shrunk = merge_part(&part, 0, 1);
-        let regrown = split_part(&adj, &shrunk, 0, 5);
-        assert_eq!(regrown.n_parts, 4);
-        assert!(regrown.part_sizes().iter().all(|&s| s > 0));
     }
 }

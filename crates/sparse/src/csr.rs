@@ -724,7 +724,7 @@ mod tests {
     #[test]
     fn pattern_fingerprint_is_the_prefix_of_the_content_hash() {
         // The pre-refactorization `fingerprint()`, verbatim: wire `fp`
-        // strings, tune-state files and cache keys depend on its value.
+        // strings and cache keys depend on its value.
         fn legacy(a: &Csr) -> u64 {
             let mut h = 0xcbf2_9ce4_8422_2325_u64;
             h = fnv1a_u64(h, a.n_rows as u64);

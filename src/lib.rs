@@ -24,9 +24,8 @@
 //! * [`core`] — the paper's preconditioners, test cases and partition
 //!   schemes;
 //! * [`engine`] — cached solver sessions and what runs on them: the
-//!   paper's table cells (`run_case`), batched multi-RHS solves, the
-//!   fingerprint-keyed autotuner, and the bounded concurrent solve
-//!   service;
+//!   paper's table cells (`run_case`), batched multi-RHS solves, and the
+//!   bounded concurrent solve service;
 //! * [`net`] — `parapre-netd`, the persistent network solve service
 //!   (length-framed JSONL over TCP / unix sockets).
 //!
