@@ -1,7 +1,7 @@
-//! The JSONL job protocol of `parapre-serve` and the solve-job resolution
-//! shared with the scheduler.
+//! The job protocol served by `parapre-netd` — one flat JSON object per
+//! job — and the solve-job resolution shared with the scheduler.
 //!
-//! One job per line, flat JSON. Builtin-case job:
+//! Builtin-case job:
 //!
 //! ```json
 //! {"id":"j1","case":"tc1","size":"tiny","precond":"schur1","ranks":4,"repeat":2}
@@ -13,12 +13,14 @@
 //! {"id":"j2","mtx":"path/to/a.mtx","rhs":"ones","precond":"block2","ranks":2}
 //! ```
 //!
-//! Recognized keys: `id`, `case` *or* `mtx`, `n` (explicit grid extent,
-//! overrides `size`), `size` (`tiny`/`default`/`full`), `precond` (one of
-//! [`VALID_PRECONDS`]; `"schurml"` additionally honours `levels` and
-//! `rank`), `ranks` (1 to 128), `scheme` (`boxes` needs a structured case),
-//! `seed`, `repeat`, `rhs`, `tol` (finite, in (0, 1)), `maxit`, `restart`
-//! (1 to 1000), `batch` (at most 64). Resilience keys: `retries` (0 to 4),
+//! Recognized keys ([`JOB_KEYS`]): `id`, `case` *or* `mtx` *or* `fp` (a
+//! registered matrix's fingerprint), `n` (explicit grid extent, overrides
+//! `size`), `size` (`tiny`/`default`/`full`), `precond` (one of
+//! [`VALID_PRECONDS`]; `"schurml"` additionally honours `levels`, 0 to 8,
+//! and `rank`, 0 to [`MAX_CORRECTION_RANK`]), `ranks` (1 to 128), `scheme`
+//! (`boxes` needs a structured case), `seed`, `repeat` (at most 64), `rhs`,
+//! `tol` (finite, in (0, 1)), `maxit` (at most 10 000), `restart` (1 to
+//! 1000), `batch` (at most 64). Resilience keys: `retries` (0 to 4),
 //! `backoff_ms` (0 to 1000, doubled per retry), `degrade`, `checkpoint`
 //! (recovery policy), `fallback` (solve-time descent of the preconditioner
 //! ladder on a typed breakdown, default on; the build always goes through
@@ -29,7 +31,8 @@
 //! structured `timeout` records instead of occupying a worker). A value
 //! outside its range is a `rejected` record naming the key, the range and
 //! the value: no single job can hold a worker for longer than its bounded
-//! retries, backoffs and delays allow.
+//! retries, backoffs and delays allow. A key outside [`JOB_KEYS`] is a
+//! `rejected` record naming it and the nearest key that is in the list.
 //! Results come back one flat-ish JSON line per job (the `iterations` and
 //! `dead_ranks` arrays are the only nesting).
 
@@ -38,6 +41,7 @@ use crate::session::{partition_pattern, with_symmetric_pattern, MatrixId, Sessio
 use crate::EngineError;
 use parapre_core::{build_case, build_case_sized, CaseId, CaseSize, PartitionScheme, PrecondKind};
 use parapre_core::{extent_range, partition_case, AssembledCase};
+use parapre_krylov::MAX_CORRECTION_RANK;
 use parapre_metrics::flatjson::{self, JsonValue};
 use parapre_mpisim::{FaultConfig, RankOp};
 use parapre_sparse::Csr;
@@ -309,6 +313,49 @@ const MAX_BACKOFF_MS: u64 = 1000;
 /// Longest injected message delay a job may ask for, in microseconds.
 const MAX_DELAY_US: u64 = 10_000;
 
+/// Most elimination levels a `schurml` job may ask for.
+const MAX_LEVELS: u64 = 8;
+
+/// Most repeats of one job.
+const MAX_REPEAT: u64 = 64;
+
+/// Most outer iterations a job may ask for.
+const MAX_ITERS: u64 = 10_000;
+
+/// Every key [`parse_job_fields`] reads. Any other key is a rejection.
+pub const JOB_KEYS: &[&str] = &[
+    "id",
+    "case",
+    "mtx",
+    "fp",
+    "n",
+    "size",
+    "precond",
+    "levels",
+    "rank",
+    "ranks",
+    "scheme",
+    "seed",
+    "tol",
+    "maxit",
+    "restart",
+    "rhs",
+    "repeat",
+    "batch",
+    "retries",
+    "backoff_ms",
+    "degrade",
+    "checkpoint",
+    "fallback",
+    "fault_seed",
+    "drop_prob",
+    "delay_prob",
+    "delay_us",
+    "kill_rank",
+    "kill_op",
+    "deadline_ms",
+];
+
 /// The keys and values of one job or command line.
 pub type JobFields = std::collections::BTreeMap<String, JsonValue>;
 
@@ -407,11 +454,11 @@ pub fn parse_job_fields(
         ))
     })?;
     // SchurML knobs: `levels`/`rank` refine the parsed default variant.
-    if let PrecondKind::SchurML { levels, rank } = precond {
-        precond = PrecondKind::SchurML {
-            levels: get_u("levels").map_or(levels, |v| v as usize),
-            rank: get_u("rank").map_or(rank, |v| v as usize),
-        };
+    let levels = get_u_max("levels", MAX_LEVELS)?;
+    let rank = get_u_max("rank", MAX_CORRECTION_RANK as u64)?;
+    if let PrecondKind::SchurML { levels: l, rank: r } = &mut precond {
+        *l = levels.map_or(*l, |v| v as usize);
+        *r = rank.map_or(*r, |v| v as usize);
     }
     let n_ranks = get_u("ranks").unwrap_or(4);
     if !(1..=MAX_RANKS).contains(&n_ranks) {
@@ -428,7 +475,7 @@ pub fn parse_job_fields(
     if let Some(tol) = get_unit("tol", false)? {
         session.gmres.rel_tol = tol;
     }
-    if let Some(maxit) = get_u("maxit") {
+    if let Some(maxit) = get_u_max("maxit", MAX_ITERS)? {
         session.gmres.max_iters = maxit as usize;
     }
     if let Some(restart) = get_u("restart") {
@@ -520,11 +567,25 @@ pub fn parse_job_fields(
         },
     };
 
+    let repeat = get_u_max("repeat", MAX_REPEAT)?.unwrap_or(1).max(1) as usize;
+
+    // Last, so that a line with a bad value and an unknown key names the
+    // bad value.
+    if let Some(key) = fields.keys().find(|k| !JOB_KEYS.contains(&k.as_str())) {
+        let nearest = JOB_KEYS
+            .iter()
+            .min_by_key(|valid| edit_distance(key, valid))
+            .expect("JOB_KEYS is not empty");
+        return Err(EngineError::BadJob(format!(
+            "unknown key {key:?}; nearest valid key: {nearest:?}"
+        )));
+    }
+
     Ok(SolveJob {
         id,
         problem,
         rhs,
-        repeat: get_u("repeat").unwrap_or(1).max(1) as usize,
+        repeat,
         batch,
         session,
         recovery,
@@ -540,6 +601,24 @@ fn out_of_range(
     got: impl std::fmt::Display,
 ) -> EngineError {
     EngineError::BadJob(format!("{key} must be in {range}, got {got}"))
+}
+
+/// The Levenshtein distance between `a` and `b`, counted in chars.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut diag = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let next = (diag + usize::from(ca != cb))
+                .min(row[j] + 1)
+                .min(row[j + 1] + 1);
+            diag = row[j + 1];
+            row[j + 1] = next;
+        }
+    }
+    row[b.len()]
 }
 
 /// Cache identity of a job's *resolved problem* (assembled matrix,

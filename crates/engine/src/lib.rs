@@ -5,8 +5,8 @@
 //! session cache, and a bounded concurrent solve service.
 //!
 //! A paper-table cell is one build and one solve; the paper's *workloads*
-//! (time stepping, parameter sweeps, request streams) are one build and
-//! many solves. Both go through the same two calls:
+//! (parameter sweeps, request streams) are one build and many solves. Both
+//! go through the same two calls:
 //!
 //! * [`SolverSession`] — partition + distribute + factor once, then serve
 //!   any number of solve requests against the frozen per-rank state;
@@ -20,11 +20,10 @@
 //! * [`SolveService`] — a worker pool running independent jobs over a
 //!   bounded set of mpisim universes (threads ≤ `P × pool_size`), with a
 //!   bounded queue and explicit [`SubmitError::QueueFull`] backpressure;
-//! * [`march_heat`] — the TC4 time-stepping driver: `N` implicit heat
-//!   steps against one factorization, per-step iteration counts reported;
-//! * `parapre-serve` — a CLI accepting a JSONL job stream (builtin cases
-//!   or Matrix Market files) and emitting JSONL results plus throughput
-//!   statistics.
+//! * [`jobs`] — the job protocol: one flat JSON object per job, parsed by
+//!   [`parse_job_fields`] (which rejects a key it does not know, see
+//!   [`JOB_KEYS`]) and served over the wire by `parapre-netd` in
+//!   `parapre-net`, the one front-end.
 //!
 //! # The solver surface on one page
 //!
@@ -65,7 +64,7 @@
 //! let rep = session.solve(&case.sys.b)?;
 //! assert!(rep.converged);
 //!
-//! // With a guess: a time stepper seeds each step with the last state.
+//! // With a guess: a later solve starts from an earlier answer.
 //! let warm = SolveRequest { x0: Some(&rep.x), ..SolveRequest::new(&case.sys.b) };
 //! assert!(session.run(warm)?.single().converged);
 //!
@@ -87,14 +86,13 @@ pub mod jobs;
 pub mod resilient;
 pub mod service;
 pub mod session;
-pub mod timestep;
 
 pub use cache::{CacheStats, SessionCache, SessionKey};
 pub use experiment::{run_case, run_case_traced, RunResult};
 pub use jobs::{
     batch_rhs, parse_job_fields, parse_job_line, parse_line_fields, problem_key, resolve_problem,
     resolve_problem_with, JobResult, ProblemSpec, ResolvedProblem, RhsSpec, SolveJob, StoredMatrix,
-    MAX_JOB_LINE_BYTES,
+    JOB_KEYS, MAX_JOB_LINE_BYTES,
 };
 pub use resilient::{solve_resilient, FaultOutcome, RecoveryPolicy};
 pub use service::{
@@ -105,7 +103,6 @@ pub use session::{
     matrix_graph, MatrixId, RefactorFallback, SessionConfig, SessionSolveReport, SolveOutput,
     SolveRequest, SolverSession,
 };
-pub use timestep::{march_heat, StepReport, TimestepConfig, TimestepReport};
 
 /// Errors of the serving layer.
 #[derive(Debug, Clone)]

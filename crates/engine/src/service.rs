@@ -466,9 +466,8 @@ impl SolveService {
         &self.shared.matrices
     }
 
-    /// Answers one of the read commands both front-ends speak, one reply
-    /// record per element (`parapre-serve` prints each as a line,
-    /// `parapre-netd` sends each as a frame):
+    /// Answers one of the read commands, one reply record per element
+    /// (`parapre-netd` sends each as a frame):
     ///
     /// * `stats` — [`SolveService::stats_json`];
     /// * `watch` — the convergence events after `*watch_seq` (the caller's

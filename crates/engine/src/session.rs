@@ -388,9 +388,9 @@ impl SolverSession {
 
     /// [`SolverSession::refactor`] for a caller that already hashed
     /// `a_new` (`id` must be [`MatrixId::of`]`(a_new)`) and shares it. With
-    /// `trace` every rank records its event stream (the `setup.refactor`
-    /// spans the time-stepping driver counts).
-    pub(crate) fn refactor_identified(
+    /// `trace` every rank records its event stream: one `setup.refactor`
+    /// span where a cold build records `setup.factor`.
+    pub fn refactor_identified(
         donor: &SolverSession,
         a_new: &Arc<Csr>,
         id: MatrixId,

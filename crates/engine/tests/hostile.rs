@@ -6,7 +6,7 @@
 use parapre_core::{build_case_sized, CaseId, PrecondKind};
 use parapre_engine::{
     batch_rhs, parse_job_line, resolve_problem, ServiceConfig, SessionCache, SessionConfig,
-    SessionKey, SolveRequest, SolveService, SolverSession, MAX_JOB_LINE_BYTES,
+    SessionKey, SolveRequest, SolveService, SolverSession, JOB_KEYS, MAX_JOB_LINE_BYTES,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -186,14 +186,14 @@ fn duplicate_keys_resolve_deterministically() {
 #[test]
 fn oversized_lines_reject_before_parsing() {
     let huge = format!(
-        r#"{{"case":"tc1","pad":"{}"}}"#,
+        r#"{{"case":"tc1","id":"{}"}}"#,
         "x".repeat(MAX_JOB_LINE_BYTES)
     );
     let err = parse_job_line(&huge, 0).unwrap_err();
     assert!(err.to_string().contains("byte limit"), "got {err}");
 
     // At the limit exactly the guard stays out of the way.
-    let body = r#"{"case":"tc1","pad":"PAD"}"#;
+    let body = r#"{"case":"tc1","id":"PAD"}"#;
     let at_limit = body.replace("PAD", &"y".repeat(MAX_JOB_LINE_BYTES - body.len() + 3));
     assert_eq!(at_limit.len(), MAX_JOB_LINE_BYTES);
     assert!(parse_job_line(&at_limit, 0).is_ok());
@@ -219,7 +219,7 @@ fn bounded_keys_reject_just_past_their_range_naming_key_range_and_value() {
     // One row per bound: the key, a value just inside its range, and a
     // value just outside it. Unbounded retries, backoffs and delays let one
     // job hold a pool worker for as long as it liked.
-    let rows: [(&str, &str, &str, &str); 13] = [
+    let rows: [(&str, &str, &str, &str); 17] = [
         ("retries", "4", "5", "0..=4"),
         ("backoff_ms", "1000", "1001", "0..=1000"),
         ("delay_us", "10000", "10001", "0..=10000"),
@@ -233,6 +233,10 @@ fn bounded_keys_reject_just_past_their_range_naming_key_range_and_value() {
         ("tol", "1e-300", "0", "(0, 1)"),
         ("tol", "1e-6", "-1", "(0, 1)"),
         ("tol", "0.5", "1e300", "(0, 1)"),
+        ("levels", "8", "9", "0..=8"),
+        ("rank", "16", "17", "0..=16"),
+        ("repeat", "64", "65", "0..=64"),
+        ("maxit", "10000", "10001", "0..=10000"),
     ];
     for (key, inside, outside, range) in rows {
         let line = |v: &str| format!(r#"{{"case":"tc1","ranks":2,"{key}":{v}}}"#);
@@ -241,6 +245,34 @@ fn bounded_keys_reject_just_past_their_range_naming_key_range_and_value() {
         let err = parse_job_line(&line(outside), 0).unwrap_err().to_string();
         let named = format!("{key} must be in {range}, got ");
         assert!(err.contains(&named), "{key}: {outside}: {err}");
+    }
+}
+
+#[test]
+fn unknown_keys_are_rejected_naming_the_nearest_valid_key() {
+    // A misspelled key used to be ignored: `precnd` ran the default rung.
+    for (key, nearest) in [
+        ("precnd", "precond"),
+        ("maxiter", "maxit"),
+        ("dealine_ms", "deadline_ms"),
+        ("Ranks", "ranks"),
+    ] {
+        let line = format!(r#"{{"case":"tc1","{key}":"schur2"}}"#);
+        let err = parse_job_line(&line, 0).unwrap_err().to_string();
+        let named = format!("unknown key {key:?}; nearest valid key: {nearest:?}");
+        assert!(err.contains(&named), "{key}: {err}");
+    }
+    // Every other rejection comes first, so its message is what it was.
+    let err = parse_job_line(r#"{"case":"tc1","precnd":"x","retries":5}"#, 0)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("retries must be in 0..=4, got 5"), "got {err}");
+    // Every listed key is accepted.
+    for key in JOB_KEYS {
+        let line = format!(r#"{{"case":"tc1","{key}":null}}"#);
+        if let Err(e) = parse_job_line(&line, 0) {
+            assert!(!e.to_string().contains("unknown key"), "{key}: {e}");
+        }
     }
 }
 

@@ -5,10 +5,12 @@
 
 use parapre_core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre_engine::{
-    parse_job_line, JobResult, RefactorFallback, ServiceConfig, SessionConfig, SolveRequest,
-    SolveService, SolverSession,
+    parse_job_line, JobResult, MatrixId, RefactorFallback, ServiceConfig, SessionConfig,
+    SolveRequest, SolveService, SolverSession,
 };
+use parapre_metrics::names;
 use parapre_sparse::{Coo, Csr};
+use std::sync::Arc;
 use std::time::Duration;
 
 const KINDS: [PrecondKind; 7] = [
@@ -171,6 +173,29 @@ fn a_chain_of_refactorizations_ages_the_pattern() {
         assert_eq!(session.pattern_age(), age as usize);
         let rep = session.solve(&case.sys.b).expect("solve");
         assert!(rep.converged && rep.true_relres <= 1e-5);
+    }
+}
+
+#[test]
+fn a_traced_refactorization_records_one_refactor_span_per_rank_and_no_factor_span() {
+    let case = build_case(CaseId::Tc4, CaseSize::Tiny);
+    let a2 = Arc::new(perturbed(&case.sys.a, 3, 0.05));
+    for kind in KINDS {
+        for p in [1usize, 2, 4] {
+            let what = format!("{} P={p}", kind.key());
+            let donor = SolverSession::from_case(&case, &SessionConfig::paper(kind, p))
+                .unwrap_or_else(|e| panic!("{what}: donor build failed: {e}"));
+            let (_, traces) =
+                SolverSession::refactor_identified(&donor, &a2, MatrixId::of(&a2), true)
+                    .unwrap_or_else(|why| panic!("{what}: refused as {}", why.key()));
+            assert_eq!(traces.len(), p, "{what}: one stream per rank");
+            for trace in &traces {
+                let summary = trace.summary();
+                let calls = |phase: &str| summary.phase(phase).map_or(0, |s| s.calls);
+                assert_eq!(calls(names::REFACTOR), 1, "{what}");
+                assert_eq!(calls(names::FACTOR), 0, "{what}");
+            }
+        }
     }
 }
 

@@ -50,42 +50,6 @@ pub fn apply_dirichlet(sys: &mut LinearSystem, nodes: &[(usize, f64)]) {
     }
 }
 
-/// Applies the same Dirichlet data to a *right-hand side only*, given the
-/// original (pre-elimination) matrix.
-///
-/// Reproduces exactly what [`apply_dirichlet`] does to `b` — boundary rows
-/// set to their values, the column sweep folded into free rows — without
-/// touching any matrix. This is the time-stepping workhorse: eliminate the
-/// system matrix once (factor once), then push each new step's raw
-/// right-hand side through this with the *original* matrix's columns.
-pub fn apply_dirichlet_rhs(
-    a_original: &parapre_sparse::Csr,
-    b: &mut [f64],
-    nodes: &[(usize, f64)],
-) {
-    let n = b.len();
-    assert_eq!(a_original.n_rows(), n);
-    let mut is_fixed = vec![false; n];
-    let mut value = vec![0.0; n];
-    for &(i, v) in nodes {
-        assert!(i < n, "dirichlet node {i} out of range");
-        is_fixed[i] = true;
-        value[i] = v;
-    }
-    for i in 0..n {
-        if is_fixed[i] {
-            b[i] = value[i];
-        } else {
-            let (cols, vals) = a_original.row(i);
-            for (&j, &v) in cols.iter().zip(vals) {
-                if is_fixed[j] {
-                    b[i] -= v * value[j];
-                }
-            }
-        }
-    }
-}
-
 /// Convenience: collects `(node, g(coords))` pairs from a predicate over
 /// node coordinates.
 pub fn dirichlet_where<const D: usize>(
@@ -158,24 +122,6 @@ mod tests {
             let exact = 1.0 + 0.5 * i as f64;
             assert!((xi - exact).abs() < 1e-12, "x[{i}] = {xi}");
         }
-    }
-
-    #[test]
-    fn rhs_only_application_matches_full_elimination() {
-        let a = Csr::from_dense_rows(&[
-            vec![2.0, -1.0, 0.0],
-            vec![-1.0, 2.0, -1.0],
-            vec![0.0, -1.0, 2.0],
-        ]);
-        let nodes = [(0, 5.0), (2, -1.0)];
-        let mut sys = LinearSystem {
-            a: a.clone(),
-            b: vec![1.0, 2.0, 3.0],
-        };
-        apply_dirichlet(&mut sys, &nodes);
-        let mut b = vec![1.0, 2.0, 3.0];
-        apply_dirichlet_rhs(&a, &mut b, &nodes);
-        assert_eq!(b, sys.b);
     }
 
     #[test]

@@ -52,82 +52,6 @@ pub fn assemble_step(mesh: &Mesh3d, dt: f64, u_prev: &[f64]) -> crate::LinearSys
     crate::LinearSystem { a, b }
 }
 
-/// Precomputed operators for marching the TC4 heat equation many implicit
-/// steps with a *fixed* system matrix.
-///
-/// The matrix `M + Δt·K` (with the paper's `u = 0` on the `x = 1` face
-/// eliminated) never changes across steps, so a solver can factor it once;
-/// only the right-hand side `M uˡ⁻¹` is rebuilt per step via
-/// [`HeatMarch::rhs`].
-pub struct HeatMarch {
-    /// The eliminated system matrix `M + Δt·K` — factor once, reuse.
-    pub a: Csr,
-    /// The raw (pre-elimination) system matrix, needed for the per-step
-    /// right-hand-side column sweep.
-    pub a_raw: Csr,
-    /// The mass matrix (per-step right-hand side `M uˡ⁻¹`).
-    pub mass: Csr,
-    /// The Dirichlet node set (`x = 1` face, value 0).
-    pub fixed: Vec<(usize, f64)>,
-    /// The time step.
-    pub dt: f64,
-}
-
-impl HeatMarch {
-    /// Assembles the marching operators on `mesh` with time step `dt`.
-    pub fn new(mesh: &Mesh3d, dt: f64) -> HeatMarch {
-        let (m, k) = assemble_mass_stiffness(mesh);
-        HeatMarch::from_mass_stiffness(mesh, m, &k, dt)
-    }
-
-    /// The marching operators for time step `dt` from already assembled
-    /// mass and stiffness matrices — what a variable-step march calls when
-    /// Δt changes. The sparsity pattern of [`HeatMarch::a`] is the union of
-    /// the two patterns and does not depend on `dt`.
-    pub fn from_mass_stiffness(mesh: &Mesh3d, m: Csr, k: &Csr, dt: f64) -> HeatMarch {
-        let a_raw = m.add(dt, k).expect("shapes match");
-        let fixed =
-            crate::bc::dirichlet_where(&mesh.coords, |p| (p[0] - 1.0).abs() < 1e-12, |_| 0.0);
-        let mut sys = crate::LinearSystem {
-            a: a_raw.clone(),
-            b: vec![0.0; mesh.n_nodes()],
-        };
-        crate::bc::apply_dirichlet(&mut sys, &fixed);
-        HeatMarch {
-            a: sys.a,
-            a_raw,
-            mass: m,
-            fixed,
-            dt,
-        }
-    }
-
-    /// The paper's initial state: `u⁰` sampled at the nodes, with the
-    /// Dirichlet face clamped.
-    pub fn initial_state(mesh: &Mesh3d) -> Vec<f64> {
-        let mut u0: Vec<f64> = mesh
-            .coords
-            .iter()
-            .map(|p| initial_condition(p[0], p[1], p[2]))
-            .collect();
-        for (i, p) in mesh.coords.iter().enumerate() {
-            if (p[0] - 1.0).abs() < 1e-12 {
-                u0[i] = 0.0;
-            }
-        }
-        u0
-    }
-
-    /// The right-hand side of the next step from state `u_prev`:
-    /// `M uˡ⁻¹` with the Dirichlet data applied (matching the once-
-    /// eliminated [`HeatMarch::a`]).
-    pub fn rhs(&self, u_prev: &[f64]) -> Vec<f64> {
-        let mut b = self.mass.mul_vec(u_prev);
-        crate::bc::apply_dirichlet_rhs(&self.a_raw, &mut b, &self.fixed);
-        b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,43 +78,6 @@ mod tests {
         let ones = vec![1.0; sys.a.n_rows()];
         let row_sums = sys.a.mul_vec(&ones);
         assert!(row_sums.iter().all(|&v| v > 0.0));
-    }
-
-    #[test]
-    fn heat_march_first_step_matches_single_step_assembly() {
-        let mesh = unit_cube(5, 5, 5);
-        let u0 = HeatMarch::initial_state(&mesh);
-        let march = HeatMarch::new(&mesh, DT);
-        // Reference: assemble + eliminate the one-step system from scratch.
-        let mut sys = assemble_step(&mesh, DT, &u0);
-        let fixed = bc::dirichlet_where(&mesh.coords, |p| (p[0] - 1.0).abs() < 1e-12, |_| 0.0);
-        bc::apply_dirichlet(&mut sys, &fixed);
-        assert_eq!(march.a, sys.a);
-        assert_eq!(march.rhs(&u0), sys.b);
-    }
-
-    #[test]
-    fn marching_decays_the_mode_monotonically() {
-        let mesh = unit_cube(5, 5, 5);
-        let march = HeatMarch::new(&mesh, DT);
-        let n = mesh.n_nodes();
-        let mut u = HeatMarch::initial_state(&mesh);
-        let mut amp_prev = u.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        for _step in 0..5 {
-            let b = march.rhs(&u);
-            let mut next = u.clone();
-            let rep = ConjugateGradient::new(CgConfig {
-                max_iters: 2000,
-                rel_tol: 1e-12,
-                ..Default::default()
-            })
-            .solve(&march.a, &IdentityPrecond::new(n), &b, &mut next);
-            assert!(rep.converged);
-            u = next;
-            let amp = u.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            assert!(amp < amp_prev, "diffusion must decay: {amp} vs {amp_prev}");
-            amp_prev = amp;
-        }
     }
 
     #[test]

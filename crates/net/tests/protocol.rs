@@ -332,8 +332,9 @@ fn malformed_frames_get_structured_errors() {
     assert_eq!(str_field(&line, "error_kind").as_deref(), Some("rejected"));
     // So are a rank count no launch should allocate for, a partition
     // scheme the case has no grid for, a grid extent the case's generator
-    // cannot mesh or above its paper-scale preset, and a batch above the
-    // ceiling (once a kill, worker panics, and an unbounded allocation).
+    // cannot mesh or above its paper-scale preset, a batch above the
+    // ceiling (once a kill, worker panics, and an unbounded allocation),
+    // and a misspelled key (once ignored: the job ran the default rung).
     for (job, names) in [
         (
             "{\"case\":\"tc1\",\"n\":3,\"precond\":\"block1\",\"ranks\":5000}",
@@ -348,6 +349,10 @@ fn malformed_frames_get_structured_errors() {
         (
             "{\"case\":\"tc3\",\"size\":\"tiny\",\"scheme\":\"boxes\",\"ranks\":2}",
             "boxes",
+        ),
+        (
+            "{\"id\":\"typo\",\"case\":\"tc1\",\"precnd\":\"schur2\",\"ranks\":2}",
+            "unknown key \"precnd\"; nearest valid key: \"precond\"",
         ),
     ] {
         let line = client.request(job).expect("request").expect("open");
@@ -548,4 +553,103 @@ fn a_job_that_could_hold_the_only_worker_is_rejected_and_the_next_is_answered() 
     assert_eq!(str_field(&plain, "id").as_deref(), Some("plain"));
     assert_eq!(bool_field(&plain, "ok"), Some(true), "line: {plain}");
     requests.join().expect("request thread");
+}
+
+#[test]
+fn a_three_job_stream_converges() {
+    let server = start_tcp(NetConfig {
+        service: ServiceConfig {
+            pool_size: 2,
+            queue_capacity: 8,
+            cache_capacity: 4,
+        },
+        ..NetConfig::default()
+    });
+    let mut client = connect(&server);
+    for job in [
+        r#"{"id":"a","case":"tc1","size":"tiny","precond":"schur1","ranks":4}"#,
+        r#"{"id":"b","case":"tc2","size":"tiny","precond":"block2","ranks":2,"repeat":2}"#,
+        r#"{"id":"c","case":"tc1","size":"tiny","precond":"schur1","ranks":4,"rhs":"rowsum"}"#,
+    ] {
+        client.send_line(job).expect("send");
+    }
+    let mut ids = Vec::new();
+    for _ in 0..3 {
+        let line = client.recv_line().expect("recv").expect("open");
+        assert_eq!(bool_field(&line, "converged"), Some(true), "line: {line}");
+        ids.push(str_field(&line, "id").expect("id"));
+    }
+    ids.sort();
+    assert_eq!(ids, ["a", "b", "c"]);
+}
+
+/// Whether `line` is one sample of the text exposition:
+/// `name[{labels}] value`, the name in `[a-zA-Z_:][a-zA-Z0-9_:]*`.
+fn is_sample(line: &str) -> bool {
+    let Some((series, value)) = line.rsplit_once(' ') else {
+        return false;
+    };
+    let name = match series.split_once('{') {
+        Some((name, labels)) => {
+            if !labels.ends_with('}') || labels[..labels.len() - 1].contains('}') {
+                return false;
+            }
+            name
+        }
+        None => series,
+    };
+    let head = |c: char| c.is_ascii_alphabetic() || c == '_' || c == ':';
+    name.starts_with(head)
+        && name.chars().all(|c| head(c) || c.is_ascii_digit())
+        && !value.is_empty()
+}
+
+#[test]
+fn stats_watch_and_metrics_answer_over_the_wire() {
+    let server = start_tcp(NetConfig::default());
+    let mut client = connect(&server);
+    for precond in ["schur1", "schurml"] {
+        let line = client
+            .request(&format!(
+                r#"{{"id":"{precond}","case":"tc2","size":"tiny","precond":"{precond}","ranks":4}}"#
+            ))
+            .expect("request")
+            .expect("open");
+        assert_eq!(bool_field(&line, "ok"), Some(true), "line: {line}");
+    }
+    let stats = client
+        .request(r#"{"cmd":"stats"}"#)
+        .expect("request")
+        .expect("open");
+    assert_eq!(bool_field(&stats, "stats"), Some(true), "line: {stats}");
+
+    // `watch`: the convergence events since the last watch, then its end.
+    client.send_line(r#"{"cmd":"watch"}"#).expect("send");
+    loop {
+        let line = client.recv_line().expect("recv").expect("open");
+        if fields_of(&line).contains_key("watch_end") {
+            assert!(line.starts_with(r#"{"watch_end":"#), "line: {line}");
+            break;
+        }
+    }
+
+    // `metrics`: every line up to `# EOF` is a comment or a sample.
+    client.send_line(r#"{"cmd":"metrics"}"#).expect("send");
+    let mut samples = Vec::new();
+    loop {
+        let line = client.recv_line().expect("recv").expect("open");
+        if line == "# EOF" {
+            break;
+        }
+        if !line.starts_with('#') {
+            assert!(is_sample(&line), "malformed exposition line: {line:?}");
+            samples.push(line);
+        }
+    }
+    assert!(
+        samples
+            .iter()
+            .any(|l| l.starts_with("parapre_solve_us_count")),
+        "no solve histogram in {samples:?}"
+    );
 }

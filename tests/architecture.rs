@@ -2,7 +2,8 @@
 //!
 //! Each test is one promise an earlier simplification made and a grep can
 //! keep: one build configuration and no `unsafe`; one Krylov layer; one
-//! recovery layer on the one pipeline; one experiment pipeline. The tree is
+//! recovery layer on the one pipeline; one experiment pipeline; one front
+//! door, whose every job key is documented. The tree is
 //! walked with `std::fs` from the root package's directory, build output
 //! (`target`) is skipped, and so is this file, whose needles would otherwise
 //! match themselves. A failure lists every offending `path:line`.
@@ -196,4 +197,58 @@ fn one_experiment_pipeline() {
             .filter(|hit| !hit.starts_with("crates/engine/src/experiment.rs:"))
             .collect(),
     );
+}
+
+#[test]
+fn one_front_door() {
+    assert_none(
+        "the engine has no binary and no finite-element dependency",
+        lines_where(&files(&["crates/engine/Cargo.toml"]), |l| {
+            l.starts_with("[[bin]]") || l.contains("parapre-fem")
+        }),
+    );
+    let tree = files(&[
+        "crates",
+        "src",
+        "tests",
+        "examples",
+        "benchmark/e2e/src",
+        "benchmark/layers/src",
+    ]);
+    assert_none(
+        "a job's fields are parsed in the engine and by netd's dispatch only",
+        lines_where(&tree, |l| l.contains("parse_job_fields("))
+            .into_iter()
+            .filter(|hit| {
+                !hit.starts_with("crates/engine/src/")
+                    && !hit.starts_with("crates/net/src/server.rs:")
+            })
+            .collect(),
+    );
+}
+
+#[test]
+fn every_job_key_is_documented() {
+    let jobs = files(&["crates/engine/src/jobs.rs"]);
+    let module_doc: String = jobs[0]
+        .1
+        .lines()
+        .take_while(|l| l.starts_with("//!"))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let readme = &files(&["README.md"])[0].1;
+    let missing: Vec<String> = parapre::engine::JOB_KEYS
+        .iter()
+        .flat_map(|key| {
+            let quoted = format!("`{key}`");
+            [
+                ("the jobs.rs module doc", &module_doc),
+                ("README.md", readme),
+            ]
+            .into_iter()
+            .filter(move |(_, text)| !text.contains(&quoted))
+            .map(move |(doc, _)| format!("{doc}: {key}"))
+        })
+        .collect();
+    assert_none("every `JOB_KEYS` entry in backticks", missing);
 }
