@@ -60,12 +60,8 @@ impl Cli {
             match args[i].as_str() {
                 "--size" => {
                     i += 1;
-                    cli.size = match args[i].as_str() {
-                        "tiny" => CaseSize::Tiny,
-                        "default" => CaseSize::Default,
-                        "full" => CaseSize::Full,
-                        other => panic!("unknown --size {other}"),
-                    };
+                    cli.size = CaseSize::parse(&args[i])
+                        .unwrap_or_else(|| panic!("unknown --size {}", args[i]));
                 }
                 "--machine" => {
                     i += 1;
@@ -84,12 +80,8 @@ impl Cli {
                 }
                 "--scheme" => {
                     i += 1;
-                    cli.scheme = match args[i].as_str() {
-                        "general" => PartitionScheme::General,
-                        "boxes" => PartitionScheme::Boxes,
-                        "rcb" => PartitionScheme::Rcb,
-                        other => panic!("unknown --scheme {other}"),
-                    };
+                    cli.scheme = PartitionScheme::parse(&args[i])
+                        .unwrap_or_else(|| panic!("unknown --scheme {}", args[i]));
                 }
                 "--trace" => {
                     i += 1;

@@ -78,14 +78,23 @@ pub enum CaseSize {
 }
 
 impl CaseSize {
-    /// Parses `tiny` / `default` / `full` (case-insensitive).
-    pub fn parse(s: &str) -> Option<CaseSize> {
-        match s.to_ascii_lowercase().as_str() {
-            "tiny" => Some(CaseSize::Tiny),
-            "default" => Some(CaseSize::Default),
-            "full" => Some(CaseSize::Full),
-            _ => None,
+    /// All three presets, smallest first.
+    pub const ALL: [Self; 3] = [Self::Tiny, Self::Default, Self::Full];
+
+    /// Stable machine-readable key (`tiny` / `default` / `full`).
+    pub fn key(self) -> &'static str {
+        match self {
+            CaseSize::Tiny => "tiny",
+            CaseSize::Default => "default",
+            CaseSize::Full => "full",
         }
+    }
+
+    /// Inverse of [`CaseSize::key`] (case-insensitive).
+    pub fn parse(s: &str) -> Option<CaseSize> {
+        CaseSize::ALL
+            .into_iter()
+            .find(|c| c.key().eq_ignore_ascii_case(s))
     }
 }
 

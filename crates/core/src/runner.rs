@@ -59,6 +59,17 @@ impl PrecondKind {
         PrecondKind::Block2,
     ];
 
+    /// Every kind, one per key, in the order job-line rejections list them.
+    pub const EVERY: [PrecondKind; 7] = [
+        PrecondKind::Block1,
+        PrecondKind::Block2,
+        PrecondKind::Schur1,
+        PrecondKind::Schur2,
+        PrecondKind::schurml_default(),
+        PrecondKind::BlockOverlap,
+        PrecondKind::Jacobi,
+    ];
+
     /// Default hierarchy depth of `"schurml"` when parsed without knobs.
     pub const SCHURML_DEFAULT_LEVELS: usize = 2;
     /// Default correction rank of `"schurml"` when parsed without knobs.
@@ -108,18 +119,12 @@ impl PrecondKind {
         }
     }
 
-    /// Inverse of [`PrecondKind::key`] (case-insensitive).
+    /// Inverse of [`PrecondKind::key`] over [`PrecondKind::EVERY`]
+    /// (case-insensitive; `"schurml"` is [`PrecondKind::schurml_default`]).
     pub fn parse(s: &str) -> Option<PrecondKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "block1" => Some(PrecondKind::Block1),
-            "block2" => Some(PrecondKind::Block2),
-            "schur1" => Some(PrecondKind::Schur1),
-            "schur2" => Some(PrecondKind::Schur2),
-            "schurml" => Some(PrecondKind::schurml_default()),
-            "overlap" | "blockoverlap" => Some(PrecondKind::BlockOverlap),
-            "jacobi" => Some(PrecondKind::Jacobi),
-            _ => None,
-        }
+        PrecondKind::EVERY
+            .into_iter()
+            .find(|k| k.key().eq_ignore_ascii_case(s))
     }
 
     /// The next (cheaper, more robust) rung of the fallback ladder, or
@@ -156,6 +161,9 @@ pub enum PartitionScheme {
 }
 
 impl PartitionScheme {
+    /// All three schemes.
+    pub const ALL: [Self; 3] = [Self::General, Self::Boxes, Self::Rcb];
+
     /// Stable machine-readable key (CLI values, cache keys, JSONL jobs).
     pub fn key(self) -> &'static str {
         match self {
@@ -167,12 +175,9 @@ impl PartitionScheme {
 
     /// Inverse of [`PartitionScheme::key`] (case-insensitive).
     pub fn parse(s: &str) -> Option<PartitionScheme> {
-        match s.to_ascii_lowercase().as_str() {
-            "general" => Some(PartitionScheme::General),
-            "boxes" => Some(PartitionScheme::Boxes),
-            "rcb" => Some(PartitionScheme::Rcb),
-            _ => None,
-        }
+        PartitionScheme::ALL
+            .into_iter()
+            .find(|p| p.key().eq_ignore_ascii_case(s))
     }
 }
 

@@ -13,26 +13,11 @@
 //! {"id":"j2","mtx":"path/to/a.mtx","rhs":"ones","precond":"block2","ranks":2}
 //! ```
 //!
-//! Recognized keys ([`JOB_KEYS`]): `id`, `case` *or* `mtx` *or* `fp` (a
-//! registered matrix's fingerprint), `n` (explicit grid extent, overrides
-//! `size`), `size` (`tiny`/`default`/`full`), `precond` (one of
-//! [`VALID_PRECONDS`]; `"schurml"` additionally honours `levels`, 0 to 8,
-//! and `rank`, 0 to [`MAX_CORRECTION_RANK`]), `ranks` (1 to 128), `scheme`
-//! (`boxes` needs a structured case), `seed`, `repeat` (at most 64), `rhs`,
-//! `tol` (finite, in (0, 1)), `maxit` (at most 10 000), `restart` (1 to
-//! 1000), `batch` (at most 64). Resilience keys: `retries` (0 to 4),
-//! `backoff_ms` (0 to 1000, doubled per retry), `degrade`, `checkpoint`
-//! (recovery policy), `fallback` (solve-time descent of the preconditioner
-//! ladder on a typed breakdown, default on; the build always goes through
-//! the ladder); `fault_seed`, `drop_prob` and `delay_prob` (finite, in
-//! [0, 1]), `delay_us` (0 to 10 000), `kill_rank` (below `ranks`),
-//! `kill_op` (deterministic fault injection — chaos jobs); `deadline_ms`
-//! (wall-clock budget from submission — expired jobs come back as
-//! structured `timeout` records instead of occupying a worker). A value
-//! outside its range is a `rejected` record naming the key, the range and
-//! the value: no single job can hold a worker for longer than its bounded
-//! retries, backoffs and delays allow. A key outside [`JOB_KEYS`] is a
-//! `rejected` record naming it and the nearest key that is in the list.
+//! The keys a job line may carry, the kind and range of each value and
+//! what it sets are the rows of [`JOB_KEYS`]; [`parse_job_fields`] walks
+//! them, so a value of the wrong kind or outside its range is a `rejected`
+//! record naming the key, and so is a key outside the table (with the
+//! nearest key that is in it). The `cmd` verbs are [`COMMANDS`].
 //! Results come back one flat-ish JSON line per job (the `iterations` and
 //! `dead_ranks` arrays are the only nesting).
 
@@ -119,7 +104,7 @@ pub struct SolveJob {
 }
 
 /// The outcome of one job, serializable as a JSONL result line.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct JobResult {
     /// The job's identifier.
     pub id: String,
@@ -190,30 +175,11 @@ impl JobResult {
     pub fn failed(id: impl Into<String>, error: impl Into<String>) -> JobResult {
         JobResult {
             id: id.into(),
-            ok: false,
             error: Some(error.into()),
-            converged: false,
-            iterations: Vec::new(),
             final_relres: f64::NAN,
             true_relres: f64::NAN,
-            cache_hit: false,
-            setup_seconds: 0.0,
-            solve_seconds: 0.0,
-            queue_ms: 0.0,
-            build_ms: 0.0,
-            solve_ms: 0.0,
-            n_unknowns: 0,
-            retries: 0,
-            degraded: false,
-            dead_ranks: Vec::new(),
-            error_kind: None,
-            pivot_shifts: 0,
-            fallbacks: 0,
-            breakdown_kind: None,
             batch: 1,
-            precond_used: None,
-            refactored: false,
-            pattern_age: 0,
+            ..JobResult::default()
         }
     }
 
@@ -281,79 +247,183 @@ impl JobResult {
     }
 }
 
-/// The full set of `precond` values a job line may carry — spelled out in
-/// the rejection message so a misspelled client learns the valid set from
-/// the structured `"rejected"` record instead of a bare "unknown" error.
-pub const VALID_PRECONDS: &str = "block1, block2, schur1, schur2, schurml, overlap, jacobi";
-
 /// Hard ceiling on one job line. Anything larger is rejected before the
 /// parser touches it — a mis-framed client must not make the service
 /// buffer or scan unbounded garbage. (Matrices travel through the `put`
 /// ingest path, never inline in a job line.)
 pub const MAX_JOB_LINE_BYTES: usize = 1 << 20;
 
-/// Longest restart cycle a job may ask for.
-const MAX_RESTART: u64 = 1000;
+/// What the value of a job key must be.
+#[derive(Debug, Clone, Copy)]
+pub enum Kind {
+    /// Any string.
+    Str,
+    /// `true` or `false`.
+    Bool,
+    /// An integer in `min..=max`; `u64::MAX` as `max` is any `u64`.
+    Uint(u64, u64),
+    /// A number in `[0, 1]`. `null` reads as NaN, which is not in it.
+    Unit,
+    /// A number in `(0, 1)`; NaN is not in it either.
+    OpenUnit,
+    /// One of an enum's keys (case-insensitive), as the function lists them.
+    OneOf(fn() -> Vec<&'static str>),
+}
 
-/// Most ranks a job may ask for: a universe allocates `P²` channels and
-/// `P` threads before any rank runs.
-const MAX_RANKS: u64 = 128;
+impl Kind {
+    /// The range of a numeric kind as its rejections print it.
+    fn within(&self) -> String {
+        match *self {
+            Uint(min, MAX) => format!("in {min}..=u64::MAX"),
+            Uint(min, max) => format!("in {min}..={max}"),
+            OpenUnit => "in (0, 1)".into(),
+            _ => "in [0, 1]".into(),
+        }
+    }
+}
 
-/// Most right-hand sides one job may batch: the service materializes every
-/// one of them, each as long as the matrix, before the solve starts.
-const MAX_BATCH: u64 = 64;
+impl std::fmt::Display for Kind {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Str => write!(f, "a string"),
+            Bool => write!(f, "true or false"),
+            Uint(..) => write!(f, "an integer {}", self.within()),
+            Unit | OpenUnit => write!(f, "a number {}", self.within()),
+            OneOf(keys) => write!(f, "one of {}", keys().join(", ")),
+        }
+    }
+}
 
-/// Most retries a job may ask for.
-const MAX_RETRIES: u64 = 4;
+use Kind::{Bool, OneOf, OpenUnit, Str, Uint, Unit};
+const MAX: u64 = u64::MAX;
 
-/// Longest base backoff a job may ask for, in milliseconds. It doubles per
-/// retry, so the worst total wait is `15 × MAX_BACKOFF_MS`.
-const MAX_BACKOFF_MS: u64 = 1000;
+/// One job key: its name, the kind of value it takes and what it sets.
+#[derive(Debug, Clone, Copy)]
+pub struct KeySpec {
+    /// The key as a job line spells it.
+    pub name: &'static str,
+    /// What its value must be.
+    pub kind: Kind,
+    /// One line on what it sets.
+    pub doc: &'static str,
+}
 
-/// Longest injected message delay a job may ask for, in microseconds.
-const MAX_DELAY_US: u64 = 10_000;
+/// A value that passed its row's check.
+#[derive(Debug, Clone, Copy)]
+enum Value<'a> {
+    Str(&'a str),
+    Bool(bool),
+    Uint(u64),
+    Real(f64),
+}
 
-/// Most elimination levels a `schurml` job may ask for.
-const MAX_LEVELS: u64 = 8;
+impl KeySpec {
+    /// The row as README's job-key table shows it.
+    pub fn markdown_row(&self) -> String {
+        format!("| `{}` | {} | {} |", self.name, self.kind, self.doc)
+    }
 
-/// Most repeats of one job.
-const MAX_REPEAT: u64 = 64;
+    /// The walker's step: `v` as this row's kind (an enum key as its
+    /// position), or `<key> must be <kind or range>, got <v as sent>`.
+    fn check<'a>(&self, v: &'a JsonValue) -> Result<Value<'a>, EngineError> {
+        let err = |w, g| EngineError::BadJob(format!("{} must be {w}, got {g}", self.name));
+        let wrong = || err(self.kind.to_string(), sent(v));
+        let outside = |got: String| err(self.kind.within(), got);
+        match self.kind {
+            Str => v.as_str().map(Value::Str).ok_or_else(wrong),
+            Bool => v.as_bool().map(Value::Bool).ok_or_else(wrong),
+            Uint(min, max) => {
+                // NaN (and so `null`) and the infinities are fractional.
+                let x = v.as_f64().filter(|x| x.fract() == 0.0).ok_or_else(wrong)?;
+                let (n, exact) = (x as u64, (0.0..MAX as f64).contains(&x));
+                if exact && (min..=max).contains(&n) {
+                    Ok(Value::Uint(n))
+                } else {
+                    Err(outside(if exact { n.to_string() } else { sent(v) }))
+                }
+            }
+            Unit | OpenUnit => {
+                let x = v.as_f64().ok_or_else(wrong)?;
+                let open = matches!(self.kind, OpenUnit);
+                let inside = (0.0..=1.0).contains(&x) && !(open && (x == 0.0 || x == 1.0));
+                let got = || outside(sent(&JsonValue::Num(x)));
+                inside.then_some(Value::Real(x)).ok_or_else(got)
+            }
+            OneOf(keys) => {
+                let (s, keys) = (v.as_str().ok_or_else(wrong)?, keys());
+                let at = keys.iter().position(|k| k.eq_ignore_ascii_case(s));
+                let valid = || format!("unknown {} {s:?}; valid: {}", self.name, keys.join(", "));
+                at.map(|i| Value::Uint(i as u64))
+                    .ok_or_else(|| EngineError::BadJob(valid()))
+            }
+        }
+    }
+}
 
-/// Most outer iterations a job may ask for.
-const MAX_ITERS: u64 = 10_000;
+/// A JSON value as a rejection echoes it.
+fn sent(v: &JsonValue) -> String {
+    match v {
+        JsonValue::Str(s) => format!("{s:?}"),
+        // From 1e21 on in exponent form, so `1e30` reads `1e30`.
+        JsonValue::Num(x) if x.abs() >= 1e21 => format!("{x:e}"),
+        JsonValue::Num(x) => x.to_string(),
+        JsonValue::Bool(b) => b.to_string(),
+        JsonValue::Null => "null".into(),
+        JsonValue::Arr(xs) => format!("[{}]", xs.iter().map(sent).collect::<Vec<_>>().join(",")),
+    }
+}
 
-/// Every key [`parse_job_fields`] reads. Any other key is a rejection.
-pub const JOB_KEYS: &[&str] = &[
-    "id",
-    "case",
-    "mtx",
-    "fp",
-    "n",
-    "size",
-    "precond",
-    "levels",
-    "rank",
-    "ranks",
-    "scheme",
-    "seed",
-    "tol",
-    "maxit",
-    "restart",
-    "rhs",
-    "repeat",
-    "batch",
-    "retries",
-    "backoff_ms",
-    "degrade",
-    "checkpoint",
-    "fallback",
-    "fault_seed",
-    "drop_prob",
-    "delay_prob",
-    "delay_us",
-    "kill_rank",
-    "kill_op",
-    "deadline_ms",
+const fn key(name: &'static str, kind: Kind, doc: &'static str) -> KeySpec {
+    KeySpec { name, kind, doc }
+}
+
+fn keys<T: Copy, const N: usize>(every: [T; N], key: fn(T) -> &'static str) -> Vec<&'static str> {
+    every.map(key).to_vec()
+}
+
+/// Every job key, in the order [`parse_job_fields`] checks them; any other
+/// key is a rejection. The bounds keep one job from holding a worker past
+/// its retries, backoffs and delays, a universe's `P²` channels, a GMRES
+/// basis or a batch's right-hand sides. Defaults are in parentheses.
+#[rustfmt::skip]
+pub const JOB_KEYS: &[KeySpec] = &[
+    key("id",          Str,              "echoed in the result (`job-<seq>`)"),
+    key("case",        OneOf(|| keys(CaseId::ALL, CaseId::key)), "a builtin test case"),
+    key("mtx",         Str,              "a Matrix Market file; exactly one of `case`, `mtx`, `fp`"),
+    key("fp",          Str,              "the hex fingerprint of a matrix registered by `put`"),
+    key("size",        OneOf(|| keys(CaseSize::ALL, CaseSize::key)), "grid preset of `case` (`tiny`)"),
+    key("n",           Uint(0, MAX),     "grid extent of `case` within the case's range, over `size`"),
+    key("precond",     OneOf(|| keys(PrecondKind::EVERY, PrecondKind::key)), "preconditioner rung (`schur1`)"),
+    key("levels",      Uint(0, 8),       "hierarchy depth of `schurml` (2)"),
+    key("rank",        Uint(0, MAX_CORRECTION_RANK as u64), "correction rank of `schurml` (8)"),
+    key("ranks",       Uint(1, 128),     "ranks of the universe (4)"),
+    key("scheme",      OneOf(|| keys(PartitionScheme::ALL, PartitionScheme::key)), "partitioner (`general`); `boxes` needs a structured case"),
+    key("seed",        Uint(0, MAX),     "partition seed"),
+    key("tol",         OpenUnit,         "relative residual target (1e-6)"),
+    key("maxit",       Uint(0, 10_000),  "outer iteration cap (600)"),
+    key("restart",     Uint(1, 1000),    "GMRES restart length (20)"),
+    key("rhs",         Str,              "`natural`, `ones`, `rowsum` (b = A·1) or a vector file"),
+    key("retries",     Uint(0, 4),       "retries after a rank failure (2)"),
+    key("backoff_ms",  Uint(0, 1000),    "base backoff, doubled per retry (5)"),
+    key("degrade",     Bool,             "solve the survivors' system when retries run out (true)"),
+    key("checkpoint",  Bool,             "resume a retry from restart-cycle checkpoints (true)"),
+    key("fallback",    Bool,             "descend the preconditioner ladder on a breakdown (true)"),
+    key("drop_prob",   Unit,             "injected message-drop probability"),
+    key("delay_prob",  Unit,             "injected message-delay probability"),
+    key("delay_us",    Uint(0, 10_000),  "injected delay of a delayed message (200)"),
+    key("kill_rank",   Uint(0, MAX),     "rank to kill, below `ranks`"),
+    key("fault_seed",  Uint(0, MAX),     "seed of the injected faults (0)"),
+    key("kill_op",     Uint(0, MAX),     "send at which `kill_rank` dies (0)"),
+    key("batch",       Uint(0, 64),      "right-hand sides in one lock-step solve; no faults above 1"),
+    key("deadline_ms", Uint(1, MAX),     "wall-clock budget from submission"),
+    key("repeat",      Uint(0, 64),      "solves of the same right-hand side (1)"),
+];
+
+/// Every `cmd` verb. netd's dispatch answers `ping`, `put`, `shutdown` and
+/// `bye`; [`SolveService::read_command`](crate::SolveService::read_command)
+/// the rest.
+pub const COMMANDS: &[&str] = &[
+    "ping", "put", "shutdown", "bye", "stats", "watch", "metrics",
 ];
 
 /// The keys and values of one job or command line.
@@ -383,224 +453,143 @@ pub fn parse_job_fields(
     fields: &JobFields,
     default_id: impl FnOnce() -> String,
 ) -> Result<SolveJob, EngineError> {
-    let get_str = |k: &str| fields.get(k).and_then(JsonValue::as_str);
-    let get_u = |k: &str| fields.get(k).and_then(JsonValue::as_u64);
-    let get_f = |k: &str| fields.get(k).and_then(JsonValue::as_f64);
-
-    let id = get_str("id").map_or_else(default_id, str::to_string);
-
-    let problem = match (get_str("case"), get_str("mtx"), get_str("fp")) {
-        (Some(_), Some(_), _) | (Some(_), _, Some(_)) | (_, Some(_), Some(_)) => {
-            return Err(EngineError::BadJob(
-                "give exactly one of `case`, `mtx`, `fp`".into(),
-            ))
-        }
-        (None, None, Some(hex)) => {
-            let fp = u64::from_str_radix(hex.trim_start_matches("0x"), 16)
-                .map_err(|_| EngineError::BadJob(format!("bad fingerprint {hex:?}")))?;
-            ProblemSpec::Registered { fp }
-        }
-        (Some(c), None, None) => {
-            let case_id = CaseId::parse(c)
-                .ok_or_else(|| EngineError::BadJob(format!("unknown case {c:?}")))?;
-            let size = match get_str("size") {
-                Some(s) => CaseSize::parse(s)
-                    .ok_or_else(|| EngineError::BadJob(format!("unknown size {s:?}")))?,
-                None => CaseSize::Tiny,
-            };
-            // An extent too large for `usize` is out of range too.
-            let extent = get_u("n").map(|n| usize::try_from(n).unwrap_or(usize::MAX));
-            let accepted = extent_range(case_id);
-            if let Some(n) = extent.filter(|n| !accepted.contains(n)) {
-                return Err(EngineError::BadJob(format!(
-                    "n must be in {}..={} for case {:?}, got {n}",
-                    accepted.start(),
-                    accepted.end(),
-                    case_id.key()
-                )));
-            }
-            ProblemSpec::Case {
-                id: case_id,
-                size,
-                extent,
-            }
-        }
-        (None, Some(path), None) => ProblemSpec::Mtx {
-            path: PathBuf::from(path),
-        },
-        (None, None, None) => {
-            return Err(EngineError::BadJob("missing `case`, `mtx`, or `fp`".into()))
-        }
+    // The walk: each value against its row, in the table's order.
+    let values = JOB_KEYS
+        .iter()
+        .map(|spec| fields.get(spec.name).map(|v| spec.check(v)).transpose())
+        .collect::<Result<Vec<_>, _>>()?;
+    let get = |k: &str| values[JOB_KEYS.iter().position(|s| s.name == k).expect("a row")];
+    let text = |k| match get(k) {
+        Some(Value::Str(s)) => Some(s),
+        _ => None,
     };
-
-    // Bounded keys: absent, in range, or a `BadJob` naming the key, the
-    // range and the value. An integer at most `max`; a real in the closed
-    // or the open unit interval (NaN is in neither).
-    let get_u_max = |k: &str, max: u64| match get_u(k) {
-        Some(v) if v > max => Err(out_of_range(k, format!("0..={max}"), v)),
-        v => Ok(v),
+    let flag = |k| match get(k) {
+        Some(Value::Bool(b)) => Some(b),
+        _ => None,
     };
-    let get_unit = |k: &str, closed: bool| match get_f(k) {
-        Some(v) if !(0.0..=1.0).contains(&v) || !closed && (v == 0.0 || v == 1.0) => {
-            Err(out_of_range(k, if closed { "[0, 1]" } else { "(0, 1)" }, v))
-        }
-        v => Ok(v),
+    let int = |k| match get(k) {
+        Some(Value::Uint(n)) => Some(n),
+        _ => None,
     };
+    let real = |k| match get(k) {
+        Some(Value::Real(x)) => Some(x),
+        _ => None,
+    };
+    let pick = |k| int(k).map(|i| i as usize);
 
-    let precond_str = get_str("precond").unwrap_or("schur1");
-    let mut precond = PrecondKind::parse(precond_str).ok_or_else(|| {
-        EngineError::BadJob(format!(
-            "unknown precond {precond_str:?}; valid: {VALID_PRECONDS}"
-        ))
-    })?;
-    // SchurML knobs: `levels`/`rank` refine the parsed default variant.
-    let levels = get_u_max("levels", MAX_LEVELS)?;
-    let rank = get_u_max("rank", MAX_CORRECTION_RANK as u64)?;
-    if let PrecondKind::SchurML { levels: l, rank: r } = &mut precond {
-        *l = levels.map_or(*l, |v| v as usize);
-        *r = rank.map_or(*r, |v| v as usize);
+    let mut precond = pick("precond").map_or(PrecondKind::Schur1, |i| PrecondKind::EVERY[i]);
+    if let PrecondKind::SchurML { levels, rank } = &mut precond {
+        *levels = int("levels").map_or(*levels, |l| l as usize);
+        *rank = int("rank").map_or(*rank, |r| r as usize);
     }
-    let n_ranks = get_u("ranks").unwrap_or(4);
-    if !(1..=MAX_RANKS).contains(&n_ranks) {
-        return Err(out_of_range("ranks", format!("1..={MAX_RANKS}"), n_ranks));
-    }
+    let n_ranks = int("ranks").unwrap_or(4);
     let mut session = SessionConfig::paper(precond, n_ranks as usize);
-    if let Some(s) = get_str("scheme") {
-        session.scheme = PartitionScheme::parse(s)
-            .ok_or_else(|| EngineError::BadJob(format!("unknown scheme {s:?}")))?;
-    }
-    if let Some(seed) = get_u("seed") {
-        session.partition_seed = seed;
-    }
-    if let Some(tol) = get_unit("tol", false)? {
-        session.gmres.rel_tol = tol;
-    }
-    if let Some(maxit) = get_u_max("maxit", MAX_ITERS)? {
-        session.gmres.max_iters = maxit as usize;
-    }
-    if let Some(restart) = get_u("restart") {
-        // The solver allocates its `restart + 1` basis vectors up front.
-        if !(1..=MAX_RESTART).contains(&restart) {
-            return Err(out_of_range(
-                "restart",
-                format!("1..={MAX_RESTART}"),
-                restart,
-            ));
-        }
-        session.gmres.restart = restart as usize;
-    }
+    session.scheme = pick("scheme").map_or(session.scheme, |i| PartitionScheme::ALL[i]);
+    session.partition_seed = int("seed").unwrap_or(session.partition_seed);
+    let gmres = &mut session.gmres;
+    gmres.rel_tol = real("tol").unwrap_or(gmres.rel_tol);
+    gmres.max_iters = int("maxit").map_or(gmres.max_iters, |m| m as usize);
+    gmres.restart = int("restart").map_or(gmres.restart, |r| r as usize);
 
-    let rhs = match get_str("rhs") {
+    let rhs = match text("rhs") {
         None | Some("natural") => RhsSpec::Natural,
         Some("ones") => RhsSpec::Ones,
         Some("rowsum") => RhsSpec::RowSum,
         Some(path) => RhsSpec::File(PathBuf::from(path)),
     };
 
-    let get_bool = |k: &str| fields.get(k).and_then(JsonValue::as_bool);
-    let mut recovery = RecoveryPolicy::default();
-    if let Some(r) = get_u_max("retries", MAX_RETRIES)? {
-        recovery.retry_budget = r as usize;
-    }
-    if let Some(ms) = get_u_max("backoff_ms", MAX_BACKOFF_MS)? {
-        recovery.backoff_ms = ms;
-    }
-    if let Some(d) = get_bool("degrade") {
-        recovery.degrade = d;
-    }
-    if let Some(c) = get_bool("checkpoint") {
-        recovery.checkpoint = c;
-    }
-    if let Some(f) = get_bool("fallback") {
-        recovery.precond_fallback = f;
-    }
+    let policy = RecoveryPolicy::default();
+    let recovery = RecoveryPolicy {
+        retry_budget: int("retries").map_or(policy.retry_budget, |r| r as usize),
+        backoff_ms: int("backoff_ms").unwrap_or(policy.backoff_ms),
+        degrade: flag("degrade").unwrap_or(policy.degrade),
+        checkpoint: flag("checkpoint").unwrap_or(policy.checkpoint),
+        precond_fallback: flag("fallback").unwrap_or(policy.precond_fallback),
+    };
 
-    let drop_prob = get_unit("drop_prob", true)?;
-    let delay_prob = get_unit("delay_prob", true)?;
-    let delay_us = get_u_max("delay_us", MAX_DELAY_US)?;
-    // A rank the universe does not have would never die.
-    let kill_rank = get_u_max("kill_rank", n_ranks - 1)?;
-    let has_fault = ["fault_seed", "drop_prob", "delay_prob", "kill_rank"]
-        .iter()
-        .any(|k| fields.contains_key(*k));
-    let fault = has_fault.then(|| {
-        let mut f = FaultConfig {
-            seed: get_u("fault_seed").unwrap_or(0),
-            drop_prob: drop_prob.unwrap_or(0.0),
-            delay_prob: delay_prob.unwrap_or(0.0),
-            ..Default::default()
-        };
-        if let Some(us) = delay_us {
-            f.delay_us = us;
+    let faults = ["fault_seed", "drop_prob", "delay_prob", "kill_rank"];
+    let fault = faults.iter().any(|k| get(k).is_some()).then(|| {
+        let f = FaultConfig::default();
+        let kill = int("kill_rank").map(|rank| RankOp {
+            rank: rank as usize,
+            op: int("kill_op").unwrap_or(0),
+        });
+        FaultConfig {
+            seed: int("fault_seed").unwrap_or(f.seed),
+            drop_prob: real("drop_prob").unwrap_or(f.drop_prob),
+            delay_prob: real("delay_prob").unwrap_or(f.delay_prob),
+            delay_us: int("delay_us").unwrap_or(f.delay_us),
+            kill: kill.into_iter().collect(),
+            ..f
         }
-        if let Some(rank) = kill_rank {
-            f.kill.push(RankOp {
-                rank: rank as usize,
-                op: get_u("kill_op").unwrap_or(0),
-            });
-        }
-        f
     });
+    let batch = int("batch").unwrap_or(1).max(1) as usize;
 
-    let batch = get_u("batch").unwrap_or(1).max(1);
-    if batch > MAX_BATCH {
-        return Err(EngineError::BadJob(format!(
-            "batch must be at most {MAX_BATCH}, got {batch}"
-        )));
+    // The rules that join keys.
+    let bad = |msg: &str| Err(EngineError::BadJob(msg.into()));
+    let case = pick("case").map(|i| CaseId::ALL[i]);
+    let problem = match (case, text("mtx"), text("fp")) {
+        (Some(id), None, None) => {
+            // An extent too large for `usize` is out of range too.
+            let extent = int("n").map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+            let (lo, hi) = extent_range(id).into_inner();
+            if let Some(n) = extent.filter(|n| !(lo..=hi).contains(n)) {
+                return bad(&format!(
+                    "n must be in {lo}..={hi} for case {:?}, got {n}",
+                    id.key()
+                ));
+            }
+            let size = pick("size").map_or(CaseSize::Tiny, |i| CaseSize::ALL[i]);
+            ProblemSpec::Case { id, size, extent }
+        }
+        (None, Some(path), None) => ProblemSpec::Mtx { path: path.into() },
+        (None, None, Some(hex)) => match u64::from_str_radix(hex.trim_start_matches("0x"), 16) {
+            Ok(fp) => ProblemSpec::Registered { fp },
+            Err(_) => return bad(&format!("bad fingerprint {hex:?}")),
+        },
+        (None, None, None) => return bad("missing `case`, `mtx`, or `fp`"),
+        _ => return bad("give exactly one of `case`, `mtx`, `fp`"),
+    };
+    // A rank the universe does not have would never die.
+    if let Some(rank) = int("kill_rank").filter(|&r| r >= n_ranks) {
+        return bad(&format!(
+            "kill_rank must be in 0..={}, got {rank}",
+            n_ranks - 1
+        ));
     }
-    let batch = batch as usize;
     if batch > 1 && fault.is_some() {
-        return Err(EngineError::BadJob(
-            "batched jobs do not support fault injection".into(),
+        return bad("batched jobs do not support fault injection");
+    }
+    // Last, so that a line with a bad value and an unknown key names the
+    // bad value.
+    let known = |k: &String| JOB_KEYS.iter().any(|s| s.name == k);
+    if let Some(key) = fields.keys().find(|k| !known(k)) {
+        let nearest = nearest(key, JOB_KEYS.iter().map(|s| s.name));
+        return bad(&format!(
+            "unknown key {key:?}; nearest valid key: {nearest:?}"
         ));
     }
 
-    let deadline_ms = match fields.get("deadline_ms") {
-        None => None,
-        Some(v) => match v.as_u64() {
-            Some(ms) if ms > 0 => Some(ms),
-            _ => {
-                return Err(EngineError::BadJob(
-                    "deadline_ms must be a positive integer of milliseconds".into(),
-                ))
-            }
-        },
-    };
-
-    let repeat = get_u_max("repeat", MAX_REPEAT)?.unwrap_or(1).max(1) as usize;
-
-    // Last, so that a line with a bad value and an unknown key names the
-    // bad value.
-    if let Some(key) = fields.keys().find(|k| !JOB_KEYS.contains(&k.as_str())) {
-        let nearest = JOB_KEYS
-            .iter()
-            .min_by_key(|valid| edit_distance(key, valid))
-            .expect("JOB_KEYS is not empty");
-        return Err(EngineError::BadJob(format!(
-            "unknown key {key:?}; nearest valid key: {nearest:?}"
-        )));
-    }
-
     Ok(SolveJob {
-        id,
+        id: text("id").map_or_else(default_id, str::to_string),
         problem,
         rhs,
-        repeat,
+        repeat: int("repeat").unwrap_or(1).max(1) as usize,
         batch,
         session,
         recovery,
         fault,
-        deadline_ms,
+        deadline_ms: int("deadline_ms"),
     })
 }
 
-/// The rejection of a job key whose value lies outside `range`.
-fn out_of_range(
-    key: &str,
-    range: impl std::fmt::Display,
-    got: impl std::fmt::Display,
-) -> EngineError {
-    EngineError::BadJob(format!("{key} must be in {range}, got {got}"))
+/// The entry of `valid` nearest to `got` in edit distance (the first on a
+/// tie) — what a rejection of an unknown key or verb suggests.
+pub(crate) fn nearest<'a>(got: &str, valid: impl IntoIterator<Item = &'a str>) -> &'a str {
+    valid
+        .into_iter()
+        .min_by_key(|v| edit_distance(got, v))
+        .unwrap_or_default()
 }
 
 /// The Levenshtein distance between `a` and `b`, counted in chars.

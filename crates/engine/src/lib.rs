@@ -21,8 +21,8 @@
 //!   bounded set of mpisim universes (threads ≤ `P × pool_size`), with a
 //!   bounded queue and explicit [`SubmitError::QueueFull`] backpressure;
 //! * [`jobs`] — the job protocol: one flat JSON object per job, parsed by
-//!   [`parse_job_fields`] (which rejects a key it does not know, see
-//!   [`JOB_KEYS`]) and served over the wire by `parapre-netd` in
+//!   [`parse_job_fields`] (which walks the one table of keys, kinds and
+//!   ranges, [`JOB_KEYS`]) and served over the wire by `parapre-netd` in
 //!   `parapre-net`, the one front-end.
 //!
 //! # The solver surface on one page
@@ -91,8 +91,8 @@ pub use cache::{CacheStats, SessionCache, SessionKey};
 pub use experiment::{run_case, run_case_traced, RunResult};
 pub use jobs::{
     batch_rhs, parse_job_fields, parse_job_line, parse_line_fields, problem_key, resolve_problem,
-    resolve_problem_with, JobResult, ProblemSpec, ResolvedProblem, RhsSpec, SolveJob, StoredMatrix,
-    JOB_KEYS, MAX_JOB_LINE_BYTES,
+    resolve_problem_with, JobResult, KeySpec, Kind, ProblemSpec, ResolvedProblem, RhsSpec,
+    SolveJob, StoredMatrix, COMMANDS, JOB_KEYS, MAX_JOB_LINE_BYTES,
 };
 pub use resilient::{solve_resilient, FaultOutcome, RecoveryPolicy};
 pub use service::{

@@ -16,8 +16,8 @@
 
 use crate::cache::{evict_lru, CacheStats, SessionCache, SessionKey};
 use crate::jobs::{
-    batch_rhs, problem_key, resolve_problem_with, JobResult, ResolvedProblem, SolveJob,
-    StoredMatrix,
+    batch_rhs, nearest, problem_key, resolve_problem_with, JobResult, ResolvedProblem, SolveJob,
+    StoredMatrix, COMMANDS,
 };
 use crate::resilient::{solve_resilient, FaultOutcome, RecoveryPolicy};
 use crate::session::{MatrixId, RefactorFallback, SolveRequest, SolverSession};
@@ -473,7 +473,8 @@ impl SolveService {
     /// * `watch` — the convergence events after `*watch_seq` (the caller's
     ///   cursor, advanced here), then `{"watch_end":<last_seq>}`;
     /// * `metrics` — the text exposition closed by `# EOF`, one record;
-    /// * anything else — a structured `rejected` record.
+    /// * anything else — a structured `rejected` record naming the nearest
+    ///   of [`COMMANDS`].
     pub fn read_command(&self, cmd: &str, watch_seq: &mut u64) -> Vec<String> {
         match cmd {
             "stats" => vec![self.stats_json()],
@@ -490,8 +491,11 @@ impl SolveService {
             }
             "metrics" => vec![format!("{}# EOF", parapre_metrics::metrics_text())],
             other => vec![format!(
-                "{{\"ok\":false,\"error\":\"unknown cmd {}\",\"error_kind\":\"rejected\"}}",
-                parapre_metrics::flatjson::escape(other)
+                "{{\"ok\":false,\"error\":\"{}\",\"error_kind\":\"rejected\"}}",
+                parapre_metrics::flatjson::escape(&format!(
+                    "unknown cmd {other}; nearest valid cmd: {:?}",
+                    nearest(other, COMMANDS.iter().copied())
+                ))
             )],
         }
     }

@@ -135,7 +135,16 @@ fn unknown_precond_rejection_names_the_valid_set() {
     // echoes the offender and lists every accepted name, so a client can
     // fix the job without reading the source. `auto` (the deleted
     // autotuner's rung) is one more unknown name.
-    for bad in ["schur3", "ILU", "schurml2", "block", "auto", "AUTO"] {
+    // `blockoverlap` was an undocumented second spelling of `overlap`.
+    for bad in [
+        "schur3",
+        "ILU",
+        "schurml2",
+        "block",
+        "auto",
+        "AUTO",
+        "blockoverlap",
+    ] {
         let line = format!(r#"{{"case":"tc1","precond":"{bad}"}}"#);
         let err = parse_job_line(&line, 0).unwrap_err().to_string();
         assert!(err.contains(&format!("{bad:?}")), "missing offender: {err}");
@@ -144,6 +153,24 @@ fn unknown_precond_rejection_names_the_valid_set() {
         ] {
             assert!(err.contains(valid), "valid set missing {valid}: {err}");
         }
+    }
+    // So do the other enum keys.
+    for (line, message) in [
+        (
+            r#"{"case":"tc9"}"#,
+            r#"unknown case "tc9"; valid: tc1, tc2, tc3, tc4, tc5, tc6"#,
+        ),
+        (
+            r#"{"case":"tc1","size":"huge"}"#,
+            r#"unknown size "huge"; valid: tiny, default, full"#,
+        ),
+        (
+            r#"{"case":"tc1","scheme":"metis"}"#,
+            r#"unknown scheme "metis"; valid: general, boxes, rcb"#,
+        ),
+    ] {
+        let err = parse_job_line(line, 0).unwrap_err().to_string();
+        assert_eq!(err, format!("bad job: {message}"), "{line}");
     }
 }
 
@@ -209,9 +236,69 @@ fn non_utf8_and_control_bytes_never_panic() {
     let _ = parse_job_line("{\"id\":\"\u{fffd}\u{1}\",\"case\":\"tc1\"}", 0);
     let _ = parse_job_line("{\"\u{0}\":1,\"case\":\"tc1\"}", 0);
 
-    // Type-mismatched values fall back to defaults instead of exploding.
-    let job = parse_job_line(r#"{"case":"tc1","ranks":"two"}"#, 0).expect("parses");
-    assert_eq!(job.session.n_ranks, 4);
+    // A value of the wrong kind is a rejection naming the key; it used to
+    // run the job with the key's default (`"ranks":"two"` ran 4 ranks).
+    let err = parse_job_line(r#"{"case":"tc1","ranks":"two"}"#, 0).unwrap_err();
+    assert!(err.to_string().contains("ranks"), "got {err}");
+
+    // Each of these once ran a job other than the one sent (the default, a
+    // truncation, `job-0` for the id), except `n`, whose rejection echoed
+    // the saturated `u64` instead of the value sent.
+    let preconds = "block1, block2, schur1, schur2, schurml, overlap, jacobi";
+    for (key, value, message) in [
+        (
+            "ranks",
+            r#""two""#,
+            r#"ranks must be an integer in 1..=128, got "two""#,
+        ),
+        ("ranks", "-3", "ranks must be in 1..=128, got -3"),
+        (
+            "ranks",
+            "null",
+            "ranks must be an integer in 1..=128, got null",
+        ),
+        (
+            "ranks",
+            "2.5",
+            "ranks must be an integer in 1..=128, got 2.5",
+        ),
+        (
+            "seed",
+            "1.9",
+            "seed must be an integer in 0..=u64::MAX, got 1.9",
+        ),
+        (
+            "maxit",
+            "10000.9",
+            "maxit must be an integer in 0..=10000, got 10000.9",
+        ),
+        (
+            "precond",
+            "7",
+            &format!("precond must be one of {preconds}, got 7"),
+        ),
+        (
+            "degrade",
+            r#""yes""#,
+            r#"degrade must be true or false, got "yes""#,
+        ),
+        ("id", "5", "id must be a string, got 5"),
+        (
+            "tol",
+            r#""1e-8""#,
+            r#"tol must be a number in (0, 1), got "1e-8""#,
+        ),
+        ("n", "1e30", "n must be in 0..=u64::MAX, got 1e30"),
+        (
+            "seed",
+            "18446744073709551616",
+            "seed must be in 0..=u64::MAX, got 18446744073709552000",
+        ),
+    ] {
+        let line = format!(r#"{{"case":"tc1","{key}":{value}}}"#);
+        let err = parse_job_line(&line, 0).unwrap_err().to_string();
+        assert_eq!(err, format!("bad job: {message}"), "{line}");
+    }
 }
 
 #[test]
@@ -268,7 +355,7 @@ fn unknown_keys_are_rejected_naming_the_nearest_valid_key() {
         .to_string();
     assert!(err.contains("retries must be in 0..=4, got 5"), "got {err}");
     // Every listed key is accepted.
-    for key in JOB_KEYS {
+    for key in JOB_KEYS.iter().map(|spec| spec.name) {
         let line = format!(r#"{{"case":"tc1","{key}":null}}"#);
         if let Err(e) = parse_job_line(&line, 0) {
             assert!(!e.to_string().contains("unknown key"), "{key}: {e}");

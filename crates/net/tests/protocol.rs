@@ -334,7 +334,8 @@ fn malformed_frames_get_structured_errors() {
     // scheme the case has no grid for, a grid extent the case's generator
     // cannot mesh or above its paper-scale preset, a batch above the
     // ceiling (once a kill, worker panics, and an unbounded allocation),
-    // and a misspelled key (once ignored: the job ran the default rung).
+    // a misspelled key (once ignored: the job ran the default rung) and
+    // values of the wrong kind (once read as absent: 4 ranks).
     for (job, names) in [
         (
             "{\"case\":\"tc1\",\"n\":3,\"precond\":\"block1\",\"ranks\":5000}",
@@ -353,6 +354,19 @@ fn malformed_frames_get_structured_errors() {
         (
             "{\"id\":\"typo\",\"case\":\"tc1\",\"precnd\":\"schur2\",\"ranks\":2}",
             "unknown key \"precnd\"; nearest valid key: \"precond\"",
+        ),
+        // Values of the wrong kind, and a misspelled verb.
+        (
+            "{\"id\":\"typed\",\"case\":\"tc1\",\"ranks\":\"two\"}",
+            "ranks must be an integer in 1..=128, got \"two\"",
+        ),
+        (
+            "{\"id\":\"frac\",\"case\":\"tc1\",\"ranks\":2.5}",
+            "ranks must be an integer in 1..=128, got 2.5",
+        ),
+        (
+            "{\"cmd\":\"stast\"}",
+            "unknown cmd stast; nearest valid cmd: \"stats\"",
         ),
     ] {
         let line = client.request(job).expect("request").expect("open");

@@ -3,7 +3,8 @@
 //! Each test is one promise an earlier simplification made and a grep can
 //! keep: one build configuration and no `unsafe`; one Krylov layer; one
 //! recovery layer on the one pipeline; one experiment pipeline; one front
-//! door, whose every job key is documented. The tree is
+//! door, whose every job key and command verb is documented and whose job
+//! values are read in one place. The tree is
 //! walked with `std::fs` from the root package's directory, build output
 //! (`target`) is skipped, and so is this file, whose needles would otherwise
 //! match themselves. A failure lists every offending `path:line`.
@@ -229,26 +230,69 @@ fn one_front_door() {
 
 #[test]
 fn every_job_key_is_documented() {
-    let jobs = files(&["crates/engine/src/jobs.rs"]);
-    let module_doc: String = jobs[0]
+    let module_doc: String = files(&["crates/engine/src/jobs.rs"])[0]
         .1
         .lines()
         .take_while(|l| l.starts_with("//!"))
         .collect::<Vec<_>>()
         .join("\n");
+    assert!(
+        module_doc.contains("[`JOB_KEYS`]"),
+        "the jobs.rs module doc points to `JOB_KEYS`"
+    );
     let readme = &files(&["README.md"])[0].1;
     let missing: Vec<String> = parapre::engine::JOB_KEYS
         .iter()
-        .flat_map(|key| {
-            let quoted = format!("`{key}`");
-            [
-                ("the jobs.rs module doc", &module_doc),
-                ("README.md", readme),
-            ]
-            .into_iter()
-            .filter(move |(_, text)| !text.contains(&quoted))
-            .map(move |(doc, _)| format!("{doc}: {key}"))
-        })
+        .map(|spec| spec.markdown_row())
+        .filter(|row| !readme.lines().any(|l| l == row))
         .collect();
-    assert_none("every `JOB_KEYS` entry in backticks", missing);
+    assert_none(
+        "README.md has every `JOB_KEYS` row as `KeySpec::markdown_row` renders it",
+        missing,
+    );
+}
+
+#[test]
+fn every_command_is_matched_once_and_documented() {
+    let dispatch = files(&["crates/net/src/server.rs", "crates/engine/src/service.rs"]);
+    let readme = &files(&["README.md"])[0].1;
+    let mut wrong = Vec::new();
+    for verb in parapre::engine::COMMANDS {
+        let arm = format!("\"{verb}\" =>");
+        let arms = lines_where(&dispatch, |l| l.trim_start().starts_with(&arm));
+        if arms.len() != 1 {
+            wrong.push(format!("{verb}: matched {} times {arms:?}", arms.len()));
+        }
+        if !readme.contains(&format!("`{{\"cmd\":\"{verb}\"}}`")) {
+            wrong.push(format!("{verb}: not in README.md"));
+        }
+    }
+    assert_none("every `COMMANDS` verb", wrong);
+}
+
+#[test]
+fn job_values_are_read_in_the_walker_only() {
+    let jobs = &files(&["crates/engine/src/jobs.rs"])[0].1;
+    let lines: Vec<&str> = jobs.lines().collect();
+    let start = lines
+        .iter()
+        .position(|l| l.contains("fn check<"))
+        .expect("the walker's step `KeySpec::check`");
+    let end = start
+        + lines[start..]
+            .iter()
+            .position(|l| *l == "    }")
+            .expect("its closing brace");
+    let reads: Vec<String> = lines
+        .iter()
+        .enumerate()
+        .filter(|(k, l)| {
+            !(start..=end).contains(k)
+                && ["as_u64", "as_f64", "as_str", "as_bool"]
+                    .iter()
+                    .any(|read| l.contains(read))
+        })
+        .map(|(k, l)| format!("crates/engine/src/jobs.rs:{}: {}", k + 1, l.trim()))
+        .collect();
+    assert_none("a JSON value is read outside `KeySpec::check`", reads);
 }
