@@ -15,7 +15,7 @@ fn ablate_schur_inner(c: &mut Criterion) {
     for k in [1usize, 3, 5, 10] {
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             let mut cfg = SessionConfig::paper(PrecondKind::Schur1, 4);
-            cfg.params.schur1.schur_iters = k;
+            cfg.params.schur1_iters = k;
             b.iter(|| run_case(black_box(&case), &cfg).iterations)
         });
     }
@@ -108,7 +108,7 @@ fn ablate_schur_matvec(c: &mut Criterion) {
     for k in [1usize, 3, 5, 10] {
         g.bench_with_input(BenchmarkId::from_parameter(k), &k, |b, &k| {
             let mut cfg = SessionConfig::paper(PrecondKind::Schur1, 4);
-            cfg.params.schur1.inner_b_iters = k;
+            cfg.params.schur1_b_iters = k;
             b.iter(|| run_case(black_box(&case), &cfg).iterations)
         });
     }

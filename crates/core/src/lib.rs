@@ -9,8 +9,8 @@
 //! |------------|------|------|
 //! | `Block 1`  | simple block, ILU(0) subdomain sweep | [`block::BlockPrecond::ilu0`] |
 //! | `Block 2`  | simple block, ILUT subdomain sweep   | [`block::BlockPrecond::ilut`] |
-//! | `Schur 1`  | Schur-enhanced: distributed GMRES + block-Jacobi on the interface Schur system, local GMRES+ILUT subdomain solves | [`schur::Schur1Precond`] |
-//! | `Schur 2`  | expanded-Schur: group-independent sets (ARMS), distributed GMRES + distributed ILU(0) on the expanded Schur system | [`expschur::ExpandedSchurPrecond::schur2`] |
+//! | `Schur 1`  | Schur-enhanced: distributed GMRES + block-Jacobi on the interface Schur system, local GMRES+ILUT subdomain solves | [`schur::SchurPrecond`] |
+//! | `Schur 2`  | expanded-Schur: group-independent sets (ARMS), distributed GMRES + distributed ILU(0) on the expanded Schur system | [`schur::SchurPrecond`] |
 //! | additive Schwarz (±CGC) | overlapping blocks + FFT subdomain solves + coarse grid | [`schwarz::AdditiveSchwarz`] |
 //!
 //! Each has one constructor, and every subdomain factorization in it goes
@@ -21,13 +21,14 @@
 //! [`runner::try_build_dist_precond`]; the collectively voted descent over
 //! rungs is [`runner::build_dist_precond_with_fallback`].
 //!
-//! Beyond the paper's four, `SchurML`
-//! ([`expschur::ExpandedSchurPrecond::schurml`]) is the same struct, operator
-//! and level sweep as `Schur 2` with a different local solver of the Schur
-//! block: the expanded-Schur splitting recursed into a multilevel hierarchy
-//! with per-level low-rank corrections — the algorithmic-scalability rung
-//! that keeps interface iteration counts flat(ter) as the subdomain count
-//! grows.
+//! `Schur 1`, `Schur 2` and, beyond the paper's four, `SchurML` are one
+//! struct, one operator, one apply and one voted build
+//! ([`schur::SchurPrecond::build`]); they differ only in the interface set,
+//! the two approximations of `B⁻¹` and the local solver of the Schur block.
+//! `SchurML`'s local solver is the expanded-Schur splitting recursed into a
+//! multilevel hierarchy with per-level low-rank corrections — the
+//! algorithmic-scalability rung that keeps interface iteration counts
+//! flat(ter) as the subdomain count grows.
 //!
 //! [`cases`] builds Test Cases 1–6 at any resolution; [`runner`] partitions
 //! them and builds a preconditioner on one rank. A table cell — partition,
@@ -39,7 +40,6 @@
 
 pub mod block;
 pub mod cases;
-pub mod expschur;
 pub mod overlap;
 pub mod runner;
 pub mod schur;
@@ -49,12 +49,11 @@ mod testutil;
 
 pub use block::{BlockPrecond, JacobiDistPrecond};
 pub use cases::{build_case, build_case_sized, extent_range, AssembledCase, CaseId, CaseSize};
-pub use expschur::{ExpSchurConfig, ExpandedSchurPrecond};
 pub use overlap::OverlapBlockPrecond;
 pub use runner::{
     build_dist_precond_with_fallback, partition_case, refactor_dist_precond,
     try_build_dist_precond, FallbackBuild, PartitionScheme, PrecondKind, PrecondParams,
     RefactorReject,
 };
-pub use schur::{Schur1Config, Schur1Precond};
+pub use schur::{ExpSchurConfig, SchurPrecond};
 pub use schwarz::{AdditiveSchwarz, SchwarzConfig};

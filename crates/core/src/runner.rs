@@ -11,8 +11,7 @@
 
 use crate::block::BlockPrecond;
 use crate::cases::AssembledCase;
-use crate::expschur::{ExpSchurConfig, ExpandedSchurPrecond};
-use crate::schur::{Schur1Config, Schur1Precond};
+use crate::schur::{ExpSchurConfig, SchurPrecond};
 use parapre_dist::{DistMatrix, DistPrecond};
 use parapre_krylov::{ArmsConfig, IlutConfig};
 use parapre_partition::{
@@ -186,10 +185,15 @@ impl PartitionScheme {
 /// beyond the [`PrecondKind`] discriminant.
 #[derive(Debug, Clone, Copy)]
 pub struct PrecondParams {
-    /// ILUT parameters for `Block 2` / the overlap variant.
+    /// ILUT parameters of `Block 2`, the overlap variant and `Schur 1`'s
+    /// one subdomain factorization.
     pub ilut: IlutConfig,
-    /// `Schur 1` parameters.
-    pub schur1: Schur1Config,
+    /// `Schur 1`: local GMRES iterations per `B_i` solve ("a few", paper
+    /// §4.4).
+    pub schur1_b_iters: usize,
+    /// `Schur 1`: distributed GMRES iterations on the interface Schur
+    /// system.
+    pub schur1_iters: usize,
     /// `Schur 2` parameters (two-level ARMS, as in the paper).
     pub schur2: ExpSchurConfig,
     /// `SchurML` parameters; its hierarchy depth and correction rank are
@@ -205,7 +209,8 @@ impl Default for PrecondParams {
                 drop_tol: 1e-3,
                 fill: 30,
             },
-            schur1: Schur1Config::default(),
+            schur1_b_iters: 5,
+            schur1_iters: 5,
             schur2: ExpSchurConfig {
                 arms: ArmsConfig::default(),
                 schur_iters: 5,
@@ -255,11 +260,10 @@ pub fn partition_case(
 /// instead of panicking. Returns the preconditioner plus the number of
 /// shift-ladder retries it took to factor (0 on a clean build).
 ///
-/// Collective for [`PrecondKind::Schur2`] and [`PrecondKind::SchurML`]
-/// (their builds communicate and agree on success/failure across ranks
-/// before returning), so all ranks must call this together. `a_global` is
-/// only consulted by the overlap variant, which widens each subdomain by
-/// one layer.
+/// Collective for the three Schur rungs (each build takes one vote, so the
+/// ranks agree on success or failure before returning), so all ranks must
+/// call this together. `a_global` is only consulted by the overlap variant,
+/// which widens each subdomain by one layer.
 pub fn try_build_dist_precond(
     kind: PrecondKind,
     dm: &DistMatrix,
@@ -278,22 +282,10 @@ pub fn try_build_dist_precond(
             let shifts = m.factors().report().shift_attempts;
             Ok((Box::new(m), shifts))
         }
-        PrecondKind::Schur1 => {
-            let m = Schur1Precond::build(dm, params.schur1)?;
+        PrecondKind::Schur1 | PrecondKind::Schur2 | PrecondKind::SchurML { .. } => {
+            let m = SchurPrecond::build(kind, dm, comm, params)?;
             let shifts = m.report().shift_attempts;
             Ok((Box::new(m), shifts))
-        }
-        PrecondKind::Schur2 => {
-            let m = ExpandedSchurPrecond::schur2(dm, comm, params.schur2)?;
-            let shifts = m.report().shift_attempts;
-            Ok((Box::new(m), shifts))
-        }
-        PrecondKind::SchurML { levels, rank } => {
-            // No shift ladder on purpose: SchurML refuses builds that
-            // would need shifts or pivot fixes (the corrections would
-            // amplify them) and lets the ladder descend to Schur 2.
-            let m = ExpandedSchurPrecond::schurml(dm, comm, params.schurml, levels, rank)?;
-            Ok((Box::new(m), 0))
         }
         PrecondKind::BlockOverlap => {
             let m = crate::overlap::OverlapBlockPrecond::build(dm, a_global, &params.ilut)?;
@@ -335,7 +327,7 @@ pub fn build_dist_precond_with_fallback(
     let mut fallbacks = 0usize;
     loop {
         let local = try_build_dist_precond(rung, dm, comm, a_global, params);
-        let all_ok = comm.all_land(local.is_ok(), parapre_dist::tags::REDUCE + 48);
+        let all_ok = comm.all_land(local.is_ok(), parapre_dist::tags::LADDER_VOTE);
         if all_ok {
             let (precond, pivot_shifts) = local.expect("agreed Ok on all ranks");
             return FallbackBuild {
@@ -421,7 +413,7 @@ pub fn refactor_dist_precond(
         Err(Error::ZeroPivot(_) | Error::NonFinitePivot(_)) => [1.0, 0.0],
         Err(_) => [0.0, 1.0],
     };
-    comm.allreduce_sum_vec(&mut votes, parapre_dist::tags::REDUCE + 50);
+    comm.allreduce_sum_vec(&mut votes, parapre_dist::tags::REFACTOR_VOTE);
     let [unhealthy, structural] = votes;
     if structural > 0.0 {
         Err(RefactorReject::Pattern)

@@ -52,8 +52,14 @@ thread_local! {
     static STRAGGLERS: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Fixed tag bases for the exchange protocols (FIFO channels make reuse
-/// safe; distinct bases keep protocols self-documenting).
+/// The message tags: one named constant per exchange protocol and per
+/// collective decision, and no tag written as arithmetic anywhere else.
+///
+/// An all-reduce sends its reduce half on `tag` and its broadcast half on
+/// `tag + 1` (`Comm::allreduce_sum_vec`), so every constant reserves the pair
+/// `tag, tag + 1`, and no two pairs overlap ([`ALL`](tags::ALL) lists them
+/// for the test that checks it). FIFO channels make reusing one tag for
+/// successive operations of one protocol safe.
 pub mod tags {
     /// Ghost-value exchange during matvec.
     pub const GHOST: u64 = 0x100;
@@ -61,6 +67,29 @@ pub mod tags {
     pub const SCHUR: u64 = 0x200;
     /// Reductions inside distributed Krylov solvers.
     pub const REDUCE: u64 = 0x300;
+    /// `gather_vector`'s gather of the owned values to rank 0.
+    pub const GATHER: u64 = REDUCE + 9;
+    /// The one vote of a Schur-rung build.
+    pub const SCHUR_BUILD_VOTE: u64 = REDUCE + 40;
+    /// The fallback ladder's vote: did this rung build on every rank?
+    pub const LADDER_VOTE: u64 = REDUCE + 48;
+    /// The numeric-only refactorization's vote.
+    pub const REFACTOR_VOTE: u64 = REDUCE + 50;
+    /// Collectives of test code (e.g. a reference build's own vote), kept
+    /// apart from every product decision.
+    pub const TEST_VOTE: u64 = REDUCE + 60;
+
+    /// Every constant above, by name.
+    pub const ALL: [(&str, u64); 8] = [
+        ("GHOST", GHOST),
+        ("SCHUR", SCHUR),
+        ("REDUCE", REDUCE),
+        ("GATHER", GATHER),
+        ("SCHUR_BUILD_VOTE", SCHUR_BUILD_VOTE),
+        ("LADDER_VOTE", LADDER_VOTE),
+        ("REFACTOR_VOTE", REFACTOR_VOTE),
+        ("TEST_VOTE", TEST_VOTE),
+    ];
 }
 
 /// Per-rank numbering and communication plan.
@@ -537,7 +566,7 @@ pub fn gather_vector(
         payload.push(layout.local_to_global[l] as f64);
         payload.push(v);
     }
-    let all = comm.gather_vec(0, &payload, tags::REDUCE + 9);
+    let all = comm.gather_vec(0, &payload, tags::GATHER);
     all.map(|flat| {
         let mut out = vec![0.0; n_global];
         for pair in flat.chunks(2) {
@@ -560,6 +589,16 @@ mod tests {
         let part = partition_graph(&mesh.adjacency(), 4, 3);
         let (a, _) = poisson::assemble_2d(&mesh, |_, _| 1.0);
         (a, part.owner)
+    }
+
+    #[test]
+    fn reserved_tag_pairs_do_not_overlap() {
+        let mut pairs = tags::ALL;
+        pairs.sort_by_key(|&(_, tag)| tag);
+        for w in pairs.windows(2) {
+            let [(a, ta), (b, tb)] = [w[0], w[1]];
+            assert!(tb >= ta + 2, "{a} = {ta:#x} and {b} = {tb:#x} share a tag");
+        }
     }
 
     #[test]

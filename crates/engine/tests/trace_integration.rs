@@ -2,7 +2,9 @@
 //! phase/convergence/communication picture, and an untraced run must be
 //! bit-identical to the seed behaviour (no-op sink).
 
-use parapre_core::{build_case, partition_case, CaseId, CaseSize, PrecondKind, Schur1Precond};
+use parapre_core::{
+    build_case, partition_case, try_build_dist_precond, CaseId, CaseSize, PrecondKind,
+};
 use parapre_dist::{scatter_vector, DistGmres, DistMatrix};
 use parapre_engine::{run_case, run_case_traced, SessionConfig};
 use parapre_metrics::{names, EventKind, RankTrace};
@@ -97,7 +99,8 @@ fn trace_comm_totals_match_commstats_exactly() {
     let outs = Universe::run(3, move |comm| {
         parapre_metrics::install(comm.rank());
         let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), 3);
-        let m = Schur1Precond::build(&dm, cfg_ref.params.schur1).expect("Schur1 setup");
+        let (m, _) = try_build_dist_precond(PrecondKind::Schur1, &dm, comm, a, &cfg_ref.params)
+            .expect("Schur1 setup");
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = vec![0.0; dm.layout.n_owned()];
         DistGmres::new(cfg_ref.gmres).solve(comm, &dm, &m, &b_loc, &mut x);

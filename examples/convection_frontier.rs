@@ -7,7 +7,7 @@
 //! cargo run --release --example convection_frontier
 //! ```
 
-use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
+use parapre::core::{build_case, CaseId, CaseSize, PrecondKind, SchurPrecond};
 use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
 use parapre::engine::{run_case, SessionConfig};
 use parapre::mpisim::Universe;
@@ -41,10 +41,10 @@ fn main() {
     let owner = case.dof_owner(&part.owner);
     let (a, b, x0) = (&case.sys.a, &case.sys.b, &case.x0);
     let owner_ref = &owner;
-    let m_cfg = parapre::core::Schur1Config::default();
     let gathered = Universe::run(p, move |comm| {
         let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), p);
-        let m = parapre::core::Schur1Precond::build(&dm, m_cfg).expect("schur1 setup");
+        let m = SchurPrecond::build(PrecondKind::Schur1, &dm, comm, &Default::default())
+            .expect("schur1 setup");
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = scatter_vector(&dm.layout, x0);
         let rep = DistGmres::new(DistGmresConfig::default()).solve(comm, &dm, &m, &b_loc, &mut x);

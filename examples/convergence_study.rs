@@ -9,7 +9,7 @@
 //! cargo run --release -p parapre --example convergence_study
 //! ```
 
-use parapre::core::{build_case_sized, CaseId};
+use parapre::core::{build_case_sized, CaseId, PrecondKind, SchurPrecond};
 use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
 use parapre::fem::norms::error_norms_2d;
 use parapre::fem::poisson;
@@ -25,7 +25,7 @@ fn solve_tc1(n: usize) -> (f64, f64) {
     let owner_ref = &owner;
     let gathered = Universe::run(p, move |comm| {
         let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), p);
-        let m = parapre::core::Schur1Precond::build(&dm, Default::default()).unwrap();
+        let m = SchurPrecond::build(PrecondKind::Schur1, &dm, comm, &Default::default()).unwrap();
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = scatter_vector(&dm.layout, x0);
         let rep = DistGmres::new(DistGmresConfig {

@@ -8,7 +8,7 @@
 //! cargo run --release --example elasticity_ring
 //! ```
 
-use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
+use parapre::core::{build_case, CaseId, CaseSize, PrecondKind, SchurPrecond};
 use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
 use parapre::engine::{run_case, SessionConfig};
 use parapre::mpisim::Universe;
@@ -57,7 +57,7 @@ fn main() {
     let owner_ref = &owner;
     let gathered = Universe::run(p, move |comm| {
         let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), p);
-        let m = parapre::core::Schur1Precond::build(&dm, Default::default()).unwrap();
+        let m = SchurPrecond::build(PrecondKind::Schur1, &dm, comm, &Default::default()).unwrap();
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = scatter_vector(&dm.layout, x0);
         let rep = DistGmres::new(DistGmresConfig {

@@ -4,7 +4,7 @@
 //! keep: one build configuration and no `unsafe`; one Krylov layer; one
 //! recovery layer on the one pipeline; one experiment pipeline; one front
 //! door, whose every job key and command verb is documented and whose job
-//! values are read in one place. The tree is
+//! values are read in one place; one Schur driver; one tag table. The tree is
 //! walked with `std::fs` from the root package's directory, build output
 //! (`target`) is skipped, and so is this file, whose needles would otherwise
 //! match themselves. A failure lists every offending `path:line`.
@@ -295,4 +295,52 @@ fn job_values_are_read_in_the_walker_only() {
         .map(|(k, l)| format!("crates/engine/src/jobs.rs:{}: {}", k + 1, l.trim()))
         .collect();
     assert_none("a JSON value is read outside `KeySpec::check`", reads);
+}
+
+#[test]
+fn one_schur_driver() {
+    assert_once(
+        "one Schur operator serves every distributed preconditioner of `core`",
+        lines_where(&files(&["crates/core/src"]), |l| {
+            l.contains("impl DistOp for")
+        }),
+    );
+    let tree = files(&[
+        "crates",
+        "src",
+        "tests",
+        "examples",
+        "benchmark/e2e/src",
+        "benchmark/layers/src",
+        "README.md",
+        "DESIGN.md",
+    ]);
+    assert_none(
+        "`Schur 1` is a rung of the one Schur struct, not a type of its own",
+        lines_where(&tree, |l| {
+            l.contains("Schur1Precond") || l.contains("Schur1Config")
+        }),
+    );
+}
+
+#[test]
+fn one_tag_table() {
+    let tree = files(&[
+        "crates",
+        "src",
+        "tests",
+        "examples",
+        "benchmark/e2e/src",
+        "benchmark/layers/src",
+    ]);
+    assert_none(
+        "a tag offset from `REDUCE` is a named constant of `parapre_dist::tags`",
+        lines_where(&tree, |l| l.contains("REDUCE +") || l.contains("REDUCE+"))
+            .into_iter()
+            .filter(|hit| {
+                let (path, line) = hit.split_once(": ").expect("path:line: text");
+                !(path.starts_with("crates/dist/src/lib.rs:") && line.starts_with("pub const"))
+            })
+            .collect(),
+    );
 }

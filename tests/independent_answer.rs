@@ -1,5 +1,5 @@
 //! An answer checked against something other than the code's own earlier
-//! output: the distributed solves of the rungs that end in ILU sweeps must
+//! output: the distributed solves of the block and Schur rungs must
 //! meet the paper's residual target, and — pushed to a tight tolerance —
 //! land on the solution a sequential GMRES + ILUT solve of the undistributed
 //! system finds. The two paths share the sweep kernel and nothing else: no
@@ -33,6 +33,8 @@ fn ilu_rungs_agree_with_a_sequential_solve_of_the_global_system() {
         PrecondKind::Block1,
         PrecondKind::Block2,
         PrecondKind::Schur1,
+        PrecondKind::Schur2,
+        PrecondKind::schurml_default(),
     ] {
         for p in [1, 2, 4] {
             let what = format!("{} P={p}", kind.key());

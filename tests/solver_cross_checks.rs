@@ -2,7 +2,7 @@
 //! must agree on the solution (to tolerance) for the same system; the
 //! heterogeneous-coefficient extension behaves under all preconditioners.
 
-use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
+use parapre::core::{build_case, CaseId, CaseSize, PrecondKind, SchurPrecond};
 use parapre::dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
 use parapre::engine::{run_case, SessionConfig};
 use parapre::fem::{bc, varcoeff, LinearSystem};
@@ -68,7 +68,8 @@ fn heterogeneous_diffusion_solved_by_all_preconditioners() {
             let b_loc = scatter_vector(&dm.layout, b_ref);
             let mut x = vec![0.0; dm.layout.n_owned()];
             let rep = if use_schur {
-                let m = parapre::core::Schur1Precond::build(&dm, Default::default()).unwrap();
+                let m = SchurPrecond::build(PrecondKind::Schur1, &dm, comm, &Default::default())
+                    .unwrap();
                 DistGmres::new(DistGmresConfig {
                     max_iters: 500,
                     ..Default::default()
@@ -114,7 +115,7 @@ fn refined_unstructured_mesh_still_solves() {
     let (a_ref, b_ref, owner_ref) = (&sys.a, &sys.b, &part.owner);
     let out = Universe::run(4, move |comm| {
         let dm = DistMatrix::from_global(a_ref, owner_ref, comm.rank(), 4);
-        let m = parapre::core::Schur1Precond::build(&dm, Default::default()).unwrap();
+        let m = SchurPrecond::build(PrecondKind::Schur1, &dm, comm, &Default::default()).unwrap();
         let b_loc = scatter_vector(&dm.layout, b_ref);
         let mut x = vec![0.0; dm.layout.n_owned()];
         let rep = DistGmres::new(DistGmresConfig::default()).solve(comm, &dm, &m, &b_loc, &mut x);
