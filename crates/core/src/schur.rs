@@ -36,7 +36,7 @@
 //! instead of the Schur iteration.
 
 use crate::runner::{PrecondKind, PrecondParams};
-use parapre_dist::{tags, DistGmres, DistMatrix, DistOp, DistPrecond, LocalBlocks, LocalLayout};
+use parapre_dist::{tags, DistGmres, DistMatrix, DistOp, DistPrecond, LocalLayout};
 use parapre_krylov::arms::ArmsLevel;
 use parapre_krylov::{
     Arms, ArmsConfig, Gmres, Ilu0, Ilut, LuFactors, Preconditioner, SchurMlHierarchy,
@@ -70,7 +70,7 @@ struct InterfaceSplit {
 impl InterfaceSplit {
     /// `Schur 1`'s split of `dm` over the ILUT `factors` of its owned block.
     fn split(dm: &DistMatrix, factors: LuFactors, b_iters: usize) -> Split {
-        let LocalBlocks { b, f, e, c, .. } = dm.split_blocks();
+        let [b, f, e, c] = dm.owned_split();
         Split::Interface(Box::new(InterfaceSplit {
             factors,
             b,
@@ -334,7 +334,7 @@ impl SchurPrecond {
             layout: dm.layout.clone(),
             split,
             iface_pos,
-            e_ext: dm.split_blocks().e_ext,
+            e_ext: dm.interface_couplings(),
             schur_iters,
             inner,
         }

@@ -495,25 +495,45 @@ impl DistMatrix {
     /// The paper's local blocks `B_i, F_i, E_i, C_i` (eq. 4) plus the ghost
     /// coupling `E_ext = [E_ij]_j` (interface rows × ghost columns).
     pub fn split_blocks(&self) -> LocalBlocks {
+        let [b, f, e, c] = self.owned_split();
+        LocalBlocks {
+            b,
+            f,
+            e,
+            c,
+            e_ext: self.interface_couplings(),
+        }
+    }
+
+    /// `[B_i, F_i, E_i, C_i]`, the owned block split at the interface: the
+    /// first four of [`DistMatrix::split_blocks`].
+    pub fn owned_split(&self) -> [Csr; 4] {
         let ni = self.layout.n_internal;
         let nf = self.layout.n_interface;
-        let ng = self.layout.n_ghost;
         let no = ni + nf;
-        let nl = no + ng;
+        let nl = self.layout.n_local();
         let internal_rows: Vec<usize> = (0..ni).collect();
         let iface_rows: Vec<usize> = (ni..no).collect();
         let map_b: Vec<Option<usize>> = (0..nl).map(|j| (j < ni).then_some(j)).collect();
         let map_f: Vec<Option<usize>> = (0..nl)
             .map(|j| (j >= ni && j < no).then(|| j - ni))
             .collect();
-        let map_g: Vec<Option<usize>> = (0..nl).map(|j| (j >= no).then(|| j - no)).collect();
-        LocalBlocks {
-            b: self.a_loc.extract(&internal_rows, &map_b, ni),
-            f: self.a_loc.extract(&internal_rows, &map_f, nf),
-            e: self.a_loc.extract(&iface_rows, &map_b, ni),
-            c: self.a_loc.extract(&iface_rows, &map_f, nf),
-            e_ext: self.a_loc.extract(&iface_rows, &map_g, ng),
-        }
+        [
+            self.a_loc.extract(&internal_rows, &map_b, ni),
+            self.a_loc.extract(&internal_rows, &map_f, nf),
+            self.a_loc.extract(&iface_rows, &map_b, ni),
+            self.a_loc.extract(&iface_rows, &map_f, nf),
+        ]
+    }
+
+    /// `E_ext = [E_ij]_j`, interface rows × ghost columns, extracted alone:
+    /// the one block of [`DistMatrix::split_blocks`] every Schur rung keeps.
+    pub fn interface_couplings(&self) -> Csr {
+        let no = self.layout.n_owned();
+        let ng = self.layout.n_ghost;
+        let iface_rows: Vec<usize> = (self.layout.n_internal..no).collect();
+        let map_g: Vec<Option<usize>> = (0..no + ng).map(|j| (j >= no).then(|| j - no)).collect();
+        self.a_loc.extract(&iface_rows, &map_g, ng)
     }
 
     /// The full owned block `A_i` (owned rows × owned cols) in local order —

@@ -749,8 +749,13 @@ pub(crate) fn symmetrize_pattern(a: &Csr) -> Csr {
 /// entry, and every value comes through the `+ 0.0` it is given unchanged
 /// (all do but `-0.0`, which comes back `+0.0`).
 fn symmetrizes_to_itself(a: &Csr) -> bool {
+    a.vals().iter().all(|v| (v + 0.0).to_bits() == v.to_bits()) && has_symmetric_pattern(a)
+}
+
+/// Whether `a` is square and every stored `(i, j)` has a stored `(j, i)`.
+fn has_symmetric_pattern(a: &Csr) -> bool {
     let n = a.n_rows();
-    if n != a.n_cols() || !a.vals().iter().all(|v| (v + 0.0).to_bits() == v.to_bits()) {
+    if n != a.n_cols() {
         return false;
     }
     // In a symmetric pattern, row `j` lists the rows `i` that store
@@ -788,21 +793,26 @@ pub(crate) fn partition_pattern(a_sym: &Csr, n_ranks: usize, seed: u64) -> Vec<u
     partition_graph(&matrix_graph(a_sym), n_ranks, seed).owner
 }
 
-/// The symmetrized pattern graph of a square matrix (self-loops dropped).
+/// The symmetrized pattern graph of a square matrix: `j` is a neighbour of
+/// `i` when `(i, j)` or `(j, i)` is stored and `i != j`, each list sorted
+/// and without repeats.
+///
+/// A structurally symmetric pattern — what the session's partitioner
+/// always passes — is that graph already: row `i`'s columns are sorted and
+/// distinct, so dropping the diagonal leaves exactly its list, and the
+/// graph is read off `a` in one pass. Any other input is first made
+/// symmetric (`A + 0·Aᵀ`, as [`partition_matrix`] does). Values never
+/// enter.
 pub fn matrix_graph(a: &Csr) -> Adjacency {
-    let mut nbrs: Vec<Vec<usize>> = vec![Vec::new(); a.n_rows()];
-    for (i, j, _) in a.iter() {
-        if i != j {
-            nbrs[i].push(j);
-            nbrs[j].push(i);
-        }
+    if !has_symmetric_pattern(a) {
+        return matrix_graph(&symmetrize_pattern(a));
     }
-    let mut xadj = vec![0usize];
-    let mut adjncy = Vec::new();
-    for list in &mut nbrs {
-        list.sort_unstable();
-        list.dedup();
-        adjncy.extend_from_slice(list);
+    let n = a.n_rows();
+    let mut xadj = Vec::with_capacity(n + 1);
+    let mut adjncy = Vec::with_capacity(a.nnz());
+    xadj.push(0);
+    for i in 0..n {
+        adjncy.extend(a.row(i).0.iter().filter(|&&j| j != i));
         xadj.push(adjncy.len());
     }
     Adjacency { xadj, adjncy }
@@ -877,6 +887,42 @@ mod tests {
             let got = with_symmetric_pattern(Arc::clone(&shared));
             assert_eq!(Arc::ptr_eq(&got, &shared), itself);
             assert!(same_bits(&got, &symmetrize_pattern(&shared)));
+        }
+    }
+
+    #[test]
+    fn the_graph_read_off_the_pattern_is_the_per_node_construction() {
+        // The construction `matrix_graph` replaced: both directions of every
+        // off-diagonal entry into per-node lists, sorted and deduplicated.
+        fn per_node(a: &Csr) -> Adjacency {
+            let mut nbrs: Vec<Vec<usize>> = vec![Vec::new(); a.n_rows()];
+            for (i, j, _) in a.iter() {
+                if i != j {
+                    nbrs[i].push(j);
+                    nbrs[j].push(i);
+                }
+            }
+            let mut xadj = vec![0usize];
+            let mut adjncy = Vec::new();
+            for list in &mut nbrs {
+                list.sort_unstable();
+                list.dedup();
+                adjncy.extend_from_slice(list);
+                xadj.push(adjncy.len());
+            }
+            Adjacency { xadj, adjncy }
+        }
+        let fem = build_case(CaseId::Tc6, CaseSize::Tiny).sys.a;
+        let cycle = [[4.0, 1.0, 0.0], [0.0, 4.0, 1.0], [1.0, 0.0, 4.0]];
+        let cycle = Csr::from_dense_rows(&cycle.map(|r| r.to_vec()));
+        let no_diagonal = Csr::from_dense_rows(&[vec![0.0, 1.0], vec![0.0, 0.0]]);
+        let mut cases = vec![fem, cycle, no_diagonal];
+        for seed in 1..=60u64 {
+            cases.extend(three_kinds(seed, 2 + seed as usize % 9));
+        }
+        for a in cases {
+            let (got, want) = (matrix_graph(&a), per_node(&a));
+            assert_eq!((got.xadj, got.adjncy), (want.xadj, want.adjncy), "{a:?}");
         }
     }
 

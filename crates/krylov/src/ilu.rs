@@ -18,8 +18,6 @@
 use crate::precond::Preconditioner;
 use parapre_sparse::ops::{self, SplitCsr, SplitLu};
 use parapre_sparse::{Csr, Error, FactorReport, Result};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// The diagonal-shift retry ladder: relative shifts applied to the
@@ -479,6 +477,71 @@ impl Ilu0 {
     }
 }
 
+/// The lower columns ILUT still has to eliminate in the current row: a
+/// bitset with one bit per column and a summary bit per 64-bit word, so
+/// finding the smallest member skips 4,096 empty columns per summary word
+/// read.
+///
+/// [`PendingColumns::pop`] returns the smallest member. Its search starts
+/// at a cursor, the first summary word that may have a bit set: an insert
+/// moves it down to its own summary word, a pop moves it up past empty
+/// ones. Within a row it moves down only while the row's own lower columns
+/// go in; after that it only moves up, because every fill from `U`'s row
+/// `k` lands above the `k` just popped.
+struct PendingColumns {
+    /// Bit `j % 64` of word `j / 64` is set when column `j` is pending.
+    words: Vec<u64>,
+    /// Bit `w % 64` of summary word `w / 64` is set when word `w` is not 0.
+    summary: Vec<u64>,
+    /// No summary word below this one has a bit set.
+    cursor: usize,
+    /// Number of pending columns: a pop on an empty set reads no word.
+    len: usize,
+}
+
+impl PendingColumns {
+    /// An empty set over columns `0..n`.
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        PendingColumns {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            cursor: 0,
+            len: 0,
+        }
+    }
+
+    /// Adds column `j`, which must not be pending.
+    fn insert(&mut self, j: usize) {
+        let w = j / 64;
+        self.words[w] |= 1 << (j % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+        self.cursor = self.cursor.min(w / 64);
+        self.len += 1;
+    }
+
+    /// Removes and returns the smallest pending column.
+    fn pop(&mut self) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        self.len -= 1;
+        loop {
+            let s = self.summary[self.cursor];
+            if s != 0 {
+                let w = self.cursor * 64 + s.trailing_zeros() as usize;
+                let bits = self.words[w];
+                self.words[w] = bits & (bits - 1);
+                if self.words[w] == 0 {
+                    self.summary[self.cursor] = s & (s - 1);
+                }
+                return Some(w * 64 + bits.trailing_zeros() as usize);
+            }
+            self.cursor += 1;
+        }
+    }
+}
+
 /// Parameters of the dual-threshold ILUT factorization.
 #[derive(Debug, Clone, Copy)]
 pub struct IlutConfig {
@@ -540,7 +603,7 @@ impl Ilut {
         // are distinct and fill joins only where `in_w` is unset, so an
         // index enters at most once per row and pops in the order an
         // ordered set would give (DESIGN.md §4.2).
-        let mut pending: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
+        let mut pending = PendingColumns::new(n);
         let mut lower_kept: Vec<(usize, f64)> = Vec::new();
         let mut upper_kept: Vec<(usize, f64)> = Vec::new();
         let mut pivot_fixes = 0usize;
@@ -558,7 +621,7 @@ impl Ilut {
                 w[j] = v;
                 in_w[j] = true;
                 match j.cmp(&i) {
-                    std::cmp::Ordering::Less => pending.push(Reverse(j)),
+                    std::cmp::Ordering::Less => pending.insert(j),
                     std::cmp::Ordering::Equal => have_diag = true,
                     std::cmp::Ordering::Greater => upper_list.push(j),
                 }
@@ -568,7 +631,7 @@ impl Ilut {
                 in_w[i] = true;
             }
             lower_kept.clear();
-            while let Some(Reverse(k)) = pending.pop() {
+            while let Some(k) = pending.pop() {
                 let lik = w[k] / u_diag[k];
                 w[k] = 0.0;
                 in_w[k] = false;
@@ -587,7 +650,7 @@ impl Ilut {
                         w[j] = -upd;
                         in_w[j] = true;
                         match j.cmp(&i) {
-                            std::cmp::Ordering::Less => pending.push(Reverse(j)),
+                            std::cmp::Ordering::Less => pending.insert(j),
                             std::cmp::Ordering::Equal => {}
                             std::cmp::Ordering::Greater => upper_list.push(j),
                         }
@@ -706,6 +769,37 @@ mod tests {
             }
         }
         coo.to_csr()
+    }
+
+    #[test]
+    fn pending_columns_pop_in_ascending_order() {
+        // Columns across three summary words, inserted out of order and
+        // interleaved with pops, as an ordered set would give them.
+        let n = 3 * 4096 + 70;
+        let mut set = PendingColumns::new(n);
+        let mut want = std::collections::BTreeSet::new();
+        let mut s = 0x9e37_79b9_7f4a_7c15u64;
+        for round in 0..2000 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let j = (s % n as u64) as usize;
+            if round % 3 != 2 && want.insert(j) {
+                set.insert(j);
+            } else {
+                assert_eq!(set.pop(), want.pop_first());
+            }
+        }
+        while let Some(j) = want.pop_first() {
+            assert_eq!(set.pop(), Some(j));
+        }
+        assert_eq!(set.pop(), None);
+        set.insert(0);
+        set.insert(n - 1);
+        assert_eq!(
+            (set.pop(), set.pop(), set.pop()),
+            (Some(0), Some(n - 1), None)
+        );
     }
 
     #[test]

@@ -88,6 +88,22 @@ impl Coo {
         Ok(())
     }
 
+    /// Moves `other`'s triplets after this builder's, in their order, so
+    /// [`Coo::to_csr`] sums duplicates as if they had been pushed here.
+    ///
+    /// # Panics
+    /// Panics when the shapes differ.
+    pub fn append(&mut self, other: Coo) {
+        assert_eq!(
+            (self.n_rows, self.n_cols),
+            (other.n_rows, other.n_cols),
+            "coo append: shapes differ"
+        );
+        self.rows.extend_from_slice(&other.rows);
+        self.cols.extend_from_slice(&other.cols);
+        self.vals.extend_from_slice(&other.vals);
+    }
+
     /// Converts to CSR, summing duplicate entries and dropping exact zeros
     /// produced by cancellation only if `drop_zeros` is set.
     pub fn to_csr_opts(&self, drop_zeros: bool) -> Csr {

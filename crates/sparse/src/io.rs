@@ -1,14 +1,18 @@
 //! Matrix Market (`.mtx`) import/export.
 //!
 //! The de-facto interchange format of the sparse-linear-algebra community
-//! (and of the matrices pARMS/SPARSKIT ship with). Supports the
-//! `matrix coordinate real {general|symmetric}` flavour, which covers every
-//! matrix this workspace produces; symmetric files are expanded to full
-//! storage on read.
+//! (and of the matrices pARMS/SPARSKIT ship with). Reads exactly the
+//! banners `%%MatrixMarket matrix coordinate real {general|symmetric}`,
+//! which covers every matrix this workspace produces, and `%%MatrixMarket
+//! matrix array real general` for vectors, word by word (case aside): a
+//! `skew-symmetric` or `vector` banner is an error naming the word.
+//! Symmetric files are expanded to full storage on read.
 //!
 //! Matrices and vectors are read by one cursor over the bytes of the whole
 //! body: it must be UTF-8, lines end at `\n`, and tokens are separated by
-//! ASCII whitespace (a `\r` before the `\n` is one more separator).
+//! ASCII whitespace (a `\r` before the `\n` is one more separator). A large
+//! matrix body runs one cursor per core over its entry lines
+//! ([`parse_matrix_market_chunks`]).
 
 use crate::{Coo, Csr, Error, Result};
 use std::borrow::Cow;
@@ -30,23 +34,50 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Csr> {
 /// count above the stored entries — such a matrix has an empty row or
 /// column, and a 95-byte body could otherwise ask for terabytes. Every
 /// value must be finite, and so must every sum of duplicates.
+///
+/// A body longer than [`SPLIT_BYTES`] has its entry lines read on every
+/// available core ([`parse_matrix_market_chunks`]); the result does not
+/// depend on how many there are.
 pub fn parse_matrix_market(body: &[u8]) -> Result<Csr> {
+    let chunks = if body.len() > SPLIT_BYTES {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        1
+    };
+    parse_matrix_market_chunks(body, chunks)
+}
+
+/// Bodies up to this many bytes are parsed on the calling thread alone.
+/// Above it a body's entry lines are cut into one chunk per available core:
+/// a thread costs tens of microseconds to start, a megabyte of entry lines
+/// a few milliseconds to read.
+pub const SPLIT_BYTES: usize = 1 << 20;
+
+/// [`parse_matrix_market`] with the entry lines cut into at most `chunks`
+/// pieces, each read by one thread (the first by the calling thread). The
+/// result — the CSR bit for bit, or the error and its text — is the same
+/// for every `chunks`.
+///
+/// The lines after the size line are cut at `\n` boundaries: chunk `k`
+/// starts at the first line start at or after `k/chunks` of their bytes
+/// (a cut inside a line moves to its end, and a chunk left empty is
+/// dropped). The calling thread allocates every chunk's triplets before
+/// any thread starts, from the `len / 6 + 1` rule on the chunk's bytes —
+/// the first chunk's on all of them, since the others' triplets are
+/// appended to it in body order once every chunk is read. So duplicates
+/// meet [`Coo::to_csr`] in the order one thread would have pushed them,
+/// and an error is the first one in body order, its line number counted
+/// from the body's start.
+pub fn parse_matrix_market_chunks(body: &[u8], chunks: usize) -> Result<Csr> {
     let text = utf8(body, "unreadable header")?;
     if text.is_empty() {
         return Err(bad("empty MatrixMarket stream"));
     }
     let header_end = text.find('\n').unwrap_or(text.len());
-    let h = text[..header_end].to_ascii_lowercase();
-    if !h.starts_with("%%matrixmarket") {
-        return Err(bad("missing %%MatrixMarket header"));
-    }
-    if !h.contains("matrix") || !h.contains("coordinate") || !h.contains("real") {
-        return Err(bad("only `matrix coordinate real` supported"));
-    }
-    let symmetric = h.contains("symmetric");
-    if !symmetric && !h.contains("general") {
-        return Err(bad("only general/symmetric qualifiers supported"));
-    }
+    let symmetric = banner(
+        &text[..header_end],
+        "matrix coordinate real general|symmetric",
+    )? == "symmetric";
 
     let mut cur = Cursor {
         text,
@@ -60,28 +91,38 @@ pub fn parse_matrix_market(body: &[u8]) -> Result<Csr> {
         index(cur.token())?,
         index(cur.token())?,
     );
-    let cap = (text.len() - header_end) / 6 + 1;
-    let mut coo = Coo::with_capacity(m, n, if symmetric { 2 * cap } else { cap });
+    let start = text[cur.pos..]
+        .find('\n')
+        .map_or(text.len(), |k| cur.pos + k + 1);
+    let cuts = cut_lines(text.as_bytes(), start, chunks);
+    let per_line = if symmetric { 2 } else { 1 };
+    let capacity = |lo: usize, hi: usize| per_line * ((hi - lo) / 6 + 1);
+    let mut coo = Coo::with_capacity(m, n, capacity(start, text.len()));
+    let mut rest: Vec<Coo> = cuts[1..]
+        .windows(2)
+        .map(|w| Coo::with_capacity(m, n, capacity(w[0], w[1])))
+        .collect();
+    let counts: Vec<Result<usize>> = std::thread::scope(|s| {
+        let workers: Vec<_> = rest
+            .iter_mut()
+            .zip(cuts[1..].windows(2))
+            .map(|(part, w)| s.spawn(move || read_entries(text, w[0]..w[1], symmetric, part)))
+            .collect();
+        let first = read_entries(text, cuts[0]..cuts[1], symmetric, &mut coo);
+        std::iter::once(first)
+            .chain(
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("a parse worker panicked")),
+            )
+            .collect()
+    });
     let mut entries = 0usize;
-    while let Some(line) = cur.next_line(b"%") {
-        let (i, j) = (index(cur.token())?, index(cur.token())?);
-        let v: f64 = cur
-            .token()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| bad("bad value field"))?;
-        if i == 0 || j == 0 {
-            return Err(bad("MatrixMarket indices are 1-based"));
-        }
-        if !v.is_finite() {
-            return Err(bad(format!(
-                "line {line}: entry ({i}, {j}) is not finite ({v})"
-            )));
-        }
-        coo.try_push(i - 1, j - 1, v)?;
-        if symmetric && i != j {
-            coo.try_push(j - 1, i - 1, v)?;
-        }
-        entries += 1;
+    for count in counts {
+        entries += count?;
+    }
+    for part in rest {
+        coo.append(part);
     }
     if entries != nnz {
         return Err(bad(format!(
@@ -103,6 +144,101 @@ pub fn parse_matrix_market(body: &[u8]) -> Result<Csr> {
         )));
     }
     Ok(a)
+}
+
+/// Chunk boundaries of `bytes[start..]`: `start`, then every cut that
+/// begins a non-empty chunk, then `bytes.len()`.
+fn cut_lines(bytes: &[u8], start: usize, chunks: usize) -> Vec<usize> {
+    let span = bytes.len() - start;
+    let mut cuts = vec![start];
+    for k in 1..chunks.max(1) {
+        let at = start + k * span / chunks;
+        // The first line start at or after `at` (`at >= start`, and the
+        // header line comes before `start`, so `bytes[at - 1]` exists).
+        let line_start = bytes[at - 1..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(bytes.len(), |q| at + q);
+        if line_start > *cuts.last().expect("starts with `start`") && line_start < bytes.len() {
+            cuts.push(line_start);
+        }
+    }
+    cuts.push(bytes.len());
+    cuts
+}
+
+/// Reads the entry lines of `text[lines]` (which start at a line start)
+/// into `coo` and returns how many there were.
+fn read_entries(
+    text: &str,
+    lines: std::ops::Range<usize>,
+    symmetric: bool,
+    coo: &mut Coo,
+) -> Result<usize> {
+    let mut cur = Cursor {
+        text: &text[lines.clone()],
+        pos: 0,
+        line: 1,
+        taken: false,
+    };
+    let mut entries = 0usize;
+    while let Some(line) = cur.next_line(b"%") {
+        let (i, j) = (index(cur.token())?, index(cur.token())?);
+        let v: f64 = cur
+            .token()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| bad("bad value field"))?;
+        if i == 0 || j == 0 {
+            return Err(bad("MatrixMarket indices are 1-based"));
+        }
+        if !v.is_finite() {
+            let before = text.as_bytes()[..lines.start]
+                .iter()
+                .filter(|&&b| b == b'\n')
+                .count();
+            let line = before + line;
+            return Err(bad(format!(
+                "line {line}: entry ({i}, {j}) is not finite ({v})"
+            )));
+        }
+        coo.try_push(i - 1, j - 1, v)?;
+        if symmetric && i != j {
+            coo.try_push(j - 1, i - 1, v)?;
+        }
+        entries += 1;
+    }
+    Ok(entries)
+}
+
+/// Checks a header line word by word, ASCII case aside, against
+/// `%%MatrixMarket` and then `want` (words separated by spaces, the
+/// accepted spellings of one word by `|`), and returns its last word. Any
+/// other word, a missing word or one too many is an error naming it.
+fn banner(header: &str, want: &'static str) -> Result<&'static str> {
+    let h = header.to_ascii_lowercase();
+    if !h.starts_with("%%matrixmarket") {
+        return Err(bad("missing %%MatrixMarket header"));
+    }
+    let unsupported = |what: String| {
+        bad(format!(
+            "MatrixMarket banner {what}: only `%%MatrixMarket {want}` is read"
+        ))
+    };
+    let mut words = h.split_ascii_whitespace();
+    let mut last = "";
+    for expected in std::iter::once("%%matrixmarket").chain(want.split(' ')) {
+        let word = words
+            .next()
+            .ok_or_else(|| unsupported(format!("ends before `{expected}`")))?;
+        last = expected
+            .split('|')
+            .find(|&e| e == word)
+            .ok_or_else(|| unsupported(format!("word `{word}`")))?;
+    }
+    match words.next() {
+        Some(word) => Err(unsupported(format!("word `{word}`"))),
+        None => Ok(last),
+    }
 }
 
 fn bad(msg: impl Into<Cow<'static, str>>) -> Error {
@@ -255,8 +391,8 @@ fn parse_vector(body: &[u8]) -> Result<Vec<f64>> {
         .trim_start_matches(|c: char| c.is_ascii_whitespace())
         .to_ascii_lowercase();
     let mm = h.starts_with("%%matrixmarket");
-    if mm && (!h.contains("array") || !h.contains("real")) {
-        return Err(bad("only `matrix array real` vectors supported"));
+    if mm {
+        banner(&h, "matrix array real general")?;
     }
     let mut cur = Cursor {
         text,
@@ -342,6 +478,80 @@ mod tests {
             "%%MatrixMarket matrix coordinate real general\n1 1 1\n0 1 5.0\n".as_bytes()
         )
         .is_err());
+    }
+
+    #[test]
+    fn a_banner_is_read_word_by_word_and_a_wrong_word_is_named() {
+        let only = "only `%%MatrixMarket matrix coordinate real general|symmetric` is read";
+        for (head, names) in [
+            (
+                "%%MatrixMarket matrix coordinate real skew-symmetric",
+                "word `skew-symmetric`",
+            ),
+            (
+                "%%MatrixMarket vector coordinate real general",
+                "word `vector`",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real general x",
+                "word `x`",
+            ),
+            (
+                "%%MatrixMarketmatrix coordinate real general",
+                "word `%%matrixmarketmatrix`",
+            ),
+            (
+                "%%MatrixMarket matrix coordinate real",
+                "ends before `general|symmetric`",
+            ),
+        ] {
+            let text = format!("{head}\n2 2 1\n2 1 3.0\n");
+            let want = format!("MatrixMarket banner {names}: {only}");
+            assert_eq!(
+                parse_matrix_market(text.as_bytes()),
+                Err(Error::InvalidStructure(want.into())),
+                "{head}"
+            );
+        }
+        let vector = "%%MatrixMarket matrix array real symmetric\n1 1\n1\n";
+        let want = "MatrixMarket banner word `symmetric`: \
+                    only `%%MatrixMarket matrix array real general` is read";
+        assert_eq!(
+            read_vector(vector.as_bytes()),
+            Err(Error::InvalidStructure(want.into()))
+        );
+    }
+
+    #[test]
+    fn every_chunk_count_gives_the_one_chunk_result() {
+        let mut text = String::from("%%MatrixMarket matrix coordinate real general\n% c\n5 5 9\n");
+        for (i, j, v) in [
+            (1, 1, 2.0),
+            (2, 1, -1.0),
+            (2, 2, 2.0),
+            (1, 1, 0.5),
+            (3, 3, 2.0),
+        ] {
+            text.push_str(&format!("{i} {j} {v:e}\n% between\n\n"));
+        }
+        text.push_str("4 4 1\r\n5 5 1\n3 2 -1\n1 1 0.25");
+        let one = parse_matrix_market_chunks(text.as_bytes(), 1).unwrap();
+        for chunks in 0..=text.len() + 1 {
+            assert_eq!(
+                parse_matrix_market_chunks(text.as_bytes(), chunks),
+                Ok(one.clone())
+            );
+        }
+        let bad = text.replace("3 2 -1", "3 2 NaN");
+        for chunks in 1..=bad.len() + 1 {
+            assert_eq!(
+                parse_matrix_market_chunks(bad.as_bytes(), chunks),
+                Err(Error::InvalidStructure(
+                    "line 21: entry (3, 2) is not finite (NaN)".into()
+                )),
+                "{chunks} chunks"
+            );
+        }
     }
 
     #[test]

@@ -12,14 +12,20 @@
 //! - TC1 tiny at `drop_tol: 0, fill: usize::MAX` (no selection at all);
 //! - the 2×2 matrix whose second pivot cancels exactly (one pivot fix);
 //! - `Arms::factor` with its default configuration on TC6 tiny: every
-//!   level's dropped Schur complement and the last-level ILUT.
+//!   level's dropped Schur complement and the last-level ILUT;
+//! - `Ilut::factor` on a 9,000-unknown arrow matrix (every row coupled to
+//!   unknown 0, to its neighbours and to unknown `i/2`), at the paper's
+//!   parameters and with the fill cap at 2: late rows hold pending
+//!   columns from 0 to beyond 8,192, across three summary words of the
+//!   two-level bitset.
 //!
 //! [`EXPECTED`] was captured from the factorization as it stood before its
-//! pending set became a heap; a difference prints the whole actual table.
+//! pending set became a heap, except the arrow rows, captured before it
+//! became a two-level bitset; a difference prints the whole actual table.
 
 use parapre::core::{build_case, CaseId, CaseSize, PrecondParams};
 use parapre::krylov::{Arms, ArmsConfig, Ilut, IlutConfig, LuFactors};
-use parapre::sparse::Csr;
+use parapre::sparse::{Coo, Csr};
 use std::fmt::Write;
 
 fn matrix_line(out: &mut String, what: &str, m: &Csr) {
@@ -80,7 +86,31 @@ fn table() -> String {
         );
     }
     factor_line(&mut out, "tc6 arms last", arms.last_factors());
+
+    let arrow = arrow(9_000);
+    ilut(&mut out, "arrow ilut paper", &arrow, paper);
+    let capped = IlutConfig { fill: 2, ..paper };
+    ilut(&mut out, "arrow ilut paper fill=2", &arrow, capped);
     out
+}
+
+/// An `n x n` arrow: column 0 couples to every unknown, each row also to
+/// its neighbours and to unknown `i/2` below it, and the values repeat
+/// with period 7, so a row's candidates often tie in magnitude.
+fn arrow(n: usize) -> Csr {
+    let mut coo = Coo::new(n, n);
+    for i in 0..n {
+        coo.push(i, i, 4.0 + (i % 5) as f64);
+        if i > 0 {
+            coo.push(i, 0, -1.0 / (1 + i % 7) as f64);
+            coo.push(i, i - 1, -1.0);
+            coo.push(i - 1, i, -1.0);
+        }
+        if i >= 2 {
+            coo.push(i, i / 2, -0.25);
+        }
+    }
+    coo.to_csr()
 }
 
 #[test]
@@ -101,4 +131,6 @@ tc1 ilut tol=0 fill=max fixes=0 n=289 nnz=10081 fp=44c34ee9149f5c2c\n\
 2x2 ilut zero pivot fixes=1 n=2 nnz=4 fp=1b4582cdf33aac10\n\
 tc6 arms level0 reduced n=170 nnz=4484 fp=45fe8808a29d5d00\n\
 tc6 arms last fixes=0 n=170 nnz=5958 fp=74e79bc9bcc976a2\n\
+arrow ilut paper fixes=0 n=9000 nnz=68508 fp=0011dd3f1821f78d\n\
+arrow ilut paper fill=2 fixes=0 n=9000 nnz=35996 fp=3778c06bd7537c3f\n\
 ";

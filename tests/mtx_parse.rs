@@ -3,7 +3,7 @@
 //!
 //! For every input both must give the same `Result` shape: `Ok` with equal
 //! shape, `row_ptr`, `col_idx`, value bits and `fingerprints()`, or `Err`
-//! on both. Two differences are intended, and [`check_matrix`] /
+//! on both. Three differences are intended, and [`check_matrix`] /
 //! [`check_vector`] state them:
 //!
 //! 1. a matrix value that is not finite — as written, or as the sum of
@@ -12,16 +12,29 @@
 //! 2. tokens are separated by ASCII whitespace only, where the reference
 //!    also trimmed other Unicode whitespace (`\x0b`, U+0085, U+00A0, …) off
 //!    the ends of a line. A body holding such a character is parsed (it
-//!    must not panic) but not compared.
+//!    must not panic) but not compared;
+//! 3. a banner is read word by word: exactly `%%MatrixMarket matrix
+//!    coordinate real general|symmetric` for a matrix and `%%MatrixMarket
+//!    matrix array real general` for a vector (in any case), where the
+//!    reference looked for substrings — so it read `skew-symmetric` as
+//!    `symmetric`, and a `vector` banner passed its `matrix` check. Any
+//!    other banner is an error naming the word.
 //!
 //! Inputs: the tiny TC1–TC6 matrices as `write_matrix_market` renders them
 //! and as the benchmark renders its `put` bodies (`{:e}`); a hand corpus;
 //! random small matrices and vectors with random separators and number
 //! formats; and single-byte insertions, deletions and bit flips of those.
+//!
+//! A body longer than `SPLIT_BYTES` is read in one chunk per core. The
+//! four matrices the benchmark uploads, and bodies built so that a cut
+//! falls on a comment, a blank line, a CRLF line or between two halves of
+//! a duplicate, must parse bit for bit alike — or fail alike — whatever
+//! the number of chunks.
 
-use parapre::core::{build_case, CaseId, CaseSize};
+use parapre::core::{build_case, build_case_sized, CaseId, CaseSize};
 use parapre::sparse::io::{
-    parse_matrix_market, read_matrix_market, read_vector, write_matrix_market,
+    parse_matrix_market, parse_matrix_market_chunks, read_matrix_market, read_vector,
+    write_matrix_market, SPLIT_BYTES,
 };
 use parapre::sparse::{Csr, Error};
 use proptest::prelude::*;
@@ -195,8 +208,51 @@ fn unicode_separated(body: &[u8]) -> bool {
     })
 }
 
+/// Whether the first line of `body` is, word by word and in any case,
+/// `%%MatrixMarket matrix <kind> real <last>` for one of `lasts` — the one
+/// banner shape the parser reads (difference 3). Leading whitespace is
+/// allowed here; the matrix parser rejects it on its own, as the reference
+/// did.
+fn banner_read(body: &[u8], kind: &str, lasts: &[&str]) -> bool {
+    let first = body.split(|&b| b == b'\n').next().unwrap_or_default();
+    let words: Vec<String> = String::from_utf8_lossy(first)
+        .to_ascii_lowercase()
+        .split_ascii_whitespace()
+        .map(String::from)
+        .collect();
+    words.len() == 5
+        && words[..4] == ["%%matrixmarket", "matrix", kind, "real"]
+        && lasts.contains(&words[4].as_str())
+}
+
 fn shown(body: &[u8]) -> String {
     format!("{:?}", String::from_utf8_lossy(body))
+}
+
+/// Difference 3: a body whose banner the parser does not read is an error,
+/// and one the reference accepted (`reference_ok`) names the banner.
+fn banner_rejected<T: std::fmt::Debug>(body: &[u8], result: &Result<T, Error>, reference_ok: bool) {
+    match result {
+        Err(Error::InvalidStructure(msg))
+            if !reference_ok || msg.starts_with("MatrixMarket banner ") => {}
+        other => panic!("{}: an unread banner came back {other:?}", shown(body)),
+    }
+}
+
+/// Equal results: shape, pattern and value bits (`==` on `f64` equates
+/// `0.0` with `-0.0`), or the same error.
+fn same(a: &Result<Csr, Error>, b: &Result<Csr, Error>) -> bool {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            (a.n_rows(), a.n_cols(), a.row_ptr(), a.col_idx())
+                == (b.n_rows(), b.n_cols(), b.row_ptr(), b.col_idx())
+                && a.vals()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .eq(b.vals().iter().map(|v| v.to_bits()))
+        }
+        (a, b) => a == b,
+    }
 }
 
 /// Compares the parsers on one matrix body; returns whether the new one
@@ -204,8 +260,17 @@ fn shown(body: &[u8]) -> String {
 fn check_matrix(body: &[u8]) -> bool {
     let new = parse_matrix_market(body);
     assert_eq!(new, read_matrix_market(body), "{}", shown(body));
+    for chunks in [1, 2, 3, 5] {
+        let got = parse_matrix_market_chunks(body, chunks);
+        assert!(same(&got, &new), "{} in {chunks} chunks", shown(body));
+    }
     if unicode_separated(body) {
         return new.is_ok();
+    }
+    // Difference 3.
+    if !banner_read(body, "coordinate", &["general", "symmetric"]) {
+        banner_rejected(body, &new, reference::read_matrix_market(body).is_ok());
+        return false;
     }
     match (reference::read_matrix_market(body), &new) {
         // Difference 1.
@@ -235,6 +300,16 @@ fn check_matrix(body: &[u8]) -> bool {
 fn check_vector(body: &[u8]) {
     let new = read_vector(body);
     if unicode_separated(body) {
+        return;
+    }
+    // Difference 3, for a body whose first line opens a banner.
+    let first = body.split(|&b| b == b'\n').next().unwrap_or_default();
+    let opens = String::from_utf8_lossy(first)
+        .trim_start()
+        .to_ascii_lowercase()
+        .starts_with("%%matrixmarket");
+    if opens && !banner_read(body, "array", &["general"]) {
+        banner_rejected(body, &new, reference::read_vector(body).is_ok());
         return;
     }
     match (reference::read_vector(body), new) {
@@ -293,6 +368,147 @@ fn the_case_matrices_parse_bit_for_bit() {
             .map(|v| format!("{v:e}\n"))
             .collect();
         check_vector(rhs.as_bytes());
+    }
+}
+
+/// The four matrices the benchmark uploads — TC1 201², TC2 25³, TC3 15,000
+/// points, TC6 61² — as it renders them.
+#[test]
+fn the_benchmark_bodies_parse_alike_in_any_number_of_chunks() {
+    for (id, extent) in [
+        (CaseId::Tc1, 201),
+        (CaseId::Tc2, 25),
+        (CaseId::Tc3, 15_000),
+        (CaseId::Tc6, 61),
+    ] {
+        let a = &build_case_sized(id, extent).sys.a;
+        let body = benchmark_body(a);
+        assert!(body.len() > SPLIT_BYTES, "{} bytes", body.len());
+        let one = parse_matrix_market_chunks(&body, 1);
+        assert_eq!(one.as_ref().map(Csr::fingerprints), Ok(a.fingerprints()));
+        assert_eq!(one.as_ref().map(Csr::fingerprint), Ok(a.fingerprint()));
+        assert!(same(&parse_matrix_market(&body), &one));
+        for chunks in [2, 3] {
+            assert!(
+                same(&parse_matrix_market_chunks(&body, chunks), &one),
+                "{chunks}"
+            );
+        }
+    }
+}
+
+/// A body longer than `SPLIT_BYTES` whose cut in two chunks falls between
+/// `before` and `after` (`cut`, lines of equal length holding `entries`
+/// entry lines): `banner`, the size line of an `n x n` matrix, `lines`
+/// (entry lines only) repeated until they pass half the split size,
+/// `before`, `after`, and the repeated lines again. The cut is the first
+/// line start at or after half the bytes after the size line, which by
+/// the symmetry is where `after` starts.
+fn cut_between(banner: &str, n: usize, lines: &str, cut: [&str; 2], entries: usize) -> String {
+    let [before, after] = cut;
+    assert_eq!(before.len(), after.len());
+    let copies = SPLIT_BYTES / 2 / lines.len() + 1;
+    let side = lines.repeat(copies);
+    let nnz = 2 * copies * lines.lines().count() + entries;
+    format!("{banner}{n} {n} {nnz}\n{side}{before}{after}{side}")
+}
+
+/// TC2 tiny's order and entry lines as the benchmark renders them, and
+/// the lines of its lower triangle (for a `symmetric` banner).
+fn tc2_tiny_lines() -> (usize, String, String) {
+    let a = build_case(CaseId::Tc2, CaseSize::Tiny).sys.a;
+    let all = String::from_utf8(benchmark_body(&a)).unwrap();
+    let general = all.lines().skip(2).map(|l| format!("{l}\n")).collect();
+    let lower = a
+        .iter()
+        .filter(|&(i, j, _)| i >= j)
+        .map(|(i, j, v)| format!("{} {} {v:e}\n", i + 1, j + 1))
+        .collect();
+    (a.n_rows(), general, lower)
+}
+
+#[test]
+fn a_cut_on_a_comment_a_blank_a_crlf_or_a_duplicate_changes_nothing() {
+    let (n, general, lower) = tc2_tiny_lines();
+    let bodies = [
+        cut_between(
+            HEAD,
+            n,
+            &general,
+            ["% before the cut\n", "% after the cut.\n"],
+            0,
+        ),
+        cut_between(HEAD, n, &general, ["\n", "\n"], 0),
+        cut_between(HEAD, n, &general, [" \t \n", "\n\n\n\n"], 0),
+        cut_between(HEAD, n, &general, ["1 1 0.5\r\n", "2 2 0.5\r\n"], 2),
+        // One entry on both sides of the cut, whose sum depends on the
+        // order its summands meet in: `check_matrix` compares it with the
+        // reference, which pushes every line in body order into one buffer.
+        cut_between(HEAD, n, &general, ["7 7 1e16\n", "7 7 0.3\n\n"], 2),
+        cut_between(SYM, n, &lower, ["9 3 -0.7\n", "% mirror\n"], 1),
+    ];
+    // `check_matrix` parses each in 1, 2, 3 and 5 chunks and compares them
+    // with each other and with the reference.
+    for body in &bodies {
+        assert!(body.len() > SPLIT_BYTES);
+        assert!(
+            check_matrix(body.as_bytes()),
+            "{}",
+            shown(&body.as_bytes()[..80])
+        );
+    }
+}
+
+#[test]
+fn an_error_in_a_later_chunk_is_the_one_chunk_error() {
+    let (n, general, _) = tc2_tiny_lines();
+    let body = cut_between(HEAD, n, &general, ["", ""], 0);
+    let lines: Vec<&str> = body.lines().collect();
+    let last = lines.len() - 1;
+    let (quarter, three_quarters) = (last / 4, 3 * last / 4);
+    // Each body is `lines` with some replaced (0-based index, new line),
+    // and the error that names the first bad line in body order.
+    let not_finite = |k: usize, i: usize, j: usize| {
+        Error::InvalidStructure(
+            format!("line {}: entry ({i}, {j}) is not finite (NaN)", k + 1).into(),
+        )
+    };
+    let malformed = Error::InvalidStructure("malformed MatrixMarket line".into());
+    let bad_value = Error::InvalidStructure("bad value field".into());
+    let nan_last = format!("{n} {n} NaN");
+    let nan_late = format!("{n} 1 NaN");
+    let past = format!("{n} {} 1.0", n + 1);
+    let cases: Vec<(Vec<(usize, &str)>, Error)> = vec![
+        (vec![(last, &nan_last)], not_finite(last, n, n)),
+        (vec![(last, "1 1 x")], bad_value.clone()),
+        (vec![(quarter, "1 x 1"), (last, &nan_last)], malformed),
+        (
+            vec![(three_quarters, &nan_late), (last, "1 1 x")],
+            not_finite(three_quarters, n, 1),
+        ),
+        (
+            vec![(last, &past)],
+            Error::IndexOutOfBounds { index: n, bound: n },
+        ),
+        (
+            vec![(three_quarters, "% a comment"), (last, "1 1")],
+            bad_value,
+        ),
+    ];
+    for (edits, want) in cases {
+        let mut edited = lines.clone();
+        for &(k, line) in &edits {
+            edited[k] = line;
+        }
+        let bad = edited.join("\n") + "\n";
+        assert!(bad.len() > SPLIT_BYTES);
+        let one = parse_matrix_market_chunks(bad.as_bytes(), 1);
+        assert_eq!(one, Err(want), "{edits:?}");
+        for chunks in [2, 3, 4, 8] {
+            let got = parse_matrix_market_chunks(bad.as_bytes(), chunks);
+            assert_eq!(got, one, "{edits:?} in {chunks} chunks");
+        }
+        assert_eq!(parse_matrix_market(bad.as_bytes()), one, "{edits:?}");
     }
 }
 
@@ -391,6 +607,32 @@ fn the_hand_corpus_agrees() {
             "%%MatrixMarket matrix coordinate real hermitian\n1 1 1\n1 1 1\n".into(),
             false,
         ),
+        // Difference 3: the reference accepts all five, the first with the
+        // wrong sign on its mirrored entry.
+        (
+            "%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 3.0\n".into(),
+            false,
+        ),
+        (
+            "%%MatrixMarket vector coordinate real general\n1 1 1\n1 1 1\n".into(),
+            false,
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real general symmetric\n1 1 1\n1 1 1\n".into(),
+            false,
+        ),
+        (
+            "%%MatrixMarketmatrix coordinate real general\n1 1 1\n1 1 1\n".into(),
+            false,
+        ),
+        (
+            "%%MatrixMarket matrix coordinate realgeneral\n1 1 1\n1 1 1\n".into(),
+            false,
+        ),
+        (
+            "%%MatrixMarket matrix coordinate real general\r\n1 1 1\n1 1 1\n".into(),
+            true,
+        ),
         // Difference 2: the reference accepts the first four.
         (format!("{HEAD}2 2 2\n1 1 1\x0b\n2 2 1\n"), false),
         (format!("{HEAD}2 2 2\n\x0b\n1 1 1\n2 2 1\n"), false),
@@ -441,6 +683,10 @@ fn the_hand_corpus_agrees() {
         "%%MatrixMarket matrix array real general\n2\n1\n2\n",
         "%%MatrixMarket matrix array real general\n2 1 9\n1\n2\n",
         "%%MatrixMarket matrix array complex general\n1 1\n1\n",
+        "%%MatrixMarket matrix array real\n1 1\n1\n",
+        "%%MatrixMarket vector array real general\n1 1\n1\n",
+        "%%MatrixMarket matrix array real symmetric\n1 1\n1\n",
+        "%%MatrixMarketx matrix array real general\n1 1\n1\n",
         "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1\n",
         "1\n%%MatrixMarket matrix array real general\n2\n",
         "1\nx\n",
