@@ -13,8 +13,7 @@
 //! `A_i = [B_i F_i; E_i C_i]` plus the ghost coupling columns `E_ij`
 //! (eq. 4–5). [`LocalLayout`] carries the numbering and the neighbour
 //! exchange plan; [`DistMatrix`] the local rows; [`solver`] the distributed
-//! right-preconditioned (F)GMRES with restart (the paper's accelerator);
-//! [`checkpoint`] the restart-cycle snapshots a failed solve resumes from.
+//! right-preconditioned (F)GMRES with restart (the paper's accelerator).
 //!
 //! Ghost updates ride on structural symmetry of the FEM matrices: the
 //! values a rank must *send* to neighbour `q` are exactly its owned nodes
@@ -25,10 +24,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod checkpoint;
 pub mod solver;
 
-pub use checkpoint::{CheckpointCtx, CheckpointStore, ConsistentCheckpoint};
 /// The name distributed solves' reports had when they were their own struct.
 pub use parapre_krylov::SolveReport as DistSolveReport;
 pub use parapre_krylov::{BreakdownKind, SolveBreakdown, SolveReport};

@@ -14,7 +14,7 @@
 //! sequential driver (modified Gram–Schmidt, per-iteration window) is tuned
 //! for few-step inner solves.
 
-use crate::{tags, CheckpointCtx, DistMatrix};
+use crate::{tags, DistMatrix};
 use parapre_krylov::gmres::{update_solution, DIVERGENCE_GUARD, STALL_RTOL};
 use parapre_krylov::lsq::GivensLsq;
 use parapre_krylov::proj::Panel;
@@ -211,15 +211,6 @@ impl Default for DistGmresConfig {
     }
 }
 
-/// Which public entry is driving the Arnoldi cycles.
-#[derive(Clone, Copy)]
-enum Entry<'a> {
-    /// [`DistGmres::solve_block`]: flexible, traced, reported.
-    Solve(Option<CheckpointCtx<'a>>),
-    /// [`DistGmres::fixed_effort`].
-    FixedEffort,
-}
-
 /// The distributed restarted (F)GMRES driver.
 #[derive(Debug, Clone)]
 pub struct DistGmres {
@@ -243,7 +234,7 @@ impl DistGmres {
         b: &[f64],
         x: &mut [f64],
     ) -> SolveReport {
-        self.solve_block(comm, a, m, &[b], &mut [x], None)
+        self.solve_block(comm, a, m, &[b], &mut [x])
             .pop()
             .expect("one report per column")
     }
@@ -262,14 +253,6 @@ impl DistGmres {
     /// all taken on reduced values, so every rank takes the same branches,
     /// and each column's bits are those of its one-column solve (the
     /// all-reduce sums element-wise in the scalar's tree order).
-    ///
-    /// When `ckpt` is set (one column only), the owned iterate is handed to
-    /// the store at every restart-cycle boundary, and
-    /// `start_iters`/`start_cycle` shift the budget and cycle numbering for
-    /// a solve resumed from a snapshot. A resumed solve converges to
-    /// `rel_tol` relative to its *resume-point* residual — never looser than
-    /// the original target, since the checkpointed residual is at most the
-    /// initial one.
     pub fn solve_block<A: DistOp, M: DistPrecond>(
         &self,
         comm: &mut Comm,
@@ -277,9 +260,8 @@ impl DistGmres {
         m: &M,
         bs: &[&[f64]],
         xs: &mut [&mut [f64]],
-        ckpt: Option<CheckpointCtx<'_>>,
     ) -> Vec<SolveReport> {
-        self.run(comm, a, m, bs, xs, Entry::Solve(ckpt))
+        self.run(comm, a, m, bs, xs, false)
     }
 
     /// Fixed-effort inner solve: `k` right-preconditioned GMRES steps on
@@ -312,11 +294,13 @@ impl DistGmres {
             stall_window: 0,
             ..Default::default()
         });
-        solver.run(comm, a, m, &[g], &mut [z], Entry::FixedEffort);
+        solver.run(comm, a, m, &[g], &mut [z], true);
     }
 
     /// The one Arnoldi driver behind every entry: lock-step rounds over the
-    /// columns until each has its report.
+    /// columns until each has its report. `fixed` is the
+    /// [`DistGmres::fixed_effort`] entry; otherwise the solve is
+    /// [`DistGmres::solve_block`]'s: flexible, traced, reported.
     fn run<A: DistOp, M: DistPrecond>(
         &self,
         comm: &mut Comm,
@@ -324,23 +308,15 @@ impl DistGmres {
         m: &M,
         bs: &[&[f64]],
         xs: &mut [&mut [f64]],
-        entry: Entry<'_>,
+        fixed: bool,
     ) -> Vec<SolveReport> {
         assert_eq!(bs.len(), xs.len());
         if bs.len() > LOCKSTEP_COLS {
             let groups = bs.chunks(LOCKSTEP_COLS).zip(xs.chunks_mut(LOCKSTEP_COLS));
             return groups
-                .flat_map(|(b, x)| self.run(comm, a, m, b, x, entry))
+                .flat_map(|(b, x)| self.run(comm, a, m, b, x, fixed))
                 .collect();
         }
-        let (ckpt, fixed) = match entry {
-            Entry::Solve(ckpt) => (ckpt, false),
-            Entry::FixedEffort => (None, true),
-        };
-        assert!(
-            ckpt.is_none() || bs.len() == 1,
-            "checkpoints cover one column"
-        );
         let n = a.n_owned();
         let cfg = &self.config;
         let _solve_span = parapre_metrics::span(if fixed {
@@ -354,7 +330,6 @@ impl DistGmres {
             // allocated whole.
             restart: cfg.restart.clamp(1, cfg.max_iters.max(1)),
             fixed,
-            ckpt,
             // Rank 0 of an outer solve speaks for the run in the live ring;
             // inner solves are silent.
             speaks: !fixed && comm.rank() == 0,
@@ -441,7 +416,6 @@ struct Run<'a> {
     restart: usize,
     /// A fixed-effort inner solve: fixed preconditioner, no report.
     fixed: bool,
-    ckpt: Option<CheckpointCtx<'a>>,
     speaks: bool,
 }
 
@@ -501,7 +475,6 @@ struct Column<'b> {
     /// (there are at most `max_iters / restart + 1` of them).
     cycle_betas: VecDeque<f64>,
     total_iters: usize,
-    cycle: u64,
     /// Basis vectors in the cycle so far.
     k: usize,
     cycle_done: bool,
@@ -514,14 +487,10 @@ impl<'b> Column<'b> {
     fn new(b: &'b [f64], run: &Run<'_>, n: usize) -> Self {
         assert_eq!(b.len(), n);
         let (cfg, restart) = (run.cfg, run.restart);
-        let start_iters = run.ckpt.map_or(0, |c| c.start_iters);
         Column {
             b,
             stage: Stage::Open,
-            report: SolveReport {
-                iterations: start_iters,
-                ..Default::default()
-            },
+            report: SolveReport::default(),
             r: if run.fixed { b.to_vec() } else { vec![0.0; n] },
             beta: 0.0,
             r0_norm: 0.0,
@@ -533,8 +502,7 @@ impl<'b> Column<'b> {
             est: 0.0,
             reorth: false,
             cycle_betas: VecDeque::with_capacity(cfg.stall_window.min(cfg.max_iters / restart) + 1),
-            total_iters: start_iters,
-            cycle: run.ckpt.map_or(0, |c| c.start_cycle),
+            total_iters: 0,
             k: 0,
             cycle_done: false,
             zero_norm: false,
@@ -668,11 +636,6 @@ impl<'b> Column<'b> {
         let relres = beta / self.r0_norm;
         self.report.iterations = total_iters;
         self.report.final_relres = relres;
-        if let Some(ck) = run.ckpt {
-            self.cycle += 1;
-            ck.store.save(comm.rank(), self.cycle, total_iters, x);
-            parapre_metrics::count(names::CKPT_SAVED, 1);
-        }
         if beta <= self.target {
             self.report.converged = true;
             run.converging(total_iters, relres, ConvKind::Converged, "");

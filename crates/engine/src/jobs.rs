@@ -18,17 +18,15 @@
 //! them, so a value of the wrong kind or outside its range is a `rejected`
 //! record naming the key, and so is a key outside the table (with the
 //! nearest key that is in it). The `cmd` verbs are [`COMMANDS`].
-//! Results come back one flat-ish JSON line per job (the `iterations` and
-//! `dead_ranks` arrays are the only nesting).
+//! Results come back one flat-ish JSON line per job (the `iterations`
+//! array is the only nesting).
 
-use crate::resilient::RecoveryPolicy;
 use crate::session::{partition_pattern, with_symmetric_pattern, MatrixId, SessionConfig};
 use crate::EngineError;
 use parapre_core::{build_case, build_case_sized, CaseId, CaseSize, PartitionScheme, PrecondKind};
 use parapre_core::{extent_range, partition_case, AssembledCase};
 use parapre_krylov::MAX_CORRECTION_RANK;
 use parapre_metrics::flatjson::{self, JsonValue};
-use parapre_mpisim::{FaultConfig, RankOp};
 use parapre_sparse::Csr;
 use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
@@ -86,16 +84,16 @@ pub struct SolveJob {
     /// factors on every repeat after the first).
     pub repeat: usize,
     /// Number of right-hand sides solved through the batched multi-RHS
-    /// path (one universe launch, shared factors). `1` uses the ordinary
-    /// resilient per-solve path; `k > 1` derives `k` deterministic RHS
-    /// variants from the job's RHS spec.
+    /// path (one universe launch, shared factors). `1` uses the per-solve
+    /// path, which may descend the preconditioner ladder; `k > 1` derives
+    /// `k` deterministic RHS variants from the job's RHS spec.
     pub batch: usize,
     /// Session configuration (preconditioner, ranks, tolerances …).
     pub session: SessionConfig,
-    /// Retry/checkpoint/degrade behavior for this job.
-    pub recovery: RecoveryPolicy,
-    /// Deterministic fault injection plan (chaos jobs only).
-    pub fault: Option<FaultConfig>,
+    /// On a typed numerical breakdown (non-finite arithmetic, stagnation,
+    /// divergence) of a single-right-hand-side solve, rebuild the session
+    /// one rung down the preconditioner ladder and solve again.
+    pub fallback: bool,
     /// Wall-clock budget in milliseconds, measured from submission. A job
     /// still queued past its deadline is rejected with a structured
     /// `timeout` record instead of occupying a worker; a multi-repeat job
@@ -138,13 +136,6 @@ pub struct JobResult {
     pub solve_ms: f64,
     /// Global problem size.
     pub n_unknowns: usize,
-    /// Failed attempts absorbed by retries, summed over repeats.
-    pub retries: usize,
-    /// At least one repeat was answered by the degraded (reduced-system)
-    /// path — the solution is partial; see `true_relres`.
-    pub degraded: bool,
-    /// Union of ranks declared dead across repeats.
-    pub dead_ranks: Vec<usize>,
     /// Classification of the failure (`"rank_failure"`, `"panic"`,
     /// `"rejected"`, ...) when one occurred.
     pub error_kind: Option<String>,
@@ -208,16 +199,6 @@ impl JobResult {
             self.refactored,
             self.pattern_age,
         );
-        if self.retries > 0 {
-            out.push_str(&format!(",\"retries\":{}", self.retries));
-        }
-        if self.degraded {
-            out.push_str(",\"degraded\":true");
-        }
-        if !self.dead_ranks.is_empty() {
-            let ranks: Vec<String> = self.dead_ranks.iter().map(|r| r.to_string()).collect();
-            out.push_str(&format!(",\"dead_ranks\":[{}]", ranks.join(",")));
-        }
         if self.pivot_shifts > 0 {
             out.push_str(&format!(",\"pivot_shifts\":{}", self.pivot_shifts));
         }
@@ -262,9 +243,7 @@ pub enum Kind {
     Bool,
     /// An integer in `min..=max`; `u64::MAX` as `max` is any `u64`.
     Uint(u64, u64),
-    /// A number in `[0, 1]`. `null` reads as NaN, which is not in it.
-    Unit,
-    /// A number in `(0, 1)`; NaN is not in it either.
+    /// A number in `(0, 1)`. `null` reads as NaN, which is not in it.
     OpenUnit,
     /// One of an enum's keys (case-insensitive), as the function lists them.
     OneOf(fn() -> Vec<&'static str>),
@@ -276,8 +255,7 @@ impl Kind {
         match *self {
             Uint(min, MAX) => format!("in {min}..=u64::MAX"),
             Uint(min, max) => format!("in {min}..={max}"),
-            OpenUnit => "in (0, 1)".into(),
-            _ => "in [0, 1]".into(),
+            _ => "in (0, 1)".into(),
         }
     }
 }
@@ -288,13 +266,13 @@ impl std::fmt::Display for Kind {
             Str => write!(f, "a string"),
             Bool => write!(f, "true or false"),
             Uint(..) => write!(f, "an integer {}", self.within()),
-            Unit | OpenUnit => write!(f, "a number {}", self.within()),
+            OpenUnit => write!(f, "a number {}", self.within()),
             OneOf(keys) => write!(f, "one of {}", keys().join(", ")),
         }
     }
 }
 
-use Kind::{Bool, OneOf, OpenUnit, Str, Uint, Unit};
+use Kind::{Bool, OneOf, OpenUnit, Str, Uint};
 const MAX: u64 = u64::MAX;
 
 /// One job key: its name, the kind of value it takes and what it sets.
@@ -342,10 +320,9 @@ impl KeySpec {
                     Err(outside(if exact { n.to_string() } else { sent(v) }))
                 }
             }
-            Unit | OpenUnit => {
+            OpenUnit => {
                 let x = v.as_f64().ok_or_else(wrong)?;
-                let open = matches!(self.kind, OpenUnit);
-                let inside = (0.0..=1.0).contains(&x) && !(open && (x == 0.0 || x == 1.0));
+                let inside = x > 0.0 && x < 1.0;
                 let got = || outside(sent(&JsonValue::Num(x)));
                 inside.then_some(Value::Real(x)).ok_or_else(got)
             }
@@ -382,9 +359,9 @@ fn keys<T: Copy, const N: usize>(every: [T; N], key: fn(T) -> &'static str) -> V
 }
 
 /// Every job key, in the order [`parse_job_fields`] checks them; any other
-/// key is a rejection. The bounds keep one job from holding a worker past
-/// its retries, backoffs and delays, a universe's `P²` channels, a GMRES
-/// basis or a batch's right-hand sides. Defaults are in parentheses.
+/// key is a rejection. The bounds keep one job within a universe's `P²`
+/// channels, a GMRES basis and a batch's right-hand sides. Defaults are in
+/// parentheses.
 #[rustfmt::skip]
 pub const JOB_KEYS: &[KeySpec] = &[
     key("id",          Str,              "echoed in the result (`job-<seq>`)"),
@@ -403,18 +380,8 @@ pub const JOB_KEYS: &[KeySpec] = &[
     key("maxit",       Uint(0, 10_000),  "outer iteration cap (600)"),
     key("restart",     Uint(1, 1000),    "GMRES restart length (20)"),
     key("rhs",         Str,              "`natural`, `ones`, `rowsum` (b = A·1) or a vector file"),
-    key("retries",     Uint(0, 4),       "retries after a rank failure (2)"),
-    key("backoff_ms",  Uint(0, 1000),    "base backoff, doubled per retry (5)"),
-    key("degrade",     Bool,             "solve the survivors' system when retries run out (true)"),
-    key("checkpoint",  Bool,             "resume a retry from restart-cycle checkpoints (true)"),
     key("fallback",    Bool,             "descend the preconditioner ladder on a breakdown (true)"),
-    key("drop_prob",   Unit,             "injected message-drop probability"),
-    key("delay_prob",  Unit,             "injected message-delay probability"),
-    key("delay_us",    Uint(0, 10_000),  "injected delay of a delayed message (200)"),
-    key("kill_rank",   Uint(0, MAX),     "rank to kill, below `ranks`"),
-    key("fault_seed",  Uint(0, MAX),     "seed of the injected faults (0)"),
-    key("kill_op",     Uint(0, MAX),     "send at which `kill_rank` dies (0)"),
-    key("batch",       Uint(0, 64),      "right-hand sides in one lock-step solve; no faults above 1"),
+    key("batch",       Uint(0, 64),      "right-hand sides in one lock-step solve (1)"),
     key("deadline_ms", Uint(1, MAX),     "wall-clock budget from submission"),
     key("repeat",      Uint(0, 64),      "solves of the same right-hand side (1)"),
 ];
@@ -498,31 +465,6 @@ pub fn parse_job_fields(
         Some(path) => RhsSpec::File(PathBuf::from(path)),
     };
 
-    let policy = RecoveryPolicy::default();
-    let recovery = RecoveryPolicy {
-        retry_budget: int("retries").map_or(policy.retry_budget, |r| r as usize),
-        backoff_ms: int("backoff_ms").unwrap_or(policy.backoff_ms),
-        degrade: flag("degrade").unwrap_or(policy.degrade),
-        checkpoint: flag("checkpoint").unwrap_or(policy.checkpoint),
-        precond_fallback: flag("fallback").unwrap_or(policy.precond_fallback),
-    };
-
-    let faults = ["fault_seed", "drop_prob", "delay_prob", "kill_rank"];
-    let fault = faults.iter().any(|k| get(k).is_some()).then(|| {
-        let f = FaultConfig::default();
-        let kill = int("kill_rank").map(|rank| RankOp {
-            rank: rank as usize,
-            op: int("kill_op").unwrap_or(0),
-        });
-        FaultConfig {
-            seed: int("fault_seed").unwrap_or(f.seed),
-            drop_prob: real("drop_prob").unwrap_or(f.drop_prob),
-            delay_prob: real("delay_prob").unwrap_or(f.delay_prob),
-            delay_us: int("delay_us").unwrap_or(f.delay_us),
-            kill: kill.into_iter().collect(),
-            ..f
-        }
-    });
     let batch = int("batch").unwrap_or(1).max(1) as usize;
 
     // The rules that join keys.
@@ -550,16 +492,6 @@ pub fn parse_job_fields(
         (None, None, None) => return bad("missing `case`, `mtx`, or `fp`"),
         _ => return bad("give exactly one of `case`, `mtx`, `fp`"),
     };
-    // A rank the universe does not have would never die.
-    if let Some(rank) = int("kill_rank").filter(|&r| r >= n_ranks) {
-        return bad(&format!(
-            "kill_rank must be in 0..={}, got {rank}",
-            n_ranks - 1
-        ));
-    }
-    if batch > 1 && fault.is_some() {
-        return bad("batched jobs do not support fault injection");
-    }
     // Last, so that a line with a bad value and an unknown key names the
     // bad value.
     let known = |k: &String| JOB_KEYS.iter().any(|s| s.name == k);
@@ -577,8 +509,7 @@ pub fn parse_job_fields(
         repeat: int("repeat").unwrap_or(1).max(1) as usize,
         batch,
         session,
-        recovery,
-        fault,
+        fallback: flag("fallback").unwrap_or(true),
         deadline_ms: int("deadline_ms"),
     })
 }

@@ -39,10 +39,13 @@
 //!   [`SolverSession::solve_traced`]`(b, x0)` are shorthands for its two
 //!   commonest requests. `run` returns the structured per-rank failures;
 //!   `?` flattens them into an [`EngineError`].
-//! * **Recover** — [`solve_resilient`] drives `run` through retry,
-//!   checkpoint resume and the degraded fallback
-//!   ([`resilient::solve_degraded`]: `build` + `run` again, Block 1 on the
-//!   survivors' reduced system).
+//! * **Fail** — a rank that panics or whose receive trips the deadlock
+//!   timeout comes back from `run` as a structured
+//!   [`RankFailure`](parapre_mpisim::RankFailure); the service answers the
+//!   job with it at once and keeps serving. The only recovery is numerical:
+//!   [`SolverSession::solve_with_fallback`] rebuilds a session whose solve
+//!   broke down one rung down the preconditioner ladder and solves again
+//!   (a job's `fallback` key, on by default).
 //!
 //! What used to be separate entry points are fields of the request, all off
 //! by default:
@@ -52,7 +55,7 @@
 //! | `rhs` | one right-hand side is the plain solve, several are the batched solve (one launch, one lock-step block solve, each column bit for bit its own solve) |
 //! | `x0` | the solve-with-a-guess call |
 //! | `trace` | the traced solve; streams come back in [`SolveOutput::traces`] |
-//! | `faults`, `ckpt` | the five-argument solve attempt (fault injection, restart-cycle checkpoints) |
+//! | `schedule` | the launch under a seeded send-delay schedule (tests: it moves time, never bits) |
 //!
 //! ```
 //! use parapre_core::{build_case, CaseId, CaseSize, PrecondKind};
@@ -83,7 +86,6 @@
 pub mod cache;
 pub mod experiment;
 pub mod jobs;
-pub mod resilient;
 pub mod service;
 pub mod session;
 
@@ -94,14 +96,13 @@ pub use jobs::{
     resolve_problem_with, JobResult, KeySpec, Kind, ProblemSpec, ResolvedProblem, RhsSpec,
     SolveJob, StoredMatrix, COMMANDS, JOB_KEYS, MAX_JOB_LINE_BYTES,
 };
-pub use resilient::{solve_resilient, FaultOutcome, RecoveryPolicy};
 pub use service::{
     ConfigError, Job, JobTicket, MatrixStore, MatrixStoreStats, ServiceConfig, SolveService,
     SubmitError,
 };
 pub use session::{
-    matrix_graph, MatrixId, RefactorFallback, SessionConfig, SessionSolveReport, SolveOutput,
-    SolveRequest, SolverSession,
+    matrix_graph, Descent, MatrixId, RefactorFallback, SessionConfig, SessionSolveReport,
+    SolveOutput, SolveRequest, SolverSession,
 };
 
 /// Errors of the serving layer.

@@ -8,20 +8,19 @@
 //! [`SubmitError::QueueFull`] instead of buffering unboundedly — callers
 //! decide whether to wait, shed load, or retry.
 //!
-//! Failures stay contained: a job that deadlocks inside a universe comes
-//! back as a failed [`JobResult`] carrying the
-//! [`CommError`](parapre_mpisim::CommError) diagnostic (rank, peer, tag),
-//! and the worker moves on to the next job — the process is never
-//! poisoned.
+//! Failures stay contained: a job that deadlocks or panics inside a
+//! universe comes back on its first attempt as a failed [`JobResult`]
+//! carrying the [`CommError`](parapre_mpisim::CommError) diagnostic (rank,
+//! peer, tag) or the panic message, and the worker moves on to the next
+//! job — the process is never poisoned.
 
 use crate::cache::{evict_lru, CacheStats, SessionCache, SessionKey};
 use crate::jobs::{
     batch_rhs, nearest, problem_key, resolve_problem_with, JobResult, ResolvedProblem, SolveJob,
     StoredMatrix, COMMANDS,
 };
-use crate::resilient::{solve_resilient, FaultOutcome, RecoveryPolicy};
-use crate::session::{MatrixId, RefactorFallback, SolveRequest, SolverSession};
-use parapre_mpisim::{FaultHook, FaultPlan};
+use crate::session::{Descent, MatrixId, RefactorFallback, SolveRequest, SolverSession};
+use crate::EngineError;
 use parapre_sparse::Csr;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -710,10 +709,6 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
     } else {
         t0.elapsed().as_secs_f64()
     };
-    // One plan per job: a `once` kill fires on the first repeat's first
-    // attempt and every later attempt/repeat runs clean, modelling a
-    // transient failure.
-    let plan: Option<Arc<FaultPlan>> = job.fault.clone().map(|f| Arc::new(FaultPlan::new(f)));
     // The result line is the accumulator every repeat folds into.
     let mut res = JobResult {
         ok: true,
@@ -727,15 +722,14 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
     // RHS against the shared factors, in one lock-step block solve whose
     // rounds share each halo message, all-reduce and factor sweep. Every
     // RHS starts from the job's guess, so its answer is the one a single
-    // solve of it gives. (Fault injection is rejected for batch jobs at
-    // parse time — a batch has no retry ladder.)
+    // solve of it gives. A batch does not descend the ladder.
     let rhss = (job.batch > 1).then(|| batch_rhs(&resolved.b, job.batch));
     // Safety net for a stale pattern: the first solve on a session this
     // job refactored runs with the preconditioner ladder held back. If it
     // does not converge, the frozen pattern is to blame before anything
     // else is: the session is discarded, the same rung is built cold once,
-    // and the solve starts over — only then do the ladder and the job's
-    // recovery policy see the problem.
+    // and the solve starts over — only then does the ladder see the
+    // problem.
     let mut probing = !cache_hit && session.pattern_age() > 0;
     let mut done = 0;
     while done < job.repeat {
@@ -744,52 +738,42 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
         }
         let attempt_t0 = Instant::now();
         // One repeat, either shape: its reports, its wall time, and what
-        // recovery did (a batch only has its session's build to report).
-        let attempt = if let Some(rhss) = &rhss {
-            let req = SolveRequest {
-                x0: resolved.x0.as_deref(),
-                ..SolveRequest::batch(rhss)
-            };
-            match session.run(req) {
-                Ok(out) => {
-                    let built = FaultOutcome {
-                        fallbacks: session.build_fallbacks(),
-                        pivot_shifts: session.pivot_shifts(),
-                        ..Default::default()
-                    };
-                    Ok((out.seconds, out.reports, built))
-                }
-                Err(fails) => Err((fails.into(), FaultOutcome::default())),
-            }
+        // the ladder did (a batch, or a solve held on its rung, only has its
+        // session's build to report).
+        let x0 = resolved.x0.as_deref();
+        let attempt = if rhss.is_none() && job.fallback && !probing {
+            session
+                .solve_with_fallback(&resolved.b, x0)
+                .map(|(rep, descent)| (rep.solve_seconds, vec![rep], descent))
         } else {
-            let hook = plan.clone().map(|p| p as Arc<dyn FaultHook>);
-            let policy = RecoveryPolicy {
-                precond_fallback: job.recovery.precond_fallback && !probing,
-                ..job.recovery
+            let req = match &rhss {
+                Some(rhss) => SolveRequest::batch(rhss),
+                None => SolveRequest::new(&resolved.b),
             };
-            solve_resilient(&session, &resolved.b, resolved.x0.as_deref(), hook, &policy)
-                .map(|(rep, out)| (rep.solve_seconds, vec![rep], out))
+            session.run(SolveRequest { x0, ..req }).map(|out| {
+                let built = Descent {
+                    fallbacks: session.build_fallbacks(),
+                    pivot_shifts: session.pivot_shifts(),
+                    breakdown_kind: None,
+                };
+                (out.seconds, out.reports, built)
+            })
         };
-        let (seconds, reports, out) = match attempt {
+        let (seconds, reports, descent) = match attempt {
             Ok(attempt) => attempt,
-            Err((e, mut out)) => {
-                let error_kind = out.error_kind.take();
-                absorb(&mut res, out);
-                let failed = JobResult::failed(&job.id, e.to_string());
+            Err(fails) => {
+                let failed = JobResult::failed(&job.id, EngineError::from(fails).to_string());
                 return JobResult {
                     batch: job.batch,
-                    retries: res.retries,
-                    degraded: res.degraded,
                     pivot_shifts: res.pivot_shifts,
                     fallbacks: res.fallbacks,
                     breakdown_kind: res.breakdown_kind,
-                    dead_ranks: res.dead_ranks,
-                    error_kind: error_kind.or_else(|| Some("rank_failure".into())),
+                    error_kind: Some("rank_failure".into()),
                     ..failed
                 };
             }
         };
-        let stale = probing && !out.degraded && !reports.iter().all(|r| r.converged);
+        let stale = probing && !reports.iter().all(|r| r.converged);
         probing = false;
         if stale {
             shared.count_refactor_fallback(RefactorFallback::Stale);
@@ -809,7 +793,7 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
             setup_seconds += attempt_t0.elapsed().as_secs_f64();
             continue;
         }
-        absorb(&mut res, out);
+        absorb(&mut res, descent);
         for rep in &reports {
             res.iterations.push(rep.iterations);
             res.converged &= rep.converged;
@@ -838,18 +822,13 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
     res
 }
 
-/// Folds one repeat's recovery record into the job's result: counts add,
-/// dead ranks union, the latest breakdown kind wins.
-fn absorb(res: &mut JobResult, out: FaultOutcome) {
-    res.retries += out.retries;
-    res.degraded |= out.degraded;
-    res.pivot_shifts += out.pivot_shifts;
-    res.fallbacks += out.fallbacks;
-    res.dead_ranks.extend(out.dead_ranks);
-    res.dead_ranks.sort_unstable();
-    res.dead_ranks.dedup();
-    if out.breakdown_kind.is_some() {
-        res.breakdown_kind = out.breakdown_kind;
+/// Folds one repeat's descent into the job's result: counts add, the
+/// latest breakdown kind wins.
+fn absorb(res: &mut JobResult, descent: Descent) {
+    res.pivot_shifts += descent.pivot_shifts;
+    res.fallbacks += descent.fallbacks;
+    if descent.breakdown_kind.is_some() {
+        res.breakdown_kind = descent.breakdown_kind;
     }
 }
 

@@ -18,11 +18,11 @@ use parapre_core::{
     PartitionScheme, PrecondKind, PrecondParams, RefactorReject,
 };
 use parapre_dist::{
-    gather_vector, scatter_vector, tags, CheckpointCtx, DistGmres, DistGmresConfig, DistMatrix,
-    DistOp, DistPrecond,
+    gather_vector, scatter_vector, tags, DistGmres, DistGmresConfig, DistMatrix, DistOp,
+    DistPrecond,
 };
 use parapre_grid::Adjacency;
-use parapre_mpisim::{Comm, FaultHook, MachineModel, RankFailure, Universe};
+use parapre_mpisim::{Comm, MachineModel, RankFailure, SchedulePlan, Universe};
 use parapre_partition::partition_graph;
 use parapre_sparse::ops;
 use parapre_sparse::Csr;
@@ -176,11 +176,11 @@ pub struct SolverSession {
     pattern_age: usize,
     setup_seconds: f64,
     ranks: Vec<RankState>,
-    /// The distributed global matrix and owner map, retained so the
-    /// resilience layer can build degraded (reduced) systems and verify
-    /// full-system residuals without re-partitioning. The owner map is
-    /// shared with every session refactored from this one; the matrix with
-    /// the matrix store when it was registered structurally symmetric.
+    /// The distributed global matrix and owner map, retained so a session
+    /// can be rebuilt on another rung or refactored without
+    /// re-partitioning. The owner map is shared with every session
+    /// refactored from this one; the matrix with the matrix store when it
+    /// was registered structurally symmetric.
     a_global: Arc<Csr>,
     owner: Arc<[u32]>,
 }
@@ -231,11 +231,9 @@ pub struct SolveRequest<'a> {
     /// Install a `parapre-metrics` recorder on every rank and return the
     /// event streams in [`SolveOutput::traces`].
     pub trace: bool,
-    /// Deterministic fault-injection plan for the universe.
-    pub faults: Option<Arc<dyn FaultHook>>,
-    /// Restart-cycle checkpointing of a (possibly resumed) solve;
-    /// single-right-hand-side requests only.
-    pub ckpt: Option<CheckpointCtx<'a>>,
+    /// A seeded send-delay schedule installed on every rank (tests only:
+    /// it moves time, never bits).
+    pub schedule: Option<Arc<SchedulePlan>>,
 }
 
 impl<'a> SolveRequest<'a> {
@@ -254,6 +252,21 @@ impl<'a> SolveRequest<'a> {
             ..Default::default()
         }
     }
+}
+
+/// What the preconditioner ladder did for one
+/// [`SolverSession::solve_with_fallback`].
+#[derive(Debug, Clone, Default)]
+pub struct Descent {
+    /// Rungs descended below the requested kind, build-time and solve-time,
+    /// over every session the descent went through.
+    pub fallbacks: usize,
+    /// Diagonal-shift factorization retries, summed over ranks and
+    /// sessions.
+    pub pivot_shifts: usize,
+    /// Kind key of the last typed breakdown seen (`"stagnation"`,
+    /// `"non_finite"`, ...), recovered from or not.
+    pub breakdown_kind: Option<String>,
 }
 
 /// The outcome of one [`SolverSession::run`].
@@ -287,12 +300,12 @@ pub(crate) fn join_failures(failures: &[RankFailure]) -> String {
 fn launch<T: Send>(
     cfg: &SessionConfig,
     p: usize,
-    faults: Option<Arc<dyn FaultHook>>,
+    schedule: Option<Arc<SchedulePlan>>,
     f: impl Fn(&mut Comm) -> T + Sync,
 ) -> Result<Vec<T>, Vec<RankFailure>> {
     let mut outs = Vec::with_capacity(p);
     let mut failures = Vec::new();
-    for out in Universe::try_run_with_faults(p, cfg.recv_timeout, faults, f) {
+    for out in Universe::try_run_with(p, cfg.recv_timeout, schedule, f) {
         match out {
             Ok(o) => outs.push(o),
             Err(f) => failures.push(f),
@@ -491,9 +504,9 @@ impl SolverSession {
     /// checked against their true residuals and gathered on rank 0; each
     /// column starts from the request's guess, so it is bit for bit the
     /// single solve of its right-hand side. Failures come back
-    /// *structured*, one per dead rank — the resilience layer needs to
-    /// know which rank died and whether the death was injected
-    /// (`EngineError: From<Vec<RankFailure>>` flattens them for `?`).
+    /// *structured*, one per dead rank, each with its receive-timeout
+    /// diagnostic when it deadlocked (`EngineError: From<Vec<RankFailure>>`
+    /// flattens them for `?`).
     pub fn run(&self, req: SolveRequest<'_>) -> Result<SolveOutput, Vec<RankFailure>> {
         let k = req.rhs.len();
         assert!(k >= 1, "a request needs at least one rhs");
@@ -503,12 +516,8 @@ impl SolverSession {
         if let Some(x0) = req.x0 {
             assert_eq!(x0.len(), self.n_global, "guess length");
         }
-        assert!(
-            req.ckpt.is_none() || k == 1,
-            "checkpointing covers one rhs per request"
-        );
         let t0 = Instant::now();
-        let mut ranks = launch(&self.cfg, self.cfg.n_ranks, req.faults, |comm| {
+        let mut ranks = launch(&self.cfg, self.cfg.n_ranks, req.schedule, |comm| {
             parapre_metrics::recorded(comm.rank(), req.trace, || {
                 let rank_t0 = Instant::now();
                 let before = comm.stats();
@@ -530,7 +539,6 @@ impl SolverSession {
                     &st.precond,
                     &bs,
                     &mut xs,
-                    req.ckpt,
                 );
                 // True residuals ‖b − Ax‖ / ‖b‖, assembled distributed: one
                 // operator application and one reduction per norm for all.
@@ -613,6 +621,58 @@ impl SolverSession {
         })
     }
 
+    /// [`SolverSession::run`] of one right-hand side that descends the
+    /// preconditioner ladder: when the solve stops unconverged on a typed
+    /// breakdown (non-finite arithmetic, stagnation, divergence), the
+    /// session is rebuilt one rung down and the solve starts again, from the
+    /// broken-down iterate when that is finite. The report's wall clock
+    /// covers every rung tried. A rank failure ends the solve at once.
+    pub fn solve_with_fallback(
+        &self,
+        b: &[f64],
+        x0: Option<&[f64]>,
+    ) -> Result<(SessionSolveReport, Descent), Vec<RankFailure>> {
+        let t0 = Instant::now();
+        let mut descent = Descent::default();
+        let mut guess: Option<Vec<f64>> = None;
+        // A descent replaces the session with one built a rung down; `self`
+        // stays borrowed.
+        let mut rebuilt: Option<SolverSession> = None;
+        loop {
+            let sess = rebuilt.as_ref().unwrap_or(self);
+            let req = SolveRequest {
+                x0: guess.as_deref().or(x0),
+                ..SolveRequest::new(b)
+            };
+            let mut rep = sess.run(req)?.single();
+            if let Some(bd) = rep.breakdown {
+                descent.breakdown_kind = Some(bd.kind.key().to_string());
+            }
+            let broke_down = !rep.converged && rep.breakdown.is_some();
+            let down = sess.active_precond().fallback().filter(|_| broke_down);
+            let down = down.and_then(|precond| {
+                let cfg = SessionConfig {
+                    precond,
+                    ..sess.cfg.clone()
+                };
+                Self::build_identified(&sess.a_global, &sess.owner, &cfg, sess.id, false).ok()
+            });
+            // What an abandoned session's own build cost counts too.
+            descent.fallbacks += sess.build_fallbacks();
+            descent.pivot_shifts += sess.pivot_shifts();
+            let Some((down, _)) = down else {
+                rep.solve_seconds = t0.elapsed().as_secs_f64();
+                return Ok((rep, descent));
+            };
+            parapre_metrics::count(parapre_metrics::names::PRECOND_FALLBACK, 1);
+            descent.fallbacks += 1;
+            if rep.x.iter().all(|v| v.is_finite()) {
+                guess = Some(rep.x);
+            }
+            rebuilt = Some(down);
+        }
+    }
+
     /// Folds one finished solve into the live registry: latency
     /// histograms (global and keyed by fingerprint + active rung),
     /// the iteration histogram, and the load-imbalance gauges.
@@ -650,11 +710,6 @@ impl SolverSession {
     /// Content fingerprint of the distributed matrix.
     pub fn fingerprint(&self) -> u64 {
         self.id.fingerprint
-    }
-
-    /// Both hashes of the distributed matrix.
-    pub(crate) fn id(&self) -> MatrixId {
-        self.id
     }
 
     /// Pattern-only fingerprint of the distributed matrix: equal between a
@@ -697,30 +752,9 @@ impl SolverSession {
         &self.a_global
     }
 
-    /// [`SolverSession::matrix`], for a session built from it.
-    pub(crate) fn shared_matrix(&self) -> &Arc<Csr> {
-        &self.a_global
-    }
-
     /// Per-unknown owner map.
     pub fn owner(&self) -> &[u32] {
         &self.owner
-    }
-
-    /// Assembles per-rank owned slices (rank order, layout ordering) into a
-    /// global vector — the inverse of [`scatter_vector`] over all ranks.
-    /// Used to turn a consistent checkpoint into a restart guess.
-    pub fn assemble_global(&self, per_rank: &[Vec<f64>]) -> Vec<f64> {
-        assert_eq!(per_rank.len(), self.ranks.len());
-        let mut out = vec![0.0; self.n_global];
-        for (st, xs) in self.ranks.iter().zip(per_rank) {
-            let layout = &st.dm.layout;
-            assert_eq!(xs.len(), layout.n_owned());
-            for (l, &v) in xs.iter().enumerate() {
-                out[layout.local_to_global[l]] = v;
-            }
-        }
-        out
     }
 }
 
@@ -949,7 +983,7 @@ mod tests {
         let (refactored, _) = SolverSession::refactor_identified(&cold, &a, id, false)
             .unwrap_or_else(|e| panic!("refactor refused: {e:?}"));
         for session in [&cold, &refactored] {
-            assert!(Arc::ptr_eq(session.shared_matrix(), &a));
+            assert!(Arc::ptr_eq(&session.a_global, &a));
             let rep = session
                 .run(SolveRequest {
                     x0: Some(&case.x0),

@@ -24,7 +24,7 @@ fn hostile_job_lines_reject_without_panic() {
     assert!(parse_job_line(r#"{"fp":"xyzzy"}"#, 0).is_err());
     assert!(parse_job_line(r#"{"fp":""}"#, 0).is_err());
 
-    // Fault injection cannot ride on a batch job.
+    // A job line cannot ask for fault injection: `kill_rank` is no key.
     assert!(parse_job_line(r#"{"case":"tc1","batch":4,"kill_rank":1}"#, 0).is_err());
 
     // A restart length the solver would have to allocate a basis for.
@@ -278,9 +278,9 @@ fn non_utf8_and_control_bytes_never_panic() {
             &format!("precond must be one of {preconds}, got 7"),
         ),
         (
-            "degrade",
+            "fallback",
             r#""yes""#,
-            r#"degrade must be true or false, got "yes""#,
+            r#"fallback must be true or false, got "yes""#,
         ),
         ("id", "5", "id must be a string, got 5"),
         (
@@ -304,18 +304,8 @@ fn non_utf8_and_control_bytes_never_panic() {
 #[test]
 fn bounded_keys_reject_just_past_their_range_naming_key_range_and_value() {
     // One row per bound: the key, a value just inside its range, and a
-    // value just outside it. Unbounded retries, backoffs and delays let one
-    // job hold a pool worker for as long as it liked.
-    let rows: [(&str, &str, &str, &str); 17] = [
-        ("retries", "4", "5", "0..=4"),
-        ("backoff_ms", "1000", "1001", "0..=1000"),
-        ("delay_us", "10000", "10001", "0..=10000"),
-        ("drop_prob", "1", "1.0001", "[0, 1]"),
-        ("drop_prob", "0", "-0.0001", "[0, 1]"),
-        ("drop_prob", "0.5", "null", "[0, 1]"),
-        ("delay_prob", "1", "1.0001", "[0, 1]"),
-        ("delay_prob", "0", "-3", "[0, 1]"),
-        ("kill_rank", "1", "2", "0..=1"),
+    // value just outside it.
+    let rows: [(&str, &str, &str, &str); 8] = [
         ("tol", "0.999", "1", "(0, 1)"),
         ("tol", "1e-300", "0", "(0, 1)"),
         ("tol", "1e-6", "-1", "(0, 1)"),
@@ -350,16 +340,50 @@ fn unknown_keys_are_rejected_naming_the_nearest_valid_key() {
         assert!(err.contains(&named), "{key}: {err}");
     }
     // Every other rejection comes first, so its message is what it was.
-    let err = parse_job_line(r#"{"case":"tc1","precnd":"x","retries":5}"#, 0)
+    let err = parse_job_line(r#"{"case":"tc1","precnd":"x","repeat":65}"#, 0)
         .unwrap_err()
         .to_string();
-    assert!(err.contains("retries must be in 0..=4, got 5"), "got {err}");
+    assert!(
+        err.contains("repeat must be in 0..=64, got 65"),
+        "got {err}"
+    );
     // Every listed key is accepted.
     for key in JOB_KEYS.iter().map(|spec| spec.name) {
         let line = format!(r#"{{"case":"tc1","{key}":null}}"#);
         if let Err(e) = parse_job_line(&line, 0) {
             assert!(!e.to_string().contains("unknown key"), "{key}: {e}");
         }
+    }
+}
+
+#[test]
+fn the_recovery_keys_are_unknown_and_name_a_key_of_the_table() {
+    // Process-level recovery and fault injection left the table; a line
+    // that still asks for them is rejected, never run without them.
+    for key in [
+        "retries",
+        "backoff_ms",
+        "degrade",
+        "checkpoint",
+        "drop_prob",
+        "delay_prob",
+        "delay_us",
+        "kill_rank",
+        "fault_seed",
+        "kill_op",
+    ] {
+        assert!(JOB_KEYS.iter().all(|spec| spec.name != key), "{key}");
+        let line = format!(r#"{{"case":"tc1","ranks":2,"{key}":1}}"#);
+        let err = parse_job_line(&line, 0).unwrap_err().to_string();
+        let prefix = format!("bad job: unknown key {key:?}; nearest valid key: ");
+        let nearest = err
+            .strip_prefix(&prefix)
+            .unwrap_or_else(|| panic!("{key}: {err}"));
+        let nearest = nearest.trim_matches('"');
+        assert!(
+            JOB_KEYS.iter().any(|spec| spec.name == nearest),
+            "{key}: {nearest}"
+        );
     }
 }
 

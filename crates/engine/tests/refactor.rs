@@ -493,7 +493,7 @@ fn a_stale_pattern_is_rebuilt_cold_once_on_the_same_rung() {
     );
     assert!(!r.cache_hit && !r.refactored && r.pattern_age == 0);
     assert_eq!(r.precond_used.as_deref(), Some("block2"));
-    assert_eq!((r.fallbacks, r.retries), (0, 0));
+    assert_eq!(r.fallbacks, 0);
     assert_eq!(
         r.iterations.len(),
         1,

@@ -1,10 +1,8 @@
 //! End-to-end numerical-safety tests: hostile systems through
-//! `SolverSession`, `solve_resilient`, and the JSONL job layer.
+//! `SolverSession`, its ladder descent, and the JSONL job layer.
 
 use parapre_core::PrecondKind;
-use parapre_engine::{
-    parse_job_line, solve_resilient, JobResult, RecoveryPolicy, SessionConfig, SolverSession,
-};
+use parapre_engine::{parse_job_line, JobResult, SessionConfig, SolverSession};
 use parapre_sparse::{Coo, Csr};
 
 /// Structurally symmetric chain with zero / tiny / negative diagonals.
@@ -61,7 +59,7 @@ fn session_builds_and_solves_hostile_system() {
     }
 }
 
-/// `solve_resilient` carries the numerical diagnostics in its outcome.
+/// `solve_with_fallback` carries the numerical diagnostics in its outcome.
 #[test]
 fn resilient_outcome_reports_numerical_recovery() {
     let n = 64;
@@ -71,7 +69,8 @@ fn resilient_outcome_reports_numerical_recovery() {
     cfg.gmres.max_iters = 120;
     let session = SolverSession::build(&a, &owner, &cfg).expect("build");
     let b = vec![1.0; n];
-    let (rep, out) = solve_resilient(&session, &b, None, None, &RecoveryPolicy::default())
+    let (rep, out) = session
+        .solve_with_fallback(&b, None)
         .expect("ladder bottom is infallible");
     assert!(
         out.pivot_shifts > 0 || out.fallbacks > 0 || rep.converged,
@@ -82,7 +81,7 @@ fn resilient_outcome_reports_numerical_recovery() {
     }
 }
 
-/// `FaultOutcome::fallbacks` is the ladder distance from the requested kind
+/// `Descent::fallbacks` is the ladder distance from the requested kind
 /// to the kind that answered — build-time rungs of *every* session the
 /// descent went through, not only the last one's.
 #[test]
@@ -106,7 +105,8 @@ fn resilient_fallbacks_count_the_first_sessions_build_rungs() {
         "the case needs a build that already left the requested rung"
     );
     let b = vec![1.0; n];
-    let (_, out) = solve_resilient(&session, &b, None, None, &RecoveryPolicy::default())
+    let (_, out) = session
+        .solve_with_fallback(&b, None)
         .expect("ladder bottom is infallible");
     assert!(
         out.fallbacks > session.build_fallbacks(),
@@ -145,9 +145,9 @@ fn job_lines_are_validated() {
     assert!(parse_job_line(r#"{"case":"tc1","ranks":0}"#, 0).is_err());
     assert!(parse_job_line("not json at all", 0).is_err());
     let job = parse_job_line(r#"{"case":"tc1","fallback":false}"#, 0).expect("valid");
-    assert!(!job.recovery.precond_fallback);
+    assert!(!job.fallback);
     let job = parse_job_line(r#"{"case":"tc1"}"#, 1).expect("valid");
-    assert!(job.recovery.precond_fallback, "safety net defaults on");
+    assert!(job.fallback, "safety net defaults on");
 }
 
 /// A right-hand side containing NaN is rejected up front with a structured

@@ -303,21 +303,6 @@ pub mod names {
     pub const GMRES_ITERS: &str = "gmres.iters";
     /// An inner GMRES cycle was cut short by the stagnation guard.
     pub const GMRES_STALL_CUT: &str = "gmres.stall_cut";
-    /// A message was dropped by the installed fault plan.
-    pub const FAULT_DROP: &str = "fault.msg_dropped";
-    /// A message delivery was delayed by the installed fault plan.
-    pub const FAULT_DELAY: &str = "fault.msg_delayed";
-    /// This rank was killed by the installed fault plan.
-    pub const FAULT_KILL: &str = "fault.rank_killed";
-    /// This rank was hung (stalled past the deadlock tripwire) by the
-    /// installed fault plan.
-    pub const FAULT_HANG: &str = "fault.rank_hung";
-    /// A restart-cycle checkpoint was saved by a distributed solver.
-    pub const CKPT_SAVED: &str = "ckpt.saved";
-    /// A failed solve attempt was retried by the resilience layer.
-    pub const SOLVE_RETRY: &str = "solve.retry";
-    /// A solve fell back to the degraded (survivors-only) path.
-    pub const SOLVE_DEGRADED: &str = "solve.degraded";
     /// A Krylov solve terminated with a typed breakdown (zero
     /// normalization, non-finite values, stagnation, divergence).
     pub const SOLVE_BREAKDOWN: &str = "solve.breakdown";

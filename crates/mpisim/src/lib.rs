@@ -25,10 +25,9 @@
 //!   timing *shape* discussion; when a `parapre-metrics` recorder is
 //!   installed on the rank's thread, every send/receive additionally
 //!   emits a structured comm event;
-//! * deterministic fault injection: a [`FaultHook`] installed by
-//!   [`Universe::try_run_with_faults`] decides per send operation, and
-//!   [`FaultPlan`] is the seeded schedule (drops, delays, jitter, rank
-//!   kill/hang) the chaos tests and fault-injected jobs run under.
+//! * a schedule hook for tests: a seeded [`SchedulePlan`] installed by
+//!   [`Universe::try_run_with`] delays sends, per rank and send operation,
+//!   to vary how the rank threads interleave without changing any value.
 //!
 //! Iteration counts — the paper's primary measurement — are entirely
 //! deterministic under this substitution: the algebra does not care whether
@@ -37,12 +36,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod fault;
+mod schedule;
 
-pub use fault::{
-    FaultAction, FaultConfig, FaultHook, FaultPlan, FaultRecord, InjectedFault, InjectedFaultKind,
-    RankOp, SendFault, StepFault,
-};
+pub use schedule::SchedulePlan;
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -168,11 +164,6 @@ pub struct RankFailure {
     /// The structured receive-timeout error when the failure was a
     /// communication deadlock (`None` for ordinary panics).
     pub comm_error: Option<CommError>,
-    /// The structured fault description when the failure was injected by an
-    /// installed [`FaultHook`] (`None` for organic failures) — the signal a
-    /// recovery layer uses to tell a deliberately dead rank from its
-    /// secondary deadlock victims.
-    pub injected: Option<InjectedFault>,
 }
 
 impl std::fmt::Display for RankFailure {
@@ -184,20 +175,13 @@ impl std::fmt::Display for RankFailure {
 impl std::error::Error for RankFailure {}
 
 fn failure_from_panic(rank: usize, payload: Box<dyn std::any::Any + Send>) -> RankFailure {
-    let (message, comm_error, injected) = match payload.downcast::<CommError>() {
-        Ok(e) => (e.to_string(), Some(*e), None),
-        Err(payload) => match payload.downcast::<InjectedFault>() {
-            Ok(f) => (f.to_string(), None, Some(*f)),
-            Err(payload) => match payload.downcast::<String>() {
-                Ok(s) => (*s, None, None),
-                Err(payload) => match payload.downcast::<&'static str>() {
-                    Ok(s) => ((*s).to_string(), None, None),
-                    Err(_) => (
-                        "rank panicked with a non-string payload".to_string(),
-                        None,
-                        None,
-                    ),
-                },
+    let (message, comm_error) = match payload.downcast::<CommError>() {
+        Ok(e) => (e.to_string(), Some(*e)),
+        Err(payload) => match payload.downcast::<String>() {
+            Ok(s) => (*s, None),
+            Err(payload) => match payload.downcast::<&'static str>() {
+                Ok(s) => ((*s).to_string(), None),
+                Err(_) => ("rank panicked with a non-string payload".to_string(), None),
             },
         },
     };
@@ -205,7 +189,6 @@ fn failure_from_panic(rank: usize, payload: Box<dyn std::any::Any + Send>) -> Ra
         rank,
         message,
         comm_error,
-        injected,
     }
 }
 
@@ -352,21 +335,18 @@ impl Universe {
         F: Fn(&mut Comm) -> T + Sync,
         T: Send,
     {
-        Self::try_run_with_faults(n_ranks, RECV_TIMEOUT, None, f)
+        Self::try_run_with(n_ranks, RECV_TIMEOUT, None, f)
     }
 
     /// [`Universe::try_run`] with an explicit deadlock-tripwire timeout for
     /// every blocking receive (tests of failure paths want milliseconds,
-    /// not the default 60 s) and, optionally, a deterministic fault hook
-    /// installed on every rank's communicator: the same closure runs under
-    /// a reproducible schedule of message drops/delays, slow-rank jitter,
-    /// and rank kills/hangs (see [`FaultHook`]). Injected terminal faults
-    /// come back as [`RankFailure`]s with [`RankFailure::injected`] set;
-    /// their secondary victims surface as ordinary [`CommError`] timeouts.
-    pub fn try_run_with_faults<F, T>(
+    /// not the default 60 s) and, optionally, a [`SchedulePlan`] installed
+    /// on every rank's communicator: the same closure runs under a
+    /// reproducible schedule of send delays.
+    pub fn try_run_with<F, T>(
         n_ranks: usize,
         recv_timeout: Duration,
-        faults: Option<Arc<dyn FaultHook>>,
+        schedule: Option<Arc<SchedulePlan>>,
         f: F,
     ) -> Vec<Result<T, RankFailure>>
     where
@@ -406,7 +386,7 @@ impl Universe {
                 late_hits: 0,
                 recv_timeout,
                 pool: RefCell::new(Vec::new()),
-                faults: faults.clone(),
+                schedule: schedule.clone(),
                 send_ops: 0,
             })
             .collect();
@@ -467,11 +447,11 @@ pub struct Comm {
     /// delivered buffers back via [`Comm::recycle_f64s`], so steady-state
     /// halo exchanges allocate nothing per message.
     pool: RefCell<Vec<Vec<f64>>>,
-    /// Deterministic fault hook installed by
-    /// [`Universe::try_run_with_faults`] (`None` in normal launches).
-    faults: Option<Arc<dyn FaultHook>>,
+    /// Schedule hook installed by [`Universe::try_run_with`] (`None` in
+    /// normal launches).
+    schedule: Option<Arc<SchedulePlan>>,
     /// This rank's 0-based send-operation counter — the deterministic clock
-    /// fault decisions are keyed on.
+    /// schedule decisions are keyed on.
     send_ops: u64,
 }
 
@@ -502,56 +482,16 @@ impl Comm {
 
     /// Sends `payload` to rank `to` under `tag` (non-blocking, buffered).
     ///
-    /// When a [`FaultHook`] is installed (see
-    /// [`Universe::try_run_with_faults`]) it is consulted here: the message
-    /// may be dropped or delayed, and the rank itself may be jittered,
-    /// killed, or hung at this operation boundary. Dropped messages still
-    /// count as sent — they left this rank; the wire ate them.
+    /// When a [`SchedulePlan`] is installed (see [`Universe::try_run_with`])
+    /// it is consulted here, and the rank may stall before the message
+    /// leaves.
     pub fn send(&mut self, to: usize, tag: u64, payload: Vec<f64>) {
         assert!(to < self.size, "send to rank {to} of {}", self.size);
         let bytes = n_bytes(&payload);
         let op = self.send_ops;
         self.send_ops += 1;
-        if let Some(hook) = self.faults.clone() {
-            match hook.on_step(self.rank, op) {
-                StepFault::Continue => {}
-                StepFault::Jitter(d) => std::thread::sleep(d),
-                StepFault::Kill => {
-                    parapre_metrics::count(parapre_metrics::names::FAULT_KILL, 1);
-                    std::panic::panic_any(InjectedFault {
-                        rank: self.rank,
-                        op,
-                        kind: InjectedFaultKind::Kill,
-                    });
-                }
-                StepFault::Hang => {
-                    parapre_metrics::count(parapre_metrics::names::FAULT_HANG, 1);
-                    // Stall past every peer's tripwire so they observe the
-                    // hang as CommError timeouts, then die so the scoped
-                    // join completes.
-                    std::thread::sleep(self.recv_timeout + Duration::from_millis(50));
-                    std::panic::panic_any(InjectedFault {
-                        rank: self.rank,
-                        op,
-                        kind: InjectedFaultKind::Hang,
-                    });
-                }
-            }
-            match hook.on_send(self.rank, op, to, tag, bytes) {
-                SendFault::Deliver => {}
-                SendFault::Drop => {
-                    self.stats.msgs_sent += 1;
-                    self.stats.bytes_sent += bytes;
-                    self.peer_stats[to].msgs_sent += 1;
-                    self.peer_stats[to].bytes_sent += bytes;
-                    parapre_metrics::count(parapre_metrics::names::FAULT_DROP, 1);
-                    return;
-                }
-                SendFault::Delay(d) => {
-                    parapre_metrics::count(parapre_metrics::names::FAULT_DELAY, 1);
-                    std::thread::sleep(d);
-                }
-            }
+        if let Some(d) = self.schedule.as_ref().and_then(|s| s.delay(self.rank, op)) {
+            std::thread::sleep(d);
         }
         self.stats.msgs_sent += 1;
         self.stats.bytes_sent += bytes;
@@ -568,7 +508,7 @@ impl Comm {
     }
 
     /// Number of send operations this rank has performed — the
-    /// deterministic per-rank clock that fault schedules are keyed on.
+    /// deterministic per-rank clock a [`SchedulePlan`] is keyed on.
     pub fn send_ops(&self) -> u64 {
         self.send_ops
     }
@@ -1106,7 +1046,7 @@ mod tests {
     #[test]
     fn unanswered_receive_trips_within_the_timeout() {
         let timeout = Duration::from_millis(100);
-        let out = Universe::try_run_with_faults(2, timeout, None, |c| {
+        let out = Universe::try_run_with(2, timeout, None, |c| {
             let t0 = Instant::now();
             let err = c
                 .recv_checked(1 - c.rank(), 0x51)
@@ -1304,7 +1244,7 @@ mod tests {
 
     #[test]
     fn deadlock_reports_rank_peer_and_tag() {
-        let out = Universe::try_run_with_faults(2, Duration::from_millis(50), None, |c| {
+        let out = Universe::try_run_with(2, Duration::from_millis(50), None, |c| {
             if c.rank() == 0 {
                 // Nobody ever sends tag 0x42: deterministic deadlock.
                 let _ = c.recv(1, 0x42);
@@ -1325,7 +1265,7 @@ mod tests {
 
     #[test]
     fn deadlock_dump_includes_unmatched_arrivals() {
-        let out = Universe::try_run_with_faults(2, Duration::from_millis(50), None, |c| {
+        let out = Universe::try_run_with(2, Duration::from_millis(50), None, |c| {
             if c.rank() == 1 {
                 c.send(0, 0x7, vec![1.0, 2.0]);
             } else {
@@ -1347,7 +1287,7 @@ mod tests {
     fn racing_arrival_beats_the_tripwire() {
         // A message that lands "late" (after the receiver started waiting on
         // a short timeout) must still be delivered, not misreported.
-        let out = Universe::try_run_with_faults(2, Duration::from_millis(400), None, |c| {
+        let out = Universe::try_run_with(2, Duration::from_millis(400), None, |c| {
             if c.rank() == 0 {
                 std::thread::sleep(Duration::from_millis(100));
                 c.send(1, 5, vec![3.5]);
@@ -1374,91 +1314,11 @@ mod tests {
         assert!(failure.comm_error.is_none());
     }
 
-    /// Test hook: kills `kill.0` at op `kill.1`, drops every message whose
-    /// tag is in `drop_tags`, delays everything else by `delay`.
-    struct TestHook {
-        kill: Option<(usize, u64)>,
-        drop_tags: Vec<u64>,
-        delay: Option<Duration>,
-    }
-
-    impl FaultHook for TestHook {
-        fn on_step(&self, rank: usize, op: u64) -> StepFault {
-            match self.kill {
-                Some((r, k)) if r == rank && op == k => StepFault::Kill,
-                _ => StepFault::Continue,
-            }
-        }
-        fn on_send(&self, _rank: usize, _op: u64, _to: usize, tag: u64, _bytes: u64) -> SendFault {
-            if self.drop_tags.contains(&tag) {
-                SendFault::Drop
-            } else if let Some(d) = self.delay {
-                SendFault::Delay(d)
-            } else {
-                SendFault::Deliver
-            }
-        }
-    }
-
-    #[test]
-    fn injected_kill_surfaces_structured_and_contained() {
-        let hook: Arc<dyn FaultHook> = Arc::new(TestHook {
-            kill: Some((1, 0)),
-            drop_tags: vec![],
-            delay: None,
-        });
-        let out = Universe::try_run_with_faults(2, Duration::from_millis(60), Some(hook), |c| {
-            if c.rank() == 1 {
-                c.send(0, 5, vec![1.0]); // killed at this op
-                unreachable!("rank 1 dies before delivering");
-            }
-            // Rank 0 waits on the victim and must observe a CommError.
-            let got = c.recv_checked(1, 5);
-            got.is_err()
-        });
-        assert_eq!(out[0].as_ref().ok(), Some(&true), "peer sees the timeout");
-        let failure = out[1].as_ref().expect_err("rank 1 was killed");
-        let injected = failure.injected.as_ref().expect("structured fault");
-        assert_eq!((injected.rank, injected.op), (1, 0));
-        assert_eq!(injected.kind, InjectedFaultKind::Kill);
-        assert!(failure.message.contains("fault injection"), "{failure}");
-    }
-
-    #[test]
-    fn dropped_message_counts_as_sent_but_never_arrives() {
-        let hook: Arc<dyn FaultHook> = Arc::new(TestHook {
-            kill: None,
-            drop_tags: vec![0x66],
-            delay: None,
-        });
-        let out = Universe::try_run_with_faults(2, Duration::from_millis(50), Some(hook), |c| {
-            if c.rank() == 0 {
-                c.send(1, 0x66, vec![1.0, 2.0]); // dropped
-                c.send(1, 0x67, vec![3.0]); // delivered
-                (c.stats().msgs_sent, 0.0)
-            } else {
-                let ok = c.recv(0, 0x67)[0];
-                let lost = c.recv_checked(0, 0x66);
-                assert!(lost.is_err(), "dropped message must never arrive");
-                (c.stats().msgs_recv, ok)
-            }
-        });
-        let (sent, _) = *out[0].as_ref().unwrap();
-        let (recv, ok) = *out[1].as_ref().unwrap();
-        assert_eq!(sent, 2, "drop still counts as sent");
-        assert_eq!(recv, 1, "only the delivered message is received");
-        assert_eq!(ok, 3.0);
-    }
-
     #[test]
     fn delays_do_not_change_results() {
-        let run = |delay: Option<Duration>| {
-            let hook: Arc<dyn FaultHook> = Arc::new(TestHook {
-                kill: None,
-                drop_tags: vec![],
-                delay,
-            });
-            Universe::try_run_with_faults(4, Duration::from_secs(5), Some(hook), |c| {
+        let run = |delay_us: Option<u64>| {
+            let plan = delay_us.map(|us| Arc::new(SchedulePlan::delays(0, 1.0, us)));
+            Universe::try_run_with(4, Duration::from_secs(5), plan, |c| {
                 c.allreduce_sum((c.rank() as f64 + 1.0) * 0.1, 9)
             })
             .into_iter()
@@ -1466,7 +1326,7 @@ mod tests {
             .collect::<Vec<f64>>()
         };
         let plain = run(None);
-        let delayed = run(Some(Duration::from_millis(2)));
+        let delayed = run(Some(2000));
         assert_eq!(plain, delayed, "delays shift time, not values");
     }
 

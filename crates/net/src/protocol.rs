@@ -100,11 +100,11 @@ pub fn read_frame<R: BufRead>(r: &mut R, max: usize) -> Result<Option<Vec<u8>>, 
         if n == 0 {
             return Ok(None);
         }
-        let ended = header.last() == Some(&b'\n');
         while matches!(header.last(), Some(b'\n') | Some(b'\r')) {
             header.pop();
         }
-        if !ended && header.len() > max {
+        // A bare line is its own payload, so no header may outgrow `max`.
+        if header.len() > max {
             return Err(FrameError::Oversized {
                 len: header.len(),
                 max,
@@ -208,6 +208,19 @@ mod tests {
         assert!(matches!(
             read_frame(&mut r, 1024),
             Err(FrameError::Oversized { .. })
+        ));
+
+        // So is one that ends in a newline within the reader's slack.
+        let mut line = vec![b'{'];
+        line.extend_from_slice(&[b'x'; 1044]);
+        line.push(b'\n');
+        let mut r = BufReader::new(&line[..]);
+        assert!(matches!(
+            read_frame(&mut r, 1024),
+            Err(FrameError::Oversized {
+                len: 1045,
+                max: 1024
+            })
         ));
     }
 

@@ -527,9 +527,10 @@ fn stats_answer_while_auto_jobs_and_the_rebalance_verb_are_rejected() {
 
 #[test]
 fn a_job_that_could_hold_the_only_worker_is_rejected_and_the_next_is_answered() {
-    // One worker. The first job would sleep 10⁸ ms between retries (and
-    // `deadline_ms` is only checked between repeats); it must bounce at
-    // parse time, leaving the worker to the plain job behind it.
+    // One worker. The first job asks for a 10⁸ ms backoff between retries
+    // (and `deadline_ms` is only checked between repeats); there are no
+    // retries, so it must bounce at parse time on its unknown keys, leaving
+    // the worker to the plain job behind it.
     let server = start_tcp(NetConfig {
         service: ServiceConfig {
             pool_size: 1,
@@ -560,7 +561,7 @@ fn a_job_that_could_hold_the_only_worker_is_rejected_and_the_next_is_answered() 
     assert_eq!(str_field(&hog, "error_kind").as_deref(), Some("rejected"));
     let err = str_field(&hog, "error").unwrap_or_default();
     assert!(
-        err.contains("backoff_ms must be in 0..=1000"),
+        err.contains("unknown key \"backoff_ms\"; nearest valid key: \""),
         "line: {hog}"
     );
     let plain = rx.recv_timeout(wait).expect("the plain job is answered");

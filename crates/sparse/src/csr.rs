@@ -451,16 +451,6 @@ impl Csr {
         }
     }
 
-    /// Extracts the square principal submatrix `A[rows, rows]` where `rows`
-    /// lists global indices; entry order in `rows` defines the local order.
-    pub fn principal_submatrix(&self, rows: &[usize]) -> Csr {
-        let mut col_map = vec![None; self.n_cols];
-        for (local, &g) in rows.iter().enumerate() {
-            col_map[g] = Some(local);
-        }
-        self.extract(rows, &col_map, rows.len())
-    }
-
     /// Computes `C = A + beta * B` (same shape; patterns may differ).
     pub fn add(&self, beta: f64, other: &Csr) -> Result<Csr> {
         if self.n_rows != other.n_rows {
@@ -840,24 +830,6 @@ mod tests {
         let b = Csr::from_dense_rows(&[vec![0.0, 1.0], vec![1.0, 0.0]]);
         let c = a.matmul(&b).unwrap();
         assert_eq!(c.to_dense(), vec![vec![2.0, 1.0], vec![4.0, 3.0]]);
-    }
-
-    #[test]
-    fn principal_submatrix_picks_block() {
-        let a = sample();
-        let s = a.principal_submatrix(&[0, 2]);
-        assert_eq!(s.to_dense(), vec![vec![2.0, 0.0], vec![0.0, 2.0]]);
-    }
-
-    #[test]
-    fn principal_submatrix_respects_order() {
-        let a = Csr::from_dense_rows(&[
-            vec![1.0, 2.0, 3.0],
-            vec![4.0, 5.0, 6.0],
-            vec![7.0, 8.0, 9.0],
-        ]);
-        let s = a.principal_submatrix(&[2, 0]);
-        assert_eq!(s.to_dense(), vec![vec![9.0, 7.0], vec![3.0, 1.0]]);
     }
 
     #[test]

@@ -155,12 +155,21 @@ fn one_recovery_layer_on_the_one_pipeline() {
         }),
     );
     assert_none(
-        "its trait, its report struct and the second launcher stay gone",
+        "process-level recovery stays gone: no retry, checkpoint, degraded solve or \
+         kill/hang/drop injection, and no second launcher",
         lines_where(&files(&["crates"]), |l| {
             [
                 "trait CheckpointSink",
                 "try_run_with_timeout",
                 "DegradedReport",
+                "CheckpointStore",
+                "solve_resilient",
+                "solve_degraded",
+                "RecoveryPolicy",
+                "InjectedFault",
+                "StepFault",
+                "SendFault::Drop",
+                "try_run_with_faults",
             ]
             .iter()
             .any(|n| l.contains(n))
@@ -249,6 +258,27 @@ fn every_job_key_is_documented() {
     assert_none(
         "README.md has every `JOB_KEYS` row as `KeySpec::markdown_row` renders it",
         missing,
+    );
+    let table = readme
+        .lines()
+        .skip_while(|l| *l != "| key | value | sets |")
+        .skip(2)
+        .take_while(|l| l.starts_with('|'));
+    let rows: Vec<String> = parapre::engine::JOB_KEYS
+        .iter()
+        .map(|spec| spec.markdown_row())
+        .collect();
+    let stale: Vec<String> = table
+        .filter(|l| !rows.iter().any(|row| row == l))
+        .map(str::to_string)
+        .collect();
+    assert_none(
+        "every row of README.md's job-key table is a `JOB_KEYS` row",
+        stale,
+    );
+    assert!(
+        readme.lines().any(|l| l == "| key | value | sets |"),
+        "README.md has the job-key table"
     );
 }
 

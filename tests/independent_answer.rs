@@ -1,5 +1,5 @@
 //! An answer checked against something other than the code's own earlier
-//! output: the distributed solves of the block and Schur rungs must
+//! output: the distributed solves of all seven rungs must
 //! meet the paper's residual target, and — pushed to a tight tolerance —
 //! land on the solution a sequential GMRES + ILUT solve of the undistributed
 //! system finds. The two paths share the sweep kernel and nothing else: no
@@ -35,8 +35,10 @@ fn ilu_rungs_agree_with_a_sequential_solve_of_the_global_system() {
         PrecondKind::Schur1,
         PrecondKind::Schur2,
         PrecondKind::schurml_default(),
+        PrecondKind::BlockOverlap,
+        PrecondKind::Jacobi,
     ] {
-        for p in [1, 2, 4] {
+        for p in [1, 2, 4, 8] {
             let what = format!("{} P={p}", kind.key());
             let paper = SessionConfig::paper(kind, p);
             let rep = SolverSession::from_case(&case, &paper)

@@ -1,11 +1,12 @@
-//! `parse_job_fields` — one walk over the rows of `JOB_KEYS` and the four
+//! `parse_job_fields` — one walk over the rows of `JOB_KEYS` and the two
 //! rules that join keys — against the hand-coded parser it replaced, which
 //! is kept below verbatim as the reference (renamed `job_fields`, with the
-//! enum parsers it called as they stood).
+//! enum parsers it called as they stood, and the job and recovery types it
+//! built, which module `old` keeps as they stood).
 //!
-//! Every line must give the same `SolveJob` (equal `Debug`) on both sides,
-//! or be rejected by both with the same text. Three differences are
-//! intended, and [`check`] states them:
+//! Every line must give the same `SolveJob` (equal `Debug`, the reference's
+//! job read through [`walked`]) on both sides, or be rejected by both with
+//! the same text. Four differences are intended, and [`check`] states them:
 //!
 //! 1. a value that is not of its row's kind is rejected, naming the key,
 //!    where the reference ran the job with the key's default or a
@@ -23,31 +24,156 @@
 //! 3. a line with two bad values may name the other one, because the walk
 //!    checks every row before the rules that join keys. [`check`] accepts
 //!    such a rejection when the reference gives the same text once the
-//!    keys it named first are taken off the line.
+//!    keys it named first are taken off the line;
+//! 4. the ten recovery and fault-injection keys of [`DELETED`] are not rows
+//!    of the table any more, so a line holding one is rejected as an
+//!    unknown key naming the nearest key of the table, where the reference
+//!    read them — unless a value of another key is bad, and then the line
+//!    is rejected as it is without them; and an unknown key nearest to one
+//!    of them names its nearest key of the table instead. On every line
+//!    without them the two sides give equal jobs.
 //!
-//! Inputs: a structure-aware generator that draws keys from `JOB_KEYS` and
-//! near-miss misspellings of them, values at each range's ends and one
-//! past them, every JSON kind, `null` and duplicate keys; lines that are
-//! well typed and in range throughout, which must parse on both sides to
-//! the same job; and a hand corpus.
+//! Inputs: a structure-aware generator that draws keys from `JOB_KEYS`, the
+//! deleted keys and near-miss misspellings of them, values at each range's
+//! ends and one past them, every JSON kind, `null` and duplicate keys; lines
+//! that are well typed and in range throughout, which must parse on both
+//! sides to the same job; and a hand corpus.
 
 use parapre::core::{extent_range, CaseId};
 use parapre::engine::jobs::JobFields;
-use parapre::engine::{parse_job_line, parse_line_fields, Kind, JOB_KEYS};
-use parapre::metrics::flatjson::JsonValue;
+use parapre::engine::{parse_job_line, parse_line_fields, Kind, SolveJob, JOB_KEYS};
+use parapre::metrics::flatjson::{self, JsonValue};
 use proptest::prelude::*;
+
+/// The keys the table lost with process-level recovery (difference 4).
+const DELETED: [&str; 10] = [
+    "retries",
+    "backoff_ms",
+    "degrade",
+    "checkpoint",
+    "drop_prob",
+    "delay_prob",
+    "delay_us",
+    "kill_rank",
+    "fault_seed",
+    "kill_op",
+];
+
+/// The job the reference builds, and the recovery and fault types it fills
+/// in, as they stood before the ten keys of [`DELETED`] left the table
+/// (the fields the reference writes are read only by [`walked`]'s checks).
+#[allow(dead_code)]
+mod old {
+    use parapre::engine::{ProblemSpec, RhsSpec, SessionConfig};
+
+    /// What the resilience ladder was allowed to do for a job.
+    #[derive(Debug, Clone, Copy)]
+    pub struct RecoveryPolicy {
+        pub retry_budget: usize,
+        pub backoff_ms: u64,
+        pub degrade: bool,
+        pub checkpoint: bool,
+        pub precond_fallback: bool,
+    }
+
+    impl Default for RecoveryPolicy {
+        fn default() -> Self {
+            RecoveryPolicy {
+                retry_budget: 2,
+                backoff_ms: 5,
+                degrade: true,
+                checkpoint: true,
+                precond_fallback: true,
+            }
+        }
+    }
+
+    /// A (rank, send-op) coordinate of a kill.
+    #[derive(Debug, Clone, Copy)]
+    pub struct RankOp {
+        pub rank: usize,
+        pub op: u64,
+    }
+
+    /// The fault schedule a job line could ask for (the fields a line set).
+    #[derive(Debug, Clone)]
+    pub struct FaultConfig {
+        pub seed: u64,
+        pub drop_prob: f64,
+        pub delay_prob: f64,
+        pub delay_us: u64,
+        pub kill: Vec<RankOp>,
+    }
+
+    impl Default for FaultConfig {
+        fn default() -> Self {
+            FaultConfig {
+                seed: 0,
+                drop_prob: 0.0,
+                delay_prob: 0.0,
+                delay_us: 200,
+                kill: Vec::new(),
+            }
+        }
+    }
+
+    /// One solve request.
+    #[derive(Debug, Clone)]
+    pub struct SolveJob {
+        pub id: String,
+        pub problem: ProblemSpec,
+        pub rhs: RhsSpec,
+        pub repeat: usize,
+        pub batch: usize,
+        pub session: SessionConfig,
+        pub recovery: RecoveryPolicy,
+        pub fault: Option<FaultConfig>,
+        pub deadline_ms: Option<u64>,
+    }
+}
+
+/// The reference's job as the walker states it: of the recovery policy
+/// only the ladder flag is left, and a line without the deleted keys asks
+/// for the default policy and no faults.
+fn walked(job: old::SolveJob) -> SolveJob {
+    let (policy, default) = (job.recovery, old::RecoveryPolicy::default());
+    assert!(job.fault.is_none(), "a fault on a line without fault keys");
+    assert_eq!(
+        (
+            policy.retry_budget,
+            policy.backoff_ms,
+            policy.degrade,
+            policy.checkpoint
+        ),
+        (
+            default.retry_budget,
+            default.backoff_ms,
+            default.degrade,
+            default.checkpoint
+        ),
+        "a recovery setting on a line without recovery keys"
+    );
+    SolveJob {
+        id: job.id,
+        problem: job.problem,
+        rhs: job.rhs,
+        repeat: job.repeat,
+        batch: job.batch,
+        session: job.session,
+        fallback: policy.precond_fallback,
+        deadline_ms: job.deadline_ms,
+    }
+}
 
 /// The parser as it stood before the table: `parse_job_fields` (renamed),
 /// its bounds, its key list and the enum parsers it called.
 mod reference {
+    use super::old::{FaultConfig, RankOp, RecoveryPolicy, SolveJob};
     use parapre::core::{extent_range, CaseId, CaseSize, PartitionScheme, PrecondKind};
     use parapre::engine::jobs::JobFields;
-    use parapre::engine::{
-        EngineError, ProblemSpec, RecoveryPolicy, RhsSpec, SessionConfig, SolveJob,
-    };
+    use parapre::engine::{EngineError, ProblemSpec, RhsSpec, SessionConfig};
     use parapre::krylov::MAX_CORRECTION_RANK;
     use parapre::metrics::flatjson::JsonValue;
-    use parapre::mpisim::{FaultConfig, RankOp};
     use std::path::PathBuf;
 
     /// The full set of `precond` values a job line may carry — spelled out in
@@ -403,6 +529,7 @@ enum Agreement {
     WrongKind,
     OneShape,
     OtherBadValue,
+    DeletedKey,
 }
 
 /// The `Kind` of `key`'s row, if it has one.
@@ -420,7 +547,7 @@ fn of_kind(kind: Kind, v: &JsonValue) -> bool {
         (Kind::Uint(..), JsonValue::Num(x)) => {
             x.fract() == 0.0 && *x >= 0.0 && *x < 18_446_744_073_709_551_616.0
         }
-        (Kind::Unit | Kind::OpenUnit, JsonValue::Num(_) | JsonValue::Null) => true,
+        (Kind::OpenUnit, JsonValue::Num(_) | JsonValue::Null) => true,
         (Kind::OneOf(keys), JsonValue::Str(s)) => keys().iter().any(|k| k.eq_ignore_ascii_case(s)),
         _ => false,
     }
@@ -443,8 +570,6 @@ fn named(err: &str, fields: &JobFields) -> Option<String> {
             .into_iter()
             .find(|k| fields.contains_key(*k))?
             .into()
-    } else if err.starts_with("batched jobs") {
-        "batch".into()
     } else {
         err.split(" must be ").next()?.to_string()
     };
@@ -501,13 +626,50 @@ fn after_other_bad_values(fields: &JobFields, new: &str) -> bool {
 /// Parses `line` on both sides and states how the outcomes agree; panics,
 /// naming both, when they differ in a way the module doc does not list.
 fn check(line: &str) -> Agreement {
-    let new = parse_job_line(line, 0).map(|job| format!("{job:?}"));
-    let new = new.map_err(|e| e.to_string());
     let Ok(fields) = parse_line_fields(line) else {
+        let new = parse_job_line(line, 0);
         assert!(new.is_err(), "{line}: not an object, yet parsed");
         return Agreement::SameRejection;
     };
-    let old = reference::job_fields(&fields, || "job-0".into()).map(|job| format!("{job:?}"));
+    check_fields(line, &fields)
+}
+
+/// `v` as a job line spells it, for the flat parser to read back.
+fn json(v: &JsonValue) -> String {
+    match v {
+        JsonValue::Str(s) => format!("\"{}\"", flatjson::escape(s)),
+        JsonValue::Num(x) if x.is_nan() => "NaN".into(),
+        JsonValue::Num(x) if x.is_infinite() => (if *x > 0.0 { "inf" } else { "-inf" }).into(),
+        JsonValue::Num(x) => format!("{x:?}"),
+        JsonValue::Bool(b) => b.to_string(),
+        JsonValue::Null => "null".into(),
+        JsonValue::Arr(xs) => format!("[{}]", xs.iter().map(json).collect::<Vec<_>>().join(",")),
+    }
+}
+
+/// The walker's outcome on the line of `fields`: the job's `Debug`, or the
+/// rejection.
+fn walk(fields: &JobFields) -> Result<String, String> {
+    let entries: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("\"{}\":{}", flatjson::escape(k), json(v)))
+        .collect();
+    let line = format!("{{{}}}", entries.join(","));
+    // By `Debug`, where NaN is NaN.
+    let back = parse_line_fields(&line).expect(&line);
+    assert_eq!(format!("{back:?}"), format!("{fields:?}"), "{line}");
+    let new = parse_job_line(&line, 0).map(|job| format!("{job:?}"));
+    new.map_err(|e| e.to_string())
+}
+
+/// [`check`] of the object `line` parsed to.
+fn check_fields(line: &str, fields: &JobFields) -> Agreement {
+    let new = walk(fields);
+    if fields.keys().any(|k| DELETED.contains(&k.as_str())) {
+        return deleted_keys(line, fields, &new);
+    }
+    let old =
+        reference::job_fields(fields, || "job-0".into()).map(|job| format!("{:?}", walked(job)));
     let old = old.map_err(|e| e.to_string());
     let ill_typed = fields
         .iter()
@@ -517,17 +679,64 @@ fn check(line: &str) -> Agreement {
         "{line}: a value of the wrong kind was accepted"
     );
     let wrong_kind = |new: &str| {
-        let key = named(new, &fields)?;
+        let key = named(new, fields)?;
         Some(!of_kind(kind_of(&key)?, &fields[&key]))
     };
     match (&old, &new) {
         (Ok(a), Ok(b)) if a == b => Agreement::SameJob,
         (Err(a), Err(b)) if a == b => Agreement::SameRejection,
         (_, Err(b)) if wrong_kind(b) == Some(true) => Agreement::WrongKind,
-        (Err(a), Err(b)) if same(a, b, &fields) => Agreement::OneShape,
-        (Err(_), Err(b)) if after_other_bad_values(&fields, b) => Agreement::OtherBadValue,
+        (Err(a), Err(b)) if same(a, b, fields) => Agreement::OneShape,
+        (Err(_), Err(b)) if after_other_bad_values(fields, b) => Agreement::OtherBadValue,
+        (Err(a), Err(b)) if nearest_was_deleted(a, b) => Agreement::DeletedKey,
         _ => panic!("{line}\n  reference: {old:?}\n  walker:    {new:?}"),
     }
+}
+
+/// `(key, nearest)` of an unknown-key rejection.
+fn unknown_key(err: &str) -> Option<(String, String)> {
+    let rest = err.strip_prefix("bad job: unknown key ")?;
+    let (key, nearest) = rest.split_once("; nearest valid key: ")?;
+    Some((
+        key.trim_matches('"').into(),
+        nearest.trim_matches('"').into(),
+    ))
+}
+
+/// Difference 4, on an unknown key: the reference found it nearest to a
+/// deleted key, the walker to a key of the table.
+fn nearest_was_deleted(old: &str, new: &str) -> bool {
+    match (unknown_key(old), unknown_key(new)) {
+        (Some((k, was)), Some((key, now))) => {
+            k == key && DELETED.contains(&was.as_str()) && JOB_KEYS.iter().any(|s| s.name == now)
+        }
+        _ => false,
+    }
+}
+
+/// Difference 4, on a line holding a key of [`DELETED`]: the walker names
+/// one of them as unknown, with a key of the table as the nearest; or it
+/// rejects the line as it rejects the line without them, which must then
+/// agree with the reference.
+fn deleted_keys(line: &str, fields: &JobFields, new: &Result<String, String>) -> Agreement {
+    let err = new.as_ref().expect_err(line);
+    let named = unknown_key(err).filter(|(key, _)| DELETED.contains(&key.as_str()));
+    if let Some((key, nearest)) = named {
+        assert!(fields.contains_key(&key), "{line}: names {key}");
+        assert!(
+            JOB_KEYS.iter().any(|s| s.name == nearest),
+            "{line}: nearest {nearest} is not a key"
+        );
+        return Agreement::DeletedKey;
+    }
+    let mut kept = fields.clone();
+    kept.retain(|k, _| !DELETED.contains(&k.as_str()));
+    assert_eq!(
+        &walk(&kept),
+        new,
+        "{line}: the deleted keys changed the rejection"
+    );
+    check_fields(line, &kept)
 }
 
 /// A small deterministic generator for job lines.
@@ -549,9 +758,13 @@ impl Draw {
         from[self.below(from.len())]
     }
 
-    /// A key of the table, or one edit away from one.
+    /// A key of the table or a deleted key, or one edit away from one.
     fn key(&mut self) -> String {
-        let key = JOB_KEYS[self.below(JOB_KEYS.len())].name;
+        let key = if self.below(8) == 0 {
+            self.pick(&DELETED)
+        } else {
+            JOB_KEYS[self.below(JOB_KEYS.len())].name
+        };
         if self.below(8) != 0 {
             return key.to_string();
         }
@@ -622,11 +835,8 @@ impl Draw {
                 ];
                 self.pick(&ends).into()
             }
-            Kind::Uint(..) if key == "kill_rank" && self.below(2) == 0 => self
-                .pick(&["0", "1", "2", "3", "4", "5", "127", "128"])
-                .into(),
             Kind::Uint(min, max) => self.integer(min, max),
-            Kind::Unit | Kind::OpenUnit => self
+            Kind::OpenUnit => self
                 .pick(&[
                     "0", "1", "0.5", "0.999", "1e-6", "-1", "2", "1.0001", "-0.0001", "1e-300",
                 ])
@@ -697,7 +907,6 @@ impl Draw {
             1 => entries.push(("mtx".into(), r#""a.mtx""#.into())),
             _ => entries.push(("fp".into(), r#""0x00ff""#.into())),
         }
-        let faults = ["fault_seed", "drop_prob", "delay_prob", "kill_rank"];
         for _ in 0..self.below(8) {
             let spec = &JOB_KEYS[self.below(JOB_KEYS.len())];
             let key = spec.name;
@@ -705,12 +914,10 @@ impl Draw {
                 continue;
             }
             let value = match spec.kind {
-                Kind::Uint(..) if key == "kill_rank" => self.below(ranks).to_string(),
                 Kind::Uint(min, max) => {
                     let max = max.min(1 << 53);
                     [min, max, min + (max - min) / 2][self.below(3)].to_string()
                 }
-                Kind::Unit => self.pick(&["0", "1", "0.25"]).into(),
                 Kind::OpenUnit => self.pick(&["1e-8", "0.5", "0.999"]).into(),
                 _ => loop {
                     let value = self.value(key);
@@ -721,10 +928,6 @@ impl Draw {
                 },
             };
             entries.push((key.into(), value));
-        }
-        let faulty = entries.iter().any(|(k, _)| faults.contains(&k.as_str()));
-        if faulty {
-            entries.retain(|(k, v)| k != "batch" || v == "0" || v == "1");
         }
         object(&entries)
     }
@@ -792,7 +995,7 @@ fn every_range_end_agrees() {
                     .map(i128::to_string)
                     .collect()
             }
-            Kind::Unit | Kind::OpenUnit => ["-0.0001", "0", "1", "1.0001", "null"]
+            Kind::OpenUnit => ["-0.0001", "0", "1", "1.0001", "null"]
                 .map(String::from)
                 .into(),
             Kind::OneOf(keys) => keys().iter().map(|k| format!("\"{k}\"")).collect(),
@@ -824,6 +1027,7 @@ fn the_generator_reaches_every_agreement() {
         Agreement::WrongKind,
         Agreement::OneShape,
         Agreement::OtherBadValue,
+        Agreement::DeletedKey,
     ] {
         assert!(seen.contains(&agreement), "no line gave {agreement:?}");
     }
