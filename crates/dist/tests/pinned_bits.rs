@@ -6,6 +6,10 @@
 //! iterations, final relres bits, history length and hash, hash of the
 //! gathered solution — plus `fixed_effort`'s answer, against [`EXPECTED`],
 //! captured before the Givens recurrence moved into `parapre_krylov::lsq`.
+//! The two `Modified` lines were re-captured when the distributed and the
+//! sequential loop became one driver: modified Gram–Schmidt now normalizes by
+//! `ops::scale(1/‖·‖)`, as the sequential loop did, where the distributed one
+//! divided (same iterations, same history length, other last bits).
 
 use parapre_dist::{
     gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix, DistPrecond, OrthMethod,
@@ -36,8 +40,8 @@ fn fnv(xs: &[f64]) -> u64 {
 }
 
 const EXPECTED: &str = "\
-Modified restart=20 it=64 relres=3eae9b7a1acbd05a hist=65/2d77e3eb483119fa x=be1e0fa630da0ab4\n\
-Modified restart=5 it=126 relres=3eb05ace3fdd8b24 hist=127/ab4c811a547082b5 x=3f797f4cdc2587d5\n\
+Modified restart=20 it=64 relres=3eae9b7a1ac41cfe hist=65/32bb7c757b14f528 x=4cd8e5527aaa1b48\n\
+Modified restart=5 it=126 relres=3eb05ace3fe78eee hist=127/1dcc3a99faa4a8b0 x=b5943fe283836b1c\n\
 ClassicalBatched restart=20 it=64 relres=3eae9b7a1ad0ddbd hist=65/2dac5dd8e15a02d7 x=2ef8e4e26ee28235\n\
 ClassicalBatched restart=5 it=126 relres=3eb05ace3fddbd7c hist=127/2c6ff675be16f6d8 x=c8fcc0b6be863702\n\
 fixed_effort k=5 z=ba90f8716d4ecb11\n\

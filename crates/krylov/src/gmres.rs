@@ -1,36 +1,46 @@
-//! Restarted GMRES and flexible GMRES (FGMRES), right-preconditioned.
+//! Restarted GMRES and flexible GMRES (FGMRES), right-preconditioned: one
+//! Arnoldi driver for every entry, inside one rank and across ranks.
 //!
-//! The paper uses FGMRES(20) as the outer accelerator (the preconditioners
-//! contain inner iterations, so the preconditioner varies between
-//! applications) and short plain-GMRES runs as subdomain/Schur solvers
+//! The paper uses one algorithm at two scales: FGMRES(20) is the outer
+//! accelerator, and a few GMRES steps are the subdomain and Schur solves
 //! (paper §4.3–4.4). Implementation follows Saad, *Iterative Methods for
-//! Sparse Linear Systems*, Algorithms 6.9 (GMRES) and 9.5 (FGMRES):
-//! modified Gram–Schmidt orthogonalization and Givens-rotation QR of the
-//! Hessenberg matrix ([`crate::lsq::GivensLsq`], shared with the distributed
-//! driver), so the residual norm is available every iteration without
-//! forming the solution.
+//! Sparse Linear Systems*, Algorithms 6.9 (GMRES) and 9.5 (FGMRES): Arnoldi
+//! with Givens-rotation QR of the Hessenberg matrix ([`GivensLsq`]), so the
+//! residual norm is known after every iteration without forming the solution.
 //!
-//! This driver is the *inner* solver of the distributed preconditioners: a
-//! handful of steps on a subdomain block. So it judges divergence and
-//! stagnation on the residual estimate after every iteration — there may be
-//! no second cycle to wait for — where `parapre_dist::solver` judges them on
-//! the all-reduced true residual at a cycle boundary. Every way a cycle can
-//! end (`enum Stop`) reaches one post-cycle block: update, true residual, report.
+//! [`arnoldi`] is the driver, generic over a [`Context`]: how the inner
+//! products are summed and how the operator and the preconditioner are
+//! applied. Inside one rank the sums are the local ones; across ranks
+//! (`parapre_dist::solver`) they are all-reductions. The entries — [`Gmres`],
+//! [`FGmres`], [`Gmres::fixed_effort`] and `parapre_dist::DistGmres` — differ
+//! only in data: the context, whether the preconditioner may vary
+//! (`flexible`), whether the solve is a fixed-effort inner solve, and the
+//! [`OrthMethod`]. The sequential entries orthogonalize by modified
+//! Gram–Schmidt.
+//!
+//! There is one stopping policy. A cycle ends on its last column, on a spent
+//! budget, on an estimate at or under the target, on a zero normalization or
+//! on a non-finite Hessenberg column. Then the true residual `β` decides: the
+//! solve has converged only at `β ≤ target`; divergence and stagnation are
+//! judged on `β`, at the cycle boundary; otherwise the next cycle starts from
+//! the updated iterate. Every decision is taken on summed quantities, so
+//! every rank of a distributed solve takes the same branches.
 
 use crate::lsq::GivensLsq;
 use crate::op::LinOp;
 use crate::precond::Preconditioner;
 use crate::proj::Panel;
 use crate::{BreakdownKind, SolveBreakdown, SolveReport};
-use parapre_metrics::names;
+use parapre_metrics::{names, ConvKind};
 use parapre_sparse::ops;
+use std::collections::VecDeque;
 
-/// Residual-estimate blow-up factor over `‖r₀‖` past which the solve is
-/// declared divergent rather than allowed to burn its iteration budget.
+/// True-residual blow-up factor over `‖r₀‖`, at a cycle boundary, past which
+/// the solve is declared divergent rather than allowed to burn its budget.
 pub const DIVERGENCE_GUARD: f64 = 1e8;
 
 /// Minimum relative improvement the stagnation window must observe:
-/// `res < (1 − STALL_RTOL) · res_window_ago`, else the solve is stalled.
+/// `β < (1 − STALL_RTOL) · β_window_cycles_ago`, else the solve is stalled.
 pub const STALL_RTOL: f64 = 1e-3;
 
 /// Stopping and restart parameters shared by GMRES and FGMRES.
@@ -47,10 +57,10 @@ pub struct GmresConfig {
     pub abs_tol: f64,
     /// Record the residual norm after every iteration.
     pub record_history: bool,
-    /// Stagnation window (iterations): stop early with a typed
-    /// [`BreakdownKind::Stagnation`] when the residual estimate fails to
-    /// improve by [`STALL_RTOL`] over this many iterations. `0` disables
-    /// the guard.
+    /// Stagnation window in *restart cycles*: when the true residual at a
+    /// cycle boundary fails to improve by [`STALL_RTOL`] over this many
+    /// cycles, the solve stops with a typed [`BreakdownKind::Stagnation`]
+    /// instead of burning the rest of the budget. `0` disables the guard.
     pub stall_window: usize,
 }
 
@@ -63,6 +73,96 @@ impl Default for GmresConfig {
             abs_tol: 1e-300,
             record_history: false,
             stall_window: 0,
+        }
+    }
+}
+
+/// Arnoldi orthogonalization strategy — the latency/reproducibility knob.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum OrthMethod {
+    /// Classical Gram–Schmidt with all `k+1` projection coefficients and
+    /// the norm batched into **one** fused sum per iteration, plus DGKS
+    /// selective reorthogonalization (a second fused sum only when
+    /// cancellation is detected). Default: on `P` ranks this replaces
+    /// `k+2` latency-bound scalar reductions per iteration with one (or
+    /// two). Iteration counts can differ by a step or two from
+    /// [`OrthMethod::Modified`] because the projection is computed against
+    /// the un-updated `w`. Normalizes by dividing by the norm.
+    #[default]
+    ClassicalBatched,
+    /// Modified Gram–Schmidt: one scalar sum per basis vector per iteration
+    /// (`k+2` total), subtraction by `ops::axpy` and normalization by
+    /// `ops::scale(1/‖·‖)`. The sequential entries run it, and so does a
+    /// distributed solve that asks for it: at `P = 1` the two are bit for
+    /// bit one solve.
+    Modified,
+}
+
+impl OrthMethod {
+    /// `v = r / norm`, the way this method normalizes a basis vector.
+    fn normalize(self, r: &[f64], norm: f64, v: &mut [f64]) {
+        match self {
+            OrthMethod::Modified => {
+                v.copy_from_slice(r);
+                ops::scale(1.0 / norm, v);
+            }
+            OrthMethod::ClassicalBatched => {
+                for (vi, &ri) in v.iter_mut().zip(r) {
+                    *vi = ri / norm;
+                }
+            }
+        }
+    }
+}
+
+/// Where the vectors of one solve live: how the driver sums an inner product
+/// over their parts, and how it applies the operator and the preconditioner
+/// to them. Every part of a solve makes the same calls in the same order, so
+/// a context may communicate inside any of them.
+pub trait Context {
+    /// The source this context's solves report convergence events under.
+    const SOURCE: &'static str;
+    /// Whether this part speaks for the solve in the convergence ring (one
+    /// part of an outer solve does; inner fixed-effort solves never speak).
+    fn speaks(&self) -> bool;
+    /// Sums every entry of `xs` over the parts, element-wise.
+    fn sum(&mut self, xs: &mut [f64]);
+    /// `ys[c] = A xs[c]` for every column.
+    fn product(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]);
+    /// `zs[c] = M⁻¹ rs[c]` for every column.
+    fn precond(&mut self, rs: &[&[f64]], zs: &mut [&mut [f64]]);
+}
+
+/// A solve inside one rank: the sums are the local ones, and the operator
+/// and preconditioner are applied column by column.
+struct Local<'a, A, M> {
+    a: &'a A,
+    m: &'a M,
+}
+
+impl<'a, A: LinOp, M: Preconditioner> Local<'a, A, M> {
+    fn new(a: &'a A, m: &'a M, n: usize) -> Self {
+        assert_eq!(a.dim(), n, "gmres: operator dim");
+        assert_eq!(m.dim(), n, "gmres: preconditioner dim");
+        Local { a, m }
+    }
+}
+
+impl<A: LinOp, M: Preconditioner> Context for Local<'_, A, M> {
+    const SOURCE: &'static str = "gmres";
+    /// A sequential solve has no peers: it speaks for itself.
+    fn speaks(&self) -> bool {
+        true
+    }
+    fn sum(&mut self, _xs: &mut [f64]) {}
+    fn product(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]) {
+        for (x, y) in xs.iter().zip(ys.iter_mut()) {
+            self.a.apply(x, y);
+        }
+    }
+    fn precond(&mut self, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
+        for (r, z) in rs.iter().zip(zs.iter_mut()) {
+            self.m.apply(r, z);
         }
     }
 }
@@ -96,18 +196,10 @@ impl Gmres {
         b: &[f64],
         x: &mut [f64],
     ) -> SolveReport {
-        run_gmres(a, m, b, x, &self.config, Entry::Gmres)
+        solve_local(a, m, &self.config, false, b, x)
     }
 
-    /// Fixed-effort inner solve: `k` GMRES steps on `A x = b` from `x = 0`,
-    /// unreported; `x` is output only. Bit for bit [`Gmres::solve`] from a
-    /// zeroed guess under `restart = max_iters = k`, `rel_tol = 1e-12`,
-    /// `stall_window = 4`, minus the two operator products only the report
-    /// reads: the opening residual is `b` itself, and a cycle that spent
-    /// its budget returns without the closing true residual. Every early
-    /// exit (estimate under `1e-12·‖b‖`, breakdown, divergence, stagnation)
-    /// takes the general path. The budget is `k` alone, not a relation
-    /// between two fields that a caller has to keep.
+    /// [`fixed_effort`] inside one rank, with modified Gram–Schmidt.
     pub fn fixed_effort<A: LinOp, M: Preconditioner>(
         a: &A,
         m: &M,
@@ -115,15 +207,8 @@ impl Gmres {
         b: &[f64],
         x: &mut [f64],
     ) {
-        x.fill(0.0);
-        let cfg = GmresConfig {
-            restart: k.max(1),
-            max_iters: k.max(1),
-            rel_tol: 1e-12,
-            stall_window: 4,
-            ..Default::default()
-        };
-        run_gmres(a, m, b, x, &cfg, Entry::FixedEffort);
+        let ctx = &mut Local::new(a, m, b.len());
+        fixed_effort(ctx, OrthMethod::Modified, k, b, x);
     }
 }
 
@@ -141,268 +226,556 @@ impl FGmres {
         b: &[f64],
         x: &mut [f64],
     ) -> SolveReport {
-        run_gmres(a, m, b, x, &self.config, Entry::FGmres)
+        solve_local(a, m, &self.config, true, b, x)
     }
 }
 
-/// Which public entry is driving the Arnoldi cycle.
-#[derive(PartialEq)]
-enum Entry {
-    /// [`Gmres::solve`].
-    Gmres,
-    /// [`FGmres::solve`].
-    FGmres,
-    /// [`Gmres::fixed_effort`].
-    FixedEffort,
-}
-
-/// Shared Arnoldi/Givens driver. For [`Entry::FGmres`] the preconditioned
-/// directions `Z_j = M⁻¹ v_j` are stored and the update is `x += Z y`;
-/// otherwise only `V` is stored and `x += M⁻¹ (V y)`.
-fn run_gmres<A: LinOp, M: Preconditioner>(
+/// [`arnoldi`] on one right-hand side inside one rank: the sequential solve.
+fn solve_local<A: LinOp, M: Preconditioner>(
     a: &A,
     m: &M,
-    b: &[f64],
-    x: &mut [f64],
     cfg: &GmresConfig,
-    entry: Entry,
-) -> SolveReport {
-    let report = run_gmres_core(a, m, b, x, cfg, entry);
-    // Sequential (F)GMRES runs inside preconditioner applications in the
-    // distributed stack; surface its effort as a counter rather than
-    // polluting the outer convergence stream. Terminal stalls and
-    // breakdowns *are* streamed — they are rare and diagnostic.
-    parapre_metrics::count(names::GMRES_ITERS, report.iterations as u64);
-    if let Some(bd) = &report.breakdown {
-        // A sequential solve has no peers: it speaks for itself.
-        let kind = bd.kind.conv_kind();
-        parapre_metrics::convergence("gmres", true, bd.iteration, bd.relres, kind, bd.kind.key());
-    }
-    report
-}
-
-/// Why an Arnoldi cycle ended before its last column.
-#[derive(Clone, Copy, PartialEq)]
-enum Stop {
-    /// The residual estimate met the target.
-    Target,
-    /// The new basis vector has zero norm: the Krylov space is invariant.
-    ZeroNorm,
-    /// The Hessenberg column holds a NaN or an infinity and was discarded.
-    NonFinite,
-    /// The estimate passed [`DIVERGENCE_GUARD`].
-    Diverged,
-    /// The estimate failed the stagnation window.
-    Stalled,
-}
-
-fn run_gmres_core<A: LinOp, M: Preconditioner>(
-    a: &A,
-    m: &M,
-    b: &[f64],
-    x: &mut [f64],
-    cfg: &GmresConfig,
-    entry: Entry,
-) -> SolveReport {
-    let flexible = entry == Entry::FGmres;
-    let fixed_effort = entry == Entry::FixedEffort;
-    let n = a.dim();
-    assert_eq!(b.len(), n, "gmres: rhs length");
-    assert_eq!(x.len(), n, "gmres: x length");
-    assert_eq!(m.dim(), n, "gmres: preconditioner dim");
-    // A cycle cannot outrun the iteration budget, and its basis is allocated
-    // whole.
-    let restart = cfg.restart.clamp(1, cfg.max_iters.max(1));
-
-    let mut report = SolveReport::default();
-    let mut r = vec![0.0; n];
-    // `r = b − A x`, and its norm.
-    let residual = |x: &[f64], r: &mut [f64]| {
-        a.apply(x, r);
-        for (ri, &bi) in r.iter_mut().zip(b) {
-            *ri = bi - *ri;
-        }
-        ops::norm2(r)
-    };
-
-    let r0_norm = if fixed_effort {
-        r.copy_from_slice(b);
-        ops::norm2(&r)
-    } else {
-        residual(x, &mut r)
-    };
-    if cfg.record_history {
-        report.residual_history.push(r0_norm);
-    }
-    if !r0_norm.is_finite() {
-        report.breakdown = Some(SolveBreakdown {
-            kind: BreakdownKind::NonFinite,
-            iteration: 0,
-            relres: f64::NAN,
-        });
-        return report;
-    }
-    if r0_norm <= cfg.abs_tol {
-        report.converged = true;
-        report.final_relres = 0.0;
-        return report;
-    }
-    let target = (cfg.rel_tol * r0_norm).max(cfg.abs_tol);
-    let mut stall: Vec<f64> = Vec::new();
-
-    // Krylov basis, one column more than the restart length: the vector
-    // being orthogonalized is the column after the basis so far. For FGMRES
-    // every preconditioned direction is kept, otherwise only the latest.
-    let mut v = Panel::zeros(n, restart + 1);
-    let mut zdirs = Panel::zeros(n, if flexible { restart } else { 1 });
-    let mut lsq = GivensLsq::new(restart);
-
-    let mut total_iters = 0usize;
-    let mut beta = r0_norm;
-
-    loop {
-        lsq.start(beta);
-        v.col_mut(0).copy_from_slice(&r);
-        ops::scale(1.0 / beta, v.col_mut(0));
-
-        let mut k = 0usize; // columns completed this cycle
-        let mut stop = None;
-        while k < restart && total_iters < cfg.max_iters {
-            // z = M^{-1} v_k ; w = A z
-            let zk = if flexible { k } else { 0 };
-            m.apply(v.col(k), zdirs.col_mut(zk));
-            let (vs, w) = v.split(k + 1);
-            a.apply(zdirs.col(zk), w);
-            total_iters += 1;
-
-            // Modified Gram-Schmidt.
-            let hcol = lsq.column(k);
-            for (i, hik) in hcol[..=k].iter_mut().enumerate() {
-                *hik = ops::dot(w, vs.col(i));
-                ops::axpy(-*hik, vs.col(i), w);
-            }
-            let wnorm = ops::norm2(w);
-            hcol[k + 1] = wnorm;
-
-            // A NaN/Inf inner product or norm poisons the Hessenberg column:
-            // it is discarded and the finite columns form the best solution.
-            let Some(res_est) = lsq.rotate(k) else {
-                stop = Some(Stop::NonFinite);
-                break;
-            };
-            k += 1;
-            if cfg.record_history {
-                report.residual_history.push(res_est);
-            }
-            stop = if wnorm == 0.0 {
-                // Breakdown, happy or serious: the true residual says which.
-                Some(Stop::ZeroNorm)
-            } else if res_est <= target {
-                Some(Stop::Target)
-            } else if res_est > DIVERGENCE_GUARD * r0_norm {
-                Some(Stop::Diverged)
-            } else if stalled(&mut stall, res_est, cfg.stall_window) {
-                Some(Stop::Stalled)
-            } else {
-                None
-            };
-            if stop.is_some() {
-                break;
-            }
-            if k < restart {
-                ops::scale(1.0 / wnorm, v.col_mut(k));
-            }
-        }
-
-        // The cycle is over: stopped, restart length reached or budget spent.
-        update_solution(&mut v, &mut zdirs, lsq.solve(k), x, flexible, |u, z| {
-            m.apply(u, z)
-        });
-        report.iterations = total_iters;
-        if fixed_effort && stop.is_none() {
-            // The budget is spent and nobody reads the rest of the report.
-            return report;
-        }
-        // The true residual, to report honestly: a cycle that stopped on an
-        // estimate is given 1 % of slack against it.
-        beta = residual(x, &mut r);
-        report.final_relres = beta / r0_norm;
-        let bar = if stop.is_some() {
-            target * 1.01
-        } else {
-            target
-        };
-        report.converged = stop != Some(Stop::Diverged) && beta <= bar;
-        if report.converged {
-            return report;
-        }
-        let breakdown = match stop {
-            // Target: the true residual disagrees (rare) — restart from `x`.
-            None | Some(Stop::Target) => None,
-            // Serious breakdown: the Krylov space is invariant yet the true
-            // residual misses the target — a restart would rebuild the same
-            // exhausted space. Say so instead of claiming convergence.
-            Some(Stop::ZeroNorm) => Some(BreakdownKind::ZeroNormalization),
-            Some(Stop::NonFinite) => Some(BreakdownKind::NonFinite),
-            Some(Stop::Diverged) => Some(BreakdownKind::Divergence),
-            Some(Stop::Stalled) => {
-                parapre_metrics::count(names::GMRES_STALL_CUT, 1);
-                Some(BreakdownKind::Stagnation)
-            }
-        };
-        if let Some(kind) = breakdown {
-            report.breakdown = Some(SolveBreakdown {
-                kind,
-                iteration: total_iters,
-                relres: report.final_relres,
-            });
-            return report;
-        }
-        if total_iters >= cfg.max_iters {
-            return report;
-        }
-    }
-}
-
-/// Records `res_est` and says whether it fails to improve by [`STALL_RTOL`]
-/// on the estimate `window` iterations back (`window = 0`: never).
-fn stalled(estimates: &mut Vec<f64>, res_est: f64, window: usize) -> bool {
-    if window == 0 {
-        return false;
-    }
-    estimates.push(res_est);
-    estimates.len() > window
-        && res_est > estimates[estimates.len() - 1 - window] * (1.0 - STALL_RTOL)
-}
-
-/// Adds to `x` the correction of a cycle with coefficients `y`, for the
-/// sequential and the distributed driver alike: `x += Z y` over the stored
-/// preconditioned directions when `flexible`, else `x += M⁻¹ (V y)` through
-/// `precond` (`z = M⁻¹ u`). The column of `v` after the last one used and
-/// column 0 of `zdirs` are scratch for the second form.
-pub fn update_solution(
-    v: &mut Panel,
-    zdirs: &mut Panel,
-    y: &[f64],
-    x: &mut [f64],
     flexible: bool,
-    precond: impl FnOnce(&[f64], &mut [f64]),
+    b: &[f64],
+    x: &mut [f64],
+) -> SolveReport {
+    let ctx = &mut Local::new(a, m, b.len());
+    let mut reps = arnoldi(ctx, cfg, OrthMethod::Modified, flexible, &[b], &mut [x]);
+    reps.pop().expect("one report per column")
+}
+
+/// Fixed-effort inner solve in `ctx`: `k` right-preconditioned GMRES steps
+/// on `A z = g` from `z = 0` with a **fixed** preconditioner, unreported and
+/// silent (its spans open under `inner_solve`); `z` is output only. Bit for
+/// bit what [`arnoldi`] gives a fixed preconditioner from a zeroed guess
+/// under `restart = max_iters = k`, `rel_tol = 1e-12`, `stall_window = 0`,
+/// minus the two operator products only the report reads: the opening
+/// residual is `g` itself (`g − A·0`, for a finite operator), and a cycle
+/// that spent its budget returns without the closing true residual. A cycle
+/// that ended early (estimate under `1e-12·‖g‖`, zero normalization,
+/// non-finite column) takes the general path. The budget is `k` alone: a
+/// second cycle cannot be asked for. The zero guess is stated by the choice
+/// of entry, never found by scanning `z` — a rank-local test could send one
+/// rank past an exchange its neighbours are waiting in.
+pub fn fixed_effort<C: Context>(ctx: &mut C, orth: OrthMethod, k: usize, g: &[f64], z: &mut [f64]) {
+    z.fill(0.0);
+    let cfg = GmresConfig {
+        restart: k.max(1),
+        max_iters: k.max(1),
+        rel_tol: 1e-12,
+        ..Default::default()
+    };
+    let run = Run::new(ctx, &cfg, orth, false, true);
+    run.columns(ctx, &[g], &mut [z]);
+}
+
+/// The one Arnoldi driver: solves `A x_c = b_c` for every column `c` in
+/// **lock-step rounds**, each `x_c` updated in place (initial guess on
+/// entry); one report per column, in order. `flexible` keeps every
+/// preconditioned direction (`x += Z y`); otherwise only the latest is kept
+/// and the update is `x += M⁻¹ (V y)`.
+///
+/// A round applies the preconditioner once to every column taking an
+/// Arnoldi step ([`Context::precond`]), the operator once to those columns'
+/// directions and to the iterates whose true residual is due
+/// ([`Context::product`]), and sums every column's fused Gram–Schmidt sums or
+/// residual norm in one [`Context::sum`], plus one more for the columns that
+/// re-orthogonalize. Each column keeps its own basis, least-squares state,
+/// restart position and stopping decision, all taken on summed values, and
+/// each column's bits are those of its one-column solve (an all-reduce sums
+/// element-wise in the scalar's tree order).
+pub fn arnoldi<C: Context>(
+    ctx: &mut C,
+    cfg: &GmresConfig,
+    orth: OrthMethod,
+    flexible: bool,
+    bs: &[&[f64]],
+    xs: &mut [&mut [f64]],
+) -> Vec<SolveReport> {
+    let run = Run::new(ctx, cfg, orth, flexible, false);
+    run.columns(ctx, bs, xs)
+}
+
+/// Columns one lock-step solve carries; a wider request runs as several.
+const LOCKSTEP_COLS: usize = 64;
+
+/// Hands `f` the inputs and outputs of `pairs` as the two slices a block
+/// apply takes, from the stack: a solve allocates nothing per round.
+fn lend<'a>(
+    pairs: impl Iterator<Item = (&'a [f64], &'a mut [f64])>,
+    f: impl FnOnce(&[&[f64]], &mut [&mut [f64]]),
 ) {
-    if y.is_empty() {
-        return;
+    let mut ins: [&[f64]; LOCKSTEP_COLS] = [&[]; LOCKSTEP_COLS];
+    let mut outs: [&mut [f64]; LOCKSTEP_COLS] = std::array::from_fn(|_| Default::default());
+    let mut len = 0;
+    for (i, o) in pairs {
+        (ins[len], outs[len]) = (i, o);
+        len += 1;
     }
-    if flexible {
-        for (j, &yj) in y.iter().enumerate() {
-            ops::axpy(yj, zdirs.col(j), x);
+    f(&ins[..len], &mut outs[..len]);
+}
+
+/// What every column of one solve shares: the configuration and the entry's
+/// data.
+struct Run<'a> {
+    cfg: &'a GmresConfig,
+    /// A cycle cannot outrun the iteration budget, and its basis is
+    /// allocated whole.
+    restart: usize,
+    orth: OrthMethod,
+    flexible: bool,
+    /// A fixed-effort inner solve: no opening product, no closing residual
+    /// once the budget is spent, no report, no voice.
+    fixed: bool,
+    /// The context's event source, and whether this part speaks.
+    source: &'static str,
+    speaks: bool,
+}
+
+impl<'a> Run<'a> {
+    fn new<C: Context>(
+        ctx: &C,
+        cfg: &'a GmresConfig,
+        orth: OrthMethod,
+        flexible: bool,
+        fixed: bool,
+    ) -> Self {
+        Run {
+            cfg,
+            restart: cfg.restart.clamp(1, cfg.max_iters.max(1)),
+            orth,
+            flexible,
+            fixed,
+            source: C::SOURCE,
+            speaks: !fixed && ctx.speaks(),
         }
-    } else {
-        let (vs, u) = v.split(y.len());
-        u.fill(0.0);
-        for (j, &yj) in y.iter().enumerate() {
-            ops::axpy(yj, vs.col(j), u);
+    }
+
+    /// The direction slot of basis vector `k`: the flexible solve keeps
+    /// every preconditioned direction, the fixed-preconditioner one only
+    /// the latest.
+    fn zk(&self, k: usize) -> usize {
+        if self.flexible {
+            k
+        } else {
+            0
         }
-        precond(u, zdirs.col_mut(0));
-        ops::axpy(1.0, zdirs.col(0), x);
+    }
+
+    fn converging(&self, iter: usize, relres: f64, kind: ConvKind, detail: &str) {
+        parapre_metrics::convergence(self.source, self.speaks, iter, relres, kind, detail);
+    }
+
+    /// Lock-step rounds over the columns until each has its report.
+    fn columns<C: Context>(
+        &self,
+        ctx: &mut C,
+        bs: &[&[f64]],
+        xs: &mut [&mut [f64]],
+    ) -> Vec<SolveReport> {
+        assert_eq!(bs.len(), xs.len());
+        if bs.len() > LOCKSTEP_COLS {
+            let groups = bs.chunks(LOCKSTEP_COLS).zip(xs.chunks_mut(LOCKSTEP_COLS));
+            return groups.flat_map(|(b, x)| self.columns(ctx, b, x)).collect();
+        }
+        let fixed = self.fixed;
+        let _solve_span = parapre_metrics::span(if fixed {
+            names::INNER_SOLVE
+        } else {
+            names::SOLVE
+        });
+        let mut cols: Vec<Column<'_>> = bs
+            .iter()
+            .zip(xs.iter())
+            .map(|(&b, x)| Column::new(b, x, self))
+            .collect();
+        // The fused sums of a round: first pass, and re-orthogonalization.
+        let (mut sums, mut again) = (Vec::new(), Vec::new());
+        while cols.iter().any(|c| c.stage != Stage::Done) {
+            let stepping = cols.iter().any(|c| c.stage == Stage::Step);
+            // One preconditioner application over the stepping columns.
+            if stepping {
+                let _s = parapre_metrics::span(names::PRECOND_APPLY);
+                let steps = cols.iter_mut().filter(|c| c.stage == Stage::Step);
+                let steps = steps.map(|c| (c.v.col(c.k), c.zdirs.col_mut(self.zk(c.k))));
+                lend(steps, |rs, zs| ctx.precond(rs, zs));
+            }
+            // One operator application: the stepping columns' directions,
+            // and the iterates whose true residual is due (a fixed-effort
+            // residual opens as `g` itself).
+            let products = cols
+                .iter_mut()
+                .zip(xs.iter())
+                .filter_map(|(c, x)| match c.stage {
+                    Stage::Step => {
+                        c.total_iters += 1;
+                        let (_, w) = c.v.split(c.k + 1);
+                        Some((c.zdirs.col(self.zk(c.k)), w))
+                    }
+                    Stage::Open if fixed => None,
+                    Stage::Open | Stage::Close => Some((&**x, &mut c.r[..])),
+                    Stage::Done => None,
+                });
+            lend(products, |ins, outs| {
+                if !ins.is_empty() {
+                    ctx.product(ins, outs);
+                }
+            });
+            for c in cols.iter_mut() {
+                if c.stage == Stage::Close || (c.stage == Stage::Open && !fixed) {
+                    for (ri, &bi) in c.r.iter_mut().zip(c.b) {
+                        *ri = bi - *ri;
+                    }
+                }
+            }
+            let orth = stepping.then(|| parapre_metrics::span(names::ORTH));
+            reduce(ctx, self.orth, &mut cols, &mut sums, &mut again);
+            drop(orth);
+            for (c, x) in cols.iter_mut().zip(xs.iter_mut()) {
+                match c.stage {
+                    Stage::Open => c.open(self, ctx, x),
+                    Stage::Step => c.stepped(self, ctx, x),
+                    Stage::Close => c.close(self, ctx, x),
+                    Stage::Done => {}
+                }
+            }
+        }
+        cols.into_iter().map(|c| c.report).collect()
+    }
+}
+
+/// Where a column of the lock-step solve stands at the start of a round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// Its opening residual norm is summed this round.
+    Open,
+    /// It takes an Arnoldi step this round.
+    Step,
+    /// The true residual closing its cycle is summed this round.
+    Close,
+    /// Its report is final.
+    Done,
+}
+
+/// One right-hand side of a lock-step solve: everything the one-column
+/// solve keeps, so that its arithmetic is that solve's.
+struct Column<'b> {
+    b: &'b [f64],
+    stage: Stage,
+    report: SolveReport,
+    /// Residual of the cycle start, and its summed norm.
+    r: Vec<f64>,
+    beta: f64,
+    r0_norm: f64,
+    target: f64,
+    /// The Krylov basis has one column more than the restart length: the
+    /// vector being orthogonalized is the column after the basis so far.
+    v: Panel,
+    zdirs: Panel,
+    lsq: GivensLsq,
+    /// This column's share of a fused sum: `k + 1` projections and
+    /// `⟨w, w⟩`; and `‖w'‖²` from the step's last Gram–Schmidt pass.
+    sums: Vec<f64>,
+    est: f64,
+    /// Whether the step in flight takes the second pass.
+    reorth: bool,
+    /// The true residuals of the last `stall_window + 1` cycle boundaries
+    /// (there are at most `max_iters / restart + 1` of them).
+    cycle_betas: VecDeque<f64>,
+    total_iters: usize,
+    /// Basis vectors in the cycle so far.
+    k: usize,
+    cycle_done: bool,
+    zero_norm: bool,
+    nonfinite: bool,
+}
+
+impl<'b> Column<'b> {
+    /// Everything a cycle writes is allocated here, once per solve.
+    fn new(b: &'b [f64], x: &[f64], run: &Run<'_>) -> Self {
+        let (n, cfg, restart) = (b.len(), run.cfg, run.restart);
+        assert_eq!(x.len(), n, "gmres: x length");
+        Column {
+            b,
+            stage: Stage::Open,
+            report: SolveReport::default(),
+            r: if run.fixed { b.to_vec() } else { vec![0.0; n] },
+            beta: 0.0,
+            r0_norm: 0.0,
+            target: 0.0,
+            v: Panel::zeros(n, restart + 1),
+            zdirs: Panel::zeros(n, if run.flexible { restart } else { 1 }),
+            lsq: GivensLsq::new(restart),
+            sums: vec![0.0; restart + 1],
+            est: 0.0,
+            reorth: false,
+            cycle_betas: VecDeque::with_capacity(cfg.stall_window.min(cfg.max_iters / restart) + 1),
+            total_iters: 0,
+            k: 0,
+            cycle_done: false,
+            zero_norm: false,
+            nonfinite: false,
+        }
+    }
+
+    /// Stops with a typed breakdown.
+    fn break_down(&mut self, run: &Run<'_>, kind: BreakdownKind, iteration: usize, relres: f64) {
+        run.converging(iteration, relres, kind.conv_kind(), kind.key());
+        self.report.breakdown = Some(SolveBreakdown {
+            kind,
+            iteration,
+            relres,
+        });
+        self.stage = Stage::Done;
+    }
+
+    /// The opening residual norm has been summed: done already, or the
+    /// first cycle starts.
+    fn open<C: Context>(&mut self, run: &Run<'_>, ctx: &mut C, x: &mut [f64]) {
+        let (cfg, r0_norm) = (run.cfg, self.beta);
+        if cfg.record_history {
+            self.report.residual_history.push(r0_norm);
+        }
+        if !r0_norm.is_finite() {
+            self.break_down(run, BreakdownKind::NonFinite, 0, f64::NAN);
+        } else if r0_norm <= cfg.abs_tol {
+            self.report.converged = true;
+            self.report.final_relres = 0.0;
+            self.stage = Stage::Done;
+        } else {
+            self.r0_norm = r0_norm;
+            self.target = (cfg.rel_tol * r0_norm).max(cfg.abs_tol);
+            self.start_cycle(run, ctx, x);
+        }
+    }
+
+    /// Opens a cycle from `r` and its norm `beta`.
+    fn start_cycle<C: Context>(&mut self, run: &Run<'_>, ctx: &mut C, x: &mut [f64]) {
+        self.lsq.start(self.beta);
+        run.orth.normalize(&self.r, self.beta, self.v.col_mut(0));
+        self.k = 0;
+        (self.cycle_done, self.zero_norm, self.nonfinite) = (false, false, false);
+        self.next_step(run, ctx, x);
+    }
+
+    /// Steps again next round, or ends the cycle now.
+    fn next_step<C: Context>(&mut self, run: &Run<'_>, ctx: &mut C, x: &mut [f64]) {
+        if !self.cycle_done && self.k < run.restart && self.total_iters < run.cfg.max_iters {
+            self.stage = Stage::Step;
+            return;
+        }
+        // The cycle's correction: `x += Z y` over the stored directions, or
+        // `x += M⁻¹ (V y)` with the column after the basis and the one
+        // direction slot as scratch.
+        let y = self.lsq.solve(self.k);
+        if run.flexible {
+            for (j, &yj) in y.iter().enumerate() {
+                ops::axpy(yj, self.zdirs.col(j), x);
+            }
+        } else if !y.is_empty() {
+            let (vs, u) = self.v.split(y.len());
+            u.fill(0.0);
+            for (j, &yj) in y.iter().enumerate() {
+                ops::axpy(yj, vs.col(j), u);
+            }
+            let _s = parapre_metrics::span(names::PRECOND_APPLY);
+            ctx.precond(&[u], &mut [self.zdirs.col_mut(0)]);
+            ops::axpy(1.0, self.zdirs.col(0), x);
+        }
+        // The budget is spent and nobody reads the report.
+        self.stage = if run.fixed && !self.cycle_done {
+            Stage::Done
+        } else {
+            Stage::Close
+        };
+    }
+
+    /// Modified Gram–Schmidt: one scalar sum per basis vector and one for
+    /// the norm.
+    fn orthogonalize_modified<C: Context>(&mut self, ctx: &mut C) {
+        let k = self.k;
+        let (vs, w) = self.v.split(k + 1);
+        let hcol = self.lsq.column(k);
+        for (i, hik) in hcol[..=k].iter_mut().enumerate() {
+            let mut h = [ops::dot(w, vs.col(i))];
+            ctx.sum(&mut h);
+            *hik = h[0];
+            ops::axpy(-*hik, vs.col(i), w);
+        }
+        let mut ww = [ops::dot(w, w)];
+        ctx.sum(&mut ww);
+        let wnorm = ww[0].sqrt();
+        ops::scale(1.0 / wnorm, w);
+        hcol[k + 1] = wnorm;
+    }
+
+    /// Column `k` of the Hessenberg matrix is complete: rotate it in and
+    /// decide whether the cycle goes on.
+    fn stepped<C: Context>(&mut self, run: &Run<'_>, ctx: &mut C, x: &mut [f64]) {
+        let k = self.k;
+        let wnorm = self.lsq.column(k)[k + 1];
+        // All entries of the column come from summed values, so the
+        // non-finite decision is identical on every rank. Discard the
+        // poisoned column and finish the cycle with the finite prefix.
+        if let Some(res_est) = self.lsq.rotate(k) {
+            self.k += 1;
+            if run.cfg.record_history {
+                self.report.residual_history.push(res_est);
+            }
+            if !run.fixed {
+                run.converging(self.total_iters, res_est / self.r0_norm, ConvKind::Iter, "");
+            }
+            // Column `k` now holds `w / wnorm`, the next basis vector; a
+            // cycle that ends here never reads it.
+            if res_est <= self.target || wnorm == 0.0 {
+                self.zero_norm = wnorm == 0.0;
+                self.cycle_done = true;
+            }
+        } else {
+            self.nonfinite = true;
+            self.cycle_done = true;
+        }
+        self.next_step(run, ctx, x);
+    }
+
+    /// The true residual closing a cycle has been summed: the one stopping
+    /// decision.
+    fn close<C: Context>(&mut self, run: &Run<'_>, ctx: &mut C, x: &mut [f64]) {
+        let (cfg, beta, total_iters) = (run.cfg, self.beta, self.total_iters);
+        let relres = beta / self.r0_norm;
+        self.report.iterations = total_iters;
+        self.report.final_relres = relres;
+        if beta <= self.target {
+            self.report.converged = true;
+            run.converging(total_iters, relres, ConvKind::Converged, "");
+            self.stage = Stage::Done;
+            return;
+        }
+        let breakdown_kind = if self.zero_norm {
+            // Serious breakdown: the basis collapsed but the true residual
+            // still misses the target (or is not a number: the collapsed
+            // least-squares problem may be singular) — restarting would
+            // rebuild the same invariant subspace.
+            Some(BreakdownKind::ZeroNormalization)
+        } else if !beta.is_finite() || self.nonfinite {
+            Some(BreakdownKind::NonFinite)
+        } else if beta > DIVERGENCE_GUARD * self.r0_norm {
+            Some(BreakdownKind::Divergence)
+        } else if cfg.stall_window > 0 {
+            let betas = &mut self.cycle_betas;
+            if betas.len() > cfg.stall_window {
+                betas.pop_front();
+            }
+            betas.push_back(beta);
+            (betas.len() > cfg.stall_window && beta > betas[0] * (1.0 - STALL_RTOL))
+                .then_some(BreakdownKind::Stagnation)
+        } else {
+            None
+        };
+        if let Some(kind) = breakdown_kind {
+            self.break_down(run, kind, total_iters, relres);
+        } else if total_iters >= cfg.max_iters {
+            self.stage = Stage::Done;
+        } else {
+            self.start_cycle(run, ctx, x);
+        }
+    }
+}
+
+/// A round's sums. Every due residual norm and, under classical
+/// Gram–Schmidt, every stepping column's first pass (`k + 1` projections and
+/// `⟨w, w⟩`) ride one [`Context::sum`]; the second passes of the columns that
+/// re-orthogonalize ride one more. Modified Gram–Schmidt then sums each
+/// stepping column's projections one by one.
+///
+/// The re-orthogonalization is DGKS (η² = 1/2): when more than half the mass
+/// of `w` was removed by the projection, the Pythagorean estimate
+/// `‖w'‖² ≈ w·w − Σhᵢ²` is untrustworthy and the coefficients have
+/// cancelled, so `w` is orthogonalized once more. With a good preconditioner
+/// `A M⁻¹ v ≈ v`, so this is the usual case, and the first subtraction
+/// shares its sweep over `w` with the second pass's inner products. The
+/// last subtraction leaves the next basis vector `w' / ‖w'‖` in `w`, and the
+/// norm (relative error `O(ε)` once the guard has passed) below the
+/// coefficients.
+fn reduce<C: Context>(
+    ctx: &mut C,
+    orth: OrthMethod,
+    cols: &mut [Column<'_>],
+    sums: &mut Vec<f64>,
+    again: &mut Vec<f64>,
+) {
+    let cgs = orth == OrthMethod::ClassicalBatched;
+    sums.clear();
+    for c in cols.iter_mut() {
+        match c.stage {
+            Stage::Step if cgs => {
+                let (vs, w) = c.v.split(c.k + 1);
+                vs.dots(w, &mut c.sums[..c.k + 2]);
+                sums.extend_from_slice(&c.sums[..c.k + 2]);
+            }
+            Stage::Open | Stage::Close => sums.push(ops::dot(&c.r, &c.r)),
+            _ => {}
+        }
+    }
+    if !sums.is_empty() {
+        ctx.sum(sums);
+    }
+    if cgs && cols.iter().any(|c| c.stage == Stage::Step) {
+        parapre_metrics::count(names::GMRES_FUSED_ALLREDUCE, 1);
+    }
+    let mut reduced = sums.iter();
+    again.clear();
+    for c in cols.iter_mut() {
+        match c.stage {
+            Stage::Step if cgs => {
+                let k1 = c.k + 1;
+                for (s, &r) in c.sums[..=k1].iter_mut().zip(&mut reduced) {
+                    *s = r;
+                }
+                let hcol = c.lsq.column(c.k);
+                let ww = c.sums[k1];
+                hcol[..k1].copy_from_slice(&c.sums[..k1]);
+                let proj_sq: f64 = c.sums[..k1].iter().map(|h| h * h).sum();
+                c.est = (ww - proj_sq).max(0.0);
+                c.reorth = c.est <= 0.5 * ww;
+                if c.reorth {
+                    parapre_metrics::count(names::GMRES_REORTH, 1);
+                    let (vs, w) = c.v.split(k1);
+                    vs.sub_then_dots(&hcol[..k1], w, &mut c.sums[..=k1]);
+                    again.extend_from_slice(&c.sums[..=k1]);
+                }
+            }
+            Stage::Open | Stage::Close => c.beta = reduced.next().expect("one norm").sqrt(),
+            _ => {}
+        }
+    }
+    if !again.is_empty() {
+        ctx.sum(again);
+        parapre_metrics::count(names::GMRES_FUSED_ALLREDUCE, 1);
+    }
+    let mut reduced = again.iter();
+    for c in cols.iter_mut().filter(|c| c.stage == Stage::Step) {
+        if !cgs {
+            c.orthogonalize_modified(ctx);
+            continue;
+        }
+        let k1 = c.k + 1;
+        let hcol = c.lsq.column(c.k);
+        if c.reorth {
+            let mut corr_sq = 0.0;
+            for (s, &r) in c.sums[..=k1].iter_mut().zip(&mut reduced) {
+                *s = r;
+            }
+            for (h, &ci) in hcol[..k1].iter_mut().zip(&c.sums[..k1]) {
+                *h += ci;
+                corr_sq += ci * ci;
+            }
+            c.est = (c.sums[k1] - corr_sq).max(0.0);
+        }
+        let wnorm = c.est.sqrt();
+        let (vs, w) = c.v.split(k1);
+        vs.sub_div(&c.sums[..k1], wnorm, w);
+        hcol[k1] = wnorm;
     }
 }
 

@@ -10,16 +10,11 @@
 //!   modified Gram–Schmidt and Givens rotations (Saad, *Iterative Methods for
 //!   Sparse Linear Systems*, ch. 6). FGMRES(20) is the paper's outer
 //!   accelerator; plain GMRES with a handful of iterations is the paper's
-//!   *subdomain* and *Schur-system* solver.
-//! * [`lsq::GivensLsq`] — the Givens least-squares recurrence of GMRES,
-//!   once: this crate's driver and the distributed one in `parapre-dist`
-//!   both fill its Hessenberg columns and read the residual estimate and
-//!   the update coefficients back. [`gmres::update_solution`] and
-//!   [`SolveReport`] are shared the same way. What the two drivers do *not*
-//!   share is policy — orthogonalization, and when divergence and
-//!   stagnation are judged — because each is right for its place (see
-//!   [`gmres`]) and shared code that asked which caller it serves would be
-//!   worse than two short loops.
+//!   *subdomain* and *Schur-system* solver. Both, and `parapre-dist`'s
+//!   `DistGmres`, are entries of the one Arnoldi driver [`gmres::arnoldi`]
+//!   with one stopping policy, generic over a [`gmres::Context`]: local sums
+//!   inside a rank, all-reductions across ranks.
+//! * [`lsq::GivensLsq`] — the Givens least-squares recurrence of that driver.
 //! * [`cg::ConjugateGradient`] — preconditioned CG for symmetric positive
 //!   definite systems; its callers are `parapre-fem`'s tests. (The
 //!   additive-Schwarz comparison runs its own one-step PCG per subdomain
@@ -59,7 +54,7 @@ pub mod schurml;
 
 pub use arms::{Arms, ArmsConfig};
 pub use cg::{CgConfig, ConjugateGradient};
-pub use gmres::{FGmres, Gmres, GmresConfig};
+pub use gmres::{FGmres, Gmres, GmresConfig, OrthMethod};
 pub use ilu::{factor_with_shifts, Ilu0, Ilut, IlutConfig, LuFactors, SHIFT_LADDER};
 pub use op::LinOp;
 pub use precond::{IdentityPrecond, JacobiPrecond, Preconditioner};

@@ -3,17 +3,17 @@
 //! cycle's best iterate is known after every column without forming it.
 //!
 //! This is the part of GMRES that does not depend on where the vectors live.
-//! The sequential driver ([`crate::gmres`]) and the distributed one
-//! (`parapre_dist::solver`) both fill [`GivensLsq::column`] with their
-//! orthogonalization coefficients — local dots there, all-reduced sums here —
-//! and read the residual estimate and the update coefficients back. It holds
-//! no policy: when to stop, restart or distrust the estimate is the driver's.
+//! The driver ([`crate::gmres::arnoldi`]) fills [`GivensLsq::column`] with its
+//! orthogonalization coefficients — local sums inside a rank, all-reduced
+//! ones across ranks — and reads the residual estimate and the update
+//! coefficients back. It holds no policy: when to stop, restart or distrust
+//! the estimate is the driver's.
 
 /// Hessenberg columns, rotations, rotated right-hand side and solution of
 /// one restart cycle, allocated once per solve.
 ///
-/// The methods are `#[inline]` because the drivers are generic and are
-/// instantiated in other crates: inlined, a driver sees that `column(k)` has
+/// The methods are `#[inline]` because the driver is generic and is
+/// instantiated in other crates: inlined, it sees that `column(k)` has
 /// `k + 2` entries, as it did when it sliced its own vector (E24 measured
 /// 3 % of a warm solve request without the hint).
 #[derive(Debug)]

@@ -356,8 +356,9 @@ proptest! {
 // ---- deterministic breakdown-detection cases -------------------------------
 
 /// GMRES on a cyclic-shift permutation makes *zero* residual progress until
-/// iteration `n` — the canonical stagnation case. The guard must cut the
-/// solve short with a typed breakdown instead of burning the budget.
+/// iteration `n` — the canonical stagnation case. The guard, which counts
+/// restart cycles, must cut the solve short with a typed breakdown instead of
+/// burning the budget; the cycles here are one step long.
 #[test]
 fn stagnation_guard_cuts_cyclic_shift_early() {
     let n = 40;
@@ -370,7 +371,7 @@ fn stagnation_guard_cuts_cyclic_shift_early() {
     b[0] = 1.0;
     let mut x = vec![0.0; n];
     let rep = Gmres::new(GmresConfig {
-        restart: n,
+        restart: 1,
         max_iters: n,
         stall_window: 4,
         ..Default::default()

@@ -298,11 +298,6 @@ pub mod names {
     /// Reorthogonalization passes triggered by the cancellation test in
     /// classical Gram–Schmidt (each costs one extra fused reduction).
     pub const GMRES_REORTH: &str = "gmres.reorth";
-    /// Iterations spent by a sequential (F)GMRES solve — the effort of
-    /// the solves that run inside preconditioner applications.
-    pub const GMRES_ITERS: &str = "gmres.iters";
-    /// An inner GMRES cycle was cut short by the stagnation guard.
-    pub const GMRES_STALL_CUT: &str = "gmres.stall_cut";
     /// A Krylov solve terminated with a typed breakdown (zero
     /// normalization, non-finite values, stagnation, divergence).
     pub const SOLVE_BREAKDOWN: &str = "solve.breakdown";

@@ -554,19 +554,15 @@ impl Comm {
     /// any other tags that arrive first.
     ///
     /// # Panics
-    /// Panics with a [`CommError`] payload after [`Comm::recv_timeout`]
-    /// elapses without a matching message (deadlock tripwire), so
+    /// Panics with a [`CommError`] payload after the universe's receive
+    /// timeout ([`Universe::try_run_with`]) elapses without a matching
+    /// message (deadlock tripwire), so
     /// [`Universe::try_run`] can recover the structured diagnostic.
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
         match self.recv_checked(from, tag) {
             Ok(payload) => payload,
             Err(err) => std::panic::panic_any(err),
         }
-    }
-
-    /// The deadlock-tripwire timeout applied to this rank's receives.
-    pub fn recv_timeout(&self) -> Duration {
-        self.recv_timeout
     }
 
     /// Like [`Comm::recv`], but reports a timeout as a structured

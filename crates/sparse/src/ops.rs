@@ -79,24 +79,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `y = alpha * x + beta * y`.
-#[inline]
-pub fn axpby(alpha: f64, x: &[f64], beta: f64, y: &mut [f64]) {
-    debug_assert_eq!(x.len(), y.len());
-    let n4 = y.len() & !(LANES - 1);
-    for (ys, xs) in y[..n4]
-        .chunks_exact_mut(LANES)
-        .zip(x[..n4].chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            ys[l] = alpha * xs[l] + beta * ys[l];
-        }
-    }
-    for (yi, &xi) in y[n4..].iter_mut().zip(&x[n4..]) {
-        *yi = alpha * xi + beta * *yi;
-    }
-}
-
 /// Scales `x` in place (4-lane unrolled).
 #[inline]
 pub fn scale(alpha: f64, x: &mut [f64]) {
@@ -467,8 +449,6 @@ mod tests {
         let mut y = [1.0, 1.0, 1.0];
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [3.0, 5.0, 5.0]);
-        axpby(1.0, &x, -1.0, &mut y);
-        assert_eq!(y, [-2.0, -3.0, -3.0]);
         let mut z = [2.0, 4.0];
         scale(0.5, &mut z);
         assert_eq!(z, [1.0, 2.0]);

@@ -2,6 +2,7 @@
 //!
 //! Each test is one promise an earlier simplification made and a grep can
 //! keep: one build configuration and no `unsafe`; one Krylov layer; one
+//! Arnoldi loop; one
 //! recovery layer on the one pipeline; one experiment pipeline; one front
 //! door, whose every job key and command verb is documented and whose job
 //! values are read in one place; one Schur driver; one tag table. The tree is
@@ -134,6 +135,29 @@ fn one_krylov_layer() {
                 || ["csc", "poisson3d", "ordering", "scaling"]
                     .iter()
                     .any(|m| has_word(l, &format!("mod {m}")))
+        }),
+    );
+}
+
+#[test]
+fn one_arnoldi_loop() {
+    // The product code under `crates/*/src`: each file up to its unit tests.
+    let product: Vec<(String, String)> = files(&["crates"])
+        .into_iter()
+        .filter(|(path, _)| path.contains("/src/"))
+        .map(|(path, text)| {
+            let code = text.split("#[cfg(test)]").next().unwrap_or_default();
+            (path, code.to_string())
+        })
+        .collect();
+    assert_once(
+        "one Arnoldi driver allocates the Givens recurrence",
+        lines_where(&product, |l| l.contains("GivensLsq::new(")),
+    );
+    assert_none(
+        "the sequential Arnoldi loop and its estimate window stay gone",
+        lines_where(&files(&["crates"]), |l| {
+            l.contains("run_gmres_core") || has_word(l, "fn stalled")
         }),
     );
 }

@@ -1,35 +1,19 @@
 //! An answer checked against something other than the code's own earlier
-//! output: the distributed solves of all seven rungs must
-//! meet the paper's residual target, and — pushed to a tight tolerance —
-//! land on the solution a sequential GMRES + ILUT solve of the undistributed
-//! system finds. The two paths share the sweep kernel and nothing else: no
-//! partition, no halo exchange, no block or Schur structure on the
-//! sequential side.
+//! output: the distributed solves of all seven rungs must meet the paper's
+//! residual target, and — pushed to a tight tolerance — land on the solution
+//! a dense LU factorization with partial pivoting of the undistributed system
+//! finds. The two paths share no kernel: no Krylov iteration, no incomplete
+//! factorization, no partition, halo exchange, block or Schur structure on
+//! the dense side. A session rebuilt by numeric-only refactorization on new
+//! values of the same pattern is held to the dense answer of the new matrix.
 
 use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre::engine::{SessionConfig, SolverSession};
-use parapre::krylov::{Gmres, GmresConfig, Ilut, IlutConfig};
+use parapre::sparse::dense::{Dense, DenseLu};
+use parapre::sparse::Csr;
 
-fn norm_inf(x: &[f64]) -> f64 {
-    x.iter().fold(0.0, |m, v| m.max(v.abs()))
-}
-
-#[test]
-fn ilu_rungs_agree_with_a_sequential_solve_of_the_global_system() {
-    let case = build_case(CaseId::Tc1, CaseSize::Tiny);
-    let (a, b) = (&case.sys.a, &case.sys.b);
-
-    let factors = Ilut::factor(a, &IlutConfig::default()).expect("ILUT of the global matrix");
-    let mut x_ref = vec![0.0; case.n_unknowns()];
-    let reference = Gmres::new(GmresConfig {
-        rel_tol: 1e-10,
-        max_iters: 2000,
-        ..Default::default()
-    })
-    .solve(a, &factors, b, &mut x_ref);
-    assert!(reference.converged, "sequential reference did not converge");
-
-    for kind in [
+fn kinds() -> [PrecondKind; 7] {
+    [
         PrecondKind::Block1,
         PrecondKind::Block2,
         PrecondKind::Schur1,
@@ -37,7 +21,45 @@ fn ilu_rungs_agree_with_a_sequential_solve_of_the_global_system() {
         PrecondKind::schurml_default(),
         PrecondKind::BlockOverlap,
         PrecondKind::Jacobi,
-    ] {
+    ]
+}
+
+fn norm_inf(x: &[f64]) -> f64 {
+    x.iter().fold(0.0, |m, v| m.max(v.abs()))
+}
+
+/// `A⁻¹ b` by dense LU.
+fn dense_solve(a: &Csr, b: &[f64]) -> Vec<f64> {
+    let lu = DenseLu::factor(Dense::from_rows(&a.to_dense())).expect("a regular matrix");
+    lu.solve(b)
+}
+
+/// `‖x − x_ref‖∞ / ‖x_ref‖∞`.
+fn rel_err(x: &[f64], x_ref: &[f64]) -> f64 {
+    let diff: Vec<f64> = x.iter().zip(x_ref).map(|(u, v)| u - v).collect();
+    norm_inf(&diff) / norm_inf(x_ref)
+}
+
+/// Same pattern, every value moved by a few percent.
+fn perturbed(a: &Csr) -> Csr {
+    let mut a2 = a.clone();
+    for (slot, (i, j, v)) in a2.vals_mut().iter_mut().zip(a.iter()) {
+        *slot = if i == j {
+            v * (1.02 + 0.01 * (i as f64 * 0.3).sin().abs())
+        } else {
+            v * (1.0 + 0.03 * (i as f64 * 0.37).sin() * (j as f64 * 0.11).cos())
+        };
+    }
+    a2
+}
+
+#[test]
+fn ilu_rungs_agree_with_a_sequential_solve_of_the_global_system() {
+    let case = build_case(CaseId::Tc1, CaseSize::Tiny);
+    let (a, b) = (&case.sys.a, &case.sys.b);
+    let x_ref = dense_solve(a, b);
+
+    for kind in kinds() {
         for p in [1, 2, 4, 8] {
             let what = format!("{} P={p}", kind.key());
             let paper = SessionConfig::paper(kind, p);
@@ -55,8 +77,32 @@ fn ilu_rungs_agree_with_a_sequential_solve_of_the_global_system() {
                 .solve(b)
                 .expect("solve");
             assert!(rep.converged, "{what} at 1e-10");
-            let diff: Vec<f64> = rep.x.iter().zip(&x_ref).map(|(u, v)| u - v).collect();
-            let err = norm_inf(&diff) / norm_inf(&x_ref);
+            let err = rel_err(&rep.x, &x_ref);
+            assert!(err <= 1e-6, "{what}: {err:e} away from the reference");
+        }
+    }
+}
+
+#[test]
+fn refactored_sessions_agree_with_a_dense_solve_of_the_new_matrix() {
+    let case = build_case(CaseId::Tc1, CaseSize::Tiny);
+    let b = &case.sys.b;
+    let a2 = perturbed(&case.sys.a);
+    let x_ref = dense_solve(&a2, b);
+    assert!(rel_err(&dense_solve(&case.sys.a, b), &x_ref) > 1e-3);
+
+    for kind in kinds() {
+        for p in [2, 4] {
+            let what = format!("{} P={p}", kind.key());
+            let mut tight = SessionConfig::paper(kind, p);
+            tight.gmres.rel_tol = 1e-10;
+            let donor = SolverSession::from_case(&case, &tight).expect("session builds");
+            let hot = SolverSession::refactor(&donor, &a2)
+                .unwrap_or_else(|why| panic!("{what}: refused as {}", why.key()));
+            assert_eq!(hot.pattern_age(), 1, "{what}");
+            let rep = hot.solve(b).expect("solve");
+            assert!(rep.converged, "{what} at 1e-10");
+            let err = rel_err(&rep.x, &x_ref);
             assert!(err <= 1e-6, "{what}: {err:e} away from the reference");
         }
     }

@@ -2,8 +2,8 @@
 //! must agree on the solution (to tolerance) for the same system; the
 //! heterogeneous-coefficient extension behaves under all preconditioners.
 
-use parapre::core::{build_case, CaseId, CaseSize, PrecondKind, SchurPrecond};
-use parapre::dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
+use parapre::core::{build_case, BlockPrecond, CaseId, CaseSize, PrecondKind, SchurPrecond};
+use parapre::dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix, OrthMethod};
 use parapre::engine::{run_case, SessionConfig};
 use parapre::fem::{bc, varcoeff, LinearSystem};
 use parapre::grid::refine::refine_uniform;
@@ -46,6 +46,54 @@ fn gmres_and_ilut_fgmres_agree_on_tc5_system() {
     for (u, v) in x_g.iter().zip(&x_f) {
         assert!((u - v).abs() < 1e-5, "{u} vs {v}");
     }
+}
+
+/// The one GMRES driver under its two contexts: at P = 1, `DistGmres::solve`
+/// with modified Gram–Schmidt (all-reductions over one rank, the halo-less
+/// `DistMatrix`, Block 1's ILU(0)) and `FGmres::solve` (local sums, the rank's
+/// block as a `Csr`, the same factors) with the same configuration are one
+/// solve, bit for bit, across several restart cycles.
+#[test]
+fn one_driver_gives_one_solve_in_the_rank_and_the_local_context() {
+    let case = build_case(CaseId::Tc1, CaseSize::Tiny);
+    let owner = vec![0u32; case.n_unknowns()];
+    let (a, b, owner) = (&case.sys.a, &case.sys.b, &owner);
+    let cfg = GmresConfig {
+        restart: 4,
+        max_iters: 200,
+        rel_tol: 1e-10,
+        abs_tol: 1e-300,
+        record_history: true,
+        stall_window: 4,
+    };
+    let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    Universe::run(1, |comm| {
+        let dm = DistMatrix::from_global(a, owner, 0, 1);
+        let m = BlockPrecond::ilu0(&dm).expect("ILU(0) of the block");
+        let b_loc = scatter_vector(&dm.layout, b);
+        let n = b_loc.len();
+
+        let mut x_dist = vec![0.0; n];
+        let dist = DistGmres::new(DistGmresConfig {
+            restart: cfg.restart,
+            max_iters: cfg.max_iters,
+            rel_tol: cfg.rel_tol,
+            abs_tol: cfg.abs_tol,
+            record_history: cfg.record_history,
+            orth: OrthMethod::Modified,
+            stall_window: cfg.stall_window,
+        })
+        .solve(comm, &dm, &m, &b_loc, &mut x_dist);
+
+        let mut x_seq = vec![0.0; n];
+        let seq = FGmres::new(cfg).solve(&dm.owned_block(), m.factors(), &b_loc, &mut x_seq);
+
+        assert!(seq.converged && seq.iterations > 2 * cfg.restart, "{seq:?}");
+        assert_eq!(dist.iterations, seq.iterations);
+        assert_eq!(dist.final_relres.to_bits(), seq.final_relres.to_bits());
+        assert_eq!(bits(&dist.residual_history), bits(&seq.residual_history));
+        assert_eq!(bits(&x_dist), bits(&x_seq));
+    });
 }
 
 #[test]
