@@ -27,7 +27,7 @@
 
 use parapre_core::{build_case_sized, CaseId};
 use parapre_dist::{
-    scatter_vector, DistGmres, DistGmresConfig, DistMatrix, IdentityDistPrecond, OrthMethod,
+    scatter_vector, DistGmres, DistMatrix, GmresConfig, IdentityDistPrecond, OrthMethod,
 };
 use parapre_fem::poisson;
 use parapre_grid::structured::unit_square;
@@ -100,7 +100,7 @@ fn bench_gmres(a: &Csr, owner: &[u32], p: usize, iters: usize, orth: OrthMethod)
     let out = Universe::run(p, |comm| {
         let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
         let b_loc = scatter_vector(&dm.layout, &b);
-        let solver = DistGmres::new(DistGmresConfig {
+        let solver = DistGmres::new(GmresConfig {
             restart: 20,
             max_iters: iters,
             // Unreachable tolerance: both methods run the full budget so
@@ -108,7 +108,7 @@ fn bench_gmres(a: &Csr, owner: &[u32], p: usize, iters: usize, orth: OrthMethod)
             rel_tol: 1e-30,
             abs_tol: 1e-300,
             orth,
-            ..Default::default()
+            ..GmresConfig::distributed()
         });
         let mut x = vec![0.0; dm.layout.n_owned()];
         let before = comm.stats();

@@ -117,7 +117,7 @@ impl DistPrecond for JacobiDistPrecond {
 mod tests {
     use super::*;
     use crate::testutil::tc1;
-    use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
+    use parapre_dist::{scatter_vector, DistGmres, DistMatrix, GmresConfig};
     use parapre_mpisim::Universe;
 
     #[test]
@@ -135,9 +135,9 @@ mod tests {
                 };
                 let b_loc = scatter_vector(&dm.layout, b_ref);
                 let mut x = vec![0.0; dm.layout.n_owned()];
-                let rep = DistGmres::new(DistGmresConfig {
+                let rep = DistGmres::new(GmresConfig {
                     max_iters: 400,
-                    ..Default::default()
+                    ..GmresConfig::distributed()
                 })
                 .solve(comm, &dm, &m, &b_loc, &mut x);
                 (rep.iterations, rep.converged)
@@ -149,9 +149,9 @@ mod tests {
                 let dm = DistMatrix::from_global(a_ref, owner_ref, comm.rank(), p);
                 let b_loc = scatter_vector(&dm.layout, b_ref);
                 let mut x = vec![0.0; dm.layout.n_owned()];
-                let rep = DistGmres::new(DistGmresConfig {
+                let rep = DistGmres::new(GmresConfig {
                     max_iters: 400,
-                    ..Default::default()
+                    ..GmresConfig::distributed()
                 })
                 .solve(
                     comm,
@@ -205,9 +205,9 @@ mod tests {
                 let m = BlockPrecond::ilu0(&dm).unwrap();
                 let b_loc = scatter_vector(&dm.layout, b_ref);
                 let mut x = vec![0.0; dm.layout.n_owned()];
-                DistGmres::new(DistGmresConfig {
+                DistGmres::new(GmresConfig {
                     max_iters: 500,
-                    ..Default::default()
+                    ..GmresConfig::distributed()
                 })
                 .solve(comm, &dm, &m, &b_loc, &mut x)
                 .iterations

@@ -129,7 +129,7 @@ mod tests {
     use super::*;
     use crate::block::BlockPrecond;
     use crate::testutil::tc1;
-    use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig};
+    use parapre_dist::{scatter_vector, DistGmres, GmresConfig};
     use parapre_mpisim::Universe;
 
     fn iterations<F>(a: &Csr, b: &[f64], owner: &[u32], p: usize, make: F) -> usize
@@ -142,9 +142,9 @@ mod tests {
             let m = make(&dm);
             let b_loc = scatter_vector(&dm.layout, b);
             let mut x = vec![0.0; dm.layout.n_owned()];
-            let rep = DistGmres::new(DistGmresConfig {
+            let rep = DistGmres::new(GmresConfig {
                 max_iters: 500,
-                ..Default::default()
+                ..GmresConfig::distributed()
             })
             .solve(comm, &dm, &m, &b_loc, &mut x);
             assert!(rep.converged);

@@ -471,7 +471,7 @@ impl DistPrecond for SchurPrecond {
 mod tests {
     use super::*;
     use crate::testutil::tc1;
-    use parapre_dist::{scatter_vector, DistGmresConfig};
+    use parapre_dist::{scatter_vector, GmresConfig};
     use parapre_mpisim::Universe;
     use parapre_sparse::Coo;
 
@@ -493,9 +493,9 @@ mod tests {
             let m = SchurPrecond::build(kind, &dm, comm, params).unwrap();
             let b_loc = scatter_vector(&dm.layout, b);
             let mut x = vec![0.0; dm.layout.n_owned()];
-            let rep = DistGmres::new(DistGmresConfig {
+            let rep = DistGmres::new(GmresConfig {
                 max_iters: 300,
-                ..Default::default()
+                ..GmresConfig::distributed()
             })
             .solve(comm, &dm, &m, &b_loc, &mut x);
             (rep.iterations, rep.converged)

@@ -7,7 +7,7 @@
 use parapre_core::{
     build_dist_precond_with_fallback, try_build_dist_precond, PrecondKind, PrecondParams,
 };
-use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
+use parapre_dist::{scatter_vector, DistGmres, DistMatrix, GmresConfig};
 use parapre_mpisim::Universe;
 use parapre_sparse::{Coo, Csr};
 use proptest::prelude::*;
@@ -61,9 +61,9 @@ fn ladder_solve(
         let built = build_dist_precond_with_fallback(kind, &dm, comm, a, &params);
         let b_loc = scatter_vector(&dm.layout, &vec![1.0; n]);
         let mut x = vec![0.0; dm.layout.n_owned()];
-        let rep = DistGmres::new(DistGmresConfig {
+        let rep = DistGmres::new(GmresConfig {
             max_iters: 120,
-            ..Default::default()
+            ..GmresConfig::distributed()
         })
         .solve(comm, &dm, &built.precond, &b_loc, &mut x);
         let x_finite = x.iter().all(|v| v.is_finite());

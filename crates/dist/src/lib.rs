@@ -29,9 +29,7 @@ pub mod solver;
 /// The name distributed solves' reports had when they were their own struct.
 pub use parapre_krylov::SolveReport as DistSolveReport;
 pub use parapre_krylov::{BreakdownKind, SolveBreakdown, SolveReport};
-pub use solver::{
-    DistGmres, DistGmresConfig, DistOp, DistPrecond, IdentityDistPrecond, OrthMethod,
-};
+pub use solver::{DistGmres, DistOp, DistPrecond, GmresConfig, IdentityDistPrecond, OrthMethod};
 
 use parapre_mpisim::Comm;
 use parapre_sparse::{ops, Csr, RowSplit};

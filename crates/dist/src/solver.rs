@@ -10,13 +10,13 @@
 //! stopping decision is made on all-reduced quantities.
 
 use crate::{tags, DistMatrix};
-use parapre_krylov::gmres::{self, Context, GmresConfig};
+use parapre_krylov::gmres::{self, Context};
 use parapre_krylov::SolveReport;
 use parapre_mpisim::Comm;
 use parapre_sparse::{ops, Csr, Error, Result};
 use std::cell::RefCell;
 
-pub use parapre_krylov::gmres::OrthMethod;
+pub use parapre_krylov::gmres::{GmresConfig, OrthMethod};
 
 /// A distributed linear operator on owned-unknown vectors.
 pub trait DistOp {
@@ -146,46 +146,12 @@ impl DistOp for DistMatrix {
     }
 }
 
-/// Stopping and restart parameters (paper: FGMRES(20), `‖r‖/‖r₀‖ ≤ 1e-6`).
-#[derive(Debug, Clone, Copy)]
-pub struct DistGmresConfig {
-    /// Restart length.
-    pub restart: usize,
-    /// Total iteration budget.
-    pub max_iters: usize,
-    /// Relative residual target.
-    pub rel_tol: f64,
-    /// Absolute residual floor.
-    pub abs_tol: f64,
-    /// Record residual history (rank-identical).
-    pub record_history: bool,
-    /// Arnoldi orthogonalization strategy.
-    pub orth: OrthMethod,
-    /// Stagnation window in *restart cycles* ([`GmresConfig::stall_window`]).
-    /// The decision is made on the all-reduced residual, so every rank
-    /// stops identically.
-    pub stall_window: usize,
-}
-
-impl Default for DistGmresConfig {
-    fn default() -> Self {
-        DistGmresConfig {
-            restart: 20,
-            max_iters: 1000,
-            rel_tol: 1e-6,
-            abs_tol: 1e-300,
-            record_history: false,
-            orth: OrthMethod::default(),
-            stall_window: 4,
-        }
-    }
-}
-
 /// The distributed restarted (F)GMRES driver.
 #[derive(Debug, Clone)]
 pub struct DistGmres {
-    /// Solver parameters.
-    pub config: DistGmresConfig,
+    /// Solver parameters ([`GmresConfig::distributed`] is the distributed
+    /// setting).
+    pub config: GmresConfig,
 }
 
 /// The context of a distributed solve: sums are all-reductions over the
@@ -214,7 +180,7 @@ impl<A: DistOp, M: DistPrecond> Context for Ranks<'_, A, M> {
 
 impl DistGmres {
     /// Creates a solver.
-    pub fn new(config: DistGmresConfig) -> Self {
+    pub fn new(config: GmresConfig) -> Self {
         DistGmres { config }
     }
 
@@ -245,20 +211,12 @@ impl DistGmres {
         xs: &mut [&mut [f64]],
     ) -> Vec<SolveReport> {
         assert!(bs.iter().all(|b| b.len() == a.n_owned()));
-        let c = &self.config;
-        let cfg = GmresConfig {
-            restart: c.restart,
-            max_iters: c.max_iters,
-            rel_tol: c.rel_tol,
-            abs_tol: c.abs_tol,
-            record_history: c.record_history,
-            stall_window: c.stall_window,
-        };
-        gmres::arnoldi(&mut Ranks { comm, a, m }, &cfg, c.orth, true, bs, xs)
+        gmres::arnoldi(&mut Ranks { comm, a, m }, &self.config, true, bs, xs)
     }
 
-    /// [`gmres::fixed_effort`] across the ranks of `comm`, with the default
-    /// orthogonalization.
+    /// [`gmres::fixed_effort`] across the ranks of `comm`, with the
+    /// distributed setting's orthogonalization (one fused all-reduce per
+    /// step).
     pub fn fixed_effort<A: DistOp, M: DistPrecond>(
         comm: &mut Comm,
         a: &A,
@@ -268,7 +226,7 @@ impl DistGmres {
         z: &mut [f64],
     ) {
         let ctx = &mut Ranks { comm, a, m };
-        gmres::fixed_effort(ctx, OrthMethod::default(), k, g, z);
+        gmres::fixed_effort(ctx, OrthMethod::ClassicalBatched, k, g, z);
     }
 }
 
@@ -317,10 +275,10 @@ mod tests {
             let dm = DistMatrix::from_global(a_ref, owner_ref, comm.rank(), 4);
             let b_loc = scatter_vector(&dm.layout, b_ref);
             let mut x = vec![0.0; dm.layout.n_owned()];
-            let rep = DistGmres::new(DistGmresConfig {
+            let rep = DistGmres::new(GmresConfig {
                 max_iters: 500,
                 rel_tol: 1e-10,
-                ..Default::default()
+                ..GmresConfig::distributed()
             })
             .solve(comm, &dm, &IdentityDistPrecond, &b_loc, &mut x);
             assert!(rep.converged);
@@ -353,10 +311,10 @@ mod tests {
             let dm = DistMatrix::from_global(a_ref, owner_ref, comm.rank(), 4);
             let b_loc = scatter_vector(&dm.layout, b_ref);
             let mut x = vec![0.0; dm.layout.n_owned()];
-            let rep = DistGmres::new(DistGmresConfig {
+            let rep = DistGmres::new(GmresConfig {
                 max_iters: 300,
                 orth: OrthMethod::Modified,
-                ..Default::default()
+                ..GmresConfig::distributed()
             })
             .solve(comm, &dm, &IdentityDistPrecond, &b_loc, &mut x);
             (rep.iterations, rep.converged)
@@ -379,10 +337,10 @@ mod tests {
                 let dm = DistMatrix::from_global(a_ref, owner_ref, comm.rank(), 4);
                 let b_loc = scatter_vector(&dm.layout, b_ref);
                 let mut x = vec![0.0; dm.layout.n_owned()];
-                let rep = DistGmres::new(DistGmresConfig {
+                let rep = DistGmres::new(GmresConfig {
                     max_iters: 300,
                     orth,
-                    ..Default::default()
+                    ..GmresConfig::distributed()
                 })
                 .solve(comm, &dm, &IdentityDistPrecond, &b_loc, &mut x);
                 assert!(rep.converged);
@@ -407,10 +365,10 @@ mod tests {
                 let b_loc = scatter_vector(&dm.layout, b_ref);
                 let mut x = vec![0.0; dm.layout.n_owned()];
                 let before = comm.stats().msgs_sent;
-                let rep = DistGmres::new(DistGmresConfig {
+                let rep = DistGmres::new(GmresConfig {
                     max_iters: 60,
                     orth,
-                    ..Default::default()
+                    ..GmresConfig::distributed()
                 })
                 .solve(comm, &dm, &IdentityDistPrecond, &b_loc, &mut x);
                 (comm.stats().msgs_sent - before, rep.iterations)
@@ -434,9 +392,9 @@ mod tests {
             let dm = DistMatrix::from_global(a_ref, owner_ref, comm.rank(), 4);
             let b_loc = scatter_vector(&dm.layout, b_ref);
             let mut x = vec![0.0; dm.layout.n_owned()];
-            let rep = DistGmres::new(DistGmresConfig {
+            let rep = DistGmres::new(GmresConfig {
                 record_history: true,
-                ..Default::default()
+                ..GmresConfig::distributed()
             })
             .solve(comm, &dm, &IdentityDistPrecond, &b_loc, &mut x);
             (rep.iterations, rep.final_relres, rep.residual_history)
@@ -459,7 +417,7 @@ mod tests {
             assert_eq!(dm.layout.n_interface, 0);
             let b_loc = scatter_vector(&dm.layout, b_ref);
             let mut x = vec![0.0; dm.layout.n_owned()];
-            let rep = DistGmres::new(Default::default()).solve(
+            let rep = DistGmres::new(GmresConfig::distributed()).solve(
                 comm,
                 &dm,
                 &IdentityDistPrecond,

@@ -3,7 +3,7 @@
 //! counting global allocator, one count per thread, so every rank reads its
 //! own.
 
-use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix, IdentityDistPrecond};
+use parapre_dist::{scatter_vector, DistGmres, DistMatrix, GmresConfig, IdentityDistPrecond};
 use parapre_mpisim::Universe;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -67,10 +67,10 @@ fn short_and_long_solve(p: usize) -> Vec<[Cost; 2]> {
         let mut x = vec![0.0; dm.layout.n_owned()];
         let mut solve = |max_iters: usize| {
             x.fill(0.0);
-            let solver = DistGmres::new(DistGmresConfig {
+            let solver = DistGmres::new(GmresConfig {
                 max_iters,
                 rel_tol: 1e-30,
-                ..Default::default()
+                ..GmresConfig::distributed()
             });
             let (allocs, msgs) = (ALLOCS.get(), comm.stats().msgs_sent);
             let rep = solver.solve(comm, &dm, &IdentityDistPrecond, &b_loc, &mut x);

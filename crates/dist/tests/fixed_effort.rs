@@ -11,7 +11,7 @@
 //! in the entry's order without sharing its branch of the driver.
 
 use parapre_dist::{
-    scatter_vector, tags, DistGmres, DistGmresConfig, DistMatrix, DistOp, DistPrecond,
+    scatter_vector, tags, DistGmres, DistMatrix, DistOp, DistPrecond, GmresConfig,
     IdentityDistPrecond,
 };
 use parapre_mpisim::{Comm, Universe};
@@ -85,15 +85,15 @@ impl DistOp for IdentityOp {
 }
 
 /// The configuration `fixed_effort(k)` stands for, spelled out.
-fn one_cycle_of(k: usize) -> DistGmresConfig {
-    DistGmresConfig {
+fn one_cycle_of(k: usize) -> GmresConfig {
+    GmresConfig {
         restart: k,
         max_iters: k,
         rel_tol: 1e-12,
         abs_tol: 1e-300,
         record_history: false,
         stall_window: 0,
-        ..Default::default()
+        ..GmresConfig::distributed()
     }
 }
 

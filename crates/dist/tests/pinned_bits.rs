@@ -12,7 +12,7 @@
 //! divided (same iterations, same history length, other last bits).
 
 use parapre_dist::{
-    gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix, DistPrecond, OrthMethod,
+    gather_vector, scatter_vector, DistGmres, DistMatrix, DistPrecond, GmresConfig, OrthMethod,
 };
 use parapre_mpisim::{Comm, Universe};
 use std::fmt::Write;
@@ -60,11 +60,11 @@ fn both_orthogonalizations_and_the_fixed_entry_reproduce_their_pinned_bits() {
         for orth in [OrthMethod::Modified, OrthMethod::ClassicalBatched] {
             for restart in [20, 5] {
                 let mut x = vec![0.0; n];
-                let rep = DistGmres::new(DistGmresConfig {
+                let rep = DistGmres::new(GmresConfig {
                     restart,
                     orth,
                     record_history: true,
-                    ..Default::default()
+                    ..GmresConfig::distributed()
                 })
                 .solve(comm, &dm, &m, &g, &mut x);
                 assert!(rep.converged && rep.breakdown.is_none());

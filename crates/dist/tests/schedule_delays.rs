@@ -19,7 +19,7 @@
 mod common;
 
 use common::poisson_system;
-use parapre_dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix, IdentityDistPrecond};
+use parapre_dist::{scatter_vector, DistGmres, DistMatrix, GmresConfig, IdentityDistPrecond};
 use parapre_fem::{bc, poisson, LinearSystem};
 use parapre_grid::structured::unit_square;
 use parapre_metrics::EventKind;
@@ -69,9 +69,9 @@ fn solve(
         let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = vec![0.0; dm.layout.n_owned()];
-        let rep = DistGmres::new(DistGmresConfig {
+        let rep = DistGmres::new(GmresConfig {
             max_iters: 400,
-            ..Default::default()
+            ..GmresConfig::distributed()
         })
         .solve(comm, &dm, &IdentityDistPrecond, &b_loc, &mut x);
         (x, rep.iterations, rep.final_relres)
@@ -159,7 +159,7 @@ fn delayed_solve(seed: u64) -> (Vec<(usize, u64)>, Vec<RankResult>) {
             let dm = DistMatrix::from_global(a_ref, o_ref, comm.rank(), p);
             let b_loc = scatter_vector(&dm.layout, b_ref);
             let mut x = vec![0.0; dm.layout.n_owned()];
-            let rep = DistGmres::new(DistGmresConfig::default()).solve(
+            let rep = DistGmres::new(GmresConfig::distributed()).solve(
                 comm,
                 &dm,
                 &IdentityDistPrecond,

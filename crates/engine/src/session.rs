@@ -18,8 +18,7 @@ use parapre_core::{
     PartitionScheme, PrecondKind, PrecondParams, RefactorReject,
 };
 use parapre_dist::{
-    gather_vector, scatter_vector, tags, DistGmres, DistGmresConfig, DistMatrix, DistOp,
-    DistPrecond,
+    gather_vector, scatter_vector, tags, DistGmres, DistMatrix, DistOp, DistPrecond, GmresConfig,
 };
 use parapre_grid::Adjacency;
 use parapre_mpisim::{Comm, MachineModel, RankFailure, SchedulePlan, Universe};
@@ -43,7 +42,7 @@ pub struct SessionConfig {
     /// Partitioner RNG seed.
     pub partition_seed: u64,
     /// Outer FGMRES parameters.
-    pub gmres: DistGmresConfig,
+    pub gmres: GmresConfig,
     /// Preconditioner tuning knobs.
     pub params: PrecondParams,
     /// Deadlock tripwire for every universe this session launches.
@@ -59,11 +58,11 @@ impl SessionConfig {
             n_ranks,
             scheme: PartitionScheme::General,
             partition_seed: MachineModel::linux_cluster().partition_seed,
-            gmres: DistGmresConfig {
+            gmres: GmresConfig {
                 restart: 20,
                 max_iters: 600,
                 rel_tol: 1e-6,
-                ..Default::default()
+                ..GmresConfig::distributed()
             },
             params: PrecondParams::default(),
             recv_timeout: Duration::from_secs(60),

@@ -82,7 +82,7 @@ mod tests {
     use super::*;
     use crate::bc;
     use parapre_grid::structured::{unit_cube, unit_square};
-    use parapre_krylov::{ConjugateGradient, IdentityPrecond};
+    use parapre_sparse::dense::{Dense, DenseLu};
 
     fn l2_error_2d(nx: usize) -> f64 {
         let mesh = unit_square(nx, nx);
@@ -97,14 +97,9 @@ mod tests {
             .collect();
         bc::apply_dirichlet(&mut sys, &dirichlet);
         let n = sys.b.len();
-        let mut x = vec![0.0; n];
-        let rep = ConjugateGradient::new(parapre_krylov::CgConfig {
-            max_iters: 4000,
-            rel_tol: 1e-10,
-            ..Default::default()
-        })
-        .solve(&sys.a, &IdentityPrecond::new(n), &sys.b, &mut x);
-        assert!(rep.converged);
+        let x = DenseLu::factor(Dense::from_rows(&sys.a.to_dense()))
+            .expect("a regular matrix")
+            .solve(&sys.b);
         let mut err2 = 0.0;
         for (i, p) in mesh.coords.iter().enumerate() {
             let e = x[i] - exact_tc1(p[0], p[1]);
@@ -149,15 +144,9 @@ mod tests {
             })
             .collect();
         bc::apply_dirichlet(&mut sys, &dirichlet);
-        let n = sys.b.len();
-        let mut x = vec![0.0; n];
-        let rep = ConjugateGradient::new(parapre_krylov::CgConfig {
-            max_iters: 3000,
-            rel_tol: 1e-10,
-            ..Default::default()
-        })
-        .solve(&sys.a, &IdentityPrecond::new(n), &sys.b, &mut x);
-        assert!(rep.converged);
+        let x = DenseLu::factor(Dense::from_rows(&sys.a.to_dense()))
+            .expect("a regular matrix")
+            .solve(&sys.b);
         let max_err = mesh
             .coords
             .iter()

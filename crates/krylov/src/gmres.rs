@@ -14,9 +14,8 @@
 //! (`parapre_dist::solver`) they are all-reductions. The entries — [`Gmres`],
 //! [`FGmres`], [`Gmres::fixed_effort`] and `parapre_dist::DistGmres` — differ
 //! only in data: the context, whether the preconditioner may vary
-//! (`flexible`), whether the solve is a fixed-effort inner solve, and the
-//! [`OrthMethod`]. The sequential entries orthogonalize by modified
-//! Gram–Schmidt.
+//! (`flexible`), and whether the solve is a fixed-effort inner solve. One
+//! [`GmresConfig`] configures them all, the [`OrthMethod`] included.
 //!
 //! There is one stopping policy. A cycle ends on its last column, on a spent
 //! budget, on an estimate at or under the target, on a zero normalization or
@@ -43,7 +42,9 @@ pub const DIVERGENCE_GUARD: f64 = 1e8;
 /// `β < (1 − STALL_RTOL) · β_window_cycles_ago`, else the solve is stalled.
 pub const STALL_RTOL: f64 = 1e-3;
 
-/// Stopping and restart parameters shared by GMRES and FGMRES.
+/// Stopping, restart and orthogonalization parameters of every entry of the
+/// one driver. [`GmresConfig::default`] is the sequential entries' setting,
+/// [`GmresConfig::distributed`] the distributed entries'.
 #[derive(Debug, Clone, Copy)]
 pub struct GmresConfig {
     /// Restart length `m` (Krylov basis size). Paper value: 20.
@@ -62,9 +63,13 @@ pub struct GmresConfig {
     /// cycles, the solve stops with a typed [`BreakdownKind::Stagnation`]
     /// instead of burning the rest of the budget. `0` disables the guard.
     pub stall_window: usize,
+    /// Arnoldi orthogonalization strategy.
+    pub orth: OrthMethod,
 }
 
 impl Default for GmresConfig {
+    /// The sequential setting: modified Gram–Schmidt, 500 iterations, no
+    /// stagnation window.
     fn default() -> Self {
         GmresConfig {
             restart: 20,
@@ -73,22 +78,36 @@ impl Default for GmresConfig {
             abs_tol: 1e-300,
             record_history: false,
             stall_window: 0,
+            orth: OrthMethod::Modified,
+        }
+    }
+}
+
+impl GmresConfig {
+    /// The distributed setting (paper: FGMRES(20), `‖r‖/‖r₀‖ ≤ 1e-6`): one
+    /// fused all-reduce per step, 1000 iterations, and a four-cycle
+    /// stagnation window judged on the all-reduced residual.
+    pub fn distributed() -> Self {
+        GmresConfig {
+            max_iters: 1000,
+            stall_window: 4,
+            orth: OrthMethod::ClassicalBatched,
+            ..GmresConfig::default()
         }
     }
 }
 
 /// Arnoldi orthogonalization strategy — the latency/reproducibility knob.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrthMethod {
     /// Classical Gram–Schmidt with all `k+1` projection coefficients and
     /// the norm batched into **one** fused sum per iteration, plus DGKS
     /// selective reorthogonalization (a second fused sum only when
-    /// cancellation is detected). Default: on `P` ranks this replaces
-    /// `k+2` latency-bound scalar reductions per iteration with one (or
-    /// two). Iteration counts can differ by a step or two from
+    /// cancellation is detected). The distributed setting: on `P` ranks
+    /// this replaces `k+2` latency-bound scalar reductions per iteration
+    /// with one (or two). Iteration counts can differ by a step or two from
     /// [`OrthMethod::Modified`] because the projection is computed against
     /// the un-updated `w`. Normalizes by dividing by the norm.
-    #[default]
     ClassicalBatched,
     /// Modified Gram–Schmidt: one scalar sum per basis vector per iteration
     /// (`k+2` total), subtraction by `ops::axpy` and normalization by
@@ -240,7 +259,7 @@ fn solve_local<A: LinOp, M: Preconditioner>(
     x: &mut [f64],
 ) -> SolveReport {
     let ctx = &mut Local::new(a, m, b.len());
-    let mut reps = arnoldi(ctx, cfg, OrthMethod::Modified, flexible, &[b], &mut [x]);
+    let mut reps = arnoldi(ctx, cfg, flexible, &[b], &mut [x]);
     reps.pop().expect("one report per column")
 }
 
@@ -263,9 +282,10 @@ pub fn fixed_effort<C: Context>(ctx: &mut C, orth: OrthMethod, k: usize, g: &[f6
         restart: k.max(1),
         max_iters: k.max(1),
         rel_tol: 1e-12,
-        ..Default::default()
+        orth,
+        ..GmresConfig::default()
     };
-    let run = Run::new(ctx, &cfg, orth, false, true);
+    let run = Run::new(ctx, &cfg, false, true);
     run.columns(ctx, &[g], &mut [z]);
 }
 
@@ -287,12 +307,11 @@ pub fn fixed_effort<C: Context>(ctx: &mut C, orth: OrthMethod, k: usize, g: &[f6
 pub fn arnoldi<C: Context>(
     ctx: &mut C,
     cfg: &GmresConfig,
-    orth: OrthMethod,
     flexible: bool,
     bs: &[&[f64]],
     xs: &mut [&mut [f64]],
 ) -> Vec<SolveReport> {
-    let run = Run::new(ctx, cfg, orth, flexible, false);
+    let run = Run::new(ctx, cfg, flexible, false);
     run.columns(ctx, bs, xs)
 }
 
@@ -322,7 +341,6 @@ struct Run<'a> {
     /// A cycle cannot outrun the iteration budget, and its basis is
     /// allocated whole.
     restart: usize,
-    orth: OrthMethod,
     flexible: bool,
     /// A fixed-effort inner solve: no opening product, no closing residual
     /// once the budget is spent, no report, no voice.
@@ -333,17 +351,10 @@ struct Run<'a> {
 }
 
 impl<'a> Run<'a> {
-    fn new<C: Context>(
-        ctx: &C,
-        cfg: &'a GmresConfig,
-        orth: OrthMethod,
-        flexible: bool,
-        fixed: bool,
-    ) -> Self {
+    fn new<C: Context>(ctx: &C, cfg: &'a GmresConfig, flexible: bool, fixed: bool) -> Self {
         Run {
             cfg,
             restart: cfg.restart.clamp(1, cfg.max_iters.max(1)),
-            orth,
             flexible,
             fixed,
             source: C::SOURCE,
@@ -429,7 +440,7 @@ impl<'a> Run<'a> {
                 }
             }
             let orth = stepping.then(|| parapre_metrics::span(names::ORTH));
-            reduce(ctx, self.orth, &mut cols, &mut sums, &mut again);
+            reduce(ctx, self.cfg.orth, &mut cols, &mut sums, &mut again);
             drop(orth);
             for (c, x) in cols.iter_mut().zip(xs.iter_mut()) {
                 match c.stage {
@@ -552,7 +563,9 @@ impl<'b> Column<'b> {
     /// Opens a cycle from `r` and its norm `beta`.
     fn start_cycle<C: Context>(&mut self, run: &Run<'_>, ctx: &mut C, x: &mut [f64]) {
         self.lsq.start(self.beta);
-        run.orth.normalize(&self.r, self.beta, self.v.col_mut(0));
+        run.cfg
+            .orth
+            .normalize(&self.r, self.beta, self.v.col_mut(0));
         self.k = 0;
         (self.cycle_done, self.zero_norm, self.nonfinite) = (false, false, false);
         self.next_step(run, ctx, x);
@@ -566,8 +579,15 @@ impl<'b> Column<'b> {
         }
         // The cycle's correction: `x += Z y` over the stored directions, or
         // `x += M⁻¹ (V y)` with the column after the basis and the one
-        // direction slot as scratch.
-        let y = self.lsq.solve(self.k);
+        // direction slot as scratch. A serious breakdown can leave a zero on
+        // the diagonal of `R`; then `y` solves over the columns before it,
+        // whose residual is no larger than the cycle start's.
+        let k = if self.zero_norm {
+            self.lsq.nonsingular(self.k)
+        } else {
+            self.k
+        };
+        let y = self.lsq.solve(k);
         if run.flexible {
             for (j, &yj) in y.iter().enumerate() {
                 ops::axpy(yj, self.zdirs.col(j), x);

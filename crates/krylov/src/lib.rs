@@ -15,10 +15,6 @@
 //!   with one stopping policy, generic over a [`gmres::Context`]: local sums
 //!   inside a rank, all-reductions across ranks.
 //! * [`lsq::GivensLsq`] — the Givens least-squares recurrence of that driver.
-//! * [`cg::ConjugateGradient`] — preconditioned CG for symmetric positive
-//!   definite systems; its callers are `parapre-fem`'s tests. (The
-//!   additive-Schwarz comparison runs its own one-step PCG per subdomain
-//!   solve, in `parapre-core`.)
 //! * [`ilu::Ilu0`] and [`ilu::Ilut`] — zero-fill and dual-threshold
 //!   incomplete LU factorizations (the subdomain solvers of `Block 1` and
 //!   `Block 2`, and the factorization from which `Schur 1` extracts its
@@ -43,7 +39,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod arms;
-pub mod cg;
 pub mod gmres;
 pub mod ilu;
 pub mod lsq;
@@ -53,7 +48,6 @@ pub mod proj;
 pub mod schurml;
 
 pub use arms::{Arms, ArmsConfig};
-pub use cg::{CgConfig, ConjugateGradient};
 pub use gmres::{FGmres, Gmres, GmresConfig, OrthMethod};
 pub use ilu::{factor_with_shifts, Ilu0, Ilut, IlutConfig, LuFactors, SHIFT_LADDER};
 pub use op::LinOp;
@@ -65,8 +59,8 @@ pub use schurml::{LowRankCorrection, SchurMlHierarchy, MAX_CORRECTION_RANK};
 /// breakdown as convergence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakdownKind {
-    /// A basis vector had (near-)zero norm but the true residual still
-    /// misses the target — a *serious* Arnoldi/Lanczos breakdown. (The
+    /// A basis vector had zero norm but the true residual still misses the
+    /// target — a *serious* Arnoldi breakdown. (The
     /// *happy* breakdown, where the residual has converged, is reported as
     /// plain convergence.)
     ZeroNormalization,
@@ -74,11 +68,9 @@ pub enum BreakdownKind {
     NonFinite,
     /// The residual stopped improving over the sliding stagnation window.
     Stagnation,
-    /// The residual estimate grew explosively past the divergence guard.
+    /// The true residual at a cycle boundary grew past the divergence
+    /// guard.
     Divergence,
-    /// CG observed `pᵀAp ≤ 0`: the operator (or preconditioner) is not
-    /// symmetric positive definite.
-    IndefiniteOperator,
 }
 
 impl BreakdownKind {
@@ -89,7 +81,6 @@ impl BreakdownKind {
             BreakdownKind::NonFinite => "non_finite",
             BreakdownKind::Stagnation => "stagnation",
             BreakdownKind::Divergence => "divergence",
-            BreakdownKind::IndefiniteOperator => "indefinite_operator",
         }
     }
 

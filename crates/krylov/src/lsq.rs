@@ -82,6 +82,17 @@ impl GivensLsq {
         Some(self.g[k + 1].abs())
     }
 
+    /// How many of the first `k` columns lead up to the first zero on the
+    /// diagonal of `R` (`k` if there is none). Only a column whose rotated
+    /// diagonal and norm both vanished puts one there, and that column ends
+    /// its cycle.
+    #[inline]
+    pub fn nonsingular(&self, k: usize) -> usize {
+        (0..k)
+            .find(|&i| self.h[i * self.ld + i] == 0.0)
+            .unwrap_or(k)
+    }
+
     /// Coefficients `y` of the cycle's best iterate over its first `k`
     /// columns: back-substitution of `R y = g`.
     #[inline]
@@ -137,6 +148,19 @@ mod tests {
         lsq.column(0).copy_from_slice(&[2.0, 1.0]);
         lsq.rotate(0).unwrap();
         assert!((lsq.solve(1)[0] - 0.8).abs() < 1e-15);
+    }
+
+    #[test]
+    fn a_zero_on_the_diagonal_ends_the_nonsingular_block() {
+        // H̄ = [[1, 1], [1, 1], [0, 0]]: the second column is the first's.
+        let mut lsq = GivensLsq::new(2);
+        lsq.start(2.0);
+        lsq.column(0).copy_from_slice(&[1.0, 1.0]);
+        lsq.rotate(0).unwrap();
+        lsq.column(1).copy_from_slice(&[1.0, 1.0, 0.0]);
+        assert_eq!(lsq.rotate(1), Some(0.0));
+        assert_eq!(lsq.nonsingular(2), 1);
+        assert!((lsq.solve(1)[0] - 1.0).abs() < 1e-15);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! entry stands for, spelled out here.
 
 use parapre_krylov::op::FnOp;
-use parapre_krylov::{Gmres, GmresConfig, IdentityPrecond, Ilu0, LinOp, Preconditioner};
+use parapre_krylov::{
+    Gmres, GmresConfig, IdentityPrecond, Ilu0, LinOp, OrthMethod, Preconditioner,
+};
 use parapre_sparse::{Coo, Csr};
 use std::cell::Cell;
 
@@ -68,6 +70,7 @@ fn both<A: LinOp, M: Preconditioner>(a: &A, m: &M, k: usize, b: &[f64]) -> (usiz
         abs_tol: 1e-300,
         record_history: false,
         stall_window: 0,
+        orth: OrthMethod::Modified,
     })
     .solve(&general, m, b, &mut x_ref);
 

@@ -8,7 +8,7 @@
 //! ```
 
 use parapre::core::{build_case, CaseId, CaseSize, PrecondKind, SchurPrecond};
-use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
+use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistMatrix, GmresConfig};
 use parapre::engine::{run_case, SessionConfig};
 use parapre::mpisim::Universe;
 use parapre::partition::partition_graph;
@@ -47,7 +47,7 @@ fn main() {
             .expect("schur1 setup");
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = scatter_vector(&dm.layout, x0);
-        let rep = DistGmres::new(DistGmresConfig::default()).solve(comm, &dm, &m, &b_loc, &mut x);
+        let rep = DistGmres::new(GmresConfig::distributed()).solve(comm, &dm, &m, &b_loc, &mut x);
         assert!(rep.converged);
         gather_vector(comm, &dm.layout, &x, b.len())
     });

@@ -10,7 +10,7 @@
 //! ```
 
 use parapre::core::{build_case_sized, CaseId, PrecondKind, SchurPrecond};
-use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
+use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistMatrix, GmresConfig};
 use parapre::fem::norms::error_norms_2d;
 use parapre::fem::poisson;
 use parapre::mpisim::Universe;
@@ -28,9 +28,9 @@ fn solve_tc1(n: usize) -> (f64, f64) {
         let m = SchurPrecond::build(PrecondKind::Schur1, &dm, comm, &Default::default()).unwrap();
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = scatter_vector(&dm.layout, x0);
-        let rep = DistGmres::new(DistGmresConfig {
+        let rep = DistGmres::new(GmresConfig {
             rel_tol: 1e-10,
-            ..Default::default()
+            ..GmresConfig::distributed()
         })
         .solve(comm, &dm, &m, &b_loc, &mut x);
         assert!(rep.converged);

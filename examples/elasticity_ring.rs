@@ -9,7 +9,7 @@
 //! ```
 
 use parapre::core::{build_case, CaseId, CaseSize, PrecondKind, SchurPrecond};
-use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
+use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistMatrix, GmresConfig};
 use parapre::engine::{run_case, SessionConfig};
 use parapre::mpisim::Universe;
 use parapre::partition::partition_graph;
@@ -60,9 +60,9 @@ fn main() {
         let m = SchurPrecond::build(PrecondKind::Schur1, &dm, comm, &Default::default()).unwrap();
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = scatter_vector(&dm.layout, x0);
-        let rep = DistGmres::new(DistGmresConfig {
+        let rep = DistGmres::new(GmresConfig {
             max_iters: 600,
-            ..Default::default()
+            ..GmresConfig::distributed()
         })
         .solve(comm, &dm, &m, &b_loc, &mut x);
         assert!(rep.converged, "Schur 1 must converge on TC6");

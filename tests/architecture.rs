@@ -2,7 +2,7 @@
 //!
 //! Each test is one promise an earlier simplification made and a grep can
 //! keep: one build configuration and no `unsafe`; one Krylov layer; one
-//! Arnoldi loop; one
+//! Krylov configuration; one Arnoldi loop; one
 //! recovery layer on the one pipeline; one experiment pipeline; one front
 //! door, whose every job key and command verb is documented and whose job
 //! values are read in one place; one Schur driver; one tag table. The tree is
@@ -135,6 +135,28 @@ fn one_krylov_layer() {
                 || ["csc", "poisson3d", "ordering", "scaling"]
                     .iter()
                     .any(|m| has_word(l, &format!("mod {m}")))
+        }),
+    );
+}
+
+#[test]
+fn one_krylov_config() {
+    let code: Vec<(String, String)> = files(&["crates", "src", "tests", "examples"])
+        .into_iter()
+        .filter(|(path, _)| path.ends_with(".rs"))
+        .collect();
+    assert_none(
+        "one GMRES configuration and no CG: no code line names the folded config or CG",
+        lines_where(&code, |l| {
+            !l.trim_start().starts_with("//")
+                && [
+                    "DistGmresConfig",
+                    "CgConfig",
+                    "ConjugateGradient",
+                    "IndefiniteOperator",
+                ]
+                .iter()
+                .any(|n| l.contains(n))
         }),
     );
 }

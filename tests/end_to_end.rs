@@ -2,7 +2,7 @@
 //! partition → distribute → precondition → FGMRES) on every test case.
 
 use parapre::core::{build_case, CaseId, CaseSize, PrecondKind, SchurPrecond};
-use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistGmresConfig, DistMatrix};
+use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistMatrix, GmresConfig};
 use parapre::engine::{run_case, SessionConfig};
 use parapre::fem::poisson;
 use parapre::mpisim::{MachineModel, Universe};
@@ -42,9 +42,9 @@ fn distributed_solution_matches_manufactured_solution() {
         let m = SchurPrecond::build(PrecondKind::Schur1, &dm, comm, &Default::default()).unwrap();
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = scatter_vector(&dm.layout, x0);
-        let rep = DistGmres::new(DistGmresConfig {
+        let rep = DistGmres::new(GmresConfig {
             rel_tol: 1e-9,
-            ..Default::default()
+            ..GmresConfig::distributed()
         })
         .solve(comm, &dm, &m, &b_loc, &mut x);
         assert!(rep.converged);
@@ -107,7 +107,7 @@ fn dirichlet_values_survive_distribution() {
         let m = parapre::core::BlockPrecond::ilut(&dm, &Default::default()).unwrap();
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = scatter_vector(&dm.layout, x0);
-        let rep = DistGmres::new(DistGmresConfig::default()).solve(comm, &dm, &m, &b_loc, &mut x);
+        let rep = DistGmres::new(GmresConfig::distributed()).solve(comm, &dm, &m, &b_loc, &mut x);
         assert!(rep.converged);
         gather_vector(comm, &dm.layout, &x, b.len())
     });

@@ -16,15 +16,22 @@
 //! the stagnation window and divergence guard on the estimate, and 1 % of
 //! slack for a cycle stopped on its estimate — were re-captured when the loop
 //! was deleted for the distributed driver's, which judges both on the true
-//! residual at a cycle boundary and converges only at `β ≤ target`. A
-//! difference prints the whole actual table.
+//! residual at a cycle boundary and converges only at `β ≤ target`. The
+//! serious-breakdown rows (`zero_norm`, `fx_zero_norm`) were re-captured when
+//! the update stopped back-substituting through the zero the collapse leaves
+//! on the diagonal of `R`: their `x` was NaN, and on every such row it must
+//! now be finite and no worse than the guess. A difference prints the whole
+//! actual table. The last test takes the serious breakdown across two ranks.
 //!
 //! Exits a healthy operator cannot reach are forced by [`Tamper`]: the
 //! wrapped operator returns NaN, or a scaled product, on one chosen call.
 
+use parapre::dist::{gather_vector, scatter_vector, DistGmres, DistMatrix, IdentityDistPrecond};
 use parapre::krylov::{
-    FGmres, Gmres, GmresConfig, IdentityPrecond, Ilu0, LinOp, Preconditioner, SolveReport,
+    BreakdownKind, FGmres, Gmres, GmresConfig, IdentityPrecond, Ilu0, LinOp, Preconditioner,
+    SolveReport,
 };
+use parapre::mpisim::Universe;
 use parapre::sparse::{Coo, Csr};
 use std::cell::Cell;
 use std::fmt::Write;
@@ -126,8 +133,8 @@ impl<'a> Case<'a> {
 }
 
 /// Runs one case through one entry, appends its line to `out`, and returns
-/// the report (`None` for the unreported fixed-effort entry) and `x`'s hash.
-fn run(out: &mut String, case: &Case<'_>, entry: Entry) -> (Option<SolveReport>, u64) {
+/// the report (`None` for the unreported fixed-effort entry) and `x`.
+fn run(out: &mut String, case: &Case<'_>, entry: Entry) -> (Option<SolveReport>, Vec<f64>) {
     let n = case.a.n_rows();
     let op = Op {
         a: case.a,
@@ -183,7 +190,29 @@ fn run(out: &mut String, case: &Case<'_>, entry: Entry) -> (Option<SolveReport>,
         pre.calls.get()
     )
     .unwrap();
-    (rep, fnv(&x))
+    let serious = rep.as_ref().and_then(|r| r.breakdown);
+    if serious.is_some_and(|bd| bd.kind == BreakdownKind::ZeroNormalization) {
+        no_worse_than_the_guess(case.a, &case.b, &case.x0, &x);
+    }
+    (rep, x)
+}
+
+/// `‖b − A x‖`.
+fn residual_norm(a: &Csr, b: &[f64], x: &[f64]) -> f64 {
+    let ax = a.mul_vec(x);
+    b.iter()
+        .zip(&ax)
+        .map(|(u, v)| (u - v) * (u - v))
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// A serious breakdown hands back a finite iterate whose residual is no
+/// larger than the guess's.
+fn no_worse_than_the_guess(a: &Csr, b: &[f64], x0: &[f64], x: &[f64]) {
+    assert!(x.iter().all(|v| v.is_finite()), "x = {x:?}");
+    let (r, r0) = (residual_norm(a, b, x), residual_norm(a, b, x0));
+    assert!(r <= r0, "‖b − A x‖ = {r:e} > ‖b − A x₀‖ = {r0:e}");
 }
 
 fn laplacian_2d(nx: usize) -> Csr {
@@ -494,12 +523,11 @@ fn fixed_effort_cases(out: &mut String) {
             tamper: case.tamper,
             ..general
         };
-        assert_eq!(
-            run(out, &entry, Entry::Fixed(k)).1,
-            x_general,
-            "{}",
-            case.name
-        );
+        let x = run(out, &entry, Entry::Fixed(k)).1;
+        assert_eq!(fnv(&x), fnv(&x_general), "{}", case.name);
+        if exit == "zero_normalization" {
+            no_worse_than_the_guess(entry.a, &entry.b, &vec![0.0; n], &x);
+        }
     };
 
     // Budget spent: `k` products, no opening or closing residual.
@@ -577,8 +605,8 @@ boundary Gmres it=5 conv=true bd=none relres=3fb29598db0d0175 hist=6/982ec098b3a
 boundary FGmres it=5 conv=true bd=none relres=3fb29598db0d0175 hist=6/982ec098b3ad6cdd x=71658f204fe7e96a a=7 m=5\n\
 happy Gmres it=1 conv=true bd=none relres=3caeb3e27588ede0 hist=2/67a881b7e86a0426 x=722fa8d5055eadf6 a=3 m=2\n\
 happy FGmres it=1 conv=true bd=none relres=3caeb3e27588ede0 hist=2/67a881b7e86a0426 x=722fa8d5055eadf6 a=3 m=1\n\
-zero_norm Gmres it=2 conv=false bd=zero_normalization@2/7ff8000000000000 relres=7ff8000000000000 hist=3/d5b2eb0965b26c84 x=ed03078e457674f5 a=4 m=3\n\
-zero_norm FGmres it=2 conv=false bd=zero_normalization@2/7ff8000000000000 relres=7ff8000000000000 hist=3/d5b2eb0965b26c84 x=ed03078e457674f5 a=4 m=2\n\
+zero_norm Gmres it=2 conv=false bd=zero_normalization@2/3fe6a09e667f3bcd relres=3fe6a09e667f3bcd hist=3/d5b2eb0965b26c84 x=d137d9e6997fe665 a=4 m=3\n\
+zero_norm FGmres it=2 conv=false bd=zero_normalization@2/3fe6a09e667f3bcd relres=3fe6a09e667f3bcd hist=3/d5b2eb0965b26c84 x=d137d9e6997fe665 a=4 m=2\n\
 nan_column Gmres it=3 conv=false bd=non_finite@3/3fc857c896ab8754 relres=3fc857c896ab8754 hist=3/14614be2527a2c48 x=22872bd02b7eae6f a=5 m=4\n\
 nan_column FGmres it=3 conv=false bd=non_finite@3/3fc857c896ab8754 relres=3fc857c896ab8754 hist=3/14614be2527a2c48 x=22872bd02b7eae6f a=5 m=3\n\
 nan_first_column Gmres it=1 conv=false bd=non_finite@1/3ff0000000000000 relres=3ff0000000000000 hist=1/033a138b2dd04bbf x=66e368127e9e89a5 a=3 m=1\n\
@@ -617,8 +645,8 @@ fx_target Gmres it=2 conv=true bd=none relres=3cb6c773cf7b80d0 hist=3/b1f420c024
 fx_target Fixed(5) x=da20e75a1fbc1dc4 a=3 m=3\n\
 fx_happy Gmres it=1 conv=true bd=none relres=3caeb3e27588ede0 hist=2/67a881b7e86a0426 x=722fa8d5055eadf6 a=3 m=2\n\
 fx_happy Fixed(5) x=722fa8d5055eadf6 a=2 m=2\n\
-fx_zero_norm Gmres it=2 conv=false bd=zero_normalization@2/7ff8000000000000 relres=7ff8000000000000 hist=3/d5b2eb0965b26c84 x=ed03078e457674f5 a=4 m=3\n\
-fx_zero_norm Fixed(5) x=ed03078e457674f5 a=3 m=3\n\
+fx_zero_norm Gmres it=2 conv=false bd=zero_normalization@2/3fe6a09e667f3bcd relres=3fe6a09e667f3bcd hist=3/d5b2eb0965b26c84 x=d137d9e6997fe665 a=4 m=3\n\
+fx_zero_norm Fixed(5) x=d137d9e6997fe665 a=3 m=3\n\
 fx_nan_column Gmres it=3 conv=false bd=non_finite@3/3fc857c896ab8754 relres=3fc857c896ab8754 hist=3/14614be2527a2c48 x=22872bd02b7eae6f a=5 m=4\n\
 fx_nan_column Fixed(5) x=22872bd02b7eae6f a=4 m=4\n\
 fx_nan_rhs Gmres it=0 conv=false bd=non_finite@0/7ff8000000000000 relres=7ff8000000000000 hist=1/aa96293229a2e940 x=66e368127e9e89a5 a=1 m=0\n\
@@ -635,4 +663,42 @@ fn every_exit_reproduces_its_pinned_report_and_solution() {
     reported_cases(&mut out);
     fixed_effort_cases(&mut out);
     assert!(out == EXPECTED, "the table is now:\n{out}");
+}
+
+/// The serious breakdown across two ranks: `DistGmres` runs the same driver
+/// with the distributed setting, reaches the same exit, hands back a finite
+/// iterate no worse than the guess, and both ranks report the same.
+#[test]
+fn a_serious_breakdown_across_two_ranks_leaves_a_finite_iterate() {
+    let a = diagonal(&[1.0, 1.0, 0.0, 0.0]);
+    let b = vec![1.0; 4];
+    let owner = [0, 0, 1, 1];
+    let (a, b, owner) = (&a, &b, &owner);
+    let ranks = Universe::run(2, |comm| {
+        let dm = DistMatrix::from_global(a, owner, comm.rank(), 2);
+        let b_loc = scatter_vector(&dm.layout, b);
+        let mut x = vec![0.0; dm.layout.n_owned()];
+        let cfg = GmresConfig {
+            record_history: true,
+            ..GmresConfig::distributed()
+        };
+        let rep = DistGmres::new(cfg).solve(comm, &dm, &IdentityDistPrecond, &b_loc, &mut x);
+        let bd = rep.breakdown.expect("a breakdown");
+        let history: Vec<u64> = rep.residual_history.iter().map(|v| v.to_bits()).collect();
+        let report = (
+            rep.iterations,
+            rep.converged,
+            (bd.kind.key(), bd.iteration, bd.relres.to_bits()),
+            rep.final_relres.to_bits(),
+            history,
+        );
+        (report, gather_vector(comm, &dm.layout, &x, b.len()))
+    });
+    let (report, x) = (
+        &ranks[0].0,
+        ranks[0].1.as_ref().expect("gathered on rank 0"),
+    );
+    assert_eq!(report.2 .0, "zero_normalization");
+    assert_eq!(&ranks[1].0, report, "rank 1's report");
+    no_worse_than_the_guess(a, b, &[0.0; 4], x);
 }

@@ -9,8 +9,7 @@ use parapre::core::{
     build_case, build_dist_precond_with_fallback, partition_case, CaseId, CaseSize, PrecondKind,
 };
 use parapre::dist::{
-    gather_vector, scatter_vector, tags, DistGmres, DistGmresConfig, DistMatrix, DistOp,
-    DistPrecond,
+    gather_vector, scatter_vector, tags, DistGmres, DistMatrix, DistOp, DistPrecond, GmresConfig,
 };
 use parapre::engine::SessionConfig;
 use parapre::mpisim::{Comm, Universe};
@@ -37,7 +36,7 @@ fn reference_fgmres<A: DistOp, M: DistPrecond>(
     m: &M,
     b: &[f64],
     x: &mut [f64],
-    cfg: &DistGmresConfig,
+    cfg: &GmresConfig,
 ) -> usize {
     let n = b.len();
     let norm = |comm: &mut Comm, u: &[f64]| comm.allreduce_sum(ops::dot(u, u), tags::REDUCE).sqrt();

@@ -18,7 +18,7 @@ use parapre::core::{
     PartitionScheme, PrecondKind, PrecondParams,
 };
 use parapre::dist::{
-    scatter_vector, tags, DistGmres, DistGmresConfig, DistMatrix, DistOp, DistPrecond,
+    scatter_vector, tags, DistGmres, DistMatrix, DistOp, DistPrecond, GmresConfig,
     IdentityDistPrecond, LocalBlocks, LocalLayout,
 };
 use parapre::krylov::{
@@ -249,14 +249,14 @@ impl Reference {
     /// product reaches the same bits through `DistGmres::fixed_effort`,
     /// without the two Schur products whose results only the report reads.
     fn schur_solve(&self, comm: &mut Comm, gprime: &[f64]) -> Vec<f64> {
-        let one_cycle = DistGmresConfig {
+        let one_cycle = GmresConfig {
             restart: self.schur_iters,
             max_iters: self.schur_iters,
             rel_tol: 1e-12,
             abs_tol: 1e-300,
             record_history: false,
             stall_window: 0,
-            ..Default::default()
+            ..GmresConfig::distributed()
         };
         let mut u = vec![0.0; gprime.len()];
         DistGmres::new(one_cycle).solve(

@@ -3,12 +3,12 @@
 //! heterogeneous-coefficient extension behaves under all preconditioners.
 
 use parapre::core::{build_case, BlockPrecond, CaseId, CaseSize, PrecondKind, SchurPrecond};
-use parapre::dist::{scatter_vector, DistGmres, DistGmresConfig, DistMatrix, OrthMethod};
+use parapre::dist::{scatter_vector, DistGmres, DistMatrix, GmresConfig, OrthMethod};
 use parapre::engine::{run_case, SessionConfig};
 use parapre::fem::{bc, varcoeff, LinearSystem};
 use parapre::grid::refine::refine_uniform;
 use parapre::grid::structured::unit_square;
-use parapre::krylov::{FGmres, Gmres, GmresConfig, IdentityPrecond, Ilut, IlutConfig};
+use parapre::krylov::{FGmres, Gmres, IdentityPrecond, Ilut, IlutConfig};
 use parapre::mpisim::Universe;
 use parapre::partition::partition_graph;
 
@@ -65,6 +65,7 @@ fn one_driver_gives_one_solve_in_the_rank_and_the_local_context() {
         abs_tol: 1e-300,
         record_history: true,
         stall_window: 4,
+        orth: OrthMethod::Modified,
     };
     let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     Universe::run(1, |comm| {
@@ -74,16 +75,7 @@ fn one_driver_gives_one_solve_in_the_rank_and_the_local_context() {
         let n = b_loc.len();
 
         let mut x_dist = vec![0.0; n];
-        let dist = DistGmres::new(DistGmresConfig {
-            restart: cfg.restart,
-            max_iters: cfg.max_iters,
-            rel_tol: cfg.rel_tol,
-            abs_tol: cfg.abs_tol,
-            record_history: cfg.record_history,
-            orth: OrthMethod::Modified,
-            stall_window: cfg.stall_window,
-        })
-        .solve(comm, &dm, &m, &b_loc, &mut x_dist);
+        let dist = DistGmres::new(cfg).solve(comm, &dm, &m, &b_loc, &mut x_dist);
 
         let mut x_seq = vec![0.0; n];
         let seq = FGmres::new(cfg).solve(&dm.owned_block(), m.factors(), &b_loc, &mut x_seq);
@@ -118,16 +110,16 @@ fn heterogeneous_diffusion_solved_by_all_preconditioners() {
             let rep = if use_schur {
                 let m = SchurPrecond::build(PrecondKind::Schur1, &dm, comm, &Default::default())
                     .unwrap();
-                DistGmres::new(DistGmresConfig {
+                DistGmres::new(GmresConfig {
                     max_iters: 500,
-                    ..Default::default()
+                    ..GmresConfig::distributed()
                 })
                 .solve(comm, &dm, &m, &b_loc, &mut x)
             } else {
                 let m = parapre::core::BlockPrecond::ilut(&dm, &Default::default()).unwrap();
-                DistGmres::new(DistGmresConfig {
+                DistGmres::new(GmresConfig {
                     max_iters: 500,
-                    ..Default::default()
+                    ..GmresConfig::distributed()
                 })
                 .solve(comm, &dm, &m, &b_loc, &mut x)
             };
@@ -166,7 +158,7 @@ fn refined_unstructured_mesh_still_solves() {
         let m = SchurPrecond::build(PrecondKind::Schur1, &dm, comm, &Default::default()).unwrap();
         let b_loc = scatter_vector(&dm.layout, b_ref);
         let mut x = vec![0.0; dm.layout.n_owned()];
-        let rep = DistGmres::new(DistGmresConfig::default()).solve(comm, &dm, &m, &b_loc, &mut x);
+        let rep = DistGmres::new(GmresConfig::distributed()).solve(comm, &dm, &m, &b_loc, &mut x);
         (rep.converged, rep.iterations)
     });
     assert!(out[0].0, "refined TC3 failed");
