@@ -140,13 +140,8 @@ pub fn run_cell(case: &AssembledCase, cli: &Cli, cfg: &SessionConfig) -> RunResu
             cfg.n_ranks,
             tr.rank
         ));
-        match std::fs::File::create(&path) {
-            Ok(mut f) => {
-                if let Err(e) = tr.write_jsonl(&mut f) {
-                    eprintln!("[trace] write {} failed: {e}", path.display());
-                }
-            }
-            Err(e) => eprintln!("[trace] create {} failed: {e}", path.display()),
+        if let Err(e) = std::fs::write(&path, tr.to_jsonl()) {
+            eprintln!("[trace] write {} failed: {e}", path.display());
         }
     }
     res

@@ -21,6 +21,7 @@ use crate::jobs::{
 };
 use crate::session::{Descent, MatrixId, RefactorFallback, SolveRequest, SolverSession};
 use crate::EngineError;
+use parapre_metrics::names;
 use parapre_sparse::Csr;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -186,8 +187,8 @@ impl JobTicket {
 }
 
 struct State {
-    /// Queued jobs with their result channel and enqueue instant (the
-    /// latter feeds the queue-wait histogram and `queue_ms`).
+    /// Queued jobs with their result channel and submission stamp (the
+    /// deadline's anchor and the start of the queue and end-to-end spans).
     queue: VecDeque<(Job, Sender<JobResult>, Instant)>,
     shutdown: bool,
 }
@@ -293,11 +294,11 @@ impl MatrixStore {
         let known = map.contains_key(&fp);
         if known {
             self.dedups.fetch_add(1, Ordering::Relaxed);
-            parapre_metrics::inc(parapre_metrics::names::NET_MATRIX_DEDUP_TOTAL, 1);
+            parapre_metrics::inc(names::NET_MATRIX_DEDUP_TOTAL, 1);
         } else {
             map.insert(fp, StoredMatrix { a: Arc::new(a), id });
             self.puts.fetch_add(1, Ordering::Relaxed);
-            parapre_metrics::inc(parapre_metrics::names::NET_MATRIX_PUTS_TOTAL, 1);
+            parapre_metrics::inc(names::NET_MATRIX_PUTS_TOTAL, 1);
         }
         (fp, known)
     }
@@ -348,7 +349,7 @@ struct Shared {
 impl Shared {
     fn count_refactor_fallback(&self, reason: RefactorFallback) {
         self.refactor_fallbacks.fetch_add(1, Ordering::Relaxed);
-        parapre_metrics::inc(&parapre_metrics::names::refactor_fallback(reason.key()), 1);
+        parapre_metrics::inc(&names::refactor_fallback(reason.key()), 1);
     }
 
     /// Builds the session for a missed key: numerically from a resident
@@ -368,11 +369,7 @@ impl Shared {
             match SolverSession::refactor_identified(&donor, &resolved.a, resolved.id, false) {
                 Ok((session, _)) => {
                     self.refactors.fetch_add(1, Ordering::Relaxed);
-                    parapre_metrics::inc(parapre_metrics::names::REFACTOR_TOTAL, 1);
-                    parapre_metrics::observe_us(
-                        parapre_metrics::names::REFACTOR_US,
-                        (session.setup_seconds() * 1e6) as u64,
-                    );
+                    parapre_metrics::inc(names::REFACTOR_TOTAL, 1);
                     return Ok(session);
                 }
                 Err(reason) => self.count_refactor_fallback(reason),
@@ -502,7 +499,6 @@ impl SolveService {
     /// One flat JSON line of live statistics: job/cache/store
     /// counters plus the latency-quantile and load-gauge headline numbers.
     pub fn stats_json(&self) -> String {
-        use parapre_metrics::names;
         let snap = parapre_metrics::snapshot();
         let cache = self.cache_stats();
         let (refactors, refactor_fallbacks) = self.refactor_stats();
@@ -609,12 +605,11 @@ fn worker_loop(shared: &Shared) {
         let Some((job, tx, enqueued)) = item else {
             return;
         };
-        let queued = enqueued.elapsed();
-        parapre_metrics::observe_duration(parapre_metrics::names::QUEUE_WAIT_US, queued);
+        let queued = parapre_metrics::timed_since(names::QUEUE_WAIT_US, enqueued).close();
+        let e2e = parapre_metrics::timed_since(names::E2E_US, enqueued);
         let id = job.id().to_string();
         let now_active = shared.active.fetch_add(1, Ordering::SeqCst) + 1;
         shared.peak_active.fetch_max(now_active, Ordering::SeqCst);
-        let run_t0 = Instant::now();
         // Per-job deadline, counted from submission. A job whose deadline
         // expired while it sat in the queue is rejected *here*, before it
         // can occupy the worker; `run_solve_job` re-checks between repeats
@@ -645,15 +640,12 @@ fn worker_loop(shared: &Shared) {
             )
         };
         result.queue_ms = queued.as_secs_f64() * 1e3;
-        parapre_metrics::inc(parapre_metrics::names::JOBS_TOTAL, 1);
+        parapre_metrics::inc(names::JOBS_TOTAL, 1);
         if !result.ok {
-            parapre_metrics::inc(parapre_metrics::names::JOBS_FAILED_TOTAL, 1);
+            parapre_metrics::inc(names::JOBS_FAILED_TOTAL, 1);
         }
         // End-to-end = queue wait + processing: the latency a caller sees.
-        parapre_metrics::observe_duration(
-            parapre_metrics::names::E2E_US,
-            queued + run_t0.elapsed(),
-        );
+        e2e.close();
         shared.active.fetch_sub(1, Ordering::SeqCst);
         // A dropped ticket just means nobody is waiting for this result.
         let _ = tx.send(result);
@@ -685,7 +677,8 @@ fn run_job(shared: &Shared, job: Job, deadline: Option<Instant>) -> JobResult {
 }
 
 fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> JobResult {
-    let t0 = Instant::now();
+    // Resolution, cache lookup and build; read on a miss only.
+    let build = parapre_metrics::timed(names::BUILD_US);
     let resolved = match shared.problems.get_or_resolve(job, &shared.matrices) {
         Ok(r) => r,
         Err(e) => {
@@ -707,7 +700,7 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
     let mut setup_seconds = if cache_hit {
         0.0
     } else {
-        t0.elapsed().as_secs_f64()
+        build.close().as_secs_f64()
     };
     // The result line is the accumulator every repeat folds into.
     let mut res = JobResult {
@@ -736,15 +729,16 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
         if let Some(r) = deadline_expired(job, deadline, done) {
             return r;
         }
-        let attempt_t0 = Instant::now();
-        // One repeat, either shape: its reports, its wall time, and what
-        // the ladder did (a batch, or a solve held on its rung, only has its
-        // session's build to report).
+        // A probe that finds the pattern stale makes this attempt set-up.
+        let rebuild = probing.then(|| parapre_metrics::timed(names::BUILD_US));
+        // One repeat, either shape: its reports and what the ladder did (a
+        // batch, or a solve held on its rung, only has its session's build
+        // to report).
         let x0 = resolved.x0.as_deref();
         let attempt = if rhss.is_none() && job.fallback && !probing {
             session
                 .solve_with_fallback(&resolved.b, x0)
-                .map(|(rep, descent)| (rep.solve_seconds, vec![rep], descent))
+                .map(|(rep, descent)| (vec![rep], descent))
         } else {
             let req = match &rhss {
                 Some(rhss) => SolveRequest::batch(rhss),
@@ -756,10 +750,10 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
                     pivot_shifts: session.pivot_shifts(),
                     breakdown_kind: None,
                 };
-                (out.seconds, out.reports, built)
+                (out.reports, built)
             })
         };
-        let (seconds, reports, descent) = match attempt {
+        let (reports, descent) = match attempt {
             Ok(attempt) => attempt,
             Err(fails) => {
                 let failed = JobResult::failed(&job.id, EngineError::from(fails).to_string());
@@ -790,7 +784,7 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
             };
             shared.cache.insert(key.clone(), Arc::clone(&session));
             // The discarded attempt and the cold replacement were set-up.
-            setup_seconds += attempt_t0.elapsed().as_secs_f64();
+            setup_seconds += rebuild.map_or(0.0, |s| s.close().as_secs_f64());
             continue;
         }
         absorb(&mut res, descent);
@@ -799,18 +793,12 @@ fn run_solve_job(shared: &Shared, job: &SolveJob, deadline: Option<Instant>) -> 
             res.converged &= rep.converged;
             res.final_relres = rep.final_relres;
             res.true_relres = rep.true_relres;
+            res.solve_seconds += rep.solve_seconds;
             if let Some(b) = rep.breakdown {
                 res.breakdown_kind = Some(b.kind.key().to_string());
             }
         }
-        res.solve_seconds += seconds;
         done += 1;
-    }
-    if !cache_hit {
-        parapre_metrics::observe_us(
-            parapre_metrics::names::BUILD_US,
-            (setup_seconds * 1e6) as u64,
-        );
     }
     res.setup_seconds = setup_seconds;
     res.build_ms = setup_seconds * 1e3;

@@ -21,12 +21,13 @@ use parapre_dist::{
     gather_vector, scatter_vector, tags, DistGmres, DistMatrix, DistOp, DistPrecond, GmresConfig,
 };
 use parapre_grid::Adjacency;
+use parapre_metrics::names;
 use parapre_mpisim::{Comm, MachineModel, RankFailure, SchedulePlan, Universe};
 use parapre_partition::partition_graph;
 use parapre_sparse::ops;
 use parapre_sparse::Csr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything that determines a session's frozen state (and therefore its
 /// cache identity, together with the matrix fingerprint).
@@ -198,9 +199,9 @@ pub struct SessionSolveReport {
     /// The *true* residual `‖b − Ax‖/‖b‖`, recomputed from scratch after
     /// the solve (catches any drift in the recursive estimate).
     pub true_relres: f64,
-    /// Wall time of this solve: universe launch to join. In a request with
-    /// `k > 1` right-hand sides, which share every round, it is rank 0's
-    /// time on the whole request divided by `k`, so the reports of a
+    /// Wall time of this solve: the close of the request's span (universe
+    /// launch to join). In a request with `k > 1` right-hand sides, which
+    /// share every round, it is that reading over `k`, so the reports of a
     /// request add up to it.
     pub solve_seconds: f64,
     /// Typed breakdown when the solver stopped for a numerical reason
@@ -275,8 +276,6 @@ pub struct SolveOutput {
     pub reports: Vec<SessionSolveReport>,
     /// One event stream per rank when the request asked for tracing.
     pub traces: Vec<parapre_metrics::RankTrace>,
-    /// Wall time of the whole request (universe launch to join).
-    pub seconds: f64,
 }
 
 impl SolveOutput {
@@ -343,10 +342,10 @@ impl SolverSession {
         assert_eq!(a.n_rows(), a.n_cols(), "square systems only");
         assert_eq!(owner.len(), a.n_rows(), "one owner per unknown");
         let p = cfg.n_ranks;
-        let t0 = Instant::now();
+        let setup = parapre_metrics::timed(names::SETUP);
         let (ranks, traces): (Vec<_>, Vec<_>) = launch(cfg, p, None, |comm| {
             parapre_metrics::recorded(comm.rank(), trace, || {
-                let _setup = parapre_metrics::span(parapre_metrics::names::SETUP);
+                let _setup = parapre_metrics::span(names::SETUP);
                 let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
                 let built =
                     build_dist_precond_with_fallback(cfg.precond, &dm, comm, a, &cfg.params);
@@ -367,7 +366,7 @@ impl SolverSession {
             n_global: a.n_rows(),
             id,
             pattern_age: 0,
-            setup_seconds: t0.elapsed().as_secs_f64(),
+            setup_seconds: setup.close().as_secs_f64(),
             ranks,
             a_global: Arc::clone(a),
             owner: owner.into(),
@@ -418,11 +417,11 @@ impl SolverSession {
         let cfg = &donor.cfg;
         let p = cfg.n_ranks;
         let owner = &donor.owner;
-        let t0 = Instant::now();
+        let refactor = parapre_metrics::timed(names::REFACTOR_US);
         // A rank that died applying the donor's structure is a misfit.
         let outs = launch(cfg, p, None, |comm| {
             parapre_metrics::recorded(comm.rank(), trace, || {
-                let _setup = parapre_metrics::span(parapre_metrics::names::SETUP);
+                let _setup = parapre_metrics::span(names::SETUP);
                 let from = &donor.ranks[comm.rank()];
                 let dm = DistMatrix::from_global(a_new, owner, comm.rank(), p);
                 refactor_dist_precond(&*from.precond, &dm, comm, a_new).map(|precond| RankState {
@@ -447,7 +446,7 @@ impl SolverSession {
             n_global: donor.n_global,
             id,
             pattern_age: donor.pattern_age + 1,
-            setup_seconds: t0.elapsed().as_secs_f64(),
+            setup_seconds: refactor.close().as_secs_f64(),
             ranks,
             a_global: Arc::clone(a_new),
             owner: Arc::clone(owner),
@@ -515,10 +514,14 @@ impl SolverSession {
         if let Some(x0) = req.x0 {
             assert_eq!(x0.len(), self.n_global, "guess length");
         }
-        let t0 = Instant::now();
+        let wall = parapre_metrics::timed(if k == 1 {
+            names::SOLVE_US
+        } else {
+            names::BATCH_SOLVE_US
+        });
         let mut ranks = launch(&self.cfg, self.cfg.n_ranks, req.schedule, |comm| {
             parapre_metrics::recorded(comm.rank(), req.trace, || {
-                let rank_t0 = Instant::now();
+                let busy = parapre_metrics::timed(names::RUN);
                 let before = comm.stats();
                 let st = &self.ranks[comm.rank()];
                 let layout = &st.dm.layout;
@@ -564,7 +567,7 @@ impl SolverSession {
                 let moved = parapre_mpisim::CommStats::delta(&comm.stats(), &before);
                 let load = parapre_metrics::RankLoad {
                     rank: comm.rank(),
-                    busy_s: rank_t0.elapsed().as_secs_f64(),
+                    busy_s: busy.close().as_secs_f64(),
                     comm_wait_s: moved.wait_us as f64 * 1e-6,
                     msgs_sent: moved.msgs_sent,
                     bytes_sent: moved.bytes_sent,
@@ -584,7 +587,7 @@ impl SolverSession {
                             converged: rep.converged,
                             final_relres: rep.final_relres,
                             true_relres: if bnorm > 0.0 { rnorm / bnorm } else { rnorm },
-                            solve_seconds: load.busy_s / k as f64,
+                            solve_seconds: 0.0, // the request span's share, below
                             breakdown: rep.breakdown,
                             load: parapre_metrics::LoadReport::default(),
                         })
@@ -593,45 +596,50 @@ impl SolverSession {
                 (load, reports)
             })
         })?;
-        let seconds = t0.elapsed().as_secs_f64();
+        let wall = wall.close();
         let traces = ranks.iter_mut().filter_map(|(_, tr)| tr.take()).collect();
         let load = parapre_metrics::LoadReport::new(ranks.iter().map(|((l, _), _)| *l).collect());
-        let mut reports = Vec::with_capacity(k);
-        for report in std::mem::take(&mut ranks[0].0 .1) {
-            let mut report = report.expect("rank 0 gathers");
-            report.load = load.clone();
+        let reports: Vec<SessionSolveReport> = std::mem::take(&mut ranks[0].0 .1)
+            .into_iter()
+            .map(|report| SessionSolveReport {
+                solve_seconds: wall.as_secs_f64() / k as f64,
+                load: load.clone(),
+                ..report.expect("rank 0 gathers")
+            })
+            .collect();
+        // Beside the span's own reading: a single solve's again under its
+        // keyed name (fingerprint + active rung), per-column tallies, gauges.
+        if parapre_metrics::enabled() {
             if k == 1 {
-                report.solve_seconds = seconds;
+                let keyed = names::keyed_solve(self.id.fingerprint, self.active_precond().key());
+                parapre_metrics::observe(&keyed, wall.as_micros() as u64);
             }
-            self.record_solve_metrics(&report);
-            reports.push(report);
+            parapre_metrics::inc(names::SOLVES_TOTAL, k as u64);
+            for report in &reports {
+                parapre_metrics::observe(names::SOLVE_ITERS, report.iterations as u64);
+            }
+            parapre_metrics::gauge_set(names::LOAD_IMBALANCE, load.imbalance());
+            parapre_metrics::gauge_set(names::LOAD_COMM_FRACTION, load.comm_fraction());
+            if let Some(r) = load.slowest_rank() {
+                parapre_metrics::gauge_set(names::LOAD_SLOWEST_RANK, r as f64);
+            }
         }
-        if k > 1 && parapre_metrics::enabled() {
-            parapre_metrics::inc(parapre_metrics::names::BATCH_RHS_TOTAL, k as u64);
-            parapre_metrics::observe_us(
-                parapre_metrics::names::BATCH_SOLVE_US,
-                (seconds * 1e6) as u64,
-            );
-        }
-        Ok(SolveOutput {
-            reports,
-            traces,
-            seconds,
-        })
+        Ok(SolveOutput { reports, traces })
     }
 
     /// [`SolverSession::run`] of one right-hand side that descends the
     /// preconditioner ladder: when the solve stops unconverged on a typed
     /// breakdown (non-finite arithmetic, stagnation, divergence), the
     /// session is rebuilt one rung down and the solve starts again, from the
-    /// broken-down iterate when that is finite. The report's wall clock
-    /// covers every rung tried. A rank failure ends the solve at once.
+    /// broken-down iterate when that is finite. The report's `solve_seconds`
+    /// adds up every rung's solve and every rebuild's setup, so with no
+    /// descent it is its one solve's. A rank failure ends the solve at once.
     pub fn solve_with_fallback(
         &self,
         b: &[f64],
         x0: Option<&[f64]>,
     ) -> Result<(SessionSolveReport, Descent), Vec<RankFailure>> {
-        let t0 = Instant::now();
+        let mut seconds = 0.0;
         let mut descent = Descent::default();
         let mut guess: Option<Vec<f64>> = None;
         // A descent replaces the session with one built a rung down; `self`
@@ -644,6 +652,7 @@ impl SolverSession {
                 ..SolveRequest::new(b)
             };
             let mut rep = sess.run(req)?.single();
+            seconds += rep.solve_seconds;
             if let Some(bd) = rep.breakdown {
                 descent.breakdown_kind = Some(bd.kind.key().to_string());
             }
@@ -660,39 +669,16 @@ impl SolverSession {
             descent.fallbacks += sess.build_fallbacks();
             descent.pivot_shifts += sess.pivot_shifts();
             let Some((down, _)) = down else {
-                rep.solve_seconds = t0.elapsed().as_secs_f64();
+                rep.solve_seconds = seconds;
                 return Ok((rep, descent));
             };
-            parapre_metrics::count(parapre_metrics::names::PRECOND_FALLBACK, 1);
+            seconds += down.setup_seconds;
+            parapre_metrics::count(names::PRECOND_FALLBACK, 1);
             descent.fallbacks += 1;
             if rep.x.iter().all(|v| v.is_finite()) {
                 guess = Some(rep.x);
             }
             rebuilt = Some(down);
-        }
-    }
-
-    /// Folds one finished solve into the live registry: latency
-    /// histograms (global and keyed by fingerprint + active rung),
-    /// the iteration histogram, and the load-imbalance gauges.
-    fn record_solve_metrics(&self, report: &SessionSolveReport) {
-        use parapre_metrics::names;
-        let load = &report.load;
-        if !parapre_metrics::enabled() {
-            return;
-        }
-        let us = (report.solve_seconds * 1e6) as u64;
-        parapre_metrics::inc(names::SOLVES_TOTAL, 1);
-        parapre_metrics::observe_us(names::SOLVE_US, us);
-        parapre_metrics::observe_us(
-            &names::keyed_solve(self.id.fingerprint, self.active_precond().key()),
-            us,
-        );
-        parapre_metrics::observe_us(names::SOLVE_ITERS, report.iterations as u64);
-        parapre_metrics::gauge_set(names::LOAD_IMBALANCE, load.imbalance());
-        parapre_metrics::gauge_set(names::LOAD_COMM_FRACTION, load.comm_fraction());
-        if let Some(r) = load.slowest_rank() {
-            parapre_metrics::gauge_set(names::LOAD_SLOWEST_RANK, r as f64);
         }
     }
 
@@ -724,7 +710,8 @@ impl SolverSession {
         self.pattern_age
     }
 
-    /// Wall time of the one-off setup (partition + distribute + factor).
+    /// Wall time of the one-off setup (distribute + factor, or refactor):
+    /// the close of the build's span, universe launch to join.
     pub fn setup_seconds(&self) -> f64 {
         self.setup_seconds
     }

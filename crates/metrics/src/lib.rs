@@ -9,20 +9,24 @@
 //! from a monotonic per-rank epoch. On a thread with no recorder every
 //! verb is a single thread-local load ([`recording`]), so the instrumented
 //! hot paths cost nothing in benchmark runs (`noop_sink_changes_nothing` in
-//! the core crate's integration tests). The stream serializes as JSON
-//! Lines ([`RankTrace::to_jsonl`]) and folds into per-phase, counter and
-//! comm totals ([`TraceSummary`]).
+//! `crates/engine/tests/trace_integration.rs`). The stream serializes as
+//! JSON Lines ([`RankTrace::to_jsonl`]) and folds into per-phase, counter
+//! and comm totals ([`TraceSummary`]).
 //!
 //! **Process scope** — what the process is doing now. [`inc`],
-//! [`gauge_set`] and [`observe_us`] update an always-on registry of atomic
+//! [`gauge_set`] and [`observe`] update an always-on registry of atomic
 //! counters, last-write-wins gauges and log-bucketed histograms (~12.5 %
 //! relative bucket width, exact count/sum/min/max), rendered by
 //! [`metrics_text`] as a Prometheus-style exposition and switched off as a
 //! whole by [`set_enabled`]. Each of them **also calls the rank-scope verb
-//! of the same name** (`inc` → `count`, `gauge_set` and `observe_us` →
+//! of the same name** (`inc` → `count`, `gauge_set` and `observe` →
 //! `gauge`), so a recording thread's stream is a superset of what a scrape
 //! sees. The layering is one-way: rank-scope verbs never touch the
 //! registry, so no per-message or per-iteration call takes a lock.
+//!
+//! **One clock.** A [`TimedSpan`] ([`timed`]) owns its start instant and
+//! [`TimedSpan::close`] returns how long it was open; one named by a latency
+//! family (`…_us`) also records that reading into the histogram of its name.
 //!
 //! [`convergence`] reports one step of a Krylov solve to both scopes at
 //! once; [`LoadReport`] quantifies per-rank busy / comm-wait skew; every
@@ -58,21 +62,22 @@ pub use registry::{AtomicHistogram, ConvEvent, ConvKind, HistogramSnapshot, Metr
 use recorder::record;
 use registry::Registry;
 use std::sync::OnceLock;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
 // Rank scope
 // ---------------------------------------------------------------------------
 
-/// RAII guard for a phase span; records the exit on drop.
-#[must_use = "dropping the guard immediately closes the span"]
+/// A phase of the thread's stream: on a recording thread its enter and
+/// exit are in it.
+#[must_use = "dropping the guard immediately ends the span"]
 pub struct Span {
     name: &'static str,
     active: bool,
 }
 
-/// Opens a phase span. No-op (and allocation-free) on a thread that is not
-/// recording.
+/// Opens a phase span. On a thread that is not recording it is one
+/// thread-local load, with no clock read and no allocation.
 #[inline]
 pub fn span(name: &'static str) -> Span {
     let active = recording();
@@ -82,6 +87,40 @@ pub fn span(name: &'static str) -> Span {
         });
     }
     Span { name, active }
+}
+
+/// A span that owns its start instant: [`TimedSpan::close`] returns how
+/// long it was open. Dropping it without `close` gives no reading: an
+/// interval cut short by an error is not a latency.
+#[must_use = "dropping the guard immediately ends the span"]
+pub struct TimedSpan {
+    span: Span,
+    start: Instant,
+}
+
+/// Opens a timed span now.
+pub fn timed(name: &'static str) -> TimedSpan {
+    timed_since(name, Instant::now())
+}
+
+/// Opens a timed span that started at `start` (a submission stamp); its
+/// enter is written to the stream now.
+pub fn timed_since(name: &'static str, start: Instant) -> TimedSpan {
+    let span = span(name);
+    TimedSpan { span, start }
+}
+
+impl TimedSpan {
+    /// Closes the span and returns how long it was open; a latency family
+    /// (a name ending in `_us`) also records it, in whole µs, while the
+    /// registry is on.
+    pub fn close(self) -> Duration {
+        let d = self.start.elapsed();
+        if self.span.name.ends_with("_us") {
+            global().observe(self.span.name, d.as_micros() as u64);
+        }
+        d
+    }
 }
 
 impl Drop for Span {
@@ -168,16 +207,11 @@ pub fn gauge_set(name: &str, v: f64) {
     gauge(name, v);
 }
 
-/// Records `us` (microseconds) into a registry histogram, and [`gauge`]s
-/// the observation on this thread.
-pub fn observe_us(name: &str, us: u64) {
-    global().observe(name, us);
-    gauge(name, us as f64);
-}
-
-/// [`observe_us`] of a [`Duration`].
-pub fn observe_duration(name: &str, d: Duration) {
-    observe_us(name, d.as_micros().min(u64::MAX as u128) as u64);
+/// Records `v` into a registry histogram, and [`gauge`]s it on this
+/// thread: a count, or a span's reading again under a keyed name.
+pub fn observe(name: &str, v: u64) {
+    global().observe(name, v);
+    gauge(name, v as f64);
 }
 
 /// Snapshot of the registry.
@@ -261,6 +295,9 @@ pub mod names {
     pub const SCHUR_EXTRACT: &str = "setup.schur_extract";
     /// Interface/block assembly inside setup.
     pub const INTERFACE_ASSEMBLY: &str = "setup.interface_assembly";
+    /// One rank's share of a `SolverSession::run` (scatter, solve, true
+    /// residuals, gather); its close is the rank's busy time.
+    pub const RUN: &str = "run";
     /// Whole outer Krylov solve.
     pub const SOLVE: &str = "solve";
     /// Inner (preconditioner-internal) Krylov solve.
@@ -325,15 +362,15 @@ pub mod names {
         format!("schurml.level{d}.interface")
     }
 
-    // -- Registry families. Keyed latency histograms additionally exist as
-    // `parapre_solve_us{fp="…",precond="…"}` (fingerprint in lowercase hex,
-    // preconditioner rung label). ------------------------------------------
+    // -- Registry families; a `…_us` one is fed by the timed span of its name.
+    // The keyed `parapre_solve_us{fp="…",precond="…"}` (fingerprint in
+    // lowercase hex, rung label) gets each [`SOLVE_US`] reading too. -----
 
     /// Counter: jobs accepted by the solve service.
     pub const JOBS_TOTAL: &str = "parapre_jobs_total";
     /// Counter: jobs that errored (setup/solve failure, bad job line).
     pub const JOBS_FAILED_TOTAL: &str = "parapre_jobs_failed_total";
-    /// Counter: session-level solves (one per `SolverSession::solve`).
+    /// Counter: right-hand sides solved (a `batch:k` run counts k).
     pub const SOLVES_TOTAL: &str = "parapre_solves_total";
     /// Counter: session-cache hits.
     pub const CACHE_HITS_TOTAL: &str = "parapre_cache_hits_total";
@@ -343,13 +380,17 @@ pub mod names {
     pub const CACHE_EVICTIONS_TOTAL: &str = "parapre_cache_evictions_total";
     /// Counter: convergence events pushed into the ring.
     pub const CONV_EVENTS_TOTAL: &str = "parapre_conv_events_total";
-    /// Histogram (µs): time a job waited in the service queue.
+    /// Histogram (µs), the worker's queue span: submission → dequeued.
     pub const QUEUE_WAIT_US: &str = "parapre_queue_wait_us";
-    /// Histogram (µs): session build (partition + distribute + factor).
+    /// Histogram (µs), a solve job's build span, read on a cache miss:
+    /// problem resolution + cache lookup + cold or refactored build (which
+    /// also feeds [`REFACTOR_US`]). A stale probe adds a second reading:
+    /// the discarded attempt + the cold rebuild.
     pub const BUILD_US: &str = "parapre_build_us";
-    /// Histogram (µs): one session solve (all ranks, wall time).
+    /// Histogram (µs), the span of a one-right-hand-side
+    /// `SolverSession::run`: universe launch → join.
     pub const SOLVE_US: &str = "parapre_solve_us";
-    /// Histogram (µs): job end-to-end (queue exit → result ready).
+    /// Histogram (µs), the worker's end-to-end span: submission → result.
     pub const E2E_US: &str = "parapre_e2e_us";
     /// Histogram: outer iterations per session solve.
     pub const SOLVE_ITERS: &str = "parapre_solve_iters";
@@ -359,10 +400,8 @@ pub mod names {
     pub const LOAD_COMM_FRACTION: &str = "parapre_load_comm_fraction";
     /// Gauge: pace-setting rank of the last solve.
     pub const LOAD_SLOWEST_RANK: &str = "parapre_load_slowest_rank";
-    /// Counter: right-hand sides solved through the batched multi-RHS
-    /// path (each shares one factorization/universe with its batch).
-    pub const BATCH_RHS_TOTAL: &str = "parapre_batch_rhs_total";
-    /// Histogram (µs): one batched multi-RHS solve (all RHS, wall time).
+    /// Histogram (µs), the span of a `SolverSession::run` of k > 1
+    /// right-hand sides: one reading per batch.
     pub const BATCH_SOLVE_US: &str = "parapre_batch_solve_us";
     /// Counter: client connections accepted by `parapre-netd`.
     pub const NET_CONNECTIONS_TOTAL: &str = "parapre_net_connections_total";
@@ -387,8 +426,7 @@ pub mod names {
     /// Counter family: same-pattern misses with a resident donor that were
     /// built cold anyway, labelled by reason ([`refactor_fallback`]).
     pub const REFACTOR_FALLBACK_TOTAL: &str = "parapre_refactor_fallback_total";
-    /// Histogram: wall time of a numeric-only session refactorization in
-    /// microseconds.
+    /// Histogram (µs), the span of an accepted `SolverSession::refactor`.
     pub const REFACTOR_US: &str = "parapre_refactor_us";
 
     /// Builds the labelled refactor-fallback counter name for one reason

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 pub struct RankLoad {
     /// Rank index.
     pub rank: usize,
-    /// Wall seconds the rank spent inside the solve closure.
+    /// Wall seconds of the rank's `run` span (its share of the request).
     pub busy_s: f64,
     /// Seconds spent blocked waiting for messages.
     pub comm_wait_s: f64,
@@ -20,13 +20,6 @@ pub struct RankLoad {
     pub msgs_recv: u64,
     /// Payload bytes received.
     pub bytes_recv: u64,
-}
-
-impl RankLoad {
-    /// Seconds of useful work: busy time minus time blocked on comm.
-    pub fn compute_s(&self) -> f64 {
-        (self.busy_s - self.comm_wait_s).max(0.0)
-    }
 }
 
 /// Quantifies load imbalance across the ranks of one run: who paced it,
@@ -118,7 +111,7 @@ impl LoadReport {
         );
         for r in &self.ranks {
             let pct = if r.busy_s > 0.0 {
-                r.compute_s() / r.busy_s * 100.0
+                (r.busy_s - r.comm_wait_s).max(0.0) / r.busy_s * 100.0
             } else {
                 100.0
             };

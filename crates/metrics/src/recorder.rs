@@ -246,11 +246,6 @@ impl RankTrace {
         out
     }
 
-    /// Writes the JSONL serialization to `w`.
-    pub fn write_jsonl<W: std::io::Write>(&self, w: &mut W) -> std::io::Result<()> {
-        w.write_all(self.to_jsonl().as_bytes())
-    }
-
     /// Parses a trace back from its JSONL serialization (round-trip of
     /// [`RankTrace::to_jsonl`]).
     pub fn from_jsonl(text: &str) -> Result<RankTrace, String> {

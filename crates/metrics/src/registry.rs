@@ -209,7 +209,7 @@ impl MetricsSnapshot {
 /// All updates are relaxed atomics on pre-sized storage; the maps are
 /// only locked to resolve a name to a handle (or to snapshot). The one
 /// process-wide instance is reached through the crate's free functions
-/// ([`crate::inc`], [`crate::observe_us`], …); unit tests construct their
+/// ([`crate::inc`], [`crate::observe`], …); unit tests construct their
 /// own for isolation.
 pub(crate) struct Registry {
     enabled: AtomicBool,

@@ -1,6 +1,7 @@
 //! The two scopes are one vocabulary: what a process-scope verb tells the
-//! registry it also tells the calling thread's stream, and the stream's
-//! JSON Lines form is pinned byte for byte.
+//! registry it also tells the calling thread's stream, a latency span's
+//! close is both its histogram reading and its stream exit, and the
+//! stream's JSON Lines form is pinned byte for byte.
 
 use parapre_metrics::{CommDir, ConvKind, Event, EventKind, RankTrace};
 
@@ -11,21 +12,44 @@ fn process_scope_verbs_land_in_the_recording_threads_stream() {
     const G: &str = "one_vocabulary_gauge";
     const H: &str = "one_vocabulary_us";
     let before = parapre_metrics::snapshot().counter(C);
-    let ((), stream) = parapre_metrics::recorded(0, true, || {
+    let h =
+        |snap: &parapre_metrics::MetricsSnapshot| snap.hist(H).map_or((0, 0), |h| (h.count, h.sum));
+    let h_before = h(&parapre_metrics::snapshot());
+    let (closed, stream) = parapre_metrics::recorded(0, true, || {
         parapre_metrics::inc(C, 3);
         parapre_metrics::inc(C, 4);
         parapre_metrics::gauge_set(G, 1.5);
-        parapre_metrics::observe_us(H, 250);
+        parapre_metrics::timed(H).close()
     });
     let snap = parapre_metrics::snapshot();
     assert_eq!(snap.counter(C) - before, 7, "the registry moved");
     assert_eq!(snap.gauge(G), 1.5);
-    assert_eq!(snap.hist(H).expect("observed").sum, 250);
+    let h_after = h(&snap);
+    assert_eq!(h_after.0 - h_before.0, 1, "one close, one reading");
+    assert_eq!(
+        h_after.1 - h_before.1,
+        closed.as_micros() as u64,
+        "the reading is the close"
+    );
 
-    let summary = stream.expect("recorded").summary();
+    let stream = stream.expect("recorded");
+    let summary = stream.summary();
     assert_eq!(summary.counters[C], 7, "same name, same amount");
     assert_eq!(summary.gauges[G].last, 1.5);
-    assert_eq!(summary.gauges[H].last, 250.0);
+    let span_events: Vec<&EventKind> = stream
+        .events
+        .iter()
+        .map(|e| &e.kind)
+        .filter(|k| matches!(k, EventKind::SpanEnter { .. } | EventKind::SpanExit { .. }))
+        .collect();
+    assert_eq!(
+        span_events,
+        [
+            &EventKind::SpanEnter { name: H.into() },
+            &EventKind::SpanExit { name: H.into() },
+        ],
+        "the span's enter and exit are in the stream"
+    );
 
     // Off a recording thread the same call is registry-only.
     parapre_metrics::inc(C, 1);

@@ -2,7 +2,7 @@
 //!
 //! Each test is one promise an earlier simplification made and a grep can
 //! keep: one build configuration and no `unsafe`; one Krylov layer; one
-//! Krylov configuration; one Arnoldi loop; one
+//! Krylov configuration; one clock; one Arnoldi loop; one
 //! recovery layer on the one pipeline; one experiment pipeline; one front
 //! door, whose every job key and command verb is documented and whose job
 //! values are read in one place; one Schur driver; one tag table. The tree is
@@ -158,6 +158,38 @@ fn one_krylov_config() {
                 .iter()
                 .any(|n| l.contains(n))
         }),
+    );
+}
+
+#[test]
+fn one_clock() {
+    let code: Vec<(String, String)> = files(&["crates", "src", "tests", "examples"])
+        .into_iter()
+        .filter(|(path, _)| path.ends_with(".rs"))
+        .collect();
+    assert_none(
+        "a span's close is the only timer: no code line names the deleted timing verbs",
+        lines_where(&code, |l| {
+            !l.trim_start().starts_with("//")
+                && ["observe_us", "observe_duration"]
+                    .iter()
+                    .any(|n| l.contains(n))
+        }),
+    );
+    let engine = files(&["crates/engine/src"]);
+    assert_none(
+        "the engine times no interval by hand",
+        lines_where(&engine, |l| l.contains(".elapsed()")),
+    );
+    let now = lines_where(&engine, |l| l.contains("Instant::now()"));
+    assert!(
+        now.len() == 3
+            && now
+                .iter()
+                .all(|l| l.contains("queue.push_back(") || l.contains(" dl")),
+        "the engine reads the clock only to stamp a submission and to compare \
+         against its deadline:\n{}",
+        now.join("\n")
     );
 }
 
