@@ -9,13 +9,14 @@
 //!
 //! ```text
 //! cargo run --release -p parapre-bench --bin schurml -- \
-//!     [--quick] [--size tiny|default|full] [--ranks 4,8,16,32] \
+//!     [--size tiny|default|full] [--ranks 4,8,16,32] \
 //!     [--levels 2] [--rank 8] [--out BENCH_schurml.json]
 //! ```
 //!
-//! `--quick` restricts to TC1–TC2 at `P ∈ {4, 8}` (the CI smoke shape).
-//! The full sweep enforces the regression bar: SchurML's growth must be
-//! strictly smaller than Schur 2's on at least 4 of the 6 cases.
+//! The sweep enforces the regression bar: SchurML's growth must be
+//! strictly smaller than Schur 2's on at least 4 of the 6 cases. Its
+//! TC1–TC2 rows at `P ∈ {4, 8}` and the default size are `LEDGER.txt`
+//! lines (`tc1 default schurml P=4`, …), checked by `ledger --check`.
 
 use parapre_core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre_engine::{run_case, RunResult, SessionConfig};
@@ -59,7 +60,6 @@ fn fmt_growth(g: Option<i64>) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
     let mut size = CaseSize::Default;
     let mut ranks: Option<Vec<usize>> = None;
     let mut out_path = "BENCH_schurml.json".to_string();
@@ -68,7 +68,6 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--quick" => quick = true,
             "--levels" => {
                 i += 1;
                 levels = args[i].parse().expect("level count");
@@ -98,36 +97,19 @@ fn main() {
         }
         i += 1;
     }
-    let cases: Vec<CaseId> = if quick {
-        vec![CaseId::Tc1, CaseId::Tc2]
-    } else {
-        vec![
-            CaseId::Tc1,
-            CaseId::Tc2,
-            CaseId::Tc3,
-            CaseId::Tc4,
-            CaseId::Tc5,
-            CaseId::Tc6,
-        ]
-    };
-    let ranks = ranks.unwrap_or(if quick {
-        vec![4, 8]
-    } else {
-        vec![4, 8, 16, 32]
-    });
+    let ranks = ranks.unwrap_or(vec![4, 8, 16, 32]);
     let schurml = PrecondKind::SchurML { levels, rank };
     assert!(
         rank <= parapre_krylov::MAX_CORRECTION_RANK,
         "correction rank exceeds the cap"
     );
     eprintln!(
-        "schurml bench: {} cases, P = {ranks:?}, size {size:?}, levels {levels}, rank {rank}{}",
-        cases.len(),
-        if quick { " (quick)" } else { "" },
+        "schurml bench: {} cases, P = {ranks:?}, size {size:?}, levels {levels}, rank {rank}",
+        CaseId::ALL.len(),
     );
 
     let mut outs: Vec<CaseOut> = Vec::new();
-    for &id in &cases {
+    for id in CaseId::ALL {
         let case = build_case(id, size);
         let mut rows = Vec::new();
         for &p in &ranks {
@@ -206,14 +188,13 @@ fn main() {
     let json = format!(
         concat!(
             "{{\n",
-            "  \"config\": {{\"quick\": {quick}, \"size\": \"{size:?}\", \"ranks\": {ranks:?}, ",
+            "  \"config\": {{\"size\": \"{size:?}\", \"ranks\": {ranks:?}, ",
             "\"levels\": {levels}, \"rank\": {rank}}},\n",
             "  \"cases\": [\n{cases}\n  ],\n",
             "  \"schurml_flatter_cases\": {flatter},\n",
             "  \"total_cases\": {total}\n",
             "}}\n"
         ),
-        quick = quick,
         size = size,
         ranks = ranks,
         levels = levels,
@@ -225,16 +206,14 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write benchmark report");
     eprintln!("wrote {out_path}");
 
-    // Regression bar (full sweep only): the multilevel rung must actually
-    // buy flatness — strictly smaller iteration growth on ≥ 4 of 6 cases.
-    if !quick {
-        let needed = 4;
-        if flatter < needed {
-            eprintln!(
-                "FAIL: SchurML flatter on only {flatter}/{} cases (need {needed})",
-                outs.len()
-            );
-            std::process::exit(2);
-        }
+    // Regression bar: the multilevel rung must actually buy flatness —
+    // strictly smaller iteration growth on ≥ 4 of 6 cases.
+    let needed = 4;
+    if flatter < needed {
+        eprintln!(
+            "FAIL: SchurML flatter on only {flatter}/{} cases (need {needed})",
+            outs.len()
+        );
+        std::process::exit(2);
     }
 }

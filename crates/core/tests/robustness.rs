@@ -4,6 +4,7 @@
 //! with either convergence or a typed breakdown, never a panic and never a
 //! silent non-finite answer.
 
+use parapre_core::cases::{block_owner, hostile};
 use parapre_core::{
     build_dist_precond_with_fallback, try_build_dist_precond, PrecondKind, PrecondParams,
 };
@@ -11,38 +12,6 @@ use parapre_dist::{scatter_vector, DistGmres, DistMatrix, GmresConfig};
 use parapre_mpisim::Universe;
 use parapre_sparse::{Coo, Csr};
 use proptest::prelude::*;
-
-/// Structurally symmetric chain matrix with a hostile diagonal: exact
-/// zeros, near-zeros, and sign flips, controlled by `seed`.
-fn hostile(n: usize, seed: u64) -> Csr {
-    let mut state = seed | 1;
-    let mut rnd = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-    };
-    let mut coo = Coo::new(n, n);
-    for i in 0..n - 1 {
-        coo.push(i, i + 1, -1.0 + 0.1 * rnd());
-        coo.push(i + 1, i, -1.0 + 0.1 * rnd());
-    }
-    for i in 0..n {
-        let d = match i % 5 {
-            0 => 0.0,
-            1 => 1e-14 * rnd(),
-            2 => -(2.0 + rnd().abs()),
-            _ => 4.0 + rnd().abs(),
-        };
-        coo.push(i, i, d);
-    }
-    coo.to_csr()
-}
-
-/// Contiguous block owner map (every rank gets ≥ 1 row).
-fn block_owner(n: usize, p: usize) -> Vec<u32> {
-    (0..n).map(|i| ((i * p) / n) as u32).collect()
-}
 
 /// Runs the ladder + solve on `p` ranks; returns per-rank
 /// (kind_used, fallbacks, pivot_shifts, converged, breakdown?, x finite).

@@ -165,11 +165,6 @@ impl JobTicket {
             .unwrap_or_else(|_| JobResult::failed(self.id, "worker disappeared"))
     }
 
-    /// Non-blocking poll; `None` while the job is still queued or running.
-    pub fn try_wait(&self) -> Option<JobResult> {
-        self.rx.try_recv().ok()
-    }
-
     /// Blocks for at most `timeout`. `Ok` carries the result; `Err(self)`
     /// returns the still-live ticket so the caller can keep waiting (or
     /// drop it to abandon the job) — nobody gets stuck forever behind a

@@ -37,7 +37,7 @@ fn uniform(seed: u64) -> impl FnMut() -> f64 {
 /// `a` with the same pattern and seeded new values: every entry moves by a
 /// relative amount up to `eps / 10`, every diagonal entry additionally
 /// grows by a relative `eps / 2 … eps`.
-fn perturbed(a: &Csr, seed: u64, eps: f64) -> Csr {
+fn jittered(a: &Csr, seed: u64, eps: f64) -> Csr {
     let mut next = uniform(seed);
     map_values(a, |i, j, v| {
         let mut factor = 1.0 + eps * 0.1 * (next() - 0.5);
@@ -128,7 +128,7 @@ fn refactored_sessions_match_cold_builds_for_every_kind() {
                 let cfg = SessionConfig::paper(kind, p);
                 let donor = SolverSession::from_case(&case, &cfg)
                     .unwrap_or_else(|e| panic!("{what}: donor build failed: {e}"));
-                let a2 = perturbed(&case.sys.a, combo, eps);
+                let a2 = jittered(&case.sys.a, combo, eps);
                 let hot = SolverSession::refactor(&donor, &a2)
                     .unwrap_or_else(|why| panic!("{what}: refused as {}", why.key()));
                 let cold = SolverSession::build(&a2, donor.owner(), &cfg).expect("cold builds");
@@ -168,7 +168,7 @@ fn a_chain_of_refactorizations_ages_the_pattern() {
     let mut session = SolverSession::from_case(&case, &cfg).expect("build");
     let mut a = case.sys.a.clone();
     for age in 1..=4 {
-        a = perturbed(&a, age, 0.02);
+        a = jittered(&a, age, 0.02);
         session = SolverSession::refactor(&session, &a).expect("refactor");
         assert_eq!(session.pattern_age(), age as usize);
         let rep = session.solve(&case.sys.b).expect("solve");
@@ -179,7 +179,7 @@ fn a_chain_of_refactorizations_ages_the_pattern() {
 #[test]
 fn a_traced_refactorization_records_one_refactor_span_per_rank_and_no_factor_span() {
     let case = build_case(CaseId::Tc4, CaseSize::Tiny);
-    let a2 = Arc::new(perturbed(&case.sys.a, 3, 0.05));
+    let a2 = Arc::new(jittered(&case.sys.a, 3, 0.05));
     for kind in KINDS {
         for p in [1usize, 2, 4] {
             let what = format!("{} P={p}", kind.key());
@@ -215,7 +215,7 @@ fn hostile_update_is_voted_down_on_all_ranks_in_lockstep() {
             let mut cfg = SessionConfig::paper(kind, p);
             cfg.recv_timeout = Duration::from_secs(10);
             let donor = SolverSession::from_case(&case, &cfg).expect("donor builds");
-            let a2 = map_values(&perturbed(&case.sys.a, 5, 0.01), |i, j, v| {
+            let a2 = map_values(&jittered(&case.sys.a, 5, 0.01), |i, j, v| {
                 if i == j && donor.owner()[i] == 1 {
                     0.0
                 } else {
@@ -268,7 +268,7 @@ fn refactor_refuses_other_patterns_and_dirty_donors() {
     let dirty = SolverSession::from_matrix(&holed, &cfg).expect("safety net builds");
     assert!(dirty.pivot_shifts() > 0 || dirty.build_fallbacks() > 0);
     assert_eq!(
-        SolverSession::refactor(&dirty, &perturbed(&holed, 1, 0.01)).err(),
+        SolverSession::refactor(&dirty, &jittered(&holed, 1, 0.01)).err(),
         Some(RefactorFallback::DonorDirty)
     );
 }
@@ -290,7 +290,7 @@ fn service_refactors_same_pattern_and_cold_builds_new_patterns() {
 
     // Same pattern, new values: refactored from the resident session. The
     // first solve still reports a miss; `build_ms` is the refactor time.
-    let a1 = perturbed(&a, 1, 0.01);
+    let a1 = jittered(&a, 1, 0.01);
     let hot = put_and_solve(&svc, "a1", &a1, extra);
     assert!(!hot.cache_hit && hot.refactored && hot.pattern_age == 1);
     assert!(hot.converged && hot.true_relres <= 1e-5 && hot.build_ms > 0.0);
@@ -304,7 +304,7 @@ fn service_refactors_same_pattern_and_cold_builds_new_patterns() {
     assert!(json.contains(r#""cache_hit":false"#), "{json}");
 
     // The refactored session is the next donor: the chain survives.
-    let a2 = perturbed(&a1, 2, 0.01);
+    let a2 = jittered(&a1, 2, 0.01);
     let hot2 = put_and_solve(&svc, "a2", &a2, extra);
     assert!(hot2.refactored && hot2.pattern_age == 2);
     // ... and a hit on it says how the session came to be.
@@ -315,12 +315,7 @@ fn service_refactors_same_pattern_and_cold_builds_new_patterns() {
     assert_eq!(svc.refactor_stats(), (2, 0));
 
     // Another configuration of the same matrix is not a donor.
-    let other_cfg = put_and_solve(
-        &svc,
-        "a3",
-        &perturbed(&a, 3, 0.01),
-        r#","precond":"block1""#,
-    );
+    let other_cfg = put_and_solve(&svc, "a3", &jittered(&a, 3, 0.01), r#","precond":"block1""#);
     assert!(!other_cfg.refactored);
 
     // One added coupling: a new pattern, the cold path, no rejection counted.
@@ -350,7 +345,7 @@ fn an_evicted_session_is_never_a_donor() {
     // Another pattern takes the only cache slot.
     put_and_solve(&svc, "b", &laplacian(15, 0.0, 1.0), extra);
     assert_eq!(svc.cache_stats().evictions, 1);
-    let r = put_and_solve(&svc, "a1", &perturbed(&a, 1, 0.01), extra);
+    let r = put_and_solve(&svc, "a1", &jittered(&a, 1, 0.01), extra);
     assert!(!r.cache_hit && !r.refactored);
     assert_eq!(svc.refactor_stats(), (0, 0));
 }
@@ -368,7 +363,7 @@ fn a_dirty_donor_is_counted_and_bypassed() {
     });
     let first = put_and_solve(&svc, "dirty", &a, extra);
     assert!(first.pivot_shifts > 0 || first.fallbacks > 0);
-    let second = put_and_solve(&svc, "dirty1", &perturbed(&a, 1, 0.01), extra);
+    let second = put_and_solve(&svc, "dirty1", &jittered(&a, 1, 0.01), extra);
     assert!(!second.cache_hit && !second.refactored && second.pattern_age == 0);
     assert_eq!(svc.refactor_stats(), (0, 1));
     let reason = parapre_metrics::names::refactor_fallback(RefactorFallback::DonorDirty.key());
@@ -396,7 +391,7 @@ fn concurrent_jobs_on_one_new_fingerprint_refactor_once() {
     let extra = r#","precond":"schur1""#;
     let a = laplacian(40, 0.0, 1.0);
     put_and_solve(&svc, "a", &a, extra);
-    let (fp, _) = svc.matrix_store().put(perturbed(&a, 1, 0.01));
+    let (fp, _) = svc.matrix_store().put(jittered(&a, 1, 0.01));
     // Resolve the problem first, so that both jobs below reach the session
     // cache together instead of racing through assembly.
     let jobs: Vec<_> = (0..2)
@@ -430,7 +425,7 @@ fn single_flight_covers_refactorizations() {
     let a = laplacian(12, 0.0, 1.0);
     let cfg = SessionConfig::paper(PrecondKind::Block2, 2);
     let donor = SolverSession::from_matrix(&a, &cfg).expect("build");
-    let a1 = parapre_engine::session::partition_matrix(&perturbed(&a, 1, 0.01), 2, 0).0;
+    let a1 = parapre_engine::session::partition_matrix(&jittered(&a, 1, 0.01), 2, 0).0;
     let cache = SessionCache::new(4);
     cache.insert(SessionKey::new(donor.fingerprint(), &cfg), Arc::new(donor));
     let key = SessionKey::new(a1.fingerprint(), &cfg);

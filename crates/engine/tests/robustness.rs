@@ -1,39 +1,10 @@
 //! End-to-end numerical-safety tests: hostile systems through
 //! `SolverSession`, its ladder descent, and the JSONL job layer.
 
+use parapre_core::cases::{block_owner, hostile};
 use parapre_core::PrecondKind;
 use parapre_engine::{parse_job_line, JobResult, SessionConfig, SolverSession};
-use parapre_sparse::{Coo, Csr};
-
-/// Structurally symmetric chain with zero / tiny / negative diagonals.
-fn hostile(n: usize, seed: u64) -> Csr {
-    let mut state = seed | 1;
-    let mut rnd = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-    };
-    let mut coo = Coo::new(n, n);
-    for i in 0..n - 1 {
-        coo.push(i, i + 1, -1.0 + 0.1 * rnd());
-        coo.push(i + 1, i, -1.0 + 0.1 * rnd());
-    }
-    for i in 0..n {
-        let d = match i % 5 {
-            0 => 0.0,
-            1 => 1e-14 * rnd(),
-            2 => -(2.0 + rnd().abs()),
-            _ => 4.0 + rnd().abs(),
-        };
-        coo.push(i, i, d);
-    }
-    coo.to_csr()
-}
-
-fn block_owner(n: usize, p: usize) -> Vec<u32> {
-    (0..n).map(|i| ((i * p) / n) as u32).collect()
-}
+use parapre_sparse::Coo;
 
 /// A session builds on a matrix plain ILU(0) cannot factor, reports its
 /// diagnostics, and solves without a panic or a non-finite answer.

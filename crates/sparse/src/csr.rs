@@ -315,20 +315,6 @@ impl Csr {
         }
     }
 
-    /// Transposed product `y = A^T x`.
-    pub fn spmv_transpose(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.n_rows);
-        assert_eq!(y.len(), self.n_cols);
-        y.fill(0.0);
-        for i in 0..self.n_rows {
-            let (cols, vals) = self.row(i);
-            let xi = x[i];
-            for (&j, &v) in cols.iter().zip(vals) {
-                y[j] += v * xi;
-            }
-        }
-    }
-
     /// Returns the transpose as a new CSR matrix.
     pub fn transpose(&self) -> Csr {
         let mut counts = vec![0usize; self.n_cols + 1];
@@ -553,49 +539,6 @@ impl Csr {
         })
     }
 
-    /// Drops stored entries with `|a_ij| <= tol` (keeps diagonal always).
-    pub fn drop_small(&self, tol: f64) -> Csr {
-        let mut row_ptr = Vec::with_capacity(self.n_rows + 1);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
-        row_ptr.push(0);
-        for i in 0..self.n_rows {
-            let (cols, vs) = self.row(i);
-            for (&j, &v) in cols.iter().zip(vs) {
-                if j == i || v.abs() > tol {
-                    col_idx.push(j);
-                    vals.push(v);
-                }
-            }
-            row_ptr.push(col_idx.len());
-        }
-        Csr {
-            n_rows: self.n_rows,
-            n_cols: self.n_cols,
-            row_ptr,
-            col_idx,
-            vals,
-        }
-    }
-
-    /// Scales row `i` by `s[i]` in place.
-    pub fn scale_rows(&mut self, s: &[f64]) {
-        assert_eq!(s.len(), self.n_rows);
-        for i in 0..self.n_rows {
-            let lo = self.row_ptr[i];
-            let hi = self.row_ptr[i + 1];
-            let si = s[i];
-            for v in &mut self.vals[lo..hi] {
-                *v *= si;
-            }
-        }
-    }
-
-    /// Frobenius norm of the stored entries.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.vals.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
     /// Infinity norm (max absolute row sum).
     pub fn inf_norm(&self) -> f64 {
         (0..self.n_rows)
@@ -655,17 +598,6 @@ impl Csr {
             h = fnv1a_u64(h, v.to_bits());
         }
         (pattern, h)
-    }
-
-    /// Decomposes into `(n_rows, n_cols, row_ptr, col_idx, vals)`.
-    pub fn into_parts(self) -> (usize, usize, Vec<usize>, Vec<usize>, Vec<f64>) {
-        (
-            self.n_rows,
-            self.n_cols,
-            self.row_ptr,
-            self.col_idx,
-            self.vals,
-        )
     }
 }
 
@@ -789,18 +721,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_matches_spmv_transpose() {
-        let a = sample();
-        let x = [1.0, -2.0, 0.5];
-        let mut y1 = [0.0; 3];
-        a.spmv_transpose(&x, &mut y1);
-        let at = a.transpose();
-        let mut y2 = [0.0; 3];
-        at.spmv(&x, &mut y2);
-        assert_eq!(y1, y2);
-    }
-
-    #[test]
     fn diagonal_extraction() {
         let a = sample();
         assert_eq!(a.diagonal().unwrap(), vec![2.0, 2.0, 2.0]);
@@ -833,18 +753,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_small_keeps_diagonal() {
-        let a = Csr::from_dense_rows(&[vec![1e-12, 1.0], vec![1.0, 1e-12]]);
-        let d = a.drop_small(1e-6);
-        assert_eq!(d.get(0, 0), 1e-12);
-        assert_eq!(d.get(1, 1), 1e-12);
-        assert_eq!(d.nnz(), 4);
-    }
-
-    #[test]
     fn norms() {
         let a = Csr::from_dense_rows(&[vec![3.0, 4.0], vec![0.0, 0.0]]);
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-14);
         assert!((a.inf_norm() - 7.0).abs() < 1e-14);
     }
 
@@ -853,14 +763,6 @@ mod tests {
         assert!(sample().is_symmetric(0.0));
         let b = Csr::from_dense_rows(&[vec![1.0, 2.0], vec![3.0, 1.0]]);
         assert!(!b.is_symmetric(1e-12));
-    }
-
-    #[test]
-    fn scale_rows_in_place() {
-        let mut a = sample();
-        a.scale_rows(&[1.0, 2.0, 0.0]);
-        assert_eq!(a.get(1, 0), -2.0);
-        assert_eq!(a.get(2, 2), 0.0);
     }
 
     #[test]

@@ -66,12 +66,6 @@ impl Permutation {
         &self.inv
     }
 
-    /// New position of original index `old`.
-    #[inline]
-    pub fn new_of(&self, old: usize) -> usize {
-        self.inv[old]
-    }
-
     /// Original index at new position `new`.
     #[inline]
     pub fn old_of(&self, new: usize) -> usize {
@@ -180,6 +174,5 @@ mod tests {
         let p = Permutation::identity(4);
         let x = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(p.apply_vec(&x), x.to_vec());
-        assert_eq!(p.new_of(2), 2);
     }
 }

@@ -5,10 +5,11 @@
 //! Krylov configuration; one clock; one Arnoldi loop; one
 //! recovery layer on the one pipeline; one experiment pipeline; one front
 //! door, whose every job key and command verb is documented and whose job
-//! values are read in one place; one Schur driver; one tag table. The tree is
-//! walked with `std::fs` from the root package's directory, build output
-//! (`target`) is skipped, and so is this file, whose needles would otherwise
-//! match themselves. A failure lists every offending `path:line`.
+//! values are read in one place; one Schur driver; one tag table; one
+//! fixture family. The tree is walked with `std::fs` from the root
+//! package's directory, build output (`target`) is skipped, and so is this
+//! file, whose needles would otherwise match themselves. A failure lists
+//! every offending `path:line`.
 
 use std::fs;
 use std::path::Path;
@@ -450,5 +451,27 @@ fn one_tag_table() {
                 !(path.starts_with("crates/dist/src/lib.rs:") && line.starts_with("pub const"))
             })
             .collect(),
+    );
+}
+
+#[test]
+fn one_fixture_family() {
+    let code: Vec<(String, String)> = files(&[
+        "tests",
+        "crates/core/tests",
+        "crates/engine/tests",
+        "crates/bench",
+    ])
+    .into_iter()
+    .filter(|(path, _)| path.ends_with(".rs"))
+    .collect();
+    assert_none(
+        "the hostile chain, the block owner map and the refactor's new values \
+         are `parapre_core::cases` functions, defined once",
+        lines_where(&code, |l| {
+            ["fn hostile(", "fn perturbed(", "fn block_owner("]
+                .iter()
+                .any(|f| l.contains(f))
+        }),
     );
 }

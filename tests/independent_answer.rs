@@ -7,6 +7,7 @@
 //! the dense side. A session rebuilt by numeric-only refactorization on new
 //! values of the same pattern is held to the dense answer of the new matrix.
 
+use parapre::core::cases::perturbed;
 use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre::engine::{SessionConfig, SolverSession};
 use parapre::sparse::dense::{Dense, DenseLu};
@@ -38,19 +39,6 @@ fn dense_solve(a: &Csr, b: &[f64]) -> Vec<f64> {
 fn rel_err(x: &[f64], x_ref: &[f64]) -> f64 {
     let diff: Vec<f64> = x.iter().zip(x_ref).map(|(u, v)| u - v).collect();
     norm_inf(&diff) / norm_inf(x_ref)
-}
-
-/// Same pattern, every value moved by a few percent.
-fn perturbed(a: &Csr) -> Csr {
-    let mut a2 = a.clone();
-    for (slot, (i, j, v)) in a2.vals_mut().iter_mut().zip(a.iter()) {
-        *slot = if i == j {
-            v * (1.02 + 0.01 * (i as f64 * 0.3).sin().abs())
-        } else {
-            v * (1.0 + 0.03 * (i as f64 * 0.37).sin() * (j as f64 * 0.11).cos())
-        };
-    }
-    a2
 }
 
 #[test]

@@ -13,6 +13,7 @@
 //! (deterministic) calls the constructors make, and shares no code with the
 //! preconditioner under test beyond those krylov entry points.
 
+use parapre::core::cases::perturbed;
 use parapre::core::{
     build_case, partition_case, try_build_dist_precond, AssembledCase, CaseId, CaseSize,
     PartitionScheme, PrecondKind, PrecondParams,
@@ -357,19 +358,6 @@ impl DistOp for ReferencePreconditionedOp<'_> {
         ReferenceInner(self.0).apply(comm, u, &mut z);
         ReferenceOp(self.0).apply(comm, &z, out);
     }
-}
-
-/// Same pattern, every value moved by a few percent.
-fn perturbed(a: &Csr) -> Csr {
-    let mut a2 = a.clone();
-    for (slot, (i, j, v)) in a2.vals_mut().iter_mut().zip(a.iter()) {
-        *slot = if i == j {
-            v * (1.02 + 0.01 * (i as f64 * 0.3).sin().abs())
-        } else {
-            v * (1.0 + 0.03 * (i as f64 * 0.37).sin() * (j as f64 * 0.11).cos())
-        };
-    }
-    a2
 }
 
 /// Builds `kind` on every rank through the product's one rung and through
