@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p parapre-bench --bin kernels -- \
-//!     [--quick] [--ranks 8] [--out BENCH_kernels.json]
+//!     [--ranks 8] [--out BENCH_kernels.json]
 //! ```
 //!
 //! Writes a JSON report with wall-clock seconds (max over ranks of each
@@ -185,21 +185,15 @@ impl SweepCell {
 }
 
 /// The cases of the sweep and parse rows, with their grid extents.
-fn cases(quick: bool) -> [(CaseId, usize); 3] {
-    if quick {
-        [(CaseId::Tc1, 49), (CaseId::Tc2, 13), (CaseId::Tc6, 21)]
-    } else {
-        [(CaseId::Tc1, 201), (CaseId::Tc2, 25), (CaseId::Tc6, 61)]
-    }
-}
+const CASES: [(CaseId, usize); 3] = [(CaseId::Tc1, 201), (CaseId::Tc2, 25), (CaseId::Tc6, 61)];
 
 /// `parse_matrix_market` on the body `write_matrix_market` renders for each
 /// case's global matrix, samples alternating with `str::from_utf8` over the
 /// same bytes: the floor of a parser that validates its input once. One JSON
 /// row per case.
-fn bench_mtx_parse(quick: bool) -> Vec<String> {
-    let reps = if quick { 5 } else { 25 };
-    cases(quick)
+fn bench_mtx_parse() -> Vec<String> {
+    let reps = 25;
+    CASES
         .iter()
         .map(|&(id, extent)| {
             let a = build_case_sized(id, extent).sys.a;
@@ -235,9 +229,9 @@ fn bench_mtx_parse(quick: bool) -> Vec<String> {
 /// the same entries — the same loads and multiplies without the row-to-row
 /// dependencies, so the ratio says what the dependencies and the kernel
 /// cost. Samples alternate, so host drift hits both sides alike.
-fn bench_sweeps(quick: bool) -> Vec<SweepCell> {
-    let reps = if quick { 60 } else { 400 };
-    cases(quick)
+fn bench_sweeps() -> Vec<SweepCell> {
+    let reps = 400;
+    CASES
         .iter()
         .map(|&(id, extent)| {
             let name = id.key();
@@ -364,9 +358,8 @@ fn orth_step_per_column(basis: &[Vec<f64>], w: &mut [f64], sums: &mut [f64]) -> 
 /// `w` (`k + 1` vectors), each of the two subtractions reads the basis and
 /// reads and writes `w` (`k + 2`); the second inner products ride on the
 /// first subtraction.
-fn bench_orth(quick: bool) -> OrthRow {
-    let n = if quick { 4_000 } else { 20_200 };
-    let reps = if quick { 20 } else { 120 };
+fn bench_orth() -> OrthRow {
+    let (n, reps) = (20_200, 120);
     let k_max = 20;
     let fill = |j: usize, col: &mut [f64]| {
         for (i, v) in col.iter_mut().enumerate() {
@@ -449,8 +442,8 @@ const ALLREDUCE_LAUNCHES: usize = 5;
 /// starts both ranks of a universe on one core, and until a parked receive
 /// lets it move one they take turns (E19): a launch that begins so reads
 /// several microseconds higher, which is not what this row is about.
-fn bench_allreduce(quick: bool) -> (f64, f64) {
-    let reps: u64 = if quick { 200 } else { 2000 };
+fn bench_allreduce() -> (f64, f64) {
+    let reps: u64 = 2000;
     let launch = || {
         let out = Universe::run(2, |comm| {
             let mut acc = 0.0;
@@ -503,13 +496,11 @@ fn modeled(stats: &CommStats) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
     let mut ranks = 8usize;
     let mut out_path = "BENCH_kernels.json".to_string();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--quick" => quick = true,
             "--ranks" => {
                 i += 1;
                 ranks = args[i].parse().expect("rank count");
@@ -523,18 +514,14 @@ fn main() {
         i += 1;
     }
 
-    let (spmv_nx, spmv_reps, gmres_nx, gmres_iters) = if quick {
-        (48usize, 150usize, 32usize, 40usize)
-    } else {
-        (96, 600, 48, 200)
-    };
+    let (spmv_nx, spmv_reps, gmres_nx, gmres_iters) = (96usize, 600usize, 48usize, 200usize);
 
-    eprintln!("kernels: P={ranks}, spmv {spmv_nx}x{spmv_nx} x{spmv_reps}, gmres {gmres_nx}x{gmres_nx} x{gmres_iters} iters{}", if quick { " (quick)" } else { "" });
+    eprintln!("kernels: P={ranks}, spmv {spmv_nx}x{spmv_nx} x{spmv_reps}, gmres {gmres_nx}x{gmres_nx} x{gmres_iters} iters");
 
     // First, while the launching thread has no load history: after seconds
     // of kernels on it the scheduler starts both ranks on the *other* core
     // nearly every time.
-    let (allreduce_us, allreduce_work_us) = bench_allreduce(quick);
+    let (allreduce_us, allreduce_work_us) = bench_allreduce();
 
     let (a_spmv, owner_spmv) = poisson_system(spmv_nx, ranks);
     let over = bench_spmv(&a_spmv, &owner_spmv, ranks, spmv_reps);
@@ -561,15 +548,9 @@ fn main() {
         mgs.secs, cgs.secs
     );
 
-    // The sweep bar compares two kernels on one thread; what it needs is
-    // the full shape (quick factors sit in cache and say nothing about
-    // streaming the factor).
-    let mut sweep_arm = parapre_bench::ScalingArm::decide("sweep vs SpMV", 1);
-    if quick {
-        sweep_arm.armed = false;
-        sweep_arm.reason = format!("quick shape ({})", sweep_arm.reason);
-    }
-    let sweeps = bench_sweeps(quick);
+    // The sweep bar compares two kernels on one thread.
+    let sweep_arm = parapre_bench::ScalingArm::decide("sweep vs SpMV", 1);
+    let sweeps = bench_sweeps();
     let sweep_json: String = sweeps
         .iter()
         .map(|c| {
@@ -585,23 +566,16 @@ fn main() {
         .join(",\n");
 
     // Both bars below compare or bound wall clocks of cache-resident loops;
-    // like the sweep bar they need the full shape, and the all-reduce needs
-    // a core per rank.
-    let mut orth_arm = parapre_bench::ScalingArm::decide("blocked vs per-column", 1);
-    let mut allreduce_arm = parapre_bench::ScalingArm::decide("allreduce, P=2", 2);
-    for arm in [&mut orth_arm, &mut allreduce_arm] {
-        if quick {
-            arm.armed = false;
-            arm.reason = format!("quick shape ({})", arm.reason);
-        }
-    }
-    let orth = bench_orth(quick);
-    let parse_json = bench_mtx_parse(quick).join(",\n");
+    // the all-reduce needs a core per rank.
+    let orth_arm = parapre_bench::ScalingArm::decide("blocked vs per-column", 1);
+    let allreduce_arm = parapre_bench::ScalingArm::decide("allreduce, P=2", 2);
+    let orth = bench_orth();
+    let parse_json = bench_mtx_parse().join(",\n");
 
     let json = format!(
         concat!(
             "{{\n",
-            "  \"config\": {{\"ranks\": {ranks}, \"quick\": {quick}, ",
+            "  \"config\": {{\"ranks\": {ranks}, ",
             "\"spmv_grid\": {spmv_nx}, \"spmv_reps\": {spmv_reps}, ",
             "\"gmres_grid\": {gmres_nx}, \"gmres_iters\": {gmres_iters}}},\n",
             "  \"spmv\": {{\"overlap_secs\": {os:.6}, \"msgs_overlap\": {om}, ",
@@ -652,7 +626,6 @@ fn main() {
         ar_arm_json = allreduce_arm.to_json(),
         parse_cases = parse_json,
         ranks = ranks,
-        quick = quick,
         spmv_nx = spmv_nx,
         spmv_reps = spmv_reps,
         gmres_nx = gmres_nx,
@@ -675,14 +648,15 @@ fn main() {
     eprintln!("wrote {out_path}");
 
     // Regression bar: the fused orthogonalization must send strictly fewer
-    // messages per iteration.
+    // messages per iteration (the tier-1 `tests/orthogonalization_messages.rs`
+    // checks the same two counts at P = 2 and 8 on a 32² grid).
     assert_eq!(mgs_iters, cgs_iters, "fixed-budget runs must match");
     if cgs_mpi >= mgs_mpi {
         eprintln!("FAIL: CGS did not reduce per-iteration message count");
         std::process::exit(2);
     }
     // Sweep bar: a sweep reads what an SpMV over the same entries reads, so
-    // at full shape it may cost at most a quarter more.
+    // it may cost at most a quarter more.
     for c in &sweeps {
         eprintln!(
             "bar sweep {}: {:.2}x an SpMV over the same entries",
