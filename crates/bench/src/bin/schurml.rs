@@ -8,12 +8,11 @@
 //! reports the per-case iteration growth `it(P_max) − it(P_min)`.
 //!
 //! ```text
-//! cargo run --release -p parapre-bench --bin schurml -- \
-//!     [--size tiny|default|full] [--ranks 4,8,16,32] \
-//!     [--levels 2] [--rank 8] [--out BENCH_schurml.json]
+//! cargo run --release -p parapre-bench --bin schurml -- [--out BENCH_schurml.json]
 //! ```
 //!
-//! The sweep enforces the regression bar: SchurML's growth must be
+//! The shape is fixed: Default size, `SchurML` at its default `levels` and
+//! `rank`. The sweep enforces the regression bar: SchurML's growth must be
 //! strictly smaller than Schur 2's on at least 4 of the 6 cases. Its
 //! TC1–TC2 rows at `P ∈ {4, 8}` and the default size are `LEDGER.txt`
 //! lines (`tc1 default schurml P=4`, …), checked by `ledger --check`.
@@ -21,6 +20,8 @@
 use parapre_core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre_engine::{run_case, RunResult, SessionConfig};
 
+const SIZE: CaseSize = CaseSize::Default;
+const RANKS: [usize; 4] = [4, 8, 16, 32];
 const LEVELS: usize = PrecondKind::SCHURML_DEFAULT_LEVELS;
 const RANK: usize = PrecondKind::SCHURML_DEFAULT_RANK;
 
@@ -60,59 +61,22 @@ fn fmt_growth(g: Option<i64>) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut size = CaseSize::Default;
-    let mut ranks: Option<Vec<usize>> = None;
-    let mut out_path = "BENCH_schurml.json".to_string();
-    let mut levels = LEVELS;
-    let mut rank = RANK;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--levels" => {
-                i += 1;
-                levels = args[i].parse().expect("level count");
-            }
-            "--rank" => {
-                i += 1;
-                rank = args[i].parse().expect("correction rank");
-            }
-            "--size" => {
-                i += 1;
-                size = CaseSize::parse(&args[i]).expect("size preset");
-            }
-            "--ranks" => {
-                i += 1;
-                ranks = Some(
-                    args[i]
-                        .split(',')
-                        .map(|s| s.parse().expect("rank count"))
-                        .collect(),
-                );
-            }
-            "--out" => {
-                i += 1;
-                out_path = args[i].clone();
-            }
-            other => panic!("unknown argument {other}"),
-        }
-        i += 1;
-    }
-    let ranks = ranks.unwrap_or(vec![4, 8, 16, 32]);
-    let schurml = PrecondKind::SchurML { levels, rank };
-    assert!(
-        rank <= parapre_krylov::MAX_CORRECTION_RANK,
-        "correction rank exceeds the cap"
-    );
+    let out_path = match args.as_slice() {
+        [] => "BENCH_schurml.json".to_string(),
+        [flag, path] if flag == "--out" => path.clone(),
+        _ => panic!("usage: schurml [--out <path>]"),
+    };
+    let schurml = PrecondKind::schurml_default();
     eprintln!(
-        "schurml bench: {} cases, P = {ranks:?}, size {size:?}, levels {levels}, rank {rank}",
+        "schurml bench: {} cases, P = {RANKS:?}, size {SIZE:?}, levels {LEVELS}, rank {RANK}",
         CaseId::ALL.len(),
     );
 
     let mut outs: Vec<CaseOut> = Vec::new();
     for id in CaseId::ALL {
-        let case = build_case(id, size);
+        let case = build_case(id, SIZE);
         let mut rows = Vec::new();
-        for &p in &ranks {
+        for p in RANKS {
             let ml = run_case(&case, &SessionConfig::paper(schurml, p));
             let s2 = run_case(&case, &SessionConfig::paper(PrecondKind::Schur2, p));
             eprintln!(
@@ -195,10 +159,10 @@ fn main() {
             "  \"total_cases\": {total}\n",
             "}}\n"
         ),
-        size = size,
-        ranks = ranks,
-        levels = levels,
-        rank = rank,
+        size = SIZE,
+        ranks = RANKS,
+        levels = LEVELS,
+        rank = RANK,
         cases = case_json,
         flatter = flatter,
         total = outs.len(),

@@ -1,4 +1,5 @@
-//! The simple block preconditioners `Block 1` (ILU(0)) and `Block 2` (ILUT).
+//! The simple block preconditioners `Block 1` (ILU(0)) and `Block 2` (ILUT),
+//! and the one-layer-overlap rung.
 //!
 //! Paper §2: "Parallel block preconditioners are the simplest algebraic
 //! preconditioning strategy, where each subdomain updates its local solution
@@ -8,8 +9,16 @@
 //! involves **zero communication**, which is why the paper finds these
 //! preconditioners to have the best per-iteration scalability (and, on hard
 //! problems, the worst convergence).
+//!
+//! The overlap rung makes the paper's §1.1 remark concrete: the minimum
+//! overlap is all a parallel Krylov iteration *needs*, but "an increased
+//! overlap may help to produce better parallel preconditioner". Its block is
+//! widened by one layer — the ghost rows, which the neighbours send once at
+//! build time ([`DistMatrix::ghost_rows`]) — and its application restricts
+//! back to owned unknowns: the *restricted additive Schwarz* (RAS)
+//! combination, one ghost exchange per application.
 
-use parapre_dist::{DistMatrix, DistPrecond};
+use parapre_dist::{DistMatrix, DistPrecond, LocalLayout};
 use parapre_krylov::{Ilu0, Ilut, IlutConfig, LuFactors};
 use parapre_mpisim::Comm;
 use parapre_sparse::{Csr, Result};
@@ -17,6 +26,9 @@ use parapre_sparse::{Csr, Result};
 /// A block(-Jacobi) preconditioner with an incomplete-LU subdomain sweep.
 pub struct BlockPrecond {
     factors: LuFactors,
+    /// The overlap rung's layout: its apply extends the residual by the
+    /// ghost values and keeps the owned part. `None` for `Block 1`/`Block 2`.
+    overlap: Option<LocalLayout>,
 }
 
 impl BlockPrecond {
@@ -29,6 +41,7 @@ impl BlockPrecond {
         let a_i = dm.owned_block();
         Ok(BlockPrecond {
             factors: Ilu0::factor_shifted(&a_i)?,
+            overlap: None,
         })
     }
 
@@ -38,6 +51,18 @@ impl BlockPrecond {
         let a_i = dm.owned_block();
         Ok(BlockPrecond {
             factors: Ilut::factor_shifted(&a_i, cfg)?,
+            overlap: None,
+        })
+    }
+
+    /// The overlap rung: ILUT(τ, p) of [`overlap_block`], behind the same
+    /// ladder. Collective over the neighbours (the ghost-row exchange).
+    pub fn overlap(dm: &DistMatrix, comm: &mut Comm, cfg: &IlutConfig) -> Result<Self> {
+        let a_ext = overlap_block(dm, comm)?;
+        let _s = parapre_metrics::span(parapre_metrics::names::FACTOR);
+        Ok(BlockPrecond {
+            factors: Ilut::factor_shifted(&a_ext, cfg)?,
+            overlap: Some(dm.layout.clone()),
         })
     }
 
@@ -52,22 +77,72 @@ impl BlockPrecond {
     }
 }
 
+/// The one-layer-overlap block, `n_local × n_local` in local order: the
+/// owned rows of `a_loc`, then the ghost rows the neighbours send
+/// ([`DistMatrix::ghost_rows`]), restricted to the local node set. A ghost
+/// row's couplings to nodes outside that set are dropped — the standard
+/// overlapping-Schwarz restriction. The rows came by message, so the block
+/// is assembled through `Csr::from_parts`'s validation.
+pub fn overlap_block(dm: &DistMatrix, comm: &mut Comm) -> Result<Csr> {
+    let _assemble = parapre_metrics::span(parapre_metrics::names::INTERFACE_ASSEMBLY);
+    let nl = dm.layout.n_local();
+    let mut row_ptr = dm.a_loc.row_ptr().to_vec();
+    let mut col_idx = dm.a_loc.col_idx().to_vec();
+    let mut vals = dm.a_loc.vals().to_vec();
+    for row in dm.ghost_rows(comm) {
+        for (c, v) in row {
+            col_idx.push(c);
+            vals.push(v);
+        }
+        row_ptr.push(col_idx.len());
+    }
+    Csr::from_parts(nl, nl, row_ptr, col_idx, vals)
+}
+
 impl DistPrecond for BlockPrecond {
-    fn apply(&self, _comm: &mut Comm, r: &[f64], z: &mut [f64]) {
-        z.copy_from_slice(r);
-        self.factors.solve_in_place(z);
+    fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]) {
+        let Some(layout) = &self.overlap else {
+            z.copy_from_slice(r);
+            return self.factors.solve_in_place(z);
+        };
+        let no = layout.n_owned();
+        debug_assert_eq!(r.len(), no);
+        // Extend the residual by the neighbours' values (one exchange).
+        let mut ext = vec![0.0; layout.n_local()];
+        ext[..no].copy_from_slice(r);
+        layout.update_ghosts(comm, &mut ext);
+        self.factors.solve_in_place(&mut ext);
+        // RAS restriction: keep the owned part only.
+        z.copy_from_slice(&ext[..no]);
     }
 
-    /// One sweep through the factors for all the columns.
-    fn apply_block(&self, _comm: &mut Comm, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
-        self.factors.solve_columns(rs, zs);
+    /// One sweep through the factors for all the columns (the overlap rung
+    /// applies them one after the other).
+    fn apply_block(&self, comm: &mut Comm, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
+        if self.overlap.is_none() {
+            return self.factors.solve_columns(rs, zs);
+        }
+        for (r, z) in rs.iter().zip(zs.iter_mut()) {
+            self.apply(comm, r, z);
+        }
     }
 
-    /// `Block 1`'s ILU(0) is numeric-only to begin with; `Block 2` skips
-    /// ILUT's drop/fill selection and works inside the frozen pattern.
-    fn refactor(&self, dm: &DistMatrix, _a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+    /// `Block 1`'s ILU(0) is numeric-only to begin with; `Block 2` and the
+    /// overlap rung skip ILUT's drop/fill selection and work inside the
+    /// frozen pattern. The overlap rung exchanges the ghost rows again,
+    /// before it checks the new layout against its own.
+    fn refactor(&self, comm: &mut Comm, dm: &DistMatrix) -> Result<Box<dyn DistPrecond>> {
+        let block = match &self.overlap {
+            None => dm.owned_block(),
+            Some(layout) => {
+                let a_ext = overlap_block(dm, comm)?;
+                crate::runner::same_local_shape(layout, &dm.layout)?;
+                a_ext
+            }
+        };
         Ok(Box::new(BlockPrecond {
-            factors: self.factors.refactor(&dm.owned_block())?,
+            factors: self.factors.refactor(&block)?,
+            overlap: self.overlap.as_ref().map(|_| dm.layout.clone()),
         }))
     }
 }
@@ -108,7 +183,7 @@ impl DistPrecond for JacobiDistPrecond {
     }
 
     /// Nothing symbolic to keep: the rebuild is the build.
-    fn refactor(&self, dm: &DistMatrix, _a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+    fn refactor(&self, _comm: &mut Comm, dm: &DistMatrix) -> Result<Box<dyn DistPrecond>> {
         Ok(Box::new(JacobiDistPrecond::build(dm)))
     }
 }
@@ -215,5 +290,77 @@ mod tests {
             iters.push(out[0]);
         }
         assert!(iters[1] >= iters[0], "{iters:?}");
+    }
+
+    fn iterations<F>(a: &Csr, b: &[f64], owner: &[u32], p: usize, make: F) -> usize
+    where
+        F: Fn(&DistMatrix, &mut Comm) -> Box<dyn DistPrecond> + Sync,
+    {
+        let make = &make;
+        Universe::run(p, move |comm| {
+            let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
+            let m = make(&dm, comm);
+            let b_loc = scatter_vector(&dm.layout, b);
+            let mut x = vec![0.0; dm.layout.n_owned()];
+            let rep = DistGmres::new(GmresConfig {
+                max_iters: 500,
+                ..GmresConfig::distributed()
+            })
+            .solve(comm, &dm, &m, &b_loc, &mut x);
+            assert!(rep.converged);
+            rep.iterations
+        })[0]
+    }
+
+    #[test]
+    fn overlap_reduces_iterations_vs_plain_block() {
+        let p = 6;
+        let (a, b, owner) = tc1(24, p, 5);
+        let cfg = IlutConfig::default();
+        let plain = iterations(&a, &b, &owner, p, |dm, _| {
+            Box::new(BlockPrecond::ilut(dm, &cfg).unwrap())
+        });
+        let overlapped = iterations(&a, &b, &owner, p, |dm, comm| {
+            Box::new(BlockPrecond::overlap(dm, comm, &cfg).unwrap())
+        });
+        assert!(
+            overlapped <= plain,
+            "overlap {overlapped} should not exceed plain {plain}"
+        );
+    }
+
+    #[test]
+    fn overlap_preconditioner_communicates() {
+        let p = 4;
+        let (a, b, owner) = tc1(12, p, 5);
+        let a_ref = &a;
+        let b_ref = &b;
+        let owner_ref = &owner;
+        let deltas = Universe::run(p, move |comm| {
+            let dm = DistMatrix::from_global(a_ref, owner_ref, comm.rank(), p);
+            let m = BlockPrecond::overlap(&dm, comm, &IlutConfig::default()).unwrap();
+            let b_loc = scatter_vector(&dm.layout, b_ref);
+            let before = comm.stats().msgs_sent;
+            let mut z = vec![0.0; dm.layout.n_owned()];
+            m.apply(comm, &b_loc, &mut z);
+            comm.stats().msgs_sent - before
+        });
+        // Every rank with neighbours must have sent ghost updates.
+        assert!(deltas.iter().any(|&d| d > 0));
+    }
+
+    #[test]
+    fn single_rank_overlap_equals_plain_ilut() {
+        let (a, b, _) = tc1(10, 2, 5);
+        let owner = vec![0u32; a.n_rows()];
+        let p = 1;
+        let cfg = IlutConfig::default();
+        let plain = iterations(&a, &b, &owner, p, |dm, _| {
+            Box::new(BlockPrecond::ilut(dm, &cfg).unwrap())
+        });
+        let over = iterations(&a, &b, &owner, p, |dm, comm| {
+            Box::new(BlockPrecond::overlap(dm, comm, &cfg).unwrap())
+        });
+        assert_eq!(plain, over, "no ghosts ⇒ identical preconditioner");
     }
 }

@@ -9,6 +9,7 @@
 //! |------------|------|------|
 //! | `Block 1`  | simple block, ILU(0) subdomain sweep | [`block::BlockPrecond::ilu0`] |
 //! | `Block 2`  | simple block, ILUT subdomain sweep   | [`block::BlockPrecond::ilut`] |
+//! | (§1.1 remark) | one-layer-overlap RAS block, ILUT sweep of the owned rows plus the ghost rows the neighbours send | [`block::BlockPrecond::overlap`] |
 //! | `Schur 1`  | Schur-enhanced: distributed GMRES + block-Jacobi on the interface Schur system, local GMRES+ILUT subdomain solves | [`schur::SchurPrecond`] |
 //! | `Schur 2`  | expanded-Schur: group-independent sets (ARMS), distributed GMRES + distributed ILU(0) on the expanded Schur system | [`schur::SchurPrecond`] |
 //! | additive Schwarz (±CGC) | overlapping blocks + FFT subdomain solves + coarse grid | [`schwarz::AdditiveSchwarz`] |
@@ -17,7 +18,9 @@
 //! through the diagonal-shift retry ladder
 //! ([`parapre_krylov::factor_with_shifts`]): the plain factorization is the
 //! ladder's first rung and wins untouched when its pivots are healthy, so
-//! on the paper's cases the ladder is invisible. One rung is built by
+//! on the paper's cases the ladder is invisible. Each builds from its
+//! rank's rows and what its neighbours send; none reads the global matrix.
+//! One rung is built by
 //! [`runner::try_build_dist_precond`]; the collectively voted descent over
 //! rungs is [`runner::build_dist_precond_with_fallback`].
 //!
@@ -40,7 +43,6 @@
 
 pub mod block;
 pub mod cases;
-pub mod overlap;
 pub mod runner;
 pub mod schur;
 pub mod schwarz;
@@ -49,7 +51,6 @@ mod testutil;
 
 pub use block::{BlockPrecond, JacobiDistPrecond};
 pub use cases::{build_case, build_case_sized, extent_range, AssembledCase, CaseId, CaseSize};
-pub use overlap::OverlapBlockPrecond;
 pub use runner::{
     build_dist_precond_with_fallback, partition_case, refactor_dist_precond,
     try_build_dist_precond, FallbackBuild, PartitionScheme, PrecondKind, PrecondParams,

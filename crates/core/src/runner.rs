@@ -262,13 +262,12 @@ pub fn partition_case(
 ///
 /// Collective for the three Schur rungs (each build takes one vote, so the
 /// ranks agree on success or failure before returning), so all ranks must
-/// call this together. `a_global` is only consulted by the overlap variant,
-/// which widens each subdomain by one layer.
+/// call this together. So is the overlap rung, which widens each subdomain
+/// by the ghost rows its neighbours send.
 pub fn try_build_dist_precond(
     kind: PrecondKind,
     dm: &DistMatrix,
     comm: &mut parapre_mpisim::Comm,
-    a_global: &parapre_sparse::Csr,
     params: &PrecondParams,
 ) -> parapre_sparse::Result<(Box<dyn DistPrecond>, usize)> {
     match kind {
@@ -288,7 +287,7 @@ pub fn try_build_dist_precond(
             Ok((Box::new(m), shifts))
         }
         PrecondKind::BlockOverlap => {
-            let m = crate::overlap::OverlapBlockPrecond::build(dm, a_global, &params.ilut)?;
+            let m = BlockPrecond::overlap(dm, comm, &params.ilut)?;
             let shifts = m.factors().report().shift_attempts;
             Ok((Box::new(m), shifts))
         }
@@ -316,17 +315,21 @@ pub struct FallbackBuild {
 ///
 /// Infallible: the ladder ends on [`PrecondKind::Jacobi`], which cannot
 /// fail to build. Each descent bumps the `precond.fallback` trace counter.
+///
+/// Nothing reads `_a_global`: every rung builds from this rank's rows and
+/// what its neighbours send. The parameter goes when the benchmark's build
+/// replay (`benchmark/layers`), its last caller that passes it, does.
 pub fn build_dist_precond_with_fallback(
     kind: PrecondKind,
     dm: &DistMatrix,
     comm: &mut parapre_mpisim::Comm,
-    a_global: &parapre_sparse::Csr,
+    _a_global: &parapre_sparse::Csr,
     params: &PrecondParams,
 ) -> FallbackBuild {
     let mut rung = kind;
     let mut fallbacks = 0usize;
     loop {
-        let local = try_build_dist_precond(rung, dm, comm, a_global, params);
+        let local = try_build_dist_precond(rung, dm, comm, params);
         let all_ok = comm.all_land(local.is_ok(), parapre_dist::tags::LADDER_VOTE);
         if all_ok {
             let (precond, pivot_shifts) = local.expect("agreed Ok on all ranks");
@@ -392,20 +395,20 @@ pub(crate) fn same_local_shape(
 ///
 /// Collective, and deliberately in two phases: every rank first computes
 /// its local result to the end — no early return, so no rank can be left
-/// alone in a collective — and then one all-reduce on a fresh tag decides
-/// for all. On a reject every rank returns the same [`RefactorReject`]
-/// together and the caller runs the ordinary
-/// [`build_dist_precond_with_fallback`].
+/// alone in a collective; a rung that exchanges (the overlap rung's ghost
+/// rows) does so before any check that can refuse — and then one
+/// all-reduce on a fresh tag decides for all. On a reject every rank
+/// returns the same [`RefactorReject`] together and the caller runs the
+/// ordinary [`build_dist_precond_with_fallback`].
 pub fn refactor_dist_precond(
     donor: &dyn DistPrecond,
     dm: &DistMatrix,
     comm: &mut parapre_mpisim::Comm,
-    a_global: &parapre_sparse::Csr,
 ) -> Result<Box<dyn DistPrecond>, RefactorReject> {
     use parapre_sparse::Error;
     let local = {
         let _s = parapre_metrics::span(parapre_metrics::names::REFACTOR);
-        donor.refactor(dm, a_global)
+        donor.refactor(comm, dm)
     };
     // [ranks refusing for health, ranks refusing for structure]
     let mut votes = match &local {

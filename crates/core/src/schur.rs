@@ -442,7 +442,7 @@ impl DistPrecond for SchurPrecond {
     /// refactorization never shifts or fixes a pivot, it fails instead. The
     /// split was agreed collectively at build time and depends only on the
     /// frozen structure, so no rank needs to ask again.
-    fn refactor(&self, dm: &DistMatrix, _a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
+    fn refactor(&self, _comm: &mut Comm, dm: &DistMatrix) -> Result<Box<dyn DistPrecond>> {
         crate::runner::same_local_shape(&self.layout, &dm.layout)?;
         let a_i = dm.owned_block();
         let split = match &self.split {

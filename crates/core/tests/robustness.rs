@@ -114,13 +114,8 @@ fn try_build_errors_are_structured() {
     let outs = Universe::run(2, move |comm| {
         let dm = DistMatrix::from_global(a_ref, owner_ref, comm.rank(), 2);
         // Jacobi is infallible by contract.
-        let jacobi = try_build_dist_precond(
-            PrecondKind::Jacobi,
-            &dm,
-            comm,
-            a_ref,
-            &PrecondParams::default(),
-        );
+        let jacobi =
+            try_build_dist_precond(PrecondKind::Jacobi, &dm, comm, &PrecondParams::default());
         jacobi.is_ok()
     });
     assert!(outs.into_iter().all(|ok| ok));

@@ -60,6 +60,9 @@ pub mod tags {
     pub const GHOST: u64 = 0x100;
     /// Interface-only exchange during Schur iterations.
     pub const SCHUR: u64 = 0x200;
+    /// The build-time exchange of owned rows
+    /// ([`DistMatrix::ghost_rows`](crate::DistMatrix::ghost_rows)).
+    pub const GHOST_ROWS: u64 = 0x280;
     /// Reductions inside distributed Krylov solvers.
     pub const REDUCE: u64 = 0x300;
     /// `gather_vector`'s gather of the owned values to rank 0.
@@ -75,9 +78,10 @@ pub mod tags {
     pub const TEST_VOTE: u64 = REDUCE + 60;
 
     /// Every constant above, by name.
-    pub const ALL: [(&str, u64); 8] = [
+    pub const ALL: [(&str, u64); 9] = [
         ("GHOST", GHOST),
         ("SCHUR", SCHUR),
+        ("GHOST_ROWS", GHOST_ROWS),
         ("REDUCE", REDUCE),
         ("GATHER", GATHER),
         ("SCHUR_BUILD_VOTE", SCHUR_BUILD_VOTE),
@@ -529,6 +533,51 @@ impl DistMatrix {
         let iface_rows: Vec<usize> = (self.layout.n_internal..no).collect();
         let map_g: Vec<Option<usize>> = (0..no + ng).map(|j| (j >= no).then(|| j - no)).collect();
         self.a_loc.extract(&iface_rows, &map_g, ng)
+    }
+
+    /// The rows of this rank's ghost nodes, one entry list per ghost in
+    /// ghost order, each restricted to the local node set and sorted by
+    /// local column — the extra rows of a one-layer-overlap block.
+    ///
+    /// Collective over the neighbours: one message per neighbour on
+    /// [`tags::GHOST_ROWS`] carries the owned rows of its `send_idx` (their
+    /// lengths, their global column ids as `f64` — exact below 2⁵³ — and
+    /// their values). An owned row of `a_loc` is the complete global row, so
+    /// the received rows are the global matrix's. Nothing of global size is
+    /// allocated.
+    pub fn ghost_rows(&self, comm: &mut Comm) -> Vec<Vec<(usize, f64)>> {
+        let lay = &self.layout;
+        let l2g = &lay.local_to_global;
+        for (&q, sent) in lay.neighbors.iter().zip(&lay.send_idx) {
+            let rows = || sent.iter().map(|&l| self.a_loc.row(l));
+            let mut msg: Vec<f64> = rows().map(|(cols, _)| cols.len() as f64).collect();
+            msg.extend(rows().flat_map(|(cols, _)| cols.iter().map(|&c| l2g[c] as f64)));
+            msg.extend(rows().flat_map(|(_, vals)| vals.iter().copied()));
+            comm.send(q, tags::GHOST_ROWS, msg);
+        }
+        let g2l: std::collections::HashMap<usize, usize> =
+            l2g.iter().enumerate().map(|(l, &g)| (g, l)).collect();
+        let no = lay.n_owned();
+        let mut ghost_rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); lay.n_ghost];
+        for (&q, ghosts) in lay.neighbors.iter().zip(&lay.recv_idx) {
+            let msg = comm.recv(q, tags::GHOST_ROWS);
+            let (lens, entries) = msg.split_at(ghosts.len());
+            let (cols, vals) = entries.split_at(entries.len() / 2);
+            let mut at = 0;
+            for (&l, &len) in ghosts.iter().zip(lens) {
+                let end = at + len as usize;
+                let row = &mut ghost_rows[l - no];
+                row.extend(
+                    cols[at..end]
+                        .iter()
+                        .zip(&vals[at..end])
+                        .filter_map(|(&g, &v)| Some((*g2l.get(&(g as usize))?, v))),
+                );
+                row.sort_unstable_by_key(|&(c, _)| c);
+                at = end;
+            }
+        }
+        ghost_rows
     }
 
     /// The full owned block `A_i` (owned rows × owned cols) in local order —

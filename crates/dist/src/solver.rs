@@ -13,7 +13,7 @@ use crate::{tags, DistMatrix};
 use parapre_krylov::gmres::{self, Context};
 use parapre_krylov::SolveReport;
 use parapre_mpisim::Comm;
-use parapre_sparse::{ops, Csr, Error, Result};
+use parapre_sparse::{ops, Error, Result};
 use std::cell::RefCell;
 
 pub use parapre_krylov::gmres::{GmresConfig, OrthMethod};
@@ -60,17 +60,16 @@ pub trait DistPrecond: Send + Sync {
     /// same rows of a matrix with the **same sparsity pattern and new
     /// values**: everything symbolic (fill patterns, independent sets) is
     /// kept from `self`, only numbers are recomputed.
-    /// `a_global` is the new global matrix (consulted by preconditioners
-    /// that read beyond their owned rows).
     ///
-    /// Purely local — an implementation must not communicate, so that a
-    /// caller can run it on every rank and agree on the outcome afterwards
-    /// without risking a rank alone in a collective. Strict: no pivot
-    /// fixes, no diagonal shifts; an unhealthy result is an `Err` and the
-    /// caller rebuilds symbolically. The default declines, for
-    /// preconditioners with nothing symbolic worth keeping.
-    fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
-        let _ = (dm, a_global);
+    /// Every rank calls it together, and the caller agrees on the outcome
+    /// afterwards. So an implementation that communicates does so
+    /// unconditionally, before any check that can refuse: no rank may be
+    /// left alone in an exchange. Strict: no pivot fixes, no diagonal
+    /// shifts; an unhealthy result is an `Err` and the caller rebuilds
+    /// symbolically. The default declines, for preconditioners with nothing
+    /// symbolic worth keeping.
+    fn refactor(&self, comm: &mut Comm, dm: &DistMatrix) -> Result<Box<dyn DistPrecond>> {
+        let _ = (comm, dm);
         Err(Error::InvalidStructure(
             "this preconditioner has no numeric-only refactorization".into(),
         ))
@@ -84,8 +83,8 @@ impl<T: DistPrecond + ?Sized> DistPrecond for Box<T> {
     fn apply_block(&self, comm: &mut Comm, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         (**self).apply_block(comm, rs, zs)
     }
-    fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
-        (**self).refactor(dm, a_global)
+    fn refactor(&self, comm: &mut Comm, dm: &DistMatrix) -> Result<Box<dyn DistPrecond>> {
+        (**self).refactor(comm, dm)
     }
 }
 
@@ -96,8 +95,8 @@ impl<T: DistPrecond + ?Sized> DistPrecond for &T {
     fn apply_block(&self, comm: &mut Comm, rs: &[&[f64]], zs: &mut [&mut [f64]]) {
         (**self).apply_block(comm, rs, zs)
     }
-    fn refactor(&self, dm: &DistMatrix, a_global: &Csr) -> Result<Box<dyn DistPrecond>> {
-        (**self).refactor(dm, a_global)
+    fn refactor(&self, comm: &mut Comm, dm: &DistMatrix) -> Result<Box<dyn DistPrecond>> {
+        (**self).refactor(comm, dm)
     }
 }
 

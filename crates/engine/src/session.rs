@@ -424,7 +424,7 @@ impl SolverSession {
                 let _setup = parapre_metrics::span(names::SETUP);
                 let from = &donor.ranks[comm.rank()];
                 let dm = DistMatrix::from_global(a_new, owner, comm.rank(), p);
-                refactor_dist_precond(&*from.precond, &dm, comm, a_new).map(|precond| RankState {
+                refactor_dist_precond(&*from.precond, &dm, comm).map(|precond| RankState {
                     dm,
                     precond,
                     kind_used: from.kind_used,

@@ -99,7 +99,7 @@ fn trace_comm_totals_match_commstats_exactly() {
     let outs = Universe::run(3, move |comm| {
         parapre_metrics::install(comm.rank());
         let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), 3);
-        let (m, _) = try_build_dist_precond(PrecondKind::Schur1, &dm, comm, a, &cfg_ref.params)
+        let (m, _) = try_build_dist_precond(PrecondKind::Schur1, &dm, comm, &cfg_ref.params)
             .expect("Schur1 setup");
         let b_loc = scatter_vector(&dm.layout, b);
         let mut x = vec![0.0; dm.layout.n_owned()];

@@ -6,7 +6,7 @@
 //! recovery layer on the one pipeline; one experiment pipeline; one front
 //! door, whose every job key and command verb is documented and whose job
 //! values are read in one place; one Schur driver; one tag table; one
-//! fixture family. The tree is walked with `std::fs` from the root
+//! fixture family; a preconditioner layer that reads no global matrix. The tree is walked with `std::fs` from the root
 //! package's directory, build output (`target`) is skipped, and so is this
 //! file, whose needles would otherwise match themselves. A failure lists
 //! every offending `path:line`.
@@ -473,5 +473,33 @@ fn one_fixture_family() {
                 .iter()
                 .any(|f| l.contains(f))
         }),
+    );
+}
+
+#[test]
+fn preconditioners_read_no_global_matrix() {
+    let layer = files(&["crates/core/src", "crates/dist/src"]);
+    let named = lines_where(&layer, |l| {
+        !l.trim_start().starts_with("//") && l.contains("a_global")
+    });
+    assert_once(
+        "the preconditioner layer names the global matrix once: the unread \
+         `_a_global` parameter of `build_dist_precond_with_fallback`",
+        named.clone(),
+    );
+    assert!(
+        named[0].starts_with("crates/core/src/runner.rs:")
+            && named[0].ends_with("_a_global: &parapre_sparse::Csr,"),
+        "the one line naming it is that parameter: {}",
+        named[0]
+    );
+    let refactors = lines_where(&layer, |l| l.contains("fn refactor(&self"));
+    assert!(!refactors.is_empty(), "`DistPrecond::refactor` is found");
+    assert_none(
+        "`DistPrecond::refactor` takes no `Csr`",
+        refactors
+            .into_iter()
+            .filter(|l| l.contains("Csr"))
+            .collect(),
     );
 }

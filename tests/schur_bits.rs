@@ -369,7 +369,7 @@ fn check_cell(what: &str, kind: PrecondKind, a: &Csr, b: &[f64], owner: &[u32], 
     let out = Universe::run(p, |comm| {
         let rank = comm.rank();
         let dm = DistMatrix::from_global(a, owner, rank, p);
-        let (m, shifts) = try_build_dist_precond(kind, &dm, comm, a, &PrecondParams::default())
+        let (m, shifts) = try_build_dist_precond(kind, &dm, comm, &PrecondParams::default())
             .unwrap_or_else(|e| panic!("{what} rank {rank}: {e}"));
         assert_eq!(
             shifts, 0,
@@ -379,7 +379,7 @@ fn check_cell(what: &str, kind: PrecondKind, a: &Csr, b: &[f64], owner: &[u32], 
 
         let dm2 = DistMatrix::from_global(&a2, owner, rank, p);
         let m2 = m
-            .refactor(&dm2, &a2)
+            .refactor(comm, &dm2)
             .unwrap_or_else(|e| panic!("{what} rank {rank} refactor: {e}"));
         let reference2 = reference.refactor(&dm2);
 
@@ -471,7 +471,7 @@ fn every_schur_build_takes_one_vote() {
         let sent: u64 = Universe::run(p, |comm| {
             let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
             let before = comm.stats().msgs_sent;
-            try_build_dist_precond(kind, &dm, comm, a, &PrecondParams::default()).unwrap();
+            try_build_dist_precond(kind, &dm, comm, &PrecondParams::default()).unwrap();
             comm.stats().msgs_sent - before
         })
         .iter()
