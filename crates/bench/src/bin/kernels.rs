@@ -16,19 +16,22 @@
 //! at `P = 2` against a dependency-free SpMV over the same entries timed in
 //! the same run, and `LuFactors::solve_columns` — the sweep of the lock-step
 //! block solve — over `k ∈ {1, 2, 4, 8}` right-hand sides: microseconds per
-//! vector and the per-vector speed-up over one column. The `orth` section is one re-orthogonalized Gram–Schmidt
-//! step of distributed GMRES without its reductions, against the per-column
-//! `ops::dot` / `ops::axpy` loops and a triad timed in the same run; the
+//! vector and the per-vector speed-up over one column. The `orth` section is
+//! one delayed-re-orthogonalization (DCGS2) step of distributed GMRES without
+//! its reduction, against the per-column `ops::dot` / `ops::axpy` loops and a
+//! triad timed in the same run; the `fixed_effort` section is the per-call
+//! time of the inner Schur iteration of `Schur 2` at `warm_schur`'s shape; the
 //! `allreduce` section is what one scalar all-reduce costs two ranks, back
 //! to back and with work between. The `mtx_parse` section is the upload's
 //! parse: MB/s and ns per entry of `parse_matrix_market` on the body
 //! `write_matrix_market` renders for each case, beside `str::from_utf8` over
 //! the same bytes.
 
-use parapre_core::{build_case_sized, CaseId};
+use parapre_core::{build_case_sized, partition_case, CaseId, PrecondKind, SchurPrecond};
 use parapre_dist::{
     scatter_vector, DistGmres, DistMatrix, GmresConfig, IdentityDistPrecond, OrthMethod,
 };
+use parapre_engine::SessionConfig;
 use parapre_fem::poisson;
 use parapre_grid::structured::unit_square;
 use parapre_krylov::proj::Panel;
@@ -321,43 +324,46 @@ impl OrthRow {
     }
 }
 
-/// One Gram–Schmidt step of distributed GMRES as a well-preconditioned solve
-/// takes it, the reductions left out: inner products against `k` basis
-/// vectors, their subtraction fused with the second pass's inner products,
-/// the second subtraction leaving the normalized next vector.
-fn orth_step(panel: &mut Panel, k: usize, sums: &mut [f64], coeffs: &mut [f64]) {
-    let (vs, w) = panel.split(k);
-    vs.dots(w, sums);
-    coeffs.copy_from_slice(&sums[..k]);
-    vs.sub_then_dots(coeffs, w, sums);
-    vs.sub_div(&sums[..k], 1.5, w);
+/// One Gram–Schmidt step of distributed GMRES, the reduction left out: the
+/// inner products of the previous vector (column `k`) and the new one
+/// (column `k + 1`) against the `k` finished basis vectors and the previous
+/// vector, then the pass that finishes the one and projects the other.
+fn orth_step(panel: &mut Panel, k: usize, sums: &mut [f64]) {
+    let (vs, w) = panel.split(k + 1);
+    vs.dots2(vs.col(k), w, sums);
+    let (vs, v, w) = panel.split2(k);
+    vs.sub2(&sums[..k], v, &sums[k + 1..2 * k + 2], w, 1.5);
 }
 
-/// The same step the way it ran before the panel: one `ops::dot` and one
-/// `ops::axpy` per basis vector and pass, then a copy divided by the norm.
-fn orth_step_per_column(basis: &[Vec<f64>], w: &mut [f64], sums: &mut [f64]) -> Vec<f64> {
-    for _pass in 0..2 {
-        for (s, v) in sums.iter_mut().zip(basis) {
-            *s = ops::dot(w, v);
-        }
-        sums[basis.len()] = ops::dot(w, w);
-        for (&s, v) in sums.iter().zip(basis) {
-            ops::axpy(-s, v, w);
-        }
+/// The same step written as loops: one `ops::dot` per pair of vectors, one
+/// `ops::axpy` per basis vector and vector, then the two divisions.
+fn orth_step_per_column(basis: &[Vec<f64>], v: &mut [f64], w: &mut [f64], sums: &mut [f64]) {
+    let k = basis.len();
+    for (s, q) in sums.iter_mut().zip(basis) {
+        *s = ops::dot(v, q);
     }
-    let mut next = w.to_vec();
-    for x in &mut next {
-        *x /= 1.5;
+    sums[k] = ops::dot(v, v);
+    for (s, q) in sums[k + 1..].iter_mut().zip(basis) {
+        *s = ops::dot(w, q);
     }
-    next
+    sums[2 * k + 1] = ops::dot(w, v);
+    sums[2 * k + 2] = ops::dot(w, w);
+    for (&s, q) in sums.iter().zip(basis) {
+        ops::axpy(-s, q, v);
+    }
+    v.iter_mut().for_each(|x| *x /= 1.5);
+    for (&s, q) in sums[k + 1..].iter().zip(basis) {
+        ops::axpy(-s, q, w);
+    }
+    ops::axpy(-sums[2 * k + 1], v, w);
+    w.iter_mut().for_each(|x| *x /= 1.5);
 }
 
 /// Times the Gram–Schmidt step at the vector length of `warm_krylov`'s
 /// ranks, blocked against per-column, samples alternating. The bytes of a
-/// step with `k` basis vectors: the first inner products read the basis and
-/// `w` (`k + 1` vectors), each of the two subtractions reads the basis and
-/// reads and writes `w` (`k + 2`); the second inner products ride on the
-/// first subtraction.
+/// step with `k` finished basis vectors: the inner products read the basis,
+/// the previous vector and the new one (`k + 2` vectors); the second pass
+/// reads the basis and reads and writes both vectors (`k + 4`).
 fn bench_orth() -> OrthRow {
     let (n, reps) = (20_200, 120);
     let k_max = 20;
@@ -366,8 +372,8 @@ fn bench_orth() -> OrthRow {
             *v = ((i * (j + 2)) as f64 * 0.11).cos() * 1e-2;
         }
     };
-    let mut panel = Panel::zeros(n, k_max + 1);
-    let mut columns: Vec<Vec<f64>> = vec![vec![0.0; n]; k_max + 1];
+    let mut panel = Panel::zeros(n, k_max + 2);
+    let mut columns: Vec<Vec<f64>> = vec![vec![0.0; n]; k_max + 2];
     for (j, column) in columns.iter_mut().enumerate() {
         fill(j, panel.col_mut(j));
         fill(j, column);
@@ -375,25 +381,28 @@ fn bench_orth() -> OrthRow {
     let (mut step_us, mut reference_us, mut bytes) = (0.0, 0.0, 0.0);
     for k in 1..=k_max {
         let (mut blocked, mut per_column) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
-        let mut sums = vec![0.0; k + 1];
-        let mut coeffs = vec![0.0; k];
+        let mut sums = vec![0.0; 2 * k + 3];
         for _ in 0..reps {
             fill(k, panel.col_mut(k));
+            fill(k + 1, panel.col_mut(k + 1));
             let t0 = Instant::now();
-            orth_step(black_box(&mut panel), k, &mut sums, &mut coeffs);
+            orth_step(black_box(&mut panel), k, &mut sums);
             blocked.push(t0.elapsed().as_secs_f64() * 1e6);
-            let (basis, w) = columns.split_at_mut(k);
-            fill(k, &mut w[0]);
+            let (basis, rest) = columns.split_at_mut(k);
+            let (v, w) = rest.split_at_mut(1);
+            fill(k, &mut v[0]);
+            fill(k + 1, &mut w[0]);
             let t0 = Instant::now();
-            black_box(orth_step_per_column(black_box(basis), &mut w[0], &mut sums));
+            orth_step_per_column(black_box(basis), &mut v[0], &mut w[0], &mut sums);
+            black_box(&mut w[0]);
             per_column.push(t0.elapsed().as_secs_f64() * 1e6);
         }
         step_us += median(&mut blocked) / k_max as f64;
         reference_us += median(&mut per_column) / k_max as f64;
-        bytes += (8 * n * (3 * k + 5)) as f64 / k_max as f64;
+        bytes += (8 * n * (2 * k + 6)) as f64 / k_max as f64;
     }
     // Triad at the footprint of the basis: three arrays, a third of it each.
-    let len = n * (k_max + 1) / 3;
+    let len = n * (k_max + 2) / 3;
     let (mut a, b, c) = (vec![0.0; len], vec![1.0; len], vec![2.0; len]);
     let mut triad = Vec::with_capacity(reps);
     for _ in 0..reps {
@@ -418,6 +427,63 @@ fn bench_orth() -> OrthRow {
         row.triad_gbs,
         row.reference_us,
         row.ratio()
+    );
+    row
+}
+
+/// The `fixed_effort` ledger row: the Schur iteration of one `Schur 2` apply
+/// at `warm_schur`'s shape.
+struct FixedEffortRow {
+    /// Size of the Schur system on each rank.
+    schur_dims: Vec<usize>,
+    steps: usize,
+    calls: usize,
+    /// Max over ranks of the median microseconds of one call.
+    median_us: f64,
+    /// Messages one call sends, summed over the ranks.
+    msgs_per_call: u64,
+}
+
+/// Times [`SchurPrecond::schur_solve`] — `DistGmres::fixed_effort` on the
+/// level-0 Schur system, preconditioned by its local ILU(0) — call by call
+/// on TC6 61 · `Schur 2` at `P = 2`, partitioned and configured as the
+/// session of `warm_schur` is.
+fn bench_fixed_effort() -> FixedEffortRow {
+    let (p, calls, warm_up) = (2, 10_000, 200);
+    let case = build_case_sized(CaseId::Tc6, 61);
+    let cfg = SessionConfig::paper(PrecondKind::Schur2, p);
+    let part = partition_case(&case, cfg.scheme, p, cfg.partition_seed);
+    let owner = case.dof_owner(&part.owner);
+    let out = Universe::run(p, |comm| {
+        let dm = DistMatrix::from_global(&case.sys.a, &owner, comm.rank(), p);
+        let m = SchurPrecond::build(PrecondKind::Schur2, &dm, comm, &cfg.params)
+            .expect("TC6 Schur 2 builds");
+        let n = m.schur_dim();
+        let g: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.37).sin()).collect();
+        let mut z = vec![0.0; n];
+        for _ in 0..warm_up {
+            m.schur_solve(comm, &g, &mut z);
+        }
+        let before = comm.stats().msgs_sent;
+        let mut samples = Vec::with_capacity(calls);
+        for _ in 0..calls {
+            let t0 = Instant::now();
+            m.schur_solve(comm, black_box(&g), &mut z);
+            samples.push(t0.elapsed().as_secs_f64() * 1e6);
+        }
+        black_box(&z);
+        (n, median(&mut samples), comm.stats().msgs_sent - before)
+    });
+    let row = FixedEffortRow {
+        schur_dims: out.iter().map(|o| o.0).collect(),
+        steps: cfg.params.schur2.schur_iters,
+        calls,
+        median_us: out.iter().map(|o| o.1).fold(0.0, f64::max),
+        msgs_per_call: out.iter().map(|o| o.2).sum::<u64>() / calls as u64,
+    };
+    eprintln!(
+        "fixed_effort: TC6 61 Schur 2 P={p} k={} schur dims {:?}: {:.1} us per call (median of {calls}, max over ranks), {} msgs per call",
+        row.steps, row.schur_dims, row.median_us, row.msgs_per_call
     );
     row
 }
@@ -570,6 +636,7 @@ fn main() {
     let orth_arm = parapre_bench::ScalingArm::decide("blocked vs per-column", 1);
     let allreduce_arm = parapre_bench::ScalingArm::decide("allreduce, P=2", 2);
     let orth = bench_orth();
+    let fixed = bench_fixed_effort();
     let parse_json = bench_mtx_parse().join(",\n");
 
     let json = format!(
@@ -590,13 +657,17 @@ fn main() {
             "\"bytes\": \"computed from array sizes, not measured\", ",
             "\"bar\": {{\"sweep_over_spmv_max\": {sweep_bar}, \"arm\": {sweep_arm_json}}}, ",
             "\"cases\": [\n{sweep_cases}\n  ]}},\n",
-            "  \"orth\": {{\"step\": \"dots, subtraction fused with the second pass's dots, ",
-            "subtraction leaving the normalized vector; no reductions; mean over k = 1..20 basis ",
+            "  \"orth\": {{\"step\": \"DCGS2: dots2 (previous and new vector against the basis), ",
+            "sub2 (finish the previous, project the new); no reductions; mean over k = 1..20 basis ",
             "vectors\", \"n\": {orth_n}, \"step_us\": {orth_us:.1}, ",
             "\"computed_bytes\": {orth_bytes:.0}, \"computed_gbs\": {orth_gbs:.2}, ",
             "\"triad_gbs\": {orth_triad:.2}, \"over_triad\": {orth_over_triad:.3}, ",
             "\"per_column_us\": {orth_ref:.1}, \"over_per_column\": {orth_ratio:.3}, ",
             "\"bar\": {{\"over_per_column_max\": {orth_bar}, \"arm\": {orth_arm_json}}}}},\n",
+            "  \"fixed_effort\": {{\"cell\": \"TC6 61 Schur 2, level-0 Schur system, ILU(0) local solve\", ",
+            "\"ranks\": 2, \"schur_dims\": {fe_dims:?}, \"steps\": {fe_steps}, \"calls\": {fe_calls}, ",
+            "\"median_us\": {fe_us:.1}, \"msgs_per_call\": {fe_msgs}, ",
+            "\"allocs\": \"counted by crates/core/tests/schur_solve_allocs.rs\"}},\n",
             "  \"allreduce\": {{\"ranks\": 2, \"best_of_launches\": {ar_launches}, \"back_to_back_us\": {ar_us:.2}, ",
             "\"work_between_us\": {ar_work}, \"with_work_us\": {ar_work_us:.2}, ",
             "\"bar\": {{\"with_work_us_max\": {ar_bar}, \"arm\": {ar_arm_json}}}}},\n",
@@ -618,6 +689,11 @@ fn main() {
         orth_ratio = orth.ratio(),
         orth_bar = ORTH_OVER_PER_COLUMN_BAR,
         orth_arm_json = orth_arm.to_json(),
+        fe_dims = fixed.schur_dims,
+        fe_steps = fixed.steps,
+        fe_calls = fixed.calls,
+        fe_us = fixed.median_us,
+        fe_msgs = fixed.msgs_per_call,
         ar_launches = ALLREDUCE_LAUNCHES,
         ar_us = allreduce_us,
         ar_work = ALLREDUCE_WORK.as_micros(),

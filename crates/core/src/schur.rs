@@ -420,12 +420,20 @@ impl DistPrecond for LocalSchurSolve<'_> {
     }
 }
 
+impl SchurPrecond {
+    /// The Schur iteration of one apply: [`DistGmres::fixed_effort`] on this
+    /// rank's part of the global Schur system `S z = g`, right-preconditioned
+    /// by the local solve of the Schur block; collective. `g` and `z` have
+    /// [`SchurPrecond::schur_dim`] entries.
+    pub fn schur_solve(&self, comm: &mut Comm, g: &[f64], z: &mut [f64]) {
+        let (op, m) = (SchurSystem(self), LocalSchurSolve(self));
+        DistGmres::fixed_effort(comm, &op, &m, self.schur_iters, g, z);
+    }
+}
+
 impl DistPrecond for SchurPrecond {
     fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]) {
-        let (op, m) = (SchurSystem(self), LocalSchurSolve(self));
-        let coarse = |g: &[f64], zc: &mut [f64]| {
-            DistGmres::fixed_effort(comm, &op, &m, self.schur_iters, g, zc);
-        };
+        let coarse = |g: &[f64], zc: &mut [f64]| self.schur_solve(comm, g, zc);
         match &self.split {
             Split::Interface(s) => s.sweep(r, z, coarse),
             Split::Level(h) => level0(h).sweep(r, z, coarse),

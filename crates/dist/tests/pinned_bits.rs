@@ -9,7 +9,11 @@
 //! The two `Modified` lines were re-captured when the distributed and the
 //! sequential loop became one driver: modified Gram–Schmidt now normalizes by
 //! `ops::scale(1/‖·‖)`, as the sequential loop did, where the distributed one
-//! divided (same iterations, same history length, other last bits).
+//! divided (same iterations, same history length, other last bits). The two
+//! `ClassicalBatched` lines and the `fixed_effort` line were re-captured when
+//! the batched orthogonalization became delayed re-orthogonalization (DCGS2)
+//! and the fixed-effort entry began keeping its directions: same iterations,
+//! same history lengths, other last bits.
 
 use parapre_dist::{
     gather_vector, scatter_vector, DistGmres, DistMatrix, DistPrecond, GmresConfig, OrthMethod,
@@ -42,9 +46,9 @@ fn fnv(xs: &[f64]) -> u64 {
 const EXPECTED: &str = "\
 Modified restart=20 it=64 relres=3eae9b7a1ac41cfe hist=65/32bb7c757b14f528 x=4cd8e5527aaa1b48\n\
 Modified restart=5 it=126 relres=3eb05ace3fe78eee hist=127/1dcc3a99faa4a8b0 x=b5943fe283836b1c\n\
-ClassicalBatched restart=20 it=64 relres=3eae9b7a1ad0ddbd hist=65/2dac5dd8e15a02d7 x=2ef8e4e26ee28235\n\
-ClassicalBatched restart=5 it=126 relres=3eb05ace3fddbd7c hist=127/2c6ff675be16f6d8 x=c8fcc0b6be863702\n\
-fixed_effort k=5 z=ba90f8716d4ecb11\n\
+ClassicalBatched restart=20 it=64 relres=3eae9b7a1ac3c141 hist=65/c8a8f2a818168535 x=520c4d6b1350e352\n\
+ClassicalBatched restart=5 it=126 relres=3eb05ace3fcb7d35 hist=127/94c71dc0e1d87507 x=6a54a5b743f8e8c4\n\
+fixed_effort k=5 z=5f32a017686fcc4e\n\
 ";
 
 #[test]

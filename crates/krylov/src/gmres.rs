@@ -28,7 +28,7 @@
 use crate::lsq::GivensLsq;
 use crate::op::LinOp;
 use crate::precond::Preconditioner;
-use crate::proj::Panel;
+use crate::proj::{Basis, Panel};
 use crate::{BreakdownKind, SolveBreakdown, SolveReport};
 use parapre_metrics::{names, ConvKind};
 use parapre_sparse::ops;
@@ -100,14 +100,16 @@ impl GmresConfig {
 /// Arnoldi orthogonalization strategy — the latency/reproducibility knob.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OrthMethod {
-    /// Classical Gram–Schmidt with all `k+1` projection coefficients and
-    /// the norm batched into **one** fused sum per iteration, plus DGKS
-    /// selective reorthogonalization (a second fused sum only when
-    /// cancellation is detected). The distributed setting: on `P` ranks
-    /// this replaces `k+2` latency-bound scalar reductions per iteration
-    /// with one (or two). Iteration counts can differ by a step or two from
-    /// [`OrthMethod::Modified`] because the projection is computed against
-    /// the un-updated `w`. Normalizes by dividing by the norm.
+    /// Classical Gram–Schmidt with delayed re-orthogonalization (DCGS2,
+    /// Świrydowicz et al., NLA 2021): **one** fused sum per iteration
+    /// carries the previous vector's second-pass inner products and norm
+    /// together with the new vector's projections, and two passes over the
+    /// basis finish the one and project the other. The distributed setting:
+    /// on `P` ranks this replaces `k+2` latency-bound scalar reductions per
+    /// iteration with one. Each Hessenberg column is complete one step
+    /// late; the last step of a cycle, and a step whose estimate says the
+    /// target is met, complete theirs with one more sum. Iteration counts
+    /// can differ by a step or two from [`OrthMethod::Modified`].
     ClassicalBatched,
     /// Modified Gram–Schmidt: one scalar sum per basis vector per iteration
     /// (`k+2` total), subtraction by `ops::axpy` and normalization by
@@ -115,23 +117,6 @@ pub enum OrthMethod {
     /// distributed solve that asks for it: at `P = 1` the two are bit for
     /// bit one solve.
     Modified,
-}
-
-impl OrthMethod {
-    /// `v = r / norm`, the way this method normalizes a basis vector.
-    fn normalize(self, r: &[f64], norm: f64, v: &mut [f64]) {
-        match self {
-            OrthMethod::Modified => {
-                v.copy_from_slice(r);
-                ops::scale(1.0 / norm, v);
-            }
-            OrthMethod::ClassicalBatched => {
-                for (vi, &ri) in v.iter_mut().zip(r) {
-                    *vi = ri / norm;
-                }
-            }
-        }
-    }
 }
 
 /// Where the vectors of one solve live: how the driver sums an inner product
@@ -150,6 +135,11 @@ pub trait Context {
     fn product(&mut self, xs: &[&[f64]], ys: &mut [&mut [f64]]);
     /// `zs[c] = M⁻¹ rs[c]` for every column.
     fn precond(&mut self, rs: &[&[f64]], zs: &mut [&mut [f64]]);
+    /// Sees the finished orthonormal basis of a cycle, before its
+    /// correction. The default ignores it.
+    fn cycle_basis(&mut self, basis: Basis<'_>) {
+        let _ = basis;
+    }
 }
 
 /// A solve inside one rank: the sums are the local ones, and the operator
@@ -299,8 +289,8 @@ pub fn fixed_effort<C: Context>(ctx: &mut C, orth: OrthMethod, k: usize, g: &[f6
 /// Arnoldi step ([`Context::precond`]), the operator once to those columns'
 /// directions and to the iterates whose true residual is due
 /// ([`Context::product`]), and sums every column's fused Gram–Schmidt sums or
-/// residual norm in one [`Context::sum`], plus one more for the columns that
-/// re-orthogonalize. Each column keeps its own basis, least-squares state,
+/// residual norm in one [`Context::sum`], plus one more for the columns whose
+/// last Hessenberg column is completed without a next step. Each column keeps its own basis, least-squares state,
 /// restart position and stopping decision, all taken on summed values, and
 /// each column's bits are those of its one-column solve (an all-reduce sums
 /// element-wise in the scalar's tree order).
@@ -341,7 +331,12 @@ struct Run<'a> {
     /// A cycle cannot outrun the iteration budget, and its basis is
     /// allocated whole.
     restart: usize,
-    flexible: bool,
+    /// Whether the update reads a stored direction per step (`x += Z y`).
+    /// The flexible solve must; so must a delayed one, whose steps apply
+    /// the preconditioner to a vector the step after overwrites with its
+    /// finished form. Otherwise only the latest direction is kept and the
+    /// update is `x += M⁻¹ (V y)`.
+    directions: bool,
     /// A fixed-effort inner solve: no opening product, no closing residual
     /// once the budget is spent, no report, no voice.
     fixed: bool,
@@ -355,18 +350,16 @@ impl<'a> Run<'a> {
         Run {
             cfg,
             restart: cfg.restart.clamp(1, cfg.max_iters.max(1)),
-            flexible,
+            directions: flexible || cfg.orth == OrthMethod::ClassicalBatched,
             fixed,
             source: C::SOURCE,
             speaks: !fixed && ctx.speaks(),
         }
     }
 
-    /// The direction slot of basis vector `k`: the flexible solve keeps
-    /// every preconditioned direction, the fixed-preconditioner one only
-    /// the latest.
+    /// The direction slot of step `k`: every step's, or only the latest.
     fn zk(&self, k: usize) -> usize {
-        if self.flexible {
+        if self.directions {
             k
         } else {
             0
@@ -400,7 +393,7 @@ impl<'a> Run<'a> {
             .zip(xs.iter())
             .map(|(&b, x)| Column::new(b, x, self))
             .collect();
-        // The fused sums of a round: first pass, and re-orthogonalization.
+        // The fused sums of a round: the step's, and the completions.
         let (mut sums, mut again) = (Vec::new(), Vec::new());
         while cols.iter().any(|c| c.stage != Stage::Done) {
             let stepping = cols.iter().any(|c| c.stage == Stage::Step);
@@ -408,7 +401,7 @@ impl<'a> Run<'a> {
             if stepping {
                 let _s = parapre_metrics::span(names::PRECOND_APPLY);
                 let steps = cols.iter_mut().filter(|c| c.stage == Stage::Step);
-                let steps = steps.map(|c| (c.v.col(c.k), c.zdirs.col_mut(self.zk(c.k))));
+                let steps = steps.map(|c| (c.v.col(c.step()), c.zdirs.col_mut(self.zk(c.step()))));
                 lend(steps, |rs, zs| ctx.precond(rs, zs));
             }
             // One operator application: the stepping columns' directions,
@@ -419,9 +412,9 @@ impl<'a> Run<'a> {
                 .zip(xs.iter())
                 .filter_map(|(c, x)| match c.stage {
                     Stage::Step => {
-                        c.total_iters += 1;
-                        let (_, w) = c.v.split(c.k + 1);
-                        Some((c.zdirs.col(self.zk(c.k)), w))
+                        let j = c.step();
+                        let (_, w) = c.v.split(j + 1);
+                        Some((c.zdirs.col(self.zk(j)), w))
                     }
                     Stage::Open if fixed => None,
                     Stage::Open | Stage::Close => Some((&**x, &mut c.r[..])),
@@ -440,12 +433,12 @@ impl<'a> Run<'a> {
                 }
             }
             let orth = stepping.then(|| parapre_metrics::span(names::ORTH));
-            reduce(ctx, self.cfg.orth, &mut cols, &mut sums, &mut again);
+            self.reduce(ctx, &mut cols, &mut sums, &mut again);
             drop(orth);
             for (c, x) in cols.iter_mut().zip(xs.iter_mut()) {
                 match c.stage {
                     Stage::Open => c.open(self, ctx, x),
-                    Stage::Step => c.stepped(self, ctx, x),
+                    Stage::Step => c.next_step(self, ctx, x),
                     Stage::Close => c.close(self, ctx, x),
                     Stage::Done => {}
                 }
@@ -484,18 +477,22 @@ struct Column<'b> {
     v: Panel,
     zdirs: Panel,
     lsq: GivensLsq,
-    /// This column's share of a fused sum: `k + 1` projections and
-    /// `⟨w, w⟩`; and `‖w'‖²` from the step's last Gram–Schmidt pass.
+    /// This column's share of a fused sum.
     sums: Vec<f64>,
-    est: f64,
-    /// Whether the step in flight takes the second pass.
-    reorth: bool,
+    /// The norm each delayed step divided its direction by: step `j`'s
+    /// Hessenberg column is that of `A M⁻¹ (v̂_j / rho[j])`.
+    rho: Vec<f64>,
     /// The true residuals of the last `stall_window + 1` cycle boundaries
     /// (there are at most `max_iters / restart + 1` of them).
     cycle_betas: VecDeque<f64>,
     total_iters: usize,
-    /// Basis vectors in the cycle so far.
+    /// Complete Hessenberg columns in the cycle so far.
     k: usize,
+    /// Column `k` has its projections and waits for the norm of the vector
+    /// they left, which the next step's sum brings (delayed steps only).
+    pending: bool,
+    /// The pending column's completion rides this round's second sum.
+    completing: bool,
     cycle_done: bool,
     zero_norm: bool,
     nonfinite: bool,
@@ -515,14 +512,15 @@ impl<'b> Column<'b> {
             r0_norm: 0.0,
             target: 0.0,
             v: Panel::zeros(n, restart + 1),
-            zdirs: Panel::zeros(n, if run.flexible { restart } else { 1 }),
+            zdirs: Panel::zeros(n, if run.directions { restart } else { 1 }),
             lsq: GivensLsq::new(restart),
-            sums: vec![0.0; restart + 1],
-            est: 0.0,
-            reorth: false,
+            sums: vec![0.0; 2 * restart + 1],
+            rho: vec![1.0; restart],
             cycle_betas: VecDeque::with_capacity(cfg.stall_window.min(cfg.max_iters / restart) + 1),
             total_iters: 0,
             k: 0,
+            pending: false,
+            completing: false,
             cycle_done: false,
             zero_norm: false,
             nonfinite: false,
@@ -560,23 +558,41 @@ impl<'b> Column<'b> {
         }
     }
 
-    /// Opens a cycle from `r` and its norm `beta`.
+    /// Opens a cycle from `r` and its norm `beta`. Modified Gram–Schmidt
+    /// normalizes `r` now; a delayed step finishes it with its first sum.
     fn start_cycle<C: Context>(&mut self, run: &Run<'_>, ctx: &mut C, x: &mut [f64]) {
         self.lsq.start(self.beta);
-        run.cfg
-            .orth
-            .normalize(&self.r, self.beta, self.v.col_mut(0));
-        self.k = 0;
+        let v0 = self.v.col_mut(0);
+        v0.copy_from_slice(&self.r);
+        if run.cfg.orth == OrthMethod::Modified {
+            ops::scale(1.0 / self.beta, v0);
+        }
+        (self.k, self.pending) = (0, false);
         (self.cycle_done, self.zero_norm, self.nonfinite) = (false, false, false);
         self.next_step(run, ctx, x);
     }
 
+    /// The index of the next step: the complete columns, and the pending
+    /// one.
+    fn step(&self) -> usize {
+        self.k + usize::from(self.pending)
+    }
+
+    /// Whether the cycle and the iteration budget leave room for one more
+    /// step.
+    fn budget_left(&self, run: &Run<'_>) -> bool {
+        self.step() < run.restart
+            && self.total_iters + usize::from(self.pending) < run.cfg.max_iters
+    }
+
     /// Steps again next round, or ends the cycle now.
     fn next_step<C: Context>(&mut self, run: &Run<'_>, ctx: &mut C, x: &mut [f64]) {
-        if !self.cycle_done && self.k < run.restart && self.total_iters < run.cfg.max_iters {
+        if !self.cycle_done && self.budget_left(run) {
             self.stage = Stage::Step;
             return;
         }
+        debug_assert!(!self.pending, "a cycle ends on complete columns");
+        ctx.cycle_basis(self.v.basis(self.k));
         // The cycle's correction: `x += Z y` over the stored directions, or
         // `x += M⁻¹ (V y)` with the column after the basis and the one
         // direction slot as scratch. A serious breakdown can leave a zero on
@@ -588,9 +604,9 @@ impl<'b> Column<'b> {
             self.k
         };
         let y = self.lsq.solve(k);
-        if run.flexible {
-            for (j, &yj) in y.iter().enumerate() {
-                ops::axpy(yj, self.zdirs.col(j), x);
+        if run.directions {
+            for (j, (&yj, &rho)) in y.iter().zip(&self.rho).enumerate() {
+                ops::axpy(yj / rho, self.zdirs.col(j), x);
             }
         } else if !y.is_empty() {
             let (vs, u) = self.v.split(y.len());
@@ -611,8 +627,8 @@ impl<'b> Column<'b> {
     }
 
     /// Modified Gram–Schmidt: one scalar sum per basis vector and one for
-    /// the norm.
-    fn orthogonalize_modified<C: Context>(&mut self, ctx: &mut C) {
+    /// the norm; then column `k` is complete.
+    fn orthogonalize_modified<C: Context>(&mut self, run: &Run<'_>, ctx: &mut C) {
         let k = self.k;
         let (vs, w) = self.v.split(k + 1);
         let hcol = self.lsq.column(k);
@@ -627,12 +643,77 @@ impl<'b> Column<'b> {
         let wnorm = ww[0].sqrt();
         ops::scale(1.0 / wnorm, w);
         hcol[k + 1] = wnorm;
+        self.rotate_in(run);
     }
 
-    /// Column `k` of the Hessenberg matrix is complete: rotate it in and
-    /// decide whether the cycle goes on.
-    fn stepped<C: Context>(&mut self, run: &Run<'_>, ctx: &mut C, x: &mut [f64]) {
+    /// The delayed step's two passes, after its sum: `sums` holds
+    /// `[V_jᵀ v̂_j, ⟨v̂_j, v̂_j⟩, V_jᵀ w, ⟨v̂_j, w⟩, ⟨w, w⟩]` for the unfinished
+    /// vector `v̂_j` in column `j` and `w = A M⁻¹ v̂_j` after it. Its head
+    /// completes a pending column `j − 1` ([`Column::complete`]); then,
+    /// unless that ended the cycle, one pass finishes
+    /// `q_j = (v̂_j − V_j s) / ρ` and projects `w / ρ` (the image of the
+    /// direction `v̂_j / ρ`) on `[V_j, q_j]`, leaving `v̂_{j+1}` in column
+    /// `j + 1`. The sum completing column `j`
+    /// is asked for (its inner products pushed on `again`) when no step
+    /// is left in the cycle or the budget, or when the column's estimate,
+    /// with the Pythagorean norm `‖w/ρ‖² − Σ h²`, already meets the target:
+    /// a cycle then ends on a sum, not on a discarded step.
+    fn delayed_step(&mut self, run: &Run<'_>, again: &mut Vec<f64>) {
+        let j = self.step();
+        if self.pending {
+            self.complete(run);
+            if self.cycle_done {
+                return;
+            }
+        }
+        let sums = &mut self.sums[..2 * j + 3];
+        let (s, c) = (&sums[..j], &sums[j + 1..2 * j + 1]);
+        let rho = reduced_norm(sums[j], s);
+        // `⟨q_j, w⟩ = (⟨v̂_j, w⟩ − sᵀ V_jᵀ w) / ρ`, in the slot of `⟨v̂_j, w⟩`.
+        let sc: f64 = s.iter().zip(c).map(|(a, b)| a * b).sum();
+        sums[2 * j + 1] = (sums[2 * j + 1] - sc) / rho;
+        let (s, b, ww) = (&sums[..j], &sums[j + 1..2 * j + 2], sums[2 * j + 2]);
+        let hcol = self.lsq.column(j);
+        for (h, &bi) in hcol[..=j].iter_mut().zip(b) {
+            *h = bi / rho;
+        }
+        let est_sq = ww / (rho * rho) - hcol[..=j].iter().map(|h| h * h).sum::<f64>();
+        hcol[j + 1] = est_sq.max(0.0).sqrt();
+        let (vs, v, w) = self.v.split2(j);
+        vs.sub2(s, v, b, w, rho);
+        self.rho[j] = rho;
+        self.pending = true;
+        if !self.budget_left(run) || self.lsq.estimate(j) <= self.target {
+            let (vs, w) = self.v.split(j + 1);
+            let out = &mut self.sums[..j + 2];
+            vs.dots(w, out);
+            again.extend_from_slice(out);
+            self.completing = true;
+        }
+    }
+
+    /// Completes the pending column `k` from `sums`, whose head is
+    /// `[V_{k+1}ᵀ v̂_{k+1}, ⟨v̂_{k+1}, v̂_{k+1}⟩]`: the next vector's second-pass
+    /// coefficients are added to the column's projections, and its norm
+    /// after them is the column's last entry.
+    fn complete(&mut self, run: &Run<'_>) {
         let k = self.k;
+        let s = &self.sums[..=k];
+        let hcol = self.lsq.column(k);
+        for (h, &si) in hcol[..=k].iter_mut().zip(s) {
+            *h += si;
+        }
+        hcol[k + 1] = reduced_norm(self.sums[k + 1], s);
+        self.rotate_in(run);
+    }
+
+    /// Column `k` of the Hessenberg matrix is complete: rotate it in, count
+    /// the iteration, and end the cycle on the target, a zero norm or a
+    /// non-finite column.
+    fn rotate_in(&mut self, run: &Run<'_>) {
+        let k = self.k;
+        self.pending = false;
+        self.total_iters += 1;
         let wnorm = self.lsq.column(k)[k + 1];
         // All entries of the column come from summed values, so the
         // non-finite decision is identical on every rank. Discard the
@@ -655,7 +736,6 @@ impl<'b> Column<'b> {
             self.nonfinite = true;
             self.cycle_done = true;
         }
-        self.next_step(run, ctx, x);
     }
 
     /// The true residual closing a cycle has been summed: the one stopping
@@ -702,100 +782,78 @@ impl<'b> Column<'b> {
     }
 }
 
-/// A round's sums. Every due residual norm and, under classical
-/// Gram–Schmidt, every stepping column's first pass (`k + 1` projections and
-/// `⟨w, w⟩`) ride one [`Context::sum`]; the second passes of the columns that
-/// re-orthogonalize ride one more. Modified Gram–Schmidt then sums each
-/// stepping column's projections one by one.
-///
-/// The re-orthogonalization is DGKS (η² = 1/2): when more than half the mass
-/// of `w` was removed by the projection, the Pythagorean estimate
-/// `‖w'‖² ≈ w·w − Σhᵢ²` is untrustworthy and the coefficients have
-/// cancelled, so `w` is orthogonalized once more. With a good preconditioner
-/// `A M⁻¹ v ≈ v`, so this is the usual case, and the first subtraction
-/// shares its sweep over `w` with the second pass's inner products. The
-/// last subtraction leaves the next basis vector `w' / ‖w'‖` in `w`, and the
-/// norm (relative error `O(ε)` once the guard has passed) below the
-/// coefficients.
-fn reduce<C: Context>(
-    ctx: &mut C,
-    orth: OrthMethod,
-    cols: &mut [Column<'_>],
-    sums: &mut Vec<f64>,
-    again: &mut Vec<f64>,
-) {
-    let cgs = orth == OrthMethod::ClassicalBatched;
-    sums.clear();
-    for c in cols.iter_mut() {
-        match c.stage {
-            Stage::Step if cgs => {
-                let (vs, w) = c.v.split(c.k + 1);
-                vs.dots(w, &mut c.sums[..c.k + 2]);
-                sums.extend_from_slice(&c.sums[..c.k + 2]);
+/// `√max(α − Σ sᵢ², 0)`: the norm of a vector of squared norm `α` once its
+/// components `s` along an orthonormal basis are removed.
+fn reduced_norm(alpha: f64, s: &[f64]) -> f64 {
+    (alpha - s.iter().map(|x| x * x).sum::<f64>())
+        .max(0.0)
+        .sqrt()
+}
+
+impl Run<'_> {
+    /// A round's sums. Every due residual norm and, under delayed classical
+    /// Gram–Schmidt, every stepping column's step ride one [`Context::sum`];
+    /// the completions asked for by [`Column::delayed_step`] ride one more.
+    /// Modified Gram–Schmidt then sums each stepping column's projections
+    /// one by one.
+    fn reduce<C: Context>(
+        &self,
+        ctx: &mut C,
+        cols: &mut [Column<'_>],
+        sums: &mut Vec<f64>,
+        again: &mut Vec<f64>,
+    ) {
+        let delayed = self.cfg.orth == OrthMethod::ClassicalBatched;
+        sums.clear();
+        for c in cols.iter_mut() {
+            match c.stage {
+                Stage::Step if delayed => {
+                    let j = c.step();
+                    let out = &mut c.sums[..2 * j + 3];
+                    let (vs, w) = c.v.split(j + 1);
+                    vs.dots2(vs.col(j), w, out);
+                    sums.extend_from_slice(out);
+                }
+                Stage::Open | Stage::Close => sums.push(ops::dot(&c.r, &c.r)),
+                _ => {}
             }
-            Stage::Open | Stage::Close => sums.push(ops::dot(&c.r, &c.r)),
-            _ => {}
         }
-    }
-    if !sums.is_empty() {
-        ctx.sum(sums);
-    }
-    if cgs && cols.iter().any(|c| c.stage == Stage::Step) {
-        parapre_metrics::count(names::GMRES_FUSED_ALLREDUCE, 1);
-    }
-    let mut reduced = sums.iter();
-    again.clear();
-    for c in cols.iter_mut() {
-        match c.stage {
-            Stage::Step if cgs => {
-                let k1 = c.k + 1;
-                for (s, &r) in c.sums[..=k1].iter_mut().zip(&mut reduced) {
+        if !sums.is_empty() {
+            ctx.sum(sums);
+        }
+        if delayed && cols.iter().any(|c| c.stage == Stage::Step) {
+            parapre_metrics::count(names::GMRES_FUSED_ALLREDUCE, 1);
+        }
+        let mut reduced = sums.iter();
+        again.clear();
+        for c in cols.iter_mut() {
+            match c.stage {
+                Stage::Step if delayed => {
+                    let j = c.step();
+                    for (s, &r) in c.sums[..2 * j + 3].iter_mut().zip(&mut reduced) {
+                        *s = r;
+                    }
+                    c.delayed_step(self, again);
+                }
+                Stage::Step => c.orthogonalize_modified(self, ctx),
+                Stage::Open | Stage::Close => c.beta = reduced.next().expect("one norm").sqrt(),
+                Stage::Done => {}
+            }
+        }
+        if again.is_empty() {
+            return;
+        }
+        ctx.sum(again);
+        parapre_metrics::count(names::GMRES_COMPLETION, 1);
+        let mut reduced = again.iter();
+        for c in cols.iter_mut() {
+            if std::mem::take(&mut c.completing) {
+                for (s, &r) in c.sums[..c.k + 2].iter_mut().zip(&mut reduced) {
                     *s = r;
                 }
-                let hcol = c.lsq.column(c.k);
-                let ww = c.sums[k1];
-                hcol[..k1].copy_from_slice(&c.sums[..k1]);
-                let proj_sq: f64 = c.sums[..k1].iter().map(|h| h * h).sum();
-                c.est = (ww - proj_sq).max(0.0);
-                c.reorth = c.est <= 0.5 * ww;
-                if c.reorth {
-                    parapre_metrics::count(names::GMRES_REORTH, 1);
-                    let (vs, w) = c.v.split(k1);
-                    vs.sub_then_dots(&hcol[..k1], w, &mut c.sums[..=k1]);
-                    again.extend_from_slice(&c.sums[..=k1]);
-                }
+                c.complete(self);
             }
-            Stage::Open | Stage::Close => c.beta = reduced.next().expect("one norm").sqrt(),
-            _ => {}
         }
-    }
-    if !again.is_empty() {
-        ctx.sum(again);
-        parapre_metrics::count(names::GMRES_FUSED_ALLREDUCE, 1);
-    }
-    let mut reduced = again.iter();
-    for c in cols.iter_mut().filter(|c| c.stage == Stage::Step) {
-        if !cgs {
-            c.orthogonalize_modified(ctx);
-            continue;
-        }
-        let k1 = c.k + 1;
-        let hcol = c.lsq.column(c.k);
-        if c.reorth {
-            let mut corr_sq = 0.0;
-            for (s, &r) in c.sums[..=k1].iter_mut().zip(&mut reduced) {
-                *s = r;
-            }
-            for (h, &ci) in hcol[..k1].iter_mut().zip(&c.sums[..k1]) {
-                *h += ci;
-                corr_sq += ci * ci;
-            }
-            c.est = (c.sums[k1] - corr_sq).max(0.0);
-        }
-        let wnorm = c.est.sqrt();
-        let (vs, w) = c.v.split(k1);
-        vs.sub_div(&c.sums[..k1], wnorm, w);
-        hcol[k1] = wnorm;
     }
 }
 

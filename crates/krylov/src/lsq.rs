@@ -15,7 +15,10 @@
 /// The methods are `#[inline]` because the driver is generic and is
 /// instantiated in other crates: inlined, it sees that `column(k)` has
 /// `k + 2` entries, as it did when it sliced its own vector (E24 measured
-/// 3 % of a warm solve request without the hint).
+/// 3 % of a warm solve request without the hint). `rotate`, `estimate` and
+/// `solve` are `#[inline(always)]`: with the hint alone the release
+/// `parapre-netd` kept `rotate` and `solve` out of line (`nm -C` listed
+/// both), and each has one call site in the driver.
 #[derive(Debug)]
 pub struct GivensLsq {
     /// Column stride: `restart + 1`.
@@ -60,7 +63,7 @@ impl GivensLsq {
     /// triangular factor and returns the residual norm of the least-squares
     /// problem over `k + 1` columns. A column holding a NaN or an infinity is
     /// left out and `None` returned: the first `k` columns still solve.
-    #[inline]
+    #[inline(always)]
     pub fn rotate(&mut self, k: usize) -> Option<f64> {
         debug_assert_eq!(k, self.rot.len());
         let hcol = &mut self.h[k * self.ld..k * self.ld + k + 2];
@@ -82,6 +85,20 @@ impl GivensLsq {
         Some(self.g[k + 1].abs())
     }
 
+    /// The residual norm [`GivensLsq::rotate`] would return for column `k`
+    /// as it stands, without rotating it in (NaN for a non-finite column).
+    #[inline(always)]
+    pub fn estimate(&self, k: usize) -> f64 {
+        debug_assert_eq!(k, self.rot.len());
+        let hcol = &self.h[k * self.ld..k * self.ld + k + 2];
+        let mut diag = hcol[0];
+        for (i, &(c, s)) in self.rot.iter().enumerate() {
+            diag = -s * diag + c * hcol[i + 1];
+        }
+        let (_, s) = givens_rotation(diag, hcol[k + 1]);
+        (s * self.g[k]).abs()
+    }
+
     /// How many of the first `k` columns lead up to the first zero on the
     /// diagonal of `R` (`k` if there is none). Only a column whose rotated
     /// diagonal and norm both vanished puts one there, and that column ends
@@ -95,7 +112,7 @@ impl GivensLsq {
 
     /// Coefficients `y` of the cycle's best iterate over its first `k`
     /// columns: back-substitution of `R y = g`.
-    #[inline]
+    #[inline(always)]
     pub fn solve(&mut self, k: usize) -> &[f64] {
         debug_assert!(k <= self.rot.len());
         for i in (0..k).rev() {

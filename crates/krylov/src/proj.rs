@@ -7,20 +7,20 @@
 //! column ([`Basis::dots`]), then `w ← w − Σ_i h_i v_i` ([`Basis::sub`]).
 //! Keeping the passes batched (instead of a dot/axpy pair per vector, as MGS
 //! does) lets the distributed solver combine all `k` inner products into a
-//! single allreduce. Re-orthogonalization, which a well-preconditioned solve
-//! takes on nearly every step, subtracts one pass's coefficients and takes
-//! the next pass's inner products in the same sweep over `w`
-//! ([`Basis::sub_then_dots`]).
+//! single allreduce. The Arnoldi step with delayed re-orthogonalization
+//! (DCGS2) works on two vectors at once — the previous step's vector, which
+//! it finishes, and the new one, which it projects — so each of its two
+//! passes takes both: [`Basis::dots2`] and [`Basis::sub2`].
 //!
-//! The kernels walk `w` in row blocks that stay in L1 and take four columns
-//! per read of a block, so `w` is loaded once per four columns instead of
-//! once per column.
+//! The kernels walk the vectors in row blocks that stay in L1 and take four
+//! columns per read of a block, so a vector is loaded once per four columns
+//! instead of once per column, and the basis once per pass.
 //!
 //! Determinism: every inner product has the lane structure and the fixed
 //! [`REDUCE_CHUNK`] combine order of [`ops::dot`](parapre_sparse::ops::dot),
-//! and every element of `w` has the columns subtracted in ascending order as
-//! a loop of [`ops::axpy`](parapre_sparse::ops::axpy) would, so results are
-//! bit for bit those of the per-column loops.
+//! and every element of a vector has the columns subtracted in ascending
+//! order as a loop of [`ops::axpy`](parapre_sparse::ops::axpy) would, so
+//! results are bit for bit those of the per-column loops.
 
 use parapre_sparse::ops::REDUCE_CHUNK;
 use std::ops::Range;
@@ -31,9 +31,9 @@ const LANES: usize = 4;
 /// Columns taken per read of a block of `w`.
 const COLS: usize = 4;
 
-/// Rows per block: 2 KB of `w` and of each column, so a block of `w` and
-/// the 21 column blocks of a full FGMRES(20) basis (45 KB) stay in a 48 KB
-/// L1 between the subtraction and the inner products of the fused kernel.
+/// Rows per block: 2 KB of a vector and of each column, so the two vectors'
+/// blocks and the 21 column blocks of a full FGMRES(20) basis (47 KB) stay
+/// in a 48 KB L1 between the two vectors of a two-vector kernel.
 /// Divides [`REDUCE_CHUNK`]; a multiple of [`LANES`].
 const ROW_BLOCK: usize = 256;
 
@@ -100,6 +100,20 @@ impl Panel {
         (basis, &mut tail[..self.n_rows])
     }
 
+    /// The leading `k` columns as a basis, and columns `k` and `k + 1` to
+    /// update in place against them.
+    pub fn split2(&mut self, k: usize) -> (Basis<'_>, &mut [f64], &mut [f64]) {
+        let n = self.n_rows;
+        let (head, tail) = self.data.split_at_mut(k * n);
+        let (x, y) = tail[..2 * n].split_at_mut(n);
+        let basis = Basis {
+            n_rows: n,
+            n_cols: k,
+            data: head,
+        };
+        (basis, x, y)
+    }
+
     /// Keeps the leading `k` columns and gives the rest of the allocation
     /// back.
     pub fn truncate(&mut self, k: usize) {
@@ -147,34 +161,44 @@ impl<'a> Basis<'a> {
     /// `w ← w − Σ_j coeffs[j] · v_j`, the basis vectors subtracted from
     /// every element in ascending order.
     pub fn sub(&self, coeffs: &[f64], w: &mut [f64]) {
-        self.sub_finish(coeffs, w, |x| x);
-    }
-
-    /// `w ← (w − Σ_j coeffs[j] · v_j) / divisor`: the last subtraction of an
-    /// orthogonalization step, leaving the normalized next basis vector.
-    pub fn sub_div(&self, coeffs: &[f64], divisor: f64, w: &mut [f64]) {
-        self.sub_finish(coeffs, w, move |x| x / divisor);
-    }
-
-    /// [`Basis::sub`] with `coeffs`, then [`Basis::dots`] of the result, in
-    /// one sweep: each block of `w` has its inner products taken while it is
-    /// still in L1 from the subtraction. Same bits as the two calls.
-    pub fn sub_then_dots(&self, coeffs: &[f64], w: &mut [f64], out: &mut [f64]) {
-        assert_eq!(w.len(), self.n_rows);
-        assert_eq!(coeffs.len(), self.n_cols);
-        assert_eq!(out.len(), self.n_cols + 1);
-        reduce_in_chunks(w.len(), out, |rows, accs| {
-            let block = &mut w[rows.clone()];
-            self.sub_block(rows.start, coeffs, block, |x| x);
-            self.dots_block(rows.start, block, accs);
-        });
-    }
-
-    fn sub_finish(&self, coeffs: &[f64], w: &mut [f64], finish: impl Fn(f64) -> f64) {
         assert_eq!(w.len(), self.n_rows);
         assert_eq!(coeffs.len(), self.n_cols);
         for (b, block) in w.chunks_mut(ROW_BLOCK).enumerate() {
-            self.sub_block(b * ROW_BLOCK, coeffs, block, &finish);
+            self.sub_block(b * ROW_BLOCK, coeffs, block, |x| x);
+        }
+    }
+
+    /// `out[j] = ⟨x, v_j⟩` for every basis vector, then [`Basis::dots`] of
+    /// `y` in `out[len..]`: both vectors' inner products in one pass over
+    /// the basis. `x` may be a basis vector itself.
+    pub fn dots2(&self, x: &[f64], y: &[f64], out: &mut [f64]) {
+        assert_eq!(x.len(), self.n_rows);
+        assert_eq!(y.len(), self.n_rows);
+        assert_eq!(out.len(), 2 * self.n_cols + 1);
+        reduce_in_chunks(self.n_rows, out, |rows, accs| {
+            let (xs, ys) = accs.split_at_mut(self.n_cols);
+            self.dots_block(rows.start, &x[rows.clone()], xs);
+            self.dots_block(rows.start, &y[rows], ys);
+        });
+    }
+
+    /// `x ← (x − Σ_j a[j] · v_j) / divisor`, then
+    /// `y ← (y − Σ_j b[j] · v_j − b[len] · x) / divisor` with the new `x`,
+    /// in one pass over the basis: the finish of one Gram–Schmidt vector and
+    /// the projection of the next.
+    pub fn sub2(&self, a: &[f64], x: &mut [f64], b: &[f64], y: &mut [f64], divisor: f64) {
+        assert_eq!(x.len(), self.n_rows);
+        assert_eq!(y.len(), self.n_rows);
+        assert_eq!(a.len(), self.n_cols);
+        assert_eq!(b.len(), self.n_cols + 1);
+        let (b, b_x) = (&b[..self.n_cols], b[self.n_cols]);
+        let blocks = x.chunks_mut(ROW_BLOCK).zip(y.chunks_mut(ROW_BLOCK));
+        for (i, (xb, yb)) in blocks.enumerate() {
+            self.sub_block(i * ROW_BLOCK, a, xb, |t| t / divisor);
+            self.sub_block(i * ROW_BLOCK, b, yb, |t| t);
+            for (yi, &xi) in yb.iter_mut().zip(&*xb) {
+                *yi = (*yi - b_x * xi) / divisor;
+            }
         }
     }
 
@@ -361,13 +385,42 @@ mod tests {
             for (j, &c) in coeffs.iter().enumerate() {
                 ops::axpy(-c, panel.col(j), &mut expect);
             }
-            let scaled: Vec<f64> = expect.iter().map(|x| x / 1.7).collect();
             let mut got = w.clone();
             panel.basis(5).sub(&coeffs, &mut got);
             assert_eq!(got, expect, "n={n}");
-            let mut got = w.clone();
-            panel.basis(5).sub_div(&coeffs, 1.7, &mut got);
-            assert_eq!(got, scaled, "n={n}");
+        }
+    }
+
+    #[test]
+    fn two_vector_kernels_match_per_column_loops_bitwise() {
+        for (n, k) in [(5, 0), (5, 3), (1000, 4), (20_000, 6)] {
+            let (y, mut panel) = filled(n, k + 2);
+            let x = panel.col(k).to_vec();
+            let a: Vec<f64> = (0..k).map(|i| 0.3 - 0.17 * i as f64).collect();
+            let b: Vec<f64> = (0..=k).map(|i| 0.2 + 0.07 * i as f64).collect();
+            panel.col_mut(k + 1).copy_from_slice(&y);
+
+            let mut want: Vec<f64> = (0..=k).map(|j| ops::dot(&x, panel.col(j))).collect();
+            want.extend((0..=k).map(|j| ops::dot(&y, panel.col(j))));
+            want.push(ops::dot(&y, &y));
+            let mut got = vec![f64::NAN; 2 * k + 3];
+            panel.basis(k + 1).dots2(&x, &y, &mut got);
+            assert_eq!(got, want, "dots2 n={n} k={k}");
+
+            let (mut x_want, mut y_want) = (x.clone(), y.clone());
+            for (j, &c) in a.iter().enumerate() {
+                ops::axpy(-c, panel.col(j), &mut x_want);
+            }
+            x_want.iter_mut().for_each(|v| *v /= 1.7);
+            for (j, &c) in b[..k].iter().enumerate() {
+                ops::axpy(-c, panel.col(j), &mut y_want);
+            }
+            ops::axpy(-b[k], &x_want, &mut y_want);
+            y_want.iter_mut().for_each(|v| *v /= 1.7);
+            let (basis, x_got, y_got) = panel.split2(k);
+            basis.sub2(&a, x_got, &b, y_got, 1.7);
+            assert_eq!(x_got, &x_want[..], "sub2 x n={n} k={k}");
+            assert_eq!(y_got, &y_want[..], "sub2 y n={n} k={k}");
         }
     }
 
@@ -391,7 +444,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_basis_leaves_only_the_norm_and_the_divisor() {
+    fn empty_basis_leaves_only_the_norm() {
         let panel = Panel::zeros(3, 2);
         let mut w = vec![1.0, 2.0, 3.0];
         let mut out = [f64::NAN];
@@ -399,8 +452,6 @@ mod tests {
         assert_eq!(out, [14.0]);
         panel.basis(0).sub(&[], &mut w);
         assert_eq!(w, [1.0, 2.0, 3.0]);
-        panel.basis(0).sub_div(&[], 2.0, &mut w);
-        assert_eq!(w, [0.5, 1.0, 1.5]);
     }
 
     #[test]

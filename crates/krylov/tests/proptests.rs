@@ -299,7 +299,9 @@ proptest! {
             panel.col_mut(j).iter_mut().for_each(|v| *v = rnd());
         }
         let w: Vec<f64> = (0..n).map(|_| rnd()).collect();
+        let x: Vec<f64> = (0..n).map(|_| rnd()).collect();
         let coeffs: Vec<f64> = (0..k).map(|_| rnd()).collect();
+        let b: Vec<f64> = (0..=k).map(|_| rnd()).collect();
 
         // The reference: one `ops::dot` and one `ops::axpy` per column.
         let per_column_dots = |w: &[f64]| {
@@ -312,8 +314,16 @@ proptest! {
         for (j, &c) in coeffs.iter().enumerate() {
             ops::axpy(-c, panel.col(j), &mut want_sub);
         }
-        let want_dots_after = per_column_dots(&want_sub);
-        let want_div: Vec<f64> = want_sub.iter().map(|x| x / 0.75).collect();
+        let mut want_dots2 = per_column_dots(&x);
+        want_dots2.pop();
+        want_dots2.extend(per_column_dots(&w));
+        let want_x: Vec<f64> = want_sub.iter().map(|v| v / 0.75).collect();
+        let mut want_y = x.clone();
+        for (j, &c) in b[..k].iter().enumerate() {
+            ops::axpy(-c, panel.col(j), &mut want_y);
+        }
+        ops::axpy(-b[k], &want_x, &mut want_y);
+        want_y.iter_mut().for_each(|v| *v /= 0.75);
 
         let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let basis = panel.basis(k);
@@ -325,15 +335,16 @@ proptest! {
         basis.sub(&coeffs, &mut sub);
         prop_assert_eq!(bits(&sub), bits(&want_sub), "sub, n={}", n);
 
-        let mut div = w.clone();
-        basis.sub_div(&coeffs, 0.75, &mut div);
-        prop_assert_eq!(bits(&div), bits(&want_div), "sub_div, n={}", n);
+        let mut dots2 = vec![f64::NAN; 2 * k + 1];
+        basis.dots2(&x, &w, &mut dots2);
+        prop_assert_eq!(bits(&dots2), bits(&want_dots2), "dots2, n={}", n);
 
-        let mut fused = w.clone();
-        dots.fill(f64::NAN);
-        basis.sub_then_dots(&coeffs, &mut fused, &mut dots);
-        prop_assert_eq!(bits(&fused), bits(&want_sub), "fused w, n={}", n);
-        prop_assert_eq!(bits(&dots), bits(&want_dots_after), "fused dots, n={}", n);
+        // `sub2` finishes `w` against the basis and projects `x` on it and on
+        // the finished `w`.
+        let (mut got_x, mut got_y) = (w.clone(), x.clone());
+        basis.sub2(&coeffs, &mut got_x, &b, &mut got_y, 0.75);
+        prop_assert_eq!(bits(&got_x), bits(&want_x), "sub2 first, n={}", n);
+        prop_assert_eq!(bits(&got_y), bits(&want_y), "sub2 second, n={}", n);
     }
 }
 

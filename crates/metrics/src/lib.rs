@@ -329,12 +329,13 @@ pub mod names {
     /// Halo messages the overlapped SpMV still had to block on after the
     /// interior rows were done.
     pub const HALO_WAIT: &str = "halo.wait_after_interior";
-    /// Fused (batched) orthogonalization reductions issued by distributed
-    /// GMRES — one per iteration under classical Gram–Schmidt.
+    /// Fused (batched) orthogonalization reductions issued by GMRES — one
+    /// per iteration under delayed classical Gram–Schmidt.
     pub const GMRES_FUSED_ALLREDUCE: &str = "gmres.fused_allreduce";
-    /// Reorthogonalization passes triggered by the cancellation test in
-    /// classical Gram–Schmidt (each costs one extra fused reduction).
-    pub const GMRES_REORTH: &str = "gmres.reorth";
+    /// Sums that complete a Hessenberg column without a next step under
+    /// delayed classical Gram–Schmidt: the last step of a cycle, or a step
+    /// whose estimate met the target.
+    pub const GMRES_COMPLETION: &str = "gmres.completion";
     /// A Krylov solve terminated with a typed breakdown (zero
     /// normalization, non-finite values, stagnation, divergence).
     pub const SOLVE_BREAKDOWN: &str = "solve.breakdown";

@@ -1,9 +1,13 @@
 //! The blocked projection kernels and the basis panel change how distributed
 //! FGMRES walks memory, not what it computes. Pinned here against a
 //! reference written the plain way — vectors in a `Vec<Vec<f64>>`, one
-//! `ops::dot` and one `ops::axpy` per basis vector, a clone divided by its
-//! norm — run on the same ranks with the same operator and preconditioner:
-//! iteration counts and the gathered solution must agree bit for bit.
+//! `ops::dot` and one `ops::axpy` per basis vector, the Hessenberg columns
+//! rotated as they complete — run on the same ranks with the same operator
+//! and preconditioner: iteration counts and the gathered solution must agree
+//! bit for bit. The orthogonalization is classical Gram–Schmidt with delayed
+//! re-orthogonalization (DCGS2): one all-reduce per step carries the previous
+//! vector's second-pass inner products and norm and the new vector's
+//! projections.
 
 use parapre::core::{
     build_case, build_dist_precond_with_fallback, partition_case, CaseId, CaseSize, PrecondKind,
@@ -15,21 +19,67 @@ use parapre::engine::SessionConfig;
 use parapre::mpisim::{Comm, Universe};
 use parapre::sparse::ops;
 
-/// One pass of batched classical Gram–Schmidt against `v`, per column:
-/// returns the reduced `[w·v_0, …, w·v_k, w·w]` and subtracts the projections.
-fn cgs_pass(comm: &mut Comm, v: &[Vec<f64>], w: &mut [f64]) -> Vec<f64> {
-    let mut sums: Vec<f64> = v.iter().map(|vi| ops::dot(w, vi)).collect();
-    sums.push(ops::dot(w, w));
-    comm.allreduce_sum_vec(&mut sums, tags::REDUCE);
-    for (vi, &h) in v.iter().zip(&sums) {
-        ops::axpy(-h, vi, w);
+/// The Givens rotation taking `(p, q)` to `(r, 0)`.
+fn givens(p: f64, q: f64) -> (f64, f64) {
+    if q == 0.0 {
+        (1.0, 0.0)
+    } else if p == 0.0 {
+        (0.0, 1.0)
+    } else {
+        (p / p.hypot(q), q / p.hypot(q))
     }
-    sums
 }
 
-/// Restarted flexible GMRES with fused-reduction classical Gram–Schmidt and
-/// the DGKS second pass: `DistGmres` at its defaults, minus tracing,
-/// checkpoints and breakdown guards. Returns the iteration count.
+/// The least-squares state of one cycle: rotated columns, rotations and
+/// rotated right-hand side.
+struct Lsq {
+    h: Vec<Vec<f64>>,
+    rot: Vec<(f64, f64)>,
+    g: Vec<f64>,
+}
+
+impl Lsq {
+    /// Rotates the last column in; returns the new residual estimate.
+    fn rotate(&mut self) -> f64 {
+        let k = self.rot.len();
+        let hcol = &mut self.h[k];
+        for (i, &(c, s)) in self.rot.iter().enumerate() {
+            let t = c * hcol[i] + s * hcol[i + 1];
+            hcol[i + 1] = -s * hcol[i] + c * hcol[i + 1];
+            hcol[i] = t;
+        }
+        let (p, q) = (hcol[k], hcol[k + 1]);
+        let (c, s) = givens(p, q);
+        hcol[k] = c * p + s * q;
+        hcol[k + 1] = 0.0;
+        self.rot.push((c, s));
+        self.g[k + 1] = -s * self.g[k];
+        self.g[k] *= c;
+        self.g[k + 1].abs()
+    }
+
+    /// The estimate the last column would give, without rotating it in.
+    fn estimate(&self) -> f64 {
+        let k = self.rot.len();
+        let hcol = &self.h[k];
+        let mut diag = hcol[0];
+        for (i, &(c, s)) in self.rot.iter().enumerate() {
+            diag = -s * diag + c * hcol[i + 1];
+        }
+        (givens(diag, hcol[k + 1]).1 * self.g[k]).abs()
+    }
+}
+
+/// `sqrt(max(α − Σ s², 0))`: a vector's norm after removing its
+/// projections `s`, from its squared norm `α`.
+fn reduced_norm(alpha: f64, s: &[f64]) -> f64 {
+    (alpha - s.iter().map(|x| x * x).sum::<f64>())
+        .max(0.0)
+        .sqrt()
+}
+
+/// Restarted flexible GMRES with DCGS2: `DistGmres` at its defaults, minus
+/// tracing and breakdown guards. Returns the iteration count.
 fn reference_fgmres<A: DistOp, M: DistPrecond>(
     comm: &mut Comm,
     a: &A,
@@ -46,78 +96,105 @@ fn reference_fgmres<A: DistOp, M: DistPrecond>(
             *ri = bi - *ri;
         }
     };
-    let (mut r, mut w) = (vec![0.0; n], vec![0.0; n]);
+    let mut r = vec![0.0; n];
     residual(comm, x, &mut r);
     let mut beta = norm(comm, &r);
     let target = (cfg.rel_tol * beta).max(cfg.abs_tol);
     let mut iters = 0;
     loop {
-        let mut v = vec![r.iter().map(|ri| ri / beta).collect::<Vec<f64>>()];
-        let mut z: Vec<Vec<f64>> = Vec::new();
-        let mut h: Vec<Vec<f64>> = Vec::new();
-        let mut givens: Vec<(f64, f64)> = Vec::new();
+        // `v[j]` is finished by step `j`, which applies the operator to it
+        // unfinished; `pending`: the last column awaits `v[j]`'s norm.
+        let mut v = vec![r.clone()];
+        let (mut z, mut rho) = (Vec::new(), Vec::new());
         let mut g = vec![0.0; cfg.restart + 1];
         g[0] = beta;
-        let mut k = 0;
-        while k < cfg.restart && iters < cfg.max_iters {
-            let mut zk = vec![0.0; n];
-            m.apply(comm, &v[k], &mut zk);
-            a.apply(comm, &zk, &mut w);
-            z.push(zk);
-            iters += 1;
-
-            let first = cgs_pass(comm, &v, &mut w);
-            let (mut hcol, ww) = (first[..=k].to_vec(), first[k + 1]);
-            let mut est = (ww - hcol.iter().map(|h| h * h).sum::<f64>()).max(0.0);
-            if est <= 0.5 * ww {
-                let second = cgs_pass(comm, &v, &mut w);
-                let mut corr_sq = 0.0;
-                for (h, &c) in hcol.iter_mut().zip(&second) {
-                    *h += c;
-                    corr_sq += c * c;
-                }
-                est = (second[k + 1] - corr_sq).max(0.0);
-            }
-            let wnorm = est.sqrt();
-            hcol.push(wnorm);
-
-            for (i, &(c, s)) in givens.iter().enumerate() {
-                let t = c * hcol[i] + s * hcol[i + 1];
-                hcol[i + 1] = -s * hcol[i] + c * hcol[i + 1];
-                hcol[i] = t;
-            }
-            let (p, q) = (hcol[k], hcol[k + 1]);
-            let (c, s) = if q == 0.0 {
-                (1.0, 0.0)
-            } else if p == 0.0 {
-                (0.0, 1.0)
-            } else {
-                (p / p.hypot(q), q / p.hypot(q))
-            };
-            hcol[k] = c * p + s * q;
-            hcol[k + 1] = 0.0;
-            givens.push((c, s));
-            g[k + 1] = -s * g[k];
-            g[k] *= c;
-            h.push(hcol);
-            k += 1;
-            if g[k].abs() <= target || wnorm == 0.0 {
+        let mut lsq = Lsq {
+            h: Vec::new(),
+            rot: Vec::new(),
+            g,
+        };
+        let mut pending = false;
+        let mut cycle_done = false;
+        // Rotates the last column in: `true` when the cycle ends there.
+        let rotate_in = |lsq: &mut Lsq, iters: &mut usize| {
+            *iters += 1;
+            let k = lsq.rot.len();
+            let norm = lsq.h[k][k + 1];
+            lsq.rotate() <= target || norm == 0.0
+        };
+        loop {
+            let j = v.len() - 1;
+            if cycle_done || j >= cfg.restart || iters + usize::from(pending) >= cfg.max_iters {
                 break;
             }
-            v.push(w.iter().map(|wi| wi / wnorm).collect());
+            let mut zj = vec![0.0; n];
+            m.apply(comm, &v[j], &mut zj);
+            let mut w = vec![0.0; n];
+            a.apply(comm, &zj, &mut w);
+            z.push(zj);
+
+            let mut sums: Vec<f64> = v.iter().map(|vi| ops::dot(&v[j], vi)).collect();
+            sums.extend(v.iter().map(|vi| ops::dot(&w, vi)));
+            sums.push(ops::dot(&w, &w));
+            comm.allreduce_sum_vec(&mut sums, tags::REDUCE);
+            let (s, c) = (&sums[..j], &sums[j + 1..2 * j + 1]);
+            let rho_j = reduced_norm(sums[j], s);
+            let cj = (sums[2 * j + 1] - s.iter().zip(c).map(|(a, b)| a * b).sum::<f64>()) / rho_j;
+            if pending {
+                let prev = lsq.h.last_mut().unwrap();
+                for (h, &si) in prev.iter_mut().zip(s) {
+                    *h += si;
+                }
+                prev[j] = rho_j;
+                if rotate_in(&mut lsq, &mut iters) {
+                    break;
+                }
+            }
+            let mut hcol: Vec<f64> = c.iter().map(|ci| ci / rho_j).collect();
+            hcol.push(cj / rho_j);
+            let est = sums[2 * j + 2] / (rho_j * rho_j) - hcol.iter().map(|h| h * h).sum::<f64>();
+            hcol.push(est.max(0.0).sqrt());
+            lsq.h.push(hcol);
+
+            let (finished, next) = v.split_at_mut(j);
+            let vj = &mut next[0];
+            for (qi, &si) in finished.iter().zip(s) {
+                ops::axpy(-si, qi, vj);
+            }
+            vj.iter_mut().for_each(|e| *e /= rho_j);
+            for (qi, &ci) in v.iter().zip(c.iter().chain([&cj])) {
+                ops::axpy(-ci, qi, &mut w);
+            }
+            w.iter_mut().for_each(|e| *e /= rho_j);
+            v.push(w);
+            rho.push(rho_j);
+            pending = true;
+
+            let last = j + 1 >= cfg.restart || iters + 1 >= cfg.max_iters;
+            if last || lsq.estimate() <= target {
+                let mut s: Vec<f64> = v[..=j].iter().map(|qi| ops::dot(&v[j + 1], qi)).collect();
+                s.push(ops::dot(&v[j + 1], &v[j + 1]));
+                comm.allreduce_sum_vec(&mut s, tags::REDUCE);
+                let hcol = lsq.h.last_mut().unwrap();
+                for (h, &si) in hcol.iter_mut().zip(&s[..=j]) {
+                    *h += si;
+                }
+                hcol[j + 1] = reduced_norm(s[j + 1], &s[..=j]);
+                pending = false;
+                cycle_done = rotate_in(&mut lsq, &mut iters);
+            }
         }
+        let k = lsq.rot.len();
         let mut y = vec![0.0; k];
         for i in (0..k).rev() {
-            let mut acc = g[i];
-            for j in i + 1..k {
-                acc -= h[j][i] * y[j];
+            let mut acc = lsq.g[i];
+            for (hj, yj) in lsq.h[i + 1..k].iter().zip(&y[i + 1..k]) {
+                acc -= hj[i] * yj;
             }
-            y[i] = acc / h[i][i];
+            y[i] = acc / lsq.h[i][i];
         }
-        for (yj, zj) in y.iter().zip(&z) {
-            for (xi, &zji) in x.iter_mut().zip(zj) {
-                *xi += yj * zji;
-            }
+        for ((yj, zj), rj) in y.iter().zip(&z).zip(&rho) {
+            ops::axpy(yj / rj, zj, x);
         }
         residual(comm, x, &mut r);
         beta = norm(comm, &r);

@@ -19,8 +19,8 @@ use parapre::core::{
     PartitionScheme, PrecondKind, PrecondParams,
 };
 use parapre::dist::{
-    scatter_vector, tags, DistGmres, DistMatrix, DistOp, DistPrecond, GmresConfig,
-    IdentityDistPrecond, LocalBlocks, LocalLayout,
+    scatter_vector, tags, DistGmres, DistMatrix, DistOp, DistPrecond, GmresConfig, LocalBlocks,
+    LocalLayout,
 };
 use parapre::krylov::{
     Arms, ArmsConfig, Gmres, Ilu0, Ilut, LuFactors, Preconditioner, SchurMlHierarchy,
@@ -244,11 +244,11 @@ impl Reference {
     }
 
     /// A few distributed GMRES iterations on the Schur system,
-    /// right-preconditioned by the local solve — written the textbook way:
-    /// the general solve on `(S M⁻¹) u = g'` from `u = 0` with no
-    /// preconditioner, one cycle of `schur_iters`, then `z_C = M⁻¹ u`. The
-    /// product reaches the same bits through `DistGmres::fixed_effort`,
-    /// without the two Schur products whose results only the report reads.
+    /// right-preconditioned by the local solve: the general solve on
+    /// `S z_C = g'` from `z_C = 0`, preconditioned by the local solve, one
+    /// cycle of `schur_iters`. The product reaches the same bits through
+    /// `DistGmres::fixed_effort`, without the two Schur products whose
+    /// results only the report reads.
     fn schur_solve(&self, comm: &mut Comm, gprime: &[f64]) -> Vec<f64> {
         let one_cycle = GmresConfig {
             restart: self.schur_iters,
@@ -259,16 +259,14 @@ impl Reference {
             stall_window: 0,
             ..GmresConfig::distributed()
         };
-        let mut u = vec![0.0; gprime.len()];
+        let mut zc = vec![0.0; gprime.len()];
         DistGmres::new(one_cycle).solve(
             comm,
-            &ReferencePreconditionedOp(self),
-            &IdentityDistPrecond,
+            &ReferenceOp(self),
+            &ReferenceInner(self),
             gprime,
-            &mut u,
+            &mut zc,
         );
-        let mut zc = vec![0.0; gprime.len()];
-        ReferenceInner(self).apply(comm, &u, &mut zc);
         zc
     }
 }
@@ -343,20 +341,6 @@ impl DistPrecond for ReferenceInner<'_> {
             }
             Local::SchurMl { hier } => z.copy_from_slice(&hier.solve_from(1, r)),
         }
-    }
-}
-
-/// `S M⁻¹`: the Schur operator after the local solve.
-struct ReferencePreconditionedOp<'a>(&'a Reference);
-
-impl DistOp for ReferencePreconditionedOp<'_> {
-    fn n_owned(&self) -> usize {
-        ReferenceOp(self.0).n_owned()
-    }
-    fn apply(&self, comm: &mut Comm, u: &[f64], out: &mut [f64]) {
-        let mut z = vec![0.0; u.len()];
-        ReferenceInner(self.0).apply(comm, u, &mut z);
-        ReferenceOp(self.0).apply(comm, &z, out);
     }
 }
 
