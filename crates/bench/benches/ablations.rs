@@ -1,10 +1,10 @@
 //! Ablation benches for the design choices called out in DESIGN.md §8:
-//! inner Schur iterations, ILUT parameters, ARMS depth, Schwarz overlap.
+//! inner Schur iterations, ILUT parameters, ARMS depth, overlap.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parapre_core::{build_case, AdditiveSchwarz, CaseId, CaseSize, PrecondKind, SchwarzConfig};
+use parapre_core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre_engine::{run_case, SessionConfig};
-use parapre_krylov::{ArmsConfig, Gmres, GmresConfig, IlutConfig};
+use parapre_krylov::{ArmsConfig, IlutConfig};
 use std::hint::black_box;
 
 fn ablate_schur_inner(c: &mut Criterion) {
@@ -69,36 +69,6 @@ fn ablate_arms_levels(c: &mut Criterion) {
     g.finish();
 }
 
-fn ablate_overlap(c: &mut Criterion) {
-    // Schwarz overlap width (the paper fixes ~5 %).
-    let case = build_case(CaseId::Tc1, CaseSize::Tiny);
-    let dims = case.structured_dims.unwrap();
-    let mut g = c.benchmark_group("ablate_overlap");
-    g.sample_size(10);
-    for pct in [0.0f64, 0.05, 0.15, 0.30] {
-        let name = format!("{}pct", (pct * 100.0) as usize);
-        g.bench_with_input(BenchmarkId::from_parameter(name), &pct, |b, &frac| {
-            let cfg = SchwarzConfig {
-                n_subdomains: 8,
-                overlap_frac: frac,
-                coarse: None,
-                cg_iters: 1,
-            };
-            let m = AdditiveSchwarz::build(dims[0], dims[1], &cfg);
-            b.iter(|| {
-                let mut x = case.x0.clone();
-                Gmres::new(GmresConfig {
-                    max_iters: 500,
-                    ..Default::default()
-                })
-                .solve(&case.sys.a, &m, &case.sys.b, &mut x)
-                .iterations
-            })
-        });
-    }
-    g.finish();
-}
-
 fn ablate_schur_matvec(c: &mut Criterion) {
     // Approximate-vs-stronger B solve inside the Schur 1 matvec, expressed
     // through the inner B-solve iteration count.
@@ -142,7 +112,6 @@ criterion_group!(
     ablate_schur_inner,
     ablate_ilut_params,
     ablate_arms_levels,
-    ablate_overlap,
     ablate_schur_matvec,
     ablate_block_overlap
 );

@@ -4,11 +4,8 @@
 //! pipeline on small grids.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use parapre_core::{
-    build_case, AdditiveSchwarz, CaseId, CaseSize, PartitionScheme, PrecondKind, SchwarzConfig,
-};
+use parapre_core::{build_case, CaseId, CaseSize, PartitionScheme, PrecondKind};
 use parapre_engine::{run_case, SessionConfig};
-use parapre_krylov::{Gmres, GmresConfig};
 use std::hint::black_box;
 
 fn bench_case(c: &mut Criterion, id: CaseId, label: &str) {
@@ -80,26 +77,13 @@ fn e7_shape(c: &mut Criterion) {
 
 fn e8_schwarz(c: &mut Criterion) {
     let case = build_case(CaseId::Tc1, CaseSize::Tiny);
-    let dims = case.structured_dims.unwrap();
     let mut g = c.benchmark_group("table_e8_schwarz");
     g.sample_size(10);
-    for (cgc, name) in [(false, "without_cgc"), (true, "with_cgc")] {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &cgc, |b, &use_cgc| {
-            let cfg = if use_cgc {
-                SchwarzConfig::with_cgc(4)
-            } else {
-                SchwarzConfig::without_cgc(4)
-            };
-            let m = AdditiveSchwarz::build(dims[0], dims[1], &cfg);
-            b.iter(|| {
-                let mut x = case.x0.clone();
-                Gmres::new(GmresConfig {
-                    max_iters: 500,
-                    ..Default::default()
-                })
-                .solve(&case.sys.a, &m, &case.sys.b, &mut x)
-                .iterations
-            })
+    for (coarse, name) in [(false, "without_cgc"), (true, "with_cgc")] {
+        g.bench_with_input(BenchmarkId::from_parameter(name), &coarse, |b, &coarse| {
+            let mut cfg = SessionConfig::paper(PrecondKind::Schwarz { coarse }, 4);
+            cfg.scheme = PartitionScheme::Boxes;
+            b.iter(|| run_case(black_box(&case), &cfg).iterations)
         });
     }
     g.finish();

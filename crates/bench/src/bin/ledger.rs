@@ -21,6 +21,9 @@
 //!   `SolverSession::refactor`, then the case's solve. Head
 //!   `refactor <case> <kind> P=<p>`, then `age=1`, or `refused=<key>`
 //!   and nothing else when the refactor is refused.
+//! - Additive Schwarz (paper §5.2): TC1 tiny on box partitions × without
+//!   and with the coarse grid × `P ∈ {1, 2, 4, 8}`. Head
+//!   `tc1 tiny <kind> P=<p>`.
 //!
 //! Except where it says otherwise, a cell is a cold session build and one
 //! solve of the case's right-hand side from its initial guess. Columns:
@@ -33,7 +36,9 @@
 //! cells moved and in which column.
 
 use parapre_core::cases::{hostile_suite, perturbed, HostileCell};
-use parapre_core::{build_case, build_case_sized, AssembledCase, CaseId, CaseSize, PrecondKind};
+use parapre_core::{
+    build_case, build_case_sized, AssembledCase, CaseId, CaseSize, PartitionScheme, PrecondKind,
+};
 use parapre_engine::{EngineError, SessionConfig, SolveRequest, SolverSession};
 
 const KINDS: [PrecondKind; 7] = [
@@ -105,9 +110,12 @@ fn ledger() -> Vec<String> {
         .map(|id| build_case(id, CaseSize::Tiny))
         .collect();
     // A cold session's solve of the case's right-hand side from its guess.
-    let cold = |head: &str, case: &AssembledCase, kind, p| {
-        let build = SolverSession::from_case(case, &SessionConfig::paper(kind, p));
+    let cold_on = |head: &str, case: &AssembledCase, cfg: &SessionConfig| {
+        let build = SolverSession::from_case(case, cfg);
         built(head, build, |s| line(head, &s, &case.sys.b, Some(&case.x0)))
+    };
+    let cold = |head: &str, case: &AssembledCase, kind, p| {
+        cold_on(head, case, &SessionConfig::paper(kind, p))
     };
     for case in &cases {
         for kind in KINDS {
@@ -157,6 +165,15 @@ fn ledger() -> Vec<String> {
                     }
                 }));
             }
+        }
+    }
+    for coarse in [false, true] {
+        let kind = PrecondKind::Schwarz { coarse };
+        for p in [1, 2, 4, 8] {
+            let mut cfg = SessionConfig::paper(kind, p);
+            cfg.scheme = PartitionScheme::Boxes;
+            let head = format!("tc1 tiny {} P={p}", kind.key());
+            lines.push(cold_on(&head, &cases[0], &cfg));
         }
     }
     lines

@@ -7,8 +7,11 @@
 //! Cluster run: the case's columns, P sweep. `--machine origin`: the
 //! paper's Origin-3800 companion table (its column subset, a different
 //! partition seed, the loaded-machine model; TC1's sweeps larger P). TC5's
-//! companion run demonstrates the paper's footnote: Schur 2 can fail to
-//! converge under an unfortunate partition (reported as `n.c.`). For TC6
+//! companion run checks the paper's footnote, a Schur 2 failure at P = 16
+//! from an unfortunate partition, at the Origin profile's partition seed: a
+//! cell that does not converge prints `n.c.`. At the committed seed it
+//! converges, and no failure was found over 60 seeds at Default size
+//! (ROADMAP item 14). For TC6
 //! the paper reports only Schur 1 / Schur 2 (the block preconditioners
 //! "have trouble producing satisfactory convergence"); pass `--all` to
 //! sweep all four and observe exactly that. `--dump-grid` prints the mesh

@@ -1,51 +1,22 @@
 //! E8 — paper §5.2 "Comparison with additive Schwarz".
 //!
-//! Test Case 1 with the overlapping additive Schwarz preconditioner
-//! (~5 % overlap, FFT-preconditioned 1-iteration CG subdomain solves),
-//! with and without the fixed 5 x 17 coarse grid.
+//! Test Case 1 on box partitions with the overlapping additive Schwarz
+//! preconditioner (~5 % overlap, FFT-preconditioned 1-iteration CG
+//! subdomain solves), with and without the fixed 5 x 17 coarse grid.
 
-use parapre_bench::{load_case, Cli};
-use parapre_core::{AdditiveSchwarz, CaseId, SchwarzConfig};
-use parapre_krylov::{Gmres, GmresConfig};
-use std::time::Instant;
+use parapre_bench::{load_case, print_table, Cli};
+use parapre_core::{CaseId, PartitionScheme, PrecondKind};
 
 fn main() {
-    let cli = Cli::parse(&[4, 8, 16, 32]);
+    let mut cli = Cli::parse(&[4, 8, 16, 32]);
     let case = load_case(CaseId::Tc1, &cli);
-    let dims = case.structured_dims.expect("TC1 is structured");
-    let (nx, ny) = (dims[0], dims[1]);
-    println!("Test Case 1; global grid: {nx} x {ny}");
-    println!(
-        "{:>4} | {:^22} | {:^22}",
-        "P", "Schwarz without CGCs", "Schwarz with CGCs"
+    cli.scheme = PartitionScheme::Boxes;
+    print_table(
+        &case,
+        &cli,
+        &[
+            PrecondKind::Schwarz { coarse: false },
+            PrecondKind::Schwarz { coarse: true },
+        ],
     );
-    println!(
-        "{:>4} | {:>6} {:>10} | {:>6} {:>10}",
-        "", "#itr", "wall(s)", "#itr", "wall(s)"
-    );
-    for &p in &cli.ranks {
-        let mut row = format!("{p:>4}");
-        for cgc in [false, true] {
-            let cfg = if cgc {
-                SchwarzConfig::with_cgc(p)
-            } else {
-                SchwarzConfig::without_cgc(p)
-            };
-            let m = AdditiveSchwarz::build(nx, ny, &cfg);
-            let mut x = case.x0.clone();
-            let t = Instant::now();
-            let rep = Gmres::new(GmresConfig {
-                max_iters: 1000,
-                ..Default::default()
-            })
-            .solve(&case.sys.a, &m, &case.sys.b, &mut x);
-            let dt = t.elapsed().as_secs_f64();
-            if rep.converged {
-                row += &format!(" | {:>6} {:>10.3}", rep.iterations, dt);
-            } else {
-                row += &format!(" | {:>6} {:>10}", "--", "n.c.");
-            }
-        }
-        println!("{row}");
-    }
 }

@@ -219,53 +219,61 @@ pub fn phase_line(res: &RunResult) -> Option<String> {
     Some(line)
 }
 
-/// Prints the paper-format table for a case: one row per P, `#itr` and
-/// `time` (host wall + α–β modeled) per preconditioner column.
+/// Prints the paper-format table for a case as Markdown: a header line
+/// (case, grid, unknowns, machine, partition scheme), then one row per P of
+/// `cli.ranks` with `#itr`, messages sent over all ranks, host wall and
+/// α–β modeled seconds per preconditioner column, then the phase breakdown
+/// of a traced run.
 pub fn print_table(case: &AssembledCase, cli: &Cli, kinds: &[PrecondKind]) {
-    println!("{}", case.id.name());
     println!(
-        "grid: {}; unknowns: {}; machine: {}; scheme: {:?}",
+        "\n*{}* — *grid:* {}; *unknowns:* {}; *machine:* {}; *partition:* {}\n",
+        case.id.name(),
         case.grid_desc,
         case.n_unknowns(),
         cli.machine.name,
-        cli.scheme,
+        cli.scheme.key(),
     );
-    print!("{:>4}", "P");
+    print!("| P |");
     for k in kinds {
-        print!(" | {:^26}", k.label());
+        print!(" {} #itr | msgs | wall(s) | model(s) |", k.label());
     }
     println!();
-    print!("{:>4}", "");
+    print!("|---|");
     for _ in kinds {
-        print!(" | {:>5} {:>9} {:>10}", "#itr", "wall(s)", "model(s)");
+        print!("---|---|---|---|");
     }
     println!();
+    let mut phase_rows: Vec<(usize, PrecondKind, String)> = Vec::new();
     for &p in &cli.ranks {
-        print!("{p:>4}");
-        let mut phase_lines: Vec<(PrecondKind, String)> = Vec::new();
+        print!("| {p} |");
         for &kind in kinds {
             let cfg = cell_config(cli, kind, p);
             let res = run_cell(case, cli, &cfg);
             if res.converged {
                 print!(
-                    " | {:>5} {:>9.3} {:>10.3}",
+                    " {} | {} | {:.3} | {:.3} |",
                     res.iterations,
+                    res.total_msgs,
                     res.wall_seconds,
                     res.modeled_seconds(&cli.machine)
                 );
             } else {
-                print!(" | {:>5} {:>9} {:>10}", "--", "n.c.", "n.c.");
+                print!(" n.c. | - | - | - |");
             }
             if let Some(line) = phase_line(&res) {
-                phase_lines.push((kind, line));
+                phase_rows.push((p, kind, line));
             }
         }
         println!();
-        for (kind, line) in phase_lines {
-            println!("     [{}] {}", kind.label(), line);
+    }
+    if !phase_rows.is_empty() {
+        println!("\n*Phase breakdown (seconds, max over ranks):*\n");
+        println!("| P | preconditioner | phases |");
+        println!("|---|---|---|");
+        for (p, kind, line) in phase_rows {
+            println!("| {p} | {} | {line} |", kind.label());
         }
     }
-    println!();
 }
 
 /// Convenience: builds the case for a table binary and prints a header.

@@ -12,7 +12,7 @@
 //! | (§1.1 remark) | one-layer-overlap RAS block, ILUT sweep of the owned rows plus the ghost rows the neighbours send | [`block::BlockPrecond::overlap`] |
 //! | `Schur 1`  | Schur-enhanced: distributed GMRES + block-Jacobi on the interface Schur system, local GMRES+ILUT subdomain solves | [`schur::SchurPrecond`] |
 //! | `Schur 2`  | expanded-Schur: group-independent sets (ARMS), distributed GMRES + distributed ILU(0) on the expanded Schur system | [`schur::SchurPrecond`] |
-//! | additive Schwarz (±CGC) | overlapping blocks + FFT subdomain solves + coarse grid | [`schwarz::AdditiveSchwarz`] |
+//! | additive Schwarz (±CGC) | box subdomains widened by ≈ 5 %, FFT-preconditioned CG step per subdomain, optional 5 × 17 coarse grid; on box-partitioned TC1 | [`schwarz::SchwarzPrecond`] |
 //!
 //! Each has one constructor, and every subdomain factorization in it goes
 //! through the diagonal-shift retry ladder
@@ -57,4 +57,4 @@ pub use runner::{
     RefactorReject,
 };
 pub use schur::{ExpSchurConfig, SchurPrecond};
-pub use schwarz::{AdditiveSchwarz, SchwarzConfig};
+pub use schwarz::SchwarzPrecond;

@@ -12,6 +12,7 @@
 use crate::block::BlockPrecond;
 use crate::cases::AssembledCase;
 use crate::schur::{ExpSchurConfig, SchurPrecond};
+use crate::schwarz::SchwarzPrecond;
 use parapre_dist::{DistMatrix, DistPrecond};
 use parapre_krylov::{ArmsConfig, IlutConfig};
 use parapre_partition::{
@@ -47,6 +48,14 @@ pub enum PrecondKind {
     /// Point-Jacobi diagonal scaling — the infallible bottom rung of the
     /// numerical-safety fallback ladder, never used by the paper's tables.
     Jacobi,
+    /// The paper's §5.2 comparison: overlapping additive Schwarz with FFT
+    /// subdomain solves, with or without the 5 × 17 coarse grid. Builds on
+    /// box-partitioned Test Case 1 only and is not in
+    /// [`PrecondKind::EVERY`], so no job line can ask for it.
+    Schwarz {
+        /// Whether the coarse-grid correction is added.
+        coarse: bool,
+    },
 }
 
 impl PrecondKind {
@@ -92,6 +101,8 @@ impl PrecondKind {
             PrecondKind::SchurML { .. } => "SchurML",
             PrecondKind::BlockOverlap => "Block+ovl",
             PrecondKind::Jacobi => "Jacobi",
+            PrecondKind::Schwarz { coarse: false } => "Schwarz",
+            PrecondKind::Schwarz { coarse: true } => "Schwarz+CGC",
         }
     }
 
@@ -105,6 +116,8 @@ impl PrecondKind {
             PrecondKind::SchurML { .. } => "schurml",
             PrecondKind::BlockOverlap => "overlap",
             PrecondKind::Jacobi => "jacobi",
+            PrecondKind::Schwarz { coarse: false } => "schwarz",
+            PrecondKind::Schwarz { coarse: true } => "schwarz_cgc",
         }
     }
 
@@ -131,13 +144,15 @@ impl PrecondKind {
     ///
     /// Ladder: `SchurML → Schur 2 → Schur 1 → Block 2 → Block 1 → Jacobi` —
     /// each step trades convergence strength for constructibility, ending
-    /// on a preconditioner that cannot fail to build.
+    /// on a preconditioner that cannot fail to build. The overlap and
+    /// Schwarz rungs step onto it at `Block 2`.
     pub fn fallback(self) -> Option<PrecondKind> {
         match self {
             PrecondKind::SchurML { .. } => Some(PrecondKind::Schur2),
             PrecondKind::Schur2 => Some(PrecondKind::Schur1),
             PrecondKind::Schur1 => Some(PrecondKind::Block2),
             PrecondKind::BlockOverlap => Some(PrecondKind::Block2),
+            PrecondKind::Schwarz { .. } => Some(PrecondKind::Block2),
             PrecondKind::Block2 => Some(PrecondKind::Block1),
             PrecondKind::Block1 => Some(PrecondKind::Jacobi),
             PrecondKind::Jacobi => None,
@@ -263,7 +278,8 @@ pub fn partition_case(
 /// Collective for the three Schur rungs (each build takes one vote, so the
 /// ranks agree on success or failure before returning), so all ranks must
 /// call this together. So is the overlap rung, which widens each subdomain
-/// by the ghost rows its neighbours send.
+/// by the ghost rows its neighbours send, and so is Schwarz, whose build
+/// sums the row counts.
 pub fn try_build_dist_precond(
     kind: PrecondKind,
     dm: &DistMatrix,
@@ -292,6 +308,9 @@ pub fn try_build_dist_precond(
             Ok((Box::new(m), shifts))
         }
         PrecondKind::Jacobi => Ok((Box::new(crate::block::JacobiDistPrecond::build(dm)), 0)),
+        PrecondKind::Schwarz { coarse } => {
+            Ok((Box::new(SchwarzPrecond::build(dm, comm, coarse)?), 0))
+        }
     }
 }
 

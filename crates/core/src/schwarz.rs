@@ -12,351 +12,333 @@
 //! `M⁻¹ = Σ_s  P_s Ã_s⁻¹ R_s  (+ P_c A_c⁻¹ R_c)`.
 //!
 //! Without CGC the iteration count grows "dangerously" with P; with CGC the
-//! Schwarz method beats all four algebraic preconditioners — both effects
-//! are reproduced in the `table_schwarz` harness.
+//! Schwarz method beats all four algebraic preconditioners.
 //!
-//! The implementation is a shared-memory preconditioner (`apply` runs the
-//! subdomain solves one after another on the calling thread) applied inside
-//! sequential GMRES; for the *timing* columns the harness reports host wall
-//! time, and iteration counts are bit-identical to what a message-passing
-//! implementation would produce.
+//! Rank `s` owns box `s` of the box partition (`partition_boxes_2d` over
+//! `balanced_box_layout(P, 2)`) and solves subdomain `s`: the same layout's
+//! box over the interior lattice, widened by ⌈5 %⌉ of its side per
+//! direction. One apply:
+//!
+//! 1. gathers the residual on the subdomain from the ranks owning it,
+//! 2. solves the subdomain,
+//! 3. returns the contributions on foreign nodes to their owners, and each
+//!    owner sums the contributions at a node in ascending subdomain order,
+//!    its own among them — the order of the sequential sum `Σ_s`, so
+//!    without CGC the gathered `z` is the shared-memory apply bit for bit;
+//! 4. with CGC, restricts the owned nodes, sums the 85-vector in one
+//!    all-reduce, solves it redundantly with `DenseLu` and prolongs onto
+//!    the owned nodes;
+//! 5. passes the owned Dirichlet rows through.
+//!
+//! The exchange lists are geometry, worked out at build time from the
+//! lattice side and `P`: every pair of ranks whose owned box and subdomain
+//! meet, corners included — not the matvec neighbours.
 
-use parapre_krylov::Preconditioner;
+use parapre_dist::{tags, DistMatrix, DistPrecond};
+use parapre_mpisim::Comm;
 use parapre_partition::balanced_box_layout;
 use parapre_sparse::dense::DenseLu;
-use parapre_sparse::Dense;
+use parapre_sparse::{Dense, Error, Result};
 use parapre_transform::FastPoisson2d;
 
-/// Schwarz parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct SchwarzConfig {
-    /// Number of subdomains (the paper's P).
-    pub n_subdomains: usize,
-    /// Overlap as a fraction of the subdomain side (paper: ≈ 0.05).
-    pub overlap_frac: f64,
-    /// Coarse grid `(cx, cy)` node counts; `None` disables CGC.
-    /// The paper's fixed coarse grid is 5 × 17.
-    pub coarse: Option<(usize, usize)>,
-    /// CG iterations per subdomain solve (paper: 1).
-    pub cg_iters: usize,
-}
+/// Overlap per direction as a fraction of the subdomain side (paper: ≈ 5 %).
+const OVERLAP_FRAC: f64 = 0.05;
+/// The paper's fixed coarse grid, `(cx, cy)` nodes.
+const COARSE: (usize, usize) = (5, 17);
 
-impl SchwarzConfig {
-    /// Paper §5.2 configuration without coarse-grid corrections.
-    pub fn without_cgc(p: usize) -> Self {
-        SchwarzConfig {
-            n_subdomains: p,
-            overlap_frac: 0.05,
-            coarse: None,
-            cg_iters: 1,
-        }
-    }
-
-    /// Paper §5.2 configuration with the fixed 5 × 17 coarse grid.
-    pub fn with_cgc(p: usize) -> Self {
-        SchwarzConfig {
-            n_subdomains: p,
-            overlap_frac: 0.05,
-            coarse: Some((5, 17)),
-            cg_iters: 1,
-        }
-    }
-}
-
-/// One overlapping rectangular subdomain over interior lattice indices.
-#[derive(Debug)]
-struct Subdomain {
-    /// Interior index ranges (into the `nx × ny` node lattice).
+/// A lattice rectangle `[i0, i1) × [j0, j1)`; node `(i, j)` is row `j·nx + i`.
+#[derive(Clone, Copy)]
+struct Rect {
     i0: usize,
     i1: usize,
     j0: usize,
     j1: usize,
-    fp: FastPoisson2d,
 }
 
-/// Bilinear coarse-grid correction data.
-struct CoarseGrid {
-    cx: usize,
-    cy: usize,
-    lu: DenseLu,
+impl Rect {
+    fn width(&self) -> usize {
+        self.i1 - self.i0
+    }
+
+    fn len(&self) -> usize {
+        self.width() * (self.j1 - self.j0)
+    }
+
+    /// The common part of two rectangles, if any.
+    fn meet(&self, o: &Rect) -> Option<Rect> {
+        let m = Rect {
+            i0: self.i0.max(o.i0),
+            i1: self.i1.min(o.i1),
+            j0: self.j0.max(o.j0),
+            j1: self.j1.min(o.j1),
+        };
+        (m.i0 < m.i1 && m.j0 < m.j1).then_some(m)
+    }
+
+    /// Row-major offset of node `(i, j)` in this rectangle.
+    fn at(&self, i: usize, j: usize) -> usize {
+        (j - self.j0) * self.width() + (i - self.i0)
+    }
+
+    /// Offsets in `self` of the nodes of `part ⊆ self`, row-major.
+    fn offsets<'a>(&'a self, part: &'a Rect) -> impl Iterator<Item = usize> + 'a {
+        (part.j0..part.j1).flat_map(move |j| (part.i0..part.i1).map(move |i| self.at(i, j)))
+    }
 }
 
-/// The assembled additive Schwarz preconditioner for the TC1 grid.
-pub struct AdditiveSchwarz {
+/// The box `partition_boxes_2d(nx, nx, px, py)` gives rank `s`.
+fn owned_box(nx: usize, [px, py]: [usize; 2], s: usize) -> Rect {
+    let (bi, bj) = (s % px, s / px);
+    // Node i is in box b iff ⌊i·parts/nx⌋ = b.
+    let from = |b: usize, parts: usize| (b * nx).div_ceil(parts);
+    Rect {
+        i0: from(bi, px),
+        i1: from(bi + 1, px),
+        j0: from(bj, py),
+        j1: from(bj + 1, py),
+    }
+}
+
+/// Subdomain `s`: its box over the interior lattice `1..nx-1`, widened by
+/// ⌈5 %⌉ of its side (at least one node) per direction, clipped to the
+/// interior.
+fn subdomain(nx: usize, [px, py]: [usize; 2], s: usize) -> Rect {
+    let (bi, bj) = (s % px, s / px);
+    let widen = |b: usize, parts: usize| {
+        let lo = 1 + b * (nx - 2) / parts;
+        let hi = 1 + (b + 1) * (nx - 2) / parts;
+        let o = (((hi - lo) as f64 * OVERLAP_FRAC).ceil() as usize).max(1);
+        (lo.saturating_sub(o).max(1), (hi + o).min(nx - 1))
+    };
+    let ((i0, i1), (j0, j1)) = (widen(bi, px), widen(bj, py));
+    Rect { i0, i1, j0, j1 }
+}
+
+/// One rank's share of the additive Schwarz preconditioner on an
+/// `nx × nx` Test Case 1 lattice.
+pub struct SchwarzPrecond {
     nx: usize,
-    ny: usize,
-    subs: Vec<Subdomain>,
-    coarse: Option<CoarseGrid>,
-    cg_iters: usize,
+    /// This rank's owned box.
+    owned: Rect,
+    /// Local index of each owned-box node, row-major.
+    local_of: Vec<usize>,
+    /// This rank's subdomain and its fast-Poisson solver.
+    sub: Rect,
+    fp: FastPoisson2d,
+    /// Other ranks whose subdomain covers owned nodes, ascending, with the
+    /// covered rectangle: this rank sends them the residual there and sums
+    /// what they return.
+    covered_by: Vec<(usize, Rect)>,
+    /// Other ranks owning nodes of this subdomain, ascending, with those
+    /// nodes: this rank gathers the residual there and returns its
+    /// contribution.
+    lenders: Vec<(usize, Rect)>,
+    /// The factored coarse operator, with CGC.
+    coarse: Option<DenseLu>,
 }
 
-impl AdditiveSchwarz {
-    /// Builds the preconditioner for the all-Dirichlet Poisson problem on
-    /// an `nx × ny`-node unit-square grid (Test Case 1).
-    pub fn build(nx: usize, ny: usize, cfg: &SchwarzConfig) -> Self {
-        let layout = balanced_box_layout(cfg.n_subdomains, 2);
-        let (px, py) = (layout[0], layout[1]);
-        let mut subs = Vec::with_capacity(px * py);
-        // Interior lattice: indices 1..nx-1, 1..ny-1 (boundary is Dirichlet).
-        for bj in 0..py {
-            for bi in 0..px {
-                // Non-overlapping box in node space.
-                let i_lo = 1 + bi * (nx - 2) / px;
-                let i_hi = 1 + (bi + 1) * (nx - 2) / px;
-                let j_lo = 1 + bj * (ny - 2) / py;
-                let j_hi = 1 + (bj + 1) * (ny - 2) / py;
-                // Extend by ~5% of the side length per direction.
-                let oi = (((i_hi - i_lo) as f64 * cfg.overlap_frac).ceil() as usize).max(1);
-                let oj = (((j_hi - j_lo) as f64 * cfg.overlap_frac).ceil() as usize).max(1);
-                let i0 = i_lo.saturating_sub(oi).max(1);
-                let i1 = (i_hi + oi).min(nx - 1);
-                let j0 = j_lo.saturating_sub(oj).max(1);
-                let j1 = (j_hi + oj).min(ny - 1);
-                let fp = FastPoisson2d::new(i1 - i0, j1 - j0, 1.0, 1.0);
-                subs.push(Subdomain { i0, i1, j0, j1, fp });
-            }
+impl SchwarzPrecond {
+    /// Builds this rank's share. Collective: one all-reduce sums the owned
+    /// row counts to the lattice size `n`, before any check can refuse, so
+    /// every rank reaches the ladder vote. Refuses unless `n` is a perfect
+    /// square and this rank owns exactly its box of the box partition.
+    pub fn build(dm: &DistMatrix, comm: &mut Comm, coarse: bool) -> Result<Self> {
+        let layout = &dm.layout;
+        let no = layout.n_owned();
+        let n = comm.allreduce_sum(no as f64, tags::SCHWARZ_SUM) as usize;
+        let _s = parapre_metrics::span(parapre_metrics::names::FACTOR);
+        let refuse = |why: String| Err(Error::InvalidStructure(why.into()));
+        let nx = n.isqrt();
+        let boxes: [usize; 2] = balanced_box_layout(comm.size(), 2)
+            .try_into()
+            .expect("two dimensions");
+        if nx * nx != n || nx < 2 + boxes[1] {
+            return refuse(format!(
+                "Schwarz needs a square lattice with a subdomain per rank: \
+                 {n} rows, {boxes:?} boxes"
+            ));
         }
-        let coarse = cfg.coarse.map(|(cx, cy)| {
-            // P1 coarse operator on the unit square with Dirichlet rows;
-            // structure identical to the fine assembly, solved densely
-            // ("Gaussian elimination", paper §5.2).
-            let mesh = parapre_grid::structured::unit_square(cx, cy);
-            let (a, b) = parapre_fem::poisson::assemble_2d(&mesh, |_, _| 0.0);
-            let mut sys = parapre_fem::LinearSystem { a, b };
-            let fixed: Vec<(usize, f64)> = mesh
-                .boundary_nodes()
-                .iter()
-                .enumerate()
-                .filter(|&(_, &on)| on)
-                .map(|(i, _)| (i, 0.0))
-                .collect();
-            parapre_fem::bc::apply_dirichlet(&mut sys, &fixed);
-            let n = sys.b.len();
-            let mut dense = Dense::zeros(n, n);
-            for (i, j, v) in sys.a.iter() {
-                dense[(i, j)] = v;
+        let me = comm.rank();
+        let owned = owned_box(nx, boxes, me);
+        if owned.len() != no {
+            return refuse(format!("rank {me} owns {no} rows, its box {}", owned.len()));
+        }
+        let mut local_of = vec![usize::MAX; no];
+        for (l, &g) in layout.local_to_global[..no].iter().enumerate() {
+            let (i, j) = (g % nx, g / nx);
+            if !(owned.i0..owned.i1).contains(&i) || !(owned.j0..owned.j1).contains(&j) {
+                return refuse(format!("row {g} lies outside rank {me}'s box"));
             }
-            CoarseGrid {
-                cx,
-                cy,
-                lu: DenseLu::factor(dense).expect("coarse operator regular"),
-            }
-        });
-        AdditiveSchwarz {
+            local_of[owned.at(i, j)] = l;
+        }
+        let sub = subdomain(nx, boxes, me);
+        let p = comm.size();
+        let meeting = |mine: &Rect, theirs: fn(usize, [usize; 2], usize) -> Rect| {
+            (0..p)
+                .filter(|&t| t != me)
+                .filter_map(|t| Some((t, mine.meet(&theirs(nx, boxes, t))?)))
+                .collect::<Vec<_>>()
+        };
+        let covered_by = meeting(&owned, subdomain);
+        let lenders = meeting(&sub, owned_box);
+        Ok(SchwarzPrecond {
             nx,
-            ny,
-            subs,
-            coarse,
-            cg_iters: cfg.cg_iters,
-        }
-    }
-
-    /// Number of subdomains.
-    pub fn n_subdomains(&self) -> usize {
-        self.subs.len()
-    }
-
-    /// One (or `cg_iters`) preconditioned CG iteration(s) on the subdomain
-    /// stencil, starting from zero — the paper's subdomain solver. With the
-    /// spectrally exact FFT preconditioner a single iteration is an exact
-    /// solve (α = 1), matching the paper's design intent.
-    fn subdomain_solve(&self, s: &Subdomain, r: &[f64]) -> Vec<f64> {
-        let mut x = vec![0.0; r.len()];
-        let mut res = r.to_vec();
-        for _ in 0..self.cg_iters.max(1) {
-            let z = s.fp.solve(&res);
-            let az = s.fp.apply(&z, 1.0, 1.0);
-            let rz: f64 = res.iter().zip(&z).map(|(a, b)| a * b).sum();
-            let zaz: f64 = z.iter().zip(&az).map(|(a, b)| a * b).sum();
-            if zaz <= 0.0 {
-                break;
-            }
-            let alpha = rz / zaz;
-            for ((xi, &zi), (ri, &azi)) in x.iter_mut().zip(&z).zip(res.iter_mut().zip(&az)) {
-                *xi += alpha * zi;
-                *ri -= alpha * azi;
-            }
-        }
-        x
-    }
-}
-
-impl Preconditioner for AdditiveSchwarz {
-    fn dim(&self) -> usize {
-        self.nx * self.ny
-    }
-
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        let nx = self.nx;
-        z.fill(0.0);
-        // Overlapping regions receive contributions from several
-        // subdomains, summed in subdomain order.
-        for s in &self.subs {
-            let w = s.i1 - s.i0;
-            let h = s.j1 - s.j0;
-            let mut rs = vec![0.0; w * h];
-            for j in 0..h {
-                for i in 0..w {
-                    rs[j * w + i] = r[(s.j0 + j) * nx + (s.i0 + i)];
-                }
-            }
-            let zs = self.subdomain_solve(s, &rs);
-            for j in 0..h {
-                for i in 0..w {
-                    z[(s.j0 + j) * nx + (s.i0 + i)] += zs[j * w + i];
-                }
-            }
-        }
-        // Coarse-grid correction: z += P A_c^{-1} P^T r.
-        if let Some(cg) = &self.coarse {
-            let (cx, cy) = (cg.cx, cg.cy);
-            let mut rc = vec![0.0; cx * cy];
-            // R = P^T with bilinear interpolation weights.
-            let sx = (cx - 1) as f64 / (self.nx - 1) as f64;
-            let sy = (cy - 1) as f64 / (self.ny - 1) as f64;
-            for j in 0..self.ny {
-                let gy = j as f64 * sy;
-                let jc = (gy.floor() as usize).min(cy - 2);
-                let ty = gy - jc as f64;
-                for i in 0..self.nx {
-                    let gx = i as f64 * sx;
-                    let ic = (gx.floor() as usize).min(cx - 2);
-                    let tx = gx - ic as f64;
-                    let v = r[j * self.nx + i];
-                    rc[jc * cx + ic] += v * (1.0 - tx) * (1.0 - ty);
-                    rc[jc * cx + ic + 1] += v * tx * (1.0 - ty);
-                    rc[(jc + 1) * cx + ic] += v * (1.0 - tx) * ty;
-                    rc[(jc + 1) * cx + ic + 1] += v * tx * ty;
-                }
-            }
-            // Zero the coarse Dirichlet rows (identity rows expect 0 rhs).
-            for jc in 0..cy {
-                for ic in 0..cx {
-                    if ic == 0 || jc == 0 || ic == cx - 1 || jc == cy - 1 {
-                        rc[jc * cx + ic] = 0.0;
-                    }
-                }
-            }
-            cg.lu.solve_in_place(&mut rc);
-            // z += P zc.
-            for j in 0..self.ny {
-                let gy = j as f64 * sy;
-                let jc = (gy.floor() as usize).min(cy - 2);
-                let ty = gy - jc as f64;
-                for i in 0..self.nx {
-                    let gx = i as f64 * sx;
-                    let ic = (gx.floor() as usize).min(cx - 2);
-                    let tx = gx - ic as f64;
-                    z[j * self.nx + i] += (1.0 - tx) * (1.0 - ty) * rc[jc * cx + ic]
-                        + tx * (1.0 - ty) * rc[jc * cx + ic + 1]
-                        + (1.0 - tx) * ty * rc[(jc + 1) * cx + ic]
-                        + tx * ty * rc[(jc + 1) * cx + ic + 1];
-                }
-            }
-        }
-        // Dirichlet (identity) rows of the fine system: pass through.
-        for j in 0..self.ny {
-            for i in 0..self.nx {
-                if i == 0 || j == 0 || i == self.nx - 1 || j == self.ny - 1 {
-                    z[j * self.nx + i] = r[j * self.nx + i];
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use parapre_krylov::{Gmres, GmresConfig};
-
-    fn tc1_at(nx: usize) -> (parapre_sparse::Csr, Vec<f64>, Vec<f64>) {
-        use parapre_fem::{bc, poisson, LinearSystem};
-        let mesh = parapre_grid::structured::unit_square(nx, nx);
-        let (a, b) = poisson::assemble_2d(&mesh, poisson::rhs_tc1);
-        let mut sys = LinearSystem { a, b };
-        let fixed: Vec<(usize, f64)> = mesh
-            .boundary_nodes()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &on)| on)
-            .map(|(i, _)| (i, poisson::exact_tc1(mesh.coords[i][0], mesh.coords[i][1])))
-            .collect();
-        bc::apply_dirichlet(&mut sys, &fixed);
-        let mut x0 = vec![0.0; sys.b.len()];
-        for &(i, v) in &fixed {
-            x0[i] = v;
-        }
-        (sys.a, sys.b, x0)
-    }
-
-    fn solve_iters(nx: usize, cfg: &SchwarzConfig) -> (usize, bool) {
-        let (a, b, x0) = tc1_at(nx);
-        let m = AdditiveSchwarz::build(nx, nx, cfg);
-        let mut x = x0;
-        let rep = Gmres::new(GmresConfig {
-            max_iters: 400,
-            ..Default::default()
+            owned,
+            local_of,
+            sub,
+            fp: FastPoisson2d::new(sub.width(), sub.j1 - sub.j0, 1.0, 1.0),
+            covered_by,
+            lenders,
+            coarse: coarse.then(coarse_operator),
         })
-        .solve(&a, &m, &b, &mut x);
-        (rep.iterations, rep.converged)
     }
+}
 
-    #[test]
-    fn schwarz_converges_without_cgc() {
-        let (it, conv) = solve_iters(17, &SchwarzConfig::without_cgc(4));
-        assert!(conv);
-        assert!(it < 60, "{it}");
+/// The P1 coarse operator on the `5 × 17` grid with Dirichlet rows —
+/// structure identical to the fine assembly — factored densely ("Gaussian
+/// elimination", paper §5.2).
+fn coarse_operator() -> DenseLu {
+    let mesh = parapre_grid::structured::unit_square(COARSE.0, COARSE.1);
+    let (a, b) = parapre_fem::poisson::assemble_2d(&mesh, |_, _| 0.0);
+    let mut sys = parapre_fem::LinearSystem { a, b };
+    let fixed: Vec<(usize, f64)> = mesh
+        .boundary_nodes()
+        .iter()
+        .enumerate()
+        .filter(|&(_, &on)| on)
+        .map(|(i, _)| (i, 0.0))
+        .collect();
+    parapre_fem::bc::apply_dirichlet(&mut sys, &fixed);
+    let n = sys.b.len();
+    let mut dense = Dense::zeros(n, n);
+    for (i, j, v) in sys.a.iter() {
+        dense[(i, j)] = v;
     }
+    DenseLu::factor(dense).expect("coarse operator regular")
+}
 
-    #[test]
-    fn cgc_reduces_iterations() {
-        let (it_no, c1) = solve_iters(33, &SchwarzConfig::without_cgc(16));
-        let (it_yes, c2) = solve_iters(33, &SchwarzConfig::with_cgc(16));
-        assert!(c1 && c2);
-        assert!(it_yes < it_no, "CGC {it_yes} vs no-CGC {it_no}");
+/// One preconditioned CG iteration on the subdomain stencil from zero —
+/// the paper's subdomain solver. With the spectrally exact FFT
+/// preconditioner a single iteration is an exact solve (α = 1).
+fn subdomain_solve(fp: &FastPoisson2d, r: &[f64]) -> Vec<f64> {
+    let mut x = vec![0.0; r.len()];
+    let z = fp.solve(r);
+    let az = fp.apply(&z, 1.0, 1.0);
+    let rz: f64 = r.iter().zip(&z).map(|(a, b)| a * b).sum();
+    let zaz: f64 = z.iter().zip(&az).map(|(a, b)| a * b).sum();
+    if zaz > 0.0 {
+        let alpha = rz / zaz;
+        for (xi, &zi) in x.iter_mut().zip(&z) {
+            *xi += alpha * zi;
+        }
     }
+    x
+}
 
-    #[test]
-    fn iterations_grow_without_cgc() {
-        let (it_small, _) = solve_iters(17, &SchwarzConfig::without_cgc(2));
-        let (it_large, _) = solve_iters(17, &SchwarzConfig::without_cgc(16));
-        assert!(it_large > it_small, "{it_small} -> {it_large}");
-    }
+/// Bilinear interpolation of lattice node `(i, j)` from the coarse grid:
+/// the lower-left coarse node and the weights `(tx, ty)`.
+fn coarse_cell(nx: usize, i: usize, j: usize) -> (usize, f64, f64) {
+    let (cx, cy) = COARSE;
+    let sx = (cx - 1) as f64 / (nx - 1) as f64;
+    let sy = (cy - 1) as f64 / (nx - 1) as f64;
+    let (gx, gy) = (i as f64 * sx, j as f64 * sy);
+    let ic = (gx.floor() as usize).min(cx - 2);
+    let jc = (gy.floor() as usize).min(cy - 2);
+    (jc * cx + ic, gx - ic as f64, gy - jc as f64)
+}
 
-    #[test]
-    fn subdomains_cover_interior() {
-        let m = AdditiveSchwarz::build(33, 33, &SchwarzConfig::without_cgc(8));
-        let mut covered = vec![false; 33 * 33];
-        for s in &m.subs {
-            for j in s.j0..s.j1 {
-                for i in s.i0..s.i1 {
-                    covered[j * 33 + i] = true;
+impl DistPrecond for SchwarzPrecond {
+    fn apply(&self, comm: &mut Comm, r: &[f64], z: &mut [f64]) {
+        let (nx, owned, sub) = (self.nx, &self.owned, &self.sub);
+        let rb: Vec<f64> = self.local_of.iter().map(|&l| r[l]).collect();
+        // 1. The residual on the subdomain.
+        for (t, part) in &self.covered_by {
+            let vals: Vec<f64> = owned.offsets(part).map(|k| rb[k]).collect();
+            comm.send_f64s_from(*t, tags::SCHWARZ, &vals);
+        }
+        let mine = owned.meet(sub);
+        let mut rs = vec![0.0; sub.len()];
+        for (k, ks) in mine
+            .iter()
+            .flat_map(|m| owned.offsets(m).zip(sub.offsets(m)))
+        {
+            rs[ks] = rb[k];
+        }
+        for (q, part) in &self.lenders {
+            let data = comm.recv(*q, tags::SCHWARZ);
+            for (ks, v) in sub.offsets(part).zip(&data) {
+                rs[ks] = *v;
+            }
+            comm.recycle_f64s(data);
+        }
+        // 2. The subdomain solve.
+        let zs = subdomain_solve(&self.fp, &rs);
+        // 3. Contributions back to their owners, summed at each node in
+        //    ascending subdomain order, this rank's own among them.
+        for (q, part) in &self.lenders {
+            let vals: Vec<f64> = sub.offsets(part).map(|ks| zs[ks]).collect();
+            comm.send_f64s_from(*q, tags::SCHWARZ, &vals);
+        }
+        let mut zb = vec![0.0; owned.len()];
+        let me = comm.rank();
+        let own_turn = self.covered_by.partition_point(|&(t, _)| t < me);
+        for turn in 0..=self.covered_by.len() {
+            if turn == own_turn {
+                for (k, ks) in mine
+                    .iter()
+                    .flat_map(|m| owned.offsets(m).zip(sub.offsets(m)))
+                {
+                    zb[k] += zs[ks];
+                }
+            }
+            if let Some((t, part)) = self.covered_by.get(turn) {
+                let data = comm.recv(*t, tags::SCHWARZ);
+                for (k, v) in owned.offsets(part).zip(&data) {
+                    zb[k] += v;
+                }
+                comm.recycle_f64s(data);
+            }
+        }
+        // 4. Coarse-grid correction: z += P A_c⁻¹ Pᵀ r.
+        if let Some(lu) = &self.coarse {
+            let cx = COARSE.0;
+            let mut rc = vec![0.0; cx * COARSE.1];
+            for j in owned.j0..owned.j1 {
+                for i in owned.i0..owned.i1 {
+                    let (c, tx, ty) = coarse_cell(nx, i, j);
+                    let v = rb[owned.at(i, j)];
+                    rc[c] += v * (1.0 - tx) * (1.0 - ty);
+                    rc[c + 1] += v * tx * (1.0 - ty);
+                    rc[c + cx] += v * (1.0 - tx) * ty;
+                    rc[c + cx + 1] += v * tx * ty;
+                }
+            }
+            comm.allreduce_sum_vec(&mut rc, tags::SCHWARZ_SUM);
+            // The coarse Dirichlet rows are identity rows: zero right side.
+            for (c, v) in rc.iter_mut().enumerate() {
+                let (ic, jc) = (c % cx, c / cx);
+                if ic == 0 || jc == 0 || ic == cx - 1 || jc == COARSE.1 - 1 {
+                    *v = 0.0;
+                }
+            }
+            lu.solve_in_place(&mut rc);
+            for j in owned.j0..owned.j1 {
+                for i in owned.i0..owned.i1 {
+                    let (c, tx, ty) = coarse_cell(nx, i, j);
+                    zb[owned.at(i, j)] += (1.0 - tx) * (1.0 - ty) * rc[c]
+                        + tx * (1.0 - ty) * rc[c + 1]
+                        + (1.0 - tx) * ty * rc[c + cx]
+                        + tx * ty * rc[c + cx + 1];
                 }
             }
         }
-        for j in 1..32 {
-            for i in 1..32 {
-                assert!(covered[j * 33 + i], "interior node ({i},{j}) uncovered");
+        // 5. Dirichlet (identity) rows of the fine system pass through.
+        for j in owned.j0..owned.j1 {
+            for i in owned.i0..owned.i1 {
+                let k = owned.at(i, j);
+                let edge = i == 0 || j == 0 || i == nx - 1 || j == nx - 1;
+                z[self.local_of[k]] = if edge { rb[k] } else { zb[k] };
             }
         }
-    }
-
-    #[test]
-    fn exact_on_single_subdomain_without_overlap_effects() {
-        // One subdomain covering the whole interior + exact FFT solve +
-        // Dirichlet pass-through = exact inverse: GMRES converges in 1
-        // iteration.
-        let (it, conv) = solve_iters(
-            17,
-            &SchwarzConfig {
-                n_subdomains: 1,
-                overlap_frac: 0.0,
-                coarse: None,
-                cg_iters: 1,
-            },
-        );
-        assert!(conv);
-        assert!(it <= 2, "expected near-exact solve, got {it} iterations");
     }
 }

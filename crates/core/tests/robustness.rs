@@ -6,26 +6,26 @@
 
 use parapre_core::cases::{block_owner, hostile};
 use parapre_core::{
-    build_dist_precond_with_fallback, try_build_dist_precond, PrecondKind, PrecondParams,
+    build_case, build_dist_precond_with_fallback, partition_case, try_build_dist_precond,
+    AssembledCase, CaseId, CaseSize, PartitionScheme, PrecondKind, PrecondParams,
 };
 use parapre_dist::{scatter_vector, DistGmres, DistMatrix, GmresConfig};
 use parapre_mpisim::Universe;
 use parapre_sparse::{Coo, Csr};
 use proptest::prelude::*;
 
-/// Runs the ladder + solve on `p` ranks; returns per-rank
+/// Runs the ladder + solve on the `p` ranks of `owner`; returns per-rank
 /// (kind_used, fallbacks, pivot_shifts, converged, breakdown?, x finite).
 #[allow(clippy::type_complexity)]
 fn ladder_solve(
     a: &Csr,
+    owner: &[u32],
     p: usize,
     kind: PrecondKind,
 ) -> Vec<(PrecondKind, usize, usize, bool, bool, bool)> {
     let n = a.n_rows();
-    let owner = block_owner(n, p);
-    let owner_ref = &owner;
     Universe::run(p, move |comm| {
-        let dm = DistMatrix::from_global(a, owner_ref, comm.rank(), p);
+        let dm = DistMatrix::from_global(a, owner, comm.rank(), p);
         let params = PrecondParams::default();
         let built = build_dist_precond_with_fallback(kind, &dm, comm, a, &params);
         let b_loc = scatter_vector(&dm.layout, &vec![1.0; n]);
@@ -67,7 +67,7 @@ proptest! {
             PrecondKind::ALL[kind_ix]
         };
         let a = hostile(96, seed);
-        let outs = ladder_solve(&a, p, kind);
+        let outs = ladder_solve(&a, &block_owner(a.n_rows(), p), p, kind);
         let first = outs[0].0;
         for (kind_used, _, _, converged, has_breakdown, x_finite) in outs {
             // Rank-identical ladder outcome.
@@ -91,7 +91,7 @@ proptest! {
 fn zero_diagonals_trigger_shift_or_fallback() {
     let a = hostile(64, 7);
     for p in [1usize, 2, 4, 8] {
-        let outs = ladder_solve(&a, p, PrecondKind::Block1);
+        let outs = ladder_solve(&a, &block_owner(a.n_rows(), p), p, PrecondKind::Block1);
         // Shift retries are a per-rank (local factorization) matter: a rank
         // whose zero diagonals all receive elimination fill may factor
         // cleanly. At least one rank must have paid, though — row 0 has an
@@ -166,7 +166,12 @@ fn schurml_zero_coarse_pivots_vote_down_to_schur2() {
     }
     let a = coo.to_csr();
     for p in [1usize, 2, 4, 8] {
-        let outs = ladder_solve(&a, p, PrecondKind::schurml_default());
+        let outs = ladder_solve(
+            &a,
+            &block_owner(a.n_rows(), p),
+            p,
+            PrecondKind::schurml_default(),
+        );
         for (kind_used, fallbacks, _ps, converged, _bd, x_finite) in outs {
             assert_eq!(
                 kind_used,
@@ -176,6 +181,39 @@ fn schurml_zero_coarse_pivots_vote_down_to_schur2() {
             assert_eq!(fallbacks, 1, "P={p}: exactly one rung descended");
             assert!(converged, "P={p}: Schur2 must converge on this matrix");
             assert!(x_finite, "P={p}: converged answer must be finite");
+        }
+    }
+}
+
+/// The rung each rank ends on, and its fallbacks, for `kind` on `case`
+/// partitioned under `scheme` into `p` parts.
+fn rungs(
+    case: &AssembledCase,
+    scheme: PartitionScheme,
+    kind: PrecondKind,
+    p: usize,
+) -> Vec<(PrecondKind, usize)> {
+    let owner = case.dof_owner(&partition_case(case, scheme, p, 7).owner);
+    let outs = ladder_solve(&case.sys.a, &owner, p, kind);
+    outs.iter().map(|o| (o.0, o.1)).collect()
+}
+
+#[test]
+fn schwarz_off_box_partitioned_tc1_descends_to_block2_in_lockstep() {
+    let tc1 = build_case(CaseId::Tc1, CaseSize::Tiny);
+    let tc3 = build_case(CaseId::Tc3, CaseSize::Tiny);
+    for coarse in [false, true] {
+        let kind = PrecondKind::Schwarz { coarse };
+        for p in [2, 4] {
+            // A general partition of TC1 (rows off their box) and TC3 (no
+            // square lattice): every rank refuses or is voted down, together.
+            for case in [&tc1, &tc3] {
+                let got = rungs(case, PartitionScheme::General, kind, p);
+                let want = vec![(PrecondKind::Block2, 1); p];
+                assert_eq!(got, want, "{} P={p} {}", case.id.name(), kind.key());
+            }
+            let got = rungs(&tc1, PartitionScheme::Boxes, kind, p);
+            assert_eq!(got, vec![(kind, 0); p], "boxes P={p} {}", kind.key());
         }
     }
 }
@@ -196,6 +234,12 @@ fn fallback_ladder_is_the_documented_chain() {
         PrecondKind::BlockOverlap.fallback(),
         Some(PrecondKind::Block2)
     );
+    for coarse in [false, true] {
+        let schwarz = PrecondKind::Schwarz { coarse };
+        assert_eq!(schwarz.fallback(), Some(PrecondKind::Block2));
+        // Not a wire name: no job line can ask for it.
+        assert_eq!(PrecondKind::parse(schwarz.key()), None);
+    }
     assert_eq!(PrecondKind::parse("jacobi"), Some(PrecondKind::Jacobi));
     assert_eq!(
         PrecondKind::parse("schurml"),

@@ -76,9 +76,15 @@ pub mod tags {
     /// Collectives of test code (e.g. a reference build's own vote), kept
     /// apart from every product decision.
     pub const TEST_VOTE: u64 = REDUCE + 60;
+    /// The additive Schwarz apply's residual gather and contribution
+    /// return (`parapre_core::schwarz`).
+    pub const SCHWARZ: u64 = 0x380;
+    /// The additive Schwarz all-reduces: the build's row count and the
+    /// apply's coarse-grid restriction.
+    pub const SCHWARZ_SUM: u64 = REDUCE + 52;
 
     /// Every constant above, by name.
-    pub const ALL: [(&str, u64); 9] = [
+    pub const ALL: [(&str, u64); 11] = [
         ("GHOST", GHOST),
         ("SCHUR", SCHUR),
         ("GHOST_ROWS", GHOST_ROWS),
@@ -88,6 +94,8 @@ pub mod tags {
         ("LADDER_VOTE", LADDER_VOTE),
         ("REFACTOR_VOTE", REFACTOR_VOTE),
         ("TEST_VOTE", TEST_VOTE),
+        ("SCHWARZ", SCHWARZ),
+        ("SCHWARZ_SUM", SCHWARZ_SUM),
     ];
 }
 

@@ -8,20 +8,16 @@
 //! cargo run --release --example schwarz_vs_algebraic
 //! ```
 
-use parapre::core::{build_case, AdditiveSchwarz, CaseId, CaseSize, PrecondKind, SchwarzConfig};
+use parapre::core::{build_case, AssembledCase, CaseId, CaseSize, PartitionScheme, PrecondKind};
 use parapre::engine::{run_case, SessionConfig};
-use parapre::krylov::{Gmres, GmresConfig};
 
-fn schwarz_iters(case: &parapre::core::AssembledCase, cfg: &SchwarzConfig) -> Option<usize> {
-    let dims = case.structured_dims.unwrap();
-    let m = AdditiveSchwarz::build(dims[0], dims[1], cfg);
-    let mut x = case.x0.clone();
-    let rep = Gmres::new(GmresConfig {
-        max_iters: 800,
-        ..Default::default()
-    })
-    .solve(&case.sys.a, &m, &case.sys.b, &mut x);
-    rep.converged.then_some(rep.iterations)
+/// Iterations of Schwarz (± CGC) on `p` box subdomains, `None` if it did
+/// not converge.
+fn schwarz_iters(case: &AssembledCase, coarse: bool, p: usize) -> Option<usize> {
+    let mut cfg = SessionConfig::paper(PrecondKind::Schwarz { coarse }, p);
+    cfg.scheme = PartitionScheme::Boxes;
+    let res = run_case(case, &cfg);
+    res.converged.then_some(res.iterations)
 }
 
 fn main() {
@@ -35,8 +31,8 @@ fn main() {
     );
     let mut growth = Vec::new();
     for p in [2usize, 4, 8, 16] {
-        let no = schwarz_iters(&case, &SchwarzConfig::without_cgc(p));
-        let yes = schwarz_iters(&case, &SchwarzConfig::with_cgc(p));
+        let no = schwarz_iters(&case, false, p);
+        let yes = schwarz_iters(&case, true, p);
         growth.push(no.unwrap_or(usize::MAX));
         println!(
             "{:>4} {:>16} {:>16}",

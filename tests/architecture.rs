@@ -5,8 +5,9 @@
 //! Krylov configuration; one clock; one Arnoldi loop; one
 //! recovery layer on the one pipeline; one experiment pipeline; one front
 //! door, whose every job key and command verb is documented and whose job
-//! values are read in one place; one Schur driver; one tag table; one
-//! fixture family; a preconditioner layer that reads no global matrix. The tree is walked with `std::fs` from the root
+//! values are read in one place; one Schur driver; one Schwarz on the one
+//! pipeline; one tag table; one fixture family; a preconditioner layer
+//! that reads no global matrix. The tree is walked with `std::fs` from the root
 //! package's directory, build output (`target`) is skipped, and so is this
 //! file, whose needles would otherwise match themselves. A failure lists
 //! every offending `path:line`.
@@ -429,6 +430,42 @@ fn one_schur_driver() {
         lines_where(&tree, |l| {
             l.contains("Schur1Precond") || l.contains("Schur1Config")
         }),
+    );
+}
+
+#[test]
+fn one_schwarz_on_the_pipeline() {
+    let tree = files(&[
+        "crates",
+        "src",
+        "tests",
+        "examples",
+        "benchmark/e2e/src",
+        "benchmark/layers/src",
+        "README.md",
+        "DESIGN.md",
+    ]);
+    assert_none(
+        "§5.2 Schwarz is a `PrecondKind` on `run_case`; the shared-memory twin \
+         lives on only as the reference of `tests/schwarz_apply.rs`",
+        lines_where(&tree, |l| {
+            l.contains("AdditiveSchwarz") || l.contains("SchwarzConfig")
+        })
+        .into_iter()
+        .filter(|hit| !hit.starts_with("tests/schwarz_apply.rs:"))
+        .collect(),
+    );
+    // `DistGmres::new` is the distributed entry; a bare `Gmres::new` or
+    // `FGmres::new` is a private sequential solve loop.
+    let sequential = |l: &str| {
+        ["Gmres::new", "FGmres::new"].iter().any(|entry| {
+            l.match_indices(entry)
+                .any(|(at, _)| !l[..at].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_'))
+        })
+    };
+    assert_none(
+        "no table, bench or example runs a sequential solve of its own",
+        lines_where(&files(&["crates/bench", "examples"]), sequential),
     );
 }
 

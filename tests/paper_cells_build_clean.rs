@@ -6,9 +6,30 @@
 //! header. Both halves are pinned here, and so is the identity of a table
 //! cell with its line in the committed answer ledger (`LEDGER.txt`).
 
-use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
+use parapre::core::{build_case, AssembledCase, CaseId, CaseSize, PartitionScheme, PrecondKind};
 use parapre::engine::{run_case, SessionConfig};
 use std::time::{Duration, Instant};
+
+/// Runs the cell of `case` under `cfg` — `run_case` panics on a ladder
+/// descent or a pivot shift — and checks it against its ledger line,
+/// column for column.
+fn matches_its_ledger_line(case: &AssembledCase, cfg: &SessionConfig) {
+    let res = run_case(case, cfg);
+    let (kind, p) = (cfg.precond, cfg.n_ranks);
+    let head = format!("{} tiny {} P={p} ", case.id.key(), kind.key());
+    let line = include_str!("../LEDGER.txt")
+        .lines()
+        .find(|l| l.starts_with(&head))
+        .unwrap_or_else(|| panic!("no ledger line for {head:?}"));
+    let cell = format!(
+        "{head}it={} conv={} rung={} fallbacks=0 shifts=0 msgs={} ",
+        res.iterations,
+        res.converged,
+        kind.key(),
+        res.total_msgs
+    );
+    assert!(line.starts_with(&cell), "ledger {line:?}\n  table {cell:?}");
+}
 
 #[test]
 fn every_paper_cell_builds_on_the_requested_rung_without_shifts() {
@@ -21,28 +42,21 @@ fn every_paper_cell_builds_on_the_requested_rung_without_shifts() {
         PrecondKind::schurml_default(),
         PrecondKind::Jacobi,
     ];
-    let ledger = include_str!("../LEDGER.txt");
     for id in CaseId::ALL {
         let case = build_case(id, CaseSize::Tiny);
         for kind in kinds {
             for p in [2, 4] {
-                // `run_case` panics on a ladder descent or a pivot shift.
-                let res = run_case(&case, &SessionConfig::paper(kind, p));
-                let head = format!("{} tiny {} P={p} ", id.key(), kind.key());
-                let line = ledger
-                    .lines()
-                    .find(|l| l.starts_with(&head))
-                    .unwrap_or_else(|| panic!("no ledger line for {head:?}"));
-                // The table cell is the ledger's computation, column for column.
-                let cell = format!(
-                    "{head}it={} conv={} rung={} fallbacks=0 shifts=0 msgs={} ",
-                    res.iterations,
-                    res.converged,
-                    kind.key(),
-                    res.total_msgs
-                );
-                assert!(line.starts_with(&cell), "ledger {line:?}\n  table {cell:?}");
+                matches_its_ledger_line(&case, &SessionConfig::paper(kind, p));
             }
+        }
+    }
+    // The §5.2 Schwarz cells, on the box partitions they are defined on.
+    let tc1 = build_case(CaseId::Tc1, CaseSize::Tiny);
+    for coarse in [false, true] {
+        for p in [2, 4] {
+            let mut cfg = SessionConfig::paper(PrecondKind::Schwarz { coarse }, p);
+            cfg.scheme = PartitionScheme::Boxes;
+            matches_its_ledger_line(&tc1, &cfg);
         }
     }
 }

@@ -2,9 +2,8 @@
 //! reduced scale. EXPERIMENTS.md records the same checks at bench scale.
 
 use parapre::core::runner::PartitionScheme;
-use parapre::core::{build_case, AdditiveSchwarz, CaseId, CaseSize, PrecondKind, SchwarzConfig};
+use parapre::core::{build_case, CaseId, CaseSize, PrecondKind};
 use parapre::engine::{run_case, SessionConfig};
-use parapre::krylov::{Gmres, GmresConfig};
 
 fn iters(case: &parapre::core::AssembledCase, kind: PrecondKind, p: usize) -> (usize, bool) {
     let mut cfg = SessionConfig::paper(kind, p);
@@ -93,21 +92,17 @@ fn claim6_schwarz_needs_cgc() {
     // §5.2: without CGC the growth is dangerous; with CGC the Schwarz
     // preconditioner converges faster than the algebraic ones.
     let case = build_case(CaseId::Tc1, CaseSize::Tiny);
-    let dims = case.structured_dims.unwrap();
-    let solve = |cfg: &SchwarzConfig| {
-        let m = AdditiveSchwarz::build(dims[0], dims[1], cfg);
-        let mut x = case.x0.clone();
-        let rep = Gmres::new(GmresConfig {
-            max_iters: 800,
-            ..Default::default()
-        })
-        .solve(&case.sys.a, &m, &case.sys.b, &mut x);
-        assert!(rep.converged);
-        rep.iterations
+    let solve = |coarse, p| {
+        let mut cfg = SessionConfig::paper(PrecondKind::Schwarz { coarse }, p);
+        cfg.scheme = PartitionScheme::Boxes;
+        cfg.gmres.max_iters = 800;
+        let res = run_case(&case, &cfg);
+        assert!(res.converged);
+        res.iterations
     };
-    let no_small = solve(&SchwarzConfig::without_cgc(2));
-    let no_large = solve(&SchwarzConfig::without_cgc(16));
-    let yes_large = solve(&SchwarzConfig::with_cgc(16));
+    let no_small = solve(false, 2);
+    let no_large = solve(false, 16);
+    let yes_large = solve(true, 16);
     assert!(
         no_large > no_small,
         "no-CGC iterations must grow: {no_small} -> {no_large}"
