@@ -15,11 +15,12 @@
 //! exchange plan; [`DistMatrix`] the local rows; [`solver`] the distributed
 //! right-preconditioned (F)GMRES with restart (the paper's accelerator).
 //!
-//! Ghost updates ride on structural symmetry of the FEM matrices: the
-//! values a rank must *send* to neighbour `q` are exactly its owned nodes
-//! appearing as ghosts on `q`, which both sides can derive independently
-//! from the global pattern — no handshake needed (mirroring how the paper's
-//! communication patterns are precomputed by the Diffpack toolbox).
+//! Ghost updates ride on structural symmetry of the pattern, which
+//! `parapre_engine::SolverSession::build` enforces: the values a rank must
+//! *send* to neighbour `q` are exactly its owned nodes appearing as ghosts on
+//! `q`, which both sides derive from their own rows into state of local size
+//! — no handshake needed (mirroring how the paper's communication patterns
+//! are precomputed by the Diffpack toolbox).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +35,8 @@ pub use solver::{DistGmres, DistOp, DistPrecond, GmresConfig, IdentityDistPrecon
 use parapre_mpisim::Comm;
 use parapre_sparse::{ops, Csr, RowSplit};
 use std::cell::RefCell;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 thread_local! {
     /// Per-thread gather scratch for outgoing halo/interface messages, so
@@ -347,117 +350,75 @@ impl DistMatrix {
     /// Builds rank `rank`'s share from the (logically) global matrix and a
     /// node → rank ownership map.
     ///
+    /// Reads `owner` once and only this rank's rows of `a`, whose pattern
+    /// must be structurally symmetric (see the crate doc), and allocates only
+    /// state of local size.
+    ///
     /// This is the row-distribution path; `parapre-fem::submesh` offers the
-    /// paper's assembly-side alternative, and the two produce identical
-    /// local systems (tested in the workspace integration tests).
+    /// paper's assembly-side alternative. `tests/distributed_discretization.rs`
+    /// checks its interior Poisson rows against these to 1e-13 on one 14²
+    /// mesh; other rows and cases are unchecked (ROADMAP item 13(b)).
     pub fn from_global(a: &Csr, owner: &[u32], rank: usize, n_ranks: usize) -> Self {
-        let n = a.n_rows();
-        assert_eq!(owner.len(), n);
+        assert_eq!(owner.len(), a.n_rows());
         let me = rank as u32;
-        // Owned nodes and their classification.
-        let mut internal = Vec::new();
-        let mut interface = Vec::new();
-        let mut ghost_set: Vec<usize> = Vec::new();
-        for g in 0..n {
-            if owner[g] != me {
-                continue;
+        // One pass over the owned rows, in ascending global id: a row that
+        // couples to another rank's node is interface, and that node a ghost.
+        // Internal rows go straight into `local_to_global`, which they head.
+        let (mut local_to_global, mut interface, mut ghosts) = (Vec::new(), Vec::new(), Vec::new());
+        for g in (0..owner.len()).filter(|&g| owner[g] == me) {
+            let before = ghosts.len();
+            let external = a.row(g).0.iter().filter(|&&c| owner[c] != me);
+            ghosts.extend(external.map(|&c| (owner[c] as usize, c)));
+            if ghosts.len() == before {
+                local_to_global.push(g);
+            } else {
+                interface.push(g);
             }
-            let (cols, _) = a.row(g);
-            let mut is_interface = false;
-            for &c in cols {
-                if owner[c] != me {
-                    is_interface = true;
-                    ghost_set.push(c);
+        }
+        // Ghosts ordered by (owner, global id): each neighbour's receive list
+        // is one run of them, in the order that neighbour sends.
+        ghosts.sort_unstable();
+        ghosts.dedup();
+        let n_internal = local_to_global.len();
+        let n_owned = n_internal + interface.len();
+        local_to_global.extend(&interface);
+        local_to_global.extend(ghosts.iter().map(|&(_, g)| g));
+        let mut ghost_ids = n_owned..;
+        let (neighbors, recv_idx): (Vec<usize>, Vec<Vec<usize>>) = ghosts
+            .chunk_by(|x, y| x.0 == y.0)
+            .map(|run| (run[0].0, ghost_ids.by_ref().take(run.len()).collect()))
+            .unzip();
+
+        // Send plan: with a structurally symmetric pattern, owned g couples
+        // to a node of q ⇒ q needs g. Walking the interface rows in ascending
+        // global id lists each neighbour's nodes in the order it receives.
+        let mut send_idx: Vec<Vec<usize>> = vec![Vec::new(); neighbors.len()];
+        for (l, &g) in (n_internal..).zip(&interface) {
+            for &c in a.row(g).0.iter().filter(|&&c| owner[c] != me) {
+                let k = neighbors
+                    .binary_search(&(owner[c] as usize))
+                    .expect("ghost owner listed");
+                if send_idx[k].last() != Some(&l) {
+                    send_idx[k].push(l);
                 }
             }
-            if is_interface {
-                interface.push(g);
-            } else {
-                internal.push(g);
-            }
-        }
-        ghost_set.sort_unstable();
-        ghost_set.dedup();
-        // Ghosts ordered by (owner, global id) for a deterministic plan.
-        ghost_set.sort_by_key(|&g| (owner[g], g));
-
-        let n_internal = internal.len();
-        let n_interface = interface.len();
-        let n_ghost = ghost_set.len();
-        let mut local_to_global = Vec::with_capacity(n_internal + n_interface + n_ghost);
-        local_to_global.extend_from_slice(&internal);
-        local_to_global.extend_from_slice(&interface);
-        local_to_global.extend_from_slice(&ghost_set);
-        let mut global_to_local = vec![usize::MAX; n];
-        for (l, &g) in local_to_global.iter().enumerate() {
-            global_to_local[g] = l;
         }
 
-        // Neighbours = owners of ghosts; recv plan groups ghosts by owner.
-        let mut neighbors: Vec<usize> = ghost_set.iter().map(|&g| owner[g] as usize).collect();
-        neighbors.sort_unstable();
-        neighbors.dedup();
-        let mut recv_idx: Vec<Vec<usize>> = vec![Vec::new(); neighbors.len()];
-        for &g in &ghost_set {
-            let k = neighbors
-                .binary_search(&(owner[g] as usize))
-                .expect("ghost owner listed");
-            recv_idx[k].push(global_to_local[g]);
-        }
-        // recv order within a neighbour must match the peer's send order:
-        // both sort by global id.
-        for (k, list) in recv_idx.iter_mut().enumerate() {
-            let _ = k;
-            list.sort_by_key(|&l| local_to_global[l]);
-        }
-
-        // Send plan: owned interface nodes appearing in a neighbour's rows.
-        // With a structurally symmetric pattern this is derivable from this
-        // rank's own rows: owned g couples to a node of q ⇒ q needs g.
-        let mut send_sets: Vec<Vec<usize>> = vec![Vec::new(); neighbors.len()];
-        for &g in &interface {
-            let (cols, _) = a.row(g);
-            let mut sent_to: Vec<usize> = cols
-                .iter()
-                .filter(|&&c| owner[c] != me)
-                .map(|&c| owner[c] as usize)
-                .collect();
-            sent_to.sort_unstable();
-            sent_to.dedup();
-            for q in sent_to {
-                let k = neighbors.binary_search(&q).expect("neighbor listed");
-                send_sets[k].push(global_to_local[g]);
-            }
-        }
-        for list in &mut send_sets {
-            list.sort_by_key(|&l| local_to_global[l]);
-            list.dedup();
-        }
-
-        // Local rows with columns renumbered; ghost columns kept, all other
-        // external columns must not exist (they would violate the minimum-
-        // overlap invariant).
-        let col_map: Vec<Option<usize>> = (0..n)
-            .map(|g| (global_to_local[g] != usize::MAX).then(|| global_to_local[g]))
-            .collect();
-        // Rows in local order: internal then interface.
-        let owned_rows: Vec<usize> = local_to_global[..n_internal + n_interface].to_vec();
-        let a_loc = a.extract(&owned_rows, &col_map, n_internal + n_interface + n_ghost);
-        // Sanity: every entry of an owned row landed in the local matrix.
-        debug_assert_eq!(
-            a_loc.nnz(),
-            owned_rows.iter().map(|&g| a.row(g).0.len()).sum::<usize>()
-        );
+        // Local rows in local order (internal, then interface), columns
+        // renumbered: every column of an owned row is owned or a ghost, so
+        // the lookup keeps every entry.
+        let (g2l, n_local) = (global_to_local(&local_to_global), local_to_global.len());
+        let a_loc = a.extract(&local_to_global[..n_owned], |c| Some(g2l[&c]), n_local);
 
         let layout = LocalLayout {
             rank,
             n_ranks,
             n_internal,
-            n_interface,
-            n_ghost,
+            n_interface: interface.len(),
+            n_ghost: ghosts.len(),
             local_to_global,
             neighbors,
-            send_idx: send_sets,
+            send_idx,
             recv_idx,
         };
         let plan = DistSpmvPlan::new(&a_loc, &layout);
@@ -518,18 +479,15 @@ impl DistMatrix {
         let ni = self.layout.n_internal;
         let nf = self.layout.n_interface;
         let no = ni + nf;
-        let nl = self.layout.n_local();
         let internal_rows: Vec<usize> = (0..ni).collect();
         let iface_rows: Vec<usize> = (ni..no).collect();
-        let map_b: Vec<Option<usize>> = (0..nl).map(|j| (j < ni).then_some(j)).collect();
-        let map_f: Vec<Option<usize>> = (0..nl)
-            .map(|j| (j >= ni && j < no).then(|| j - ni))
-            .collect();
+        let map_b = |j: usize| (j < ni).then_some(j);
+        let map_f = |j: usize| (j >= ni && j < no).then(|| j - ni);
         [
-            self.a_loc.extract(&internal_rows, &map_b, ni),
-            self.a_loc.extract(&internal_rows, &map_f, nf),
-            self.a_loc.extract(&iface_rows, &map_b, ni),
-            self.a_loc.extract(&iface_rows, &map_f, nf),
+            self.a_loc.extract(&internal_rows, map_b, ni),
+            self.a_loc.extract(&internal_rows, map_f, nf),
+            self.a_loc.extract(&iface_rows, map_b, ni),
+            self.a_loc.extract(&iface_rows, map_f, nf),
         ]
     }
 
@@ -539,8 +497,7 @@ impl DistMatrix {
         let no = self.layout.n_owned();
         let ng = self.layout.n_ghost;
         let iface_rows: Vec<usize> = (self.layout.n_internal..no).collect();
-        let map_g: Vec<Option<usize>> = (0..no + ng).map(|j| (j >= no).then(|| j - no)).collect();
-        self.a_loc.extract(&iface_rows, &map_g, ng)
+        self.a_loc.extract(&iface_rows, |j| j.checked_sub(no), ng)
     }
 
     /// The rows of this rank's ghost nodes, one entry list per ghost in
@@ -563,8 +520,7 @@ impl DistMatrix {
             msg.extend(rows().flat_map(|(_, vals)| vals.iter().copied()));
             comm.send(q, tags::GHOST_ROWS, msg);
         }
-        let g2l: std::collections::HashMap<usize, usize> =
-            l2g.iter().enumerate().map(|(l, &g)| (g, l)).collect();
+        let g2l = global_to_local(l2g);
         let no = lay.n_owned();
         let mut ghost_rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); lay.n_ghost];
         for (&q, ghosts) in lay.neighbors.iter().zip(&lay.recv_idx) {
@@ -592,10 +548,32 @@ impl DistMatrix {
     /// the operand of the simple block preconditioners.
     pub fn owned_block(&self) -> Csr {
         let no = self.layout.n_owned();
-        let nl = self.layout.n_local();
         let rows: Vec<usize> = (0..no).collect();
-        let map: Vec<Option<usize>> = (0..nl).map(|j| (j < no).then_some(j)).collect();
-        self.a_loc.extract(&rows, &map, no)
+        self.a_loc.extract(&rows, |j| (j < no).then_some(j), no)
+    }
+}
+
+/// Global id → local id of the nodes in `local_to_global`: a map of local
+/// size, hashed by one multiplication (distinct integer keys need no more).
+/// The rotation puts the product's well-mixed high bits where the table
+/// picks its bucket, so ids of a power-of-two stride do not collide.
+fn global_to_local(local_to_global: &[usize]) -> HashMap<usize, usize, BuildHasherDefault<IdHash>> {
+    (0..).zip(local_to_global).map(|(l, &g)| (g, l)).collect()
+}
+
+/// The multiplicative (Fibonacci) hash of a `usize` key.
+#[derive(Default)]
+struct IdHash(u64);
+
+impl Hasher for IdHash {
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("keys are usize")
+    }
+    fn write_usize(&mut self, g: usize) {
+        self.0 = (g as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 

@@ -1,7 +1,8 @@
 //! A distributed GMRES solve allocates before its first iteration and not
-//! after: a solve three times as long costs no allocation more. Pinned with a
-//! counting global allocator, one count per thread, so every rank reads its
-//! own.
+//! after: a solve three times as long costs no allocation more. And the
+//! distribution step allocates nothing of global size. Pinned with a counting
+//! global allocator, one count and one largest block per thread, so every
+//! rank reads its own.
 
 use parapre_dist::{scatter_vector, DistGmres, DistMatrix, GmresConfig, IdentityDistPrecond};
 use parapre_mpisim::Universe;
@@ -13,11 +14,14 @@ mod common;
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// The largest block (in bytes) this thread allocated or grew to.
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
 }
 
-fn count() {
+fn count(bytes: usize) {
     // `try_with`: a thread frees its last blocks after its locals are gone.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(bytes)));
 }
 
 struct Counting;
@@ -26,15 +30,15 @@ struct Counting;
 // const-initialized thread-local `Cell`, which neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -112,4 +116,27 @@ fn between_ranks_only_the_channels_allocate() {
             "rank {rank}: {more_allocs} more allocations for {more_msgs} more messages"
         );
     }
+}
+
+#[test]
+fn distribution_allocates_no_block_of_global_size() {
+    // TC1 at its Default size (201² nodes) on 32 ranks, every rank's share
+    // built on this thread with no universe. A map of one `usize` per global
+    // row is 8n bytes; the shares' own arrays stay well below that at P = 32
+    // (at P = 8 `a_loc` and its SpMV split grow past it).
+    let p = 32;
+    let (a, _, owner) = common::poisson_system(201, p);
+    let n = a.n_rows();
+    assert_eq!(n, 40_401);
+    LARGEST.set(0);
+    let owned: usize = (0..p)
+        .map(|rank| {
+            DistMatrix::from_global(&a, &owner, rank, p)
+                .layout
+                .n_owned()
+        })
+        .sum();
+    let largest = LARGEST.get();
+    assert_eq!(owned, n, "every row has one owner");
+    assert!(largest < 8 * n, "a {largest} B block; 8n is {} B", 8 * n);
 }

@@ -114,6 +114,10 @@ pub enum EngineError {
     Solve(String),
     /// A job specification or its inputs were invalid.
     BadJob(String),
+    /// [`SolverSession::build`] was handed a pattern that is not
+    /// structurally symmetric: `(row, col)`, the first stored entry in
+    /// row-major order whose transpose is not stored.
+    UnsymmetricPattern(usize, usize),
 }
 
 impl std::fmt::Display for EngineError {
@@ -122,6 +126,9 @@ impl std::fmt::Display for EngineError {
             EngineError::Setup(m) => write!(f, "session setup failed: {m}"),
             EngineError::Solve(m) => write!(f, "distributed solve failed: {m}"),
             EngineError::BadJob(m) => write!(f, "bad job: {m}"),
+            EngineError::UnsymmetricPattern(i, j) => {
+                write!(f, "unsymmetric pattern: ({i}, {j}) stored, ({j}, {i}) not")
+            }
         }
     }
 }

@@ -319,11 +319,17 @@ fn launch<T: Send>(
 impl SolverSession {
     /// Builds a session from a global matrix and a per-unknown owner map:
     /// distributes rows and factors the preconditioner on every rank, once.
+    /// A pattern that is not structurally symmetric is refused
+    /// ([`EngineError::UnsymmetricPattern`]); [`SolverSession::from_matrix`]
+    /// takes a general matrix.
     pub fn build(
         a: &Csr,
         owner: &[u32],
         cfg: &SessionConfig,
     ) -> Result<SolverSession, EngineError> {
+        if let Some((row, col)) = unpaired_entry(a) {
+            return Err(EngineError::UnsymmetricPattern(row, col));
+        }
         Self::build_identified(&Arc::new(a.clone()), owner, cfg, MatrixId::of(a), false)
             .map(|(s, _)| s)
     }
@@ -769,15 +775,14 @@ pub(crate) fn symmetrize_pattern(a: &Csr) -> Csr {
 /// entry, and every value comes through the `+ 0.0` it is given unchanged
 /// (all do but `-0.0`, which comes back `+0.0`).
 fn symmetrizes_to_itself(a: &Csr) -> bool {
-    a.vals().iter().all(|v| (v + 0.0).to_bits() == v.to_bits()) && has_symmetric_pattern(a)
+    a.vals().iter().all(|v| (v + 0.0).to_bits() == v.to_bits()) && unpaired_entry(a).is_none()
 }
 
-/// Whether `a` is square and every stored `(i, j)` has a stored `(j, i)`.
-fn has_symmetric_pattern(a: &Csr) -> bool {
+/// The first stored `(i, j)` of the square `a`, in row-major order, whose
+/// `(j, i)` is not stored; `None` when the pattern is structurally symmetric.
+fn unpaired_entry(a: &Csr) -> Option<(usize, usize)> {
     let n = a.n_rows();
-    if n != a.n_cols() {
-        return false;
-    }
+    assert_eq!(n, a.n_cols(), "square systems only");
     // In a symmetric pattern, row `j` lists the rows `i` that store
     // `(i, j)` in the order a row-major walk meets them. Every entry takes
     // one slot of its column's row; with `nnz` entries and `nnz` slots, no
@@ -787,12 +792,15 @@ fn has_symmetric_pattern(a: &Csr) -> bool {
     for i in 0..n {
         for &j in &col_idx[row_ptr[i]..row_ptr[i + 1]] {
             if next[j] == row_ptr[j + 1] || col_idx[next[j]] != i {
-                return false;
+                // Not necessarily the first unpaired entry: search for it.
+                return (0..n)
+                    .flat_map(|i| a.row(i).0.iter().map(move |&j| (i, j)))
+                    .find(|&(i, j)| a.row(j).0.binary_search(&i).is_err());
             }
             next[j] += 1;
         }
     }
-    true
+    None
 }
 
 /// `a` itself when it [`symmetrizes_to_itself`] (every FEM matrix does),
@@ -824,7 +832,7 @@ pub(crate) fn partition_pattern(a_sym: &Csr, n_ranks: usize, seed: u64) -> Vec<u
 /// symmetric (`A + 0·Aᵀ`, as [`partition_matrix`] does). Values never
 /// enter.
 pub fn matrix_graph(a: &Csr) -> Adjacency {
-    if !has_symmetric_pattern(a) {
+    if unpaired_entry(a).is_some() {
         return matrix_graph(&symmetrize_pattern(a));
     }
     let n = a.n_rows();

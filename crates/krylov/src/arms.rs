@@ -413,12 +413,12 @@ fn build_level(a: &Csr, gis: &Arc<GroupIndependentSet>, cfg: &ArmsConfig) -> Res
     // Split the permuted matrix into B, F, E, C.
     let ind_rows: Vec<usize> = (0..n_ind).collect();
     let coarse_rows: Vec<usize> = (n_ind..n).collect();
-    let map_ind: Vec<Option<usize>> = (0..n).map(|j| (j < n_ind).then_some(j)).collect();
-    let map_coarse: Vec<Option<usize>> = (0..n).map(|j| (j >= n_ind).then(|| j - n_ind)).collect();
-    let b = ap.extract(&ind_rows, &map_ind, n_ind);
-    let f = ap.extract(&ind_rows, &map_coarse, nc);
-    let e = ap.extract(&coarse_rows, &map_ind, n_ind);
-    let c = ap.extract(&coarse_rows, &map_coarse, nc);
+    let map_ind = |j: usize| (j < n_ind).then_some(j);
+    let map_coarse = |j: usize| j.checked_sub(n_ind);
+    let b = ap.extract(&ind_rows, map_ind, n_ind);
+    let f = ap.extract(&ind_rows, map_coarse, nc);
+    let e = ap.extract(&coarse_rows, map_ind, n_ind);
+    let c = ap.extract(&coarse_rows, map_coarse, nc);
 
     // Factor the diagonal groups of B. The set search walks rows, so B is
     // exactly block diagonal when the pattern is structurally symmetric;

@@ -403,11 +403,16 @@ impl Csr {
     }
 
     /// Extracts the submatrix with the given (sorted or unsorted) row set and
-    /// a column renumbering map.
+    /// a column renumbering.
     ///
-    /// `col_map[j] = Some(jj)` keeps global column `j` as local column `jj`;
-    /// `None` drops the column. `new_n_cols` is the local column count.
-    pub fn extract(&self, rows: &[usize], col_map: &[Option<usize>], new_n_cols: usize) -> Csr {
+    /// `col_map(j) = Some(jj)` keeps column `j` as local column `jj`; `None`
+    /// drops the column. `new_n_cols` is the local column count.
+    pub fn extract(
+        &self,
+        rows: &[usize],
+        col_map: impl Fn(usize) -> Option<usize>,
+        new_n_cols: usize,
+    ) -> Csr {
         let mut row_ptr = Vec::with_capacity(rows.len() + 1);
         let mut col_idx = Vec::new();
         let mut vals = Vec::new();
@@ -417,7 +422,7 @@ impl Csr {
             scratch.clear();
             let (cols, vs) = self.row(i);
             for (&j, &v) in cols.iter().zip(vs) {
-                if let Some(jj) = col_map[j] {
+                if let Some(jj) = col_map(j) {
                     scratch.push((jj, v));
                 }
             }
