@@ -1,18 +1,21 @@
 //! # parapre-bench
 //!
-//! Harness library shared by the `table_*` binaries (one per table of the
-//! paper's §5) and the criterion benches. See DESIGN.md §6 for the full
-//! experiment index and EXPERIMENTS.md for paper-vs-measured records.
+//! The paper's §5 tables, defined once in [`TABLES`] and printed by two
+//! binaries: `report` prints every row (the body of EXPERIMENTS.md), and
+//! `table <id>…` the rows of the named tables. Also the answer ledger
+//! (`ledger`), the kernel timings (`kernels`), the SchurML sweep
+//! (`schurml`) and the trace post-mortem (`inspect`). See DESIGN.md §6 for
+//! the experiment index and EXPERIMENTS.md for paper-vs-measured records.
 //!
-//! Every binary accepts:
+//! `report` and `table` accept:
 //!
 //! ```text
 //! --size tiny|default|full     grid preset (default: default)
-//! --machine cluster|origin     α–β machine profile (default: cluster)
-//! --ranks 2,4,8,16             P sweep (default per table)
-//! --scheme general|boxes|rcb   partitioning scheme (default: general)
+//! --ranks 2,4,8,16             replaces the P sweep of every printed table
 //! --trace <dir>                record per-rank JSONL traces into <dir>
 //!                              and print per-phase summaries
+//! --dump-grid                  (`table` only) print the mesh statistics of
+//!                              the named tables' cases instead
 //! ```
 
 #![forbid(unsafe_code)]
@@ -22,90 +25,216 @@ use parapre_core::{build_case, AssembledCase, CaseId, CaseSize, PartitionScheme,
 use parapre_engine::{run_case_traced, RunResult, SessionConfig};
 use parapre_mpisim::MachineModel;
 use std::path::PathBuf;
+use CaseId::{Tc1, Tc2, Tc3, Tc4, Tc5, Tc6};
+use PartitionScheme::{Boxes, General};
+use PrecondKind::{Block2 as B2, Schur1 as S1, Schur2 as S2};
 
 pub mod inspect;
 
-/// Parsed command-line options for a table binary.
+/// One table of the paper's §5: the case, the machine profile, the
+/// partition scheme, the P sweep and the preconditioner columns.
+#[derive(Debug, Clone, Copy)]
+pub struct Table {
+    /// What `table <id>` selects; the rows of one paper table share it.
+    pub id: &'static str,
+    /// The Markdown heading printed above the table (empty: none).
+    pub heading: &'static str,
+    /// The test case.
+    pub case: CaseId,
+    /// The α–β machine profile; it also fixes the partition seed.
+    pub machine: fn() -> MachineModel,
+    /// How the grid is split among the ranks.
+    pub scheme: PartitionScheme,
+    /// The P sweep, one table row per P.
+    pub ranks: &'static [usize],
+    /// The preconditioner columns.
+    pub kinds: &'static [PrecondKind],
+}
+
+const fn row(
+    id: &'static str,
+    case: CaseId,
+    machine: fn() -> MachineModel,
+    scheme: PartitionScheme,
+    ranks: &'static [usize],
+    kinds: &'static [PrecondKind],
+    heading: &'static str,
+) -> Table {
+    Table {
+        id,
+        heading,
+        case,
+        machine,
+        scheme,
+        ranks,
+        kinds,
+    }
+}
+
+const ALL: &[PrecondKind] = &PrecondKind::ALL;
+const SCHWARZ: &[PrecondKind] = &[
+    PrecondKind::Schwarz { coarse: false },
+    PrecondKind::Schwarz { coarse: true },
+];
+const CLUSTER: fn() -> MachineModel = MachineModel::linux_cluster;
+const ORIGIN: fn() -> MachineModel = MachineModel::origin_3800;
+const CLUSTER_P: &[usize] = &[2, 4, 8, 16];
+const ORIGIN_P: &[usize] = &[8, 16, 32];
+
+/// Every table of the paper's §5, in `report`'s order.
+///
+/// The Origin-3800 companions (E1b, E2b, E5b) run the column subset the
+/// paper reports on that machine, at larger P, under its partition seed and
+/// loaded-machine model. E5b checks the paper's footnote, a Schur 2 failure
+/// at P = 16 from an unfortunate partition: a cell that does not converge
+/// prints `n.c.`. At the committed seed it converges, and no failure was
+/// found over 60 seeds at Default size (ROADMAP item 14). For E6 the paper
+/// reports only Schur 1 / Schur 2 (the block preconditioners "have trouble
+/// producing satisfactory convergence"); all four columns show exactly that.
+/// E7 runs TC2 at P = 16 under both partition schemes (§5.1), E8 additive
+/// Schwarz ± CGC on box partitions of TC1 (§5.2) against Schur 1 at P = 16.
+#[rustfmt::skip]
+pub const TABLES: [Table; 13] = [
+    row("e1",  Tc1, CLUSTER, General, CLUSTER_P,       ALL,           "## E1 — Test case 1 (Poisson 2D), Linux cluster"),
+    row("e1b", Tc1, ORIGIN,  General, ORIGIN_P,        &[S1, B2],     "## E1b — Test case 1, Origin 3800 profile"),
+    row("e2",  Tc2, CLUSTER, General, CLUSTER_P,       ALL,           "## E2 — Test case 2 (Poisson 3D), Linux cluster"),
+    row("e2b", Tc2, ORIGIN,  General, ORIGIN_P,        &[S2, B2],     "## E2b — Test case 2, Origin 3800 profile"),
+    row("e3",  Tc3, CLUSTER, General, CLUSTER_P,       ALL,           "## E3 — Test case 3 (Poisson, unstructured)"),
+    row("e4",  Tc4, CLUSTER, General, CLUSTER_P,       ALL,           "## E4 — Test case 4 (heat, M + dt K)"),
+    row("e5",  Tc5, CLUSTER, General, CLUSTER_P,       ALL,           "## E5 — Test case 5 (convection-diffusion)"),
+    row("e5b", Tc5, ORIGIN,  General, ORIGIN_P,        &[S1, S2, B2], "## E5b — Test case 5, Origin 3800 profile"),
+    row("e6",  Tc6, CLUSTER, General, CLUSTER_P,       ALL,           "## E6 — Test case 6 (linear elasticity)"),
+    row("e7",  Tc2, CLUSTER, General, &[16],           ALL,           "## E7 — §5.1 effect of the subdomain shape (TC2, P = 16)\n\n### general partitioning"),
+    row("e7",  Tc2, CLUSTER, Boxes,   &[16],           ALL,           "### box partitioning"),
+    row("e8",  Tc1, CLUSTER, Boxes,   &[4, 8, 16, 32], SCHWARZ,       "## E8 — §5.2 additive Schwarz on TC1 (overlap ≈ 5%, FFT+CG subdomain solves)"),
+    row("e8",  Tc1, CLUSTER, General, &[16],           &[S1],         ""),
+];
+
+/// Which binary reads the command line: `report` prints every table,
+/// `table` the ones named on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Bin {
+    /// `report [flags]`.
+    Report,
+    /// `table <id>… [flags] [--dump-grid]`.
+    Table,
+}
+
+impl Bin {
+    /// The usage text printed with a command-line error.
+    pub fn usage(self) -> String {
+        let flags = "[--size tiny|default|full] [--ranks P,P,…] [--trace <dir>]";
+        match self {
+            Bin::Report => format!("usage: report {flags}"),
+            Bin::Table => {
+                let mut ids: Vec<&str> = TABLES.iter().map(|t| t.id).collect();
+                ids.dedup();
+                format!(
+                    "usage: table <id>… {flags} [--dump-grid]\nids: {}",
+                    ids.join(" ")
+                )
+            }
+        }
+    }
+}
+
+/// Parsed command line of `report` and `table`.
 #[derive(Debug, Clone)]
 pub struct Cli {
     /// Grid preset.
     pub size: CaseSize,
-    /// Machine profile.
-    pub machine: MachineModel,
-    /// Processor counts to sweep.
-    pub ranks: Vec<usize>,
-    /// Partitioning scheme.
-    pub scheme: PartitionScheme,
+    /// When set, replaces the P sweep of every selected table.
+    pub ranks: Option<Vec<usize>>,
     /// When set, write one JSONL trace per (cell, rank) into this directory
     /// and print per-phase summaries alongside the tables.
     pub trace_dir: Option<PathBuf>,
-    /// Leftover flags (table-specific).
-    pub extra: Vec<String>,
+    /// The tables to print: every row of [`TABLES`] for `report`, the rows
+    /// of the named ids, in the order named, for `table`.
+    pub tables: Vec<&'static Table>,
+    /// `table --dump-grid`: print the mesh statistics of the selected
+    /// tables' cases instead of the tables.
+    pub dump_grid: bool,
 }
 
 impl Cli {
-    /// Parses `std::env::args`, with a table-specific default rank sweep.
-    pub fn parse(default_ranks: &[usize]) -> Cli {
+    /// Parses the arguments after the program name; an error names the
+    /// argument at fault.
+    pub fn parse(bin: Bin, args: impl IntoIterator<Item = String>) -> Result<Cli, String> {
         let mut cli = Cli {
             size: CaseSize::Default,
-            machine: MachineModel::linux_cluster(),
-            ranks: default_ranks.to_vec(),
-            scheme: PartitionScheme::General,
+            ranks: None,
             trace_dir: None,
-            extra: Vec::new(),
+            tables: Vec::new(),
+            dump_grid: false,
         };
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            match args[i].as_str() {
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().ok_or(format!("{arg} needs a value"));
+            match arg.as_str() {
                 "--size" => {
-                    i += 1;
-                    cli.size = CaseSize::parse(&args[i])
-                        .unwrap_or_else(|| panic!("unknown --size {}", args[i]));
-                }
-                "--machine" => {
-                    i += 1;
-                    cli.machine = match args[i].as_str() {
-                        "cluster" => MachineModel::linux_cluster(),
-                        "origin" => MachineModel::origin_3800(),
-                        other => panic!("unknown --machine {other}"),
-                    };
+                    let v = value()?;
+                    cli.size = CaseSize::parse(&v).ok_or(format!("unknown --size {v}"))?;
                 }
                 "--ranks" => {
-                    i += 1;
-                    cli.ranks = args[i]
-                        .split(',')
-                        .map(|s| s.parse().expect("rank count"))
-                        .collect();
+                    let v = value()?;
+                    let counts = v.split(',').map(|s| s.parse().ok().filter(|&p| p > 0));
+                    let counts = counts.collect::<Option<_>>();
+                    cli.ranks = Some(counts.ok_or(format!("--ranks {v}: not positive counts"))?);
                 }
-                "--scheme" => {
-                    i += 1;
-                    cli.scheme = PartitionScheme::parse(&args[i])
-                        .unwrap_or_else(|| panic!("unknown --scheme {}", args[i]));
+                "--trace" => cli.trace_dir = Some(PathBuf::from(value()?)),
+                "--dump-grid" if bin == Bin::Table => cli.dump_grid = true,
+                id if bin == Bin::Table && TABLES.iter().any(|t| t.id == id) => {
+                    cli.tables.extend(TABLES.iter().filter(|t| t.id == id));
                 }
-                "--trace" => {
-                    i += 1;
-                    cli.trace_dir = Some(PathBuf::from(&args[i]));
+                id if bin == Bin::Table && !id.starts_with('-') => {
+                    return Err(format!("unknown table {id}"))
                 }
-                other => cli.extra.push(other.to_string()),
+                _ => return Err(format!("unknown argument {arg}")),
             }
-            i += 1;
         }
-        cli
+        match bin {
+            Bin::Report => cli.tables = TABLES.iter().collect(),
+            Bin::Table if cli.tables.is_empty() => return Err("no table named".to_string()),
+            Bin::Table => {}
+        }
+        Ok(cli)
     }
 
-    /// True when the given extra flag was passed.
-    pub fn has_flag(&self, flag: &str) -> bool {
-        self.extra.iter().any(|f| f == flag)
+    /// Parses `std::env::args`; on an error prints it with the usage and
+    /// exits with status 2.
+    pub fn from_env(bin: Bin) -> Cli {
+        Cli::parse(bin, std::env::args().skip(1)).unwrap_or_else(|e| {
+            eprintln!("{e}\n{}", bin.usage());
+            std::process::exit(2)
+        })
+    }
+
+    /// Prints every selected table under its heading, assembling each case
+    /// once.
+    pub fn print_tables(&self) {
+        let mut cases: Vec<AssembledCase> = Vec::new();
+        for table in &self.tables {
+            let i = cases
+                .iter()
+                .position(|c| c.id == table.case)
+                .unwrap_or_else(|| {
+                    cases.push(load_case(table.case, self.size));
+                    cases.len() - 1
+                });
+            if !table.heading.is_empty() {
+                println!("\n{}", table.heading);
+            }
+            print_table(&cases[i], table, self);
+        }
     }
 }
 
-/// Builds the [`SessionConfig`] of one table cell under these CLI options
-/// (the machine profile contributes its partition seed).
-pub fn cell_config(cli: &Cli, kind: PrecondKind, p: usize) -> SessionConfig {
+/// Builds the [`SessionConfig`] of one table cell (the machine profile
+/// contributes its partition seed).
+fn cell_config(table: &Table, kind: PrecondKind, p: usize) -> SessionConfig {
     let mut cfg = SessionConfig::paper(kind, p);
-    cfg.partition_seed = cli.machine.partition_seed;
-    cfg.scheme = cli.scheme;
+    cfg.partition_seed = (table.machine)().partition_seed;
+    cfg.scheme = table.scheme;
     cfg
 }
 
@@ -219,43 +348,43 @@ pub fn phase_line(res: &RunResult) -> Option<String> {
     Some(line)
 }
 
-/// Prints the paper-format table for a case as Markdown: a header line
-/// (case, grid, unknowns, machine, partition scheme), then one row per P of
-/// `cli.ranks` with `#itr`, messages sent over all ranks, host wall and
+/// Prints one table as Markdown: a header line (case, grid, unknowns,
+/// machine, partition scheme), then one row per P of the table's sweep (or
+/// of `--ranks`) with `#itr`, messages sent over all ranks, host wall and
 /// α–β modeled seconds per preconditioner column, then the phase breakdown
 /// of a traced run.
-pub fn print_table(case: &AssembledCase, cli: &Cli, kinds: &[PrecondKind]) {
+fn print_table(case: &AssembledCase, table: &Table, cli: &Cli) {
+    let machine = (table.machine)();
     println!(
         "\n*{}* — *grid:* {}; *unknowns:* {}; *machine:* {}; *partition:* {}\n",
         case.id.name(),
         case.grid_desc,
         case.n_unknowns(),
-        cli.machine.name,
-        cli.scheme.key(),
+        machine.name,
+        table.scheme.key(),
     );
     print!("| P |");
-    for k in kinds {
+    for k in table.kinds {
         print!(" {} #itr | msgs | wall(s) | model(s) |", k.label());
     }
     println!();
     print!("|---|");
-    for _ in kinds {
+    for _ in table.kinds {
         print!("---|---|---|---|");
     }
     println!();
     let mut phase_rows: Vec<(usize, PrecondKind, String)> = Vec::new();
-    for &p in &cli.ranks {
+    for &p in cli.ranks.as_deref().unwrap_or(table.ranks) {
         print!("| {p} |");
-        for &kind in kinds {
-            let cfg = cell_config(cli, kind, p);
-            let res = run_cell(case, cli, &cfg);
+        for &kind in table.kinds {
+            let res = run_cell(case, cli, &cell_config(table, kind, p));
             if res.converged {
                 print!(
                     " {} | {} | {:.3} | {:.3} |",
                     res.iterations,
                     res.total_msgs,
                     res.wall_seconds,
-                    res.modeled_seconds(&cli.machine)
+                    res.modeled_seconds(&machine)
                 );
             } else {
                 print!(" n.c. | - | - | - |");
@@ -276,14 +405,10 @@ pub fn print_table(case: &AssembledCase, cli: &Cli, kinds: &[PrecondKind]) {
     }
 }
 
-/// Convenience: builds the case for a table binary and prints a header.
-pub fn load_case(id: CaseId, cli: &Cli) -> AssembledCase {
-    eprintln!(
-        "[parapre] assembling {} at {:?} size ...",
-        id.name(),
-        cli.size
-    );
-    let case = build_case(id, cli.size);
+/// Assembles a case, saying so on stderr.
+pub fn load_case(id: CaseId, size: CaseSize) -> AssembledCase {
+    eprintln!("[parapre] assembling {} at {size:?} size ...", id.name());
+    let case = build_case(id, size);
     eprintln!("[parapre] {} unknowns", case.n_unknowns());
     case
 }

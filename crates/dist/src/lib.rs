@@ -194,9 +194,22 @@ impl LocalLayout {
 
     /// Writes neighbour `nb`'s delivered ghost values of `k` columns into
     /// `x` and hands the buffer back to the comm pool.
+    ///
+    /// # Panics
+    ///
+    /// If the message does not hold one value per ghost and column: the
+    /// neighbour's send list disagrees with this rank's receive list (a
+    /// pattern that is not structurally symmetric).
     fn store_ghosts(&self, comm: &mut Comm, nb: usize, data: Vec<f64>, x: &mut [f64], k: usize) {
         let recv_idx = &self.recv_idx[nb];
-        debug_assert_eq!(data.len(), recv_idx.len() * k);
+        assert!(
+            data.len() == recv_idx.len() * k,
+            "rank {}: halo message from rank {} has length {}, expected {}",
+            comm.rank(),
+            self.neighbors[nb],
+            data.len(),
+            recv_idx.len() * k
+        );
         let n_local = self.n_local();
         let mut values = data.iter();
         for g in ops::column_groups(k) {

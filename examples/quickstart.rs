@@ -67,5 +67,5 @@ fn main() {
             res.modeled_seconds(&MachineModel::linux_cluster()),
         );
     }
-    println!("\nSee the table_* binaries in parapre-bench for the full paper tables.");
+    println!("\nSee `report` and `table <id>` in parapre-bench for the full paper tables.");
 }

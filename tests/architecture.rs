@@ -7,7 +7,7 @@
 //! door, whose every job key and command verb is documented and whose job
 //! values are read in one place; one Schur driver; one Schwarz on the one
 //! pipeline; one tag table; one fixture family; a preconditioner layer
-//! that reads no global matrix. The tree is walked with `std::fs` from the root
+//! that reads no global matrix; one list of the paper's tables. The tree is walked with `std::fs` from the root
 //! package's directory, build output (`target`) is skipped, and so is this
 //! file, whose needles would otherwise match themselves. A failure lists
 //! every offending `path:line`.
@@ -538,5 +538,41 @@ fn preconditioners_read_no_global_matrix() {
             .into_iter()
             .filter(|l| l.contains("Csr"))
             .collect(),
+    );
+}
+
+#[test]
+fn one_table_list() {
+    assert_none(
+        "`report` and `table` read every case, profile, scheme and column \
+         from `parapre_bench::TABLES`",
+        lines_where(
+            &files(&[
+                "crates/bench/src/bin/report.rs",
+                "crates/bench/src/bin/table.rs",
+            ]),
+            |l| {
+                ["PrecondKind", "MachineModel", "PartitionScheme", "CaseId::"]
+                    .iter()
+                    .any(|name| l.contains(name))
+            },
+        ),
+    );
+    let design = &files(&["DESIGN.md"])[0].1;
+    let index = &design[design.find("## 6.").expect("§6")..design.find("## 7.").expect("§7")];
+    let missing: Vec<&str> = parapre_bench::TABLES
+        .iter()
+        .map(|t| t.id)
+        .filter(|id| {
+            !index.lines().any(|l| {
+                l.to_lowercase().starts_with(&format!("| {id} |"))
+                    && l.ends_with(&format!("| `table {id}` |"))
+            })
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "DESIGN.md §6's regenerator column names `table <id>` for every id of \
+         `TABLES`; missing: {missing:?}"
     );
 }
