@@ -238,10 +238,19 @@ fn cell_config(table: &Table, kind: PrecondKind, p: usize) -> SessionConfig {
     cfg
 }
 
-/// Runs one table cell, honoring `--trace`: when a trace directory is set
-/// the run is recorded and each rank's trace lands in
-/// `<dir>/<case>_<precond>_p<P>_rank<r>.jsonl`.
-pub fn run_cell(case: &AssembledCase, cli: &Cli, cfg: &SessionConfig) -> RunResult {
+/// Runs the cell of `table` in column `kind` at `p` ranks, honoring
+/// `--trace`: when a trace directory is set the run is recorded and each
+/// rank's trace lands in
+/// `<dir>/<id>_<scheme>_<case>_<precond>_p<P>_rank<r>.jsonl` (the two E7
+/// rows share their id and differ in the scheme).
+pub fn run_cell(
+    case: &AssembledCase,
+    cli: &Cli,
+    table: &Table,
+    kind: PrecondKind,
+    p: usize,
+) -> RunResult {
+    let cfg = &cell_config(table, kind, p);
     let Some(dir) = &cli.trace_dir else {
         return run_case_traced(case, cfg, false).0;
     };
@@ -263,7 +272,9 @@ pub fn run_cell(case: &AssembledCase, cli: &Cli, cfg: &SessionConfig) -> RunResu
     let label = sanitize(cfg.precond.label());
     for tr in &traces {
         let path = dir.join(format!(
-            "{}_{}_p{}_rank{}.jsonl",
+            "{}_{}_{}_{}_p{}_rank{}.jsonl",
+            table.id,
+            table.scheme.key(),
             sanitize(case.id.name()),
             label,
             cfg.n_ranks,
@@ -377,7 +388,7 @@ fn print_table(case: &AssembledCase, table: &Table, cli: &Cli) {
     for &p in cli.ranks.as_deref().unwrap_or(table.ranks) {
         print!("| {p} |");
         for &kind in table.kinds {
-            let res = run_cell(case, cli, &cell_config(table, kind, p));
+            let res = run_cell(case, cli, table, kind, p);
             if res.converged {
                 print!(
                     " {} | {} | {:.3} | {:.3} |",

@@ -1,6 +1,7 @@
 //! The command line of `report` and `table`: a bad or missing value, an
 //! unknown flag and an unknown table id are errors naming the argument, not
-//! panics; an id selects every row of `TABLES` that carries it.
+//! panics; an id selects every row of `TABLES` that carries it; `--trace`
+//! writes one file per rank of every printed cell.
 
 use parapre_bench::{Bin, Cli, TABLES};
 
@@ -49,4 +50,20 @@ fn an_id_selects_all_its_rows_in_the_order_named() {
     assert_eq!(ids, ["e8", "e8", "e2b"]);
     assert!(cli.dump_grid);
     assert_eq!(parse(Bin::Report, "").unwrap().tables.len(), TABLES.len());
+}
+
+#[test]
+fn every_rank_of_every_cell_leaves_its_own_trace() {
+    // The two E7 rows share their id, case, columns and P.
+    let dir = std::env::temp_dir().join(format!("parapre-cli-trace-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let line = format!("e7 --size tiny --ranks 2,4 --trace {}", dir.display());
+    let cli = parse(Bin::Table, &line).unwrap();
+    cli.print_tables();
+    let files = std::fs::read_dir(&dir).unwrap().count();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let ranks: usize = cli.ranks.as_ref().unwrap().iter().sum();
+    let cells: usize = cli.tables.iter().map(|t| t.kinds.len() * ranks).sum();
+    assert_eq!((cli.tables.len(), cells), (2, 48));
+    assert_eq!(files, cells);
 }

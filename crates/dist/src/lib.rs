@@ -33,10 +33,11 @@ pub use parapre_krylov::{BreakdownKind, SolveBreakdown, SolveReport};
 pub use solver::{DistGmres, DistOp, DistPrecond, GmresConfig, IdentityDistPrecond, OrthMethod};
 
 use parapre_mpisim::Comm;
-use parapre_sparse::{ops, Csr, RowSplit};
+use parapre_sparse::{ops, Csr};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Range;
 
 thread_local! {
     /// Per-thread gather scratch for outgoing halo/interface messages, so
@@ -274,75 +275,35 @@ impl LocalLayout {
     }
 }
 
-/// Precomputed interior/boundary row split of a rank's local matrix,
-/// driving the comm/compute-overlapped SpMV.
-///
-/// *Interior* rows reference owned columns only, so their dot products can
-/// run while ghost values are still in flight; *boundary* rows touch at
-/// least one ghost column and run after the halo lands. Because the split
-/// keeps whole rows (each row's left-to-right accumulation order is
-/// untouched), the recombined result is **bitwise identical** to the fused
-/// [`Csr::spmv`] — verified by property tests across random meshes and
-/// partitions.
-#[derive(Debug, Clone)]
-pub struct DistSpmvPlan {
-    /// Whole-row partition of the local matrix at the owned/ghost column
-    /// threshold.
-    pub split: RowSplit,
+/// `y[i] = a.row(i) · x` for every row `i` in `rows`, `K` interleaved
+/// columns, each with the exact accumulation order of [`Csr::spmv`].
+fn spmv_rows<const K: usize>(a: &Csr, rows: Range<usize>, x: &[[f64; K]], y: &mut [[f64; K]]) {
+    for i in rows {
+        let (cols, vals) = a.row(i);
+        let mut acc = [0.0; K];
+        for (&j, &v) in cols.iter().zip(vals) {
+            let xj = &x[j];
+            for c in 0..K {
+                acc[c] += v * xj[c];
+            }
+        }
+        y[i] = acc;
+    }
 }
 
-impl DistSpmvPlan {
-    /// Builds the plan for `a_loc` (owned rows × local cols) under `layout`.
-    pub fn new(a_loc: &Csr, layout: &LocalLayout) -> Self {
-        DistSpmvPlan {
-            split: a_loc.split_rows(layout.n_owned()),
-        }
-    }
-
-    /// Rows computable before ghost values arrive.
-    pub fn n_interior(&self) -> usize {
-        self.split.interior_rows.len()
-    }
-
-    /// Rows needing at least one ghost value.
-    pub fn n_boundary(&self) -> usize {
-        self.split.boundary_rows.len()
-    }
-
-    /// Computes `y[rows[i]] = part.row(i) · x` for `K` interleaved columns,
-    /// each with the exact accumulation order of [`Csr::spmv`].
-    fn spmv_scattered<const K: usize>(
-        part: &Csr,
-        rows: &[usize],
-        x: &[[f64; K]],
-        y: &mut [[f64; K]],
-    ) {
-        for (ip, &row) in rows.iter().enumerate() {
-            let (cols, vals) = part.row(ip);
-            let mut acc = [0.0; K];
-            for (&j, &v) in cols.iter().zip(vals) {
-                let xj = &x[j];
-                for c in 0..K {
-                    acc[c] += v * xj[c];
-                }
-            }
-            y[row] = acc;
-        }
-    }
-
-    /// [`DistSpmvPlan::spmv_scattered`] of `part` over every column group of
-    /// `k` packed columns: `x` of `n_local` rows, `y` of `n_owned`.
-    fn spmv_columns(part: &Csr, rows: &[usize], x: &[f64], y: &mut [f64], k: usize) {
-        let (n_local, n_owned) = (x.len() / k, y.len() / k);
-        for g in ops::column_groups(k) {
-            let xg = &x[g.start * n_local..g.end * n_local];
-            let yg = &mut y[g.start * n_owned..g.end * n_owned];
-            match g.len() {
-                8 => Self::spmv_scattered::<8>(part, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
-                4 => Self::spmv_scattered::<4>(part, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
-                2 => Self::spmv_scattered::<2>(part, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
-                _ => Self::spmv_scattered::<1>(part, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
-            }
+/// [`spmv_rows`] over every column group of `k` packed columns: `x` of
+/// `n_local` rows, `y` of `n_owned`.
+fn spmv_rows_columns(a: &Csr, rows: Range<usize>, x: &[f64], y: &mut [f64], k: usize) {
+    let (n_local, n_owned) = (x.len() / k, y.len() / k);
+    for g in ops::column_groups(k) {
+        let xg = &x[g.start * n_local..g.end * n_local];
+        let yg = &mut y[g.start * n_owned..g.end * n_owned];
+        let rows = rows.clone();
+        match g.len() {
+            8 => spmv_rows::<8>(a, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
+            4 => spmv_rows::<4>(a, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
+            2 => spmv_rows::<2>(a, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
+            _ => spmv_rows::<1>(a, rows, xg.as_chunks().0, yg.as_chunks_mut().0),
         }
     }
 }
@@ -353,10 +314,9 @@ pub struct DistMatrix {
     /// Numbering and exchange plan.
     pub layout: LocalLayout,
     /// Local rows: `n_owned × n_local`, columns in local ordering
-    /// (internal, interface, ghosts).
+    /// (internal, interface, ghosts). The internal rows `0..n_internal`
+    /// read owned columns only; every interface row reads a ghost.
     pub a_loc: Csr,
-    /// Interior/boundary row split for the overlapped matvec.
-    pub plan: DistSpmvPlan,
 }
 
 impl DistMatrix {
@@ -397,7 +357,7 @@ impl DistMatrix {
         local_to_global.extend(&interface);
         local_to_global.extend(ghosts.iter().map(|&(_, g)| g));
         let mut ghost_ids = n_owned..;
-        let (neighbors, recv_idx): (Vec<usize>, Vec<Vec<usize>>) = ghosts
+        let (mut neighbors, mut recv_idx): (Vec<usize>, Vec<Vec<usize>>) = ghosts
             .chunk_by(|x, y| x.0 == y.0)
             .map(|run| (run[0].0, ghost_ids.by_ref().take(run.len()).collect()))
             .unzip();
@@ -423,6 +383,11 @@ impl DistMatrix {
         let (g2l, n_local) = (global_to_local(&local_to_global), local_to_global.len());
         let a_loc = a.extract(&local_to_global[..n_owned], |c| Some(g2l[&c]), n_local);
 
+        // The layout lives as long as the matrix: no growth slack.
+        local_to_global.shrink_to_fit();
+        neighbors.shrink_to_fit();
+        recv_idx.shrink_to_fit();
+        send_idx.iter_mut().for_each(Vec::shrink_to_fit);
         let layout = LocalLayout {
             rank,
             n_ranks,
@@ -434,20 +399,15 @@ impl DistMatrix {
             send_idx,
             recv_idx,
         };
-        let plan = DistSpmvPlan::new(&a_loc, &layout);
-        DistMatrix {
-            layout,
-            a_loc,
-            plan,
-        }
+        DistMatrix { layout, a_loc }
     }
 
     /// Distributed matvec `y = A x` with **communication/computation
-    /// overlap**: posts the ghost sends, computes interior rows while the
-    /// values are in flight, then finishes the exchange and the boundary
-    /// rows. Bitwise identical to a full exchange followed by
-    /// [`Csr::spmv`] because the row split preserves each row's
-    /// accumulation order.
+    /// overlap**: posts the ghost sends, computes the internal rows
+    /// (`0..n_internal`, owned columns only) while the values are in
+    /// flight, then finishes the exchange and the interface rows. Bitwise
+    /// identical to a full exchange followed by [`Csr::spmv`]: both row
+    /// ranges are rows of `a_loc`, each summed in its stored order.
     ///
     /// `x` has length `n_local` (ghost tail is scratch), `y` length
     /// `n_owned`.
@@ -463,14 +423,14 @@ impl DistMatrix {
         debug_assert_eq!(x.len(), k * self.layout.n_local());
         debug_assert_eq!(y.len(), k * self.layout.n_owned());
         let _span = parapre_metrics::span(parapre_metrics::names::SPMV);
-        let split = &self.plan.split;
+        let (ni, no) = (self.layout.n_internal, self.layout.n_owned());
         self.layout.post_ghost_sends(comm, x, k, tags::GHOST);
-        DistSpmvPlan::spmv_columns(&split.interior, &split.interior_rows, x, y, k);
+        spmv_rows_columns(&self.a_loc, 0..ni, x, y, k);
         {
             let _halo = parapre_metrics::span(parapre_metrics::names::HALO);
             self.layout.finish_ghosts(comm, x, k, tags::GHOST);
         }
-        DistSpmvPlan::spmv_columns(&split.boundary, &split.boundary_rows, x, y, k);
+        spmv_rows_columns(&self.a_loc, ni..no, x, y, k);
     }
 
     /// The paper's local blocks `B_i, F_i, E_i, C_i` (eq. 4) plus the ghost
@@ -741,13 +701,11 @@ mod tests {
         let owner_ref = &owner;
         let results = Universe::run(4, |comm| {
             let dm = DistMatrix::from_global(a_ref, owner_ref, comm.rank(), 4);
-            // The plan covers every owned row exactly once.
-            assert_eq!(
-                dm.plan.n_interior() + dm.plan.n_boundary(),
-                dm.layout.n_owned()
-            );
-            // Interior rows are exactly the internal nodes in this layout.
-            assert_eq!(dm.plan.n_interior(), dm.layout.n_internal);
+            // The internal rows read owned columns only, and every
+            // interface row reads a ghost: the matvec's two row ranges.
+            let (ni, no) = (dm.layout.n_internal, dm.layout.n_owned());
+            assert!((0..ni).all(|i| dm.a_loc.row(i).0.iter().all(|&c| c < no)));
+            assert!((ni..no).all(|i| dm.a_loc.row(i).0.last().is_some_and(|&c| c >= no)));
             let mut x = vec![0.0; dm.layout.n_local()];
             for (l, v) in x[..dm.layout.n_owned()].iter_mut().enumerate() {
                 *v = (dm.layout.local_to_global[l] as f64 * 0.61).cos();

@@ -54,22 +54,26 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// Removes the least recently used entries of `map` until at most
-/// `capacity` remain; returns how many went.
+/// Keeps the `capacity` most recently used entries of `map` and removes
+/// every older one that `pinned` does not hold back; returns how many went.
+/// A map whose older entries are all pinned stays over capacity.
 pub(crate) fn evict_lru<K: Clone + Eq + Hash, V>(
     map: &mut HashMap<K, V>,
     capacity: usize,
     last_used: impl Fn(&V) -> u64,
+    pinned: impl Fn(&V) -> bool,
 ) -> u64 {
+    if map.len() <= capacity {
+        return 0;
+    }
+    let mut by_use: Vec<(u64, K)> = map.iter().map(|(k, v)| (last_used(v), k.clone())).collect();
+    by_use.sort_unstable_by_key(|&(t, _)| std::cmp::Reverse(t));
     let mut evicted = 0;
-    while map.len() > capacity {
-        let lru = map
-            .iter()
-            .min_by_key(|(_, v)| last_used(v))
-            .map(|(k, _)| k.clone())
-            .expect("non-empty over capacity");
-        map.remove(&lru);
-        evicted += 1;
+    for (_, k) in &by_use[capacity..] {
+        if !pinned(&map[k]) {
+            map.remove(k);
+            evicted += 1;
+        }
     }
     evicted
 }
@@ -180,7 +184,7 @@ impl SessionCache {
         inner.tick += 1;
         let last_used = inner.tick;
         inner.map.insert(key, Entry { session, last_used });
-        let n = evict_lru(&mut inner.map, self.capacity, |e| e.last_used);
+        let n = evict_lru(&mut inner.map, self.capacity, |e| e.last_used, |_| false);
         if n > 0 {
             self.evictions.fetch_add(n, Ordering::Relaxed);
             parapre_metrics::inc(parapre_metrics::names::CACHE_EVICTIONS_TOTAL, n);

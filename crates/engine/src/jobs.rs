@@ -556,6 +556,14 @@ pub fn problem_key(job: &SolveJob) -> String {
     )
 }
 
+/// The rejection of a job naming a fingerprint the store does not hold:
+/// never put, or evicted since.
+pub(crate) fn unregistered(fp: u64) -> EngineError {
+    EngineError::BadJob(format!(
+        "fingerprint {fp:016x} is not in the matrix store (never put, or evicted); put it again"
+    ))
+}
+
 /// A matrix registered with the service, with the pattern hash its
 /// registration computed in the same pass as the content hash it is keyed
 /// by.
@@ -635,9 +643,7 @@ pub fn resolve_problem_with(
 ) -> Result<ResolvedProblem, EngineError> {
     match &job.problem {
         ProblemSpec::Registered { fp } => {
-            let stored = lookup(*fp).ok_or_else(|| {
-                EngineError::BadJob(format!("fingerprint {fp:016x} is not registered"))
-            })?;
+            let stored = lookup(*fp).ok_or_else(|| unregistered(*fp))?;
             // A structurally symmetric upload is shared with the store, and
             // so are the hashes its `put` computed.
             let a = with_symmetric_pattern(Arc::clone(&stored.a));

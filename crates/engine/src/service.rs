@@ -16,8 +16,8 @@
 
 use crate::cache::{evict_lru, CacheStats, SessionCache, SessionKey};
 use crate::jobs::{
-    batch_rhs, nearest, problem_key, resolve_problem_with, JobResult, ResolvedProblem, SolveJob,
-    StoredMatrix, COMMANDS,
+    batch_rhs, nearest, problem_key, resolve_problem_with, unregistered, JobResult, ProblemSpec,
+    ResolvedProblem, SolveJob, StoredMatrix, COMMANDS,
 };
 use crate::session::{Descent, MatrixId, RefactorFallback, SolveRequest, SolverSession};
 use crate::EngineError;
@@ -39,7 +39,8 @@ pub struct ServiceConfig {
     /// Maximum *queued* (not yet running) jobs before submissions are
     /// rejected with backpressure.
     pub queue_capacity: usize,
-    /// Session-cache capacity (resident factored sessions).
+    /// Capacity of the session cache (resident factored sessions), of the
+    /// problem cache and of the matrix store.
     pub cache_capacity: usize,
 }
 
@@ -211,6 +212,14 @@ impl ProblemCache {
         job: &SolveJob,
         matrices: &MatrixStore,
     ) -> Result<Arc<ResolvedProblem>, crate::EngineError> {
+        // A job naming a fingerprint refreshes it in the store, and one the
+        // store has dropped is refused even where its resolution is cached.
+        let stored = match job.problem {
+            ProblemSpec::Registered { fp } => {
+                Some(matrices.get(fp).ok_or_else(|| unregistered(fp))?)
+            }
+            _ => None,
+        };
         let key = problem_key(job);
         let tick = self.tick.fetch_add(1, Ordering::Relaxed) as u64 + 1;
         {
@@ -222,11 +231,11 @@ impl ProblemCache {
         }
         // Resolve outside the lock; concurrent identical jobs may resolve
         // redundantly (bounded by the pool size) — cheaper than serializing.
-        let problem = Arc::new(resolve_problem_with(job, &|fp| matrices.get(fp))?);
+        let problem = Arc::new(resolve_problem_with(job, &|_| stored.clone())?);
         let mut map = self.map.lock().expect("problem cache lock");
         map.entry(key)
             .or_insert_with(|| (Arc::clone(&problem), tick));
-        evict_lru(&mut map, self.capacity, |(_, used)| *used);
+        evict_lru(&mut map, self.capacity, |(_, used)| *used, |_| false);
         Ok(problem)
     }
 }
@@ -244,6 +253,19 @@ pub struct MatrixStoreStats {
     pub hits: u64,
     /// Fingerprint lookups that missed.
     pub misses: u64,
+    /// Matrices dropped by the LRU bound.
+    pub evictions: u64,
+}
+
+/// A registered matrix and its last use (a `put` or a job naming it).
+struct Resident {
+    matrix: StoredMatrix,
+    last_used: u64,
+}
+
+struct StoreInner {
+    map: HashMap<u64, Resident>,
+    tick: u64,
 }
 
 /// Matrices registered by content fingerprint, so network clients upload a
@@ -251,61 +273,95 @@ pub struct MatrixStoreStats {
 /// path moves a ~20-byte reference instead of megabytes of triplets, and
 /// the [`SessionCache`]'s single-flight build keyed on the same
 /// fingerprint dedups the factorization behind it.
+///
+/// Bounded like the session and problem caches (netd's `--cache`): a
+/// `put` keeps the `capacity` most recently used matrices and drops every
+/// older one, except a matrix a cached session or problem still holds (its
+/// `Arc` is shared, so dropping it would free nothing). A held matrix
+/// takes no place from a fresh one: a matrix just put stays until
+/// `capacity` others have been used after it. A job naming an evicted
+/// fingerprint is rejected; the client puts the matrix again.
 pub struct MatrixStore {
-    map: Mutex<HashMap<u64, StoredMatrix>>,
+    capacity: usize,
+    inner: Mutex<StoreInner>,
     puts: AtomicU64,
     dedups: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-}
-
-impl Default for MatrixStore {
-    fn default() -> Self {
-        MatrixStore::new()
-    }
+    evictions: AtomicU64,
 }
 
 impl MatrixStore {
-    /// An empty store.
-    pub fn new() -> MatrixStore {
+    /// An empty store keeping the `capacity` (min 1) most recently used
+    /// matrices and any older one held elsewhere.
+    pub fn new(capacity: usize) -> MatrixStore {
         MatrixStore {
-            map: Mutex::new(HashMap::new()),
+            capacity: capacity.max(1),
+            inner: Mutex::new(StoreInner {
+                map: HashMap::new(),
+                tick: 0,
+            }),
             puts: AtomicU64::new(0),
             dedups: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
         }
     }
 
     /// Registers a matrix and returns `(fingerprint, known_before)`.
     /// Re-registering identical content is a cheap dedup (the parsed copy
-    /// is dropped, the resident one stays).
+    /// is dropped, the resident one stays); either way the fingerprint
+    /// becomes the most recently used.
     pub fn put(&self, a: Csr) -> (u64, bool) {
         // The one pass that yields the key also yields the pattern hash;
         // both stay with the matrix so resolving a job need not hash again.
         let id = MatrixId::of(&a);
         let fp = id.fingerprint;
-        let mut map = self.map.lock().expect("matrix store lock");
-        let known = map.contains_key(&fp);
-        if known {
-            self.dedups.fetch_add(1, Ordering::Relaxed);
-            parapre_metrics::inc(names::NET_MATRIX_DEDUP_TOTAL, 1);
-        } else {
-            map.insert(fp, StoredMatrix { a: Arc::new(a), id });
-            self.puts.fetch_add(1, Ordering::Relaxed);
-            parapre_metrics::inc(names::NET_MATRIX_PUTS_TOTAL, 1);
-        }
+        let mut inner = self.inner.lock().expect("matrix store lock");
+        inner.tick += 1;
+        let tick = inner.tick;
+        let known = match inner.map.get_mut(&fp) {
+            Some(resident) => {
+                resident.last_used = tick;
+                self.dedups.fetch_add(1, Ordering::Relaxed);
+                parapre_metrics::inc(names::NET_MATRIX_DEDUP_TOTAL, 1);
+                true
+            }
+            None => {
+                let matrix = StoredMatrix { a: Arc::new(a), id };
+                inner.map.insert(
+                    fp,
+                    Resident {
+                        matrix,
+                        last_used: tick,
+                    },
+                );
+                self.puts.fetch_add(1, Ordering::Relaxed);
+                parapre_metrics::inc(names::NET_MATRIX_PUTS_TOTAL, 1);
+                false
+            }
+        };
+        let evicted = evict_lru(
+            &mut inner.map,
+            self.capacity,
+            |r| r.last_used,
+            |r| Arc::strong_count(&r.matrix.a) > 1,
+        );
+        self.evictions.fetch_add(evicted, Ordering::Relaxed);
         (fp, known)
     }
 
-    /// The matrix registered under `fp` (with its hashes), if any.
+    /// The matrix registered under `fp` (with its hashes), if any; a hit
+    /// makes `fp` the most recently used.
     pub fn get(&self, fp: u64) -> Option<StoredMatrix> {
-        let found = self
-            .map
-            .lock()
-            .expect("matrix store lock")
-            .get(&fp)
-            .cloned();
+        let mut inner = self.inner.lock().expect("matrix store lock");
+        inner.tick += 1;
+        let tick = inner.tick;
+        let found = inner.map.get_mut(&fp).map(|resident| {
+            resident.last_used = tick;
+            resident.matrix.clone()
+        });
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -316,11 +372,12 @@ impl MatrixStore {
     /// Live counter snapshot.
     pub fn stats(&self) -> MatrixStoreStats {
         MatrixStoreStats {
-            len: self.map.lock().expect("matrix store lock").len(),
+            len: self.inner.lock().expect("matrix store lock").map.len(),
             puts: self.puts.load(Ordering::Relaxed),
             dedups: self.dedups.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
+            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 }
@@ -397,7 +454,7 @@ impl SolveService {
             peak_active: AtomicUsize::new(0),
             cache: SessionCache::new(cfg.cache_capacity),
             problems: ProblemCache::new(cfg.cache_capacity),
-            matrices: MatrixStore::new(),
+            matrices: MatrixStore::new(cfg.cache_capacity),
             refactors: AtomicU64::new(0),
             refactor_fallbacks: AtomicU64::new(0),
             cfg,
@@ -514,7 +571,7 @@ impl SolveService {
              \"cache_hits\":{},\"cache_misses\":{},\"cache_evictions\":{},\
              \"cache_waits\":{},\"refactors\":{},\"refactor_fallbacks\":{},\
              \"store_len\":{},\"store_puts\":{},\"store_dedups\":{},\
-             \"store_hits\":{},\"store_misses\":{},\
+             \"store_hits\":{},\"store_misses\":{},\"store_evictions\":{},\
              \"queue_p50_ms\":{:.3},\"queue_p99_ms\":{:.3},\
              \"build_p50_ms\":{:.3},\"build_p99_ms\":{:.3},\
              \"solve_p50_ms\":{:.3},\"solve_p99_ms\":{:.3},\
@@ -535,6 +592,7 @@ impl SolveService {
             store.dedups,
             store.hits,
             store.misses,
+            store.evictions,
             ms(names::QUEUE_WAIT_US, 0.5),
             ms(names::QUEUE_WAIT_US, 0.99),
             ms(names::BUILD_US, 0.5),

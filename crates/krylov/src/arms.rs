@@ -506,8 +506,8 @@ fn build_level(a: &Csr, gis: &Arc<GroupIndependentSet>, cfg: &ArmsConfig) -> Res
 fn drop_relative(a: &Csr, tol: f64) -> Csr {
     let n = a.n_rows();
     let mut row_ptr = Vec::with_capacity(n + 1);
-    let mut col_idx = Vec::new();
-    let mut vals = Vec::new();
+    let mut col_idx = Vec::with_capacity(a.nnz());
+    let mut vals = Vec::with_capacity(a.nnz());
     row_ptr.push(0);
     for i in 0..n {
         let (cols, vs) = a.row(i);
@@ -521,6 +521,8 @@ fn drop_relative(a: &Csr, tol: f64) -> Csr {
         }
         row_ptr.push(col_idx.len());
     }
+    col_idx.shrink_to_fit();
+    vals.shrink_to_fit();
     Csr::from_parts_unchecked(n, a.n_cols(), row_ptr, col_idx, vals)
 }
 

@@ -339,9 +339,17 @@ impl LuFactors {
         // A kept column is at least `nb`, so its shifted index is no wider
         // than the stored one.
         let shifted = |c: u32| ops::narrow_index(c as usize - nb).expect("narrower than stored");
-        let (mut l_ptr, mut u_ptr) = (vec![0], vec![0]);
-        let (mut l_cols, mut u_cols) = (Vec::new(), Vec::new());
-        let (mut l_vals, mut u_vals) = (Vec::new(), Vec::new());
+        // Sized to the trailing rows: every U entry is kept, the L rows
+        // lose their leading E block (trimmed below).
+        let (l_max, u_len) = (sym.l_ptr[n] - sym.l_ptr[nb], sym.u_ptr[n] - sym.u_ptr[nb]);
+        let (mut l_ptr, mut u_ptr) = (
+            Vec::with_capacity(n - nb + 1),
+            Vec::with_capacity(n - nb + 1),
+        );
+        l_ptr.push(0);
+        u_ptr.push(0);
+        let (mut l_cols, mut u_cols) = (Vec::with_capacity(l_max), Vec::with_capacity(u_len));
+        let (mut l_vals, mut u_vals) = (Vec::with_capacity(l_max), Vec::with_capacity(u_len));
         for i in nb..n {
             // L columns ascend, so the E block (columns < nb) leads the row;
             // every U column is > i ≥ nb.
@@ -356,6 +364,8 @@ impl LuFactors {
             u_vals.extend_from_slice(&self.u_vals[u_row]);
             u_ptr.push(u_cols.len());
         }
+        l_cols.shrink_to_fit();
+        l_vals.shrink_to_fit();
         let sym = LuSymbolic {
             l_ptr,
             l_cols,
@@ -706,7 +716,11 @@ impl Ilut {
             u_row_ptr.push(u_cols.len());
         }
 
-        // L and U are stored as they were built.
+        // L and U are stored as they were built, without growth slack.
+        l_cols.shrink_to_fit();
+        l_vals.shrink_to_fit();
+        u_cols.shrink_to_fit();
+        u_vals.shrink_to_fit();
         let fill = l_cols.len() + n + u_cols.len();
         parapre_metrics::count(parapre_metrics::names::FILL_NNZ, fill as u64);
         let sym = LuSymbolic {

@@ -17,7 +17,8 @@ const USAGE: &str = "usage: parapre-netd [--tcp ADDR] [--unix PATH] [--pool N] [
   --unix PATH       listen on a unix-domain socket
   --pool N          worker threads / concurrent jobs (default 4)
   --queue N         bounded queue capacity (default 16)
-  --cache N         session-cache capacity (default 4)
+  --cache N         entries kept by each of the session cache, the problem
+                    cache and the matrix store (default 4)
   --max-inflight N  per-client in-flight job cap (default 8)
 at least one of --tcp / --unix is required";
 

@@ -17,20 +17,6 @@ pub struct Csr {
     vals: Vec<f64>,
 }
 
-/// Result of [`Csr::split_rows`]: whole rows routed to an interior or a
-/// boundary part, with the original row index of every split row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RowSplit {
-    /// Rows referencing only columns below the threshold.
-    pub interior: Csr,
-    /// Original row index of each interior row.
-    pub interior_rows: Vec<usize>,
-    /// Rows referencing at least one column at/above the threshold.
-    pub boundary: Csr,
-    /// Original row index of each boundary row.
-    pub boundary_rows: Vec<usize>,
-}
-
 impl Csr {
     /// Builds a CSR matrix from raw parts, validating the invariants.
     pub fn from_parts(
@@ -265,56 +251,6 @@ impl Csr {
         }
     }
 
-    /// Splits the rows into an *interior* part (rows whose stored entries
-    /// all have column `< col_threshold`) and a *boundary* part (rows with
-    /// at least one entry at column `>= col_threshold`).
-    ///
-    /// This is the comm/compute-overlap split of a distributed SpMV: with
-    /// ghost columns numbered at the tail, interior rows can be computed
-    /// before any ghost value has arrived. Both parts keep this matrix's
-    /// full column count, and `y[rows[k]] = part_y[k]` scatters results
-    /// back; because each part keeps whole rows, the per-row reduction
-    /// order is untouched and the recombined product is bitwise identical
-    /// to [`Csr::spmv`].
-    pub fn split_rows(&self, col_threshold: usize) -> RowSplit {
-        let mut interior_rows = Vec::new();
-        let mut boundary_rows = Vec::new();
-        for i in 0..self.n_rows {
-            let (cols, _) = self.row(i);
-            // Columns are sorted: the last one decides.
-            if cols.last().is_some_and(|&c| c >= col_threshold) {
-                boundary_rows.push(i);
-            } else {
-                interior_rows.push(i);
-            }
-        }
-        let take = |rows: &[usize]| -> Csr {
-            let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-            let mut col_idx = Vec::new();
-            let mut vals = Vec::new();
-            row_ptr.push(0);
-            for &i in rows {
-                let (cols, vs) = self.row(i);
-                col_idx.extend_from_slice(cols);
-                vals.extend_from_slice(vs);
-                row_ptr.push(col_idx.len());
-            }
-            Csr {
-                n_rows: rows.len(),
-                n_cols: self.n_cols,
-                row_ptr,
-                col_idx,
-                vals,
-            }
-        };
-        RowSplit {
-            interior: take(&interior_rows),
-            interior_rows,
-            boundary: take(&boundary_rows),
-            boundary_rows,
-        }
-    }
-
     /// Returns the transpose as a new CSR matrix.
     pub fn transpose(&self) -> Csr {
         let mut counts = vec![0usize; self.n_cols + 1];
@@ -413,9 +349,15 @@ impl Csr {
         col_map: impl Fn(usize) -> Option<usize>,
         new_n_cols: usize,
     ) -> Csr {
+        // Sized to the rows' stored entries: exact when every column is
+        // kept (a rank's share), trimmed to the kept ones at the end.
+        let stored = rows
+            .iter()
+            .map(|&i| self.row_ptr[i + 1] - self.row_ptr[i])
+            .sum();
         let mut row_ptr = Vec::with_capacity(rows.len() + 1);
-        let mut col_idx = Vec::new();
-        let mut vals = Vec::new();
+        let mut col_idx = Vec::with_capacity(stored);
+        let mut vals = Vec::with_capacity(stored);
         row_ptr.push(0);
         let mut scratch: Vec<(usize, f64)> = Vec::new();
         for &i in rows {
@@ -433,6 +375,8 @@ impl Csr {
             }
             row_ptr.push(col_idx.len());
         }
+        col_idx.shrink_to_fit();
+        vals.shrink_to_fit();
         Csr {
             n_rows: rows.len(),
             n_cols: new_n_cols,
@@ -777,54 +721,5 @@ mod tests {
         let mut y = [10.0, 10.0, 10.0];
         a.spmv_acc(2.0, &x, &mut y);
         assert_eq!(y, [12.0, 10.0, 12.0]);
-    }
-
-    #[test]
-    fn split_rows_partitions_and_recombines_bitwise() {
-        let a = Csr::from_dense_rows(&[
-            vec![2.0, 1.0, 0.0, 0.0], // interior (cols < 2)
-            vec![0.0, 3.0, 0.5, 0.0], // boundary (col 2)
-            vec![1.0, 0.0, 4.0, 1.0], // boundary (col 3)
-            vec![7.0, 0.0, 0.0, 0.0], // interior
-        ]);
-        let split = a.split_rows(2);
-        assert_eq!(split.interior_rows, vec![0, 3]);
-        assert_eq!(split.boundary_rows, vec![1, 2]);
-        assert_eq!(split.interior.n_rows(), 2);
-        assert_eq!(split.boundary.n_cols(), 4);
-        assert_eq!(
-            split.interior.nnz() + split.boundary.nnz(),
-            a.nnz(),
-            "every entry lands in exactly one part"
-        );
-        // Recombined SpMV is bitwise identical to the fused one.
-        let x = [0.3, -1.7, 2.9, 0.11];
-        let mut want = [0.0; 4];
-        a.spmv(&x, &mut want);
-        let mut yi = vec![0.0; 2];
-        let mut yb = vec![0.0; 2];
-        split.interior.spmv(&x, &mut yi);
-        split.boundary.spmv(&x, &mut yb);
-        let mut got = [0.0; 4];
-        for (k, &r) in split.interior_rows.iter().enumerate() {
-            got[r] = yi[k];
-        }
-        for (k, &r) in split.boundary_rows.iter().enumerate() {
-            got[r] = yb[k];
-        }
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn split_rows_all_interior_or_all_boundary() {
-        let a = sample();
-        let all_interior = a.split_rows(a.n_cols());
-        assert_eq!(all_interior.interior_rows.len(), a.n_rows());
-        assert!(all_interior.boundary_rows.is_empty());
-        let all_boundary = a.split_rows(0);
-        // Rows with entries go boundary; empty rows count as interior.
-        for i in all_boundary.boundary_rows {
-            assert!(!a.row(i).0.is_empty());
-        }
     }
 }

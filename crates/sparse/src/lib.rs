@@ -32,7 +32,7 @@ pub mod perm;
 pub mod report;
 
 pub use coo::Coo;
-pub use csr::{Csr, RowSplit};
+pub use csr::Csr;
 pub use dense::Dense;
 pub use perm::Permutation;
 pub use report::FactorReport;

@@ -169,6 +169,10 @@ impl SplitCsr {
             out.l_ptr.push(out.l_cols.len());
             out.u_ptr.push(out.u_cols.len());
         }
+        out.l_cols.shrink_to_fit();
+        out.l_vals.shrink_to_fit();
+        out.u_cols.shrink_to_fit();
+        out.u_vals.shrink_to_fit();
         Ok(out)
     }
 
